@@ -16,9 +16,27 @@ import (
 // classified writes (ACL, static route, interface, OSPF, VLAN), a write
 // the classifier punts on (ACL application, which falls back to full
 // invalidation), and reads that force derivation of the queued changes.
+// The seeded case is the twin's: the environment derives its first
+// snapshot from another network's (production's) instead of computing its
+// own, sharing that snapshot's routing state until the first write.
 func TestIncrementalSnapshotOracle(t *testing.T) {
-	n := testNet()
-	env := NewEnv(n)
+	t.Run("computed", func(t *testing.T) {
+		n := testNet()
+		incrementalSnapshotOracle(t, n, NewEnv(n))
+	})
+	t.Run("seeded", func(t *testing.T) {
+		prod := testNet()
+		n := prod.Clone()
+		from := dataplane.Compute(prod)
+		env := NewEnvSeeded(n, from)
+		if got, want := env.Snapshot().RIB("r1"), from.RIB("r1"); len(want) == 0 || &got[0] != &want[0] {
+			t.Fatal("seeded environment computed its own first snapshot")
+		}
+		incrementalSnapshotOracle(t, n, env)
+	})
+}
+
+func incrementalSnapshotOracle(t *testing.T, n *netmodel.Network, env *Env) {
 	env.EnableIncremental()
 	r1 := New("r1", env)
 

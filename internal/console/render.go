@@ -150,8 +150,17 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 // snapshot derives from the previous one (dataplane.Derive) instead of
 // recomputing from scratch; writes the console cannot classify still
 // invalidate fully.
-func NewEnv(n *netmodel.Network) *Env {
+func NewEnv(n *netmodel.Network) *Env { return NewEnvSeeded(n, nil) }
+
+// NewEnvSeeded is NewEnv with the first snapshot derived instead of
+// computed: from is a snapshot of a network the dataplane cannot tell from
+// n as it is now (production's, for its sanitized twin copy or a shadow
+// about to be written), or nil to compute on first use.
+func NewEnvSeeded(n *netmodel.Network, from *dataplane.Snapshot) *Env {
 	var snap *dataplane.Snapshot
+	if from != nil {
+		snap = from.Derive(n, nil)
+	}
 	var pending dataplane.ChangeSet
 	env := &Env{Net: n}
 	env.Snapshot = func() *dataplane.Snapshot {

@@ -67,7 +67,9 @@ type System struct {
 	platform *enclave.Platform
 
 	// prodMu guards reads (twin construction, snapshots) against writes
-	// (commits, emergency changes) on the production network.
+	// (commits, emergency changes) on the production network. Every writer
+	// ends in Enforcer.InvalidateReviews before it unlocks, which is what
+	// keeps the enforcer's production snapshot honest.
 	prodMu sync.RWMutex
 	// prodConsoleEnv backs emergency-mode consoles (lazily built).
 	prodConsoleEnv *console.Env
@@ -134,9 +136,10 @@ func (s *System) Policies() []verify.Policy { return s.policies }
 func (s *System) MutateProduction(fn func(*netmodel.Network) error) error {
 	s.prodMu.Lock()
 	defer s.prodMu.Unlock()
-	// The mutation happens behind the enforcer's back; drop any review
-	// verdicts cached against the pre-mutation network. Invalidate even
-	// when fn fails — it may have partially applied before erroring.
+	// The mutation happens behind the enforcer's back; drop the review
+	// verdicts and the production snapshot held for the pre-mutation
+	// network. Invalidate even when fn fails — it may have partially
+	// applied before erroring.
 	defer s.Enforcer.InvalidateReviews()
 	return fn(s.production)
 }
@@ -177,7 +180,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 
 	s.prodMu.RLock()
 	defer s.prodMu.RUnlock()
-	snap := dataplane.Compute(s.production)
+	snap := s.Enforcer.ProductionSnapshot(s.production)
 	slice := twin.ComputeSlice(s.production, snap, s.strategy, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string
@@ -203,6 +206,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 		Ticket:     tk.ID,
 		Technician: technician,
 		Production: s.production,
+		Snapshot:   snap,
 		Spec:       pspec,
 		Slice:      slice,
 		Trail:      s.Enforcer.Trail(),
@@ -309,7 +313,13 @@ func (e *Engagement) Review() (*enforcer.Decision, error) {
 // means the verdict was replayed from the content-addressed review cache
 // rather than recomputed (always false when the cache is disabled).
 func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
-	changes := e.Twin.Changes()
+	return e.ReviewChanges(e.Twin.Changes())
+}
+
+// ReviewChanges is ReviewCached for a change set the caller already
+// extracted with Twin.Changes — a whole-network diff worth doing once per
+// request when the caller also needs it for ReviewKey.
+func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision, bool, error) {
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)
 	}
@@ -319,24 +329,24 @@ func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 	return d, hit, nil
 }
 
-// ReviewKey returns the content address a review of this engagement's
-// pending changes would occupy right now (enforcer.ReviewKey), and false
-// when there is nothing to review. Concurrent submissions with equal keys
-// would receive the same verdict, which is what the service layer's
-// request coalescing keys on.
-func (e *Engagement) ReviewKey() (string, bool) {
-	changes := e.Twin.Changes()
-	if len(changes) == 0 {
-		return "", false
-	}
-	return e.sys.Enforcer.ReviewKey(changes, e.Spec), true
+// ReviewKey returns the content address a review of the given pending
+// changes would occupy right now (enforcer.ReviewKey). Concurrent
+// submissions with equal keys would receive the same verdict, which is
+// what the service layer's request coalescing keys on.
+func (e *Engagement) ReviewKey(changes []config.Change) string {
+	return e.sys.Enforcer.ReviewKey(changes, e.Spec)
 }
 
 // Commit extracts the twin's changes, has the enforcer verify and schedule
 // them, applies them to production, and moves the ticket to Resolved (or
 // Rejected when the enforcer refuses).
 func (e *Engagement) Commit() (*enforcer.Decision, error) {
-	changes := e.Twin.Changes()
+	return e.CommitChanges(e.Twin.Changes())
+}
+
+// CommitChanges is Commit for a change set the caller already extracted
+// with Twin.Changes.
+func (e *Engagement) CommitChanges(changes []config.Change) (*enforcer.Decision, error) {
 	if len(changes) == 0 {
 		return nil, fmt.Errorf("core: nothing to commit for %s", e.Ticket.ID)
 	}

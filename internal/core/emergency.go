@@ -44,12 +44,19 @@ func (e *Engagement) EmergencyConsole(device string) (*EmergencySession, error) 
 	return &EmergencySession{eng: e, con: console.New(device, e.sys.prodEnv())}, nil
 }
 
-// prodEnv lazily builds the production console environment.
+// prodEnv lazily builds the production console environment. It reads the
+// enforcer's production snapshot, so an emergency console sees what every
+// commit since it opened did, and its writes invalidate like any other
+// production mutation.
 func (s *System) prodEnv() *console.Env {
 	s.prodMu.Lock()
 	defer s.prodMu.Unlock()
 	if s.prodConsoleEnv == nil {
-		s.prodConsoleEnv = console.NewEnv(s.production)
+		s.prodConsoleEnv = &console.Env{
+			Net:        s.production,
+			Snapshot:   func() *dataplane.Snapshot { return s.Enforcer.ProductionSnapshot(s.production) },
+			Invalidate: s.Enforcer.InvalidateReviews,
+		}
 	}
 	return s.prodConsoleEnv
 }
@@ -107,31 +114,36 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 		return "", err
 	}
 	if cmd.Write {
+		// The write bypassed the commit pipeline; the console invalidated
+		// the enforcer's verdicts and production snapshot on the way out
+		// (prodEnv).
 		trail.Append(e.Ticket.ID, e.Ticket.Assignee, audit.KindChange,
 			fmt.Sprintf("EMERGENCY applied [%s] %s", s.Device(), line), true)
-		// The write bypassed the commit pipeline; cached review verdicts
-		// no longer describe production.
-		e.sys.Enforcer.InvalidateReviews()
 	}
 	return out, nil
 }
 
-// shadowVerify applies the command to a clone of production and checks
+// shadowVerify applies the command to a shadow of production and checks
 // that no policy that held before becomes violated. Policies already
 // broken (the incident itself) stay out of scope so emergency repairs are
-// not blocked by the very outage they address.
+// not blocked by the very outage they address. The shadow clones only the
+// session's device (a console command writes no other), and its snapshot
+// derives from production's through a seeded console environment.
 func (s *EmergencySession) shadowVerify(line string) error {
 	e := s.eng
 	prod := e.sys.production
+	prodSnap := e.sys.Enforcer.ProductionSnapshot(prod)
 	pre := make(map[string]bool)
-	for _, v := range verify.Check(dataplane.Compute(prod), e.sys.policies).Violations {
+	for _, v := range verify.Check(prodSnap, e.sys.policies).Violations {
 		pre[v.Policy.ID] = true
 	}
-	shadow := prod.Clone()
-	if _, err := console.New(s.Device(), console.NewEnv(shadow)).Run(line); err != nil {
+	shadow := prod.CloneCOW(s.Device())
+	env := console.NewEnvSeeded(shadow, prodSnap)
+	env.EnableIncremental()
+	if _, err := console.New(s.Device(), env).Run(line); err != nil {
 		return fmt.Errorf("core: shadow apply failed: %w", err)
 	}
-	res := verify.Check(dataplane.Compute(shadow), e.sys.policies)
+	res := verify.Check(env.Snapshot(), e.sys.policies)
 	for _, v := range res.Violations {
 		if !pre[v.Policy.ID] {
 			return fmt.Errorf("core: command would violate %s: %s", v.Policy.ID, v.Reason)

@@ -1,0 +1,451 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
+	"heimdall/internal/enforcer"
+	"heimdall/internal/faultinject"
+	"heimdall/internal/netmodel"
+	"heimdall/internal/scenarios"
+	"heimdall/internal/scenarios/generate"
+	"heimdall/internal/telemetry"
+	"heimdall/internal/verify"
+)
+
+// oracleSystem is one deployment of the snapshot oracle. held shares one
+// production snapshot per version (what heimdalld runs); the reference
+// does not, so each of its snapshots is computed where it is needed.
+type oracleSystem struct {
+	sys  *System
+	reg  *telemetry.Registry
+	held bool
+}
+
+func newOracleSystem(t *testing.T, scen *scenarios.Scenario, held bool) *oracleSystem {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	sys, err := NewSystem(Options{
+		Network: scen.Network, Policies: scen.Policies, Sensitive: scen.Sensitive,
+		PlatformSeed: "snapshot-oracle", Meter: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One fixed instant: trail and journal exports of the two deployments
+	// are then comparable byte for byte.
+	epoch := func() time.Time { return time.Unix(1_700_000_000, 0).UTC() }
+	sys.Enforcer.Trail().SetClock(epoch)
+	sys.Enforcer.Journal().SetClock(epoch)
+	sys.Tickets.SetClock(epoch)
+	if held {
+		sys.Enforcer.EnableReviewCache(0)
+	}
+	return &oracleSystem{sys: sys, reg: reg, held: held}
+}
+
+func (o *oracleSystem) misses() float64 {
+	return o.reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
+}
+
+// assertSnapshotsEqual fails unless got describes the same forwarding
+// state as want: every RIB, every BGP session, reachability between every
+// pair of hosts and of every policy's own flow.
+func assertSnapshotsEqual(t *testing.T, step string, n *netmodel.Network, policies []verify.Policy, got, want *dataplane.Snapshot) {
+	t.Helper()
+	for _, dev := range n.DeviceNames() {
+		if !reflect.DeepEqual(got.RIB(dev), want.RIB(dev)) {
+			t.Fatalf("%s: RIB of %s diverged from a fresh Compute:\nheld:\n%s\nfresh:\n%s",
+				step, dev, got.FormatRIB(dev), want.FormatRIB(dev))
+		}
+		if !reflect.DeepEqual(got.BGPPeers(dev), want.BGPPeers(dev)) {
+			t.Fatalf("%s: BGP sessions of %s diverged from a fresh Compute", step, dev)
+		}
+	}
+	reach := func(src, dst string, proto netmodel.Protocol, port uint16) {
+		g, gerr := got.Reach(src, dst, proto, port)
+		w, werr := want.Reach(src, dst, proto, port)
+		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: %s -> %s %s/%d diverged: held (%v, %v) fresh (%v, %v)",
+				step, src, dst, proto, port, g, gerr, w, werr)
+		}
+	}
+	hosts := n.Hosts()
+	for _, src := range hosts {
+		for _, dst := range hosts {
+			if src != dst {
+				reach(src, dst, netmodel.ICMP, 0)
+			}
+		}
+	}
+	for _, p := range policies {
+		reach(p.Src, p.Dst, p.Proto, p.DstPort)
+	}
+}
+
+// checkProduction asserts that the snapshot the enforcer hands out for
+// production equals a from-scratch Compute of production as it is now.
+func (o *oracleSystem) checkProduction(t *testing.T, step string) {
+	t.Helper()
+	s := o.sys
+	s.prodMu.RLock()
+	defer s.prodMu.RUnlock()
+	assertSnapshotsEqual(t, step, s.production, s.policies,
+		s.Enforcer.ProductionSnapshot(s.production), dataplane.Compute(s.production))
+}
+
+// checkTwin asserts the same of an engagement's (seeded, then
+// incrementally derived) twin snapshot.
+func checkTwin(t *testing.T, step string, eng *Engagement) {
+	t.Helper()
+	assertSnapshotsEqual(t, step, eng.Twin.Network(), eng.sys.policies,
+		eng.Twin.Snapshot(), dataplane.Compute(eng.Twin.Network()))
+}
+
+// scratchDecision is the reference review: the change set applied to a
+// deep copy of production, the dataplane computed from scratch, every
+// policy checked.
+func scratchDecision(t *testing.T, s *System, changes []config.Change) string {
+	t.Helper()
+	shadow := s.production.Clone()
+	if err := config.ApplyChanges(shadow, changes); err != nil {
+		t.Fatal(err)
+	}
+	res := verify.Check(dataplane.Compute(shadow), s.policies)
+	return decisionJSON(t, &enforcer.Decision{
+		Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked,
+	})
+}
+
+func decisionJSON(t *testing.T, d *enforcer.Decision) string {
+	t.Helper()
+	b, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// oracleScenarios builds a fresh, independent copy of each network under
+// test per call.
+var oracleScenarios = map[string]func() *scenarios.Scenario{
+	"university": scenarios.University,
+	"fattree":    func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 4}) },
+}
+
+// TestProductionSnapshotOracle drives a seeded sequence of ticket
+// lifecycles through two deployments of the same network — one holding the
+// production snapshot per version and deriving from it, one computing
+// every production snapshot where it is used — and asserts after every
+// step that the snapshot the enforcer serves equals a from-scratch Compute
+// of production, that every decision equals both the other deployment's
+// and a from-scratch reference review, and at the end that audit trail and
+// commit journal are byte-identical between the two. The steps cover every
+// way production changes: fault injection, commit, a commit rolled back by
+// a fault plan, quarantine and recovery, an emergency write, and a bare
+// MutateProduction.
+func TestProductionSnapshotOracle(t *testing.T) {
+	for name, build := range oracleScenarios {
+		t.Run(name, func(t *testing.T) {
+			scen := build()
+			pair := []*oracleSystem{
+				newOracleSystem(t, build(), true),
+				newOracleSystem(t, build(), false),
+			}
+			rng := rand.New(rand.NewSource(12))
+
+			// open injects the issue, files its ticket and opens the twin.
+			open := func(o *oracleSystem, is scenarios.Issue, step string) *Engagement {
+				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
+					t.Fatal(err)
+				}
+				o.checkProduction(t, step+"/inject")
+				eng, err := o.sys.StartWork(fileIssue(o.sys, is).ID, "casey")
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.checkProduction(t, step+"/open")
+				checkTwin(t, step+"/open", eng)
+				if _, err := eng.RunScript(is.Script); err != nil {
+					t.Fatal(err)
+				}
+				checkTwin(t, step+"/script", eng)
+				return eng
+			}
+			// both runs one step on the held deployment and on the
+			// reference and requires the same rendered outcome.
+			both := func(step string, run func(o *oracleSystem) string) {
+				t.Helper()
+				got, want := run(pair[0]), run(pair[1])
+				if got != want {
+					t.Fatalf("%s: held deployment diverged from the reference:\nheld %s\nref  %s", step, got, want)
+				}
+			}
+
+			// Ordinary tickets, every issue twice in a seeded order.
+			order := append(rng.Perm(len(scen.Issues)), rng.Perm(len(scen.Issues))...)
+			for i, idx := range order {
+				is := scen.Issues[idx]
+				step := fmt.Sprintf("ticket %d (%s)", i, is.Name)
+				both(step, func(o *oracleSystem) string {
+					eng := open(o, is, step)
+					before := o.misses()
+					d, err := eng.Review()
+					if err != nil {
+						t.Fatal(err)
+					}
+					review := decisionJSON(t, d)
+					if want := scratchDecision(t, o.sys, eng.Twin.Changes()); review != want {
+						t.Fatalf("%s: review diverged from the from-scratch reference:\ngot  %s\nwant %s", step, review, want)
+					}
+					o.checkProduction(t, step+"/review")
+					d, err = eng.Commit()
+					if err != nil || !d.Accepted || d.Checked != len(scen.Policies) {
+						t.Fatalf("%s: commit: %v %+v", step, err, d)
+					}
+					o.checkProduction(t, step+"/commit")
+					// The open paid this version's one Compute; review and
+					// commit derived, and the snapshot verified after the
+					// push is the one now held.
+					if o.held && o.misses() != before {
+						t.Fatalf("%s: review+commit computed %v production snapshots, want 0", step, o.misses()-before)
+					}
+					return review + decisionJSON(t, d)
+				})
+			}
+
+			// A commit the push target fails halfway: rolled back.
+			is := scen.Issues[rng.Intn(len(scen.Issues))]
+			both("rollback", func(o *oracleSystem) string {
+				eng := open(o, is, "rollback")
+				o.sys.Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
+					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
+				}}))
+				d, err := eng.Commit()
+				if err == nil || !strings.Contains(err.Error(), "rolled back") {
+					t.Fatalf("rollback: commit = %v, want a rollback", err)
+				}
+				o.checkProduction(t, "rollback/commit")
+				return decisionJSON(t, d) + err.Error()
+			})
+
+			// The same again with restores failing too: quarantined, then
+			// recovered once the devices are back.
+			both("quarantine", func(o *oracleSystem) string {
+				tk := fileIssue(o.sys, is)
+				eng, err := o.sys.StartWork(tk.ID, "casey")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng.RunScript(is.Script); err != nil {
+					t.Fatal(err)
+				}
+				o.sys.Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
+					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
+					{Op: "restore", Outage: true, Class: faultinject.Permanent},
+				}}))
+				d, err := eng.Commit()
+				if q, _ := o.sys.Enforcer.Quarantined(); err == nil || !q {
+					t.Fatalf("quarantine: commit = %v, quarantined = %v", err, q)
+				}
+				o.checkProduction(t, "quarantine/commit")
+				o.sys.Enforcer.SetInjector(nil)
+				var rep *enforcer.RecoveryReport
+				if merr := o.sys.MutateProduction(func(n *netmodel.Network) (rerr error) {
+					rep, rerr = o.sys.Enforcer.Recover(n)
+					return rerr
+				}); merr != nil {
+					t.Fatal(merr)
+				}
+				o.checkProduction(t, "quarantine/recover")
+				return decisionJSON(t, d) + err.Error() + fmt.Sprintf("%+v", *rep)
+			})
+
+			// An emergency write straight to production, refused or not.
+			is = scen.Issues[rng.Intn(len(scen.Issues))]
+			both("emergency", func(o *oracleSystem) string {
+				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
+					t.Fatal(err)
+				}
+				eng, err := o.sys.StartWork(fileIssue(o.sys, is).ID, "casey")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.EnableEmergency("netadmin")
+				var out []string
+				for _, cmd := range is.Fault.Fix {
+					sess, err := eng.EmergencyConsole(cmd.Device)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reply, err := sess.Exec(cmd.Line)
+					out = append(out, reply, fmt.Sprint(err))
+					o.checkProduction(t, "emergency/"+cmd.Line)
+				}
+				return strings.Join(out, "\n")
+			})
+
+			// A bare out-of-band mutation, and its reversal.
+			both("mutate", func(o *oracleSystem) string {
+				for i := 0; i < 2; i++ {
+					if err := o.sys.MutateProduction(func(n *netmodel.Network) error {
+						itf := firstRoutedInterface(n)
+						itf.Shutdown = !itf.Shutdown
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					o.checkProduction(t, fmt.Sprintf("mutate %d", i))
+				}
+				return ""
+			})
+
+			held, ref := pair[0].sys.Enforcer, pair[1].sys.Enforcer
+			for _, e := range []*enforcer.Enforcer{held, ref} {
+				if err := e.Trail().Verify(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Journal().Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := mustExport(t, held.Trail().Export), mustExport(t, ref.Trail().Export); got != want {
+				t.Fatalf("audit trails differ:\nheld %s\nref  %s", got, want)
+			}
+			if got, want := mustExport(t, held.Journal().Export), mustExport(t, ref.Journal().Export); got != want {
+				t.Fatalf("commit journals differ:\nheld %s\nref  %s", got, want)
+			}
+			if hits := pair[0].reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"); hits == 0 {
+				t.Fatal("the held deployment never hit its production snapshot")
+			}
+			if n := pair[1].misses(); n != 0 {
+				t.Fatalf("the reference deployment held a snapshot (%v misses counted)", n)
+			}
+		})
+	}
+}
+
+// firstRoutedInterface picks the first addressed interface of the first
+// router, in name order.
+func firstRoutedInterface(n *netmodel.Network) *netmodel.Interface {
+	for _, dev := range n.RoutersAndSwitches() {
+		d := n.Devices[dev]
+		for _, name := range d.InterfaceNames() {
+			if itf := d.Interfaces[name]; itf.HasAddr() {
+				return itf
+			}
+		}
+	}
+	return nil
+}
+
+func mustExport(t *testing.T, export func() ([]byte, error)) string {
+	t.Helper()
+	b, err := export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestProductionSnapshotHammer races session opens and reviews (readers of
+// the held production snapshot, several at once as under a verify pool with
+// more than one worker) against a stream of injects and commits (the
+// writers that replace it). Run under -race; at rest the held snapshot must
+// equal a fresh Compute and both chains must verify.
+func TestProductionSnapshotHammer(t *testing.T) {
+	scen := scenarios.University()
+	o := newOracleSystem(t, scen, true)
+	sys := o.sys
+	var acl scenarios.Issue
+	for _, is := range scen.Issues {
+		if is.Name == "acl" {
+			acl = is
+		}
+	}
+
+	// The reviewers' engagement: one ACL entry stays pending in its twin
+	// (it applies to production with or without the fault) while the
+	// committer churns the acl ticket underneath it.
+	pending, err := sys.StartWork(fileIssue(sys, acl).ID, "riley")
+	if err != nil {
+		t.Fatal(err)
+	}
+	con, err := pending.Console(acl.Fault.RootCause)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := con.Exec("access-list SENSITIVE-15 7 deny tcp any any eq 8443"); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 6
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := fn(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		reader(func() error {
+			d, err := pending.Review()
+			if err == nil && d.Checked != len(scen.Policies) {
+				err = fmt.Errorf("review checked %d policies, want %d", d.Checked, len(scen.Policies))
+			}
+			return err
+		})
+		reader(func() error {
+			eng, err := sys.StartWork(fileIssue(sys, acl).ID, "opener")
+			if err == nil {
+				_, err = eng.SymptomResolved()
+			}
+			return err
+		})
+	}
+	for i := 0; i < rounds; i++ {
+		if err := sys.MutateProduction(acl.Fault.Inject); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sys.StartWork(fileIssue(sys, acl).ID, "casey")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunScript(acl.Script); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	o.checkProduction(t, "at rest")
+	if err := sys.Enforcer.Trail().Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Enforcer.Journal().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

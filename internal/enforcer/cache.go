@@ -32,6 +32,7 @@ import (
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/verify"
@@ -104,12 +105,14 @@ func (e *Enforcer) EnableReviewCache(capacity int) {
 	e.reviews.Store(newReviewCache(capacity))
 }
 
-// InvalidateReviews discards every cached review verdict by bumping the
-// production version. Call it after mutating production outside the
-// enforcer's commit pipeline (maintenance edits, emergency sessions). The
-// commit pipeline calls it itself on every path that touches production.
+// InvalidateReviews discards every cached review verdict and the held
+// production snapshot by bumping the production version. Call it after
+// mutating production outside the enforcer's commit pipeline (maintenance
+// edits, emergency sessions). The commit pipeline calls it itself on every
+// path that touches production.
 func (e *Enforcer) InvalidateReviews() {
 	e.prodVersion.Add(1)
+	e.prodSnap.Store(nil)
 	if rc := e.reviews.Load(); rc != nil {
 		rc.clear()
 	}
@@ -142,9 +145,16 @@ func (d *Decision) clone() *Decision {
 // identically either way). With the cache disabled it always computes and
 // reports false.
 func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
+	return e.review(prod, nil, changes, spec)
+}
+
+// review is ReviewCached with the production snapshot a miss derives its
+// shadow from already in hand (the commit pipeline's); nil leaves the miss
+// to take it from ProductionSnapshot.
+func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
 	rc := e.reviews.Load()
 	if rc == nil {
-		d, msg, ok := e.reviewCompute(prod, changes, spec)
+		d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec)
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
 		e.countReview(d.Accepted)
 		return d, false
@@ -160,7 +170,7 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
 		return ent.decision.clone(), true
 	}
-	d, msg, ok := e.reviewCompute(prod, changes, spec)
+	d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec)
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
 	e.countReview(d.Accepted)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()

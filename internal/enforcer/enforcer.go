@@ -88,6 +88,11 @@ type Enforcer struct {
 	// mutation) invalidates all prior verdicts at once. See cache.go.
 	reviews     atomic.Pointer[reviewCache]
 	prodVersion atomic.Uint64
+	// prodSnap is the production dataplane snapshot held for the current
+	// prodVersion (same opt-in and contract as the verdict cache); snapMu
+	// serializes its lazy fill. See snapshot.go.
+	prodSnap atomic.Pointer[heldSnapshot]
+	snapMu   sync.Mutex
 }
 
 // New creates an enforcer hosted in the given enclave, guarding the given
@@ -178,7 +183,9 @@ func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec 
 // reviewCompute is the uncached review: it returns the decision plus the
 // audit-trail message and outcome flag the caller must append. The trail
 // write is hoisted out so a cache hit can replay the identical entry.
-func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (d *Decision, trailMsg string, trailOK bool) {
+// prodSnap is the production snapshot to derive the shadow from; nil means
+// take it from ProductionSnapshot once the privilege check has passed.
+func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec) (d *Decision, trailMsg string, trailOK bool) {
 	d = &Decision{}
 
 	// Privilege check: every change must be authorized. The compiled form
@@ -197,15 +204,7 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change
 	// only the devices the change set names are cloned (ApplyChanges never
 	// creates devices and only writes the named ones), the rest are shared
 	// read-only with production.
-	touched := make(map[string]bool)
-	for _, c := range changes {
-		touched[c.Device] = true
-	}
-	touchedList := make([]string, 0, len(touched))
-	for dev := range touched {
-		touchedList = append(touchedList, dev)
-	}
-	sort.Strings(touchedList)
+	touchedList := touchedDevices(changes)
 	shadow := prod.CloneCOW(touchedList...)
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		d.Violations = append(d.Violations, verify.Violation{
@@ -213,31 +212,20 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change
 		})
 		return d, "review rejected: changes do not apply", false
 	}
-	// Snapshots carry the enforcer's meter so their flow-cache hit/miss
-	// counters land in the same registry as the verifier metrics; the
-	// production snapshot is shared between the incremental policy scope
-	// and the delta report, whose flows largely overlap.
-	snapOpts := dataplane.Options{Meter: e.meter}
-	var prodSnap *dataplane.Snapshot
+	// The shadow snapshot derives from the production snapshot — reusing
+	// everything the change set provably cannot invalidate — instead of
+	// recomputing the dataplane from scratch.
+	if prodSnap == nil {
+		prodSnap = e.ProductionSnapshot(prod)
+	}
+	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
 	policies := e.policies
-	if e.Incremental || e.ReportDeltas {
-		prodSnap = dataplane.ComputeWithOptions(prod, snapOpts)
-	}
 	if e.Incremental {
-		policies = verify.AffectedBy(prodSnap, e.policies, touched)
-	}
-	// With a production snapshot in hand, the shadow snapshot derives from
-	// it — reusing everything the change set provably cannot invalidate —
-	// instead of recomputing the dataplane from scratch.
-	var shadowSnap *dataplane.Snapshot
-	if prodSnap != nil {
-		cs := make(dataplane.ChangeSet, 0, len(changes))
-		for _, c := range changes {
-			cs = append(cs, dataplane.Change{Device: c.Device, Kind: changeKindFor(prod, c)})
+		touched := make(map[string]bool, len(touchedList))
+		for _, dev := range touchedList {
+			touched[dev] = true
 		}
-		shadowSnap = prodSnap.Derive(shadow, cs)
-	} else {
-		shadowSnap = dataplane.ComputeWithOptions(shadow, snapOpts)
+		policies = verify.AffectedBy(prodSnap, e.policies, touched)
 	}
 	if e.ReportDeltas {
 		d.Deltas = verify.DiffReachability(prodSnap, shadowSnap, shadow, nil)
@@ -251,6 +239,17 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, changes []config.Change
 	d.Accepted = len(d.Violations) == 0
 	return d, fmt.Sprintf("review: %d changes, %d policies checked, %d violations",
 		len(changes), d.Checked, len(d.Violations)), d.Accepted
+}
+
+// changeSetFor classifies a configuration change set for snapshot
+// derivation. prod must still be in its pre-change state: the interface
+// refinement of changeKindFor reads what each change replaces.
+func changeSetFor(prod *netmodel.Network, changes []config.Change) dataplane.ChangeSet {
+	cs := make(dataplane.ChangeSet, 0, len(changes))
+	for _, c := range changes {
+		cs = append(cs, dataplane.Change{Device: c.Device, Kind: changeKindFor(prod, c)})
+	}
+	return cs
 }
 
 // changeKindFor maps a configuration op onto the narrowest dataplane
@@ -395,7 +394,15 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 		e.countCommit(false)
 		return nil, fmt.Errorf("enforcer: quarantined (%s); run Recover before committing", e.quarReason)
 	}
-	d := e.Review(prod, changes, spec)
+	// The pre-commit snapshot serves the review and, when the built-in
+	// target applies the changes, is what the post-apply snapshot derives
+	// from. What a custom target does to prod is not the enforcer's to
+	// assume: there the post-apply check computes from scratch.
+	var pre *dataplane.Snapshot
+	if e.target == nil {
+		pre = e.ProductionSnapshot(prod)
+	}
+	d, _ := e.review(prod, pre, changes, spec)
 	if !d.Accepted {
 		e.countCommit(false)
 		return d, fmt.Errorf("enforcer: change set rejected: %s", d.Reason())
@@ -415,7 +422,12 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify,
 			fmt.Sprintf("authz: high-risk change set authorized by %d approvals (M=%d)", len(approvals), e.Auth.M), true)
 	}
-	backup := prod.Clone()
+	devices := touchedDevices(ordered)
+	// Only the touched devices are ever read back (journal pre-state,
+	// rollback), so only they are copied; classify the change set while
+	// production still shows what each change replaces.
+	backup := prod.CloneCOW(devices...)
+	cs := changeSetFor(prod, ordered)
 	tgt := e.pushTarget(prod)
 	hooks, _ := tgt.(ReplicationHooks)
 	policy := e.Retry.withDefaults()
@@ -425,7 +437,6 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 	// sees identical delays.
 	rng := rand.New(rand.NewSource(policy.JitterSeed + int64(e.commitSeq)))
 	id := specIdent{spec.Ticket, spec.Technician}
-	devices := touchedDevices(ordered)
 
 	// Write-ahead: the journal knows the full plan before device one.
 	intent := e.journal.Intent(cid, spec.Ticket, spec.Technician, ordered, preState(backup, ordered), approvals...)
@@ -459,7 +470,15 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, c.String(), true)
 		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
 	}
-	post := verify.CheckMetered(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, e.meter)
+	// Never trust, always verify: every policy is re-checked against what
+	// production now is, whichever way its snapshot was built.
+	var postSnap *dataplane.Snapshot
+	if pre != nil {
+		postSnap = pre.Derive(prod, cs)
+	} else {
+		postSnap = dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
+	}
+	post := verify.CheckMetered(postSnap, e.policies, e.meter)
 	if !post.OK() {
 		outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 			fmt.Sprintf("post-apply verification failed: %d violations", len(post.Violations)))
@@ -474,8 +493,10 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 	mirrorTo(tgt, e.journal.Committed(cid, fmt.Sprintf("%d changes", len(ordered))))
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
 		fmt.Sprintf("committed %d changes to production", len(ordered)), true)
-	// Production changed: every cached review verdict is now stale.
+	// Production changed: every cached review verdict is now stale, and the
+	// snapshot just verified is the snapshot of the new version.
 	e.InvalidateReviews()
+	e.holdSnapshot(prod, postSnap)
 	e.countCommit(true)
 	return d, nil
 }

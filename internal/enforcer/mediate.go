@@ -18,7 +18,6 @@ import (
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
-	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/telemetry"
@@ -71,7 +70,7 @@ func (e *Enforcer) commitScope(prod *netmodel.Network, changes []config.Change) 
 	for d := range touched {
 		scope[d] = true
 	}
-	snap := dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
+	snap := e.ProductionSnapshot(prod)
 	for _, p := range verify.AffectedBy(snap, e.policies, touched) {
 		tr, err := snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
 		if err != nil || tr == nil {

@@ -1,0 +1,75 @@
+package enforcer
+
+// The production snapshot. Opening a ticket, reviewing a change set and
+// re-verifying after a push all start from the forwarding state of the same
+// production network, and computing it from scratch is the dominant cost of
+// each. The enforcer already counts production mutations (prodVersion, see
+// cache.go), so it holds one dataplane snapshot per version: the first
+// caller of a version computes it, everyone else derives from it, and a
+// commit hands the snapshot it just verified to the next version.
+//
+// Holding is tied to the review cache's opt-in because the contract is the
+// same: production is mutated in place, and a snapshot reads its network's
+// devices lazily (ACLs at trace time), so a snapshot held across a mutation
+// the enforcer did not see would silently describe a network that no
+// longer exists. Without the opt-in every call computes.
+
+import (
+	"heimdall/internal/dataplane"
+	"heimdall/internal/netmodel"
+)
+
+// heldSnapshot is a production snapshot and what it is valid for.
+type heldSnapshot struct {
+	net     *netmodel.Network
+	version uint64
+	snap    *dataplane.Snapshot
+}
+
+// current returns the held snapshot of prod at the given version, or nil.
+func (e *Enforcer) current(prod *netmodel.Network, version uint64) *dataplane.Snapshot {
+	if h := e.prodSnap.Load(); h != nil && h.net == prod && h.version == version {
+		return h.snap
+	}
+	return nil
+}
+
+// ProductionSnapshot returns the dataplane snapshot of prod. With the
+// review cache enabled (EnableReviewCache) the snapshot is computed once
+// per production version and shared; callers must hold whatever excludes
+// production writers (core.System's read lock) for as long as they use it,
+// and may derive from it freely — Derive shares only immutable structures.
+// Concurrent first callers of a version wait for one computation.
+func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapshot {
+	opts := dataplane.Options{Meter: e.meter}
+	if e.reviews.Load() == nil {
+		return dataplane.ComputeWithOptions(prod, opts)
+	}
+	hits := e.meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
+	if snap := e.current(prod, e.prodVersion.Load()); snap != nil {
+		hits.Inc()
+		return snap
+	}
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	// The version is read before computing: a mutation racing the fill
+	// (a contract violation) leaves a snapshot no later version is served.
+	version := e.prodVersion.Load()
+	if snap := e.current(prod, version); snap != nil {
+		hits.Inc()
+		return snap
+	}
+	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
+	snap := dataplane.ComputeWithOptions(prod, opts)
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap})
+	return snap
+}
+
+// holdSnapshot installs snap as the snapshot of prod at the current
+// version (the commit pipeline, right after bumping it). A no-op without
+// the review cache.
+func (e *Enforcer) holdSnapshot(prod *netmodel.Network, snap *dataplane.Snapshot) {
+	if e.reviews.Load() != nil {
+		e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: snap})
+	}
+}

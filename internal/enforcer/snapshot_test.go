@@ -1,0 +1,141 @@
+package enforcer
+
+import (
+	"net/netip"
+	"strings"
+	"sync"
+	"testing"
+
+	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
+	"heimdall/internal/faultinject"
+	"heimdall/internal/netmodel"
+	"heimdall/internal/telemetry"
+)
+
+// snapshotEnforcer is newEnforcer with holding on and a registry to count
+// production-snapshot hits and misses.
+func snapshotEnforcer(n *netmodel.Network) (*Enforcer, *telemetry.Registry) {
+	e := newEnforcer(n)
+	reg := telemetry.NewRegistry()
+	e.SetMeter(reg)
+	e.EnableReviewCache(0)
+	return e, reg
+}
+
+func snapshotMisses(reg *telemetry.Registry) float64 {
+	return reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
+}
+
+// TestProductionSnapshotFilledOnce: first callers of a version racing for
+// the snapshot (verify-pool workers under the production read lock) wait
+// for one computation and share its result.
+func TestProductionSnapshotFilledOnce(t *testing.T) {
+	n := prod()
+	e, reg := snapshotEnforcer(n)
+	const callers = 8
+	snaps := make([]*dataplane.Snapshot, callers)
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			snaps[i] = e.ProductionSnapshot(n)
+		}(i)
+	}
+	wg.Wait()
+	for _, s := range snaps {
+		if s != snaps[0] {
+			t.Fatal("concurrent first callers got different snapshots")
+		}
+	}
+	if got := snapshotMisses(reg); got != 1 {
+		t.Fatalf("misses = %v, want 1", got)
+	}
+	if got := reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"); got != callers-1 {
+		t.Fatalf("hits = %v, want %d", got, callers-1)
+	}
+	// Another network is not served this one's snapshot.
+	if e.ProductionSnapshot(prod()) == snaps[0] {
+		t.Fatal("snapshot of one network served for another")
+	}
+}
+
+// TestProductionSnapshotUntracked: without the review cache's opt-in the
+// enforcer may not assume it sees every mutation, so nothing is held.
+func TestProductionSnapshotUntracked(t *testing.T) {
+	n := prod()
+	e := newEnforcer(n)
+	reg := telemetry.NewRegistry()
+	e.SetMeter(reg)
+	if e.ProductionSnapshot(n) == e.ProductionSnapshot(n) {
+		t.Fatal("snapshot held without EnableReviewCache")
+	}
+	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if e.prodSnap.Load() != nil {
+		t.Fatal("commit held its snapshot without EnableReviewCache")
+	}
+	if got := snapshotMisses(reg); got != 0 {
+		t.Fatalf("misses = %v, want none counted", got)
+	}
+}
+
+// TestCommitHandsOverSnapshot: a commit derives the post-apply snapshot
+// from the pre-commit one and leaves it as the snapshot of the version it
+// created — no computation from review through to the next reader — while
+// a rolled-back commit leaves nothing behind.
+func TestCommitHandsOverSnapshot(t *testing.T) {
+	n := prod()
+	e, reg := snapshotEnforcer(n)
+	spec := aclSpec()
+	if d := e.Review(n, []config.Change{benignChange(15, 443)}, spec); !d.Accepted {
+		t.Fatalf("review: %+v", d)
+	}
+	// The committed entry denies h1 -> h2:8443 ahead of the permit-all, so
+	// the handed-over snapshot must answer differently from its parent.
+	deny := config.Change{Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
+		Entry: &netmodel.ACLEntry{Seq: 12, Action: netmodel.Deny, Proto: netmodel.TCP,
+			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 8443}}
+	before, _ := e.ProductionSnapshot(n).Reach("h1", "h2", netmodel.TCP, 8443)
+	if _, err := e.Commit(n, []config.Change{deny}, spec); err != nil {
+		t.Fatal(err)
+	}
+	held := e.ProductionSnapshot(n)
+	if got := snapshotMisses(reg); got != 1 {
+		t.Fatalf("misses after review+commit+read = %v, want 1 (the first review's)", got)
+	}
+	after, _ := held.Reach("h1", "h2", netmodel.TCP, 8443)
+	fresh, _ := dataplane.Compute(n).Reach("h1", "h2", netmodel.TCP, 8443)
+	if !before.Delivered() || after.Delivered() || after.String() != fresh.String() {
+		t.Fatalf("handed-over snapshot is stale: before %v, held %v, fresh %v", before, after, fresh)
+	}
+
+	e.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
+		{Scope: "r1", Op: "apply", FailNth: 1, Class: faultinject.Permanent},
+	}}))
+	if _, err := e.Commit(n, []config.Change{benignChange(16, 8080)}, spec); err == nil || !strings.Contains(err.Error(), "rolled back") {
+		t.Fatalf("err = %v, want a rollback", err)
+	}
+	if e.prodSnap.Load() != nil {
+		t.Fatal("rolled-back commit left a snapshot held")
+	}
+	if e.ProductionSnapshot(n) == held {
+		t.Fatal("snapshot survived a rollback")
+	}
+}
+
+// TestCustomTargetPostVerifyComputes: what a custom target did to
+// production is not the enforcer's to assume, so with holding on the
+// post-apply check still computes from the network itself and catches a
+// change the scheduled set never named.
+func TestCustomTargetPostVerifyComputes(t *testing.T) {
+	n := prod()
+	e, _ := snapshotEnforcer(n)
+	e.SetTarget(&misapplyTarget{net: n, extra: maliciousPermit()})
+	_, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec())
+	if err == nil || !strings.Contains(err.Error(), "post-apply verification failed") {
+		t.Fatalf("err = %v, want post-apply failure", err)
+	}
+}

@@ -89,6 +89,10 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 	if !fresh.Accepted {
 		t.Fatalf("scripted fix rejected: %+v", fresh)
 	}
+	// The reply counts the change set it reviewed: the acl fix is one op.
+	if want := len(f.issue.Fault.Fix); fresh.Changes != want {
+		t.Fatalf("review reports %d changes, want %d", fresh.Changes, want)
+	}
 	if hits, coal := svc.ReviewStats(); hits != 0 || coal != 0 {
 		t.Fatalf("stats after first review = (%d hits, %d coalesced), want (0, 0)", hits, coal)
 	}
@@ -150,6 +154,14 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 	}
 	if !com.Committed {
 		t.Fatalf("commit refused: %+v", com)
+	}
+	if com.Changes != fresh.Changes {
+		t.Fatalf("commit reports %d changes, its review reported %d", com.Changes, fresh.Changes)
+	}
+	// One inject, two opens, ten reviews and a commit all worked from the
+	// one snapshot computed for the injected version.
+	if got := f.reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total"); got != 1 {
+		t.Fatalf("production snapshot computed %v times before the commit's successor, want 1", got)
 	}
 	if _, err := svc.Review("solo", f.b.Session, f.b.Token); err != nil {
 		// Bob's twin predates the commit; a conflict error is a legitimate

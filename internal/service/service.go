@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"heimdall/internal/audit"
+	"heimdall/internal/config"
 	"heimdall/internal/core"
 	"heimdall/internal/enforcer"
 	"heimdall/internal/scenarios"
@@ -155,6 +156,8 @@ func New(cfg Config) *Service {
 	cfg.Meter.Counter("heimdall_service_review_cache_hits_total")
 	cfg.Meter.Counter("heimdall_service_review_coalesced_total")
 	cfg.Meter.Counter("heimdall_service_backpressure_total")
+	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
+	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_misses_total")
 	return &Service{
 		catalog: cfg.Catalog,
 		reg:     newRegistry(cfg.Shards),
@@ -587,17 +590,20 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	if err != nil {
 		return ReviewResult{}, err
 	}
-	key, ok := eng.ReviewKey()
-	if !ok {
+	// One whole-network diff per request: the same change set addresses the
+	// coalescing slot and is what the pooled execution reviews.
+	changes := eng.Twin.Changes()
+	if len(changes) == 0 {
 		// Empty change set: take a plain (uncoalesced) slot so the
 		// "nothing to review" error surfaces exactly as before.
 		var out reviewOutcome
-		if err := s.pool.Do(tenant, func() { out = s.reviewOnPool(eng) }); err != nil {
+		if err := s.pool.Do(tenant, func() { out = s.reviewOnPool(eng, changes) }); err != nil {
 			return ReviewResult{}, err
 		}
 		return out.res, out.err
 	}
-	shared, coalesced, err := s.pool.DoShared(tenant, key, func() any { return s.reviewOnPool(eng) })
+	shared, coalesced, err := s.pool.DoShared(tenant, eng.ReviewKey(changes),
+		func() any { return s.reviewOnPool(eng, changes) })
 	if err != nil {
 		return ReviewResult{}, err
 	}
@@ -613,12 +619,12 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 }
 
 // reviewOnPool is the body of one pooled review execution.
-func (s *Service) reviewOnPool(eng *core.Engagement) reviewOutcome {
-	d, hit, err := eng.ReviewCached()
+func (s *Service) reviewOnPool(eng *core.Engagement, changes []config.Change) reviewOutcome {
+	d, hit, err := eng.ReviewChanges(changes)
 	if err != nil {
 		return reviewOutcome{err: err}
 	}
-	return reviewOutcome{res: decisionResult(d), hit: hit}
+	return reviewOutcome{res: decisionResult(d, len(changes)), hit: hit}
 }
 
 // ReviewStats reports how many reviews were served from the verdict
@@ -642,9 +648,10 @@ func (s *Service) Commit(tenant, session, token string) (ReviewResult, error) {
 	var res ReviewResult
 	var inner error
 	err = s.pool.Do(tenant, func() {
-		d, cerr := eng.Commit()
+		changes := eng.Twin.Changes()
+		d, cerr := eng.CommitChanges(changes)
 		if d != nil {
-			res = decisionResult(d)
+			res = decisionResult(d, len(changes))
 		}
 		inner = cerr
 	})
@@ -662,8 +669,9 @@ func (s *Service) Commit(tenant, session, token string) (ReviewResult, error) {
 	return res, inner
 }
 
-func decisionResult(d *enforcer.Decision) ReviewResult {
-	res := ReviewResult{Accepted: d.Accepted, Reason: d.Reason(), Checked: d.Checked}
+// decisionResult renders a decision on a change set of the given size.
+func decisionResult(d *enforcer.Decision, changes int) ReviewResult {
+	res := ReviewResult{Accepted: d.Accepted, Reason: d.Reason(), Checked: d.Checked, Changes: changes}
 	for _, v := range d.Violations {
 		res.Violations = append(res.Violations, v.String())
 	}

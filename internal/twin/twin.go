@@ -38,6 +38,11 @@ type Config struct {
 	Technician string
 	// Production is the network being mimicked; the twin never mutates it.
 	Production *netmodel.Network
+	// Snapshot, when set, is the dataplane snapshot of Production as it is
+	// now. The twin's first snapshot then derives from it instead of being
+	// computed from scratch: sanitizing only redacts Secrets, which the
+	// dataplane never reads.
+	Snapshot *dataplane.Snapshot
 	// Spec is the ticket's Privilegemsp enforced by the reference monitor.
 	Spec *privilege.Spec
 	// Slice is the set of devices visible in the presentation layer.
@@ -88,7 +93,9 @@ func New(cfg Config) (*Twin, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
 	}
-	sanitized := cfg.Production.Clone()
+	// Sanitize deep-copies each device itself, so the baseline starts from
+	// a shell that shares them (and the never-mutated links) with production.
+	sanitized := cfg.Production.CloneCOW()
 	for name, d := range sanitized.Devices {
 		sanitized.Devices[name] = config.Sanitize(d)
 	}
@@ -106,7 +113,7 @@ func New(cfg Config) (*Twin, error) {
 		trail:      cfg.Trail,
 		meter:      meter,
 	}
-	tw.env = console.NewEnv(tw.emul)
+	tw.env = console.NewEnvSeeded(tw.emul, cfg.Snapshot)
 	// Technician consoles are the emulation layer's only writers (Exec
 	// serializes under tw.mu), so post-write snapshots can derive
 	// incrementally from the previous one instead of recomputing the

@@ -372,3 +372,99 @@ func TestTwinMetrics(t *testing.T) {
 		t.Errorf("console dispatch show.ip.route = %v, want 1", got)
 	}
 }
+
+// TestTwinNoAliasing follows the CloneCOW aliasing-test pattern for the
+// three networks an open leaves behind: production, the pristine baseline
+// and the emulation layer share no device and no interface, secrets exist
+// only in production, and a twin write shows up in the emulation layer
+// alone.
+func TestTwinNoAliasing(t *testing.T) {
+	prod := prodNet()
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := map[string]*netmodel.Network{"production": prod, "baseline": tw.Baseline(), "emulation": tw.Network()}
+	for a, na := range nets {
+		for b, nb := range nets {
+			if a >= b {
+				continue
+			}
+			if na == nb {
+				t.Fatalf("%s and %s are one network", a, b)
+			}
+			for _, name := range prod.DeviceNames() {
+				da, db := na.Devices[name], nb.Devices[name]
+				if da == nil || db == nil {
+					t.Fatalf("%s missing from %s or %s", name, a, b)
+				}
+				if da == db {
+					t.Fatalf("device %s shared between %s and %s", name, a, b)
+				}
+				for ifName, itf := range da.Interfaces {
+					if itf == db.Interfaces[ifName] {
+						t.Fatalf("interface %s:%s shared between %s and %s", name, ifName, a, b)
+					}
+				}
+			}
+		}
+	}
+	for name, n := range nets {
+		want := "<redacted>"
+		if name == "production" {
+			want = "prod-secret"
+		}
+		if got := n.Devices["r1"].Secrets["enable"]; got != want {
+			t.Fatalf("%s enable secret = %q, want %q", name, got, want)
+		}
+	}
+
+	sess, err := tw.OpenConsole("r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	if !tw.Network().Device("r2").Interface("Gi0/1").Shutdown {
+		t.Fatal("write did not reach the emulation layer")
+	}
+	if prod.Device("r2").Interface("Gi0/1").Shutdown || tw.Baseline().Device("r2").Interface("Gi0/1").Shutdown {
+		t.Fatal("twin write leaked into production or the baseline")
+	}
+}
+
+// TestTwinSeededSnapshot: a twin handed production's snapshot derives its
+// first snapshot from it, and that snapshot describes the emulation layer
+// exactly as a from-scratch Compute does — before and after a write.
+func TestTwinSeededSnapshot(t *testing.T) {
+	prod := prodNet()
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prod,
+		Snapshot: dataplane.Compute(prod), Spec: allowAllSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		got, want := tw.Snapshot(), dataplane.Compute(tw.Network())
+		for _, dev := range prod.DeviceNames() {
+			if g, w := got.FormatRIB(dev), want.FormatRIB(dev); g != w {
+				t.Fatalf("%s: %s RIB diverged:\nseeded:\n%s\nfresh:\n%s", step, dev, g, w)
+			}
+		}
+		g, _ := got.Reach("h1", "h2", netmodel.ICMP, 0)
+		w, _ := want.Reach("h1", "h2", netmodel.ICMP, 0)
+		if g.String() != w.String() {
+			t.Fatalf("%s: h1 -> h2 diverged: seeded %v fresh %v", step, g, w)
+		}
+	}
+	check("opened")
+	sess, err := tw.OpenConsole("r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	check("after shutdown")
+}
