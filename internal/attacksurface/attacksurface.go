@@ -124,31 +124,29 @@ type Evaluator struct {
 
 	// baseOnce/baseSnap memoize the base network's snapshot so fault
 	// enumeration and every per-fault derivation share one full compute.
+	// The base snapshot carries the sweep-wide SPF memo (every faulted and
+	// trial snapshot derives from it and inherits it): trials and faults
+	// that produce identical L3 graphs share one link-state computation.
 	baseOnce sync.Once
 	baseSnap *dataplane.Snapshot
-	// memoOnce/memo hold the sweep-wide SPF memo: trials and faults that
-	// produce identical L3 graphs share one link-state computation.
-	memoOnce sync.Once
 	memo     *dataplane.SPFMemo
 }
 
 // BaseSnapshot returns the snapshot of ev.Base, computed once and shared
 // by every fault case (and by InterfaceFaults when the caller passes it).
 func (ev *Evaluator) BaseSnapshot() *dataplane.Snapshot {
-	ev.baseOnce.Do(func() { ev.baseSnap = dataplane.Compute(ev.Base) })
+	ev.baseOnce.Do(func() {
+		ev.memo = dataplane.NewSPFMemo()
+		ev.baseSnap = dataplane.ComputeWithOptions(ev.Base, dataplane.Options{SPFMemo: ev.memo})
+	})
 	return ev.baseSnap
-}
-
-// spfMemo returns the sweep-wide SPF memo, created on first use.
-func (ev *Evaluator) spfMemo() *dataplane.SPFMemo {
-	ev.memoOnce.Do(func() { ev.memo = dataplane.NewSPFMemo() })
-	return ev.memo
 }
 
 // SPFMemoStats returns the sweep's SPF-memo hit/miss counters — the
 // fraction of link-state passes the memo absorbed.
 func (ev *Evaluator) SPFMemoStats() (hits, misses uint64) {
-	return ev.spfMemo().Stats()
+	ev.BaseSnapshot()
+	return ev.memo.Stats()
 }
 
 // InterfaceFaults enumerates the experiment's issues: for every up,
@@ -345,9 +343,8 @@ func (ev *Evaluator) evaluateCase(tech Technique, fc FaultCase,
 	if err := fc.Fault.Inject(faulted); err != nil {
 		return Sample{}, false
 	}
-	snap := ev.BaseSnapshot().DeriveWithMemo(faulted,
-		dataplane.ChangeSet{{Device: fc.Fault.RootCause, Kind: dataplane.ChangeL3Topology}},
-		ev.spfMemo())
+	snap := ev.BaseSnapshot().Derive(faulted,
+		dataplane.ChangeSet{{Device: fc.Fault.RootCause, Kind: dataplane.ChangeL3Topology}})
 	slice := twin.ComputeSlice(faulted, snap, tech.Strategy, fc.Src, fc.Dst, nil)
 
 	// The spec is evaluated against every cataloged command on every
@@ -660,8 +657,7 @@ func (ev *Evaluator) trialViolations(faulted *netmodel.Network, snap *dataplane.
 	}
 	trial := faulted.CloneCOW(m.device)
 	m.apply(trial)
-	tsnap := snap.DeriveWithMemo(trial,
-		dataplane.ChangeSet{{Device: m.device, Kind: m.kind}}, ev.spfMemo())
+	tsnap := snap.Derive(trial, dataplane.ChangeSet{{Device: m.device, Kind: m.kind}})
 	var out []string
 	for _, p := range todo {
 		if verify.CheckPolicy(tsnap, p) != nil {

@@ -8,6 +8,7 @@
 package audit
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
@@ -162,20 +163,16 @@ func verifyEntries(entries []Entry, key []byte) error {
 		}
 		mac := hmac.New(sha256.New, key)
 		mac.Write(sum[:])
-		if !hmac.Equal(mac.Sum(nil), mustHex(e.MAC)) {
+		got, err := hex.DecodeString(e.MAC)
+		// hex.DecodeString accepts uppercase; require the canonical lowercase
+		// encoding too, so no byte of an exported MAC can be altered without
+		// failing verification (the journal's rule).
+		if err != nil || e.MAC != hex.EncodeToString(got) || !hmac.Equal(mac.Sum(nil), got) {
 			return fmt.Errorf("audit: entry %d MAC mismatch (forged)", i)
 		}
 		prev = e.Hash
 	}
 	return nil
-}
-
-func mustHex(s string) []byte {
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return nil
-	}
-	return b
 }
 
 // Export serialises the trail as JSON for offline review.
@@ -186,11 +183,18 @@ func (t *Trail) Export() ([]byte, error) {
 }
 
 // Import parses an exported trail and verifies it against the key before
-// returning it. Tampered exports are rejected.
+// returning it. Tampered exports are rejected. Parsing is strict — one JSON
+// document, no unknown fields, nothing after it — so every byte of an
+// export is covered by either the parser or the chain.
 func Import(key, data []byte) (*Trail, error) {
 	var entries []Entry
-	if err := json.Unmarshal(data, &entries); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&entries); err != nil {
 		return nil, fmt.Errorf("audit: parsing export: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("audit: trailing data after export")
 	}
 	if err := verifyEntries(entries, key); err != nil {
 		return nil, err

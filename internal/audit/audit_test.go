@@ -96,6 +96,50 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// exportedTrail is a two-entry export and the MAC of its first entry.
+func exportedTrail(t *testing.T) (data, mac string) {
+	t.Helper()
+	tr := testTrail()
+	tr.Append("T1", "alice", KindSession, "session opened", true)
+	tr.Append("T1", "alice", KindChange, "r1: add acl entry", true)
+	b, err := tr.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), tr.Entries()[0].MAC
+}
+
+// TestImportRejectsRecasedMAC: hex decoding accepts either case, so only
+// the canonical-encoding check stops an export whose MAC bytes were altered
+// without changing the value they decode to.
+func TestImportRejectsRecasedMAC(t *testing.T) {
+	data, mac := exportedTrail(t)
+	recased := strings.Replace(data, mac, strings.ToUpper(mac), 1)
+	if recased == data {
+		t.Fatal("MAC has no letter to re-case")
+	}
+	if _, err := Import([]byte("test-key"), []byte(recased)); err == nil {
+		t.Fatal("export with a re-cased MAC accepted")
+	}
+}
+
+// TestImportRejectsUnknownField: bytes the chain does not cover must not
+// ride along in an export — neither as an extra field nor after the
+// document.
+func TestImportRejectsUnknownField(t *testing.T) {
+	data, _ := exportedTrail(t)
+	extra := strings.Replace(data, `"index": 0,`, `"index": 0, "note": "approved by the customer",`, 1)
+	if extra == data {
+		t.Fatal("export format changed: no index field to anchor on")
+	}
+	if _, err := Import([]byte("test-key"), []byte(extra)); err == nil {
+		t.Fatal("export with an unknown field accepted")
+	}
+	if _, err := Import([]byte("test-key"), []byte(data+` {"index": 2}`)); err == nil {
+		t.Fatal("export with trailing data accepted")
+	}
+}
+
 func TestAppendAfterImportContinuesChain(t *testing.T) {
 	tr := testTrail()
 	tr.Append("T1", "a", KindCommand, "one", true)

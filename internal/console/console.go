@@ -63,22 +63,20 @@ type Env struct {
 	// (heimdall_console_dispatch_total by action and write class).
 	Meter telemetry.Meter
 
-	// incremental, when set (EnableIncremental), records classified writes
-	// through noteChange so the next snapshot derives incrementally
-	// instead of recomputing from scratch.
-	incremental bool
-	noteChange  func(device string, kind dataplane.ChangeKind)
+	// noteChange records a classified write so the next snapshot derives
+	// from the current one instead of recomputing from scratch. NewEnv
+	// sets it; an Env assembled by hand (core's production console, whose
+	// Invalidate is the enforcer's) has none and invalidates on every
+	// write.
+	noteChange func(device string, kind dataplane.ChangeKind)
 }
 
-// noteWrite records one executed write: classified writes queue an
-// incremental derivation (when enabled), everything else pays the full
-// invalidation.
+// noteWrite records one executed write: a classified write queues an
+// incremental derivation, everything else pays the full invalidation.
 func (e *Env) noteWrite(action, device string) {
-	if e.incremental && e.noteChange != nil {
-		if kind, ok := writeChangeKind(action); ok {
-			e.noteChange(device, kind)
-			return
-		}
+	if kind, ok := writeChangeKind(action); ok && e.noteChange != nil {
+		e.noteChange(device, kind)
+		return
 	}
 	e.Invalidate()
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // TestIncrementalSnapshotOracle is the correctness oracle for the
-// incremental post-write derivation the twin enables: after every command
+// incremental post-write derivation of NewEnv: after every command
 // in a write-heavy script, the environment's snapshot must match a
 // from-scratch dataplane.Compute of the same network — routing state on
 // every device and end-to-end reachability included. The script mixes
@@ -37,7 +37,6 @@ func TestIncrementalSnapshotOracle(t *testing.T) {
 }
 
 func incrementalSnapshotOracle(t *testing.T, n *netmodel.Network, env *Env) {
-	env.EnableIncremental()
 	r1 := New("r1", env)
 
 	script := []string{
@@ -56,11 +55,17 @@ func incrementalSnapshotOracle(t *testing.T, n *netmodel.Network, env *Env) {
 		"vlan 40 name lab",
 		"ping h2",
 	}
-	for _, line := range script {
+	for i, line := range script {
+		prev := env.Snapshot()
 		if _, err := r1.Run(line); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 		got := env.Snapshot()
+		// An ACL write derives: the routing state is the previous
+		// snapshot's, not a recomputation that happens to agree.
+		if i == 1 && &got.RIB("r1")[0] != &prev.RIB("r1")[0] {
+			t.Fatalf("after %q: snapshot recomputed instead of derived", line)
+		}
 		want := dataplane.Compute(n)
 		for dev := range n.Devices {
 			if g, w := got.FormatRIB(dev), want.FormatRIB(dev); g != w {
@@ -83,7 +88,6 @@ func incrementalSnapshotOracle(t *testing.T, n *netmodel.Network, env *Env) {
 func TestIncrementalSnapshotInvalidate(t *testing.T) {
 	n := testNet()
 	env := NewEnv(n)
-	env.EnableIncremental()
 	r1 := New("r1", env)
 
 	env.Snapshot() // warm the cache so writes queue derivations

@@ -146,10 +146,14 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 }
 
 // NewEnv builds a command environment around a mutable network with a
-// lazily recomputed snapshot. With EnableIncremental, the post-write
-// snapshot derives from the previous one (dataplane.Derive) instead of
-// recomputing from scratch; writes the console cannot classify still
-// invalidate fully.
+// lazily recomputed snapshot. The post-write snapshot derives from the
+// previous one (dataplane.Derive) instead of recomputing from scratch —
+// what keeps the mediated-command tail flat when a diagnosis script
+// alternates writes with snapshot-hungry reads; writes the console cannot
+// classify still invalidate fully. Derivation is only sound for writes
+// that go through this environment: whoever mutates n any other way (the
+// enforcer committing to production, a fault injection) must call
+// Invalidate.
 func NewEnv(n *netmodel.Network) *Env { return NewEnvSeeded(n, nil) }
 
 // NewEnvSeeded is NewEnv with the first snapshot derived instead of
@@ -185,12 +189,6 @@ func NewEnvSeeded(n *netmodel.Network, from *dataplane.Snapshot) *Env {
 	return env
 }
 
-// EnableIncremental turns on incremental post-write snapshot derivation.
-// It is only sound when every mutation of the environment's network goes
-// through this console environment: an external writer (the enforcer
-// committing to production, a fault injection) would leave the derived
-// snapshot describing a network that no longer exists. The twin enables
-// it — technician consoles are the only writers of the emulation layer —
-// and it is what keeps the mediated-command tail flat when a diagnosis
-// script alternates writes with snapshot-hungry reads.
-func (e *Env) EnableIncremental() { e.incremental = true }
+// EnableIncremental is a no-op: derivation is how NewEnv works. It stays
+// because benchmark/, which this repository's PRs may not edit, calls it.
+func (e *Env) EnableIncremental() {}

@@ -139,7 +139,6 @@ func (s *EmergencySession) shadowVerify(line string) error {
 	}
 	shadow := prod.CloneCOW(s.Device())
 	env := console.NewEnvSeeded(shadow, prodSnap)
-	env.EnableIncremental()
 	if _, err := console.New(s.Device(), env).Run(line); err != nil {
 		return fmt.Errorf("core: shadow apply failed: %w", err)
 	}

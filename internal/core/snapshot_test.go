@@ -22,12 +22,16 @@ import (
 )
 
 // oracleSystem is one deployment of the snapshot oracle. held shares one
-// production snapshot per version (what heimdalld runs); the reference
-// does not, so each of its snapshots is computed where it is needed.
+// production snapshot per version (what every deployment runs); the
+// reference drops it before every step (fresh), so each of its snapshots
+// is computed from scratch where it is needed and no verdict is replayed.
 type oracleSystem struct {
 	sys  *System
 	reg  *telemetry.Registry
 	held bool
+	// steps counts the reference's fresh steps, stepMisses the production
+	// snapshots computed inside them.
+	steps, stepMisses int
 }
 
 func newOracleSystem(t *testing.T, scen *scenarios.Scenario, held bool) *oracleSystem {
@@ -46,14 +50,28 @@ func newOracleSystem(t *testing.T, scen *scenarios.Scenario, held bool) *oracleS
 	sys.Enforcer.Trail().SetClock(epoch)
 	sys.Enforcer.Journal().SetClock(epoch)
 	sys.Tickets.SetClock(epoch)
-	if held {
-		sys.Enforcer.EnableReviewCache(0)
-	}
 	return &oracleSystem{sys: sys, reg: reg, held: held}
 }
 
 func (o *oracleSystem) misses() float64 {
 	return o.reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
+}
+
+// fresh runs one step that looks at production (open, review, commit, an
+// emergency command). The reference deployment first calls
+// InvalidateReviews, so the step pays a from-scratch Compute and replays
+// no verdict: the from-scratch path, reached through the public
+// invalidation contract.
+func (o *oracleSystem) fresh(step func()) {
+	if o.held {
+		step()
+		return
+	}
+	o.sys.Enforcer.InvalidateReviews()
+	before := o.misses()
+	step()
+	o.steps++
+	o.stepMisses += int(o.misses() - before)
 }
 
 // assertSnapshotsEqual fails unless got describes the same forwarding
@@ -102,6 +120,18 @@ func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 		s.Enforcer.ProductionSnapshot(s.production), dataplane.Compute(s.production))
 }
 
+// startWork opens the ticket as one fresh step.
+func (o *oracleSystem) startWork(t *testing.T, ticketID string) *Engagement {
+	t.Helper()
+	var eng *Engagement
+	var err error
+	o.fresh(func() { eng, err = o.sys.StartWork(ticketID, "casey") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // checkTwin asserts the same of an engagement's (seeded, then
 // incrementally derived) twin snapshot.
 func checkTwin(t *testing.T, step string, eng *Engagement) {
@@ -143,15 +173,15 @@ var oracleScenarios = map[string]func() *scenarios.Scenario{
 
 // TestProductionSnapshotOracle drives a seeded sequence of ticket
 // lifecycles through two deployments of the same network — one holding the
-// production snapshot per version and deriving from it, one computing
-// every production snapshot where it is used — and asserts after every
-// step that the snapshot the enforcer serves equals a from-scratch Compute
-// of production, that every decision equals both the other deployment's
-// and a from-scratch reference review, and at the end that audit trail and
-// commit journal are byte-identical between the two. The steps cover every
-// way production changes: fault injection, commit, a commit rolled back by
-// a fault plan, quarantine and recovery, an emergency write, and a bare
-// MutateProduction.
+// production snapshot per version and deriving from it, one invalidated
+// before every step so it computes every production snapshot where it is
+// used — and asserts after every step that the snapshot the enforcer
+// serves equals a from-scratch Compute of production, that every decision
+// equals both the other deployment's and a from-scratch reference review,
+// and at the end that audit trail and commit journal are byte-identical
+// between the two. The steps cover every way production changes: fault
+// injection, commit, a commit rolled back by a fault plan, quarantine and
+// recovery, an emergency write, and a bare MutateProduction.
 func TestProductionSnapshotOracle(t *testing.T) {
 	for name, build := range oracleScenarios {
 		t.Run(name, func(t *testing.T) {
@@ -168,10 +198,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				o.checkProduction(t, step+"/inject")
-				eng, err := o.sys.StartWork(fileIssue(o.sys, is).ID, "casey")
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				o.checkProduction(t, step+"/open")
 				checkTwin(t, step+"/open", eng)
 				if _, err := eng.RunScript(is.Script); err != nil {
@@ -198,7 +225,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				both(step, func(o *oracleSystem) string {
 					eng := open(o, is, step)
 					before := o.misses()
-					d, err := eng.Review()
+					var d *enforcer.Decision
+					var err error
+					o.fresh(func() { d, err = eng.Review() })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +236,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 						t.Fatalf("%s: review diverged from the from-scratch reference:\ngot  %s\nwant %s", step, review, want)
 					}
 					o.checkProduction(t, step+"/review")
-					d, err = eng.Commit()
+					o.fresh(func() { d, err = eng.Commit() })
 					if err != nil || !d.Accepted || d.Checked != len(scen.Policies) {
 						t.Fatalf("%s: commit: %v %+v", step, err, d)
 					}
@@ -229,7 +258,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				o.sys.Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
 					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
 				}}))
-				d, err := eng.Commit()
+				var d *enforcer.Decision
+				var err error
+				o.fresh(func() { d, err = eng.Commit() })
 				if err == nil || !strings.Contains(err.Error(), "rolled back") {
 					t.Fatalf("rollback: commit = %v, want a rollback", err)
 				}
@@ -240,11 +271,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			// The same again with restores failing too: quarantined, then
 			// recovered once the devices are back.
 			both("quarantine", func(o *oracleSystem) string {
-				tk := fileIssue(o.sys, is)
-				eng, err := o.sys.StartWork(tk.ID, "casey")
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				if _, err := eng.RunScript(is.Script); err != nil {
 					t.Fatal(err)
 				}
@@ -252,7 +279,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
 					{Op: "restore", Outage: true, Class: faultinject.Permanent},
 				}}))
-				d, err := eng.Commit()
+				var d *enforcer.Decision
+				var err error
+				o.fresh(func() { d, err = eng.Commit() })
 				if q, _ := o.sys.Enforcer.Quarantined(); err == nil || !q {
 					t.Fatalf("quarantine: commit = %v, quarantined = %v", err, q)
 				}
@@ -275,10 +304,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
 					t.Fatal(err)
 				}
-				eng, err := o.sys.StartWork(fileIssue(o.sys, is).ID, "casey")
-				if err != nil {
-					t.Fatal(err)
-				}
+				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				eng.EnableEmergency("netadmin")
 				var out []string
 				for _, cmd := range is.Fault.Fix {
@@ -286,7 +312,8 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					reply, err := sess.Exec(cmd.Line)
+					var reply string
+					o.fresh(func() { reply, err = sess.Exec(cmd.Line) })
 					out = append(out, reply, fmt.Sprint(err))
 					o.checkProduction(t, "emergency/"+cmd.Line)
 				}
@@ -326,8 +353,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			if hits := pair[0].reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"); hits == 0 {
 				t.Fatal("the held deployment never hit its production snapshot")
 			}
-			if n := pair[1].misses(); n != 0 {
-				t.Fatalf("the reference deployment held a snapshot (%v misses counted)", n)
+			// Every step of the reference paid exactly its own Compute.
+			if ref := pair[1]; ref.stepMisses != ref.steps {
+				t.Fatalf("the reference deployment computed %d production snapshots in %d steps", ref.stepMisses, ref.steps)
 			}
 		})
 	}

@@ -114,17 +114,11 @@ type ChangeSet []Change
 //	L3Topology → adjacency+owner rebuilt; incremental SPF, session-checked
 //	             BGP, RIBs rebuilt for changed devices and route diffs
 //	Topology   → full ComputeWithOptions fallback
+//
+// With Options.SPFMemo set on the receiver (derived snapshots inherit it),
+// a mutated network whose LSDB serializes to a key the memo has seen skips
+// the whole link-state pass in favor of the memoized routes.
 func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
-	return s.DeriveWithMemo(n, changes, nil)
-}
-
-// DeriveWithMemo is Derive with an optional cross-derivation SPF memo.
-// When the mutated network's LSDB serializes to a key the memo has seen,
-// the whole link-state pass is skipped in favor of the memoized routes —
-// the big win for sweeps whose trials keep producing the same L3 graph.
-// A nil memo disables memoization; the same memo may be shared by
-// concurrent derivations.
-func (s *Snapshot) DeriveWithMemo(n *netmodel.Network, changes ChangeSet, memo *SPFMemo) *Snapshot {
 	kinds := [changeKindCount]bool{}
 	// ribDirty accumulates the devices whose RIB inputs changed. Static and
 	// L3-topology changes can alter the changed device's connected/static
@@ -186,7 +180,7 @@ func (s *Snapshot) DeriveWithMemo(n *netmodel.Network, changes ChangeSet, memo *
 			changedDevs[c.Device] = true
 		}
 		d.lsdb = deriveLSDB(s.lsdb, s.net, n, s.adj, d.adj, topo, changedDevs)
-		d.ospfRoutes = s.incrementalOSPF(d.lsdb, memo, ribDirty)
+		d.ospfRoutes = s.incrementalOSPF(d.lsdb, ribDirty)
 	}
 
 	if topo || kinds[ChangeBGP] {
@@ -244,13 +238,14 @@ func (s *Snapshot) DeriveWithMemo(n *netmodel.Network, changes ChangeSet, memo *
 // ribDirty. The result is DeepEqual to nl.routes() — including the
 // nil-iff-no-routers convention — without rerunning SPF for sources whose
 // answer is already known.
-func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, memo *SPFMemo, ribDirty map[string]bool) map[string][]FIBEntry {
+func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, ribDirty map[string]bool) map[string][]FIBEntry {
 	if len(nl.sources) == 0 {
 		for dev := range s.ospfRoutes {
 			ribDirty[dev] = true
 		}
 		return nil
 	}
+	memo := s.opts.SPFMemo
 	if memo != nil {
 		if routes, ok := memo.lookup(nl.canonicalKey()); ok {
 			markRouteDiff(s.ospfRoutes, routes, ribDirty)

@@ -211,12 +211,12 @@ func TestDeriveAffectedSourceReuse(t *testing.T) {
 // count exactly one miss and one hit.
 func TestSPFMemoReuse(t *testing.T) {
 	base := twoIslandNet()
-	snap := Compute(base)
 	memo := NewSPFMemo()
+	snap := ComputeWithOptions(base, Options{SPFMemo: memo})
 	derive := func() *Snapshot {
 		mutated := base.CloneCOW("r1")
 		mutated.Devices["r1"].Interface("Gi0/0").OSPFCost = 9
-		return snap.DeriveWithMemo(mutated, ChangeSet{{Device: "r1", Kind: ChangeOSPF}}, memo)
+		return snap.Derive(mutated, ChangeSet{{Device: "r1", Kind: ChangeOSPF}})
 	}
 	d1 := derive()
 	d2 := derive()

@@ -43,6 +43,12 @@ type Options struct {
 	// (heimdall_dataplane_flowcache_{hits,misses}_total). Nil means no
 	// instrumentation; FlowCacheStats works either way.
 	Meter telemetry.Meter
+	// SPFMemo, when set, memoizes whole link-state results across the
+	// derivations descending from this snapshot (derived snapshots inherit
+	// their parent's options) — the big win for sweeps whose trials keep
+	// producing the same L3 graph. Nil means every Derive runs its own
+	// link-state pass; one memo may be shared by concurrent derivations.
+	SPFMemo *SPFMemo
 }
 
 // Snapshot is the computed forwarding state of one network configuration:

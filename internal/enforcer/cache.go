@@ -21,10 +21,12 @@ package enforcer
 // ReportDeltas reachability diff. Only the verify-latency histogram is
 // skipped, so that metric keeps measuring real verifications.
 //
-// The cache is opt-in because Review takes the production network as a
-// parameter: callers that mutate networks behind the enforcer's back (the
-// chaos suites do, deliberately) must not enable it, or must route every
-// mutation through InvalidateReviews. The service layer does the latter.
+// The invalidation contract: Review takes the production network as a
+// parameter and the enforcer's own pipeline (commit, rollback, quarantine,
+// Recover) bumps the version on every path that writes it. Whoever mutates
+// production any other way — maintenance edits, emergency sessions, fault
+// injection — must call InvalidateReviews before the next review, or a
+// verdict for a network that no longer exists is replayed.
 
 import (
 	"fmt"
@@ -38,11 +40,10 @@ import (
 	"heimdall/internal/verify"
 )
 
-// defaultReviewCacheCap bounds retained verdicts when EnableReviewCache
-// is given no capacity. Entries are small (a Decision plus its trail
-// line); the bound exists to stop a scripted load from growing the map
-// without limit across privilege-spec variants.
-const defaultReviewCacheCap = 256
+// reviewCacheCap bounds retained verdicts. Entries are small (a Decision
+// plus its trail line); the bound exists to stop a scripted load from
+// growing the map without limit across privilege-spec variants.
+const reviewCacheCap = 256
 
 // reviewCacheEntry is one memoized verdict: the decision plus the exact
 // audit-trail line the fresh review produced, so a hit replays it.
@@ -63,9 +64,6 @@ type reviewCache struct {
 }
 
 func newReviewCache(capacity int) *reviewCache {
-	if capacity <= 0 {
-		capacity = defaultReviewCacheCap
-	}
 	return &reviewCache{cap: capacity, entries: make(map[string]reviewCacheEntry)}
 }
 
@@ -97,25 +95,17 @@ func (rc *reviewCache) clear() {
 	rc.order = nil
 }
 
-// EnableReviewCache turns on verdict memoization with the given capacity
-// (<= 0 means defaultReviewCacheCap). Enable it before the enforcer sees
-// concurrent reviews, and only when every production mutation is visible
-// to the enforcer (its own commit pipeline, or InvalidateReviews).
-func (e *Enforcer) EnableReviewCache(capacity int) {
-	e.reviews.Store(newReviewCache(capacity))
-}
-
 // InvalidateReviews discards every cached review verdict and the held
-// production snapshot by bumping the production version. Call it after
-// mutating production outside the enforcer's commit pipeline (maintenance
-// edits, emergency sessions). The commit pipeline calls it itself on every
-// path that touches production.
+// production snapshot by bumping the production version. Whoever mutates
+// production outside the enforcer's commit pipeline (maintenance edits,
+// emergency sessions, fault injection) must call it after the mutation and
+// before the next review, commit or ProductionSnapshot; until then the
+// enforcer answers for the network as it was. The commit pipeline calls it
+// itself on every path that touches production.
 func (e *Enforcer) InvalidateReviews() {
 	e.prodVersion.Add(1)
 	e.prodSnap.Store(nil)
-	if rc := e.reviews.Load(); rc != nil {
-		rc.clear()
-	}
+	e.reviews.clear()
 }
 
 // ReviewKey returns the content address a review of (changes, spec) would
@@ -142,8 +132,7 @@ func (d *Decision) clone() *Decision {
 
 // ReviewCached is Review plus a hit indicator: true means the verdict was
 // served from the cache (the audit trail and review counters are updated
-// identically either way). With the cache disabled it always computes and
-// reports false.
+// identically either way).
 func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
 	return e.review(prod, nil, changes, spec)
 }
@@ -152,19 +141,12 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 // shadow from already in hand (the commit pipeline's); nil leaves the miss
 // to take it from ProductionSnapshot.
 func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
-	rc := e.reviews.Load()
-	if rc == nil {
-		d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec)
-		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
-		e.countReview(d.Accepted)
-		return d, false
-	}
 	// The network pointer joins the key so an enforcer reviewing against
 	// two different networks (tests do) never serves one's verdict for the
 	// other. The key is computed once, before the review: the version it
 	// captures is the one the verdict is valid for.
 	key := fmt.Sprintf("%p|%s", prod, e.ReviewKey(changes, spec))
-	if ent, hit := rc.get(key); hit {
+	if ent, hit := e.reviews.get(key); hit {
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, ent.trailMsg, ent.trailOK)
 		e.countReview(ent.decision.Accepted)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
@@ -174,6 +156,6 @@ func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, 
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
 	e.countReview(d.Accepted)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
-	rc.put(key, reviewCacheEntry{decision: d.clone(), trailMsg: msg, trailOK: ok})
+	e.reviews.put(key, reviewCacheEntry{decision: d.clone(), trailMsg: msg, trailOK: ok})
 	return d, false
 }

@@ -10,6 +10,7 @@ import (
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
 	"heimdall/internal/faultinject"
 	"heimdall/internal/netmodel"
 )
@@ -62,14 +63,11 @@ func TestReviewCacheOracle(t *testing.T) {
 			spec := aclSpec()
 			changes := []config.Change{change}
 
-			// Fresh verdict with the cache disabled: the reference output.
-			dFresh, hit := e.ReviewCached(n, changes, spec)
-			if hit {
-				t.Fatal("hit with the cache disabled")
-			}
+			// The reference output: the uncached review on a from-scratch
+			// snapshot of production.
+			dFresh, refMsg, _ := e.reviewCompute(n, dataplane.Compute(n), changes, spec)
 			ref := decisionJSON(t, dFresh)
 
-			e.EnableReviewCache(0)
 			d1, hit1 := e.ReviewCached(n, changes, spec)
 			d2, hit2 := e.ReviewCached(n, changes, spec)
 			if hit1 {
@@ -79,19 +77,19 @@ func TestReviewCacheOracle(t *testing.T) {
 				t.Fatal("second identical review missed the cache")
 			}
 			if got := decisionJSON(t, d1); got != ref {
-				t.Fatalf("cache-miss decision diverges from cacheless review:\nwant %s\ngot  %s", ref, got)
+				t.Fatalf("cache-miss decision diverges from the from-scratch review:\nwant %s\ngot  %s", ref, got)
 			}
 			if got := decisionJSON(t, d2); got != ref {
 				t.Fatalf("cached decision diverges from fresh review:\nwant %s\ngot  %s", ref, got)
 			}
 
-			// All three reviews logged the exact same trail entry.
+			// Both reviews logged the reference's exact trail entry.
 			details := verifyDetails(e.Trail())
-			if len(details) != 3 {
-				t.Fatalf("verify trail entries = %d, want 3", len(details))
+			if len(details) != 2 {
+				t.Fatalf("verify trail entries = %d, want 2", len(details))
 			}
-			if details[0] != details[1] || details[1] != details[2] {
-				t.Fatalf("trail entries not replayed identically: %q", details)
+			if details[0] != refMsg || details[1] != refMsg {
+				t.Fatalf("trail entries not replayed identically: %q, want %q", details, refMsg)
 			}
 		})
 	}
@@ -103,7 +101,6 @@ func TestReviewCacheOracle(t *testing.T) {
 func TestReviewCacheInvalidatedByCommit(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(0)
 	spec := aclSpec()
 
 	ch := []config.Change{benignChange(15, 443)}
@@ -131,7 +128,6 @@ func TestReviewCacheInvalidatedByCommit(t *testing.T) {
 func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(0)
 	e.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Microsecond,
 		Sleep: func(time.Duration) {}}
 	spec := aclSpec()
@@ -173,7 +169,6 @@ func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 func TestReviewCacheConcurrent(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(8)
 	spec := aclSpec()
 
 	var wg sync.WaitGroup
@@ -208,7 +203,7 @@ func TestReviewCacheConcurrent(t *testing.T) {
 func TestReviewCacheEviction(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.EnableReviewCache(2)
+	e.reviews = newReviewCache(2)
 	spec := aclSpec()
 
 	a := []config.Change{benignChange(15, 443)}

@@ -40,6 +40,12 @@ import (
 // but only one change set at a time is verified-against and applied to
 // production, so a commit's verification always reflects the state it
 // lands on.
+//
+// The enforcer tracks production: it holds one dataplane snapshot and the
+// review verdicts of the current production version (snapshot.go,
+// cache.go). Its own commit pipeline keeps that version current; whoever
+// mutates production any other way must call InvalidateReviews before the
+// next review, commit or ProductionSnapshot.
 type Enforcer struct {
 	encl     *enclave.Enclave
 	trail    *audit.Trail
@@ -58,9 +64,6 @@ type Enforcer struct {
 	// commits are refused until Recover restores consistency.
 	quarantined bool
 	quarReason  string
-	// Incremental restricts verification to policies whose traffic could
-	// be affected by the changed devices (plus all isolation policies).
-	Incremental bool
 	// ReportDeltas adds a reachability what-if diff to every review: the
 	// host pairs whose connectivity the change set would flip. Off by
 	// default (it probes all pairs twice).
@@ -81,16 +84,16 @@ type Enforcer struct {
 	scopeMu      sync.Mutex
 	scopeCond    *sync.Cond
 	reservations map[string]map[string]bool
-	// reviews, when enabled (EnableReviewCache), memoizes review verdicts
-	// by content: production version × privilege digest × change-set
-	// digest. prodVersion counts production mutations and is folded into
-	// every cache key, so a commit (or rollback, recovery, out-of-band
-	// mutation) invalidates all prior verdicts at once. See cache.go.
-	reviews     atomic.Pointer[reviewCache]
+	// reviews memoizes review verdicts by content: production version ×
+	// privilege digest × change-set digest. prodVersion counts production
+	// mutations and is folded into every cache key, so a commit (or
+	// rollback, recovery, out-of-band mutation) invalidates all prior
+	// verdicts at once. See cache.go.
+	reviews     *reviewCache
 	prodVersion atomic.Uint64
 	// prodSnap is the production dataplane snapshot held for the current
-	// prodVersion (same opt-in and contract as the verdict cache); snapMu
-	// serializes its lazy fill. See snapshot.go.
+	// prodVersion (same contract as the verdict cache); snapMu serializes
+	// its lazy fill. See snapshot.go.
 	prodSnap atomic.Pointer[heldSnapshot]
 	snapMu   sync.Mutex
 }
@@ -105,6 +108,7 @@ func New(encl *enclave.Enclave, policies []verify.Policy) *Enforcer {
 		journal:  journal.New(encl.DeriveKey("commit-journal")),
 		policies: policies,
 		meter:    telemetry.Nop(),
+		reviews:  newReviewCache(reviewCacheCap),
 	}
 }
 
@@ -171,10 +175,9 @@ func (d *Decision) Reason() string {
 }
 
 // Review checks a candidate change set against the Privilegemsp and the
-// network policies, without touching production. With the review cache
-// enabled (EnableReviewCache) a repeat of an already-reviewed change set
-// against the unchanged production snapshot replays the cached verdict;
-// callers who need to know use ReviewCached.
+// network policies, without touching production. A repeat of an
+// already-reviewed change set against the same production version replays
+// the cached verdict; callers who need to know use ReviewCached.
 func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) *Decision {
 	d, _ := e.ReviewCached(prod, changes, spec)
 	return d
@@ -204,8 +207,7 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	// only the devices the change set names are cloned (ApplyChanges never
 	// creates devices and only writes the named ones), the rest are shared
 	// read-only with production.
-	touchedList := touchedDevices(changes)
-	shadow := prod.CloneCOW(touchedList...)
+	shadow := prod.CloneCOW(touchedDevices(changes)...)
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		d.Violations = append(d.Violations, verify.Violation{
 			Reason: fmt.Sprintf("changes do not apply cleanly: %v", err),
@@ -219,19 +221,11 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 		prodSnap = e.ProductionSnapshot(prod)
 	}
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
-	policies := e.policies
-	if e.Incremental {
-		touched := make(map[string]bool, len(touchedList))
-		for _, dev := range touchedList {
-			touched[dev] = true
-		}
-		policies = verify.AffectedBy(prodSnap, e.policies, touched)
-	}
 	if e.ReportDeltas {
 		d.Deltas = verify.DiffReachability(prodSnap, shadowSnap, shadow, nil)
 	}
 	verifyStart := time.Now()
-	res := verify.CheckMetered(shadowSnap, policies, e.meter)
+	res := verify.CheckMetered(shadowSnap, e.policies, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked

@@ -236,42 +236,6 @@ func TestScheduleOrdering(t *testing.T) {
 	}
 }
 
-func TestIncrementalVerification(t *testing.T) {
-	n := prod()
-	e := newEnforcer(n)
-	full := e.Review(n, []config.Change{{
-		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
-		Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
-			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 8080},
-	}}, aclSpec())
-
-	e.Incremental = true
-	inc := e.Review(n, []config.Change{{
-		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
-		Entry: &netmodel.ACLEntry{Seq: 16, Action: netmodel.Permit, Proto: netmodel.TCP,
-			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 8081},
-	}}, aclSpec())
-
-	if !full.Accepted || !inc.Accepted {
-		t.Fatalf("reviews rejected: %+v %+v", full, inc)
-	}
-	if inc.Checked > full.Checked {
-		t.Fatalf("incremental checked %d > full %d", inc.Checked, full.Checked)
-	}
-	// In this topology everything routes through r1, so incremental
-	// verification still checks every policy; the invariant that matters
-	// is it never checks fewer than the impacted set. Catching a
-	// violation must still work incrementally:
-	bad := e.Review(n, []config.Change{{
-		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
-		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
-			Dst: netip.MustParsePrefix("10.3.0.0/24")},
-	}}, aclSpec())
-	if bad.Accepted {
-		t.Fatal("incremental review missed a violation")
-	}
-}
-
 func TestAttest(t *testing.T) {
 	platform := enclave.NewPlatformFromSeed("attest-test")
 	encl := platform.Load("heimdall-enforcer-v1")

@@ -8,11 +8,11 @@ package enforcer
 // caller of a version computes it, everyone else derives from it, and a
 // commit hands the snapshot it just verified to the next version.
 //
-// Holding is tied to the review cache's opt-in because the contract is the
-// same: production is mutated in place, and a snapshot reads its network's
-// devices lazily (ACLs at trace time), so a snapshot held across a mutation
-// the enforcer did not see would silently describe a network that no
-// longer exists. Without the opt-in every call computes.
+// The invalidation contract is the verdict cache's: production is mutated
+// in place, and a snapshot reads its network's devices lazily (ACLs at
+// trace time), so a snapshot held across a mutation the enforcer did not
+// see would silently describe a network that no longer exists. Every
+// production writer outside the commit pipeline calls InvalidateReviews.
 
 import (
 	"heimdall/internal/dataplane"
@@ -34,17 +34,14 @@ func (e *Enforcer) current(prod *netmodel.Network, version uint64) *dataplane.Sn
 	return nil
 }
 
-// ProductionSnapshot returns the dataplane snapshot of prod. With the
-// review cache enabled (EnableReviewCache) the snapshot is computed once
+// ProductionSnapshot returns the dataplane snapshot of prod, computed once
 // per production version and shared; callers must hold whatever excludes
 // production writers (core.System's read lock) for as long as they use it,
 // and may derive from it freely — Derive shares only immutable structures.
-// Concurrent first callers of a version wait for one computation.
+// Concurrent first callers of a version wait for one computation. A caller
+// that mutated prod outside the commit pipeline must have called
+// InvalidateReviews since, or it is handed the pre-mutation snapshot.
 func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapshot {
-	opts := dataplane.Options{Meter: e.meter}
-	if e.reviews.Load() == nil {
-		return dataplane.ComputeWithOptions(prod, opts)
-	}
 	hits := e.meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	if snap := e.current(prod, e.prodVersion.Load()); snap != nil {
 		hits.Inc()
@@ -60,16 +57,13 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 		return snap
 	}
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
-	snap := dataplane.ComputeWithOptions(prod, opts)
+	snap := dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
 	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap})
 	return snap
 }
 
 // holdSnapshot installs snap as the snapshot of prod at the current
-// version (the commit pipeline, right after bumping it). A no-op without
-// the review cache.
+// version (the commit pipeline, right after bumping it).
 func (e *Enforcer) holdSnapshot(prod *netmodel.Network, snap *dataplane.Snapshot) {
-	if e.reviews.Load() != nil {
-		e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: snap})
-	}
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: snap})
 }

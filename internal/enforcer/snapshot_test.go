@@ -13,13 +13,12 @@ import (
 	"heimdall/internal/telemetry"
 )
 
-// snapshotEnforcer is newEnforcer with holding on and a registry to count
+// snapshotEnforcer is newEnforcer with a registry to count
 // production-snapshot hits and misses.
 func snapshotEnforcer(n *netmodel.Network) (*Enforcer, *telemetry.Registry) {
 	e := newEnforcer(n)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
-	e.EnableReviewCache(0)
 	return e, reg
 }
 
@@ -61,24 +60,59 @@ func TestProductionSnapshotFilledOnce(t *testing.T) {
 	}
 }
 
-// TestProductionSnapshotUntracked: without the review cache's opt-in the
-// enforcer may not assume it sees every mutation, so nothing is held.
-func TestProductionSnapshotUntracked(t *testing.T) {
+// TestOutOfBandMutationNeedsInvalidate pins the contract every production
+// writer outside the commit pipeline leans on: after the mutation and an
+// InvalidateReviews, the next snapshot and the next review answer for
+// production as it is now — and the verdict cache still tells two networks
+// apart at the same version.
+func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 	n := prod()
-	e := newEnforcer(n)
-	reg := telemetry.NewRegistry()
-	e.SetMeter(reg)
-	if e.ProductionSnapshot(n) == e.ProductionSnapshot(n) {
-		t.Fatal("snapshot held without EnableReviewCache")
+	e, reg := snapshotEnforcer(n)
+	spec := aclSpec()
+	benign := []config.Change{benignChange(15, 443)}
+	if d, hit := e.ReviewCached(n, benign, spec); hit || !d.Accepted {
+		t.Fatalf("first review: hit=%v %+v", hit, d)
 	}
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+	held := e.ProductionSnapshot(n)
+	if tr, _ := held.Reach("h1", "h3", netmodel.TCP, 443); tr.Delivered() {
+		t.Fatal("sensitive h3 reachable before the mutation")
+	}
+
+	// A maintenance edit behind the enforcer's back opens the sensitive
+	// subnet; production now violates its isolation policies.
+	if err := config.ApplyChanges(n, []config.Change{maliciousPermit()}); err != nil {
 		t.Fatal(err)
 	}
-	if e.prodSnap.Load() != nil {
-		t.Fatal("commit held its snapshot without EnableReviewCache")
+	e.InvalidateReviews()
+
+	snap := e.ProductionSnapshot(n)
+	if snap == held {
+		t.Fatal("pre-mutation snapshot served after InvalidateReviews")
 	}
-	if got := snapshotMisses(reg); got != 0 {
-		t.Fatalf("misses = %v, want none counted", got)
+	got, _ := snap.Reach("h1", "h3", netmodel.TCP, 443)
+	fresh, _ := dataplane.Compute(n).Reach("h1", "h3", netmodel.TCP, 443)
+	if !got.Delivered() || got.String() != fresh.String() {
+		t.Fatalf("snapshot does not reflect the mutation: held %v, fresh %v", got, fresh)
+	}
+	if got := snapshotMisses(reg); got != 2 {
+		t.Fatalf("misses = %v, want 2 (one per production version looked at)", got)
+	}
+	d, hit := e.ReviewCached(n, benign, spec)
+	if hit || d.Accepted || len(d.Violations) == 0 {
+		t.Fatalf("review after the mutation: hit=%v %+v, want a recomputed rejection", hit, d)
+	}
+
+	// The same change set, rules and version against another network is
+	// another verdict.
+	other := prod()
+	if d, hit := e.ReviewCached(other, benign, spec); hit || !d.Accepted {
+		t.Fatalf("review of an unmutated network: hit=%v %+v", hit, d)
+	}
+	if d, hit := e.ReviewCached(n, benign, spec); !hit || d.Accepted {
+		t.Fatalf("repeat review of the mutated network: hit=%v %+v", hit, d)
+	}
+	if d, hit := e.ReviewCached(other, benign, spec); !hit || !d.Accepted {
+		t.Fatalf("repeat review of the unmutated network: hit=%v %+v", hit, d)
 	}
 }
 
@@ -127,8 +161,8 @@ func TestCommitHandsOverSnapshot(t *testing.T) {
 }
 
 // TestCustomTargetPostVerifyComputes: what a custom target did to
-// production is not the enforcer's to assume, so with holding on the
-// post-apply check still computes from the network itself and catches a
+// production is not the enforcer's to assume, so the post-apply check
+// still computes from the network itself and catches a
 // change the scheduled set never named.
 func TestCustomTargetPostVerifyComputes(t *testing.T) {
 	n := prod()

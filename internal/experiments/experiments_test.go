@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,31 @@ func TestFigure8ShapeViaExperiments(t *testing.T) {
 	}
 	if out := FormatFigure89("Figure 8 (enterprise)", results); !strings.Contains(out, "reduction") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+// TestFiguresGolden pins the invariant every refactor leans on: Table 1,
+// Figure 7 and Figure 8 (at the CI's -budget 40) print exactly what
+// docs/figures.golden records, wall-clock fields aside. Figure 9 takes
+// ~11 s and is diffed against the same file by CI only.
+func TestFiguresGolden(t *testing.T) {
+	golden, err := os.ReadFile("../../docs/figures.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, found := strings.Cut(string(golden), "Figure 9 (university)")
+	if !found {
+		t.Fatal("docs/figures.golden has no Figure 9 section to stop at")
+	}
+	runs, err := Figure7(latency.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := FormatTable1(Table1()) + "\n" +
+		regexp.MustCompile(`, real compute [^)]*`).ReplaceAllString(FormatFigure7(runs), "") + "\n" +
+		FormatFigure89("Figure 8 (enterprise)", Figure89(scenarios.Enterprise(), 40, 1)) + "\n"
+	if got != want {
+		t.Fatalf("figures moved.\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -217,12 +217,6 @@ func (s *Service) CreateTenant(id, scenario string) (TenantInfo, error) {
 		return TenantInfo{}, err
 	}
 	sys.Tickets.SetClock(s.clock)
-	// The service routes every production mutation through paths the
-	// enforcer observes (its own commit pipeline, MutateProduction,
-	// emergency sessions), so memoizing review verdicts by content is
-	// safe here — the MSP workload's near-duplicate scripted tickets make
-	// it the single biggest queue-drain lever.
-	sys.Enforcer.EnableReviewCache(0)
 	t := &Tenant{
 		ID:       id,
 		Scenario: scenario,

@@ -115,11 +115,8 @@ func New(cfg Config) (*Twin, error) {
 	}
 	tw.env = console.NewEnvSeeded(tw.emul, cfg.Snapshot)
 	// Technician consoles are the emulation layer's only writers (Exec
-	// serializes under tw.mu), so post-write snapshots can derive
-	// incrementally from the previous one instead of recomputing the
-	// dataplane from scratch — the dominant cost of diagnosis scripts
-	// that alternate fixes with reachability checks.
-	tw.env.EnableIncremental()
+	// serializes under tw.mu), which is what the env's incremental
+	// post-write snapshots require.
 	if cfg.Meter != nil {
 		tw.env.Meter = cfg.Meter
 	}

@@ -220,8 +220,11 @@ func CheckPolicy(s *dataplane.Snapshot, p Policy) *Violation {
 }
 
 // AffectedBy returns the subset of policies whose src->dst traffic traverses
-// any of the named devices in the baseline snapshot. The enforcer uses this
-// to verify only impacted policies when incremental verification is enabled.
+// any of the named devices in the baseline snapshot, plus every isolation
+// policy and every policy whose flow is not delivered there (a change
+// anywhere could deliver it). The
+// enforcer's conflict mediation scopes commits with it and the
+// attack-surface sweep narrows each trial's verification to it.
 func AffectedBy(s *dataplane.Snapshot, policies []Policy, devices map[string]bool) []Policy {
 	var out []Policy
 	for _, p := range policies {

@@ -151,3 +151,83 @@ func TestAffectedBy(t *testing.T) {
 		t.Fatalf("AffectedBy(elsewhere) = %v", got)
 	}
 }
+
+// guardedNet: h1 and sensitive h3 on r1, h2 and h4 on r2, r1 - r2 joined by
+// static routes. r1 denies everything toward h3's subnet on the way in.
+func guardedNet() *netmodel.Network {
+	n := netmodel.NewNetwork("g")
+	r1 := n.AddDevice("r1", netmodel.Router)
+	r2 := n.AddDevice("r2", netmodel.Router)
+	n.MustConnect("r1", "Gi0/9", "r2", "Gi0/9")
+	r1.Interface("Gi0/9").Addr = netip.MustParsePrefix("10.9.0.1/30")
+	r2.Interface("Gi0/9").Addr = netip.MustParsePrefix("10.9.0.2/30")
+	attach := func(host, sub string, r *netmodel.Device, itf string) {
+		h := n.AddDevice(host, netmodel.Host)
+		n.MustConnect(host, "eth0", r.Name, itf)
+		h.Interface("eth0").Addr = netip.MustParsePrefix(sub + ".10/24")
+		h.DefaultGateway = netip.MustParseAddr(sub + ".1")
+		r.Interface(itf).Addr = netip.MustParsePrefix(sub + ".1/24")
+	}
+	attach("h1", "10.1.0", r1, "Gi0/0")
+	attach("h3", "10.3.0", r1, "Gi0/1")
+	attach("h2", "10.2.0", r2, "Gi0/0")
+	attach("h4", "10.4.0", r2, "Gi0/1")
+	for _, pfx := range []string{"10.2.0.0/24", "10.4.0.0/24"} {
+		r1.StaticRoutes = append(r1.StaticRoutes, netmodel.StaticRoute{
+			Prefix: netip.MustParsePrefix(pfx), NextHop: netip.MustParseAddr("10.9.0.2")})
+	}
+	for _, pfx := range []string{"10.1.0.0/24", "10.3.0.0/24"} {
+		r2.StaticRoutes = append(r2.StaticRoutes, netmodel.StaticRoute{
+			Prefix: netip.MustParsePrefix(pfx), NextHop: netip.MustParseAddr("10.9.0.1")})
+	}
+	guard := r1.ACL("GUARD", true)
+	guard.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.AnyProto,
+		Dst: netip.MustParsePrefix("10.3.0.0/24")})
+	guard.InsertEntry(netmodel.ACLEntry{Seq: 20, Action: netmodel.Permit})
+	r1.Interface("Gi0/0").ACLIn = "GUARD"
+	r1.Interface("Gi0/9").ACLIn = "GUARD"
+	return n
+}
+
+// TestAffectedByCoversImpacted: scoping to the changed device drops the
+// policies whose traffic never meets it, never one the change can flip —
+// so a violation the full check finds, the scoped check finds too.
+func TestAffectedByCoversImpacted(t *testing.T) {
+	n := guardedNet()
+	base := dataplane.Compute(n)
+	policies := []Policy{
+		{ID: "R12", Kind: Reachability, Src: "h1", Dst: "h2", Proto: netmodel.ICMP},
+		{ID: "R24", Kind: Reachability, Src: "h2", Dst: "h4", Proto: netmodel.ICMP},
+		{ID: "I13", Kind: Isolation, Src: "h1", Dst: "h3", Proto: netmodel.ICMP},
+		{ID: "I23", Kind: Isolation, Src: "h2", Dst: "h3", Proto: netmodel.ICMP},
+	}
+	if res := Check(base, policies); !res.OK() {
+		t.Fatalf("baseline violates its own policies: %v", res.Violations)
+	}
+	scoped := AffectedBy(base, policies, map[string]bool{"r1": true})
+	inScope := make(map[string]bool)
+	for _, p := range scoped {
+		inScope[p.ID] = true
+	}
+	if inScope["R24"] || len(scoped) != 3 {
+		t.Fatalf("AffectedBy(r1) = %v, want everything but R24 (h2 -> h4 never leaves r2)", scoped)
+	}
+
+	// The change on r1: open the sensitive subnet ahead of the deny.
+	n.Device("r1").ACLs["GUARD"].InsertEntry(netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit,
+		Proto: netmodel.AnyProto, Dst: netip.MustParsePrefix("10.3.0.0/24")})
+	changed := dataplane.Compute(n)
+	full := Check(changed, policies)
+	if len(full.Violations) != 2 {
+		t.Fatalf("full check found %v, want both isolation policies broken", full.Violations)
+	}
+	for _, v := range full.Violations {
+		if !inScope[v.Policy.ID] {
+			t.Errorf("%s is impacted by the change on r1 but was scoped out", v.Policy.ID)
+		}
+	}
+	if got := Check(changed, scoped); got.Checked >= full.Checked || len(got.Violations) != len(full.Violations) {
+		t.Fatalf("scoped check: %d checked, %v; full check: %d checked, %v",
+			got.Checked, got.Violations, full.Checked, full.Violations)
+	}
+}
