@@ -179,7 +179,7 @@ func BenchmarkContinuousVsBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkLPM compares the FIB's longest-prefix-match trie against a
+// BenchmarkLPM compares the FIB's longest-prefix-match table against a
 // linear scan, on the university network's route mix.
 func BenchmarkLPM(b *testing.B) {
 	scen := scenarios.University()
@@ -190,7 +190,7 @@ func BenchmarkLPM(b *testing.B) {
 		probes = append(probes, netip.AddrFrom4([4]byte{10, byte(i % 18), 0, 10}))
 	}
 
-	b.Run("trie", func(b *testing.B) {
+	b.Run("table", func(b *testing.B) {
 		var t dataplane.LPM
 		for _, e := range rib {
 			t.Insert(e.Prefix, []dataplane.FIBEntry{e})

@@ -629,7 +629,9 @@ func (c *Console) tracePath(env *Env, target string, proto netmodel.Protocol, po
 
 func resolveTarget(n *netmodel.Network, target string) (netip.Addr, error) {
 	if a, err := netip.ParseAddr(target); err == nil {
-		return a, nil
+		// 4-in-6 names an IPv4 destination; any other IPv6 literal simply
+		// has no route in this IPv4-only dataplane.
+		return a.Unmap(), nil
 	}
 	if a, ok := n.HostAddr(target); ok {
 		return a, nil

@@ -197,7 +197,7 @@ func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string][]FIB
 			continue
 		}
 		sort.Slice(entries, func(i, j int) bool {
-			return entries[i].Prefix.String() < entries[j].Prefix.String()
+			return prefixString(entries[i].Prefix) < prefixString(entries[j].Prefix)
 		})
 		out[dev] = entries
 	}

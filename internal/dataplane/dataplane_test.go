@@ -437,45 +437,113 @@ func TestLPMBasics(t *testing.T) {
 	}
 }
 
-// Property: LPM lookup equals a linear longest-prefix scan.
-func TestLPMMatchesLinearScan(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 40; trial++ {
-		var l LPM
-		var prefixes []netip.Prefix
-		seen := map[netip.Prefix]bool{}
-		for i := 0; i < 30; i++ {
-			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{
-				byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)),
-			}), r.Intn(33)).Masked()
-			if seen[p] {
-				continue
-			}
-			seen[p] = true
-			prefixes = append(prefixes, p)
-			l.Insert(p, []FIBEntry{{Prefix: p}})
-		}
-		for probe := 0; probe < 50; probe++ {
-			a := netip.AddrFrom4([4]byte{byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256))})
-			var want netip.Prefix
-			wantBits := -1
-			for _, p := range prefixes {
-				if p.Contains(a) && p.Bits() > wantBits {
-					want, wantBits = p, p.Bits()
-				}
-			}
-			got, ok := l.Lookup(a)
-			if wantBits < 0 {
-				if ok {
-					t.Fatalf("trial %d: lookup(%s) found %v, want miss", trial, a, got)
-				}
-				continue
-			}
-			if !ok || got[0].Prefix != want {
-				t.Fatalf("trial %d: lookup(%s) = %v %v, want %s", trial, a, got, ok, want)
-			}
+// linearLookup is the LPM reference: scan every inserted prefix, keep the
+// longest one containing a; among equal (masked) prefixes the last insert
+// wins. It returns that insert's position, or -1 on a miss.
+func linearLookup(inserted []netip.Prefix, a netip.Addr) int {
+	best := -1
+	for i, p := range inserted {
+		if p.Contains(a) && (best < 0 || p.Bits() >= inserted[best].Bits()) {
+			best = i
 		}
 	}
+	return best
+}
+
+// checkLPM builds the table both ways — Insert by Insert, and bulk-filled
+// from a RIB holding one entry per insert — and compares Len and every
+// probe's Lookup with the linear reference. Entries carry their insert
+// position in Metric, which is how a replaced prefix is told from its
+// replacement. (The bulk fill takes adjacent equal prefixes as one ECMP
+// run, so there the winner is the last entry of what Lookup returns.)
+func checkLPM(t *testing.T, inserted []netip.Prefix, probes []netip.Addr) {
+	t.Helper()
+	var byInsert LPM
+	rib := make([]FIBEntry, len(inserted))
+	distinct := map[netip.Prefix]bool{}
+	for i, p := range inserted {
+		rib[i] = FIBEntry{Prefix: p, Metric: i}
+		byInsert.Insert(p, rib[i:i+1])
+		distinct[p.Masked()] = true
+	}
+	for name, l := range map[string]*LPM{"Insert": &byInsert, "newLPM": newLPM(rib)} {
+		if l.Len() != len(distinct) {
+			t.Fatalf("%s: Len = %d, want %d distinct prefixes of %v", name, l.Len(), len(distinct), inserted)
+		}
+		for _, a := range probes {
+			want := linearLookup(inserted, a)
+			got, ok := l.Lookup(a)
+			if ok != (want >= 0) || (ok && got[len(got)-1].Metric != want) {
+				t.Fatalf("%s: Lookup(%s) = %v %v, want insert %d of %v", name, a, got, ok, want, inserted)
+			}
+			// 4-in-6 is the same destination; any other IPv6 address
+			// matches nothing, not even a default route.
+			if got6, ok6 := l.Lookup(netip.AddrFrom16(a.As16())); ok6 != ok || (ok && got6[len(got6)-1].Metric != want) {
+				t.Fatalf("%s: Lookup(4-in-6 %s) = %v %v, want insert %d", name, a, got6, ok6, want)
+			}
+		}
+		if got, ok := l.Lookup(netip.IPv6Loopback()); ok {
+			t.Fatalf("%s: Lookup(::1) = %v, want a miss", name, got)
+		}
+	}
+}
+
+// Property: LPM lookup equals a linear longest-prefix scan, including the
+// default route, host routes, and a prefix inserted twice (replaced in
+// place, Len unchanged).
+func TestLPMMatchesLinearScan(t *testing.T) {
+	r := rand.New(rand.NewSource(99))
+	randAddr := func() netip.Addr {
+		return netip.AddrFrom4([4]byte{byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256)), byte(r.Intn(256))})
+	}
+	for trial := 0; trial < 40; trial++ {
+		var inserted []netip.Prefix
+		var probes []netip.Addr
+		for i := 0; i < 30; i++ {
+			// Unmasked on purpose: Insert masks, and two spellings of one
+			// network are one prefix.
+			inserted = append(inserted, netip.PrefixFrom(randAddr(), r.Intn(33)))
+		}
+		if trial%2 == 0 {
+			inserted = append(inserted, pfx("0.0.0.0/0"))
+		}
+		host := randAddr()
+		inserted = append(inserted, netip.PrefixFrom(host, 32))
+		probes = append(probes, host)
+		// Replace three earlier inserts in place.
+		for i := 0; i < 3; i++ {
+			inserted = append(inserted, inserted[r.Intn(len(inserted))])
+		}
+		for i := 0; i < 50; i++ {
+			probes = append(probes, randAddr())
+		}
+		for _, p := range inserted {
+			probes = append(probes, p.Addr(), p.Masked().Addr())
+		}
+		checkLPM(t, inserted, probes)
+	}
+}
+
+// FuzzLPM holds the flat table to the linear scan on arbitrary prefix sets:
+// every 5 input bytes are one insert (address, length mod 33); each insert's
+// address, network address and last address are probed.
+func FuzzLPM(f *testing.F) {
+	f.Add([]byte{10, 1, 2, 3, 24, 10, 1, 0, 0, 16, 0, 0, 0, 0, 0, 10, 1, 2, 9, 32})
+	f.Add([]byte{10, 1, 2, 3, 24, 10, 1, 2, 77, 24, 255, 255, 255, 255, 32})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var inserted []netip.Prefix
+		var probes []netip.Addr
+		for ; len(data) >= 5 && len(inserted) < 64; data = data[5:] {
+			a := netip.AddrFrom4([4]byte(data[:4]))
+			p := netip.PrefixFrom(a, int(data[4])%33)
+			inserted = append(inserted, p)
+			v := addrBits(p.Masked().Addr()) | ^(^uint32(0) << (32 - uint(p.Bits())))
+			last := netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+			probes = append(probes, a, p.Masked().Addr(), last, last.Next())
+		}
+		checkLPM(t, inserted, probes)
+	})
 }
 
 // Property: shutting down any single transit interface never yields a

@@ -221,7 +221,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	for dev, fib := range s.fibs {
 		d.fibs[dev] = fib
 	}
-	ribs, fibs := buildRIBs(n, devs, d.adj, d.ospfRoutes, d.bgpRoutes)
+	ribs, fibs := buildRIBs(n, devs, d.ospfRoutes, d.bgpRoutes)
 	for dev, rib := range ribs {
 		d.ribs[dev] = rib
 	}

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"net/netip"
 	"testing"
 
 	"heimdall/internal/netmodel"
@@ -77,6 +78,21 @@ func TestECMPFlowHashDeterministicPerFlow(t *testing.T) {
 		if got := s.TraceFrom("h1", f).Path(); !equalStrings(got, first) {
 			t.Fatalf("same flow took different paths: %v vs %v", got, first)
 		}
+	}
+}
+
+// The flow hash takes any address family: an IPv6 destination is a plain
+// no-route, and an IPv6 source still picks one of the equal-cost paths.
+func TestECMPFlowHashNonIPv4(t *testing.T) {
+	s := ComputeWithOptions(diamondNet(), Options{FlowHashECMP: true})
+	v6 := netip.MustParseAddr("2001:db8::1")
+	tr := s.TraceFrom("r1", Flow{Proto: netmodel.ICMP, Src: ip("10.1.0.1"), Dst: v6})
+	if tr.Disposition != DropNoRoute || tr.Where != "r1" {
+		t.Fatalf("IPv6 destination: %s", tr)
+	}
+	tr = s.TraceFrom("r1", Flow{Proto: netmodel.ICMP, Src: v6, Dst: ip("10.2.0.10")})
+	if !tr.Delivered() {
+		t.Fatalf("IPv6 source over ECMP: %s", tr)
 	}
 }
 

@@ -66,10 +66,19 @@ func (c *flowCache) lookup(k flowKey) (*flowResult, bool) {
 // entry: when two goroutines race on the same key, the first stored copy
 // wins and both callers observe it (results are deterministic, so either
 // copy is identical in content).
+//
+// Only the winner counts a miss; the loser was served the stored entry and
+// counts a hit, so misses is exactly the number of distinct flows memoized
+// however the callers interleave.
 func (c *flowCache) store(k flowKey, r *flowResult) *flowResult {
-	c.misses.Add(1)
-	c.missCtr.Inc()
-	v, _ := c.m.LoadOrStore(k, r)
+	v, loaded := c.m.LoadOrStore(k, r)
+	if loaded {
+		c.hits.Add(1)
+		c.hitCtr.Inc()
+	} else {
+		c.misses.Add(1)
+		c.missCtr.Inc()
+	}
 	return v.(*flowResult)
 }
 

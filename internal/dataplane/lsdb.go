@@ -1,7 +1,9 @@
 package dataplane
 
 import (
+	"cmp"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -284,23 +286,13 @@ func buildLSDB(n *netmodel.Network, adj adjacency) *ospfLSDB {
 	l.setRank(all)
 	l.adv = make([][]netip.Prefix, len(l.sources))
 	for si, set := range l.advSet {
-		ps := make([]netip.Prefix, 0, len(set))
-		for p := range set {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return l.rank[ps[i]] < l.rank[ps[j]] })
-		l.adv[si] = ps
+		l.adv[si] = l.inRankOrder(set)
 	}
 	l.aAdv = make([][][]netip.Prefix, na)
 	for ai := range l.areas {
 		l.aAdv[ai] = make([][]netip.Prefix, len(l.members[ai]))
 		for li, si := range l.members[ai] {
-			ps := make([]netip.Prefix, 0, len(advBy[ai][si]))
-			for p := range advBy[ai][si] {
-				ps = append(ps, p)
-			}
-			sort.Slice(ps, func(i, j int) bool { return l.rank[ps[i]] < l.rank[ps[j]] })
-			l.aAdv[ai][li] = ps
+			l.aAdv[ai][li] = l.inRankOrder(advBy[ai][si])
 		}
 	}
 	return l
@@ -310,17 +302,17 @@ func buildLSDB(n *netmodel.Network, adj adjacency) *ospfLSDB {
 // is peer name order, since members are sorted by source index), then local
 // interface, peer address, cost.
 func sortEdges(edges []lsdbEdge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].peer != edges[j].peer {
-			return edges[i].peer < edges[j].peer
+	slices.SortFunc(edges, func(a, b lsdbEdge) int {
+		if c := cmp.Compare(a.peer, b.peer); c != 0 {
+			return c
 		}
-		if edges[i].localIf != edges[j].localIf {
-			return edges[i].localIf < edges[j].localIf
+		if c := strings.Compare(a.localIf, b.localIf); c != 0 {
+			return c
 		}
-		if edges[i].peerAddr != edges[j].peerAddr {
-			return edges[i].peerAddr.Less(edges[j].peerAddr)
+		if c := a.peerAddr.Compare(b.peerAddr); c != 0 {
+			return c
 		}
-		return edges[i].cost < edges[j].cost
+		return cmp.Compare(a.cost, b.cost)
 	})
 }
 
@@ -354,7 +346,7 @@ func (l *ospfLSDB) setRank(all map[netip.Prefix]bool) {
 	for p := range all {
 		order = append(order, ranked{p, prefixString(p)})
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].s < order[j].s })
+	slices.SortFunc(order, func(a, b ranked) int { return strings.Compare(a.s, b.s) })
 	l.rank = make(map[netip.Prefix]int, len(order))
 	l.ranked = make([]netip.Prefix, len(order))
 	l.rankStr = make([]string, len(order))
@@ -363,6 +355,21 @@ func (l *ospfLSDB) setRank(all map[netip.Prefix]bool) {
 		l.ranked[i] = r.p
 		l.rankStr[i] = r.s
 	}
+}
+
+// inRankOrder lists a prefix set in global rank order: one rank lookup per
+// prefix, an integer sort, and the inverse table back.
+func (l *ospfLSDB) inRankOrder(set map[netip.Prefix]bool) []netip.Prefix {
+	ranks := make([]int, 0, len(set))
+	for p := range set {
+		ranks = append(ranks, l.rank[p])
+	}
+	slices.Sort(ranks)
+	ps := make([]netip.Prefix, len(ranks))
+	for i, r := range ranks {
+		ps[i] = l.ranked[r]
+	}
+	return ps
 }
 
 // sharedRow reports whether two slices are the same backing array. Derived
@@ -595,19 +602,9 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 		}
 
 		for si, byArea := range touched {
-			ps := make([]netip.Prefix, 0, len(l.advSet[si]))
-			for p := range l.advSet[si] {
-				ps = append(ps, p)
-			}
-			sort.Slice(ps, func(i, j int) bool { return l.rank[ps[i]] < l.rank[ps[j]] })
-			l.adv[si] = ps
+			l.adv[si] = l.inRankOrder(l.advSet[si])
 			for ai, set := range byArea {
-				aps := make([]netip.Prefix, 0, len(set))
-				for p := range set {
-					aps = append(aps, p)
-				}
-				sort.Slice(aps, func(i, j int) bool { return l.rank[aps[i]] < l.rank[aps[j]] })
-				advRow(ai)[l.localAt[ai][si]] = aps
+				advRow(ai)[l.localAt[ai][si]] = l.inRankOrder(set)
 			}
 		}
 	}
@@ -700,6 +697,15 @@ func addHop(hops []ospfHop, h ospfHop) []ospfHop {
 		}
 	}
 	return append(hops, h)
+}
+
+// compareOSPFHop orders first hops by (via, outIf), the order routes of one
+// prefix are emitted in.
+func compareOSPFHop(a, b ospfHop) int {
+	if c := a.via.Compare(b.via); c != 0 {
+		return c
+	}
+	return strings.Compare(a.outIf, b.outIf)
 }
 
 // areaSPF runs the single-source Dijkstra over one area's member graph.
@@ -999,9 +1005,16 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 	// emission order, so the final walk needs no sort. A best of 0 marks an
 	// untouched slot — every candidate's total cost is >= 1 because the
 	// advertiser (intra) or the ABR (inter) is never the source itself.
+	//
+	// hops points at the SPF's own first-hop set of the advertising member:
+	// the sets are duplicate-free, nothing below grows one in place, and the
+	// in-place sort at emission leaves a shared set in the order every slot
+	// sharing it wants. Only when two advertisers tie does the slot take a
+	// private union (owned).
 	type prefRoute struct {
 		best  int
 		intra bool
+		owned bool
 		hops  []ospfHop
 	}
 	acc := make([]prefRoute, len(l.ranked))
@@ -1023,17 +1036,17 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 				return
 			}
 			if a.intra == intra && dist == a.best {
+				if !a.owned {
+					a.hops = append(make([]ospfHop, 0, len(a.hops)+len(hs)), a.hops...)
+					a.owned = true
+				}
 				for _, h := range hs {
 					a.hops = addHop(a.hops, h)
 				}
 				return
 			}
 		}
-		a.best, a.intra = dist, intra
-		a.hops = a.hops[:0]
-		for _, h := range hs {
-			a.hops = addHop(a.hops, h)
-		}
+		a.best, a.intra, a.owned, a.hops = dist, intra, false, hs
 		any = true
 	}
 
@@ -1109,12 +1122,8 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 		if a.best == 0 {
 			continue
 		}
-		sort.Slice(a.hops, func(i, j int) bool {
-			if a.hops[i].via != a.hops[j].via {
-				return a.hops[i].via.Less(a.hops[j].via)
-			}
-			return a.hops[i].outIf < a.hops[j].outIf
-		})
+		// One or two hops (ECMP fan-out): an in-place insertion sort.
+		slices.SortFunc(a.hops, compareOSPFHop)
 		for _, h := range a.hops {
 			out = append(out, FIBEntry{
 				Prefix: l.ranked[ri], Proto: OSPF, NextHop: h.via, OutIf: h.outIf,

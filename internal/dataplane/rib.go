@@ -3,7 +3,8 @@ package dataplane
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"heimdall/internal/netmodel"
@@ -94,19 +95,35 @@ func (e FIBEntry) String() string {
 	return fmt.Sprintf("%s %s [%d/%d] via %s, %s", e.Proto, e.Prefix, e.AD, e.Metric, e.NextHop, e.OutIf)
 }
 
-// ribFor computes the full routing table of one device given the global L2
-// adjacency and OSPF computation results. Entries are best-path only (lowest
-// administrative distance, then metric), with ECMP preserved.
-func ribFor(n *netmodel.Network, dev string, adj adjacency, ospfRoutes, bgpRoutes map[string][]FIBEntry) []FIBEntry {
-	d := n.Devices[dev]
-	all := make([]FIBEntry, 0,
-		len(d.Interfaces)+len(d.StaticRoutes)+1+len(ospfRoutes[dev])+len(bgpRoutes[dev]))
+// ribFor computes the full routing table of one device given the OSPF and
+// BGP computation results. Entries are best-path only (lowest administrative
+// distance, then metric), with ECMP preserved, ordered by (prefix string,
+// next hop, out-interface).
+func ribFor(n *netmodel.Network, dev string, ospfRoutes, bgpRoutes map[string][]FIBEntry) []FIBEntry {
+	// Only the handful of local candidates needs sorting: the protocol
+	// passes already emit their routes in RIB order.
+	local := localRoutes(n.Devices[dev])
+	slices.SortFunc(local, compareRoute)
+	return mergeBest(local, ospfRoutes[dev], bgpRoutes[dev])
+}
+
+// compareRoute is RIB order: (prefix string, next hop, out-interface).
+func compareRoute(a, b FIBEntry) int {
+	if a.Prefix != b.Prefix {
+		return strings.Compare(prefixString(a.Prefix), prefixString(b.Prefix))
+	}
+	return compareHop(a, b)
+}
+
+// localRoutes lists the device's connected and static candidates, in no
+// particular order.
+func localRoutes(d *netmodel.Device) []FIBEntry {
+	local := make([]FIBEntry, 0, len(d.Interfaces)+len(d.StaticRoutes)+1)
 
 	// Connected.
-	for _, ifName := range d.InterfaceNames() {
-		itf := d.Interfaces[ifName]
+	for ifName, itf := range d.Interfaces {
 		if l3Endpoint(itf) {
-			all = append(all, FIBEntry{
+			local = append(local, FIBEntry{
 				Prefix: itf.Addr.Masked(),
 				Proto:  Connected,
 				OutIf:  ifName,
@@ -118,7 +135,7 @@ func ribFor(n *netmodel.Network, dev string, adj adjacency, ospfRoutes, bgpRoute
 	// connected subnet (single-level resolution, the common enterprise case).
 	for _, r := range d.StaticRoutes {
 		if itf, ok := d.AddrOnSubnet(r.NextHop); ok && l3Endpoint(itf) {
-			all = append(all, FIBEntry{
+			local = append(local, FIBEntry{
 				Prefix:  r.Prefix,
 				Proto:   Static,
 				NextHop: r.NextHop,
@@ -131,7 +148,7 @@ func ribFor(n *netmodel.Network, dev string, adj adjacency, ospfRoutes, bgpRoute
 	// Host default gateway behaves like a static default route.
 	if d.Kind == netmodel.Host && d.DefaultGateway.IsValid() {
 		if itf, ok := d.AddrOnSubnet(d.DefaultGateway); ok && l3Endpoint(itf) {
-			all = append(all, FIBEntry{
+			local = append(local, FIBEntry{
 				Prefix:  netip.MustParsePrefix("0.0.0.0/0"),
 				Proto:   Static,
 				NextHop: d.DefaultGateway,
@@ -140,61 +157,79 @@ func ribFor(n *netmodel.Network, dev string, adj adjacency, ospfRoutes, bgpRoute
 			})
 		}
 	}
-
-	all = append(all, ospfRoutes[dev]...)
-	all = append(all, bgpRoutes[dev]...)
-	return bestPaths(all)
+	return local
 }
 
-// bestPaths keeps, for every prefix, only the entries with the lowest
-// (AD, metric), preserving equal-cost multipath. Two passes over the input
-// (find each prefix's best, then filter) avoid building per-prefix groups —
-// this runs once per rebuilt RIB, so its allocations dominate derivation.
-func bestPaths(entries []FIBEntry) []FIBEntry {
-	type adMetric struct{ ad, metric int }
-	best := make(map[netip.Prefix]adMetric, len(entries))
-	for _, e := range entries {
-		b, ok := best[e.Prefix]
-		if !ok || e.AD < b.ad || (e.AD == b.ad && e.Metric < b.metric) {
-			best[e.Prefix] = adMetric{e.AD, e.Metric}
+// compareHop orders two entries of one prefix by (next hop, out-interface).
+func compareHop(a, b FIBEntry) int {
+	if c := a.NextHop.Compare(b.NextHop); c != 0 {
+		return c
+	}
+	return strings.Compare(a.OutIf, b.OutIf)
+}
+
+// mergeBest merges the three candidate lists of one device, each already in
+// RIB order — (prefix string, next hop, out-interface) — into its RIB,
+// keeping for every prefix only the entries with the lowest (AD, metric)
+// and preserving equal-cost multipath. The lexical prefix-string order is
+// load-bearing: the first entry of a prefix is the default ECMP selection,
+// and the derive oracles compare RIBs entry for entry. Distinct prefixes
+// render distinct strings, so merging on the interned strings yields
+// exactly the order a sort of the concatenation would.
+func mergeBest(local, ospf, bgp []FIBEntry) []FIBEntry {
+	lists := [3][]FIBEntry{local, ospf, bgp}
+	out := make([]FIBEntry, 0, len(local)+len(ospf)+len(bgp))
+	// head[k] is the prefix string at the front of lists[k].
+	var head [3]string
+	for k, l := range lists {
+		if len(l) > 0 {
+			head[k] = prefixString(l[0].Prefix)
 		}
 	}
-	out := make([]FIBEntry, 0, len(entries))
-	for _, e := range entries {
-		if b := best[e.Prefix]; e.AD == b.ad && e.Metric == b.metric {
-			out = append(out, e)
+	for {
+		// The smallest front prefix across the lists is the next RIB prefix.
+		first := -1
+		for k := range lists {
+			if len(lists[k]) > 0 && (first < 0 || head[k] < head[first]) {
+				first = k
+			}
+		}
+		if first < 0 {
+			return out
+		}
+		p := lists[first][0].Prefix
+
+		// Pass 1 over the prefix's run in every list: its best (AD, metric).
+		ad, metric := lists[first][0].AD, lists[first][0].Metric
+		for _, l := range lists {
+			for i := 0; i < len(l) && l[i].Prefix == p; i++ {
+				if e := &l[i]; e.AD < ad || (e.AD == ad && e.Metric < metric) {
+					ad, metric = e.AD, e.Metric
+				}
+			}
+		}
+		// Pass 2: emit the survivors and step every list past the run.
+		from := len(out)
+		for k := range lists {
+			l, i := lists[k], 0
+			for ; i < len(l) && l[i].Prefix == p; i++ {
+				if l[i].AD == ad && l[i].Metric == metric {
+					out = append(out, l[i])
+				}
+			}
+			if i == 0 {
+				continue
+			}
+			lists[k] = l[i:]
+			if i < len(l) {
+				head[k] = prefixString(l[i].Prefix)
+			}
+		}
+		// Each list's survivors are in hop order; when lists tie on
+		// (AD, metric) this interleaves them, otherwise it is one pass
+		// over a sorted run.
+		if run := out[from:]; len(run) > 1 {
+			slices.SortStableFunc(run, compareHop)
 		}
 	}
-	// The lexical prefix-string order is load-bearing: entries[0] is the
-	// default ECMP selection, so the comparator must reproduce it exactly.
-	// Stringify each entry's prefix once instead of O(n log n) times —
-	// distinct prefixes always render distinct strings, so comparing the
-	// cached (interned) keys is the same order the old comparator produced.
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = prefixString(out[i].Prefix)
-	}
-	sort.Sort(&ribOrder{entries: out, keys: keys})
-	return out
-}
-
-// ribOrder sorts FIB entries with their cached prefix-string sort keys.
-type ribOrder struct {
-	entries []FIBEntry
-	keys    []string
-}
-
-func (r *ribOrder) Len() int { return len(r.entries) }
-func (r *ribOrder) Swap(i, j int) {
-	r.entries[i], r.entries[j] = r.entries[j], r.entries[i]
-	r.keys[i], r.keys[j] = r.keys[j], r.keys[i]
-}
-func (r *ribOrder) Less(i, j int) bool {
-	if r.keys[i] != r.keys[j] {
-		return r.keys[i] < r.keys[j]
-	}
-	if r.entries[i].NextHop != r.entries[j].NextHop {
-		return r.entries[i].NextHop.Less(r.entries[j].NextHop)
-	}
-	return r.entries[i].OutIf < r.entries[j].OutIf
 }

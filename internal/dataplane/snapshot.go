@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -100,12 +101,12 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 		lsdb:       lsdb,
 		flows:      newFlowCache(opts.Meter),
 	}
-	s.ribs, s.fibs = buildRIBs(n, n.DeviceNames(), adj, ospfRoutes, bgpRoutes)
+	s.ribs, s.fibs = buildRIBs(n, n.DeviceNames(), ospfRoutes, bgpRoutes)
 	return s
 }
 
 // buildRIBs computes the RIB and FIB of every named device. Devices are
-// independent given the shared (read-only) adjacency and protocol routes,
+// independent given the shared (read-only) protocol routes,
 // so the builds fan out over a bounded pool; results land in
 // index-addressed slots, making the maps identical to a serial build.
 //
@@ -113,16 +114,16 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 // produce many byte-identical RIBs (every host behind one gateway, the
 // symmetric members of a fat-tree pod), so RIBs are deduplicated by
 // content before the FIB pass and duplicates alias one route slice and
-// one LPM trie. Dedup is by hash bucket plus a full entry-by-entry
+// one LPM table. Dedup is by hash bucket plus a full entry-by-entry
 // equality check — a hash collision can cost a comparison, never a wrong
 // share — and since snapshots are immutable the aliasing is invisible to
 // every consumer.
-func buildRIBs(n *netmodel.Network, devs []string, adj adjacency,
+func buildRIBs(n *netmodel.Network, devs []string,
 	ospfRoutes, bgpRoutes map[string][]FIBEntry) (map[string][]FIBEntry, map[string]*LPM) {
 
 	ribSlots := make([][]FIBEntry, len(devs))
 	fanOut(len(devs), func(i int) {
-		ribSlots[i] = ribFor(n, devs[i], adj, ospfRoutes, bgpRoutes)
+		ribSlots[i] = ribFor(n, devs[i], ospfRoutes, bgpRoutes)
 	})
 
 	canon := make([]int, len(devs)) // device index -> representative index
@@ -150,7 +151,7 @@ func buildRIBs(n *netmodel.Network, devs []string, adj adjacency,
 	fibSlots := make([]*LPM, len(devs))
 	fanOut(len(uniq), func(k int) {
 		i := uniq[k]
-		fibSlots[i] = fibFrom(ribSlots[i])
+		fibSlots[i] = newLPM(ribSlots[i])
 	})
 
 	ribs := make(map[string][]FIBEntry, len(devs))
@@ -162,61 +163,39 @@ func buildRIBs(n *netmodel.Network, devs []string, adj adjacency,
 	return ribs, fibs
 }
 
-// ribHash is an FNV-1a digest of a RIB's content, used to bucket devices
-// for structural sharing. Collisions are resolved by full comparison.
+// ribHash is an FNV-1a-style digest of a RIB's content, folded a 64-bit
+// word at a time, used to bucket devices for structural sharing. Collisions
+// are resolved by full comparison, so the hash only has to be cheap and to
+// separate RIBs that differ.
 func ribHash(rib []FIBEntry) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	mixInt := func(v int) {
-		for s := 0; s < 64; s += 8 {
-			mix(byte(v >> s))
-		}
-	}
+	mix := func(w uint64) { h = (h ^ w) * prime64 }
 	mixAddr := func(a netip.Addr) {
-		if !a.IsValid() {
-			mix(0xff)
-			return
-		}
 		b := a.As16()
-		for _, x := range b {
-			mix(x)
-		}
+		mix(binary.LittleEndian.Uint64(b[:8]))
+		mix(binary.LittleEndian.Uint64(b[8:]))
 	}
 	for i := range rib {
 		e := &rib[i]
 		mixAddr(e.Prefix.Addr())
-		mix(byte(e.Prefix.Bits()))
-		mix(byte(e.Proto))
 		mixAddr(e.NextHop)
-		mixInt(len(e.OutIf))
-		for j := 0; j < len(e.OutIf); j++ {
-			mix(e.OutIf[j])
+		mix(uint64(e.Prefix.Bits())<<8 | uint64(e.Proto))
+		mix(uint64(e.AD))
+		mix(uint64(e.Metric))
+		mix(uint64(len(e.OutIf)))
+		name := e.OutIf
+		for ; len(name) >= 8; name = name[8:] {
+			mix(binary.LittleEndian.Uint64([]byte(name[:8])))
 		}
-		mixInt(e.AD)
-		mixInt(e.Metric)
+		for j := 0; j < len(name); j++ {
+			mix(uint64(name[j]))
+		}
 	}
 	return h
-}
-
-// fibFrom builds the longest-prefix-match table for one device's RIB. The
-// RIB is sorted by prefix (ribFor's contract), so equal-prefix entries are
-// contiguous: each run becomes one Insert, aliasing the RIB's backing array
-// (both structures are immutable once the snapshot is built).
-func fibFrom(rib []FIBEntry) *LPM {
-	fib := &LPM{}
-	for i := 0; i < len(rib); {
-		j := i + 1
-		for j < len(rib) && rib[j].Prefix == rib[i].Prefix {
-			j++
-		}
-		fib.Insert(rib[i].Prefix, rib[i:j:j])
-		i = j
-	}
-	return fib
 }
 
 // buildOwner indexes every L3 endpoint address to its owning endpoint.
@@ -337,12 +316,19 @@ const maxHops = 64
 func flowHash(f Flow) uint32 {
 	h := uint32(2166136261)
 	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
-	for _, b := range f.Src.As4() {
-		mix(b)
+	mixAddr := func(a netip.Addr) {
+		if a.Is4() {
+			for _, b := range a.As4() {
+				mix(b)
+			}
+			return
+		}
+		for _, b := range a.As16() {
+			mix(b)
+		}
 	}
-	for _, b := range f.Dst.As4() {
-		mix(b)
-	}
+	mixAddr(f.Src)
+	mixAddr(f.Dst)
 	mix(byte(f.Proto))
 	mix(byte(f.SrcPort >> 8))
 	mix(byte(f.SrcPort))
@@ -418,7 +404,7 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		// deterministic), or a per-flow hash when enabled.
 		e := entries[0]
 		if s.opts.FlowHashECMP && len(entries) > 1 {
-			e = entries[int(flowHash(f))%len(entries)]
+			e = entries[int(flowHash(f)%uint32(len(entries)))]
 		}
 
 		// Egress ACL.

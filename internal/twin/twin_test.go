@@ -468,3 +468,50 @@ func TestTwinSeededSnapshot(t *testing.T) {
 	}
 	check("after shutdown")
 }
+
+// A ping, TCP ping or traceroute to an IPv6 literal is an ordinary command
+// with an ordinary answer: the IPv4-only dataplane has no route, the monitor
+// audits it like any other diag line, and the session carries on. (The
+// route lookup used to panic on the address family.)
+func TestIPv6TargetIsNoRoute(t *testing.T) {
+	spec := &privilege.Spec{Ticket: "T1", Technician: "alice", Rules: []privilege.Rule{
+		{Effect: privilege.AllowEffect, Action: "show.*", Resource: "device:*"},
+		{Effect: privilege.AllowEffect, Action: "diag.*", Resource: "device:*"},
+	}}
+	trail := audit.NewTrail([]byte("k"))
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prodNet(), Spec: spec, Trail: trail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := tw.OpenConsole("h1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for line, want := range map[string]string{
+		"ping ::1":                "..... failed (no-route at h1) icmp 10.1.0.10 -> ::1",
+		"ping 2001:db8::7 tcp 80": "..... failed (no-route at h1) tcp 10.1.0.10:40000 -> 2001:db8::7:80",
+		"traceroute ::1":          " 1  h1\nresult: no-route",
+		// 4-in-6 is the IPv4 destination it wraps.
+		"ping ::ffff:10.2.0.10": "!!!!! success: icmp 10.1.0.10 -> 10.2.0.10",
+	} {
+		before := trail.Len()
+		out, err := sess.Exec(line)
+		if err != nil || out != want {
+			t.Errorf("%q = %q, %v; want %q", line, out, err, want)
+		}
+		// Exactly the two entries of an allowed command that succeeded:
+		// the command and its allow decision, no failure record.
+		got := trail.Entries()[before:]
+		if len(got) != 2 ||
+			got[0].Kind != audit.KindCommand || got[0].Detail != "[h1] "+line || !got[0].Allowed ||
+			got[1].Kind != audit.KindDecision || !got[1].Allowed || !strings.HasPrefix(got[1].Detail, "allow diag.") {
+			t.Errorf("%q audited as %+v", line, got)
+		}
+	}
+	if out, err := sess.Exec("ping h2"); err != nil || !strings.HasPrefix(out, "!!!!! success") {
+		t.Errorf("session after IPv6 targets: ping h2 = %q, %v", out, err)
+	}
+	if err := trail.Verify(); err != nil {
+		t.Errorf("trail: %v", err)
+	}
+}
