@@ -12,6 +12,7 @@ import (
 	"net/netip"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"heimdall/internal/attacksurface"
@@ -23,6 +24,7 @@ import (
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
+	"heimdall/internal/scenarios/generate"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
 	"heimdall/internal/twin"
@@ -340,8 +342,9 @@ func BenchmarkSnapshotCompute(b *testing.B) {
 // "derive-static" rebuilds one device's RIB+FIB; "derive-acl" recomputes
 // nothing at all; "derive-l2" re-checks adjacency/LSDB but shares every
 // table by identity; "derive-l3topo" is the universal single-device
-// topology derive with the incremental link-state pass. The acceptance
-// bars are derive-static ≥ 10× and derive-l2 ≥ 20× cheaper than
+// topology derive with the incremental link-state pass; the two
+// "/fattree-k8" rows repeat derive-ospf and derive-l3topo on a multi-area
+// topology. The acceptance bars are derive-static ≥ 10× and derive-l2 ≥ 20× cheaper than
 // full-compute; TestDeriveMatchesCompute proves the outputs identical.
 func BenchmarkDerive(b *testing.B) {
 	scen := scenarios.University()
@@ -403,6 +406,33 @@ func BenchmarkDerive(b *testing.B) {
 				}
 			}
 			snap.Derive(trial, dataplane.ChangeSet{{Device: "r2", Kind: dataplane.ChangeL3Topology}})
+		}
+	})
+
+	// The multi-area rows: the scale tier's two mutations on the k=8
+	// fat-tree (80 switches, a backbone plus eight pod areas), where the
+	// LSDB is patched row by row and most sources keep their SPF result —
+	// on university every Dijkstra reruns.
+	k8 := sync.OnceValues(func() (*netmodel.Network, *dataplane.Snapshot) {
+		n := generate.FatTree(generate.FatTreeParams{K: 8}).Network
+		return n, dataplane.Compute(n)
+	})
+	b.Run("derive-ospf/fattree-k8", func(b *testing.B) {
+		base, snap := k8()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			trial := base.CloneCOW("c0-0")
+			trial.Devices["c0-0"].Interfaces["Gi0/1"].OSPFCost = 7
+			snap.Derive(trial, dataplane.ChangeSet{{Device: "c0-0", Kind: dataplane.ChangeOSPF}})
+		}
+	})
+	b.Run("derive-l3topo/fattree-k8", func(b *testing.B) {
+		base, snap := k8()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			trial := base.CloneCOW("c0-0")
+			trial.Devices["c0-0"].Interfaces["Gi0/0"].Shutdown = true
+			snap.Derive(trial, dataplane.ChangeSet{{Device: "c0-0", Kind: dataplane.ChangeL3Topology}})
 		}
 	})
 }

@@ -167,9 +167,9 @@ func main() {
 			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("wrote benchmark trajectory to %s (fig8 serial %.2fs, derive-static %.0fx, derive-l2 %.0fx, spf-memo hit rate %.0f%%, service %.0f cmds/sec p99 %.1fms)\n",
+			fmt.Printf("wrote benchmark trajectory to %s (fig8 serial %.2fs, derive-static %.0fx, derive-l2 %.0fx, service %.0f cmds/sec p99 %.1fms)\n",
 				*benchJSON, report.Figure8SerialSeconds, report.DeriveStaticSpeed,
-				report.DeriveL2Speed, 100*report.SPFMemoHitRate,
+				report.DeriveL2Speed,
 				report.ServiceCmdsPerSec, report.ServiceP99Ms)
 			fmt.Printf("verify queue: wait p50 %.1fms p99 %.1fms, peak depth %d, %d of %d reviews deduped (%d cached + %d coalesced)\n",
 				report.ServiceVerifyQueueP50Ms, report.ServiceVerifyQueueP99Ms,

@@ -124,29 +124,17 @@ type Evaluator struct {
 
 	// baseOnce/baseSnap memoize the base network's snapshot so fault
 	// enumeration and every per-fault derivation share one full compute.
-	// The base snapshot carries the sweep-wide SPF memo (every faulted and
-	// trial snapshot derives from it and inherits it): trials and faults
-	// that produce identical L3 graphs share one link-state computation.
 	baseOnce sync.Once
 	baseSnap *dataplane.Snapshot
-	memo     *dataplane.SPFMemo
 }
 
 // BaseSnapshot returns the snapshot of ev.Base, computed once and shared
 // by every fault case (and by InterfaceFaults when the caller passes it).
 func (ev *Evaluator) BaseSnapshot() *dataplane.Snapshot {
 	ev.baseOnce.Do(func() {
-		ev.memo = dataplane.NewSPFMemo()
-		ev.baseSnap = dataplane.ComputeWithOptions(ev.Base, dataplane.Options{SPFMemo: ev.memo})
+		ev.baseSnap = dataplane.Compute(ev.Base)
 	})
 	return ev.baseSnap
-}
-
-// SPFMemoStats returns the sweep's SPF-memo hit/miss counters — the
-// fraction of link-state passes the memo absorbed.
-func (ev *Evaluator) SPFMemoStats() (hits, misses uint64) {
-	ev.BaseSnapshot()
-	return ev.memo.Stats()
 }
 
 // InterfaceFaults enumerates the experiment's issues: for every up,

@@ -114,10 +114,6 @@ type ChangeSet []Change
 //	L3Topology → adjacency+owner rebuilt; incremental SPF, session-checked
 //	             BGP, RIBs rebuilt for changed devices and route diffs
 //	Topology   → full ComputeWithOptions fallback
-//
-// With Options.SPFMemo set on the receiver (derived snapshots inherit it),
-// a mutated network whose LSDB serializes to a key the memo has seen skips
-// the whole link-state pass in favor of the memoized routes.
 func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	kinds := [changeKindCount]bool{}
 	// ribDirty accumulates the devices whose RIB inputs changed. Static and
@@ -179,8 +175,9 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		for _, c := range changes {
 			changedDevs[c.Device] = true
 		}
-		d.lsdb = deriveLSDB(s.lsdb, s.net, n, s.adj, d.adj, topo, changedDevs)
-		d.ospfRoutes = s.incrementalOSPF(d.lsdb, ribDirty)
+		var patched bool
+		d.lsdb, patched = deriveLSDB(s.lsdb, s.net, n, s.adj, d.adj, topo, changedDevs)
+		d.ospfRoutes = s.incrementalOSPF(d.lsdb, patched, ribDirty)
 	}
 
 	if topo || kinds[ChangeBGP] {
@@ -231,43 +228,32 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	return d
 }
 
-// incrementalOSPF computes the OSPF route map for the new LSDB, reusing
-// the receiver's per-source route slices by identity wherever the source's
-// reachable component fingerprint is unchanged, consulting the memo for
-// whole-LSDB hits, and marking every device whose route set differs in
-// ribDirty. The result is DeepEqual to nl.routes() — including the
-// nil-iff-no-routers convention — without rerunning SPF for sources whose
-// answer is already known.
-func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, ribDirty map[string]bool) map[string][]FIBEntry {
+// incrementalOSPF computes the OSPF route map for the new LSDB and marks
+// every device whose route set differs in ribDirty. When nl is a patch of
+// the receiver's LSDB (patched, see deriveLSDB), sources that
+// nl.staleSources clears keep the receiver's route slices by identity and
+// only the rest rerun SPF; after a structural fallback every source reruns.
+// The result is DeepEqual to nl.routes() — including the nil-iff-no-routers
+// convention.
+func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, patched bool, ribDirty map[string]bool) map[string][]FIBEntry {
 	if len(nl.sources) == 0 {
 		for dev := range s.ospfRoutes {
 			ribDirty[dev] = true
 		}
 		return nil
 	}
-	memo := s.opts.SPFMemo
-	if memo != nil {
-		if routes, ok := memo.lookup(nl.canonicalKey()); ok {
-			markRouteDiff(s.ospfRoutes, routes, ribDirty)
-			return routes
+	var staleSet []bool
+	if patched {
+		if staleSet = nl.staleSources(s.lsdb); staleSet == nil {
+			return s.ospfRoutes
 		}
 	}
-
-	old := s.lsdb
 	out := make(map[string][]FIBEntry, len(nl.sources))
 	changed := false
 	var stale []int
 	for i, src := range nl.sources {
-		reusable := false
-		if old != nil {
-			if fp, ok := old.fingerprint(src); ok {
-				nfp, _ := nl.fingerprint(src)
-				reusable = fp == nfp
-			}
-		}
-		if reusable {
-			// Identical reachable component: SPF from this source is
-			// guaranteed to produce the same routes — share the parent's
+		if patched && !staleSet[i] {
+			// No input of this source's SPF moved: share the parent's
 			// slice by identity without recomputing.
 			if r, ok := s.ospfRoutes[src]; ok {
 				out[src] = r
@@ -308,25 +294,7 @@ func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, ribDirty map[string]bool) map[s
 		// Nothing differed: share the whole map by identity.
 		out = s.ospfRoutes
 	}
-	if memo != nil {
-		out = memo.store(nl.canonicalKey(), out)
-	}
 	return out
-}
-
-// markRouteDiff marks in dirty every device whose route slice differs
-// between the two maps (present in only one, or content-unequal).
-func markRouteDiff(oldRoutes, newRoutes map[string][]FIBEntry, dirty map[string]bool) {
-	for dev, nr := range newRoutes {
-		if or, ok := oldRoutes[dev]; !ok || !fibSlicesEqual(or, nr) {
-			dirty[dev] = true
-		}
-	}
-	for dev := range oldRoutes {
-		if _, ok := newRoutes[dev]; !ok {
-			dirty[dev] = true
-		}
-	}
 }
 
 // reconcileRoutes diffs a recomputed protocol route map against the old

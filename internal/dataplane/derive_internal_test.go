@@ -206,32 +206,6 @@ func TestDeriveAffectedSourceReuse(t *testing.T) {
 	}
 }
 
-// TestSPFMemoReuse pins the per-sweep memo: two identical derivations
-// through one memo must yield the same OSPF route map (by identity) and
-// count exactly one miss and one hit.
-func TestSPFMemoReuse(t *testing.T) {
-	base := twoIslandNet()
-	memo := NewSPFMemo()
-	snap := ComputeWithOptions(base, Options{SPFMemo: memo})
-	derive := func() *Snapshot {
-		mutated := base.CloneCOW("r1")
-		mutated.Devices["r1"].Interface("Gi0/0").OSPFCost = 9
-		return snap.Derive(mutated, ChangeSet{{Device: "r1", Kind: ChangeOSPF}})
-	}
-	d1 := derive()
-	d2 := derive()
-	if reflect.ValueOf(d1.ospfRoutes).Pointer() != reflect.ValueOf(d2.ospfRoutes).Pointer() {
-		t.Error("identical derivations did not share one memoized route map")
-	}
-	hits, misses := memo.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("memo stats = %d hits / %d misses, want 1 / 1", hits, misses)
-	}
-	mutated := base.CloneCOW("r1")
-	mutated.Devices["r1"].Interface("Gi0/0").OSPFCost = 9
-	assertInternalsEqual(t, d2, Compute(mutated))
-}
-
 // sameRIBMap reports whether two RIB maps share identical backing slices
 // for every device (i.e. one map's contents alias the other's).
 func sameRIBMap(a, b map[string][]FIBEntry) bool {

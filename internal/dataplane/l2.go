@@ -23,26 +23,44 @@ func l3Endpoint(itf *netmodel.Interface) bool {
 	return itf.Up() && itf.HasAddr() && (itf.Mode == netmodel.Routed || itf.IsSVI())
 }
 
+// disjointSet is a union-find over dense integer ids (path halving).
+type disjointSet []int
+
+// add creates a singleton set and returns its id.
+func (s *disjointSet) add() int {
+	id := len(*s)
+	*s = append(*s, id)
+	return id
+}
+
+func (s disjointSet) find(x int) int {
+	for s[x] != x {
+		s[x] = s[s[x]]
+		x = s[x]
+	}
+	return x
+}
+
+func (s disjointSet) union(a, b int) {
+	if ra, rb := s.find(a), s.find(b); ra != rb {
+		s[ra] = rb
+	}
+}
+
 // l2Space is an integer-indexed disjoint-set over the L2 graph's nodes:
 // L3 endpoints and per-switch VLAN domains. Comparable struct keys map to
-// dense ids, so the union-find itself is two flat slices — this sits on
+// dense ids, so the union-find itself is one flat slice — this sits on
 // the derivation hot path (every topology-class trial recomputes
 // adjacency), where the previous string-keyed structure spent its time
 // concatenating keys.
 type l2Space struct {
-	eps    map[netmodel.Endpoint]int
-	vls    map[l2node]int
-	parent []int
+	eps map[netmodel.Endpoint]int
+	vls map[l2node]int
+	disjointSet
 }
 
 func newL2Space() *l2Space {
 	return &l2Space{eps: make(map[netmodel.Endpoint]int), vls: make(map[l2node]int)}
-}
-
-func (s *l2Space) node() int {
-	id := len(s.parent)
-	s.parent = append(s.parent, id)
-	return id
 }
 
 // ep returns the endpoint's node id, creating it on first use.
@@ -50,7 +68,7 @@ func (s *l2Space) ep(e netmodel.Endpoint) int {
 	if id, ok := s.eps[e]; ok {
 		return id
 	}
-	id := s.node()
+	id := s.add()
 	s.eps[e] = id
 	return id
 }
@@ -60,24 +78,9 @@ func (s *l2Space) vl(v l2node) int {
 	if id, ok := s.vls[v]; ok {
 		return id
 	}
-	id := s.node()
+	id := s.add()
 	s.vls[v] = id
 	return id
-}
-
-func (s *l2Space) find(x int) int {
-	for s.parent[x] != x {
-		s.parent[x] = s.parent[s.parent[x]]
-		x = s.parent[x]
-	}
-	return x
-}
-
-func (s *l2Space) union(a, b int) {
-	ra, rb := s.find(a), s.find(b)
-	if ra != rb {
-		s.parent[ra] = rb
-	}
 }
 
 // computeAdjacency derives the L2 adjacency between all L3 endpoints of the

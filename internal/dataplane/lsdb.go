@@ -2,13 +2,12 @@ package dataplane
 
 import (
 	"cmp"
+	"maps"
 	"net/netip"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"heimdall/internal/netmodel"
 )
@@ -17,9 +16,10 @@ import (
 // buildLSDB distills a network's OSPF configuration plus the L2 adjacency
 // into an area-partitioned, index-addressed router graph; the SPF pass runs
 // hierarchically (per-area Dijkstra plus ABR summaries, the standard
-// two-level OSPF model), and the per-source fingerprints that let Derive
-// reuse unchanged shortest-path results localize to the (area, component)
-// scopes a source's routes actually depend on.
+// two-level OSPF model). deriveLSDB patches a parent's LSDB row by row, and
+// staleSources finds, from the rows the patch replaced, the sources whose
+// shortest paths can have moved: those sharing an (area, component) scope
+// with a replaced row.
 
 // lsdbEdge is one adjacency edge of an OSPF area's router graph. peer is a
 // position within that area's member list, not a global source index.
@@ -32,9 +32,8 @@ type lsdbEdge struct {
 
 // ospfLSDB is the link-state database: every OSPF router, its per-area
 // graph edges, and its advertised prefixes, all index-addressed and
-// deterministically ordered. Two LSDBs with equal canonical serializations
-// produce identical SPF results; two sources with equal fingerprints
-// produce identical per-source routes even across different LSDBs.
+// deterministically ordered, so two LSDBs with element-wise equal rows
+// produce identical SPF results.
 //
 // The graph is partitioned by OSPF area. Area 0 (when present) is the
 // backbone: routers with interfaces in area 0 and at least one other area
@@ -76,10 +75,6 @@ type ospfLSDB struct {
 	// always used. ranked is the inverse (rank -> prefix).
 	rank   map[netip.Prefix]int
 	ranked []netip.Prefix
-	// rankStr caches prefixString(ranked[i]) — the strings already exist
-	// for the rank sort, and the fingerprint pass would otherwise
-	// re-allocate each one per serialized advertisement.
-	rankStr []string
 
 	// Hierarchical state is lazy: single-area LSDBs (the common case) never
 	// need it beyond the trivial backbone lookup.
@@ -88,26 +83,6 @@ type ospfLSDB struct {
 	abrs     []int                  // ABR source indices, ascending
 	sumInto0 []map[netip.Prefix]int // per ABR: nonzero-area prefix -> intra cost
 	backView []map[netip.Prefix]int // per ABR: backbone-view prefix -> cost
-	// hdists retains each ABR's per-area distance vectors (area position ->
-	// per-member distances) so derived LSDBs can reuse them for areas whose
-	// graph rows they still share with their parent.
-	hdists []map[int][]int
-
-	// Fingerprints are lazy: most LSDBs are built, SPF'd, and discarded
-	// without ever being diffed against another.
-	fpOnce sync.Once
-	fps    []string // per-source canonical serialization of its route scope
-	// The whole-LSDB serialization (the SPF memo key) is built separately
-	// on demand: derivations without a memo never pay for it.
-	keyOnce sync.Once
-	key     string
-
-	// parent is the LSDB this one was patched from (deriveLSDB). The
-	// fingerprint pass reuses the parent's per-(area, member) node
-	// serializations for every row still shared by identity, then drops
-	// the reference so chains of derivations don't pin their ancestors.
-	parent   *ospfLSDB
-	nodeStrs [][]string // per-(area, member) serialization, kept for children
 }
 
 // ospfInterface describes one OSPF-participating interface.
@@ -349,11 +324,9 @@ func (l *ospfLSDB) setRank(all map[netip.Prefix]bool) {
 	slices.SortFunc(order, func(a, b ranked) int { return strings.Compare(a.s, b.s) })
 	l.rank = make(map[netip.Prefix]int, len(order))
 	l.ranked = make([]netip.Prefix, len(order))
-	l.rankStr = make([]string, len(order))
 	for i, r := range order {
 		l.rank[r.p] = i
 		l.ranked[i] = r.p
-		l.rankStr[i] = r.s
 	}
 }
 
@@ -372,27 +345,12 @@ func (l *ospfLSDB) inRankOrder(set map[netip.Prefix]bool) []netip.Prefix {
 	return ps
 }
 
-// sharedRow reports whether two slices are the same backing array. Derived
-// LSDBs share unchanged rows by reference, so row identity proves content
-// equality without comparing elements; rows rebuilt to identical content
-// merely miss the shortcut.
+// sharedRow reports whether two slices are the same backing array. A
+// patched LSDB keeps its parent's row whenever the rebuilt row has equal
+// content (deriveLSDB), so between the two a row is shared by identity
+// exactly when its content is unchanged.
 func sharedRow[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// sameEndpoints compares two canonical adjacency rows element-wise.
-// adjacencyFromGroups emits peers in sorted group order, so equal content
-// always means equal slices.
-func sameEndpoints(a, b []netmodel.Endpoint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ospfIf resolves one endpoint's OSPF participation in n, mirroring the
@@ -458,27 +416,30 @@ func (l *ospfLSDB) rebuildEdges(n *netmodel.Network, adj adjacency, ai, si int) 
 	return edges
 }
 
-// deriveLSDB patches old into the LSDB of n, rebuilding only the rows the
-// change set can have touched and sharing everything else by reference —
-// the structure-sharing dual of the fingerprint pass: shared rows later
-// prove themselves unchanged by identity, so their serializations, SPF
-// distance vectors, and ABR summaries are reused instead of recomputed.
+// deriveLSDB patches old into the LSDB of n: it rebuilds only the rows the
+// change set can have touched, shares everything else with old by
+// reference, and keeps old's row wherever a rebuilt row comes out with
+// equal content. A graph, advertisement or range row of the result is
+// therefore old's row by identity exactly when its content is unchanged —
+// the invariant staleSources decides SPF reuse from. patched reports
+// whether the result is such a patch of old.
 //
 // The patch keeps old's index-addressed layout, so any structural drift
-// falls back to a full buildLSDB: a device entering or leaving the router
-// set, a router's per-area membership changing, or a change introducing an
-// area id the old LSDB never saw. Within a stable layout the rebuilt rows
-// are: the changed routers' advertisements, ranges, and edge lists, plus
-// the edge lists of every router whose inputs a change can reach — routers
-// adjacent to a changed device under the old or new adjacency (peer
-// attributes feed their edges), and, when the L2 adjacency was rebuilt,
-// routers whose own adjacency rows differ (an L2-only change on a transit
-// switch rewires routers that are not adjacent to the changed device;
-// adjacency rows are canonical, so element-wise comparison is exact).
+// falls back to a full buildLSDB (patched = false, rows not comparable): a
+// device entering or leaving the router set, a router's per-area
+// membership changing, or a change introducing an area id the old LSDB
+// never saw. Within a stable layout the rebuilt rows are: the changed
+// routers' advertisements, ranges, and edge lists, plus the edge lists of
+// every router whose inputs a change can reach — routers adjacent to a
+// changed device under the old or new adjacency (peer attributes feed
+// their edges), and, when the L2 adjacency was rebuilt, routers whose own
+// adjacency rows differ (an L2-only change on a transit switch rewires
+// routers that are not adjacent to the changed device; adjacency rows are
+// canonical, so element-wise comparison is exact).
 func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacency,
-	adjRebuilt bool, changed map[string]bool) *ospfLSDB {
+	adjRebuilt bool, changed map[string]bool) (l *ospfLSDB, patched bool) {
 	if old == nil || oldNet == nil || len(old.sources) == 0 {
-		return buildLSDB(n, adj)
+		return buildLSDB(n, adj), false
 	}
 	areaPos := make(map[int]int, len(old.areas))
 	for i, a := range old.areas {
@@ -503,7 +464,7 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 				}
 				ai, ok := areaPos[area]
 				if !ok {
-					return buildLSDB(n, adj) // new area id
+					return buildLSDB(n, adj), false // new area id
 				}
 				if byArea == nil {
 					byArea = make(map[int]map[netip.Prefix]bool)
@@ -515,53 +476,34 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 			}
 		}
 		if (byArea != nil) != wasRouter {
-			return buildLSDB(n, adj) // router set changed
+			return buildLSDB(n, adj), false // router set changed
 		}
 		if byArea == nil {
 			continue
 		}
 		if len(byArea) != len(old.areasOf[si]) {
-			return buildLSDB(n, adj) // area membership changed
+			return buildLSDB(n, adj), false // area membership changed
 		}
 		for _, ai := range old.areasOf[si] {
 			if byArea[ai] == nil {
-				return buildLSDB(n, adj)
+				return buildLSDB(n, adj), false
 			}
 		}
 		touched[si] = byArea
 	}
 
-	l := &ospfLSDB{
+	l = &ospfLSDB{
 		sources: old.sources, index: old.index,
 		areas: old.areas, areasOf: old.areasOf,
 		members: old.members, localAt: old.localAt,
-		aGraph: append([][][]lsdbEdge(nil), old.aGraph...),
-		aAdv:   append([][][]netip.Prefix(nil), old.aAdv...),
+		aGraph: slices.Clone(old.aGraph),
+		aAdv:   slices.Clone(old.aAdv),
 		adv:    old.adv, advSet: old.advSet, ranges: old.ranges,
-		rank: old.rank, ranked: old.ranked, rankStr: old.rankStr,
-		parent: old,
-	}
-	ownG := make([]bool, len(l.areas))
-	graphRow := func(ai int) [][]lsdbEdge {
-		if !ownG[ai] {
-			l.aGraph[ai] = append([][]lsdbEdge(nil), l.aGraph[ai]...)
-			ownG[ai] = true
-		}
-		return l.aGraph[ai]
-	}
-	ownA := make([]bool, len(l.areas))
-	advRow := func(ai int) [][]netip.Prefix {
-		if !ownA[ai] {
-			l.aAdv[ai] = append([][]netip.Prefix(nil), l.aAdv[ai]...)
-			ownA[ai] = true
-		}
-		return l.aAdv[ai]
+		rank: old.rank, ranked: old.ranked,
 	}
 
 	if len(touched) > 0 {
-		l.adv = append([][]netip.Prefix(nil), old.adv...)
-		l.advSet = append([]map[netip.Prefix]bool(nil), old.advSet...)
-		l.ranges = append([][]netmodel.OSPFNetwork(nil), old.ranges...)
+		l.advSet = slices.Clone(old.advSet)
 		for si, byArea := range touched {
 			set := make(map[netip.Prefix]bool)
 			for _, ps := range byArea {
@@ -570,7 +512,7 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 				}
 			}
 			l.advSet[si] = set
-			l.ranges[si] = canonicalRanges(n.Devices[l.sources[si]].OSPF)
+			l.ranges = setRow(l.ranges, old.ranges, si, canonicalRanges(n.Devices[l.sources[si]].OSPF))
 		}
 
 		// The rank table is shared whenever the global prefix union is
@@ -602,9 +544,9 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 		}
 
 		for si, byArea := range touched {
-			l.adv[si] = l.inRankOrder(l.advSet[si])
+			l.adv = setRow(l.adv, old.adv, si, l.inRankOrder(l.advSet[si]))
 			for ai, set := range byArea {
-				advRow(ai)[l.localAt[ai][si]] = l.inRankOrder(set)
+				l.aAdv[ai] = setRow(l.aAdv[ai], old.aAdv[ai], l.localAt[ai][si], l.inRankOrder(set))
 			}
 		}
 	}
@@ -642,7 +584,7 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 			}
 			for ifName := range n.Devices[src].Interfaces {
 				ep := netmodel.Endpoint{Device: src, Interface: ifName}
-				if !sameEndpoints(oldAdj[ep], adj[ep]) {
+				if !slices.Equal(oldAdj[ep], adj[ep]) {
 					affected[si] = true
 					break
 				}
@@ -651,10 +593,25 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 	}
 	for si := range affected {
 		for _, ai := range old.areasOf[si] {
-			graphRow(ai)[old.localAt[ai][si]] = l.rebuildEdges(n, adj, ai, si)
+			l.aGraph[ai] = setRow(l.aGraph[ai], old.aGraph[ai], old.localAt[ai][si], l.rebuildEdges(n, adj, ai, si))
 		}
 	}
-	return l
+	return l, true
+}
+
+// setRow installs row at rows[i] unless the row already there has equal
+// content, and returns rows. rows is copied first while it is still parent's
+// backing array, so a patched LSDB never writes through to the LSDB it
+// shares structure with.
+func setRow[T comparable](rows, parent [][]T, i int, row []T) [][]T {
+	if slices.Equal(rows[i], row) {
+		return rows
+	}
+	if sharedRow(rows, parent) {
+		rows = slices.Clone(rows)
+	}
+	rows[i] = row
+	return rows
 }
 
 // routes runs the SPF pass for every source and returns per-device OSPF
@@ -846,78 +803,18 @@ func (l *ospfLSDB) hier() {
 		l.sumInto0 = make([]map[netip.Prefix]int, len(l.sources))
 		l.backView = make([]map[netip.Prefix]int, len(l.sources))
 
-		// When this LSDB was derived, areas that still share every graph and
-		// advertisement row with the parent have byte-identical SPF inputs:
-		// the parent's distance vectors — and, when an ABR's whole nonzero
-		// footprint is clean, its backbone summary — carry over untouched.
-		// (deriveLSDB guarantees the layout matches; parent is only released
-		// after the fingerprint pass, which runs through here first.)
-		par := l.parent
-		var cleanG, cleanA []bool
-		if par != nil {
-			par.hier()
-			if par.hdists == nil {
-				par = nil
-			}
-		}
-		if par != nil {
-			cleanG = make([]bool, len(l.areas))
-			cleanA = make([]bool, len(l.areas))
-			for ai := range l.areas {
-				cleanG[ai] = sharedRow(l.aGraph[ai], par.aGraph[ai])
-				cleanA[ai] = sharedRow(l.aAdv[ai], par.aAdv[ai])
-				if cleanG[ai] && cleanA[ai] {
-					continue
-				}
-				g, a := true, true
-				for li := range l.aGraph[ai] {
-					g = g && sharedRow(l.aGraph[ai][li], par.aGraph[ai][li])
-					a = a && sharedRow(l.aAdv[ai][li], par.aAdv[ai][li])
-				}
-				cleanG[ai], cleanA[ai] = g, a
-			}
-		}
-
 		// Pass 1: per-ABR intra-area distances and backbone summaries.
 		// dists[b] maps area position -> per-member distances from b.
 		dists := make(map[int]map[int][]int, len(l.abrs))
-		l.hdists = make([]map[int][]int, len(l.sources))
-		allSum := true
-		reuseView := make([]bool, len(l.sources))
 		for _, b := range l.abrs {
 			byArea := make(map[int][]int, len(l.areasOf[b]))
-			rangesShared := par != nil && sharedRow(l.ranges[b], par.ranges[b])
-			reuseSum, view := rangesShared, rangesShared
-			for _, ai := range l.areasOf[b] {
-				if par != nil && cleanG[ai] {
-					if pd := par.hdists[b][ai]; pd != nil {
-						byArea[ai] = pd
-					}
-				}
-				if byArea[ai] == nil {
-					byArea[ai] = l.areaDist(ai, l.localAt[ai][b])
-				}
-				if par == nil || !(cleanG[ai] && cleanA[ai]) {
-					view = false
-					if ai != l.backbone {
-						reuseSum = false
-					}
-				}
-			}
-			dists[b] = byArea
-			l.hdists[b] = byArea
-			reuseView[b] = view
-			if reuseSum {
-				l.sumInto0[b] = par.sumInto0[b]
-				continue
-			}
-			allSum = false
 			sum := make(map[netip.Prefix]int)
 			for _, ai := range l.areasOf[b] {
+				d := l.areaDist(ai, l.localAt[ai][b])
+				byArea[ai] = d
 				if ai == l.backbone {
 					continue
 				}
-				d := byArea[ai]
 				area := l.areas[ai]
 				for li := range l.members[ai] {
 					if d[li] < 0 {
@@ -933,20 +830,14 @@ func (l *ospfLSDB) hier() {
 					}
 				}
 			}
+			dists[b] = byArea
 			l.sumInto0[b] = sum
 		}
 
 		// Pass 2: per-ABR backbone view — intra routes over all attached
 		// areas, then backbone-learned summaries for everything else.
-		// Intra-area routes win regardless of cost (OSPF preference). A
-		// parent view carries over only when the ABR's whole footprint is
-		// clean AND every ABR's backbone summary was reused: the view folds
-		// in other ABRs' summaries, so any summary change taints them all.
+		// Intra-area routes win regardless of cost (OSPF preference).
 		for _, b := range l.abrs {
-			if par != nil && allSum && reuseView[b] {
-				l.backView[b] = par.backView[b]
-				continue
-			}
 			view := make(map[netip.Prefix]int)
 			intra := make(map[netip.Prefix]bool)
 			for _, ai := range l.areasOf[b] {
@@ -1134,259 +1025,88 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 	return out
 }
 
-// fingerprint returns the canonical serialization of the named source's
-// route scope, or false when the source is not an OSPF router. The scope is
-// every (area, connected component) the source belongs to plus the summary
-// vectors of the ABRs inside those components — exactly the inputs
-// routesFrom reads — so equal fingerprints guarantee identical routesFrom
-// output, even between LSDBs that differ elsewhere. In a multi-area
-// network this localizes invalidation: a change confined to one area
-// leaves every other area's sources reusable, provided the ABR summaries
-// it feeds are unchanged (equal-cost redundancy inside an area keeps them
-// stable under single-element faults).
-func (l *ospfLSDB) fingerprint(name string) (string, bool) {
-	i, ok := l.index[name]
-	if !ok {
-		return "", false
-	}
-	l.fpOnce.Do(l.computeFingerprints)
-	return l.fps[i], true
-}
-
-// canonicalKey returns the canonical serialization of the whole LSDB —
-// the SPF memo key. Equal keys mean equal routes() output. It is built
-// lazily from the retained node serializations: a derivation that never
-// consults the memo never pays the whole-LSDB concatenation.
-func (l *ospfLSDB) canonicalKey() string {
-	l.fpOnce.Do(l.computeFingerprints)
-	l.keyOnce.Do(func() {
-		var keyB strings.Builder
-		for ai, area := range l.areas {
-			keyB.WriteString("A=")
-			keyB.WriteString(strconv.Itoa(area))
-			keyB.WriteByte('\n')
-			for li := range l.members[ai] {
-				keyB.WriteString(l.nodeStrs[ai][li])
-			}
+// staleSources reports, per source, whether its routesFrom result can
+// differ from the same source's in old, the LSDB l was patched from (l and
+// old share one layout, and a row of l is old's row by identity exactly
+// when its content is unchanged — see deriveLSDB). routesFrom reads, in
+// each of the source's areas, the graph and advertisement rows of the
+// members it reaches plus the summary vectors of the ABRs among them:
+// their sumInto0 in the backbone, their backView elsewhere. A source is
+// therefore stale iff, in one of its areas, its connected component holds a
+// replaced row or an ABR whose vector differs. Components are undirected —
+// subnet containment can be asymmetric, so an edge in either direction
+// couples two members' SPF results — and taken over old's and l's edges
+// together, so a source cut off from the change by the change itself is
+// still stale. A nil result means no source is.
+func (l *ospfLSDB) staleSources(old *ospfLSDB) []bool {
+	// dirty[ai][li] marks a replaced row. No replaced row anywhere (range
+	// rows included: they feed the ABR vectors) means nothing can differ.
+	dirty := make([][]bool, len(l.areas))
+	mark := func(ai, li int) {
+		if dirty[ai] == nil {
+			dirty[ai] = make([]bool, len(l.members[ai]))
 		}
-		l.key = keyB.String()
-	})
-	return l.key
-}
-
-// costLines serializes one ABR's summary vector deterministically (prefix
-// rank order), for inclusion in component fingerprints.
-func (l *ospfLSDB) costLines(tag, name string, m map[netip.Prefix]int) string {
-	if len(m) == 0 {
-		return ""
+		dirty[ai][li] = true
 	}
-	ps := make([]netip.Prefix, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
-	}
-	sort.Slice(ps, func(i, j int) bool { return l.rank[ps[i]] < l.rank[ps[j]] })
-	var b strings.Builder
-	for _, p := range ps {
-		b.WriteString(tag)
-		b.WriteString(name)
-		b.WriteByte('|')
-		b.WriteString(l.rankStr[l.rank[p]])
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(m[p]))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func (l *ospfLSDB) computeFingerprints() {
-	l.hier()
-	nv := len(l.sources)
-	l.fps = make([]string, nv)
-
-	// Per-(area, member) canonical serialization. Peers are named, not
-	// indexed, so serializations compare across LSDBs whose router sets
-	// differ; edge lists are already in peer-name order and advertisements
-	// in global prefix-string order. Rows still shared with the parent LSDB
-	// (deriveLSDB's structural sharing) have byte-identical serializations
-	// by construction — reuse them instead of re-serializing. The strings
-	// are rank-independent (prefixString values, not rank positions), so
-	// reuse stays valid even when the rank table itself was rebuilt.
-	par := l.parent
-	if par != nil {
-		par.fpOnce.Do(par.computeFingerprints)
-		if par.nodeStrs == nil {
-			par = nil
-		}
-	}
-	nodeStr := make([][]string, len(l.areas))
+	any := !sharedRow(l.ranges, old.ranges)
 	for ai := range l.areas {
-		nodeStr[ai] = make([]string, len(l.members[ai]))
-		for li, si := range l.members[ai] {
-			if par != nil &&
-				sharedRow(l.aGraph[ai][li], par.aGraph[ai][li]) &&
-				sharedRow(l.aAdv[ai][li], par.aAdv[ai][li]) &&
-				sharedRow(l.ranges[si], par.ranges[si]) {
-				nodeStr[ai][li] = par.nodeStrs[ai][li]
-				continue
+		if sharedRow(l.aGraph[ai], old.aGraph[ai]) && sharedRow(l.aAdv[ai], old.aAdv[ai]) {
+			continue
+		}
+		for li := range l.members[ai] {
+			if !sharedRow(l.aGraph[ai][li], old.aGraph[ai][li]) || !sharedRow(l.aAdv[ai][li], old.aAdv[ai][li]) {
+				mark(ai, li)
+				any = true
 			}
-			var b strings.Builder
-			b.WriteString("n=")
-			b.WriteString(l.sources[si])
-			b.WriteByte('\n')
-			for _, e := range l.aGraph[ai][li] {
-				b.WriteString("e=")
-				b.WriteString(l.sources[l.members[ai][e.peer]])
-				b.WriteByte('|')
-				b.WriteString(e.localIf)
-				b.WriteByte('|')
-				b.WriteString(e.peerAddr.String()) // Addr, not Prefix: no intern
-				b.WriteByte('|')
-				b.WriteString(strconv.Itoa(e.cost))
-				b.WriteByte('\n')
-			}
-			for _, p := range l.aAdv[ai][li] {
-				b.WriteString("a=")
-				b.WriteString(l.rankStr[l.rank[p]])
-				b.WriteByte('\n')
-			}
-			// Configured ranges for this area change what the member
-			// summarizes elsewhere, so they are part of its serialization
-			// (and thereby the whole-LSDB memo key).
-			for _, r := range l.ranges[si] {
-				if r.Area != l.areas[ai] {
-					continue
-				}
-				b.WriteString("r=")
-				b.WriteString(l.rankStr[l.rank[r.Prefix]])
-				b.WriteByte('\n')
-			}
-			nodeStr[ai][li] = b.String()
 		}
 	}
-
-	// ABR summary serializations: what an ABR injects into the backbone
-	// (sumInto0) and into its nonzero areas (backView). These are part of
-	// every component fingerprint the ABR belongs to, because a source's
-	// routes read them even though their inputs live outside its areas.
-	isABR := make([]bool, nv)
-	sumStr := make([]string, nv)
-	viewStr := make([]string, nv)
+	if !any {
+		return nil
+	}
+	l.hier()
+	old.hier()
 	for _, b := range l.abrs {
-		isABR[b] = true
-		sumStr[b] = l.costLines("s=", l.sources[b], l.sumInto0[b])
-		viewStr[b] = l.costLines("v=", l.sources[b], l.backView[b])
+		for _, ai := range l.areasOf[b] {
+			vec, oldVec := l.backView[b], old.backView[b]
+			if ai == l.backbone {
+				vec, oldVec = l.sumInto0[b], old.sumInto0[b]
+			}
+			if !maps.Equal(vec, oldVec) {
+				mark(ai, l.localAt[ai][b])
+			}
+		}
 	}
 
-	// Undirected connected components per area: subnet containment can be
-	// asymmetric, so an edge in either direction couples two nodes' SPF
-	// results and they must share a fingerprint scope.
-	parts := make([][]string, nv)
-	for ai, area := range l.areas {
-		nm := len(l.members[ai])
-		parent := make([]int, nm)
-		for i := range parent {
-			parent[i] = i
+	var stale []bool
+	for ai, marks := range dirty {
+		if marks == nil {
+			continue
 		}
-		var find func(int) int
-		find = func(x int) int {
-			for parent[x] != x {
-				parent[x] = parent[parent[x]]
-				x = parent[x]
-			}
-			return x
+		comp := make(disjointSet, len(marks))
+		for li := range comp {
+			comp[li] = li
 		}
-		for li := range l.aGraph[ai] {
-			for _, e := range l.aGraph[ai][li] {
-				ri, rp := find(li), find(e.peer)
-				if ri != rp {
-					parent[ri] = rp
+		for _, graph := range [][][]lsdbEdge{l.aGraph[ai], old.aGraph[ai]} {
+			for li, edges := range graph {
+				for _, e := range edges {
+					comp.union(li, e.peer)
 				}
 			}
 		}
-		comp := make(map[int][]int)
-		for li := 0; li < nm; li++ {
-			comp[find(li)] = append(comp[find(li)], li)
+		// Spread each mark to its component's root, then read it back.
+		for li, m := range marks {
+			if m {
+				marks[comp.find(li)] = true
+			}
 		}
-		header := "A=" + strconv.Itoa(area) + "\n"
-		for _, m := range comp {
-			sort.Ints(m)
-			var b strings.Builder
-			b.WriteString(header)
-			for _, li := range m {
-				b.WriteString(nodeStr[ai][li])
-			}
-			for _, li := range m {
-				si := l.members[ai][li]
-				if !isABR[si] {
-					continue
+		for li, si := range l.members[ai] {
+			if marks[comp.find(li)] {
+				if stale == nil {
+					stale = make([]bool, len(l.sources))
 				}
-				if ai == l.backbone {
-					b.WriteString(sumStr[si])
-				} else {
-					b.WriteString(viewStr[si])
-				}
-			}
-			cs := b.String()
-			for _, li := range m {
-				parts[l.members[ai][li]] = append(parts[l.members[ai][li]], cs)
+				stale[si] = true
 			}
 		}
 	}
-	for i := 0; i < nv; i++ {
-		// areasOf is ascending and each area contributes exactly one part,
-		// so the join order is the canonical area order.
-		l.fps[i] = strings.Join(parts[i], "")
-	}
-	// Keep the serializations for future derivations (and for canonicalKey),
-	// and release the parent so chains of derived LSDBs don't accumulate.
-	l.nodeStrs = nodeStr
-	l.parent = nil
-}
-
-// SPFMemo memoizes whole link-state results across snapshot derivations,
-// keyed by the canonical LSDB serialization. Distinct trials that produce
-// an identical L3 graph (every VLAN mutation on a pure-L2 switch, repeated
-// interface-downs that isolate the same stub) share one SPF computation.
-// Safe for concurrent use; stored route maps are shared across goroutines
-// and must be treated as immutable by every consumer.
-type SPFMemo struct {
-	mu     sync.RWMutex
-	m      map[string]map[string][]FIBEntry
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// NewSPFMemo returns an empty memo, typically one per sweep.
-func NewSPFMemo() *SPFMemo {
-	return &SPFMemo{m: make(map[string]map[string][]FIBEntry)}
-}
-
-// lookup returns the memoized routes for key, counting a hit or miss.
-func (m *SPFMemo) lookup(key string) (map[string][]FIBEntry, bool) {
-	m.mu.RLock()
-	routes, ok := m.m[key]
-	m.mu.RUnlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return routes, ok
-}
-
-// store memoizes routes under key and returns the canonical map: the first
-// writer wins, so every concurrent caller converges on one shared result.
-func (m *SPFMemo) store(key string, routes map[string][]FIBEntry) map[string][]FIBEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if prior, ok := m.m[key]; ok {
-		return prior
-	}
-	m.m[key] = routes
-	return routes
-}
-
-// Stats returns the cumulative lookup hit and miss counts.
-func (m *SPFMemo) Stats() (hits, misses uint64) {
-	return m.hits.Load(), m.misses.Load()
+	return stale
 }

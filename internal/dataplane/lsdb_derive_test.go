@@ -1,7 +1,9 @@
 package dataplane
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"heimdall/internal/netmodel"
@@ -55,47 +57,86 @@ func threeAreaNet() *netmodel.Network {
 	return n
 }
 
+// assertLSDBEqual compares two LSDBs of one network row by row: layout,
+// per-area graph and advertisement rows, per-source advertisements and
+// ranges. Rows compare by content, so nil and empty rows are equal.
+func assertLSDBEqual(t *testing.T, got, want *ospfLSDB) {
+	t.Helper()
+	if !slices.Equal(got.sources, want.sources) || !slices.Equal(got.areas, want.areas) {
+		t.Fatalf("layout diverged: sources %v areas %v vs sources %v areas %v",
+			got.sources, got.areas, want.sources, want.areas)
+	}
+	rows := func(what string, g, w int, eq func(i int) bool) {
+		t.Helper()
+		if g != w {
+			t.Errorf("%s: %d rows vs %d", what, g, w)
+			return
+		}
+		for i := 0; i < g; i++ {
+			if !eq(i) {
+				t.Errorf("%s: row %d diverged", what, i)
+			}
+		}
+	}
+	rows("members", len(got.members), len(want.members), func(ai int) bool {
+		return slices.Equal(got.members[ai], want.members[ai])
+	})
+	for ai := range want.areas {
+		rows(fmt.Sprintf("area %d graph", want.areas[ai]), len(got.aGraph[ai]), len(want.aGraph[ai]),
+			func(li int) bool { return slices.Equal(got.aGraph[ai][li], want.aGraph[ai][li]) })
+		rows(fmt.Sprintf("area %d adv", want.areas[ai]), len(got.aAdv[ai]), len(want.aAdv[ai]),
+			func(li int) bool { return slices.Equal(got.aAdv[ai][li], want.aAdv[ai][li]) })
+	}
+	rows("adv", len(got.adv), len(want.adv), func(si int) bool {
+		return slices.Equal(got.adv[si], want.adv[si])
+	})
+	rows("ranges", len(got.ranges), len(want.ranges), func(si int) bool {
+		return slices.Equal(got.ranges[si], want.ranges[si])
+	})
+}
+
 // TestDeriveLSDBMatchesBuild pins deriveLSDB's contract: for every change
 // class — patchable or fallback — the patched LSDB must be semantically
-// identical to a from-scratch buildLSDB of the mutated network: same
-// canonical key, same per-source fingerprints, same routes.
+// identical to a from-scratch buildLSDB of the mutated network (same rows,
+// same routes), and it reports a fallback exactly for structural drift.
 func TestDeriveLSDBMatchesBuild(t *testing.T) {
 	cases := []struct {
-		name   string
-		device string
-		topo   bool // adjacency rebuilt (L3-topology class)
-		apply  func(d *netmodel.Device)
+		name     string
+		device   string
+		topo     bool // adjacency rebuilt (L3-topology class)
+		fallback bool // structural drift: full rebuild, patched = false
+		apply    func(d *netmodel.Device)
 	}{
-		{"ospf-cost", "abr1", false, func(d *netmodel.Device) {
+		{"ospf-cost", "abr1", false, false, func(d *netmodel.Device) {
 			d.Interface("Gi1/0").OSPFCost = 7
 		}},
-		{"passive-toggle", "abr1", false, func(d *netmodel.Device) {
+		{"passive-toggle", "abr1", false, false, func(d *netmodel.Device) {
 			d.OSPF.Passive["Gi1/1"] = true
 		}},
-		{"leaf-interface-down", "r1b", true, func(d *netmodel.Device) {
+		{"leaf-interface-down", "r1b", true, false, func(d *netmodel.Device) {
 			d.Interface("Gi0/0").Shutdown = true
 		}},
-		{"backbone-interface-down", "r0", true, func(d *netmodel.Device) {
+		{"backbone-interface-down", "r0", true, false, func(d *netmodel.Device) {
 			d.Interface("Gi0/1").Shutdown = true
 		}},
-		{"range-added", "abr2", false, func(d *netmodel.Device) {
+		{"range-added", "abr2", false, false, func(d *netmodel.Device) {
 			d.OSPF.Ranges = []netmodel.OSPFNetwork{{Prefix: pfx("10.2.0.0/16"), Area: 2}}
 		}},
-		{"range-removed", "abr1", false, func(d *netmodel.Device) {
+		{"range-removed", "abr1", false, false, func(d *netmodel.Device) {
 			d.OSPF.Ranges = nil
 		}},
-		{"new-advertised-prefix", "r2a", false, func(d *netmodel.Device) {
+		{"new-advertised-prefix", "r2a", false, false, func(d *netmodel.Device) {
 			d.AddInterface("Loopback1").Addr = pfx("10.2.254.1/32")
 		}},
 		// Structural drift: each of these must take the full-rebuild
 		// fallback and still come out exact.
-		{"router-leaves", "r2a", false, func(d *netmodel.Device) {
+		{"router-leaves", "r2a", false, true, func(d *netmodel.Device) {
 			d.OSPF = nil
 		}},
-		{"area-membership-changes", "abr2", false, func(d *netmodel.Device) {
+		{"area-membership-changes", "abr2", false, true, func(d *netmodel.Device) {
 			d.OSPF.Networks = []netmodel.OSPFNetwork{{Prefix: pfx("10.0.0.0/24"), Area: 0}}
 		}},
-		{"new-area-id", "r2a", false, func(d *netmodel.Device) {
+		{"new-area-id", "r2a", false, true, func(d *netmodel.Device) {
 			d.OSPF.Networks = []netmodel.OSPFNetwork{{Prefix: pfx("10.2.0.0/16"), Area: 7}}
 		}},
 	}
@@ -110,20 +151,13 @@ func TestDeriveLSDBMatchesBuild(t *testing.T) {
 			if tc.topo {
 				newAdj = computeAdjacency(mutated)
 			}
-			derived := deriveLSDB(old, base, mutated, oldAdj, newAdj, tc.topo,
+			derived, patched := deriveLSDB(old, base, mutated, oldAdj, newAdj, tc.topo,
 				map[string]bool{tc.device: true})
+			if patched == tc.fallback {
+				t.Errorf("patched = %v, want %v", patched, !tc.fallback)
+			}
 			fresh := buildLSDB(mutated, newAdj)
-			if derived.canonicalKey() != fresh.canonicalKey() {
-				t.Errorf("canonical key diverged:\nderived:\n%s\nfresh:\n%s",
-					derived.canonicalKey(), fresh.canonicalKey())
-			}
-			for _, src := range fresh.sources {
-				df, _ := derived.fingerprint(src)
-				ff, _ := fresh.fingerprint(src)
-				if df != ff {
-					t.Errorf("%s fingerprint diverged:\nderived:\n%s\nfresh:\n%s", src, df, ff)
-				}
-			}
+			assertLSDBEqual(t, derived, fresh)
 			if !reflect.DeepEqual(derived.routes(), fresh.routes()) {
 				t.Errorf("routes diverged:\n%+v\nvs\n%+v", derived.routes(), fresh.routes())
 			}
@@ -131,55 +165,85 @@ func TestDeriveLSDBMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestDeriveLSDBSharesUntouchedAreas pins the structural sharing itself: a
-// change confined to area 1 must leave area 2's graph and advertisement
-// rows — and the whole rank table — shared with the parent by identity.
+// TestDeriveLSDBSharesUntouchedAreas pins the invariant SPF reuse rests on:
+// between a patched LSDB and its parent a row is shared by identity exactly
+// when its content is unchanged — untouched rows, and rows deriveLSDB
+// rebuilt to equal content, are the parent's; only rows that really moved
+// are new.
 func TestDeriveLSDBSharesUntouchedAreas(t *testing.T) {
 	base := threeAreaNet()
+	// A switched stub off r2a: r2a and a host share VLAN 50, so moving the
+	// host's access port rewires r2a's L2 adjacency without touching any
+	// OSPF edge.
+	sw := base.AddDevice("sw", netmodel.Switch)
+	base.AddDevice("h", netmodel.Host)
+	base.MustConnect("r2a", "Gi0/1", "sw", "Gi1/0/1")
+	base.MustConnect("h", "eth0", "sw", "Gi1/0/2")
+	sw.VLANs[50] = &netmodel.VLAN{ID: 50, Name: "stub"}
+	for _, port := range []string{"Gi1/0/1", "Gi1/0/2"} {
+		p := sw.Interface(port)
+		p.Mode, p.AccessVLAN = netmodel.Access, 50
+	}
+	base.Device("r2a").Interface("Gi0/1").Addr = pfx("10.2.1.1/24")
+	base.Device("h").Interface("eth0").Addr = pfx("10.2.1.10/24")
+
 	oldAdj := computeAdjacency(base)
 	old := buildLSDB(base, oldAdj)
-	mutated := base.CloneCOW("r1a")
-	mutated.Devices["r1a"].Interface("Gi0/0").OSPFCost = 5
-	derived := deriveLSDB(old, base, mutated, oldAdj, oldAdj, false,
-		map[string]bool{"r1a": true})
-	if derived.parent != old {
-		t.Fatal("derived LSDB did not record its parent")
-	}
-	areaPos := map[int]int{}
-	for i, a := range derived.areas {
-		areaPos[a] = i
-	}
-	// abr1 is adjacent to the changed device, so its own rows legitimately
-	// rebuild everywhere it appears; every other area-0/2 row must be
-	// carried over by identity.
-	abr1 := derived.index["abr1"]
-	for _, a := range []int{0, 2} {
-		ai := areaPos[a]
-		for li := range derived.aGraph[ai] {
-			if derived.members[ai][li] == abr1 {
-				continue
-			}
-			if !sharedRow(derived.aGraph[ai][li], old.aGraph[ai][li]) {
-				t.Errorf("area %d graph row %d rebuilt despite the change being in area 1", a, li)
+	// assertShared checks every row of derived against old: the rows named
+	// in moved ("area/router") must be new, every other one old's own.
+	assertShared := func(t *testing.T, derived *ospfLSDB, moved map[string]bool) {
+		t.Helper()
+		for ai, area := range derived.areas {
+			for li, si := range derived.members[ai] {
+				key := fmt.Sprintf("%d/%s", area, derived.sources[si])
+				if got := !sharedRow(derived.aGraph[ai][li], old.aGraph[ai][li]); got != moved[key] {
+					t.Errorf("graph row %s: rebuilt = %v, want %v", key, got, moved[key])
+				}
+				if !sharedRow(derived.aAdv[ai][li], old.aAdv[ai][li]) {
+					t.Errorf("advertisement row %s rebuilt although no prefix moved", key)
+				}
 			}
 		}
+		for si, src := range derived.sources {
+			if !sharedRow(derived.ranges[si], old.ranges[si]) || !sharedRow(derived.adv[si], old.adv[si]) {
+				t.Errorf("%s: range or advertisement row rebuilt although none moved", src)
+			}
+		}
+		if !sharedRow(derived.ranked, old.ranked) {
+			t.Error("rank table rebuilt despite an unchanged prefix union")
+		}
 	}
-	if !sharedRow(derived.ranked, old.ranked) {
-		t.Error("rank table rebuilt despite an unchanged prefix union")
-	}
-	// The fingerprint pass must reuse untouched serializations and then
-	// release the parent.
-	derived.canonicalKey()
-	if derived.parent != nil {
-		t.Error("fingerprint pass did not release the parent reference")
-	}
-	r2a := derived.index["r2a"]
-	ai2 := areaPos[2]
-	li2 := derived.localAt[ai2][r2a]
-	if derived.nodeStrs == nil || old.nodeStrs == nil {
-		t.Fatal("node serializations were not retained")
-	}
-	if &derived.nodeStrs[ai2][li2] == nil || derived.nodeStrs[ai2][li2] != old.nodeStrs[ai2][li2] {
-		t.Error("area 2 node serialization was rebuilt instead of reused")
-	}
+
+	t.Run("cost-change", func(t *testing.T) {
+		mutated := base.CloneCOW("r1a")
+		mutated.Devices["r1a"].Interface("Gi0/0").OSPFCost = 5
+		derived, patched := deriveLSDB(old, base, mutated, oldAdj, oldAdj, false,
+			map[string]bool{"r1a": true})
+		if !patched {
+			t.Fatal("a cost change fell back to a full rebuild")
+		}
+		// abr1 is adjacent to the changed device, so deriveLSDB rebuilds its
+		// edge lists in both its areas; they come out equal (an edge carries
+		// the local interface's cost) and must be the parent's rows.
+		assertShared(t, derived, map[string]bool{"1/r1a": true})
+	})
+
+	t.Run("l2-rewire", func(t *testing.T) {
+		mutated := base.CloneCOW("sw")
+		mutated.Devices["sw"].Interface("Gi1/0/2").AccessVLAN = 60
+		newAdj := computeAdjacency(mutated)
+		r2aStub := netmodel.Endpoint{Device: "r2a", Interface: "Gi0/1"}
+		if slices.Equal(oldAdj[r2aStub], newAdj[r2aStub]) {
+			t.Fatal("fixture: the port move did not rewire r2a's adjacency")
+		}
+		derived, patched := deriveLSDB(old, base, mutated, oldAdj, newAdj, true,
+			map[string]bool{"sw": true})
+		if !patched {
+			t.Fatal("an L2 rewire fell back to a full rebuild")
+		}
+		assertShared(t, derived, nil)
+		if derived.staleSources(old) != nil {
+			t.Error("sources marked stale although every row is the parent's")
+		}
+	})
 }

@@ -44,12 +44,6 @@ type Options struct {
 	// (heimdall_dataplane_flowcache_{hits,misses}_total). Nil means no
 	// instrumentation; FlowCacheStats works either way.
 	Meter telemetry.Meter
-	// SPFMemo, when set, memoizes whole link-state results across the
-	// derivations descending from this snapshot (derived snapshots inherit
-	// their parent's options) — the big win for sweeps whose trials keep
-	// producing the same L3 graph. Nil means every Derive runs its own
-	// link-state pass; one memo may be shared by concurrent derivations.
-	SPFMemo *SPFMemo
 }
 
 // Snapshot is the computed forwarding state of one network configuration:
@@ -73,7 +67,7 @@ type Snapshot struct {
 	// owner maps every up interface address to its endpoint.
 	owner map[netip.Addr]netmodel.Endpoint
 	// lsdb is the link-state database ospfRoutes was computed from,
-	// retained so Derive can diff it against a mutated network's LSDB and
+	// retained so Derive can patch it into a mutated network's LSDB and
 	// recompute SPF only for sources whose result can actually change.
 	lsdb *ospfLSDB
 	// flows memoizes Reach results (per snapshot, concurrency-safe).

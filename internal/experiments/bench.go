@@ -56,11 +56,6 @@ type BenchReport struct {
 	// pattern AffectedBy leans on).
 	FlowCacheHitRate float64 `json:"flowcache_hit_rate"`
 
-	// SPFMemoHitRate is hits/(hits+misses) of the per-sweep SPF memo over
-	// the bounded Figure 9 sweep: the fraction of link-state passes whose
-	// canonical LSDB had already been solved by an earlier trial.
-	SPFMemoHitRate float64 `json:"spf_memo_hit_rate"`
-
 	// Service-layer headline: the multi-tenant load generator at the
 	// acceptance scale (50 tenants x 20 concurrent scripted technician
 	// sessions on university+enterprise), mediated commands per second and
@@ -162,11 +157,8 @@ func RunBench() BenchReport {
 	r.Figure8SerialSeconds = time.Since(start).Seconds()
 
 	start = time.Now()
-	_, ev := figure89Instrumented(uni, 8, 1)
+	Figure89(uni, 8, 1)
 	r.Figure9BoundedSeconds = time.Since(start).Seconds()
-	if hits, misses := ev.SPFMemoStats(); hits+misses > 0 {
-		r.SPFMemoHitRate = float64(hits) / float64(hits+misses)
-	}
 
 	for _, scen := range []*scenarios.Scenario{ent, uni} {
 		scen := scen

@@ -20,6 +20,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -232,15 +233,8 @@ func (j *Journal) AppendVerbatim(r Record) error {
 	if r.PrevHash != prev {
 		return fmt.Errorf("journal: verbatim record %d does not extend this chain", r.Index)
 	}
-	sum := sha256.Sum256(r.content())
-	if hex.EncodeToString(sum[:]) != r.Hash {
-		return fmt.Errorf("journal: verbatim record %d content hash mismatch (tampered)", r.Index)
-	}
-	mac := hmac.New(sha256.New, j.key)
-	mac.Write(sum[:])
-	got, err := hex.DecodeString(r.MAC)
-	if err != nil || !hmac.Equal(mac.Sum(nil), got) {
-		return fmt.Errorf("journal: verbatim record %d MAC mismatch (forged)", r.Index)
+	if err := r.authenticate(j.key); err != nil {
+		return fmt.Errorf("journal: verbatim record %d %v", r.Index, err)
 	}
 	j.records = append(j.records, r)
 	j.meter.Counter("heimdall_journal_records_total", telemetry.L("kind", string(r.Kind))).Inc()
@@ -317,20 +311,30 @@ func verifyRecords(records []Record, key []byte) error {
 		if r.PrevHash != prev {
 			return fmt.Errorf("journal: record %d chain break", i)
 		}
-		sum := sha256.Sum256(r.content())
-		if hex.EncodeToString(sum[:]) != r.Hash {
-			return fmt.Errorf("journal: record %d content hash mismatch (tampered)", i)
-		}
-		mac := hmac.New(sha256.New, key)
-		mac.Write(sum[:])
-		got, err := hex.DecodeString(r.MAC)
-		// hex.DecodeString accepts uppercase; require the canonical lowercase
-		// encoding too, so no byte of an exported MAC can be altered without
-		// failing verification.
-		if err != nil || r.MAC != hex.EncodeToString(got) || !hmac.Equal(mac.Sum(nil), got) {
-			return fmt.Errorf("journal: record %d MAC mismatch (forged)", i)
+		if err := r.authenticate(key); err != nil {
+			return fmt.Errorf("journal: record %d %v", i, err)
 		}
 		prev = r.Hash
+	}
+	return nil
+}
+
+// authenticate checks one record on its own: the content hash and the HMAC
+// under key. Verify, Import and AppendVerbatim all admit a record by this
+// one rule, so a record a replica mirrors is a record its chain verifies.
+func (r *Record) authenticate(key []byte) error {
+	sum := sha256.Sum256(r.content())
+	if hex.EncodeToString(sum[:]) != r.Hash {
+		return errors.New("content hash mismatch (tampered)")
+	}
+	mac := hmac.New(sha256.New, key)
+	mac.Write(sum[:])
+	got, err := hex.DecodeString(r.MAC)
+	// hex.DecodeString accepts uppercase; require the canonical lowercase
+	// encoding too, so no byte of an exported MAC can be altered without
+	// failing verification.
+	if err != nil || r.MAC != hex.EncodeToString(got) || !hmac.Equal(mac.Sum(nil), got) {
+		return errors.New("MAC mismatch (forged)")
 	}
 	return nil
 }

@@ -223,6 +223,35 @@ func TestAppendVerbatimRejectsBrokenRecords(t *testing.T) {
 	}
 }
 
+// TestAppendVerbatimRejectsRecasedMAC holds the mirror entry point to the
+// rule Verify and Import apply: a record whose MAC decodes to the right
+// bytes but is not the canonical lowercase encoding must be refused —
+// otherwise a peer could plant a record in an honest replica that makes
+// that replica's own chain fail Verify.
+func TestAppendVerbatimRejectsRecasedMAC(t *testing.T) {
+	key := []byte("tamper-key")
+	records := fullJournal(key).Records()
+
+	mirror := New(key)
+	if err := mirror.AppendVerbatim(records[0]); err != nil {
+		t.Fatalf("valid record refused: %v", err)
+	}
+	recased := records[1]
+	recased.MAC = strings.ToUpper(recased.MAC)
+	if recased.MAC == records[1].MAC {
+		t.Fatal("fixture: MAC has no letter to re-case")
+	}
+	if err := mirror.AppendVerbatim(recased); err == nil {
+		t.Error("re-cased MAC accepted")
+	}
+	if err := mirror.Verify(); err != nil {
+		t.Errorf("mirror no longer verifies its own chain: %v", err)
+	}
+	if err := mirror.AppendVerbatim(records[1]); err != nil {
+		t.Errorf("valid record refused after the rejected attempt: %v", err)
+	}
+}
+
 func TestDiffRelations(t *testing.T) {
 	key := []byte("tamper-key")
 	records := fullJournal(key).Records()

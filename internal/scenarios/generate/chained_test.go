@@ -1,0 +1,222 @@
+package generate_test
+
+import (
+	"fmt"
+	"math/rand"
+	"net/netip"
+	"reflect"
+	"sort"
+	"testing"
+
+	"heimdall/internal/dataplane"
+	"heimdall/internal/netmodel"
+	"heimdall/internal/scenarios"
+	"heimdall/internal/scenarios/generate"
+)
+
+// chainStep is one random single-device mutation: the device to clone, the
+// change class to declare, and the edit itself.
+type chainStep struct {
+	op     string
+	device string
+	kind   dataplane.ChangeKind
+	apply  func(d *netmodel.Device)
+}
+
+// infraIf names one interface of a router or switch.
+type infraIf struct{ dev, name string }
+
+// pickIf draws one interface of the network's routers and switches that
+// satisfies ok, walking devices and interfaces in name order so a seed
+// always draws the same one.
+func pickIf(rng *rand.Rand, n *netmodel.Network, ok func(d *netmodel.Device, itf *netmodel.Interface) bool) (infraIf, bool) {
+	var cands []infraIf
+	for _, dev := range n.RoutersAndSwitches() {
+		d := n.Devices[dev]
+		for _, name := range d.InterfaceNames() {
+			if ok(d, d.Interfaces[name]) {
+				cands = append(cands, infraIf{dev, name})
+			}
+		}
+	}
+	if len(cands) == 0 {
+		return infraIf{}, false
+	}
+	return cands[rng.Intn(len(cands))], true
+}
+
+// pickDev draws one router or switch that satisfies ok.
+func pickDev(rng *rand.Rand, n *netmodel.Network, ok func(d *netmodel.Device) bool) (string, bool) {
+	var cands []string
+	for _, dev := range n.RoutersAndSwitches() {
+		if ok(n.Devices[dev]) {
+			cands = append(cands, dev)
+		}
+	}
+	if len(cands) == 0 {
+		return "", false
+	}
+	return cands[rng.Intn(len(cands))], true
+}
+
+// ospfIf reports whether the interface is addressed and inside one of its
+// device's OSPF network statements.
+func ospfIf(d *netmodel.Device, itf *netmodel.Interface) bool {
+	if d.OSPF == nil || !itf.HasAddr() {
+		return false
+	}
+	_, ok := d.OSPF.EnabledArea(itf.Addr.Addr())
+	return ok
+}
+
+// randomStep draws the next mutation of n, or false when the drawn class
+// has no candidate left (every OSPF process already removed, a topology
+// without switches).
+func randomStep(rng *rand.Rand, n *netmodel.Network) (chainStep, bool) {
+	switch rng.Intn(8) {
+	case 0: // interface shutdown toggle
+		at, ok := pickIf(rng, n, func(_ *netmodel.Device, itf *netmodel.Interface) bool { return true })
+		if !ok {
+			return chainStep{}, false
+		}
+		kind := dataplane.ChangeL3Topology
+		if n.Devices[at.dev].L2OnlyInterface(at.name) {
+			kind = dataplane.ChangeL2
+		}
+		return chainStep{"shutdown-toggle " + at.name, at.dev, kind, func(d *netmodel.Device) {
+			d.Interfaces[at.name].Shutdown = !d.Interfaces[at.name].Shutdown
+		}}, true
+	case 1: // OSPF cost
+		at, ok := pickIf(rng, n, ospfIf)
+		if !ok {
+			return chainStep{}, false
+		}
+		cost := 1 + rng.Intn(12)
+		return chainStep{fmt.Sprintf("ospf-cost %s=%d", at.name, cost), at.dev, dataplane.ChangeOSPF,
+			func(d *netmodel.Device) { d.Interfaces[at.name].OSPFCost = cost }}, true
+	case 2: // passive toggle
+		at, ok := pickIf(rng, n, ospfIf)
+		if !ok {
+			return chainStep{}, false
+		}
+		return chainStep{"passive-toggle " + at.name, at.dev, dataplane.ChangeOSPF, func(d *netmodel.Device) {
+			d.OSPF.Passive[at.name] = !d.OSPF.Passive[at.name]
+		}}, true
+	case 3: // drop an OSPF network statement
+		dev, ok := pickDev(rng, n, func(d *netmodel.Device) bool { return d.OSPF != nil && len(d.OSPF.Networks) > 0 })
+		if !ok {
+			return chainStep{}, false
+		}
+		i := rng.Intn(len(n.Devices[dev].OSPF.Networks))
+		return chainStep{fmt.Sprintf("drop-network #%d", i), dev, dataplane.ChangeOSPF, func(d *netmodel.Device) {
+			d.OSPF.Networks = append(d.OSPF.Networks[:i:i], d.OSPF.Networks[i+1:]...)
+		}}, true
+	case 4: // drop an area range
+		dev, ok := pickDev(rng, n, func(d *netmodel.Device) bool { return d.OSPF != nil && len(d.OSPF.Ranges) > 0 })
+		if !ok {
+			return chainStep{}, false
+		}
+		i := rng.Intn(len(n.Devices[dev].OSPF.Ranges))
+		return chainStep{fmt.Sprintf("drop-range #%d", i), dev, dataplane.ChangeOSPF, func(d *netmodel.Device) {
+			d.OSPF.Ranges = append(d.OSPF.Ranges[:i:i], d.OSPF.Ranges[i+1:]...)
+		}}, true
+	case 5: // remove the OSPF process: the structural fallback
+		dev, ok := pickDev(rng, n, func(d *netmodel.Device) bool { return d.OSPF != nil })
+		if !ok {
+			return chainStep{}, false
+		}
+		return chainStep{"remove-ospf", dev, dataplane.ChangeOSPF,
+			func(d *netmodel.Device) { d.OSPF = nil }}, true
+	case 6: // add a static route out of an addressed interface
+		at, ok := pickIf(rng, n, func(_ *netmodel.Device, itf *netmodel.Interface) bool { return itf.HasAddr() })
+		if !ok {
+			return chainStep{}, false
+		}
+		route := netmodel.StaticRoute{
+			Prefix:  netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 18, byte(rng.Intn(256)), 0}), 24),
+			NextHop: n.Devices[at.dev].Interfaces[at.name].Addr.Masked().Addr().Next(),
+		}
+		return chainStep{"static " + route.Prefix.String(), at.dev, dataplane.ChangeStatic, func(d *netmodel.Device) {
+			d.StaticRoutes = append(d.StaticRoutes, route)
+		}}, true
+	default: // access-VLAN move
+		at, ok := pickIf(rng, n, func(_ *netmodel.Device, itf *netmodel.Interface) bool {
+			return itf.Mode == netmodel.Access
+		})
+		if !ok {
+			return chainStep{}, false
+		}
+		// Onto one of the switch's own VLANs (a real rewire) or off them all.
+		vlans := []int{999}
+		for id := range n.Devices[at.dev].VLANs {
+			vlans = append(vlans, id)
+		}
+		sort.Ints(vlans)
+		vlan := vlans[rng.Intn(len(vlans))]
+		return chainStep{fmt.Sprintf("access-vlan %s=%d", at.name, vlan), at.dev, dataplane.ChangeL2,
+			func(d *netmodel.Device) { d.Interfaces[at.name].AccessVLAN = vlan }}, true
+	}
+}
+
+// TestGeneratedDeriveChained is the chained differential oracle: seeded
+// random mutation sequences on the hand-built university and the generated
+// fat-tree, ISP and WAN topologies, every snapshot derived from the
+// PREVIOUS derived snapshot — so whatever a derivation shares, patches or
+// keeps by identity is the next one's parent — and compared with a
+// from-scratch Compute at every step: every device's RIB plus 20 sampled
+// host-to-host traces. A failure names the seed and the step sequence.
+func TestGeneratedDeriveChained(t *testing.T) {
+	tiers := []struct {
+		name  string
+		build func() *scenarios.Scenario
+	}{
+		{"university", scenarios.University},
+		{"fattree-k4", func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 4}) }},
+		{"isp", func() *scenarios.Scenario { return generate.ISP(generate.ISPParams{}) }},
+		{"wan", func() *scenarios.Scenario { return generate.WAN(generate.WANParams{}) }},
+	}
+	seeds, steps := 6, 40
+	if raceEnabled {
+		seeds = 2
+	}
+	for _, tier := range tiers {
+		base := tier.build().Network
+		baseSnap := dataplane.Compute(base)
+		for seed := 1; seed <= seeds; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", tier.name, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(seed)))
+				cur, snap := base, baseSnap
+				hosts := base.Hosts()
+				var trail []string
+				for len(trail) < steps {
+					step, ok := randomStep(rng, cur)
+					if !ok {
+						continue
+					}
+					trail = append(trail, step.device+": "+step.op)
+					next := cur.CloneCOW(step.device)
+					step.apply(next.Devices[step.device])
+					snap = snap.Derive(next, dataplane.ChangeSet{{Device: step.device, Kind: step.kind}})
+					cur = next
+
+					full := dataplane.Compute(next)
+					for _, dev := range next.DeviceNames() {
+						if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
+							t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
+								len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
+						}
+					}
+					for i := 0; i < 20; i++ {
+						src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+						g, gerr := snap.Reach(src, dst, netmodel.ICMP, 0)
+						w, werr := full.Reach(src, dst, netmodel.ICMP, 0)
+						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(g, w) {
+							t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
+								len(trail), src, dst, gerr, g, werr, w, trail)
+						}
+					}
+				}
+			})
+		}
+	}
+}

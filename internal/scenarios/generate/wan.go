@@ -86,7 +86,7 @@ func WAN(params WANParams) *scenarios.Scenario {
 			d := n.AddDevice(sr(s, r), netmodel.Router)
 			d.OSPF = &netmodel.OSPFProcess{
 				ProcessID: 1, RouterID: addr4(6, byte(s), byte(r), 1),
-				Networks:  []netmodel.OSPFNetwork{siteRange(s), {Prefix: wanRange, Area: 0}},
+				Networks: []netmodel.OSPFNetwork{siteRange(s), {Prefix: wanRange, Area: 0}},
 				// ABR summaries: the site collapses to one aggregate toward
 				// the backbone; the WAN core and the HQ datacenters collapse
 				// to one aggregate each toward the site.
@@ -101,8 +101,8 @@ func WAN(params WANParams) *scenarios.Scenario {
 		sw := n.AddDevice(ar(s), netmodel.Switch)
 		sw.OSPF = &netmodel.OSPFProcess{
 			ProcessID: 1, RouterID: addr4(6, byte(s), 9, 1),
-			Networks:  []netmodel.OSPFNetwork{siteRange(s)},
-			Passive:   map[string]bool{"Vlan10": true, "Vlan20": true},
+			Networks: []netmodel.OSPFNetwork{siteRange(s)},
+			Passive:  map[string]bool{"Vlan10": true, "Vlan20": true},
 		}
 		for vi, vlan := range []int{10, 20} {
 			sw.VLANs[vlan] = &netmodel.VLAN{ID: vlan, Name: fmt.Sprintf("lan%d", vi+1)}

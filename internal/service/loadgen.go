@@ -53,8 +53,8 @@ type LoadReport struct {
 	// infrastructure failures (expired sessions, unknown devices, auth)
 	// land in Errors so a clean run's "zero denials" headline means what
 	// it says.
-	Denied         int64   `json:"denied"`
-	Errors         int64   `json:"errors"`
+	Denied       int64   `json:"denied"`
+	Errors       int64   `json:"errors"`
 	Reviews      int64   `json:"reviews"`
 	Backpressure int64   `json:"backpressure"`
 	Commits      int64   `json:"commits"`
