@@ -9,13 +9,17 @@
 package heimdall
 
 import (
+	"bytes"
+	"net/http/httptest"
 	"net/netip"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"heimdall/internal/attacksurface"
+	"heimdall/internal/config"
 	"heimdall/internal/console"
 	"heimdall/internal/core"
 	"heimdall/internal/dataplane"
@@ -25,6 +29,7 @@ import (
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/scenarios/generate"
+	"heimdall/internal/service"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
 	"heimdall/internal/twin"
@@ -335,6 +340,81 @@ func BenchmarkSnapshotCompute(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRender measures the three stages of a large console read: the
+// running-config printer and the routing-table renderer (both append into
+// one buffer; TestPrintMatchesReference and TestFormatRIBMatchesReference
+// pin their bytes to the fmt-based renderers they replaced), and a whole
+// mediated "show running-config" through the HTTP handler, where the 8 KB
+// reply is encoded once into a pooled buffer. Run with -benchmem: the
+// allocation counts are the point (TestRenderAllocBudget holds them).
+func BenchmarkRender(b *testing.B) {
+	uni := scenarios.University()
+	uniSnap := dataplane.Compute(uni.Network)
+	k8 := generate.FatTree(generate.FatTreeParams{K: 8})
+	k8Snap := dataplane.Compute(k8.Network)
+
+	b.Run("print/university-r2", func(b *testing.B) {
+		r2 := uni.Network.Devices["r2"]
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			renderSink = config.Print(r2)
+		}
+		b.SetBytes(int64(len(renderSink)))
+	})
+	b.Run("rib/university-r2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			renderSink = uniSnap.FormatRIB("r2")
+		}
+		b.SetBytes(int64(len(renderSink)))
+	})
+	b.Run("rib/fattree-k8-core", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			renderSink = k8Snap.FormatRIB("c0-0")
+		}
+		b.SetBytes(int64(len(renderSink)))
+	})
+	b.Run("encode/exec-8k", func(b *testing.B) {
+		svc := service.New(service.Config{PlatformSeed: "bench"})
+		defer svc.Close()
+		if _, err := svc.CreateTenant("acme", "university"); err != nil {
+			b.Fatal(err)
+		}
+		tk, err := svc.InjectIssue("acme", "acl", "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, err := svc.CreateSession("acme", "bench", tk.ID)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !slices.Contains(info.Slice, "r2") {
+			b.Fatalf("r2 is not in the ticket's slice %v", info.Slice)
+		}
+		h := svc.Handler()
+		path := "/v1/tenants/acme/sessions/" + info.Session + "/exec"
+		body := []byte(`{"device":"r2","line":"show running-config"}`)
+		replyLen := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req := httptest.NewRequest("POST", path, bytes.NewReader(body))
+			req.Header.Set(service.TokenHeader, info.Token)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != 200 || rec.Body.Len() < 8000 {
+				b.Fatalf("status %d, %d bytes", rec.Code, rec.Body.Len())
+			}
+			replyLen = rec.Body.Len()
+		}
+		b.SetBytes(int64(replyLen))
+	})
+}
+
+// renderSink keeps BenchmarkRender's results alive past the compiler.
+var renderSink string
 
 // BenchmarkDerive measures incremental snapshot derivation against a full
 // recompute at university scale — the per-trial cost of the mutation

@@ -27,6 +27,13 @@ import (
 	"heimdall/internal/telemetry"
 )
 
+// A client gets this long to send its request headers, and a keep-alive
+// connection may sit idle this long, before the server drops it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	connIdleTimeout   = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:8787", "HTTP listen address")
@@ -58,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: connIdleTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

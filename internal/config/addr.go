@@ -83,20 +83,19 @@ func parseNetWildcard(addr, wc string) (netip.Prefix, error) {
 	return netip.PrefixFrom(a, ones).Masked(), nil
 }
 
-// bitsToMask renders a prefix length as a dotted-quad netmask.
-func bitsToMask(ones int) string {
-	v := uint32(0)
-	if ones > 0 {
-		v = ^uint32(0) << (32 - ones)
+// appendMask appends a prefix length as a dotted-quad netmask.
+func appendMask(b []byte, ones int) []byte { return appendQuad(b, maskOf(ones)) }
+
+// appendWildcard appends a prefix length as an IOS wildcard mask.
+func appendWildcard(b []byte, ones int) []byte { return appendQuad(b, ^maskOf(ones)) }
+
+func maskOf(ones int) uint32 {
+	if ones <= 0 {
+		return 0
 	}
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	return ^uint32(0) << (32 - ones)
 }
 
-// bitsToWildcard renders a prefix length as an IOS wildcard mask.
-func bitsToWildcard(ones int) string {
-	v := ^uint32(0)
-	if ones > 0 {
-		v = ^(^uint32(0) << (32 - ones))
-	}
-	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+func appendQuad(b []byte, v uint32) []byte {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}).AppendTo(b)
 }

@@ -298,6 +298,8 @@ func TestChangeMetadata(t *testing.T) {
 }
 
 func TestMaskHelpers(t *testing.T) {
+	bitsToMask := func(ones int) string { return string(appendMask(nil, ones)) }
+	bitsToWildcard := func(ones int) string { return string(appendWildcard(nil, ones)) }
 	if got := bitsToMask(24); got != "255.255.255.0" {
 		t.Fatalf("bitsToMask(24) = %q", got)
 	}

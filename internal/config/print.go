@@ -1,9 +1,9 @@
 package config
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 
 	"heimdall/internal/netmodel"
@@ -12,80 +12,94 @@ import (
 // Print renders a device model as canonical configuration text. Print and
 // Parse round-trip: Parse(Print(d)) yields a device semantically equal to d.
 // Output is deterministic (sections and names are sorted) so diffs of
-// rendered text are stable.
+// rendered text are stable. It is AppendConfig into 16 KiB of stack scratch,
+// twice the largest shipped device's config, so the returned string is
+// usually the only allocation of that size.
 func Print(d *netmodel.Device) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "! kind: %s\n", d.Kind)
-	fmt.Fprintf(&b, "hostname %s\n!\n", d.Name)
+	return string(AppendConfig(make([]byte, 0, 16<<10), d))
+}
+
+// AppendConfig appends Print's rendering of d to b: every line is appended
+// in place, nothing is formatted through fmt and no line is allocated.
+func AppendConfig(b []byte, d *netmodel.Device) []byte {
+	b = cat(b, "! kind: ", d.Kind.String(), "\nhostname ", d.Name, "\n!\n")
 
 	for _, k := range sortedSecretKinds(d) {
 		switch k {
 		case "enable":
-			fmt.Fprintf(&b, "enable secret %s\n", d.Secrets[k])
+			b = cat(b, "enable secret ", d.Secrets[k], "\n")
 		case "snmp":
-			fmt.Fprintf(&b, "snmp-server community %s RO\n", d.Secrets[k])
+			b = cat(b, "snmp-server community ", d.Secrets[k], " RO\n")
 		case "isakmp":
-			fmt.Fprintf(&b, "crypto isakmp key %s address 0.0.0.0\n", d.Secrets[k])
+			b = cat(b, "crypto isakmp key ", d.Secrets[k], " address 0.0.0.0\n")
 		}
 	}
 	if len(d.Secrets) > 0 {
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
 
 	for _, id := range d.VLANIDs() {
 		v := d.VLANs[id]
-		fmt.Fprintf(&b, "vlan %d\n", v.ID)
+		b = appendInt(append(b, "vlan "...), v.ID)
+		b = append(b, '\n')
 		if v.Name != "" {
-			fmt.Fprintf(&b, " name %s\n", v.Name)
+			b = cat(b, " name ", v.Name, "\n")
 		}
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
 
 	for _, name := range d.InterfaceNames() {
-		printInterface(&b, d.Interfaces[name])
+		b = appendInterface(b, d.Interfaces[name])
 	}
 
 	for _, name := range d.ACLNames() {
 		a := d.ACLs[name]
-		fmt.Fprintf(&b, "ip access-list extended %s\n", a.Name)
+		b = cat(b, "ip access-list extended ", a.Name, "\n")
 		for i := range a.Entries {
-			fmt.Fprintf(&b, " %s\n", FormatACLEntry(&a.Entries[i]))
+			b = AppendACLEntry(append(b, ' '), &a.Entries[i])
+			b = append(b, '\n')
 		}
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
 
 	routes := append([]netmodel.StaticRoute(nil), d.StaticRoutes...)
-	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].Prefix != routes[j].Prefix {
-			return routes[i].Prefix.String() < routes[j].Prefix.String()
-		}
-		return routes[i].NextHop.Less(routes[j].NextHop)
-	})
+	sortRoutes(routes)
 	for _, r := range routes {
-		fmt.Fprintf(&b, "ip route %s %s %s", r.Prefix.Addr(), bitsToMask(r.Prefix.Bits()), r.NextHop)
+		b = appendAddr(append(b, "ip route "...), r.Prefix.Addr())
+		b = appendMask(append(b, ' '), r.Prefix.Bits())
+		b = appendAddr(append(b, ' '), r.NextHop)
 		if r.Distance != 0 {
-			fmt.Fprintf(&b, " %d", r.Distance)
+			b = appendInt(append(b, ' '), r.Distance)
 		}
-		b.WriteString("\n")
+		b = append(b, '\n')
 	}
 	if len(routes) > 0 {
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
 
 	if d.DefaultGateway.IsValid() {
-		fmt.Fprintf(&b, "ip default-gateway %s\n!\n", d.DefaultGateway)
+		b = appendAddr(append(b, "ip default-gateway "...), d.DefaultGateway)
+		b = append(b, "\n!\n"...)
 	}
 
 	if o := d.OSPF; o != nil {
-		fmt.Fprintf(&b, "router ospf %d\n", o.ProcessID)
+		b = appendInt(append(b, "router ospf "...), o.ProcessID)
+		b = append(b, '\n')
 		if o.RouterID.IsValid() {
-			fmt.Fprintf(&b, " router-id %s\n", o.RouterID)
+			b = appendAddr(append(b, " router-id "...), o.RouterID)
+			b = append(b, '\n')
 		}
 		for _, n := range o.Networks {
-			fmt.Fprintf(&b, " network %s %s area %d\n", n.Prefix.Addr(), bitsToWildcard(n.Prefix.Bits()), n.Area)
+			b = appendAddr(append(b, " network "...), n.Prefix.Addr())
+			b = appendWildcard(append(b, ' '), n.Prefix.Bits())
+			b = appendInt(append(b, " area "...), n.Area)
+			b = append(b, '\n')
 		}
 		for _, r := range o.Ranges {
-			fmt.Fprintf(&b, " area %d range %s %s\n", r.Area, r.Prefix.Masked().Addr(), bitsToMask(r.Prefix.Bits()))
+			b = appendInt(append(b, " area "...), r.Area)
+			b = appendAddr(append(b, " range "...), r.Prefix.Masked().Addr())
+			b = appendMask(append(b, ' '), r.Prefix.Bits())
+			b = append(b, '\n')
 		}
 		var passive []string
 		for name, on := range o.Passive {
@@ -95,29 +109,54 @@ func Print(d *netmodel.Device) string {
 		}
 		sort.Strings(passive)
 		for _, name := range passive {
-			fmt.Fprintf(&b, " passive-interface %s\n", name)
+			b = cat(b, " passive-interface ", name, "\n")
 		}
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
 	if g := d.BGP; g != nil {
-		fmt.Fprintf(&b, "router bgp %d\n", g.LocalAS)
+		b = appendInt(append(b, "router bgp "...), g.LocalAS)
+		b = append(b, '\n')
 		if g.RouterID.IsValid() {
-			fmt.Fprintf(&b, " bgp router-id %s\n", g.RouterID)
+			b = appendAddr(append(b, " bgp router-id "...), g.RouterID)
+			b = append(b, '\n')
 		}
 		for _, nb := range g.Neighbors {
-			fmt.Fprintf(&b, " neighbor %s remote-as %d\n", nb.Addr, nb.RemoteAS)
+			b = appendAddr(append(b, " neighbor "...), nb.Addr)
+			b = appendInt(append(b, " remote-as "...), nb.RemoteAS)
+			b = append(b, '\n')
 		}
 		for _, net := range g.Networks {
-			fmt.Fprintf(&b, " network %s mask %s\n", net.Addr(), bitsToMask(net.Bits()))
+			b = appendAddr(append(b, " network "...), net.Addr())
+			b = appendMask(append(b, " mask "...), net.Bits())
+			b = append(b, '\n')
 		}
 		if g.RedistributeConnected {
-			b.WriteString(" redistribute connected\n")
+			b = append(b, " redistribute connected\n"...)
 		}
-		b.WriteString("!\n")
+		b = append(b, "!\n"...)
 	}
-	b.WriteString("end\n")
-	// "end" is cosmetic; Parse treats it as unknown, so strip it on input.
-	return strings.Replace(b.String(), "end\n", "! end\n", 1)
+	// The trailer is a comment: "end" is cosmetic and Parse knows no such
+	// statement.
+	return append(b, "! end\n"...)
+}
+
+// cat appends each string in turn.
+func cat(b []byte, parts ...string) []byte {
+	for _, s := range parts {
+		b = append(b, s...)
+	}
+	return b
+}
+
+func appendInt(b []byte, n int) []byte { return strconv.AppendInt(b, int64(n), 10) }
+
+// appendAddr appends a as fmt's %s does: String()'s spelling of the zero
+// address, which AppendTo renders as nothing.
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, "invalid IP"...)
+	}
+	return a.AppendTo(b)
 }
 
 func sortedSecretKinds(d *netmodel.Device) []string {
@@ -129,67 +168,82 @@ func sortedSecretKinds(d *netmodel.Device) []string {
 	return kinds
 }
 
-func printInterface(b *strings.Builder, itf *netmodel.Interface) {
-	fmt.Fprintf(b, "interface %s\n", itf.Name)
+func appendInterface(b []byte, itf *netmodel.Interface) []byte {
+	b = cat(b, "interface ", itf.Name, "\n")
 	if itf.Description != "" {
-		fmt.Fprintf(b, " description %s\n", itf.Description)
+		b = cat(b, " description ", itf.Description, "\n")
 	}
 	switch itf.Mode {
 	case netmodel.Access:
-		fmt.Fprintf(b, " switchport mode access\n")
+		b = append(b, " switchport mode access\n"...)
 		if itf.AccessVLAN != 0 {
-			fmt.Fprintf(b, " switchport access vlan %d\n", itf.AccessVLAN)
+			b = appendInt(append(b, " switchport access vlan "...), itf.AccessVLAN)
+			b = append(b, '\n')
 		}
 	case netmodel.Trunk:
-		fmt.Fprintf(b, " switchport mode trunk\n")
+		b = append(b, " switchport mode trunk\n"...)
 		if len(itf.TrunkVLANs) > 0 {
-			strs := make([]string, len(itf.TrunkVLANs))
+			b = append(b, " switchport trunk allowed vlan "...)
 			for i, v := range itf.TrunkVLANs {
-				strs[i] = fmt.Sprintf("%d", v)
+				if i > 0 {
+					b = append(b, ',')
+				}
+				b = appendInt(b, v)
 			}
-			fmt.Fprintf(b, " switchport trunk allowed vlan %s\n", strings.Join(strs, ","))
+			b = append(b, '\n')
 		}
 	}
 	if itf.HasAddr() {
-		fmt.Fprintf(b, " ip address %s %s\n", itf.Addr.Addr(), bitsToMask(itf.Addr.Bits()))
+		b = appendAddr(append(b, " ip address "...), itf.Addr.Addr())
+		b = appendMask(append(b, ' '), itf.Addr.Bits())
+		b = append(b, '\n')
 	}
 	if itf.OSPFCost != 0 {
-		fmt.Fprintf(b, " ip ospf cost %d\n", itf.OSPFCost)
+		b = appendInt(append(b, " ip ospf cost "...), itf.OSPFCost)
+		b = append(b, '\n')
 	}
 	if itf.ACLIn != "" {
-		fmt.Fprintf(b, " ip access-group %s in\n", itf.ACLIn)
+		b = cat(b, " ip access-group ", itf.ACLIn, " in\n")
 	}
 	if itf.ACLOut != "" {
-		fmt.Fprintf(b, " ip access-group %s out\n", itf.ACLOut)
+		b = cat(b, " ip access-group ", itf.ACLOut, " out\n")
 	}
 	if itf.Shutdown {
-		fmt.Fprintf(b, " shutdown\n")
+		b = append(b, " shutdown\n"...)
 	} else {
-		fmt.Fprintf(b, " no shutdown\n")
+		b = append(b, " no shutdown\n"...)
 	}
-	b.WriteString("!\n")
+	return append(b, "!\n"...)
 }
 
 // FormatACLEntry renders one ACL entry in IOS syntax.
 func FormatACLEntry(e *netmodel.ACLEntry) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %s %s", e.Seq, e.Action, e.Proto)
-	writeSpec := func(pfx netip.Prefix, port uint16) {
-		switch {
-		case !pfx.IsValid():
-			b.WriteString(" any")
-		case pfx.Bits() == 32:
-			fmt.Fprintf(&b, " host %s", pfx.Addr())
-		default:
-			fmt.Fprintf(&b, " %s %s", pfx.Masked().Addr(), bitsToWildcard(pfx.Bits()))
-		}
-		if port != 0 {
-			fmt.Fprintf(&b, " eq %d", port)
-		}
+	return string(AppendACLEntry(make([]byte, 0, 64), e))
+}
+
+// AppendACLEntry appends one ACL entry in IOS syntax to b.
+func AppendACLEntry(b []byte, e *netmodel.ACLEntry) []byte {
+	b = cat(appendInt(b, e.Seq), " ", e.Action.String(), " ", e.Proto.String())
+	b = appendACLSpec(b, e.Src, e.SrcPort)
+	return appendACLSpec(b, e.Dst, e.DstPort)
+}
+
+// appendACLSpec appends one side of an entry: any, a host or a wildcarded
+// network, then the port if one is matched.
+func appendACLSpec(b []byte, pfx netip.Prefix, port uint16) []byte {
+	switch {
+	case !pfx.IsValid():
+		b = append(b, " any"...)
+	case pfx.Bits() == 32:
+		b = appendAddr(append(b, " host "...), pfx.Addr())
+	default:
+		b = appendAddr(append(b, ' '), pfx.Masked().Addr())
+		b = appendWildcard(append(b, ' '), pfx.Bits())
 	}
-	writeSpec(e.Src, e.SrcPort)
-	writeSpec(e.Dst, e.DstPort)
-	return b.String()
+	if port != 0 {
+		b = appendInt(append(b, " eq "...), int(port))
+	}
+	return b
 }
 
 // CountLines returns the number of configuration lines (non-blank, non-"!")

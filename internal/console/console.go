@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -207,7 +208,7 @@ func (c *Console) parseShow(line string, f []string, mk mkFunc, devRes string) (
 	switch {
 	case rest == "running-config":
 		return mk("show.running-config", devRes, false, func(env *Env) (string, error) {
-			return renderRunningConfig(env.Net.Devices[dev]), nil
+			return config.Print(env.Net.Devices[dev]), nil
 		}), nil
 	case rest == "ip route":
 		return mk("show.ip.route", devRes, false, func(env *Env) (string, error) {

@@ -24,10 +24,6 @@ func parseACLEntry(tokens []string) (netmodel.ACLEntry, error) {
 	return config.ParseACLEntry(tokens)
 }
 
-func renderRunningConfig(d *netmodel.Device) string {
-	return config.Print(d)
-}
-
 func renderInterfaces(d *netmodel.Device, name string) (string, error) {
 	var names []string
 	if name != "" {
@@ -78,18 +74,19 @@ func renderACLs(d *netmodel.Device, name string) (string, error) {
 	} else {
 		names = d.ACLNames()
 	}
-	var b strings.Builder
+	var b []byte
 	for _, n := range names {
 		a := d.ACLs[n]
-		fmt.Fprintf(&b, "Extended IP access list %s\n", a.Name)
+		b = append(append(b, "Extended IP access list "...), a.Name...)
 		for i := range a.Entries {
-			fmt.Fprintf(&b, "    %s\n", config.FormatACLEntry(&a.Entries[i]))
+			b = config.AppendACLEntry(append(b, "\n    "...), &a.Entries[i])
 		}
+		b = append(b, '\n')
 	}
-	if b.Len() == 0 {
+	if len(b) == 0 {
 		return "% no access lists configured", nil
 	}
-	return strings.TrimRight(b.String(), "\n"), nil
+	return strings.TrimRight(string(b), "\n"), nil
 }
 
 func renderVLANs(d *netmodel.Device) string {

@@ -1,9 +1,9 @@
 package dataplane
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -88,11 +88,26 @@ type FIBEntry struct {
 func (e FIBEntry) Connected() bool { return !e.NextHop.IsValid() }
 
 // String renders the entry in show-ip-route style.
-func (e FIBEntry) String() string {
-	if e.Connected() {
-		return fmt.Sprintf("%s %s is directly connected, %s", e.Proto, e.Prefix, e.OutIf)
+func (e FIBEntry) String() string { return string(e.appendTo(make([]byte, 0, 64))) }
+
+// appendTo appends String's rendering to b, the one renderer behind String
+// and FormatRIB.
+func (e FIBEntry) appendTo(b []byte) []byte {
+	b = append(append(b, e.Proto.String()...), ' ')
+	if e.Prefix.IsValid() {
+		b = e.Prefix.AppendTo(b)
+	} else {
+		b = append(b, "invalid Prefix"...) // the zero Prefix too, as its String
 	}
-	return fmt.Sprintf("%s %s [%d/%d] via %s, %s", e.Proto, e.Prefix, e.AD, e.Metric, e.NextHop, e.OutIf)
+	if e.Connected() {
+		b = append(b, " is directly connected, "...)
+	} else {
+		b = strconv.AppendInt(append(b, " ["...), int64(e.AD), 10)
+		b = strconv.AppendInt(append(b, '/'), int64(e.Metric), 10)
+		b = e.NextHop.AppendTo(append(b, "] via "...))
+		b = append(b, ", "...)
+	}
+	return append(b, e.OutIf...)
 }
 
 // ribFor computes the full routing table of one device given the OSPF and

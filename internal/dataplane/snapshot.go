@@ -1,10 +1,11 @@
 package dataplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"heimdall/internal/netmodel"
@@ -554,16 +555,30 @@ func (s *Snapshot) FormatBGP(device string) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// FormatRIB renders a device routing table like "show ip route".
+// FormatRIB renders a device routing table like "show ip route": one line
+// per entry, sorted as text. Every line is rendered into one buffer and the
+// line spans are sorted, so the cost is three allocations, not one per route.
 func (s *Snapshot) FormatRIB(device string) string {
 	rib := s.ribs[device]
 	if rib == nil {
 		return "% no routing table"
 	}
-	lines := make([]string, 0, len(rib))
-	for _, e := range rib {
-		lines = append(lines, e.String())
+	type span struct{ lo, hi int }
+	buf := make([]byte, 0, 64*len(rib))
+	lines := make([]span, len(rib))
+	for i, e := range rib {
+		lo := len(buf)
+		buf = e.appendTo(buf)
+		lines[i] = span{lo, len(buf)}
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
+	slices.SortFunc(lines, func(a, b span) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
+	var out strings.Builder
+	out.Grow(len(buf) + len(rib))
+	for i, l := range lines {
+		if i > 0 {
+			out.WriteByte('\n')
+		}
+		out.Write(buf[l.lo:l.hi])
+	}
+	return out.String()
 }

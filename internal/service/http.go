@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
@@ -35,7 +38,8 @@ const TokenHeader = "X-Heimdall-Token"
 //
 // Errors map onto statuses: unknown tenant/session/ticket 404, duplicate
 // tenant 409, token mismatch 403, reference-monitor denial 403, expired
-// session 410, closed session 409, verify-queue overload 429.
+// session 410, closed session 409, verify-queue overload 429, request body
+// over 1 MiB 413. Every JSON reply is one compact line with a Content-Length.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -156,7 +160,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"output": out})
+		writeJSON(w, http.StatusOK, execReply{out})
 	})
 
 	mux.HandleFunc("GET /v1/tenants/{tenant}/sessions/{session}/privileges", func(w http.ResponseWriter, r *http.Request) {
@@ -218,20 +222,53 @@ func writeDecision(w http.ResponseWriter, res ReviewResult, err error) {
 	writeJSON(w, http.StatusOK, res)
 }
 
+// maxBodyBytes bounds a request body; no request the API takes comes near it.
+const maxBodyBytes = 1 << 20
+
+// decode reads the request's JSON body into v, or answers 400 (413 for a
+// body over maxBodyBytes) and returns false before the handler touches
+// anything.
 func decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
 	}
-	return true
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": "bad request body: " + err.Error()})
+	return false
 }
 
+// execReply is the exec endpoint's body: a struct, so the encoder neither
+// builds nor sorts a map for the API's most frequent reply.
+type execReply struct {
+	Output string `json:"output"`
+}
+
+// replyBufs holds the buffers writeJSON encodes into.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON sends v as one line of compact JSON, "<" and "&" unescaped. The
+// body is encoded into a pooled buffer first, so the reply carries a
+// Content-Length and leaves in one write instead of being chunked.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := replyBufs.Get().(*bytes.Buffer)
+	defer replyBufs.Put(buf)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, "encoding reply: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a write error means the client has gone
 }
 
 func writeErr(w http.ResponseWriter, err error) {

@@ -6,10 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"heimdall/internal/config"
 	"heimdall/internal/telemetry"
 )
 
@@ -21,31 +24,63 @@ type httpClient struct {
 
 func (c *httpClient) do(method, path, token string, body any) (int, []byte) {
 	c.t.Helper()
+	status, out, err := c.try(method, path, token, body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return status, out
+}
+
+// try is do for goroutines that may not call Fatal.
+func (c *httpClient) try(method, path, token string, body any) (int, []byte, error) {
+	c.t.Helper()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			c.t.Fatal(err)
+			return 0, nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, c.srv.URL+path, rd)
 	if err != nil {
-		c.t.Fatal(err)
+		return 0, nil, err
 	}
 	if token != "" {
 		req.Header.Set(TokenHeader, token)
 	}
 	resp, err := c.srv.Client().Do(req)
 	if err != nil {
-		c.t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.t.Fatal(err)
+		return 0, nil, err
 	}
-	return resp.StatusCode, out
+	if path != "/metrics" {
+		checkFraming(c.t, method+" "+path, resp, out)
+	}
+	return resp.StatusCode, out, nil
+}
+
+// checkFraming holds every JSON reply, small or large, success or error, to
+// the wire contract: one compact line, its length announced up front so that
+// net/http does not chunk it.
+func checkFraming(t *testing.T, what string, resp *http.Response, body []byte) {
+	t.Helper()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q", what, ct)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Errorf("%s: Content-Length %q, body is %d bytes", what, cl, len(body))
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Errorf("%s: Transfer-Encoding %v", what, resp.TransferEncoding)
+	}
+	if n := bytes.Count(body, []byte("\n")); n != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Errorf("%s: body is not one line: %q", what, body)
+	}
 }
 
 func (c *httpClient) doJSON(method, path, token string, body, out any) int {
@@ -133,6 +168,39 @@ func TestHTTPWorkflow(t *testing.T) {
 		t.Fatal("exec returned empty output")
 	}
 
+	tn, err := svc.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The largest read a diagnosis makes: a whole running-config (8 KB on
+	// the core routers) arrives intact, its redacted secrets spelled
+	// literally, not as \u003c escapes.
+	largest := ""
+	for _, dev := range info.Slice {
+		s, raw := c.do("POST", sessPath+"/exec", info.Token, map[string]string{"device": dev, "line": "show running-config"})
+		if s != http.StatusOK {
+			t.Fatalf("show running-config on %s: status %d: %s", dev, s, raw)
+		}
+		if bytes.Contains(raw, []byte(`\u00`)) {
+			t.Fatalf("%s: reply escapes what JSON does not require: %s", dev, raw)
+		}
+		if err := json.Unmarshal(raw, &execOut); err != nil {
+			t.Fatal(err)
+		}
+		// Nothing is written yet: the twin is production, sanitized.
+		if want := config.Print(config.Sanitize(tn.System().Production().Devices[dev])); execOut.Output != want {
+			t.Fatalf("%s: running-config over the wire differs from the twin's:\n%s\nvs\n%s", dev, execOut.Output, want)
+		}
+		if len(execOut.Output) > len(largest) {
+			largest = execOut.Output
+		}
+	}
+	if len(largest) < 8000 || !strings.Contains(largest, "<redacted>") {
+		t.Fatalf("largest running-config in the slice is %d bytes, redacted=%v; want an 8 KB reply with secrets",
+			len(largest), strings.Contains(largest, "<redacted>"))
+	}
+
 	// Privilege inspection shows the compiled rules and slice.
 	var priv PrivilegeInfo
 	if s := c.doJSON("GET", sessPath+"/privileges", info.Token, nil, &priv); s != http.StatusOK {
@@ -143,10 +211,6 @@ func TestHTTPWorkflow(t *testing.T) {
 	}
 
 	// Run the scripted fix so there is something to review and commit.
-	tn, err := svc.Tenant("acme")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var script []struct{ Device, Line string }
 	for _, is := range tn.ScenarioData().Issues {
 		if is.Name == "acl" {
@@ -223,9 +287,12 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	defer srv.Close()
 	c := &httpClient{t: t, srv: srv}
 
-	// Unknown tenant and session are 404.
-	if s, _ := c.do("GET", "/v1/tenants/ghost", "", nil); s != http.StatusNotFound {
-		t.Fatalf("unknown tenant: status %d, want 404", s)
+	// Unknown tenant and session are 404, the reason in an "error" field.
+	var failure struct {
+		Error string `json:"error"`
+	}
+	if s := c.doJSON("GET", "/v1/tenants/ghost", "", nil, &failure); s != http.StatusNotFound || !strings.Contains(failure.Error, "ghost") {
+		t.Fatalf("unknown tenant: status %d (want 404), error %q", s, failure.Error)
 	}
 	if s, _ := c.do("POST", "/v1/tenants", "", map[string]string{"id": "acme", "scenario": "enterprise"}); s != http.StatusCreated {
 		t.Fatal("create tenant failed")
@@ -239,10 +306,12 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: status %d, want 400", resp.StatusCode)
 	}
+	checkFraming(t, "bad body", resp, raw)
 
 	// Expired session is 410.
 	var tk struct {
@@ -255,6 +324,29 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if s := c.doJSON("POST", "/v1/tenants/acme/sessions", "", map[string]string{"technician": "bob", "ticket": tk.ID}, &info); s != http.StatusCreated {
 		t.Fatal("create session failed")
 	}
+
+	// A body over 1 MiB is 413, refused before the twin or the trail see it.
+	tn, err := svc.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trail := tn.System().Enforcer.Trail()
+	before := trail.Len()
+	execPath := "/v1/tenants/acme/sessions/" + info.Session + "/exec"
+	if s, out := c.do("POST", execPath, info.Token,
+		map[string]string{"device": info.Slice[0], "line": "show ip route " + strings.Repeat("x", maxBodyBytes)}); s != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized exec: status %d, want 413 (%s)", s, out)
+	}
+	if trail.Len() != before {
+		t.Fatalf("oversized exec reached the audit trail: %d entries, was %d", trail.Len(), before)
+	}
+	if s, _ := c.do("POST", execPath, info.Token, map[string]string{"device": info.Slice[0], "line": "show ip route"}); s != http.StatusOK {
+		t.Fatalf("exec after the refused one: status %d", s)
+	}
+	if trail.Len() == before {
+		t.Fatal("a served exec left no audit record: the 413 check proves nothing")
+	}
+
 	vc.Advance(2 * time.Minute)
 	if s, _ := c.do("POST", "/v1/tenants/acme/sessions/"+info.Session+"/exec", info.Token,
 		map[string]string{"device": info.Slice[0], "line": "show ip route"}); s != http.StatusGone {
@@ -321,4 +413,71 @@ func TestHTTPReviewOverloadIs429(t *testing.T) {
 	if err := <-queued; err != nil {
 		t.Fatalf("queued pool task failed: %v", err)
 	}
+}
+
+// Replies are encoded into pooled buffers: technicians on two sessions
+// reading different devices at once must each get their own bytes, whole,
+// however the buffers are recycled between them (run under -race in CI).
+func TestHTTPConcurrentRepliesOwnTheirBytes(t *testing.T) {
+	svc := New(Config{PlatformSeed: "http-pool"})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	c := &httpClient{t: t, srv: srv}
+
+	if s, _ := c.do("POST", "/v1/tenants", "", map[string]string{"id": "acme", "scenario": "university"}); s != http.StatusCreated {
+		t.Fatal("create tenant failed")
+	}
+	type read struct {
+		path, token string
+		body        map[string]string
+		want        []byte
+	}
+	var reads []read
+	for _, tech := range []string{"alice", "bob"} {
+		var tk struct {
+			ID string `json:"id"`
+		}
+		if s := c.doJSON("POST", "/v1/tenants/acme/issues/acl", "", nil, &tk); s != http.StatusCreated {
+			t.Fatal("inject issue failed")
+		}
+		var info Info
+		if s := c.doJSON("POST", "/v1/tenants/acme/sessions", "", map[string]string{"technician": tech, "ticket": tk.ID}, &info); s != http.StatusCreated {
+			t.Fatal("create session failed")
+		}
+		for _, dev := range info.Slice {
+			for _, line := range []string{"show running-config", "show ip route", "show vlan"} {
+				r := read{path: "/v1/tenants/acme/sessions/" + info.Session + "/exec", token: info.Token,
+					body: map[string]string{"device": dev, "line": line}}
+				var s int
+				if s, r.want = c.do("POST", r.path, r.token, r.body); s != http.StatusOK {
+					t.Fatalf("%s on %s: status %d: %s", line, dev, s, r.want)
+				}
+				reads = append(reads, r)
+			}
+		}
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker walks the reads (and a refused one, for the error
+			// path's buffer) at its own stride, so sizes interleave.
+			for i := 0; i < 2*len(reads); i++ {
+				r := reads[(w+i*(w+1))%len(reads)]
+				if s, got, err := c.try("POST", r.path, r.token, r.body); err != nil || s != http.StatusOK || !bytes.Equal(got, r.want) {
+					t.Errorf("worker %d: %v: status %d, %v, reply differs from the serial one:\n%s\nvs\n%s", w, r.body, s, err, got, r.want)
+					return
+				}
+				if s, got, err := c.try("POST", r.path, "wrong-token", r.body); err != nil || s != http.StatusForbidden || !bytes.Contains(got, []byte(`{"error":`)) {
+					t.Errorf("worker %d: bad-token exec: status %d, %v: %s", w, s, err, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
