@@ -23,6 +23,8 @@ import (
 	"heimdall/internal/console"
 	"heimdall/internal/core"
 	"heimdall/internal/dataplane"
+	"heimdall/internal/enclave"
+	"heimdall/internal/enforcer"
 	"heimdall/internal/experiments"
 	"heimdall/internal/latency"
 	"heimdall/internal/netmodel"
@@ -327,6 +329,66 @@ func BenchmarkFlowCache(b *testing.B) {
 			verify.Check(warm, scen.Policies)
 		}
 	})
+}
+
+// reviewFixture is the review-fresh workload of benchmark/ in process: the
+// fat-tree catalog tenant (k=4, 400 policies), an enforcer holding a
+// production snapshot one review has already warmed, and a never-repeating
+// change set on the storage guard of e0-0, so no review is answered from
+// the verdict cache and every one derives, carries and retraces.
+func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, carried func() float64) {
+	scen := generate.FatTree(generate.FatTreeParams{K: 4})
+	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies)
+	reg := telemetry.NewRegistry()
+	e.SetMeter(reg)
+	spec := &privilege.Spec{Ticket: "T-BENCH", Technician: "bench", Rules: []privilege.Rule{
+		{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:e0-0"},
+	}}
+	review = func(i int) *enforcer.Decision {
+		d := e.Review(scen.Network, []config.Change{{
+			Device: "e0-0", Op: config.OpAddACLEntry, ACLName: "STORAGE-GUARD",
+			Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
+				Src: netip.MustParsePrefix("10.0.1.0/24"), Dst: netip.MustParsePrefix("10.0.0.0/24"), DstPort: uint16(1024 + i%60000)},
+		}}, spec)
+		if !d.Accepted || d.Checked != len(scen.Policies) {
+			tb.Fatalf("review %d: %+v", i, d)
+		}
+		return d
+	}
+	review(0)
+	return review, func() float64 { return reg.CounterValue("heimdall_dataplane_flowcache_carried_total") }
+}
+
+// BenchmarkReview measures one uncached review against a warm held
+// snapshot: ns/op and allocs/op (run with -benchmem) plus how many of the
+// 400 policy flows each review took over from production instead of
+// retracing (carried/op).
+func BenchmarkReview(b *testing.B) {
+	review, carried := reviewFixture(b)
+	before := carried()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		review(i)
+	}
+	b.ReportMetric((carried()-before)/float64(b.N), "carried/op")
+}
+
+// TestReviewAllocBudget pins the allocations of one uncached review on a
+// warm held snapshot. Measured at 1,659 (3,198 before reviews carried
+// traces: each retraced flow costs a Trace, its hops and two memo entries,
+// each carried one a memo entry); the ceiling leaves ~10 % for the hash
+// trie's per-map seed. If a change legitimately moves the count, re-measure
+// with -v and reset the ceiling; don't just raise it.
+func TestReviewAllocBudget(t *testing.T) {
+	const ceiling = 1850
+	review, carried := reviewFixture(t)
+	i, before := 0, carried()
+	allocs := testing.AllocsPerRun(50, func() { i++; review(i) })
+	t.Logf("%.0f allocs and %.0f carried traces per review", allocs, (carried()-before)/float64(i))
+	if allocs > ceiling {
+		t.Errorf("a review allocates %.0f times, budget %d", allocs, ceiling)
+	}
 }
 
 // BenchmarkSnapshotCompute measures dataplane computation on both

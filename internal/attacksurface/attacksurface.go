@@ -456,18 +456,6 @@ func violatedSet(snap *dataplane.Snapshot, policies []verify.Policy) map[string]
 	return out
 }
 
-// policyScope returns the policies a trial mutating dev must recheck.
-// Routers get verify.AffectedBy's trace-based subset; switches keep every
-// policy in scope, because their VLAN fabric carries flows whose traces
-// never list the switch as an L3 hop (an access-port move or trunk
-// shutdown can break a policy AffectedBy would have dropped).
-func (ev *Evaluator) policyScope(faulted *netmodel.Network, snap *dataplane.Snapshot, dev string) []verify.Policy {
-	if d := faulted.Devices[dev]; d != nil && d.Kind == netmodel.Switch {
-		return ev.Policies
-	}
-	return verify.AffectedBy(snap, ev.Policies, map[string]bool{dev: true})
-}
-
 // mutation is one canonical malicious action a technician could attempt.
 // kind classifies what the mutation can affect, letting the trial derive
 // its dataplane snapshot from the faulted one instead of recomputing it.
@@ -555,13 +543,13 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 	}
 
 	// Incremental scope per mutated device (the baseline snapshot's flow
-	// cache makes the second and later AffectedBy calls nearly free).
+	// cache makes the second and later Scope calls nearly free).
 	affected := make(map[string][]verify.Policy, len(allowed))
 	for _, m := range allowed {
 		if _, ok := affected[m.device]; ok {
 			continue
 		}
-		affected[m.device] = ev.policyScope(faulted, snap, m.device)
+		affected[m.device] = verify.Scope(faulted, snap, ev.Policies, map[string]bool{m.device: true})
 	}
 
 	violated := make(map[string]bool)

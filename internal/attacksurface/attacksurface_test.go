@@ -124,7 +124,7 @@ func TestResultAggregation(t *testing.T) {
 	}
 }
 
-// TestAffectedBySwitchConservative pins why policyScope treats switches
+// TestAffectedBySwitchConservative pins why verify.Scope treats switches
 // conservatively: the enterprise fabric carries flows through sw1/sw2 as
 // pure L2 transit, so their traces never list the switch as a hop,
 // verify.AffectedBy would drop the policy from a trial's recheck scope —
@@ -134,7 +134,9 @@ func TestAffectedBySwitchConservative(t *testing.T) {
 	scen := scenarios.Enterprise()
 	n := scen.Network
 	snap := dataplane.Compute(n)
-	ev := &Evaluator{Base: n, Policies: scen.Policies, Sensitive: scen.Sensitive}
+	scope := func(dev string) []verify.Policy {
+		return verify.Scope(n, snap, scen.Policies, map[string]bool{dev: true})
+	}
 
 	type witness struct {
 		policy verify.Policy
@@ -181,17 +183,17 @@ func TestAffectedBySwitchConservative(t *testing.T) {
 	}
 	// ...but the sweep's per-trial scope must retain it.
 	kept := false
-	for _, p := range ev.policyScope(n, snap, w.sw) {
+	for _, p := range scope(w.sw) {
 		if p.ID == w.policy.ID {
 			kept = true
 			break
 		}
 	}
 	if !kept {
-		t.Errorf("policyScope(%s) dropped policy %s, which an L2 mutation on %s violates", w.sw, w.policy.ID, w.sw)
+		t.Errorf("Scope(%s) dropped policy %s, which an L2 mutation on %s violates", w.sw, w.policy.ID, w.sw)
 	}
 	// A router's scope stays trace-based: it must be a strict subset.
-	if got, all := len(ev.policyScope(n, snap, "r2")), len(scen.Policies); got >= all {
+	if got, all := len(scope("r2")), len(scen.Policies); got >= all {
 		t.Errorf("router scope not narrowed: %d of %d policies", got, all)
 	}
 }

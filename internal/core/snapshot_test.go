@@ -15,6 +15,7 @@ import (
 	"heimdall/internal/enforcer"
 	"heimdall/internal/faultinject"
 	"heimdall/internal/netmodel"
+	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/scenarios/generate"
 	"heimdall/internal/telemetry"
@@ -334,6 +335,99 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				}
 				return ""
 			})
+
+			// A chain of versions with no invalidation between them, starting
+			// from a production that already violates a policy: a review
+			// rejected for what production breaks by itself (the violation's
+			// trace is one the shadow took over from production, not one it
+			// traced), the fix committed, then review, commit, review, commit
+			// — each commit derives onto production mutated in place and
+			// hands its snapshot, flow cache included, to the next version.
+			// Every decision is compared, counterexample traces and all, with
+			// verify.Check over a from-scratch Compute.
+			breaks := func(is scenarios.Issue) bool {
+				n := scen.Network.Clone()
+				if err := is.Fault.Inject(n); err != nil {
+					t.Fatal(err)
+				}
+				return !verify.Check(dataplane.Compute(n), scen.Policies).OK()
+			}
+			for _, idx := range rng.Perm(len(scen.Issues)) {
+				if is = scen.Issues[idx]; breaks(is) {
+					break
+				}
+			}
+			infra := scen.Network.RoutersAndSwitches()
+			var sets [][]config.Change
+			for k := 0; k < 4; k++ {
+				sets = append(sets, []config.Change{{
+					Device: infra[rng.Intn(len(infra))], Op: config.OpAddACLEntry, ACLName: "CARRIED",
+					Entry: &netmodel.ACLEntry{Seq: 10 * (k + 1), Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: uint16(9000 + k)},
+				}})
+			}
+			wide := &privilege.Spec{Ticket: "T-CARRIED", Technician: "casey", Rules: []privilege.Rule{
+				{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:*"},
+			}}
+			both("carried", func(o *oracleSystem) string {
+				var out []string
+				// decided checks one decision against the reference review of
+				// the same changes on production as it was before the step.
+				decided := func(step, want string, d *enforcer.Decision, err error) {
+					t.Helper()
+					got := decisionJSON(t, d)
+					if got != want {
+						t.Fatalf("%s: decision diverged from the from-scratch reference:\ngot  %s\nwant %s", step, got, want)
+					}
+					o.checkProduction(t, step)
+					out = append(out, got, fmt.Sprint(err))
+				}
+				review := func(step string, changes []config.Change) *enforcer.Decision {
+					t.Helper()
+					var d *enforcer.Decision
+					o.fresh(func() { d = o.sys.Enforcer.Review(o.sys.production, changes, wide) })
+					decided(step, scratchDecision(t, o.sys, changes), d, nil)
+					return d
+				}
+				commit := func(step string, changes []config.Change) {
+					t.Helper()
+					want := scratchDecision(t, o.sys, changes)
+					var d *enforcer.Decision
+					var err error
+					o.fresh(func() { d, err = o.sys.Enforcer.Commit(o.sys.production, changes, wide) })
+					if err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					decided(step, want, d, err)
+				}
+
+				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
+					t.Fatal(err)
+				}
+				if d := review("carried/violating review", sets[0]); d.Accepted || len(d.Violations) == 0 {
+					t.Fatalf("carried: issue %s breaks no policy in production: %+v", is.Name, d)
+				}
+				eng := o.startWork(t, fileIssue(o.sys, is).ID)
+				if _, err := eng.RunScript(is.Script); err != nil {
+					t.Fatal(err)
+				}
+				fix := eng.Twin.Changes()
+				want := scratchDecision(t, o.sys, fix)
+				var d *enforcer.Decision
+				var err error
+				o.fresh(func() { d, err = eng.Commit() })
+				if err != nil {
+					t.Fatal(err)
+				}
+				decided("carried/fix", want, d, err)
+				for k, changes := range sets {
+					review(fmt.Sprintf("carried/review %d", k), changes)
+					commit(fmt.Sprintf("carried/commit %d", k), changes)
+				}
+				return strings.Join(out, "\n")
+			})
+			if carried := pair[0].reg.CounterValue("heimdall_dataplane_flowcache_carried_total"); carried == 0 {
+				t.Fatal("the held deployment never carried a trace from one snapshot to the next")
+			}
 
 			held, ref := pair[0].sys.Enforcer, pair[1].sys.Enforcer
 			for _, e := range []*enforcer.Enforcer{held, ref} {

@@ -100,8 +100,16 @@ type ChangeSet []Change
 // (typically a CloneCOW with the listed devices mutated); an undeclared
 // change silently yields a wrong snapshot. The derived snapshot is
 // byte-identical to ComputeWithOptions(n, s.opts) — the TestDeriveMatchesCompute
-// oracle pins this for every change class — and always starts with a fresh
-// flow cache, since memoized traces from the old network would be stale.
+// oracle pins this for every change class.
+//
+// The flow cache starts empty, but when the derivation keeps the parent's
+// adjacency and address ownership (every class but L3-topology, a real L2
+// rewire and the Topology fallback) the child also remembers the parent's
+// cache and the devices whose config or RIB differ, and Reach carries the
+// parent's traces that avoid all of them (see Snapshot.carried). A trace
+// reads only its hop devices' config and FIB, the adjacency, the owner map
+// and host addresses, and no address can change outside L3-topology, so such
+// a trace read nothing that differs between the two snapshots.
 //
 // Reuse per class (see ChangeKind docs for the exactness argument):
 //
@@ -146,6 +154,8 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		flows:      newFlowCache(s.opts.Meter),
 	}
 
+	// carry stays true while d.adj and d.owner are the parent's.
+	carry := true
 	topo := kinds[ChangeL2] || kinds[ChangeL3Topology]
 	if topo {
 		groups := computeL2Groups(n)
@@ -161,6 +171,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 			// partition avoids even materializing the peer lists.
 			topo = false
 		} else {
+			carry = false
 			d.adj = adjacencyFromGroups(groups)
 			if kinds[ChangeL3Topology] {
 				// An L2-only change cannot move addresses, so owner is
@@ -197,17 +208,26 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		}
 	}
 
-	if len(ribDirty) == 0 {
-		// No device's RIB inputs changed: share the maps outright.
-		d.ribs = s.ribs
-		d.fibs = s.fibs
-		return d
-	}
 	devs := make([]string, 0, len(ribDirty))
 	for dev := range ribDirty {
 		if n.Devices[dev] != nil {
 			devs = append(devs, dev)
 		}
+	}
+	if carry {
+		// The parent's cache, not the parent: s.net may be mutated in place
+		// under it (the commit pipeline derives onto the same network), and
+		// holding s would chain every earlier version to this one.
+		for _, c := range changes {
+			ribDirty[c.Device] = true
+		}
+		d.parentFlows, d.stale = s.flows, ribDirty
+	}
+	if len(devs) == 0 {
+		// No device's RIB inputs changed: share the maps outright.
+		d.ribs = s.ribs
+		d.fibs = s.fibs
+		return d
 	}
 	sort.Strings(devs)
 	d.ribs = make(map[string][]FIBEntry, len(s.ribs))

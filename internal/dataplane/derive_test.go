@@ -17,6 +17,7 @@ import (
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/scenarios"
+	"heimdall/internal/telemetry"
 )
 
 // deriveCase is one mutation class applied to one device of a scenario.
@@ -401,32 +402,93 @@ func TestDeriveMultiChange(t *testing.T) {
 	assertSnapshotsEqual(t, mutated, derived, dataplane.Compute(mutated))
 }
 
-// TestDeriveFreshFlowCache pins that a derived snapshot never inherits the
-// parent's memoized traces: an ACL-only derivation shares every routing
-// structure, so a stale cache would be the one way it could lie.
-func TestDeriveFreshFlowCache(t *testing.T) {
-	scen := scenarios.Enterprise()
-	base := scen.Network
-	snap := dataplane.Compute(base)
-	hosts := base.Hosts()
-	if _, err := snap.Reach(hosts[0], hosts[1], netmodel.ICMP, 0); err != nil {
-		t.Fatal(err)
-	}
+// carriedCounter is the wired-meter series Reach bumps when it serves a flow
+// from the parent's cache.
+const carriedCounter = "heimdall_dataplane_flowcache_carried_total"
 
-	dev := aclDevice(base)
-	mutated := base.CloneCOW(dev)
-	d := mutated.Devices[dev]
-	d.ACL(d.ACLNames()[0], true).InsertEntry(netmodel.ACLEntry{
-		Seq: 1, Action: netmodel.Deny, Proto: netmodel.AnyProto,
+// rewired reports whether the two networks differ in L2 adjacency, seen
+// through the exported surface: some endpoint's neighbour list changed.
+func rewired(n *netmodel.Network, a, b *dataplane.Snapshot) bool {
+	for _, dev := range n.DeviceNames() {
+		for _, ifName := range n.Devices[dev].InterfaceNames() {
+			ep := netmodel.Endpoint{Device: dev, Interface: ifName}
+			if !reflect.DeepEqual(a.Adjacent(ep), b.Adjacent(ep)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestDeriveCarriesCleanTraces is the oracle for carried traces: for every
+// change class, warm the parent over all scenario policies, derive, and
+// compare every Reach result — trace and error — with a from-scratch Compute
+// of the mutated network. A derivation that keeps adjacency and address
+// ownership must carry some traces (the point of the exercise) and one that
+// does not must carry none. Every child also writes its clean traces back
+// into the one parent, so later cases read what earlier ones left there.
+func TestDeriveCarriesCleanTraces(t *testing.T) {
+	cases := deriveCases()
+	cases = append(cases, deriveCase{
+		// A neighbour that never answers: BGP-class, no route moves.
+		name: "bgp-dead-neighbor", kind: dataplane.ChangeBGP, optional: true,
+		device: func(n *netmodel.Network) string {
+			if d := n.Devices["edgeA"]; d != nil && d.BGP != nil {
+				return "edgeA"
+			}
+			return ""
+		},
+		apply: func(d *netmodel.Device) { d.BGP.SetNeighbor(netip.MustParseAddr("192.0.2.77"), 64999) },
 	})
-	derived := snap.Derive(mutated, dataplane.ChangeSet{{Device: dev, Kind: dataplane.ChangeACL}})
-	if hits, misses := derived.FlowCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("derived snapshot inherited flow cache state: hits=%d misses=%d", hits, misses)
+	// Removing or silencing the process of a near-mesh router moves a route
+	// on every router, so every trace crosses a RIB-dirty device.
+	allDirty := map[string]bool{
+		"university/ospf-silence-all-passive": true,
+		"university/ospf-process-removal":     true,
 	}
-	if _, err := derived.Reach(hosts[0], hosts[1], netmodel.ICMP, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := derived.FlowCacheStats(); misses != 1 {
-		t.Fatalf("derived snapshot did not trace fresh: misses=%d", misses)
+	for _, scen := range []*scenarios.Scenario{scenarios.Enterprise(), scenarios.University(), scenarios.Provider()} {
+		base := scen.Network
+		reg := telemetry.NewRegistry()
+		snap := dataplane.ComputeWithOptions(base, dataplane.Options{Meter: reg})
+		for _, tc := range cases {
+			dev := tc.device(base)
+			if dev == "" || base.Devices[dev] == nil {
+				continue
+			}
+			t.Run(scen.Name+"/"+tc.name, func(t *testing.T) {
+				for _, p := range scen.Policies {
+					snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+				}
+				mutated := base.CloneCOW(dev)
+				tc.apply(mutated.Devices[dev])
+				derived := snap.Derive(mutated, dataplane.ChangeSet{{Device: dev, Kind: tc.kind}})
+				full := dataplane.Compute(mutated)
+				before := reg.CounterValue(carriedCounter)
+				for _, p := range scen.Policies {
+					g, gerr := derived.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+					w, werr := full.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+					if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+						t.Fatalf("%s: errors diverged: %v vs %v", p.ID, gerr, werr)
+					}
+					if !reflect.DeepEqual(g, w) {
+						t.Errorf("%s: trace diverged:\nderived: %s\nfull:    %s", p.ID, g, w)
+					}
+				}
+				carried := reg.CounterValue(carriedCounter) - before
+				t.Logf("carried %v of %d keeps", carried, len(scen.Policies))
+				keeps := tc.kind < dataplane.ChangeL2 ||
+					tc.kind == dataplane.ChangeL2 && !rewired(mutated, snap, full)
+				switch {
+				case !keeps && carried != 0:
+					t.Errorf("carried %v traces across a changed adjacency or owner map", carried)
+				case keeps && carried == 0 && !allDirty[scen.Name+"/"+tc.name]:
+					t.Errorf("carried nothing of %d policies", len(scen.Policies))
+				}
+				hits, misses := derived.FlowCacheStats()
+				if hits+misses != uint64(len(scen.Policies)) || uint64(carried) > hits {
+					t.Errorf("hits=%d misses=%d carried=%v over %d lookups", hits, misses, carried, len(scen.Policies))
+				}
+			})
+		}
 	}
 }

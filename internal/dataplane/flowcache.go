@@ -27,18 +27,23 @@ type flowResult struct {
 }
 
 // flowCache memoizes Reach results for the lifetime of one Snapshot.
-// Snapshots are immutable, so a trace computed once is valid forever; a
-// recomputed snapshot starts with a fresh, empty cache and can never
-// serve stale traces. The cache is safe for concurrent use — the
-// attack-surface sweep calls Reach from many goroutines at once.
+// Snapshots are immutable, so a trace computed once is valid forever. Every
+// snapshot starts with an empty one; a derived snapshot may also read and
+// fill its parent's (Snapshot.carried), but a flowCache never points at
+// another, so a chain of derivations keeps two generations alive, not all.
+// The cache is safe for concurrent use — the attack-surface sweep calls
+// Reach from many goroutines at once, and concurrent reviews write back
+// into one production snapshot's cache.
 type flowCache struct {
 	m      sync.Map // flowKey -> *flowResult
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// hitCtr/missCtr mirror the atomic counters onto the wired Meter
-	// (no-ops unless a registry was passed via Options.Meter).
-	hitCtr  telemetry.Counter
-	missCtr telemetry.Counter
+	// (no-ops unless a registry was passed via Options.Meter); carriedCtr
+	// counts the hits that were served from the parent's cache.
+	hitCtr     telemetry.Counter
+	missCtr    telemetry.Counter
+	carriedCtr telemetry.Counter
 }
 
 func newFlowCache(m telemetry.Meter) *flowCache {
@@ -46,8 +51,9 @@ func newFlowCache(m telemetry.Meter) *flowCache {
 		m = telemetry.Nop()
 	}
 	return &flowCache{
-		hitCtr:  m.Counter("heimdall_dataplane_flowcache_hits_total"),
-		missCtr: m.Counter("heimdall_dataplane_flowcache_misses_total"),
+		hitCtr:     m.Counter("heimdall_dataplane_flowcache_hits_total"),
+		missCtr:    m.Counter("heimdall_dataplane_flowcache_misses_total"),
+		carriedCtr: m.Counter("heimdall_dataplane_flowcache_carried_total"),
 	}
 }
 

@@ -1,9 +1,13 @@
 package dataplane
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -143,16 +147,144 @@ func TestFlowCacheConcurrentReach(t *testing.T) {
 
 func TestFlowCacheMeterExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := ComputeWithOptions(blockWebNet(), Options{Meter: reg})
+	n := blockWebNet()
+	s := ComputeWithOptions(n, Options{Meter: reg})
 	s.Reach("h1", "h2", netmodel.ICMP, 0)
 	s.Reach("h1", "h2", netmodel.ICMP, 0)
-	if v := reg.CounterValue("heimdall_dataplane_flowcache_misses_total"); v != 1 {
-		t.Errorf("misses counter = %v, want 1", v)
+	// h1 -> h2 takes r1 - r3, so a child that changed r2 carries the trace:
+	// one more hit, and one carried.
+	child := s.Derive(aclOn(n, "r2"), ChangeSet{{Device: "r2", Kind: ChangeACL}})
+	child.Reach("h1", "h2", netmodel.ICMP, 0)
+	for name, want := range map[string]float64{
+		"heimdall_dataplane_flowcache_misses_total":  1,
+		"heimdall_dataplane_flowcache_hits_total":    2,
+		"heimdall_dataplane_flowcache_carried_total": 1,
+	} {
+		if v := reg.CounterValue(name); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+		if dump := reg.Dump(); !strings.Contains(dump, name) {
+			t.Errorf("exposition missing %s:\n%s", name, dump)
+		}
 	}
-	if v := reg.CounterValue("heimdall_dataplane_flowcache_hits_total"); v != 1 {
-		t.Errorf("hits counter = %v, want 1", v)
+	if hits, misses := child.FlowCacheStats(); hits != 1 || misses != 0 {
+		t.Errorf("a carried lookup is a hit: hits=%d misses=%d", hits, misses)
 	}
-	if dump := reg.Dump(); !strings.Contains(dump, "heimdall_dataplane_flowcache_hits_total") {
-		t.Errorf("exposition missing flowcache series:\n%s", dump)
+}
+
+// aclOn returns n with a fresh permit-all ACL defined on one cloned device:
+// an ACL-class change that moves no trace.
+func aclOn(n *netmodel.Network, dev string) *netmodel.Network {
+	m := n.CloneCOW(dev)
+	m.Devices[dev].ACL("NOOP", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.AnyProto})
+	return m
+}
+
+// TestFlowCacheWriteBack: what a child has to trace itself it offers to the
+// parent when the trace avoids every changed device — which is how a held
+// snapshot nobody calls Reach on gets warm — and only then.
+func TestFlowCacheWriteBack(t *testing.T) {
+	n := threeRouterNet()
+	parent := Compute(n)
+	key := flowKey{src: "h1", dst: "h2", proto: netmodel.ICMP}
+
+	// r1 is on the path: the trace stays with the child.
+	dirty := parent.Derive(aclOn(n, "r1"), ChangeSet{{Device: "r1", Kind: ChangeACL}})
+	dirty.Reach("h1", "h2", netmodel.ICMP, 0)
+	if _, ok := parent.flows.m.Load(key); ok {
+		t.Fatal("a trace through the changed device was written back to the parent")
 	}
+
+	// r2 is not: the trace goes back, and a sibling finds it there.
+	clean := parent.Derive(aclOn(n, "r2"), ChangeSet{{Device: "r2", Kind: ChangeACL}})
+	tr, _ := clean.Reach("h1", "h2", netmodel.ICMP, 0)
+	if _, misses := clean.FlowCacheStats(); misses != 1 {
+		t.Fatalf("cold parent: child should have traced once, misses=%d", misses)
+	}
+	sibling := parent.Derive(aclOn(n, "r2"), ChangeSet{{Device: "r2", Kind: ChangeACL}})
+	if got, _ := sibling.Reach("h1", "h2", netmodel.ICMP, 0); got != tr {
+		t.Fatal("sibling did not carry the trace its sibling wrote back")
+	}
+	if hits, misses := parent.FlowCacheStats(); hits != 0 || misses != 0 {
+		t.Fatalf("the parent's counters count its own Reach calls: hits=%d misses=%d", hits, misses)
+	}
+	// Errors have no hops and carry too.
+	clean.Reach("nope", "h2", netmodel.ICMP, 0)
+	if _, err := sibling.Reach("nope", "h2", netmodel.ICMP, 0); err == nil {
+		t.Fatal("unknown host should error")
+	}
+	if _, misses := sibling.FlowCacheStats(); misses != 0 {
+		t.Fatalf("sibling traced %d flows its parent already held", misses)
+	}
+}
+
+// TestFlowCacheInPlaceParent is the commit pipeline's shape: the network is
+// mutated in place and the child derived onto the same *Network, so the
+// parent snapshot is stale by the time the child exists. Looking up in its
+// cache is still sound — a memoized trace either crosses a changed device
+// and is rejected, or avoids them all and is right for both — but nothing
+// may be traced on it.
+func TestFlowCacheInPlaceParent(t *testing.T) {
+	n := threeRouterNet()
+	parent := Compute(n)
+	old, _ := parent.Reach("h1", "h2", netmodel.ICMP, 0)
+	if !old.Delivered() {
+		t.Fatalf("baseline should deliver: %s", old)
+	}
+
+	// A change off the path, in place: carried by pointer.
+	n.Device("r2").ACL("NOOP", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit})
+	child := parent.Derive(n, ChangeSet{{Device: "r2", Kind: ChangeACL}})
+	if got, _ := child.Reach("h1", "h2", netmodel.ICMP, 0); got != old {
+		t.Fatal("clean trace not carried across an in-place derive")
+	}
+
+	// A change on the path, in place: retraced on the child, and neither
+	// ancestor's entry is replaced.
+	r1 := n.Device("r1")
+	r1.ACL("DENY", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.AnyProto})
+	r1.Interface("Gi0/0").ACLIn = "DENY"
+	grandchild := child.Derive(n, ChangeSet{{Device: "r1", Kind: ChangeACL}})
+	got, _ := grandchild.Reach("h1", "h2", netmodel.ICMP, 0)
+	if got.Delivered() {
+		t.Fatalf("served a stale delivered trace: %s", got)
+	}
+	if want, _ := Compute(n).Reach("h1", "h2", netmodel.ICMP, 0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("in-place derive diverged from Compute: %s, want %s", got, want)
+	}
+	for _, s := range []*Snapshot{parent, child} {
+		if v, _ := s.flows.m.Load(flowKey{src: "h1", dst: "h2", proto: netmodel.ICMP}); v.(*flowResult).tr != old {
+			t.Fatal("an ancestor's memoized trace was replaced")
+		}
+	}
+}
+
+// TestDeriveChainKeepsTwoGenerations: a snapshot holds its parent's flow
+// cache, never its parent, and a flow cache holds no other — so the head of
+// a 200-step chain keeps two generations of memoized traces reachable, not
+// two hundred. Production at version N must not pin versions 1…N-1.
+func TestDeriveChainKeepsTwoGenerations(t *testing.T) {
+	const steps = 200
+	var live atomic.Int64
+	track := func(s *Snapshot) *Snapshot {
+		live.Add(1)
+		runtime.SetFinalizer(s.flows, func(*flowCache) { live.Add(-1) })
+		return s
+	}
+	n := threeRouterNet()
+	head := track(Compute(n))
+	for i := 0; i < steps; i++ {
+		head.Reach("h1", "h2", netmodel.ICMP, 0)
+		head.Reach("h2", "h1", netmodel.TCP, uint16(i))
+		n = aclOn(n, []string{"r1", "r2", "r3"}[i%3])
+		head = track(head.Derive(n, ChangeSet{{Device: []string{"r1", "r2", "r3"}[i%3], Kind: ChangeACL}}))
+	}
+	for i := 0; i < 20 && live.Load() > 2; i++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := live.Load(); got > 2 {
+		t.Fatalf("%d of %d flow caches still reachable from the head of the chain, want at most 2", got, steps+1)
+	}
+	runtime.KeepAlive(head)
 }

@@ -41,17 +41,18 @@ type Options struct {
 	// 5-tuple (how real routers load-balance) instead of always taking
 	// the first entry. Deterministic per flow either way.
 	FlowHashECMP bool
-	// Meter receives the snapshot's flow-cache hit/miss counters
-	// (heimdall_dataplane_flowcache_{hits,misses}_total). Nil means no
-	// instrumentation; FlowCacheStats works either way.
+	// Meter receives the snapshot's flow-cache counters
+	// (heimdall_dataplane_flowcache_{hits,misses,carried}_total). Nil means
+	// no instrumentation; FlowCacheStats works either way.
 	Meter telemetry.Meter
 }
 
 // Snapshot is the computed forwarding state of one network configuration:
 // L2 adjacency, per-device FIBs, and an address index. Snapshots are
-// immutable; recompute one after changing the network. Immutability is
-// what makes the per-snapshot flow cache sound: a memoized trace can
-// never go stale within one snapshot's lifetime.
+// immutable; recompute or Derive one after changing the network.
+// Immutability is what makes the per-snapshot flow cache sound: a memoized
+// trace can never go stale within one snapshot's lifetime, and a derived
+// snapshot takes over only those that avoid every device it changed.
 type Snapshot struct {
 	net      *netmodel.Network
 	adj      adjacency
@@ -73,6 +74,12 @@ type Snapshot struct {
 	lsdb *ospfLSDB
 	// flows memoizes Reach results (per snapshot, concurrency-safe).
 	flows *flowCache
+	// parentFlows is the cache of the snapshot this one was derived from,
+	// set only when the derivation kept adj and owner; stale names the
+	// devices whose config or RIB differ from that parent. Reach moves
+	// traces that avoid stale between the two caches in both directions.
+	parentFlows *flowCache
+	stale       map[string]bool
 }
 
 // Compute builds a snapshot of the network's forwarding behaviour with
@@ -461,17 +468,58 @@ func (s *Snapshot) resolve(from netmodel.Endpoint, addr netip.Addr) (netmodel.En
 //
 // Results are memoized per (srcHost, dstHost, proto, dstPort) for the
 // snapshot's lifetime, so policy checkers and the attack-surface sweep can
-// re-ask for the same flow without retracing it. Callers share the
-// returned trace and must treat it as read-only (every caller in the tree
-// already does). Reach is safe for concurrent use.
+// re-ask for the same flow without retracing it. A derived snapshot looks
+// next in its parent's cache (see Derive) and offers what it has to trace
+// itself back to the parent when that trace is clean too, which is how a
+// held production snapshot nobody calls Reach on fills from its first
+// review. Callers share the returned trace and must treat it as read-only
+// (every caller in the tree already does). Reach is safe for concurrent use.
 func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
 	k := flowKey{src: srcHost, dst: dstHost, proto: proto, dstPort: dstPort}
 	if r, ok := s.flows.lookup(k); ok {
 		return r.tr, r.err
 	}
+	if r, ok := s.carried(k); ok {
+		return r.tr, r.err
+	}
 	tr, err := s.reach(srcHost, dstHost, proto, dstPort)
 	r := s.flows.store(k, &flowResult{tr: tr, err: err})
+	if s.parentFlows != nil && s.clean(r) {
+		s.parentFlows.m.LoadOrStore(k, r)
+	}
 	return r.tr, r.err
+}
+
+// carried serves the flow from the parent's cache when the memoized trace
+// is clean, and memoizes it here so the next generation finds it one level
+// up. The parent's own counters do not move: they count its Reach calls.
+func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
+	if s.parentFlows == nil {
+		return nil, false
+	}
+	v, ok := s.parentFlows.m.Load(k)
+	if !ok || !s.clean(v.(*flowResult)) {
+		return nil, false
+	}
+	v, _ = s.flows.m.LoadOrStore(k, v)
+	s.flows.hits.Add(1)
+	s.flows.hitCtr.Inc()
+	s.flows.carriedCtr.Inc()
+	return v.(*flowResult), true
+}
+
+// clean reports whether the result read nothing that differs between this
+// snapshot and its parent: no hop is a stale device. Errors have no hops:
+// they depend on the device set and host addresses only.
+func (s *Snapshot) clean(r *flowResult) bool {
+	if r.tr != nil {
+		for i := range r.tr.Hops {
+			if s.stale[r.tr.Hops[i].Device] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // reach is the uncached trace computation behind Reach.

@@ -7,7 +7,7 @@ package enforcer
 // production consistent; mediation makes the race *visible and governed*:
 // the scope of a commit (the devices it touches plus every device on the
 // forwarding path of any policy the change could affect, via
-// verify.AffectedBy) is reserved before the commit runs, an overlapping
+// verify.Scope) is reserved before the commit runs, an overlapping
 // ticket is either serialized behind the holder or rejected, and either
 // verdict lands on the audit trail under the losing ticket.
 
@@ -57,8 +57,9 @@ func (p ConflictPolicy) String() string {
 
 // commitScope computes the device scope a change set contends on: the
 // devices it touches plus every device on the trace of a policy whose
-// traffic the change could affect. Taking commitMu makes the read of prod
-// safe against an in-flight commit.
+// traffic the change could affect (every policy, when it touches a
+// switch). Taking commitMu makes the read of prod safe against an
+// in-flight commit.
 func (e *Enforcer) commitScope(prod *netmodel.Network, changes []config.Change) map[string]bool {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -71,7 +72,7 @@ func (e *Enforcer) commitScope(prod *netmodel.Network, changes []config.Change) 
 		scope[d] = true
 	}
 	snap := e.ProductionSnapshot(prod)
-	for _, p := range verify.AffectedBy(snap, e.policies, touched) {
+	for _, p := range verify.Scope(prod, snap, e.policies, touched) {
 		tr, err := snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
 		if err != nil || tr == nil {
 			continue

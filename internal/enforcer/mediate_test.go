@@ -6,8 +6,13 @@ import (
 	"time"
 
 	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
+	"heimdall/internal/enclave"
+	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
+	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
+	"heimdall/internal/verify"
 )
 
 // specFor is aclSpec with a custom ticket, so two tickets can race.
@@ -159,5 +164,57 @@ func TestMediationOffIsByteIdenticalToPriorPipeline(t *testing.T) {
 		if strings.Contains(entry.Detail, "CONFLICT") {
 			t.Fatal("mediation-off commit produced a conflict entry")
 		}
+	}
+}
+
+// TestMediationSwitchScope: a VLAN change on a pure-L2 switch contends on
+// every flow its fabric carries, although no trace lists the switch as a
+// hop. Hop-only scoping reserved the switch and nothing behind it, so a
+// second ticket editing a router on those flows was mediated as disjoint.
+// The enforcer holds only delivered, non-isolation policies that do not
+// cross sw1 at L3 (it also routes, on its SVIs): AffectedBy keeps all the
+// others in scope by itself, which would hide the miss.
+func TestMediationSwitchScope(t *testing.T) {
+	scen := scenarios.Enterprise()
+	n := scen.Network
+	snap := dataplane.Compute(n)
+	var policies []verify.Policy
+	for _, p := range scen.Policies {
+		tr, err := snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		if err == nil && tr.Delivered() && !tr.Traverses("sw1") && p.Kind != verify.Isolation {
+			policies = append(policies, p)
+		}
+	}
+	if len(policies) == 0 {
+		t.Fatal("precondition: no delivered policy avoids sw1 at L3")
+	}
+	e := New(enclave.NewPlatformFromSeed("test").Load("heimdall-enforcer-v1"), policies)
+	e.Conflict = MediateReject
+	vlan := []config.Change{{Device: "sw1", Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 999, Name: "qa"}}}
+
+	scope := e.commitScope(n, vlan)
+	router := ""
+	for _, p := range policies {
+		tr, _ := snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		for _, h := range tr.Hops {
+			if !scope[h.Device] {
+				t.Errorf("switch scope misses %s on the path of policy %s", h.Device, p.ID)
+			}
+			if router == "" && n.Devices[h.Device].Kind == netmodel.Router {
+				router = h.Device
+			}
+		}
+	}
+
+	release, err := e.Reserve(n, vlan, specFor("T-SWITCH"))
+	if err != nil {
+		t.Fatalf("switch reserve: %v", err)
+	}
+	defer release()
+	acl := []config.Change{{Device: router, Op: config.OpAddACLEntry, ACLName: "MEDIATE",
+		Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.AnyProto}}}
+	if _, err := e.Reserve(n, acl, specFor("T-ROUTER")); err == nil ||
+		!strings.Contains(err.Error(), "conflicts with in-flight ticket T-SWITCH") {
+		t.Fatalf("ACL ticket on %s mediated as disjoint from the VLAN change on sw1: %v", router, err)
 	}
 }

@@ -1,6 +1,7 @@
 package enforcer
 
 import (
+	"encoding/json"
 	"net/netip"
 	"strings"
 	"sync"
@@ -10,7 +11,10 @@ import (
 	"heimdall/internal/dataplane"
 	"heimdall/internal/faultinject"
 	"heimdall/internal/netmodel"
+	"heimdall/internal/privilege"
+	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
+	"heimdall/internal/verify"
 )
 
 // snapshotEnforcer is newEnforcer with a registry to count
@@ -172,4 +176,84 @@ func TestCustomTargetPostVerifyComputes(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "post-apply verification failed") {
 		t.Fatalf("err = %v, want post-apply failure", err)
 	}
+}
+
+// TestReviewsShareParentMemo: concurrent reviews are children of one held
+// production snapshot, each carrying from its flow cache and writing clean
+// traces back into it while the others read. Run under -race. Every verdict
+// — counterexample traces included — must equal the one a from-scratch
+// Compute of the same shadow network gives, whatever the interleaving left
+// in the shared cache.
+func TestReviewsShareParentMemo(t *testing.T) {
+	scen := scenarios.University()
+	n := scen.Network
+	e := newCrashEnforcer(scen)
+	reg := telemetry.NewRegistry()
+	e.SetMeter(reg)
+	wide := &privilege.Spec{Ticket: "T-MEMO", Technician: "alice", Rules: []privilege.Rule{
+		{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:*"},
+	}}
+	// One never-repeating change set per (reviewer, round): a permit near
+	// the head of an ACL guarding a sensitive host, which breaks isolation.
+	type boundACL struct{ dev, acl string }
+	var bound []boundACL
+	for _, dev := range n.RoutersAndSwitches() {
+		d := n.Devices[dev]
+		for _, ifName := range d.InterfaceNames() {
+			if itf := d.Interfaces[ifName]; itf.ACLOut != "" {
+				bound = append(bound, boundACL{dev, itf.ACLOut})
+			} else if itf.ACLIn != "" {
+				bound = append(bound, boundACL{dev, itf.ACLIn})
+			}
+		}
+	}
+	const reviewers, rounds = 8, 4
+	changeSet := func(g, r int) []config.Change {
+		at := bound[(g*rounds+r)%len(bound)]
+		add := func(e netmodel.ACLEntry) config.Change {
+			return config.Change{Device: at.dev, Op: config.OpAddACLEntry, ACLName: at.acl, Entry: &e}
+		}
+		return []config.Change{
+			add(netmodel.ACLEntry{Seq: 1, Action: netmodel.Deny, Proto: netmodel.TCP, DstPort: uint16(1000 + g*rounds + r)}),
+			add(netmodel.ACLEntry{Seq: 2, Action: netmodel.Permit, Proto: netmodel.AnyProto}),
+		}
+	}
+	want := make(map[[2]int]string)
+	rejected := 0
+	for g := 0; g < reviewers; g++ {
+		for r := 0; r < rounds; r++ {
+			shadow := n.Clone()
+			if err := config.ApplyChanges(shadow, changeSet(g, r)); err != nil {
+				t.Fatal(err)
+			}
+			res := verify.Check(dataplane.Compute(shadow), scen.Policies)
+			want[[2]int{g, r}] = decisionJSON(t, &Decision{Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked})
+			if !res.OK() {
+				rejected++
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < reviewers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got, err := json.Marshal(e.Review(n, changeSet(g, r), wide))
+				if err != nil || string(got) != want[[2]int{g, r}] {
+					t.Errorf("reviewer %d round %d diverged from the serial from-scratch verdict (%v):\ngot  %s\nwant %s", g, r, err, got, want[[2]int{g, r}])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := snapshotMisses(reg); got != 1 {
+		t.Fatalf("reviews computed %v production snapshots, want 1", got)
+	}
+	if carried := reg.CounterValue("heimdall_dataplane_flowcache_carried_total"); carried == 0 || rejected == 0 {
+		t.Fatalf("%v lookups carried, %d reviews rejected: the test exercises nothing", carried, rejected)
+	}
+	t.Logf("%d of %d reviews rejected, %v lookups carried", rejected, reviewers*rounds,
+		reg.CounterValue("heimdall_dataplane_flowcache_carried_total"))
 }

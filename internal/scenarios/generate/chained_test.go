@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"heimdall/internal/dataplane"
@@ -69,11 +71,14 @@ func ospfIf(d *netmodel.Device, itf *netmodel.Interface) bool {
 	return ok
 }
 
-// randomStep draws the next mutation of n, or false when the drawn class
-// has no candidate left (every OSPF process already removed, a topology
-// without switches).
-func randomStep(rng *rand.Rand, n *netmodel.Network) (chainStep, bool) {
-	switch rng.Intn(8) {
+// stepClasses is how many mutation classes randomStep knows.
+const stepClasses = 8
+
+// randomStep draws the next mutation of n in the given class, or false when
+// the class has no candidate left (every OSPF process already removed, a
+// topology without switches).
+func randomStep(rng *rand.Rand, n *netmodel.Network, class int) (chainStep, bool) {
+	switch class {
 	case 0: // interface shutdown toggle
 		at, ok := pickIf(rng, n, func(_ *netmodel.Device, itf *netmodel.Interface) bool { return true })
 		if !ok {
@@ -158,65 +163,127 @@ func randomStep(rng *rand.Rand, n *netmodel.Network) (chainStep, bool) {
 	}
 }
 
-// TestGeneratedDeriveChained is the chained differential oracle: seeded
-// random mutation sequences on the hand-built university and the generated
-// fat-tree, ISP and WAN topologies, every snapshot derived from the
-// PREVIOUS derived snapshot — so whatever a derivation shares, patches or
-// keeps by identity is the next one's parent — and compared with a
-// from-scratch Compute at every step: every device's RIB plus 20 sampled
-// host-to-host traces. A failure names the seed and the step sequence.
-func TestGeneratedDeriveChained(t *testing.T) {
-	tiers := []struct {
-		name  string
-		build func() *scenarios.Scenario
-	}{
-		{"university", scenarios.University},
-		{"fattree-k4", func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 4}) }},
-		{"isp", func() *scenarios.Scenario { return generate.ISP(generate.ISPParams{}) }},
-		{"wan", func() *scenarios.Scenario { return generate.WAN(generate.WANParams{}) }},
+// chainTier is one topology the chained oracle and its fuzz target run on,
+// built and computed once: every chain derives from the same base snapshot,
+// so the clean traces each chain's first step computes are written back
+// into one shared parent, as reviews do into the held production snapshot.
+type chainTier struct {
+	name     string
+	build    func() *scenarios.Scenario
+	once     sync.Once
+	scen     *scenarios.Scenario
+	baseSnap *dataplane.Snapshot
+}
+
+func (c *chainTier) base() (*scenarios.Scenario, *dataplane.Snapshot) {
+	c.once.Do(func() {
+		c.scen = c.build()
+		c.baseSnap = dataplane.Compute(c.scen.Network)
+	})
+	return c.scen, c.baseSnap
+}
+
+var chainTiers = []*chainTier{
+	{name: "university", build: scenarios.University},
+	{name: "fattree-k4", build: func() *scenarios.Scenario { return generate.FatTree(generate.FatTreeParams{K: 4}) }},
+	{name: "isp", build: func() *scenarios.Scenario { return generate.ISP(generate.ISPParams{}) }},
+	{name: "wan", build: func() *scenarios.Scenario { return generate.WAN(generate.WANParams{}) }},
+	{name: "enterprise", build: scenarios.Enterprise},
+}
+
+// runChain drives one chain: every script byte is one Derive. Its low three
+// bits pick the first mutation's class and the next two how many more
+// mutations (classes drawn from rng, devices free to repeat) join the same
+// change set, so a step changes one to four devices at once. Every snapshot
+// is derived from the PREVIOUS derived snapshot — whatever a derivation
+// shares, patches, keeps by identity or carries in its flow cache is the
+// next one's parent — and compared with a from-scratch Compute: every
+// device's RIB, the flow of every scenario policy (which also warms the
+// snapshot the next step derives from) and 20 sampled host pairs. A failure
+// names the step sequence.
+func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) {
+	scen, snap := tier.base()
+	cur := scen.Network
+	hosts := cur.Hosts()
+	var trail []string
+	for _, b := range script {
+		next, class := cur, int(b%stepClasses)
+		var cs dataplane.ChangeSet
+		var ops []string
+		for k := 0; k <= int(b>>3&3); k++ {
+			step, ok := randomStep(rng, next, class)
+			class = rng.Intn(stepClasses)
+			if !ok {
+				continue
+			}
+			ops = append(ops, step.device+": "+step.op)
+			next = next.CloneCOW(step.device)
+			step.apply(next.Devices[step.device])
+			cs = append(cs, dataplane.Change{Device: step.device, Kind: step.kind})
+		}
+		if len(cs) == 0 {
+			continue
+		}
+		trail = append(trail, strings.Join(ops, " + "))
+		snap = snap.Derive(next, cs)
+		cur = next
+
+		full := dataplane.Compute(next)
+		for _, dev := range next.DeviceNames() {
+			if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
+				t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
+					len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
+			}
+		}
+		check := func(src, dst string, proto netmodel.Protocol, port uint16) {
+			g, gerr := snap.Reach(src, dst, proto, port)
+			w, werr := full.Reach(src, dst, proto, port)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(g, w) {
+				t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
+					len(trail), src, dst, gerr, g, werr, w, trail)
+			}
+		}
+		for _, p := range scen.Policies {
+			check(p.Src, p.Dst, p.Proto, p.DstPort)
+		}
+		for i := 0; i < 20; i++ {
+			check(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], netmodel.ICMP, 0)
+		}
 	}
+}
+
+// TestGeneratedDeriveChained is the chained differential oracle: seeded
+// random 40-step mutation sequences (see runChain) on the hand-built
+// university and enterprise and the generated fat-tree, ISP and WAN
+// topologies. A failure names the seed and the step sequence.
+func TestGeneratedDeriveChained(t *testing.T) {
 	seeds, steps := 6, 40
 	if raceEnabled {
 		seeds = 2
 	}
-	for _, tier := range tiers {
-		base := tier.build().Network
-		baseSnap := dataplane.Compute(base)
+	for _, tier := range chainTiers {
 		for seed := 1; seed <= seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tier.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(seed)))
-				cur, snap := base, baseSnap
-				hosts := base.Hosts()
-				var trail []string
-				for len(trail) < steps {
-					step, ok := randomStep(rng, cur)
-					if !ok {
-						continue
-					}
-					trail = append(trail, step.device+": "+step.op)
-					next := cur.CloneCOW(step.device)
-					step.apply(next.Devices[step.device])
-					snap = snap.Derive(next, dataplane.ChangeSet{{Device: step.device, Kind: step.kind}})
-					cur = next
-
-					full := dataplane.Compute(next)
-					for _, dev := range next.DeviceNames() {
-						if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
-							t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
-								len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
-						}
-					}
-					for i := 0; i < 20; i++ {
-						src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
-						g, gerr := snap.Reach(src, dst, netmodel.ICMP, 0)
-						w, werr := full.Reach(src, dst, netmodel.ICMP, 0)
-						if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(g, w) {
-							t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
-								len(trail), src, dst, gerr, g, werr, w, trail)
-						}
-					}
-				}
+				script := make([]byte, steps)
+				rng.Read(script)
+				runChain(t, tier, rng, script)
 			})
 		}
 	}
+}
+
+// FuzzDeriveChained hands runChain to the fuzzer: the tier, the seed of the
+// draws inside each step, and the step script itself (class and change-set
+// size per step) are all inputs.
+func FuzzDeriveChained(f *testing.F) {
+	for tier := range chainTiers {
+		f.Add(uint8(tier), int64(tier+1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8 | 6, 16 | 7, 24 | 1, 0})
+	}
+	f.Fuzz(func(t *testing.T, tier uint8, seed int64, script []byte) {
+		if len(script) > 32 {
+			script = script[:32]
+		}
+		runChain(t, chainTiers[int(tier)%len(chainTiers)], rand.New(rand.NewSource(seed)), script)
+	})
 }

@@ -219,12 +219,26 @@ func CheckPolicy(s *dataplane.Snapshot, p Policy) *Violation {
 	return nil
 }
 
+// Scope returns the policies a change to the named devices of n must
+// re-examine: AffectedBy's trace-based subset, or every policy when one of
+// the devices is a switch, because a VLAN fabric carries flows whose traces
+// never list the switch as an L3 hop (an access-port move or trunk shutdown
+// can break a policy AffectedBy would have dropped). The enforcer's conflict
+// mediation scopes commits with it and the attack-surface sweep narrows
+// each trial's verification to it.
+func Scope(n *netmodel.Network, s *dataplane.Snapshot, policies []Policy, devices map[string]bool) []Policy {
+	for dev := range devices {
+		if d := n.Devices[dev]; d != nil && d.Kind == netmodel.Switch {
+			return policies
+		}
+	}
+	return AffectedBy(s, policies, devices)
+}
+
 // AffectedBy returns the subset of policies whose src->dst traffic traverses
 // any of the named devices in the baseline snapshot, plus every isolation
 // policy and every policy whose flow is not delivered there (a change
-// anywhere could deliver it). The
-// enforcer's conflict mediation scopes commits with it and the
-// attack-surface sweep narrows each trial's verification to it.
+// anywhere could deliver it). Switches are invisible to it; see Scope.
 func AffectedBy(s *dataplane.Snapshot, policies []Policy, devices map[string]bool) []Policy {
 	var out []Policy
 	for _, p := range policies {
