@@ -391,6 +391,91 @@ func TestReviewAllocBudget(t *testing.T) {
 	}
 }
 
+// ticketFixture is the ticket-churn workload of benchmark/ in process: one
+// university tenant at service.Service level, and run plays the three issues
+// as whole tickets — inject, open, script, review (a verdict-cache miss),
+// review again (a hit), commit, close. One ticket has been played when it
+// returns, so pools, the registry's series and the held snapshot are warm.
+func ticketFixture(tb testing.TB) (run func(), diffed func() float64) {
+	reg := telemetry.NewRegistry()
+	svc := service.New(service.Config{Meter: reg, PlatformSeed: "ticket-bench", VerifyWorkers: 1})
+	tb.Cleanup(svc.Close)
+	if _, err := svc.CreateTenant("bench", "university"); err != nil {
+		tb.Fatal(err)
+	}
+	tn, err := svc.Tenant("bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	must := func(step string, res service.ReviewResult, err error) {
+		if err != nil || !res.Accepted || res.Checked != 175 {
+			tb.Fatalf("%s: %+v, %v", step, res, err)
+		}
+	}
+	run = func() {
+		for _, is := range tn.ScenarioData().Issues {
+			tk, err := svc.InjectIssue("bench", is.Name, "bench")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			info, err := svc.CreateSession("bench", "tech", tk.ID)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, c := range is.Script {
+				if _, err := svc.Exec("bench", info.Session, info.Token, c.Device, c.Line); err != nil {
+					tb.Fatalf("%s on %s: %v", c.Line, c.Device, err)
+				}
+			}
+			for _, step := range []string{"review", "review again"} {
+				res, err := svc.Review("bench", info.Session, info.Token)
+				must(step, res, err)
+			}
+			res, err := svc.Commit("bench", info.Session, info.Token)
+			must("commit", res, err)
+			if err := svc.CloseSession("bench", info.Session, info.Token); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	run()
+	return run, func() float64 { return reg.CounterValue("heimdall_twin_devices_diffed_total") }
+}
+
+// BenchmarkTicket measures three whole tickets per op: ns/op and allocs/op
+// (run with -benchmem) plus how many devices the twins diffed for the nine
+// change-set requests in them (diffed-devices/op: one per ticket, each
+// ticket's writes land on one device, where a whole-network diff would
+// read 30 devices nine times).
+func BenchmarkTicket(b *testing.B) {
+	run, diffed := ticketFixture(b)
+	before := diffed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric((diffed()-before)/float64(b.N), "diffed-devices/op")
+}
+
+// TestTicketAllocBudget pins the allocations of three whole tickets.
+// Measured at 31,384 (35,450 before the twin recorded its change set, when
+// every review and commit diffed all 30 devices); the ceiling leaves ~10 %. If a
+// change legitimately moves the count, re-measure with -v and reset the
+// ceiling; don't just raise it.
+func TestTicketAllocBudget(t *testing.T) {
+	const ceiling = 34500
+	run, diffed := ticketFixture(t)
+	before := diffed()
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, run)
+	// AllocsPerRun calls run once more than it measures, to warm up.
+	t.Logf("%.0f allocs and %.1f diffed devices per three tickets", allocs, (diffed()-before)/(runs+1))
+	if allocs > ceiling {
+		t.Errorf("three tickets allocate %.0f times, budget %d", allocs, ceiling)
+	}
+}
+
 // BenchmarkSnapshotCompute measures dataplane computation on both
 // evaluation networks (the twin rebuild cost after each write command).
 func BenchmarkSnapshotCompute(b *testing.B) {

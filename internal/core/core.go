@@ -127,6 +127,14 @@ func (s *System) Meter() telemetry.Meter { return s.meter }
 // technicians never touch it directly).
 func (s *System) Production() *netmodel.Network { return s.production }
 
+// DeviceCount returns how many devices production holds, under the read
+// lock: a rollback reassigns entries of the device map under the write lock.
+func (s *System) DeviceCount() int {
+	s.prodMu.RLock()
+	defer s.prodMu.RUnlock()
+	return len(s.production.Devices)
+}
+
 // Policies returns the guarded policy set.
 func (s *System) Policies() []verify.Policy { return s.policies }
 
@@ -317,8 +325,8 @@ func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 }
 
 // ReviewChanges is ReviewCached for a change set the caller already
-// extracted with Twin.Changes — a whole-network diff worth doing once per
-// request when the caller also needs it for ReviewKey.
+// extracted with Twin.Changes (the service layer also addresses its
+// coalescing slot with it, through ReviewKey).
 func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision, bool, error) {
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)

@@ -121,6 +121,17 @@ func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 		s.Enforcer.ProductionSnapshot(s.production), dataplane.Compute(s.production))
 }
 
+// changes is the engagement's pending change set: the held deployment takes
+// what the twin recorded, the reference the whole-network diff Changes used
+// to be. Every decision, trail and journal compared below therefore also
+// compares the two.
+func (o *oracleSystem) changes(eng *Engagement) []config.Change {
+	if o.held {
+		return eng.Twin.Changes()
+	}
+	return config.DiffNetwork(eng.Twin.Baseline(), eng.Twin.Network())
+}
+
 // startWork opens the ticket as one fresh step.
 func (o *oracleSystem) startWork(t *testing.T, ticketID string) *Engagement {
 	t.Helper()
@@ -182,7 +193,11 @@ var oracleScenarios = map[string]func() *scenarios.Scenario{
 // and at the end that audit trail and commit journal are byte-identical
 // between the two. The steps cover every way production changes: fault
 // injection, commit, a commit rolled back by a fault plan, quarantine and
-// recovery, an emergency write, and a bare MutateProduction.
+// recovery, an emergency write, and a bare MutateProduction. The reference's
+// change sets come from config.DiffNetwork and the held deployment's from
+// Twin.Changes (oracleSystem.changes); an ordinary ticket is reviewed once
+// after its first write — several of those sets are rejected — then written
+// to again, reviewed twice and committed.
 func TestProductionSnapshotOracle(t *testing.T) {
 	for name, build := range oracleScenarios {
 		t.Run(name, func(t *testing.T) {
@@ -193,8 +208,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(12))
 
-			// open injects the issue, files its ticket and opens the twin.
-			open := func(o *oracleSystem, is scenarios.Issue, step string) *Engagement {
+			// open injects the issue, files its ticket, opens the twin and
+			// runs the first n lines of the script.
+			open := func(o *oracleSystem, is scenarios.Issue, step string, n int) *Engagement {
 				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +218,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				o.checkProduction(t, step+"/open")
 				checkTwin(t, step+"/open", eng)
-				if _, err := eng.RunScript(is.Script); err != nil {
+				if _, err := eng.RunScript(is.Script[:n]); err != nil {
 					t.Fatal(err)
 				}
 				checkTwin(t, step+"/script", eng)
@@ -220,48 +236,70 @@ func TestProductionSnapshotOracle(t *testing.T) {
 
 			// Ordinary tickets, every issue twice in a seeded order.
 			order := append(rng.Perm(len(scen.Issues)), rng.Perm(len(scen.Issues))...)
+			rejected := false
 			for i, idx := range order {
 				is := scen.Issues[idx]
 				step := fmt.Sprintf("ticket %d (%s)", i, is.Name)
+				// The script up to and including its first write.
+				first := len(is.Script) - len(is.Fault.Fix) - 1
 				both(step, func(o *oracleSystem) string {
-					eng := open(o, is, step)
+					eng := open(o, is, step, first+1)
 					before := o.misses()
 					var d *enforcer.Decision
 					var err error
-					o.fresh(func() { d, err = eng.Review() })
-					if err != nil {
+					// review checks the pending set against a from-scratch
+					// review of the same changes.
+					review := func(sub string) string {
+						t.Helper()
+						o.fresh(func() { d, _, err = eng.ReviewChanges(o.changes(eng)) })
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := decisionJSON(t, d)
+						if want := scratchDecision(t, o.sys, o.changes(eng)); got != want {
+							t.Fatalf("%s/%s: review diverged from the from-scratch reference:\ngot  %s\nwant %s", step, sub, got, want)
+						}
+						o.checkProduction(t, step+"/"+sub)
+						return got
+					}
+					out := review("first write")
+					rejected = rejected || !d.Accepted
+					// A second write after a review: the rest of the script.
+					if _, err := eng.RunScript(is.Script[first+1:]); err != nil {
 						t.Fatal(err)
 					}
-					review := decisionJSON(t, d)
-					if want := scratchDecision(t, o.sys, eng.Twin.Changes()); review != want {
-						t.Fatalf("%s: review diverged from the from-scratch reference:\ngot  %s\nwant %s", step, review, want)
-					}
-					o.checkProduction(t, step+"/review")
-					o.fresh(func() { d, err = eng.Commit() })
+					checkTwin(t, step+"/script", eng)
+					out += review("review") + review("review again")
+					o.fresh(func() { d, err = eng.CommitChanges(o.changes(eng)) })
 					if err != nil || !d.Accepted || d.Checked != len(scen.Policies) {
 						t.Fatalf("%s: commit: %v %+v", step, err, d)
 					}
 					o.checkProduction(t, step+"/commit")
-					// The open paid this version's one Compute; review and
+					// The open paid this version's one Compute; reviews and
 					// commit derived, and the snapshot verified after the
 					// push is the one now held.
 					if o.held && o.misses() != before {
-						t.Fatalf("%s: review+commit computed %v production snapshots, want 0", step, o.misses()-before)
+						t.Fatalf("%s: reviews+commit computed %v production snapshots, want 0", step, o.misses()-before)
 					}
-					return review + decisionJSON(t, d)
+					return out + decisionJSON(t, d)
 				})
+			}
+			// University's isp fix is two lines; the first alone withdraws
+			// r4's default and repairs nothing.
+			if name == "university" && !rejected {
+				t.Fatal("no ticket's first write alone was rejected: the rejected-set case is gone")
 			}
 
 			// A commit the push target fails halfway: rolled back.
 			is := scen.Issues[rng.Intn(len(scen.Issues))]
 			both("rollback", func(o *oracleSystem) string {
-				eng := open(o, is, "rollback")
+				eng := open(o, is, "rollback", len(is.Script))
 				o.sys.Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
+					{Op: "apply", FailNth: len(o.changes(eng)), Class: faultinject.Permanent},
 				}}))
 				var d *enforcer.Decision
 				var err error
-				o.fresh(func() { d, err = eng.Commit() })
+				o.fresh(func() { d, err = eng.CommitChanges(o.changes(eng)) })
 				if err == nil || !strings.Contains(err.Error(), "rolled back") {
 					t.Fatalf("rollback: commit = %v, want a rollback", err)
 				}
@@ -277,12 +315,12 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				o.sys.Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-					{Op: "apply", FailNth: len(eng.Twin.Changes()), Class: faultinject.Permanent},
+					{Op: "apply", FailNth: len(o.changes(eng)), Class: faultinject.Permanent},
 					{Op: "restore", Outage: true, Class: faultinject.Permanent},
 				}}))
 				var d *enforcer.Decision
 				var err error
-				o.fresh(func() { d, err = eng.Commit() })
+				o.fresh(func() { d, err = eng.CommitChanges(o.changes(eng)) })
 				if q, _ := o.sys.Enforcer.Quarantined(); err == nil || !q {
 					t.Fatalf("quarantine: commit = %v, quarantined = %v", err, q)
 				}
@@ -410,11 +448,11 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				if _, err := eng.RunScript(is.Script); err != nil {
 					t.Fatal(err)
 				}
-				fix := eng.Twin.Changes()
+				fix := o.changes(eng)
 				want := scratchDecision(t, o.sys, fix)
 				var d *enforcer.Decision
 				var err error
-				o.fresh(func() { d, err = eng.Commit() })
+				o.fresh(func() { d, err = eng.CommitChanges(fix) })
 				if err != nil {
 					t.Fatal(err)
 				}

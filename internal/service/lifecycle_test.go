@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"heimdall/internal/audit"
+	"heimdall/internal/faultinject"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
@@ -239,4 +240,64 @@ func TestExpiredSessionSkippedBySweep(t *testing.T) {
 	if n := svc.SweepIdle(); n != 0 {
 		t.Fatalf("second sweep = %d, want 0 (already expired)", n)
 	}
+}
+
+// TestTenantsDuringRollback lists tenants while commits on the tenant are
+// failed halfway by a fault plan and rolled back: the rollback reassigns
+// production's device-map entries under the deployment's write lock, so the
+// listing's device count has to be read under that lock too. Run under
+// -race (the unlocked len(Devices) this replaced trips the detector here);
+// without it the test still holds every listing to the scenario's count.
+func TestTenantsDuringRollback(t *testing.T) {
+	svc, _, _, info := newTestService(t)
+	tn, err := svc.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devices := len(tn.ScenarioData().Network.Devices)
+
+	done := make(chan struct{})
+	listed := make(chan struct{})
+	go func() {
+		defer close(listed)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, ti := range svc.Tenants() {
+				if ti.Devices != devices {
+					t.Errorf("tenant %s lists %d devices, want %d", ti.ID, ti.Devices, devices)
+					return
+				}
+			}
+		}
+	}()
+
+	const rounds = 10
+	for i := 0; i < rounds; i++ {
+		if i > 0 {
+			tk, err := svc.InjectIssue("acme", "acl", "admin")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info, err = svc.CreateSession("acme", fmt.Sprintf("alice-%02d", i), tk.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := svc.Exec("acme", info.Session, info.Token, "r2", "no access-list SENSITIVE-15 5"); err != nil {
+			t.Fatal(err)
+		}
+		tn.System().Enforcer.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
+			{Op: "apply", Outage: true, Class: faultinject.Permanent},
+		}}))
+		_, err := svc.Commit("acme", info.Session, info.Token)
+		if err == nil || !strings.Contains(err.Error(), "rolled back") {
+			t.Fatalf("round %d: commit = %v, want a rollback", i, err)
+		}
+		tn.System().Enforcer.SetInjector(nil)
+	}
+	close(done)
+	<-listed
 }

@@ -1,14 +1,20 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"heimdall/internal/config"
+	"heimdall/internal/console"
 	"heimdall/internal/core"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
+	"heimdall/internal/twin"
 )
 
 // loadScale returns the acceptance scale — 50 tenants × 20 sessions =
@@ -121,12 +127,36 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 }
 
 // TestMediationByteIdentical asserts the acceptance criterion that the
-// service's mediated Exec path is byte-identical to driving
-// twin.Session.Exec directly on an equivalently-seeded single-tenant
-// deployment: the service adds lifecycle and metering around mediation
-// without altering a single output byte.
+// service's mediated path is byte-identical to driving the same steps
+// directly on an equivalently-seeded single-tenant deployment: the service
+// adds lifecycle and metering around mediation without altering a single
+// output byte.
+//
+// Every university issue runs as a whole ticket — inject, open, script, a
+// review after each write (so sets are reviewed that the next write
+// replaces, the isp ticket's first of them rejected), a repeated review,
+// commit. The direct side takes every change set from config.DiffNetwork
+// rather than Twin.Changes, so command outputs, ReviewResult JSON, audit
+// trail and commit journal equal between the two also pin the set the twin
+// records to the whole-network diff.
 func TestMediationByteIdentical(t *testing.T) {
 	const seed = "byte-ident"
+	epoch := func() time.Time { return time.Unix(1_700_000_000, 0).UTC() }
+	pin := func(sys *core.System) {
+		sys.Enforcer.Trail().SetClock(epoch)
+		sys.Enforcer.Journal().SetClock(epoch)
+	}
+	render := func(res ReviewResult, err error) string {
+		b, jerr := json.Marshal(res)
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		return fmt.Sprintf("%s %v", b, err)
+	}
+	isWrite := func(cmd ticket.FixCommand) bool {
+		c, err := console.New(cmd.Device, nil).Parse(cmd.Line)
+		return err == nil && c.Write
+	}
 
 	// Service-side transcript.
 	svc := New(Config{PlatformSeed: seed})
@@ -138,34 +168,37 @@ func TestMediationByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var issue *scenarios.Issue
-	for i := range tn.ScenarioData().Issues {
-		if tn.ScenarioData().Issues[i].Name == "acl" {
-			issue = &tn.ScenarioData().Issues[i]
-		}
-	}
-	if issue == nil {
-		t.Fatal("university scenario lost its acl issue")
-	}
-	tk, err := svc.InjectIssue("solo", "acl", "reporter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := svc.CreateSession("solo", "alice", tk.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pin(tn.System())
 	var viaService []string
-	for _, cmd := range issue.Script {
-		out, err := svc.Exec("solo", info.Session, info.Token, cmd.Device, cmd.Line)
+	for _, issue := range tn.ScenarioData().Issues {
+		tk, err := svc.InjectIssue("solo", issue.Name, "reporter")
 		if err != nil {
-			t.Fatalf("service exec %q on %s: %v", cmd.Line, cmd.Device, err)
+			t.Fatal(err)
 		}
-		viaService = append(viaService, out)
+		info, err := svc.CreateSession("solo", "alice", tk.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		review := func() {
+			viaService = append(viaService, render(svc.Review("solo", info.Session, info.Token)))
+		}
+		review() // nothing written yet: "nothing to review"
+		for _, cmd := range issue.Script {
+			out, err := svc.Exec("solo", info.Session, info.Token, cmd.Device, cmd.Line)
+			if err != nil {
+				t.Fatalf("service exec %q on %s: %v", cmd.Line, cmd.Device, err)
+			}
+			viaService = append(viaService, out)
+			if isWrite(cmd) {
+				review()
+			}
+		}
+		review()
+		viaService = append(viaService, render(svc.Commit("solo", info.Session, info.Token)))
 	}
 
-	// Direct-twin transcript: same scenario constructor, same platform
-	// seed derivation, same ticket fields, same technician.
+	// Direct transcript: same scenario constructor, same platform seed
+	// derivation, same ticket fields, same technician.
 	scen := scenarios.University().Clone()
 	sys, err := core.NewSystem(core.Options{
 		Network:      scen.Network,
@@ -176,46 +209,92 @@ func TestMediationByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref *scenarios.Issue
-	for i := range scen.Issues {
-		if scen.Issues[i].Name == "acl" {
-			ref = &scen.Issues[i]
-		}
-	}
-	if err := ref.Fault.Inject(sys.Production()); err != nil {
-		t.Fatal(err)
-	}
-	dtk := sys.Tickets.Create(ticket.Ticket{
-		Summary: ref.Fault.Description, Kind: ref.Fault.Kind,
-		SrcHost: ref.SrcHost, DstHost: ref.DstHost,
-		Proto: ref.Proto, DstPort: ref.DstPort,
-		Suspects:  []string{ref.Fault.RootCause},
-		CreatedBy: "reporter",
-	})
-	eng, err := sys.StartWork(dtk.ID, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pin(sys)
 	var viaTwin []string
-	for _, cmd := range ref.Script {
-		sess, err := eng.Console(cmd.Device)
-		if err != nil {
-			t.Fatalf("direct console %s: %v", cmd.Device, err)
+	for _, ref := range scen.Issues {
+		if err := sys.MutateProduction(ref.Fault.Inject); err != nil {
+			t.Fatal(err)
 		}
-		out, err := sess.Exec(cmd.Line)
+		dtk := sys.Tickets.Create(ticket.Ticket{
+			Summary: ref.Fault.Description, Kind: ref.Fault.Kind,
+			SrcHost: ref.SrcHost, DstHost: ref.DstHost,
+			Proto: ref.Proto, DstPort: ref.DstPort,
+			Suspects:  []string{ref.Fault.RootCause},
+			CreatedBy: "reporter",
+		})
+		eng, err := sys.StartWork(dtk.ID, "alice")
 		if err != nil {
-			t.Fatalf("direct exec %q on %s: %v", cmd.Line, cmd.Device, err)
+			t.Fatal(err)
 		}
-		viaTwin = append(viaTwin, out)
+		oracle := func() []config.Change {
+			return config.DiffNetwork(eng.Twin.Baseline(), eng.Twin.Network())
+		}
+		review := func() {
+			var res ReviewResult
+			changes := oracle()
+			d, _, err := eng.ReviewChanges(changes)
+			if d != nil {
+				res = decisionResult(d, len(changes))
+			}
+			viaTwin = append(viaTwin, render(res, err))
+		}
+		review()
+		// One console per device, as the service keeps them.
+		consoles := make(map[string]*twin.Session)
+		for _, cmd := range ref.Script {
+			sess := consoles[cmd.Device]
+			if sess == nil {
+				if sess, err = eng.Console(cmd.Device); err != nil {
+					t.Fatalf("direct console %s: %v", cmd.Device, err)
+				}
+				consoles[cmd.Device] = sess
+			}
+			out, err := sess.Exec(cmd.Line)
+			if err != nil {
+				t.Fatalf("direct exec %q on %s: %v", cmd.Line, cmd.Device, err)
+			}
+			viaTwin = append(viaTwin, out)
+			if isWrite(cmd) {
+				review()
+			}
+		}
+		review()
+		changes := oracle()
+		d, err := eng.CommitChanges(changes)
+		res := decisionResult(d, len(changes))
+		res.Committed, res.Ticket, res.Status = err == nil, dtk.ID, sys.Tickets.Get(dtk.ID).Status.String()
+		viaTwin = append(viaTwin, render(res, err))
 	}
 
 	if len(viaService) != len(viaTwin) {
 		t.Fatalf("transcript lengths differ: service %d, twin %d", len(viaService), len(viaTwin))
 	}
+	var accepted, rejected, empty bool
 	for i := range viaService {
 		if viaService[i] != viaTwin[i] {
-			t.Fatalf("output %d differs for %q on %s:\nservice: %q\ntwin:    %q",
-				i, issue.Script[i].Line, issue.Script[i].Device, viaService[i], viaTwin[i])
+			t.Fatalf("step %d differs:\nservice: %q\ntwin:    %q", i, viaService[i], viaTwin[i])
+		}
+		accepted = accepted || strings.Contains(viaService[i], `"accepted":true`)
+		rejected = rejected || strings.Contains(viaService[i], `"violations":[`)
+		empty = empty || strings.Contains(viaService[i], "nothing to review")
+	}
+	if !accepted || !rejected || !empty {
+		t.Fatalf("lifecycles lost a case: accepted %v, rejected %v, empty %v", accepted, rejected, empty)
+	}
+	for name, export := range map[string][2]func() ([]byte, error){
+		"audit trail":    {tn.System().Enforcer.Trail().Export, sys.Enforcer.Trail().Export},
+		"commit journal": {tn.System().Enforcer.Journal().Export, sys.Enforcer.Journal().Export},
+	} {
+		got, err := export[0]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := export[1]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s differs between the service and the direct deployment:\nservice %s\ndirect  %s", name, got, want)
 		}
 	}
 }

@@ -240,7 +240,7 @@ func (s *Service) tenantInfo(t *Tenant) TenantInfo {
 		Scenario: t.Scenario,
 		Sessions: sessions,
 		Tickets:  len(t.sys.Tickets.List()),
-		Devices:  len(t.sys.Production().Devices),
+		Devices:  t.sys.DeviceCount(),
 	}
 }
 
@@ -584,8 +584,9 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	if err != nil {
 		return ReviewResult{}, err
 	}
-	// One whole-network diff per request: the same change set addresses the
-	// coalescing slot and is what the pooled execution reviews.
+	// The twin hands over the change set it recorded (diffed once per twin
+	// state): the same set addresses the coalescing slot and is what the
+	// pooled execution reviews.
 	changes := eng.Twin.Changes()
 	if len(changes) == 0 {
 		// Empty change set: take a plain (uncoalesced) slot so the

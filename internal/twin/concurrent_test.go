@@ -1,11 +1,14 @@
 package twin
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"heimdall/internal/audit"
+	"heimdall/internal/config"
 )
 
 // TestTwinConcurrentExec hammers one twin from many goroutines at once:
@@ -15,6 +18,12 @@ import (
 // twin-level serialization added for the service layer; without the
 // twin mutex this test fails immediately on the console environment's
 // snapshot cache.
+//
+// Dedicated readers call Changes() between the writers the whole time: the
+// memo is invalidated when a write is dispatched, inside the critical
+// section that executes it, so a reader sees a set that is whole for some
+// serial order — here nothing but Gi0/1 toggles, one per router at most —
+// and once the writers are done the set equals the whole-network diff.
 func TestTwinConcurrentExec(t *testing.T) {
 	trail := audit.NewTrail([]byte("conc"))
 	tw, err := New(Config{
@@ -27,8 +36,29 @@ func TestTwinConcurrentExec(t *testing.T) {
 
 	const goroutines = 16
 	const iters = 25
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
+	var wg, readers sync.WaitGroup
+	errs := make(chan error, goroutines+4)
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ch := tw.Changes()
+				for _, c := range ch {
+					if len(ch) > 4 || c.Op != config.OpSetInterface || c.Interface.Name != "Gi0/1" {
+						errs <- fmt.Errorf("Changes() mid-flight = %v", ch)
+						return
+					}
+				}
+			}
+		}()
+	}
 	for g := 0; g < goroutines; g++ {
 		g := g
 		wg.Add(1)
@@ -72,6 +102,8 @@ func TestTwinConcurrentExec(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(done)
+	readers.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -94,5 +126,30 @@ func TestTwinConcurrentExec(t *testing.T) {
 			b.WriteString(c.String() + "; ")
 		}
 		t.Fatalf("expected clean twin after balanced toggles, got %d changes: %s", len(ch), b.String())
+	}
+
+	// Unbalanced writers against readers: one ACL entry per goroutine stays.
+	for g := 0; g < goroutines; g++ {
+		g := g
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			sess, err := tw.OpenConsole([]string{"r1", "r2", "r3", "r4"}[g%4])
+			if err == nil {
+				_, err = sess.Exec(fmt.Sprintf("access-list CONC %d permit tcp any any eq %d", 10+g, 9000+g))
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			_ = tw.Changes()
+		}()
+	}
+	wg.Wait()
+	got, want := tw.Changes(), config.DiffNetwork(tw.Baseline(), tw.Network())
+	if len(got) != goroutines || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after concurrent writes Changes() = %v, DiffNetwork = %v", got, want)
 	}
 }

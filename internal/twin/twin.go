@@ -17,6 +17,7 @@ package twin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -81,6 +82,14 @@ type Twin struct {
 	// service layer multiplexes API calls onto the same twin), so the
 	// emulation layer itself must be safe for concurrent use.
 	mu sync.Mutex
+	// written names, sorted, every device an allowed write-class command
+	// was dispatched on. The monitor is the emulation layer's only writer
+	// and a config command touches only its console's device, so every
+	// other device still equals its baseline. changes is the diff of the
+	// written devices, current while stale is false.
+	written []string
+	changes []config.Change
+	stale   bool
 }
 
 // New builds the twin: the emulation layer is a sanitized deep copy of
@@ -156,8 +165,11 @@ func (tw *Twin) Visible(device string) bool {
 	return tw.slice[device] && tw.emul.Devices[device] != nil
 }
 
-// Network exposes the emulation layer, used by the enforcer for diffing
-// and by tests; technicians only ever interact through sessions.
+// Network exposes the emulation layer for reading (tests, oracles);
+// technicians only ever interact through sessions. It is read-only for
+// anyone who calls Changes afterwards: Changes diffs the devices the
+// reference monitor dispatched a write on, so a mutation made through this
+// pointer is in no change set.
 func (tw *Twin) Network() *netmodel.Network { return tw.emul }
 
 // Baseline returns the pristine sanitized copy the twin started from.
@@ -170,12 +182,27 @@ func (tw *Twin) Snapshot() *dataplane.Snapshot {
 	return tw.env.Snapshot()
 }
 
-// Changes computes the semantic configuration diff between the twin's
-// baseline and its current state: exactly what the technician changed.
+// Changes returns the semantic configuration diff between the twin's
+// baseline and its current state: exactly what the technician changed,
+// element for element what config.DiffNetwork(Baseline(), Network())
+// returns. Only the devices a write was dispatched on are diffed, once per
+// twin state: until the next write the answer is a copy of the last one
+// (the payloads the elements point to are shared and never written).
 func (tw *Twin) Changes() []config.Change {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	return config.DiffNetwork(tw.baseline, tw.emul)
+	memo := "hit"
+	if tw.stale {
+		memo = "miss"
+		tw.changes = nil
+		for _, name := range tw.written {
+			tw.changes = append(tw.changes, config.DiffDevice(tw.baseline.Devices[name], tw.emul.Devices[name])...)
+		}
+		tw.stale = false
+		tw.meter.Counter("heimdall_twin_devices_diffed_total").Add(float64(len(tw.written)))
+	}
+	tw.meter.Counter("heimdall_twin_changes_total", telemetry.L("memo", memo)).Inc()
+	return slices.Clone(tw.changes)
 }
 
 // Session is a mediated console on one visible device.
@@ -258,6 +285,14 @@ func (s *Session) Exec(line string) (string, error) {
 	// Mediation latency is the monitor's own cost: parse + privilege
 	// check + audit, before the command touches the emulation layer.
 	tw.observeMediation(start)
+	if cmd.Write {
+		// Recorded at dispatch, not on success: a write that fails halfway
+		// may already have mutated its device.
+		if i, ok := slices.BinarySearch(tw.written, cmd.Device); !ok {
+			tw.written = slices.Insert(tw.written, i, cmd.Device)
+		}
+		tw.stale = true
+	}
 	out, err := s.con.Execute(cmd)
 	tw.meter.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(start))

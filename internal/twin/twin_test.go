@@ -371,6 +371,26 @@ func TestTwinMetrics(t *testing.T) {
 		telemetry.L("action", "show.ip.route"), telemetry.L("write", "read")); got != 1 {
 		t.Errorf("console dispatch show.ip.route = %v, want 1", got)
 	}
+
+	// Changes: one diff per twin state, over the devices written to. The
+	// denied write above recorded nothing; grant it and write once.
+	changes := func(memo string) float64 {
+		return reg.CounterValue("heimdall_twin_changes_total", telemetry.L("memo", memo))
+	}
+	tw.Changes()
+	spec.Rules = append(spec.Rules, privilege.Rule{Effect: privilege.AllowEffect, Action: "config.*", Resource: "device:r1"})
+	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		tw.Changes()
+	}
+	if hit, miss := changes("hit"), changes("miss"); hit != 3 || miss != 1 {
+		t.Errorf("twin_changes_total = %v hits, %v misses; want 3, 1", hit, miss)
+	}
+	if got := reg.CounterValue("heimdall_twin_devices_diffed_total"); got != 1 {
+		t.Errorf("twin_devices_diffed_total = %v, want 1", got)
+	}
 }
 
 // TestTwinNoAliasing follows the CloneCOW aliasing-test pattern for the
