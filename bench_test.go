@@ -375,13 +375,14 @@ func BenchmarkReview(b *testing.B) {
 }
 
 // TestReviewAllocBudget pins the allocations of one uncached review on a
-// warm held snapshot. Measured at 1,659 (3,198 before reviews carried
-// traces: each retraced flow costs a Trace, its hops and two memo entries,
-// each carried one a memo entry); the ceiling leaves ~10 % for the hash
-// trie's per-map seed. If a change legitimately moves the count, re-measure
-// with -v and reset the ceiling; don't just raise it.
+// warm held snapshot. Measured at 1,474 (1,659 while each of the 92 retraced
+// flows sorted its two hosts' interface names to find their addresses; 3,198
+// before reviews carried traces: each retraced flow costs a Trace, its hops
+// and two memo entries, each carried one a memo entry); the ceiling leaves
+// ~10 % for the hash trie's per-map seed. If a change legitimately moves the
+// count, re-measure with -v and reset the ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
-	const ceiling = 1850
+	const ceiling = 1625
 	review, carried := reviewFixture(t)
 	i, before := 0, carried()
 	allocs := testing.AllocsPerRun(50, func() { i++; review(i) })
@@ -393,11 +394,13 @@ func TestReviewAllocBudget(t *testing.T) {
 
 // ticketFixture is the ticket-churn workload of benchmark/ in process: one
 // university tenant at service.Service level, and run plays the three issues
-// as whole tickets — inject, open, script, review (a verdict-cache miss),
-// review again (a hit), commit, close. One ticket has been played when it
-// returns, so pools, the registry's series and the held snapshot are warm.
-func ticketFixture(tb testing.TB) (run func(), diffed func() float64) {
-	reg := telemetry.NewRegistry()
+// as whole tickets — inject (declared, so the held production snapshot is
+// derived across it and the open computes nothing), open, script, review (a
+// verdict-cache miss), review again (a hit), commit, close. One ticket has
+// been played when it returns, so pools, the registry's series and the held
+// snapshot are warm.
+func ticketFixture(tb testing.TB) (run func(), reg *telemetry.Registry) {
+	reg = telemetry.NewRegistry()
 	svc := service.New(service.Config{Meter: reg, PlatformSeed: "ticket-bench", VerifyWorkers: 1})
 	tb.Cleanup(svc.Close)
 	if _, err := svc.CreateTenant("bench", "university"); err != nil {
@@ -439,40 +442,56 @@ func ticketFixture(tb testing.TB) (run func(), diffed func() float64) {
 		}
 	}
 	run()
-	return run, func() float64 { return reg.CounterValue("heimdall_twin_devices_diffed_total") }
+	return run, reg
 }
+
+// The two counters a ticket run is read by: devices the twins diffed, and
+// production snapshots computed from scratch.
+const (
+	ticketDiffed   = "heimdall_twin_devices_diffed_total"
+	ticketComputed = "heimdall_enforcer_prod_snapshot_misses_total"
+)
 
 // BenchmarkTicket measures three whole tickets per op: ns/op and allocs/op
 // (run with -benchmem) plus how many devices the twins diffed for the nine
 // change-set requests in them (diffed-devices/op: one per ticket, each
 // ticket's writes land on one device, where a whole-network diff would
-// read 30 devices nine times).
+// read 30 devices nine times) and how many production snapshots were
+// computed from scratch (computed-snapshots/op: none — injections and
+// commits both derive the held one; it was one per ticket while an
+// injection dropped it).
 func BenchmarkTicket(b *testing.B) {
-	run, diffed := ticketFixture(b)
-	before := diffed()
+	run, reg := ticketFixture(b)
+	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()
 	}
-	b.ReportMetric((diffed()-before)/float64(b.N), "diffed-devices/op")
+	b.ReportMetric((reg.CounterValue(ticketDiffed)-diffed)/float64(b.N), "diffed-devices/op")
+	b.ReportMetric((reg.CounterValue(ticketComputed)-computed)/float64(b.N), "computed-snapshots/op")
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 31,384 (35,450 before the twin recorded its change set, when
-// every review and commit diffed all 30 devices); the ceiling leaves ~10 %. If a
-// change legitimately moves the count, re-measure with -v and reset the
-// ceiling; don't just raise it.
+// Measured at 24,146 (31,384 while an injection dropped the production
+// snapshot, each open paid a from-scratch Compute and every trace sorted its
+// hosts' interface names; 35,450 before the twin recorded its change set,
+// when every review and commit diffed all 30 devices); the ceiling leaves
+// ~10 %. If a change legitimately moves the
+// count, re-measure with -v and reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 34500
-	run, diffed := ticketFixture(t)
-	before := diffed()
+	const ceiling = 26600
+	run, reg := ticketFixture(t)
+	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20
 	allocs := testing.AllocsPerRun(runs, run)
 	// AllocsPerRun calls run once more than it measures, to warm up.
-	t.Logf("%.0f allocs and %.1f diffed devices per three tickets", allocs, (diffed()-before)/(runs+1))
+	t.Logf("%.0f allocs and %.1f diffed devices per three tickets", allocs, (reg.CounterValue(ticketDiffed)-diffed)/(runs+1))
 	if allocs > ceiling {
 		t.Errorf("three tickets allocate %.0f times, budget %d", allocs, ceiling)
+	}
+	if n := reg.CounterValue(ticketComputed) - computed; n != 0 {
+		t.Errorf("%.0f production snapshots computed from scratch over %d tickets, want 0", n, 3*(runs+1))
 	}
 }
 

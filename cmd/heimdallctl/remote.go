@@ -233,7 +233,8 @@ func remotePool(c *remoteClient) {
 	hits, misses := sum("heimdall_enforcer_review_cache_hits_total"), sum("heimdall_enforcer_review_cache_misses_total")
 	fmt.Printf("  %-28s %8.0f hits / %.0f misses\n", "enforcer review cache", hits, misses)
 	hits, misses = sum("heimdall_enforcer_prod_snapshot_hits_total"), sum("heimdall_enforcer_prod_snapshot_misses_total")
-	fmt.Printf("  %-28s %8.0f hits / %.0f misses\n", "production snapshot", hits, misses)
+	fmt.Printf("  %-28s %8.0f hits / %.0f misses / %.0f derived\n", "production snapshot", hits, misses,
+		sum("heimdall_enforcer_prod_snapshot_derived_total"))
 
 	backlog := map[string]float64{}
 	for _, s := range samples {

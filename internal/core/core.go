@@ -68,8 +68,9 @@ type System struct {
 
 	// prodMu guards reads (twin construction, snapshots) against writes
 	// (commits, emergency changes) on the production network. Every writer
-	// ends in Enforcer.InvalidateReviews before it unlocks, which is what
-	// keeps the enforcer's production snapshot honest.
+	// tells the enforcer before it unlocks — a commit hands over the snapshot
+	// it verified, a declared MutateProduction has it derived, everyone else
+	// drops it — which is what keeps the production snapshot honest.
 	prodMu sync.RWMutex
 	// prodConsoleEnv backs emergency-mode consoles (lazily built).
 	prodConsoleEnv *console.Env
@@ -140,16 +141,26 @@ func (s *System) Policies() []verify.Policy { return s.policies }
 
 // MutateProduction applies fn to the production network under the write
 // lock, serializing out-of-band mutations (fault injection, admin edits)
-// against concurrent twin construction, reviews and commits.
-func (s *System) MutateProduction(fn func(*netmodel.Network) error) error {
+// against concurrent twin construction, reviews and commits, and tells the
+// enforcer, behind whose back it happened. Given every device fn writes, the
+// held production snapshot is derived across the write: those devices are
+// cloned first and the result diffed against them
+// (Enforcer.ProductionWritten). The list is a claim — a device written but
+// not listed leaves a wrong snapshot held. Without one, and whenever fn
+// fails (it may have partially applied), verdicts and snapshot are dropped.
+func (s *System) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
 	s.prodMu.Lock()
 	defer s.prodMu.Unlock()
-	// The mutation happens behind the enforcer's back; drop the review
-	// verdicts and the production snapshot held for the pre-mutation
-	// network. Invalidate even when fn fails — it may have partially
-	// applied before erroring.
-	defer s.Enforcer.InvalidateReviews()
-	return fn(s.production)
+	var pre *netmodel.Network
+	if len(devices) > 0 {
+		pre = s.production.CloneCOW(devices...)
+	}
+	if err := fn(s.production); err != nil || pre == nil {
+		s.Enforcer.InvalidateReviews()
+		return err
+	}
+	s.Enforcer.ProductionWritten(s.production, pre, devices)
+	return nil
 }
 
 // Attest returns an attestation report for the enforcer, verifiable

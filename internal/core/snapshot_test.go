@@ -58,6 +58,32 @@ func (o *oracleSystem) misses() float64 {
 	return o.reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
 }
 
+// mutate is MutateProduction as each side of the oracle calls it: the held
+// deployment declares the devices fn writes, so its snapshot is derived
+// across the write; the reference declares nothing and drops it.
+func (o *oracleSystem) mutate(fn func(*netmodel.Network) error, devices ...string) error {
+	if !o.held {
+		devices = nil
+	}
+	return o.sys.MutateProduction(fn, devices...)
+}
+
+// inject puts the issue's fault into production, declared as the service
+// declares it: a fault writes its root-cause device and nothing else.
+func (o *oracleSystem) inject(t *testing.T, is scenarios.Issue) {
+	t.Helper()
+	if err := o.mutate(is.Fault.Inject, is.Fault.RootCause); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// snapshot is the production snapshot the enforcer serves right now.
+func (o *oracleSystem) snapshot() *dataplane.Snapshot {
+	o.sys.prodMu.RLock()
+	defer o.sys.prodMu.RUnlock()
+	return o.sys.Enforcer.ProductionSnapshot(o.sys.production)
+}
+
 // fresh runs one step that looks at production (open, review, commit, an
 // emergency command). The reference deployment first calls
 // InvalidateReviews, so the step pays a from-scratch Compute and replays
@@ -211,11 +237,23 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			// open injects the issue, files its ticket, opens the twin and
 			// runs the first n lines of the script.
 			open := func(o *oracleSystem, is scenarios.Issue, step string, n int) *Engagement {
-				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
-					t.Fatal(err)
-				}
+				// Something is held from here on, so the declared injection
+				// has a snapshot to derive from.
+				o.checkProduction(t, step+"/before")
+				before := o.misses()
+				o.inject(t, is)
 				o.checkProduction(t, step+"/inject")
+				// Injecting a fault that is already in changes nothing: the
+				// empty diff keeps the very snapshot.
+				derived := o.snapshot()
+				o.inject(t, is)
+				if o.held && o.snapshot() != derived {
+					t.Fatalf("%s: a write that changed nothing replaced the held snapshot", step)
+				}
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
+				if o.held && o.misses() != before {
+					t.Fatalf("%s: declared injections and the open after them computed %v production snapshots, want 0", step, o.misses()-before)
+				}
 				o.checkProduction(t, step+"/open")
 				checkTwin(t, step+"/open", eng)
 				if _, err := eng.RunScript(is.Script[:n]); err != nil {
@@ -340,9 +378,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			// An emergency write straight to production, refused or not.
 			is = scen.Issues[rng.Intn(len(scen.Issues))]
 			both("emergency", func(o *oracleSystem) string {
-				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
-					t.Fatal(err)
-				}
+				o.inject(t, is)
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				eng.EnableEmergency("netadmin")
 				var out []string
@@ -363,13 +399,42 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			both("mutate", func(o *oracleSystem) string {
 				for i := 0; i < 2; i++ {
 					if err := o.sys.MutateProduction(func(n *netmodel.Network) error {
-						itf := firstRoutedInterface(n)
+						_, itf := firstRoutedInterface(n)
 						itf.Shutdown = !itf.Shutdown
 						return nil
 					}); err != nil {
 						t.Fatal(err)
 					}
 					o.checkProduction(t, fmt.Sprintf("mutate %d", i))
+				}
+				return ""
+			})
+
+			// Declared writes the claim cannot be honoured for, each made and
+			// reversed: a writer that fails (it may have half-applied; this one
+			// wrote all of it) and a declaration naming a device production
+			// does not hold. The held deployment must answer both with a
+			// from-scratch Compute of what production then is.
+			both("declared", func(o *oracleSystem) string {
+				dev, itf := firstRoutedInterface(o.sys.production)
+				flap := func(step string, fail error, devices ...string) {
+					t.Helper()
+					o.checkProduction(t, step+"/before")
+					before := o.misses()
+					if err := o.mutate(func(*netmodel.Network) error {
+						itf.Shutdown = !itf.Shutdown
+						return fail
+					}, devices...); err != fail {
+						t.Fatalf("%s: MutateProduction returned %v, want %v", step, err, fail)
+					}
+					o.checkProduction(t, step)
+					if o.held && o.misses() != before+1 {
+						t.Fatalf("%s: %v production snapshots computed after the write, want 1: the held one was not dropped", step, o.misses()-before)
+					}
+				}
+				for i := 0; i < 2; i++ {
+					flap(fmt.Sprintf("declared/failed write %d", i), fmt.Errorf("link flapped mid-write"), dev)
+					flap(fmt.Sprintf("declared/unknown device %d", i), nil, dev, "no-such-device")
 				}
 				return ""
 			})
@@ -438,9 +503,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					decided(step, want, d, err)
 				}
 
-				if err := o.sys.MutateProduction(is.Fault.Inject); err != nil {
-					t.Fatal(err)
-				}
+				o.inject(t, is)
 				if d := review("carried/violating review", sets[0]); d.Accepted || len(d.Violations) == 0 {
 					t.Fatalf("carried: issue %s breaks no policy in production: %+v", is.Name, d)
 				}
@@ -493,18 +556,45 @@ func TestProductionSnapshotOracle(t *testing.T) {
 	}
 }
 
+// TestProductionSnapshotDeclaredInject injects every issue of every scenario
+// family with the declaration the service makes, one on top of the other:
+// each leaves a snapshot that is a hit — derived from the last, never
+// computed — and equals a from-scratch Compute of production as it then is.
+func TestProductionSnapshotDeclaredInject(t *testing.T) {
+	for _, scen := range []*scenarios.Scenario{
+		scenarios.University(), scenarios.Enterprise(), scenarios.Provider(),
+		generate.FatTree(generate.FatTreeParams{K: 4}),
+		generate.ISP(generate.ISPParams{Pops: 4, CustomersPerPop: 2}),
+		generate.WAN(generate.WANParams{Sites: 4}),
+	} {
+		o := newOracleSystem(t, scen, true)
+		o.checkProduction(t, scen.Name)
+		before := o.misses()
+		for _, is := range scen.Issues {
+			o.inject(t, is)
+			o.checkProduction(t, scen.Name+"/"+is.Name)
+		}
+		if o.misses() != before {
+			t.Fatalf("%s: declared injections computed %v production snapshots, want 0", scen.Name, o.misses()-before)
+		}
+		if got := o.reg.CounterValue("heimdall_enforcer_prod_snapshot_derived_total"); got != float64(len(scen.Issues)) {
+			t.Fatalf("%s: %v snapshots derived over %d injections", scen.Name, got, len(scen.Issues))
+		}
+	}
+}
+
 // firstRoutedInterface picks the first addressed interface of the first
-// router, in name order.
-func firstRoutedInterface(n *netmodel.Network) *netmodel.Interface {
+// router, in name order, and names its device.
+func firstRoutedInterface(n *netmodel.Network) (string, *netmodel.Interface) {
 	for _, dev := range n.RoutersAndSwitches() {
 		d := n.Devices[dev]
 		for _, name := range d.InterfaceNames() {
 			if itf := d.Interfaces[name]; itf.HasAddr() {
-				return itf
+				return dev, itf
 			}
 		}
 	}
-	return nil
+	return "", nil
 }
 
 func mustExport(t *testing.T, export func() ([]byte, error)) string {
@@ -518,9 +608,10 @@ func mustExport(t *testing.T, export func() ([]byte, error)) string {
 
 // TestProductionSnapshotHammer races session opens and reviews (readers of
 // the held production snapshot, several at once as under a verify pool with
-// more than one worker) against a stream of injects and commits (the
-// writers that replace it). Run under -race; at rest the held snapshot must
-// equal a fresh Compute and both chains must verify.
+// more than one worker) against a stream of declared injects and commits
+// (the writers that derive it onto the next version). Run under -race; a
+// reader under the read lock and the state at rest must equal a fresh
+// Compute, and both chains must verify.
 func TestProductionSnapshotHammer(t *testing.T) {
 	scen := scenarios.University()
 	o := newOracleSystem(t, scen, true)
@@ -583,8 +674,21 @@ func TestProductionSnapshotHammer(t *testing.T) {
 			return err
 		})
 	}
+	// Whoever holds the read lock is served production as it is: the flow
+	// the injections break and the commits repair answers as a from-scratch
+	// Compute answers, whichever writer ran last.
+	reader(func() error {
+		sys.prodMu.RLock()
+		defer sys.prodMu.RUnlock()
+		got, _ := sys.Enforcer.ProductionSnapshot(sys.production).Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
+		want, _ := dataplane.Compute(sys.production).Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
+		if got.String() != want.String() {
+			return fmt.Errorf("held snapshot is behind production: %v, a fresh Compute says %v", got, want)
+		}
+		return nil
+	})
 	for i := 0; i < rounds; i++ {
-		if err := sys.MutateProduction(acl.Fault.Inject); err != nil {
+		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {
 			t.Fatal(err)
 		}
 		eng, err := sys.StartWork(fileIssue(sys, acl).ID, "casey")

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -111,93 +110,23 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 // independent given the shared (read-only) protocol routes,
 // so the builds fan out over a bounded pool; results land in
 // index-addressed slots, making the maps identical to a serial build.
-//
-// Structurally identical devices share storage: generated topologies
-// produce many byte-identical RIBs (every host behind one gateway, the
-// symmetric members of a fat-tree pod), so RIBs are deduplicated by
-// content before the FIB pass and duplicates alias one route slice and
-// one LPM table. Dedup is by hash bucket plus a full entry-by-entry
-// equality check — a hash collision can cost a comparison, never a wrong
-// share — and since snapshots are immutable the aliasing is invisible to
-// every consumer.
 func buildRIBs(n *netmodel.Network, devs []string,
 	ospfRoutes, bgpRoutes map[string][]FIBEntry) (map[string][]FIBEntry, map[string]*LPM) {
 
 	ribSlots := make([][]FIBEntry, len(devs))
+	fibSlots := make([]*LPM, len(devs))
 	fanOut(len(devs), func(i int) {
 		ribSlots[i] = ribFor(n, devs[i], ospfRoutes, bgpRoutes)
-	})
-
-	canon := make([]int, len(devs)) // device index -> representative index
-	byHash := make(map[uint64][]int, len(devs))
-	uniq := make([]int, 0, len(devs))
-	for i := range ribSlots {
-		h := ribHash(ribSlots[i])
-		rep := -1
-		for _, j := range byHash[h] {
-			if fibSlicesEqual(ribSlots[j], ribSlots[i]) {
-				rep = j
-				break
-			}
-		}
-		if rep < 0 {
-			byHash[h] = append(byHash[h], i)
-			canon[i] = i
-			uniq = append(uniq, i)
-			continue
-		}
-		canon[i] = rep
-		ribSlots[i] = ribSlots[rep]
-	}
-
-	fibSlots := make([]*LPM, len(devs))
-	fanOut(len(uniq), func(k int) {
-		i := uniq[k]
 		fibSlots[i] = newLPM(ribSlots[i])
 	})
 
 	ribs := make(map[string][]FIBEntry, len(devs))
 	fibs := make(map[string]*LPM, len(devs))
 	for i, dev := range devs {
-		ribs[dev] = ribSlots[canon[i]]
-		fibs[dev] = fibSlots[canon[i]]
+		ribs[dev] = ribSlots[i]
+		fibs[dev] = fibSlots[i]
 	}
 	return ribs, fibs
-}
-
-// ribHash is an FNV-1a-style digest of a RIB's content, folded a 64-bit
-// word at a time, used to bucket devices for structural sharing. Collisions
-// are resolved by full comparison, so the hash only has to be cheap and to
-// separate RIBs that differ.
-func ribHash(rib []FIBEntry) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(w uint64) { h = (h ^ w) * prime64 }
-	mixAddr := func(a netip.Addr) {
-		b := a.As16()
-		mix(binary.LittleEndian.Uint64(b[:8]))
-		mix(binary.LittleEndian.Uint64(b[8:]))
-	}
-	for i := range rib {
-		e := &rib[i]
-		mixAddr(e.Prefix.Addr())
-		mixAddr(e.NextHop)
-		mix(uint64(e.Prefix.Bits())<<8 | uint64(e.Proto))
-		mix(uint64(e.AD))
-		mix(uint64(e.Metric))
-		mix(uint64(len(e.OutIf)))
-		name := e.OutIf
-		for ; len(name) >= 8; name = name[8:] {
-			mix(binary.LittleEndian.Uint64([]byte(name[:8])))
-		}
-		for j := 0; j < len(name); j++ {
-			mix(uint64(name[j]))
-		}
-	}
-	return h
 }
 
 // buildOwner indexes every L3 endpoint address to its owning endpoint.

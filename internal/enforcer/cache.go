@@ -12,7 +12,8 @@ package enforcer
 // pointer, so one enforcer fronting two networks never cross-serves). Any
 // path that mutates production — a committed change set, a rollback, a
 // quarantine, recovery, or an out-of-band mutation reported through
-// InvalidateReviews — bumps the version, which orphans every prior key.
+// ProductionWritten or InvalidateReviews — bumps the version, which orphans
+// every prior key.
 //
 // A cached hit is observably identical to a fresh review: it appends the
 // same audit-trail entry (message and outcome recorded alongside the
@@ -25,7 +26,8 @@ package enforcer
 // parameter and the enforcer's own pipeline (commit, rollback, quarantine,
 // Recover) bumps the version on every path that writes it. Whoever mutates
 // production any other way — maintenance edits, emergency sessions, fault
-// injection — must call InvalidateReviews before the next review, or a
+// injection — must call InvalidateReviews (or ProductionWritten, the same
+// call as far as verdicts go: snapshot.go) before the next review, or a
 // verdict for a network that no longer exists is replayed.
 
 import (
@@ -98,10 +100,11 @@ func (rc *reviewCache) clear() {
 // InvalidateReviews discards every cached review verdict and the held
 // production snapshot by bumping the production version. Whoever mutates
 // production outside the enforcer's commit pipeline (maintenance edits,
-// emergency sessions, fault injection) must call it after the mutation and
-// before the next review, commit or ProductionSnapshot; until then the
-// enforcer answers for the network as it was. The commit pipeline calls it
-// itself on every path that touches production.
+// emergency sessions, fault injection) must call it — or ProductionWritten,
+// which keeps the snapshot — after the mutation and before the next review,
+// commit or ProductionSnapshot; until then the enforcer answers for the
+// network as it was. The commit pipeline calls it itself on every path that
+// touches production.
 func (e *Enforcer) InvalidateReviews() {
 	e.prodVersion.Add(1)
 	e.prodSnap.Store(nil)

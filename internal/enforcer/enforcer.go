@@ -44,8 +44,8 @@ import (
 // The enforcer tracks production: it holds one dataplane snapshot and the
 // review verdicts of the current production version (snapshot.go,
 // cache.go). Its own commit pipeline keeps that version current; whoever
-// mutates production any other way must call InvalidateReviews before the
-// next review, commit or ProductionSnapshot.
+// mutates production any other way must call ProductionWritten or
+// InvalidateReviews before the next review, commit or ProductionSnapshot.
 type Enforcer struct {
 	encl     *enclave.Enclave
 	trail    *audit.Trail

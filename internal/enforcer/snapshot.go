@@ -12,9 +12,16 @@ package enforcer
 // in place, and a snapshot reads its network's devices lazily (ACLs at
 // trace time), so a snapshot held across a mutation the enforcer did not
 // see would silently describe a network that no longer exists. Every
-// production writer outside the commit pipeline calls InvalidateReviews.
+// production writer outside the commit pipeline ends, before it lets a
+// reader back in, in ProductionWritten — it names every device it wrote and
+// the snapshot is derived across the write — or in InvalidateReviews, which
+// drops the snapshot: always safe, and what a writer that cannot make the
+// claim gets (emergency consoles, rollback, Recover).
 
 import (
+	"slices"
+
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 )
@@ -40,7 +47,8 @@ func (e *Enforcer) current(prod *netmodel.Network, version uint64) *dataplane.Sn
 // and may derive from it freely — Derive shares only immutable structures.
 // Concurrent first callers of a version wait for one computation. A caller
 // that mutated prod outside the commit pipeline must have called
-// InvalidateReviews since, or it is handed the pre-mutation snapshot.
+// ProductionWritten or InvalidateReviews since, or it is handed the
+// pre-mutation snapshot.
 func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapshot {
 	hits := e.meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	if snap := e.current(prod, e.prodVersion.Load()); snap != nil {
@@ -62,8 +70,44 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 	return snap
 }
 
+// ProductionWritten is InvalidateReviews for an out-of-band writer that
+// names what it wrote: prod was mutated in place on exactly the listed
+// devices, and pre holds those devices as they were (a CloneCOW of them
+// taken before the write). The version moves on and every cached verdict
+// dies, but the held snapshot is handed over as a commit hands it over: the
+// devices are diffed against their pre-image in name order, the diff is
+// classified as a commit's change set is, and the snapshot derived by it
+// (the same one, when nothing changed) is held for the new version. The list
+// is a claim nobody checks here: a device written but not listed leaves a
+// wrong snapshot held. Nothing held at this version, or a listed device
+// missing on either side, is a drop.
+func (e *Enforcer) ProductionWritten(prod, pre *netmodel.Network, devices []string) {
+	held := e.current(prod, e.prodVersion.Load())
+	if held == nil {
+		e.InvalidateReviews()
+		return
+	}
+	names := slices.Clone(devices)
+	slices.Sort(names)
+	var changes []config.Change
+	for _, name := range slices.Compact(names) {
+		was, now := pre.Devices[name], prod.Devices[name]
+		if was == nil || now == nil {
+			e.InvalidateReviews()
+			return
+		}
+		changes = append(changes, config.DiffDevice(was, now)...)
+	}
+	if len(changes) > 0 {
+		held = held.Derive(prod, changeSetFor(pre, changes))
+	}
+	e.InvalidateReviews()
+	e.holdSnapshot(prod, held)
+	e.meter.Counter("heimdall_enforcer_prod_snapshot_derived_total").Inc()
+}
+
 // holdSnapshot installs snap as the snapshot of prod at the current
-// version (the commit pipeline, right after bumping it).
+// version (Commit and ProductionWritten, right after bumping it).
 func (e *Enforcer) holdSnapshot(prod *netmodel.Network, snap *dataplane.Snapshot) {
 	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: snap})
 }

@@ -120,6 +120,94 @@ func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 	}
 }
 
+// TestProductionWrittenDerives is the other half of the contract: a writer
+// that names the device it wrote and hands over its pre-image gets the held
+// snapshot derived across the write — a new version, no verdict replayed, no
+// computation — and the drop whenever the claim cannot be honoured. The
+// three counters an operator reads say which of the two happened.
+func TestProductionWrittenDerives(t *testing.T) {
+	n := prod()
+	e, reg := snapshotEnforcer(n)
+	spec := aclSpec()
+	benign := []config.Change{benignChange(15, 443)}
+	counters := func() [3]float64 {
+		return [3]float64{
+			reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"),
+			snapshotMisses(reg),
+			reg.CounterValue("heimdall_enforcer_prod_snapshot_derived_total"),
+		}
+	}
+	// write applies changes to production behind the enforcer's back and
+	// reports them as a write of the declared devices.
+	write := func(declared []string, changes ...config.Change) {
+		t.Helper()
+		pre := n.CloneCOW(declared...)
+		if err := config.ApplyChanges(n, changes); err != nil {
+			t.Fatal(err)
+		}
+		e.ProductionWritten(n, pre, declared)
+	}
+	equalsCompute := func(step string, snap *dataplane.Snapshot) {
+		t.Helper()
+		fresh := dataplane.Compute(n)
+		for _, dst := range []string{"h2", "h3"} {
+			got, _ := snap.Reach("h1", dst, netmodel.TCP, 443)
+			want, _ := fresh.Reach("h1", dst, netmodel.TCP, 443)
+			if got.String() != want.String() {
+				t.Fatalf("%s: h1 -> %s: held %v, fresh %v", step, dst, got, want)
+			}
+		}
+	}
+
+	// Nothing held yet: nothing to derive from, the write is a drop.
+	write([]string{"r1"}, benignChange(14, 8080))
+	if got := counters(); got != [3]float64{0, 0, 0} {
+		t.Fatalf("hits/misses/derived after a write with nothing held = %v", got)
+	}
+	if d, hit := e.ReviewCached(n, benign, spec); hit || !d.Accepted {
+		t.Fatalf("first review: hit=%v %+v", hit, d)
+	}
+	held := e.ProductionSnapshot(n)
+
+	// The declared write opens the sensitive subnet. The snapshot served
+	// next is a hit, is not the old one, sees the mutation, and the cached
+	// acceptance is not replayed for the new version.
+	write([]string{"r1"}, maliciousPermit())
+	derived := e.ProductionSnapshot(n)
+	if derived == held {
+		t.Fatal("pre-mutation snapshot served after a declared write")
+	}
+	equalsCompute("declared write", derived)
+	if tr, _ := derived.Reach("h1", "h3", netmodel.TCP, 443); !tr.Delivered() {
+		t.Fatal("derived snapshot does not see the mutation")
+	}
+	if d, hit := e.ReviewCached(n, benign, spec); hit || d.Accepted {
+		t.Fatalf("review after the declared write: hit=%v %+v, want a recomputed rejection", hit, d)
+	}
+	if got := counters(); got != [3]float64{3, 1, 1} {
+		t.Fatalf("hits/misses/derived after a declared write = %v, want [3 1 1]", got)
+	}
+
+	// A declared write that changed nothing keeps the very snapshot.
+	write([]string{"r1", "r1"})
+	if e.ProductionSnapshot(n) != derived {
+		t.Fatal("a write that changed nothing replaced the held snapshot")
+	}
+	if got := counters(); got != [3]float64{4, 1, 2} {
+		t.Fatalf("hits/misses/derived after an empty write = %v, want [4 1 2]", got)
+	}
+
+	// A name production does not hold: dropped, computed on demand.
+	write([]string{"r1", "r9"}, config.Change{Device: "r1", Op: config.OpRemoveACLEntry, ACLName: "GUARD", Seq: 5})
+	if e.prodSnap.Load() != nil {
+		t.Fatal("a declaration naming an unknown device left a snapshot held")
+	}
+	equalsCompute("unknown device", e.ProductionSnapshot(n))
+	if got := counters(); got != [3]float64{4, 2, 2} {
+		t.Fatalf("hits/misses/derived after a mis-declared write = %v, want [4 2 2]", got)
+	}
+}
+
 // TestCommitHandsOverSnapshot: a commit derives the post-apply snapshot
 // from the pre-commit one and leaves it as the snapshot of the version it
 // created — no computation from review through to the next reader — while

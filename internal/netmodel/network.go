@@ -237,19 +237,23 @@ func (n *Network) RoutersAndSwitches() []string {
 	return out
 }
 
-// HostAddr returns the primary address of a host device and whether the
-// device exists, is a host, and has an address.
+// HostAddr returns the primary address of a host device — that of its
+// first addressed interface in name order — and whether the device exists,
+// is a host, and has an address. Every trace starts here twice, so the
+// interface is picked in one pass over the map, without allocating.
 func (n *Network) HostAddr(name string) (netip.Addr, bool) {
 	d := n.Devices[name]
 	if d == nil || d.Kind != Host {
 		return netip.Addr{}, false
 	}
-	for _, in := range d.InterfaceNames() {
-		if itf := d.Interfaces[in]; itf.HasAddr() {
-			return itf.Addr.Addr(), true
+	var first string
+	var addr netip.Addr
+	for in, itf := range d.Interfaces {
+		if itf.HasAddr() && (!addr.IsValid() || in < first) {
+			first, addr = in, itf.Addr.Addr()
 		}
 	}
-	return netip.Addr{}, false
+	return addr, addr.IsValid()
 }
 
 // DeviceByAddr returns the name of the device owning the given address on

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"heimdall/internal/attacksurface"
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/scenarios"
@@ -336,6 +337,50 @@ func TestFatTreeBoundedSweep(t *testing.T) {
 		if !reflect.DeepEqual(serial.Samples, par.Samples) {
 			t.Errorf("%s: parallel sweep diverged from serial\nserial:   %+v\nparallel: %+v",
 				tech.Name, serial.Samples, par.Samples)
+		}
+	}
+}
+
+// TestFaultsWriteOnlyRootCause pins the claim service.InjectIssue makes to
+// core.System.MutateProduction for every fault a tenant can be handed — the
+// three hand-built scenarios and the generated families: injected into a
+// deep clone, a fault changes its RootCause device and no other (so the held
+// production snapshot can be derived across the write from that one
+// device's diff), and the diff is the whole write — applied to the
+// pre-image it reproduces the injected device.
+func TestFaultsWriteOnlyRootCause(t *testing.T) {
+	scens := []*scenarios.Scenario{
+		scenarios.University(), scenarios.Enterprise(), scenarios.Provider(),
+		generate.FatTree(generate.FatTreeParams{K: 4}),
+		generate.FatTree(generate.FatTreeParams{K: 8}),
+		generate.ISP(generate.ISPParams{Pops: 4, CustomersPerPop: 2}),
+		generate.WAN(generate.WANParams{Sites: 4}),
+	}
+	for _, scen := range scens {
+		if len(scen.Issues) == 0 {
+			t.Fatalf("%s has no issues", scen.Name)
+		}
+		for _, is := range scen.Issues {
+			before, after := scen.Network.Clone(), scen.Network.Clone()
+			if err := is.Fault.Inject(after); err != nil {
+				t.Fatalf("%s/%s: Inject: %v", scen.Name, is.Name, err)
+			}
+			diff := config.DiffNetwork(before, after)
+			if len(diff) == 0 {
+				t.Fatalf("%s/%s: the fault changes nothing config.DiffNetwork sees", scen.Name, is.Name)
+			}
+			for _, c := range diff {
+				if c.Device != is.Fault.RootCause {
+					t.Fatalf("%s/%s: the fault writes %s, its RootCause is %s: %s",
+						scen.Name, is.Name, c.Device, is.Fault.RootCause, c)
+				}
+			}
+			if err := config.ApplyChanges(before, diff); err != nil {
+				t.Fatalf("%s/%s: %v", scen.Name, is.Name, err)
+			}
+			if !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s/%s: the diff of %s is not the whole write", scen.Name, is.Name, is.Fault.RootCause)
+			}
 		}
 	}
 }

@@ -158,6 +158,7 @@ func New(cfg Config) *Service {
 	cfg.Meter.Counter("heimdall_service_backpressure_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_misses_total")
+	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_derived_total")
 	return &Service{
 		catalog: cfg.Catalog,
 		reg:     newRegistry(cfg.Shards),
@@ -302,7 +303,8 @@ func (s *Service) InjectIssue(tenant, issue, reporter string) (*ticket.Ticket, e
 	if is == nil {
 		return nil, fmt.Errorf("service: no issue %q in scenario %s", issue, t.Scenario)
 	}
-	if err := t.sys.MutateProduction(is.Fault.Inject); err != nil {
+	// A fault writes its root-cause device only (ticket.Fault.Inject).
+	if err := t.sys.MutateProduction(is.Fault.Inject, is.Fault.RootCause); err != nil {
 		return nil, err
 	}
 	return s.CreateTicket(tenant, ticket.Ticket{

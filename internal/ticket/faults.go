@@ -19,7 +19,11 @@ type Fault struct {
 	// RootCause is the device that must be reachable (and fixable) for a
 	// technique to count as feasible in the Figure 8/9 experiments.
 	RootCause string
-	// Inject mutates the network to create the issue.
+	// Inject mutates the network to create the issue. It writes RootCause
+	// and no other device — what the service declares to MutateProduction to
+	// keep the production snapshot (generate.TestFaultsWriteOnlyRootCause
+	// pins it for every fault); a fault that writes a second device needs a
+	// write-set field here first.
 	Inject func(n *netmodel.Network) error
 	// Fix is the prepared command list (paper §5, "level playing field")
 	// that an experienced technician would run on the root-cause device to
