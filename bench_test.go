@@ -473,14 +473,15 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 24,146 (31,384 while an injection dropped the production
+// Measured at 22,799 (24,146 while the trail and the journal each keyed an
+// HMAC per append; 31,384 while an injection dropped the production
 // snapshot, each open paid a from-scratch Compute and every trace sorted its
 // hosts' interface names; 35,450 before the twin recorded its change set,
 // when every review and commit diffed all 30 devices); the ceiling leaves
 // ~10 %. If a change legitimately moves the
 // count, re-measure with -v and reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 26600
+	const ceiling = 25100
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20

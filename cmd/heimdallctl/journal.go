@@ -15,13 +15,13 @@ package main
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"strings"
 
+	"heimdall/internal/chain"
 	"heimdall/internal/journal"
 )
 
@@ -53,10 +53,10 @@ func runJournal(args []string) {
 			log.Fatal("journal verify needs -key")
 		}
 		records := readJournal(*in, "-in")
-		if err := journal.VerifyChain(records, key); err != nil {
+		if err := chain.Verify(records, key); err != nil {
 			log.Fatalf("FAIL: %v", err)
 		}
-		h := journal.HeadOf(records)
+		h := chain.HeadOf(records)
 		fmt.Printf("OK: %d records, head #%d %s\n", len(records), h.Index, short(h.Hash))
 	case "diff":
 		journalDiff(readJournal(*fileA, "-a"), readJournal(*fileB, "-b"), key)
@@ -72,8 +72,10 @@ func journalUsage() {
 	os.Exit(2)
 }
 
-// readJournal loads an export. Without a key only the JSON shape is
-// checked here; authentication happens in the caller when a key is given.
+// readJournal loads an export with the chain's strict decoder, so bytes
+// the chain does not cover (an unknown field, anything after the document)
+// are refused here whether or not a key is given; authentication happens
+// in the caller when one is.
 func readJournal(path, flagName string) []journal.Record {
 	if path == "" {
 		log.Fatalf("journal: missing %s FILE", flagName)
@@ -82,8 +84,8 @@ func readJournal(path, flagName string) []journal.Record {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var records []journal.Record
-	if err := json.Unmarshal(data, &records); err != nil {
+	records, err := chain.Decode[journal.Record](data)
+	if err != nil {
 		log.Fatalf("%s: not a journal export: %v", path, err)
 	}
 	return records
@@ -92,7 +94,7 @@ func readJournal(path, flagName string) []journal.Record {
 func journalDump(records []journal.Record, key []byte) {
 	authed := "unauthenticated (no -key)"
 	if key != nil {
-		if err := journal.VerifyChain(records, key); err != nil {
+		if err := chain.Verify(records, key); err != nil {
 			log.Fatalf("FAIL: %v", err)
 		}
 		authed = "chain verified"
@@ -121,16 +123,16 @@ func journalDump(records []journal.Record, key []byte) {
 		}
 		fmt.Printf("#%-3d %-12s %-8s %s%s\n", r.Index, r.Kind, r.Commit, r.Detail, suffix)
 	}
-	h := journal.HeadOf(records)
+	h := chain.HeadOf(records)
 	fmt.Printf("head: #%d %s\n", h.Index, short(h.Hash))
 }
 
 func journalDiff(a, b []journal.Record, key []byte) {
 	if key != nil {
-		if err := journal.VerifyChain(a, key); err != nil {
+		if err := chain.Verify(a, key); err != nil {
 			log.Fatalf("FAIL (-a): %v", err)
 		}
-		if err := journal.VerifyChain(b, key); err != nil {
+		if err := chain.Verify(b, key); err != nil {
 			log.Fatalf("FAIL (-b): %v", err)
 		}
 	}

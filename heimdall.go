@@ -193,7 +193,9 @@ type (
 )
 
 // ImportAuditTrail parses an exported audit trail and verifies it against
-// the trail key, rejecting any tampering.
+// the trail key, rejecting any tampering. An export written before the
+// trail moved onto internal/chain hashed different content and no longer
+// imports.
 var ImportAuditTrail = audit.Import
 
 // SummarizeAuditTrail groups trail entries into per-ticket review reports.

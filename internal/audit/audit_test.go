@@ -1,10 +1,14 @@
 package audit
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"heimdall/internal/chain"
+	"heimdall/internal/telemetry"
 )
 
 func testTrail() *Trail {
@@ -16,6 +20,43 @@ func testTrail() *Trail {
 		return base.Add(time.Duration(i) * time.Second)
 	})
 	return t
+}
+
+// fullTrail holds every entry kind. Its export under "test-key" is
+// testdata/export.golden.json, which is also the trail payload of the
+// chain tamper suite and fuzz target in internal/journal.
+func fullTrail() *Trail {
+	tr := testTrail()
+	tr.Append("T-0001", "alice", KindSession, "twin created", true)
+	tr.Append("T-0001", "alice", KindCommand, "[r1] show running-config | include acl", true)
+	tr.Append("T-0001", "alice", KindDecision, "deny config.acl.add on device:r2:acl:X", false)
+	tr.Append("T-0001", "alice", KindEscalation, "requested allow(config.acl.*, device:r2)", true)
+	tr.Append("T-0001", "alice", KindVerify, "review: 1 changes, 21 policies checked, 0 violations", true)
+	tr.Append("T-0001", "alice", KindChange, "r2 add-acl-entry: 10 permit ip any any", true)
+	return tr
+}
+
+func mustExport(t *testing.T, tr *Trail) string {
+	t.Helper()
+	data, err := tr.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestExportGolden pins the trail's wire format and content rule: the
+// export of the fixed fixture must not move, byte for byte, unless a
+// change to internal/chain means it to (then every trail written before it
+// stops importing, and the golden is regenerated on purpose).
+func TestExportGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/export.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustExport(t, fullTrail()); got != string(want) {
+		t.Fatalf("trail export moved:\n%s", got)
+	}
 }
 
 func TestAppendAndVerify(t *testing.T) {
@@ -58,7 +99,7 @@ func TestTamperDetection(t *testing.T) {
 		tr.Append("T1", "alice", KindCommand, "cmd2", true)
 		tr.Append("T1", "alice", KindChange, "apply acl change", true)
 		es := m.mutate(tr.Entries())
-		if err := verifyEntries(es, []byte("test-key")); err == nil {
+		if err := chain.Verify(es, []byte("test-key")); err == nil {
 			t.Errorf("%s: tampering not detected", m.name)
 		}
 	}
@@ -96,47 +137,53 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// exportedTrail is a two-entry export and the MAC of its first entry.
-func exportedTrail(t *testing.T) (data, mac string) {
+// forge rewrites an export of fullTrail and reports whether Import accepts
+// the result.
+func forge(t *testing.T, old, new string) error {
 	t.Helper()
+	data := mustExport(t, fullTrail())
+	forged := strings.Replace(data, old, new, 1)
+	if forged == data {
+		t.Fatalf("export format changed: %q not found", old)
+	}
+	_, err := Import([]byte("test-key"), []byte(forged))
+	return err
+}
+
+// TestImportRejectsFieldShift: the content a hash covers must say where
+// each field ends. Under a pipe-joined rule ("…|kind|detail|…") a `|` could
+// move between adjacent fields of an export without changing the hash; any
+// technician-typed line can carry one — here the mediated command
+// "[r1] show running-config | include acl" — and with its tail shifted into
+// kind the entry is no longer a command to Summarize or core.ReplayTicket.
+func TestImportRejectsFieldShift(t *testing.T) {
+	if err := forge(t,
+		`"kind": "command",
+    "detail": "[r1] show running-config | include acl"`,
+		`"kind": "command|[r1] show running-config ",
+    "detail": " include acl"`); err == nil {
+		t.Error("export with a | moved from detail into kind accepted")
+	}
+	// And between ticket and technician, whose values the MSP's ticketing
+	// system chooses.
 	tr := testTrail()
-	tr.Append("T1", "alice", KindSession, "session opened", true)
-	tr.Append("T1", "alice", KindChange, "r1: add acl entry", true)
-	b, err := tr.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b), tr.Entries()[0].MAC
-}
-
-// TestImportRejectsRecasedMAC: hex decoding accepts either case, so only
-// the canonical-encoding check stops an export whose MAC bytes were altered
-// without changing the value they decode to.
-func TestImportRejectsRecasedMAC(t *testing.T) {
-	data, mac := exportedTrail(t)
-	recased := strings.Replace(data, mac, strings.ToUpper(mac), 1)
-	if recased == data {
-		t.Fatal("MAC has no letter to re-case")
-	}
-	if _, err := Import([]byte("test-key"), []byte(recased)); err == nil {
-		t.Fatal("export with a re-cased MAC accepted")
+	tr.Append("T-0001", "msp|alice", KindSession, "twin created", true)
+	forged := strings.Replace(mustExport(t, tr),
+		`"ticket": "T-0001",
+    "technician": "msp|alice"`,
+		`"ticket": "T-0001|msp",
+    "technician": "alice"`, 1)
+	if _, err := Import([]byte("test-key"), []byte(forged)); err == nil {
+		t.Error("export with a | moved from technician into ticket accepted")
 	}
 }
 
-// TestImportRejectsUnknownField: bytes the chain does not cover must not
-// ride along in an export — neither as an extra field nor after the
-// document.
-func TestImportRejectsUnknownField(t *testing.T) {
-	data, _ := exportedTrail(t)
-	extra := strings.Replace(data, `"index": 0,`, `"index": 0, "note": "approved by the customer",`, 1)
-	if extra == data {
-		t.Fatal("export format changed: no index field to anchor on")
-	}
-	if _, err := Import([]byte("test-key"), []byte(extra)); err == nil {
-		t.Fatal("export with an unknown field accepted")
-	}
-	if _, err := Import([]byte("test-key"), []byte(data+` {"index": 2}`)); err == nil {
-		t.Fatal("export with trailing data accepted")
+// TestImportRejectsZoneRewrite: the hash covers the timestamp as exported,
+// not the instant it denotes, so re-rendering it in another zone is a
+// change to the export like any other.
+func TestImportRejectsZoneRewrite(t *testing.T) {
+	if err := forge(t, `"2026-07-06T12:00:01Z"`, `"2026-07-06T14:00:01+02:00"`); err == nil {
+		t.Error("export with a timestamp re-rendered in another zone accepted")
 	}
 }
 
@@ -154,9 +201,21 @@ func TestAppendAfterImportContinuesChain(t *testing.T) {
 	}
 }
 
+// TestConcurrentAppend: racing appenders keep the chain whole, and the
+// metrics — rewired beside them — are updated under the log's lock, so the
+// length gauge ends at Len() rather than at whichever appender set it last.
 func TestConcurrentAppend(t *testing.T) {
 	tr := NewTrail([]byte("k"))
+	reg := telemetry.NewRegistry()
+	tr.SetMeter(reg)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := 0; j < 50; j++ {
+			tr.SetMeter(reg)
+		}
+	}()
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
@@ -173,6 +232,12 @@ func TestConcurrentAppend(t *testing.T) {
 	if err := tr.Verify(); err != nil {
 		t.Fatalf("concurrent appends broke the chain: %v", err)
 	}
+	if got := reg.GaugeValue("heimdall_audit_chain_length"); got != 400 {
+		t.Fatalf("chain length gauge = %v after 400 appends", got)
+	}
+	if got := reg.CounterValue("heimdall_audit_entries_total", telemetry.L("kind", "command")); got != 400 {
+		t.Fatalf("entries counter = %v after 400 appends", got)
+	}
 }
 
 func TestEntriesIsACopy(t *testing.T) {
@@ -182,5 +247,20 @@ func TestEntriesIsACopy(t *testing.T) {
 	es[0].Detail = "mutated"
 	if tr.Entries()[0].Detail != "c" {
 		t.Fatal("Entries exposed internal storage")
+	}
+}
+
+// BenchmarkAppend is one mediated command's worth of trail on a chain
+// already 10,000 entries long — the leaf benchmark/leaves.go times as
+// audit.append_us.
+func BenchmarkAppend(b *testing.B) {
+	tr := NewTrail([]byte("bench-key"))
+	for i := 0; i < 10000; i++ {
+		tr.Append("T-0001", "leaf-tech", KindCommand, "[r1] show ip route", true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Append("T-0001", "leaf-tech", KindDecision, "allow show.ip.route on device:r1", true)
 	}
 }

@@ -85,6 +85,46 @@ func TestReplayRejectsTamperedTrail(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsFieldShiftedTrail: replay trusts what a verified trail
+// says each field is, so the chain's content rule has to say where each
+// field ends. Here the `|` rides in the technician name, which the MSP
+// supplies when it starts work (any technician-typed line can carry one
+// too — see audit.TestImportRejectsFieldShift): under a pipe-joined rule,
+// moving the name's tail into detail keeps every hash, and the shifted
+// details no longer parse as commands — the replay comes back empty.
+// Import must refuse the export, so ReplayTicket never gets that far.
+func TestReplayRejectsFieldShiftedTrail(t *testing.T) {
+	sys, issue := newFaultedSystem(t, "isp")
+	baseline := sys.Production().Clone()
+	tk := fileIssue(sys, issue)
+	eng, err := sys.StartWork(tk.ID, "alice|command")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunScript(issue.Script); err != nil {
+		t.Fatal(err)
+	}
+	export, err := sys.Enforcer.Trail().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fields = "\"technician\": \"alice|command\",\n    \"kind\": \"command\",\n    \"detail\": \""
+	const shifted = "\"technician\": \"alice\",\n    \"kind\": \"command\",\n    \"detail\": \"command|"
+	if n := strings.Count(string(export), fields); n != len(issue.Script) {
+		t.Fatalf("export format changed: %d command entries found, want %d", n, len(issue.Script))
+	}
+	forged := strings.ReplaceAll(string(export), fields, shifted)
+	trail, err := audit.Import(sys.Enforcer.TrailKey(), []byte(forged))
+	if err == nil {
+		replay, err := ReplayTicket(trail, tk.ID, baseline)
+		if err != nil {
+			t.Fatalf("field-shifted export imported; replay: %v", err)
+		}
+		t.Fatalf("field-shifted export imported; its replay shows %d of %d commands",
+			len(replay.Commands), len(issue.Script))
+	}
+}
+
 func TestReplaySkipsEmergencyAndParseErrors(t *testing.T) {
 	sys, issue := newFaultedSystem(t, "isp")
 	baseline := sys.Production().Clone()

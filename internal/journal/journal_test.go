@@ -179,3 +179,18 @@ func TestMeterCountsRecords(t *testing.T) {
 		t.Fatalf("committed records counter = %v, want 1", got)
 	}
 }
+
+// BenchmarkAppend is one commit's worth of journal: intent, one applied
+// change, committed.
+func BenchmarkAppend(b *testing.B) {
+	j := New([]byte("bench-key"))
+	changes := sampleChanges()[:1]
+	pre := map[string]string{"r1": "! kind: router\nhostname r1\n"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j.Intent("T1#1", "T1", "alice", changes, pre)
+		j.Applied("T1#1", 0, "add acl entry")
+		j.Committed("T1#1", "1 change")
+	}
+}

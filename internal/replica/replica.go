@@ -28,12 +28,12 @@
 package replica
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 
 	"heimdall/internal/authz"
+	"heimdall/internal/chain"
 	"heimdall/internal/config"
 	"heimdall/internal/faultinject"
 	"heimdall/internal/journal"
@@ -136,7 +136,7 @@ func (r *Replica) chainFor(key []byte) []journal.Record {
 	case LieForge:
 		if len(records) > 0 {
 			records[len(records)/2].Detail += " [forged]"
-			journal.Rechain(records, key)
+			chain.Rechain(records, key)
 		}
 	case LieTruncate:
 		if len(records) > 0 {
@@ -152,12 +152,12 @@ func (r *Replica) chainFor(key []byte) []journal.Record {
 // history than the group, and deterministic, so the same schedule always
 // produces the same lie. Because the coordinator and at least one peer
 // both collect claims, the conflicting pair is always observable.
-func (r *Replica) headFor(peer string, key []byte) journal.Head {
+func (r *Replica) headFor(peer string, key []byte) chain.Head {
 	records := r.journal.Records()
 	if r.lie == LieEquivocate && peer == r.coord && len(records) > 0 {
-		return journal.HeadOf(records[:len(records)-1])
+		return chain.HeadOf(records[:len(records)-1])
 	}
-	return journal.HeadOf(r.chainFor(key))
+	return chain.HeadOf(r.chainFor(key))
 }
 
 // QuorumError is the permanent (never retried) error the group returns
@@ -250,28 +250,13 @@ func NewGroup(prod *netmodel.Network, coordJournal *journal.Journal, cfg Config)
 	}
 	seed := coordJournal.Records()
 	for _, name := range cfg.Replicas {
-		j, err := journal.Import(g.key, mustExport(seed))
+		j, err := journal.FromRecords(g.key, seed)
 		if err != nil {
 			return nil, fmt.Errorf("replica: seeding %s: %w", name, err)
 		}
 		g.replicas = append(g.replicas, &Replica{Name: name, coord: g.coord, net: prod.Clone(), journal: j})
 	}
 	return g, nil
-}
-
-// exportRecords serialises a record slice in the journal's export format,
-// so Import can authenticate it on the receiving side.
-func exportRecords(records []journal.Record) ([]byte, error) {
-	return json.MarshalIndent(records, "", "  ")
-}
-
-// mustExport serialises a record slice the way Journal.Export does.
-func mustExport(records []journal.Record) []byte {
-	b, err := exportRecords(records)
-	if err != nil {
-		panic(fmt.Sprintf("replica: export seed chain: %v", err))
-	}
-	return b
 }
 
 // SetInjector replaces the link fault injector (sweeps clear faults
@@ -503,7 +488,7 @@ type AuditReport struct {
 	// coordinator's chain — the watchman itself is the outlier.
 	CoordinatorSuspect bool
 	// Canonical is the head of the corroborated canonical chain.
-	Canonical journal.Head
+	Canonical chain.Head
 	// Verdicts maps every replica to its audit verdict.
 	Verdicts map[string]string
 	// NewlyQuarantined lists replicas this round caught lying.
@@ -537,7 +522,7 @@ func (g *Group) CrossAudit() *AuditReport {
 	// non-quarantined replicas; every reachable pair exchanges heads.
 	type claim struct {
 		asker string
-		head  journal.Head
+		head  chain.Head
 	}
 	reachable := map[string]bool{}
 	heads := map[string][]claim{}
@@ -587,13 +572,13 @@ func (g *Group) CrossAudit() *AuditReport {
 	}
 	chains := map[string]vc{}
 	coordRecords := g.journal.Records()
-	chains[g.coord] = vc{coordRecords, journal.VerifyChain(coordRecords, g.key) == nil}
+	chains[g.coord] = vc{coordRecords, chain.Verify(coordRecords, g.key) == nil}
 	for _, r := range audited {
 		if r.state == Quarantined {
 			continue
 		}
 		recs := r.chainFor(g.key)
-		chains[r.Name] = vc{recs, journal.VerifyChain(recs, g.key) == nil}
+		chains[r.Name] = vc{recs, chain.Verify(recs, g.key) == nil}
 	}
 	coord := chains[g.coord]
 	if !coord.valid {
@@ -619,7 +604,7 @@ func (g *Group) CrossAudit() *AuditReport {
 		return rep
 	}
 	rep.Conclusive = true
-	rep.Canonical = journal.HeadOf(canonRecords)
+	rep.Canonical = chain.HeadOf(canonRecords)
 
 	// Verdict per audited replica.
 	for _, r := range audited {
@@ -666,15 +651,11 @@ func (g *Group) quarantine(r *Replica, verdict string, rep *AuditReport) {
 }
 
 // heal brings a lagging replica back by authenticated state transfer:
-// the canonical chain is imported (verifying every record under the key)
+// the canonical chain is adopted (verifying every record under the key)
 // and the network copy is refreshed from the coordinator's production
 // state, which the canonical chain fully determines.
 func (g *Group) heal(r *Replica, canonical []journal.Record, rep *AuditReport) {
-	data, err := exportRecords(canonical)
-	if err != nil {
-		return
-	}
-	j, err := journal.Import(g.key, data)
+	j, err := journal.FromRecords(g.key, canonical)
 	if err != nil {
 		return
 	}
