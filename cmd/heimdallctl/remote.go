@@ -212,8 +212,9 @@ func parseMetrics(text string) []metricSample {
 
 // remotePool renders the verify pool's health from one /metrics scrape:
 // global queue depth and backpressure, the review cache-hit and coalescing
-// counters (service-observed and enforcer-observed), and the per-tenant
-// queue backlog.
+// counters (service-observed and enforcer-observed), the production
+// snapshot and how many policy verdicts were carried from it, and the
+// per-tenant queue backlog.
 func remotePool(c *remoteClient) {
 	samples := parseMetrics(c.fetchMetrics())
 	sum := func(name string) float64 {
@@ -235,6 +236,8 @@ func remotePool(c *remoteClient) {
 	hits, misses = sum("heimdall_enforcer_prod_snapshot_hits_total"), sum("heimdall_enforcer_prod_snapshot_misses_total")
 	fmt.Printf("  %-28s %8.0f hits / %.0f misses / %.0f derived\n", "production snapshot", hits, misses,
 		sum("heimdall_enforcer_prod_snapshot_derived_total"))
+	fmt.Printf("  %-28s %8.0f of %.0f policies checked\n", "verdicts carried",
+		sum("heimdall_verify_policies_carried_total"), sum("heimdall_verify_policies_checked_total"))
 
 	backlog := map[string]float64{}
 	for _, s := range samples {

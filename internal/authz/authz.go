@@ -21,7 +21,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"heimdall/internal/config"
 	"heimdall/internal/journal"
@@ -140,16 +139,6 @@ func (p *Policy) Register(name, role string, key []byte) *Signer {
 	s := NewSigner(name, role, key)
 	p.signers[name] = s
 	return s
-}
-
-// Signers returns the registered signer names, sorted.
-func (p *Policy) Signers() []string {
-	out := make([]string, 0, len(p.signers))
-	for name := range p.signers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Verify checks the approvals against the policy for the given ticket and

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
@@ -183,6 +184,28 @@ type Engagement struct {
 
 	// emergency marks the engagement as authorized for emergency mode.
 	emergency bool
+	// rules memoizes Spec.RulesDigest (rulesDigest).
+	rules atomic.Pointer[digestedRules]
+}
+
+// digestedRules pairs a rules digest with the rule count it was taken at.
+type digestedRules struct {
+	nrules int
+	digest string
+}
+
+// rulesDigest is Spec.RulesDigest, computed once per rule count: rules are
+// only ever appended (privilege.Spec.Approve). The memo is an atomic
+// pointer as the twin's compiled spec is: a concurrent approval at worst
+// costs one extra digest.
+func (e *Engagement) rulesDigest() string {
+	n := len(e.Spec.Rules)
+	m := e.rules.Load()
+	if m == nil || m.nrules != n {
+		m = &digestedRules{nrules: n, digest: e.Spec.RulesDigest()}
+		e.rules.Store(m)
+	}
+	return m.digest
 }
 
 // StartWork assigns the ticket to the technician and builds the engagement:
@@ -336,15 +359,21 @@ func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 }
 
 // ReviewChanges is ReviewCached for a change set the caller already
-// extracted with Twin.Changes (the service layer also addresses its
-// coalescing slot with it, through ReviewKey).
+// extracted with Twin.Changes.
 func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision, bool, error) {
+	return e.ReviewKeyed(changes, e.ReviewKey(changes))
+}
+
+// ReviewKeyed is ReviewChanges for a caller that already took the set's
+// ReviewKey (the service layer addresses its coalescing slot with it), so
+// the enforcer digests neither the rules nor the change set again.
+func (e *Engagement) ReviewKeyed(changes []config.Change, key string) (*enforcer.Decision, bool, error) {
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)
 	}
 	e.sys.prodMu.RLock()
 	defer e.sys.prodMu.RUnlock()
-	d, hit := e.sys.Enforcer.ReviewCached(e.sys.production, changes, e.Spec)
+	d, hit := e.sys.Enforcer.ReviewKeyed(e.sys.production, changes, e.Spec, key)
 	return d, hit, nil
 }
 
@@ -353,7 +382,7 @@ func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision,
 // submissions with equal keys would receive the same verdict, which is
 // what the service layer's request coalescing keys on.
 func (e *Engagement) ReviewKey(changes []config.Change) string {
-	return e.sys.Enforcer.ReviewKey(changes, e.Spec)
+	return e.sys.Enforcer.ReviewKey(changes, e.rulesDigest())
 }
 
 // Commit extracts the twin's changes, has the enforcer verify and schedule

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heimdall/internal/audit"
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
@@ -216,12 +217,27 @@ func TestEscalationWorkflow(t *testing.T) {
 	if eng.Spec.Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
 		t.Fatal("ACL writes should not be pre-granted on an OSPF ticket")
 	}
+	// The engagement memoizes its rules digest; the approval appends a rule,
+	// so the review key moves with it and the refusal is not replayed.
+	acl := []config.Change{{Device: issue.Fault.RootCause, Op: config.OpAddACLEntry, ACLName: "ESCALATED",
+		Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: 8443}}}
+	before := eng.ReviewKey(acl)
+	if d, _, err := eng.ReviewChanges(acl); err != nil || len(d.Unauthorized) != 1 {
+		t.Fatalf("review before the escalation: %+v, %v", d, err)
+	}
 	esc := eng.RequestEscalation(rule, "suspect the firewall as well")
 	if err := eng.ApproveEscalation(esc); err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Spec.Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
 		t.Fatal("approved escalation should widen privileges")
+	}
+	after := eng.ReviewKey(acl)
+	if after == before || after != sys.Enforcer.ReviewKey(acl, eng.Spec.RulesDigest()) {
+		t.Fatalf("review key after the approval = %s (before: %s), want the key of the widened rules", after, before)
+	}
+	if d, hit, err := eng.ReviewChanges(acl); err != nil || hit || len(d.Unauthorized) != 0 {
+		t.Fatalf("review after the escalation: hit=%v %+v, %v", hit, d, err)
 	}
 	// Escalations appear on the audit trail.
 	found := 0

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,8 +144,38 @@ func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 	s := o.sys
 	s.prodMu.RLock()
 	defer s.prodMu.RUnlock()
-	assertSnapshotsEqual(t, step, s.production, s.policies,
-		s.Enforcer.ProductionSnapshot(s.production), dataplane.Compute(s.production))
+	fresh := dataplane.Compute(s.production)
+	assertSnapshotsEqual(t, step, s.production, s.policies, s.Enforcer.ProductionSnapshot(s.production), fresh)
+	if err := verdictsDiverge(s.policies, s.Enforcer.HeldVerdicts(s.production), fresh); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// verdictsDiverge returns an error unless every verdict held is the one a
+// from-scratch check of production gives: the same trace, and the same
+// violation rendered (or none). Empty slots claim nothing.
+func verdictsDiverge(policies []verify.Policy, held verify.Verdicts, fresh *dataplane.Snapshot) error {
+	if len(held) != len(policies) {
+		return fmt.Errorf("%d verdict slots held for %d policies", len(held), len(policies))
+	}
+	for i, p := range policies {
+		v := held[i].Load()
+		if v == nil {
+			continue
+		}
+		tr, _ := fresh.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		got, want := "holds", "holds"
+		if v.Violation != nil {
+			got = v.Violation.String()
+		}
+		if w := verify.CheckPolicy(fresh, p); w != nil {
+			want = w.String()
+		}
+		if got != want || !reflect.DeepEqual(v.Trace, tr) {
+			return fmt.Errorf("held verdict of %s diverged from a fresh check:\nheld  %s on %v\nfresh %s on %v", p, got, v.Trace, want, tr)
+		}
+	}
+	return nil
 }
 
 // changes is the engagement's pending change set: the held deployment takes
@@ -308,9 +339,13 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					}
 					checkTwin(t, step+"/script", eng)
 					out += review("review") + review("review again")
+					want := scratchDecision(t, o.sys, o.changes(eng))
 					o.fresh(func() { d, err = eng.CommitChanges(o.changes(eng)) })
 					if err != nil || !d.Accepted || d.Checked != len(scen.Policies) {
 						t.Fatalf("%s: commit: %v %+v", step, err, d)
+					}
+					if got := decisionJSON(t, d); got != want {
+						t.Fatalf("%s: commit diverged from the from-scratch reference:\ngot  %s\nwant %s", step, got, want)
 					}
 					o.checkProduction(t, step+"/commit")
 					// The open paid this version's one Compute; reviews and
@@ -503,9 +538,13 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					decided(step, want, d, err)
 				}
 
+				// The first of these reviews decides the violation and leaves
+				// it in production's slot; the later ones take it from there.
 				o.inject(t, is)
-				if d := review("carried/violating review", sets[0]); d.Accepted || len(d.Violations) == 0 {
-					t.Fatalf("carried: issue %s breaks no policy in production: %+v", is.Name, d)
+				for k, changes := range sets {
+					if d := review(fmt.Sprintf("carried/violating review %d", k), changes); d.Accepted || len(d.Violations) == 0 {
+						t.Fatalf("carried: issue %s breaks no policy in production: %+v", is.Name, d)
+					}
 				}
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				if _, err := eng.RunScript(is.Script); err != nil {
@@ -528,6 +567,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			})
 			if carried := pair[0].reg.CounterValue("heimdall_dataplane_flowcache_carried_total"); carried == 0 {
 				t.Fatal("the held deployment never carried a trace from one snapshot to the next")
+			}
+			if carried := pair[0].reg.CounterValue("heimdall_verify_policies_carried_total"); carried == 0 {
+				t.Fatal("the held deployment never carried a verdict from production to a review or a commit")
 			}
 
 			held, ref := pair[0].sys.Enforcer, pair[1].sys.Enforcer
@@ -606,10 +648,11 @@ func mustExport(t *testing.T, export func() ([]byte, error)) string {
 	return string(b)
 }
 
-// TestProductionSnapshotHammer races session opens and reviews (readers of
-// the held production snapshot, several at once as under a verify pool with
-// more than one worker) against a stream of declared injects and commits
-// (the writers that derive it onto the next version). Run under -race; a
+// TestProductionSnapshotHammer races session opens and reviews, repeated
+// and never-repeating ones (readers of the held production snapshot and
+// fillers of its verdict vector, several at once as under a verify pool
+// with more than one worker) against a stream of declared injects and
+// commits (the writers that derive both onto the next version). Run under -race; a
 // reader under the read lock and the state at rest must equal a fresh
 // Compute, and both chains must verify.
 func TestProductionSnapshotHammer(t *testing.T) {
@@ -674,18 +717,55 @@ func TestProductionSnapshotHammer(t *testing.T) {
 			return err
 		})
 	}
+	// Reviews nobody has asked for before, so none is answered from the
+	// verdict cache: each derives from the held snapshot, takes over what
+	// the vector beside it knows and fills what it does not while the other
+	// does the same, and must give the verdict of a vector-less check of the
+	// same shadow computed from scratch.
+	wide := &privilege.Spec{Ticket: "T-HAMMER", Technician: "riley", Rules: []privilege.Rule{
+		{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:*"},
+	}}
+	infra := scen.Network.RoutersAndSwitches()
+	var seq atomic.Int64
+	for i := 0; i < 2; i++ {
+		reader(func() error {
+			k := int(seq.Add(1))
+			changes := []config.Change{{
+				Device: infra[k%len(infra)], Op: config.OpAddACLEntry, ACLName: "HAMMER",
+				Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: uint16(9000 + k)},
+			}}
+			sys.prodMu.RLock()
+			defer sys.prodMu.RUnlock()
+			got, err := json.Marshal(sys.Enforcer.Review(sys.production, changes, wide))
+			if err != nil {
+				return err
+			}
+			shadow := sys.production.Clone()
+			if err := config.ApplyChanges(shadow, changes); err != nil {
+				return err
+			}
+			res := verify.Check(dataplane.Compute(shadow), sys.policies)
+			want, err := json.Marshal(&enforcer.Decision{Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked})
+			if err == nil && string(got) != string(want) {
+				err = fmt.Errorf("review %d diverged from the from-scratch verdict:\ngot  %s\nwant %s", k, got, want)
+			}
+			return err
+		})
+	}
 	// Whoever holds the read lock is served production as it is: the flow
 	// the injections break and the commits repair answers as a from-scratch
-	// Compute answers, whichever writer ran last.
+	// Compute answers, and so does every verdict held, whichever writer ran
+	// last and whichever reviews have filled the vector since.
 	reader(func() error {
 		sys.prodMu.RLock()
 		defer sys.prodMu.RUnlock()
+		fresh := dataplane.Compute(sys.production)
 		got, _ := sys.Enforcer.ProductionSnapshot(sys.production).Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
-		want, _ := dataplane.Compute(sys.production).Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
+		want, _ := fresh.Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
 		if got.String() != want.String() {
 			return fmt.Errorf("held snapshot is behind production: %v, a fresh Compute says %v", got, want)
 		}
-		return nil
+		return verdictsDiverge(sys.policies, sys.Enforcer.HeldVerdicts(sys.production), fresh)
 	})
 	for i := 0; i < rounds; i++ {
 		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {

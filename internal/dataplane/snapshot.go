@@ -413,7 +413,7 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 	}
 	tr, err := s.reach(srcHost, dstHost, proto, dstPort)
 	r := s.flows.store(k, &flowResult{tr: tr, err: err})
-	if s.parentFlows != nil && s.clean(r) {
+	if s.Carries(r.tr) {
 		s.parentFlows.m.LoadOrStore(k, r)
 	}
 	return r.tr, r.err
@@ -427,7 +427,7 @@ func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
 		return nil, false
 	}
 	v, ok := s.parentFlows.m.Load(k)
-	if !ok || !s.clean(v.(*flowResult)) {
+	if !ok || !s.Carries(v.(*flowResult).tr) {
 		return nil, false
 	}
 	v, _ = s.flows.m.LoadOrStore(k, v)
@@ -437,13 +437,20 @@ func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
 	return v.(*flowResult), true
 }
 
-// clean reports whether the result read nothing that differs between this
-// snapshot and its parent: no hop is a stale device. Errors have no hops:
-// they depend on the device set and host addresses only.
-func (s *Snapshot) clean(r *flowResult) bool {
-	if r.tr != nil {
-		for i := range r.tr.Hops {
-			if s.stale[r.tr.Hops[i].Device] {
+// Carries reports whether a Reach result of the snapshot this one was
+// derived from is this one's result too (and the reverse): the derivation
+// kept adjacency and owner and no hop is a stale device, so the trace read
+// nothing that differs between the two. An error (tr nil) has no hops: it
+// depends on the device set and host addresses only. Traces move between
+// the two flow caches under this test, and so do the policy verdicts decided
+// on them (verify.CheckCarried): there is no other staleness rule.
+func (s *Snapshot) Carries(tr *Trace) bool {
+	if s.parentFlows == nil {
+		return false
+	}
+	if tr != nil {
+		for i := range tr.Hops {
+			if s.stale[tr.Hops[i].Device] {
 				return false
 			}
 		}

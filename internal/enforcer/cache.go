@@ -18,9 +18,9 @@ package enforcer
 // A cached hit is observably identical to a fresh review: it appends the
 // same audit-trail entry (message and outcome recorded alongside the
 // verdict), bumps the same review counters, and returns a decision whose
-// JSON serialization is byte-for-byte the fresh result, including the
-// ReportDeltas reachability diff. Only the verify-latency histogram is
-// skipped, so that metric keeps measuring real verifications.
+// JSON serialization is byte-for-byte the fresh result. Only the
+// verify-latency histogram is skipped, so that metric keeps measuring real
+// verifications.
 //
 // The invalidation contract: Review takes the production network as a
 // parameter and the enforcer's own pipeline (commit, rollback, quarantine,
@@ -32,6 +32,7 @@ package enforcer
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"heimdall/internal/audit"
@@ -39,6 +40,7 @@ import (
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
+	"heimdall/internal/telemetry"
 	"heimdall/internal/verify"
 )
 
@@ -47,36 +49,28 @@ import (
 // growing the map without limit across privilege-spec variants.
 const reviewCacheCap = 256
 
-// reviewCacheEntry is one memoized verdict: the decision plus the exact
-// audit-trail line the fresh review produced, so a hit replays it.
-type reviewCacheEntry struct {
-	decision *Decision
-	trailMsg string
-	trailOK  bool
-}
-
 // reviewCache is a bounded FIFO map of verdicts. FIFO (not LRU) keeps
 // eviction O(1) and is near-optimal here: invalidation happens by version
 // bump, so surviving entries are all the same age class.
 type reviewCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]reviewCacheEntry
+	entries map[string]*Decision
 	order   []string
 }
 
 func newReviewCache(capacity int) *reviewCache {
-	return &reviewCache{cap: capacity, entries: make(map[string]reviewCacheEntry)}
+	return &reviewCache{cap: capacity, entries: make(map[string]*Decision)}
 }
 
-func (rc *reviewCache) get(key string) (reviewCacheEntry, bool) {
+func (rc *reviewCache) get(key string) (*Decision, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	ent, ok := rc.entries[key]
 	return ent, ok
 }
 
-func (rc *reviewCache) put(key string, ent reviewCacheEntry) {
+func (rc *reviewCache) put(key string, ent *Decision) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if _, exists := rc.entries[key]; !exists {
@@ -93,7 +87,7 @@ func (rc *reviewCache) put(key string, ent reviewCacheEntry) {
 func (rc *reviewCache) clear() {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.entries = make(map[string]reviewCacheEntry)
+	rc.entries = make(map[string]*Decision)
 	rc.order = nil
 }
 
@@ -111,14 +105,15 @@ func (e *Enforcer) InvalidateReviews() {
 	e.reviews.clear()
 }
 
-// ReviewKey returns the content address a review of (changes, spec) would
+// ReviewKey returns the content address a review of changes under a spec
+// whose rules digest to rulesDigest (privilege.Spec.RulesDigest) would
 // occupy right now: production version, privilege-rules digest, canonical
 // change-set digest. Two calls return the same key exactly when the
 // enforcer would serve them the same verdict, which is what the service
 // layer's request coalescing keys on. The key changes on every production
 // mutation, so it is only meaningful for the duration of one submission.
-func (e *Enforcer) ReviewKey(changes []config.Change, spec *privilege.Spec) string {
-	return fmt.Sprintf("v%d|%s|%s", e.prodVersion.Load(), spec.RulesDigest(), verify.ChangeSetDigest(changes))
+func (e *Enforcer) ReviewKey(changes []config.Change, rulesDigest string) string {
+	return "v" + strconv.FormatUint(e.prodVersion.Load(), 10) + "|" + rulesDigest + "|" + verify.ChangeSetDigest(changes)
 }
 
 // clone returns a decision whose slices are independent of the original,
@@ -129,7 +124,6 @@ func (d *Decision) clone() *Decision {
 	c := *d
 	c.Unauthorized = append([]config.Change(nil), d.Unauthorized...)
 	c.Violations = append([]verify.Violation(nil), d.Violations...)
-	c.Deltas = append([]verify.Delta(nil), d.Deltas...)
 	return &c
 }
 
@@ -137,28 +131,46 @@ func (d *Decision) clone() *Decision {
 // served from the cache (the audit trail and review counters are updated
 // identically either way).
 func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
-	return e.review(prod, nil, changes, spec)
+	return e.ReviewKeyed(prod, changes, spec, e.ReviewKey(changes, spec.RulesDigest()))
 }
 
-// review is ReviewCached with the production snapshot a miss derives its
+// ReviewKeyed is ReviewCached for a caller that already holds ReviewKey's
+// answer for (changes, spec) — the service layer addressed its coalescing
+// slot with it — so neither digest is computed twice. A key taken at an
+// earlier version is harmless: the verdict is computed on production as it
+// is, found only by holders of the same old key, dropped at the next bump.
+func (e *Enforcer) ReviewKeyed(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, key string) (*Decision, bool) {
+	return e.review(prod, nil, changes, spec, key)
+}
+
+// review is ReviewKeyed with the production snapshot a miss derives its
 // shadow from already in hand (the commit pipeline's); nil leaves the miss
 // to take it from ProductionSnapshot.
-func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
+func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key string) (*Decision, bool) {
 	// The network pointer joins the key so an enforcer reviewing against
 	// two different networks (tests do) never serves one's verdict for the
-	// other. The key is computed once, before the review: the version it
-	// captures is the one the verdict is valid for.
-	key := fmt.Sprintf("%p|%s", prod, e.ReviewKey(changes, spec))
-	if ent, hit := e.reviews.get(key); hit {
-		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, ent.trailMsg, ent.trailOK)
-		e.countReview(ent.decision.Accepted)
+	// other.
+	key = fmt.Sprintf("%p|%s", prod, key)
+	if d, hit := e.reviews.get(key); hit {
+		e.ReplayReview(spec, d)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
-		return ent.decision.clone(), true
+		return d.clone(), true
 	}
 	d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec)
-	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, msg, ok)
-	e.countReview(d.Accepted)
+	d.trailMsg, d.trailOK = msg, ok
+	e.ReplayReview(spec, d)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
-	e.reviews.put(key, reviewCacheEntry{decision: d.clone(), trailMsg: msg, trailOK: ok})
+	e.reviews.put(key, d.clone())
 	return d, false
+}
+
+// ReplayReview audits and counts one review answered with d, a decision
+// this enforcer computed, under spec's ticket and technician. Every way a
+// verdict reaches a requester ends here once — computed for it, replayed
+// from the verdict cache, or shared by the service layer with a request that
+// coalesced onto another's — so N answered reviews leave N KindVerify entries.
+func (e *Enforcer) ReplayReview(spec *privilege.Spec, d *Decision) {
+	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, d.trailMsg, d.trailOK)
+	e.meter.Counter("heimdall_enforcer_reviews_total",
+		telemetry.L("accepted", strconv.FormatBool(d.Accepted))).Inc()
 }

@@ -49,8 +49,7 @@ func verifyDetails(trail *audit.Trail) []string {
 
 // TestReviewCacheOracle is the acceptance oracle: a cached verdict must be
 // observably identical to a fresh review — same JSON serialization
-// (including the ReportDeltas reachability diff and violation traces),
-// same audit-trail entry — for both an accepting and a rejecting review.
+// (including violation traces), same audit-trail entry — for both an accepting and a rejecting review.
 func TestReviewCacheOracle(t *testing.T) {
 	for name, change := range map[string]config.Change{
 		"accepted": benignChange(15, 443),

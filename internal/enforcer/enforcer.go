@@ -64,10 +64,6 @@ type Enforcer struct {
 	// commits are refused until Recover restores consistency.
 	quarantined bool
 	quarReason  string
-	// ReportDeltas adds a reachability what-if diff to every review: the
-	// host pairs whose connectivity the change set would flip. Off by
-	// default (it probes all pairs twice).
-	ReportDeltas bool
 	// Retry is the push retry/backoff policy; the zero value means the
 	// defaults (3 attempts, 50ms base backoff doubling to 1s, 5s per-op
 	// budget, seeded jitter).
@@ -92,8 +88,8 @@ type Enforcer struct {
 	reviews     *reviewCache
 	prodVersion atomic.Uint64
 	// prodSnap is the production dataplane snapshot held for the current
-	// prodVersion (same contract as the verdict cache); snapMu serializes
-	// its lazy fill. See snapshot.go.
+	// prodVersion, with the policy verdicts known on it (same contract as
+	// the verdict cache); snapMu serializes its lazy fill. See snapshot.go.
 	prodSnap atomic.Pointer[heldSnapshot]
 	snapMu   sync.Mutex
 }
@@ -153,9 +149,11 @@ type Decision struct {
 	Violations []verify.Violation
 	// Checked is how many policies were verified.
 	Checked int
-	// Deltas lists host pairs whose reachability the change set flips
-	// (populated when the enforcer's ReportDeltas is set).
-	Deltas []verify.Delta
+	// trailMsg and trailOK are the audit-trail entry of the review that
+	// computed the decision, replayed for every requester it answers
+	// (ReplayReview).
+	trailMsg string
+	trailOK  bool
 }
 
 // Reason summarises why a decision rejected the change set. It is safe on
@@ -184,10 +182,10 @@ func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec 
 }
 
 // reviewCompute is the uncached review: it returns the decision plus the
-// audit-trail message and outcome flag the caller must append. The trail
-// write is hoisted out so a cache hit can replay the identical entry.
-// prodSnap is the production snapshot to derive the shadow from; nil means
-// take it from ProductionSnapshot once the privilege check has passed.
+// audit-trail message and outcome flag of the entry every requester it
+// answers has appended (ReplayReview). prodSnap is the production snapshot
+// to derive the shadow from; nil means take it from ProductionSnapshot once
+// the privilege check has passed.
 func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec) (d *Decision, trailMsg string, trailOK bool) {
 	d = &Decision{}
 
@@ -216,16 +214,16 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	}
 	// The shadow snapshot derives from the production snapshot — reusing
 	// everything the change set provably cannot invalidate — instead of
-	// recomputing the dataplane from scratch.
+	// recomputing the dataplane from scratch, and when that snapshot is the
+	// held one the check takes over its verdicts the same way: only the
+	// policies whose production trace crosses a device the change set moved
+	// are evaluated. The shadow's own vector is nobody's to read.
 	if prodSnap == nil {
 		prodSnap = e.ProductionSnapshot(prod)
 	}
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
-	if e.ReportDeltas {
-		d.Deltas = verify.DiffReachability(prodSnap, shadowSnap, shadow, nil)
-	}
 	verifyStart := time.Now()
-	res := verify.CheckMetered(shadowSnap, e.policies, e.meter)
+	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap), nil, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
@@ -288,12 +286,6 @@ func priorInterfaceL2Only(prod *netmodel.Network, c config.Change) bool {
 	}
 	old := d.Interface(c.Interface.Name)
 	return old == nil || netmodel.InterfaceL2Only(old)
-}
-
-// countReview records one review outcome.
-func (e *Enforcer) countReview(accepted bool) {
-	e.meter.Counter("heimdall_enforcer_reviews_total",
-		telemetry.L("accepted", fmt.Sprintf("%t", accepted))).Inc()
 }
 
 // schedulePhase orders ops within the additive/subtractive phases so that
@@ -396,7 +388,7 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 	if e.target == nil {
 		pre = e.ProductionSnapshot(prod)
 	}
-	d, _ := e.review(prod, pre, changes, spec)
+	d, _ := e.review(prod, pre, changes, spec, e.ReviewKey(changes, spec.RulesDigest()))
 	if !d.Accepted {
 		e.countCommit(false)
 		return d, fmt.Errorf("enforcer: change set rejected: %s", d.Reason())
@@ -465,14 +457,17 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
 	}
 	// Never trust, always verify: every policy is re-checked against what
-	// production now is, whichever way its snapshot was built.
+	// production now is, whichever way its snapshot was built — evaluated
+	// there, unless the pre-commit verdict rests on a trace the derived
+	// snapshot carries. verdicts comes out holding every policy's.
 	var postSnap *dataplane.Snapshot
 	if pre != nil {
 		postSnap = pre.Derive(prod, cs)
 	} else {
 		postSnap = dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
 	}
-	post := verify.CheckMetered(postSnap, e.policies, e.meter)
+	verdicts := make(verify.Verdicts, len(e.policies))
+	post := verify.CheckCarried(postSnap, e.policies, e.verdictsOf(pre), verdicts, e.meter)
 	if !post.OK() {
 		outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 			fmt.Sprintf("post-apply verification failed: %d violations", len(post.Violations)))
@@ -488,9 +483,10 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
 		fmt.Sprintf("committed %d changes to production", len(ordered)), true)
 	// Production changed: every cached review verdict is now stale, and the
-	// snapshot just verified is the snapshot of the new version.
+	// snapshot just verified, with the verdicts it was verified to, is what
+	// is held of the new version.
 	e.InvalidateReviews()
-	e.holdSnapshot(prod, postSnap)
+	e.holdSnapshot(prod, e.prodVersion.Load(), postSnap, verdicts)
 	e.countCommit(true)
 	return d, nil
 }

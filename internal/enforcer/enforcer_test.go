@@ -247,47 +247,6 @@ func TestAttest(t *testing.T) {
 	}
 }
 
-func TestReviewReportsReachabilityDeltas(t *testing.T) {
-	n := prod()
-	e := newEnforcer(n)
-	e.ReportDeltas = true
-	// A change that flips reachability: permit everything to h3 — caught
-	// as a violation AND explained by the deltas.
-	d := e.Review(n, []config.Change{{
-		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
-		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
-			Dst: netip.MustParsePrefix("10.3.0.0/24")},
-	}}, aclSpec())
-	if d.Accepted {
-		t.Fatal("violating change accepted")
-	}
-	if len(d.Deltas) == 0 {
-		t.Fatal("no deltas reported")
-	}
-	foundFlip := false
-	for _, delta := range d.Deltas {
-		if delta.Dst == "h3" && !delta.Before && delta.After {
-			foundFlip = true
-		}
-		if delta.String() == "" {
-			t.Error("empty delta string")
-		}
-	}
-	if !foundFlip {
-		t.Fatalf("expected h3 flip in deltas: %v", d.Deltas)
-	}
-
-	// A no-op-for-reachability change reports no deltas.
-	d = e.Review(n, []config.Change{{
-		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
-		Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
-			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 8443},
-	}}, aclSpec())
-	if !d.Accepted || len(d.Deltas) != 0 {
-		t.Fatalf("benign change: accepted=%v deltas=%v", d.Accepted, d.Deltas)
-	}
-}
-
 // TestSchedulePermutationProperty: Schedule must return a permutation of
 // its input (nothing dropped, nothing invented) with every additive change
 // before every subtractive one, for random change sets.

@@ -8,6 +8,12 @@ package enforcer
 // caller of a version computes it, everyone else derives from it, and a
 // commit hands the snapshot it just verified to the next version.
 //
+// Beside the snapshot it holds what is known of the policies on it, one
+// verdict per policy: a review or post-apply check derives its snapshot
+// from the held one and evaluates only the policies whose held verdict
+// rests on a trace the derivation does not carry. The vector is installed,
+// handed over and dropped with the snapshot, never apart from it.
+//
 // The invalidation contract is the verdict cache's: production is mutated
 // in place, and a snapshot reads its network's devices lazily (ACLs at
 // trace time), so a snapshot held across a mutation the enforcer did not
@@ -24,13 +30,38 @@ import (
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
+	"heimdall/internal/verify"
 )
 
-// heldSnapshot is a production snapshot and what it is valid for.
+// heldSnapshot is a production snapshot, what it is valid for, and the
+// verdicts known on it: index-aligned with e.policies, a slot filled by the
+// first review of this version to decide that policy on a trace production
+// shares (verify.CheckCarried), or by the commit or declared write that
+// created the version.
 type heldSnapshot struct {
-	net     *netmodel.Network
-	version uint64
-	snap    *dataplane.Snapshot
+	net      *netmodel.Network
+	version  uint64
+	snap     *dataplane.Snapshot
+	verdicts verify.Verdicts
+}
+
+// verdictsOf returns the vector held beside snap: nil unless snap is the
+// held snapshot itself, so a verdict is only ever carried from the snapshot
+// it was proven for.
+func (e *Enforcer) verdictsOf(snap *dataplane.Snapshot) verify.Verdicts {
+	if h := e.prodSnap.Load(); h != nil && h.snap == snap {
+		return h.verdicts
+	}
+	return nil
+}
+
+// HeldVerdicts returns the policy verdicts held beside prod's snapshot at
+// the current version, index-aligned with Policies and read-only for the
+// caller; nil when nothing is held. Every filled slot is the verdict a
+// from-scratch check of production gives (the production-snapshot oracle
+// compares them).
+func (e *Enforcer) HeldVerdicts(prod *netmodel.Network) verify.Verdicts {
+	return e.verdictsOf(e.current(prod, e.prodVersion.Load()))
 }
 
 // current returns the held snapshot of prod at the given version, or nil.
@@ -66,7 +97,7 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 	}
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
 	snap := dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
-	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap})
+	e.holdSnapshot(prod, version, snap, make(verify.Verdicts, len(e.policies)))
 	return snap
 }
 
@@ -77,10 +108,11 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 // dies, but the held snapshot is handed over as a commit hands it over: the
 // devices are diffed against their pre-image in name order, the diff is
 // classified as a commit's change set is, and the snapshot derived by it
-// (the same one, when nothing changed) is held for the new version. The list
-// is a claim nobody checks here: a device written but not listed leaves a
-// wrong snapshot held. Nothing held at this version, or a listed device
-// missing on either side, is a drop.
+// (the same one, when nothing changed) is held for the new version, with
+// the policy verdicts it carries and the other slots empty. The list is a
+// claim nobody checks here: a device written but not listed leaves a wrong
+// snapshot held. Nothing held at this version, or a listed device missing on
+// either side, is a drop.
 func (e *Enforcer) ProductionWritten(prod, pre *netmodel.Network, devices []string) {
 	held := e.current(prod, e.prodVersion.Load())
 	if held == nil {
@@ -98,16 +130,19 @@ func (e *Enforcer) ProductionWritten(prod, pre *netmodel.Network, devices []stri
 		}
 		changes = append(changes, config.DiffDevice(was, now)...)
 	}
+	verdicts := e.verdictsOf(held)
 	if len(changes) > 0 {
 		held = held.Derive(prod, changeSetFor(pre, changes))
+		verdicts = verdicts.Carried(held)
 	}
 	e.InvalidateReviews()
-	e.holdSnapshot(prod, held)
+	e.holdSnapshot(prod, e.prodVersion.Load(), held, verdicts)
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_derived_total").Inc()
 }
 
-// holdSnapshot installs snap as the snapshot of prod at the current
-// version (Commit and ProductionWritten, right after bumping it).
-func (e *Enforcer) holdSnapshot(prod *netmodel.Network, snap *dataplane.Snapshot) {
-	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: snap})
+// holdSnapshot installs snap and the verdicts proven for it as what is held
+// of prod at the given version (the current one: Commit and
+// ProductionWritten call it right after bumping it).
+func (e *Enforcer) holdSnapshot(prod *netmodel.Network, version uint64, snap *dataplane.Snapshot, verdicts verify.Verdicts) {
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap, verdicts: verdicts})
 }

@@ -267,8 +267,9 @@ func TestCustomTargetPostVerifyComputes(t *testing.T) {
 }
 
 // TestReviewsShareParentMemo: concurrent reviews are children of one held
-// production snapshot, each carrying from its flow cache and writing clean
-// traces back into it while the others read. Run under -race. Every verdict
+// production snapshot, each carrying from its flow cache and its verdict
+// vector and writing clean traces and verdicts back into them while the
+// others read. Run under -race. Every verdict
 // — counterexample traces included — must equal the one a from-scratch
 // Compute of the same shadow network gives, whatever the interleaving left
 // in the shared cache.
@@ -339,9 +340,9 @@ func TestReviewsShareParentMemo(t *testing.T) {
 	if got := snapshotMisses(reg); got != 1 {
 		t.Fatalf("reviews computed %v production snapshots, want 1", got)
 	}
-	if carried := reg.CounterValue("heimdall_dataplane_flowcache_carried_total"); carried == 0 || rejected == 0 {
-		t.Fatalf("%v lookups carried, %d reviews rejected: the test exercises nothing", carried, rejected)
+	carried := reg.CounterValue("heimdall_verify_policies_carried_total")
+	if carried == 0 || rejected == 0 {
+		t.Fatalf("%v verdicts carried, %d reviews rejected: the test exercises nothing", carried, rejected)
 	}
-	t.Logf("%d of %d reviews rejected, %v lookups carried", rejected, reviewers*rounds,
-		reg.CounterValue("heimdall_dataplane_flowcache_carried_total"))
+	t.Logf("%d of %d reviews rejected, %v verdicts carried", rejected, reviewers*rounds, carried)
 }

@@ -18,9 +18,3 @@ func InterfaceL2Only(itf *Interface) bool {
 	}
 	return itf.Mode == Access || itf.Mode == Trunk || !itf.HasAddr()
 }
-
-// L2OnlyInterface reports whether the named interface exists on the device
-// and is L2-only per InterfaceL2Only.
-func (d *Device) L2OnlyInterface(name string) bool {
-	return InterfaceL2Only(d.Interface(name))
-}

@@ -265,17 +265,6 @@ func (a *ACL) Clone() *ACL {
 	return &ACL{Name: a.Name, Entries: append([]ACLEntry(nil), a.Entries...)}
 }
 
-// NextSeq returns the sequence number a newly appended entry should use.
-func (a *ACL) NextSeq() int {
-	max := 0
-	for i := range a.Entries {
-		if a.Entries[i].Seq > max {
-			max = a.Entries[i].Seq
-		}
-	}
-	return max + 10
-}
-
 // InsertEntry adds an entry keeping the list ordered by sequence number.
 // An entry with a duplicate sequence number replaces the existing one.
 func (a *ACL) InsertEntry(e ACLEntry) {

@@ -116,9 +116,6 @@ func TestACLInsertRemoveOrdering(t *testing.T) {
 	if !acl.RemoveEntry(20) || acl.RemoveEntry(99) {
 		t.Fatal("RemoveEntry verdicts wrong")
 	}
-	if got := acl.NextSeq(); got != 40 {
-		t.Fatalf("NextSeq = %d, want 40", got)
-	}
 }
 
 func TestOSPFEnabledAreaLongestMatch(t *testing.T) {
@@ -287,12 +284,6 @@ func TestHostHelpers(t *testing.T) {
 	}
 	if _, ok := n.HostAddr("r1"); ok {
 		t.Fatal("HostAddr on router should fail")
-	}
-	if got := n.DeviceByAddr(netip.MustParseAddr("10.1.0.5")); got != "h1" {
-		t.Fatalf("DeviceByAddr = %q", got)
-	}
-	if got := n.DeviceByAddr(netip.MustParseAddr("1.2.3.4")); got != "" {
-		t.Fatalf("DeviceByAddr unknown = %q", got)
 	}
 }
 

@@ -256,20 +256,6 @@ func (n *Network) HostAddr(name string) (netip.Addr, bool) {
 	return addr, addr.IsValid()
 }
 
-// DeviceByAddr returns the name of the device owning the given address on
-// any of its interfaces (up or down), or "".
-func (n *Network) DeviceByAddr(a netip.Addr) string {
-	for _, name := range n.DeviceNames() {
-		d := n.Devices[name]
-		for _, in := range d.InterfaceNames() {
-			if itf := d.Interfaces[in]; itf.HasAddr() && itf.Addr.Addr() == a {
-				return name
-			}
-		}
-	}
-	return ""
-}
-
 // PathsBetween returns every device on any simple path between src and dst
 // whose length is at most slack hops longer than the shortest path. It is
 // the topological core of the twin network's task-driven slice.

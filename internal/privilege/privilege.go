@@ -52,7 +52,7 @@ type Rule struct {
 
 // String renders the rule in the text DSL form.
 func (r Rule) String() string {
-	return fmt.Sprintf("%s(%s, %s)", r.Effect, r.Action, r.Resource)
+	return r.Effect.String() + "(" + r.Action + ", " + r.Resource + ")"
 }
 
 // Matches reports whether the rule covers the (action, resource) pair.
@@ -111,18 +111,6 @@ func (s *Spec) Evaluate(action, resource string) Effect {
 // Allows reports whether Evaluate yields AllowEffect.
 func (s *Spec) Allows(action, resource string) bool {
 	return s.Evaluate(action, resource) == AllowEffect
-}
-
-// AllowedOn counts how many of the given actions are allowed on the
-// resource; the attack-surface metric uses this as C_n.
-func (s *Spec) AllowedOn(resource string, actions []string) int {
-	n := 0
-	for _, a := range actions {
-		if s.Allows(a, resource) {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the spec in the text DSL, one predicate per line.

@@ -684,6 +684,3 @@ func (g *Group) sortedNames(s State) []string {
 
 // LiveNames returns the live replicas' names, sorted.
 func (g *Group) LiveNames() []string { return g.sortedNames(Live) }
-
-// QuarantinedNames returns the quarantined replicas' names, sorted.
-func (g *Group) QuarantinedNames() []string { return g.sortedNames(Quarantined) }

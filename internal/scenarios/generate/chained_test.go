@@ -14,6 +14,7 @@ import (
 	"heimdall/internal/netmodel"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/scenarios/generate"
+	"heimdall/internal/verify"
 )
 
 // chainStep is one random single-device mutation: the device to clone, the
@@ -85,7 +86,7 @@ func randomStep(rng *rand.Rand, n *netmodel.Network, class int) (chainStep, bool
 			return chainStep{}, false
 		}
 		kind := dataplane.ChangeL3Topology
-		if n.Devices[at.dev].L2OnlyInterface(at.name) {
+		if netmodel.InterfaceL2Only(n.Devices[at.dev].Interface(at.name)) {
 			kind = dataplane.ChangeL2
 		}
 		return chainStep{"shutdown-toggle " + at.name, at.dev, kind, func(d *netmodel.Device) {
@@ -166,22 +167,68 @@ func randomStep(rng *rand.Rand, n *netmodel.Network, class int) (chainStep, bool
 // chainTier is one topology the chained oracle and its fuzz target run on,
 // built and computed once: every chain derives from the same base snapshot,
 // so the clean traces each chain's first step computes are written back
-// into one shared parent, as reviews do into the held production snapshot.
+// into one shared parent — and the clean verdicts into one shared vector —
+// as reviews do into the held production snapshot.
 type chainTier struct {
 	name     string
 	build    func() *scenarios.Scenario
 	once     sync.Once
 	scen     *scenarios.Scenario
 	baseSnap *dataplane.Snapshot
+	// policies is the scenario's set plus policies that do not hold: every
+	// fifth reachability policy again as an isolation policy (violated with
+	// a trace wherever the flow is delivered) and one about a host nobody
+	// has (violated with an error and no trace). baseVerdicts is the base
+	// snapshot's vector over them, empty until the chains fill it.
+	policies     []verify.Policy
+	baseVerdicts verify.Verdicts
 }
 
 func (c *chainTier) base() (*scenarios.Scenario, *dataplane.Snapshot) {
 	c.once.Do(func() {
 		c.scen = c.build()
 		c.baseSnap = dataplane.Compute(c.scen.Network)
+		c.policies = append([]verify.Policy(nil), c.scen.Policies...)
+		for i, p := range c.scen.Policies {
+			if p.Kind == verify.Reachability && i%5 == 0 {
+				p.ID, p.Kind = p.ID+"-broken", verify.Isolation
+				c.policies = append(c.policies, p)
+			}
+		}
+		c.policies = append(c.policies, verify.Policy{ID: "P-nohost", Src: "no-such-host", Dst: c.scen.Network.Hosts()[0]})
+		c.baseVerdicts = make(verify.Verdicts, len(c.policies))
 	})
 	return c.scen, c.baseSnap
 }
+
+// checkVerdicts fails unless every filled slot of the vector is the verdict
+// a check of full, the from-scratch snapshot of the same network, gives:
+// the same trace and the same violation rendered, or none.
+func checkVerdicts(t *testing.T, what string, policies []verify.Policy, vec verify.Verdicts, full *dataplane.Snapshot, trail []string) {
+	t.Helper()
+	for i, p := range policies {
+		v := vec[i].Load()
+		if v == nil {
+			continue
+		}
+		tr, _ := full.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		got, want := "holds", "holds"
+		if v.Violation != nil {
+			got = v.Violation.String()
+		}
+		if w := verify.CheckPolicy(full, p); w != nil {
+			want = w.String()
+		}
+		if got != want || !reflect.DeepEqual(v.Trace, tr) {
+			t.Fatalf("step %d: %s: verdict of %s diverged\nheld: %s on %v\nfull: %s on %v\nsteps: %q",
+				len(trail), what, p, got, v.Trace, want, tr, trail)
+		}
+	}
+}
+
+// chainStats is what a chain carried: verdicts taken by index, and how many
+// of those were violations.
+type chainStats struct{ carried, carriedViolations int }
 
 var chainTiers = []*chainTier{
 	{name: "university", build: scenarios.University},
@@ -199,11 +246,21 @@ var chainTiers = []*chainTier{
 // shares, patches, keeps by identity or carries in its flow cache is the
 // next one's parent — and compared with a from-scratch Compute: every
 // device's RIB, the flow of every scenario policy (which also warms the
-// snapshot the next step derives from) and 20 sampled host pairs. A failure
-// names the step sequence.
-func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) {
+// snapshot the next step derives from) and 20 sampled host pairs.
+//
+// The verdict vector goes down the chain with the snapshots. Bit 5 of the
+// script byte picks how: as a commit hands it over (CheckCarried on the
+// derived snapshot with the parent's vector, keeping the new one — the
+// result must equal verify.Check on the from-scratch snapshot, violations
+// rendered and in order, and the slots it filled back into the parent's
+// vector must still be the parent's verdicts) or as a declared write does
+// (Verdicts.Carried, nothing evaluated, the next step finds the holes).
+// Either way every filled slot of the new vector must be the from-scratch
+// verdict. A failure names the step sequence.
+func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (stats chainStats) {
 	scen, snap := tier.base()
-	cur := scen.Network
+	policies, verdicts := tier.policies, tier.baseVerdicts
+	cur, prevFull := scen.Network, snap
 	hosts := cur.Hosts()
 	var trail []string
 	for _, b := range script {
@@ -229,6 +286,34 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) {
 		cur = next
 
 		full := dataplane.Compute(next)
+		if b>>5&1 == 0 {
+			for i := range verdicts {
+				if v := verdicts[i].Load(); v != nil && snap.Carries(v.Trace) {
+					stats.carried++
+					if v.Violation != nil {
+						stats.carriedViolations++
+					}
+				}
+			}
+			handed := make(verify.Verdicts, len(policies))
+			got, want := verify.CheckCarried(snap, policies, verdicts, handed, nil), verify.Check(full, policies)
+			if got.Checked != want.Checked || fmt.Sprint(got.Violations) != fmt.Sprint(want.Violations) {
+				t.Fatalf("step %d: check with carried verdicts diverged\ncarried: %d checked, %v\nfull:    %d checked, %v\nsteps: %q",
+					len(trail), got.Checked, got.Violations, want.Checked, want.Violations, trail)
+			}
+			for i := range handed {
+				if handed[i].Load() == nil {
+					t.Fatalf("step %d: the check left slot %d of the handed-over vector empty\nsteps: %q", len(trail), i, trail)
+				}
+			}
+			checkVerdicts(t, "parent vector after the fill-back", policies, verdicts, prevFull, trail)
+			verdicts = handed
+		} else {
+			verdicts = verdicts.Carried(snap)
+		}
+		checkVerdicts(t, "derived vector", policies, verdicts, full, trail)
+		prevFull = full
+
 		for _, dev := range next.DeviceNames() {
 			if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
 				t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
@@ -250,6 +335,7 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) {
 			check(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], netmodel.ICMP, 0)
 		}
 	}
+	return stats
 }
 
 // TestGeneratedDeriveChained is the chained differential oracle: seeded
@@ -261,24 +347,31 @@ func TestGeneratedDeriveChained(t *testing.T) {
 	if raceEnabled {
 		seeds = 2
 	}
+	var total chainStats
 	for _, tier := range chainTiers {
 		for seed := 1; seed <= seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", tier.name, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(seed)))
 				script := make([]byte, steps)
 				rng.Read(script)
-				runChain(t, tier, rng, script)
+				stats := runChain(t, tier, rng, script)
+				total.carried += stats.carried
+				total.carriedViolations += stats.carriedViolations
 			})
 		}
+	}
+	t.Logf("%d verdicts carried, %d of them violations", total.carried, total.carriedViolations)
+	if total.carried == 0 || total.carriedViolations == 0 {
+		t.Fatal("no chain carried a violation from one snapshot to the next: the case is gone")
 	}
 }
 
 // FuzzDeriveChained hands runChain to the fuzzer: the tier, the seed of the
-// draws inside each step, and the step script itself (class and change-set
-// size per step) are all inputs.
+// draws inside each step, and the step script itself (class, change-set
+// size and how the verdict vector is handed on, per step) are all inputs.
 func FuzzDeriveChained(f *testing.F) {
 	for tier := range chainTiers {
-		f.Add(uint8(tier), int64(tier+1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8 | 6, 16 | 7, 24 | 1, 0})
+		f.Add(uint8(tier), int64(tier+1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8 | 6, 16 | 7, 24 | 1, 0, 32 | 1, 32 | 6, 2})
 	}
 	f.Fuzz(func(t *testing.T, tier uint8, seed int64, script []byte) {
 		if len(script) > 32 {

@@ -279,18 +279,6 @@ func (p *Pool) Depth() int {
 	return p.depth
 }
 
-// TenantBacklogs returns the current per-tenant queue depths (every
-// tenant that has ever submitted, including idle ones at zero).
-func (p *Pool) TenantBacklogs() map[string]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]int, len(p.queues))
-	for name, q := range p.queues {
-		out[name] = len(q.tasks)
-	}
-	return out
-}
-
 // Close stops the workers. In-flight tasks finish; queued-but-unstarted
 // tasks are dropped and their Do calls return ErrPoolClosed.
 func (p *Pool) Close() {

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
+	"heimdall/internal/audit"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
@@ -20,10 +22,14 @@ type reviewFixture struct {
 	a, b  Info
 }
 
-func newReviewFixture(t *testing.T) *reviewFixture {
+func newReviewFixture(t *testing.T) *reviewFixture { return newReviewFixtureWorkers(t, 0) }
+
+// newReviewFixtureWorkers is newReviewFixture with the verify pool's worker
+// count fixed (0 leaves the default).
+func newReviewFixtureWorkers(t *testing.T, workers int) *reviewFixture {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	svc := New(Config{Meter: reg, PlatformSeed: "review-oracle"})
+	svc := New(Config{Meter: reg, PlatformSeed: "review-oracle", VerifyWorkers: workers})
 	t.Cleanup(svc.Close)
 	if _, err := svc.CreateTenant("solo", "university"); err != nil {
 		t.Fatal(err)
@@ -171,5 +177,94 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 	if h2, c2 := svc.ReviewStats(); h2 != hits || c2 != coal {
 		t.Fatalf("post-commit review served from cache: stats went (%d, %d) -> (%d, %d)",
 			hits, coal, h2, c2)
+	}
+}
+
+// TestCoalescedReviewAudited: a review that coalesces onto another
+// request's verification is audited as any answered review is — its own
+// KindVerify entry, under its own ticket and technician, with the leader's
+// message and outcome — and counted in heimdall_enforcer_reviews_total. The
+// pool's single worker is held while the leader queues and the followers
+// join its flight, so all but one of the requests coalesce.
+func TestCoalescedReviewAudited(t *testing.T) {
+	f := newReviewFixtureWorkers(t, 1)
+	svc := f.svc
+	release, held := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_ = svc.pool.Do("solo", func() { close(held); <-release })
+	}()
+	<-held
+
+	const followers = 7
+	results := make(chan ReviewResult, 1+followers)
+	review := func(info Info) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := svc.Review("solo", info.Session, info.Token)
+			if err != nil {
+				t.Errorf("review: %v", err)
+			}
+			results <- res
+		}()
+	}
+	review(f.a) // the leader: queued behind the held worker, its flight open
+	waitDepth(t, svc.pool, 1)
+	for i := 0; i < followers; i++ {
+		if i%2 == 0 {
+			review(f.b)
+		} else {
+			review(f.a)
+		}
+	}
+	// Followers park on the flight without a queue slot; give them a beat
+	// to get there, then let the worker run the leader's review.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	close(results)
+	var first *ReviewResult
+	for res := range results {
+		res := res
+		if first == nil {
+			first = &res
+		} else if !reflect.DeepEqual(*first, res) {
+			t.Fatalf("answers differ: %+v vs %+v", *first, res)
+		}
+	}
+	if _, coalesced := svc.ReviewStats(); coalesced == 0 {
+		t.Fatal("no review coalesced: the test exercises nothing")
+	}
+
+	// One entry per answered request, whichever way it was served, each
+	// under the requester's own ticket and name and all with one message.
+	tn, err := svc.Tenant("solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified := map[[2]string]int{}
+	details := map[string]bool{}
+	for _, e := range tn.System().Enforcer.Trail().Entries() {
+		if e.Kind == audit.KindVerify {
+			verified[[2]string{e.Ticket, e.Technician}]++
+			details[e.Detail] = true
+			if !e.Allowed {
+				t.Fatalf("accepted review audited as refused: %+v", e)
+			}
+		}
+	}
+	want := map[[2]string]int{
+		{f.a.Ticket, "alice"}: 1 + followers/2,
+		{f.b.Ticket, "bob"}:   followers - followers/2,
+	}
+	if !reflect.DeepEqual(verified, want) || len(details) != 1 {
+		t.Fatalf("verify entries per (ticket, technician) = %v with %d distinct messages, want %v with 1", verified, len(details), want)
+	}
+	counted := f.reg.CounterValue("heimdall_enforcer_reviews_total", telemetry.L("accepted", "true"))
+	if counted != 1+followers {
+		t.Fatalf("heimdall_enforcer_reviews_total = %v, want %d", counted, 1+followers)
 	}
 }

@@ -258,10 +258,6 @@ func (s *Service) Tenants() []TenantInfo {
 // Tenant resolves one tenant.
 func (s *Service) Tenant(id string) (*Tenant, error) { return s.reg.get(id) }
 
-// ShardIndex exposes the registry's shard mapping (tests assert the
-// distribution).
-func (s *Service) ShardIndex(tenant string) int { return s.reg.shardIndex(tenant) }
-
 // Shards returns the registry shard count.
 func (s *Service) Shards() int { return len(s.reg.shards) }
 
@@ -560,9 +556,11 @@ type ReviewResult struct {
 	Status     string   `json:"status,omitempty"`
 }
 
-// reviewOutcome is the shared result of one pooled review execution.
+// reviewOutcome is the shared result of one pooled review execution; d is
+// the decision res renders, kept for the requests that coalesce onto it.
 type reviewOutcome struct {
 	res ReviewResult
+	d   *enforcer.Decision
 	err error
 	hit bool
 }
@@ -576,7 +574,8 @@ type reviewOutcome struct {
 // (sessions replaying the same scripted ticket) share one queue slot and
 // one verification, and repeated submissions of an already-verified set
 // are answered from the enforcer's verdict cache. Either way the result
-// is byte-identical to a fresh review.
+// is byte-identical to a fresh review, and every answered request lands
+// its own entry on the audit trail, under its own ticket and technician.
 func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	sess, err := s.lookup(tenant, session, token)
 	if err != nil {
@@ -594,18 +593,22 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 		// Empty change set: take a plain (uncoalesced) slot so the
 		// "nothing to review" error surfaces exactly as before.
 		var out reviewOutcome
-		if err := s.pool.Do(tenant, func() { out = s.reviewOnPool(eng, changes) }); err != nil {
+		if err := s.pool.Do(tenant, func() { out = s.reviewOnPool(eng, changes, "") }); err != nil {
 			return ReviewResult{}, err
 		}
 		return out.res, out.err
 	}
-	shared, coalesced, err := s.pool.DoShared(tenant, eng.ReviewKey(changes),
-		func() any { return s.reviewOnPool(eng, changes) })
+	key := eng.ReviewKey(changes)
+	shared, coalesced, err := s.pool.DoShared(tenant, key,
+		func() any { return s.reviewOnPool(eng, changes, key) })
 	if err != nil {
 		return ReviewResult{}, err
 	}
 	out := shared.(reviewOutcome)
 	if coalesced {
+		// The verification ran for the leader's ticket; this requester's
+		// review is audited as a verdict-cache hit would be.
+		sess.tenant.sys.Enforcer.ReplayReview(eng.Spec, out.d)
 		s.reviewCoalesced.Add(1)
 		s.meter.Counter("heimdall_service_review_coalesced_total").Inc()
 	} else if out.hit {
@@ -615,13 +618,14 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	return out.res, out.err
 }
 
-// reviewOnPool is the body of one pooled review execution.
-func (s *Service) reviewOnPool(eng *core.Engagement, changes []config.Change) reviewOutcome {
-	d, hit, err := eng.ReviewChanges(changes)
+// reviewOnPool is the body of one pooled review execution, under the
+// review key its slot was addressed with.
+func (s *Service) reviewOnPool(eng *core.Engagement, changes []config.Change, key string) reviewOutcome {
+	d, hit, err := eng.ReviewKeyed(changes, key)
 	if err != nil {
 		return reviewOutcome{err: err}
 	}
-	return reviewOutcome{res: decisionResult(d, len(changes)), hit: hit}
+	return reviewOutcome{res: decisionResult(d, len(changes)), d: d, hit: hit}
 }
 
 // ReviewStats reports how many reviews were served from the verdict

@@ -205,15 +205,6 @@ func (r *Registry) HistogramCount(name string, labels ...Label) uint64 {
 	return s.count.Load()
 }
 
-// HistogramSum returns the sum of observations of a histogram series.
-func (r *Registry) HistogramSum(name string, labels ...Label) float64 {
-	s := r.lookup(name, labels)
-	if s == nil {
-		return 0
-	}
-	return math.Float64frombits(s.sumBits.Load())
-}
-
 func (r *Registry) lookup(name string, labels []Label) *series {
 	f := r.family(name)
 	if f == nil {

@@ -63,17 +63,6 @@ type Span struct {
 // Duration returns the span's measured duration.
 func (s *Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// SetAttr records one attribute on the span.
-func (s *Span) SetAttr(key, value string) *Span {
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string)
-	}
-	s.Attrs[key] = value
-	return s
-}
-
 // StartChild opens a child span in the same trace.
 func (s *Span) StartChild(name string, attrs ...Label) *Span {
 	return s.tr.start(s.TraceID, s.SpanID, name, attrs)

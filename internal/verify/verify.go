@@ -10,6 +10,7 @@ package verify
 import (
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"heimdall/internal/dataplane"
@@ -163,26 +164,92 @@ type Result struct {
 // OK reports whether every policy held.
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
+// Verdict is what one policy came to on one snapshot: the trace it was
+// decided on (nil when Reach failed) and the violation, nil when it holds.
+type Verdict struct {
+	Trace     *dataplane.Trace
+	Violation *Violation
+}
+
+// Verdicts holds the verdicts of one policy set on one snapshot, one slot
+// per policy, index-aligned; an empty slot is a policy nobody has decided
+// there yet. The slots are atomic because concurrent CheckCarried calls on
+// snapshots derived from that one fill them.
+type Verdicts []atomic.Pointer[Verdict]
+
+// Carried returns the vector of s, a snapshot derived from the one v holds
+// the verdicts of: the verdicts whose trace s carries, every other slot
+// empty (all of them when the derivation rebuilt adjacency or owner).
+func (v Verdicts) Carried(s *dataplane.Snapshot) Verdicts {
+	out := make(Verdicts, len(v))
+	for i := range v {
+		if c := v[i].Load(); c != nil && s.Carries(c.Trace) {
+			out[i].Store(c)
+		}
+	}
+	return out
+}
+
 // Check evaluates every policy against the snapshot.
 func Check(s *dataplane.Snapshot, policies []Policy) *Result {
-	return CheckMetered(s, policies, nil)
+	return CheckCarried(s, policies, nil, nil, nil)
 }
 
 // CheckMetered is Check with verifier telemetry: policies checked,
 // counterexamples found, runs, and per-run latency land on the meter
 // (nil means no instrumentation — the zero-config path stays free).
 func CheckMetered(s *dataplane.Snapshot, policies []Policy, m telemetry.Meter) *Result {
+	return CheckCarried(s, policies, nil, nil, m)
+}
+
+// CheckCarried is CheckMetered for a snapshot derived from one whose
+// verdicts are (partly) known. parent, when not nil, is that snapshot's
+// vector over the same policies: a verdict decided there on a trace s
+// carries (dataplane.Snapshot.Carries) is s's verdict too and is taken by
+// index; every other policy is traced and decided on s, and fills the
+// parent's empty slot when the parent shares that trace — which is how the
+// vector of a snapshot nobody checks directly warms from the first check
+// derived from it. next, when not nil, receives every policy's verdict on
+// s. Checked counts every policy: each holds a verdict valid for s.
+func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
-	for _, p := range policies {
-		if v := CheckPolicy(s, p); v != nil {
-			res.Violations = append(res.Violations, *v)
+	carried := 0
+	for i, p := range policies {
+		var v *Verdict
+		if parent != nil {
+			if v = parent[i].Load(); v != nil && !s.Carries(v.Trace) {
+				v = nil
+			}
+		}
+		var violation *Violation
+		if v != nil {
+			carried++
+			violation = v.Violation
+		} else {
+			tr, err := s.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+			violation = decide(p, tr, err)
+			// A verdict is allocated only for a slot that takes it.
+			fill := parent != nil && s.Carries(tr)
+			if fill || next != nil {
+				v = &Verdict{Trace: tr, Violation: violation}
+			}
+			if fill {
+				parent[i].CompareAndSwap(nil, v)
+			}
+		}
+		if next != nil {
+			next[i].Store(v)
+		}
+		if violation != nil {
+			res.Violations = append(res.Violations, *violation)
 		}
 	}
 	res.Elapsed = time.Since(start)
 	if m != nil {
 		m.Counter("heimdall_verify_runs_total").Inc()
 		m.Counter("heimdall_verify_policies_checked_total").Add(float64(res.Checked))
+		m.Counter("heimdall_verify_policies_carried_total").Add(float64(carried))
 		m.Counter("heimdall_verify_counterexamples_total").Add(float64(len(res.Violations)))
 		m.Histogram("heimdall_verify_run_seconds", telemetry.LatencyBuckets).
 			ObserveDuration(res.Elapsed)
@@ -194,6 +261,12 @@ func CheckMetered(s *dataplane.Snapshot, policies []Policy, m telemetry.Meter) *
 // violation (with counterexample) when it does not.
 func CheckPolicy(s *dataplane.Snapshot, p Policy) *Violation {
 	tr, err := s.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+	return decide(p, tr, err)
+}
+
+// decide is the verdict of one policy given its flow's Reach result: a pure
+// function of the three, which is what lets a verdict travel with its trace.
+func decide(p Policy, tr *dataplane.Trace, err error) *Violation {
 	if err != nil {
 		return &Violation{Policy: p, Reason: err.Error()}
 	}
