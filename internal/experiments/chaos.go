@@ -7,6 +7,7 @@ package experiments
 // state. Nothing in between, under any schedule.
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -162,6 +163,71 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 	return state, nil
 }
 
+// chaosRig is the fixture both chaos runners drive: the chaos network and
+// its pre-state, an enforcer in its own enclave over the policies mined
+// from that network, and the registry the enforcer meters into.
+type chaosRig struct {
+	n, pre *netmodel.Network
+	e      *enforcer.Enforcer
+	reg    *telemetry.Registry
+}
+
+// newChaosRig builds a fresh fixture; platformSeed derives the enclave.
+func newChaosRig(platformSeed string) *chaosRig {
+	n := ChaosNetwork()
+	r := &chaosRig{n: n, pre: n.Clone(), reg: telemetry.NewRegistry()}
+	encl := enclave.NewPlatformFromSeed(platformSeed).Load("heimdall-enforcer-v1")
+	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
+	r.e = enforcer.New(encl, policies)
+	r.e.SetMeter(r.reg)
+	return r
+}
+
+// terminalKinds is the journal record each settled outcome ends in.
+var terminalKinds = map[string]journal.Kind{
+	"committed":   journal.KindCommitted,
+	"rolled-back": journal.KindRolledBack,
+	"quarantined": journal.KindQuarantined,
+}
+
+// settle audits what every schedule must leave behind, whichever runner
+// drove it: a journal and audit trail that verify, the terminal record the
+// outcome claims last in the journal, and production all-or-nothing —
+// bit-identical to the pre-state plus the journaled changes when committed,
+// to the pre-state when rolled back. It returns the verified records and
+// the committed state's fingerprint.
+func (r *chaosRig) settle(outcome string) ([]journal.Record, string, error) {
+	if err := r.e.Journal().Verify(); err != nil {
+		return nil, "", fmt.Errorf("journal: %v", err)
+	}
+	if err := r.e.Trail().Verify(); err != nil {
+		return nil, "", fmt.Errorf("audit trail: %v", err)
+	}
+	records := r.e.Journal().Records()
+	if len(records) == 0 {
+		return nil, "", errors.New("no journal records")
+	}
+	if last := records[len(records)-1]; last.Kind != terminalKinds[outcome] {
+		return nil, "", fmt.Errorf("terminal record %s, outcome %s", last.Kind, outcome)
+	}
+	committed := r.pre.Clone()
+	if err := config.ApplyChanges(committed, records[0].Changes); err != nil {
+		return nil, "", fmt.Errorf("applying scheduled set to pre-state: %v", err)
+	}
+	committedFP, got := chaosFingerprint(committed), chaosFingerprint(r.n)
+	switch outcome {
+	case "committed":
+		if got != committedFP {
+			return nil, "", errors.New("committed run does not match pre-state + changes")
+		}
+	case "rolled-back":
+		if got != chaosFingerprint(r.pre) {
+			return nil, "", errors.New("rolled-back run does not match pre-state")
+		}
+	}
+	return records, committedFP, nil
+}
+
 // RunChaosSchedule executes one seeded fault schedule against a fresh
 // enforcer and fixture, then audits every invariant the pipeline promises:
 // exactly one terminal outcome, production bit-identical to what that
@@ -170,16 +236,8 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 // quarantined runs — that Recover restores full consistency. Any violation
 // is returned as an error naming the seed.
 func RunChaosSchedule(seed int64) (*ChaosResult, error) {
-	n := ChaosNetwork()
-	pre := n.Clone()
-	changes := chaosChanges()
-
-	platform := enclave.NewPlatformFromSeed("chaos-suite")
-	encl := platform.Load("heimdall-enforcer-v1")
-	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-	e := enforcer.New(encl, policies)
-	reg := telemetry.NewRegistry()
-	e.SetMeter(reg)
+	rig := newChaosRig("chaos-suite")
+	n, e, reg := rig.n, rig.e, rig.reg
 
 	retries := 0
 	e.Retry = enforcer.RetryPolicy{
@@ -196,7 +254,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 		return nil, fmt.Errorf("seed %d: %s", seed, fmt.Sprintf(format, args...))
 	}
 
-	_, err := e.Commit(n, changes, chaosSpec())
+	_, err := e.Commit(n, chaosChanges(), chaosSpec())
 	quarantined, _ := e.Quarantined()
 	switch {
 	case err == nil:
@@ -209,52 +267,18 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	res.Faults = inj.Injected()
 	res.Retries = retries
 
-	// The journal must be verifiable and end in exactly the terminal
-	// record the outcome claims.
-	if err := e.Journal().Verify(); err != nil {
-		return fail("journal: %v", err)
+	// settle pins committed and rolled-back production; a quarantined run is
+	// held to the journal's exact account — production must match the
+	// journal's independent replay, whatever the outcome.
+	records, committedFP, err := rig.settle(res.Outcome)
+	if err != nil {
+		return fail("%v", err)
 	}
-	if err := e.Trail().Verify(); err != nil {
-		return fail("audit trail: %v", err)
-	}
-	records := e.Journal().Records()
-	if len(records) == 0 {
-		return fail("no journal records")
-	}
-	last := records[len(records)-1]
-	want := map[string]journal.Kind{
-		"committed":   journal.KindCommitted,
-		"rolled-back": journal.KindRolledBack,
-		"quarantined": journal.KindQuarantined,
-	}[res.Outcome]
-	if last.Kind != want {
-		return fail("terminal record %s, outcome %s", last.Kind, res.Outcome)
-	}
-
-	// All-or-nothing: production must be bit-identical to the committed
-	// state, the pre-state, or (quarantined) the journal's exact account.
-	committedState := pre.Clone()
-	if err := config.ApplyChanges(committedState, records[0].Changes); err != nil {
-		return fail("applying scheduled set to pre-state: %v", err)
-	}
-	committedFP := chaosFingerprint(committedState)
-	preFP := chaosFingerprint(pre)
-	gotFP := chaosFingerprint(n)
-	switch res.Outcome {
-	case "committed":
-		if gotFP != committedFP {
-			return fail("committed run does not match pre-state + changes")
-		}
-	case "rolled-back":
-		if gotFP != preFP {
-			return fail("rolled-back run does not match pre-state")
-		}
-	}
-	replayed, err := replayJournal(pre, records)
+	replayed, err := replayJournal(rig.pre, records)
 	if err != nil {
 		return fail("journal replay: %v", err)
 	}
-	if chaosFingerprint(replayed) != gotFP {
+	if chaosFingerprint(replayed) != chaosFingerprint(n) {
 		return fail("production diverges from journal replay (outcome %s)", res.Outcome)
 	}
 

@@ -12,19 +12,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"heimdall/internal/config"
-	"heimdall/internal/dataplane"
-	"heimdall/internal/enclave"
 	"heimdall/internal/enforcer"
 	"heimdall/internal/faultinject"
-	"heimdall/internal/journal"
 	"heimdall/internal/replica"
-	"heimdall/internal/spec"
-	"heimdall/internal/telemetry"
 )
 
 // replicaNames is the fixed three-replica deployment every schedule runs.
@@ -157,23 +150,16 @@ var lieVerdicts = map[replica.Lie]string{
 }
 
 // RunReplicaSchedule executes one schedule against a fresh group and
-// audits the replication invariants: a single terminal outcome applied
-// all-or-nothing, coordinator journal verifiable, every honest replica
+// audits the replication invariants: the settle checks the chaos suite
+// runs (chaosRig.settle) on the coordinator, every honest replica
 // bit-identical to the coordinator after one cross-audit, liars detected
 // and quarantined, and no false positives on honest replicas.
 func RunReplicaSchedule(s ReplicaSchedule) (*ReplicaChaosResult, error) {
 	fail := func(format string, args ...any) (*ReplicaChaosResult, error) {
 		return nil, fmt.Errorf("schedule %s: %s", s.Name, fmt.Sprintf(format, args...))
 	}
-	n := ChaosNetwork()
-	pre := n.Clone()
-
-	platform := enclave.NewPlatformFromSeed("replica-chaos")
-	encl := platform.Load("heimdall-enforcer-v1")
-	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-	e := enforcer.New(encl, policies)
-	reg := telemetry.NewRegistry()
-	e.SetMeter(reg)
+	rig := newChaosRig("replica-chaos")
+	n, e, reg := rig.n, rig.e, rig.reg
 	e.Retry = enforcer.RetryPolicy{Sleep: func(time.Duration) {}}
 
 	var inj *faultinject.Injector
@@ -208,39 +194,10 @@ func RunReplicaSchedule(s ReplicaSchedule) (*ReplicaChaosResult, error) {
 		}
 	}
 
-	// The coordinator's journal must verify and close with the terminal
-	// record the outcome claims.
-	if err := e.Journal().Verify(); err != nil {
-		return fail("coordinator journal: %v", err)
-	}
-	records := e.Journal().Records()
-	if len(records) == 0 {
-		return fail("no journal records")
-	}
-	wantKind := journal.KindCommitted
-	if res.Outcome == "rolled-back" {
-		wantKind = journal.KindRolledBack
-	}
-	if last := records[len(records)-1]; last.Kind != wantKind {
-		return fail("terminal record %s, outcome %s", last.Kind, res.Outcome)
-	}
-
-	// All-or-nothing on production.
-	committedState := pre.Clone()
-	if err := config.ApplyChanges(committedState, records[0].Changes); err != nil {
-		return fail("applying scheduled set to pre-state: %v", err)
+	if _, _, err := rig.settle(res.Outcome); err != nil {
+		return fail("%v", err)
 	}
 	gotFP := chaosFingerprint(n)
-	switch res.Outcome {
-	case "committed":
-		if gotFP != chaosFingerprint(committedState) {
-			return fail("committed run does not match pre-state + changes")
-		}
-	case "rolled-back":
-		if gotFP != chaosFingerprint(pre) {
-			return fail("rolled-back run does not match pre-state")
-		}
-	}
 
 	// Inject the lie (only a live replica can lie convincingly; a laggard
 	// is healed by state transfer before its chain is believed).
@@ -353,41 +310,6 @@ func (s *ReplicaChaosSummary) Add(r ReplicaChaosResult) {
 	if r.Detected {
 		s.ByzantineDetected++
 	}
-}
-
-// QuorumCommitBench times fault-free quorum commits — intent proposal,
-// three replica votes, per-change fan-out, terminal-record mirror — on a
-// fresh three-replica group per commit, and returns (p50, p99) wall-clock
-// milliseconds.
-func QuorumCommitBench(commits int) (p50, p99 float64, err error) {
-	lat := make([]time.Duration, 0, commits)
-	for i := 0; i < commits; i++ {
-		n := ChaosNetwork()
-		platform := enclave.NewPlatformFromSeed("replica-bench")
-		encl := platform.Load("heimdall-enforcer-v1")
-		policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-		e := enforcer.New(encl, policies)
-		e.Retry = enforcer.RetryPolicy{Sleep: func(time.Duration) {}}
-		g, gerr := replica.NewGroup(n, e.Journal(), replica.Config{
-			Replicas: replicaNames,
-			Key:      e.JournalKey(),
-		})
-		if gerr != nil {
-			return 0, 0, gerr
-		}
-		e.SetTarget(g)
-		start := time.Now()
-		if _, cerr := e.Commit(n, chaosChanges(), chaosSpec()); cerr != nil {
-			return 0, 0, fmt.Errorf("bench commit %d: %w", i, cerr)
-		}
-		lat = append(lat, time.Since(start))
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	at := func(q float64) float64 {
-		idx := int(q * float64(len(lat)-1))
-		return float64(lat[idx].Nanoseconds()) / 1e6
-	}
-	return at(0.50), at(0.99), nil
 }
 
 // FormatReplicaChaos renders a replication sweep for the CLI.

@@ -399,11 +399,11 @@ func TestHTTPReviewOverloadIs429(t *testing.T) {
 	// the review endpoint: it must fail fast with 429.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	go func() { _ = svc.Pool().Do("acme", func() { close(started); <-release }) }()
+	go func() { _ = svc.pool.Do("acme", func() { close(started); <-release }) }()
 	<-started
 	queued := make(chan error, 1)
-	go func() { queued <- svc.Pool().Do("acme", func() {}) }()
-	waitDepth(t, svc.Pool(), 1)
+	go func() { queued <- svc.pool.Do("acme", func() {}) }()
+	waitDepth(t, svc.pool, 1)
 
 	s, out := c.do("POST", "/v1/tenants/acme/sessions/"+info.Session+"/review", info.Token, nil)
 	if s != http.StatusTooManyRequests {

@@ -34,14 +34,7 @@ type Pool struct {
 	next      int
 	tenantCap int
 	depth     int
-	peak      int
-	// waits records per-task queue wait (submit to dequeue), bounded so a
-	// long run cannot grow it without limit. Kept separate from the worker
-	// service time: conflating the two made the load generator's p99 read
-	// as "mediation got slow" when the truth was "the verify queue was
-	// deep" (queue wait is backlog, service time is enforcer cost).
-	waits    []time.Duration
-	isClosed bool
+	isClosed  bool
 
 	wg        sync.WaitGroup
 	closed    chan struct{}
@@ -77,10 +70,6 @@ type flight struct {
 	result any
 	err    error
 }
-
-// maxWaitSamples bounds the retained queue-wait samples (~512 KiB at the
-// cap); later arrivals are still observed in the histogram.
-const maxWaitSamples = 1 << 16
 
 // NewPool starts workers goroutines dispatching round-robin over
 // per-tenant queues of the given per-tenant capacity. workers and
@@ -148,8 +137,11 @@ func (p *Pool) worker() {
 			p.mu.Unlock()
 			p.depthGauge.Set(float64(depth))
 			p.tenantGauge(tenant).Set(float64(backlog))
+			// Queue wait (submit to dequeue) is backlog and verify_seconds
+			// is enforcer cost: two histograms, never one.
 			start := time.Now()
-			p.observeWait(start.Sub(t.submitted))
+			p.meter.Histogram("heimdall_service_queue_wait_seconds", telemetry.LatencyBuckets).
+				ObserveDuration(start.Sub(t.submitted))
 			t.fn()
 			p.meter.Histogram("heimdall_service_verify_seconds", telemetry.LatencyBuckets).
 				ObserveDuration(time.Since(start))
@@ -161,29 +153,6 @@ func (p *Pool) worker() {
 
 func (p *Pool) tenantGauge(tenant string) telemetry.Gauge {
 	return p.meter.Gauge("heimdall_service_tenant_queue_depth", telemetry.L("tenant", tenant))
-}
-
-func (p *Pool) observeWait(wait time.Duration) {
-	if wait < 0 {
-		wait = 0
-	}
-	p.meter.Histogram("heimdall_service_queue_wait_seconds", telemetry.LatencyBuckets).
-		ObserveDuration(wait)
-	p.mu.Lock()
-	if len(p.waits) < maxWaitSamples {
-		p.waits = append(p.waits, wait)
-	}
-	p.mu.Unlock()
-}
-
-// QueueWaits returns a copy of the recorded per-task queue waits (submit
-// to worker dequeue), capped at maxWaitSamples entries.
-func (p *Pool) QueueWaits() []time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]time.Duration, len(p.waits))
-	copy(out, p.waits)
-	return out
 }
 
 // Do submits fn on the tenant's queue and waits for a worker to finish
@@ -211,9 +180,6 @@ func (p *Pool) Do(tenant string, fn func()) error {
 	q.tasks = append(q.tasks, t)
 	backlog := len(q.tasks)
 	p.depth++
-	if p.depth > p.peak {
-		p.peak = p.depth
-	}
 	depth := p.depth
 	p.mu.Unlock()
 	p.depthGauge.Set(float64(depth))
@@ -262,14 +228,6 @@ func (p *Pool) DoShared(tenant, key string, fn func() any) (any, bool, error) {
 	p.flightMu.Unlock()
 	close(f.done)
 	return f.result, false, f.err
-}
-
-// PeakDepth reports the highest total queue depth observed across all
-// tenant queues (the load generator's "enforcer queue depth" headline).
-func (p *Pool) PeakDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
 }
 
 // Depth reports the current total queue depth across all tenant queues.

@@ -84,8 +84,8 @@ type Session struct {
 	commands int
 }
 
-// Engagement exposes the underlying core engagement (the load generator
-// and tests reach through it for the twin and privilege spec). It is nil
+// Engagement exposes the underlying core engagement (tests reach through
+// it for the twin and privilege spec). It is nil
 // once the session has expired or closed: the engagement — a full twin
 // copy of the tenant network — is released at end-of-life so a
 // long-running daemon's memory tracks live sessions, not historic ones.

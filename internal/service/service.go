@@ -18,8 +18,7 @@
 //     state (the zero-trust policy-enforcement-point shape, applied to
 //     network mediation).
 //
-// The HTTP JSON API over this layer lives in http.go; the scripted
-// technician load generator in loadgen.go.
+// The HTTP JSON API over this layer lives in http.go.
 package service
 
 import (
@@ -173,10 +172,6 @@ func New(cfg Config) *Service {
 // Meter returns the service's meter.
 func (s *Service) Meter() telemetry.Meter { return s.meter }
 
-// Pool returns the shared verify pool (the load generator reads its
-// peak queue depth).
-func (s *Service) Pool() *Pool { return s.pool }
-
 // Close stops the verify pool. Sessions need no teardown beyond it.
 func (s *Service) Close() { s.pool.Close() }
 
@@ -284,7 +279,7 @@ func (s *Service) Tickets(tenant string) ([]ticket.Ticket, error) {
 // InjectIssue injects one of the tenant scenario's scripted issues into
 // the tenant's production network and files the matching ticket — the
 // service-level analogue of the evaluation harness (and what the load
-// generator and the CI smoke drive).
+// acceptance test and the CI smoke drive).
 func (s *Service) InjectIssue(tenant, issue, reporter string) (*ticket.Ticket, error) {
 	t, err := s.reg.get(tenant)
 	if err != nil {
@@ -630,7 +625,7 @@ func (s *Service) reviewOnPool(eng *core.Engagement, changes []config.Change, ke
 
 // ReviewStats reports how many reviews were served from the verdict
 // cache and how many coalesced onto an in-flight execution since the
-// service started (the load generator's cache-effectiveness headline).
+// service started.
 func (s *Service) ReviewStats() (cacheHits, coalesced int64) {
 	return s.reviewCacheHits.Load(), s.reviewCoalesced.Load()
 }
