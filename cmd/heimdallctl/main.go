@@ -7,7 +7,6 @@
 //	heimdallctl workflow  -scenario enterprise -issue vlan # run a full ticket
 //	heimdallctl exec      -scenario enterprise -device r1 -line "show ip route"
 //	heimdallctl terminal  -scenario enterprise -device r1  # interactive modal shell
-//	heimdallctl rmm       -scenario enterprise            # serve the baseline RMM over TCP
 //	heimdallctl metrics   -scenario enterprise -issue vlan # workflow + Prometheus dump
 //	heimdallctl journal dump -in commit.journal            # inspect a journal export
 //	heimdallctl journal diff -a coord.journal -b rep.journal
@@ -15,7 +14,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +25,6 @@ import (
 	"heimdall/internal/core"
 	"heimdall/internal/enforcer"
 	"heimdall/internal/faultinject"
-	"heimdall/internal/rmm"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/telemetry"
 	"heimdall/internal/ticket"
@@ -58,7 +55,6 @@ func main() {
 	device := fs.String("device", "", "restrict output to one device")
 	issueName := fs.String("issue", "", "issue to run (vlan/ospf/isp for enterprise; acl/ospf/isp for university)")
 	line := fs.String("line", "", "console command for the exec subcommand")
-	addr := fs.String("addr", "127.0.0.1:7777", "listen address for the rmm command")
 	server := fs.String("server", "", "heimdalld base URL; switches the subcommand to remote mode")
 	tenant := fs.String("tenant", "", "tenant ID for remote subcommands")
 	session := fs.String("session", "", "session ID for remote exec")
@@ -68,7 +64,6 @@ func main() {
 	pushBackoff := fs.Duration("push-backoff", 0, "base backoff between push retries (0 = pipeline default)")
 	faultSeed := fs.Int64("fault-seed", 0, "inject a seeded fault schedule into the production push (0 = off)")
 	exportJournal := fs.String("export-journal", "", "write the commit journal export to this file after a workflow")
-	idleTimeout := fs.Duration("idle-timeout", rmm.DefaultIdleTimeout, "idle connection timeout for the rmm command")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -117,15 +112,13 @@ func main() {
 		runExec(scen, *device, *line)
 	case "terminal":
 		runTerminal(scen, *device)
-	case "rmm":
-		serveRMM(scen, *addr, *idleTimeout)
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: heimdallctl {topology|configs|policies|workflow|exec|terminal|rmm|metrics} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: heimdallctl {topology|configs|policies|workflow|exec|terminal|metrics} [flags]")
 	fmt.Fprintln(os.Stderr, "       heimdallctl journal {dump|verify|diff} [flags]")
 	fmt.Fprintln(os.Stderr, "       heimdallctl {tenants|sessions|tickets|exec|workflow|metrics|pool} -server http://host:port [flags]")
 	os.Exit(2)
@@ -336,25 +329,6 @@ func runTerminal(scen *scenarios.Scenario, device string) {
 		if out != "" {
 			fmt.Println(out)
 		}
-	}
-}
-
-func serveRMM(scen *scenarios.Scenario, addr string, idleTimeout time.Duration) {
-	srv := rmm.NewServer(map[string]string{"admin": "admin"}, rmm.NewDirectBackend(scen.Network))
-	srv.SetTelemetry(telemetry.NewRegistry())
-	srv.SetIdleTimeout(idleTimeout)
-	if err := srv.Listen(addr); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("baseline RMM server (direct access, no mediation) on %s\n", srv.Addr())
-	fmt.Println(`login with {"op":"login","user":"admin","token":"admin"}, then {"op":"exec","device":"r1","line":"show ip route"}`)
-	fmt.Println(`fetch the Prometheus dump with {"op":"metrics"} once logged in`)
-	fmt.Println("press enter to stop")
-	_, _ = bufio.NewReader(os.Stdin).ReadString('\n')
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Printf("drain deadline hit, connections force-closed: %v\n", err)
 	}
 }
 

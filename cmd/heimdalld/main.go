@@ -27,12 +27,30 @@ import (
 	"heimdall/internal/telemetry"
 )
 
-// A client gets this long to send its request headers, and a keep-alive
-// connection may sit idle this long, before the server drops it.
+// Every phase of a connection is bounded, so a stalled client cannot hold
+// a handler goroutine.
 const (
+	// readHeaderTimeout bounds the request headers.
 	readHeaderTimeout = 10 * time.Second
-	connIdleTimeout   = 2 * time.Minute
+	// readTimeout bounds the whole request, its 1 MiB body included.
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds handler plus reply; a review's queue wait stays
+	// far below it because a full verify queue answers 429.
+	writeTimeout = 2 * time.Minute
+	// connIdleTimeout bounds a keep-alive connection between requests.
+	connIdleTimeout = 2 * time.Minute
 )
+
+// newServer serves h with every connection-phase deadline set.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       connIdleTimeout,
+	}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -65,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: connIdleTimeout}
+	srv := newServer(svc.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -6,7 +6,7 @@ import (
 )
 
 // Runner executes one flat console command line — a direct console's Run, a
-// twin session's Exec, an emergency session's Exec, or an RMM client call.
+// twin session's Exec, or an emergency session's Exec.
 type Runner func(line string) (string, error)
 
 // Terminal adds IOS-style modal editing on top of the flat command grammar:

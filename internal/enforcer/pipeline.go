@@ -25,7 +25,7 @@ import (
 )
 
 // Target abstracts the device-push path of a commit: today an in-memory
-// production network, later an RMM-backed channel to real devices. Apply
+// production network, later a channel to real devices. Apply
 // and RestoreDevice may fail transiently (see faultinject.IsTransient);
 // the pipeline retries around them.
 type Target interface {
@@ -176,8 +176,8 @@ func (e *Enforcer) SetInjector(inj *faultinject.Injector) {
 	e.injector = inj
 }
 
-// SetTarget replaces the production push path (e.g. an RMM-backed
-// target). The target must mutate the same *netmodel.Network that Commit
+// SetTarget replaces the production push path with a custom Target.
+// The target must mutate the same *netmodel.Network that Commit
 // receives, because post-apply verification recomputes from it. A nil
 // target restores the built-in in-memory path.
 func (e *Enforcer) SetTarget(t Target) {

@@ -1,18 +1,16 @@
 // Package faultinject is Heimdall's deterministic fault-injection
 // framework. The paper's enforcer exists because production pushes are
-// dangerous (§3): devices time out, links flap, the RMM channel drops
-// mid-request. This package lets tests and chaos experiments script those
+// dangerous (§3): devices time out, links flap, a replica drops off
+// mid-commit. This package lets tests and chaos experiments script those
 // failures exactly — a seeded Plan of per-scope/per-op rules decides which
 // calls fail, how often, with what latency, and whether the failure is
 // transient (worth retrying) or permanent — so the same seed always yields
 // the same fault schedule and invariant violations reproduce.
 //
-// The injector plugs into two layers:
-//
-//   - the enforcer's device-apply path: the push target consults
-//     Injector.Visit(device, op) before every apply/restore;
-//   - the RMM transport: WrapConn wraps a net.Conn so reads and writes
-//     fail or stall on schedule.
+// Callers consult Injector.Visit(scope, op) before the operation it
+// models: the enforcer's push target before every device apply/restore,
+// and a replicated group before every message on a coordinator→replica
+// link (LinkScope).
 package faultinject
 
 import (
@@ -87,10 +85,10 @@ func IsTransient(err error) bool {
 // of the trigger fields (FailNth, FailFirst, Outage) is normally set;
 // Latency may accompany any of them or stand alone.
 type Rule struct {
-	// Scope selects the device or connection the rule applies to.
+	// Scope selects the device or link the rule applies to.
 	// Empty or "*" matches every scope.
 	Scope string
-	// Op selects the operation ("apply", "restore", "read", "write", ...).
+	// Op selects the operation ("apply", "restore", "propose", ...).
 	// Empty or "*" matches every op.
 	Op string
 

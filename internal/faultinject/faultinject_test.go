@@ -3,7 +3,6 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,40 +159,6 @@ func TestVisitConcurrent(t *testing.T) {
 	if total != 1 || in.Injected() != 1 {
 		t.Fatalf("FailNth under concurrency injected %d faults (counter %d), want exactly 1",
 			total, in.Injected())
-	}
-}
-
-func TestWrapConn(t *testing.T) {
-	client, server := net.Pipe()
-	defer server.Close()
-	in := New(Plan{Rules: []Rule{{Scope: "c", Op: "write", FailNth: 2, Class: Permanent}}})
-	wrapped := WrapConn(client, in, "c")
-
-	go func() { // drain the peer so writes complete
-		buf := make([]byte, 16)
-		for {
-			if _, err := server.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	if _, err := wrapped.Write([]byte("ok")); err != nil {
-		t.Fatalf("first write faulted: %v", err)
-	}
-	_, err := wrapped.Write([]byte("boom"))
-	if err == nil {
-		t.Fatal("second write did not fault")
-	}
-	if IsTransient(err) {
-		t.Fatal("permanent conn fault classified transient")
-	}
-	// The underlying conn is closed after an injected fault.
-	if _, err := client.Write([]byte("x")); err == nil {
-		t.Fatal("underlying conn still open after injected fault")
-	}
-	// Nil injector passes the conn through untouched.
-	if got := WrapConn(server, nil, "s"); got != server {
-		t.Fatal("WrapConn(nil) wrapped the conn")
 	}
 }
 

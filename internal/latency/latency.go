@@ -16,7 +16,7 @@ import (
 
 // Model holds the per-step cost constants.
 type Model struct {
-	// Connect is the cost of logging into the RMM server / a console.
+	// Connect is the cost of logging into a console.
 	Connect time.Duration
 	// Command is the round-trip cost of one console command.
 	Command time.Duration

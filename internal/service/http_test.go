@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"heimdall/internal/audit"
 	"heimdall/internal/config"
 	"heimdall/internal/telemetry"
 )
@@ -371,6 +372,25 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if s, out := c.do("POST", "/v1/tenants/acme/sessions/"+info.Session+"/exec", info.Token,
 		map[string]string{"device": tk2.Suspects[0], "line": "access-list EDGE 10 permit ip any any"}); s != http.StatusForbidden {
 		t.Fatalf("denied exec: status %d, want 403 (%s)", s, out)
+	}
+
+	// The sensitive host h9 is outside the slice: the session does not
+	// list it, an exec on it is a 400, and the trail records the refusal.
+	for _, d := range info.Slice {
+		if d == "h9" {
+			t.Fatalf("slice %v exposes the sensitive host h9", info.Slice)
+		}
+	}
+	before = trail.Len()
+	if s := c.doJSON("POST", "/v1/tenants/acme/sessions/"+info.Session+"/exec", info.Token,
+		map[string]string{"device": "h9", "line": "show interfaces"}, &failure); s != http.StatusBadRequest ||
+		!strings.Contains(failure.Error, `twin: no such device "h9"`) {
+		t.Fatalf("out-of-slice exec: status %d (want 400), error %q", s, failure.Error)
+	}
+	entries := trail.Entries()[before:]
+	if len(entries) != 1 || entries[0].Kind != audit.KindDecision || entries[0].Allowed ||
+		entries[0].Detail != "deny console on h9 (outside slice)" {
+		t.Fatalf("out-of-slice exec left trail entries %+v, want one denied decision", entries)
 	}
 }
 

@@ -147,8 +147,8 @@ func TestNopMeterDoesNothing(t *testing.T) {
 	m.Counter("x", L("a", "b")).Inc()
 	m.Gauge("y").Set(3)
 	m.Histogram("z", LatencyBuckets).Observe(1)
-	// Nop must not be an Exposer: the RMM metrics op uses that to detect
-	// that telemetry is disabled.
+	// Nop must not be an Exposer: heimdalld's /metrics handler uses that
+	// to detect that telemetry is disabled.
 	if _, ok := m.(Exposer); ok {
 		t.Fatal("Nop meter must not expose metrics")
 	}

@@ -8,10 +8,10 @@
 // so zero-config callers pay (almost) nothing and need no wiring: the
 // no-op instruments are method calls on empty structs that the compiler
 // can inline away. A deployment that wants metrics passes a *Registry
-// (which implements Meter) through core.Options, rmm.Server.SetTelemetry
-// or twin.Config, and dumps it with Registry.Dump / WritePrometheus —
-// surfaced to operators as the `heimdallctl metrics` subcommand and the
-// RMM protocol's `metrics` op.
+// (which implements Meter) through core.Options, service.Config or
+// twin.Config, and dumps it with Registry.Dump / WritePrometheus —
+// surfaced to operators as the `heimdallctl metrics` subcommand and
+// heimdalld's /metrics endpoint.
 //
 // The tracer complements the audit trail (paper §3, Challenge 3): spans
 // carry the same ticket/technician/device attributes as audit entries,
