@@ -486,7 +486,8 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 15,212 (17,955 while each commit derived production's next
+// Measured at 13,323 (15,212 while each open deep-copied production twice
+// and its slice scanned every link once per device; 17,955 while each commit derived production's next
 // snapshot from the pre-commit one and retraced what its review had already
 // traced on the shadow; 22,802 while a review and a post-apply check decided
 // every policy again and every request digested the privilege rules twice
@@ -498,7 +499,7 @@ func BenchmarkTicket(b *testing.B) {
 // ~10 %. If a change legitimately moves the count, re-measure with -v and
 // reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 16750
+	const ceiling = 14650
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20
@@ -510,6 +511,83 @@ func TestTicketAllocBudget(t *testing.T) {
 	}
 	if n := reg.CounterValue(ticketComputed) - computed; n != 0 {
 		t.Errorf("%.0f production snapshots computed from scratch over %d tickets, want 0", n, 3*(runs+1))
+	}
+}
+
+// openFixture is the open a ticket-churn ticket pays, in process: a system
+// with every issue's fault in production (declared, so the held snapshot is
+// derived across it), one ticket per issue, and run opens each ticket —
+// slice, Privilegemsp, twin — then hands it back to the queue. One round has
+// been played when it returns.
+func openFixture(tb testing.TB, scen *scenarios.Scenario) (run func()) {
+	sys, err := core.NewSystem(core.Options{Network: scen.Network, Policies: scen.Policies,
+		Sensitive: scen.Sensitive, PlatformSeed: "open-bench"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var ids []string
+	for _, is := range scen.Issues {
+		if err := sys.MutateProduction(is.Fault.Inject, is.Fault.RootCause); err != nil {
+			tb.Fatal(err)
+		}
+		ids = append(ids, sys.Tickets.Create(ticket.Ticket{
+			Summary: is.Fault.Description, Kind: is.Fault.Kind, SrcHost: is.SrcHost, DstHost: is.DstHost,
+			Proto: is.Proto, DstPort: is.DstPort, Suspects: []string{is.Fault.RootCause}, CreatedBy: "bench",
+		}).ID)
+	}
+	run = func() {
+		for _, id := range ids {
+			if _, err := sys.StartWork(id, "tech"); err != nil {
+				tb.Fatal(err)
+			}
+			if err := sys.Tickets.Transition(id, ticket.Open); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	run()
+	return run
+}
+
+// openScenarios are the tenants opens are measured on: ticket-churn's
+// university network and the generated k=8 fat-tree, whose 208 devices and
+// 384 links are where walking the links per device showed.
+func openScenarios() []*scenarios.Scenario {
+	return []*scenarios.Scenario{scenarios.University(), generate.FatTree(generate.FatTreeParams{K: 8})}
+}
+
+// BenchmarkOpen measures opening every issue's ticket once per op
+// (System.StartWork: the task-driven slice, the generated Privilegemsp and
+// the twin), with ns/op and allocs/op under -benchmem.
+func BenchmarkOpen(b *testing.B) {
+	for _, scen := range openScenarios() {
+		b.Run(scen.Name, func(b *testing.B) {
+			run := openFixture(b, scen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// TestOpenAllocBudget pins the allocations of BenchmarkOpen's op: three
+// opens on each tenant. Measured at 2,121 on university and 9,486 on the k=8
+// fat-tree; 4,098 and 17,960 while an open deep-copied production twice —
+// the emulation layer and a pristine baseline — and the slice scanned every
+// link once per device. The ceilings leave ~10 %. If a change legitimately
+// moves a count, re-measure with -v and reset its ceiling; don't just raise
+// it.
+func TestOpenAllocBudget(t *testing.T) {
+	ceilings := map[string]float64{"university": 2330, "fattree-k8": 10430}
+	for _, scen := range openScenarios() {
+		run := openFixture(t, scen)
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("%s: %.0f allocs per %d opens", scen.Name, allocs, len(scen.Issues))
+		if allocs > ceilings[scen.Name] {
+			t.Errorf("%s: opening %d tickets allocates %.0f times, budget %.0f", scen.Name, len(scen.Issues), allocs, ceilings[scen.Name])
+		}
 	}
 }
 

@@ -178,3 +178,60 @@ func TestDriftDetection(t *testing.T) {
 		t.Fatal("commit note missing from tickets")
 	}
 }
+
+// TestDriftedDuringWrites: Drifted runs while sessions write the same twin.
+// The technician's own edits are not drift, and under -race the comparison
+// does not race with the writes it shares devices with.
+func TestDriftedDuringWrites(t *testing.T) {
+	scen := scenarios.Enterprise()
+	prod := scen.Network.Clone()
+	issue := scen.Issues[0]
+	if err := issue.Fault.Inject(prod); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Options{Network: prod, Policies: scen.Policies,
+		Sensitive: scen.Sensitive, PlatformSeed: "drift-writes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := sys.Tickets.Create(ticket.Ticket{
+		Summary: issue.Fault.Description, Kind: issue.Fault.Kind,
+		SrcHost: issue.SrcHost, DstHost: issue.DstHost,
+		Proto: issue.Proto, DstPort: issue.DstPort,
+		Suspects: []string{issue.Fault.RootCause}, CreatedBy: "netadmin",
+	})
+	eng, err := sys.StartWork(tk.ID, "tech")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < 5; i++ {
+			if _, err := eng.RunScript(issue.Script); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			wg.Wait()
+			if eng.Drifted() {
+				t.Fatal("the twin's own writes report drift")
+			}
+			if len(eng.Twin.Changes()) == 0 {
+				t.Fatal("the script wrote nothing; the test exercises no write")
+			}
+			return
+		default:
+			if eng.Drifted() {
+				t.Fatal("drift reported while only the twin was written")
+			}
+		}
+	}
+}

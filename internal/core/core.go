@@ -326,17 +326,7 @@ func (e *Engagement) ApproveEscalation(esc *privilege.Escalation) error {
 func (e *Engagement) Drifted() bool {
 	e.sys.prodMu.RLock()
 	defer e.sys.prodMu.RUnlock()
-	for _, name := range e.sys.production.DeviceNames() {
-		base := e.Twin.Baseline().Devices[name]
-		if base == nil {
-			return true
-		}
-		// The twin baseline is sanitized; compare through the same lens.
-		if len(config.DiffDevice(config.Sanitize(e.sys.production.Devices[name]), base)) != 0 {
-			return true
-		}
-	}
-	return false
+	return e.Twin.Drifted(e.sys.production)
 }
 
 // Review runs the enforcer's verification of the twin's current changes

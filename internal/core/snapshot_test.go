@@ -35,6 +35,10 @@ type oracleSystem struct {
 	// steps counts the reference's fresh steps, stepMisses the production
 	// snapshots computed inside them.
 	steps, stepMisses int
+	// bases holds, for each engagement the reference opened, production as
+	// it was at the open, sanitized: the whole-network diff's baseline,
+	// copied apart from the twin.
+	bases map[*Engagement]*netmodel.Network
 }
 
 func newOracleSystem(t *testing.T, scen *scenarios.Scenario, held bool) *oracleSystem {
@@ -53,7 +57,7 @@ func newOracleSystem(t *testing.T, scen *scenarios.Scenario, held bool) *oracleS
 	sys.Enforcer.Trail().SetClock(epoch)
 	sys.Enforcer.Journal().SetClock(epoch)
 	sys.Tickets.SetClock(epoch)
-	return &oracleSystem{sys: sys, reg: reg, held: held}
+	return &oracleSystem{sys: sys, reg: reg, held: held, bases: make(map[*Engagement]*netmodel.Network)}
 }
 
 func (o *oracleSystem) misses() float64 {
@@ -190,13 +194,13 @@ func verdictsDiverge(policies []verify.Policy, held verify.Verdicts, fresh *data
 
 // changes is the engagement's pending change set: the held deployment takes
 // what the twin recorded, the reference the whole-network diff Changes used
-// to be. Every decision, trail and journal compared below therefore also
-// compares the two.
+// to be, from production as it was at the open. Every decision, trail and
+// journal compared below therefore also compares the two.
 func (o *oracleSystem) changes(eng *Engagement) []config.Change {
 	if o.held {
 		return eng.Twin.Changes()
 	}
-	return config.DiffNetwork(eng.Twin.Baseline(), eng.Twin.Network())
+	return config.DiffNetwork(o.bases[eng], eng.Twin.Network())
 }
 
 // startWork opens the ticket as one fresh step.
@@ -207,6 +211,13 @@ func (o *oracleSystem) startWork(t *testing.T, ticketID string) *Engagement {
 	o.fresh(func() { eng, err = o.sys.StartWork(ticketID, "casey") })
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !o.held {
+		base := o.sys.production.Clone()
+		for name, d := range base.Devices {
+			base.Devices[name] = config.Sanitize(d)
+		}
+		o.bases[eng] = base
 	}
 	return eng
 }

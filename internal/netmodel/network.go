@@ -260,49 +260,64 @@ func (n *Network) HostAddr(name string) (netip.Addr, bool) {
 // whose length is at most slack hops longer than the shortest path. It is
 // the topological core of the twin network's task-driven slice.
 func (n *Network) PathsBetween(src, dst string, slack int) map[string]bool {
-	adj := make(map[string][]string)
+	// One walk over the links builds the adjacency, by device position. A
+	// parallel cable lists a neighbour twice and a self-loop lists a device
+	// as its own neighbour; neither changes a breadth-first search.
+	names := make([]string, 0, len(n.Devices))
+	index := make(map[string]int, len(n.Devices))
 	for name := range n.Devices {
-		adj[name] = n.Neighbors(name)
+		index[name] = len(names)
+		names = append(names, name)
 	}
-	shortest := bfsDist(adj, src, dst)
+	adj := make([][]int, len(names))
+	for _, l := range n.Links {
+		a, okA := index[l.A.Device]
+		b, okB := index[l.B.Device]
+		if okA && okB {
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
+		}
+	}
 	out := make(map[string]bool)
+	s, okS := index[src]
+	d, okD := index[dst]
+	if !okS || !okD {
+		return out
+	}
+	fromSrc := bfsAll(adj, s)
+	shortest := fromSrc[d]
 	if shortest < 0 {
 		return out
 	}
 	// A node v is on a path of length <= shortest+slack iff
 	// dist(src,v)+dist(v,dst) <= shortest+slack.
-	fromSrc := bfsAll(adj, src)
-	fromDst := bfsAll(adj, dst)
-	for name := range n.Devices {
-		ds, ok1 := fromSrc[name]
-		dd, ok2 := fromDst[name]
-		if ok1 && ok2 && ds+dd <= shortest+slack {
-			out[name] = true
+	fromDst := bfsAll(adj, d)
+	for v, ds := range fromSrc {
+		if dd := fromDst[v]; ds >= 0 && dd >= 0 && ds+dd <= shortest+slack {
+			out[names[v]] = true
 		}
 	}
 	return out
 }
 
-func bfsAll(adj map[string][]string, start string) map[string]int {
-	dist := map[string]int{start: 0}
-	queue := []string{start}
+// bfsAll returns the hop count from start to every device by position, -1
+// where it is unreachable.
+func bfsAll(adj [][]int, start int) []int {
+	dist := make([]int, len(adj))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[start] = 0
+	queue := append(make([]int, 0, len(adj)), start)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, next := range adj[cur] {
-			if _, seen := dist[next]; !seen {
+			if dist[next] < 0 {
 				dist[next] = dist[cur] + 1
 				queue = append(queue, next)
 			}
 		}
 	}
 	return dist
-}
-
-func bfsDist(adj map[string][]string, src, dst string) int {
-	d, ok := bfsAll(adj, src)[dst]
-	if !ok {
-		return -1
-	}
-	return d
 }

@@ -24,8 +24,11 @@ import (
 // slice and the generated Privilegemsp. Twins built from it never mutate
 // any of the four, so one fixture serves every script.
 type oracleTicket struct {
-	name  string
-	prod  *netmodel.Network
+	name string
+	prod *netmodel.Network
+	// base is prod sanitized: what every twin of the ticket starts from,
+	// copied apart from any twin.
+	base  *netmodel.Network
 	snap  *dataplane.Snapshot
 	slice map[string]bool
 	spec  *privilege.Spec
@@ -68,7 +71,7 @@ func newOracleTicket(scen *scenarios.Scenario, is scenarios.Issue) oracleTicket 
 	if err != nil {
 		panic(err)
 	}
-	tk := oracleTicket{name: scen.Name + "/" + is.Name, prod: prod, snap: snap, slice: slice, spec: spec}
+	tk := oracleTicket{name: scen.Name + "/" + is.Name, prod: prod, base: sanitized(prod), snap: snap, slice: slice, spec: spec}
 
 	rows := func(cmds []ticket.FixCommand) string {
 		var b strings.Builder
@@ -115,6 +118,16 @@ func newOracleTicket(scen *scenarios.Scenario, is scenarios.Issue) oracleTicket 
 	return tk
 }
 
+// sanitized is a deep copy of n with every device sanitized, as a twin of n
+// starts — the twin's baseline, built apart from the twin.
+func sanitized(n *netmodel.Network) *netmodel.Network {
+	c := n.Clone()
+	for name, d := range c.Devices {
+		c.Devices[name] = config.Sanitize(d)
+	}
+	return c
+}
+
 // inverseLine is the console line that undoes a scripted fix line on the
 // faulty network n.
 func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
@@ -147,8 +160,12 @@ func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
 // replayScript runs a script of "DEVICE LINE" rows through a fresh twin of
 // the ticket and holds Changes to its oracle after every row:
 //
-//   - Changes() deep-equals config.DiffNetwork(Baseline(), Network()), and
-//     their verify.ChangeSetDigest (what addresses a review) is equal;
+//   - Changes() deep-equals config.DiffNetwork of the sanitized production
+//     (copied apart from the twin) and Network(), and their
+//     verify.ChangeSetDigest (what addresses a review) is equal;
+//   - Baseline() still equals the sanitized production: the pre-images are
+//     pristine, and no device the twin shares with its emulation layer was
+//     written;
 //   - a second read — a memo hit by construction — returns the same, after
 //     the first returned slice was overwritten (the memo is not aliased);
 //   - a row that was denied, failed to parse, opened no console or is
@@ -164,7 +181,10 @@ func replayScript(t *testing.T, tk oracleTicket, script string) (halfway int) {
 	}
 	check := func(row string) []config.Change {
 		t.Helper()
-		want := config.DiffNetwork(tw.Baseline(), tw.Network())
+		if moved := config.DiffNetwork(tk.base, tw.Baseline()); len(moved) != 0 {
+			t.Fatalf("%s after %q: the baseline moved: %v", tk.name, row, moved)
+		}
+		want := config.DiffNetwork(tk.base, tw.Network())
 		for read := 0; read < 2; read++ {
 			got := tw.Changes()
 			if !reflect.DeepEqual(got, want) {

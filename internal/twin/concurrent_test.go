@@ -26,9 +26,10 @@ import (
 // and once the writers are done the set equals the whole-network diff.
 func TestTwinConcurrentExec(t *testing.T) {
 	trail := audit.NewTrail([]byte("conc"))
+	prod := prodNet()
 	tw, err := New(Config{
 		Ticket: "T-CONC", Technician: "many",
-		Production: prodNet(), Spec: allowAllSpec(), Trail: trail,
+		Production: prod, Spec: allowAllSpec(), Trail: trail,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +149,7 @@ func TestTwinConcurrentExec(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, want := tw.Changes(), config.DiffNetwork(tw.Baseline(), tw.Network())
+	got, want := tw.Changes(), config.DiffNetwork(sanitized(prod), tw.Network())
 	if len(got) != goroutines || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after concurrent writes Changes() = %v, DiffNetwork = %v", got, want)
 	}

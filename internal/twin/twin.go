@@ -68,8 +68,7 @@ type Twin struct {
 	// may extend a ticket's privileges by appending rules (the core engine
 	// does), so the cache is keyed by rule count and rebuilt when it grows.
 	compiled atomic.Pointer[compiledSpec]
-	baseline *netmodel.Network // sanitized clone kept pristine for diffing
-	emul     *netmodel.Network // the mutable emulation layer
+	emul     *netmodel.Network // the emulation layer: production, sanitized
 	slice    map[string]bool   // nil means every device is visible
 	env      *console.Env
 	trail    *audit.Trail
@@ -82,19 +81,21 @@ type Twin struct {
 	// service layer multiplexes API calls onto the same twin), so the
 	// emulation layer itself must be safe for concurrent use.
 	mu sync.Mutex
-	// written names, sorted, every device an allowed write-class command
-	// was dispatched on. The monitor is the emulation layer's only writer
-	// and a config command touches only its console's device, so every
-	// other device still equals its baseline. changes is the diff of the
-	// written devices, current while stale is false.
-	written []string
+	// pre holds the pre-image of every device an allowed write-class
+	// command was dispatched on: a copy taken just before the first such
+	// write. The monitor is the emulation layer's only writer and a config
+	// command touches only its console's device, so every other device is
+	// still its own baseline. changes is the diff of the written devices
+	// against their pre-images, current while stale is false.
+	pre     map[string]*netmodel.Device
 	changes []config.Change
 	stale   bool
 }
 
 // New builds the twin: the emulation layer is a sanitized deep copy of
-// production (secrets redacted), and a second pristine copy is retained as
-// the diff baseline.
+// production (secrets redacted). That is the only copy an open makes; the
+// baseline a change set is diffed against is kept device by device, as the
+// pre-image of each device the technician writes.
 func New(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
@@ -102,11 +103,12 @@ func New(cfg Config) (*Twin, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
 	}
-	// Sanitize deep-copies each device itself, so the baseline starts from
-	// a shell that shares them (and the never-mutated links) with production.
-	sanitized := cfg.Production.CloneCOW()
-	for name, d := range sanitized.Devices {
-		sanitized.Devices[name] = config.Sanitize(d)
+	// Sanitize deep-copies each device itself, so the emulation layer starts
+	// from a shell that shares them (and the never-mutated links) with
+	// production.
+	emul := cfg.Production.CloneCOW()
+	for name, d := range emul.Devices {
+		emul.Devices[name] = config.Sanitize(d)
 	}
 	meter := cfg.Meter
 	if meter == nil {
@@ -116,8 +118,8 @@ func New(cfg Config) (*Twin, error) {
 		ticket:     cfg.Ticket,
 		technician: cfg.Technician,
 		spec:       cfg.Spec,
-		baseline:   sanitized,
-		emul:       sanitized.Clone(),
+		emul:       emul,
+		pre:        make(map[string]*netmodel.Device),
 		slice:      cfg.Slice,
 		trail:      cfg.Trail,
 		meter:      meter,
@@ -172,8 +174,39 @@ func (tw *Twin) Visible(device string) bool {
 // pointer is in no change set.
 func (tw *Twin) Network() *netmodel.Network { return tw.emul }
 
-// Baseline returns the pristine sanitized copy the twin started from.
-func (tw *Twin) Baseline() *netmodel.Network { return tw.baseline }
+// Baseline returns the sanitized production the twin started from, as a
+// copy-on-write view: the pre-image of every written device, and the
+// emulation layer's own device for every other one — still its baseline,
+// since nothing but a write changes a device. The view is read-only, and
+// it is the baseline only until the next write to a device it shares.
+func (tw *Twin) Baseline() *netmodel.Network {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	base := tw.emul.CloneCOW()
+	for name, d := range tw.pre {
+		base.Devices[name] = d
+	}
+	return base
+}
+
+// Drifted reports whether prod has a device the baseline lacks, or one whose
+// sanitized configuration is not its baseline's. It compares under the
+// twin's lock, so a concurrent write neither races with the comparison nor
+// shows up as drift.
+func (tw *Twin) Drifted(prod *netmodel.Network) bool {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	for name, d := range prod.Devices {
+		base, ok := tw.pre[name]
+		if !ok {
+			base = tw.emul.Devices[name]
+		}
+		if base == nil || len(config.DiffDevice(config.Sanitize(d), base)) != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Snapshot returns the twin's current dataplane snapshot.
 func (tw *Twin) Snapshot() *dataplane.Snapshot {
@@ -195,11 +228,16 @@ func (tw *Twin) Changes() []config.Change {
 	if tw.stale {
 		memo = "miss"
 		tw.changes = nil
-		for _, name := range tw.written {
-			tw.changes = append(tw.changes, config.DiffDevice(tw.baseline.Devices[name], tw.emul.Devices[name])...)
+		written := make([]string, 0, len(tw.pre))
+		for name := range tw.pre {
+			written = append(written, name)
+		}
+		sort.Strings(written)
+		for _, name := range written {
+			tw.changes = append(tw.changes, config.DiffDevice(tw.pre[name], tw.emul.Devices[name])...)
 		}
 		tw.stale = false
-		tw.meter.Counter("heimdall_twin_devices_diffed_total").Add(float64(len(tw.written)))
+		tw.meter.Counter("heimdall_twin_devices_diffed_total").Add(float64(len(tw.pre)))
 	}
 	tw.meter.Counter("heimdall_twin_changes_total", telemetry.L("memo", memo)).Inc()
 	return slices.Clone(tw.changes)
@@ -288,8 +326,8 @@ func (s *Session) Exec(line string) (string, error) {
 	if cmd.Write {
 		// Recorded at dispatch, not on success: a write that fails halfway
 		// may already have mutated its device.
-		if i, ok := slices.BinarySearch(tw.written, cmd.Device); !ok {
-			tw.written = slices.Insert(tw.written, i, cmd.Device)
+		if _, ok := tw.pre[cmd.Device]; !ok {
+			tw.pre[cmd.Device] = tw.emul.Devices[cmd.Device].Clone()
 		}
 		tw.stale = true
 	}

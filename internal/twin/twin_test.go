@@ -394,39 +394,38 @@ func TestTwinMetrics(t *testing.T) {
 }
 
 // TestTwinNoAliasing follows the CloneCOW aliasing-test pattern for the
-// three networks an open leaves behind: production, the pristine baseline
-// and the emulation layer share no device and no interface, secrets exist
-// only in production, and a twin write shows up in the emulation layer
-// alone.
+// networks an open leaves behind. Production shares no device and no
+// interface with the twin, and secrets exist only in production. The twin
+// makes one copy: its baseline and emulation layer share every device until
+// a write is dispatched on it, and from then on the two share nothing of
+// that device — the write shows up in the emulation layer alone.
 func TestTwinNoAliasing(t *testing.T) {
 	prod := prodNet()
 	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	disjoint := func(a, b string, na, nb *netmodel.Network, name string) {
+		t.Helper()
+		da, db := na.Devices[name], nb.Devices[name]
+		if da == nil || db == nil {
+			t.Fatalf("%s missing from %s or %s", name, a, b)
+		}
+		if da == db {
+			t.Fatalf("device %s shared between %s and %s", name, a, b)
+		}
+		for ifName, itf := range da.Interfaces {
+			if itf == db.Interfaces[ifName] {
+				t.Fatalf("interface %s:%s shared between %s and %s", name, ifName, a, b)
+			}
+		}
+	}
 	nets := map[string]*netmodel.Network{"production": prod, "baseline": tw.Baseline(), "emulation": tw.Network()}
-	for a, na := range nets {
-		for b, nb := range nets {
-			if a >= b {
-				continue
-			}
-			if na == nb {
-				t.Fatalf("%s and %s are one network", a, b)
-			}
-			for _, name := range prod.DeviceNames() {
-				da, db := na.Devices[name], nb.Devices[name]
-				if da == nil || db == nil {
-					t.Fatalf("%s missing from %s or %s", name, a, b)
-				}
-				if da == db {
-					t.Fatalf("device %s shared between %s and %s", name, a, b)
-				}
-				for ifName, itf := range da.Interfaces {
-					if itf == db.Interfaces[ifName] {
-						t.Fatalf("interface %s:%s shared between %s and %s", name, ifName, a, b)
-					}
-				}
-			}
+	for _, name := range prod.DeviceNames() {
+		disjoint("production", "baseline", prod, nets["baseline"], name)
+		disjoint("production", "emulation", prod, nets["emulation"], name)
+		if nets["baseline"].Devices[name] != tw.Network().Devices[name] {
+			t.Fatalf("device %s copied twice on open", name)
 		}
 	}
 	for name, n := range nets {
@@ -449,8 +448,15 @@ func TestTwinNoAliasing(t *testing.T) {
 	if !tw.Network().Device("r2").Interface("Gi0/1").Shutdown {
 		t.Fatal("write did not reach the emulation layer")
 	}
-	if prod.Device("r2").Interface("Gi0/1").Shutdown || tw.Baseline().Device("r2").Interface("Gi0/1").Shutdown {
+	base := tw.Baseline()
+	if prod.Device("r2").Interface("Gi0/1").Shutdown || base.Device("r2").Interface("Gi0/1").Shutdown {
 		t.Fatal("twin write leaked into production or the baseline")
+	}
+	disjoint("baseline", "emulation", base, tw.Network(), "r2")
+	for _, name := range prod.DeviceNames() {
+		if name != "r2" && base.Devices[name] != tw.Network().Devices[name] {
+			t.Fatalf("device %s copied though nothing wrote it", name)
+		}
 	}
 }
 
