@@ -336,8 +336,9 @@ func BenchmarkFlowCache(b *testing.B) {
 // production snapshot one review has already warmed, and a never-repeating
 // change set on the storage guard of e0-0, so no review is answered from
 // the verdict cache and every one derives, carries production's verdicts
-// and retraces the rest.
-func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, carried func() float64) {
+// and retraces the rest. counts reports the verdicts carried and the flows
+// retraced (the flow caches' misses) so far.
+func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts func() (carried, retraced float64)) {
 	scen := generate.FatTree(generate.FatTreeParams{K: 4})
 	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies)
 	reg := telemetry.NewRegistry()
@@ -357,43 +358,51 @@ func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, carrie
 		return d
 	}
 	review(0)
-	return review, func() float64 { return reg.CounterValue("heimdall_verify_policies_carried_total") }
+	return review, func() (float64, float64) {
+		return reg.CounterValue("heimdall_verify_policies_carried_total"), reg.CounterValue("heimdall_dataplane_flowcache_misses_total")
+	}
 }
 
 // BenchmarkReview measures one uncached review against a warm held
 // snapshot: ns/op and allocs/op (run with -benchmem) plus how many of the
 // 400 policy verdicts each review took over from production instead of
-// retracing and deciding (carried/op).
+// retracing and deciding (carried/op), and how many flows it traced
+// (retraced/op, 92): the two together say a change to the trace path traces
+// exactly the flows its parent traced.
 func BenchmarkReview(b *testing.B) {
-	review, carried := reviewFixture(b)
-	before := carried()
+	review, counts := reviewFixture(b)
+	carried0, retraced0 := counts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
 		review(i)
 	}
-	b.ReportMetric((carried()-before)/float64(b.N), "carried/op")
+	carried, retraced := counts()
+	b.ReportMetric((carried-carried0)/float64(b.N), "carried/op")
+	b.ReportMetric((retraced-retraced0)/float64(b.N), "retraced/op")
 }
 
 // TestReviewAllocBudget pins the allocations of one uncached review on a
-// warm held snapshot. Measured at 716: 715 and the shadow it keeps for the
-// commit that lands it. The ceiling is also the guard that a review builds
+// warm held snapshot. Measured at 512, the shadow it keeps for the commit
+// that lands it included. The ceiling is also the guard that a review builds
 // no verdict vector of its own — the commit rebuilds the shadow's; a review
-// that built it read ~810. (1,460 while each of the 308 policies production
-// already answers was carried as a trace — a memo entry each in a cache
-// thrown away with the review — and decided again, not taken as a verdict;
-// 1,659 while each of the 92 retraced flows sorted its two hosts' interface
-// names to find their addresses; 3,198 before reviews carried anything:
-// each retraced flow costs a Trace, its hops and two memo entries.) The
-// ceiling leaves ~10 % for the hash trie's per-map seed. If a change
-// legitimately moves the count, re-measure with -v and reset the ceiling;
-// don't just raise it.
+// that built it allocated ~95 more (810 against 716). (716 while the flow cache was a sync.Map, whose
+// every store boxed its key and allocated a trie node; 1,460 while each of
+// the 308 policies production already answers was carried as a trace — a
+// memo entry each in a cache thrown away with the review — and decided
+// again, not taken as a verdict; 1,659 while each of the 92 retraced flows
+// sorted its two hosts' interface names to find their addresses; 3,198
+// before reviews carried anything.) The count is deterministic: the ceiling
+// leaves ~5 %. If a change legitimately moves the count, re-measure with -v
+// and reset the ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
-	const ceiling = 790
-	review, carried := reviewFixture(t)
-	i, before := 0, carried()
+	const ceiling = 540
+	review, counts := reviewFixture(t)
+	i := 0
+	before, _ := counts()
 	allocs := testing.AllocsPerRun(50, func() { i++; review(i) })
-	t.Logf("%.0f allocs and %.0f carried verdicts per review", allocs, (carried()-before)/float64(i))
+	carried, _ := counts()
+	t.Logf("%.0f allocs and %.0f carried verdicts per review", allocs, (carried-before)/float64(i))
 	if allocs > ceiling {
 		t.Errorf("a review allocates %.0f times, budget %d", allocs, ceiling)
 	}

@@ -38,7 +38,9 @@ const (
 	// access/trunk mode — see netmodel.InterfaceL2Only). Such a change can
 	// rewire L2 adjacency — and through it OSPF adjacencies and BGP session
 	// reachability, which the derivation re-checks — but can never alter
-	// address ownership, connected routes, or static resolution, so every
+	// address ownership, a host's address, connected routes, or static
+	// resolution (an addressed access port on a host can become its address,
+	// Network.HostAddr: the enforcer declares that L3-topology), so every
 	// structure the re-checked inputs confirm unchanged is shared with the
 	// parent by identity. A pure-L2 rewire (the common case: VLAN renames,
 	// moves among L2-only segments) shares ALL routing state.
@@ -103,13 +105,13 @@ type ChangeSet []Change
 // oracle pins this for every change class.
 //
 // The flow cache starts empty, but when the derivation keeps the parent's
-// adjacency and address ownership (every class but L3-topology, a real L2
-// rewire and the Topology fallback) the child also remembers the parent's
-// cache and the devices whose config or RIB differ, and Reach carries the
-// parent's traces that avoid all of them (see Snapshot.carried). A trace
-// reads only its hop devices' config and FIB, the adjacency, the owner map
-// and host addresses, and no address can change outside L3-topology, so such
-// a trace read nothing that differs between the two snapshots.
+// adjacency and addresses (every class but L3-topology, a real L2 rewire and
+// the Topology fallback) the child shares the parent's hop index, remembers
+// the parent's cache and the devices whose config or RIB differ, and Reach
+// carries the parent's traces that avoid all of them (see Snapshot.carried).
+// A trace reads only its hop devices' config and FIB, the adjacency, address
+// ownership and host addresses, and no address can change outside
+// L3-topology, so such a trace read nothing that differs between the two.
 //
 // Reuse per class (see ChangeKind docs for the exactness argument):
 //
@@ -117,9 +119,9 @@ type ChangeSet []Change
 //	Static     → shared except the changed devices' RIBs+FIBs
 //	OSPF       → adjacency, sessions, BGP shared; incremental SPF, diffed RIBs
 //	BGP        → adjacency, OSPF shared; sessions+BGP rerun, diffed RIBs
-//	L2         → adjacency rebuilt; owner shared; OSPF/BGP rerun only if the
-//	             LSDB or session set changed, routes shared per source/device
-//	L3Topology → adjacency+owner rebuilt; incremental SPF, session-checked
+//	L2         → adjacency rebuilt; OSPF/BGP rerun only if the LSDB or
+//	             session set changed, routes shared per source/device
+//	L3Topology → adjacency rebuilt; incremental SPF, session-checked
 //	             BGP, RIBs rebuilt for changed devices and route diffs
 //	Topology   → full ComputeWithOptions fallback
 func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
@@ -149,12 +151,13 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		opts:       s.opts,
 		ospfRoutes: s.ospfRoutes,
 		bgpRoutes:  s.bgpRoutes,
-		owner:      s.owner,
 		lsdb:       s.lsdb,
 		flows:      newFlowCache(s.opts.Meter),
+		hops:       s.hops,
 	}
 
-	// carry stays true while d.adj and d.owner are the parent's.
+	// carry stays true while d.adj is the parent's and no address moved,
+	// which is when d shares the parent's hop index.
 	carry := true
 	topo := kinds[ChangeL2] || kinds[ChangeL3Topology]
 	if topo {
@@ -172,12 +175,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 			topo = false
 		} else {
 			carry = false
-			d.adj = adjacencyFromGroups(groups)
-			if kinds[ChangeL3Topology] {
-				// An L2-only change cannot move addresses, so owner is
-				// shared unless an L3-topology change is present.
-				d.owner = buildOwner(n)
-			}
+			d.adj, d.hops = adjacencyFromGroups(groups), new(hopIndex)
 		}
 	}
 
@@ -221,7 +219,10 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		for _, c := range changes {
 			ribDirty[c.Device] = true
 		}
-		d.parentFlows, d.stale = s.flows, ribDirty
+		d.parentFlows = s.flows
+		for dev := range ribDirty {
+			d.stale = append(d.stale, dev)
+		}
 	}
 	if len(devs) == 0 {
 		// No device's RIB inputs changed: share the maps outright.

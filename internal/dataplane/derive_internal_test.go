@@ -32,8 +32,10 @@ func assertInternalsEqual(t *testing.T, got, want *Snapshot) {
 	if !reflect.DeepEqual(got.fibs, want.fibs) {
 		t.Error("FIB tries diverged")
 	}
-	if !reflect.DeepEqual(got.owner, want.owner) {
-		t.Error("owner index diverged")
+	got.positions()
+	want.positions()
+	if !reflect.DeepEqual(got.hops, want.hops) || !reflect.DeepEqual(got.fibAt, want.fibAt) {
+		t.Error("hop index diverged")
 	}
 }
 
@@ -146,8 +148,8 @@ func TestDeriveInternalsPerClass(t *testing.T) {
 		if len(derived.sessions) > 0 && &derived.sessions[0] != &snap.sessions[0] {
 			t.Error("L2 derivation rebuilt the BGP session list")
 		}
-		if reflect.ValueOf(derived.owner).Pointer() != reflect.ValueOf(snap.owner).Pointer() {
-			t.Error("L2 derivation rebuilt the owner index")
+		if derived.hops != snap.hops {
+			t.Error("L2 derivation started a new hop index")
 		}
 	})
 }

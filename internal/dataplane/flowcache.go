@@ -33,9 +33,11 @@ type flowResult struct {
 // another, so a chain of derivations keeps two generations alive, not all.
 // The cache is safe for concurrent use — the attack-surface sweep calls
 // Reach from many goroutines at once, and concurrent reviews write back
-// into one production snapshot's cache.
+// into one production snapshot's cache. A map under a read-write lock costs
+// one hash per operation, a sync.Map a hash-trie walk on a boxed key.
 type flowCache struct {
-	m      sync.Map // flowKey -> *flowResult
+	mu     sync.RWMutex
+	m      map[flowKey]*flowResult
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// hitCtr/missCtr mirror the atomic counters onto the wired Meter
@@ -57,15 +59,27 @@ func newFlowCache(m telemetry.Meter) *flowCache {
 	}
 }
 
-// lookup returns the memoized result for the key, if any.
-func (c *flowCache) lookup(k flowKey) (*flowResult, bool) {
-	v, ok := c.m.Load(k)
-	if !ok {
-		return nil, false
+// load returns the memoized result for the key, if any.
+func (c *flowCache) load(k flowKey) (*flowResult, bool) {
+	c.mu.RLock()
+	r, ok := c.m[k]
+	c.mu.RUnlock()
+	return r, ok
+}
+
+// loadOrStore memoizes r unless the key holds a result already, and returns
+// the one held and whether it was.
+func (c *flowCache) loadOrStore(k flowKey, r *flowResult) (*flowResult, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if held, ok := c.m[k]; ok {
+		return held, true
 	}
-	c.hits.Add(1)
-	c.hitCtr.Inc()
-	return v.(*flowResult), true
+	if c.m == nil {
+		c.m = make(map[flowKey]*flowResult)
+	}
+	c.m[k] = r
+	return r, false
 }
 
 // store memoizes a freshly computed result and returns the canonical
@@ -77,7 +91,7 @@ func (c *flowCache) lookup(k flowKey) (*flowResult, bool) {
 // counts a hit, so misses is exactly the number of distinct flows memoized
 // however the callers interleave.
 func (c *flowCache) store(k flowKey, r *flowResult) *flowResult {
-	v, loaded := c.m.LoadOrStore(k, r)
+	r, loaded := c.loadOrStore(k, r)
 	if loaded {
 		c.hits.Add(1)
 		c.hitCtr.Inc()
@@ -85,16 +99,11 @@ func (c *flowCache) store(k flowKey, r *flowResult) *flowResult {
 		c.misses.Add(1)
 		c.missCtr.Inc()
 	}
-	return v.(*flowResult)
-}
-
-// stats returns the cache's hit and miss counts.
-func (c *flowCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	return r
 }
 
 // FlowCacheStats returns how many Reach calls this snapshot served from
 // its memoized flow cache (hits) versus traced from scratch (misses).
 func (s *Snapshot) FlowCacheStats() (hits, misses uint64) {
-	return s.flows.stats()
+	return s.flows.hits.Load(), s.flows.misses.Load()
 }

@@ -191,7 +191,7 @@ func TestFlowCacheWriteBack(t *testing.T) {
 	// r1 is on the path: the trace stays with the child.
 	dirty := parent.Derive(aclOn(n, "r1"), ChangeSet{{Device: "r1", Kind: ChangeACL}})
 	dirty.Reach("h1", "h2", netmodel.ICMP, 0)
-	if _, ok := parent.flows.m.Load(key); ok {
+	if _, ok := parent.flows.load(key); ok {
 		t.Fatal("a trace through the changed device was written back to the parent")
 	}
 
@@ -253,7 +253,7 @@ func TestFlowCacheInPlaceParent(t *testing.T) {
 		t.Fatalf("in-place derive diverged from Compute: %s, want %s", got, want)
 	}
 	for _, s := range []*Snapshot{parent, child} {
-		if v, _ := s.flows.m.Load(flowKey{src: "h1", dst: "h2", proto: netmodel.ICMP}); v.(*flowResult).tr != old {
+		if r, _ := s.flows.load(flowKey{src: "h1", dst: "h2", proto: netmodel.ICMP}); r.tr != old {
 			t.Fatal("an ancestor's memoized trace was replaced")
 		}
 	}

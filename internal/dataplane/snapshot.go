@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
+	"sync"
 
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -65,8 +66,6 @@ type Snapshot struct {
 	// the rest.
 	ospfRoutes map[string][]FIBEntry
 	bgpRoutes  map[string][]FIBEntry
-	// owner maps every up interface address to its endpoint.
-	owner map[netip.Addr]netmodel.Endpoint
 	// lsdb is the link-state database ospfRoutes was computed from,
 	// retained so Derive can patch it into a mutated network's LSDB and
 	// recompute SPF only for sources whose result can actually change.
@@ -74,11 +73,17 @@ type Snapshot struct {
 	// flows memoizes Reach results (per snapshot, concurrency-safe).
 	flows *flowCache
 	// parentFlows is the cache of the snapshot this one was derived from,
-	// set only when the derivation kept adj and owner; stale names the
+	// set only when the derivation kept adj and addresses; stale names the
 	// devices whose config or RIB differ from that parent. Reach moves
 	// traces that avoid stale between the two caches in both directions.
 	parentFlows *flowCache
-	stale       map[string]bool
+	stale       []string
+	// hops is the trace index of the adjacency generation, shared along
+	// Derive's carry; fibAt is this snapshot's FIBs by its positions. Both
+	// are filled at the first trace (positions).
+	hops    *hopIndex
+	fibOnce sync.Once
+	fibAt   []*LPM
 }
 
 // Compute builds a snapshot of the network's forwarding behaviour with
@@ -98,9 +103,9 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 		opts:       opts,
 		ospfRoutes: ospfRoutes,
 		bgpRoutes:  bgpRoutes,
-		owner:      buildOwner(n),
 		lsdb:       lsdb,
 		flows:      newFlowCache(opts.Meter),
+		hops:       new(hopIndex),
 	}
 	s.ribs, s.fibs = buildRIBs(n, n.DeviceNames(), ospfRoutes, bgpRoutes)
 	return s
@@ -127,21 +132,6 @@ func buildRIBs(n *netmodel.Network, devs []string,
 		fibs[dev] = fibSlots[i]
 	}
 	return ribs, fibs
-}
-
-// buildOwner indexes every L3 endpoint address to its owning endpoint.
-func buildOwner(n *netmodel.Network) map[netip.Addr]netmodel.Endpoint {
-	owner := make(map[netip.Addr]netmodel.Endpoint)
-	for _, dev := range n.DeviceNames() {
-		d := n.Devices[dev]
-		for _, ifName := range d.InterfaceNames() {
-			itf := d.Interfaces[ifName]
-			if l3Endpoint(itf) {
-				owner[itf.Addr.Addr()] = netmodel.Endpoint{Device: dev, Interface: ifName}
-			}
-		}
-	}
-	return owner
 }
 
 // RIB returns the device's routing table (best paths, sorted).
@@ -270,21 +260,31 @@ func flowHash(f Flow) uint32 {
 
 // TraceFrom forwards the flow starting at the named device and returns the
 // hop-by-hop trace. The source device is usually the host owning f.Src, but
-// any device can originate (used by the console's ping command).
+// any device can originate (used by the console's ping command). The walk
+// works on the hop index's positions — the destination's owner is looked up
+// once, loop detection, the FIB and the ARP step are by position — and each
+// hop reads its device from the network.
 func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
+	h, fibs := s.positions()
 	t := &Trace{Flow: f, Hops: make([]Hop, 0, 8)}
-	cur := src
+	cur, ok := h.pos[src]
+	if !ok {
+		t.Disposition, t.Where, t.Detail = DropNoRoute, src, "unknown device"
+		return t
+	}
+	dst, ok := h.owner[f.Dst]
+	if !ok {
+		dst = -1
+	}
 	inIf := ""
 	// Loop detection state: a plain slice scanned linearly beats a map
-	// here — the hop budget is 64 and real paths are a handful of hops,
-	// so the scan is a few pointer compares with no hashing or allocation.
-	visited := make([]string, 0, 8)
+	// here — the hop budget is 64 and real paths are a handful of hops.
+	visited := make([]int32, 0, 8)
 	for hop := 0; hop < maxHops; hop++ {
-		d := s.net.Devices[cur]
+		name := h.names[cur]
+		d := s.net.Devices[name]
 		if d == nil {
-			t.Disposition = DropNoRoute
-			t.Where = cur
-			t.Detail = "unknown device"
+			t.Disposition, t.Where, t.Detail = DropNoRoute, name, "unknown device"
 			return t
 		}
 
@@ -294,42 +294,27 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 			if itf != nil && itf.ACLIn != "" {
 				if acl := d.ACL(itf.ACLIn, false); acl != nil {
 					if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-						t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf})
-						t.Disposition = DropACL
-						t.Where = cur
-						t.Detail = fmt.Sprintf("acl %s in on %s", itf.ACLIn, inIf)
-						return t
+						return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, fmt.Sprintf("acl %s in on %s", itf.ACLIn, inIf))
 					}
 				}
 			}
 		}
 
-		// Delivered?
-		if owner, ok := s.owner[f.Dst]; ok && owner.Device == cur {
-			t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf})
-			t.Disposition = Delivered
-			return t
+		if cur == dst {
+			return t.stop(Hop{Device: name, InIf: inIf}, Delivered, "", "")
 		}
 
 		// Loop detection: forwarding depends only on the destination, so
 		// revisiting a device means the packet is caught in a loop.
-		for _, v := range visited {
-			if v == cur {
-				t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf})
-				t.Disposition = DropLoop
-				t.Where = cur
-				return t
-			}
+		if slices.Contains(visited, cur) {
+			return t.stop(Hop{Device: name, InIf: inIf}, DropLoop, name, "")
 		}
 		visited = append(visited, cur)
 
 		// Route lookup.
-		entries, ok := s.fibs[cur].Lookup(f.Dst)
+		entries, ok := fibs[cur].Lookup(f.Dst)
 		if !ok || len(entries) == 0 {
-			t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf})
-			t.Disposition = DropNoRoute
-			t.Where = cur
-			return t
+			return t.stop(Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
 		}
 		// ECMP selection: first entry by default (entries are sorted, so
 		// deterministic), or a per-flow hash when enabled.
@@ -337,17 +322,14 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		if s.opts.FlowHashECMP && len(entries) > 1 {
 			e = entries[int(flowHash(f)%uint32(len(entries)))]
 		}
+		out := Hop{Device: name, InIf: inIf, OutIf: e.OutIf}
 
 		// Egress ACL.
 		outItf := d.Interface(e.OutIf)
 		if outItf != nil && outItf.ACLOut != "" {
 			if acl := d.ACL(outItf.ACLOut, false); acl != nil {
 				if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-					t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf, OutIf: e.OutIf})
-					t.Disposition = DropACL
-					t.Where = cur
-					t.Detail = fmt.Sprintf("acl %s out on %s", outItf.ACLOut, e.OutIf)
-					return t
+					return t.stop(out, DropACL, name, fmt.Sprintf("acl %s out on %s", outItf.ACLOut, e.OutIf))
 				}
 			}
 		}
@@ -357,38 +339,22 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		if e.Connected() {
 			nhAddr = f.Dst
 		}
-		nextEp, found := s.resolve(netmodel.Endpoint{Device: cur, Interface: e.OutIf}, nhAddr)
+		next, found := h.resolve(cur, e.OutIf, nhAddr)
 		if !found {
-			t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf, OutIf: e.OutIf})
-			t.Disposition = DropARPFail
-			t.Where = cur
-			t.Detail = fmt.Sprintf("no neighbor %s via %s", nhAddr, e.OutIf)
-			return t
+			return t.stop(out, DropARPFail, name, fmt.Sprintf("no neighbor %s via %s", nhAddr, e.OutIf))
 		}
-
-		t.Hops = append(t.Hops, Hop{Device: cur, InIf: inIf, OutIf: e.OutIf})
-		cur = nextEp.Device
-		inIf = nextEp.Interface
+		t.Hops = append(t.Hops, out)
+		cur, inIf = next.dev, next.itf
 	}
-	t.Disposition = DropLoop
-	t.Where = cur
+	t.Disposition, t.Where = DropLoop, h.names[cur]
 	return t
 }
 
-// resolve finds the adjacent endpoint owning addr as seen from the egress
-// endpoint (the ARP step).
-func (s *Snapshot) resolve(from netmodel.Endpoint, addr netip.Addr) (netmodel.Endpoint, bool) {
-	for _, ep := range s.adj[from] {
-		d := s.net.Devices[ep.Device]
-		if d == nil {
-			continue
-		}
-		itf := d.Interface(ep.Interface)
-		if itf != nil && itf.HasAddr() && itf.Addr.Addr() == addr {
-			return ep, true
-		}
-	}
-	return netmodel.Endpoint{}, false
+// stop ends the trace at hop h with the disposition, where and detail given.
+func (t *Trace) stop(h Hop, d Disposition, where, detail string) *Trace {
+	t.Hops = append(t.Hops, h)
+	t.Disposition, t.Where, t.Detail = d, where, detail
+	return t
 }
 
 // Reach traces host-to-host traffic: the flow's source and destination
@@ -405,7 +371,9 @@ func (s *Snapshot) resolve(from netmodel.Endpoint, addr netip.Addr) (netmodel.En
 // (every caller in the tree already does). Reach is safe for concurrent use.
 func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
 	k := flowKey{src: srcHost, dst: dstHost, proto: proto, dstPort: dstPort}
-	if r, ok := s.flows.lookup(k); ok {
+	if r, ok := s.flows.load(k); ok {
+		s.flows.hits.Add(1)
+		s.flows.hitCtr.Inc()
 		return r.tr, r.err
 	}
 	if r, ok := s.carried(k); ok {
@@ -414,7 +382,7 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 	tr, err := s.reach(srcHost, dstHost, proto, dstPort)
 	r := s.flows.store(k, &flowResult{tr: tr, err: err})
 	if s.Carries(r.tr) {
-		s.parentFlows.m.LoadOrStore(k, r)
+		s.parentFlows.loadOrStore(k, r)
 	}
 	return r.tr, r.err
 }
@@ -426,20 +394,20 @@ func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
 	if s.parentFlows == nil {
 		return nil, false
 	}
-	v, ok := s.parentFlows.m.Load(k)
-	if !ok || !s.Carries(v.(*flowResult).tr) {
+	r, ok := s.parentFlows.load(k)
+	if !ok || !s.Carries(r.tr) {
 		return nil, false
 	}
-	v, _ = s.flows.m.LoadOrStore(k, v)
+	r, _ = s.flows.loadOrStore(k, r)
 	s.flows.hits.Add(1)
 	s.flows.hitCtr.Inc()
 	s.flows.carriedCtr.Inc()
-	return v.(*flowResult), true
+	return r, true
 }
 
 // Carries reports whether a Reach result of the snapshot this one was
 // derived from is this one's result too (and the reverse): the derivation
-// kept adjacency and owner and no hop is a stale device, so the trace read
+// kept adjacency and addresses and no hop is a stale device, so the trace read
 // nothing that differs between the two. An error (tr nil) has no hops: it
 // depends on the device set and host addresses only. Traces move between
 // the two flow caches under this test, and so do the policy verdicts decided
@@ -450,7 +418,7 @@ func (s *Snapshot) Carries(tr *Trace) bool {
 	}
 	if tr != nil {
 		for i := range tr.Hops {
-			if s.stale[tr.Hops[i].Device] {
+			if slices.Contains(s.stale, tr.Hops[i].Device) {
 				return false
 			}
 		}

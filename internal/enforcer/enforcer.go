@@ -256,11 +256,10 @@ func changeSetFor(prod *netmodel.Network, changes []config.Change) dataplane.Cha
 
 // changeKindFor maps a configuration op onto the narrowest dataplane
 // change class it can affect, for snapshot derivation. VLAN ops only edit
-// the switching fabric. Interface ops are L2-class when the interface is
-// L2-only (access/trunk or unaddressed, never an SVI) both before and
-// after the change, and L3-topology otherwise — every config op is
-// confined to its named device, so the conservative full-recompute class
-// is reserved for ops the switch doesn't recognize.
+// the switching fabric. Interface ops are L2-class when the change stays in
+// the fabric (interfaceChangeL2Only), and L3-topology otherwise — every
+// config op is confined to its named device, so the conservative
+// full-recompute class is reserved for ops the switch doesn't recognize.
 func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind {
 	switch c.Op {
 	case config.OpAddACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL:
@@ -274,7 +273,7 @@ func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind
 	case config.OpSetVLAN, config.OpRemoveVLAN:
 		return dataplane.ChangeL2
 	case config.OpAddInterface, config.OpSetInterface:
-		if netmodel.InterfaceL2Only(c.Interface) && priorInterfaceL2Only(prod, c) {
+		if interfaceChangeL2Only(prod, c) {
 			return dataplane.ChangeL2
 		}
 		return dataplane.ChangeL3Topology
@@ -283,18 +282,20 @@ func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind
 	}
 }
 
-// priorInterfaceL2Only reports whether the interface a change replaces was
-// absent or L2-only in production — replacing an addressed routed port is
-// an L3 change even when its replacement is L2-only.
-func priorInterfaceL2Only(prod *netmodel.Network, c config.Change) bool {
-	if c.Interface == nil {
-		return false
-	}
+// interfaceChangeL2Only reports whether an interface change stays in the
+// switching fabric: the interface is L2-only after the change and was absent
+// or L2-only in production (replacing an addressed routed port is an L3
+// change), and on a host neither side has an address — Network.HostAddr
+// reads access ports too, so an addressed one can become the host's address.
+func interfaceChangeL2Only(prod *netmodel.Network, c config.Change) bool {
 	d := prod.Devices[c.Device]
-	if d == nil {
+	if d == nil || !netmodel.InterfaceL2Only(c.Interface) {
 		return false
 	}
 	old := d.Interface(c.Interface.Name)
+	if d.Kind == netmodel.Host && (c.Interface.HasAddr() || old != nil && old.HasAddr()) {
+		return false
+	}
 	return old == nil || netmodel.InterfaceL2Only(old)
 }
 

@@ -124,6 +124,76 @@ func TestReviewRejectsUnauthorizedChange(t *testing.T) {
 	}
 }
 
+// An addressed access port is L2-only, yet on a host it can become the
+// host's address (Network.HostAddr takes the lowest-named addressed
+// interface, whatever its mode). A review of such a change must see the
+// moved address: every host-pair flow on the derived shadow snapshot, its
+// parent's cache warm, equals a fresh Compute, and a review that breaks
+// h1 -> h2 by moving h2's address off every route is rejected.
+func TestReviewSeesMovedHostAddress(t *testing.T) {
+	addPort := func(host, addr string) []config.Change {
+		return []config.Change{{Device: host, Op: config.OpAddInterface, Interface: &netmodel.Interface{
+			Name: "a0", Mode: netmodel.Access, AccessVLAN: 1, Addr: netip.MustParsePrefix(addr)}}}
+	}
+	hosts := []string{"h1", "h2", "h3"}
+	protos := []struct {
+		proto netmodel.Protocol
+		port  uint16
+	}{{netmodel.ICMP, 0}, {netmodel.TCP, 22}, {netmodel.TCP, 8443}}
+	for _, tc := range []struct{ host, addr string }{
+		{"h2", "10.9.9.9/24"},  // h1 -> h2 was delivered at h2
+		{"h3", "10.4.0.10/24"}, // h1 -> h3 was denied at r1, never reaching h3
+	} {
+		n := prod()
+		e := newEnforcer(n)
+		changes := addPort(tc.host, tc.addr)
+		held := e.ProductionSnapshot(n)
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				for _, p := range protos {
+					held.Reach(src, dst, p.proto, p.port)
+				}
+			}
+		}
+		shadow := n.CloneCOW(tc.host)
+		if err := config.ApplyChanges(shadow, changes); err != nil {
+			t.Fatal(err)
+		}
+		derived, fresh := held.Derive(shadow, changeSetFor(n, changes)), dataplane.Compute(shadow)
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				for _, p := range protos {
+					got, gotErr := derived.Reach(src, dst, p.proto, p.port)
+					want, wantErr := fresh.Reach(src, dst, p.proto, p.port)
+					if (gotErr == nil) != (wantErr == nil) || got.String() != want.String() {
+						t.Fatalf("a0 %s on %s: %s -> %s %s/%d: got %v (%v), want %v (%v)",
+							tc.addr, tc.host, src, dst, p.proto, p.port, got, gotErr, want, wantErr)
+					}
+				}
+			}
+		}
+	}
+
+	n := prod()
+	e := newEnforcer(n)
+	if d := e.Review(n, []config.Change{benignChange(15, 443)}, aclSpec()); !d.Accepted {
+		t.Fatalf("benign change rejected: %+v", d)
+	}
+	changes := addPort("h2", "10.9.9.9/24")
+	d := e.Review(n, changes, allowSpec(privilege.Rule{Effect: privilege.AllowEffect,
+		Action: "config.interface.*", Resource: "device:h2:*"}))
+	if d.Accepted {
+		t.Fatal("a review that moves h2's address off every route was accepted")
+	}
+	found := false
+	for _, v := range d.Violations {
+		found = found || v.Policy.Kind == verify.Reachability && v.Policy.Src == "h1" && v.Policy.Dst == "h2"
+	}
+	if !found {
+		t.Fatalf("h1 -> h2 reachability not reported: %v", d.Violations)
+	}
+}
+
 func TestCommitAppliesAndAudits(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
 	"heimdall/internal/faultinject"
 	"heimdall/internal/journal"
 	"heimdall/internal/netmodel"
@@ -150,6 +151,50 @@ func TestRollbackRestoresProductionExactly(t *testing.T) {
 	}
 	if err := e.Journal().Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A rollback swaps a device pointer under the held pre-commit snapshot
+// (memTarget.RestoreDevice), so a trace on that snapshot must read each
+// hop's device from the network, never one remembered from an earlier
+// trace: a flow across r1 asked for the first time after the rollback
+// equals a fresh Compute.
+func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
+	n := prod()
+	e := newEnforcer(n)
+	var sleeps []time.Duration
+	e.Retry = fastRetry(&sleeps)
+	held := e.ProductionSnapshot(n)
+	if tr, _ := held.Reach("h1", "h2", netmodel.ICMP, 0); !tr.Delivered() {
+		t.Fatalf("baseline should deliver: %s", tr)
+	}
+	// Whichever change is pushed first lands on r1 in place before the
+	// second dies: each denies a port no policy asks for.
+	deny := func(port int) config.Change {
+		c := benignChange(15+port%2, port)
+		c.Entry.Action = netmodel.Deny
+		return c
+	}
+	e.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
+		{Scope: "r1", Op: "apply", FailNth: 2, Class: faultinject.Permanent},
+	}}))
+	before := n.Devices["r1"]
+	if _, err := e.Commit(n, []config.Change{deny(9998), deny(9999)}, aclSpec()); err == nil {
+		t.Fatal("commit should have failed")
+	}
+	if n.Devices["r1"] == before {
+		t.Fatal("the rollback restored r1 in place: the case is gone")
+	}
+	if e.ProductionSnapshot(n) != held {
+		t.Fatal("the rollback did not keep the pre-commit snapshot held")
+	}
+	fresh := dataplane.Compute(n)
+	for _, port := range []uint16{9998, 9999} {
+		got, _ := held.Reach("h1", "h2", netmodel.TCP, port)
+		want, _ := fresh.Reach("h1", "h2", netmodel.TCP, port)
+		if !got.Delivered() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("tcp/%d on the held snapshot after the rollback: %s, want %s", port, got, want)
+		}
 	}
 }
 

@@ -246,7 +246,8 @@ var chainTiers = []*chainTier{
 // shares, patches, keeps by identity or carries in its flow cache is the
 // next one's parent — and compared with a from-scratch Compute: every
 // device's RIB, the flow of every scenario policy (which also warms the
-// snapshot the next step derives from) and 20 sampled host pairs.
+// snapshot the next step derives from) and 20 sampled host pairs, each flow
+// also with the string-keyed reference trace on the derived snapshot.
 //
 // The verdict vector goes down the chain with the snapshots. Bit 5 of the
 // script byte picks how: as a commit hands it over (CheckCarried on the
@@ -320,6 +321,7 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 					len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
 			}
 		}
+		ref := newRefTracer(snap, next, false)
 		check := func(src, dst string, proto netmodel.Protocol, port uint16) {
 			g, gerr := snap.Reach(src, dst, proto, port)
 			w, werr := full.Reach(src, dst, proto, port)
@@ -327,6 +329,7 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 				t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
 					len(trail), src, dst, gerr, g, werr, w, trail)
 			}
+			compareReach(t, snap, ref, src, dst, proto, port, fmt.Sprintf("step %d of %q", len(trail), trail))
 		}
 		for _, p := range scen.Policies {
 			check(p.Src, p.Dst, p.Proto, p.DstPort)
