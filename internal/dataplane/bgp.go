@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"heimdall/internal/netmodel"
@@ -196,9 +197,7 @@ func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string][]FIB
 		if len(entries) == 0 {
 			continue
 		}
-		sort.Slice(entries, func(i, j int) bool {
-			return prefixString(entries[i].Prefix) < prefixString(entries[j].Prefix)
-		})
+		slices.SortFunc(entries, func(a, b FIBEntry) int { return comparePrefix(a.Prefix, b.Prefix) })
 		out[dev] = entries
 	}
 	return out

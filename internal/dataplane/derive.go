@@ -1,7 +1,8 @@
 package dataplane
 
 import (
-	"sort"
+	"slices"
+	"sync"
 
 	"heimdall/internal/netmodel"
 )
@@ -25,12 +26,12 @@ const (
 	// enabled networks, process removal). The link-state pass reads the L2
 	// adjacency but never feeds back into it, and nothing is redistributed
 	// between OSPF and BGP, so adjacency, BGP routes, and BGP sessions all
-	// stay valid; the link-state pass reruns incrementally and only the
-	// RIBs whose OSPF inputs differed are rebuilt.
+	// stay valid; the LSDB is patched and only the sources whose SPF
+	// result can differ get new route cells.
 	ChangeOSPF
 	// ChangeBGP covers BGP process edits (neighbors, networks, AS changes,
 	// process removal). Sessions and routes rerun; adjacency and OSPF stay,
-	// and only RIBs whose BGP inputs differed are rebuilt.
+	// and only devices whose BGP routes differ get new route cells.
 	ChangeBGP
 	// ChangeL2 covers mutations confined to the switching fabric of the
 	// changed device: VLAN definition edits, access-port VLAN moves, and
@@ -48,10 +49,10 @@ const (
 	// ChangeL3Topology covers interface-level changes on the changed
 	// devices that can affect L3 state: shutdowns of addressed ports,
 	// address edits, SVI changes. Adjacency and address ownership are
-	// recomputed; the link-state pass reruns incrementally (SPF only for
-	// sources whose reachable LSDB component changed), BGP reruns only when
-	// the session set or a changed device's BGP process could differ, and
-	// RIBs rebuild only for devices whose route inputs actually changed.
+	// recomputed; the LSDB is patched (new route cells only for sources
+	// whose reachable LSDB component changed), BGP reruns only when the
+	// session set or a changed device's BGP process could differ, and only
+	// devices whose route inputs can have changed get new route cells.
 	ChangeL3Topology
 	// ChangeTopology is the conservative fallback for anything not
 	// confined to the declared devices or not classifiable: link edits,
@@ -99,42 +100,54 @@ type ChangeSet []Change
 // Derive builds a snapshot of n by reusing every part of the receiver that
 // the change set provably cannot invalidate, recomputing only the rest.
 // n must be the receiver's network modified ONLY as described by changes
-// (typically a CloneCOW with the listed devices mutated); an undeclared
-// change silently yields a wrong snapshot. The derived snapshot is
-// byte-identical to ComputeWithOptions(n, s.opts) — the TestDeriveMatchesCompute
-// oracle pins this for every change class.
+// (typically a CloneCOW with the listed devices mutated, or the receiver's
+// own network mutated in place); an undeclared change silently yields a
+// wrong snapshot. The derived snapshot is byte-identical to
+// ComputeWithOptions(n, s.opts) — the TestDeriveMatchesCompute oracle pins
+// this for every change class.
+//
+// Route cells are shared with the parent for every device whose route
+// inputs provably did not move, and new (unbuilt) for the rest: the devices
+// a Static or L3-topology change names, the OSPF sources whose SPF result
+// can differ, the devices whose BGP routes differ, and every router when
+// the LSDB could not be patched. A new cell keeps the parent's OSPF routes
+// unless its device is one of those sources or routers.
 //
 // The flow cache starts empty, but when the derivation keeps the parent's
 // adjacency and addresses (every class but L3-topology, a real L2 rewire and
 // the Topology fallback) the child shares the parent's hop index, remembers
-// the parent's cache and the devices whose config or RIB differ, and Reach
-// carries the parent's traces that avoid all of them (see Snapshot.carried).
-// A trace reads only its hop devices' config and FIB, the adjacency, address
+// the parent's cache, the changed devices and the suspects (new cells on
+// unchanged devices), and Reach carries the parent's traces that cross no
+// changed device and no suspect whose RIB moved (see Snapshot.Carries). A
+// trace reads only its hop devices' config and FIB, the adjacency, address
 // ownership and host addresses, and no address can change outside
 // L3-topology, so such a trace read nothing that differs between the two.
 //
 // Reuse per class (see ChangeKind docs for the exactness argument):
 //
-//	ACL        → everything shared (adjacency, sessions, OSPF, BGP, RIBs, FIBs)
-//	Static     → shared except the changed devices' RIBs+FIBs
-//	OSPF       → adjacency, sessions, BGP shared; incremental SPF, diffed RIBs
-//	BGP        → adjacency, OSPF shared; sessions+BGP rerun, diffed RIBs
-//	L2         → adjacency rebuilt; OSPF/BGP rerun only if the LSDB or
-//	             session set changed, routes shared per source/device
-//	L3Topology → adjacency rebuilt; incremental SPF, session-checked
-//	             BGP, RIBs rebuilt for changed devices and route diffs
+//	ACL        → everything shared (adjacency, sessions, LSDB, BGP, cells)
+//	Static     → shared except the changed devices' cells
+//	OSPF       → adjacency, sessions, BGP shared; patched LSDB, new cells
+//	             for the sources whose SPF can differ
+//	BGP        → adjacency, LSDB shared; sessions+BGP rerun, new cells for
+//	             route diffs
+//	L2         → adjacency rebuilt; LSDB/BGP rechecked only if the
+//	             adjacency changed, cells shared per source/device
+//	L3Topology → adjacency rebuilt; patched LSDB, session-checked BGP, new
+//	             cells for changed devices and route moves
 //	Topology   → full ComputeWithOptions fallback
 func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	kinds := [changeKindCount]bool{}
-	// ribDirty accumulates the devices whose RIB inputs changed. Static and
-	// L3-topology changes can alter the changed device's connected/static
-	// routes, so those are dirty up front; protocol route differences are
-	// discovered (and marked) by the diffs below.
-	ribDirty := make(map[string]bool)
+	// fresh accumulates the devices whose connected, static or BGP routes
+	// can have moved, and spf those whose OSPF routes can have. Static and
+	// L3-topology changes can alter the changed device's connected and
+	// static routes, so those are fresh up front; protocol route moves are
+	// found (and marked) below.
+	fresh, spf := make(map[string]bool), make(map[string]bool)
 	for _, c := range changes {
 		kinds[c.Kind] = true
 		if c.Kind == ChangeStatic || c.Kind == ChangeL3Topology {
-			ribDirty[c.Device] = true
+			fresh[c.Device] = true
 		}
 	}
 
@@ -145,15 +158,17 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	}
 
 	d := &Snapshot{
-		net:        n,
-		adj:        s.adj,
-		sessions:   s.sessions,
-		opts:       s.opts,
-		ospfRoutes: s.ospfRoutes,
-		bgpRoutes:  s.bgpRoutes,
-		lsdb:       s.lsdb,
-		flows:      newFlowCache(s.opts.Meter),
-		hops:       s.hops,
+		net:       n,
+		adj:       s.adj,
+		sessions:  s.sessions,
+		opts:      s.opts,
+		lsdb:      s.lsdb,
+		bgpRoutes: s.bgpRoutes,
+		names:     s.names,
+		cells:     s.cells,
+		built:     s.built,
+		flows:     newFlowCache(s.opts.Meter),
+		hops:      s.hops,
 	}
 
 	// carry stays true while d.adj is the parent's and no address moved,
@@ -168,10 +183,10 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 			// OSPF adjacencies and BGP session reachability, and an L2
 			// change can touch neither addresses nor protocol config).
 			// Unchanged adjacency therefore proves every L3 structure of
-			// the parent — LSDB, SPF results, sessions, routes, RIBs — is
-			// still exact: keep them all shared and skip the protocol
-			// re-checks outright. Comparing the factored component
-			// partition avoids even materializing the peer lists.
+			// the parent — LSDB, sessions, routes, cells — is still exact:
+			// keep them all shared and skip the protocol re-checks
+			// outright. Comparing the factored component partition avoids
+			// even materializing the peer lists.
 			topo = false
 		} else {
 			carry = false
@@ -186,7 +201,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		}
 		var patched bool
 		d.lsdb, patched = deriveLSDB(s.lsdb, s.net, n, s.adj, d.adj, topo, changedDevs)
-		d.ospfRoutes = s.incrementalOSPF(d.lsdb, patched, ribDirty)
+		ospfMoved(s.lsdb, d.lsdb, patched, spf)
 	}
 
 	if topo || kinds[ChangeBGP] {
@@ -195,161 +210,107 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		// (connected subnets under "redistribute connected"). If neither is
 		// possible, the parent's sessions and routes stay valid as-is.
 		newSessions := bgpSessions(n, d.adj)
-		same := sessionsEqual(newSessions, s.sessions)
+		same := slices.Equal(newSessions, s.sessions)
 		if kinds[ChangeBGP] || !same || bgpConfigTouched(s.net, n, changes) {
-			if same {
-				d.sessions = s.sessions
-			} else {
+			if !same {
 				d.sessions = newSessions
 			}
-			d.bgpRoutes = reconcileRoutes(s.bgpRoutes, computeBGPOver(n, newSessions), ribDirty)
+			d.bgpRoutes = computeBGPOver(n, newSessions)
+			bgpMoved(s.bgpRoutes, d.bgpRoutes, fresh)
 		}
 	}
 
-	devs := make([]string, 0, len(ribDirty))
-	for dev := range ribDirty {
-		if n.Devices[dev] != nil {
-			devs = append(devs, dev)
+	// Every device in either set gets a new cell; fresh becomes their union.
+	if len(fresh)+len(spf) > 0 {
+		d.cells = slices.Clone(s.cells)
+		for i, name := range d.names {
+			switch {
+			case spf[name]:
+				d.cells[i] = &routeCell{ospf: new(ospfCell)}
+				fresh[name] = true
+			case fresh[name]:
+				d.cells[i] = &routeCell{ospf: s.cells[i].ospf}
+			}
 		}
 	}
 	if carry {
 		// The parent's cache, not the parent: s.net may be mutated in place
 		// under it (the commit pipeline derives onto the same network), and
 		// holding s would chain every earlier version to this one.
-		for _, c := range changes {
-			ribDirty[c.Device] = true
-		}
 		d.parentFlows = s.flows
-		for dev := range ribDirty {
-			d.stale = append(d.stale, dev)
+		for _, c := range changes {
+			if !slices.Contains(d.stale, c.Device) {
+				d.stale = append(d.stale, c.Device)
+			}
+			delete(fresh, c.Device)
 		}
-	}
-	if len(devs) == 0 {
-		// No device's RIB inputs changed: share the maps outright.
-		d.ribs = s.ribs
-		d.fibs = s.fibs
-		return d
-	}
-	sort.Strings(devs)
-	d.ribs = make(map[string][]FIBEntry, len(s.ribs))
-	d.fibs = make(map[string]*LPM, len(s.fibs))
-	for dev, rib := range s.ribs {
-		d.ribs[dev] = rib
-	}
-	for dev, fib := range s.fibs {
-		d.fibs[dev] = fib
-	}
-	ribs, fibs := buildRIBs(n, devs, d.ospfRoutes, d.bgpRoutes)
-	for dev, rib := range ribs {
-		d.ribs[dev] = rib
-	}
-	for dev, fib := range fibs {
-		d.fibs[dev] = fib
+		if len(fresh) > 0 {
+			d.suspects = make(map[string]*suspect, len(fresh))
+		}
+		for name := range fresh {
+			if i, ok := slices.BinarySearch(d.names, name); ok {
+				d.suspects[name] = &suspect{pos: i, cell: s.cells[i], lsdb: s.lsdb, bgp: s.bgpRoutes}
+			}
+		}
 	}
 	return d
 }
 
-// incrementalOSPF computes the OSPF route map for the new LSDB and marks
-// every device whose route set differs in ribDirty. When nl is a patch of
-// the receiver's LSDB (patched, see deriveLSDB), sources that
-// nl.staleSources clears keep the receiver's route slices by identity and
-// only the rest rerun SPF; after a structural fallback every source reruns.
-// The result is DeepEqual to nl.routes() — including the nil-iff-no-routers
-// convention.
-func (s *Snapshot) incrementalOSPF(nl *ospfLSDB, patched bool, ribDirty map[string]bool) map[string][]FIBEntry {
-	if len(nl.sources) == 0 {
-		for dev := range s.ospfRoutes {
-			ribDirty[dev] = true
-		}
-		return nil
-	}
-	var staleSet []bool
-	if patched {
-		if staleSet = nl.staleSources(s.lsdb); staleSet == nil {
-			return s.ospfRoutes
-		}
-	}
-	out := make(map[string][]FIBEntry, len(nl.sources))
-	changed := false
-	var stale []int
-	for i, src := range nl.sources {
-		if patched && !staleSet[i] {
-			// No input of this source's SPF moved: share the parent's
-			// slice by identity without recomputing.
-			if r, ok := s.ospfRoutes[src]; ok {
-				out[src] = r
-			}
-			continue
-		}
-		stale = append(stale, i)
-	}
-	slots := make([][]FIBEntry, len(stale))
-	fanOut(len(stale), func(k int) {
-		slots[k] = nl.routesFrom(stale[k])
-	})
-	for k, i := range stale {
-		src := nl.sources[i]
-		oldRoutes, had := s.ospfRoutes[src]
-		if had && fibSlicesEqual(slots[k], oldRoutes) {
-			// Recomputed to the same answer: keep the old slice so RIB
-			// sharing (and identity-based tests) see no change.
-			out[src] = oldRoutes
-			continue
-		}
-		if len(slots[k]) > 0 {
-			out[src] = slots[k]
-		}
-		if had || len(slots[k]) > 0 {
-			ribDirty[src] = true
-			changed = true
-		}
-	}
-	// Devices that dropped out of the router set lose their OSPF routes.
-	for dev := range s.ospfRoutes {
-		if _, ok := nl.index[dev]; !ok {
-			ribDirty[dev] = true
-			changed = true
-		}
-	}
-	if !changed && s.ospfRoutes != nil && len(out) == len(s.ospfRoutes) {
-		// Nothing differed: share the whole map by identity.
-		out = s.ospfRoutes
-	}
-	return out
+// suspect is a device Derive gave a new route cell although its config did
+// not change: its OSPF or BGP routes may have moved. Whether its RIB did is
+// decided once, at the first trace across it that Carries tests, by
+// building the parent's cell too — from the parent's LSDB and BGP routes
+// over the child's network, which holds the device unchanged.
+type suspect struct {
+	once  sync.Once
+	stale bool
+	pos   int
+	cell  *routeCell
+	lsdb  *ospfLSDB
+	bgp   map[string][]FIBEntry
 }
 
-// reconcileRoutes diffs a recomputed protocol route map against the old
-// one: devices whose routes are content-equal get the old slice back (so
-// downstream identity checks can share RIBs), devices that differ are
-// marked dirty, and when nothing differed at all the old map itself is
-// returned. Preserves the nil-vs-empty distinction of the compute
-// functions exactly.
-func reconcileRoutes(oldRoutes, newRoutes map[string][]FIBEntry, dirty map[string]bool) map[string][]FIBEntry {
-	if newRoutes == nil {
-		for dev := range oldRoutes {
-			dirty[dev] = true
+// moved reports whether the suspect's RIB in s differs from its parent's.
+func (sp *suspect) moved(s *Snapshot) bool {
+	sp.once.Do(func() {
+		parent := sp.cell
+		parent.once.Do(func() { parent.fill(s.net, sp.lsdb, sp.bgp, s.names[sp.pos], s.built) })
+		sp.stale = !slices.Equal(s.cell(sp.pos).rib, parent.rib)
+		sp.cell, sp.lsdb, sp.bgp = nil, nil, nil
+	})
+	return sp.stale
+}
+
+// ospfMoved marks in spf every router whose OSPF routes can differ between
+// old and nl: the sources nl.staleSources marks when nl is a patch of old
+// (see deriveLSDB), else every router of either.
+func ospfMoved(old, nl *ospfLSDB, patched bool, spf map[string]bool) {
+	if !patched {
+		for _, src := range old.sources {
+			spf[src] = true
 		}
-		return nil
+		for _, src := range nl.sources {
+			spf[src] = true
+		}
+		return
 	}
-	identical := oldRoutes != nil
-	for dev, nr := range newRoutes {
-		if or, ok := oldRoutes[dev]; ok && fibSlicesEqual(or, nr) {
-			newRoutes[dev] = or
-		} else {
-			dirty[dev] = true
-			identical = false
+	for i, stale := range nl.staleSources(old) {
+		if stale {
+			spf[nl.sources[i]] = true
 		}
 	}
-	for dev := range oldRoutes {
-		if _, ok := newRoutes[dev]; !ok {
-			dirty[dev] = true
-			identical = false
+}
+
+// bgpMoved marks in fresh every device whose BGP routes differ between the
+// two route maps.
+func bgpMoved(old, routes map[string][]FIBEntry, fresh map[string]bool) {
+	for _, m := range []map[string][]FIBEntry{old, routes} {
+		for dev := range m {
+			if !slices.Equal(old[dev], routes[dev]) {
+				fresh[dev] = true
+			}
 		}
 	}
-	if identical {
-		return oldRoutes
-	}
-	return newRoutes
 }
 
 // bgpConfigTouched reports whether any changed device runs BGP in the old
@@ -367,31 +328,4 @@ func bgpConfigTouched(oldNet, newNet *netmodel.Network, changes ChangeSet) bool 
 		}
 	}
 	return false
-}
-
-// sessionsEqual reports whether two session lists are element-wise equal
-// (both are in canonical sorted order).
-func sessionsEqual(a, b []bgpSession) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// fibSlicesEqual reports element-wise equality of two route slices.
-func fibSlicesEqual(a, b []FIBEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

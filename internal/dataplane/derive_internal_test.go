@@ -3,6 +3,7 @@ package dataplane
 import (
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"heimdall/internal/netmodel"
@@ -11,7 +12,8 @@ import (
 // assertInternalsEqual compares every internal structure of two snapshots
 // of the same network — not just the observable surface. This is stricter
 // than the external oracle: a derived snapshot must be bit-for-bit the
-// snapshot a full compute would have built.
+// snapshot a full compute would have built. Every route cell of both is
+// built and compared, and so is every source's OSPF result.
 func assertInternalsEqual(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if !reflect.DeepEqual(got.adj, want.adj) {
@@ -20,23 +22,50 @@ func assertInternalsEqual(t *testing.T, got, want *Snapshot) {
 	if !reflect.DeepEqual(got.sessions, want.sessions) {
 		t.Errorf("BGP sessions diverged: %+v vs %+v", got.sessions, want.sessions)
 	}
-	if !reflect.DeepEqual(got.ospfRoutes, want.ospfRoutes) {
-		t.Errorf("OSPF routes diverged:\n%+v\nvs\n%+v", got.ospfRoutes, want.ospfRoutes)
+	if g, w := routes(got.lsdb), routes(want.lsdb); !reflect.DeepEqual(g, w) {
+		t.Errorf("OSPF routes diverged:\n%+v\nvs\n%+v", g, w)
 	}
 	if !reflect.DeepEqual(got.bgpRoutes, want.bgpRoutes) {
 		t.Errorf("BGP routes diverged:\n%+v\nvs\n%+v", got.bgpRoutes, want.bgpRoutes)
 	}
-	if !reflect.DeepEqual(got.ribs, want.ribs) {
-		t.Error("RIBs diverged")
+	if !reflect.DeepEqual(got.names, want.names) || len(got.cells) != len(got.names) {
+		t.Fatalf("device positions diverged: %v (%d cells) vs %v", got.names, len(got.cells), want.names)
 	}
-	if !reflect.DeepEqual(got.fibs, want.fibs) {
-		t.Error("FIB tries diverged")
+	for i, dev := range want.names {
+		g, w := got.cell(i), want.cell(i)
+		if !reflect.DeepEqual(g.rib, w.rib) {
+			t.Errorf("%s: RIB diverged", dev)
+		}
+		if !reflect.DeepEqual(g.fib, w.fib) {
+			t.Errorf("%s: FIB diverged", dev)
+		}
 	}
 	got.positions()
 	want.positions()
-	if !reflect.DeepEqual(got.hops, want.hops) || !reflect.DeepEqual(got.fibAt, want.fibAt) {
+	if !reflect.DeepEqual(got.hops, want.hops) {
 		t.Error("hop index diverged")
 	}
+}
+
+// sharedCells lists the devices whose route cell a and b share by identity.
+func sharedCells(a, b *Snapshot) map[string]bool {
+	out := make(map[string]bool)
+	for i, dev := range a.names {
+		if a.cells[i] == b.cells[i] {
+			out[dev] = true
+		}
+	}
+	return out
+}
+
+// cellOf returns the device's route cell in s, unbuilt or not.
+func cellOf(t *testing.T, s *Snapshot, dev string) *routeCell {
+	t.Helper()
+	i, ok := slices.BinarySearch(s.names, dev)
+	if !ok {
+		t.Fatalf("no device %s", dev)
+	}
+	return s.cells[i]
 }
 
 // TestDeriveBGPWithdraw covers the ChangeBGP class on the peering topology:
@@ -74,9 +103,9 @@ func TestDeriveBGPWithdraw(t *testing.T) {
 }
 
 // TestDeriveInternalsPerClass re-runs the sharing-sensitive classes on the
-// peering net and asserts full internal equality, including which maps are
-// shared: an ACL derivation must alias the parent's maps outright, a static
-// derivation must alias every untouched device's RIB slice.
+// peering net and asserts full internal equality, including which cells are
+// shared: an ACL derivation must alias the parent's cells outright, a static
+// derivation must alias every untouched device's cell.
 func TestDeriveInternalsPerClass(t *testing.T) {
 	base := peeringNet()
 	snap := Compute(base)
@@ -90,8 +119,8 @@ func TestDeriveInternalsPerClass(t *testing.T) {
 		// gates traces, not routing.
 		derived := snap.Derive(mutated, ChangeSet{{Device: "edge", Kind: ChangeACL}})
 		assertInternalsEqual(t, derived, Compute(mutated))
-		if !sameRIBMap(derived.ribs, snap.ribs) {
-			t.Error("ACL derivation did not share the parent's RIB map")
+		if len(derived.cells) == 0 || &derived.cells[0] != &snap.cells[0] {
+			t.Error("ACL derivation did not share the parent's cells")
 		}
 	})
 
@@ -102,12 +131,10 @@ func TestDeriveInternalsPerClass(t *testing.T) {
 				NextHop: netip.MustParseAddr("203.0.113.10")})
 		derived := snap.Derive(mutated, ChangeSet{{Device: "isp1", Kind: ChangeStatic}})
 		assertInternalsEqual(t, derived, Compute(mutated))
-		for dev := range snap.ribs {
-			if dev == "isp1" {
-				continue
-			}
-			if len(derived.ribs[dev]) > 0 && &derived.ribs[dev][0] != &snap.ribs[dev][0] {
-				t.Errorf("static derivation rebuilt untouched device %s", dev)
+		shared := sharedCells(derived, snap)
+		for _, dev := range snap.names {
+			if shared[dev] == (dev == "isp1") {
+				t.Errorf("%s: cell shared = %v, want %v", dev, shared[dev], dev != "isp1")
 			}
 		}
 	})
@@ -132,15 +159,12 @@ func TestDeriveInternalsPerClass(t *testing.T) {
 		derived := snap.Derive(mutated, ChangeSet{{Device: "edge", Kind: ChangeL2}})
 		assertInternalsEqual(t, derived, Compute(mutated))
 		// The ChangeL2 contract is sharing by identity, not just equality:
-		// the maps themselves must be the parent's.
-		if reflect.ValueOf(derived.ribs).Pointer() != reflect.ValueOf(snap.ribs).Pointer() {
-			t.Error("L2 derivation copied the RIB map")
+		// the structures themselves must be the parent's.
+		if len(derived.cells) == 0 || &derived.cells[0] != &snap.cells[0] {
+			t.Error("L2 derivation copied the cells")
 		}
-		if reflect.ValueOf(derived.fibs).Pointer() != reflect.ValueOf(snap.fibs).Pointer() {
-			t.Error("L2 derivation copied the FIB map")
-		}
-		if reflect.ValueOf(derived.ospfRoutes).Pointer() != reflect.ValueOf(snap.ospfRoutes).Pointer() {
-			t.Error("L2 derivation rebuilt the OSPF route map")
+		if derived.lsdb != snap.lsdb {
+			t.Error("L2 derivation rebuilt the LSDB")
 		}
 		if reflect.ValueOf(derived.bgpRoutes).Pointer() != reflect.ValueOf(snap.bgpRoutes).Pointer() {
 			t.Error("L2 derivation rebuilt the BGP route map")
@@ -184,44 +208,25 @@ func twoIslandNet() *netmodel.Network {
 }
 
 // TestDeriveAffectedSourceReuse pins the affected-source SPF optimization:
-// an OSPF cost bump in one island recomputes only that island's sources;
-// the untouched island's route slices come through by identity.
+// an OSPF cost bump in one island gives new cells only to that island's
+// sources; the untouched island's cells come through by identity.
 func TestDeriveAffectedSourceReuse(t *testing.T) {
 	base := twoIslandNet()
 	snap := Compute(base)
 	mutated := base.CloneCOW("r1")
 	mutated.Devices["r1"].Interface("Gi0/0").OSPFCost = 7
 	derived := snap.Derive(mutated, ChangeSet{{Device: "r1", Kind: ChangeOSPF}})
-	assertInternalsEqual(t, derived, Compute(mutated))
 	for _, src := range []string{"r3", "r4"} {
-		if len(snap.ospfRoutes[src]) == 0 {
-			t.Fatalf("expected OSPF routes for %s in the base snapshot", src)
-		}
-		if &derived.ospfRoutes[src][0] != &snap.ospfRoutes[src][0] {
-			t.Errorf("%s SPF recomputed despite its component being untouched", src)
+		if cellOf(t, derived, src) != cellOf(t, snap, src) {
+			t.Errorf("%s has a new cell despite its component being untouched", src)
 		}
 	}
-	// r1's own routes must reflect the new cost, so its slice is fresh.
-	if len(derived.ospfRoutes["r1"]) > 0 && len(snap.ospfRoutes["r1"]) > 0 &&
-		&derived.ospfRoutes["r1"][0] == &snap.ospfRoutes["r1"][0] {
-		t.Error("r1 SPF slice shared even though its cost changed")
+	// r1's own routes must reflect the new cost, so its cell is new.
+	if cellOf(t, derived, "r1") == cellOf(t, snap, "r1") {
+		t.Error("r1 cell shared even though its cost changed")
 	}
-}
-
-// sameRIBMap reports whether two RIB maps share identical backing slices
-// for every device (i.e. one map's contents alias the other's).
-func sameRIBMap(a, b map[string][]FIBEntry) bool {
-	if len(a) != len(b) {
-		return false
+	assertInternalsEqual(t, derived, Compute(mutated))
+	if len(snap.RIB("r3")) == 0 || &derived.RIB("r3")[0] != &snap.RIB("r3")[0] {
+		t.Error("r3's RIB is not the parent's")
 	}
-	for dev, rib := range a {
-		other := b[dev]
-		if len(rib) != len(other) {
-			return false
-		}
-		if len(rib) > 0 && &rib[0] != &other[0] {
-			return false
-		}
-	}
-	return true
 }

@@ -10,7 +10,7 @@ import (
 // hopIndex numbers what a trace walks, so a hop costs integer and address
 // compares instead of string hashes: device positions (sorted names), the
 // owning position of every L3 endpoint address and each L3 endpoint's ARP
-// list.
+// list. A device's position also indexes the snapshot's route cells.
 //
 // One index serves an adjacency generation: the snapshots Derive produces
 // from one another while they keep the parent's adjacency and move no
@@ -38,8 +38,8 @@ type arpEntry struct {
 	itf  string
 }
 
-func (h *hopIndex) build(n *netmodel.Network, adj adjacency) {
-	h.names = n.DeviceNames()
+func (h *hopIndex) build(names []string, n *netmodel.Network, adj adjacency) {
+	h.names = names
 	h.pos = make(map[string]int32, len(h.names))
 	for i, name := range h.names {
 		h.pos[name] = int32(i)
@@ -84,16 +84,11 @@ func (h *hopIndex) resolve(dev int32, out string, addr netip.Addr) (arpEntry, bo
 	return arpEntry{}, false
 }
 
-// positions returns the generation's hop index and this snapshot's FIBs by
-// its positions, building both at first use.
-func (s *Snapshot) positions() (*hopIndex, []*LPM) {
-	s.fibOnce.Do(func() {
-		h := s.hops
-		h.once.Do(func() { h.build(s.net, s.adj) })
-		s.fibAt = make([]*LPM, len(h.names))
-		for i, name := range h.names {
-			s.fibAt[i] = s.fibs[name]
-		}
-	})
-	return s.hops, s.fibAt
+// positions returns the generation's hop index, building it at first use.
+// Its positions are the snapshot's device positions: a generation never
+// changes the device set.
+func (s *Snapshot) positions() *hopIndex {
+	h := s.hops
+	h.once.Do(func() { h.build(s.names, s.net, s.adj) })
+	return h
 }

@@ -9,7 +9,6 @@
 package dataplane
 
 import (
-	"cmp"
 	"math/bits"
 	"net/netip"
 	"slices"
@@ -46,23 +45,29 @@ func slotKey(addr uint32, l int) uint64 {
 // contiguous: each run becomes one slot aliasing the RIB's backing array
 // (both are immutable once the snapshot is built), and one sort replaces
 // the per-Insert shifting. The result equals calling Insert once per run.
+// The sort is of plain integers — each run's key packed above its start in
+// the RIB (a key takes 38 bits) — so it moves no pointers.
 func newLPM(rib []FIBEntry) *LPM {
+	const startBits = 26
 	runs := 0
 	for i := 0; i < len(rib); i = runEnd(rib, i) {
 		runs++
 	}
-	t := &LPM{slots: make([]lpmSlot, 0, runs)}
-	for i := 0; i < len(rib); {
-		j := runEnd(rib, i)
+	t := &LPM{}
+	order := make([]uint64, 0, runs)
+	for i := 0; i < len(rib); i = runEnd(rib, i) {
 		if p := rib[i].Prefix; p.Addr().Is4() {
-			t.slots = append(t.slots, lpmSlot{key: slotKey(addrBits(p.Addr()), p.Bits()), routes: rib[i:j:j]})
+			order = append(order, slotKey(addrBits(p.Addr()), p.Bits())<<startBits|uint64(i))
 			t.present |= 1 << p.Bits()
 		}
-		i = j
 	}
-	slices.SortFunc(t.slots, func(a, b lpmSlot) int { return cmp.Compare(a.key, b.key) })
-	for k := 1; k < len(t.slots); k++ {
-		if t.slots[k].key == t.slots[k-1].key {
+	slices.Sort(order)
+	t.slots = make([]lpmSlot, len(order))
+	for k, o := range order {
+		i := int(o & (1<<startBits - 1))
+		j := runEnd(rib, i)
+		t.slots[k] = lpmSlot{key: o >> startBits, routes: rib[i:j:j]}
+		if k > 0 && t.slots[k].key == t.slots[k-1].key {
 			// Two runs masked to one network (an unmasked prefix in the
 			// input): only Insert's replace-in-place says which one wins.
 			*t = LPM{}

@@ -75,6 +75,12 @@ type ospfLSDB struct {
 	// always used. ranked is the inverse (rank -> prefix).
 	rank   map[netip.Prefix]int
 	ranked []netip.Prefix
+	// aRanks and advRanks are aAdv and adv as ranks, built once per LSDB at
+	// the first routesFrom (ranks), so an SPF pass reads its advertisements
+	// without a map lookup each.
+	ranksOnce sync.Once
+	aRanks    [][][]int32
+	advRanks  [][]int32
 
 	// Hierarchical state is lazy: single-area LSDBs (the common case) never
 	// need it beyond the trivial backbone lookup.
@@ -301,11 +307,11 @@ func canonicalRanges(o *netmodel.OSPFProcess) []netmodel.OSPFNetwork {
 	for i, r := range o.Ranges {
 		cp[i] = netmodel.OSPFNetwork{Prefix: r.Prefix.Masked(), Area: r.Area}
 	}
-	sort.Slice(cp, func(i, j int) bool {
-		if cp[i].Area != cp[j].Area {
-			return cp[i].Area < cp[j].Area
+	slices.SortFunc(cp, func(a, b netmodel.OSPFNetwork) int {
+		if c := cmp.Compare(a.Area, b.Area); c != 0 {
+			return c
 		}
-		return prefixString(cp[i].Prefix) < prefixString(cp[j].Prefix)
+		return comparePrefix(a.Prefix, b.Prefix)
 	})
 	return cp
 }
@@ -313,20 +319,14 @@ func canonicalRanges(o *netmodel.OSPFProcess) []netmodel.OSPFNetwork {
 // setRank installs the global lexical prefix rank over the given prefix
 // union (every advertised prefix plus every configured range prefix).
 func (l *ospfLSDB) setRank(all map[netip.Prefix]bool) {
-	type ranked struct {
-		p netip.Prefix
-		s string
-	}
-	order := make([]ranked, 0, len(all))
+	l.ranked = make([]netip.Prefix, 0, len(all))
 	for p := range all {
-		order = append(order, ranked{p, prefixString(p)})
+		l.ranked = append(l.ranked, p)
 	}
-	slices.SortFunc(order, func(a, b ranked) int { return strings.Compare(a.s, b.s) })
-	l.rank = make(map[netip.Prefix]int, len(order))
-	l.ranked = make([]netip.Prefix, len(order))
-	for i, r := range order {
-		l.rank[r.p] = i
-		l.ranked[i] = r.p
+	slices.SortFunc(l.ranked, comparePrefix)
+	l.rank = make(map[netip.Prefix]int, len(l.ranked))
+	for i, p := range l.ranked {
+		l.rank[p] = i
 	}
 }
 
@@ -381,7 +381,8 @@ func ospfIf(n *netmodel.Network, ep netmodel.Endpoint) (ospfInterface, bool) {
 func (l *ospfLSDB) rebuildEdges(n *netmodel.Network, adj adjacency, ai, si int) []lsdbEdge {
 	src := l.sources[si]
 	area := l.areas[ai]
-	var edges []lsdbEdge
+	// The row it replaces is the usual size of the new one.
+	edges := make([]lsdbEdge, 0, len(l.aGraph[ai][l.localAt[ai][si]]))
 	for ifName, itf := range n.Devices[src].Interfaces {
 		oi, ok := ospfIf(n, netmodel.Endpoint{Device: src, Interface: ifName})
 		if !ok || oi.passive || oi.area != area {
@@ -612,31 +613,6 @@ func setRow[T comparable](rows, parent [][]T, i int, row []T) [][]T {
 	}
 	rows[i] = row
 	return rows
-}
-
-// routes runs the SPF pass for every source and returns per-device OSPF
-// FIB entries, or nil when no router participates. Sources are independent
-// given the read-only LSDB, so they fan out over a bounded pool; each
-// writes into an index-addressed slot, so the result is identical to a
-// serial run. Route emission is sorted (prefix string, then hop), making
-// the per-device route slices deterministic — Derive relies on this to
-// reproduce a from-scratch Compute byte for byte.
-func (l *ospfLSDB) routes() map[string][]FIBEntry {
-	if len(l.sources) == 0 {
-		return nil
-	}
-	l.hier()
-	slots := make([][]FIBEntry, len(l.sources))
-	fanOut(len(l.sources), func(i int) {
-		slots[i] = l.routesFrom(i)
-	})
-	out := make(map[string][]FIBEntry, len(l.sources))
-	for i, src := range l.sources {
-		if len(slots[i]) > 0 {
-			out[src] = slots[i]
-		}
-	}
-	return out
 }
 
 // ospfHop is one candidate first hop toward a destination.
@@ -882,14 +858,48 @@ func (l *ospfLSDB) hier() {
 	})
 }
 
+// ranks returns the advertisement rows as ranks, building them at first
+// use, all in one backing array.
+func (l *ospfLSDB) ranks() (aRanks [][][]int32, advRanks [][]int32) {
+	l.ranksOnce.Do(func() {
+		n := 0
+		for _, members := range l.aAdv {
+			for _, ps := range members {
+				n += len(ps)
+			}
+		}
+		for _, ps := range l.adv {
+			n += len(ps)
+		}
+		buf := make([]int32, 0, n)
+		rows := func(ps []netip.Prefix) []int32 {
+			from := len(buf)
+			for _, p := range ps {
+				buf = append(buf, int32(l.rank[p]))
+			}
+			return buf[from:len(buf):len(buf)]
+		}
+		l.aRanks = make([][][]int32, len(l.aAdv))
+		for ai, members := range l.aAdv {
+			l.aRanks[ai] = make([][]int32, len(members))
+			for li, ps := range members {
+				l.aRanks[ai][li] = rows(ps)
+			}
+		}
+		l.advRanks = make([][]int32, len(l.adv))
+		for si, ps := range l.adv {
+			l.advRanks[si] = rows(ps)
+		}
+	})
+	return l.aRanks, l.advRanks
+}
+
 // routesFrom computes the source router's OSPF routes in deterministic
 // (prefix string, hop) order, or nil when it has none: per-area Dijkstra
 // for intra-area routes, plus ABR summaries for inter-area ones.
 func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
-	if len(l.sources) == 0 {
-		return nil
-	}
 	l.hier()
+	aRanks, advRanks := l.ranks()
 
 	// Accumulation is rank-indexed: the global prefix rank doubles as the
 	// dedup key (no per-prefix map or pointer allocations) and as the
@@ -904,21 +914,21 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 	// private union (owned).
 	type prefRoute struct {
 		best  int
+		local bool // the source's own prefix: connected beats OSPF anyway
 		intra bool
 		owned bool
 		hops  []ospfHop
 	}
 	acc := make([]prefRoute, len(l.ranked))
-	localRank := make([]bool, len(l.ranked))
-	for _, p := range l.adv[si] {
-		localRank[l.rank[p]] = true
+	for _, r := range advRanks[si] {
+		acc[r].local = true
 	}
 	any := false
 	add := func(ri, dist int, intra bool, hs []ospfHop) {
-		if localRank[ri] {
-			return // connected beats OSPF anyway
-		}
 		a := &acc[ri]
+		if a.local {
+			return
+		}
 		if a.best != 0 {
 			if a.intra && !intra {
 				return // intra-area routes win regardless of cost
@@ -960,8 +970,8 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 			if li == ls || dist[li] < 0 || len(hops[li]) == 0 {
 				continue
 			}
-			for _, p := range l.aAdv[ai][li] {
-				add(l.rank[p], dist[li], true, hops[li])
+			for _, r := range aRanks[ai][li] {
+				add(int(r), dist[li], true, hops[li])
 			}
 		}
 	}
@@ -1007,14 +1017,21 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 		return nil
 	}
 
-	out := make([]FIBEntry, 0, len(l.ranked))
+	// One or two hops per prefix (ECMP fan-out): an in-place insertion
+	// sort each, and the routes counted before the one allocation.
+	n := 0
+	for ri := range acc {
+		if a := &acc[ri]; a.best != 0 {
+			slices.SortFunc(a.hops, compareOSPFHop)
+			n += len(a.hops)
+		}
+	}
+	out := make([]FIBEntry, 0, n)
 	for ri := range acc {
 		a := &acc[ri]
 		if a.best == 0 {
 			continue
 		}
-		// One or two hops (ECMP fan-out): an in-place insertion sort.
-		slices.SortFunc(a.hops, compareOSPFHop)
 		for _, h := range a.hops {
 			out = append(out, FIBEntry{
 				Prefix: l.ranked[ri], Proto: OSPF, NextHop: h.via, OutIf: h.outIf,

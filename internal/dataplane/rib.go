@@ -1,28 +1,55 @@
 package dataplane
 
 import (
+	"cmp"
 	"net/netip"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"heimdall/internal/netmodel"
 )
 
-// prefixStrings interns netip.Prefix -> String() results. Sorting RIBs and
-// serializing LSDBs stringify the same few hundred scenario prefixes on
-// every trial of a sweep; the cache is bounded by the distinct prefixes a
-// process ever routes, which is small and stable.
-var prefixStrings sync.Map
+// octetRank and maskRank give Prefix.String()'s order as integers:
+// octetRank[v] is the rank of v's decimal text among "0".."255" sorted as
+// strings, maskRank[b] that of b's among "0".."32". Every octet's text ends
+// in a separator ('.' or '/') that sorts below every digit, so a shorter
+// text that is a prefix of a longer one sorts first octet by octet, exactly
+// as the whole rendering does.
+var octetRank, maskRank = textRanks(256), textRanks(33)
 
-func prefixString(p netip.Prefix) string {
-	if v, ok := prefixStrings.Load(p); ok {
-		return v.(string)
+func textRanks(n int) []uint8 {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	s := p.String()
-	prefixStrings.Store(p, s)
-	return s
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
+	ranks := make([]uint8, n)
+	for r, v := range order {
+		ranks[v] = uint8(r)
+	}
+	return ranks
+}
+
+// prefixKey is a valid IPv4 prefix's position in Prefix.String() order:
+// the octets' text ranks, then the mask's. The address is taken as is, so
+// an unmasked prefix keys like its rendering too.
+func prefixKey(p netip.Prefix) uint64 {
+	a := p.Addr().As4()
+	return uint64(octetRank[a[0]])<<30 | uint64(octetRank[a[1]])<<22 |
+		uint64(octetRank[a[2]])<<14 | uint64(octetRank[a[3]])<<6 | uint64(maskRank[p.Bits()])
+}
+
+// comparePrefix orders prefixes as strings.Compare orders their String()
+// renderings: by prefixKey for IPv4, by the renderings otherwise.
+func comparePrefix(a, b netip.Prefix) int {
+	if a == b {
+		return 0
+	}
+	if a.IsValid() && b.IsValid() && a.Addr().Is4() && b.Addr().Is4() {
+		return cmp.Compare(prefixKey(a), prefixKey(b))
+	}
+	return strings.Compare(a.String(), b.String())
 }
 
 // RouteProto identifies how a route was learned.
@@ -110,22 +137,22 @@ func (e FIBEntry) appendTo(b []byte) []byte {
 	return append(b, e.OutIf...)
 }
 
-// ribFor computes the full routing table of one device given the OSPF and
-// BGP computation results. Entries are best-path only (lowest administrative
-// distance, then metric), with ECMP preserved, ordered by (prefix string,
-// next hop, out-interface).
-func ribFor(n *netmodel.Network, dev string, ospfRoutes, bgpRoutes map[string][]FIBEntry) []FIBEntry {
+// ribFor computes a device's full routing table from its own connected and
+// static candidates and its OSPF and BGP routes. Entries are best-path only
+// (lowest administrative distance, then metric), with ECMP preserved,
+// ordered by (prefix string, next hop, out-interface).
+func ribFor(d *netmodel.Device, ospf, bgp []FIBEntry) []FIBEntry {
 	// Only the handful of local candidates needs sorting: the protocol
 	// passes already emit their routes in RIB order.
-	local := localRoutes(n.Devices[dev])
+	local := localRoutes(d)
 	slices.SortFunc(local, compareRoute)
-	return mergeBest(local, ospfRoutes[dev], bgpRoutes[dev])
+	return mergeBest(local, ospf, bgp)
 }
 
 // compareRoute is RIB order: (prefix string, next hop, out-interface).
 func compareRoute(a, b FIBEntry) int {
-	if a.Prefix != b.Prefix {
-		return strings.Compare(prefixString(a.Prefix), prefixString(b.Prefix))
+	if c := comparePrefix(a.Prefix, b.Prefix); c != 0 {
+		return c
 	}
 	return compareHop(a, b)
 }
@@ -188,24 +215,15 @@ func compareHop(a, b FIBEntry) int {
 // keeping for every prefix only the entries with the lowest (AD, metric)
 // and preserving equal-cost multipath. The lexical prefix-string order is
 // load-bearing: the first entry of a prefix is the default ECMP selection,
-// and the derive oracles compare RIBs entry for entry. Distinct prefixes
-// render distinct strings, so merging on the interned strings yields
-// exactly the order a sort of the concatenation would.
+// and the derive oracles compare RIBs entry for entry.
 func mergeBest(local, ospf, bgp []FIBEntry) []FIBEntry {
 	lists := [3][]FIBEntry{local, ospf, bgp}
 	out := make([]FIBEntry, 0, len(local)+len(ospf)+len(bgp))
-	// head[k] is the prefix string at the front of lists[k].
-	var head [3]string
-	for k, l := range lists {
-		if len(l) > 0 {
-			head[k] = prefixString(l[0].Prefix)
-		}
-	}
 	for {
 		// The smallest front prefix across the lists is the next RIB prefix.
 		first := -1
 		for k := range lists {
-			if len(lists[k]) > 0 && (first < 0 || head[k] < head[first]) {
+			if len(lists[k]) > 0 && (first < 0 || comparePrefix(lists[k][0].Prefix, lists[first][0].Prefix) < 0) {
 				first = k
 			}
 		}
@@ -232,13 +250,7 @@ func mergeBest(local, ospf, bgp []FIBEntry) []FIBEntry {
 					out = append(out, l[i])
 				}
 			}
-			if i == 0 {
-				continue
-			}
 			lists[k] = l[i:]
-			if i < len(l) {
-				head[k] = prefixString(l[i].Prefix)
-			}
 		}
 		// Each list's survivors are in hop order; when lists tie on
 		// (AD, metric) this interleaves them, otherwise it is one pass

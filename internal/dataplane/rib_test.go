@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -29,7 +31,7 @@ func bestPaths(entries []FIBEntry) []FIBEntry {
 	}
 	keys := make([]string, len(out))
 	for i := range out {
-		keys[i] = prefixString(out[i].Prefix)
+		keys[i] = out[i].Prefix.String()
 	}
 	sort.Sort(&ribOrder{entries: out, keys: keys})
 	return out
@@ -56,12 +58,13 @@ func (r *ribOrder) Less(i, j int) bool {
 	return r.entries[i].OutIf < r.entries[j].OutIf
 }
 
-// ReferenceRIB rebuilds one device's RIB from the snapshot's retained
-// protocol routes with the sort-based reference, for the external
-// scenario tests.
+// ReferenceRIB rebuilds one device's RIB from the snapshot's LSDB and BGP
+// routes with the sort-based reference, for the external scenario tests.
 func ReferenceRIB(s *Snapshot, device string) []FIBEntry {
 	all := localRoutes(s.net.Devices[device])
-	all = append(all, s.ospfRoutes[device]...)
+	if si, ok := s.lsdb.index[device]; ok {
+		all = append(all, s.lsdb.routesFrom(si)...)
+	}
 	all = append(all, s.bgpRoutes[device]...)
 	return bestPaths(all)
 }
@@ -135,4 +138,70 @@ func TestMergeBestMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d:\n got %v\nwant %v", trial, got, want)
 		}
 	}
+}
+
+// sign folds a comparison result to -1, 0 or 1.
+func sign(c int) int { return min(max(c, -1), 1) }
+
+// Property: comparePrefix orders prefixes exactly as strings.Compare orders
+// their String() renderings — random IPv4 prefixes, masked and unmasked,
+// /0 to /32, octets drawn so that short and long texts share leading digits
+// ("1", "10", "100", "19", "2", "255") — and falls back to the renderings
+// for IPv6, 4-in-6 and invalid prefixes, alone or against IPv4.
+func TestPrefixKeyOrdersLikeString(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	octet := func() byte {
+		if r.Intn(2) == 0 {
+			return []byte{0, 1, 2, 9, 10, 19, 20, 25, 100, 199, 200, 249, 250, 255}[r.Intn(14)]
+		}
+		return byte(r.Intn(256))
+	}
+	random := func() netip.Prefix {
+		a := netip.AddrFrom4([4]byte{octet(), octet(), octet(), octet()})
+		p := netip.PrefixFrom(a, r.Intn(33))
+		switch r.Intn(12) {
+		case 0:
+			return netip.PrefixFrom(netip.AddrFrom16(a.As16()), 96+r.Intn(33)) // 4-in-6
+		case 1:
+			return netip.MustParsePrefix("2001:db8::/" + strconv.Itoa(r.Intn(129)))
+		case 2:
+			return netip.Prefix{}
+		case 3, 4, 5:
+			return p.Masked()
+		}
+		return p
+	}
+	for i := 0; i < 200000; i++ {
+		a, b := random(), random()
+		if got, want := sign(comparePrefix(a, b)), sign(strings.Compare(a.String(), b.String())); got != want {
+			t.Fatalf("comparePrefix(%s, %s) = %d, strings.Compare = %d", a, b, got, want)
+		}
+	}
+	// Every octet text against every other, as whole prefixes.
+	for x := 0; x < 256; x++ {
+		for y := 0; y < 256; y++ {
+			a := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(x), 0, 0}), 16)
+			b := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(y), 0, 0}), 16)
+			if sign(comparePrefix(a, b)) != sign(strings.Compare(a.String(), b.String())) {
+				t.Fatalf("comparePrefix(%s, %s) disagrees with the strings", a, b)
+			}
+		}
+	}
+}
+
+// RIB order costs no allocation: compareRoute keys IPv4 prefixes by integer
+// and keeps no table that could grow with the prefixes a process sees.
+func TestCompareRouteAllocatesNothing(t *testing.T) {
+	a := FIBEntry{Prefix: pfx("10.10.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), OutIf: "Gi0/0"}
+	b := FIBEntry{Prefix: pfx("10.2.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.2"), OutIf: "Gi0/1"}
+	c := a
+	c.OutIf = "Gi0/2"
+	var sink int
+	if n := testing.AllocsPerRun(100, func() { sink += compareRoute(a, b) + compareRoute(b, a) + compareRoute(a, c) }); n != 0 {
+		t.Errorf("compareRoute allocates %.0f times per call", n)
+	}
+	if compareRoute(a, b) >= 0 || compareRoute(a, c) >= 0 {
+		t.Error(`"10.10.0.0/16" must sort before "10.2.0.0/16", Gi0/0 before Gi0/2`)
+	}
+	_ = sink
 }

@@ -42,100 +42,141 @@ type Options struct {
 	// the first entry. Deterministic per flow either way.
 	FlowHashECMP bool
 	// Meter receives the snapshot's flow-cache counters
-	// (heimdall_dataplane_flowcache_{hits,misses,carried}_total). Nil means
-	// no instrumentation; FlowCacheStats works either way.
+	// (heimdall_dataplane_flowcache_{hits,misses,carried}_total) and the
+	// route tables it builds (heimdall_dataplane_routes_built_total). Nil
+	// means no instrumentation; FlowCacheStats works either way.
 	Meter telemetry.Meter
 }
 
 // Snapshot is the computed forwarding state of one network configuration:
-// L2 adjacency, per-device FIBs, and an address index. Snapshots are
-// immutable; recompute or Derive one after changing the network.
-// Immutability is what makes the per-snapshot flow cache sound: a memoized
-// trace can never go stale within one snapshot's lifetime, and a derived
-// snapshot takes over only those that avoid every device it changed.
+// L2 adjacency, the OSPF link-state database, BGP sessions and routes, and
+// per-device RIBs and FIBs. Snapshots are immutable; recompute or Derive one
+// after changing the network. Immutability is what makes the per-snapshot
+// flow cache sound: a memoized trace can never go stale within one
+// snapshot's lifetime, and a derived snapshot takes over only those that
+// avoid every device it changed.
+//
+// A device's RIB and FIB are built when a trace or a route read first needs
+// them, from the network's device, the LSDB and the BGP routes; like the
+// ACLs a trace reads, they are read from the network then, so a snapshot is
+// valid only while its network is unchanged.
 type Snapshot struct {
 	net      *netmodel.Network
 	adj      adjacency
-	ribs     map[string][]FIBEntry
-	fibs     map[string]*LPM
 	sessions []bgpSession
 	opts     Options
-	// ospfRoutes and bgpRoutes are the raw per-device protocol routes the
-	// RIBs were built from, retained so Derive can rebuild a single
-	// device's RIB (or rerun a single protocol pass) without recomputing
-	// the rest.
-	ospfRoutes map[string][]FIBEntry
-	bgpRoutes  map[string][]FIBEntry
-	// lsdb is the link-state database ospfRoutes was computed from,
-	// retained so Derive can patch it into a mutated network's LSDB and
-	// recompute SPF only for sources whose result can actually change.
-	lsdb *ospfLSDB
+	// lsdb and bgpRoutes are what the route cells are built from: the
+	// link-state database (one source's SPF runs when its cell is built)
+	// and the per-device BGP routes. Derive patches the one and diffs the
+	// other to decide which cells it can share.
+	lsdb      *ospfLSDB
+	bgpRoutes map[string][]FIBEntry
+	// names are the device names, sorted; cells[i] holds names[i]'s routes.
+	// Derive shares the parent's cell of every device whose route inputs
+	// provably did not move. built counts the cells filled
+	// (heimdall_dataplane_routes_built_total).
+	names []string
+	cells []*routeCell
+	built telemetry.Counter
 	// flows memoizes Reach results (per snapshot, concurrency-safe).
 	flows *flowCache
 	// parentFlows is the cache of the snapshot this one was derived from,
 	// set only when the derivation kept adj and addresses; stale names the
-	// devices whose config or RIB differ from that parent. Reach moves
-	// traces that avoid stale between the two caches in both directions.
+	// devices whose config differs from that parent's, suspects those whose
+	// cell is new although their config is not (see Carries). Reach moves
+	// traces that cross neither between the two caches in both directions.
 	parentFlows *flowCache
 	stale       []string
+	suspects    map[string]*suspect
 	// hops is the trace index of the adjacency generation, shared along
-	// Derive's carry; fibAt is this snapshot's FIBs by its positions. Both
-	// are filled at the first trace (positions).
-	hops    *hopIndex
-	fibOnce sync.Once
-	fibAt   []*LPM
+	// Derive's carry and built at the first trace (positions).
+	hops *hopIndex
+}
+
+// routeCell is one device's routes: its RIB and the FIB over it, built at
+// the first read (Snapshot.cell), and its OSPF routes, which a derived
+// snapshot shares further than the cell: through a change of the device's
+// own or BGP routes.
+type routeCell struct {
+	once sync.Once
+	rib  []FIBEntry
+	fib  *LPM
+	ospf *ospfCell
+}
+
+// ospfCell is one device's OSPF routes, computed at the first read.
+type ospfCell struct {
+	once   sync.Once
+	routes []FIBEntry
+}
+
+// fill builds the cell from the route inputs of a snapshot that holds it:
+// n's device, the device's OSPF routes from l and its BGP routes. Every
+// snapshot sharing a cell (or its OSPF routes) yields the same routes for
+// its device, so it does not matter which one reads first. Callers run it
+// under c.once.
+func (c *routeCell) fill(n *netmodel.Network, l *ospfLSDB, bgp map[string][]FIBEntry, dev string, built telemetry.Counter) {
+	o := c.ospf
+	o.once.Do(func() {
+		if si, ok := l.index[dev]; ok {
+			o.routes = l.routesFrom(si)
+		}
+	})
+	c.rib = ribFor(n.Devices[dev], o.routes, bgp[dev])
+	c.fib = newLPM(c.rib)
+	built.Inc()
+}
+
+// cell returns device i's routes, building them at first use.
+func (s *Snapshot) cell(i int) *routeCell {
+	c := s.cells[i]
+	c.once.Do(func() { c.fill(s.net, s.lsdb, s.bgpRoutes, s.names[i], s.built) })
+	return c
 }
 
 // Compute builds a snapshot of the network's forwarding behaviour with
 // default options.
 func Compute(n *netmodel.Network) *Snapshot { return ComputeWithOptions(n, Options{}) }
 
-// ComputeWithOptions builds a snapshot with explicit options.
+// ComputeWithOptions builds a snapshot with explicit options: adjacency,
+// the LSDB, BGP sessions and routes now, every device's routes at first
+// read.
 func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 	adj := computeAdjacency(n)
-	lsdb := buildLSDB(n, adj)
-	ospfRoutes := lsdb.routes()
-	bgpRoutes := computeBGP(n, adj)
-	s := &Snapshot{
-		net:        n,
-		adj:        adj,
-		sessions:   bgpSessions(n, adj),
-		opts:       opts,
-		ospfRoutes: ospfRoutes,
-		bgpRoutes:  bgpRoutes,
-		lsdb:       lsdb,
-		flows:      newFlowCache(opts.Meter),
-		hops:       new(hopIndex),
+	sessions := bgpSessions(n, adj)
+	m := opts.Meter
+	if m == nil {
+		m = telemetry.Nop()
 	}
-	s.ribs, s.fibs = buildRIBs(n, n.DeviceNames(), ospfRoutes, bgpRoutes)
+	s := &Snapshot{
+		net:       n,
+		adj:       adj,
+		sessions:  sessions,
+		opts:      opts,
+		lsdb:      buildLSDB(n, adj),
+		bgpRoutes: computeBGPOver(n, sessions),
+		names:     n.DeviceNames(),
+		built:     m.Counter("heimdall_dataplane_routes_built_total"),
+		flows:     newFlowCache(opts.Meter),
+		hops:      new(hopIndex),
+	}
+	cells, ospf := make([]routeCell, len(s.names)), make([]ospfCell, len(s.names))
+	s.cells = make([]*routeCell, len(cells))
+	for i := range cells {
+		cells[i].ospf = &ospf[i]
+		s.cells[i] = &cells[i]
+	}
 	return s
 }
 
-// buildRIBs computes the RIB and FIB of every named device. Devices are
-// independent given the shared (read-only) protocol routes,
-// so the builds fan out over a bounded pool; results land in
-// index-addressed slots, making the maps identical to a serial build.
-func buildRIBs(n *netmodel.Network, devs []string,
-	ospfRoutes, bgpRoutes map[string][]FIBEntry) (map[string][]FIBEntry, map[string]*LPM) {
-
-	ribSlots := make([][]FIBEntry, len(devs))
-	fibSlots := make([]*LPM, len(devs))
-	fanOut(len(devs), func(i int) {
-		ribSlots[i] = ribFor(n, devs[i], ospfRoutes, bgpRoutes)
-		fibSlots[i] = newLPM(ribSlots[i])
-	})
-
-	ribs := make(map[string][]FIBEntry, len(devs))
-	fibs := make(map[string]*LPM, len(devs))
-	for i, dev := range devs {
-		ribs[dev] = ribSlots[i]
-		fibs[dev] = fibSlots[i]
-	}
-	return ribs, fibs
-}
-
 // RIB returns the device's routing table (best paths, sorted).
-func (s *Snapshot) RIB(device string) []FIBEntry { return s.ribs[device] }
+func (s *Snapshot) RIB(device string) []FIBEntry {
+	i, ok := slices.BinarySearch(s.names, device)
+	if !ok {
+		return nil
+	}
+	return s.cell(i).rib
+}
 
 // Adjacent returns the L3 endpoints reachable at L2 from the endpoint.
 func (s *Snapshot) Adjacent(ep netmodel.Endpoint) []netmodel.Endpoint { return s.adj[ep] }
@@ -262,10 +303,11 @@ func flowHash(f Flow) uint32 {
 // hop-by-hop trace. The source device is usually the host owning f.Src, but
 // any device can originate (used by the console's ping command). The walk
 // works on the hop index's positions — the destination's owner is looked up
-// once, loop detection, the FIB and the ARP step are by position — and each
-// hop reads its device from the network.
+// once, loop detection, the route cell and the ARP step are by position —
+// and each hop reads its device from the network and builds its routes if
+// no trace or read has yet.
 func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
-	h, fibs := s.positions()
+	h := s.positions()
 	t := &Trace{Flow: f, Hops: make([]Hop, 0, 8)}
 	cur, ok := h.pos[src]
 	if !ok {
@@ -312,7 +354,7 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		visited = append(visited, cur)
 
 		// Route lookup.
-		entries, ok := fibs[cur].Lookup(f.Dst)
+		entries, ok := s.cell(int(cur)).fib.Lookup(f.Dst)
 		if !ok || len(entries) == 0 {
 			return t.stop(Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
 		}
@@ -408,17 +450,27 @@ func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
 // Carries reports whether a Reach result of the snapshot this one was
 // derived from is this one's result too (and the reverse): the derivation
 // kept adjacency and addresses and no hop is a stale device, so the trace read
-// nothing that differs between the two. An error (tr nil) has no hops: it
-// depends on the device set and host addresses only. Traces move between
-// the two flow caches under this test, and so do the policy verdicts decided
-// on them (verify.CheckCarried): there is no other staleness rule.
+// nothing that differs between the two. A hop across a suspect — a device
+// with a new route cell but an unchanged config — is stale when its RIB
+// differs from the parent's, decided once per device. An error (tr nil) has
+// no hops: it depends on the device set and host addresses only. Traces move
+// between the two flow caches under this test, and so do the policy verdicts
+// decided on them (verify.CheckCarried): there is no other staleness rule.
 func (s *Snapshot) Carries(tr *Trace) bool {
 	if s.parentFlows == nil {
 		return false
 	}
-	if tr != nil {
+	if tr == nil {
+		return true
+	}
+	for i := range tr.Hops {
+		if slices.Contains(s.stale, tr.Hops[i].Device) {
+			return false
+		}
+	}
+	if len(s.suspects) > 0 {
 		for i := range tr.Hops {
-			if slices.Contains(s.stale, tr.Hops[i].Device) {
+			if sp := s.suspects[tr.Hops[i].Device]; sp != nil && sp.moved(s) {
 				return false
 			}
 		}
@@ -494,7 +546,7 @@ func (s *Snapshot) FormatBGP(device string) string {
 		fmt.Fprintf(&b, "%-15s %-9d %s\n", p.PeerAddr, p.RemoteAS, state)
 	}
 	var learned []string
-	for _, e := range s.ribs[device] {
+	for _, e := range s.RIB(device) {
 		if e.Proto == BGP {
 			learned = append(learned, "  "+e.String())
 		}
@@ -511,7 +563,7 @@ func (s *Snapshot) FormatBGP(device string) string {
 // per entry, sorted as text. Every line is rendered into one buffer and the
 // line spans are sorted, so the cost is three allocations, not one per route.
 func (s *Snapshot) FormatRIB(device string) string {
-	rib := s.ribs[device]
+	rib := s.RIB(device)
 	if rib == nil {
 		return "% no routing table"
 	}

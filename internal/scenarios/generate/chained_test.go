@@ -249,6 +249,12 @@ var chainTiers = []*chainTier{
 // snapshot the next step derives from) and 20 sampled host pairs, each flow
 // also with the string-keyed reference trace on the derived snapshot.
 //
+// Bit 6 makes a step light: it reads the RIBs of a random subset of devices
+// only, and hands the verdict vector on as a declared write does. A route
+// cell is built at its first read, so unread cells cross light steps
+// unbuilt — shared, or new and never read — and are built generations
+// later, when a full step (the chain always ends with one) reads them all.
+//
 // The verdict vector goes down the chain with the snapshots. Bit 5 of the
 // script byte picks how: as a commit hands it over (CheckCarried on the
 // derived snapshot with the parent's vector, keeping the new one — the
@@ -264,6 +270,33 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 	cur, prevFull := scen.Network, snap
 	hosts := cur.Hosts()
 	var trail []string
+	// compareAll holds every device's RIB and every checked flow of snap to
+	// full, both snapshots of next.
+	compareAll := func(snap, full *dataplane.Snapshot, next *netmodel.Network) {
+		for _, dev := range next.DeviceNames() {
+			if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
+				t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
+					len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
+			}
+		}
+		ref := newRefTracer(snap, next, false)
+		check := func(src, dst string, proto netmodel.Protocol, port uint16) {
+			g, gerr := snap.Reach(src, dst, proto, port)
+			w, werr := full.Reach(src, dst, proto, port)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(g, w) {
+				t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
+					len(trail), src, dst, gerr, g, werr, w, trail)
+			}
+			compareReach(t, snap, ref, src, dst, proto, port, fmt.Sprintf("step %d of %q", len(trail), trail))
+		}
+		for _, p := range scen.Policies {
+			check(p.Src, p.Dst, p.Proto, p.DstPort)
+		}
+		for i := 0; i < 20; i++ {
+			check(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], netmodel.ICMP, 0)
+		}
+	}
+	var unchecked func() // the full comparison a trailing light step owes
 	for _, b := range script {
 		next, class := cur, int(b%stepClasses)
 		var cs dataplane.ChangeSet
@@ -282,12 +315,16 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 		if len(cs) == 0 {
 			continue
 		}
+		light := b>>6&1 == 1
 		trail = append(trail, strings.Join(ops, " + "))
+		if light {
+			trail[len(trail)-1] += " (light)"
+		}
 		snap = snap.Derive(next, cs)
 		cur = next
 
 		full := dataplane.Compute(next)
-		if b>>5&1 == 0 {
+		if b>>5&1 == 0 && !light {
 			for i := range verdicts {
 				if v := verdicts[i].Load(); v != nil && snap.Carries(v.Trace) {
 					stats.carried++
@@ -315,28 +352,22 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 		checkVerdicts(t, "derived vector", policies, verdicts, full, trail)
 		prevFull = full
 
+		if !light {
+			compareAll(snap, full, next)
+			unchecked = nil
+			continue
+		}
 		for _, dev := range next.DeviceNames() {
-			if !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
+			if rng.Intn(4) == 0 && !reflect.DeepEqual(snap.RIB(dev), full.RIB(dev)) {
 				t.Fatalf("step %d: %s RIB diverged\nderived:\n%s\nfull:\n%s\nsteps: %q",
 					len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
 			}
 		}
-		ref := newRefTracer(snap, next, false)
-		check := func(src, dst string, proto netmodel.Protocol, port uint16) {
-			g, gerr := snap.Reach(src, dst, proto, port)
-			w, werr := full.Reach(src, dst, proto, port)
-			if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(g, w) {
-				t.Fatalf("step %d: %s->%s trace diverged\nderived: %v %s\nfull:    %v %s\nsteps: %q",
-					len(trail), src, dst, gerr, g, werr, w, trail)
-			}
-			compareReach(t, snap, ref, src, dst, proto, port, fmt.Sprintf("step %d of %q", len(trail), trail))
-		}
-		for _, p := range scen.Policies {
-			check(p.Src, p.Dst, p.Proto, p.DstPort)
-		}
-		for i := 0; i < 20; i++ {
-			check(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))], netmodel.ICMP, 0)
-		}
+		snap, full, next := snap, full, next
+		unchecked = func() { compareAll(snap, full, next) }
+	}
+	if unchecked != nil {
+		unchecked()
 	}
 	return stats
 }
@@ -371,10 +402,12 @@ func TestGeneratedDeriveChained(t *testing.T) {
 
 // FuzzDeriveChained hands runChain to the fuzzer: the tier, the seed of the
 // draws inside each step, and the step script itself (class, change-set
-// size and how the verdict vector is handed on, per step) are all inputs.
+// size, light or full and how the verdict vector is handed on, per step)
+// are all inputs.
 func FuzzDeriveChained(f *testing.F) {
 	for tier := range chainTiers {
 		f.Add(uint8(tier), int64(tier+1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8 | 6, 16 | 7, 24 | 1, 0, 32 | 1, 32 | 6, 2})
+		f.Add(uint8(tier), int64(tier+7), []byte{64 | 2, 64 | 3, 64 | 8 | 6, 1, 64 | 4, 64 | 32 | 7, 64 | 5, 0, 64 | 16 | 3})
 	}
 	f.Fuzz(func(t *testing.T, tier uint8, seed int64, script []byte) {
 		if len(script) > 32 {
