@@ -41,12 +41,6 @@ type Options struct {
 	// PlatformSeed makes the simulated TEE deterministic for tests; empty
 	// uses a random platform secret.
 	PlatformSeed string
-	// SliceStrategy selects the twin's presentation slice; the default is
-	// the paper's task-driven strategy.
-	SliceStrategy twin.SliceStrategy
-	// SliceStrategySet marks SliceStrategy as explicitly chosen (the zero
-	// value is the All strategy, which is a valid choice).
-	SliceStrategySet bool
 	// Meter receives telemetry from the whole mediation path (reference
 	// monitor, enforcer, verifier, audit trail). Nil means the no-op meter:
 	// zero-config deployments pay nothing.
@@ -59,7 +53,6 @@ type System struct {
 	production *netmodel.Network
 	policies   []verify.Policy
 	sensitive  map[string]bool
-	strategy   twin.SliceStrategy
 	meter      telemetry.Meter
 
 	Tickets  *ticket.System
@@ -96,10 +89,6 @@ func NewSystem(opts Options) (*System, error) {
 			Sensitive: opts.Sensitive,
 		})
 	}
-	strategy := twin.SliceTaskDriven
-	if opts.SliceStrategySet {
-		strategy = opts.SliceStrategy
-	}
 	meter := opts.Meter
 	if meter == nil {
 		meter = telemetry.Nop()
@@ -111,7 +100,6 @@ func NewSystem(opts Options) (*System, error) {
 		production: opts.Network,
 		policies:   policies,
 		sensitive:  opts.Sensitive,
-		strategy:   strategy,
 		meter:      meter,
 		Tickets:    ticket.NewSystem(),
 		Enforcer:   enf,
@@ -221,7 +209,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	s.prodMu.RLock()
 	defer s.prodMu.RUnlock()
 	snap := s.Enforcer.ProductionSnapshot(s.production)
-	slice := twin.ComputeSlice(s.production, snap, s.strategy, tk.SrcHost, tk.DstHost, tk.Suspects)
+	slice := twin.ComputeSlice(s.production, snap, twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string
 	for dev := range slice {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"heimdall/internal/chain"
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/enforcer"
@@ -682,7 +683,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got, want := mustExport(t, held.Trail().Export), mustExport(t, ref.Trail().Export); got != want {
+			if got, want := trailOf(t, held), trailOf(t, ref); got != want {
 				t.Fatalf("audit trails differ:\nheld %s\nref  %s", got, want)
 			}
 			if got, want := mustExport(t, held.Journal().Export), mustExport(t, ref.Journal().Export); got != want {
@@ -738,6 +739,26 @@ func firstRoutedInterface(n *netmodel.Network) (string, *netmodel.Interface) {
 		}
 	}
 	return "", nil
+}
+
+// trailOf renders e's audit trail without what may differ between two
+// deployments that agree on every decision: each chain's seal, and the
+// hand-over a commit line names (the reference drops its production
+// snapshot before every step, so it never lands a review's shadow).
+func trailOf(t *testing.T, e *enforcer.Enforcer) string {
+	t.Helper()
+	entries := e.Trail().Entries()
+	for i := range entries {
+		if strings.HasPrefix(entries[i].Detail, "committed ") {
+			entries[i].Detail, _, _ = strings.Cut(entries[i].Detail, " (from=")
+		}
+		entries[i].Seal = chain.Seal{}
+	}
+	b, err := json.MarshalIndent(entries, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func mustExport(t *testing.T, export func() ([]byte, error)) string {

@@ -43,82 +43,22 @@ func diamondNet() *netmodel.Network {
 	return n
 }
 
-func TestECMPFlowHashSpreadsFlows(t *testing.T) {
-	n := diamondNet()
-	s := ComputeWithOptions(n, Options{FlowHashECMP: true})
-
-	src, dst := ip("10.1.0.10"), ip("10.2.0.10")
-	paths := map[string]int{}
-	for port := uint16(1000); port < 1200; port++ {
-		tr := s.TraceFrom("h1", Flow{Proto: netmodel.TCP, Src: src, Dst: dst, SrcPort: port, DstPort: 80})
-		if !tr.Delivered() {
-			t.Fatalf("port %d: %s", port, tr)
-		}
-		for _, hop := range tr.Hops {
-			if hop.Device == "r2" || hop.Device == "r3" {
-				paths[hop.Device]++
-			}
-		}
-	}
-	if paths["r2"] == 0 || paths["r3"] == 0 {
-		t.Fatalf("flow hashing did not spread load: %v", paths)
-	}
-	// Reasonable balance: neither path carries everything.
-	if paths["r2"] < 20 || paths["r3"] < 20 {
-		t.Fatalf("badly skewed: %v", paths)
-	}
-}
-
-func TestECMPFlowHashDeterministicPerFlow(t *testing.T) {
-	n := diamondNet()
-	s := ComputeWithOptions(n, Options{FlowHashECMP: true})
-	f := Flow{Proto: netmodel.TCP, Src: ip("10.1.0.10"), Dst: ip("10.2.0.10"), SrcPort: 4242, DstPort: 80}
-	first := s.TraceFrom("h1", f).Path()
-	for i := 0; i < 10; i++ {
-		if got := s.TraceFrom("h1", f).Path(); !equalStrings(got, first) {
-			t.Fatalf("same flow took different paths: %v vs %v", got, first)
-		}
-	}
-}
-
-// The flow hash takes any address family: an IPv6 destination is a plain
-// no-route, and an IPv6 source still picks one of the equal-cost paths.
-func TestECMPFlowHashNonIPv4(t *testing.T) {
-	s := ComputeWithOptions(diamondNet(), Options{FlowHashECMP: true})
-	v6 := netip.MustParseAddr("2001:db8::1")
-	tr := s.TraceFrom("r1", Flow{Proto: netmodel.ICMP, Src: ip("10.1.0.1"), Dst: v6})
-	if tr.Disposition != DropNoRoute || tr.Where != "r1" {
-		t.Fatalf("IPv6 destination: %s", tr)
-	}
-	tr = s.TraceFrom("r1", Flow{Proto: netmodel.ICMP, Src: v6, Dst: ip("10.2.0.10")})
-	if !tr.Delivered() {
-		t.Fatalf("IPv6 source over ECMP: %s", tr)
-	}
-}
-
+// Every flow takes the sorted-first of the equal-cost paths, and an IPv6
+// destination is a plain no-route.
 func TestECMPDefaultIsFirstEntry(t *testing.T) {
 	n := diamondNet()
 	s := Compute(n)
-	// Without flow hashing, every flow takes the same (sorted-first) path.
 	for port := uint16(1000); port < 1050; port++ {
 		tr := s.TraceFrom("h1", Flow{Proto: netmodel.TCP,
 			Src: ip("10.1.0.10"), Dst: ip("10.2.0.10"), SrcPort: port, DstPort: 80})
 		if !tr.Delivered() || !tr.Traverses("r2") {
-			t.Fatalf("default ECMP should always pick the r2 path: %s", tr)
+			t.Fatalf("ECMP should always pick the r2 path: %s", tr)
 		}
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+	tr := s.TraceFrom("r1", Flow{Proto: netmodel.ICMP, Src: ip("10.1.0.1"), Dst: netip.MustParseAddr("2001:db8::1")})
+	if tr.Disposition != DropNoRoute || tr.Where != "r1" {
+		t.Fatalf("IPv6 destination: %s", tr)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestOSPFCostSteersPath(t *testing.T) {

@@ -37,10 +37,6 @@ func (f Flow) String() string {
 
 // Options tunes snapshot computation.
 type Options struct {
-	// FlowHashECMP selects among equal-cost paths by hashing the flow
-	// 5-tuple (how real routers load-balance) instead of always taking
-	// the first entry. Deterministic per flow either way.
-	FlowHashECMP bool
 	// Meter receives the snapshot's flow-cache counters
 	// (heimdall_dataplane_flowcache_{hits,misses,carried}_total) and the
 	// route tables it builds (heimdall_dataplane_routes_built_total). Nil
@@ -274,31 +270,6 @@ func (t *Trace) String() string {
 
 const maxHops = 64
 
-// flowHash is an FNV-1a hash of the flow 5-tuple, used for ECMP selection.
-func flowHash(f Flow) uint32 {
-	h := uint32(2166136261)
-	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
-	mixAddr := func(a netip.Addr) {
-		if a.Is4() {
-			for _, b := range a.As4() {
-				mix(b)
-			}
-			return
-		}
-		for _, b := range a.As16() {
-			mix(b)
-		}
-	}
-	mixAddr(f.Src)
-	mixAddr(f.Dst)
-	mix(byte(f.Proto))
-	mix(byte(f.SrcPort >> 8))
-	mix(byte(f.SrcPort))
-	mix(byte(f.DstPort >> 8))
-	mix(byte(f.DstPort))
-	return h
-}
-
 // TraceFrom forwards the flow starting at the named device and returns the
 // hop-by-hop trace. The source device is usually the host owning f.Src, but
 // any device can originate (used by the console's ping command). The walk
@@ -358,12 +329,9 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		if !ok || len(entries) == 0 {
 			return t.stop(Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
 		}
-		// ECMP selection: first entry by default (entries are sorted, so
-		// deterministic), or a per-flow hash when enabled.
+		// ECMP selection: the first entry (entries are sorted, so every
+		// flow takes the same path, deterministically).
 		e := entries[0]
-		if s.opts.FlowHashECMP && len(entries) > 1 {
-			e = entries[int(flowHash(f)%uint32(len(entries)))]
-		}
 		out := Hop{Device: name, InIf: inIf, OutIf: e.OutIf}
 
 		// Egress ACL.

@@ -76,13 +76,6 @@ type Enforcer struct {
 	// are refused unless CommitApproved carries approvals the policy
 	// verifies. Low-risk changes pass without approvals.
 	Auth *authz.Policy
-	// Conflict selects how commits whose scopes overlap mediate (default
-	// MediateOff). See mediate.go.
-	Conflict ConflictPolicy
-	// scopeMu guards reservations; scopeCond wakes serialized waiters.
-	scopeMu      sync.Mutex
-	scopeCond    *sync.Cond
-	reservations map[string]map[string]bool
 	// reviews memoizes review verdicts by content: production version ×
 	// privilege digest × change-set digest. prodVersion counts production
 	// mutations and is folded into every cache key, so a commit (or
@@ -162,8 +155,7 @@ type Decision struct {
 }
 
 // Reason summarises why a decision rejected the change set. It is safe on
-// a nil decision (commit refused before review — quarantine, authorization,
-// conflict mediation).
+// a nil decision (commit refused before review: quarantine).
 func (d *Decision) Reason() string {
 	switch {
 	case d == nil:
@@ -397,12 +389,6 @@ func (e *Enforcer) CommitEmergency(prod *netmodel.Network, changes []config.Chan
 
 // commit is CommitApproved and CommitEmergency.
 func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval, emergency bool) (*Decision, error) {
-	release, err := e.reserveForCommit(prod, changes, spec)
-	if err != nil {
-		e.countCommit(false)
-		return nil, err
-	}
-	defer release()
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	if e.quarantined {
@@ -509,7 +495,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	}
 	mirrorTo(tgt, e.journal.Committed(cid, fmt.Sprintf("%d changes", len(ordered))))
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
-		fmt.Sprintf("committed %d changes to production", len(ordered)), true)
+		fmt.Sprintf("committed %d changes to production (from=%s)", len(ordered), from), true)
 	// Production changed: every cached review verdict is now stale, and the
 	// snapshot just verified, with the verdicts it was verified to, is what
 	// is held of the new version.

@@ -279,7 +279,7 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 					len(trail), dev, snap.FormatRIB(dev), full.FormatRIB(dev), trail)
 			}
 		}
-		ref := newRefTracer(snap, next, false)
+		ref := newRefTracer(snap, next)
 		check := func(src, dst string, proto netmodel.Protocol, port uint16) {
 			g, gerr := snap.Reach(src, dst, proto, port)
 			w, werr := full.Reach(src, dst, proto, port)

@@ -22,13 +22,12 @@ import (
 type refTracer struct {
 	s     *dataplane.Snapshot
 	net   *netmodel.Network
-	ecmp  bool
 	owner map[netip.Addr]netmodel.Endpoint
 	fibs  map[string]*dataplane.LPM
 }
 
-func newRefTracer(s *dataplane.Snapshot, n *netmodel.Network, ecmp bool) *refTracer {
-	r := &refTracer{s: s, net: n, ecmp: ecmp,
+func newRefTracer(s *dataplane.Snapshot, n *netmodel.Network) *refTracer {
+	r := &refTracer{s: s, net: n,
 		owner: make(map[netip.Addr]netmodel.Endpoint), fibs: make(map[string]*dataplane.LPM)}
 	for _, dev := range n.DeviceNames() {
 		d := n.Devices[dev]
@@ -52,31 +51,6 @@ func newRefTracer(s *dataplane.Snapshot, n *netmodel.Network, ecmp bool) *refTra
 		r.fibs[dev] = fib
 	}
 	return r
-}
-
-// refFlowHash is the FNV-1a hash of the flow 5-tuple ECMP selects by.
-func refFlowHash(f dataplane.Flow) uint32 {
-	h := uint32(2166136261)
-	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
-	mixAddr := func(a netip.Addr) {
-		if a.Is4() {
-			for _, b := range a.As4() {
-				mix(b)
-			}
-			return
-		}
-		for _, b := range a.As16() {
-			mix(b)
-		}
-	}
-	mixAddr(f.Src)
-	mixAddr(f.Dst)
-	mix(byte(f.Proto))
-	mix(byte(f.SrcPort >> 8))
-	mix(byte(f.SrcPort))
-	mix(byte(f.DstPort >> 8))
-	mix(byte(f.DstPort))
-	return h
 }
 
 // traceFrom is TraceFrom as it was.
@@ -129,9 +103,6 @@ func (r *refTracer) traceFrom(src string, f dataplane.Flow) *dataplane.Trace {
 			return t
 		}
 		e := entries[0]
-		if r.ecmp && len(entries) > 1 {
-			e = entries[int(refFlowHash(f)%uint32(len(entries)))]
-		}
 		outItf := d.Interface(e.OutIf)
 		if outItf != nil && outItf.ACLOut != "" {
 			if acl := d.ACL(outItf.ACLOut, false); acl != nil {
@@ -266,69 +237,67 @@ func TestTraceFromMatchesReference(t *testing.T) {
 		scenarios.University(), scenarios.Enterprise(), scenarios.Provider(),
 		generate.FatTree(generate.FatTreeParams{K: 4}), generate.WAN(generate.WANParams{}),
 	} {
-		for _, ecmp := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/ecmp=%v", scen.Name, ecmp), func(t *testing.T) {
-				n := scen.Network
-				snap := dataplane.ComputeWithOptions(n, dataplane.Options{FlowHashECMP: ecmp})
-				hosts := n.Hosts()
-				rng := rand.New(rand.NewSource(int64(len(hosts))))
-				for step := 0; step <= steps; step++ {
-					where := "computed"
-					if step > 0 {
-						var cs dataplane.ChangeSet
-						next := n
-						for len(cs) == 0 {
-							class := rng.Intn(stepClasses + 1)
-							st, ok := aclStep(rng, next)
-							if class < stepClasses {
-								st, ok = randomStep(rng, next, class)
-							}
-							if !ok {
-								continue
-							}
-							next = next.CloneCOW(st.device)
-							st.apply(next.Devices[st.device])
-							cs = append(cs, dataplane.Change{Device: st.device, Kind: st.kind})
-							where = fmt.Sprintf("step %d (%s: %s)", step, st.device, st.op)
+		t.Run(scen.Name, func(t *testing.T) {
+			n := scen.Network
+			snap := dataplane.Compute(n)
+			hosts := n.Hosts()
+			rng := rand.New(rand.NewSource(int64(len(hosts))))
+			for step := 0; step <= steps; step++ {
+				where := "computed"
+				if step > 0 {
+					var cs dataplane.ChangeSet
+					next := n
+					for len(cs) == 0 {
+						class := rng.Intn(stepClasses + 1)
+						st, ok := aclStep(rng, next)
+						if class < stepClasses {
+							st, ok = randomStep(rng, next, class)
 						}
-						kinds[cs[0].Kind] = true
-						snap, n = snap.Derive(next, cs), next
+						if !ok {
+							continue
+						}
+						next = next.CloneCOW(st.device)
+						st.apply(next.Devices[st.device])
+						cs = append(cs, dataplane.Change{Device: st.device, Kind: st.kind})
+						where = fmt.Sprintf("step %d (%s: %s)", step, st.device, st.op)
 					}
-					ref := newRefTracer(snap, n, ecmp)
-					for _, src := range hosts {
-						for _, dst := range hosts {
-							for _, f := range flows {
-								compareReach(t, snap, ref, src, dst, f.proto, f.port, where)
-							}
+					kinds[cs[0].Kind] = true
+					snap, n = snap.Derive(next, cs), next
+				}
+				ref := newRefTracer(snap, n)
+				for _, src := range hosts {
+					for _, dst := range hosts {
+						for _, f := range flows {
+							compareReach(t, snap, ref, src, dst, f.proto, f.port, where)
 						}
-					}
-					for _, dev := range n.RoutersAndSwitches() {
-						var src netip.Addr
-						for _, name := range n.Devices[dev].InterfaceNames() {
-							if itf := n.Devices[dev].Interfaces[name]; itf.Up() && itf.HasAddr() {
-								src = itf.Addr.Addr()
-								break
-							}
-						}
-						dsts := []netip.Addr{netip.MustParseAddr("198.51.100.1")}
-						for _, h := range hosts {
-							a, _ := n.HostAddr(h)
-							dsts = append(dsts, a)
-						}
-						for _, dst := range dsts {
-							f := dataplane.Flow{Proto: netmodel.ICMP, Src: src, Dst: dst}
-							if got, want := snap.TraceFrom(dev, f), ref.traceFrom(dev, f); !sameTrace(got, want) {
-								t.Fatalf("%s: from %s diverged from the reference\nindexed:   %v\nreference: %v", where, dev, got, want)
-							}
-						}
-					}
-					f := dataplane.Flow{Proto: netmodel.ICMP, Dst: netip.MustParseAddr("10.0.0.1")}
-					if got, want := snap.TraceFrom("no-such-device", f), ref.traceFrom("no-such-device", f); !sameTrace(got, want) {
-						t.Fatalf("%s: unknown source diverged: %v, want %v", where, got, want)
 					}
 				}
-			})
-		}
+				for _, dev := range n.RoutersAndSwitches() {
+					var src netip.Addr
+					for _, name := range n.Devices[dev].InterfaceNames() {
+						if itf := n.Devices[dev].Interfaces[name]; itf.Up() && itf.HasAddr() {
+							src = itf.Addr.Addr()
+							break
+						}
+					}
+					dsts := []netip.Addr{netip.MustParseAddr("198.51.100.1")}
+					for _, h := range hosts {
+						a, _ := n.HostAddr(h)
+						dsts = append(dsts, a)
+					}
+					for _, dst := range dsts {
+						f := dataplane.Flow{Proto: netmodel.ICMP, Src: src, Dst: dst}
+						if got, want := snap.TraceFrom(dev, f), ref.traceFrom(dev, f); !sameTrace(got, want) {
+							t.Fatalf("%s: from %s diverged from the reference\nindexed:   %v\nreference: %v", where, dev, got, want)
+						}
+					}
+				}
+				f := dataplane.Flow{Proto: netmodel.ICMP, Dst: netip.MustParseAddr("10.0.0.1")}
+				if got, want := snap.TraceFrom("no-such-device", f), ref.traceFrom("no-such-device", f); !sameTrace(got, want) {
+					t.Fatalf("%s: unknown source diverged: %v, want %v", where, got, want)
+				}
+			}
+		})
 	}
 	for _, k := range []dataplane.ChangeKind{dataplane.ChangeACL, dataplane.ChangeStatic, dataplane.ChangeOSPF, dataplane.ChangeL2, dataplane.ChangeL3Topology} {
 		if !kinds[k] {

@@ -296,9 +296,8 @@ func decide(p Policy, tr *dataplane.Trace, err error) *Violation {
 // re-examine: AffectedBy's trace-based subset, or every policy when one of
 // the devices is a switch, because a VLAN fabric carries flows whose traces
 // never list the switch as an L3 hop (an access-port move or trunk shutdown
-// can break a policy AffectedBy would have dropped). The enforcer's conflict
-// mediation scopes commits with it and the attack-surface sweep narrows
-// each trial's verification to it.
+// can break a policy AffectedBy would have dropped). The attack-surface
+// sweep narrows each trial's verification to it.
 func Scope(n *netmodel.Network, s *dataplane.Snapshot, policies []Policy, devices map[string]bool) []Policy {
 	for dev := range devices {
 		if d := n.Devices[dev]; d != nil && d.Kind == netmodel.Switch {
