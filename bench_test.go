@@ -102,9 +102,11 @@ func BenchmarkFigure8(b *testing.B) { benchFigure89(b, scenarios.Enterprise(), 0
 // records the full-search results.
 func BenchmarkFigure9(b *testing.B) { benchFigure89(b, scenarios.University(), figure9Budget(), 1) }
 
-// BenchmarkFigure9Parallel is BenchmarkFigure9 with the worker pool at
-// GOMAXPROCS — the delta against BenchmarkFigure9 is the parallel
-// speedup (results are byte-identical; see TestParallelEquivalence).
+// BenchmarkFigure9Parallel is BenchmarkFigure9 with GOMAXPROCS workers
+// fanning out over the fault cases (each case's mutation trials run in
+// order on its worker) — the delta against BenchmarkFigure9 is the
+// parallel speedup (results are byte-identical; see
+// TestParallelEquivalence).
 func BenchmarkFigure9Parallel(b *testing.B) {
 	benchFigure89(b, scenarios.University(), figure9Budget(), runtime.GOMAXPROCS(0))
 }

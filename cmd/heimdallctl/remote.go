@@ -211,8 +211,9 @@ func parseMetrics(text string) []metricSample {
 }
 
 // remotePool renders the verify pool's health from one /metrics scrape:
-// global queue depth and backpressure, the review cache-hit and coalescing
-// counters (service-observed and enforcer-observed), the production
+// global queue depth and backpressure, the review cache hits as the
+// service and the enforcer count them (the enforcer's misses are the fresh
+// verifications), the production
 // snapshot and how many policy verdicts were carried from it, which
 // ancestor commits handed production's next snapshot over from, and the
 // per-tenant queue backlog.
@@ -231,7 +232,6 @@ func remotePool(c *remoteClient) {
 	fmt.Printf("  %-28s %8.0f\n", "queue depth", sum("heimdall_service_queue_depth"))
 	fmt.Printf("  %-28s %8.0f\n", "backpressure (total)", sum("heimdall_service_backpressure_total"))
 	fmt.Printf("  %-28s %8.0f\n", "review cache hits", sum("heimdall_service_review_cache_hits_total"))
-	fmt.Printf("  %-28s %8.0f\n", "reviews coalesced", sum("heimdall_service_review_coalesced_total"))
 	hits, misses := sum("heimdall_enforcer_review_cache_hits_total"), sum("heimdall_enforcer_review_cache_misses_total")
 	fmt.Printf("  %-28s %8.0f hits / %.0f misses\n", "enforcer review cache", hits, misses)
 	hits, misses = sum("heimdall_enforcer_prod_snapshot_hits_total"), sum("heimdall_enforcer_prod_snapshot_misses_total")

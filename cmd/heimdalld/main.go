@@ -55,9 +55,8 @@ func newServer(h http.Handler) *http.Server {
 func main() {
 	log.SetFlags(0)
 	addr := flag.String("addr", "127.0.0.1:8787", "HTTP listen address")
-	shards := flag.Int("shards", 8, "tenant registry shard count")
 	verifyWorkers := flag.Int("verify-workers", 0, "bounded verify/commit workers (0 = GOMAXPROCS)")
-	verifyQueue := flag.Int("verify-queue", 64, "verify queue capacity; overflow returns 429")
+	verifyQueue := flag.Int("verify-queue", 64, "verify queue capacity per tenant; overflow returns 429")
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Minute, "idle technician sessions expire after this")
 	sweepInterval := flag.Duration("sweep-interval", time.Minute, "how often the idle sweeper runs")
 	preload := flag.String("preload", "", "comma-separated id=scenario tenants to onboard at startup")
@@ -66,7 +65,6 @@ func main() {
 
 	reg := telemetry.NewRegistry()
 	svc := service.New(service.Config{
-		Shards:        *shards,
 		VerifyWorkers: *verifyWorkers,
 		VerifyQueue:   *verifyQueue,
 		IdleTimeout:   *idleTimeout,
@@ -106,8 +104,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	log.Printf("heimdalld listening on %s (%d shards, idle timeout %s, sweep every %s)",
-		ln.Addr(), svc.Shards(), *idleTimeout, *sweepInterval)
+	log.Printf("heimdalld listening on %s (idle timeout %s, sweep every %s)",
+		ln.Addr(), *idleTimeout, *sweepInterval)
 
 	select {
 	case err := <-errc:

@@ -116,10 +116,9 @@ type Evaluator struct {
 	// shrink it.
 	MutationBudget int
 	// Workers bounds the sweep's parallelism: fault cases fan out across
-	// up to Workers goroutines, and within a case the mutation trials fan
-	// out under the same bound. 0 or 1 runs fully serial. Results are
-	// identical to the serial sweep regardless of Workers — samples merge
-	// in fault-case order and the violation search is order-independent.
+	// up to Workers goroutines (0 means 1); each case's mutation trials run
+	// in order on its worker. Results are identical at any Workers —
+	// samples merge in fault-case order.
 	Workers int
 
 	// baseOnce/baseSnap memoize the base network's snapshot so fault
@@ -237,16 +236,9 @@ pairs:
 	return out
 }
 
-// limiter is a counting semaphore bounding concurrent mutation trials.
-type limiter chan struct{}
-
-func (l limiter) acquire() { l <- struct{}{} }
-func (l limiter) release() { <-l }
-
-// Evaluate scores one technique across all fault cases. With Workers > 1
-// the cases run on a bounded worker pool (and mutation trials fan out
-// under the same bound); samples are merged in fault-case order, so the
-// result is identical to the serial sweep.
+// Evaluate scores one technique across all fault cases. The cases run on
+// a pool of Workers goroutines; samples are merged in fault-case order, so
+// the result does not depend on Workers.
 //
 // Fault setup relies on the ticket.Fault contract that Inject mutates only
 // the RootCause device (every built-in fault does): each case's network is
@@ -262,30 +254,16 @@ func (ev *Evaluator) Evaluate(tech Technique, cases []FaultCase) *Result {
 		totalAvail += c
 	}
 
-	workers := ev.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers == 1 {
-		for _, fc := range cases {
-			if sm, ok := ev.evaluateCase(tech, fc, availPer, totalAvail, nil); ok {
-				res.Samples = append(res.Samples, sm)
-			}
-		}
-		return res
-	}
+	workers := max(ev.Workers, 1)
 
 	// Case fan-out: a pool of Workers goroutines consumes case indices;
 	// each writes its sample into a fixed slot so the merge below
-	// reproduces the serial order exactly. Trials share one semaphore
-	// across all in-flight cases, bounding the expensive clone+recompute
-	// work to Workers at a time.
+	// reproduces the case order exactly.
 	type slot struct {
 		sm Sample
 		ok bool
 	}
 	slots := make([]slot, len(cases))
-	gate := make(limiter, workers)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -293,7 +271,7 @@ func (ev *Evaluator) Evaluate(tech Technique, cases []FaultCase) *Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				sm, ok := ev.evaluateCase(tech, cases[i], availPer, totalAvail, gate)
+				sm, ok := ev.evaluateCase(tech, cases[i], availPer, totalAvail)
 				slots[i] = slot{sm, ok}
 			}
 		}()
@@ -313,10 +291,9 @@ func (ev *Evaluator) Evaluate(tech Technique, cases []FaultCase) *Result {
 
 // evaluateCase scores one (fault, technique) pair. It reads ev.Base and
 // the precomputed command-surface counts but mutates nothing shared, so
-// any number of cases may run concurrently. A nil gate runs the mutation
-// trials serially.
+// any number of cases may run concurrently.
 func (ev *Evaluator) evaluateCase(tech Technique, fc FaultCase,
-	availPer map[string]int, totalAvail int, gate limiter) (Sample, bool) {
+	availPer map[string]int, totalAvail int) (Sample, bool) {
 
 	// Every ticket.Fault injector mutates only its RootCause device (the
 	// contract Evaluate documents), so the faulted network shares all other
@@ -369,7 +346,7 @@ func (ev *Evaluator) evaluateCase(tech Technique, fc FaultCase,
 
 	// VP: policies newly violable through allowed mutations.
 	pre := violatedSet(snap, ev.Policies)
-	vp := ev.potentialViolations(faulted, snap, spec, tech.FullPrivileges, slice, pre, gate)
+	vp := ev.potentialViolations(faulted, snap, spec, tech.FullPrivileges, slice, pre)
 
 	exposed := 0.0
 	if totalAvail > 0 {
@@ -478,11 +455,9 @@ type mutation struct {
 // whose traces never list them as an L3 hop), so mutations on switches
 // conservatively keep every policy in scope. VP counts are therefore
 // exactly those of the exhaustive recheck. Trials short-circuit once
-// every policy still winnable is already marked violable. A non-nil gate
-// fans the trials out across goroutines; the violation union is
-// order-independent, so the count is identical either way.
+// every policy still winnable is already marked violable.
 func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *dataplane.Snapshot,
-	spec *privilege.CompiledSpec, full bool, slice map[string]bool, pre map[string]bool, gate limiter) int {
+	spec *privilege.CompiledSpec, full bool, slice map[string]bool, pre map[string]bool) int {
 
 	// Hijack targets: every host subnet (a /24 route outranks the OSPF
 	// routes protecting it).
@@ -517,8 +492,7 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 	}
 
 	// The mutations actually explored: the first MutationBudget allowed
-	// ones, in deterministic (device, enumeration) order — the same set
-	// the serial search evaluates.
+	// ones, in deterministic (device, enumeration) order.
 	var allowed []mutation
 	for _, m := range muts {
 		if ev.MutationBudget > 0 && len(allowed) >= ev.MutationBudget {
@@ -553,55 +527,14 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 	}
 
 	violated := make(map[string]bool)
-	if gate == nil {
-		for _, m := range allowed {
-			if len(violated) >= winnable {
-				break // every winnable policy is violable already
-			}
-			for _, id := range ev.trialViolations(faulted, snap, m, affected[m.device], pre, violated) {
-				violated[id] = true
-			}
-		}
-		return len(violated)
-	}
-
-	var mu sync.Mutex
-	done := false
-	var wg sync.WaitGroup
 	for _, m := range allowed {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			gate.acquire()
-			defer gate.release()
-			mu.Lock()
-			if done {
-				mu.Unlock()
-				return
-			}
-			// Snapshot the IDs already found so the trial skips them —
-			// pure work-saving: re-finding an ID never changes the union.
-			seen := make(map[string]bool, len(violated))
-			for id := range violated {
-				seen[id] = true
-			}
-			mu.Unlock()
-			ids := ev.trialViolations(faulted, snap, m, affected[m.device], pre, seen)
-			if len(ids) == 0 {
-				return
-			}
-			mu.Lock()
-			for _, id := range ids {
-				violated[id] = true
-			}
-			if len(violated) >= winnable {
-				done = true
-			}
-			mu.Unlock()
-		}()
+		if len(violated) >= winnable {
+			break // every winnable policy is violable already
+		}
+		for _, id := range ev.trialViolations(faulted, snap, m, affected[m.device], pre, violated) {
+			violated[id] = true
+		}
 	}
-	wg.Wait()
 	return len(violated)
 }
 

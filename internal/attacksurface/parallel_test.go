@@ -115,7 +115,7 @@ func TestIncrementalMatchesExhaustive(t *testing.T) {
 			pre := violatedSet(snap, ev.Policies)
 
 			want := exhaustiveVP(ev, faulted, tech, slice, pre)
-			got := ev.potentialViolations(faulted, snap, spec.Compile(), tech.FullPrivileges, slice, pre, nil)
+			got := ev.potentialViolations(faulted, snap, spec.Compile(), tech.FullPrivileges, slice, pre)
 			if got != want {
 				t.Errorf("%s/%s: incremental VP = %d, exhaustive = %d",
 					tech.Name, fc.Fault.Name, got, want)

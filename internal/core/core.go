@@ -335,30 +335,17 @@ func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 }
 
 // ReviewChanges is ReviewCached for a change set the caller already
-// extracted with Twin.Changes.
+// extracted with Twin.Changes. Its review key takes the memoized rules
+// digest, so only a review after an approval digests the rules again.
 func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision, bool, error) {
-	return e.ReviewKeyed(changes, e.ReviewKey(changes))
-}
-
-// ReviewKeyed is ReviewChanges for a caller that already took the set's
-// ReviewKey (the service layer addresses its coalescing slot with it), so
-// the enforcer digests neither the rules nor the change set again.
-func (e *Engagement) ReviewKeyed(changes []config.Change, key string) (*enforcer.Decision, bool, error) {
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)
 	}
 	e.sys.prodMu.RLock()
 	defer e.sys.prodMu.RUnlock()
+	key := e.sys.Enforcer.ReviewKey(changes, e.rulesDigest())
 	d, hit := e.sys.Enforcer.ReviewKeyed(e.sys.production, changes, e.Spec, key)
 	return d, hit, nil
-}
-
-// ReviewKey returns the content address a review of the given pending
-// changes would occupy right now (enforcer.ReviewKey). Concurrent
-// submissions with equal keys would receive the same verdict, which is
-// what the service layer's request coalescing keys on.
-func (e *Engagement) ReviewKey(changes []config.Change) string {
-	return e.sys.Enforcer.ReviewKey(changes, e.rulesDigest())
 }
 
 // Commit extracts the twin's changes, has the enforcer verify and schedule

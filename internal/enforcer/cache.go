@@ -109,9 +109,9 @@ func (e *Enforcer) InvalidateReviews() {
 // whose rules digest to rulesDigest (privilege.Spec.RulesDigest) would
 // occupy right now: production version, privilege-rules digest, canonical
 // change-set digest. Two calls return the same key exactly when the
-// enforcer would serve them the same verdict, which is what the service
-// layer's request coalescing keys on. The key changes on every production
-// mutation, so it is only meaningful for the duration of one submission.
+// enforcer would serve them the same verdict, which is what the verdict
+// cache keys on. The key changes on every production mutation, so it is
+// only meaningful for the duration of one submission.
 func (e *Enforcer) ReviewKey(changes []config.Change, rulesDigest string) string {
 	return "v" + strconv.FormatUint(e.prodVersion.Load(), 10) + "|" + rulesDigest + "|" + verify.ChangeSetDigest(changes)
 }
@@ -135,8 +135,8 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 }
 
 // ReviewKeyed is ReviewCached for a caller that already holds ReviewKey's
-// answer for (changes, spec) — the service layer addressed its coalescing
-// slot with it — so neither digest is computed twice. A key taken at an
+// answer for (changes, spec) — an engagement memoizes its rules digest —
+// so neither digest is computed twice. A key taken at an
 // earlier version is harmless: the verdict is computed on production as it
 // is, found only by holders of the same old key, dropped at the next bump.
 func (e *Enforcer) ReviewKeyed(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, key string) (*Decision, bool) {
@@ -152,24 +152,23 @@ func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, 
 	// for the other.
 	cacheKey := fmt.Sprintf("%p|%s", prod, key)
 	if d, hit := e.reviews.get(cacheKey); hit {
-		e.ReplayReview(spec, d)
+		e.replayReview(spec, d)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
 		return d.clone(), true
 	}
 	d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec, key, rule)
 	d.trailMsg, d.trailOK = msg, ok
-	e.ReplayReview(spec, d)
+	e.replayReview(spec, d)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
 	e.reviews.put(cacheKey, d.clone())
 	return d, false
 }
 
-// ReplayReview audits and counts one review answered with d, a decision
-// this enforcer computed, under spec's ticket and technician. Every way a
-// verdict reaches a requester ends here once — computed for it, replayed
-// from the verdict cache, or shared by the service layer with a request that
-// coalesced onto another's — so N answered reviews leave N KindVerify entries.
-func (e *Enforcer) ReplayReview(spec *privilege.Spec, d *Decision) {
+// replayReview audits and counts one review answered with d, a decision
+// this enforcer computed, under spec's ticket and technician. Both ways a
+// verdict reaches a requester end here once — computed for it or replayed
+// from the verdict cache — so N answered reviews leave N KindVerify entries.
+func (e *Enforcer) replayReview(spec *privilege.Spec, d *Decision) {
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, d.trailMsg, d.trailOK)
 	e.meter.Counter("heimdall_enforcer_reviews_total",
 		telemetry.L("accepted", strconv.FormatBool(d.Accepted))).Inc()

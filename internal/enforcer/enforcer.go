@@ -149,7 +149,7 @@ type Decision struct {
 	Checked int
 	// trailMsg and trailOK are the audit-trail entry of the review that
 	// computed the decision, replayed for every requester it answers
-	// (ReplayReview).
+	// (replayReview).
 	trailMsg string
 	trailOK  bool
 }
@@ -180,7 +180,7 @@ func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec 
 
 // reviewCompute is the uncached review: it returns the decision plus the
 // audit-trail message and outcome flag of the entry every requester it
-// answers has appended (ReplayReview); an acceptance keeps its shadow under
+// answers has appended (replayReview); an acceptance keeps its shadow under
 // key. prodSnap is the production snapshot to derive the shadow from; nil
 // means take it from ProductionSnapshot once the privilege check passed.
 func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (d *Decision, trailMsg string, trailOK bool) {

@@ -45,7 +45,7 @@ type loadSession struct {
 // replay the issue's script through the mediated Exec path at once. Behind
 // a barrier every session submits its change set for review and each
 // tenant's first session commits — all replayed the same fix, so this is
-// the cache and coalescing worst case the MSP workload looks like:
+// the verdict cache's worst case the MSP workload looks like:
 // near-duplicate change sets arriving together. Any failed call fails the
 // test.
 func runLoad(t *testing.T, svc *Service, tenants, per int) []loadSession {
@@ -143,8 +143,8 @@ func runLoad(t *testing.T, svc *Service, tenants, per int) []loadSession {
 // sustains >= 1,000 concurrent scripted technician sessions across >= 50
 // tenants on the university+enterprise scenarios with zero mediation
 // denials, zero cross-tenant audit/state leakage, and an audit trail that
-// accounts for every answered review — whatever mix of fresh, cached and
-// coalesced reviews the run produced.
+// accounts for every answered review — whatever mix of fresh and cached
+// reviews the run produced.
 func TestLoadGeneratorAcceptance(t *testing.T) {
 	tenants, per := loadScale()
 	reg := telemetry.NewRegistry()
@@ -169,9 +169,9 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no mediated command ran")
 	}
-	hits, coalesced := svc.ReviewStats()
-	t.Logf("%d tenants, %d concurrent sessions: %d mediated commands; of the reviews, %d answered from the cache, %d coalesced",
-		tenants, len(sessions), total, hits, coalesced)
+	t.Logf("%d tenants, %d concurrent sessions: %d mediated commands; %.0f fresh verifications, %.0f reviews answered from the cache",
+		tenants, len(sessions), total, reg.CounterValue("heimdall_enforcer_review_cache_misses_total"),
+		reg.CounterValue("heimdall_service_review_cache_hits_total"))
 
 	// --- Zero cross-tenant leakage ---
 

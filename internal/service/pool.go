@@ -18,11 +18,6 @@ import (
 // still bounded and fail-fast, but per tenant: when a tenant's queue is
 // full its Submit fails with ErrQueueFull (surfaced as HTTP 429) while
 // other tenants keep enqueueing.
-//
-// DoShared adds in-flight request coalescing (singleflight): concurrent
-// submissions carrying the same content key share one execution and one
-// queue slot, so N sessions replaying the same scripted ticket cost one
-// verification.
 type Pool struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -39,9 +34,6 @@ type Pool struct {
 	wg        sync.WaitGroup
 	closed    chan struct{}
 	closeOnce sync.Once
-
-	flightMu sync.Mutex
-	flights  map[string]*flight
 
 	meter      telemetry.Meter
 	depthGauge telemetry.Gauge
@@ -61,16 +53,6 @@ type poolTask struct {
 	started bool
 }
 
-// flight is one in-flight coalesced execution: the leader runs fn, every
-// follower that arrives with the same key before it finishes waits on
-// done and shares the result (and the leader's submit error — a follower
-// joins the leader's fate, queue-full included).
-type flight struct {
-	done   chan struct{}
-	result any
-	err    error
-}
-
 // NewPool starts workers goroutines dispatching round-robin over
 // per-tenant queues of the given per-tenant capacity. workers and
 // tenantQueueCap are clamped to at least 1.
@@ -88,7 +70,6 @@ func NewPool(workers, tenantQueueCap int, meter telemetry.Meter) *Pool {
 		queues:     make(map[string]*tenantQueue),
 		tenantCap:  tenantQueueCap,
 		closed:     make(chan struct{}),
-		flights:    make(map[string]*flight),
 		meter:      meter,
 		depthGauge: meter.Gauge("heimdall_service_queue_depth"),
 	}
@@ -201,33 +182,6 @@ func (p *Pool) Do(tenant string, fn func()) error {
 		}
 		return ErrPoolClosed
 	}
-}
-
-// DoShared is Do with in-flight coalescing: concurrent calls carrying the
-// same (tenant, key) share one queue slot and one execution of fn, whose
-// result every caller receives. The second return reports whether this
-// call was a follower (coalesced onto an execution another call
-// submitted). Keys must be content addresses — equal keys must mean fn
-// would produce an equivalent result; a follower receives the verdict as
-// of the leader's submission, exactly as if it had been queued then.
-func (p *Pool) DoShared(tenant, key string, fn func() any) (any, bool, error) {
-	fkey := tenant + "|" + key
-	p.flightMu.Lock()
-	if f, ok := p.flights[fkey]; ok {
-		p.flightMu.Unlock()
-		<-f.done
-		return f.result, true, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	p.flights[fkey] = f
-	p.flightMu.Unlock()
-
-	f.err = p.Do(tenant, func() { f.result = fn() })
-	p.flightMu.Lock()
-	delete(p.flights, fkey)
-	p.flightMu.Unlock()
-	close(f.done)
-	return f.result, false, f.err
 }
 
 // Depth reports the current total queue depth across all tenant queues.

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -123,61 +122,34 @@ func (s *Session) infoLocked() Info {
 	}
 }
 
-// registry is the sharded tenant map. Tenant lookup is the hottest
-// metadata path of the service (every mediated command resolves its
-// tenant first), so tenants spread over independently locked shards:
-// one tenant's create/delete churn never contends with another shard's
-// lookups.
+// registry is the tenant map. A lookup is one read lock in front of a
+// request that costs far more (every mediated command resolves its tenant
+// first), so one RWMutex serves every tenant.
 type registry struct {
-	shards []regShard
-}
-
-type regShard struct {
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
 }
 
-func newRegistry(shards int) *registry {
-	if shards < 1 {
-		shards = 1
-	}
-	r := &registry{shards: make([]regShard, shards)}
-	for i := range r.shards {
-		r.shards[i].tenants = make(map[string]*Tenant)
-	}
-	return r
-}
-
-// shardIndex maps a tenant ID onto its shard (FNV-1a, like the flow
-// cache's key hashing: cheap and well distributed for short IDs).
-func (r *registry) shardIndex(tenant string) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(tenant))
-	return int(h.Sum32() % uint32(len(r.shards)))
-}
-
-func (r *registry) shard(tenant string) *regShard {
-	return &r.shards[r.shardIndex(tenant)]
+func newRegistry() *registry {
+	return &registry{tenants: make(map[string]*Tenant)}
 }
 
 // add registers a tenant; it fails if the ID is taken.
 func (r *registry) add(t *Tenant) error {
-	s := r.shard(t.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tenants[t.ID]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.tenants[t.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrTenantExists, t.ID)
 	}
-	s.tenants[t.ID] = t
+	r.tenants[t.ID] = t
 	return nil
 }
 
 // get resolves a tenant, or ErrNoTenant.
 func (r *registry) get(id string) (*Tenant, error) {
-	s := r.shard(id)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tenants[id]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	t, ok := r.tenants[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTenant, id)
 	}
@@ -186,27 +158,19 @@ func (r *registry) get(id string) (*Tenant, error) {
 
 // all returns every tenant sorted by ID.
 func (r *registry) all() []*Tenant {
-	var out []*Tenant
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, t := range s.tenants {
-			out = append(out, t)
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*Tenant, 0, len(r.tenants))
+	for _, t := range r.tenants {
+		out = append(out, t)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // count returns the number of tenants.
 func (r *registry) count() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.tenants)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.tenants)
 }

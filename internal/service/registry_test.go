@@ -2,54 +2,11 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
-func TestRegistryShardDistribution(t *testing.T) {
-	const shards, tenants = 8, 200
-	r := newRegistry(shards)
-	counts := make([]int, shards)
-	for i := 0; i < tenants; i++ {
-		id := fmt.Sprintf("t-%03d", i)
-		if err := r.add(&Tenant{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-		idx := r.shardIndex(id)
-		if idx < 0 || idx >= shards {
-			t.Fatalf("shardIndex(%s) = %d, out of range", id, idx)
-		}
-		counts[idx]++
-	}
-	if r.count() != tenants {
-		t.Fatalf("count = %d, want %d", r.count(), tenants)
-	}
-	// FNV-1a over sequential IDs should land tenants on every shard and
-	// keep the spread within a loose bound of the 25-per-shard mean; a
-	// degenerate hash (everything on one shard) must fail loudly.
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d received no tenants", i)
-		}
-		if c > tenants/2 {
-			t.Errorf("shard %d received %d of %d tenants — degenerate distribution", i, c, tenants)
-		}
-	}
-	// Lookups resolve through the same mapping.
-	for i := 0; i < tenants; i++ {
-		id := fmt.Sprintf("t-%03d", i)
-		got, err := r.get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.ID != id {
-			t.Fatalf("get(%s).ID = %s", id, got.ID)
-		}
-	}
-}
-
 func TestRegistryDuplicateAndMissing(t *testing.T) {
-	r := newRegistry(4)
+	r := newRegistry()
 	if err := r.add(&Tenant{ID: "acme"}); err != nil {
 		t.Fatal(err)
 	}

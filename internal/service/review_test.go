@@ -1,10 +1,10 @@
 package service
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"heimdall/internal/audit"
 	"heimdall/internal/scenarios"
@@ -81,12 +81,13 @@ func newReviewFixtureWorkers(t *testing.T, workers int) *reviewFixture {
 }
 
 // TestServiceReviewCachedOracle is the service-level acceptance oracle:
-// a review answered from the verdict cache or coalesced onto an in-flight
-// verification returns a ReviewResult deep-equal to the fresh one, and a
-// commit invalidates so no stale verdict survives a production change.
+// a review answered from the verdict cache returns a ReviewResult
+// deep-equal to the fresh one, every repeat is a hit, and a commit
+// invalidates so no stale verdict survives a production change.
 func TestServiceReviewCachedOracle(t *testing.T) {
 	f := newReviewFixture(t)
 	svc := f.svc
+	hits := func() float64 { return f.reg.CounterValue("heimdall_service_review_cache_hits_total") }
 
 	fresh, err := svc.Review("solo", f.a.Session, f.a.Token)
 	if err != nil {
@@ -99,8 +100,8 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 	if want := len(f.issue.Fault.Fix); fresh.Changes != want {
 		t.Fatalf("review reports %d changes, want %d", fresh.Changes, want)
 	}
-	if hits, coal := svc.ReviewStats(); hits != 0 || coal != 0 {
-		t.Fatalf("stats after first review = (%d hits, %d coalesced), want (0, 0)", hits, coal)
+	if h := hits(); h != 0 {
+		t.Fatalf("cache hits after first review = %v, want 0", h)
 	}
 
 	// Bob's identical change set is answered from the verdict cache, and
@@ -112,13 +113,12 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 	if !reflect.DeepEqual(fresh, cached) {
 		t.Fatalf("cached review diverges from fresh:\nfresh:  %+v\ncached: %+v", fresh, cached)
 	}
-	hits, _ := svc.ReviewStats()
-	if hits != 1 {
-		t.Fatalf("cache hits = %d, want 1", hits)
+	if h := hits(); h != 1 {
+		t.Fatalf("cache hits = %v, want 1", h)
 	}
 
 	// Hammer the same two sessions concurrently: every result identical,
-	// and every review after the first accounted a hit or a coalesce.
+	// and every review after the first a hit.
 	const extra = 8
 	var wg sync.WaitGroup
 	for i := 0; i < extra; i++ {
@@ -140,16 +140,12 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	hits, coal := svc.ReviewStats()
-	if hits+coal != 1+extra {
-		t.Fatalf("hits(%d)+coalesced(%d) = %d, want %d (every repeat accounted)",
-			hits, coal, hits+coal, 1+extra)
+	before := hits()
+	if before != 1+extra {
+		t.Fatalf("cache hits = %v, want %d (every repeat a hit)", before, 1+extra)
 	}
-	if got := f.reg.CounterValue("heimdall_service_review_cache_hits_total"); int64(got) != hits {
-		t.Fatalf("cache-hit counter = %v, stats say %d", got, hits)
-	}
-	if got := f.reg.CounterValue("heimdall_service_review_coalesced_total"); int64(got) != coal {
-		t.Fatalf("coalesced counter = %v, stats say %d", got, coal)
+	if got := f.reg.CounterValue("heimdall_enforcer_review_cache_hits_total"); got != before {
+		t.Fatalf("enforcer cache hits = %v, service counted %v", got, before)
 	}
 
 	// Alice commits: production changed, so Bob's next review must be
@@ -174,33 +170,51 @@ func TestServiceReviewCachedOracle(t *testing.T) {
 		// fresh verdict. What must not happen is a stale cached acceptance.
 		t.Logf("post-commit review reported: %v", err)
 	}
-	if h2, c2 := svc.ReviewStats(); h2 != hits || c2 != coal {
-		t.Fatalf("post-commit review served from cache: stats went (%d, %d) -> (%d, %d)",
-			hits, coal, h2, c2)
+	if h := hits(); h != before {
+		t.Fatalf("post-commit review served from cache: hits went %v -> %v", before, h)
 	}
 }
 
-// TestCoalescedReviewAudited: a review that coalesces onto another
-// request's verification is audited as any answered review is — its own
-// KindVerify entry, under its own ticket and technician, with the leader's
-// message and outcome — and counted in heimdall_enforcer_reviews_total. The
-// pool's single worker is held while the leader queues and the followers
-// join its flight, so all but one of the requests coalesce.
-func TestCoalescedReviewAudited(t *testing.T) {
-	f := newReviewFixtureWorkers(t, 1)
-	svc := f.svc
-	release, held := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = svc.pool.Do("solo", func() { close(held); <-release })
-	}()
-	<-held
+// TestDuplicateReviewsAudited: identical reviews submitted together queue
+// behind one another and all but the first to run are answered from the
+// verdict cache. Each is audited as any answered review is — its own
+// KindVerify entry, under its own ticket and technician, with one shared
+// message — and counted in heimdall_enforcer_reviews_total. The pool's
+// workers are held until all the reviews have queued.
+func TestDuplicateReviewsAudited(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("VerifyWorkers=%d", workers), func(t *testing.T) {
+			testDuplicateReviewsAudited(t, workers)
+		})
+	}
+}
 
-	const followers = 7
-	results := make(chan ReviewResult, 1+followers)
-	review := func(info Info) {
+func testDuplicateReviewsAudited(t *testing.T, workers int) {
+	f := newReviewFixtureWorkers(t, workers)
+	svc := f.svc
+	misses := func() float64 { return f.reg.CounterValue("heimdall_enforcer_review_cache_misses_total") }
+	if m := misses(); m != 0 {
+		t.Fatalf("fixture verified %v change sets, want 0", m)
+	}
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		held := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = svc.pool.Do("solo", func() { close(held); <-release })
+		}()
+		<-held
+	}
+
+	const reviews = 8
+	results := make(chan ReviewResult, reviews)
+	for i := 0; i < reviews; i++ {
+		info := f.a
+		if i%2 == 1 {
+			info = f.b
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -211,18 +225,7 @@ func TestCoalescedReviewAudited(t *testing.T) {
 			results <- res
 		}()
 	}
-	review(f.a) // the leader: queued behind the held worker, its flight open
-	waitDepth(t, svc.pool, 1)
-	for i := 0; i < followers; i++ {
-		if i%2 == 0 {
-			review(f.b)
-		} else {
-			review(f.a)
-		}
-	}
-	// Followers park on the flight without a queue slot; give them a beat
-	// to get there, then let the worker run the leader's review.
-	time.Sleep(50 * time.Millisecond)
+	waitDepth(t, svc.pool, reviews)
 	close(release)
 	wg.Wait()
 	close(results)
@@ -235,8 +238,8 @@ func TestCoalescedReviewAudited(t *testing.T) {
 			t.Fatalf("answers differ: %+v vs %+v", *first, res)
 		}
 	}
-	if _, coalesced := svc.ReviewStats(); coalesced == 0 {
-		t.Fatal("no review coalesced: the test exercises nothing")
+	if m := misses(); m < 1 || m > float64(workers) {
+		t.Fatalf("%v fresh verifications of one change set on %d workers, want 1..%d", m, workers, workers)
 	}
 
 	// One entry per answered request, whichever way it was served, each
@@ -257,14 +260,14 @@ func TestCoalescedReviewAudited(t *testing.T) {
 		}
 	}
 	want := map[[2]string]int{
-		{f.a.Ticket, "alice"}: 1 + followers/2,
-		{f.b.Ticket, "bob"}:   followers - followers/2,
+		{f.a.Ticket, "alice"}: reviews - reviews/2,
+		{f.b.Ticket, "bob"}:   reviews / 2,
 	}
 	if !reflect.DeepEqual(verified, want) || len(details) != 1 {
 		t.Fatalf("verify entries per (ticket, technician) = %v with %d distinct messages, want %v with 1", verified, len(details), want)
 	}
 	counted := f.reg.CounterValue("heimdall_enforcer_reviews_total", telemetry.L("accepted", "true"))
-	if counted != 1+followers {
-		t.Fatalf("heimdall_enforcer_reviews_total = %v, want %d", counted, 1+followers)
+	if counted != reviews {
+		t.Fatalf("heimdall_enforcer_reviews_total = %v, want %d", counted, reviews)
 	}
 }

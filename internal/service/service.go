@@ -4,10 +4,8 @@
 // the per-tenant unit; the service adds what an MSP-scale control plane
 // needs around it:
 //
-//   - a sharded tenant/session registry with full session lifecycle
-//     (create, attach via token, idle-expire via a pluggable clock,
-//     explicit close), so thousands of concurrent technician sessions
-//     resolve their tenant without a global lock;
+//   - a tenant/session registry with full session lifecycle (create,
+//     attach via token, idle-expire via a pluggable clock, explicit close);
 //   - a bounded worker pool with backpressure for the expensive
 //     verify/commit path, so N tenants share a fixed verification
 //     capacity and overload surfaces as queue-full (HTTP 429) instead of
@@ -29,11 +27,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"heimdall/internal/audit"
-	"heimdall/internal/config"
 	"heimdall/internal/core"
 	"heimdall/internal/enforcer"
 	"heimdall/internal/scenarios"
@@ -66,8 +62,6 @@ type Config struct {
 	// Catalog maps scenario names to constructors. Nil installs the
 	// built-in scenarios (enterprise, university, provider, fattree, wan).
 	Catalog map[string]ScenarioFunc
-	// Shards is the tenant-registry shard count (default 8).
-	Shards int
 	// VerifyWorkers bounds concurrent enforcer reviews/commits across all
 	// tenants (default GOMAXPROCS).
 	VerifyWorkers int
@@ -100,13 +94,6 @@ type Service struct {
 	idle    time.Duration
 	meter   telemetry.Meter
 	seed    string
-
-	// reviewCacheHits counts reviews answered from the enforcer's
-	// content-addressed verdict cache; reviewCoalesced counts reviews that
-	// joined another session's in-flight verification instead of queueing
-	// their own. Mirrored to the heimdall_service_review_* counters.
-	reviewCacheHits atomic.Int64
-	reviewCoalesced atomic.Int64
 }
 
 // BuiltinCatalog returns the built-in evaluation scenarios: the three
@@ -132,9 +119,6 @@ func New(cfg Config) *Service {
 	if cfg.Catalog == nil {
 		cfg.Catalog = BuiltinCatalog()
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
 	if cfg.VerifyWorkers <= 0 {
 		cfg.VerifyWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -153,7 +137,6 @@ func New(cfg Config) *Service {
 	// Touch the hot-path counters once so /metrics exposes them at zero
 	// from the first scrape (the registry only dumps metrics it has seen).
 	cfg.Meter.Counter("heimdall_service_review_cache_hits_total")
-	cfg.Meter.Counter("heimdall_service_review_coalesced_total")
 	cfg.Meter.Counter("heimdall_service_backpressure_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_misses_total")
@@ -163,7 +146,7 @@ func New(cfg Config) *Service {
 	}
 	return &Service{
 		catalog: cfg.Catalog,
-		reg:     newRegistry(cfg.Shards),
+		reg:     newRegistry(),
 		pool:    NewPool(cfg.VerifyWorkers, cfg.VerifyQueue, cfg.Meter),
 		clock:   cfg.Clock,
 		idle:    cfg.IdleTimeout,
@@ -255,9 +238,6 @@ func (s *Service) Tenants() []TenantInfo {
 
 // Tenant resolves one tenant.
 func (s *Service) Tenant(id string) (*Tenant, error) { return s.reg.get(id) }
-
-// Shards returns the registry shard count.
-func (s *Service) Shards() int { return len(s.reg.shards) }
 
 // CreateTicket files a ticket with the tenant's ticketing system.
 func (s *Service) CreateTicket(tenant string, tk ticket.Ticket) (*ticket.Ticket, error) {
@@ -554,26 +534,15 @@ type ReviewResult struct {
 	Status     string   `json:"status,omitempty"`
 }
 
-// reviewOutcome is the shared result of one pooled review execution; d is
-// the decision res renders, kept for the requests that coalesce onto it.
-type reviewOutcome struct {
-	res ReviewResult
-	d   *enforcer.Decision
-	err error
-	hit bool
-}
-
 // Review runs the enforcer's verification of the session's current twin
 // changes through the bounded pool, without touching production.
 // Overload returns ErrQueueFull.
 //
-// Reviews are content-coalesced: concurrent submissions whose pending
-// change set, privilege rules and production snapshot are identical
-// (sessions replaying the same scripted ticket) share one queue slot and
-// one verification, and repeated submissions of an already-verified set
-// are answered from the enforcer's verdict cache. Either way the result
-// is byte-identical to a fresh review, and every answered request lands
-// its own entry on the audit trail, under its own ticket and technician.
+// A repeat of an already-verified change set (sessions replaying the same
+// scripted ticket, concurrently or not) is answered from the enforcer's
+// verdict cache: the result is byte-identical to a fresh review, and every
+// answered request lands its own entry on the audit trail, under its own
+// ticket and technician.
 func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	sess, err := s.lookup(tenant, session, token)
 	if err != nil {
@@ -583,54 +552,23 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 	if err != nil {
 		return ReviewResult{}, err
 	}
-	// The twin hands over the change set it recorded (diffed once per twin
-	// state): the same set addresses the coalescing slot and is what the
-	// pooled execution reviews.
-	changes := eng.Twin.Changes()
-	if len(changes) == 0 {
-		// Empty change set: take a plain (uncoalesced) slot so the
-		// "nothing to review" error surfaces exactly as before.
-		var out reviewOutcome
-		if err := s.pool.Do(tenant, func() { out = s.reviewOnPool(eng, changes, "") }); err != nil {
-			return ReviewResult{}, err
+	var res ReviewResult
+	var inner error
+	err = s.pool.Do(tenant, func() {
+		changes := eng.Twin.Changes()
+		d, hit, rerr := eng.ReviewChanges(changes)
+		if d != nil {
+			res = decisionResult(d, len(changes))
 		}
-		return out.res, out.err
-	}
-	key := eng.ReviewKey(changes)
-	shared, coalesced, err := s.pool.DoShared(tenant, key,
-		func() any { return s.reviewOnPool(eng, changes, key) })
+		if hit {
+			s.meter.Counter("heimdall_service_review_cache_hits_total").Inc()
+		}
+		inner = rerr
+	})
 	if err != nil {
 		return ReviewResult{}, err
 	}
-	out := shared.(reviewOutcome)
-	if coalesced {
-		// The verification ran for the leader's ticket; this requester's
-		// review is audited as a verdict-cache hit would be.
-		sess.tenant.sys.Enforcer.ReplayReview(eng.Spec, out.d)
-		s.reviewCoalesced.Add(1)
-		s.meter.Counter("heimdall_service_review_coalesced_total").Inc()
-	} else if out.hit {
-		s.reviewCacheHits.Add(1)
-		s.meter.Counter("heimdall_service_review_cache_hits_total").Inc()
-	}
-	return out.res, out.err
-}
-
-// reviewOnPool is the body of one pooled review execution, under the
-// review key its slot was addressed with.
-func (s *Service) reviewOnPool(eng *core.Engagement, changes []config.Change, key string) reviewOutcome {
-	d, hit, err := eng.ReviewKeyed(changes, key)
-	if err != nil {
-		return reviewOutcome{err: err}
-	}
-	return reviewOutcome{res: decisionResult(d, len(changes)), d: d, hit: hit}
-}
-
-// ReviewStats reports how many reviews were served from the verdict
-// cache and how many coalesced onto an in-flight execution since the
-// service started.
-func (s *Service) ReviewStats() (cacheHits, coalesced int64) {
-	return s.reviewCacheHits.Load(), s.reviewCoalesced.Load()
+	return res, inner
 }
 
 // Commit pushes the session's twin changes through the enforcer into the

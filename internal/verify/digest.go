@@ -12,9 +12,9 @@ import (
 // ChangeSetDigest returns a canonical content digest of a change set: two
 // change sets digest equal exactly when they would apply the same
 // operations with the same payloads in the same order. The enforcer's
-// review cache and the service layer's request coalescing both key on it —
-// two technicians replaying the same scripted ticket produce the same
-// twin diff, so their reviews share one verification.
+// review cache keys on it — two technicians replaying the same scripted
+// ticket produce the same twin diff, so their reviews share one
+// verification.
 //
 // The encoding is JSON over config.Change's exported payload (Go's
 // encoder writes struct fields in declaration order and map keys sorted,
