@@ -338,9 +338,10 @@ func BenchmarkFlowCache(b *testing.B) {
 // production snapshot one review has already warmed, and a never-repeating
 // change set on the storage guard of e0-0, so no review is answered from
 // the verdict cache and every one derives, carries production's verdicts
-// and retraces the rest. counts reports the verdicts carried and the flows
-// retraced (the flow caches' misses) so far.
-func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts func() (carried, retraced float64)) {
+// and retraces the rest, each from production's trace. counts reports the
+// verdicts carried, the flows retraced (the flow caches' misses) and the
+// policies resumed from production's trace so far.
+func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts func() (carried, retraced, resumed float64)) {
 	scen := generate.FatTree(generate.FatTreeParams{K: 4})
 	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies)
 	reg := telemetry.NewRegistry()
@@ -360,35 +361,43 @@ func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts
 		return d
 	}
 	review(0)
-	return review, func() (float64, float64) {
-		return reg.CounterValue("heimdall_verify_policies_carried_total"), reg.CounterValue("heimdall_dataplane_flowcache_misses_total")
+	return review, func() (float64, float64, float64) {
+		return reg.CounterValue("heimdall_verify_policies_carried_total"), reg.CounterValue("heimdall_dataplane_flowcache_misses_total"),
+			reg.CounterValue("heimdall_verify_policies_resumed_total")
 	}
 }
 
 // BenchmarkReview measures one uncached review against a warm held
 // snapshot: ns/op and allocs/op (run with -benchmem) plus how many of the
 // 400 policy verdicts each review took over from production instead of
-// retracing and deciding (carried/op), and how many flows it traced
-// (retraced/op, 92): the two together say a change to the trace path traces
-// exactly the flows its parent traced.
+// retracing and deciding (carried/op), how many flows it traced
+// (retraced/op, 92) and how many of those resumed from production's trace
+// instead of walking from the source (resumed/op, 92): the first two
+// together say a change to the trace path traces exactly the flows its
+// parent traced.
 func BenchmarkReview(b *testing.B) {
 	review, counts := reviewFixture(b)
-	carried0, retraced0 := counts()
+	carried0, retraced0, resumed0 := counts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
 		review(i)
 	}
-	carried, retraced := counts()
+	carried, retraced, resumed := counts()
 	b.ReportMetric((carried-carried0)/float64(b.N), "carried/op")
 	b.ReportMetric((retraced-retraced0)/float64(b.N), "retraced/op")
+	b.ReportMetric((resumed-resumed0)/float64(b.N), "resumed/op")
 }
 
 // TestReviewAllocBudget pins the allocations of one uncached review on a
-// warm held snapshot. Measured at 512, the shadow it keeps for the commit
-// that lands it included. The ceiling is also the guard that a review builds
+// warm held snapshot. Measured at 241, the shadow it keeps for the commit
+// that lands it included: each of the 92 retraces is one allocation (its
+// trace and first hops in one block), and its memo entry is a value in the
+// flow cache's map. The ceiling is also the guard that a review builds
 // no verdict vector of its own — the commit rebuilds the shadow's; a review
-// that built it allocated ~95 more (810 against 716). (716 while the flow cache was a sync.Map, whose
+// that built it allocated ~95 more (810 against 716). (511 while a trace,
+// its hops, an ACL drop's detail and its memo entry were allocated apart;
+// 716 while the flow cache was a sync.Map, whose
 // every store boxed its key and allocated a trie node; 1,460 while each of
 // the 308 policies production already answers was carried as a trace — a
 // memo entry each in a cache thrown away with the review — and decided
@@ -398,12 +407,12 @@ func BenchmarkReview(b *testing.B) {
 // leaves ~5 %. If a change legitimately moves the count, re-measure with -v
 // and reset the ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
-	const ceiling = 540
+	const ceiling = 253
 	review, counts := reviewFixture(t)
 	i := 0
-	before, _ := counts()
+	before, _, _ := counts()
 	allocs := testing.AllocsPerRun(50, func() { i++; review(i) })
-	carried, _ := counts()
+	carried, _, _ := counts()
 	t.Logf("%.0f allocs and %.0f carried verdicts per review", allocs, (carried-before)/float64(i))
 	if allocs > ceiling {
 		t.Errorf("a review allocates %.0f times, budget %d", allocs, ceiling)
@@ -502,7 +511,9 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 11,621 (12,723 while every injection's and commit's derive
+// Measured at 10,933 (11,606 while a trace and its hops were two
+// allocations, an ACL drop's detail two more and each memo entry a pointer;
+// 12,723 while every injection's and commit's derive
 // built the routes of every device whose inputs could have moved, read or
 // not; 13,323 before traces walked positions; 15,212 while each open
 // deep-copied production twice
@@ -518,7 +529,7 @@ func BenchmarkTicket(b *testing.B) {
 // ~10 %. If a change legitimately moves the count, re-measure with -v and
 // reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 12800
+	const ceiling = 12000
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20

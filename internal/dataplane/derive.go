@@ -122,6 +122,8 @@ type ChangeSet []Change
 // trace reads only its hop devices' config and FIB, the adjacency, address
 // ownership and host addresses, and no address can change outside
 // L3-topology, so such a trace read nothing that differs between the two.
+// By the same argument a parent trace that does cross one is valid up to the
+// first such hop: ReachFrom resumes it there instead of at the source.
 //
 // Reuse per class (see ChangeKind docs for the exactness argument):
 //

@@ -18,9 +18,9 @@ type flowKey struct {
 	dstPort uint16
 }
 
-// flowResult is one memoized Reach outcome. The trace is shared between
-// every caller that asks for the same flow, which is safe because traces
-// are never mutated after construction.
+// flowResult is one memoized Reach outcome, held by value. The trace is
+// shared between every caller that asks for the same flow, which is safe
+// because traces are never mutated after construction.
 type flowResult struct {
 	tr  *Trace
 	err error
@@ -37,7 +37,7 @@ type flowResult struct {
 // one hash per operation, a sync.Map a hash-trie walk on a boxed key.
 type flowCache struct {
 	mu     sync.RWMutex
-	m      map[flowKey]*flowResult
+	m      map[flowKey]flowResult
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// hitCtr/missCtr mirror the atomic counters onto the wired Meter
@@ -60,7 +60,7 @@ func newFlowCache(m telemetry.Meter) *flowCache {
 }
 
 // load returns the memoized result for the key, if any.
-func (c *flowCache) load(k flowKey) (*flowResult, bool) {
+func (c *flowCache) load(k flowKey) (flowResult, bool) {
 	c.mu.RLock()
 	r, ok := c.m[k]
 	c.mu.RUnlock()
@@ -69,14 +69,14 @@ func (c *flowCache) load(k flowKey) (*flowResult, bool) {
 
 // loadOrStore memoizes r unless the key holds a result already, and returns
 // the one held and whether it was.
-func (c *flowCache) loadOrStore(k flowKey, r *flowResult) (*flowResult, bool) {
+func (c *flowCache) loadOrStore(k flowKey, r flowResult) (flowResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if held, ok := c.m[k]; ok {
 		return held, true
 	}
 	if c.m == nil {
-		c.m = make(map[flowKey]*flowResult)
+		c.m = make(map[flowKey]flowResult)
 	}
 	c.m[k] = r
 	return r, false
@@ -90,7 +90,7 @@ func (c *flowCache) loadOrStore(k flowKey, r *flowResult) (*flowResult, bool) {
 // Only the winner counts a miss; the loser was served the stored entry and
 // counts a hit, so misses is exactly the number of distinct flows memoized
 // however the callers interleave.
-func (c *flowCache) store(k flowKey, r *flowResult) *flowResult {
+func (c *flowCache) store(k flowKey, r flowResult) flowResult {
 	r, loaded := c.loadOrStore(k, r)
 	if loaded {
 		c.hits.Add(1)

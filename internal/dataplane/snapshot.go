@@ -270,6 +270,19 @@ func (t *Trace) String() string {
 
 const maxHops = 64
 
+// traceBlock is a trace and the backing array of its first hops: real paths
+// are a handful of hops, so a trace is one allocation.
+type traceBlock struct {
+	t    Trace
+	hops [8]Hop
+}
+
+func newTrace(f Flow) *Trace {
+	b := &traceBlock{t: Trace{Flow: f}}
+	b.t.Hops = b.hops[:0]
+	return &b.t
+}
+
 // TraceFrom forwards the flow starting at the named device and returns the
 // hop-by-hop trace. The source device is usually the host owning f.Src, but
 // any device can originate (used by the console's ping command). The walk
@@ -279,21 +292,32 @@ const maxHops = 64
 // no trace or read has yet.
 func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 	h := s.positions()
-	t := &Trace{Flow: f, Hops: make([]Hop, 0, 8)}
+	t := newTrace(f)
 	cur, ok := h.pos[src]
 	if !ok {
 		t.Disposition, t.Where, t.Detail = DropNoRoute, src, "unknown device"
 		return t
 	}
+	return s.walk(h, t, cur, "")
+}
+
+// walk forwards t's flow from device cur, entered on inIf, after the hops t
+// already holds: none from the source, the prefix of the parent's trace a
+// resumed retrace keeps (resume). Loop detection starts with their devices.
+func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
+	f := t.Flow
 	dst, ok := h.owner[f.Dst]
 	if !ok {
 		dst = -1
 	}
-	inIf := ""
 	// Loop detection state: a plain slice scanned linearly beats a map
 	// here — the hop budget is 64 and real paths are a handful of hops.
-	visited := make([]int32, 0, 8)
-	for hop := 0; hop < maxHops; hop++ {
+	var buf [8]int32
+	visited := buf[:0]
+	for _, hp := range t.Hops {
+		visited = append(visited, h.pos[hp.Device])
+	}
+	for len(t.Hops) < maxHops {
 		name := h.names[cur]
 		d := s.net.Devices[name]
 		if d == nil {
@@ -307,7 +331,7 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 			if itf != nil && itf.ACLIn != "" {
 				if acl := d.ACL(itf.ACLIn, false); acl != nil {
 					if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-						return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, fmt.Sprintf("acl %s in on %s", itf.ACLIn, inIf))
+						return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, "acl "+itf.ACLIn+" in on "+inIf)
 					}
 				}
 			}
@@ -339,7 +363,7 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		if outItf != nil && outItf.ACLOut != "" {
 			if acl := d.ACL(outItf.ACLOut, false); acl != nil {
 				if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-					return t.stop(out, DropACL, name, fmt.Sprintf("acl %s out on %s", outItf.ACLOut, e.OutIf))
+					return t.stop(out, DropACL, name, "acl "+outItf.ACLOut+" out on "+e.OutIf)
 				}
 			}
 		}
@@ -351,7 +375,7 @@ func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 		}
 		next, found := h.resolve(cur, e.OutIf, nhAddr)
 		if !found {
-			return t.stop(out, DropARPFail, name, fmt.Sprintf("no neighbor %s via %s", nhAddr, e.OutIf))
+			return t.stop(out, DropARPFail, name, "no neighbor "+nhAddr.String()+" via "+e.OutIf)
 		}
 		t.Hops = append(t.Hops, out)
 		cur, inIf = next.dev, next.itf
@@ -369,28 +393,62 @@ func (t *Trace) stop(h Hop, d Disposition, where, detail string) *Trace {
 
 // Reach traces host-to-host traffic: the flow's source and destination
 // addresses are looked up from the named hosts. It returns the trace and an
-// error when either host is unknown or unaddressed.
+// error when either host is unknown or unaddressed. It is ReachFrom with no
+// parent trace.
+func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
+	return s.ReachFrom(nil, srcHost, dstHost, proto, dstPort)
+}
+
+// ReachFrom is Reach given prev, the flow's trace on the snapshot this one
+// was derived from (nil when unknown). When the derivation kept adjacency
+// and addresses and prev crosses a hop Carries rejects, the retrace resumes
+// at the first: it keeps prev's hops before it, seeds loop detection with
+// them and walks on from that hop's device and ingress interface with
+// prev's flow. The prefix read nothing that differs and no address moved,
+// so the trace is the one a walk from the source gives.
 //
 // Results are memoized per (srcHost, dstHost, proto, dstPort) for the
 // snapshot's lifetime, so policy checkers and the attack-surface sweep can
 // re-ask for the same flow without retracing it. A derived snapshot looks
-// next in its parent's cache (see Derive) and offers what it has to trace
-// itself back to the parent when that trace is clean too, which is how a
-// held production snapshot nobody calls Reach on fills from its first
+// next in its parent's cache (see Derive) and offers what it has traced
+// from the source back to the parent when that trace is clean too, which is
+// how a held production snapshot nobody calls Reach on fills from its first
 // review. Callers share the returned trace and must treat it as read-only
-// (every caller in the tree already does). Reach is safe for concurrent use.
-func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
+// (every caller in the tree already does). ReachFrom is safe for concurrent
+// use.
+func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
 	k := flowKey{src: srcHost, dst: dstHost, proto: proto, dstPort: dstPort}
 	if r, ok := s.flows.load(k); ok {
 		s.flows.hits.Add(1)
 		s.flows.hitCtr.Inc()
 		return r.tr, r.err
 	}
+	if prev != nil && s.parentFlows != nil {
+		if i := s.firstStale(prev); i < len(prev.Hops) {
+			// A resumed trace crosses the hop it resumed at, so it never
+			// carries back to the parent.
+			t := newTrace(prev.Flow)
+			t.Hops = append(t.Hops, prev.Hops[:i]...)
+			h, at := s.positions(), prev.Hops[i]
+			return s.flows.store(k, flowResult{tr: s.walk(h, t, h.pos[at.Device], at.InIf)}).tr, nil
+		}
+	}
 	if r, ok := s.carried(k); ok {
 		return r.tr, r.err
 	}
-	tr, err := s.reach(srcHost, dstHost, proto, dstPort)
-	r := s.flows.store(k, &flowResult{tr: tr, err: err})
+	var r flowResult
+	if src, ok := s.net.HostAddr(srcHost); !ok {
+		r.err = fmt.Errorf("dataplane: no such host %q", srcHost)
+	} else if dst, ok := s.net.HostAddr(dstHost); !ok {
+		r.err = fmt.Errorf("dataplane: no such host %q", dstHost)
+	} else {
+		f := Flow{Proto: proto, Src: src, Dst: dst, DstPort: dstPort}
+		if proto == netmodel.TCP || proto == netmodel.UDP {
+			f.SrcPort = 40000
+		}
+		r.tr = s.TraceFrom(srcHost, f)
+	}
+	r = s.flows.store(k, r)
 	if s.Carries(r.tr) {
 		s.parentFlows.loadOrStore(k, r)
 	}
@@ -400,13 +458,13 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 // carried serves the flow from the parent's cache when the memoized trace
 // is clean, and memoizes it here so the next generation finds it one level
 // up. The parent's own counters do not move: they count its Reach calls.
-func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
+func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 	if s.parentFlows == nil {
-		return nil, false
+		return flowResult{}, false
 	}
 	r, ok := s.parentFlows.load(k)
 	if !ok || !s.Carries(r.tr) {
-		return nil, false
+		return flowResult{}, false
 	}
 	r, _ = s.flows.loadOrStore(k, r)
 	s.flows.hits.Add(1)
@@ -424,43 +482,33 @@ func (s *Snapshot) carried(k flowKey) (*flowResult, bool) {
 // no hops: it depends on the device set and host addresses only. Traces move
 // between the two flow caches under this test, and so do the policy verdicts
 // decided on them (verify.CheckCarried): there is no other staleness rule.
+// A trace it fails is resumed at its first stale hop (ReachFrom).
 func (s *Snapshot) Carries(tr *Trace) bool {
 	if s.parentFlows == nil {
 		return false
 	}
-	if tr == nil {
-		return true
-	}
+	return tr == nil || s.firstStale(tr) == len(tr.Hops)
+}
+
+// firstStale is the index of tr's first hop on a stale device or a suspect
+// whose RIB moved, len(tr.Hops) when there is none. Only the suspects before
+// the first stale device are decided.
+func (s *Snapshot) firstStale(tr *Trace) int {
+	first := len(tr.Hops)
 	for i := range tr.Hops {
 		if slices.Contains(s.stale, tr.Hops[i].Device) {
-			return false
+			first = i
+			break
 		}
 	}
 	if len(s.suspects) > 0 {
-		for i := range tr.Hops {
+		for i := range tr.Hops[:first] {
 			if sp := s.suspects[tr.Hops[i].Device]; sp != nil && sp.moved(s) {
-				return false
+				return i
 			}
 		}
 	}
-	return true
-}
-
-// reach is the uncached trace computation behind Reach.
-func (s *Snapshot) reach(srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
-	src, ok := s.net.HostAddr(srcHost)
-	if !ok {
-		return nil, fmt.Errorf("dataplane: no such host %q", srcHost)
-	}
-	dst, ok := s.net.HostAddr(dstHost)
-	if !ok {
-		return nil, fmt.Errorf("dataplane: no such host %q", dstHost)
-	}
-	f := Flow{Proto: proto, Src: src, Dst: dst, DstPort: dstPort}
-	if proto == netmodel.TCP || proto == netmodel.UDP {
-		f.SrcPort = 40000
-	}
-	return s.TraceFrom(srcHost, f), nil
+	return first
 }
 
 // BGPPeer describes one configured BGP neighbor and its session state.

@@ -220,7 +220,7 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	}
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
 	verifyStart := time.Now()
-	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap), nil, e.meter)
+	res := verify.CheckCarried(shadowSnap, e.policies, e.reviewVerdicts(prodSnap), nil, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
@@ -522,8 +522,9 @@ func (e *Enforcer) emergencyRule(prod *netmodel.Network, held *dataplane.Snapsho
 	if vec == nil { // no longer the held snapshot: nothing is known of it
 		vec = make(verify.Verdicts, len(e.policies))
 	}
+	verify.Fill(held, e.policies, vec)
 	for i, p := range e.policies {
-		if v := vec[i].Load(); v != nil && v.Violation != nil || v == nil && verify.CheckPolicy(held, p) != nil {
+		if vec[i].Load().Violation != nil {
 			rule += " " + p.ID
 		}
 	}

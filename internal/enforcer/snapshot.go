@@ -11,8 +11,14 @@ package enforcer
 // Beside the snapshot it holds what is known of the policies on it, one
 // verdict per policy: a review derives its snapshot from the held one and
 // evaluates only the policies whose held verdict rests on a trace the
-// derivation does not carry. The vector is installed, handed over and
-// dropped with the snapshot, never apart from it. A commit lands what its
+// derivation does not carry, each retraced from that trace's first changed
+// hop (dataplane.Snapshot.ReachFrom). The vector is installed, handed over
+// and dropped with the snapshot, never apart from it. A commit's vector is
+// complete: its post-apply check decides every policy. A version computed
+// from scratch starts empty and its first review completes it on
+// production. A declared write (ProductionWritten) holds what its
+// derivation carries, and a review fills a hole only with a trace
+// production shares. A commit lands what its
 // review verified: the post-apply check derives from the shadow that review
 // kept (or, if displaced, from the pre-commit snapshot) across whatever
 // config.DiffDevice finds on the touched devices, so a push that landed the
@@ -30,6 +36,8 @@ package enforcer
 // after a crash, holding nothing to derive from.
 
 import (
+	"sync"
+
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
@@ -37,15 +45,16 @@ import (
 )
 
 // heldSnapshot is a production snapshot, what it is valid for, and the
-// verdicts known on it: index-aligned with e.policies, a slot filled by the
-// first review of this version to decide that policy on a trace production
-// shares (verify.CheckCarried), or by the commit or declared write that
-// created the version.
+// verdicts known on it, index-aligned with e.policies (which slots are
+// filled when: the package doc). computed marks a vector ProductionSnapshot
+// started empty, which complete fills once (reviewVerdicts).
 type heldSnapshot struct {
 	net      *netmodel.Network
 	version  uint64
 	snap     *dataplane.Snapshot
 	verdicts verify.Verdicts
+	computed bool
+	complete sync.Once
 }
 
 // verdictsOf returns the vector held beside snap: nil unless snap is the
@@ -56,6 +65,22 @@ func (e *Enforcer) verdictsOf(snap *dataplane.Snapshot) verify.Verdicts {
 		return h.verdicts
 	}
 	return nil
+}
+
+// reviewVerdicts is verdictsOf for a review, which runs while production
+// matches snap: a vector ProductionSnapshot started empty is completed
+// there first, once per version (verify.Fill). A review resumes a retrace
+// only from a verdict's trace, and a policy no review carries would
+// otherwise never fill its slot.
+func (e *Enforcer) reviewVerdicts(snap *dataplane.Snapshot) verify.Verdicts {
+	h := e.prodSnap.Load()
+	if h == nil || h.snap != snap {
+		return nil
+	}
+	if h.computed {
+		h.complete.Do(func() { verify.Fill(snap, e.policies, h.verdicts) })
+	}
+	return h.verdicts
 }
 
 // HeldVerdicts returns the policy verdicts held beside prod's snapshot at
@@ -100,7 +125,8 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 	}
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
 	snap := dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter})
-	e.holdSnapshot(prod, version, snap, make(verify.Verdicts, len(e.policies)))
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap,
+		verdicts: make(verify.Verdicts, len(e.policies)), computed: true})
 	return snap
 }
 

@@ -356,3 +356,81 @@ func TestReviewsShareParentMemo(t *testing.T) {
 	}
 	t.Logf("%d of %d reviews rejected, %v verdicts carried", rejected, reviewers*rounds, carried)
 }
+
+// TestComputedVectorCompletedOnce: a version ProductionSnapshot computed
+// from scratch starts with an empty vector, and its first review completes
+// it on production, so every slot is then the from-scratch verdict and a
+// second review resumes each retrace from production's trace without
+// tracing anything on production. A declared write's vector keeps the holes
+// Verdicts.Carried leaves: no review completes it.
+func TestComputedVectorCompletedOnce(t *testing.T) {
+	scen := scenarios.University()
+	n := scen.Network
+	e := newCrashEnforcer(scen)
+	reg := telemetry.NewRegistry()
+	e.SetMeter(reg)
+	var at struct{ dev, acl string }
+	for _, dev := range n.RoutersAndSwitches() {
+		for _, ifName := range n.Devices[dev].InterfaceNames() {
+			if itf := n.Devices[dev].Interfaces[ifName]; itf.ACLOut != "" && at.dev == "" {
+				at.dev, at.acl = dev, itf.ACLOut
+			}
+		}
+	}
+	spec := allowSpec(privilege.Rule{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:*"})
+	deny := func(port int) config.Change {
+		return config.Change{Device: at.dev, Op: config.OpAddACLEntry, ACLName: at.acl,
+			Entry: &netmodel.ACLEntry{Seq: 1, Action: netmodel.Deny, Proto: netmodel.TCP, DstPort: uint16(port)}}
+	}
+	misses := func() uint64 {
+		_, m := e.ProductionSnapshot(n).FlowCacheStats()
+		return m
+	}
+	resumed := func() float64 { return reg.CounterValue("heimdall_verify_policies_resumed_total") }
+
+	e.Review(n, []config.Change{deny(1001)}, spec)
+	held := e.HeldVerdicts(n)
+	for i := range held {
+		if held[i].Load() == nil {
+			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
+		}
+	}
+	verdictsMatchCompute(t, "first review", e.policies, held, n)
+
+	before, resumed0 := misses(), resumed()
+	e.Review(n, []config.Change{deny(1002)}, spec)
+	if got := misses(); got != before {
+		t.Fatalf("the second review traced %d flows on production, want 0", got-before)
+	}
+	if resumed() == resumed0 {
+		t.Fatal("the second review resumed no trace: the test exercises nothing")
+	}
+
+	// A declared write on the guarded device: the derived version holds
+	// exactly the verdicts it carries, and a review leaves it so.
+	old := make([]*verify.Verdict, len(held))
+	for i := range held {
+		old[i] = held[i].Load()
+	}
+	pre := n.CloneCOW(at.dev)
+	if err := config.ApplyChanges(n, []config.Change{deny(1003)}); err != nil {
+		t.Fatal(err)
+	}
+	e.ProductionWritten(n, pre, []string{at.dev})
+	derived, vec, holes := e.ProductionSnapshot(n), e.HeldVerdicts(n), 0
+	for i := range vec {
+		if carried := derived.Carries(old[i].Trace); (vec[i].Load() != nil) != carried {
+			t.Fatalf("%s: held after the declared write = %v, carried = %v", e.policies[i], vec[i].Load() != nil, carried)
+		} else if !carried {
+			holes++
+		}
+	}
+	if holes == 0 {
+		t.Fatal("the declared write left no hole: the test exercises nothing")
+	}
+	e.Review(n, []config.Change{deny(1004)}, spec)
+	if got := misses(); got != 0 {
+		t.Fatalf("a review after a declared write traced %d flows on production: the vector was completed", got)
+	}
+	verdictsMatchCompute(t, "review after the declared write", e.policies, e.HeldVerdicts(n), n)
+}

@@ -263,7 +263,9 @@ var chainTiers = []*chainTier{
 // vector must still be the parent's verdicts) or as a declared write does
 // (Verdicts.Carried, nothing evaluated, the next step finds the holes).
 // Either way every filled slot of the new vector must be the from-scratch
-// verdict. A failure names the step sequence.
+// verdict, and a commit-like hand-over must have resumed every parent trace
+// the derivation does not carry to the trace a walk from the source gives
+// (fromSource). A failure names the step sequence.
 func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (stats chainStats) {
 	scen, snap := tier.base()
 	policies, verdicts := tier.policies, tier.baseVerdicts
@@ -325,12 +327,18 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 
 		full := dataplane.Compute(next)
 		if b>>5&1 == 0 && !light {
+			var resumed []int // the slots whose trace the check resumes
 			for i := range verdicts {
-				if v := verdicts[i].Load(); v != nil && snap.Carries(v.Trace) {
+				v := verdicts[i].Load()
+				switch {
+				case v == nil:
+				case snap.Carries(v.Trace):
 					stats.carried++
 					if v.Violation != nil {
 						stats.carriedViolations++
 					}
+				case snap.Carries(nil):
+					resumed = append(resumed, i)
 				}
 			}
 			handed := make(verify.Verdicts, len(policies))
@@ -342,6 +350,12 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 			for i := range handed {
 				if handed[i].Load() == nil {
 					t.Fatalf("step %d: the check left slot %d of the handed-over vector empty\nsteps: %q", len(trail), i, trail)
+				}
+			}
+			for _, i := range resumed {
+				if tr, want := handed[i].Load().Trace, fromSource(snap, next, policies[i]); !reflect.DeepEqual(tr, want) {
+					t.Fatalf("step %d: %s: resumed trace diverged from the source's\nresumed: %s\nsource:  %s\nsteps: %q",
+						len(trail), policies[i], tr, want, trail)
 				}
 			}
 			checkVerdicts(t, "parent vector after the fill-back", policies, verdicts, prevFull, trail)

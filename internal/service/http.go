@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync"
 
@@ -39,7 +41,8 @@ const TokenHeader = "X-Heimdall-Token"
 // Errors map onto statuses: unknown tenant/session/ticket 404, duplicate
 // tenant 409, token mismatch 403, reference-monitor denial 403, expired
 // session 410, closed session 409, verify-queue overload 429, request body
-// over 1 MiB 413. Every JSON reply is one compact line with a Content-Length.
+// over 1 MiB 413, a handler panic 500 (recoverPanics). Every JSON reply is
+// one compact line with a Content-Length.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -207,7 +210,30 @@ func (s *Service) Handler() http.Handler {
 		})
 	})
 
-	return mux
+	return s.recoverPanics(mux)
+}
+
+// recoverPanics turns a handler's panic into a compact JSON 500, logged with
+// its stack and counted (heimdall_service_http_panics_total), where net/http
+// would drop the connection without a reply; the server serves on.
+// http.ErrAbortHandler keeps its meaning: the handler wants the connection
+// dropped.
+func (s *Service) recoverPanics(next http.Handler) http.Handler {
+	panics := s.meter.Counter("heimdall_service_http_panics_total")
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			switch v := recover(); v {
+			case nil:
+			case http.ErrAbortHandler:
+				panic(v)
+			default:
+				panics.Inc()
+				log.Printf("heimdall: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal error"})
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
 }
 
 // writeDecision renders a Review/Commit outcome. A rejected change set is

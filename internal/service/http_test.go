@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -500,4 +502,43 @@ func TestHTTPConcurrentRepliesOwnTheirBytes(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// panickyMeter is a registry whose exposition panics, so GET /metrics is a
+// real route that panics.
+type panickyMeter struct{ *telemetry.Registry }
+
+func (panickyMeter) Dump() string { panic("exposition failed") }
+
+// TestHTTPPanicIs500: a handler that panics answers a compact JSON 500 and
+// counts it, where net/http would drop the connection, and the server goes
+// on serving.
+func TestHTTPPanicIs500(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc := New(Config{Meter: panickyMeter{reg}})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+
+	for i := 1; i <= 2; i++ {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatalf("panicking route %d: %v (connection dropped)", i, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		checkFraming(t, "panicking route", resp, body)
+		if resp.StatusCode != http.StatusInternalServerError || string(body) != `{"error":"internal error"}`+"\n" {
+			t.Fatalf("panicking route %d: %d %q", i, resp.StatusCode, body)
+		}
+		if got := reg.CounterValue("heimdall_service_http_panics_total"); got != float64(i) {
+			t.Fatalf("panics counted = %v, want %d", got, i)
+		}
+		c := &httpClient{t: t, srv: srv}
+		if s, _ := c.do("GET", "/healthz", "", nil); s != http.StatusOK {
+			t.Fatalf("healthz after a panic: %d", s)
+		}
+	}
 }

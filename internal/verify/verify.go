@@ -206,31 +206,41 @@ func CheckMetered(s *dataplane.Snapshot, policies []Policy, m telemetry.Meter) *
 // verdicts are (partly) known. parent, when not nil, is that snapshot's
 // vector over the same policies: a verdict decided there on a trace s
 // carries (dataplane.Snapshot.Carries) is s's verdict too and is taken by
-// index; every other policy is traced and decided on s, and fills the
-// parent's empty slot when the parent shares that trace — which is how the
-// vector of a snapshot nobody checks directly warms from the first check
-// derived from it. next, when not nil, receives every policy's verdict on
-// s. Checked counts every policy: each holds a verdict valid for s.
+// index. Every other policy is traced and decided on s: from the parent
+// verdict's trace when there is one (dataplane.Snapshot.ReachFrom resumes
+// it at its first stale hop, and a resumed trace never carries back), else
+// from the source, and then it fills the parent's empty slot when the
+// parent shares that trace — which is how the vector of a snapshot nobody
+// checks directly warms from the first check derived from it. next, when
+// not nil, receives every policy's verdict on s. Checked counts every
+// policy: each holds a verdict valid for s.
 func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
-	carried := 0
+	// A nil trace carries exactly when s is in a carry generation, which is
+	// when a parent trace s does not carry is resumed.
+	resumable := parent != nil && s.Carries(nil)
+	carried, resumed := 0, 0
 	for i, p := range policies {
 		var v *Verdict
 		if parent != nil {
-			if v = parent[i].Load(); v != nil && !s.Carries(v.Trace) {
-				v = nil
-			}
+			v = parent[i].Load()
 		}
 		var violation *Violation
-		if v != nil {
+		if v != nil && s.Carries(v.Trace) {
 			carried++
 			violation = v.Violation
 		} else {
-			tr, err := s.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+			var prev *dataplane.Trace
+			if v != nil && resumable {
+				prev = v.Trace
+				resumed++
+			}
+			tr, err := s.ReachFrom(prev, p.Src, p.Dst, p.Proto, p.DstPort)
 			violation = decide(p, tr, err)
 			// A verdict is allocated only for a slot that takes it.
-			fill := parent != nil && s.Carries(tr)
+			fill := v == nil && parent != nil && s.Carries(tr)
+			v = nil
 			if fill || next != nil {
 				v = &Verdict{Trace: tr, Violation: violation}
 			}
@@ -250,11 +260,23 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 		m.Counter("heimdall_verify_runs_total").Inc()
 		m.Counter("heimdall_verify_policies_checked_total").Add(float64(res.Checked))
 		m.Counter("heimdall_verify_policies_carried_total").Add(float64(carried))
+		m.Counter("heimdall_verify_policies_resumed_total").Add(float64(resumed))
 		m.Counter("heimdall_verify_counterexamples_total").Add(float64(len(res.Violations)))
 		m.Histogram("heimdall_verify_run_seconds", telemetry.LatencyBuckets).
 			ObserveDuration(res.Elapsed)
 	}
 	return res
+}
+
+// Fill decides on s every policy whose slot of v, the vector of s, is empty,
+// so every later check derived from s carries or resumes each policy's trace.
+func Fill(s *dataplane.Snapshot, policies []Policy, v Verdicts) {
+	for i, p := range policies {
+		if v[i].Load() == nil {
+			tr, err := s.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+			v[i].CompareAndSwap(nil, &Verdict{Trace: tr, Violation: decide(p, tr, err)})
+		}
+	}
 }
 
 // CheckPolicy evaluates one policy, returning nil when it holds and the
