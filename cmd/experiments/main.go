@@ -6,7 +6,6 @@
 //	experiments -fig9          # Figure 9: university trade-off
 //	experiments -verifycost    # §4.3 verification-cost anchor
 //	experiments -chaos N       # N seeded fault schedules vs the pipeline
-//	experiments -replica-chaos # the replication chaos deck
 //	experiments -scale-tiers   # generated-topology scale tiers
 //	experiments -all           # everything but -scale-tiers
 //
@@ -46,7 +45,6 @@ func main() {
 		verifyCost = flag.Bool("verifycost", false, "measure the verification-cost anchor")
 		chaos      = flag.Int("chaos", 0, "run N seeded fault schedules against the commit pipeline")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "first seed of the -chaos sweep")
-		repChaos   = flag.Bool("replica-chaos", false, "run the replication chaos deck against the replicated enforcer")
 		all        = flag.Bool("all", false, "run every experiment")
 		budget     = flag.Int("budget", 0, "mutation budget per sample for fig8/fig9 (0 = full search)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for the fig8/fig9 sweep (1 = serial; results identical)")
@@ -55,7 +53,7 @@ func main() {
 		scaleTiers = flag.Bool("scale-tiers", false, "measure the generated-topology scale tiers")
 	)
 	flag.Parse()
-	if !(*table1 || *fig7 || *fig8 || *fig9 || *verifyCost || *chaos > 0 || *repChaos || *all || *scaleTiers) {
+	if !(*table1 || *fig7 || *fig8 || *fig9 || *verifyCost || *chaos > 0 || *all || *scaleTiers) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -116,15 +114,6 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Print(experiments.FormatChaos(s))
-		})
-	}
-	if *all || *repChaos {
-		timed("replica-chaos", func() {
-			s, err := experiments.ReplicaChaos()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Print(experiments.FormatReplicaChaos(s))
 		})
 	}
 	if *scaleTiers {

@@ -5,12 +5,12 @@ package main
 //
 //	heimdallctl journal dump   -in commit.journal [-key HEX]
 //	heimdallctl journal verify -in commit.journal -key HEX
-//	heimdallctl journal diff   -a coord.journal -b replica.journal [-key HEX]
+//	heimdallctl journal diff   -a before.journal -b after.journal [-key HEX]
 //
 // dump prints the chain human-readably (and authenticates it when the key
 // is supplied); verify authenticates the chain and prints its head; diff
 // compares two exports record-by-record and reports whether one is a
-// prefix of the other (the shape a crash or a lagging replica leaves) or
+// prefix of the other (the shape a crash or a stale copy leaves) or
 // where they diverge (the shape a forgery leaves).
 
 import (

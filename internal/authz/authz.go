@@ -11,9 +11,7 @@
 // approval is an HMAC over a canonical digest of (ticket, scheduled change
 // set) under that signer's key, and the approvals are recorded in the
 // commit journal's intent record — so the journal itself proves who
-// authorized what, and every enforcer replica re-verifies the approvals
-// independently before voting to commit (a coordinator that skips the
-// check cannot reach quorum).
+// authorized what.
 package authz
 
 import (
@@ -56,7 +54,7 @@ func (r Risk) String() string {
 func Classify(changes []config.Change) Risk {
 	for _, c := range changes {
 		switch c.Op {
-		case config.OpAddACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL,
+		case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL,
 			config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway,
 			config.OpSetOSPF, config.OpRemoveOSPF, config.OpSetBGP, config.OpRemoveBGP:
 			return HighRisk

@@ -29,6 +29,8 @@ func TestClassify(t *testing.T) {
 		{"empty", nil, LowRisk},
 		{"vlan-only", []config.Change{vlanChange()}, LowRisk},
 		{"acl", []config.Change{aclChange()}, HighRisk},
+		{"acl-replacement", []config.Change{{Device: "r1", Op: config.OpSetACLEntry, ACLName: "GUARD",
+			Entry: &netmodel.ACLEntry{Seq: 30, Action: netmodel.Deny}}}, HighRisk},
 		{"mixed", []config.Change{vlanChange(), aclChange()}, HighRisk},
 		{"static-route", []config.Change{{Device: "r1", Op: config.OpAddStaticRoute}}, HighRisk},
 		{"gateway", []config.Change{{Device: "r1", Op: config.OpSetGateway}}, HighRisk},

@@ -54,8 +54,9 @@ type Link[T any] interface {
 	seal() *Seal
 }
 
-// Head is a compact claim about a chain's tip — what replicas exchange
-// during cross-audit. Index is -1 for an empty chain.
+// Head is a compact claim about a chain's tip: the index and hash of its
+// last link, which is what two copies of a chain are compared by. Index is
+// -1 for an empty chain.
 type Head struct {
 	Index int    `json:"index"`
 	Hash  string `json:"hash"`
@@ -98,9 +99,8 @@ func stamp[T any, P Link[T]](mac hash.Hash, p P, i int, prev string) {
 }
 
 // admit is the one rule by which an already-sealed link is accepted as
-// link i of a chain whose previous link hashes to prev. Verify, Import and
-// AppendVerbatim all go through it, so a link a replica mirrors is a link
-// its chain verifies. The MAC is compared as the string Append would have
+// link i of a chain whose previous link hashes to prev. Verify and Import
+// both go through it. The MAC is compared as the string Append would have
 // written, not as the bytes it decodes to: hex decoding accepts either
 // case, and no byte of an exported MAC may change without failing here.
 func admit[T any, P Link[T]](mac hash.Hash, p P, i int, prev string) error {
@@ -144,10 +144,10 @@ func Verify[T any, P Link[T]](links []T, key []byte) error {
 }
 
 // Rechain recomputes every index, hash, prev-hash link and MAC of a link
-// slice in place — exactly the forgery a compromised replica that holds
-// the key can produce. Verify cannot catch a rechained chain (the insider
-// has the key); majority cross-audit between replicas can, which is why
-// Byzantine drills need this helper to simulate the attack.
+// slice in place — exactly the forgery an insider who holds the key can
+// produce. Verify cannot catch a rechained chain (the insider has the
+// key); comparing it with another copy of the chain can, which is why
+// tamper drills need this helper to simulate the attack.
 func Rechain[T any, P Link[T]](links []T, key []byte) {
 	mac := hmac.New(sha256.New, key)
 	prev := ""
@@ -229,12 +229,6 @@ func (l *Log[T, P]) OnAppend(fn func(*T)) {
 	l.onAppend = fn
 }
 
-func (l *Log[T, P]) appended() {
-	if l.onAppend != nil {
-		l.onAppend(&l.links[len(l.links)-1])
-	}
-}
-
 // Append adds v to the chain, filling in index, time, hashes and MAC, and
 // returns the completed link.
 func (l *Log[T, P]) Append(v T) T {
@@ -245,26 +239,10 @@ func (l *Log[T, P]) Append(v T) T {
 	p := P(&l.links[n])
 	p.header().Time = l.now()
 	stamp(l.mac, p, n, prev)
-	l.appended()
-	return l.links[n]
-}
-
-// AppendVerbatim appends an already-sealed link without re-stamping it —
-// the replica-mirroring primitive: an enforcer replica copies the
-// coordinator's links byte for byte, so honest replica chains are
-// bit-identical by construction. The link must extend the current head
-// exactly and authenticate under the log's key (see admit); any other
-// link is refused, which is how a replica notices it has lagged or
-// diverged.
-func (l *Log[T, P]) AppendVerbatim(v T) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := admit(l.mac, P(&v), len(l.links), HeadOf[T, P](l.links).Hash); err != nil {
-		return err
+	if l.onAppend != nil {
+		l.onAppend(p)
 	}
-	l.links = append(l.links, v)
-	l.appended()
-	return nil
+	return l.links[n]
 }
 
 // Links returns a copy of the chain.

@@ -50,28 +50,26 @@ func TestContentRule(t *testing.T) {
 	}
 }
 
-// TestOnAppend: the hook sees every link that joins the chain — stamped or
-// mirrored — and none that arrived by import.
+// TestOnAppend: the hook sees every link that joins the chain by Append,
+// and none that arrived by import.
 func TestOnAppend(t *testing.T) {
 	key := []byte("k")
 	src := New[note](key)
 	src.Append(note{Text: "one"})
 	src.Append(note{Text: "two"})
 
-	imported, err := FromLinks(key, src.Links()[:1])
+	imported, err := FromLinks(key, src.Links())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
 	imported.OnAppend(func(n *note) { seen = append(seen, n.Index) })
-	if err := imported.AppendVerbatim(src.Links()[1]); err != nil {
-		t.Fatal(err)
-	}
 	imported.Append(note{Text: "three"})
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("hook saw links %v, want [1 2]", seen)
+	imported.Append(note{Text: "four"})
+	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
+		t.Fatalf("hook saw links %v, want [2 3]", seen)
 	}
-	if h := HeadOf(imported.Links()); h.Index != 2 || h.Hash == "" {
+	if h := HeadOf(imported.Links()); h.Index != 3 || h.Hash == "" {
 		t.Fatalf("head = %+v", h)
 	}
 	if h := HeadOf[note](nil); h.Index != -1 {
@@ -80,7 +78,7 @@ func TestOnAppend(t *testing.T) {
 }
 
 // TestFromLinksCopies: a log seeded from a slice shares no storage with
-// it, so two replicas seeded from one chain cannot append into each other.
+// it, so two logs seeded from one chain cannot append into each other.
 func TestFromLinksCopies(t *testing.T) {
 	key := []byte("k")
 	src := New[note](key)

@@ -217,6 +217,7 @@ func TestDiffDeviceAndApply(t *testing.T) {
 	acl := newDev.ACLs["CORE-IN"]
 	acl.RemoveEntry(10)
 	acl.InsertEntry(netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: 443})
+	acl.InsertEntry(netmodel.ACLEntry{Seq: 20, Action: netmodel.Permit, Proto: netmodel.TCP})
 	newDev.StaticRoutes = newDev.StaticRoutes[:1]
 	newDev.OSPF.Passive["Loopback0"] = true
 	newDev.VLANs[30] = &netmodel.VLAN{ID: 30, Name: "mgmt"}
@@ -229,10 +230,14 @@ func TestDiffDeviceAndApply(t *testing.T) {
 	for _, c := range changes {
 		ops[c.Op]++
 	}
-	for _, want := range []Op{OpSetInterface, OpAddInterface, OpAddACLEntry, OpRemoveACLEntry, OpRemoveStaticRoute, OpSetOSPF, OpSetVLAN} {
+	for _, want := range []Op{OpSetInterface, OpAddInterface, OpAddACLEntry, OpRemoveACLEntry, OpSetACLEntry, OpRemoveStaticRoute, OpSetOSPF, OpSetVLAN} {
 		if ops[want] == 0 {
 			t.Errorf("missing op %v in %v", want, changes)
 		}
+	}
+	// A replaced entry is one op: its seq is never missing mid-push.
+	if ops[OpAddACLEntry] != 1 || ops[OpRemoveACLEntry] != 1 || ops[OpSetACLEntry] != 1 {
+		t.Errorf("ACL ops %v, want one add (seq 15), one remove (seq 10), one set (seq 20)", changes)
 	}
 
 	// Applying the diff to a clone of old reproduces new.
@@ -259,14 +264,20 @@ func TestApplyChangeErrors(t *testing.T) {
 	cases := []Change{
 		{Device: "other", Op: OpRemoveOSPF},
 		{Device: "r3", Op: OpRemoveACLEntry, ACLName: "CORE-IN", Seq: 999},
+		{Device: "r3", Op: OpSetACLEntry, ACLName: "CORE-IN", Entry: &netmodel.ACLEntry{Seq: 999}},
+		{Device: "r3", Op: OpSetACLEntry, ACLName: "NOPE", Entry: &netmodel.ACLEntry{Seq: 10}},
 		{Device: "r3", Op: OpRemoveACL, ACLName: "NOPE"},
 		{Device: "r3", Op: OpRemoveVLAN, VLANID: 99},
 		{Device: "r3", Op: OpRemoveStaticRoute, Route: &netmodel.StaticRoute{Prefix: netip.MustParsePrefix("99.0.0.0/8"), NextHop: netip.MustParseAddr("1.1.1.1")}},
 	}
+	before := Print(d)
 	for i, c := range cases {
 		if err := ApplyChange(d, c); err == nil {
 			t.Errorf("case %d (%v): expected error", i, c)
 		}
+	}
+	if Print(d) != before {
+		t.Error("a failed change wrote the device")
 	}
 }
 
@@ -277,6 +288,8 @@ func TestChangeMetadata(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 20, Action: netmodel.Deny}}
 	shut := Change{Device: "r1", Op: OpSetInterface,
 		Interface: &netmodel.Interface{Name: "Gi0/0", Shutdown: true}}
+	set := Change{Device: "r1", Op: OpSetACLEntry, ACLName: "A",
+		Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit}}
 
 	if !permit.Additive() || deny.Additive() || shut.Additive() {
 		t.Fatal("Additive classification wrong")
@@ -289,6 +302,17 @@ func TestChangeMetadata(t *testing.T) {
 	}
 	if shut.Resource() != "device:r1:interface:Gi0/0" {
 		t.Fatalf("Resource = %q", shut.Resource())
+	}
+	// Journal intents carry ops by number: a new op takes the next one.
+	if OpRemoveBGP != 13 || OpSetACLEntry != 14 {
+		t.Fatalf("op numbers moved: remove-bgp %d, set-acl-entry %d", OpRemoveBGP, OpSetACLEntry)
+	}
+	// A replacement is pushed where a removal is, whatever it writes.
+	if set.Additive() || set.Resource() != "device:r1:acl:A" || set.Action() != "config.acl.set" {
+		t.Fatalf("set-acl-entry: additive %v, resource %q, action %q", set.Additive(), set.Resource(), set.Action())
+	}
+	if got := set.String(); got != "r1 set-acl-entry: 10 permit ip any any" {
+		t.Fatalf("String = %q", got)
 	}
 	for _, c := range []Change{permit, deny, shut} {
 		if c.String() == "" {

@@ -41,6 +41,9 @@ const (
 	OpSetBGP
 	// OpRemoveBGP deletes the BGP process.
 	OpRemoveBGP
+	// OpSetACLEntry replaces the contents of one existing ACL entry, keyed
+	// by its sequence number.
+	OpSetACLEntry
 )
 
 var opNames = map[Op]string{
@@ -51,6 +54,7 @@ var opNames = map[Op]string{
 	OpRemoveOSPF: "remove-ospf", OpSetVLAN: "set-vlan",
 	OpRemoveVLAN: "remove-vlan", OpSetGateway: "set-gateway",
 	OpSetBGP: "set-bgp", OpRemoveBGP: "remove-bgp",
+	OpSetACLEntry: "set-acl-entry",
 }
 
 // String returns the kebab-case name of the op.
@@ -69,7 +73,7 @@ type Change struct {
 
 	Interface *netmodel.Interface // OpAddInterface, OpSetInterface
 	ACLName   string              // ACL ops
-	Entry     *netmodel.ACLEntry  // OpAddACLEntry
+	Entry     *netmodel.ACLEntry  // OpAddACLEntry, OpSetACLEntry
 	Seq       int                 // OpRemoveACLEntry
 	Route     *netmodel.StaticRoute
 	OSPF      *netmodel.OSPFProcess
@@ -86,7 +90,7 @@ func (c Change) Resource() string {
 	switch c.Op {
 	case OpAddInterface, OpSetInterface:
 		return fmt.Sprintf("device:%s:interface:%s", c.Device, c.Interface.Name)
-	case OpAddACLEntry, OpRemoveACLEntry, OpRemoveACL:
+	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL:
 		return fmt.Sprintf("device:%s:acl:%s", c.Device, c.ACLName)
 	case OpAddStaticRoute, OpRemoveStaticRoute:
 		return fmt.Sprintf("device:%s:route:%s", c.Device, c.Route.Prefix)
@@ -105,7 +109,8 @@ func (c Change) Resource() string {
 }
 
 // Action returns the privilege-action name of the change, e.g.
-// "config.acl.add".
+// "config.acl.add". A replaced entry's "config.acl.set" names a remove and
+// an add: the enforcer's review requires both of those on its ACL.
 func (c Change) Action() string {
 	switch c.Op {
 	case OpAddInterface:
@@ -114,6 +119,8 @@ func (c Change) Action() string {
 		return "config.interface.set"
 	case OpAddACLEntry:
 		return "config.acl.add"
+	case OpSetACLEntry:
+		return "config.acl.set"
 	case OpRemoveACLEntry:
 		return "config.acl.remove"
 	case OpRemoveACL:
@@ -143,7 +150,7 @@ func (c Change) Action() string {
 // String renders the change for logs and audit entries.
 func (c Change) String() string {
 	switch c.Op {
-	case OpAddACLEntry:
+	case OpAddACLEntry, OpSetACLEntry:
 		return fmt.Sprintf("%s %s: %s", c.Device, c.Op, FormatACLEntry(c.Entry))
 	case OpRemoveACLEntry:
 		return fmt.Sprintf("%s %s: %s seq %d", c.Device, c.Op, c.ACLName, c.Seq)
@@ -205,17 +212,15 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		}
 		for _, e := range na.Entries {
 			oe, ok := oldBySeq[e.Seq]
+			delete(oldBySeq, e.Seq)
 			if ok && oe == e {
-				delete(oldBySeq, e.Seq)
 				continue
 			}
+			op, ee := OpAddACLEntry, e
 			if ok {
-				// Replacement: remove then add.
-				out = append(out, Change{Device: dev, Op: OpRemoveACLEntry, ACLName: name, Seq: e.Seq})
-				delete(oldBySeq, e.Seq)
+				op = OpSetACLEntry
 			}
-			ee := e
-			out = append(out, Change{Device: dev, Op: OpAddACLEntry, ACLName: name, Entry: &ee})
+			out = append(out, Change{Device: dev, Op: op, ACLName: name, Entry: &ee})
 		}
 		var stale []int
 		for seq := range oldBySeq {
@@ -325,6 +330,12 @@ func ApplyChange(d *netmodel.Device, c Change) error {
 		d.Interfaces[c.Interface.Name] = c.Interface.Clone()
 	case OpAddACLEntry:
 		d.ACL(c.ACLName, true).InsertEntry(*c.Entry)
+	case OpSetACLEntry:
+		a := d.ACL(c.ACLName, false)
+		if a == nil || !a.RemoveEntry(c.Entry.Seq) {
+			return fmt.Errorf("config: %s: no entry %s seq %d", d.Name, c.ACLName, c.Entry.Seq)
+		}
+		a.InsertEntry(*c.Entry)
 	case OpRemoveACLEntry:
 		a := d.ACL(c.ACLName, false)
 		if a == nil || !a.RemoveEntry(c.Seq) {

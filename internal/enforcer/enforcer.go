@@ -6,7 +6,8 @@
 //     customer's network policies before anything touches production;
 //   - a scheduler that orders accepted changes so that applying them never
 //     transits through an obviously unsafe intermediate state (additive
-//     changes first, subtractive last);
+//     changes first, subtractive last; a replaced ACL entry is one change,
+//     so no push leaves its seq missing);
 //   - auditing: every review, application and rollback lands on the
 //     tamper-evident trail.
 //
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,7 +190,7 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	// evaluates each change without rescanning (or re-splitting) the rules.
 	compiled := spec.Compile()
 	for _, c := range changes {
-		if !compiled.Allows(c.Action(), c.Resource()) {
+		if !authorized(compiled, c) {
 			d.Unauthorized = append(d.Unauthorized, c)
 		}
 	}
@@ -235,6 +235,17 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	return d, msg, d.Accepted
 }
 
+// authorized reports whether the spec allows the change. A replaced ACL
+// entry stands for a remove and an add of its seq, so it needs both
+// actions on the ACL, exactly as that pair of changes would.
+func authorized(s *privilege.CompiledSpec, c config.Change) bool {
+	if c.Op == config.OpSetACLEntry {
+		res := c.Resource()
+		return s.Allows("config.acl.remove", res) && s.Allows("config.acl.add", res)
+	}
+	return s.Allows(c.Action(), c.Resource())
+}
+
 // changeSetFor classifies a configuration change set for snapshot
 // derivation. prod must still be in its pre-change state: the interface
 // refinement of changeKindFor reads what each change replaces.
@@ -254,7 +265,7 @@ func changeSetFor(prod *netmodel.Network, changes []config.Change) dataplane.Cha
 // full-recompute class is reserved for ops the switch doesn't recognize.
 func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind {
 	switch c.Op {
-	case config.OpAddACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL:
+	case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL:
 		return dataplane.ChangeACL
 	case config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway:
 		return dataplane.ChangeStatic
@@ -307,7 +318,7 @@ func schedulePhase(op config.Op) int {
 	// routes, then ACL entries/definitions, then VLANs.
 	case config.OpRemoveStaticRoute:
 		return 3
-	case config.OpRemoveACLEntry:
+	case config.OpRemoveACLEntry, config.OpSetACLEntry:
 		return 4
 	case config.OpRemoveACL:
 		return 5
@@ -320,31 +331,19 @@ func schedulePhase(op config.Op) int {
 // Schedule orders a change set for safe application: additive changes
 // before subtractive ones (a reachability-restoring entry lands before the
 // entry it replaces disappears), definitions before bindings, and a
-// deterministic device order within each phase. The ops on one ACL entry
-// (config.DiffDevice replaces one by a remove, then an add) keep their
-// order: each sorts where the entry's first op does.
+// deterministic device order within each phase; the sort is stable, so
+// changes of one phase on one device keep their input order. A replaced ACL
+// entry is one change (config.OpSetACLEntry), pushed as a removal would be.
 func Schedule(changes []config.Change) []config.Change {
-	// rank: the phase, plus 8 if subtractive; first: each ACL entry's first.
-	rank, first := make(map[config.Change]int), make(map[config.Change]int)
-	for _, c := range changes {
-		rank[c] = schedulePhase(c.Op)
-		if !c.Additive() {
-			rank[c] += 8
+	rank := func(c config.Change) int {
+		if c.Additive() {
+			return schedulePhase(c.Op)
 		}
-		at := config.Change{Device: c.Device, ACLName: c.ACLName, Seq: c.Seq}
-		if c.Op == config.OpAddACLEntry {
-			at.Seq = c.Entry.Seq
-		} else if c.Op != config.OpRemoveACLEntry {
-			continue
-		}
-		if _, ok := first[at]; !ok {
-			first[at] = rank[c]
-		}
-		rank[c] = first[at]
+		return schedulePhase(c.Op) + 8
 	}
-	out := append([]config.Change(nil), changes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return cmp.Or(rank[out[i]]-rank[out[j]], strings.Compare(out[i].Device, out[j].Device)) < 0
+	out := slices.Clone(changes)
+	slices.SortStableFunc(out, func(a, b config.Change) int {
+		return cmp.Or(rank(a)-rank(b), strings.Compare(a.Device, b.Device))
 	})
 	return out
 }
@@ -370,11 +369,7 @@ func (e *Enforcer) Commit(prod *netmodel.Network, changes []config.Change, spec 
 // the ticket + scheduled change set, both parties represented if the
 // policy demands it) before the intent is journaled; the approvals are
 // recorded in the intent record, so the journal itself proves who
-// authorized the push. When the push target replicates
-// (ReplicationHooks), the journaled intent is proposed to the replica
-// group after the write-ahead record and before the first device push;
-// a group that cannot reach quorum aborts the commit with a journaled
-// rollback on every copy.
+// authorized the push.
 func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval) (*Decision, error) {
 	return e.commit(prod, changes, spec, approvals, false)
 }
@@ -434,7 +429,6 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	// rollback, the production ancestor's diff), so only they are copied.
 	backup := prod.CloneCOW(devices...)
 	tgt := e.pushTarget(prod)
-	hooks, _ := tgt.(ReplicationHooks)
 	policy := e.Retry.withDefaults()
 	e.commitSeq++
 	cid := fmt.Sprintf("%s#%d", spec.Ticket, e.commitSeq)
@@ -444,19 +438,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	id := specIdent{spec.Ticket, spec.Technician}
 
 	// Write-ahead: the journal knows the full plan and its rule before device one.
-	intent := e.journal.IntentRule(cid, spec.Ticket, spec.Technician, ordered, preState(backup, ordered), rule, approvals...)
-	if hooks != nil {
-		if herr := hooks.BeginCommit(intent); herr != nil {
-			// Quorum not reached: abort before any device push. Nothing
-			// to restore; the rollback record closes the commit on the
-			// coordinator and on every replica that accepted the intent.
-			mirrorTo(tgt, e.journal.RolledBack(cid, nil, herr.Error()))
-			e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, "ROLLBACK: "+herr.Error(), false)
-			e.meter.Counter("heimdall_enforcer_rollbacks_total").Inc()
-			e.countCommit(false)
-			return d, fmt.Errorf("enforcer: commit aborted: %w", herr)
-		}
-	}
+	e.journal.IntentRule(cid, spec.Ticket, spec.Technician, ordered, preState(backup, ordered), rule, approvals...)
 	for i, c := range ordered {
 		opStart := time.Now()
 		err := e.pushOp(policy, rng, "apply", func() error { return tgt.Apply(c) })
@@ -471,7 +453,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 			}
 			return d, fmt.Errorf("enforcer: applying %s: %w (rolled back)", c, err)
 		}
-		mirrorTo(tgt, e.journal.Applied(cid, i, c.String()))
+		e.journal.Applied(cid, i, c.String())
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, c.String(), true)
 		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
 	}
@@ -493,7 +475,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 		}
 		return d, fmt.Errorf("enforcer: post-apply verification failed (rolled back)")
 	}
-	mirrorTo(tgt, e.journal.Committed(cid, fmt.Sprintf("%d changes", len(ordered))))
+	e.journal.Committed(cid, fmt.Sprintf("%d changes", len(ordered)))
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
 		fmt.Sprintf("committed %d changes to production (from=%s)", len(ordered), from), true)
 	// Production changed: every cached review verdict is now stale, and the

@@ -124,6 +124,37 @@ func TestReviewRejectsUnauthorizedChange(t *testing.T) {
 	}
 }
 
+// TestReviewReplacementNeedsAddAndRemove: a replaced ACL entry stands for a
+// remove and an add of its seq, so the review requires both actions on the
+// ACL. A spec that allows adding entries but omits or denies removing them
+// gains no reach through a replacement.
+func TestReviewReplacementNeedsAddAndRemove(t *testing.T) {
+	n := prod()
+	e := newEnforcer(n)
+	widened := []config.Change{{Device: "r1", Op: config.OpSetACLEntry, ACLName: "GUARD",
+		Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.AnyProto,
+			Dst: netip.MustParsePrefix("10.3.0.0/16")}}}
+	rule := func(effect privilege.Effect, action string) privilege.Rule {
+		return privilege.Rule{Effect: effect, Action: action, Resource: "device:r1"}
+	}
+	for _, tc := range []struct {
+		name string
+		spec *privilege.Spec
+		ok   bool
+	}{
+		{"add only", allowSpec(rule(privilege.AllowEffect, "config.acl.add")), false},
+		{"remove denied", allowSpec(rule(privilege.AllowEffect, "config.acl.*"), rule(privilege.DenyEffect, "config.acl.remove")), false},
+		{"remove only", allowSpec(rule(privilege.AllowEffect, "config.acl.remove")), false},
+		{"add and remove", allowSpec(rule(privilege.AllowEffect, "config.acl.add"), rule(privilege.AllowEffect, "config.acl.remove")), true},
+		{"config.acl.*", aclSpec(), true},
+	} {
+		d := e.Review(n, widened, tc.spec)
+		if d.Accepted != tc.ok || (len(d.Unauthorized) == 0) != tc.ok {
+			t.Errorf("%s: accepted %v, unauthorized %v; want accepted %v", tc.name, d.Accepted, d.Unauthorized, tc.ok)
+		}
+	}
+}
+
 // An addressed access port is L2-only, yet on a host it can become the
 // host's address (Network.HostAddr takes the lowest-named addressed
 // interface, whatever its mode). A review of such a change must see the
@@ -318,41 +349,31 @@ func TestAttest(t *testing.T) {
 }
 
 // TestSchedulePermutationProperty: Schedule must return a permutation of
-// its input (nothing dropped, nothing invented) in which the ops on one ACL
-// entry keep their input order — a replacement's remove stays before its
-// add — and every additive change comes before every subtractive one,
-// except an entry's later op, which sorts with the entry's first, for
-// random change sets with replacements in them.
+// its input (nothing dropped, nothing invented) in which every additive
+// change comes before every subtractive one, for random change sets with
+// replaced ACL entries in them. Nothing ties two changes to one order any
+// more, because no diff holds two ops on one ACL entry: over
+// scheduleEdits, config.DiffDevice emits at most one per (device, ACL, seq).
 func TestSchedulePermutationProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
-	type entry struct {
-		dev string
-		seq int
-	}
-	entryOf := func(c config.Change) (entry, bool) {
-		switch c.Op {
-		case config.OpAddACLEntry:
-			return entry{c.Device, c.Entry.Seq}, true
-		case config.OpRemoveACLEntry:
-			return entry{c.Device, c.Seq}, true
-		}
-		return entry{}, false
-	}
 	mk := func() config.Change {
-		switch r.Intn(6) {
+		switch r.Intn(7) {
 		case 0:
 			return config.Change{Device: dev(r), Op: config.OpAddACLEntry, ACLName: "A",
 				Entry: &netmodel.ACLEntry{Seq: r.Intn(100), Action: netmodel.ACLAction(r.Intn(2))}}
 		case 1:
 			return config.Change{Device: dev(r), Op: config.OpRemoveACLEntry, ACLName: "A", Seq: r.Intn(100)}
 		case 2:
+			return config.Change{Device: dev(r), Op: config.OpSetACLEntry, ACLName: "A",
+				Entry: &netmodel.ACLEntry{Seq: r.Intn(100), Action: netmodel.ACLAction(r.Intn(2))}}
+		case 3:
 			return config.Change{Device: dev(r), Op: config.OpSetInterface,
 				Interface: &netmodel.Interface{Name: "Gi0/0", Shutdown: r.Intn(2) == 0}}
-		case 3:
+		case 4:
 			return config.Change{Device: dev(r), Op: config.OpAddStaticRoute,
 				Route: &netmodel.StaticRoute{Prefix: netip.MustParsePrefix("10.0.0.0/8"),
 					NextHop: netip.MustParseAddr("10.0.0.1")}}
-		case 4:
+		case 5:
 			return config.Change{Device: dev(r), Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 1 + r.Intn(100)}}
 		default:
 			return config.Change{Device: dev(r), Op: config.OpRemoveVLAN, VLANID: 1 + r.Intn(100)}
@@ -360,22 +381,11 @@ func TestSchedulePermutationProperty(t *testing.T) {
 	}
 	replacedAny := false
 	for trial := 0; trial < 200; trial++ {
-		in := make([]config.Change, r.Intn(12))
+		in := make([]config.Change, r.Intn(14))
 		for i := range in {
 			in[i] = mk()
+			replacedAny = replacedAny || in[i].Op == config.OpSetACLEntry
 		}
-		// Replacements (config.DiffDevice writes a remove, then an add),
-		// shuffled in with the rest: an entry's ops must keep whatever
-		// order they arrive in.
-		for k := r.Intn(3); k > 0; k-- {
-			d, seq := dev(r), r.Intn(100)
-			in = append(in,
-				config.Change{Device: d, Op: config.OpRemoveACLEntry, ACLName: "A", Seq: seq},
-				config.Change{Device: d, Op: config.OpAddACLEntry, ACLName: "A",
-					Entry: &netmodel.ACLEntry{Seq: seq, Action: netmodel.ACLAction(r.Intn(2))}})
-			replacedAny = true
-		}
-		r.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
 		out := Schedule(in)
 		if len(out) != len(in) {
 			t.Fatalf("trial %d: length changed: %d -> %d", trial, len(in), len(out))
@@ -393,33 +403,8 @@ func TestSchedulePermutationProperty(t *testing.T) {
 				t.Fatalf("trial %d: multiset mismatch at %q", trial, k)
 			}
 		}
-		// Each entry's ops in input order.
-		byEntry := func(cs []config.Change) map[entry][]string {
-			m := map[entry][]string{}
-			for _, c := range cs {
-				if at, ok := entryOf(c); ok {
-					m[at] = append(m[at], c.String())
-				}
-			}
-			return m
-		}
-		wantBy, gotBy := byEntry(in), byEntry(out)
-		for at, ops := range wantBy {
-			if strings.Join(ops, "\n") != strings.Join(gotBy[at], "\n") {
-				t.Fatalf("trial %d: ops on %v reordered:\nin  %v\nout %v", trial, at, ops, gotBy[at])
-			}
-		}
-		// Phase invariant over the rest: an entry's later ops ride with
-		// its first.
 		seenSubtractive := false
-		seen := map[entry]bool{}
 		for _, c := range out {
-			if at, ok := entryOf(c); ok {
-				if seen[at] {
-					continue
-				}
-				seen[at] = true
-			}
 			if !c.Additive() {
 				seenSubtractive = true
 			} else if seenSubtractive {
@@ -429,6 +414,30 @@ func TestSchedulePermutationProperty(t *testing.T) {
 	}
 	if !replacedAny {
 		t.Fatal("no trial carried a replacement")
+	}
+
+	for _, n := range scheduleScenarios() {
+		for _, name := range n.DeviceNames() {
+			for trial := 0; trial < 3; trial++ {
+				b := n.Devices[name].Clone()
+				scheduleEdits(r, b, 1+r.Intn(6))
+				seen := map[config.Change]bool{}
+				for _, c := range config.DiffDevice(n.Devices[name], b) {
+					at := config.Change{Device: c.Device, ACLName: c.ACLName, Seq: c.Seq}
+					switch c.Op {
+					case config.OpAddACLEntry, config.OpSetACLEntry:
+						at.Seq = c.Entry.Seq
+					case config.OpRemoveACLEntry:
+					default:
+						continue
+					}
+					if seen[at] {
+						t.Fatalf("%s: the diff has two ops on %s seq %d", name, at.ACLName, at.Seq)
+					}
+					seen[at] = true
+				}
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/faultinject"
+	"heimdall/internal/journal"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
@@ -83,23 +84,39 @@ func evaluated(reg *telemetry.Registry) float64 {
 }
 
 // TestCommitLandsReplacedEntry: config.DiffDevice writes a replaced ACL
-// entry as a remove and an add of one seq. An accepted commit of it must
-// leave production holding the replacement the review verified, not the
-// hole an add pushed ahead of its remove leaves.
+// entry as one set-acl-entry change, so production never holds the seq
+// missing. An accepted commit of it is one push and one applied journal
+// record, and leaves production holding the replacement the review
+// verified.
 func TestCommitLandsReplacedEntry(t *testing.T) {
 	n := prod()
-	e, _ := snapshotEnforcer(n)
+	e, reg := snapshotEnforcer(n)
 	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	want := n.Devices["r1"].Clone()
 	want.ACLs["GUARD"].InsertEntry(*benignChange(15, 8443).Entry)
 	changes := config.DiffDevice(n.Devices["r1"], want)
-	if len(changes) != 2 || changes[0].Op != config.OpRemoveACLEntry || changes[1].Op != config.OpAddACLEntry {
-		t.Fatalf("the replacement diffs as %v, want a remove and an add", changes)
+	if len(changes) != 1 || changes[0].Op != config.OpSetACLEntry {
+		t.Fatalf("the replacement diffs as %v, want one set-acl-entry", changes)
 	}
+	pushed := reg.CounterValue("heimdall_enforcer_changes_applied_total")
 	if d, err := e.Commit(n, changes, aclSpec()); err != nil || !d.Accepted {
 		t.Fatalf("commit of the replacement: %v %+v", err, d)
+	}
+	if got := reg.CounterValue("heimdall_enforcer_changes_applied_total") - pushed; got != 1 {
+		t.Fatalf("the replacement took %v pushes, want 1", got)
+	}
+	records := e.Journal().Records()
+	last := records[len(records)-1].Commit
+	applied := 0
+	for _, r := range records {
+		if r.Commit == last && r.Kind == journal.KindApplied {
+			applied++
+		}
+	}
+	if applied != 1 {
+		t.Fatalf("commit %s journaled %d applied records, want 1", last, applied)
 	}
 	if rest := config.DiffDevice(n.Devices["r1"], want); len(rest) > 0 {
 		t.Fatalf("production is not what the review verified: %v", rest)
@@ -401,7 +418,7 @@ func scheduleEdits(r *rand.Rand, d *netmodel.Device, k int) {
 // landsDiff pushes Schedule(DiffDevice(a, b)) onto a copy of n's device a,
 // one change at a time as the commit pipeline pushes, and fails unless the
 // result is b: a second DiffDevice finds nothing. It reports whether the
-// diff replaced an ACL entry.
+// diff replaced an ACL entry (a set-acl-entry op).
 func landsDiff(t *testing.T, n *netmodel.Network, b *netmodel.Device) bool {
 	t.Helper()
 	changes := config.DiffDevice(n.Devices[b.Name], b)
@@ -412,12 +429,7 @@ func landsDiff(t *testing.T, n *netmodel.Network, b *netmodel.Device) bool {
 	if rest := config.DiffDevice(landed.Devices[b.Name], b); len(rest) > 0 {
 		t.Fatalf("%s: the schedule of %v left %v", b.Name, changes, rest)
 	}
-	for i := 1; i < len(changes); i++ {
-		if changes[i-1].Op == config.OpRemoveACLEntry && changes[i].Op == config.OpAddACLEntry && changes[i-1].Seq == changes[i].Entry.Seq {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(changes, func(c config.Change) bool { return c.Op == config.OpSetACLEntry })
 }
 
 // TestScheduleLandsDiff: over every device of university, enterprise,

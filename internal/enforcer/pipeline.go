@@ -36,32 +36,6 @@ type Target interface {
 	RestoreDevice(name string, d *netmodel.Device) error
 }
 
-// ReplicationHooks is the optional second interface of a Target that
-// replicates the commit pipeline (internal/replica). The pipeline calls
-// BeginCommit after the intent record is journaled and before the first
-// device push; an error aborts the commit pre-push with a journaled
-// rollback — that is how a replica group vetoes a commit that cannot
-// reach quorum. Every subsequent journal record of the commit (applied
-// and the terminal record) is handed to MirrorRecord so replicas can
-// extend their own journal copies verbatim, keeping honest replica
-// chains bit-identical to the coordinator's by construction.
-type ReplicationHooks interface {
-	// BeginCommit proposes the journaled intent to the replica group and
-	// gathers verify votes. A non-nil error means quorum was not reached;
-	// its message becomes the rollback reason on every journal copy.
-	BeginCommit(intent journal.Record) error
-	// MirrorRecord distributes one post-intent record of the in-flight
-	// commit. It must tolerate replicas that have dropped out mid-commit.
-	MirrorRecord(rec journal.Record)
-}
-
-// mirrorTo forwards rec to the target's replication hooks, when present.
-func mirrorTo(tgt Target, rec journal.Record) {
-	if hooks, ok := tgt.(ReplicationHooks); ok {
-		hooks.MirrorRecord(rec)
-	}
-}
-
 // memTarget is the in-memory production target, optionally gated by a
 // fault injector on the "apply" and "restore" ops.
 type memTarget struct {
@@ -284,13 +258,13 @@ func (e *Enforcer) rollbackPush(tgt Target, prod *netmodel.Network, p RetryPolic
 	if len(failed) > 0 {
 		e.quarantined = true
 		e.quarReason = fmt.Sprintf("rollback failed on %v (%s)", failed, why)
-		mirrorTo(tgt, e.journal.Quarantined(cid, restored, failed, why))
+		e.journal.Quarantined(cid, restored, failed, why)
 		e.trail.Append(spec.ticket, spec.technician, audit.KindSession,
 			fmt.Sprintf("QUARANTINE: rollback failed on %v: %s", failed, why), false)
 		e.meter.Counter("heimdall_enforcer_quarantines_total").Inc()
 		return "quarantined"
 	}
-	mirrorTo(tgt, e.journal.RolledBack(cid, restored, why))
+	e.journal.RolledBack(cid, restored, why)
 	e.trail.Append(spec.ticket, spec.technician, audit.KindChange, "ROLLBACK: "+why, false)
 	e.meter.Counter("heimdall_enforcer_rollbacks_total").Inc()
 	return "rolled-back"

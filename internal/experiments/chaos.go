@@ -163,26 +163,6 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 	return state, nil
 }
 
-// chaosRig is the fixture both chaos runners drive: the chaos network and
-// its pre-state, an enforcer in its own enclave over the policies mined
-// from that network, and the registry the enforcer meters into.
-type chaosRig struct {
-	n, pre *netmodel.Network
-	e      *enforcer.Enforcer
-	reg    *telemetry.Registry
-}
-
-// newChaosRig builds a fresh fixture; platformSeed derives the enclave.
-func newChaosRig(platformSeed string) *chaosRig {
-	n := ChaosNetwork()
-	r := &chaosRig{n: n, pre: n.Clone(), reg: telemetry.NewRegistry()}
-	encl := enclave.NewPlatformFromSeed(platformSeed).Load("heimdall-enforcer-v1")
-	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-	r.e = enforcer.New(encl, policies)
-	r.e.SetMeter(r.reg)
-	return r
-}
-
 // terminalKinds is the journal record each settled outcome ends in.
 var terminalKinds = map[string]journal.Kind{
 	"committed":   journal.KindCommitted,
@@ -190,38 +170,38 @@ var terminalKinds = map[string]journal.Kind{
 	"quarantined": journal.KindQuarantined,
 }
 
-// settle audits what every schedule must leave behind, whichever runner
-// drove it: a journal and audit trail that verify, the terminal record the
-// outcome claims last in the journal, and production all-or-nothing —
-// bit-identical to the pre-state plus the journaled changes when committed,
-// to the pre-state when rolled back. It returns the verified records and
-// the committed state's fingerprint.
-func (r *chaosRig) settle(outcome string) ([]journal.Record, string, error) {
-	if err := r.e.Journal().Verify(); err != nil {
+// settle audits what every schedule must leave behind on production n,
+// which started as pre: a journal and audit trail that verify, the terminal
+// record the outcome claims last in the journal, and production
+// all-or-nothing — bit-identical to the pre-state plus the journaled
+// changes when committed, to the pre-state when rolled back. It returns the
+// verified records and the committed state's fingerprint.
+func settle(e *enforcer.Enforcer, n, pre *netmodel.Network, outcome string) ([]journal.Record, string, error) {
+	if err := e.Journal().Verify(); err != nil {
 		return nil, "", fmt.Errorf("journal: %v", err)
 	}
-	if err := r.e.Trail().Verify(); err != nil {
+	if err := e.Trail().Verify(); err != nil {
 		return nil, "", fmt.Errorf("audit trail: %v", err)
 	}
-	records := r.e.Journal().Records()
+	records := e.Journal().Records()
 	if len(records) == 0 {
 		return nil, "", errors.New("no journal records")
 	}
 	if last := records[len(records)-1]; last.Kind != terminalKinds[outcome] {
 		return nil, "", fmt.Errorf("terminal record %s, outcome %s", last.Kind, outcome)
 	}
-	committed := r.pre.Clone()
+	committed := pre.Clone()
 	if err := config.ApplyChanges(committed, records[0].Changes); err != nil {
 		return nil, "", fmt.Errorf("applying scheduled set to pre-state: %v", err)
 	}
-	committedFP, got := chaosFingerprint(committed), chaosFingerprint(r.n)
+	committedFP, got := chaosFingerprint(committed), chaosFingerprint(n)
 	switch outcome {
 	case "committed":
 		if got != committedFP {
 			return nil, "", errors.New("committed run does not match pre-state + changes")
 		}
 	case "rolled-back":
-		if got != chaosFingerprint(r.pre) {
+		if got != chaosFingerprint(pre) {
 			return nil, "", errors.New("rolled-back run does not match pre-state")
 		}
 	}
@@ -236,8 +216,11 @@ func (r *chaosRig) settle(outcome string) ([]journal.Record, string, error) {
 // quarantined runs — that Recover restores full consistency. Any violation
 // is returned as an error naming the seed.
 func RunChaosSchedule(seed int64) (*ChaosResult, error) {
-	rig := newChaosRig("chaos-suite")
-	n, e, reg := rig.n, rig.e, rig.reg
+	n := ChaosNetwork()
+	pre, reg := n.Clone(), telemetry.NewRegistry()
+	encl := enclave.NewPlatformFromSeed("chaos-suite").Load("heimdall-enforcer-v1")
+	e := enforcer.New(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}))
+	e.SetMeter(reg)
 
 	retries := 0
 	e.Retry = enforcer.RetryPolicy{
@@ -270,11 +253,11 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	// settle pins committed and rolled-back production; a quarantined run is
 	// held to the journal's exact account — production must match the
 	// journal's independent replay, whatever the outcome.
-	records, committedFP, err := rig.settle(res.Outcome)
+	records, committedFP, err := settle(e, n, pre, res.Outcome)
 	if err != nil {
 		return fail("%v", err)
 	}
-	replayed, err := replayJournal(rig.pre, records)
+	replayed, err := replayJournal(pre, records)
 	if err != nil {
 		return fail("journal replay: %v", err)
 	}

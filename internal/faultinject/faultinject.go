@@ -1,6 +1,6 @@
 // Package faultinject is Heimdall's deterministic fault-injection
 // framework. The paper's enforcer exists because production pushes are
-// dangerous (§3): devices time out, links flap, a replica drops off
+// dangerous (§3): devices time out, reject a config, or vanish
 // mid-commit. This package lets tests and chaos experiments script those
 // failures exactly — a seeded Plan of per-scope/per-op rules decides which
 // calls fail, how often, with what latency, and whether the failure is
@@ -8,9 +8,7 @@
 // the same fault schedule and invariant violations reproduce.
 //
 // Callers consult Injector.Visit(scope, op) before the operation it
-// models: the enforcer's push target before every device apply/restore,
-// and a replicated group before every message on a coordinator→replica
-// link (LinkScope).
+// models: the enforcer's push target before every device apply/restore.
 package faultinject
 
 import (
@@ -85,20 +83,12 @@ func IsTransient(err error) bool {
 // of the trigger fields (FailNth, FailFirst, Outage) is normally set;
 // Latency may accompany any of them or stand alone.
 type Rule struct {
-	// Scope selects the device or link the rule applies to.
+	// Scope selects the device the rule applies to.
 	// Empty or "*" matches every scope.
 	Scope string
-	// Op selects the operation ("apply", "restore", "propose", ...).
+	// Op selects the operation ("apply", "restore", ...).
 	// Empty or "*" matches every op.
 	Op string
-
-	// Partition, when both endpoints are named, matches every op whose
-	// scope is the canonical link scope between them (LinkScope), in
-	// either direction — a deterministic network split between two
-	// replicas or between the coordinator and a replica. A partition rule
-	// ignores Scope; combine it with Outage for a split that never heals
-	// or FailFirst for one that does.
-	Partition [2]string
 
 	// FailNth fails exactly the Nth matching call (1-based), modelling a
 	// one-shot glitch.
@@ -120,29 +110,7 @@ func (r *Rule) matches(scope, op string) bool {
 	if r.Op != "" && r.Op != "*" && r.Op != op {
 		return false
 	}
-	if r.Partition[0] != "" && r.Partition[1] != "" {
-		return scope == LinkScope(r.Partition[0], r.Partition[1])
-	}
 	return r.Scope == "" || r.Scope == "*" || r.Scope == scope
-}
-
-// LinkScope canonicalises the scope name of the link between two
-// endpoints: the same string regardless of direction, so a partition rule
-// drops a→b and b→a ops alike. Layers that model inter-replica traffic
-// visit the injector with this scope.
-func LinkScope(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return a + "~" + b
-}
-
-// PartitionRule drops every op between the two named endpoints until the
-// plan is replaced — the deterministic network-split primitive the
-// replicated-enforcer schedule sweeps use. Partition faults are classified
-// transient: splits heal, and a coordinator should keep trying.
-func PartitionRule(a, b string) Rule {
-	return Rule{Partition: [2]string{a, b}, Op: "*", Outage: true, Class: Transient}
 }
 
 // Plan is a complete fault schedule: an ordered rule list. Rules are

@@ -161,50 +161,3 @@ func TestVisitConcurrent(t *testing.T) {
 			total, in.Injected())
 	}
 }
-
-func TestLinkScopeCanonical(t *testing.T) {
-	if LinkScope("coord", "rep-b") != LinkScope("rep-b", "coord") {
-		t.Fatal("LinkScope is not symmetric")
-	}
-	if got := LinkScope("rep-b", "coord"); got != "coord~rep-b" {
-		t.Fatalf("LinkScope = %q, want sorted coord~rep-b", got)
-	}
-}
-
-func TestPartitionRuleCutsLinkBothWaysAllOps(t *testing.T) {
-	in := New(Plan{Rules: []Rule{PartitionRule("rep-b", "coord")}})
-	for _, op := range []string{"propose", "apply", "restore", "finish", "head"} {
-		err := in.Visit(LinkScope("coord", "rep-b"), op)
-		if err == nil {
-			t.Fatalf("op %q crossed the partition", op)
-		}
-		if !IsTransient(err) {
-			t.Fatalf("partition fault for %q not transient", op)
-		}
-	}
-	// Reverse argument order hits the same canonical scope.
-	if err := in.Visit(LinkScope("rep-b", "coord"), "propose"); err == nil {
-		t.Fatal("reverse-order link scope crossed the partition")
-	}
-	// Other links and plain device scopes are untouched.
-	if err := in.Visit(LinkScope("coord", "rep-a"), "propose"); err != nil {
-		t.Fatalf("unrelated link faulted: %v", err)
-	}
-	if err := in.Visit("rep-b", "apply"); err != nil {
-		t.Fatalf("device scope caught by partition rule: %v", err)
-	}
-}
-
-func TestPartitionRuleIgnoresScopeField(t *testing.T) {
-	// A rule with both Partition endpoints set matches by link, even if a
-	// stray Scope is also present.
-	r := PartitionRule("a", "b")
-	r.Scope = "c"
-	in := New(Plan{Rules: []Rule{r}})
-	if err := in.Visit(LinkScope("a", "b"), "apply"); err == nil {
-		t.Fatal("partition endpoints did not take precedence over Scope")
-	}
-	if err := in.Visit("c", "apply"); err != nil {
-		t.Fatalf("Scope matched despite partition endpoints: %v", err)
-	}
-}

@@ -1,9 +1,8 @@
 package journal
 
-// Journal comparison: the cross-audit primitive. Two honest replicas of
-// the same enforcer hold byte-identical chains; Diff classifies every way
-// they can disagree, so both the replica group's Byzantine detector and
-// the operator-facing `heimdallctl journal diff` speak the same verdicts.
+// Journal comparison: two honest copies of one enforcer's journal are
+// byte-identical or one is a prefix of the other; Diff classifies every way
+// they can disagree, for the operator-facing `heimdallctl journal diff`.
 
 import "fmt"
 

@@ -86,9 +86,7 @@ type Record struct {
 }
 
 // Journal is the commit log: a chain.Log of records, which supplies
-// SetClock, Len, Verify, Export and AppendVerbatim — the replica-mirroring
-// primitive by which an enforcer replica copies the coordinator's records
-// byte for byte. It is safe for concurrent use.
+// SetClock, Len, Verify and Export. It is safe for concurrent use.
 type Journal struct {
 	*chain.Log[Record, *Record]
 }
@@ -97,17 +95,6 @@ type Journal struct {
 // Heimdall, derived inside the enforcer's enclave and never released).
 func New(key []byte) *Journal {
 	return &Journal{chain.New[Record](key)}
-}
-
-// FromRecords verifies a detached record chain against the key and
-// returns a journal holding a copy of it — how a replica is seeded or
-// healed from the coordinator's chain.
-func FromRecords(key []byte, records []Record) (*Journal, error) {
-	log, err := chain.FromLinks(key, records)
-	if err != nil {
-		return nil, err
-	}
-	return &Journal{log}, nil
 }
 
 // Import parses an exported journal strictly and verifies it against the
@@ -122,7 +109,7 @@ func Import(key, data []byte) (*Journal, error) {
 	return &Journal{log}, nil
 }
 
-// SetMeter wires journal metrics (records appended or mirrored, by kind).
+// SetMeter wires journal metrics (records appended, by kind).
 func (j *Journal) SetMeter(m telemetry.Meter) {
 	if m == nil {
 		m = telemetry.Nop()

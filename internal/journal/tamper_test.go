@@ -9,6 +9,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func trailPayload(t testing.TB) payload[audit.Entry, *audit.Entry] {
 // TestExportGolden pins the journal's wire format and content rule. The
 // golden was written by the build before internal/chain existed, so byte
 // equality is the proof that moving the journal onto the shared chain
-// moved no hash — and with it no record a replica ever mirrored.
+// moved no hash.
 func TestExportGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/export.golden.json")
 	if err != nil {
@@ -286,12 +287,14 @@ func truncationSemantics[T any, P chain.Link[T]](t *testing.T, p payload[T, P]) 
 	}
 }
 
-// TestAppendVerbatimRejectsBrokenRecords covers the replica-side mirror
-// entry point: a link that does not extend the local chain exactly — bad
-// index, bad prev-hash, tampered content, forged MAC — must be refused.
-func TestAppendVerbatimRejectsBrokenRecords(t *testing.T) {
-	t.Run("trail", func(t *testing.T) { verbatimRefusals(t, trailPayload(t)) })
-	t.Run("journal", func(t *testing.T) { verbatimRefusals(t, journalPayload(t)) })
+// TestImportRejectsBrokenLink: an export whose last link does not extend
+// the chain before it exactly — bad index, bad prev-hash, tampered content,
+// forged MAC, or a link sealed under the key for a fork of the chain — is
+// refused by Import. (A re-cased MAC is TestTamperStrictImport's and
+// TestAppendVerbatimRejectsRecasedMAC's.)
+func TestImportRejectsBrokenLink(t *testing.T) {
+	t.Run("trail", func(t *testing.T) { brokenLinkRefusals(t, trailPayload(t)) })
+	t.Run("journal", func(t *testing.T) { brokenLinkRefusals(t, journalPayload(t)) })
 }
 
 // fork returns a copy of the chain whose link at i was doctored and the
@@ -305,46 +308,43 @@ func (p payload[T, P]) fork(i int) []T {
 	return forked
 }
 
-func verbatimRefusals[T any, P chain.Link[T]](t *testing.T, p payload[T, P]) {
+func brokenLinkRefusals[T any, P chain.Link[T]](t *testing.T, p payload[T, P]) {
 	links := p.log.Links()
-	mirror := chain.New[T, P](p.key)
-	for _, l := range links[:2] {
-		if err := mirror.AppendVerbatim(l); err != nil {
-			t.Fatalf("valid link refused: %v", err)
+	imports := func(last T) bool {
+		data, err := json.Marshal(append(links[:2:2], last))
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, err = chain.Import[T, P](p.key, data)
+		return err == nil
 	}
-	next := links[2]
+	if !imports(links[2]) {
+		t.Fatal("untampered three-link export refused")
+	}
 	for name, doctor := range map[string]func(h *chain.Header, detail *string, s *chain.Seal){
 		"wrong index":      func(h *chain.Header, _ *string, _ *chain.Seal) { h.Index = 5 },
 		"wrong prev-hash":  func(_ *chain.Header, _ *string, s *chain.Seal) { s.PrevHash = strings.Repeat("00", 32) },
 		"tampered content": func(_ *chain.Header, detail *string, _ *chain.Seal) { *detail += " (doctored)" },
 		"forged MAC":       func(_ *chain.Header, _ *string, s *chain.Seal) { s.MAC = strings.Repeat("00", 32) },
 	} {
-		bad := next
+		bad := links[2]
 		doctor(p.parts(&bad))
-		if err := mirror.AppendVerbatim(bad); err == nil {
+		if imports(bad) {
 			t.Errorf("%s accepted", name)
 		}
 	}
 	// A link sealed under the key, with the right index, whose predecessor
-	// is not this chain's head: only the prev-hash link tells it apart.
-	if err := mirror.AppendVerbatim(p.fork(1)[2]); err == nil {
+	// is not this chain's: only the prev-hash link tells it apart.
+	if imports(p.fork(1)[2]) {
 		t.Error("link of a forked chain accepted")
-	}
-	// The true link still fits: rejections must not advance the chain.
-	if err := mirror.AppendVerbatim(next); err != nil {
-		t.Fatalf("valid link refused after rejected attempts: %v", err)
-	}
-	if err := mirror.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestAppendVerbatimRejectsRecasedMAC holds the mirror entry point to the
-// rule Verify and Import apply: a link whose MAC decodes to the right
-// bytes but is not the canonical lowercase encoding must be refused —
-// otherwise a peer could plant a link in an honest replica that makes
-// that replica's own chain fail Verify.
+// TestAppendVerbatimRejectsRecasedMAC holds the entry point for links that
+// are already sealed — FromLinks, which Import ends in — to the rule Verify
+// applies: a link whose MAC decodes to the right bytes but is not the
+// canonical lowercase encoding must be refused, otherwise a log could be
+// seeded with a link that makes its own chain fail Verify.
 func TestAppendVerbatimRejectsRecasedMAC(t *testing.T) {
 	t.Run("trail", func(t *testing.T) { verbatimRecasedMAC(t, trailPayload(t)) })
 	t.Run("journal", func(t *testing.T) { verbatimRecasedMAC(t, journalPayload(t)) })
@@ -352,24 +352,24 @@ func TestAppendVerbatimRejectsRecasedMAC(t *testing.T) {
 
 func verbatimRecasedMAC[T any, P chain.Link[T]](t *testing.T, p payload[T, P]) {
 	links := p.log.Links()
-	mirror := chain.New[T, P](p.key)
-	if err := mirror.AppendVerbatim(links[0]); err != nil {
-		t.Fatalf("valid link refused: %v", err)
-	}
 	recased := links[1]
 	_, _, seal := p.parts(&recased)
 	seal.MAC = strings.ToUpper(seal.MAC)
 	if _, _, honest := p.parts(&links[1]); seal.MAC == honest.MAC {
 		t.Fatal("fixture: MAC has no letter to re-case")
 	}
-	if err := mirror.AppendVerbatim(recased); err == nil {
+	if _, err := chain.FromLinks[T, P](p.key, []T{links[0], recased}); err == nil {
 		t.Error("re-cased MAC accepted")
 	}
-	if err := mirror.Verify(); err != nil {
-		t.Errorf("mirror no longer verifies its own chain: %v", err)
+	if err := chain.Verify[T, P]([]T{links[0], recased}, p.key); err == nil {
+		t.Error("re-cased MAC verifies")
 	}
-	if err := mirror.AppendVerbatim(links[1]); err != nil {
-		t.Errorf("valid link refused after the rejected attempt: %v", err)
+	seeded, err := chain.FromLinks[T, P](p.key, links[:2])
+	if err != nil {
+		t.Fatalf("valid links refused: %v", err)
+	}
+	if err := seeded.Verify(); err != nil {
+		t.Errorf("seeded log no longer verifies its own chain: %v", err)
 	}
 }
 
