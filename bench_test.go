@@ -403,8 +403,11 @@ func BenchmarkReview(b *testing.B) {
 // memo entry each in a cache thrown away with the review — and decided
 // again, not taken as a verdict; 1,659 while each of the 92 retraced flows
 // sorted its two hosts' interface names to find their addresses; 3,198
-// before reviews carried anything.) The count is deterministic: the ceiling
-// leaves ~5 %. If a change legitimately moves the count, re-measure with -v
+// before reviews carried anything.) Re-measured at 241 when the commit's
+// diff and rules digest stopped paying for what did not change: nothing
+// here moved (Enforcer.Review digests the rules per call, as before), and
+// ~10 % over the count would raise the ceiling, so it stays.
+// The count is deterministic: the ceiling leaves ~5 %. If a change legitimately moves the count, re-measure with -v
 // and reset the ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
 	const ceiling = 253
@@ -511,7 +514,11 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 10,933 (11,606 while a trace and its hops were two
+// Measured at 10,384 (10,933 while each commit's hand-over diff built a map
+// per ACL and compared interfaces and routing processes by reflection, the
+// commit digested the privilege rules the engagement had already digested,
+// and every commit seeded a backoff jitter source it almost never drew
+// from; 11,606 while a trace and its hops were two
 // allocations, an ACL drop's detail two more and each memo entry a pointer;
 // 12,723 while every injection's and commit's derive
 // built the routes of every device whose inputs could have moved, read or
@@ -529,7 +536,7 @@ func BenchmarkTicket(b *testing.B) {
 // ~10 %. If a change legitimately moves the count, re-measure with -v and
 // reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 12000
+	const ceiling = 11420
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20

@@ -207,6 +207,17 @@ func TestSanitizeRedactsSecrets(t *testing.T) {
 	}
 }
 
+// TestParseReenteredRoute: a route entered twice is one route, as on IOS.
+func TestParseReenteredRoute(t *testing.T) {
+	d, err := Parse("r1", "hostname r1\nip route 0.0.0.0 0.0.0.0 10.0.0.1\nip route 0.0.0.0 0.0.0.0 10.0.0.1\nip route 0.0.0.0 0.0.0.0 10.0.0.1 200\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.StaticRoutes) != 2 {
+		t.Fatalf("routes = %v, want the re-entered one once and the other distance apart", d.StaticRoutes)
+	}
+}
+
 func TestDiffDeviceAndApply(t *testing.T) {
 	oldDev, _ := Parse("r3", sampleRouter)
 	newDev := oldDev.Clone()

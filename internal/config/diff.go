@@ -1,10 +1,13 @@
 package config
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"net/netip"
-	"reflect"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"heimdall/internal/netmodel"
 )
@@ -183,52 +186,52 @@ func (c Change) Additive() bool {
 }
 
 // DiffDevice computes the semantic changes that transform old into new.
-// Both devices must have the same name.
+// Both devices must have the same name, each ACL's entries must be in
+// ascending sequence order with no number twice, and no static route may
+// appear twice: ACL.InsertEntry, Parse and the console keep all three. An
+// unchanged ACL, or unchanged static routes, cost one comparison.
 func DiffDevice(old, new *netmodel.Device) []Change {
 	var out []Change
 	dev := old.Name
 
 	// Interfaces.
 	for _, name := range new.InterfaceNames() {
-		ni := new.Interfaces[name]
-		oi := old.Interfaces[name]
-		if oi == nil {
+		switch ni, oi := new.Interfaces[name], old.Interfaces[name]; {
+		case oi == nil:
 			out = append(out, Change{Device: dev, Op: OpAddInterface, Interface: ni.Clone()})
-			continue
-		}
-		if !reflect.DeepEqual(oi, ni) {
+		case !sameInterface(oi, ni):
 			out = append(out, Change{Device: dev, Op: OpSetInterface, Interface: ni.Clone()})
 		}
 	}
 
-	// ACLs: entry-level diff.
+	// ACLs: a merge walk over the sequence numbers; an ACL old lacks is empty.
 	for _, name := range new.ACLNames() {
-		na, oa := new.ACLs[name], old.ACLs[name]
-		oldBySeq := make(map[int]netmodel.ACLEntry)
-		if oa != nil {
-			for _, e := range oa.Entries {
-				oldBySeq[e.Seq] = e
+		oes, nes := cmp.Or(old.ACLs[name], &netmodel.ACL{}).Entries, new.ACLs[name].Entries
+		if slices.Equal(oes, nes) {
+			continue
+		}
+		i := 0
+		for _, e := range nes {
+			for i < len(oes) && oes[i].Seq < e.Seq {
+				i++
+			}
+			switch {
+			case i == len(oes) || oes[i].Seq != e.Seq:
+				ee := e // copied only when it is emitted
+				out = append(out, Change{Device: dev, Op: OpAddACLEntry, ACLName: name, Entry: &ee})
+			case oes[i] != e:
+				ee := e
+				out = append(out, Change{Device: dev, Op: OpSetACLEntry, ACLName: name, Entry: &ee})
 			}
 		}
-		for _, e := range na.Entries {
-			oe, ok := oldBySeq[e.Seq]
-			delete(oldBySeq, e.Seq)
-			if ok && oe == e {
-				continue
+		i = 0
+		for _, e := range oes {
+			for i < len(nes) && nes[i].Seq < e.Seq {
+				i++
 			}
-			op, ee := OpAddACLEntry, e
-			if ok {
-				op = OpSetACLEntry
+			if i == len(nes) || nes[i].Seq != e.Seq {
+				out = append(out, Change{Device: dev, Op: OpRemoveACLEntry, ACLName: name, Seq: e.Seq})
 			}
-			out = append(out, Change{Device: dev, Op: op, ACLName: name, Entry: &ee})
-		}
-		var stale []int
-		for seq := range oldBySeq {
-			stale = append(stale, seq)
-		}
-		sort.Ints(stale)
-		for _, seq := range stale {
-			out = append(out, Change{Device: dev, Op: OpRemoveACLEntry, ACLName: name, Seq: seq})
 		}
 	}
 	for _, name := range old.ACLNames() {
@@ -237,30 +240,23 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		}
 	}
 
-	// Static routes.
-	routeKey := func(r netmodel.StaticRoute) string {
-		return fmt.Sprintf("%s|%s|%d", r.Prefix, r.NextHop, r.Distance)
-	}
-	oldRoutes := make(map[string]netmodel.StaticRoute)
-	for _, r := range old.StaticRoutes {
-		oldRoutes[routeKey(r)] = r
-	}
-	for _, r := range new.StaticRoutes {
-		if _, ok := oldRoutes[routeKey(r)]; ok {
-			delete(oldRoutes, routeKey(r))
-			continue
+	// Static routes: the added in new's order, then the withdrawn in the
+	// order of their "prefix|next hop|distance" renderings.
+	if !slices.Equal(old.StaticRoutes, new.StaticRoutes) {
+		key := func(r netmodel.StaticRoute) string {
+			return r.Prefix.String() + "|" + r.NextHop.String() + "|" + strconv.Itoa(r.Distance)
 		}
-		rr := r
-		out = append(out, Change{Device: dev, Op: OpAddStaticRoute, Route: &rr})
-	}
-	var staleRoutes []string
-	for k := range oldRoutes {
-		staleRoutes = append(staleRoutes, k)
-	}
-	sort.Strings(staleRoutes)
-	for _, k := range staleRoutes {
-		rr := oldRoutes[k]
-		out = append(out, Change{Device: dev, Op: OpRemoveStaticRoute, Route: &rr})
+		for _, r := range new.StaticRoutes {
+			if !slices.Contains(old.StaticRoutes, r) {
+				out = append(out, Change{Device: dev, Op: OpAddStaticRoute, Route: &r})
+			}
+		}
+		stale := slices.DeleteFunc(slices.Clone(old.StaticRoutes),
+			func(r netmodel.StaticRoute) bool { return slices.Contains(new.StaticRoutes, r) })
+		slices.SortFunc(stale, func(a, b netmodel.StaticRoute) int { return strings.Compare(key(a), key(b)) })
+		for i := range stale {
+			out = append(out, Change{Device: dev, Op: OpRemoveStaticRoute, Route: &stale[i]})
+		}
 	}
 
 	// OSPF.
@@ -269,7 +265,7 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		out = append(out, Change{Device: dev, Op: OpSetOSPF, OSPF: new.OSPF.Clone()})
 	case old.OSPF != nil && new.OSPF == nil:
 		out = append(out, Change{Device: dev, Op: OpRemoveOSPF})
-	case old.OSPF != nil && !reflect.DeepEqual(old.OSPF, new.OSPF):
+	case old.OSPF != nil && !sameOSPF(old.OSPF, new.OSPF):
 		out = append(out, Change{Device: dev, Op: OpSetOSPF, OSPF: new.OSPF.Clone()})
 	}
 
@@ -279,7 +275,7 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		out = append(out, Change{Device: dev, Op: OpSetBGP, BGP: new.BGP.Clone()})
 	case old.BGP != nil && new.BGP == nil:
 		out = append(out, Change{Device: dev, Op: OpRemoveBGP})
-	case old.BGP != nil && !reflect.DeepEqual(old.BGP, new.BGP):
+	case old.BGP != nil && !sameBGP(old.BGP, new.BGP):
 		out = append(out, Change{Device: dev, Op: OpSetBGP, BGP: new.BGP.Clone()})
 	}
 
@@ -302,6 +298,33 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		out = append(out, Change{Device: dev, Op: OpSetGateway, Gateway: new.DefaultGateway})
 	}
 	return out
+}
+
+// sameSlice is slices.Equal telling nil from empty, as reflect.DeepEqual
+// does: a process Clone gave an empty list has always diffed as changed.
+func sameSlice[S ~[]E, E comparable](a, b S) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
+}
+
+// sameInterface is reflect.DeepEqual over every field of the two interfaces.
+func sameInterface(a, b *netmodel.Interface) bool {
+	return a.Name == b.Name && a.Description == b.Description && a.Addr == b.Addr && a.Shutdown == b.Shutdown &&
+		a.ACLIn == b.ACLIn && a.ACLOut == b.ACLOut && a.Mode == b.Mode && a.AccessVLAN == b.AccessVLAN &&
+		sameSlice(a.TrunkVLANs, b.TrunkVLANs) && a.OSPFCost == b.OSPFCost
+}
+
+// sameOSPF is reflect.DeepEqual over every field of the two processes.
+func sameOSPF(a, b *netmodel.OSPFProcess) bool {
+	return a.ProcessID == b.ProcessID && a.RouterID == b.RouterID &&
+		sameSlice(a.Networks, b.Networks) && sameSlice(a.Ranges, b.Ranges) &&
+		(a.Passive == nil) == (b.Passive == nil) && maps.Equal(a.Passive, b.Passive)
+}
+
+// sameBGP is reflect.DeepEqual over every field of the two processes.
+func sameBGP(a, b *netmodel.BGPProcess) bool {
+	return a.LocalAS == b.LocalAS && a.RouterID == b.RouterID &&
+		sameSlice(a.Neighbors, b.Neighbors) && sameSlice(a.Networks, b.Networks) &&
+		a.RedistributeConnected == b.RedistributeConnected
 }
 
 // DiffNetwork computes per-device changes across two snapshots of the same

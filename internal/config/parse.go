@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -203,7 +204,9 @@ func (p *parser) ipRoute(f []string) error {
 		}
 		r.Distance = d
 	}
-	p.dev.StaticRoutes = append(p.dev.StaticRoutes, r)
+	if !slices.Contains(p.dev.StaticRoutes, r) { // a re-entered route is one route, as on IOS
+		p.dev.StaticRoutes = append(p.dev.StaticRoutes, r)
+	}
 	return nil
 }
 

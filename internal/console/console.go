@@ -28,6 +28,7 @@ package console
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -453,9 +454,10 @@ func (c *Console) parseIP(line string, f []string, mk mkFunc, devRes string) (Co
 					return "", fmt.Errorf("console: bad next hop %q", nhStr)
 				}
 				d := env.Net.Devices[dev]
-				d.StaticRoutes = append(d.StaticRoutes, netmodel.StaticRoute{
-					Prefix: p.Masked(), NextHop: nh, Distance: dist,
-				})
+				r := netmodel.StaticRoute{Prefix: p.Masked(), NextHop: nh, Distance: dist}
+				if !slices.Contains(d.StaticRoutes, r) { // a re-entry is a no-op, as on IOS
+					d.StaticRoutes = append(d.StaticRoutes, r)
+				}
 				return "", nil
 			}), nil
 	case len(f) == 2 && f[0] == "default-gateway":

@@ -12,7 +12,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
@@ -170,28 +169,6 @@ type Engagement struct {
 
 	// emergency marks the engagement as authorized for emergency mode.
 	emergency bool
-	// rules memoizes Spec.RulesDigest (rulesDigest).
-	rules atomic.Pointer[digestedRules]
-}
-
-// digestedRules pairs a rules digest with the rule count it was taken at.
-type digestedRules struct {
-	nrules int
-	digest string
-}
-
-// rulesDigest is Spec.RulesDigest, computed once per rule count: rules are
-// only ever appended (privilege.Spec.Approve). The memo is an atomic
-// pointer as the twin's compiled spec is: a concurrent approval at worst
-// costs one extra digest.
-func (e *Engagement) rulesDigest() string {
-	n := len(e.Spec.Rules)
-	m := e.rules.Load()
-	if m == nil || m.nrules != n {
-		m = &digestedRules{nrules: n, digest: e.Spec.RulesDigest()}
-		e.rules.Store(m)
-	}
-	return m.digest
 }
 
 // StartWork assigns the ticket to the technician and builds the engagement:
@@ -306,17 +283,6 @@ func (e *Engagement) ApproveEscalation(esc *privilege.Escalation) error {
 	return nil
 }
 
-// Drifted reports whether the production network has changed since this
-// engagement's twin was instantiated (e.g. another ticket committed, or an
-// emergency fix landed). The enforcer always verifies against *current*
-// production at commit time, so drift is safe — but a drifted twin may no
-// longer reproduce production behaviour, and the technician should know.
-func (e *Engagement) Drifted() bool {
-	e.sys.prodMu.RLock()
-	defer e.sys.prodMu.RUnlock()
-	return e.Twin.Drifted(e.sys.production)
-}
-
 // Review runs the enforcer's verification of the twin's current changes
 // against live production — privilege check plus shadow-snapshot policy
 // verification — without applying anything. The service layer calls this
@@ -343,7 +309,7 @@ func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision,
 	}
 	e.sys.prodMu.RLock()
 	defer e.sys.prodMu.RUnlock()
-	key := e.sys.Enforcer.ReviewKey(changes, e.rulesDigest())
+	key := e.sys.Enforcer.ReviewKey(changes, e.Twin.RulesDigest())
 	d, hit := e.sys.Enforcer.ReviewKeyed(e.sys.production, changes, e.Spec, key)
 	return d, hit, nil
 }
@@ -362,7 +328,7 @@ func (e *Engagement) CommitChanges(changes []config.Change) (*enforcer.Decision,
 		return nil, fmt.Errorf("core: nothing to commit for %s", e.Ticket.ID)
 	}
 	e.sys.prodMu.Lock()
-	decision, err := e.sys.Enforcer.Commit(e.sys.production, changes, e.Spec)
+	decision, err := e.sys.Enforcer.CommitDigested(e.sys.production, changes, e.Spec, e.Twin.RulesDigest())
 	e.sys.prodMu.Unlock()
 	if err != nil {
 		_ = e.sys.Tickets.AddNote(e.Ticket.ID, "enforcer rejected commit: "+decision.Reason())

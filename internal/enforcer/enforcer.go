@@ -18,7 +18,6 @@ package enforcer
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -371,7 +370,14 @@ func (e *Enforcer) Commit(prod *netmodel.Network, changes []config.Change, spec 
 // recorded in the intent record, so the journal itself proves who
 // authorized the push.
 func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval) (*Decision, error) {
-	return e.commit(prod, changes, spec, approvals, false)
+	return e.commit(prod, changes, spec, spec.RulesDigest(), approvals, false)
+}
+
+// CommitDigested is Commit for a caller that already holds spec's rules
+// digest (privilege.Spec.RulesDigest) — an engagement's twin memoizes it —
+// so the commit does not digest the rules again.
+func (e *Enforcer) CommitDigested(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, rulesDigest string) (*Decision, error) {
+	return e.commit(prod, changes, spec, rulesDigest, nil, false)
 }
 
 // CommitEmergency is Commit for one emergency write (paper §7) with one rule
@@ -379,11 +385,11 @@ func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Chang
 // repairs, are tolerated, so the set is accepted when it introduces no new
 // violation. Its intent names them, and Recover replays to the same rule.
 func (e *Enforcer) CommitEmergency(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, error) {
-	return e.commit(prod, changes, spec, nil, true)
+	return e.commit(prod, changes, spec, spec.RulesDigest(), nil, true)
 }
 
-// commit is CommitApproved and CommitEmergency.
-func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval, emergency bool) (*Decision, error) {
+// commit is CommitApproved, CommitDigested and CommitEmergency.
+func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, rulesDigest string, approvals []journal.Approval, emergency bool) (*Decision, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	if e.quarantined {
@@ -398,7 +404,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	if e.target == nil {
 		pre = e.ProductionSnapshot(prod)
 	}
-	key := e.ReviewKey(changes, spec.RulesDigest())
+	key := e.ReviewKey(changes, rulesDigest)
 	// Own key: a strict review shares no emergency verdict or kept shadow.
 	rule := ""
 	if emergency {
@@ -434,11 +440,11 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	cid := fmt.Sprintf("%s#%d", spec.Ticket, e.commitSeq)
 	// Seed the backoff jitter per commit so a replayed fault schedule
 	// sees identical delays.
-	rng := rand.New(rand.NewSource(policy.JitterSeed + int64(e.commitSeq)))
+	rng := &jitter{seed: policy.JitterSeed + int64(e.commitSeq)}
 	id := specIdent{spec.Ticket, spec.Technician}
 
 	// Write-ahead: the journal knows the full plan and its rule before device one.
-	e.journal.IntentRule(cid, spec.Ticket, spec.Technician, ordered, preState(backup, ordered), rule, approvals...)
+	e.journal.IntentRule(cid, spec.Ticket, spec.Technician, ordered, preState(backup, devices), rule, approvals...)
 	for i, c := range ordered {
 		opStart := time.Now()
 		err := e.pushOp(policy, rng, "apply", func() error { return tgt.Apply(c) })
@@ -453,8 +459,9 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 			}
 			return d, fmt.Errorf("enforcer: applying %s: %w (rolled back)", c, err)
 		}
-		e.journal.Applied(cid, i, c.String())
-		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, c.String(), true)
+		pushed := c.String()
+		e.journal.Applied(cid, i, pushed)
+		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, pushed, true)
 		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
 	}
 	// Never trust, always verify: every policy is re-checked against what

@@ -11,6 +11,7 @@ package enforcer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -110,9 +111,23 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
+// jitter is a commit's backoff jitter source. Most commits never retry, so
+// it is seeded at its first draw, from the seed it was made with.
+type jitter struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+func (j *jitter) Int63n(n int64) int64 {
+	if j.rng == nil {
+		j.rng = rand.New(rand.NewSource(j.seed))
+	}
+	return j.rng.Int63n(n)
+}
+
 // backoff returns the jittered delay before the given retry (attempt is
 // the 1-based number of the attempt that just failed).
-func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
+func (p RetryPolicy) backoff(attempt int, rng *jitter) time.Duration {
 	d := p.BaseBackoff << (attempt - 1)
 	if d > p.MaxBackoff || d <= 0 {
 		d = p.MaxBackoff
@@ -124,7 +139,7 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 
 // pushOp runs one target operation with retry, backoff and the per-op
 // timeout. phase labels the retry counter ("apply" or "rollback").
-func (e *Enforcer) pushOp(p RetryPolicy, rng *rand.Rand, phase string, op func() error) error {
+func (e *Enforcer) pushOp(p RetryPolicy, rng *jitter, phase string, op func() error) error {
 	start := time.Now()
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -199,23 +214,19 @@ func (e *Enforcer) Quarantined() (bool, string) {
 
 // touchedDevices returns the sorted unique device names of a change set.
 func touchedDevices(changes []config.Change) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, c := range changes {
-		if !seen[c.Device] {
-			seen[c.Device] = true
-			out = append(out, c.Device)
-		}
+	out := make([]string, len(changes))
+	for i, c := range changes {
+		out[i] = c.Device
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// preState renders the canonical pre-change configuration of every device
-// the change set touches, for the journal's intent record.
-func preState(backup *netmodel.Network, changes []config.Change) map[string]string {
-	pre := make(map[string]string)
-	for _, name := range touchedDevices(changes) {
+// preState renders the canonical pre-change configuration of the devices a
+// change set touches, for the journal's intent record.
+func preState(backup *netmodel.Network, devices []string) map[string]string {
+	pre := make(map[string]string, len(devices))
+	for _, name := range devices {
 		if d := backup.Devices[name]; d != nil {
 			pre[name] = config.Print(d)
 		}
@@ -228,7 +239,7 @@ func preState(backup *netmodel.Network, changes []config.Change) map[string]stri
 // enforcer quarantines instead of leaving a silent partial state. It
 // returns the terminal outcome ("rolled-back" or "quarantined"). Callers
 // hold commitMu.
-func (e *Enforcer) rollbackPush(tgt Target, prod *netmodel.Network, p RetryPolicy, rng *rand.Rand, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
+func (e *Enforcer) rollbackPush(tgt Target, prod *netmodel.Network, p RetryPolicy, rng *jitter, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
 	// Production was written, so no cached verdict survives. The built-in
 	// target writes only the touched devices: the held pre-commit snapshot is
 	// derived across what still differs from the backup (nothing, after a

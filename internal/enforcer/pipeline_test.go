@@ -2,6 +2,7 @@ package enforcer
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -80,6 +81,16 @@ func TestCommitRetriesTransientFaultAndSucceeds(t *testing.T) {
 	}
 	if sleeps[1] < 50*time.Millisecond || sleeps[1] > 100*time.Millisecond {
 		t.Fatalf("second backoff %v outside [50ms, 100ms]", sleeps[1])
+	}
+	// The jitter is drawn from a source seeded JitterSeed + the commit's
+	// number (1 + 1 here), however late the commit seeds it, so a replayed
+	// fault schedule sleeps exactly as before.
+	rng := rand.New(rand.NewSource(2))
+	for i, got := range sleeps {
+		half := 25 * time.Millisecond << i
+		if want := half + time.Duration(rng.Int63n(int64(half)+1)); got != want {
+			t.Fatalf("backoff %d = %v, want %v", i+1, got, want)
+		}
 	}
 }
 

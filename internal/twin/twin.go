@@ -64,8 +64,9 @@ type Twin struct {
 	technician string
 	spec       *privilege.Spec
 	// compiled caches the trie form of spec so the reference monitor
-	// checks mediated commands without rescanning the rule list. Callers
-	// may extend a ticket's privileges by appending rules (the core engine
+	// checks mediated commands without rescanning the rule list, and its
+	// rules digest, which every review and commit keys on. Callers may
+	// extend a ticket's privileges by appending rules (the core engine
 	// does), so the cache is keyed by rule count and rebuilt when it grows.
 	compiled atomic.Pointer[compiledSpec]
 	emul     *netmodel.Network // the emulation layer: production, sanitized
@@ -189,25 +190,6 @@ func (tw *Twin) Baseline() *netmodel.Network {
 	return base
 }
 
-// Drifted reports whether prod has a device the baseline lacks, or one whose
-// sanitized configuration is not its baseline's. It compares under the
-// twin's lock, so a concurrent write neither races with the comparison nor
-// shows up as drift.
-func (tw *Twin) Drifted(prod *netmodel.Network) bool {
-	tw.mu.Lock()
-	defer tw.mu.Unlock()
-	for name, d := range prod.Devices {
-		base, ok := tw.pre[name]
-		if !ok {
-			base = tw.emul.Devices[name]
-		}
-		if base == nil || len(config.DiffDevice(config.Sanitize(d), base)) != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Snapshot returns the twin's current dataplane snapshot.
 func (tw *Twin) Snapshot() *dataplane.Snapshot {
 	tw.mu.Lock()
@@ -312,7 +294,7 @@ func (s *Session) Exec(line string) (string, error) {
 		return "", err
 	}
 	tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s", s.Device(), line), true)
-	if !tw.allows(cmd.Action, cmd.Resource) {
+	if !tw.rules().c.Allows(cmd.Action, cmd.Resource) {
 		tw.log(audit.KindDecision, fmt.Sprintf("deny %s on %s", cmd.Action, cmd.Resource), false)
 		tw.decision("deny", actionClass(cmd.Action))
 		tw.observeMediation(start)
@@ -341,26 +323,31 @@ func (s *Session) Exec(line string) (string, error) {
 	return out, nil
 }
 
-// compiledSpec pairs a compiled rule trie with the rule count it was built
-// from, so the mediation path can detect appended rules.
+// compiledSpec pairs a compiled rule trie and the rules digest with the
+// rule count both were taken at, so appended rules are detected.
 type compiledSpec struct {
 	nrules int
 	c      *privilege.CompiledSpec
+	digest string
 }
 
-// allows evaluates the mediation decision through the compiled spec,
-// recompiling when the rule list grew since the last command. The cache is
-// an atomic pointer, so concurrent sessions stay race-free (a concurrent
-// append at worst costs one extra compile).
-func (tw *Twin) allows(action, resource string) bool {
+// rules is the spec's compiled form and digest, rebuilt when the rule list
+// grew since they were taken. The cache is an atomic pointer, so concurrent
+// sessions stay race-free (a concurrent append at worst costs one extra
+// compile).
+func (tw *Twin) rules() *compiledSpec {
 	n := len(tw.spec.Rules)
 	cs := tw.compiled.Load()
 	if cs == nil || cs.nrules != n {
-		cs = &compiledSpec{nrules: n, c: tw.spec.Compile()}
+		cs = &compiledSpec{nrules: n, c: tw.spec.Compile(), digest: tw.spec.RulesDigest()}
 		tw.compiled.Store(cs)
 	}
-	return cs.c.Allows(action, resource)
+	return cs
 }
+
+// RulesDigest is the twin's Privilegemsp's Spec.RulesDigest, memoized per
+// rule count with its compiled form.
+func (tw *Twin) RulesDigest() string { return tw.rules().digest }
 
 func (tw *Twin) observeMediation(start time.Time) {
 	tw.meter.Histogram("heimdall_monitor_mediation_seconds", telemetry.LatencyBuckets).

@@ -3,6 +3,7 @@ package twin
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -247,6 +248,38 @@ func TestChangesDiffBaseline(t *testing.T) {
 		if c.Device != "r2" {
 			t.Errorf("change on wrong device: %v", c)
 		}
+	}
+}
+
+// TestReenteredRouteIsOneRoute: entering a route the device already holds
+// changes nothing, as on IOS, and withdrawing it then diffs to one removal
+// that, pushed onto production, leaves no copy. A re-entry used to append a
+// duplicate the diff could not see: it became an add of a route production
+// already held, and a later withdrawal left a copy behind.
+func TestReenteredRouteIsOneRoute(t *testing.T) {
+	prod := prodNet()
+	route := netmodel.StaticRoute{Prefix: netip.MustParsePrefix("0.0.0.0/0"), NextHop: netip.MustParseAddr("10.0.12.2")}
+	prod.Device("r1").StaticRoutes = []netmodel.StaticRoute{route}
+	tw, _ := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
+	sess, _ := tw.OpenConsole("r1")
+	if _, err := sess.Exec("ip route 0.0.0.0 0.0.0.0 10.0.12.2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tw.Changes(); len(got) != 0 {
+		t.Fatalf("re-entering a held route changes %v", got)
+	}
+	if _, err := sess.Exec("no ip route 0.0.0.0 0.0.0.0 10.0.12.2"); err != nil {
+		t.Fatal(err)
+	}
+	changes := tw.Changes()
+	if len(changes) != 1 || changes[0].Op != config.OpRemoveStaticRoute {
+		t.Fatalf("withdrawing the route diffs to %v, want one remove-static-route", changes)
+	}
+	if err := config.ApplyChanges(prod, changes); err != nil {
+		t.Fatal(err)
+	}
+	if got := prod.Device("r1").StaticRoutes; slices.Contains(got, route) {
+		t.Fatalf("production keeps %v after the withdrawal: %v", route, got)
 	}
 }
 
