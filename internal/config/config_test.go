@@ -473,19 +473,3 @@ func ifName(i int) string {
 func addr4(r *rand.Rand) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(r.Intn(250)), byte(r.Intn(250)), byte(1 + r.Intn(250))})
 }
-
-func TestParseNetwork(t *testing.T) {
-	n, err := ParseNetwork("test", map[string]string{
-		"r3": sampleRouter,
-		"h1": "! kind: host\nhostname h1\ninterface eth0\n ip address 10.4.0.10 255.255.255.0\n no shutdown\n!\nip default-gateway 10.4.0.1\n",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Devices) != 2 || n.Device("r3") == nil || n.Device("h1").Kind != netmodel.Host {
-		t.Fatalf("network = %+v", n)
-	}
-	if _, err := ParseNetwork("bad", map[string]string{"x": "garbage line\n"}); err == nil {
-		t.Fatal("bad config accepted")
-	}
-}

@@ -486,19 +486,3 @@ func (p *parser) vlanLine(line string) error {
 	}
 	return p.errf("unknown vlan statement")
 }
-
-// ParseNetwork parses a set of device configurations keyed by device name
-// and assembles them into a network without links; the caller cables the
-// topology afterwards.
-func ParseNetwork(name string, configs map[string]string) (*netmodel.Network, error) {
-	n := netmodel.NewNetwork(name)
-	for dev, text := range configs {
-		d, err := Parse(dev, text)
-		if err != nil {
-			return nil, err
-		}
-		d.Name = dev
-		n.Devices[dev] = d
-	}
-	return n, nil
-}

@@ -260,12 +260,14 @@ func CountLines(text string) int {
 	return n
 }
 
-// Sanitize returns a copy of the device with secret material removed,
-// applied to every device config before it enters the twin network.
+// Sanitize returns the device with secret material removed, applied to
+// every device config before it enters the twin network. Only the Secrets
+// map is the copy's own: the rest is d's, written by neither side.
 func Sanitize(d *netmodel.Device) *netmodel.Device {
-	c := d.Clone()
-	for k := range c.Secrets {
+	c := *d
+	c.Secrets = make(map[string]string, len(d.Secrets))
+	for k := range d.Secrets {
 		c.Secrets[k] = "<redacted>"
 	}
-	return c
+	return &c
 }

@@ -60,7 +60,9 @@ type System struct {
 
 	// prodMu guards reads (twin construction, snapshots) against writes
 	// (commits, emergency commits, MutateProduction) on the production
-	// network. Every writer tells the enforcer before it unlocks — a commit
+	// network, whose device map every writer writes: it writes a device only
+	// once it replaced it (netmodel.Network.Detach), so open twins share the
+	// rest. Every writer tells the enforcer before it unlocks — a commit
 	// hands over the snapshot it verified, a declared MutateProduction has it
 	// derived, an undeclared one drops it — which is what keeps the
 	// production snapshot honest.
@@ -128,20 +130,22 @@ func (s *System) Policies() []verify.Policy { return s.policies }
 // MutateProduction applies fn to the production network under the write
 // lock, serializing out-of-band mutations (fault injection, admin edits)
 // against concurrent twin construction, reviews and commits, and tells the
-// enforcer, behind whose back it happened. Given every device fn writes, the
-// held production snapshot is derived across the write: those devices are
-// cloned first and the result diffed against them
-// (Enforcer.ProductionWritten). The list is a claim — a device written but
-// not listed leaves a wrong snapshot held. Without one, and whenever fn
-// fails (it may have partially applied), verdicts and snapshot are dropped.
+// enforcer, behind whose back it happened. fn writes clones: the listed
+// devices, or all of them when none is, are detached first
+// (netmodel.Network.Detach), and the held production snapshot is derived
+// across the write (Enforcer.ProductionWritten). The list is a claim — a
+// device written but not listed leaves a wrong snapshot held and writes
+// open twins. Without one, and whenever fn fails (it may have partially
+// applied), verdicts and snapshot are dropped.
 func (s *System) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
 	s.prodMu.Lock()
 	defer s.prodMu.Unlock()
-	var pre *netmodel.Network
-	if len(devices) > 0 {
-		pre = s.production.CloneCOW(devices...)
+	written := devices
+	if len(written) == 0 {
+		written = s.production.DeviceNames()
 	}
-	if err := fn(s.production); err != nil || pre == nil {
+	pre := s.production.Detach(written...)
+	if err := fn(s.production); err != nil || len(devices) == 0 {
 		s.Enforcer.InvalidateReviews()
 		return err
 	}

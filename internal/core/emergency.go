@@ -39,7 +39,10 @@ func (e *Engagement) EmergencyConsole(device string) (*EmergencySession, error) 
 	if !e.emergency {
 		return nil, fmt.Errorf("core: emergency mode not enabled for %s", e.Ticket.ID)
 	}
-	if !e.Slice[device] || e.sys.production.Devices[device] == nil {
+	e.sys.prodMu.RLock() // commits write the device map
+	known := e.Slice[device] && e.sys.production.Devices[device] != nil
+	e.sys.prodMu.RUnlock()
+	if !known {
 		e.emergencyNote(audit.KindDecision, false, "deny console on %s (outside slice)", device)
 		return nil, fmt.Errorf("core: no such device %q", device)
 	}

@@ -431,9 +431,10 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 			fmt.Sprintf("authz: high-risk change set authorized by %d approvals (M=%d)", len(approvals), e.Auth.M), true)
 	}
 	devices := touchedDevices(ordered)
-	// Only the touched devices are ever read back (journal pre-state,
-	// rollback, the production ancestor's diff), so only they are copied.
-	backup := prod.CloneCOW(devices...)
+	// The push writes clones of the touched devices (open twins share the
+	// rest); backup holds the untouched originals: the journal pre-state,
+	// rollback and the production ancestor's diff read them.
+	backup := prod.Detach(devices...)
 	tgt := e.pushTarget(prod)
 	policy := e.Retry.withDefaults()
 	e.commitSeq++

@@ -30,10 +30,11 @@ import (
 // and RestoreDevice may fail transiently (see faultinject.IsTransient);
 // the pipeline retries around them.
 type Target interface {
-	// Apply pushes one change to the production device it names.
+	// Apply pushes one change to the production device it names (a clone:
+	// netmodel.Network.Detach).
 	Apply(c config.Change) error
 	// RestoreDevice replaces a device's running state with the given
-	// pre-change snapshot (rollback and recovery).
+	// pre-change device (rollback), which open twins may share: never write d.
 	RestoreDevice(name string, d *netmodel.Device) error
 }
 
@@ -258,7 +259,7 @@ func (e *Enforcer) rollbackPush(tgt Target, prod *netmodel.Network, p RetryPolic
 			continue
 		}
 		err := e.pushOp(p, rng, "rollback", func() error {
-			return tgt.RestoreDevice(name, d.Clone())
+			return tgt.RestoreDevice(name, d)
 		})
 		if err != nil {
 			failed = append(failed, name)
@@ -298,11 +299,12 @@ type RecoveryReport struct {
 // Recover completes or undoes a commit the journal left open — the state
 // a crash between the intent record and the terminal record leaves behind.
 // It restores every touched device to its journaled pre-state, replays the
-// full scheduled change set, and re-runs post-apply verification: the
-// outcome (and the final production state) is therefore identical to the
-// uninterrupted run, whichever record the crash interrupted. Recovery runs
-// without the fault injector — it models the operator-driven repair path —
-// and clears a quarantine once production is consistent again.
+// full scheduled change set onto those parsed devices (a change on any other
+// rolls back), and re-runs post-apply verification: the outcome (and the
+// final production state) is therefore identical to the uninterrupted run,
+// whichever record the crash interrupted. Recovery runs without the fault
+// injector — it models the operator-driven repair path — and clears a
+// quarantine once production is consistent again.
 func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -345,6 +347,9 @@ func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 		return rep, nil
 	}
 	for i, c := range intent.Changes {
+		if _, ok := intent.PreState[c.Device]; !ok { // twins may share it
+			return rollBack(fmt.Sprintf("recovery replay refused change %d: %s has no journaled pre-state", i, c.Device))
+		}
 		if err := config.ApplyChanges(prod, intent.Changes[i:i+1]); err != nil {
 			return rollBack(fmt.Sprintf("recovery replay failed at change %d: %v", i, err))
 		}

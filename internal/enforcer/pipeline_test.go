@@ -165,11 +165,13 @@ func TestRollbackRestoresProductionExactly(t *testing.T) {
 	}
 }
 
-// A rollback swaps a device pointer under the held pre-commit snapshot
-// (memTarget.RestoreDevice), so a trace on that snapshot must read each
-// hop's device from the network, never one remembered from an earlier
-// trace: a flow across r1 asked for the first time after the rollback
-// equals a fresh Compute.
+// A commit swaps a device pointer under the held pre-commit snapshot (it
+// pushes onto a clone, netmodel.Network.Detach) and a rollback swaps the
+// untouched pre-image back in (memTarget.RestoreDevice), so a trace on that
+// snapshot must read each hop's device from the network, never one
+// remembered from an earlier trace: a flow across r1 asked for the first
+// time after the rollback equals a fresh Compute. The pushed change never
+// reached the device production held before the commit.
 func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
@@ -179,7 +181,7 @@ func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
 	if tr, _ := held.Reach("h1", "h2", netmodel.ICMP, 0); !tr.Delivered() {
 		t.Fatalf("baseline should deliver: %s", tr)
 	}
-	// Whichever change is pushed first lands on r1 in place before the
+	// Whichever change is pushed first lands on r1 (its clone) before the
 	// second dies: each denies a port no policy asks for.
 	deny := func(port int) config.Change {
 		c := benignChange(15+port%2, port)
@@ -190,11 +192,12 @@ func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
 		{Scope: "r1", Op: "apply", FailNth: 2, Class: faultinject.Permanent},
 	}}))
 	before := n.Devices["r1"]
+	printed := config.Print(before)
 	if _, err := e.Commit(n, []config.Change{deny(9998), deny(9999)}, aclSpec()); err == nil {
 		t.Fatal("commit should have failed")
 	}
-	if n.Devices["r1"] == before {
-		t.Fatal("the rollback restored r1 in place: the case is gone")
+	if n.Devices["r1"] != before || config.Print(before) != printed {
+		t.Fatal("the rollback did not restore the untouched r1 the commit detached")
 	}
 	if e.ProductionSnapshot(n) != held {
 		t.Fatal("the rollback did not keep the pre-commit snapshot held")

@@ -209,3 +209,29 @@ func TestRecoverTamperedJournalRejected(t *testing.T) {
 		t.Fatal("forged journal prefix imported")
 	}
 }
+
+// TestRecoverWritesOnlyParsedDevices: Recover writes production only on
+// the devices it has just parsed from the intent's pre-state; any other may
+// be shared with an open twin. An intent that names a change on a device
+// without a pre-state rolls back, and that device is left as it was, the
+// same pointer.
+func TestRecoverWritesOnlyParsedDevices(t *testing.T) {
+	n := prod()
+	e := newEnforcer(n)
+	r1, h2 := config.Print(n.Devices["r1"]), n.Devices["h2"]
+	h2Was := config.Print(h2)
+	e.Journal().Intent("T#1", "T", "op", []config.Change{
+		benignChange(15, 443),
+		{Device: "h2", Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 901, Name: "shared"}},
+	}, map[string]string{"r1": r1})
+	rep, err := e.Recover(n)
+	if err != nil || rep.Action != "rolled-back" {
+		t.Fatalf("Recover = %+v, %v, want rolled-back", rep, err)
+	}
+	if n.Devices["h2"] != h2 || config.Print(h2) != h2Was {
+		t.Fatal("recovery wrote a device it had not parsed from the pre-state")
+	}
+	if config.Print(n.Devices["r1"]) != r1 {
+		t.Fatal("r1 not back at its pre-state")
+	}
+}

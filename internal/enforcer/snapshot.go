@@ -24,16 +24,17 @@ package enforcer
 // config.DiffDevice finds on the touched devices, so a push that landed the
 // reviewed state re-derives and re-decides nothing (handOver).
 //
-// The invalidation contract is the verdict cache's: production is mutated
-// in place, and a snapshot reads its network's devices lazily (ACLs at
-// trace time), so a snapshot held across a mutation the enforcer did not
-// see would silently describe a network that no longer exists. Every
-// production writer ends, before it lets a reader back in, in a commit's
-// hand-over (an emergency write's too), in ProductionWritten (a declared
-// MutateProduction, the built-in target's rollback) or in InvalidateReviews,
-// which drops the snapshot: an undeclared MutateProduction, a custom
-// target's rollback, and Recover, whose real caller is a fresh enforcer
-// after a crash, holding nothing to derive from.
+// The invalidation contract is the verdict cache's: production's devices are
+// immutable once published (open twins share them), a writer replaces each
+// device it writes (netmodel.Network.Detach), and a snapshot reads its
+// network's devices from the map lazily (ACLs at trace time), so a snapshot
+// held across a write the enforcer did not see would silently describe a
+// network that no longer exists. Every production writer ends, before it
+// lets a reader back in, in a commit's hand-over (an emergency write's too),
+// in ProductionWritten (a declared MutateProduction, the built-in target's
+// rollback) or in InvalidateReviews, which drops the snapshot: an undeclared
+// MutateProduction, a custom target's rollback, and Recover, whose real
+// caller is a fresh enforcer after a crash, holding nothing to derive from.
 
 import (
 	"sync"
@@ -131,14 +132,14 @@ func (e *Enforcer) ProductionSnapshot(prod *netmodel.Network) *dataplane.Snapsho
 }
 
 // ProductionWritten is InvalidateReviews for an out-of-band writer that
-// names what it wrote: prod was mutated in place on exactly the listed
-// devices, and pre holds those devices as they were (a CloneCOW of them
-// taken before the write). The version moves on and every cached verdict
-// dies, but the held snapshot is derived across the write (diffAcross; the
-// same one when nothing changed) and held for the new version with the
-// verdicts it carries. The list is a claim nobody checks here: a device
-// written but not listed leaves a wrong snapshot held. Nothing held at this
-// version, or a listed device missing on either side, is a drop.
+// names what it wrote: prod was written on exactly the listed devices, and
+// pre holds them as they were (what netmodel.Network.Detach returned before
+// the write). The version moves on and every cached verdict dies, but the
+// held snapshot is derived across the write (diffAcross; the same one when
+// nothing changed) and held for the new version with the verdicts it
+// carries. The list is a claim nobody checks here: a device written but not
+// listed leaves a wrong snapshot held. Nothing held at this version, or a
+// listed device missing on either side, is a drop.
 func (e *Enforcer) ProductionWritten(prod, pre *netmodel.Network, devices []string) {
 	held := e.current(prod, e.prodVersion.Load())
 	cs, ok := diffAcross(pre, prod, devices)

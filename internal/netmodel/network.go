@@ -137,8 +137,7 @@ func (n *Network) Neighbors(device string) []string {
 	return out
 }
 
-// Clone returns a deep copy of the network. Twin networks are built from
-// clones so technician changes never touch production state.
+// Clone returns a deep copy of the network.
 func (n *Network) Clone() *Network {
 	c := NewNetwork(n.Name)
 	for name, d := range n.Devices {
@@ -154,10 +153,10 @@ func (n *Network) Clone() *Network {
 
 // CloneCOW returns a copy-on-write clone: the named devices are deep-cloned
 // and safe to mutate, every other *Device pointer is shared with the
-// receiver. The shared devices MUST be treated as immutable by the caller —
-// writing one corrupts the original network (and races with anyone reading
-// it). Links are shared too (the slice is capped, so appending to the
-// clone's Links cannot clobber the receiver's backing array); Connect-ing
+// receiver. The shared devices MUST be treated as immutable by both sides —
+// writing one writes the other network (and races with its readers; Detach
+// writes safely). Links are shared too (the slice is capped, so appending to
+// the clone's Links cannot clobber the receiver's backing array); Connect-ing
 // new cables on a COW clone is safe, but mutating an existing Link is not.
 //
 // This is what makes the attack-surface mutation sweep cheap: a trial that
@@ -175,6 +174,19 @@ func (n *Network) CloneCOW(mutated ...string) *Network {
 	}
 	c.Links = n.Links[:len(n.Links):len(n.Links)]
 	return c
+}
+
+// Detach readies the named devices of a network whose devices are shared
+// (CloneCOW) for writing: each is replaced by a deep clone, and the returned
+// CloneCOW view holds the devices as they were, untouched and still shared.
+func (n *Network) Detach(names ...string) *Network {
+	pre := n.CloneCOW()
+	for _, name := range names {
+		if d := pre.Devices[name]; d != nil {
+			n.Devices[name] = d.Clone()
+		}
+	}
+	return pre
 }
 
 // Validate checks structural invariants: every link endpoint names an

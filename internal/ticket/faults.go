@@ -189,16 +189,3 @@ func maskString(bits int) string {
 	}
 	return fmt.Sprintf("%d.%d.%d.%d", byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
-
-// FileFor creates the ticket an admin would file for the fault's symptom.
-func (s *System) FileFor(f Fault, srcHost, dstHost string, proto netmodel.Protocol, port uint16) *Ticket {
-	return s.Create(Ticket{
-		Summary:   f.Description,
-		Kind:      f.Kind,
-		SrcHost:   srcHost,
-		DstHost:   dstHost,
-		Proto:     proto,
-		DstPort:   port,
-		CreatedBy: "netadmin",
-	})
-}

@@ -220,15 +220,3 @@ func TestFaultInjectErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestFileFor(t *testing.T) {
-	s := newSystem()
-	f := InterfaceDown("r2", "Gi0/0")
-	tk := s.FileFor(f, "h1", "h2", netmodel.TCP, 80)
-	if tk.Kind != privilege.TaskInterface || tk.SrcHost != "h1" || tk.DstPort != 80 {
-		t.Fatalf("ticket = %+v", tk)
-	}
-	if tk.Summary == "" || tk.CreatedBy != "netadmin" {
-		t.Fatalf("ticket metadata = %+v", tk)
-	}
-}

@@ -3,6 +3,7 @@ package twin
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -26,6 +27,9 @@ import (
 type oracleTicket struct {
 	name string
 	prod *netmodel.Network
+	// printed is every device of prod rendered when the fixture was built:
+	// what prod must print after every row of every script.
+	printed map[string]string
 	// base is prod sanitized: what every twin of the ticket starts from,
 	// copied apart from any twin.
 	base  *netmodel.Network
@@ -71,7 +75,8 @@ func newOracleTicket(scen *scenarios.Scenario, is scenarios.Issue) oracleTicket 
 	if err != nil {
 		panic(err)
 	}
-	tk := oracleTicket{name: scen.Name + "/" + is.Name, prod: prod, base: sanitized(prod), snap: snap, slice: slice, spec: spec}
+	tk := oracleTicket{name: scen.Name + "/" + is.Name, prod: prod, printed: printNet(prod), base: sanitized(prod),
+		snap: snap, slice: slice, spec: spec}
 
 	rows := func(cmds []ticket.FixCommand) string {
 		var b strings.Builder
@@ -128,6 +133,15 @@ func sanitized(n *netmodel.Network) *netmodel.Network {
 	return c
 }
 
+// printNet renders every device of n, by name.
+func printNet(n *netmodel.Network) map[string]string {
+	out := make(map[string]string, len(n.Devices))
+	for name, d := range n.Devices {
+		out[name] = config.Print(d)
+	}
+	return out
+}
+
 // inverseLine is the console line that undoes a scripted fix line on the
 // faulty network n.
 func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
@@ -166,6 +180,10 @@ func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
 //   - Baseline() still equals the sanitized production: the pre-images are
 //     pristine, and no device the twin shares with its emulation layer was
 //     written;
+//   - production prints byte for byte what it printed before the fixture's
+//     first twin opened: the twin shares every device it has not written
+//     with production, so a console line of any class — a read included —
+//     that wrote a device it did not clone first would show here;
 //   - a second read — a memo hit by construction — returns the same, after
 //     the first returned slice was overwritten (the memo is not aliased);
 //   - a row that was denied, failed to parse, opened no console or is
@@ -181,6 +199,9 @@ func replayScript(t *testing.T, tk oracleTicket, script string) (halfway int) {
 	}
 	check := func(row string) []config.Change {
 		t.Helper()
+		if !maps.Equal(printNet(tk.prod), tk.printed) {
+			t.Fatalf("%s after %q: the twin wrote production", tk.name, row)
+		}
 		if moved := config.DiffNetwork(tk.base, tw.Baseline()); len(moved) != 0 {
 			t.Fatalf("%s after %q: the baseline moved: %v", tk.name, row, moved)
 		}

@@ -4,7 +4,7 @@
 //
 // The twin decouples the traditional monolithic emulator into:
 //
-//   - an emulation layer: a full-fidelity, sanitized clone of every device,
+//   - an emulation layer: a full-fidelity, sanitized view of every device,
 //     so faults reproduce exactly (security comes from mediation, not from
 //     omitting devices that might be the root cause);
 //   - a presentation layer: the topology view and consoles exposed to the
@@ -70,7 +70,7 @@ type Twin struct {
 	// does), so the cache is keyed by rule count and rebuilt when it grows.
 	compiled atomic.Pointer[compiledSpec]
 	emul     *netmodel.Network // the emulation layer: production, sanitized
-	slice    map[string]bool   // nil means every device is visible
+	visible  []string          // the slice, sorted: fixed, unlike emul's map
 	env      *console.Env
 	trail    *audit.Trail
 	meter    telemetry.Meter
@@ -83,20 +83,22 @@ type Twin struct {
 	// emulation layer itself must be safe for concurrent use.
 	mu sync.Mutex
 	// pre holds the pre-image of every device an allowed write-class
-	// command was dispatched on: a copy taken just before the first such
-	// write. The monitor is the emulation layer's only writer and a config
-	// command touches only its console's device, so every other device is
-	// still its own baseline. changes is the diff of the written devices
-	// against their pre-images, current while stale is false.
+	// command was dispatched on: the device held until the first such write
+	// put a clone in its place. The monitor is the emulation layer's only
+	// writer and a config command touches only its console's device, so
+	// every other device is still its own baseline (and production's).
+	// changes is the diff of the written devices against their pre-images,
+	// current while stale is false.
 	pre     map[string]*netmodel.Device
 	changes []config.Change
 	stale   bool
 }
 
-// New builds the twin: the emulation layer is a sanitized deep copy of
-// production (secrets redacted). That is the only copy an open makes; the
-// baseline a change set is diffed against is kept device by device, as the
-// pre-image of each device the technician writes.
+// New builds the twin: the emulation layer is production sanitized
+// (config.Sanitize), sharing all but secrets with production's devices,
+// which no production writer writes (netmodel.Network.Detach). An open
+// copies nothing: a device is cloned at its first write, and the one it
+// replaces is kept as the baseline its change set is diffed against.
 func New(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
@@ -104,13 +106,16 @@ func New(cfg Config) (*Twin, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
 	}
-	// Sanitize deep-copies each device itself, so the emulation layer starts
-	// from a shell that shares them (and the never-mutated links) with
-	// production.
+	// A shell sharing the never-mutated links, holding sanitized devices.
 	emul := cfg.Production.CloneCOW()
+	visible := make([]string, 0, len(emul.Devices))
 	for name, d := range emul.Devices {
 		emul.Devices[name] = config.Sanitize(d)
+		if cfg.Slice == nil || cfg.Slice[name] { // nil: every device is visible
+			visible = append(visible, name)
+		}
 	}
+	sort.Strings(visible)
 	meter := cfg.Meter
 	if meter == nil {
 		meter = telemetry.Nop()
@@ -121,7 +126,7 @@ func New(cfg Config) (*Twin, error) {
 		spec:       cfg.Spec,
 		emul:       emul,
 		pre:        make(map[string]*netmodel.Device),
-		slice:      cfg.Slice,
+		visible:    visible,
 		trail:      cfg.Trail,
 		meter:      meter,
 	}
@@ -133,7 +138,7 @@ func New(cfg Config) (*Twin, error) {
 		tw.env.Meter = cfg.Meter
 	}
 	tw.log(audit.KindSession, fmt.Sprintf("twin created (%d devices, %d visible)",
-		len(tw.emul.Devices), len(tw.VisibleDevices())), true)
+		len(tw.emul.Devices), len(tw.visible)), true)
 	return tw, nil
 }
 
@@ -146,40 +151,27 @@ func (tw *Twin) log(kind audit.Kind, detail string, allowed bool) {
 
 // VisibleDevices returns the presentation-layer topology: the devices the
 // technician can see and open consoles on, sorted.
-func (tw *Twin) VisibleDevices() []string {
-	if tw.slice == nil {
-		return tw.emul.DeviceNames()
-	}
-	var out []string
-	for name := range tw.slice {
-		if tw.emul.Devices[name] != nil {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (tw *Twin) VisibleDevices() []string { return slices.Clone(tw.visible) }
 
 // Visible reports whether a device is inside the presentation slice.
 func (tw *Twin) Visible(device string) bool {
-	if tw.slice == nil {
-		return tw.emul.Devices[device] != nil
-	}
-	return tw.slice[device] && tw.emul.Devices[device] != nil
+	_, ok := slices.BinarySearch(tw.visible, device)
+	return ok
 }
 
 // Network exposes the emulation layer for reading (tests, oracles);
-// technicians only ever interact through sessions. It is read-only for
-// anyone who calls Changes afterwards: Changes diffs the devices the
-// reference monitor dispatched a write on, so a mutation made through this
-// pointer is in no change set.
+// technicians only ever interact through sessions. It is read-only: a device
+// no write was dispatched on is production's, and Changes diffs only the
+// devices the monitor dispatched a write on, so a mutation made through this
+// pointer may reach production and is in no change set.
 func (tw *Twin) Network() *netmodel.Network { return tw.emul }
 
 // Baseline returns the sanitized production the twin started from, as a
 // copy-on-write view: the pre-image of every written device, and the
 // emulation layer's own device for every other one — still its baseline,
 // since nothing but a write changes a device. The view is read-only, and
-// it is the baseline only until the next write to a device it shares.
+// later writes do not move it: a device's first write replaces it in the
+// emulation layer instead of writing it.
 func (tw *Twin) Baseline() *netmodel.Network {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
@@ -307,9 +299,10 @@ func (s *Session) Exec(line string) (string, error) {
 	tw.observeMediation(start)
 	if cmd.Write {
 		// Recorded at dispatch, not on success: a write that fails halfway
-		// may already have mutated its device.
+		// may already have mutated its device, a clone of the shared one.
 		if _, ok := tw.pre[cmd.Device]; !ok {
-			tw.pre[cmd.Device] = tw.emul.Devices[cmd.Device].Clone()
+			d := tw.emul.Devices[cmd.Device]
+			tw.pre[cmd.Device], tw.emul.Devices[cmd.Device] = d, d.Clone()
 		}
 		tw.stale = true
 	}
