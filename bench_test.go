@@ -336,12 +336,15 @@ func BenchmarkFlowCache(b *testing.B) {
 // reviewFixture is the review-fresh workload of benchmark/ in process: the
 // fat-tree catalog tenant (k=4, 400 policies), an enforcer holding a
 // production snapshot one review has already warmed, and a never-repeating
-// change set on the storage guard of e0-0, so no review is answered from
-// the verdict cache and every one derives, carries production's verdicts
-// and retraces the rest, each from production's trace. counts reports the
-// verdicts carried, the flows retraced (the flow caches' misses) and the
-// policies resumed from production's trace so far.
-func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts func() (carried, retraced, resumed float64)) {
+// change set on the storage guard of e0-0 (entry 15 carries the review's
+// port), so no review is answered from the verdict cache and every one
+// derives and carries production's verdicts or retraces them from
+// production's trace. With open the set also holds review-fresh's bad entry
+// 16, which opens the storage rack on tcp/22 to everyone, and the review
+// must reject it. counts reports the verdicts carried, the flows retraced
+// (the flow caches' misses) and the policies resumed from production's
+// trace so far.
+func reviewFixture(tb testing.TB) (review func(i int, open bool) *enforcer.Decision, counts func() (carried, retraced, resumed float64)) {
 	scen := generate.FatTree(generate.FatTreeParams{K: 4})
 	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies)
 	reg := telemetry.NewRegistry()
@@ -349,18 +352,23 @@ func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts
 	spec := &privilege.Spec{Ticket: "T-BENCH", Technician: "bench", Rules: []privilege.Rule{
 		{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:e0-0"},
 	}}
-	review = func(i int) *enforcer.Decision {
-		d := e.Review(scen.Network, []config.Change{{
-			Device: "e0-0", Op: config.OpAddACLEntry, ACLName: "STORAGE-GUARD",
-			Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
-				Src: netip.MustParsePrefix("10.0.1.0/24"), Dst: netip.MustParsePrefix("10.0.0.0/24"), DstPort: uint16(1024 + i%60000)},
-		}}, spec)
-		if !d.Accepted || d.Checked != len(scen.Policies) {
-			tb.Fatalf("review %d: %+v", i, d)
+	storage := netip.MustParsePrefix("10.0.0.0/24")
+	entry := func(e netmodel.ACLEntry) config.Change {
+		return config.Change{Device: "e0-0", Op: config.OpAddACLEntry, ACLName: "STORAGE-GUARD", Entry: &e}
+	}
+	review = func(i int, open bool) *enforcer.Decision {
+		changes := []config.Change{entry(netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
+			Src: netip.MustParsePrefix("10.0.1.0/24"), Dst: storage, DstPort: uint16(1024 + i%60000)})}
+		if open {
+			changes = append(changes, entry(netmodel.ACLEntry{Seq: 16, Action: netmodel.Permit, Proto: netmodel.TCP, Dst: storage, DstPort: 22}))
+		}
+		d := e.Review(scen.Network, changes, spec)
+		if d.Accepted == open || d.Checked != len(scen.Policies) {
+			tb.Fatalf("review %d (open=%v): %+v", i, open, d)
 		}
 		return d
 	}
-	review(0)
+	review(0, false)
 	return review, func() (float64, float64, float64) {
 		return reg.CounterValue("heimdall_verify_policies_carried_total"), reg.CounterValue("heimdall_dataplane_flowcache_misses_total"),
 			reg.CounterValue("heimdall_verify_policies_resumed_total")
@@ -371,54 +379,69 @@ func reviewFixture(tb testing.TB) (review func(i int) *enforcer.Decision, counts
 // snapshot: ns/op and allocs/op (run with -benchmem) plus how many of the
 // 400 policy verdicts each review took over from production instead of
 // retracing and deciding (carried/op), how many flows it traced
-// (retraced/op, 92) and how many of those resumed from production's trace
-// instead of walking from the source (resumed/op, 92): the first two
-// together say a change to the trace path traces exactly the flows its
-// parent traced.
+// (retraced/op) and how many of those resumed from production's trace
+// instead of walking from the source (resumed/op). accept is review-fresh's
+// usual review: entry 15 gives no policy flow another verdict, so every
+// verdict carries, the 92 whose trace crosses e0-0 by replaying its ACLs,
+// and nothing is traced (400 / 0 / 0). reject is its bad review: entry 16
+// gives the flows it opens another verdict, and those resume at e0-0.
 func BenchmarkReview(b *testing.B) {
-	review, counts := reviewFixture(b)
-	carried0, retraced0, resumed0 := counts()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 1; i <= b.N; i++ {
-		review(i)
+	for _, c := range []struct {
+		name string
+		open bool
+	}{{"accept", false}, {"reject", true}} {
+		open := c.open
+		b.Run(c.name, func(b *testing.B) {
+			review, counts := reviewFixture(b)
+			carried0, retraced0, resumed0 := counts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				review(i, open)
+			}
+			carried, retraced, resumed := counts()
+			b.ReportMetric((carried-carried0)/float64(b.N), "carried/op")
+			b.ReportMetric((retraced-retraced0)/float64(b.N), "retraced/op")
+			b.ReportMetric((resumed-resumed0)/float64(b.N), "resumed/op")
+		})
 	}
-	carried, retraced, resumed := counts()
-	b.ReportMetric((carried-carried0)/float64(b.N), "carried/op")
-	b.ReportMetric((retraced-retraced0)/float64(b.N), "retraced/op")
-	b.ReportMetric((resumed-resumed0)/float64(b.N), "resumed/op")
 }
 
 // TestReviewAllocBudget pins the allocations of one uncached review on a
-// warm held snapshot. Measured at 241, the shadow it keeps for the commit
-// that lands it included: each of the 92 retraces is one allocation (its
-// trace and first hops in one block), and its memo entry is a value in the
-// flow cache's map. The ceiling is also the guard that a review builds
-// no verdict vector of its own — the commit rebuilds the shadow's; a review
-// that built it allocated ~95 more (810 against 716). (511 while a trace,
-// its hops, an ACL drop's detail and its memo entry were allocated apart;
-// 716 while the flow cache was a sync.Map, whose
-// every store boxed its key and allocated a trie node; 1,460 while each of
-// the 308 policies production already answers was carried as a trace — a
-// memo entry each in a cache thrown away with the review — and decided
-// again, not taken as a verdict; 1,659 while each of the 92 retraced flows
-// sorted its two hosts' interface names to find their addresses; 3,198
-// before reviews carried anything.) Re-measured at 241 when the commit's
-// diff and rules digest stopped paying for what did not change: nothing
-// here moved (Enforcer.Review digests the rules per call, as before), and
-// ~10 % over the count would raise the ceiling, so it stays.
-// The count is deterministic: the ceiling leaves ~5 %. If a change legitimately moves the count, re-measure with -v
-// and reset the ceiling; don't just raise it.
+// warm held snapshot, the shadow it keeps for the commit that lands it
+// included. accept is measured at 95: every verdict carries (the 92 policies
+// whose trace crosses e0-0 by replaying its ACLs, which allocates nothing)
+// and nothing is traced. reject is measured at 166: the 24 flows whose
+// verdict entry 16 flips are each resumed at e0-0, one allocation for the
+// trace and its first hops. reject's ceiling is also the guard that a review
+// builds no verdict vector of its own — the commit rebuilds the shadow's: a
+// vector is one allocation plus one per verdict not carried, 191 against
+// 166 (accept would read 96). (accept was 241 while the 92 crossing flows
+// were each retraced from the first hop on e0-0; 511 while a trace, its
+// hops, an ACL drop's detail and its memo entry were allocated apart; 716
+// while the flow cache was a sync.Map, whose every store boxed its key and
+// allocated a trie node; 1,460 while each of the 308 policies production
+// already answers was carried as a trace — a memo entry each in a cache
+// thrown away with the review — and decided again, not taken as a verdict;
+// 1,659 while each retraced flow sorted its two hosts' interface names to
+// find their addresses; 3,198 before reviews carried anything.) The counts
+// are deterministic: the ceilings leave ~5 %. If a change legitimately moves
+// a count, re-measure with -v and reset its ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
-	const ceiling = 253
-	review, counts := reviewFixture(t)
-	i := 0
-	before, _, _ := counts()
-	allocs := testing.AllocsPerRun(50, func() { i++; review(i) })
-	carried, _, _ := counts()
-	t.Logf("%.0f allocs and %.0f carried verdicts per review", allocs, (carried-before)/float64(i))
-	if allocs > ceiling {
-		t.Errorf("a review allocates %.0f times, budget %d", allocs, ceiling)
+	for _, c := range []struct {
+		name    string
+		open    bool
+		ceiling float64
+	}{{"accept", false, 100}, {"reject", true, 174}} {
+		review, counts := reviewFixture(t)
+		i := 0
+		before, _, _ := counts()
+		allocs := testing.AllocsPerRun(50, func() { i++; review(i, c.open) })
+		carried, _, _ := counts()
+		t.Logf("%s: %.0f allocs and %.0f carried verdicts per review", c.name, allocs, (carried-before)/float64(i))
+		if allocs > c.ceiling {
+			t.Errorf("a review that should %s allocates %.0f times, budget %.0f", c.name, allocs, c.ceiling)
+		}
 	}
 }
 

@@ -95,15 +95,10 @@ type bgpRoute struct {
 	outIf   string
 }
 
-// computeBGP runs the path-vector propagation to a fixpoint and returns
-// per-device FIB entries for learned (non-local) routes.
-func computeBGP(n *netmodel.Network, adj adjacency) map[string][]FIBEntry {
-	return computeBGPOver(n, bgpSessions(n, adj))
-}
-
-// computeBGPOver is computeBGP given an already-computed session list
-// (Derive computes the sessions first to decide whether a rerun is needed
-// at all).
+// computeBGPOver runs the path-vector propagation over the sessions to a
+// fixpoint and returns per-device FIB entries for learned (non-local)
+// routes. Derive computes the sessions first to decide whether a rerun is
+// needed at all.
 func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string][]FIBEntry {
 	if len(sessions) == 0 {
 		return nil

@@ -118,7 +118,8 @@ type ChangeSet []Change
 // the Topology fallback) the child shares the parent's hop index, remembers
 // the parent's cache, the changed devices and the suspects (new cells on
 // unchanged devices), and Reach carries the parent's traces that cross no
-// changed device and no suspect whose RIB moved (see Snapshot.Carries). A
+// changed device and no suspect whose RIB moved, or cross a device with only
+// ACL changes that give their flow the same result (see Snapshot.Carries). A
 // trace reads only its hop devices' config and FIB, the adjacency, address
 // ownership and host addresses, and no address can change outside
 // L3-topology, so such a trace read nothing that differs between the two.
@@ -241,10 +242,15 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		// holding s would chain every earlier version to this one.
 		d.parentFlows = s.flows
 		for _, c := range changes {
-			if !slices.Contains(d.stale, c.Device) {
-				d.stale = append(d.stale, c.Device)
+			// An ACL-only device stays a suspect: replay assumes unmoved routes.
+			list := &d.aclStale
+			if c.Kind != ChangeACL {
+				list = &d.stale
+				delete(fresh, c.Device)
 			}
-			delete(fresh, c.Device)
+			if !slices.Contains(*list, c.Device) {
+				*list = append(*list, c.Device)
+			}
 		}
 		if len(fresh) > 0 {
 			d.suspects = make(map[string]*suspect, len(fresh))
@@ -258,11 +264,11 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 	return d
 }
 
-// suspect is a device Derive gave a new route cell although its config did
-// not change: its OSPF or BGP routes may have moved. Whether its RIB did is
-// decided once, at the first trace across it that Carries tests, by
-// building the parent's cell too — from the parent's LSDB and BGP routes
-// over the child's network, which holds the device unchanged.
+// suspect is a device Derive gave a new route cell although its routing
+// config did not change: its OSPF or BGP routes may have moved. Whether its
+// RIB did is decided once, at the first trace across it that Carries tests,
+// by building the parent's cell too — from the parent's LSDB and BGP routes
+// over the child's network, whose copy of the device routes as the parent's.
 type suspect struct {
 	once  sync.Once
 	stale bool

@@ -77,12 +77,13 @@ type Snapshot struct {
 	// flows memoizes Reach results (per snapshot, concurrency-safe).
 	flows *flowCache
 	// parentFlows is the cache of the snapshot this one was derived from,
-	// set only when the derivation kept adj and addresses; stale names the
-	// devices whose config differs from that parent's, suspects those whose
-	// cell is new although their config is not (see Carries). Reach moves
-	// traces that cross neither between the two caches in both directions.
+	// set only when the derivation kept adj and addresses; stale and (with
+	// only ChangeACL changes) aclStale name the devices whose config differs
+	// from that parent's, suspects those whose cell is new although their
+	// routing config is not (see Carries and CarriesBack).
 	parentFlows *flowCache
 	stale       []string
+	aclStale    []string
 	suspects    map[string]*suspect
 	// hops is the trace index of the adjacency generation, shared along
 	// Derive's carry and built at the first trace (positions).
@@ -325,16 +326,8 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 			return t
 		}
 
-		// Ingress ACL.
-		if inIf != "" {
-			itf := d.Interface(inIf)
-			if itf != nil && itf.ACLIn != "" {
-				if acl := d.ACL(itf.ACLIn, false); acl != nil {
-					if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-						return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, "acl "+itf.ACLIn+" in on "+inIf)
-					}
-				}
-			}
+		if drop := aclStep(d, inIf, "", &f); drop.acl != "" {
+			return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, drop.detail())
 		}
 
 		if cur == dst {
@@ -358,14 +351,8 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 		e := entries[0]
 		out := Hop{Device: name, InIf: inIf, OutIf: e.OutIf}
 
-		// Egress ACL.
-		outItf := d.Interface(e.OutIf)
-		if outItf != nil && outItf.ACLOut != "" {
-			if acl := d.ACL(outItf.ACLOut, false); acl != nil {
-				if acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
-					return t.stop(out, DropACL, name, "acl "+outItf.ACLOut+" out on "+e.OutIf)
-				}
-			}
+		if drop := aclStep(d, "", e.OutIf, &f); drop.acl != "" {
+			return t.stop(out, DropACL, name, drop.detail())
 		}
 
 		// Resolve the next hop on the egress segment.
@@ -391,6 +378,42 @@ func (t *Trace) stop(h Hop, d Disposition, where, detail string) *Trace {
 	return t
 }
 
+// aclDrop is the ACL that denied a flow, its direction and the interface it
+// is bound to; the zero value is a pass. is compares a Trace's Detail with
+// detail() without building it.
+type aclDrop struct{ acl, dir, itf string }
+
+func (a aclDrop) detail() string { return "acl " + a.acl + a.dir + a.itf }
+
+func (a aclDrop) is(detail string) bool {
+	n := len(detail) - len(a.itf)
+	return n == 4+len(a.acl)+len(a.dir) && detail[:4] == "acl " && detail[4:4+len(a.acl)] == a.acl &&
+		detail[4+len(a.acl):n] == a.dir && detail[n:] == a.itf
+}
+
+// aclStep runs a hop's ACLs on d against f, the ingress ACL bound to inIf
+// and then the egress ACL bound to outIf, and returns the first drop. walk
+// runs it on each half of a hop; Carries replays a parent's hop with it.
+func aclStep(d *netmodel.Device, inIf, outIf string, f *Flow) aclDrop {
+	if inIf != "" {
+		if itf := d.Interfaces[inIf]; itf != nil && itf.ACLIn != "" && denies(d, itf.ACLIn, f) {
+			return aclDrop{itf.ACLIn, " in on ", inIf}
+		}
+	}
+	if outIf != "" {
+		if itf := d.Interfaces[outIf]; itf != nil && itf.ACLOut != "" && denies(d, itf.ACLOut, f) {
+			return aclDrop{itf.ACLOut, " out on ", outIf}
+		}
+	}
+	return aclDrop{}
+}
+
+// denies reports whether d defines the ACL acl and it denies f.
+func denies(d *netmodel.Device, acl string, f *Flow) bool {
+	a := d.ACLs[acl]
+	return a != nil && a.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny
+}
+
 // Reach traces host-to-host traffic: the flow's source and destination
 // addresses are looked up from the named hosts. It returns the trace and an
 // error when either host is unknown or unaddressed. It is ReachFrom with no
@@ -404,18 +427,18 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 // and addresses and prev crosses a hop Carries rejects, the retrace resumes
 // at the first: it keeps prev's hops before it, seeds loop detection with
 // them and walks on from that hop's device and ingress interface with
-// prev's flow. The prefix read nothing that differs and no address moved,
-// so the trace is the one a walk from the source gives.
+// prev's flow. The prefix read nothing that differs but ACLs that give its
+// flow the same result and no address moved, so the trace is the one a walk
+// from the source gives.
 //
 // Results are memoized per (srcHost, dstHost, proto, dstPort) for the
 // snapshot's lifetime, so policy checkers and the attack-surface sweep can
 // re-ask for the same flow without retracing it. A derived snapshot looks
 // next in its parent's cache (see Derive) and offers what it has traced
-// from the source back to the parent when that trace is clean too, which is
-// how a held production snapshot nobody calls Reach on fills from its first
-// review. Callers share the returned trace and must treat it as read-only
-// (every caller in the tree already does). ReachFrom is safe for concurrent
-// use.
+// from the source back to the parent under CarriesBack, which is how a held
+// production snapshot nobody calls Reach on fills from its first review.
+// Callers share the returned trace and must treat it as read-only (every
+// caller in the tree already does). ReachFrom is safe for concurrent use.
 func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
 	k := flowKey{src: srcHost, dst: dstHost, proto: proto, dstPort: dstPort}
 	if r, ok := s.flows.load(k); ok {
@@ -424,7 +447,7 @@ func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmode
 		return r.tr, r.err
 	}
 	if prev != nil && s.parentFlows != nil {
-		if i := s.firstStale(prev); i < len(prev.Hops) {
+		if i := s.firstStale(prev, true); i < len(prev.Hops) {
 			// A resumed trace crosses the hop it resumed at, so it never
 			// carries back to the parent.
 			t := newTrace(prev.Flow)
@@ -449,14 +472,14 @@ func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmode
 		r.tr = s.TraceFrom(srcHost, f)
 	}
 	r = s.flows.store(k, r)
-	if s.Carries(r.tr) {
+	if s.CarriesBack(r.tr) {
 		s.parentFlows.loadOrStore(k, r)
 	}
 	return r.tr, r.err
 }
 
 // carried serves the flow from the parent's cache when the memoized trace
-// is clean, and memoizes it here so the next generation finds it one level
+// carries, and memoizes it here so the next generation finds it one level
 // up. The parent's own counters do not move: they count its Reach calls.
 func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 	if s.parentFlows == nil {
@@ -474,29 +497,34 @@ func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 }
 
 // Carries reports whether a Reach result of the snapshot this one was
-// derived from is this one's result too (and the reverse): the derivation
-// kept adjacency and addresses and no hop is a stale device, so the trace read
-// nothing that differs between the two. A hop across a suspect — a device
-// with a new route cell but an unchanged config — is stale when its RIB
-// differs from the parent's, decided once per device. An error (tr nil) has
-// no hops: it depends on the device set and host addresses only. Traces move
-// between the two flow caches under this test, and so do the policy verdicts
-// decided on them (verify.CheckCarried): there is no other staleness rule.
-// A trace it fails is resumed at its first stale hop (ReachFrom).
+// derived from is this one's result too: the derivation kept adjacency and
+// addresses, and no hop is on a stale device, unless every change there was
+// ChangeACL and the new ACLs give the trace's flow the result it took there
+// (a pass, or its drop with the same Detail). A hop across a suspect — a
+// device with a new route cell but unchanged routing config — is stale when
+// its RIB differs from the parent's, decided once per device. An error (tr
+// nil) has no hops: it depends on the device set and host addresses only.
+// Traces and the verdicts decided on them (verify.CheckCarried) enter this
+// snapshot from the parent under this test alone; CarriesBack is the rule
+// the other way. A trace it fails is resumed at its first stale hop.
 func (s *Snapshot) Carries(tr *Trace) bool {
-	if s.parentFlows == nil {
-		return false
-	}
-	return tr == nil || s.firstStale(tr) == len(tr.Hops)
+	return s.parentFlows != nil && (tr == nil || s.firstStale(tr, true) == len(tr.Hops))
 }
 
-// firstStale is the index of tr's first hop on a stale device or a suspect
-// whose RIB moved, len(tr.Hops) when there is none. Only the suspects before
-// the first stale device are decided.
-func (s *Snapshot) firstStale(tr *Trace) int {
+// CarriesBack is Carries without the replay, which reads only this
+// snapshot's ACLs: the rule for writing a result back into the parent.
+func (s *Snapshot) CarriesBack(tr *Trace) bool {
+	return s.parentFlows != nil && (tr == nil || s.firstStale(tr, false) == len(tr.Hops))
+}
+
+// firstStale is the index of tr's first hop on a stale device (with replay,
+// an ACL-only one where replays fails) or a suspect whose RIB moved, else
+// len(tr.Hops). Only the suspects before the first stale device are decided.
+func (s *Snapshot) firstStale(tr *Trace, replay bool) int {
 	first := len(tr.Hops)
 	for i := range tr.Hops {
-		if slices.Contains(s.stale, tr.Hops[i].Device) {
+		dev := tr.Hops[i].Device
+		if slices.Contains(s.stale, dev) || slices.Contains(s.aclStale, dev) && (!replay || !s.replays(tr, i)) {
 			first = i
 			break
 		}
@@ -509,6 +537,17 @@ func (s *Snapshot) firstStale(tr *Trace) int {
 		}
 	}
 	return first
+}
+
+// replays reports whether hop i of tr gives its flow on this snapshot's
+// device the ACL result it took there: the drop tr ends in, else a pass.
+func (s *Snapshot) replays(tr *Trace, i int) bool {
+	h := &tr.Hops[i]
+	drop := aclStep(s.net.Devices[h.Device], h.InIf, h.OutIf, &tr.Flow)
+	if i == len(tr.Hops)-1 && tr.Disposition == DropACL {
+		return drop.is(tr.Detail)
+	}
+	return drop == aclDrop{}
 }
 
 // BGPPeer describes one configured BGP neighbor and its session state.

@@ -11,18 +11,21 @@ package enforcer
 // Beside the snapshot it holds what is known of the policies on it, one
 // verdict per policy: a review derives its snapshot from the held one and
 // evaluates only the policies whose held verdict rests on a trace the
-// derivation does not carry, each retraced from that trace's first changed
-// hop (dataplane.Snapshot.ReachFrom). The vector is installed, handed over
-// and dropped with the snapshot, never apart from it. A commit's vector is
-// complete: its post-apply check decides every policy. A version computed
-// from scratch starts empty and its first review completes it on
-// production. A declared write (ProductionWritten) holds what its
-// derivation carries, and a review fills a hole only with a trace
-// production shares. A commit lands what its
-// review verified: the post-apply check derives from the shadow that review
-// kept (or, if displaced, from the pre-commit snapshot) across whatever
-// config.DiffDevice finds on the touched devices, so a push that landed the
-// reviewed state re-derives and re-decides nothing (handOver).
+// derivation does not carry (dataplane.Snapshot.Carries, which replays a hop
+// on a device with only ACL changes against its new ACLs), each retraced
+// from that trace's first stale hop (dataplane.Snapshot.ReachFrom). The
+// vector is installed, handed over and dropped with the snapshot, never
+// apart from it. A commit's vector is complete: its post-apply check decides
+// every policy. A version computed from scratch starts empty and its first
+// review completes it on production. A declared write (ProductionWritten)
+// holds what its derivation carries, and a review fills a hole only with a
+// trace production shares under the strict rule, which replays nothing
+// (dataplane.Snapshot.CarriesBack): a replay reads only the review's ACLs. A
+// commit lands what its review verified: the post-apply check derives from
+// the shadow that review kept (or, if displaced, from the pre-commit
+// snapshot) across whatever config.DiffDevice finds on the touched devices,
+// so a push that landed the reviewed state re-derives and re-decides nothing
+// (handOver).
 //
 // The invalidation contract is the verdict cache's: production's devices are
 // immutable once published (open twins share them), a writer replaces each

@@ -364,23 +364,38 @@ func TestReviewsShareParentMemo(t *testing.T) {
 // tracing anything on production. A declared write's vector keeps the holes
 // Verdicts.Carried leaves: no review completes it.
 func TestComputedVectorCompletedOnce(t *testing.T) {
-	scen := scenarios.University()
+	scen := scenarios.Enterprise()
 	n := scen.Network
 	e := newCrashEnforcer(scen)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
-	var at struct{ dev, acl string }
-	for _, dev := range n.RoutersAndSwitches() {
-		for _, ifName := range n.Devices[dev].InterfaceNames() {
-			if itf := n.Devices[dev].Interfaces[ifName]; itf.ACLOut != "" && at.dev == "" {
-				at.dev, at.acl = dev, itf.ACLOut
+	// The deny entries drop the flow of a delivered policy at an ACL it
+	// passes (the edge router's ingress ACL: no flow passes the university's
+	// guards), so a review's ACL replay gives that flow another verdict and
+	// resumes its trace. Each entry has its own sequence number: no two
+	// change sets repeat.
+	var at struct {
+		dev, acl string
+		f        dataplane.Flow
+	}
+	full := dataplane.Compute(n)
+	for _, p := range scen.Policies {
+		tr, err := full.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		for i := 0; err == nil && tr.Delivered() && at.dev == "" && i < len(tr.Hops); i++ {
+			h := tr.Hops[i]
+			if itf := n.Devices[h.Device].Interface(h.InIf); itf != nil && itf.ACLIn != "" {
+				at.dev, at.acl, at.f = h.Device, itf.ACLIn, tr.Flow
 			}
 		}
 	}
+	if at.dev == "" {
+		t.Fatal("no delivered policy flow passes an ingress ACL")
+	}
 	spec := allowSpec(privilege.Rule{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:*"})
-	deny := func(port int) config.Change {
+	deny := func(seq int) config.Change {
 		return config.Change{Device: at.dev, Op: config.OpAddACLEntry, ACLName: at.acl,
-			Entry: &netmodel.ACLEntry{Seq: 1, Action: netmodel.Deny, Proto: netmodel.TCP, DstPort: uint16(port)}}
+			Entry: &netmodel.ACLEntry{Seq: seq, Action: netmodel.Deny, Proto: at.f.Proto, DstPort: at.f.DstPort,
+				Src: netip.PrefixFrom(at.f.Src, 32), Dst: netip.PrefixFrom(at.f.Dst, 32)}}
 	}
 	misses := func() uint64 {
 		_, m := e.ProductionSnapshot(n).FlowCacheStats()
@@ -388,7 +403,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	}
 	resumed := func() float64 { return reg.CounterValue("heimdall_verify_policies_resumed_total") }
 
-	e.Review(n, []config.Change{deny(1001)}, spec)
+	e.Review(n, []config.Change{deny(1)}, spec)
 	held := e.HeldVerdicts(n)
 	for i := range held {
 		if held[i].Load() == nil {
@@ -398,7 +413,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	verdictsMatchCompute(t, "first review", e.policies, held, n)
 
 	before, resumed0 := misses(), resumed()
-	e.Review(n, []config.Change{deny(1002)}, spec)
+	e.Review(n, []config.Change{deny(2)}, spec)
 	if got := misses(); got != before {
 		t.Fatalf("the second review traced %d flows on production, want 0", got-before)
 	}
@@ -413,7 +428,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 		old[i] = held[i].Load()
 	}
 	pre := n.CloneCOW(at.dev)
-	if err := config.ApplyChanges(n, []config.Change{deny(1003)}); err != nil {
+	if err := config.ApplyChanges(n, []config.Change{deny(3)}); err != nil {
 		t.Fatal(err)
 	}
 	e.ProductionWritten(n, pre, []string{at.dev})
@@ -428,7 +443,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	if holes == 0 {
 		t.Fatal("the declared write left no hole: the test exercises nothing")
 	}
-	e.Review(n, []config.Change{deny(1004)}, spec)
+	e.Review(n, []config.Change{deny(4)}, spec)
 	if got := misses(); got != 0 {
 		t.Fatalf("a review after a declared write traced %d flows on production: the vector was completed", got)
 	}

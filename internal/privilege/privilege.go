@@ -146,27 +146,6 @@ func (s *Spec) RulesDigest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Devices returns the sorted set of device names the spec's allow rules
-// mention ("*" patterns excluded).
-func (s *Spec) Devices() []string {
-	set := make(map[string]bool)
-	for _, r := range s.Rules {
-		if r.Effect != AllowEffect {
-			continue
-		}
-		parts := strings.Split(r.Resource, ":")
-		if len(parts) >= 2 && parts[0] == "device" && parts[1] != "*" {
-			set[parts[1]] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ParseSpec parses the text DSL: comment lines start with '#', every other
 // non-blank line is "allow(action, resource)" or "deny(action, resource)".
 func ParseSpec(ticket, technician, text string) (*Spec, error) {

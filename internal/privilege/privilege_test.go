@@ -56,17 +56,6 @@ func TestEvaluateDenyOverridesAndDefaultDeny(t *testing.T) {
 	}
 }
 
-func TestAllowedOnAndDevices(t *testing.T) {
-	s := &Spec{Rules: []Rule{
-		{Effect: AllowEffect, Action: "show.*", Resource: "device:r1"},
-		{Effect: AllowEffect, Action: "config.acl.*", Resource: "device:r2"},
-		{Effect: DenyEffect, Action: "*", Resource: "device:h9"},
-	}}
-	if got := s.Devices(); !reflect.DeepEqual(got, []string{"r1", "r2"}) {
-		t.Errorf("Devices = %v", got)
-	}
-}
-
 func TestParseSpecTextDSL(t *testing.T) {
 	text := `
 # privileges for ticket T42

@@ -226,9 +226,10 @@ func checkVerdicts(t *testing.T, what string, policies []verify.Policy, vec veri
 	}
 }
 
-// chainStats is what a chain carried: verdicts taken by index, and how many
-// of those were violations.
-type chainStats struct{ carried, carriedViolations int }
+// chainStats is what a chain carried: verdicts taken by index, how many of
+// those were violations, and how many crossed a changed device (carried by
+// replaying its ACLs).
+type chainStats struct{ carried, carriedViolations, replayed int }
 
 var chainTiers = []*chainTier{
 	{name: "university", build: scenarios.University},
@@ -248,6 +249,10 @@ var chainTiers = []*chainTier{
 // device's RIB, the flow of every scenario policy (which also warms the
 // snapshot the next step derives from) and 20 sampled host pairs, each flow
 // also with the string-keyed reference trace on the derived snapshot.
+//
+// Bit 7 adds an ACL edit aimed at the path of a random scenario policy on
+// the parent (aclEdit, verdict-keeping or verdict-flipping), so verdicts
+// and traces also carry across a changed device by replaying its ACLs.
 //
 // Bit 6 makes a step light: it reads the RIBs of a random subset of devices
 // only, and hands the verdict vector on as a declared write does. A route
@@ -303,16 +308,26 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 		next, class := cur, int(b%stepClasses)
 		var cs dataplane.ChangeSet
 		var ops []string
-		for k := 0; k <= int(b>>3&3); k++ {
-			step, ok := randomStep(rng, next, class)
-			class = rng.Intn(stepClasses)
-			if !ok {
-				continue
-			}
+		add := func(step chainStep) {
 			ops = append(ops, step.device+": "+step.op)
 			next = next.CloneCOW(step.device)
 			step.apply(next.Devices[step.device])
 			cs = append(cs, dataplane.Change{Device: step.device, Kind: step.kind})
+		}
+		for k := 0; k <= int(b>>3&3); k++ {
+			step, ok := randomStep(rng, next, class)
+			class = rng.Intn(stepClasses)
+			if ok {
+				add(step)
+			}
+		}
+		if b>>7 == 1 {
+			p := scen.Policies[rng.Intn(len(scen.Policies))]
+			if tr, err := snap.Reach(p.Src, p.Dst, p.Proto, p.DstPort); err == nil {
+				if step, ok := aclEdit(rng, next, tr, rng.Intn(len(tr.Hops)), rng.Intn(2) == 0); ok {
+					add(step)
+				}
+			}
 		}
 		if len(cs) == 0 {
 			continue
@@ -336,6 +351,9 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 					stats.carried++
 					if v.Violation != nil {
 						stats.carriedViolations++
+					}
+					if crosses(v.Trace, cs) {
+						stats.replayed++
 					}
 				case snap.Carries(nil):
 					resumed = append(resumed, i)
@@ -405,12 +423,14 @@ func TestGeneratedDeriveChained(t *testing.T) {
 				stats := runChain(t, tier, rng, script)
 				total.carried += stats.carried
 				total.carriedViolations += stats.carriedViolations
+				total.replayed += stats.replayed
 			})
 		}
 	}
-	t.Logf("%d verdicts carried, %d of them violations", total.carried, total.carriedViolations)
-	if total.carried == 0 || total.carriedViolations == 0 {
-		t.Fatal("no chain carried a violation from one snapshot to the next: the case is gone")
+	t.Logf("%d verdicts carried, %d of them violations, %d across a changed device by replay",
+		total.carried, total.carriedViolations, total.replayed)
+	if total.carried == 0 || total.carriedViolations == 0 || total.replayed == 0 {
+		t.Fatal("no chain carried a violation from one snapshot to the next, or none by replay: the case is gone")
 	}
 }
 
@@ -422,6 +442,7 @@ func FuzzDeriveChained(f *testing.F) {
 	for tier := range chainTiers {
 		f.Add(uint8(tier), int64(tier+1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8 | 6, 16 | 7, 24 | 1, 0, 32 | 1, 32 | 6, 2})
 		f.Add(uint8(tier), int64(tier+7), []byte{64 | 2, 64 | 3, 64 | 8 | 6, 1, 64 | 4, 64 | 32 | 7, 64 | 5, 0, 64 | 16 | 3})
+		f.Add(uint8(tier), int64(tier+13), []byte{128 | 1, 128 | 32 | 6, 128 | 64, 128 | 8 | 2, 128, 128 | 64 | 32 | 7, 128 | 16 | 4, 0})
 	}
 	f.Fuzz(func(t *testing.T, tier uint8, seed int64, script []byte) {
 		if len(script) > 32 {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -152,18 +151,4 @@ func (t *Tracer) ExportJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ParseJSONL reads spans back from an ExportJSONL stream.
-func ParseJSONL(data []byte) ([]*Span, error) {
-	var out []*Span
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var s Span
-		if err := dec.Decode(&s); err != nil {
-			return nil, fmt.Errorf("telemetry: parsing span JSONL: %w", err)
-		}
-		out = append(out, &s)
-	}
-	return out, nil
 }

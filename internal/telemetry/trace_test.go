@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -54,9 +55,13 @@ func TestExportJSONLRoundTrip(t *testing.T) {
 	if err := tr.ExportJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := ParseJSONL(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	var spans []*Span
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var s Span
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		spans = append(spans, &s)
 	}
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))

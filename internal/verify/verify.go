@@ -124,15 +124,6 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// ParsePolicies decodes a JSON array of policies.
-func ParsePolicies(data []byte) ([]Policy, error) {
-	var out []Policy
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("verify: parsing policies: %w", err)
-	}
-	return out, nil
-}
-
 // MarshalPolicies encodes policies as indented JSON.
 func MarshalPolicies(policies []Policy) ([]byte, error) {
 	return json.MarshalIndent(policies, "", "  ")
@@ -178,8 +169,9 @@ type Verdict struct {
 type Verdicts []atomic.Pointer[Verdict]
 
 // Carried returns the vector of s, a snapshot derived from the one v holds
-// the verdicts of: the verdicts whose trace s carries, every other slot
-// empty (all of them when the derivation rebuilt adjacency or owner).
+// the verdicts of: the verdicts whose trace s carries from there
+// (dataplane.Snapshot.Carries), every other slot empty (all of them when the
+// derivation rebuilt adjacency or owner).
 func (v Verdicts) Carried(s *dataplane.Snapshot) Verdicts {
 	out := make(Verdicts, len(v))
 	for i := range v {
@@ -210,10 +202,11 @@ func CheckMetered(s *dataplane.Snapshot, policies []Policy, m telemetry.Meter) *
 // verdict's trace when there is one (dataplane.Snapshot.ReachFrom resumes
 // it at its first stale hop, and a resumed trace never carries back), else
 // from the source, and then it fills the parent's empty slot when the
-// parent shares that trace — which is how the vector of a snapshot nobody
-// checks directly warms from the first check derived from it. next, when
-// not nil, receives every policy's verdict on s. Checked counts every
-// policy: each holds a verdict valid for s.
+// parent shares that trace (dataplane.Snapshot.CarriesBack, the strict
+// rule) — which is how the vector of a snapshot nobody checks directly warms
+// from the first check derived from it. next, when not nil, receives every
+// policy's verdict on s. Checked counts every policy: each holds a verdict
+// valid for s.
 func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
@@ -239,7 +232,7 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 			tr, err := s.ReachFrom(prev, p.Src, p.Dst, p.Proto, p.DstPort)
 			violation = decide(p, tr, err)
 			// A verdict is allocated only for a slot that takes it.
-			fill := v == nil && parent != nil && s.Carries(tr)
+			fill := v == nil && parent != nil && s.CarriesBack(tr)
 			v = nil
 			if fill || next != nil {
 				v = &Verdict{Trace: tr, Violation: violation}
