@@ -1,23 +1,18 @@
-// Command bgp-peering runs an ISP-class ticket end to end on an eBGP
-// peering: the ISP migrated to a new AS number, the enterprise edge still
-// peers with the old one, and external connectivity is down. The
-// technician diagnoses the idle session in the twin and fixes the neighbor
-// statement; the enforcer imports the verified change.
-//
-//	go run ./examples/bgp-peering
-package main
+package heimdall_test
 
 import (
 	"fmt"
-	"log"
 	"net/netip"
 
 	"heimdall"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Example_bgpPeering runs an ISP-class ticket end to end on an eBGP
+// peering: the ISP migrated to a new AS number, the enterprise edge still
+// peers with the old one, and external connectivity is down. The
+// technician diagnoses the idle session in the twin and fixes the neighbor
+// statement; the enforcer imports the verified change.
+func Example_bgpPeering() {
 	prod := buildPeering()
 	// The incident: the edge still expects the ISP's old AS (65010), but
 	// the ISP now runs 65011 — the session never re-establishes.
@@ -29,9 +24,7 @@ func main() {
 		{ID: "P001", Kind: heimdall.Reachability, Src: "h1", Dst: "ext-www", Proto: heimdall.TCP, DstPort: 443},
 	}
 	sys, err := heimdall.NewSystem(heimdall.Options{Network: prod, Policies: policies})
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	tk := sys.Tickets.Create(heimdall.Ticket{
 		Summary: "external web unreachable after ISP maintenance window",
 		Kind:    heimdall.TaskISP,
@@ -41,31 +34,24 @@ func main() {
 		CreatedBy: "netadmin",
 	})
 	eng, err := sys.StartWork(tk.ID, "dana")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 
 	edge, err := eng.Console("edge")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	out, _ := edge.Exec("show ip bgp")
 	fmt.Printf("twin> edge: show ip bgp ->\n%s\n\n", out)
 
 	// The fix: re-point the neighbor at the ISP's new AS.
-	if _, err := edge.Exec("router bgp 65001 neighbor 203.0.113.2 remote-as 65011"); err != nil {
-		log.Fatal(err)
-	}
+	_, err = edge.Exec("router bgp 65001 neighbor 203.0.113.2 remote-as 65011")
+	must(err)
 	out, _ = edge.Exec("show ip bgp")
 	fmt.Printf("twin> edge: show ip bgp (after fix) ->\n%s\n\n", out)
 
 	if ok, _ := eng.SymptomResolved(); !ok {
-		log.Fatal("twin still shows the symptom")
+		panic("twin still shows the symptom")
 	}
 	decision, err := eng.Commit()
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	fmt.Printf("enforcer: %s; ticket -> %s\n", decision.Reason(), sys.Tickets.Get(tk.ID).Status)
 
 	tr := heimdall.ComputeSnapshot(prod).TraceFrom("h1", heimdall.Flow{
@@ -73,6 +59,23 @@ func main() {
 		Dst: netip.MustParseAddr("198.51.100.10"), DstPort: 443, SrcPort: 40000,
 	})
 	fmt.Printf("production: %s\n", tr)
+
+	// Output:
+	// incident: ISP migrated to AS 65011; edge still peers with 65010
+	// twin> edge: show ip bgp ->
+	// BGP local AS 65001
+	// Neighbor        RemoteAS  State
+	// 203.0.113.2     65010     Idle
+	//
+	// twin> edge: show ip bgp (after fix) ->
+	// BGP local AS 65001
+	// Neighbor        RemoteAS  State
+	// 203.0.113.2     65011     Established (isp)
+	// Learned routes:
+	//   B 198.51.100.0/24 [20/1] via 203.0.113.2, Gi0/1
+	//
+	// enforcer: accepted; ticket -> resolved
+	// production: tcp 10.1.0.10:40000 -> 198.51.100.10:443: delivered path=[h1 edge isp ext-www]
 }
 
 // buildPeering assembles h1 - edge(AS 65001) === isp - ext-www.
@@ -102,10 +105,4 @@ func buildPeering() *heimdall.Network {
 		Networks: []netip.Prefix{netip.MustParsePrefix("198.51.100.0/24")}}
 	isp.BGP.SetNeighbor(netip.MustParseAddr("203.0.113.1"), 65001)
 	return n
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

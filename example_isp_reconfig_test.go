@@ -1,42 +1,45 @@
-// Command isp-reconfig reproduces the paper's ISP reconfiguration issue
+package heimdall_test
+
+import (
+	"fmt"
+
+	"heimdall"
+)
+
+// Example_ispReconfig reproduces the paper's ISP reconfiguration issue
 // (a bad static route breaks external connectivity) — and then replays the
 // paper's §4.3 threat: a technician whose legitimate fix hides a malicious
 // rule opening a path to the sensitive finance server. The policy enforcer
 // accepts the honest commit and rejects the malicious one, leaving
 // production untouched.
-//
-//	go run ./examples/isp-reconfig
-package main
-
-import (
-	"fmt"
-	"log"
-
-	"heimdall"
-)
-
-func main() {
-	log.SetFlags(0)
-
+func Example_ispReconfig() {
 	fmt.Println("=== Run 1: honest technician ===")
-	runHonest()
+	ispHonest()
 	fmt.Println()
 	fmt.Println("=== Run 2: malicious technician ===")
-	runMalicious()
+	ispMalicious()
+
+	// Output:
+	// === Run 1: honest technician ===
+	// honest fix: accepted, 21 policies checked; ticket -> resolved
+	//
+	// === Run 2: malicious technician ===
+	// mallory slipped a permit-to-finance entry into FINANCE-GUARD on r2
+	// enforcer rejected the commit: enforcer: change set rejected: 2 policy violations
+	//   violation: P020: isolated(h1 -> h9, tcp/80)
+	//   violation: P021: isolated(h4 -> h9, icmp)
+	// production unchanged; ticket -> rejected
 }
 
-func setup() (*heimdall.System, heimdall.Scenario, *heimdall.Ticket) {
+// ispTicket injects the enterprise ISP fault and files its ticket.
+func ispTicket() (*heimdall.System, heimdall.Scenario, *heimdall.Ticket) {
 	scen := heimdall.EnterpriseScenario()
 	issue := scen.Issues[2] // isp
-	if err := issue.Fault.Inject(scen.Network); err != nil {
-		log.Fatal(err)
-	}
+	must(issue.Fault.Inject(scen.Network))
 	sys, err := heimdall.NewSystem(heimdall.Options{
 		Network: scen.Network, Policies: scen.Policies, Sensitive: scen.Sensitive,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	tk := sys.Tickets.Create(heimdall.Ticket{
 		Summary: issue.Fault.Description,
 		Kind:    heimdall.TaskISP,
@@ -48,31 +51,22 @@ func setup() (*heimdall.System, heimdall.Scenario, *heimdall.Ticket) {
 	return sys, *scen, tk
 }
 
-func runHonest() {
-	sys, scen, tk := setup()
-	issue := scen.Issues[2]
+func ispHonest() {
+	sys, scen, tk := ispTicket()
 	eng, err := sys.StartWork(tk.ID, "alice")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := eng.RunScript(issue.Script); err != nil {
-		log.Fatal(err)
-	}
+	must(err)
+	_, err = eng.RunScript(scen.Issues[2].Script)
+	must(err)
 	decision, err := eng.Commit()
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	fmt.Printf("honest fix: %s, %d policies checked; ticket -> %s\n",
 		decision.Reason(), decision.Checked, sys.Tickets.Get(tk.ID).Status)
 }
 
-func runMalicious() {
-	sys, scen, tk := setup()
-	issue := scen.Issues[2]
+func ispMalicious() {
+	sys, scen, tk := ispTicket()
 	eng, err := sys.StartWork(tk.ID, "mallory")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	// An over-broad grant from a careless admin: ACL changes on the core
 	// router r2 (which guards the finance server), well beyond what an
 	// ISP-reconfiguration ticket needs.
@@ -83,24 +77,20 @@ func runMalicious() {
 	eng.Slice["r2"] = true
 
 	// The legitimate fix...
-	if _, err := eng.RunScript(issue.Script); err != nil {
-		log.Fatal(err)
-	}
+	_, err = eng.RunScript(scen.Issues[2].Script)
+	must(err)
 	// ...plus a stealthy permit that opens every host's path to the
 	// finance server — the paper's Figure 6 scenario. The command itself
 	// looks exactly like the legitimate ACL edits of a normal fix.
 	r2, err := eng.Console("r2")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := r2.Exec("access-list FINANCE-GUARD 15 permit ip any 10.9.0.0 0.0.0.255"); err != nil {
-		log.Fatal(err)
-	}
+	must(err)
+	_, err = r2.Exec("access-list FINANCE-GUARD 15 permit ip any 10.9.0.0 0.0.0.255")
+	must(err)
 	fmt.Println("mallory slipped a permit-to-finance entry into FINANCE-GUARD on r2")
 
 	decision, err := eng.Commit()
 	if err == nil {
-		log.Fatal("BUG: malicious commit was accepted")
+		panic("BUG: malicious commit was accepted")
 	}
 	fmt.Printf("enforcer rejected the commit: %v\n", err)
 	for _, v := range decision.Violations {
@@ -110,7 +100,7 @@ func runMalicious() {
 	// too (all-or-nothing change sets).
 	for _, e := range sys.Production().Device("r2").ACLs["FINANCE-GUARD"].Entries {
 		if e.Seq == 15 {
-			log.Fatal("malicious entry reached production")
+			panic("BUG: malicious entry reached production")
 		}
 	}
 	fmt.Printf("production unchanged; ticket -> %s\n", sys.Tickets.Get(tk.ID).Status)

@@ -1,37 +1,28 @@
-// Command ospf-troubleshoot reproduces the paper's OSPF issue ("I can't
-// ping the other router using OSPF") on the enterprise network: a
-// passive-interface statement silently kills an adjacency and strands a
-// branch. It also demonstrates safe privilege escalation: the technician
-// first suspects an ACL, requests ACL privileges, and the admin approves.
-//
-//	go run ./examples/ospf-troubleshoot
-package main
+package heimdall_test
 
 import (
 	"fmt"
-	"log"
 	"strings"
 
 	"heimdall"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Example_ospfTroubleshoot reproduces the paper's OSPF issue ("I can't
+// ping the other router using OSPF") on the enterprise network: a
+// passive-interface statement silently kills an adjacency and strands a
+// branch. It also demonstrates safe privilege escalation: the technician
+// first suspects an ACL, requests ACL privileges, and the admin approves.
+func Example_ospfTroubleshoot() {
 	scen := heimdall.EnterpriseScenario()
 	issue := scen.Issues[1] // ospf
 	prod := scen.Network
-	if err := issue.Fault.Inject(prod); err != nil {
-		log.Fatal(err)
-	}
+	must(issue.Fault.Inject(prod))
 	fmt.Printf("injected fault: %s\n", issue.Fault.Description)
 
 	sys, err := heimdall.NewSystem(heimdall.Options{
 		Network: prod, Policies: scen.Policies, Sensitive: scen.Sensitive,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	tk := sys.Tickets.Create(heimdall.Ticket{
 		Summary: fmt.Sprintf("%s cannot ping %s", issue.SrcHost, issue.DstHost),
 		Kind:    heimdall.TaskOSPF,
@@ -40,15 +31,11 @@ func main() {
 		CreatedBy: "netadmin",
 	})
 	eng, err := sys.StartWork(tk.ID, "bob")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 
 	// Diagnosis: neighbors are missing on r7.
 	r7, err := eng.Console("r7")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	out, _ := r7.Exec("show ip ospf neighbor")
 	fmt.Printf("twin> r7: show ip ospf neighbor ->\n%s\n", out)
 
@@ -57,41 +44,42 @@ func main() {
 		Effect: heimdall.Allow, Action: "config.acl.*", Resource: "device:r7",
 	}, "adjacency missing; want to rule out an ACL blocking OSPF hellos")
 	fmt.Printf("escalation requested: %s (%s)\n", esc.Rule, esc.Justification)
-	if err := eng.ApproveEscalation(esc); err != nil {
-		log.Fatal(err)
-	}
+	must(eng.ApproveEscalation(esc))
 	fmt.Println("escalation approved by admin (audited)")
 
 	// Root cause found: a passive-interface statement.
 	out, _ = r7.Exec("show running-config")
-	fmt.Printf("twin> r7: running-config contains the culprit:\n%s\n", grep(out, "passive-interface"))
-
-	if _, err := r7.Exec("router ospf no passive-interface Gi0/0"); err != nil {
-		log.Fatal(err)
+	fmt.Println("twin> r7: running-config contains the culprit:")
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "passive-interface") {
+			fmt.Println(line)
+		}
 	}
+
+	_, err = r7.Exec("router ospf no passive-interface Gi0/0")
+	must(err)
 	out, _ = r7.Exec("show ip ospf neighbor")
 	fmt.Printf("twin> r7: show ip ospf neighbor (after fix) ->\n%s\n", out)
 
 	if ok, _ := eng.SymptomResolved(); !ok {
-		log.Fatal("twin still shows the symptom")
+		panic("twin still shows the symptom")
 	}
 	decision, err := eng.Commit()
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	fmt.Printf("enforcer: %s; ticket %s -> %s\n",
 		decision.Reason(), tk.ID, sys.Tickets.Get(tk.ID).Status)
-}
 
-func grep(s, needle string) string {
-	var out []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, needle) {
-			out = append(out, line)
-		}
-	}
-	if len(out) == 0 {
-		return "(no match)"
-	}
-	return strings.Join(out, "\n")
+	// Output:
+	// injected fault: OSPF on r7 has passive-interface Gi0/0, adjacency lost
+	// twin> r7: show ip ospf neighbor ->
+	// sw2          FULL  10.0.12.1  Gi0/1
+	// escalation requested: allow(config.acl.*, device:r7) (adjacency missing; want to rule out an ACL blocking OSPF hellos)
+	// escalation approved by admin (audited)
+	// twin> r7: running-config contains the culprit:
+	//  passive-interface Gi0/0
+	//  passive-interface Gi0/2
+	// twin> r7: show ip ospf neighbor (after fix) ->
+	// r4           FULL  10.0.9.1  Gi0/0
+	// sw2          FULL  10.0.12.1  Gi0/1
+	// enforcer: accepted; ticket T-0001 -> resolved
 }

@@ -1,22 +1,17 @@
-// Command quickstart walks through the complete Heimdall workflow on a
-// small network: a misconfigured ACL blocks a web server; a technician
-// diagnoses and fixes it inside a twin network, and the policy enforcer
-// imports the verified change into production.
-//
-//	go run ./examples/quickstart
-package main
+package heimdall_test
 
 import (
 	"fmt"
-	"log"
 	"net/netip"
 
 	"heimdall"
 )
 
-func main() {
-	log.SetFlags(0)
-
+// Example_quickstart walks through the complete Heimdall workflow on a
+// small network: a misconfigured ACL blocks a web server; a technician
+// diagnoses and fixes it inside a twin network, and the policy enforcer
+// imports the verified change into production.
+func Example_quickstart() {
 	// ── Build a production network: h1 - r1 - h2 (a web server). ──────
 	prod := heimdall.NewNetwork("acme-corp")
 	r1 := prod.AddDevice("r1", heimdall.Router)
@@ -48,9 +43,7 @@ func main() {
 		{ID: "P002", Kind: heimdall.Reachability, Src: "h1", Dst: "web", Proto: heimdall.ICMP},
 	}
 	sys, err := heimdall.NewSystem(heimdall.Options{Network: prod, Policies: policies})
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 
 	// ── Step 0: the admin files a ticket. ──────────────────────────────
 	tk := sys.Tickets.Create(heimdall.Ticket{
@@ -66,40 +59,32 @@ func main() {
 
 	// ── Steps 1+2: privileges are generated, the twin comes up. ────────
 	eng, err := sys.StartWork(tk.ID, "alice")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	fmt.Printf("twin ready; visible devices: %v\n", eng.Twin.VisibleDevices())
 	fmt.Printf("generated Privilegemsp:\n%s", eng.Spec)
 
 	// The technician reproduces and diagnoses the issue in the twin.
 	h1c, err := eng.Console("h1")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	out, _ := h1c.Exec("ping web tcp 80")
 	fmt.Printf("twin> h1: ping web tcp 80 -> %s\n", out)
 
 	r1c, err := eng.Console("r1")
-	if err != nil {
-		log.Fatal(err)
-	}
+	must(err)
 	out, _ = r1c.Exec("show access-lists EDGE")
 	fmt.Printf("twin> r1: show access-lists EDGE ->\n%s\n", out)
 
 	// The fix: remove the offending deny.
-	if _, err := r1c.Exec("no access-list EDGE 10"); err != nil {
-		log.Fatal(err)
-	}
+	_, err = r1c.Exec("no access-list EDGE 10")
+	must(err)
 	out, _ = h1c.Exec("ping web tcp 80")
 	fmt.Printf("twin> h1: ping web tcp 80 -> %s\n", out)
 
 	// ── Step 3: the enforcer verifies and imports the change. ──────────
 	decision, err := eng.Commit()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("enforcer: %s (%d policies checked)\n", decision.Reason(), decision.Checked)
+	must(err)
+	fmt.Printf("enforcer: %s (%d policies checked); ticket -> %s\n",
+		decision.Reason(), decision.Checked, sys.Tickets.Get(tk.ID).Status)
 
 	tr := heimdall.ComputeSnapshot(prod).TraceFrom("h1", heimdall.Flow{
 		Proto:   heimdall.TCP,
@@ -111,14 +96,34 @@ func main() {
 
 	// The audit trail documents everything and is tamper-evident.
 	trail := sys.Enforcer.Trail()
-	if err := trail.Verify(); err != nil {
-		log.Fatal(err)
-	}
+	must(trail.Verify())
 	fmt.Printf("audit trail: %d entries, chain verified\n", trail.Len())
+
+	// Output:
+	// ticket filed: T-0001 "web service on 'web' cannot receive packets"
+	// twin ready; visible devices: [h1 r1 web]
+	// generated Privilegemsp:
+	// # Privilegemsp ticket=T-0001 technician=alice
+	// allow(show.*, device:h1)
+	// allow(diag.*, device:h1)
+	// allow(show.*, device:r1)
+	// allow(diag.*, device:r1)
+	// allow(show.*, device:web)
+	// allow(diag.*, device:web)
+	// allow(config.acl.*, device:r1)
+	// twin> h1: ping web tcp 80 -> ..... failed (acl-deny at r1) tcp 10.1.0.10:40000 -> 10.2.0.10:80
+	// twin> r1: show access-lists EDGE ->
+	// Extended IP access list EDGE
+	//     10 deny tcp any host 10.2.0.10 eq 80
+	//     20 permit ip any any
+	// twin> h1: ping web tcp 80 -> !!!!! success: tcp 10.1.0.10:40000 -> 10.2.0.10:80
+	// enforcer: accepted (2 policies checked); ticket -> resolved
+	// production: tcp 10.1.0.10:40000 -> 10.2.0.10:80: delivered path=[h1 r1 web]
+	// audit trail: 14 entries, chain verified
 }
 
 func must(err error) {
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 }

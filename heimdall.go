@@ -18,32 +18,27 @@
 //     tamper-evident audit trail.
 //
 // The package re-exports the part of the internal packages that the
-// examples/ programs, the root tests and the docs use, so a downstream
-// user needs a single import:
+// examples use, so a downstream user needs a single import:
 //
 //	sys, err := heimdall.NewSystem(heimdall.Options{Network: prod})
 //	tk := sys.Tickets.Create(heimdall.Ticket{Summary: "h1 cannot reach h2",
-//	        Kind: heimdall.TaskConnectivity, SrcHost: "h1", DstHost: "h2"})
+//	        Kind: heimdall.TaskACL, SrcHost: "h1", DstHost: "h2"})
 //	eng, err := sys.StartWork(tk.ID, "alice")
 //	sess, err := eng.Console("r1")
 //	out, err := sess.Exec("show ip route")
 //	decision, err := eng.Commit()
 //
-// See the examples/ directory for complete runnable programs and DESIGN.md
-// for the system inventory.
+// The Example functions of this package are complete runnable programs
+// (go test -run Example .), and DESIGN.md is the system inventory.
 package heimdall
 
 import (
 	"heimdall/internal/audit"
-	"heimdall/internal/config"
-	"heimdall/internal/console"
 	"heimdall/internal/core"
 	"heimdall/internal/dataplane"
-	"heimdall/internal/monitor"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
-	"heimdall/internal/spec"
 	"heimdall/internal/ticket"
 	"heimdall/internal/twin"
 	"heimdall/internal/verify"
@@ -77,57 +72,20 @@ const (
 // NewNetwork returns an empty network model.
 func NewNetwork(name string) *Network { return netmodel.NewNetwork(name) }
 
-// Configuration text.
-var (
-	// ParseConfig reads vendor-style configuration text into a device model.
-	ParseConfig = config.Parse
-	// PrintConfig renders a device model as canonical configuration text.
-	PrintConfig = config.Print
-	// DiffDevices computes the semantic changes between two device states.
-	DiffDevices = config.DiffDevice
-)
-
-// Dataplane.
-type (
-	// Snapshot is the computed forwarding state of one network
-	// configuration.
-	Snapshot = dataplane.Snapshot
-	// Flow describes traffic for traces and policy checks.
-	Flow = dataplane.Flow
-)
+// Flow describes traffic for traces and policy checks.
+type Flow = dataplane.Flow
 
 // ComputeSnapshot computes the forwarding behaviour of a network.
-func ComputeSnapshot(n *Network) *Snapshot { return dataplane.Compute(n) }
+func ComputeSnapshot(n *Network) *dataplane.Snapshot { return dataplane.Compute(n) }
 
-// Policies and verification.
-type (
-	// Policy is one verifiable network policy.
-	Policy = verify.Policy
-)
+// Policy is one verifiable network policy.
+type Policy = verify.Policy
 
-// Policy kinds.
-const (
-	Reachability = verify.Reachability
-)
+// Reachability is the policy kind that requires a flow to be delivered.
+const Reachability = verify.Reachability
 
-var (
-	// CheckPolicies evaluates policies against a snapshot.
-	CheckPolicies = verify.Check
-	// MinePolicies derives the policy set implied by a baseline snapshot
-	// (the config2spec role in the paper's pipeline).
-	MinePolicies = spec.Mine
-)
-
-// MiningOptions configures MinePolicies.
-type MiningOptions = spec.Options
-
-// Privilegemsp.
-type (
-	// PrivilegeRule is one allow/deny predicate.
-	PrivilegeRule = privilege.Rule
-	// TemplateInput describes a ticket to GeneratePrivileges.
-	TemplateInput = privilege.TemplateInput
-)
+// PrivilegeRule is one allow/deny predicate of a Privilegemsp.
+type PrivilegeRule = privilege.Rule
 
 // Task kinds for privilege templates.
 const (
@@ -140,57 +98,14 @@ const (
 	Allow = privilege.AllowEffect
 )
 
-var (
-	// ParsePrivilegeSpec parses the text DSL ("allow(action, resource)").
-	ParsePrivilegeSpec = privilege.ParseSpec
-	// GeneratePrivileges builds a task-driven Privilegemsp.
-	GeneratePrivileges = privilege.Generate
-)
+// ErrDenied is returned when the reference monitor blocks a command.
+type ErrDenied = twin.ErrDenied
 
-// Twin network.
-type (
-	// TwinConfig assembles a twin network.
-	TwinConfig = twin.Config
-	// ErrDenied is returned when the reference monitor blocks a command.
-	ErrDenied = twin.ErrDenied
-)
+// Ticket describes one reported issue.
+type Ticket = ticket.Ticket
 
-// Slice strategies (the paper's Figure 5 design space).
-const (
-	SliceTaskDriven = twin.SliceTaskDriven
-)
-
-var (
-	// NewTwin builds a twin network.
-	NewTwin = twin.New
-	// ComputeSlice returns the devices a strategy exposes for a ticket.
-	ComputeSlice = twin.ComputeSlice
-)
-
-// Terminal adds IOS-style modal editing (configure terminal, sub-modes) on
-// top of any mediated command Runner.
-type Terminal = console.Terminal
-
-// NewTerminal wraps a Runner (e.g. a TwinSession's Exec) in a modal
-// terminal.
-func NewTerminal(run console.Runner) *Terminal { return console.NewTerminal(run) }
-
-// Tickets.
-type (
-	// Ticket describes one reported issue.
-	Ticket = ticket.Ticket
-)
-
-// Ticket statuses.
-const (
-	TicketResolved = ticket.Resolved
-)
-
-// Audit.
-type (
-	// AuditTrail is the tamper-evident audit log.
-	AuditTrail = audit.Trail
-)
+// AuditTrail is the tamper-evident audit log.
+type AuditTrail = audit.Trail
 
 // ImportAuditTrail parses an exported audit trail and verifies it against
 // the trail key, rejecting any tampering. An export written before the
@@ -212,21 +127,8 @@ type (
 // NewSystem builds a Heimdall deployment around a production network.
 func NewSystem(opts Options) (*System, error) { return core.NewSystem(opts) }
 
-// ReplayTicket re-executes a ticket's allowed commands — extracted from a
-// verified audit trail — on a twin of the incident-time baseline.
-var ReplayTicket = core.ReplayTicket
-
-var (
-	// EvaluateTraffic routes a demand matrix over a snapshot.
-	EvaluateTraffic = monitor.Evaluate
-	// UniformTrafficMatrix generates a deterministic random demand matrix.
-	UniformTrafficMatrix = monitor.UniformMatrix
-)
-
 // Evaluation scenarios (the paper's Table 1 networks).
 type Scenario = scenarios.Scenario
 
-var (
-	// EnterpriseScenario builds the enterprise evaluation network.
-	EnterpriseScenario = scenarios.Enterprise
-)
+// EnterpriseScenario builds the enterprise evaluation network.
+var EnterpriseScenario = scenarios.Enterprise

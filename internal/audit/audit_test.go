@@ -155,7 +155,7 @@ func forge(t *testing.T, old, new string) error {
 // move between adjacent fields of an export without changing the hash; any
 // technician-typed line can carry one — here the mediated command
 // "[r1] show running-config | include acl" — and with its tail shifted into
-// kind the entry is no longer a command to Summarize or core.ReplayTicket.
+// kind the entry is no longer a command to Summarize.
 func TestImportRejectsFieldShift(t *testing.T) {
 	if err := forge(t,
 		`"kind": "command",

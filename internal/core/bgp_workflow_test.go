@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"net/netip"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/ticket"
+	"heimdall/internal/twin"
 )
 
 // bgpProd builds h1 - edge(AS 65001) === isp(AS 65010) - ext with a healthy
@@ -40,8 +42,9 @@ func bgpProd() *netmodel.Network {
 }
 
 // TestBGPWorkflowEndToEnd runs the full ticket lifecycle for the BGP
-// wrong-AS fault: twin diagnosis via show ip bgp, modal-terminal fix,
-// enforcer commit, production repaired.
+// wrong-AS fault: twin diagnosis via show ip bgp, modal-terminal fix, a
+// denied write inside configure terminal refused, enforcer commit,
+// production repaired.
 func TestBGPWorkflowEndToEnd(t *testing.T) {
 	prod := bgpProd()
 	fault := ticket.BGPWrongAS("edge", 65001, netip.MustParseAddr("203.0.113.2"), 65011, 65010)
@@ -81,6 +84,13 @@ neighbor 203.0.113.2 remote-as 65010
 end
 `); err != nil {
 		t.Fatal(err)
+	}
+	// The reference monitor still applies inside config mode: an ISP
+	// ticket grants no ACL write.
+	_, err = term.Script("configure terminal\nip access-list extended EVIL\n10 permit ip any any\nend\n")
+	var denied *twin.ErrDenied
+	if !errors.As(err, &denied) {
+		t.Fatalf("denied write through the terminal = %v, want ErrDenied", err)
 	}
 	if ok, _ := eng.SymptomResolved(); !ok {
 		t.Fatal("BGP fix did not resolve the symptom in the twin")

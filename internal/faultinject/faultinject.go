@@ -126,7 +126,6 @@ type Injector struct {
 	mu       sync.Mutex
 	rules    []Rule
 	hits     []int // per-rule count of matching calls
-	calls    map[string]int
 	injected int
 	meter    telemetry.Meter
 	sleep    func(time.Duration)
@@ -137,7 +136,6 @@ func New(plan Plan) *Injector {
 	return &Injector{
 		rules: append([]Rule(nil), plan.Rules...),
 		hits:  make([]int, len(plan.Rules)),
-		calls: make(map[string]int),
 		meter: telemetry.Nop(),
 		sleep: time.Sleep,
 	}
@@ -164,12 +162,11 @@ func (in *Injector) SetSleep(f func(time.Duration)) {
 	in.sleep = f
 }
 
-// Visit records one call on (scope, op) and returns the scheduled fault,
-// or nil when the call should proceed. Latency from matching rules is
-// applied before returning.
+// Visit counts one call on (scope, op) against every matching rule and
+// returns the scheduled fault, or nil when the call should proceed.
+// Latency from matching rules is applied before returning.
 func (in *Injector) Visit(scope, op string) error {
 	in.mu.Lock()
-	in.calls[scope+"/"+op]++
 	var delay time.Duration
 	var fault *Error
 	for i := range in.rules {
@@ -209,13 +206,6 @@ func (in *Injector) Injected() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.injected
-}
-
-// Calls returns how many calls (scope, op) has received, faulted or not.
-func (in *Injector) Calls(scope, op string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls[scope+"/"+op]
 }
 
 // RandomPlan derives a fault schedule from a seed: for each scope it rolls
