@@ -3,14 +3,15 @@ package heimdall_test
 import (
 	"errors"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"heimdall"
+	"heimdall/internal/console"
 )
 
-// buildNet assembles the quickstart topology through the public API.
-func buildNet(t *testing.T) *heimdall.Network {
+// terminalNet is h1 - r1 - web with an EDGE ACL on r1 that blocks HTTP to
+// web at seq 10.
+func terminalNet(t *testing.T) *heimdall.Network {
 	t.Helper()
 	n := heimdall.NewNetwork("api-test")
 	r1 := n.AddDevice("r1", heimdall.Router)
@@ -36,139 +37,12 @@ func buildNet(t *testing.T) *heimdall.Network {
 	return n
 }
 
-func TestPublicWorkflow(t *testing.T) {
-	prod := buildNet(t)
-	policies := []heimdall.Policy{
-		{ID: "P001", Kind: heimdall.Reachability, Src: "h1", Dst: "web", Proto: heimdall.TCP, DstPort: 80},
-	}
-	sys, err := heimdall.NewSystem(heimdall.Options{Network: prod, Policies: policies})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk := sys.Tickets.Create(heimdall.Ticket{
-		Summary: "web down", Kind: heimdall.TaskACL,
-		SrcHost: "h1", DstHost: "web", Proto: heimdall.TCP, DstPort: 80,
-		CreatedBy: "admin",
-	})
-	eng, err := sys.StartWork(tk.ID, "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := eng.Console("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Denied command surfaces the typed error through the facade.
-	_, err = sess.Exec("interface Gi0/0 shutdown")
-	var denied *heimdall.ErrDenied
-	if !errors.As(err, &denied) {
-		t.Fatalf("expected ErrDenied, got %v", err)
-	}
-	if _, err := sess.Exec("no access-list EDGE 10"); err != nil {
-		t.Fatal(err)
-	}
-	decision, err := eng.Commit()
-	if err != nil || !decision.Accepted {
-		t.Fatalf("commit: %v %+v", err, decision)
-	}
-	if got := sys.Tickets.Get(tk.ID).Status; got != heimdall.TicketResolved {
-		t.Fatalf("status = %v", got)
-	}
-	// Trace through the snapshot API.
-	tr := heimdall.ComputeSnapshot(prod).TraceFrom("h1", heimdall.Flow{
-		Proto: heimdall.TCP, Src: netip.MustParseAddr("10.1.0.10"),
-		Dst: netip.MustParseAddr("10.2.0.10"), SrcPort: 40000, DstPort: 80,
-	})
-	if !tr.Delivered() {
-		t.Fatalf("production trace: %s", tr)
-	}
-	// Audit export/import through the facade.
-	data, err := sys.Enforcer.Trail().Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := heimdall.ImportAuditTrail(sys.Enforcer.TrailKey(), data); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicConfigAndPolicies(t *testing.T) {
-	n := buildNet(t)
-	text := heimdall.PrintConfig(n.Device("r1"))
-	if !strings.Contains(text, "ip access-list extended EDGE") {
-		t.Fatalf("config:\n%s", text)
-	}
-	parsed, err := heimdall.ParseConfig("r1", text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := heimdall.DiffDevices(n.Device("r1"), parsed); len(diff) != 0 {
-		t.Fatalf("round trip diff: %v", diff)
-	}
-
-	spec, err := heimdall.ParsePrivilegeSpec("T", "u", "allow(show.*, device:*)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Allows("show.ip.route", "device:r1") {
-		t.Fatal("DSL spec evaluation broken through the facade")
-	}
-
-	// Mining and checking through the facade.
-	snap := heimdall.ComputeSnapshot(n)
-	mined := heimdall.MinePolicies(snap, n, heimdall.MiningOptions{})
-	if len(mined) == 0 {
-		t.Fatal("no policies mined")
-	}
-	if res := heimdall.CheckPolicies(snap, mined); !res.OK() {
-		t.Fatalf("mined policies violated: %v", res.Violations)
-	}
-}
-
-func TestPublicScenarios(t *testing.T) {
-	ent := heimdall.EnterpriseScenario()
-	if got := ent.Row().Routers; got != 9 {
-		t.Fatalf("enterprise routers = %d", got)
-	}
-	slice := heimdall.ComputeSlice(ent.Network, ent.Snapshot(), heimdall.SliceTaskDriven, "h2", "h3", nil)
-	if len(slice) == 0 || len(slice) >= len(ent.Network.Devices) {
-		t.Fatalf("slice = %v", slice)
-	}
-	if heimdall.SliceTaskDriven.String() != "Heimdall" {
-		t.Fatal("strategy naming broken")
-	}
-}
-
-func TestPublicTwinDirect(t *testing.T) {
-	// Using the twin layer directly (without the workflow engine).
-	prod := buildNet(t)
-	spec, err := heimdall.GeneratePrivileges(heimdall.TemplateInput{
-		Ticket: "T1", Technician: "t", Kind: heimdall.TaskMonitoring,
-		Scope: []string{"r1", "h1", "web"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tw, err := heimdall.NewTwin(heimdall.TwinConfig{
-		Ticket: "T1", Technician: "t", Production: prod, Spec: spec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := tw.OpenConsole("r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("show ip route"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Exec("no access-list EDGE 10"); err == nil {
-		t.Fatal("monitoring spec should deny writes")
-	}
-}
-
+// TestPublicTerminalOverTwin drives modal editing through a mediated
+// console: the ACL fix inside configure terminal is one change the
+// enforcer commits, a write the ACL ticket does not grant is refused even
+// in config mode, and the trail summarizes into one per-ticket report.
 func TestPublicTerminalOverTwin(t *testing.T) {
-	prod := buildNet(t)
+	prod := terminalNet(t)
 	policies := []heimdall.Policy{
 		{ID: "P001", Kind: heimdall.Reachability, Src: "h1", Dst: "web", Proto: heimdall.TCP, DstPort: 80},
 	}
@@ -190,7 +64,7 @@ func TestPublicTerminalOverTwin(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Modal editing over the mediated session.
-	term := heimdall.NewTerminal(sess.Exec)
+	term := console.NewTerminal(sess.Exec)
 	if _, err := term.Script(`
 show access-lists EDGE
 configure terminal
@@ -201,21 +75,27 @@ end
 		t.Fatal(err)
 	}
 	// The reference monitor still applies inside config mode.
-	if _, err := term.Script("configure terminal\ninterface Gi0/0\nshutdown\n"); err == nil {
-		t.Fatal("denied write accepted through the terminal")
+	_, err = term.Script("configure terminal\ninterface Gi0/0\nshutdown\n")
+	var denied *heimdall.ErrDenied
+	if !errors.As(err, &denied) {
+		t.Fatalf("denied write through the terminal = %v, want ErrDenied", err)
 	}
-	if _, err := eng.Commit(); err != nil {
-		t.Fatal(err)
+	if changes := eng.Twin.Changes(); len(changes) != 1 {
+		t.Fatalf("twin changes = %v, want the one ACL entry removal", changes)
 	}
-
-	// Forensic replay through the facade.
-	replay, err := heimdall.ReplayTicket(sys.Enforcer.Trail(), tk.ID, buildNet(t))
+	decision, err := eng.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay.Changes) != 1 {
-		t.Fatalf("replay changes = %v", replay.Changes)
+	if !decision.Accepted {
+		t.Fatalf("decision = %+v, want accepted", decision)
 	}
+	for _, e := range sys.Production().Devices["r1"].ACLs["EDGE"].Entries {
+		if e.Seq == 10 {
+			t.Fatalf("production EDGE still holds seq 10: %+v", e)
+		}
+	}
+
 	// Per-ticket audit report through the facade.
 	reports := heimdall.SummarizeAuditTrail(sys.Enforcer.Trail().Entries())
 	if len(reports) != 1 || reports[0].Commands == 0 {
