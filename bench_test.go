@@ -428,6 +428,9 @@ func BenchmarkReview(b *testing.B) {
 // are deterministic: the ceilings leave ~5 %. If a change legitimately moves
 // a count, re-measure with -v and reset its ceiling; don't just raise it.
 func TestReviewAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
 	for _, c := range []struct {
 		name    string
 		open    bool
@@ -537,7 +540,10 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 9,004 (10,384 while each open deep-copied every production
+// Measured at 8,909 (8,910 while the journal's intent record embedded
+// config.Print of every touched device, which cost bytes, 2.34 against 2.29
+// MB per three tickets, not allocations; 9,004 before a review carried
+// ACL-only hops; 10,384 while each open deep-copied every production
 // device into its twin; 10,933 while each commit's hand-over diff built a map
 // per ACL and compared interfaces and routing processes by reflection, the
 // commit digested the privilege rules the engagement had already digested,
@@ -560,7 +566,10 @@ func BenchmarkTicket(b *testing.B) {
 // ~10 %. If a change legitimately moves the count, re-measure with -v and
 // reset the ceiling; don't just raise it.
 func TestTicketAllocBudget(t *testing.T) {
-	const ceiling = 9920
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	const ceiling = 9800
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20
@@ -643,6 +652,9 @@ func BenchmarkOpen(b *testing.B) {
 // moves a count, re-measure with -v and reset its ceiling; don't just raise
 // it.
 func TestOpenAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
 	ceilings := map[string]float64{"university": 820, "fattree-k8": 3500}
 	for _, scen := range openScenarios() {
 		run := openFixture(t, scen)

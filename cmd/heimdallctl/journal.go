@@ -7,11 +7,12 @@ package main
 //	heimdallctl journal verify -in commit.journal -key HEX
 //	heimdallctl journal diff   -a before.journal -b after.journal [-key HEX]
 //
-// dump prints the chain human-readably (and authenticates it when the key
-// is supplied); verify authenticates the chain and prints its head; diff
-// compares two exports record-by-record and reports whether one is a
-// prefix of the other (the shape a crash or a stale copy leaves) or
-// where they diverge (the shape a forgery leaves).
+// dump prints the chain human-readably, each change with what its undo
+// restores (and authenticates it when the key is supplied); verify
+// authenticates the chain and prints its head; diff compares two exports
+// record-by-record and reports whether one is a prefix of the other (the
+// shape a crash or a stale copy leaves) or where they diverge (the shape a
+// forgery leaves).
 
 import (
 	"encoding/hex"
@@ -122,6 +123,13 @@ func journalDump(records []journal.Record, key []byte) {
 			suffix = " (" + strings.Join(extra, ", ") + ")"
 		}
 		fmt.Printf("#%-3d %-12s %-8s %s%s\n", r.Index, r.Kind, r.Commit, r.Detail, suffix)
+		for i, c := range r.Changes {
+			undo := "no undo"
+			if i < len(r.Undos) {
+				undo = r.Undos[i].String()
+			}
+			fmt.Printf("     %2d  %s  [undo: %s]\n", i, c, undo)
+		}
 	}
 	h := chain.HeadOf(records)
 	fmt.Printf("head: #%d %s\n", h.Index, short(h.Hash))

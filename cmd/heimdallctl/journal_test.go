@@ -30,7 +30,8 @@ func heimdallctl(args ...string) (string, error) {
 }
 
 // TestJournalRoundTrip: a journal exported by a workflow verifies under the
-// key the workflow printed, and every journal subcommand refuses an export
+// key the workflow printed, its dump shows what each change's undo
+// restores, and every journal subcommand refuses an export
 // carrying bytes the chain does not cover — keyed or not, because the file
 // is read by the chain's strict decoder.
 func TestJournalRoundTrip(t *testing.T) {
@@ -47,6 +48,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	key := m[1]
 	if out, err := heimdallctl("journal", "verify", "-in", good, "-key", key); err != nil || !strings.HasPrefix(out, "OK: 3 records") {
 		t.Fatalf("verify of an untouched export: %v\n%s", err, out)
+	}
+	// dump prints each intent's changes under it, with what undoing each
+	// puts back: the workflow's fix removes one SENSITIVE-15 entry, so its
+	// undo is the four-entry ACL as it was.
+	out, err = heimdallctl("journal", "dump", "-in", good, "-key", key)
+	if lines := strings.Split(out, "\n"); err != nil || len(lines) < 3 || !strings.HasPrefix(lines[1], "#0   intent") ||
+		lines[2] != "      0  r2 remove-acl-entry: SENSITIVE-15 seq 5  [undo: restore acl SENSITIVE-15 (4 entries)]" {
+		t.Fatalf("dump of an untouched export: %v\n%s", err, out)
 	}
 	if out, err := heimdallctl("journal", "verify", "-in", good, "-key", strings.Repeat("00", 32)); err == nil {
 		t.Fatalf("verify under the wrong key succeeded:\n%s", out)

@@ -3,6 +3,7 @@ package heimdall_test
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"heimdall"
@@ -65,7 +66,7 @@ func TestPublicTerminalOverTwin(t *testing.T) {
 	}
 	// Modal editing over the mediated session.
 	term := console.NewTerminal(sess.Exec)
-	if _, err := term.Script(`
+	if err := feed(term, `
 show access-lists EDGE
 configure terminal
 ip access-list extended EDGE
@@ -75,7 +76,7 @@ end
 		t.Fatal(err)
 	}
 	// The reference monitor still applies inside config mode.
-	_, err = term.Script("configure terminal\ninterface Gi0/0\nshutdown\n")
+	err = feed(term, "configure terminal\ninterface Gi0/0\nshutdown\n")
 	var denied *heimdall.ErrDenied
 	if !errors.As(err, &denied) {
 		t.Fatalf("denied write through the terminal = %v, want ErrDenied", err)
@@ -101,4 +102,17 @@ end
 	if len(reports) != 1 || reports[0].Commands == 0 {
 		t.Fatalf("reports = %+v", reports)
 	}
+}
+
+// feed types each non-blank line of text into the terminal, stopping at the
+// first error.
+func feed(term *console.Terminal, text string) error {
+	for _, line := range strings.Split(text, "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			if _, err := term.Input(line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -56,7 +56,7 @@ func TestParallelEquivalence(t *testing.T) {
 func exhaustiveVP(ev *Evaluator, faulted *netmodel.Network, tech Technique,
 	slice map[string]bool, pre map[string]bool) int {
 
-	spec := ev.specFor(tech, faulted, slice)
+	spec := ev.specFor(tech, faulted, slice).Compile()
 	hijacks := hostSubnets(ev.Base)
 	var muts []mutation
 	for _, dev := range sortedKeys(slice) {

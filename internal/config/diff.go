@@ -417,3 +417,117 @@ func ApplyChanges(n *netmodel.Network, changes []Change) error {
 	}
 	return nil
 }
+
+// Undo is the section of a device that one change writes, as it was before
+// the commit: the interface or the ACL the change names, the static-route
+// list, the OSPF or BGP process, the VLAN, or the default gateway, with a
+// nil payload where the section was absent. The journal's intent record
+// carries one per scheduled change, and RestoreUndo puts it back.
+type Undo struct {
+	Device  string
+	Section string // "interface", "acl", "routes", "ospf", "bgp", "vlan" or "gateway"
+	Name    string `json:",omitempty"` // the interface's or the ACL's
+	VLANID  int    `json:",omitempty"`
+
+	Interface *netmodel.Interface    `json:",omitempty"`
+	ACL       *netmodel.ACL          `json:",omitempty"`
+	Routes    []netmodel.StaticRoute `json:",omitempty"`
+	OSPF      *netmodel.OSPFProcess  `json:",omitempty"`
+	BGP       *netmodel.BGPProcess   `json:",omitempty"`
+	VLAN      *netmodel.VLAN         `json:",omitempty"`
+	Gateway   *netip.Addr            `json:",omitempty"`
+}
+
+// UndoOf returns the undo of c: the section of d that c writes, as d holds
+// it. The undo shares d's content, so d must not be written afterwards
+// (production's pre-commit devices never are); RestoreUndo copies it.
+func UndoOf(d *netmodel.Device, c Change) Undo {
+	u := Undo{Device: c.Device}
+	switch c.Op {
+	case OpAddInterface, OpSetInterface:
+		u.Section, u.Name, u.Interface = "interface", c.Interface.Name, d.Interfaces[c.Interface.Name]
+	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL:
+		u.Section, u.Name, u.ACL = "acl", c.ACLName, d.ACLs[c.ACLName]
+	case OpAddStaticRoute, OpRemoveStaticRoute:
+		u.Section, u.Routes = "routes", d.StaticRoutes
+	case OpSetOSPF, OpRemoveOSPF:
+		u.Section, u.OSPF = "ospf", d.OSPF
+	case OpSetBGP, OpRemoveBGP:
+		u.Section, u.BGP = "bgp", d.BGP
+	case OpSetVLAN:
+		u.Section, u.VLANID, u.VLAN = "vlan", c.VLAN.ID, d.VLANs[c.VLAN.ID]
+	case OpRemoveVLAN:
+		u.Section, u.VLANID, u.VLAN = "vlan", c.VLANID, d.VLANs[c.VLANID]
+	case OpSetGateway:
+		if u.Section = "gateway"; d.DefaultGateway.IsValid() {
+			u.Gateway = &d.DefaultGateway
+		}
+	}
+	return u
+}
+
+// Undoes reports whether u restores the section c writes.
+func (u Undo) Undoes(c Change) bool {
+	w := UndoOf(netmodel.NewDevice(c.Device, 0), c)
+	return u.Device == w.Device && u.Section == w.Section && u.Name == w.Name && u.VLANID == w.VLANID
+}
+
+// RestoreUndo puts the section u recorded back on d, as a copy: an absent
+// section is deleted. Restoring is idempotent, and restoring the undo of a
+// change that never landed leaves a section no other change wrote as it is.
+func RestoreUndo(d *netmodel.Device, u Undo) error {
+	if d.Name != u.Device {
+		return fmt.Errorf("config: undo for %s restored on %s", u.Device, d.Name)
+	}
+	switch u.Section {
+	case "interface":
+		put(d.Interfaces, u.Name, u.Interface, (*netmodel.Interface).Clone)
+	case "acl":
+		put(d.ACLs, u.Name, u.ACL, (*netmodel.ACL).Clone)
+	case "routes":
+		d.StaticRoutes = slices.Clone(u.Routes)
+	case "ospf":
+		d.OSPF = nil
+		if u.OSPF != nil {
+			d.OSPF = u.OSPF.Clone()
+		}
+	case "bgp":
+		d.BGP = nil
+		if u.BGP != nil {
+			d.BGP = u.BGP.Clone()
+		}
+	case "vlan":
+		put(d.VLANs, u.VLANID, u.VLAN, func(v *netmodel.VLAN) *netmodel.VLAN { c := *v; return &c })
+	case "gateway":
+		d.DefaultGateway = netip.Addr{}
+		if u.Gateway != nil {
+			d.DefaultGateway = *u.Gateway
+		}
+	default:
+		return fmt.Errorf("config: %s: unknown undo section %q", d.Name, u.Section)
+	}
+	return nil
+}
+
+// put sets m[k] to a copy of v, or deletes k where v is nil (absent).
+func put[K comparable, V any](m map[K]*V, k K, v *V, clone func(*V) *V) {
+	delete(m, k)
+	if v != nil {
+		m[k] = clone(v)
+	}
+}
+
+// String renders what restoring the undo does, for the journal's readers.
+func (u Undo) String() string {
+	what := strings.TrimSpace(u.Section + " " + u.Name)
+	if u.VLANID != 0 {
+		what = fmt.Sprintf("vlan %d", u.VLANID)
+	}
+	switch {
+	case u.ACL != nil:
+		return fmt.Sprintf("restore %s (%d entries)", what, len(u.ACL.Entries))
+	case u.Interface != nil || u.Routes != nil || u.OSPF != nil || u.BGP != nil || u.VLAN != nil || u.Gateway != nil:
+		return "restore " + what
+	}
+	return "remove " + what
+}

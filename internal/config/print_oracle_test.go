@@ -332,6 +332,9 @@ func TestPrintTrailerOnly(t *testing.T) {
 // fails here. The fmt-based printer took 1,500 on this device; the ceiling
 // sits a quarter above the measured count.
 func TestRenderAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
 	r2 := scenarios.University().Network.Devices["r2"]
 	got := testing.AllocsPerRun(20, func() { config.Print(r2) })
 	t.Logf("Print(university r2): %.0f allocs, %d bytes", got, len(config.Print(r2)))

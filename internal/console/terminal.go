@@ -144,23 +144,3 @@ func (t *Terminal) Input(line string) (string, error) {
 	}
 	return "", fmt.Errorf("console: unhandled mode %q", t.mode[1])
 }
-
-// Script feeds a multi-line modal script through the terminal, returning
-// the concatenated non-empty outputs. It stops at the first error.
-func (t *Terminal) Script(text string) (string, error) {
-	var outputs []string
-	for i, line := range strings.Split(text, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "!") {
-			continue
-		}
-		out, err := t.Input(trimmed)
-		if err != nil {
-			return strings.Join(outputs, "\n"), fmt.Errorf("console: line %d (%q): %w", i+1, trimmed, err)
-		}
-		if out != "" {
-			outputs = append(outputs, out)
-		}
-	}
-	return strings.Join(outputs, "\n"), nil
-}

@@ -1,6 +1,7 @@
 package console
 
 import (
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -168,3 +169,24 @@ func TestTerminalMediationComposes(t *testing.T) {
 type deniedErr struct{}
 
 func (*deniedErr) Error() string { return "permission denied" }
+
+// Script feeds a multi-line modal script through the terminal, returning
+// the concatenated non-empty outputs. It stops at the first error. It is
+// the tests' shorthand; a session feeds the terminal line by line.
+func (t *Terminal) Script(text string) (string, error) {
+	var outputs []string
+	for i, line := range strings.Split(text, "\n") {
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" || strings.HasPrefix(trimmed, "!") {
+			continue
+		}
+		out, err := t.Input(trimmed)
+		if err != nil {
+			return strings.Join(outputs, "\n"), fmt.Errorf("console: line %d (%q): %w", i+1, trimmed, err)
+		}
+		if out != "" {
+			outputs = append(outputs, out)
+		}
+	}
+	return strings.Join(outputs, "\n"), nil
+}

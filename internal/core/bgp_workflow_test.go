@@ -77,7 +77,7 @@ func TestBGPWorkflowEndToEnd(t *testing.T) {
 	}
 	// Fix through the modal terminal over the mediated session.
 	term := console.NewTerminal(sess.Exec)
-	if _, err := term.Script(`
+	if err := feed(term, `
 configure terminal
 router bgp 65001
 neighbor 203.0.113.2 remote-as 65010
@@ -87,7 +87,7 @@ end
 	}
 	// The reference monitor still applies inside config mode: an ISP
 	// ticket grants no ACL write.
-	_, err = term.Script("configure terminal\nip access-list extended EVIL\n10 permit ip any any\nend\n")
+	err = feed(term, "configure terminal\nip access-list extended EVIL\n10 permit ip any any\nend\n")
 	var denied *twin.ErrDenied
 	if !errors.As(err, &denied) {
 		t.Fatalf("denied write through the terminal = %v, want ErrDenied", err)
@@ -103,4 +103,17 @@ end
 	if err != nil || !tr.Delivered() {
 		t.Fatalf("production: %v %v", tr, err)
 	}
+}
+
+// feed types each non-blank line of text into the terminal, stopping at the
+// first error.
+func feed(term *console.Terminal, text string) error {
+	for _, line := range strings.Split(text, "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			if _, err := term.Input(line); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

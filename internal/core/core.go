@@ -108,10 +108,6 @@ func NewSystem(opts Options) (*System, error) {
 	}, nil
 }
 
-// Meter returns the deployment's telemetry meter (the no-op meter when
-// none was configured).
-func (s *System) Meter() telemetry.Meter { return s.meter }
-
 // Production exposes the production network (the admin's view; MSP
 // technicians never touch it directly).
 func (s *System) Production() *netmodel.Network { return s.production }
@@ -287,19 +283,12 @@ func (e *Engagement) ApproveEscalation(esc *privilege.Escalation) error {
 	return nil
 }
 
-// Review runs the enforcer's verification of the twin's current changes
-// against live production — privilege check plus shadow-snapshot policy
-// verification — without applying anything. The service layer calls this
-// from its bounded verify pool; technicians use it as a pre-flight before
-// Commit.
-func (e *Engagement) Review() (*enforcer.Decision, error) {
-	d, _, err := e.ReviewCached()
-	return d, err
-}
-
-// ReviewCached is Review plus the enforcer's cache-hit indicator: true
-// means the verdict was replayed from the content-addressed review cache
-// rather than recomputed (always false when the cache is disabled).
+// ReviewCached runs the enforcer's verification of the twin's current
+// changes against live production — privilege check plus shadow-snapshot
+// policy verification — without applying anything, and reports whether the
+// verdict was replayed from the content-addressed review cache rather than
+// recomputed (always false when the cache is disabled). Technicians use it
+// as a pre-flight before Commit.
 func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 	return e.ReviewChanges(e.Twin.Changes())
 }

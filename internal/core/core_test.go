@@ -214,7 +214,7 @@ func TestEscalationWorkflow(t *testing.T) {
 	}
 	rule := privilege.Rule{Effect: privilege.AllowEffect, Action: "config.acl.*",
 		Resource: "device:" + issue.Fault.RootCause}
-	if eng.Spec.Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
+	if eng.Spec.Compile().Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
 		t.Fatal("ACL writes should not be pre-granted on an OSPF ticket")
 	}
 	// The engagement memoizes its rules digest; the approval appends a rule,
@@ -228,7 +228,7 @@ func TestEscalationWorkflow(t *testing.T) {
 	if err := eng.ApproveEscalation(esc); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Spec.Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
+	if !eng.Spec.Compile().Allows("config.acl.add", "device:"+issue.Fault.RootCause) {
 		t.Fatal("approved escalation should widen privileges")
 	}
 	if d, hit, err := eng.ReviewChanges(acl); err != nil || hit || len(d.Unauthorized) != 0 {
@@ -353,8 +353,8 @@ func TestWorkflowTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Meter() != telemetry.Meter(reg) {
-		t.Fatal("System.Meter() should return the configured meter")
+	if sys.meter != telemetry.Meter(reg) {
+		t.Fatal("the system should hold the configured meter")
 	}
 	tk := fileIssue(sys, issue)
 	eng, err := sys.StartWork(tk.ID, "alice")

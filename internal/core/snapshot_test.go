@@ -825,7 +825,7 @@ func TestProductionSnapshotHammer(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		reader(func() error {
-			d, err := pending.Review()
+			d, _, err := pending.ReviewCached()
 			if err == nil && d.Checked != len(scen.Policies) {
 				err = fmt.Errorf("review checked %d policies, want %d", d.Checked, len(scen.Policies))
 			}

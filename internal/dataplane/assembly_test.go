@@ -40,6 +40,9 @@ func TestMergeBestMatchesReferenceOnScenarios(t *testing.T) {
 // and 1,521 while the routes were built eagerly and sorted by interned
 // strings, 16,990 and 4,508 before the RIB/FIB assembly was reworked).
 func TestComputeAllocBudget(t *testing.T) {
+	if dataplane.RaceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
 	for _, tc := range []struct {
 		scen    *scenarios.Scenario
 		ceiling float64

@@ -75,6 +75,9 @@ func TestFormatRIBMatchesReference(t *testing.T) {
 // The routing table renders in a fixed handful of allocations however many
 // routes it holds (the reference: 1,289 on this device).
 func TestRenderAllocBudget(t *testing.T) {
+	if dataplane.RaceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
 	snap := dataplane.Compute(scenarios.University().Network)
 	got := testing.AllocsPerRun(20, func() { snap.FormatRIB("r2") })
 	t.Logf("FormatRIB(university r2): %.0f allocs, %d routes", got, len(snap.RIB("r2")))

@@ -197,7 +197,9 @@ func TestCompareRouteAllocatesNothing(t *testing.T) {
 	c := a
 	c.OutIf = "Gi0/2"
 	var sink int
-	if n := testing.AllocsPerRun(100, func() { sink += compareRoute(a, b) + compareRoute(b, a) + compareRoute(a, c) }); n != 0 {
+	// The race detector allocates on its own: CI's "Allocation budgets" step
+	// runs this check without -race.
+	if n := testing.AllocsPerRun(100, func() { sink += compareRoute(a, b) + compareRoute(b, a) + compareRoute(a, c) }); n != 0 && !RaceEnabled {
 		t.Errorf("compareRoute allocates %.0f times per call", n)
 	}
 	if compareRoute(a, b) >= 0 || compareRoute(a, c) >= 0 {

@@ -348,8 +348,8 @@ func Schedule(changes []config.Change) []config.Change {
 }
 
 // Commit reviews, schedules and applies the change set to production
-// through the push pipeline: the commit intent (change set + device
-// pre-state) is journaled before anything touches production, every change
+// through the push pipeline: the commit intent (change set + each change's
+// undo) is journaled before anything touches production, every change
 // is pushed with per-change retry/backoff and journaled as applied, and
 // after application the full policy set is re-verified against the real
 // network. On any unrecoverable failure every touched device is restored
@@ -432,7 +432,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	}
 	devices := touchedDevices(ordered)
 	// The push writes clones of the touched devices (open twins share the
-	// rest); backup holds the untouched originals: the journal pre-state,
+	// rest); backup holds the untouched originals: the journal's undos,
 	// rollback and the production ancestor's diff read them.
 	backup := prod.Detach(devices...)
 	tgt := e.pushTarget(prod)
@@ -444,8 +444,14 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	rng := &jitter{seed: policy.JitterSeed + int64(e.commitSeq)}
 	id := specIdent{spec.Ticket, spec.Technician}
 
-	// Write-ahead: the journal knows the full plan and its rule before device one.
-	e.journal.IntentRule(cid, spec.Ticket, spec.Technician, ordered, preState(backup, devices), rule, approvals...)
+	// Write-ahead: the journal knows the full plan, what each change
+	// overwrites and the rule before device one.
+	undos := make([]config.Undo, len(ordered))
+	for i, c := range ordered {
+		undos[i] = config.UndoOf(backup.Devices[c.Device], c)
+	}
+	e.journal.Append(journal.Record{Kind: journal.KindIntent, Commit: cid, Ticket: spec.Ticket, Technician: spec.Technician,
+		Changes: ordered, Undos: undos, Approvals: approvals, ChangeIndex: -1, Detail: rule})
 	for i, c := range ordered {
 		opStart := time.Now()
 		err := e.pushOp(policy, rng, "apply", func() error { return tgt.Apply(c) })

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"heimdall/internal/audit"
@@ -223,18 +222,6 @@ func touchedDevices(changes []config.Change) []string {
 	return slices.Compact(out)
 }
 
-// preState renders the canonical pre-change configuration of the devices a
-// change set touches, for the journal's intent record.
-func preState(backup *netmodel.Network, devices []string) map[string]string {
-	pre := make(map[string]string, len(devices))
-	for _, name := range devices {
-		if d := backup.Devices[name]; d != nil {
-			pre[name] = config.Print(d)
-		}
-	}
-	return pre
-}
-
 // rollbackPush restores every touched device from the backup through the
 // target, retrying each restore. If any device cannot be restored the
 // enforcer quarantines instead of leaving a silent partial state. It
@@ -298,13 +285,16 @@ type RecoveryReport struct {
 
 // Recover completes or undoes a commit the journal left open — the state
 // a crash between the intent record and the terminal record leaves behind.
-// It restores every touched device to its journaled pre-state, replays the
-// full scheduled change set onto those parsed devices (a change on any other
-// rolls back), and re-runs post-apply verification: the outcome (and the
-// final production state) is therefore identical to the uninterrupted run,
-// whichever record the crash interrupted. Recovery runs without the fault
-// injector — it models the operator-driven repair path — and clears a
-// quarantine once production is consistent again.
+// It restores every change's journaled undo, last change first, on detached
+// copies of the devices the changes name (open twins share production's).
+// Undos are idempotent, so a change whose applied record the crash lost is
+// undone as safely as one that never landed. It then replays the full
+// scheduled change set and re-runs post-apply verification: the outcome (and
+// the final production state) is therefore identical to the uninterrupted
+// run, whichever record the crash interrupted. An intent whose undos do not
+// match its changes is rolled back without writing any device. Recovery runs
+// without the fault injector — it models the operator-driven repair path —
+// and clears a quarantine once production is consistent again.
 func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -312,46 +302,55 @@ func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	if intent == nil {
 		return &RecoveryReport{Action: "none"}, nil
 	}
-	// Recovery rewrites production (pre-state restore, then replay); no
-	// verdict cached against the interrupted state may survive it,
-	// whichever way it ends.
+	// Recovery rewrites production (undo, then replay); no verdict cached
+	// against the interrupted state may survive it, whichever way it ends.
 	defer e.InvalidateReviews()
 	e.meter.Counter("heimdall_enforcer_recoveries_total").Inc()
 	id := specIdent{intent.Ticket, intent.Technician}
-	restore := func() error {
-		for _, name := range sortedKeys(intent.PreState) {
-			d, err := config.Parse(name, intent.PreState[name])
-			if err != nil {
-				return fmt.Errorf("enforcer: recovery: parsing pre-state of %s: %w", name, err)
+	rep := &RecoveryReport{Commit: intent.Commit, Changes: len(intent.Changes)}
+	devices := touchedDevices(intent.Changes)
+	undo := func() error {
+		for i := len(intent.Undos) - 1; i >= 0; i-- {
+			u := intent.Undos[i]
+			if err := config.RestoreUndo(prod.Devices[u.Device], u); err != nil {
+				return fmt.Errorf("enforcer: recovery: %w", err)
 			}
-			prod.Devices[name] = d
 		}
 		return nil
 	}
-	if err := restore(); err != nil {
-		return nil, err
-	}
-	e.journal.Recovered(intent.Commit, fmt.Sprintf("restored pre-state of %d devices; replaying %d changes",
-		len(intent.PreState), len(intent.Changes)))
-	rep := &RecoveryReport{Commit: intent.Commit, Changes: len(intent.Changes)}
-	// rollBack restores the pre-state again and closes the commit undone.
-	rollBack := func(why string) (*RecoveryReport, error) {
-		if err := restore(); err != nil {
-			return nil, err
+	// rollBack closes the commit undone; the devices recovery wrote (none
+	// when it refused the intent) are undone first.
+	rollBack := func(written bool, why string) (*RecoveryReport, error) {
+		var restored []string
+		if written {
+			if err := undo(); err != nil {
+				return nil, err
+			}
+			restored = devices
 		}
-		e.journal.RolledBack(intent.Commit, sortedKeys(intent.PreState), why)
+		e.journal.RolledBack(intent.Commit, restored, why)
 		e.trail.Append(id.ticket, id.technician, audit.KindChange, "ROLLBACK: "+why, false)
 		e.meter.Counter("heimdall_enforcer_rollbacks_total").Inc()
 		e.quarantined, e.quarReason = false, ""
 		rep.Action = "rolled-back"
 		return rep, nil
 	}
+	ok := len(intent.Undos) == len(intent.Changes)
 	for i, c := range intent.Changes {
-		if _, ok := intent.PreState[c.Device]; !ok { // twins may share it
-			return rollBack(fmt.Sprintf("recovery replay refused change %d: %s has no journaled pre-state", i, c.Device))
-		}
-		if err := config.ApplyChanges(prod, intent.Changes[i:i+1]); err != nil {
-			return rollBack(fmt.Sprintf("recovery replay failed at change %d: %v", i, err))
+		ok = ok && intent.Undos[i].Undoes(c) && prod.Devices[c.Device] != nil
+	}
+	if !ok {
+		return rollBack(false, "recovery refused: the intent's undos do not match its changes on production")
+	}
+	prod.Detach(devices...)
+	if err := undo(); err != nil {
+		return nil, err
+	}
+	e.journal.Recovered(intent.Commit, fmt.Sprintf("undid %d changes on %d devices; replaying them",
+		len(intent.Undos), len(devices)))
+	for i, c := range intent.Changes {
+		if err := config.ApplyChange(prod.Devices[c.Device], c); err != nil {
+			return rollBack(true, fmt.Sprintf("recovery replay failed at change %d: %v", i, err))
 		}
 		e.journal.Applied(intent.Commit, i, c.String())
 	}
@@ -359,7 +358,7 @@ func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	// leave standing; the replay answers to the same rule.
 	post := verify.CheckMetered(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, e.meter)
 	if violations := untolerated(intent.Detail, post.Violations); len(violations) > 0 {
-		return rollBack(fmt.Sprintf("post-apply verification failed during recovery: %d violations", len(violations)))
+		return rollBack(true, fmt.Sprintf("post-apply verification failed during recovery: %d violations", len(violations)))
 	}
 	e.journal.Committed(intent.Commit, fmt.Sprintf("recovered: %d changes replayed", len(intent.Changes)))
 	e.trail.Append(id.ticket, id.technician, audit.KindSession,
@@ -367,14 +366,4 @@ func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	e.quarantined, e.quarReason = false, ""
 	rep.Action = "committed"
 	return rep, nil
-}
-
-// sortedKeys returns a map's keys in sorted order.
-func sortedKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

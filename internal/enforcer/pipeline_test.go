@@ -422,12 +422,15 @@ func TestHappyPathJournalShape(t *testing.T) {
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("journal kinds = %v, want %v", kinds, want)
 	}
-	// The intent carries the scheduled set and r1's pre-state config.
-	if len(recs[0].Changes) != 2 || recs[0].PreState["r1"] == "" {
+	// The intent carries the scheduled set and one undo per change: GUARD
+	// as it was before the commit.
+	if len(recs[0].Changes) != 2 || len(recs[0].Undos) != 2 {
 		t.Fatalf("intent record incomplete: %+v", recs[0])
 	}
-	if _, err := config.Parse("r1", recs[0].PreState["r1"]); err != nil {
-		t.Fatalf("journaled pre-state does not parse: %v", err)
+	for i, u := range recs[0].Undos {
+		if !u.Undoes(recs[0].Changes[i]) || u.ACL == nil || len(u.ACL.Entries) != len(prod().Devices["r1"].ACLs["GUARD"].Entries) {
+			t.Fatalf("undo %d = %+v, want r1's GUARD as it was", i, u)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package enforcer
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/netip"
 	"strings"
 	"testing"
@@ -23,9 +24,12 @@ func crashSpec() *privilege.Spec {
 }
 
 // neutralChanges builds a small committing change set for any scenario
-// network: inert VLAN definitions plus a no-op ACL permit inserted between
-// an existing deny and the trailing permit-all, so every policy keeps its
-// verdict and post-verify passes.
+// network: inert VLAN definitions, a static route to a documentation prefix
+// no policy reaches, and a no-op ACL permit inserted between an existing
+// deny and the trailing permit-all, so every policy keeps its verdict and
+// post-verify passes. The route is the one change that is not idempotent
+// (a second push appends it again), so a recovery that replays it onto a
+// device where it already landed shows.
 func neutralChanges(t *testing.T, n *netmodel.Network) []config.Change {
 	t.Helper()
 	var changes []config.Change
@@ -39,6 +43,8 @@ func neutralChanges(t *testing.T, n *netmodel.Network) []config.Change {
 		changes = append(changes, config.Change{Device: name, Op: config.OpSetVLAN,
 			VLAN: &netmodel.VLAN{ID: 900 + i, Name: fmt.Sprintf("chaos-%d", i)}})
 	}
+	changes = append(changes, config.Change{Device: vlanDevs[0], Op: config.OpAddStaticRoute,
+		Route: &netmodel.StaticRoute{Prefix: netip.MustParsePrefix("198.51.100.0/24"), NextHop: netip.MustParseAddr("192.0.2.1")}})
 	// Find an ACL that ends in a permit-all (seq 30 in both scenarios)
 	// and add a neutral permit at seq 25.
 	for _, name := range n.DeviceNames() {
@@ -72,10 +78,13 @@ func newCrashEnforcer(scen *scenarios.Scenario) *Enforcer {
 // then simulates a crash after every journal record boundary: production
 // is reconstructed to exactly what the pipeline had pushed at that point,
 // a fresh enforcer imports the surviving journal prefix, and Recover must
-// land on the same final production state as the uninterrupted run. The
-// emergency cases first inject a fault that breaks policies, so a strict
-// commit of the same set is refused and the emergency commit lands only
-// because its intent tolerates them: Recover must replay it to that rule.
+// land on the same final production state as the uninterrupted run. Where
+// the next record is an applied one, the crash also comes between that push
+// and its record: production holds the change, the journal does not, and the
+// change's undo must take it back as safely as any other. The emergency
+// cases first inject a fault that breaks policies, so a strict commit of the
+// same set is refused and the emergency commit lands only because its intent
+// tolerates them: Recover must replay it to that rule.
 func TestRecoverEveryCrashPoint(t *testing.T) {
 	for _, tc := range []struct {
 		load  func() *scenarios.Scenario
@@ -115,7 +124,11 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 		if tolerated := strings.Fields(strings.TrimPrefix(full[0].Detail, tolerates)); (tc.fault != "") != (len(tolerated) > 0) {
 			t.Fatalf("%s: intent detail %q", name, full[0].Detail)
 		}
+		if len(full[0].Undos) != len(ordered) {
+			t.Fatalf("%s: %d undos for %d changes", name, len(full[0].Undos), len(ordered))
+		}
 
+		crashes := 0
 		for k := 1; k <= len(full); k++ {
 			prefix := full[:k]
 			// Reconstruct production as the crash left it: pre-state plus
@@ -132,44 +145,65 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 					committedSeen = true
 				}
 			}
-
-			// Reboot: a fresh enforcer imports the authenticated prefix.
-			e2 := newCrashEnforcer(scen)
-			data, err := json.Marshal(prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := journal.Import(e2.JournalKey(), data)
-			if err != nil {
-				t.Fatalf("%s: crash point %d: journal rejected: %v", name, k, err)
-			}
-			e2.SetJournal(j)
-			rep, err := e2.Recover(state)
-			if err != nil {
-				t.Fatalf("%s: crash point %d: recover: %v", name, k, err)
-			}
-			wantAction := "committed"
-			if committedSeen {
-				wantAction = "none"
-			}
-			if rep.Action != wantAction {
-				t.Fatalf("%s: crash point %d: action = %s, want %s", name, k, rep.Action, wantAction)
-			}
-			if got := fingerprint(state); got != finalFP {
-				t.Fatalf("%s: crash point %d: recovered state differs from uninterrupted run", name, k)
-			}
-			// The journal is settled and verifiable; recovery is idempotent.
-			if err := e2.Journal().Verify(); err != nil {
-				t.Fatalf("%s: crash point %d: %v", name, k, err)
-			}
-			if intent, _ := e2.Journal().Open(); intent != nil {
-				t.Fatalf("%s: crash point %d: commit still open after recovery", name, k)
-			}
-			again, err := e2.Recover(state)
-			if err != nil || again.Action != "none" {
-				t.Fatalf("%s: crash point %d: second recover = %+v, %v", name, k, again, err)
+			recoverAt(t, scen, fmt.Sprintf("%s: crash point %d", name, k), prefix, state, committedSeen, finalFP)
+			crashes++
+			// The push of the next change landed; its applied record did not.
+			if k < len(full) && full[k].Kind == journal.KindApplied {
+				c := ordered[full[k].ChangeIndex]
+				if err := config.ApplyChange(state.Devices[c.Device], c); err != nil {
+					t.Fatal(err)
+				}
+				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, full[k].ChangeIndex), prefix, state, false, finalFP)
+				crashes++
 			}
 		}
+		if want := 2*len(full) - 2; crashes != want { // every applied record, and everything after the intent
+			t.Fatalf("%s: %d crash points, want %d", name, crashes, want)
+		}
+	}
+}
+
+// recoverAt reboots onto the journal prefix a crash left with production in
+// state (which it recovers in place), and holds the recovery to the
+// uninterrupted run's final state.
+func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journal.Record, state *netmodel.Network, committedSeen bool, finalFP string) {
+	t.Helper()
+	// Reboot: a fresh enforcer imports the authenticated prefix.
+	e2 := newCrashEnforcer(scen)
+	data, err := json.Marshal(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := journal.Import(e2.JournalKey(), data)
+	if err != nil {
+		t.Fatalf("%s: journal rejected: %v", at, err)
+	}
+	e2.SetJournal(j)
+	state = state.CloneCOW() // the caller's copy keeps its devices (Recover detaches)
+	rep, err := e2.Recover(state)
+	if err != nil {
+		t.Fatalf("%s: recover: %v", at, err)
+	}
+	wantAction := "committed"
+	if committedSeen {
+		wantAction = "none"
+	}
+	if rep.Action != wantAction {
+		t.Fatalf("%s: action = %s, want %s", at, rep.Action, wantAction)
+	}
+	if got := fingerprint(state); got != finalFP {
+		t.Fatalf("%s: recovered state differs from uninterrupted run", at)
+	}
+	// The journal is settled and verifiable; recovery is idempotent.
+	if err := e2.Journal().Verify(); err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	if intent, _ := e2.Journal().Open(); intent != nil {
+		t.Fatalf("%s: commit still open after recovery", at)
+	}
+	again, err := e2.Recover(state)
+	if err != nil || again.Action != "none" {
+		t.Fatalf("%s: second recover = %+v, %v", at, again, err)
 	}
 }
 
@@ -202,36 +236,74 @@ func TestRecoverTamperedJournalRejected(t *testing.T) {
 	}
 	full := e.Journal().Records()
 	prefix := full[:1]
-	// Forge the pre-state to point recovery at a different config.
-	prefix[0].PreState = map[string]string{"r1": "! kind: router\nhostname r1\n"}
+	// Forge the undo: recovery would delete the ACL instead of restoring it.
+	prefix[0].Undos[0].ACL = nil
 	data, _ := json.Marshal(prefix)
 	if _, err := journal.Import(e.JournalKey(), data); err == nil {
 		t.Fatal("forged journal prefix imported")
 	}
 }
 
-// TestRecoverWritesOnlyParsedDevices: Recover writes production only on
-// the devices it has just parsed from the intent's pre-state; any other may
-// be shared with an open twin. An intent that names a change on a device
-// without a pre-state rolls back, and that device is left as it was, the
-// same pointer.
-func TestRecoverWritesOnlyParsedDevices(t *testing.T) {
+// TestRecoverKeepsTwinDevices: open twins share production's devices, so
+// Recover writes only copies it detached itself. A view that still holds
+// the crashed production's devices (as a twin opened before the crash does)
+// prints exactly as it did, while production lands on the committed state.
+func TestRecoverKeepsTwinDevices(t *testing.T) {
 	n := prod()
+	pre := n.Clone()
 	e := newEnforcer(n)
-	r1, h2 := config.Print(n.Devices["r1"]), n.Devices["h2"]
-	h2Was := config.Print(h2)
-	e.Journal().Intent("T#1", "T", "op", []config.Change{
+	if _, err := e.Commit(n, []config.Change{benignChange(15, 443), benignChange(16, 8443)}, aclSpec()); err != nil {
+		t.Fatal(err)
+	}
+	committed := fingerprint(n)
+	// Crash after the first push and its applied record.
+	records := e.Journal().Records()[:2]
+	if err := config.ApplyChange(pre.Devices["r1"], records[0].Changes[0]); err != nil {
+		t.Fatal(err)
+	}
+	twin := pre.CloneCOW()
+	held := fingerprint(twin)
+	e2 := newEnforcer(pre)
+	data, _ := json.Marshal(records)
+	j, err := journal.Import(e2.JournalKey(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.SetJournal(j)
+	if rep, err := e2.Recover(pre); err != nil || rep.Action != "committed" {
+		t.Fatalf("Recover = %+v, %v, want committed", rep, err)
+	}
+	if fingerprint(pre) != committed {
+		t.Fatal("recovered production differs from the uninterrupted commit")
+	}
+	if fingerprint(twin) != held {
+		t.Fatal("recovery wrote a device an open twin holds")
+	}
+}
+
+// TestRecoverRefusesMismatchedUndos: an intent whose undos do not match its
+// changes — one short, or one restoring another section — is rolled back
+// without writing any device, every production pointer left as it was.
+func TestRecoverRefusesMismatchedUndos(t *testing.T) {
+	n := prod()
+	r1 := n.Devices["r1"]
+	changes := []config.Change{
 		benignChange(15, 443),
-		{Device: "h2", Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 901, Name: "shared"}},
-	}, map[string]string{"r1": r1})
-	rep, err := e.Recover(n)
-	if err != nil || rep.Action != "rolled-back" {
-		t.Fatalf("Recover = %+v, %v, want rolled-back", rep, err)
+		{Device: "r1", Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 901, Name: "shared"}},
 	}
-	if n.Devices["h2"] != h2 || config.Print(h2) != h2Was {
-		t.Fatal("recovery wrote a device it had not parsed from the pre-state")
-	}
-	if config.Print(n.Devices["r1"]) != r1 {
-		t.Fatal("r1 not back at its pre-state")
+	for name, undos := range map[string][]config.Undo{
+		"short":         {config.UndoOf(r1, changes[0])},
+		"other section": {config.UndoOf(r1, changes[0]), config.UndoOf(r1, changes[0])},
+	} {
+		e := newEnforcer(n)
+		fp, devices := fingerprint(n), maps.Clone(n.Devices)
+		e.Journal().Intent("T#1", "T", "op", changes, undos)
+		rep, err := e.Recover(n)
+		if err != nil || rep.Action != "rolled-back" {
+			t.Fatalf("%s: Recover = %+v, %v, want rolled-back", name, rep, err)
+		}
+		if !maps.Equal(n.Devices, devices) || fingerprint(n) != fp {
+			t.Fatalf("%s: recovery wrote production for an intent it refused", name)
+		}
 	}
 }

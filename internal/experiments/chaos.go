@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -115,21 +116,14 @@ func chaosFingerprint(n *netmodel.Network) string {
 
 // replayJournal reconstructs the production state a verified journal
 // describes: pre-state plus every applied change, minus every journaled
-// restore. Production matching this replay bit-for-bit is what makes the
-// journal a trustworthy account of a partial push.
+// restore — a recovered record undoes every change of its intent, a
+// rolled-back or quarantined one the changes on the devices it restored,
+// each from its undo, last change first. Production matching this replay
+// bit-for-bit is what makes the journal a trustworthy account of a partial
+// push.
 func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.Network, error) {
 	state := pre.Clone()
 	var intent *journal.Record
-	restore := func(names []string) error {
-		for _, name := range names {
-			d, err := config.Parse(name, intent.PreState[name])
-			if err != nil {
-				return fmt.Errorf("parsing journaled pre-state of %s: %w", name, err)
-			}
-			state.Devices[name] = d
-		}
-		return nil
-	}
 	for i := range records {
 		r := &records[i]
 		switch r.Kind {
@@ -147,16 +141,14 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 			if intent == nil {
 				return nil, fmt.Errorf("%s record %d without intent", r.Kind, r.Index)
 			}
-			names := r.Restored
-			if r.Kind == journal.KindRecovered {
-				// Recovery restores every journaled device before replaying.
-				names = nil
-				for name := range intent.PreState {
-					names = append(names, name)
+			for i := len(intent.Undos) - 1; i >= 0; i-- {
+				u := intent.Undos[i]
+				if r.Kind != journal.KindRecovered && !slices.Contains(r.Restored, u.Device) {
+					continue
 				}
-			}
-			if err := restore(names); err != nil {
-				return nil, err
+				if err := config.RestoreUndo(state.Devices[u.Device], u); err != nil {
+					return nil, fmt.Errorf("restoring undo %d: %w", i, err)
+				}
 			}
 		}
 	}

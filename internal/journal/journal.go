@@ -5,12 +5,12 @@
 // Where the audit trail (internal/audit) answers "what happened, for the
 // customer's auditor", the journal answers "what was I doing, for the
 // recovering enforcer": the intent record written before the first device
-// is touched carries the scheduled change set and the pre-change
-// configuration of every affected device, each applied change lands as its
-// own record, and exactly one terminal record (committed / rolled-back /
-// quarantined) closes the commit. Records are links of the enforcer's hash
-// chain (internal/chain), sealed under an enclave-derived key exactly as
-// the audit trail's entries are, so a journal that survived a crash can be
+// is touched carries the scheduled change set and each change's undo (what
+// it overwrites, config.Undo: undo logging after ARIES), each applied change
+// lands as its own record, and exactly one terminal record (committed /
+// rolled-back / quarantined) closes the commit. Records are links of the
+// enforcer's hash chain (internal/chain), sealed under an enclave-derived
+// key as the trail's entries are, so a journal that survived a crash can be
 // authenticated before it drives recovery.
 package journal
 
@@ -24,14 +24,14 @@ import (
 type Kind string
 
 const (
-	// KindIntent opens a commit: scheduled changes + device pre-state,
+	// KindIntent opens a commit: scheduled changes + one undo per change,
 	// written before anything touches production.
 	KindIntent Kind = "intent"
 	// KindApplied records one change successfully pushed to production.
 	KindApplied Kind = "applied"
 	// KindCommitted closes a commit that fully applied and post-verified.
 	KindCommitted Kind = "committed"
-	// KindRolledBack closes a commit undone back to its pre-state.
+	// KindRolledBack closes a commit undone back to its pre-commit state.
 	KindRolledBack Kind = "rolled-back"
 	// KindQuarantined closes a commit whose rollback itself failed:
 	// production is in the recorded mixed state and needs recovery.
@@ -63,10 +63,10 @@ type Approval struct {
 }
 
 // Record is one link of the journal chain. Payload fields are set per
-// kind: Changes, PreState and Approvals only on intent records, ChangeIndex
-// only on applied records (-1 elsewhere), Restored/Unrestored only on
-// rollback and quarantine records. An intent's Detail names an emergency
-// commit's rule (the policies it tolerates).
+// kind: Changes, Undos (Undos[i] undoes Changes[i]) and Approvals only on
+// intent records, ChangeIndex only on applied records (-1 elsewhere),
+// Restored/Unrestored only on rollback and quarantine records. An intent's
+// Detail names an emergency commit's rule (the policies it tolerates).
 type Record struct {
 	chain.Header
 	Kind       Kind   `json:"kind"`
@@ -74,13 +74,13 @@ type Record struct {
 	Ticket     string `json:"ticket,omitempty"`
 	Technician string `json:"technician,omitempty"`
 
-	Changes     []config.Change   `json:"changes,omitempty"`
-	PreState    map[string]string `json:"preState,omitempty"`
-	Approvals   []Approval        `json:"approvals,omitempty"`
-	ChangeIndex int               `json:"changeIndex"`
-	Detail      string            `json:"detail,omitempty"`
-	Restored    []string          `json:"restored,omitempty"`
-	Unrestored  []string          `json:"unrestored,omitempty"`
+	Changes     []config.Change `json:"changes,omitempty"`
+	Undos       []config.Undo   `json:"undos,omitempty"`
+	Approvals   []Approval      `json:"approvals,omitempty"`
+	ChangeIndex int             `json:"changeIndex"`
+	Detail      string          `json:"detail,omitempty"`
+	Restored    []string        `json:"restored,omitempty"`
+	Unrestored  []string        `json:"unrestored,omitempty"`
 
 	chain.Seal
 }
@@ -119,22 +119,16 @@ func (j *Journal) SetMeter(m telemetry.Meter) {
 	})
 }
 
-// Intent opens a commit: the scheduled change set, the canonical
-// pre-change configuration of every device the set touches, and — for
-// high-risk changes — the M-of-N approvals that authorized it. It must be
-// appended before the first change is pushed — that write-ahead ordering
-// is what makes crash recovery possible. With no approvals the record
-// serialises byte-identically to the pre-authorization format.
-func (j *Journal) Intent(commit, ticket, technician string, changes []config.Change, preState map[string]string, approvals ...Approval) Record {
-	return j.IntentRule(commit, ticket, technician, changes, preState, "", approvals...)
-}
-
-// IntentRule is Intent for a commit held to a rule other than "every policy
-// holds" (an emergency commit's tolerated policies), named in Detail.
-func (j *Journal) IntentRule(commit, ticket, technician string, changes []config.Change, preState map[string]string, rule string, approvals ...Approval) Record {
+// Intent opens a commit: the scheduled change set, each change's undo, and
+// — for high-risk changes — the M-of-N approvals that authorized it. It
+// must be appended before the first change is pushed — that write-ahead
+// ordering is what makes crash recovery possible. A commit held to a rule
+// other than "every policy holds" (an emergency commit's tolerated
+// policies) appends its intent with the rule in Detail.
+func (j *Journal) Intent(commit, ticket, technician string, changes []config.Change, undos []config.Undo, approvals ...Approval) Record {
 	return j.Append(Record{
 		Kind: KindIntent, Commit: commit, Ticket: ticket, Technician: technician,
-		Changes: changes, PreState: preState, Approvals: approvals, ChangeIndex: -1, Detail: rule,
+		Changes: changes, Undos: undos, Approvals: approvals, ChangeIndex: -1,
 	})
 }
 
@@ -150,7 +144,7 @@ func (j *Journal) Committed(commit, detail string) Record {
 }
 
 // RolledBack closes the commit as fully undone: every touched device was
-// restored to its pre-state.
+// restored to its pre-commit state.
 func (j *Journal) RolledBack(commit string, restored []string, why string) Record {
 	return j.Append(Record{
 		Kind: KindRolledBack, Commit: commit, ChangeIndex: -1,

@@ -32,10 +32,22 @@ func sampleChanges() []config.Change {
 	}
 }
 
+// sampleUndos undoes sampleChanges: r1's GUARD as it was, r2's static
+// routes (none) and its gateway (none).
+func sampleUndos() []config.Undo {
+	return []config.Undo{
+		{Device: "r1", Section: "acl", Name: "GUARD", ACL: &netmodel.ACL{Name: "GUARD", Entries: []netmodel.ACLEntry{
+			{Seq: 10, Action: netmodel.Deny, Dst: netip.MustParsePrefix("10.3.0.0/24")},
+			{Seq: 30, Action: netmodel.Permit}}}},
+		{Device: "r2", Section: "routes"},
+		{Device: "r2", Section: "gateway"},
+	}
+}
+
 func sampleJournal(key []byte) *Journal {
 	j := New(key)
 	j.SetClock(testClock())
-	j.Intent("T1#1", "T1", "alice", sampleChanges(), map[string]string{"r1": "! kind: router\nhostname r1\n"})
+	j.Intent("T1#1", "T1", "alice", sampleChanges(), sampleUndos())
 	j.Applied("T1#1", 0, "add acl entry")
 	j.Applied("T1#1", 1, "add static route")
 	return j
@@ -114,9 +126,9 @@ func TestTruncatedPrefixVerifies(t *testing.T) {
 	}
 }
 
-// The intent record must round-trip the change set exactly: recovery
-// replays those changes, so any lossy serialisation would corrupt
-// production.
+// The intent record must round-trip the change set and its undos exactly:
+// recovery restores the undos and replays the changes, so any lossy
+// serialisation would corrupt production.
 func TestChangeSetRoundTrips(t *testing.T) {
 	j := sampleJournal([]byte("k1"))
 	data, err := j.Export()
@@ -127,10 +139,12 @@ func TestChangeSetRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Records()[0].Changes
-	want := sampleChanges()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("changes did not round-trip:\n got %#v\nwant %#v", got, want)
+	got := back.Records()[0]
+	if want := sampleChanges(); !reflect.DeepEqual(got.Changes, want) {
+		t.Fatalf("changes did not round-trip:\n got %#v\nwant %#v", got.Changes, want)
+	}
+	if want := sampleUndos(); !reflect.DeepEqual(got.Undos, want) {
+		t.Fatalf("undos did not round-trip:\n got %#v\nwant %#v", got.Undos, want)
 	}
 }
 
@@ -184,12 +198,11 @@ func TestMeterCountsRecords(t *testing.T) {
 // change, committed.
 func BenchmarkAppend(b *testing.B) {
 	j := New([]byte("bench-key"))
-	changes := sampleChanges()[:1]
-	pre := map[string]string{"r1": "! kind: router\nhostname r1\n"}
+	changes, undos := sampleChanges()[:1], sampleUndos()[:1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Intent("T1#1", "T1", "alice", changes, pre)
+		j.Intent("T1#1", "T1", "alice", changes, undos)
 		j.Applied("T1#1", 0, "add acl entry")
 		j.Committed("T1#1", "1 change")
 	}

@@ -24,8 +24,7 @@ import (
 func fullJournal(key []byte) *Journal {
 	j := New(key)
 	j.SetClock(testClock())
-	j.Intent("T1#1", "T1", "alice", sampleChanges(),
-		map[string]string{"r1": "! kind: router\nhostname r1\n"},
+	j.Intent("T1#1", "T1", "alice", sampleChanges(), sampleUndos(),
 		Approval{Signer: "cust-ops", Role: "customer", MAC: strings.Repeat("ab", 32)},
 		Approval{Signer: "msp-noc", Role: "msp", MAC: strings.Repeat("cd", 32)})
 	j.Applied("T1#1", 0, "add acl entry")
@@ -104,9 +103,9 @@ func trailPayload(t testing.TB) payload[audit.Entry, *audit.Entry] {
 }
 
 // TestExportGolden pins the journal's wire format and content rule. The
-// golden was written by the build before internal/chain existed, so byte
-// equality is the proof that moving the journal onto the shared chain
-// moved no hash.
+// golden was regenerated when the intent record's whole-device pre-state
+// became one undo per change; the trail's golden has not moved since it was
+// written by the build before internal/chain existed.
 func TestExportGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/export.golden.json")
 	if err != nil {
@@ -189,7 +188,7 @@ func TestTamperPerKindPayloadFailsVerify(t *testing.T) {
 	}{
 		{KindIntent, func(r *Record) { r.Changes[0].Device = "r9" }},
 		{KindIntent, func(r *Record) { r.Approvals[0].Signer = "mallory" }},
-		{KindIntent, func(r *Record) { r.PreState["r1"] = "hostname evil\n" }},
+		{KindIntent, func(r *Record) { r.Undos[0].ACL = nil }}, // recovery would delete GUARD
 		{KindApplied, func(r *Record) { r.ChangeIndex++ }},
 		{KindApplied, func(r *Record) { r.Detail += "!" }},
 		{KindCommitted, func(r *Record) { r.Detail = "2 changes" }},
@@ -214,13 +213,7 @@ func TestTamperPerKindPayloadFailsVerify(t *testing.T) {
 			r.Approvals = append(r.Approvals[:0:0], r.Approvals...)
 			r.Restored = append(r.Restored[:0:0], r.Restored...)
 			r.Unrestored = append(r.Unrestored[:0:0], r.Unrestored...)
-			if r.PreState != nil {
-				ps := make(map[string]string, len(r.PreState))
-				for k, v := range r.PreState {
-					ps[k] = v
-				}
-				r.PreState = ps
-			}
+			r.Undos = append(r.Undos[:0:0], r.Undos...)
 			tc.mutate(&r)
 			records[i] = r
 		}

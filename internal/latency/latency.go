@@ -84,16 +84,6 @@ func (b *Breakdown) Add(name string, d time.Duration) {
 	b.Steps = append(b.Steps, Step{Name: name, Duration: d})
 }
 
-// Step returns the duration of the named step (0 when absent).
-func (b *Breakdown) Step(name string) time.Duration {
-	for _, s := range b.Steps {
-		if s.Name == name {
-			return s.Duration
-		}
-	}
-	return 0
-}
-
 // String renders the breakdown as one table row.
 func (b *Breakdown) String() string {
 	var parts []string

@@ -55,3 +55,13 @@ func TestCalibrationMatchesPaperAnchors(t *testing.T) {
 		t.Fatalf("175-policy verify = %v, want ≈25s", verify175)
 	}
 }
+
+// Step returns the duration of the named step (0 when absent).
+func (b *Breakdown) Step(name string) time.Duration {
+	for _, s := range b.Steps {
+		if s.Name == name {
+			return s.Duration
+		}
+	}
+	return 0
+}

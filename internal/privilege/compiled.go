@@ -3,9 +3,10 @@ package privilege
 import "strings"
 
 // CompiledSpec is a Spec compiled into segment tries for fast evaluation.
-// Spec.Evaluate scans every rule and splits both patterns on each call —
-// fine at the console, but the attack-surface sweep and the twin's
-// mediation path evaluate the same spec thousands of times. The compiled
+// The reference evaluator (Spec.Evaluate, kept in reference_test.go) scans
+// every rule and splits both patterns on each call, but the attack-surface
+// sweep and the twin's mediation path evaluate the same spec thousands of
+// times. The compiled
 // form walks the action through a pattern trie (one branch per literal
 // segment plus a wildcard branch) and, wherever an action pattern ends,
 // walks the resource through that rule group's resource trie. Deny rules

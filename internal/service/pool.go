@@ -184,13 +184,6 @@ func (p *Pool) Do(tenant string, fn func()) error {
 	}
 }
 
-// Depth reports the current total queue depth across all tenant queues.
-func (p *Pool) Depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.depth
-}
-
 // Close stops the workers. In-flight tasks finish; queued-but-unstarted
 // tasks are dropped and their Do calls return ErrPoolClosed.
 func (p *Pool) Close() {

@@ -168,3 +168,10 @@ func waitDepth(t *testing.T, p *Pool, want int) {
 	}
 	t.Fatalf("queue depth never reached %d (at %d)", want, p.Depth())
 }
+
+// Depth reports the current total queue depth across all tenant queues.
+func (p *Pool) Depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.depth
+}

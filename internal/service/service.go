@@ -155,9 +155,6 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Meter returns the service's meter.
-func (s *Service) Meter() telemetry.Meter { return s.meter }
-
 // Close stops the verify pool. Sessions need no teardown beyond it.
 func (s *Service) Close() { s.pool.Close() }
 

@@ -59,9 +59,6 @@ type Span struct {
 	tr *Tracer
 }
 
-// Duration returns the span's measured duration.
-func (s *Span) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // StartChild opens a child span in the same trace.
 func (s *Span) StartChild(name string, attrs ...Label) *Span {
 	return s.tr.start(s.TraceID, s.SpanID, name, attrs)

@@ -109,3 +109,6 @@ func TestDeterministicIDs(t *testing.T) {
 		}
 	}
 }
+
+// Duration returns the span's measured duration.
+func (s *Span) Duration() time.Duration { return s.End.Sub(s.Start) }
