@@ -166,6 +166,21 @@ func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 	}
 }
 
+// heldComplete fails unless a verdict is held beside production for every
+// policy, as after a commit: its vector is its review's or its post-apply
+// check's, and each decides every policy.
+func (o *oracleSystem) heldComplete(t *testing.T, step string) {
+	t.Helper()
+	o.sys.prodMu.RLock()
+	defer o.sys.prodMu.RUnlock()
+	held := o.sys.Enforcer.HeldVerdicts(o.sys.production)
+	for i := range held {
+		if held[i].Load() == nil {
+			t.Fatalf("%s: no verdict held for %s", step, o.sys.policies[i])
+		}
+	}
+}
+
 // verdictsDiverge returns an error unless every verdict held is the one a
 // from-scratch check of production gives: the same trace, and the same
 // violation rendered (or none). Empty slots claim nothing.
@@ -242,7 +257,7 @@ func scratchDecision(t *testing.T, s *System, changes []config.Change) string {
 	}
 	res := verify.Check(dataplane.Compute(shadow), s.policies)
 	return decisionJSON(t, &enforcer.Decision{
-		Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked,
+		Accepted: len(res.Violations) == 0, Violations: res.Violations, Checked: res.Checked,
 	})
 }
 
@@ -368,6 +383,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 						t.Fatalf("%s: commit diverged from the from-scratch reference:\ngot  %s\nwant %s", step, got, want)
 					}
 					o.checkProduction(t, step+"/commit")
+					o.heldComplete(t, step+"/commit")
 					// The open paid this version's one Compute; reviews and
 					// commit derived, and the snapshot verified after the
 					// push is the one now held.
@@ -514,7 +530,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				if err := is.Fault.Inject(n); err != nil {
 					t.Fatal(err)
 				}
-				return !verify.Check(dataplane.Compute(n), scen.Policies).OK()
+				return len(verify.Check(dataplane.Compute(n), scen.Policies).Violations) > 0
 			}
 			for _, idx := range rng.Perm(len(scen.Issues)) {
 				if is = scen.Issues[idx]; breaks(is) {
@@ -867,7 +883,7 @@ func TestProductionSnapshotHammer(t *testing.T) {
 				return err
 			}
 			res := verify.Check(dataplane.Compute(shadow), sys.policies)
-			want, err := json.Marshal(&enforcer.Decision{Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked})
+			want, err := json.Marshal(&enforcer.Decision{Accepted: len(res.Violations) == 0, Violations: res.Violations, Checked: res.Checked})
 			if err == nil && string(got) != string(want) {
 				err = fmt.Errorf("review %d diverged from the from-scratch verdict:\ngot  %s\nwant %s", k, got, want)
 			}

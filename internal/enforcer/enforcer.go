@@ -179,9 +179,10 @@ func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec 
 
 // reviewCompute is the uncached review: it returns the decision plus the
 // audit-trail message and outcome flag of the entry every requester it
-// answers has appended (replayReview); an acceptance keeps its shadow under
-// key. prodSnap is the production snapshot to derive the shadow from; nil
-// means take it from ProductionSnapshot once the privilege check passed.
+// answers has appended (replayReview); an acceptance keeps its shadow and
+// the shadow's verdicts under key for the commit (handOver). prodSnap is
+// the production snapshot to derive the shadow from; nil means take it from
+// ProductionSnapshot once the privilege check passed.
 func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (d *Decision, trailMsg string, trailOK bool) {
 	d = &Decision{}
 
@@ -213,19 +214,20 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	// recomputing the dataplane from scratch, and when that snapshot is the
 	// held one the check takes over its verdicts the same way: only the
 	// policies whose production trace crosses a device the change set moved
-	// are evaluated. The shadow's own vector is left to the commit (handOver).
+	// are evaluated. next is the shadow's vector, every verdict in it.
 	if prodSnap == nil {
 		prodSnap = e.ProductionSnapshot(prod)
 	}
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
 	verifyStart := time.Now()
-	res := verify.CheckCarried(shadowSnap, e.policies, e.reviewVerdicts(prodSnap), nil, e.meter)
+	next := make(verify.Verdicts, len(e.policies))
+	res := verify.CheckCarried(shadowSnap, e.policies, e.reviewVerdicts(prodSnap), next, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
 	d.Violations = append(d.Violations, untolerated(rule, res.Violations)...)
 	if d.Accepted = len(d.Violations) == 0; d.Accepted {
-		e.kept.Store(&keptShadow{key, shadow, shadowSnap, prodSnap})
+		e.kept.Store(&keptShadow{key, shadow, shadowSnap, prodSnap, next})
 	}
 	msg := fmt.Sprintf("review: %d changes, %d policies checked, %d violations", len(changes), d.Checked, len(d.Violations))
 	if ids, ok := strings.CutPrefix(rule, tolerates); ok {
@@ -471,14 +473,12 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, pushed, true)
 		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
 	}
-	// Never trust, always verify: every policy is re-checked against what
-	// production now is — evaluated there, unless the ancestor's verdict
-	// rests on a trace the derivation carries (none, when the push landed
-	// the reviewed shadow). verdicts comes out holding every policy's.
-	verdicts := make(verify.Verdicts, len(e.policies))
-	postSnap, post, from := e.handOver(key, pre, backup, prod, devices, verdicts)
+	// Never trust, always verify: production must now be what was verified.
+	// A push that landed its review's shadow diffs empty against it, and the
+	// diff is the verification; anything else is re-checked where it differs.
+	postSnap, verdicts, violations, from := e.handOver(key, pre, backup, prod, devices)
 	e.meter.Counter("heimdall_enforcer_commit_handover_total", telemetry.L("from", from)).Inc()
-	if violations := untolerated(rule, post.Violations); len(violations) > 0 {
+	if violations := untolerated(rule, violations); len(violations) > 0 {
 		outcome := e.rollbackPush(tgt, prod, policy, rng, backup, devices, id, cid,
 			fmt.Sprintf("post-apply verification failed: %d violations", len(violations)))
 		d.Accepted = false
@@ -496,7 +496,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	// snapshot just verified, with the verdicts it was verified to, is what
 	// is held of the new version.
 	e.InvalidateReviews()
-	e.holdSnapshot(prod, e.prodVersion.Load(), postSnap, verdicts)
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: postSnap, verdicts: verdicts})
 	e.countCommit(true)
 	return d, nil
 }

@@ -125,11 +125,12 @@ func TestCommitLandsReplacedEntry(t *testing.T) {
 }
 
 // TestCommitHandsOverReviewedShadow names the ancestor of every kind of
-// commit: a commit right after its review lands that review's shadow and
-// evaluates no policy after the push; a commit nobody reviewed lands the
-// shadow of its own review; a commit whose review another session's has
-// displaced derives from the pre-commit snapshot; a custom target computes.
-// Whatever the ancestor, what is held afterwards is a fresh Compute's.
+// commit: a commit right after its review lands that review's shadow,
+// runs no verification after the push and holds the review's verdicts slot
+// for slot; a commit nobody reviewed lands the shadow of its own review the
+// same way; a commit whose review another session's has displaced derives
+// from the pre-commit snapshot; a custom target computes. Whatever the
+// ancestor, what is held afterwards is a fresh Compute's.
 func TestCommitHandsOverReviewedShadow(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
@@ -143,10 +144,33 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 		}
 		heldMatchesCompute(t, step, e, n)
 	}
+	// handsOverReview commits changes and requires the hand-over to run no
+	// verification (runs counts the review's own) and to hold, slot for slot,
+	// the vector the review kept (when reviewed is not nil).
+	handsOverReview := func(step string, runs float64, reviewed verify.Verdicts, changes ...config.Change) {
+		t.Helper()
+		before := reg.CounterValue("heimdall_verify_runs_total")
+		commit(step, changes...)
+		if got := reg.CounterValue("heimdall_verify_runs_total") - before; got != runs {
+			t.Fatalf("%s: %v verification runs, want %v: none after the push", step, got, runs)
+		}
+		if reviewed == nil {
+			return
+		}
+		held := e.HeldVerdicts(n)
+		if len(held) != len(reviewed) {
+			t.Fatalf("%s: %d held slots, the review kept %d", step, len(held), len(reviewed))
+		}
+		for i := range held {
+			if got, want := held[i].Load(), reviewed[i].Load(); got == nil || got != want {
+				t.Fatalf("%s: held slot %d is %p, the review's %p", step, i, got, want)
+			}
+		}
+	}
 
 	e.Review(n, []config.Change{benignChange(15, 443)}, spec)
 	before := evaluated(reg)
-	commit("reviewed", benignChange(15, 443))
+	handsOverReview("reviewed", 0, e.kept.Load().verdicts, benignChange(15, 443))
 	if got := evaluated(reg) - before; got != 0 {
 		t.Fatalf("a commit of the reviewed shadow evaluated %v policies, want 0", got)
 	}
@@ -154,7 +178,7 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 		t.Fatalf("hand-overs review/production/computed = %v, want [1 0 0]", got)
 	}
 
-	commit("unreviewed", benignChange(16, 8080))
+	handsOverReview("unreviewed", 1, nil, benignChange(16, 8080))
 	if got := handovers(reg); got != [3]float64{2, 0, 0} {
 		t.Fatalf("hand-overs after an unreviewed commit = %v, want [2 0 0]", got)
 	}
@@ -198,14 +222,13 @@ func TestHandOverDiffsAncestor(t *testing.T) {
 			if err := config.ApplyChanges(n, []config.Change{benignChange(15, 443), maliciousPermit()}); err != nil {
 				t.Fatal(err)
 			}
-			next := make(verify.Verdicts, len(e.policies))
-			_, res, from := e.handOver(key, pre, backup, n, []string{"r1"}, next)
+			_, next, violations, from := e.handOver(key, pre, backup, n, []string{"r1"})
 			if from != which {
 				t.Fatalf("ancestor = %s, want %s", from, which)
 			}
 			want := verify.Check(dataplane.Compute(n), e.policies)
-			if res.OK() || decisionJSON(t, &Decision{Violations: res.Violations}) != decisionJSON(t, &Decision{Violations: want.Violations}) {
-				t.Fatalf("hand-over from the %s decided %d violations, a fresh check %d", which, len(res.Violations), len(want.Violations))
+			if len(violations) == 0 || decisionJSON(t, &Decision{Violations: violations}) != decisionJSON(t, &Decision{Violations: want.Violations}) {
+				t.Fatalf("hand-over from the %s decided %d violations, a fresh check %d", which, len(violations), len(want.Violations))
 			}
 			verdictsMatchCompute(t, which, e.policies, next, n)
 		})
@@ -328,8 +351,8 @@ func TestHandOverHammer(t *testing.T) {
 		res := verify.Check(dataplane.Compute(shadow), scen.Policies)
 		d, err := e.Commit(n, changes, wide)
 		mu.Unlock()
-		if err != nil || decisionJSON(t, d) != decisionJSON(t, &Decision{Accepted: res.OK(), Violations: res.Violations, Checked: res.Checked}) {
-			t.Fatalf("commit %d: %v %+v, a from-scratch check accepts: %v", i, err, d, res.OK())
+		if err != nil || decisionJSON(t, d) != decisionJSON(t, &Decision{Accepted: len(res.Violations) == 0, Violations: res.Violations, Checked: res.Checked}) {
+			t.Fatalf("commit %d: %v %+v, a from-scratch check accepts: %v", i, err, d, len(res.Violations) == 0)
 		}
 	}
 	close(done)

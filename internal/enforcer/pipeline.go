@@ -356,7 +356,7 @@ func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
 	}
 	// An emergency commit's intent names the violations it was allowed to
 	// leave standing; the replay answers to the same rule.
-	post := verify.CheckMetered(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, e.meter)
+	post := verify.CheckCarried(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, nil, nil, e.meter)
 	if violations := untolerated(intent.Detail, post.Violations); len(violations) > 0 {
 		return rollBack(true, fmt.Sprintf("post-apply verification failed during recovery: %d violations", len(violations)))
 	}

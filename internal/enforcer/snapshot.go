@@ -9,23 +9,22 @@ package enforcer
 // commit hands the snapshot it just verified to the next version.
 //
 // Beside the snapshot it holds what is known of the policies on it, one
-// verdict per policy: a review derives its snapshot from the held one and
+// verdict per policy. A review derives its shadow from the held snapshot,
 // evaluates only the policies whose held verdict rests on a trace the
 // derivation does not carry (dataplane.Snapshot.Carries, which replays a hop
 // on a device with only ACL changes against its new ACLs), each retraced
-// from that trace's first stale hop (dataplane.Snapshot.ReachFrom). The
-// vector is installed, handed over and dropped with the snapshot, never
-// apart from it. A commit's vector is complete: its post-apply check decides
-// every policy. A version computed from scratch starts empty and its first
-// review completes it on production. A declared write (ProductionWritten)
-// holds what its derivation carries, and a review fills a hole only with a
-// trace production shares under the strict rule, which replays nothing
-// (dataplane.Snapshot.CarriesBack): a replay reads only the review's ACLs. A
-// commit lands what its review verified: the post-apply check derives from
-// the shadow that review kept (or, if displaced, from the pre-commit
-// snapshot) across whatever config.DiffDevice finds on the touched devices,
-// so a push that landed the reviewed state re-derives and re-decides nothing
-// (handOver).
+// from that trace's first stale hop (dataplane.Snapshot.ReachFrom), and
+// keeps the shadow's complete vector. A commit lands what its review
+// verified: when config.DiffDevice finds nothing between that shadow and
+// production on the touched devices, the diff is the verification and the
+// review's vector becomes production's; a push that landed anything else is
+// checked across what differs (handOver). The vector is installed, handed
+// over and dropped with the snapshot, never apart from it. A version
+// computed from scratch starts empty and its first review completes it on
+// production. A declared write (ProductionWritten) holds what its
+// derivation carries, and a review fills a hole only with a trace
+// production shares under the strict rule, which replays nothing
+// (dataplane.Snapshot.CarriesBack): a replay reads only the review's ACLs.
 //
 // The invalidation contract is the verdict cache's: production's devices are
 // immutable once published (open twins share them), a writer replaces each
@@ -156,7 +155,7 @@ func (e *Enforcer) ProductionWritten(prod, pre *netmodel.Network, devices []stri
 		verdicts = verdicts.Carried(held)
 	}
 	e.InvalidateReviews()
-	e.holdSnapshot(prod, e.prodVersion.Load(), held, verdicts)
+	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: held, verdicts: verdicts})
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_derived_total").Inc()
 }
 
@@ -175,35 +174,33 @@ func diffAcross(from, to *netmodel.Network, devices []string) (cs dataplane.Chan
 	return changeSetFor(from, changes), true
 }
 
-// keptShadow is the accepted review under key: its shadow, derived from parent.
+// keptShadow is the accepted review under key: its shadow, derived from
+// parent, and every policy's verdict on it.
 type keptShadow struct {
 	key          string
 	net          *netmodel.Network
 	snap, parent *dataplane.Snapshot
+	verdicts     verify.Verdicts
 }
 
-// handOver derives prod's snapshot after a push onto devices, checks every
-// policy there and names the ancestor: the shadow the review under key kept
-// when it derives from pre, the held pre-commit snapshot (its vector rebuilt
-// on the shadow's warm flow cache), else pre, whose devices backup holds;
-// computed without pre. next receives every verdict.
-func (e *Enforcer) handOver(key string, pre *dataplane.Snapshot, backup, prod *netmodel.Network, devices []string, next verify.Verdicts) (*dataplane.Snapshot, *verify.Result, string) {
+// handOver derives prod's snapshot after a push onto devices and returns it
+// with every policy's verdict there, their violations and the ancestor's
+// name: the shadow the review under key kept when it derives from pre, else
+// pre, whose devices backup holds; computed without pre. A push that landed
+// the kept shadow exactly (no diff) holds the review's verdicts and checks
+// nothing; otherwise every policy is checked, carrying the ancestor's
+// verdicts across the diff.
+func (e *Enforcer) handOver(key string, pre *dataplane.Snapshot, backup, prod *netmodel.Network, devices []string) (*dataplane.Snapshot, verify.Verdicts, []verify.Violation, string) {
 	net, snap, verdicts, from := backup, pre, e.verdictsOf(pre), "production"
 	if k := e.kept.Load(); k != nil && k.key == key && k.parent == pre {
-		net, snap, verdicts, from = k.net, k.snap, make(verify.Verdicts, len(e.policies)), "review"
-		verify.CheckCarried(snap, e.policies, e.verdictsOf(pre), verdicts, nil)
+		net, snap, verdicts, from = k.net, k.snap, k.verdicts, "review"
 	}
-	if cs, ok := diffAcross(net, prod, devices); ok && snap != nil {
-		snap = snap.Derive(prod, cs)
-	} else {
+	cs, ok := diffAcross(net, prod, devices)
+	if !ok || snap == nil {
 		snap, verdicts, from = dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), nil, "computed"
+	} else if snap = snap.Derive(prod, cs); len(cs) == 0 && from == "review" {
+		return snap, verdicts, verdicts.Violations(), from
 	}
-	return snap, verify.CheckCarried(snap, e.policies, verdicts, next, e.meter), from
-}
-
-// holdSnapshot installs snap and the verdicts proven for it as what is held
-// of prod at the given version (the current one: Commit and
-// ProductionWritten call it right after bumping it).
-func (e *Enforcer) holdSnapshot(prod *netmodel.Network, version uint64, snap *dataplane.Snapshot, verdicts verify.Verdicts) {
-	e.prodSnap.Store(&heldSnapshot{net: prod, version: version, snap: snap, verdicts: verdicts})
+	next := make(verify.Verdicts, len(e.policies))
+	return snap, next, verify.CheckCarried(snap, e.policies, verdicts, next, e.meter).Violations, from
 }

@@ -61,7 +61,7 @@ func TestMineReachabilityAndIsolation(t *testing.T) {
 
 	// All mined policies must hold on the baseline by construction.
 	res := verify.Check(s, policies)
-	if !res.OK() {
+	if len(res.Violations) > 0 {
 		t.Fatalf("mined policies violated on baseline: %v", res.Violations)
 	}
 	// IDs are unique and sequential.
@@ -126,7 +126,7 @@ func TestMineWaypoints(t *testing.T) {
 		t.Fatalf("waypoints=%d reach=%d: %v", waypoints, reach, policies)
 	}
 	// They hold on the baseline.
-	if res := verify.Check(s, policies); !res.OK() {
+	if res := verify.Check(s, policies); len(res.Violations) > 0 {
 		t.Fatalf("mined waypoint policies violated: %v", res.Violations)
 	}
 }

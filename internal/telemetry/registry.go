@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,9 +117,7 @@ func (r *Registry) family(name string) *family {
 }
 
 func (r *Registry) series(name, typ string, buckets []float64, labels []Label) *series {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
+	f := r.family(name)
 	if f == nil {
 		r.mu.Lock()
 		if f = r.families[name]; f == nil {
@@ -135,17 +134,16 @@ func (r *Registry) series(name, typ string, buckets []float64, labels []Label) *
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, f.typ, typ))
 	}
 
-	key := labelKey(labels)
-	f.mu.RLock()
-	s := f.series[key]
-	f.mu.RUnlock()
-	if s != nil {
+	if s := f.find(labels); s != nil {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[key]; s == nil {
-		s = &series{labels: sortedLabels(labels)}
+	key := string(labelKey(nil, labels))
+	s := f.series[key]
+	if s == nil {
+		s = &series{labels: append([]Label(nil), labels...)}
+		slices.SortFunc(s.labels, byKey)
 		if typ == "histogram" {
 			s.counts = make([]atomic.Uint64, len(f.buckets)+1)
 		}
@@ -154,25 +152,34 @@ func (r *Registry) series(name, typ string, buckets []float64, labels []Label) *
 	return s
 }
 
-func sortedLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// find returns f's series under labels, or nil (also when f is nil). The
+// key is built on the stack, so finding a series allocates nothing.
+func (f *family) find(labels []Label) *series {
+	if f == nil {
+		return nil
+	}
+	var buf [128]byte
+	key := labelKey(buf[:0], labels)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.series[string(key)]
 }
 
-func labelKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+func byKey(a, b Label) int { return strings.Compare(a.Key, b.Key) }
+
+// labelKey appends the series key of labels to buf: every key and value
+// NUL-terminated, in key order (up to four labels are sorted on the stack).
+func labelKey(buf []byte, labels []Label) []byte {
+	if len(labels) > 1 {
+		var small [4]Label
+		labels = append(small[:0], labels...)
+		slices.SortFunc(labels, byKey)
 	}
-	ls := sortedLabels(labels)
-	var b strings.Builder
-	for _, l := range ls {
-		b.WriteString(l.Key)
-		b.WriteByte(0)
-		b.WriteString(l.Value)
-		b.WriteByte(0)
+	for _, l := range labels {
+		buf = append(append(buf, l.Key...), 0)
+		buf = append(append(buf, l.Value...), 0)
 	}
-	return b.String()
+	return buf
 }
 
 // ── Programmatic reads (tests and assertions) ───────────────────────────
@@ -189,7 +196,7 @@ func (r *Registry) GaugeValue(name string, labels ...Label) float64 {
 }
 
 func (r *Registry) seriesValue(name string, labels []Label) float64 {
-	s := r.lookup(name, labels)
+	s := r.family(name).find(labels)
 	if s == nil {
 		return 0
 	}
@@ -198,21 +205,11 @@ func (r *Registry) seriesValue(name string, labels []Label) float64 {
 
 // HistogramCount returns the number of observations of a histogram series.
 func (r *Registry) HistogramCount(name string, labels ...Label) uint64 {
-	s := r.lookup(name, labels)
+	s := r.family(name).find(labels)
 	if s == nil {
 		return 0
 	}
 	return s.count.Load()
-}
-
-func (r *Registry) lookup(name string, labels []Label) *series {
-	f := r.family(name)
-	if f == nil {
-		return nil
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.series[labelKey(labels)]
 }
 
 // ── Prometheus text exposition ──────────────────────────────────────────

@@ -154,6 +154,30 @@ func TestNopMeterDoesNothing(t *testing.T) {
 	}
 }
 
+// TestLabeledLookupAllocatesNothing: looking up a series that exists, with
+// one label or with several given out of order, allocates nothing — every
+// request's labeled counters take this path.
+func TestLabeledLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	r := NewRegistry()
+	r.Counter("one_total", L("kind", "command")).Inc()
+	r.Counter("multi_total", L("b", "2"), L("a", "1"), L("c", "3")).Inc()
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("one_total", L("kind", "command")).Inc()
+		r.Counter("multi_total", L("c", "3"), L("a", "1"), L("b", "2")).Inc()
+	}); n != 0 {
+		t.Fatalf("a labeled lookup of an existing series allocates %v times, want 0", n)
+	}
+	if v := r.CounterValue("one_total", L("kind", "command")); v != 102 {
+		t.Fatalf("one_total = %v, want 102", v)
+	}
+	if v := r.CounterValue("multi_total", L("a", "1"), L("c", "3"), L("b", "2")); v != 102 {
+		t.Fatalf("multi_total = %v, want 102: label order split the series", v)
+	}
+}
+
 // The hot-path cost of one counter update, including the series lookup.
 func BenchmarkCounterInc(b *testing.B) {
 	r := NewRegistry()

@@ -152,9 +152,6 @@ type Result struct {
 	Elapsed    time.Duration
 }
 
-// OK reports whether every policy held.
-func (r *Result) OK() bool { return len(r.Violations) == 0 }
-
 // Verdict is what one policy came to on one snapshot: the trace it was
 // decided on (nil when Reach failed) and the violation, nil when it holds.
 type Verdict struct {
@@ -182,31 +179,35 @@ func (v Verdicts) Carried(s *dataplane.Snapshot) Verdicts {
 	return out
 }
 
+// Violations returns the violations of v's filled slots, in policy order.
+func (v Verdicts) Violations() []Violation {
+	var out []Violation
+	for i := range v {
+		if c := v[i].Load(); c != nil && c.Violation != nil {
+			out = append(out, *c.Violation)
+		}
+	}
+	return out
+}
+
 // Check evaluates every policy against the snapshot.
 func Check(s *dataplane.Snapshot, policies []Policy) *Result {
 	return CheckCarried(s, policies, nil, nil, nil)
 }
 
-// CheckMetered is Check with verifier telemetry: policies checked,
-// counterexamples found, runs, and per-run latency land on the meter
-// (nil means no instrumentation — the zero-config path stays free).
-func CheckMetered(s *dataplane.Snapshot, policies []Policy, m telemetry.Meter) *Result {
-	return CheckCarried(s, policies, nil, nil, m)
-}
-
-// CheckCarried is CheckMetered for a snapshot derived from one whose
-// verdicts are (partly) known. parent, when not nil, is that snapshot's
-// vector over the same policies: a verdict decided there on a trace s
-// carries (dataplane.Snapshot.Carries) is s's verdict too and is taken by
-// index. Every other policy is traced and decided on s: from the parent
-// verdict's trace when there is one (dataplane.Snapshot.ReachFrom resumes
-// it at its first stale hop, and a resumed trace never carries back), else
-// from the source, and then it fills the parent's empty slot when the
-// parent shares that trace (dataplane.Snapshot.CarriesBack, the strict
-// rule) — which is how the vector of a snapshot nobody checks directly warms
-// from the first check derived from it. next, when not nil, receives every
-// policy's verdict on s. Checked counts every policy: each holds a verdict
-// valid for s.
+// CheckCarried is Check, metered on m (nil: not), for a snapshot derived
+// from one whose verdicts are (partly) known. parent, when not nil, is that
+// snapshot's vector over the same policies: a verdict decided there on a
+// trace s carries (dataplane.Snapshot.Carries) is s's verdict too and is
+// taken by index. Every other policy is traced and decided on s: from the
+// parent verdict's trace when there is one (dataplane.Snapshot.ReachFrom
+// resumes it at its first stale hop, and a resumed trace never carries
+// back), else from the source, and then it fills the parent's empty slot
+// when the parent shares that trace (dataplane.Snapshot.CarriesBack, the
+// strict rule) — which is how the vector of a snapshot nobody checks
+// directly warms from the first check derived from it. next, when not nil,
+// receives every policy's verdict on s. The verdicts decided here share one
+// allocation. Checked counts every policy: each holds a verdict valid for s.
 func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
@@ -214,6 +215,7 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 	// when a parent trace s does not carry is resumed.
 	resumable := parent != nil && s.Carries(nil)
 	carried, resumed := 0, 0
+	var batch []Verdict
 	for i, p := range policies {
 		var v *Verdict
 		if parent != nil {
@@ -231,11 +233,15 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 			}
 			tr, err := s.ReachFrom(prev, p.Src, p.Dst, p.Proto, p.DstPort)
 			violation = decide(p, tr, err)
-			// A verdict is allocated only for a slot that takes it.
+			// A verdict is made only for a slot that takes it, from one batch.
 			fill := v == nil && parent != nil && s.CarriesBack(tr)
 			v = nil
 			if fill || next != nil {
-				v = &Verdict{Trace: tr, Violation: violation}
+				if len(batch) == 0 {
+					batch = make([]Verdict, len(policies)-i)
+				}
+				v, batch = &batch[0], batch[1:]
+				*v = Verdict{Trace: tr, Violation: violation}
 			}
 			if fill {
 				parent[i].CompareAndSwap(nil, v)

@@ -43,9 +43,6 @@ func TestCheckReachabilityAndIsolation(t *testing.T) {
 	if len(res.Violations) != 1 || res.Violations[0].Policy.ID != "P2" {
 		t.Fatalf("violations = %v", res.Violations)
 	}
-	if res.OK() {
-		t.Fatal("Result.OK with violations")
-	}
 	if res.Violations[0].Trace == nil || !res.Violations[0].Trace.Delivered() {
 		t.Fatal("isolation violation must carry a delivered counterexample")
 	}
@@ -199,7 +196,7 @@ func TestAffectedByCoversImpacted(t *testing.T) {
 		{ID: "I13", Kind: Isolation, Src: "h1", Dst: "h3", Proto: netmodel.ICMP},
 		{ID: "I23", Kind: Isolation, Src: "h2", Dst: "h3", Proto: netmodel.ICMP},
 	}
-	if res := Check(base, policies); !res.OK() {
+	if res := Check(base, policies); len(res.Violations) > 0 {
 		t.Fatalf("baseline violates its own policies: %v", res.Violations)
 	}
 	scoped := AffectedBy(base, policies, map[string]bool{"r1": true})
