@@ -55,14 +55,22 @@ func NewTrail(key []byte) *Trail {
 
 // SetMeter wires audit metrics (entries appended by kind, chain length).
 // Both are updated under the log's lock, so the gauge never reads lower
-// than a length already observed.
+// than a length already observed. Each kind's counter is looked up once,
+// at its first entry: a labeled lookup through the Meter interface
+// allocates its labels, and every console line appends two entries.
 func (t *Trail) SetMeter(m telemetry.Meter) {
 	if m == nil {
 		m = telemetry.Nop()
 	}
+	byKind, length := make(map[Kind]telemetry.Counter), m.Gauge("heimdall_audit_chain_length")
 	t.OnAppend(func(e *Entry) {
-		m.Counter("heimdall_audit_entries_total", telemetry.L("kind", string(e.Kind))).Inc()
-		m.Gauge("heimdall_audit_chain_length").Set(float64(e.Index + 1))
+		c, ok := byKind[e.Kind]
+		if !ok {
+			c = m.Counter("heimdall_audit_entries_total", telemetry.L("kind", string(e.Kind)))
+			byKind[e.Kind] = c
+		}
+		c.Inc()
+		length.Set(float64(e.Index + 1))
 	})
 }
 

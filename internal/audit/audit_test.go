@@ -264,3 +264,22 @@ func BenchmarkAppend(b *testing.B) {
 		tr.Append("T-0001", "leaf-tech", KindDecision, "allow show.ip.route on device:r1", true)
 	}
 }
+
+// TestMeteredAppendAllocatesNoMore: the trail's metrics cost an append no
+// allocation — every console line appends two entries.
+func TestMeteredAppendAllocatesNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	line := func(tr *Trail) func() {
+		return func() {
+			tr.Append("T", "x", KindCommand, "show ip route", true)
+			tr.Append("T", "x", KindDecision, "allow", true)
+		}
+	}
+	plain, metered := testTrail(), testTrail()
+	metered.SetMeter(telemetry.NewRegistry())
+	if a, m := testing.AllocsPerRun(200, line(plain)), testing.AllocsPerRun(200, line(metered)); m > a {
+		t.Fatalf("a metered console line appends with %v allocations, an unmetered one with %v", m, a)
+	}
+}

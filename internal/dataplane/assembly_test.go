@@ -1,6 +1,7 @@
 package dataplane_test
 
 import (
+	"net/netip"
 	"slices"
 	"testing"
 
@@ -35,10 +36,12 @@ func TestMergeBestMatchesReferenceOnScenarios(t *testing.T) {
 // Allocations are part of Compute's budget (ROADMAP aim 1): a per-prefix or
 // per-bit allocation creeping back into the RIB/FIB assembly fails here, not
 // at the next benchmark run. A Compute builds a device's routes at their
-// first read, so the op reads every RIB: the whole build. Ceilings sit ~15 %
-// above the measured counts (university 2,272 and fat-tree k=4 1,505; 2,279
-// and 1,521 while the routes were built eagerly and sorted by interned
-// strings, 16,990 and 4,508 before the RIB/FIB assembly was reworked).
+// first read, so the op reads every RIB: the whole build. Ceilings sit
+// ~13 % above the measured counts (university 2,299 and fat-tree k=4 1,540;
+// 2,272 and 1,505 while route cells held FIBEntries and the LSDB's layout
+// was built through maps; 2,279 and 1,521 while the routes were built
+// eagerly and sorted by interned strings, 16,990 and 4,508 before the
+// RIB/FIB assembly was reworked).
 func TestComputeAllocBudget(t *testing.T) {
 	if dataplane.RaceEnabled {
 		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
@@ -62,4 +65,32 @@ func TestComputeAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per Compute, budget %.0f", tc.scen.Name, got, tc.ceiling)
 		}
 	}
+}
+
+// BenchmarkLPM compares the FIB's longest-prefix-match table against a
+// linear scan of the RIB, on the university network's route mix.
+func BenchmarkLPM(b *testing.B) {
+	snap := dataplane.Compute(scenarios.University().Network)
+	rib, lookup := snap.RIB("r1"), dataplane.FIBLookup(snap, "r1")
+	probes := make([]netip.Addr, 0, 64)
+	for i := 0; i < 64; i++ {
+		probes = append(probes, netip.AddrFrom4([4]byte{10, byte(i % 18), 0, 10}))
+	}
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lookup(probes[i%len(probes)])
+		}
+	})
+	b.Run("linear", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			addr := probes[i%len(probes)]
+			best := -1
+			for j := range rib {
+				if rib[j].Prefix.Contains(addr) && rib[j].Prefix.Bits() > best {
+					best = rib[j].Prefix.Bits()
+				}
+			}
+			_ = best
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"cmp"
 	"net/netip"
 	"slices"
 	"sort"
@@ -96,10 +97,10 @@ type bgpRoute struct {
 }
 
 // computeBGPOver runs the path-vector propagation over the sessions to a
-// fixpoint and returns per-device FIB entries for learned (non-local)
-// routes. Derive computes the sessions first to decide whether a rerun is
-// needed at all.
-func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string][]FIBEntry {
+// fixpoint and returns per-device rows for learned (non-local) routes.
+// Derive computes the sessions first to decide whether a rerun is needed at
+// all.
+func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string]routeRows {
 	if len(sessions) == 0 {
 		return nil
 	}
@@ -177,23 +178,24 @@ func computeBGPOver(n *netmodel.Network, sessions []bgpSession) map[string][]FIB
 	// per (device, prefix), so prefix order fully determines the slice.
 	// Determinism here is what lets a derived snapshot reproduce a
 	// from-scratch compute byte for byte.
-	out := make(map[string][]FIBEntry)
-	for dev, routes := range best {
-		entries := make([]FIBEntry, 0, len(routes))
-		for p, r := range routes {
-			if !r.nextHop.IsValid() {
-				continue // locally originated; covered by IGP/connected
+	out := make(map[string]routeRows)
+	for dev, held := range best {
+		learned := make([]bgpRoute, 0, len(held))
+		for _, r := range held {
+			// Locally originated routes are covered by IGP/connected.
+			if r.nextHop.Is4() && r.prefix.Addr().Is4() {
+				learned = append(learned, r)
 			}
-			entries = append(entries, FIBEntry{
-				Prefix: p, Proto: BGP, NextHop: r.nextHop, OutIf: r.outIf,
-				AD: ebgpAdminDistance, Metric: len(r.asPath),
-			})
 		}
-		if len(entries) == 0 {
-			continue
+		slices.SortFunc(learned, func(a, b bgpRoute) int { return cmp.Compare(prefixKey(a.prefix), prefixKey(b.prefix)) })
+		var rs routeRows
+		for _, r := range learned {
+			row, _ := newRoute(r.prefix, BGP, r.nextHop, ifIndex(&rs.ifs, r.outIf), ebgpAdminDistance, len(r.asPath))
+			rs.rows = append(rs.rows, row)
 		}
-		slices.SortFunc(entries, func(a, b FIBEntry) int { return comparePrefix(a.Prefix, b.Prefix) })
-		out[dev] = entries
+		if len(rs.rows) > 0 {
+			out[dev] = rs
+		}
 	}
 	return out
 }

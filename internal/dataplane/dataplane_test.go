@@ -403,12 +403,12 @@ func cut(s string) (string, string, bool) {
 }
 
 func TestLPMBasics(t *testing.T) {
-	var l LPM
-	mk := func(p string) []FIBEntry { return []FIBEntry{{Prefix: pfx(p)}} }
-	l.Insert(pfx("10.0.0.0/8"), mk("10.0.0.0/8"))
-	l.Insert(pfx("10.1.0.0/16"), mk("10.1.0.0/16"))
-	l.Insert(pfx("10.1.2.0/24"), mk("10.1.2.0/24"))
-	l.Insert(pfx("0.0.0.0/0"), mk("0.0.0.0/0"))
+	var entries []FIBEntry
+	for _, p := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "0.0.0.0/0"} {
+		entries = append(entries, FIBEntry{Prefix: pfx(p), Proto: Connected})
+	}
+	rs := rowsOf(entries)
+	l := newLPM(rs.rows)
 
 	cases := map[string]string{
 		"10.1.2.3":  "10.1.2.0/24",
@@ -417,23 +417,25 @@ func TestLPMBasics(t *testing.T) {
 		"192.0.2.1": "0.0.0.0/0",
 	}
 	for addr, want := range cases {
-		got, ok := l.Lookup(ip(addr))
-		if !ok || got[0].Prefix != pfx(want) {
-			t.Errorf("Lookup(%s) = %v %v, want %s", addr, got, ok, want)
+		i, ok := l.lookup(ip(addr))
+		if !ok || rs.rows[i].entry(rs.ifs).Prefix != pfx(want) {
+			t.Errorf("lookup(%s) = %d %v, want %s", addr, i, ok, want)
 		}
 	}
-	if l.Len() != 4 {
-		t.Errorf("Len = %d, want 4", l.Len())
+	if len(l.slots) != 4 {
+		t.Errorf("%d slots, want 4", len(l.slots))
 	}
-	// Replacement does not grow the table.
-	l.Insert(pfx("10.1.2.0/24"), mk("10.1.2.0/24"))
-	if l.Len() != 4 {
-		t.Errorf("Len after replace = %d, want 4", l.Len())
+	// A second spelling of one network does not grow the table: the later
+	// run in RIB order takes the slot.
+	rs = rowsOf(append(entries, FIBEntry{Prefix: netip.PrefixFrom(ip("10.1.2.7"), 24), Proto: Connected}))
+	l = newLPM(rs.rows)
+	if i, ok := l.lookup(ip("10.1.2.3")); len(l.slots) != 4 || !ok || rs.rows[i].entry(rs.ifs).Prefix.Addr() != ip("10.1.2.7") {
+		t.Errorf("%d slots, lookup(10.1.2.3) = %d %v, want 4 slots and the 10.1.2.7/24 run", len(l.slots), i, ok)
 	}
 
-	var empty LPM
-	if _, ok := empty.Lookup(ip("10.0.0.1")); ok {
-		t.Error("empty LPM should miss")
+	var empty lpm
+	if _, ok := empty.lookup(ip("10.0.0.1")); ok {
+		t.Error("empty table should miss")
 	}
 }
 
@@ -450,41 +452,44 @@ func linearLookup(inserted []netip.Prefix, a netip.Addr) int {
 	return best
 }
 
-// checkLPM builds the table both ways — Insert by Insert, and bulk-filled
-// from a RIB holding one entry per insert — and compares Len and every
-// probe's Lookup with the linear reference. Entries carry their insert
-// position in Metric, which is how a replaced prefix is told from its
-// replacement. (The bulk fill takes adjacent equal prefixes as one ECMP
-// run, so there the winner is the last entry of what Lookup returns.)
+// checkLPM fills the table from rows holding one route per insert, in
+// insert order, and compares its size and every probe's lookup with the
+// linear reference. Rows carry their insert position in metric, which is
+// how a replaced prefix is told from its replacement; adjacent equal
+// prefixes are one ECMP run, so the winner is the last row of the run the
+// lookup finds.
 func checkLPM(t *testing.T, inserted []netip.Prefix, probes []netip.Addr) {
 	t.Helper()
-	var byInsert LPM
-	rib := make([]FIBEntry, len(inserted))
+	rows := make([]route, len(inserted))
 	distinct := map[netip.Prefix]bool{}
 	for i, p := range inserted {
-		rib[i] = FIBEntry{Prefix: p, Metric: i}
-		byInsert.Insert(p, rib[i:i+1])
+		rows[i], _ = newRoute(p, Connected, netip.Addr{}, 0, 0, i)
 		distinct[p.Masked()] = true
 	}
-	for name, l := range map[string]*LPM{"Insert": &byInsert, "newLPM": newLPM(rib)} {
-		if l.Len() != len(distinct) {
-			t.Fatalf("%s: Len = %d, want %d distinct prefixes of %v", name, l.Len(), len(distinct), inserted)
+	l := newLPM(rows)
+	if len(l.slots) != len(distinct) {
+		t.Fatalf("%d slots, want %d distinct prefixes of %v", len(l.slots), len(distinct), inserted)
+	}
+	lookup := func(a netip.Addr) (int, bool) {
+		i, ok := l.lookup(a)
+		if !ok {
+			return -1, false
 		}
-		for _, a := range probes {
-			want := linearLookup(inserted, a)
-			got, ok := l.Lookup(a)
-			if ok != (want >= 0) || (ok && got[len(got)-1].Metric != want) {
-				t.Fatalf("%s: Lookup(%s) = %v %v, want insert %d of %v", name, a, got, ok, want, inserted)
-			}
-			// 4-in-6 is the same destination; any other IPv6 address
-			// matches nothing, not even a default route.
-			if got6, ok6 := l.Lookup(netip.AddrFrom16(a.As16())); ok6 != ok || (ok && got6[len(got6)-1].Metric != want) {
-				t.Fatalf("%s: Lookup(4-in-6 %s) = %v %v, want insert %d", name, a, got6, ok6, want)
-			}
+		return rows[runEnd(rows, i)-1].metric, true
+	}
+	for _, a := range probes {
+		want := linearLookup(inserted, a)
+		if got, ok := lookup(a); ok != (want >= 0) || got != want {
+			t.Fatalf("lookup(%s) = insert %d %v, want insert %d of %v", a, got, ok, want, inserted)
 		}
-		if got, ok := l.Lookup(netip.IPv6Loopback()); ok {
-			t.Fatalf("%s: Lookup(::1) = %v, want a miss", name, got)
+		// 4-in-6 is the same destination; any other IPv6 address matches
+		// nothing, not even a default route.
+		if got, ok := lookup(netip.AddrFrom16(a.As16())); ok != (want >= 0) || got != want {
+			t.Fatalf("lookup(4-in-6 %s) = insert %d %v, want insert %d", a, got, ok, want)
 		}
+	}
+	if got, ok := lookup(netip.IPv6Loopback()); ok {
+		t.Fatalf("lookup(::1) = insert %d, want a miss", got)
 	}
 }
 

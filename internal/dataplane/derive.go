@@ -275,7 +275,7 @@ type suspect struct {
 	pos   int
 	cell  *routeCell
 	lsdb  *ospfLSDB
-	bgp   map[string][]FIBEntry
+	bgp   map[string]routeRows
 }
 
 // moved reports whether the suspect's RIB in s differs from its parent's.
@@ -283,7 +283,7 @@ func (sp *suspect) moved(s *Snapshot) bool {
 	sp.once.Do(func() {
 		parent := sp.cell
 		parent.once.Do(func() { parent.fill(s.net, sp.lsdb, sp.bgp, s.names[sp.pos], s.built) })
-		sp.stale = !slices.Equal(s.cell(sp.pos).rib, parent.rib)
+		sp.stale = !sameRoutes(s.cell(sp.pos).rib, parent.rib)
 		sp.cell, sp.lsdb, sp.bgp = nil, nil, nil
 	})
 	return sp.stale
@@ -311,10 +311,10 @@ func ospfMoved(old, nl *ospfLSDB, patched bool, spf map[string]bool) {
 
 // bgpMoved marks in fresh every device whose BGP routes differ between the
 // two route maps.
-func bgpMoved(old, routes map[string][]FIBEntry, fresh map[string]bool) {
-	for _, m := range []map[string][]FIBEntry{old, routes} {
+func bgpMoved(old, now map[string]routeRows, fresh map[string]bool) {
+	for _, m := range []map[string]routeRows{old, now} {
 		for dev := range m {
-			if !slices.Equal(old[dev], routes[dev]) {
+			if !sameRoutes(old[dev], now[dev]) {
 				fresh[dev] = true
 			}
 		}

@@ -14,138 +14,93 @@ import (
 	"slices"
 )
 
-// lpmSlot is one prefix of the table. key orders slots by prefix length,
-// then masked network address (see slotKey); routes are the FIB entries
-// terminating exactly at that prefix.
-type lpmSlot struct {
-	key    uint64
-	routes []FIBEntry
-}
-
-// LPM is a longest-prefix-match table mapping IPv4 prefixes to FIB entries.
-// The zero value is an empty table.
+// lpm is a longest-prefix-match table over a route list's rows: one slot
+// per prefix the rows hold, naming the first row of the prefix's run (the
+// routes of one prefix are contiguous in RIB order). The zero value is an
+// empty table.
 //
 // A router holds a few hundred prefixes over three or four distinct prefix
-// lengths, so the table is flat: one key-sorted slice of slots plus a
-// bitmask of the lengths present. A lookup masks the address to each
-// present length, longest first, and binary-searches for that key. The
-// model is IPv4-only: prefixes of another family are not stored and
-// addresses of another family match nothing (4-in-6 is unmapped first).
-type LPM struct {
-	slots   []lpmSlot
+// lengths, so the table is flat: slots sorted by key — the prefix length,
+// then the masked network address (slotKey) — each packed above its run's
+// position into one integer, plus a bitmask of the lengths present. A
+// lookup masks the address to each present length, longest first, and
+// binary-searches for that key. The model is IPv4-only: addresses of another
+// family match nothing (4-in-6 is unmapped first).
+type lpm struct {
+	slots   []uint64
 	present uint64
 }
+
+// posBits is how many low bits of a slot hold its run's position, stored
+// as posMax less the position (a key takes the 38 bits above).
+const posBits, posMax = 26, 1<<26 - 1
 
 // slotKey is the sort key of the l-bit prefix containing addr.
 func slotKey(addr uint32, l int) uint64 {
 	return uint64(l)<<32 | uint64(addr&(^uint32(0)<<(32-uint(l))))
 }
 
-// newLPM bulk-fills a table from a RIB whose equal-prefix entries are
-// contiguous: each run becomes one slot aliasing the RIB's backing array
-// (both are immutable once the snapshot is built), and one sort replaces
-// the per-Insert shifting. The result equals calling Insert once per run.
-// The sort is of plain integers — each run's key packed above its start in
-// the RIB (a key takes 38 bits) — so it moves no pointers.
-func newLPM(rib []FIBEntry) *LPM {
-	const startBits = 26
-	runs := 0
-	for i := 0; i < len(rib); i = runEnd(rib, i) {
-		runs++
+// newLPM fills a table from rows in RIB order with one integer sort. Two
+// runs masked to one network (an unmasked prefix among the rows) share a
+// slot, and the later run in RIB order takes it: it sorts first, and the
+// compaction keeps the first slot of a key.
+func newLPM(rows []route) lpm {
+	t := lpm{slots: make([]uint64, 0, len(rows))}
+	for i := 0; i < len(rows); i = runEnd(rows, i) {
+		t.slots = append(t.slots, slotKey(rows[i].addr, int(rows[i].bits))<<posBits|uint64(posMax-i))
+		t.present |= 1 << rows[i].bits
 	}
-	t := &LPM{}
-	order := make([]uint64, 0, runs)
-	for i := 0; i < len(rib); i = runEnd(rib, i) {
-		if p := rib[i].Prefix; p.Addr().Is4() {
-			order = append(order, slotKey(addrBits(p.Addr()), p.Bits())<<startBits|uint64(i))
-			t.present |= 1 << p.Bits()
-		}
-	}
-	slices.Sort(order)
-	t.slots = make([]lpmSlot, len(order))
-	for k, o := range order {
-		i := int(o & (1<<startBits - 1))
-		j := runEnd(rib, i)
-		t.slots[k] = lpmSlot{key: o >> startBits, routes: rib[i:j:j]}
-		if k > 0 && t.slots[k].key == t.slots[k-1].key {
-			// Two runs masked to one network (an unmasked prefix in the
-			// input): only Insert's replace-in-place says which one wins.
-			*t = LPM{}
-			for i := 0; i < len(rib); {
-				j := runEnd(rib, i)
-				t.Insert(rib[i].Prefix, rib[i:j:j])
-				i = j
-			}
-			break
-		}
-	}
+	slices.Sort(t.slots)
+	t.slots = slices.CompactFunc(t.slots, func(a, b uint64) bool { return a>>posBits == b>>posBits })
 	return t
 }
 
-// runEnd returns the end of the equal-prefix run starting at rib[i].
-func runEnd(rib []FIBEntry, i int) int {
+// runEnd returns the end of the equal-prefix run starting at rows[i].
+func runEnd(rows []route, i int) int {
 	j := i + 1
-	for j < len(rib) && rib[j].Prefix == rib[i].Prefix {
+	for j < len(rows) && rows[j].key == rows[i].key {
 		j++
 	}
 	return j
 }
 
-// Insert associates the prefix with the given FIB entries, replacing any
-// previous entries for exactly that prefix.
-func (t *LPM) Insert(p netip.Prefix, entries []FIBEntry) {
-	if !p.Addr().Is4() {
-		return
-	}
-	key := slotKey(addrBits(p.Addr()), p.Bits())
-	i, found := t.search(key)
-	if found {
-		t.slots[i].routes = entries
-		return
-	}
-	t.slots = slices.Insert(t.slots, i, lpmSlot{key: key, routes: entries})
-	t.present |= 1 << p.Bits()
-}
-
-// Lookup returns the FIB entries of the longest prefix containing addr and
-// whether any prefix matched.
-func (t *LPM) Lookup(addr netip.Addr) ([]FIBEntry, bool) {
+// lookup returns the position of the first row of the longest prefix
+// holding addr, and whether any prefix does. Its binary search is
+// hand-rolled: it is the inner loop of every traced hop, and
+// slices.BinarySearchFunc's comparator call per step made the table's
+// lookup 2.6x slower.
+func (t *lpm) lookup(addr netip.Addr) (int, bool) {
 	addr = addr.Unmap()
 	if !addr.Is4() {
-		return nil, false
+		return 0, false
 	}
 	v := addrBits(addr)
 	for m := t.present; m != 0; {
 		l := bits.Len64(m) - 1
 		m &^= 1 << l
-		if i, ok := t.search(slotKey(v, l)); ok {
-			return t.slots[i].routes, true
+		key := slotKey(v, l)
+		lo, hi := 0, len(t.slots)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t.slots[mid]>>posBits < key {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(t.slots) && t.slots[lo]>>posBits == key {
+			return posMax - int(t.slots[lo]&posMax), true
 		}
 	}
-	return nil, false
-}
-
-// Len returns the number of distinct prefixes in the table.
-func (t *LPM) Len() int { return len(t.slots) }
-
-// search binary-searches the slots, returning the position of key (or
-// where it would be inserted) and whether it is present. Hand-rolled: it is
-// the inner loop of every traced hop, and slices.BinarySearchFunc's
-// comparator call per step makes BenchmarkLPM 2.6x slower.
-func (t *LPM) search(key uint64) (int, bool) {
-	lo, hi := 0, len(t.slots)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.slots[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(t.slots) && t.slots[lo].key == key
+	return 0, false
 }
 
 func addrBits(a netip.Addr) uint32 {
 	b := a.As4()
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+// bitsAddr is addrBits' inverse.
+func bitsAddr(v uint32) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
 }

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,6 +19,9 @@ import (
 // staleSources finds, from the rows the patch replaced, the sources whose
 // shortest paths can have moved: those sharing an (area, component) scope
 // with a replaced row.
+
+// ospfAdminDistance is the administrative distance of an OSPF route.
+const ospfAdminDistance = 110
 
 // lsdbEdge is one adjacency edge of an OSPF area's router graph. peer is a
 // position within that area's member list, not a global source index.
@@ -91,12 +93,14 @@ type ospfLSDB struct {
 	backView []map[netip.Prefix]int // per ABR: backbone-view prefix -> cost
 }
 
-// ospfInterface describes one OSPF-participating interface.
+// ospfInterface describes one OSPF-participating interface. cost is its
+// OSPF cost: the hop count 1 unless an explicit OSPFCost is set.
 type ospfInterface struct {
 	dev     string
 	name    string
 	addr    netip.Prefix
 	area    int
+	cost    int
 	passive bool
 }
 
@@ -105,86 +109,55 @@ type ospfInterface struct {
 // Adjacency forms between two interfaces when they are L2-adjacent, share a
 // subnet and an area, and neither is passive. Every enabled interface's
 // subnet (including passive ones) is advertised into its interface's area.
-// Costs are hop counts unless an explicit OSPFCost is set. Inter-area
-// routing follows the standard area-0 backbone rule explicitly: the SPF
-// pass is per-area, and prefixes cross areas only as ABR summaries through
-// the backbone (see ospfLSDB).
+// Inter-area routing follows the standard area-0 backbone rule explicitly:
+// the SPF pass is per-area, and prefixes cross areas only as ABR summaries
+// through the backbone (see ospfLSDB).
 func buildLSDB(n *netmodel.Network, adj adjacency) *ospfLSDB {
 	participants := make(map[netmodel.Endpoint]ospfInterface)
-	routers := make(map[string]bool)
-	for _, devName := range n.DeviceNames() {
-		d := n.Devices[devName]
-		if d.OSPF == nil {
-			continue
-		}
-		for _, ifName := range d.InterfaceNames() {
-			itf := d.Interfaces[ifName]
-			if !l3Endpoint(itf) {
-				continue
-			}
-			area, ok := d.OSPF.EnabledArea(itf.Addr.Addr())
-			if !ok {
-				continue
-			}
+	var sources []string
+	var areas []int
+	for devName, d := range n.Devices {
+		for ifName := range d.Interfaces {
 			ep := netmodel.Endpoint{Device: devName, Interface: ifName}
-			participants[ep] = ospfInterface{
-				dev: devName, name: ifName, addr: itf.Addr,
-				area: area, passive: d.OSPF.Passive[ifName],
+			if oi, ok := ospfIf(n, ep); ok {
+				participants[ep] = oi
+				sources, areas = append(sources, devName), append(areas, oi.area)
 			}
-			routers[devName] = true
 		}
 	}
-	l := &ospfLSDB{index: make(map[string]int, len(routers))}
-	if len(routers) == 0 {
-		return l
-	}
-	l.sources = make([]string, 0, len(routers))
-	for src := range routers {
-		l.sources = append(l.sources, src)
-	}
-	sort.Strings(l.sources)
+	slices.Sort(sources)
+	slices.Sort(areas)
+	l := &ospfLSDB{sources: slices.Compact(sources), areas: slices.Compact(areas)}
+	l.index = make(map[string]int, len(l.sources))
 	for i, src := range l.sources {
 		l.index[src] = i
 	}
 
-	// Area ids, membership, and per-(area, source) advertisements.
-	areaSet := make(map[int]bool)
-	for _, oi := range participants {
-		areaSet[oi.area] = true
-	}
-	l.areas = make([]int, 0, len(areaSet))
-	for a := range areaSet {
-		l.areas = append(l.areas, a)
-	}
-	sort.Ints(l.areas)
-	areaPos := make(map[int]int, len(l.areas))
-	for i, a := range l.areas {
-		areaPos[a] = i
-	}
+	// Area membership, and advertised prefixes per (area, source) and per
+	// source (all enabled interfaces, passive too).
 	na := len(l.areas)
-	memberSet := make([]map[int]bool, na)
+	l.members, l.advSet = make([][]int, na), make([]map[netip.Prefix]bool, len(l.sources))
 	advBy := make([]map[int]map[netip.Prefix]bool, na)
-	for ai := range l.areas {
-		memberSet[ai] = make(map[int]bool)
-		advBy[ai] = make(map[int]map[netip.Prefix]bool)
-	}
 	for _, oi := range participants {
-		ai, si := areaPos[oi.area], l.index[oi.dev]
-		memberSet[ai][si] = true
+		ai, si := slices.Index(l.areas, oi.area), l.index[oi.dev]
+		l.members[ai] = append(l.members[ai], si)
+		if advBy[ai] == nil {
+			advBy[ai] = make(map[int]map[netip.Prefix]bool)
+		}
 		if advBy[ai][si] == nil {
 			advBy[ai][si] = make(map[netip.Prefix]bool)
 		}
+		if l.advSet[si] == nil {
+			l.advSet[si] = make(map[netip.Prefix]bool)
+		}
 		advBy[ai][si][oi.addr.Masked()] = true
+		l.advSet[si][oi.addr.Masked()] = true
 	}
-	l.members = make([][]int, na)
 	l.localAt = make([]map[int]int, na)
 	l.aGraph = make([][][]lsdbEdge, na)
-	for ai := range l.areas {
-		ms := make([]int, 0, len(memberSet[ai]))
-		for si := range memberSet[ai] {
-			ms = append(ms, si)
-		}
-		sort.Ints(ms)
+	for ai, ms := range l.members {
+		slices.Sort(ms)
+		ms = slices.Compact(ms)
 		l.members[ai] = ms
 		l.localAt[ai] = make(map[int]int, len(ms))
 		for li, si := range ms {
@@ -201,30 +174,12 @@ func buildLSDB(n *netmodel.Network, adj adjacency) *ospfLSDB {
 
 	// Per-area router graph: edge source->peer via (localIf, peerAddr).
 	for ep, oi := range participants {
-		if oi.passive {
-			continue
-		}
-		cost := 1
-		if itf := n.Devices[oi.dev].Interface(oi.name); itf != nil && itf.OSPFCost > 0 {
-			cost = itf.OSPFCost
-		}
-		ai := areaPos[oi.area]
+		ai := slices.Index(l.areas, oi.area)
 		li := l.localAt[ai][l.index[oi.dev]]
 		for _, other := range adj[ep] {
-			po, ok := participants[other]
-			if !ok || po.passive || po.dev == oi.dev {
-				continue
+			if po, ok := participants[other]; ok && peers(oi, po) {
+				l.aGraph[ai][li] = append(l.aGraph[ai][li], edgeTo(l, ai, oi, po))
 			}
-			if oi.area != po.area {
-				continue // area mismatch: no adjacency
-			}
-			if !oi.addr.Masked().Contains(po.addr.Addr()) {
-				continue // different subnets cannot peer
-			}
-			l.aGraph[ai][li] = append(l.aGraph[ai][li], lsdbEdge{
-				peer: l.localAt[ai][l.index[po.dev]], localIf: oi.name,
-				peerAddr: po.addr.Addr(), cost: cost,
-			})
 		}
 	}
 	// Participants iterate in map order; sort each edge list into the
@@ -236,35 +191,14 @@ func buildLSDB(n *netmodel.Network, adj adjacency) *ospfLSDB {
 		}
 	}
 
-	// Advertised prefixes per router (all enabled interfaces, passive too),
-	// plus the global lexical rank used for deterministic emission.
-	l.advSet = make([]map[netip.Prefix]bool, len(l.sources))
-	for _, oi := range participants {
-		si := l.index[oi.dev]
-		if l.advSet[si] == nil {
-			l.advSet[si] = make(map[netip.Prefix]bool)
-		}
-		l.advSet[si][oi.addr.Masked()] = true
-	}
 	// Configured aggregation ranges, canonically ordered per source. Their
-	// prefixes join the global rank table: an aggregate can be emitted even
-	// though no interface advertises it directly.
+	// prefixes join the global lexical rank used for deterministic emission:
+	// an aggregate can be emitted though no interface advertises it.
 	l.ranges = make([][]netmodel.OSPFNetwork, len(l.sources))
 	for si, src := range l.sources {
 		l.ranges[si] = canonicalRanges(n.Devices[src].OSPF)
 	}
-	all := make(map[netip.Prefix]bool)
-	for _, set := range l.advSet {
-		for p := range set {
-			all[p] = true
-		}
-	}
-	for _, rs := range l.ranges {
-		for _, r := range rs {
-			all[r.Prefix] = true
-		}
-	}
-	l.setRank(all)
+	l.setRank(l.union())
 	l.adv = make([][]netip.Prefix, len(l.sources))
 	for si, set := range l.advSet {
 		l.adv[si] = l.inRankOrder(set)
@@ -303,9 +237,11 @@ func canonicalRanges(o *netmodel.OSPFProcess) []netmodel.OSPFNetwork {
 	if o == nil || len(o.Ranges) == 0 {
 		return nil
 	}
-	cp := make([]netmodel.OSPFNetwork, len(o.Ranges))
-	for i, r := range o.Ranges {
-		cp[i] = netmodel.OSPFNetwork{Prefix: r.Prefix.Masked(), Area: r.Area}
+	cp := make([]netmodel.OSPFNetwork, 0, len(o.Ranges))
+	for _, r := range o.Ranges {
+		if r.Prefix.Addr().Is4() { // OSPFv2: every ranked prefix is IPv4
+			cp = append(cp, netmodel.OSPFNetwork{Prefix: r.Prefix.Masked(), Area: r.Area})
+		}
 	}
 	slices.SortFunc(cp, func(a, b netmodel.OSPFNetwork) int {
 		if c := cmp.Compare(a.Area, b.Area); c != 0 {
@@ -316,8 +252,24 @@ func canonicalRanges(o *netmodel.OSPFProcess) []netmodel.OSPFNetwork {
 	return cp
 }
 
+// union is every advertised prefix plus every configured range prefix.
+func (l *ospfLSDB) union() map[netip.Prefix]bool {
+	all := make(map[netip.Prefix]bool, len(l.rank))
+	for _, set := range l.advSet {
+		for p := range set {
+			all[p] = true
+		}
+	}
+	for _, rs := range l.ranges {
+		for _, r := range rs {
+			all[r.Prefix] = true
+		}
+	}
+	return all
+}
+
 // setRank installs the global lexical prefix rank over the given prefix
-// union (every advertised prefix plus every configured range prefix).
+// union.
 func (l *ospfLSDB) setRank(all map[netip.Prefix]bool) {
 	l.ranked = make([]netip.Prefix, 0, len(all))
 	for p := range all {
@@ -353,15 +305,16 @@ func sharedRow[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// ospfIf resolves one endpoint's OSPF participation in n, mirroring the
-// participant scan in buildLSDB.
+// ospfIf resolves one endpoint's OSPF participation in n: an IPv4 L3
+// endpoint (OSPF is OSPFv2) of an OSPF router whose network statements
+// enable its address.
 func ospfIf(n *netmodel.Network, ep netmodel.Endpoint) (ospfInterface, bool) {
 	d := n.Devices[ep.Device]
 	if d == nil || d.OSPF == nil {
 		return ospfInterface{}, false
 	}
 	itf := d.Interfaces[ep.Interface]
-	if itf == nil || !l3Endpoint(itf) {
+	if itf == nil || !l3Endpoint(itf) || !itf.Addr.Addr().Is4() {
 		return ospfInterface{}, false
 	}
 	area, ok := d.OSPF.EnabledArea(itf.Addr.Addr())
@@ -370,47 +323,41 @@ func ospfIf(n *netmodel.Network, ep netmodel.Endpoint) (ospfInterface, bool) {
 	}
 	return ospfInterface{
 		dev: ep.Device, name: ep.Interface, addr: itf.Addr,
-		area: area, passive: d.OSPF.Passive[ep.Interface],
+		area: area, cost: max(itf.OSPFCost, 1), passive: d.OSPF.Passive[ep.Interface],
 	}, true
+}
+
+// peers reports whether oi has an edge to po: two L2-adjacent participants
+// of distinct routers, neither passive, in one area, with po's address on
+// oi's subnet (subnet containment can be asymmetric, so the edge can be).
+func peers(oi, po ospfInterface) bool {
+	return !oi.passive && !po.passive && oi.dev != po.dev && oi.area == po.area &&
+		oi.addr.Masked().Contains(po.addr.Addr())
+}
+
+// edgeTo is oi's edge to po in area position ai.
+func edgeTo(l *ospfLSDB, ai int, oi, po ospfInterface) lsdbEdge {
+	return lsdbEdge{peer: l.localAt[ai][l.index[po.dev]], localIf: oi.name, peerAddr: po.addr.Addr(), cost: oi.cost}
 }
 
 // rebuildEdges recomputes source si's edge list in area position ai against
 // network n and adjacency adj. It reads exactly what buildLSDB reads for
 // that row: si's own interfaces and adjacency rows plus its peers'
-// configurations — the inputs deriveLSDB's affected set is closed over.
+// configurations.
 func (l *ospfLSDB) rebuildEdges(n *netmodel.Network, adj adjacency, ai, si int) []lsdbEdge {
 	src := l.sources[si]
-	area := l.areas[ai]
 	// The row it replaces is the usual size of the new one.
 	edges := make([]lsdbEdge, 0, len(l.aGraph[ai][l.localAt[ai][si]]))
-	for ifName, itf := range n.Devices[src].Interfaces {
-		oi, ok := ospfIf(n, netmodel.Endpoint{Device: src, Interface: ifName})
-		if !ok || oi.passive || oi.area != area {
+	for ifName := range n.Devices[src].Interfaces {
+		ep := netmodel.Endpoint{Device: src, Interface: ifName}
+		oi, ok := ospfIf(n, ep)
+		if !ok || oi.area != l.areas[ai] {
 			continue
 		}
-		cost := 1
-		if itf.OSPFCost > 0 {
-			cost = itf.OSPFCost
-		}
-		for _, other := range adj[netmodel.Endpoint{Device: src, Interface: ifName}] {
-			po, ok := ospfIf(n, other)
-			if !ok || po.passive || po.dev == src || po.area != area {
-				continue
+		for _, other := range adj[ep] {
+			if po, ok := ospfIf(n, other); ok && peers(oi, po) {
+				edges = append(edges, edgeTo(l, ai, oi, po))
 			}
-			if !oi.addr.Masked().Contains(po.addr.Addr()) {
-				continue
-			}
-			pi, ok := l.index[po.dev]
-			if !ok {
-				continue
-			}
-			lp, ok := l.localAt[ai][pi]
-			if !ok {
-				continue
-			}
-			edges = append(edges, lsdbEdge{
-				peer: lp, localIf: ifName, peerAddr: po.addr.Addr(), cost: cost,
-			})
 		}
 	}
 	sortEdges(edges)
@@ -418,72 +365,57 @@ func (l *ospfLSDB) rebuildEdges(n *netmodel.Network, adj adjacency, ai, si int) 
 }
 
 // deriveLSDB patches old into the LSDB of n: it rebuilds only the rows the
-// change set can have touched, shares everything else with old by
-// reference, and keeps old's row wherever a rebuilt row comes out with
-// equal content. A graph, advertisement or range row of the result is
-// therefore old's row by identity exactly when its content is unchanged —
-// the invariant staleSources decides SPF reuse from. patched reports
-// whether the result is such a patch of old.
+// change set can have touched, shares everything else with old, and keeps
+// old's row wherever a patched row comes out with equal content. A graph,
+// advertisement or range row of the result is therefore old's row by
+// identity exactly when its content is unchanged — the invariant
+// staleSources decides SPF reuse from. patched reports whether the result
+// is such a patch. n may be oldNet written in place: old rows, not old
+// configuration, are the record.
 //
-// The patch keeps old's index-addressed layout, so any structural drift
-// falls back to a full buildLSDB (patched = false, rows not comparable): a
+// Structural drift falls back to a full buildLSDB (patched = false): a
 // device entering or leaving the router set, a router's per-area
-// membership changing, or a change introducing an area id the old LSDB
-// never saw. Within a stable layout the rebuilt rows are: the changed
-// routers' advertisements, ranges, and edge lists, plus the edge lists of
-// every router whose inputs a change can reach — routers adjacent to a
-// changed device under the old or new adjacency (peer attributes feed
-// their edges), and, when the L2 adjacency was rebuilt, routers whose own
-// adjacency rows differ (an L2-only change on a transit switch rewires
-// routers that are not adjacent to the changed device; adjacency rows are
-// canonical, so element-wise comparison is exact).
+// membership changing, or a new area id. Otherwise the changed routers'
+// advertisement and range rows are rebuilt (the rank table only when the
+// prefix union moved), and their edge rows whole, as are, after an
+// adjacency rebuild, those of routers whose own (canonical) adjacency rows
+// differ: an L2-only change on a transit switch rewires routers not
+// adjacent to the changed device. Every other router keeps its edges to
+// unchanged routers, and its edges to changed ones are recomputed in one
+// pass over the changed routers' endpoints: adjacency is symmetric (built
+// from L2 groups), so a router whose adjacency rows did not move meets
+// their endpoints where it met them before, and nothing else it reads moved.
 func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacency,
 	adjRebuilt bool, changed map[string]bool) (l *ospfLSDB, patched bool) {
 	if old == nil || oldNet == nil || len(old.sources) == 0 {
 		return buildLSDB(n, adj), false
 	}
-	areaPos := make(map[int]int, len(old.areas))
-	for i, a := range old.areas {
-		areaPos[a] = i
-	}
-
-	// Re-scan the changed devices' OSPF participation, verifying the layout
-	// is intact and collecting their per-area advertisement sets.
+	// The changed routers' per-area advertisement sets, by source index.
 	touched := make(map[int]map[int]map[netip.Prefix]bool)
 	for dev := range changed {
-		d := n.Devices[dev]
 		si, wasRouter := old.index[dev]
-		var byArea map[int]map[netip.Prefix]bool
-		if d != nil && d.OSPF != nil {
-			for _, itf := range d.Interfaces {
-				if !l3Endpoint(itf) {
-					continue
-				}
-				area, ok := d.OSPF.EnabledArea(itf.Addr.Addr())
-				if !ok {
-					continue
-				}
-				ai, ok := areaPos[area]
-				if !ok {
-					return buildLSDB(n, adj), false // new area id
-				}
-				if byArea == nil {
-					byArea = make(map[int]map[netip.Prefix]bool)
-				}
-				if byArea[ai] == nil {
-					byArea[ai] = make(map[netip.Prefix]bool)
-				}
-				byArea[ai][itf.Addr.Masked()] = true
+		if n.Devices[dev] == nil {
+			return buildLSDB(n, adj), false // a device removed
+		}
+		byArea := make(map[int]map[netip.Prefix]bool)
+		for ifName := range n.Devices[dev].Interfaces {
+			oi, ok := ospfIf(n, netmodel.Endpoint{Device: dev, Interface: ifName})
+			ai := slices.Index(old.areas, oi.area)
+			switch {
+			case !ok:
+				continue
+			case ai < 0:
+				return buildLSDB(n, adj), false // new area id
+			case byArea[ai] == nil:
+				byArea[ai] = make(map[netip.Prefix]bool)
 			}
+			byArea[ai][oi.addr.Masked()] = true
 		}
-		if (byArea != nil) != wasRouter {
-			return buildLSDB(n, adj), false // router set changed
-		}
-		if byArea == nil {
+		if !wasRouter && len(byArea) == 0 {
 			continue
 		}
-		if len(byArea) != len(old.areasOf[si]) {
-			return buildLSDB(n, adj), false // area membership changed
+		if !wasRouter || len(byArea) != len(old.areasOf[si]) {
+			return buildLSDB(n, adj), false // router set or area membership changed
 		}
 		for _, ai := range old.areasOf[si] {
 			if byArea[ai] == nil {
@@ -497,107 +429,141 @@ func deriveLSDB(old *ospfLSDB, oldNet, n *netmodel.Network, oldAdj, adj adjacenc
 		sources: old.sources, index: old.index,
 		areas: old.areas, areasOf: old.areasOf,
 		members: old.members, localAt: old.localAt,
-		aGraph: slices.Clone(old.aGraph),
-		aAdv:   slices.Clone(old.aAdv),
-		adv:    old.adv, advSet: old.advSet, ranges: old.ranges,
+		aGraph: slices.Clone(old.aGraph), aAdv: old.aAdv,
+		adv: old.adv, advSet: old.advSet, ranges: old.ranges,
 		rank: old.rank, ranked: old.ranked,
 	}
-
-	if len(touched) > 0 {
-		l.advSet = slices.Clone(old.advSet)
-		for si, byArea := range touched {
-			set := make(map[netip.Prefix]bool)
-			for _, ps := range byArea {
-				for p := range ps {
-					set[p] = true
-				}
-			}
-			l.advSet[si] = set
-			l.ranges = setRow(l.ranges, old.ranges, si, canonicalRanges(n.Devices[l.sources[si]].OSPF))
-		}
-
-		// The rank table is shared whenever the global prefix union is
-		// unchanged. When it is rebuilt, unshared rows stay correctly
-		// ordered anyway: rank order is lexical prefix-string order, which
-		// is stable under insertions and deletions.
-		all := make(map[netip.Prefix]bool, len(old.rank))
-		for _, set := range l.advSet {
-			for p := range set {
-				all[p] = true
-			}
-		}
-		for _, rs := range l.ranges {
-			for _, r := range rs {
-				all[r.Prefix] = true
-			}
-		}
-		same := len(all) == len(old.rank)
-		if same {
-			for p := range all {
-				if _, ok := old.rank[p]; !ok {
-					same = false
-					break
-				}
-			}
-		}
-		if !same {
-			l.setRank(all)
-		}
-
-		for si, byArea := range touched {
-			l.adv = setRow(l.adv, old.adv, si, l.inRankOrder(l.advSet[si]))
-			for ai, set := range byArea {
-				l.aAdv[ai] = setRow(l.aAdv[ai], old.aAdv[ai], l.localAt[ai][si], l.inRankOrder(set))
-			}
-		}
+	if advMoved(old, n, touched) {
+		l.patchAdvertisements(old, n, touched)
+	} else {
+		// Every advertisement row is old's: so are their ranks.
+		l.ranksOnce.Do(func() { l.aRanks, l.advRanks = old.ranks() })
 	}
-
-	// Affected edge lists: changed routers, their adjacency peers under
-	// either adjacency, and (after an adjacency rebuild) routers whose own
-	// rows differ.
-	affected := make(map[int]bool, len(changed))
-	for dev := range changed {
-		if si, ok := old.index[dev]; ok {
-			affected[si] = true
-		}
-	}
-	markPeers := func(net2 *netmodel.Network, a adjacency) {
-		for dev := range changed {
-			d := net2.Devices[dev]
-			if d == nil {
-				continue
-			}
-			for ifName := range d.Interfaces {
-				for _, other := range a[netmodel.Endpoint{Device: dev, Interface: ifName}] {
-					if pi, ok := old.index[other.Device]; ok {
-						affected[pi] = true
-					}
-				}
-			}
-		}
-	}
-	markPeers(oldNet, oldAdj)
-	markPeers(n, adj)
-	if adjRebuilt {
-		for si, src := range old.sources {
-			if affected[si] {
-				continue
-			}
-			for ifName := range n.Devices[src].Interfaces {
-				ep := netmodel.Endpoint{Device: src, Interface: ifName}
-				if !slices.Equal(oldAdj[ep], adj[ep]) {
-					affected[si] = true
-					break
-				}
-			}
-		}
-	}
-	for si := range affected {
-		for _, ai := range old.areasOf[si] {
-			l.aGraph[ai] = setRow(l.aGraph[ai], old.aGraph[ai], old.localAt[ai][si], l.rebuildEdges(n, adj, ai, si))
-		}
-	}
+	l.patchEdges(old, n, oldAdj, adj, adjRebuilt, touched)
 	return l, true
+}
+
+// advMoved reports whether a touched router's advertisements or ranges
+// differ from its rows in old.
+func advMoved(old *ospfLSDB, n *netmodel.Network, touched map[int]map[int]map[netip.Prefix]bool) bool {
+	for si, byArea := range touched {
+		if !slices.Equal(canonicalRanges(n.Devices[old.sources[si]].OSPF), old.ranges[si]) {
+			return true
+		}
+		for ai, set := range byArea {
+			row := old.aAdv[ai][old.localAt[ai][si]]
+			if len(row) != len(set) || slices.ContainsFunc(row, func(p netip.Prefix) bool { return !set[p] }) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// patchAdvertisements rebuilds the touched routers' advertisement and range
+// rows, and the rank table when the global prefix union moved.
+func (l *ospfLSDB) patchAdvertisements(old *ospfLSDB, n *netmodel.Network, touched map[int]map[int]map[netip.Prefix]bool) {
+	l.aAdv = slices.Clone(old.aAdv)
+	l.advSet = slices.Clone(old.advSet)
+	for si, byArea := range touched {
+		set := make(map[netip.Prefix]bool)
+		for _, ps := range byArea {
+			maps.Copy(set, ps)
+		}
+		l.advSet[si] = set
+		l.ranges = setRow(l.ranges, old.ranges, si, canonicalRanges(n.Devices[l.sources[si]].OSPF))
+	}
+
+	// The rank table is shared whenever the global prefix union is
+	// unchanged. When it is rebuilt, unshared rows stay correctly ordered
+	// anyway: rank order is lexical prefix-string order, which is stable
+	// under insertions and deletions.
+	all, same := l.union(), true
+	for p := range all {
+		_, ok := old.rank[p]
+		same = same && ok
+	}
+	if !same || len(all) != len(old.rank) {
+		l.setRank(all)
+	}
+
+	for si, byArea := range touched {
+		l.adv = setRow(l.adv, old.adv, si, l.inRankOrder(l.advSet[si]))
+		for ai, set := range byArea {
+			l.aAdv[ai] = setRow(l.aAdv[ai], old.aAdv[ai], l.localAt[ai][si], l.inRankOrder(set))
+		}
+	}
+}
+
+// patchEdges rebuilds the edge rows as deriveLSDB says: whole for the
+// touched routers and, after an adjacency rebuild, for routers whose
+// adjacency rows differ; for any other router met across a touched router's
+// endpoint, its old row less its edges to touched routers, plus theirs
+// recomputed (toChanged, by area position; a router met with none loses
+// the ones it had).
+func (l *ospfLSDB) patchEdges(old *ospfLSDB, n *netmodel.Network, oldAdj, adj adjacency, adjRebuilt bool, touched map[int]map[int]map[netip.Prefix]bool) {
+	whole := make([]bool, len(l.sources))
+	for si, src := range l.sources {
+		if whole[si] = touched[si] != nil; whole[si] || !adjRebuilt {
+			continue
+		}
+		for ifName := range n.Devices[src].Interfaces {
+			ep := netmodel.Endpoint{Device: src, Interface: ifName}
+			if whole[si] = !slices.Equal(oldAdj[ep], adj[ep]); whole[si] {
+				break
+			}
+		}
+	}
+	type areaEdge struct {
+		ai int
+		e  lsdbEdge
+	}
+	toChanged := make(map[int][]areaEdge)
+	for ci := range touched {
+		for ifName := range n.Devices[l.sources[ci]].Interfaces {
+			ep := netmodel.Endpoint{Device: l.sources[ci], Interface: ifName}
+			oc, ok := ospfIf(n, ep)
+			for _, other := range adj[ep] {
+				if pi, router := l.index[other.Device]; router && !whole[pi] {
+					edges := toChanged[pi]
+					if po, pok := ospfIf(n, other); ok && pok && peers(po, oc) {
+						ai := slices.Index(l.areas, po.area)
+						edges = append(edges, areaEdge{ai, edgeTo(l, ai, po, oc)})
+					}
+					toChanged[pi] = edges
+				}
+			}
+		}
+	}
+
+	var row []lsdbEdge
+	for pi, edges := range toChanged {
+		for _, ai := range l.areasOf[pi] {
+			li := l.localAt[ai][pi]
+			row = row[:0]
+			for _, e := range old.aGraph[ai][li] {
+				if touched[l.members[ai][e.peer]] == nil {
+					row = append(row, e)
+				}
+			}
+			for _, ae := range edges {
+				if ae.ai == ai {
+					row = append(row, ae.e)
+				}
+			}
+			sortEdges(row)
+			if !slices.Equal(row, old.aGraph[ai][li]) {
+				l.aGraph[ai] = setRow(l.aGraph[ai], old.aGraph[ai], li, slices.Clone(row))
+			}
+		}
+	}
+	for si, w := range whole {
+		for _, ai := range l.areasOf[si] {
+			if w {
+				l.aGraph[ai] = setRow(l.aGraph[ai], old.aGraph[ai], l.localAt[ai][si], l.rebuildEdges(n, adj, ai, si))
+			}
+		}
+	}
 }
 
 // setRow installs row at rows[i] unless the row already there has equal
@@ -615,11 +581,11 @@ func setRow[T comparable](rows, parent [][]T, i int, row []T) [][]T {
 	return rows
 }
 
-// ospfHop is one candidate first hop toward a destination.
-type ospfHop struct {
-	outIf string
-	via   netip.Addr
-}
+// ospfHop is one candidate first hop toward a destination: the neighbor's
+// address above the index of the source's interface toward it (into
+// routesFrom's sorted names), so hops order by (via, interface name) as
+// integers.
+type ospfHop uint64
 
 // addHop appends h unless already present. First-hop sets are tiny (ECMP
 // fan-out), so the linear scan beats a map.
@@ -632,19 +598,13 @@ func addHop(hops []ospfHop, h ospfHop) []ospfHop {
 	return append(hops, h)
 }
 
-// compareOSPFHop orders first hops by (via, outIf), the order routes of one
-// prefix are emitted in.
-func compareOSPFHop(a, b ospfHop) int {
-	if c := a.via.Compare(b.via); c != 0 {
-		return c
-	}
-	return strings.Compare(a.outIf, b.outIf)
-}
-
-// areaSPF runs the single-source Dijkstra over one area's member graph.
-// It returns per-member distances (-1 = unreached) and first-hop sets from
-// the local source position ls.
-func (l *ospfLSDB) areaSPF(ai, ls int) ([]int, [][]ospfHop) {
+// areaSPF runs the single-source Dijkstra over one area's member graph
+// from the local source position ls. It returns per-member distances (-1 =
+// unreached) and, with firstHops, first-hop sets over ifs, the source's
+// interface names in sorted order. The summary passes in hier consume
+// distances only: tracking hop sets there roughly doubled the cost of every
+// ABR's per-area Dijkstra.
+func (l *ospfLSDB) areaSPF(ai, ls int, ifs []string, firstHops bool) ([]int, [][]ospfHop) {
 	nv := len(l.members[ai])
 	const unreached = -1
 	dist := make([]int, nv)
@@ -653,7 +613,10 @@ func (l *ospfLSDB) areaSPF(ai, ls int) ([]int, [][]ospfHop) {
 	}
 	dist[ls] = 0
 	settled := make([]bool, nv)
-	hops := make([][]ospfHop, nv)
+	var hops [][]ospfHop
+	if firstHops {
+		hops = make([][]ospfHop, nv)
+	}
 	graph := l.aGraph[ai]
 	for {
 		// Select the unsettled node with the smallest distance. The lowest
@@ -679,14 +642,19 @@ func (l *ospfLSDB) areaSPF(ai, ls int) ([]int, [][]ospfHop) {
 			switch old := dist[e.peer]; {
 			case old == unreached || nd < old:
 				dist[e.peer] = nd
-				hops[e.peer] = hops[e.peer][:0]
+				if firstHops {
+					hops[e.peer] = hops[e.peer][:0]
+				}
 			case nd > old:
 				continue
 			}
 			// Propagate first hops for equal-or-new best paths.
-			if cur == ls {
-				hops[e.peer] = addHop(hops[e.peer], ospfHop{outIf: e.localIf, via: e.peerAddr})
-			} else {
+			switch {
+			case !firstHops:
+			case cur == ls:
+				i, _ := slices.BinarySearch(ifs, e.localIf)
+				hops[e.peer] = addHop(hops[e.peer], ospfHop(addrBits(e.peerAddr))<<16|ospfHop(i))
+			default:
 				for _, h := range hops[cur] {
 					hops[e.peer] = addHop(hops[e.peer], h)
 				}
@@ -712,42 +680,6 @@ func (l *ospfLSDB) rangeFor(si, area int, p netip.Prefix) (netip.Prefix, bool) {
 		}
 	}
 	return best, found
-}
-
-// areaDist is areaSPF without first-hop bookkeeping: the summary passes in
-// hier only consume distances, and tracking hop sets there roughly doubled
-// the cost of every ABR's per-area Dijkstra.
-func (l *ospfLSDB) areaDist(ai, ls int) []int {
-	nv := len(l.members[ai])
-	const unreached = -1
-	dist := make([]int, nv)
-	for i := range dist {
-		dist[i] = unreached
-	}
-	dist[ls] = 0
-	settled := make([]bool, nv)
-	graph := l.aGraph[ai]
-	for {
-		cur, best := -1, -1
-		for i := 0; i < nv; i++ {
-			if settled[i] || dist[i] == unreached {
-				continue
-			}
-			if best < 0 || dist[i] < best {
-				cur, best = i, dist[i]
-			}
-		}
-		if cur < 0 {
-			break
-		}
-		settled[cur] = true
-		for _, e := range graph[cur] {
-			if nd := dist[cur] + e.cost; dist[e.peer] == unreached || nd < dist[e.peer] {
-				dist[e.peer] = nd
-			}
-		}
-	}
-	return dist
 }
 
 // hier computes the hierarchical (inter-area) state once: the backbone
@@ -786,7 +718,7 @@ func (l *ospfLSDB) hier() {
 			byArea := make(map[int][]int, len(l.areasOf[b]))
 			sum := make(map[netip.Prefix]int)
 			for _, ai := range l.areasOf[b] {
-				d := l.areaDist(ai, l.localAt[ai][b])
+				d, _ := l.areaSPF(ai, l.localAt[ai][b], nil, false)
 				byArea[ai] = d
 				if ai == l.backbone {
 					continue
@@ -895,9 +827,10 @@ func (l *ospfLSDB) ranks() (aRanks [][][]int32, advRanks [][]int32) {
 }
 
 // routesFrom computes the source router's OSPF routes in deterministic
-// (prefix string, hop) order, or nil when it has none: per-area Dijkstra
-// for intra-area routes, plus ABR summaries for inter-area ones.
-func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
+// (prefix string, hop) order, over the names of the source's interfaces
+// with an edge, sorted: per-area Dijkstra for intra-area routes, plus ABR summaries for
+// inter-area ones.
+func (l *ospfLSDB) routesFrom(si int) routeRows {
 	l.hier()
 	aRanks, advRanks := l.ranks()
 
@@ -959,9 +892,21 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 	}
 	runs := make([]areaRun, 0, len(l.areasOf[si]))
 	inBackbone := false
+	edges := 0
+	for _, ai := range l.areasOf[si] {
+		edges += len(l.aGraph[ai][l.localAt[ai][si]])
+	}
+	ifs := make([]string, 0, edges)
+	for _, ai := range l.areasOf[si] {
+		for _, e := range l.aGraph[ai][l.localAt[ai][si]] {
+			if i, found := slices.BinarySearch(ifs, e.localIf); !found {
+				ifs = slices.Insert(ifs, i, e.localIf)
+			}
+		}
+	}
 	for _, ai := range l.areasOf[si] {
 		ls := l.localAt[ai][si]
-		dist, hops := l.areaSPF(ai, ls)
+		dist, hops := l.areaSPF(ai, ls, ifs, true)
 		runs = append(runs, areaRun{ai: ai, dist: dist, hops: hops})
 		if ai == l.backbone {
 			inBackbone = true
@@ -1014,7 +959,7 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 		}
 	}
 	if !any {
-		return nil
+		return routeRows{}
 	}
 
 	// One or two hops per prefix (ECMP fan-out): an in-place insertion
@@ -1022,21 +967,20 @@ func (l *ospfLSDB) routesFrom(si int) []FIBEntry {
 	n := 0
 	for ri := range acc {
 		if a := &acc[ri]; a.best != 0 {
-			slices.SortFunc(a.hops, compareOSPFHop)
+			slices.Sort(a.hops)
 			n += len(a.hops)
 		}
 	}
-	out := make([]FIBEntry, 0, n)
+	out := routeRows{rows: make([]route, 0, n), ifs: ifs}
 	for ri := range acc {
 		a := &acc[ri]
 		if a.best == 0 {
 			continue
 		}
+		r, _ := newRoute(l.ranked[ri], OSPF, netip.IPv4Unspecified(), 0, ospfAdminDistance, a.best)
 		for _, h := range a.hops {
-			out = append(out, FIBEntry{
-				Prefix: l.ranked[ri], Proto: OSPF, NextHop: h.via, OutIf: h.outIf,
-				AD: OSPF.adminDistance(), Metric: a.best,
-			})
+			r.hop, r.outIf = 1<<32|uint64(h>>16), uint16(h)
+			out.rows = append(out.rows, r)
 		}
 	}
 	return out

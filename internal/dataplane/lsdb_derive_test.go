@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"slices"
 	"testing"
@@ -66,49 +67,19 @@ func routes(l *ospfLSDB) map[string][]FIBEntry {
 	}
 	out := make(map[string][]FIBEntry, len(l.sources))
 	for i, src := range l.sources {
-		if r := l.routesFrom(i); len(r) > 0 {
-			out[src] = r
+		if r := l.routesFrom(i); len(r.rows) > 0 {
+			out[src] = r.entries()
 		}
 	}
 	return out
 }
 
-// assertLSDBEqual compares two LSDBs of one network row by row: layout,
-// per-area graph and advertisement rows, per-source advertisements and
-// ranges. Rows compare by content, so nil and empty rows are equal.
+// assertLSDBEqual compares two LSDBs of one network row by row (lsdbDiff).
 func assertLSDBEqual(t *testing.T, got, want *ospfLSDB) {
 	t.Helper()
-	if !slices.Equal(got.sources, want.sources) || !slices.Equal(got.areas, want.areas) {
-		t.Fatalf("layout diverged: sources %v areas %v vs sources %v areas %v",
-			got.sources, got.areas, want.sources, want.areas)
+	if err := lsdbDiff(got, want); err != nil {
+		t.Error(err)
 	}
-	rows := func(what string, g, w int, eq func(i int) bool) {
-		t.Helper()
-		if g != w {
-			t.Errorf("%s: %d rows vs %d", what, g, w)
-			return
-		}
-		for i := 0; i < g; i++ {
-			if !eq(i) {
-				t.Errorf("%s: row %d diverged", what, i)
-			}
-		}
-	}
-	rows("members", len(got.members), len(want.members), func(ai int) bool {
-		return slices.Equal(got.members[ai], want.members[ai])
-	})
-	for ai := range want.areas {
-		rows(fmt.Sprintf("area %d graph", want.areas[ai]), len(got.aGraph[ai]), len(want.aGraph[ai]),
-			func(li int) bool { return slices.Equal(got.aGraph[ai][li], want.aGraph[ai][li]) })
-		rows(fmt.Sprintf("area %d adv", want.areas[ai]), len(got.aAdv[ai]), len(want.aAdv[ai]),
-			func(li int) bool { return slices.Equal(got.aAdv[ai][li], want.aAdv[ai][li]) })
-	}
-	rows("adv", len(got.adv), len(want.adv), func(si int) bool {
-		return slices.Equal(got.adv[si], want.adv[si])
-	})
-	rows("ranges", len(got.ranges), len(want.ranges), func(si int) bool {
-		return slices.Equal(got.ranges[si], want.ranges[si])
-	})
 }
 
 // TestDeriveLSDBMatchesBuild pins deriveLSDB's contract: for every change
@@ -262,4 +233,116 @@ func TestDeriveLSDBSharesUntouchedAreas(t *testing.T) {
 			t.Error("sources marked stale although every row is the parent's")
 		}
 	})
+}
+
+// LSDBChain is the state of the patched-LSDB oracle, for the external
+// seeded test and fuzz target over scenario networks: a network, its
+// adjacency and its LSDB, each LSDB derived from the one before.
+type LSDBChain struct {
+	net  *netmodel.Network
+	adj  adjacency
+	lsdb *ospfLSDB
+}
+
+// NewLSDBChain starts a chain at n's built LSDB.
+func NewLSDBChain(n *netmodel.Network) *LSDBChain {
+	adj := computeAdjacency(n)
+	return &LSDBChain{n, adj, buildLSDB(n, adj)}
+}
+
+// ThreeAreaNet is threeAreaNet, for the external oracle.
+func ThreeAreaNet() *netmodel.Network { return threeAreaNet() }
+
+// Step derives the LSDB of n — the chain's network written in place, or a
+// copy of it written — across the changed devices, as Derive does: with
+// topo the adjacency is recomputed and declared rebuilt. The result must
+// equal buildLSDB of n row for row; when it is a patch, every row whose
+// content did not change must be its parent's row by identity (what
+// staleSources reads), and every source whose routes moved must be stale.
+// The chain then moves to n. Step returns the first divergence found.
+func (c *LSDBChain) Step(n *netmodel.Network, topo bool, changed ...string) error {
+	adj := c.adj
+	if topo {
+		adj = computeAdjacency(n)
+	}
+	set := make(map[string]bool, len(changed))
+	for _, dev := range changed {
+		set[dev] = true
+	}
+	old := c.lsdb
+	derived, patched := deriveLSDB(old, c.net, n, c.adj, adj, topo, set)
+	if err := lsdbDiff(derived, buildLSDB(n, adj)); err != nil {
+		return fmt.Errorf("patched=%v: %w", patched, err)
+	}
+	if patched {
+		if err := keptIdentity(derived, old); err != nil {
+			return err
+		}
+		stale := derived.staleSources(old)
+		for si, src := range derived.sources {
+			if moved := !reflect.DeepEqual(old.routesFrom(si).entries(), derived.routesFrom(si).entries()); moved && (stale == nil || !stale[si]) {
+				return fmt.Errorf("%s: routes moved, but the source is not stale", src)
+			}
+		}
+	}
+	c.net, c.adj, c.lsdb = n, adj, derived
+	return nil
+}
+
+// lsdbDiff compares two LSDBs of one network row by row — layout, rank
+// table, per-area graph and advertisement rows, per-source advertisements
+// and ranges — and returns the first divergence. Rows compare by content,
+// so nil and empty rows are equal.
+func lsdbDiff(got, want *ospfLSDB) error {
+	if !slices.Equal(got.sources, want.sources) || !slices.Equal(got.areas, want.areas) ||
+		!slices.EqualFunc(got.members, want.members, slices.Equal) || !slices.Equal(got.ranked, want.ranked) {
+		return fmt.Errorf("layout or rank diverged: sources %v areas %v vs sources %v areas %v",
+			got.sources, got.areas, want.sources, want.areas)
+	}
+	for ai, area := range want.areas {
+		for li, si := range want.members[ai] {
+			if !slices.Equal(got.aGraph[ai][li], want.aGraph[ai][li]) {
+				return fmt.Errorf("area %d, %s: edges %v, want %v", area, want.sources[si], got.aGraph[ai][li], want.aGraph[ai][li])
+			}
+			if !slices.Equal(got.aAdv[ai][li], want.aAdv[ai][li]) {
+				return fmt.Errorf("area %d, %s: advertisements %v, want %v", area, want.sources[si], got.aAdv[ai][li], want.aAdv[ai][li])
+			}
+		}
+	}
+	for si, src := range want.sources {
+		if !slices.Equal(got.adv[si], want.adv[si]) || !slices.Equal(got.ranges[si], want.ranges[si]) {
+			return fmt.Errorf("%s: advertisements %v ranges %v, want %v %v", src, got.adv[si], got.ranges[si], want.adv[si], want.ranges[si])
+		}
+	}
+	return nil
+}
+
+// keptIdentity checks that every row of l with its parent's content is its
+// parent's row.
+func keptIdentity(l, old *ospfLSDB) error {
+	kept := func(what string, a, b []netip.Prefix) error {
+		if slices.Equal(a, b) && !sharedRow(a, b) {
+			return fmt.Errorf("%s: equal content, new row", what)
+		}
+		return nil
+	}
+	for ai, area := range l.areas {
+		for li, si := range l.members[ai] {
+			if a, b := l.aGraph[ai][li], old.aGraph[ai][li]; slices.Equal(a, b) && !sharedRow(a, b) {
+				return fmt.Errorf("area %d, %s: edge row of equal content is new", area, l.sources[si])
+			}
+			if err := kept(fmt.Sprintf("area %d, %s advertisements", area, l.sources[si]), l.aAdv[ai][li], old.aAdv[ai][li]); err != nil {
+				return err
+			}
+		}
+	}
+	for si, src := range l.sources {
+		if err := kept(src+" advertisements", l.adv[si], old.adv[si]); err != nil {
+			return err
+		}
+		if a, b := l.ranges[si], old.ranges[si]; slices.Equal(a, b) && !sharedRow(a, b) {
+			return fmt.Errorf("%s: range row of equal content is new", src)
+		}
+	}
+	return kept("rank table", l.ranked, old.ranked)
 }

@@ -82,21 +82,6 @@ func (p RouteProto) String() string {
 	}
 }
 
-// adminDistance returns the default administrative distance of the protocol.
-func (p RouteProto) adminDistance() int {
-	switch p {
-	case Connected:
-		return 0
-	case Static:
-		return 1
-	case OSPF:
-		return 110
-	case BGP:
-		return ebgpAdminDistance
-	}
-	return 255
-}
-
 // FIBEntry is one forwarding-table entry: a next hop (or directly connected
 // subnet) through an egress interface.
 type FIBEntry struct {
@@ -137,117 +122,204 @@ func (e FIBEntry) appendTo(b []byte) []byte {
 	return append(b, e.OutIf...)
 }
 
+// route is one route as a pointer-free IPv4 row, what a route cell holds
+// its OSPF, BGP and RIB routes as: building, merging and indexing a table
+// copies no pointer. addr and bits are the prefix as given (an unmasked
+// prefix renders as given), key its RIB-order key (prefixKey); hop is the
+// next hop's address with bit 32 set, 0 for a directly connected route, so
+// hops order as netip.Addr orders them; outIf indexes the interface names
+// of the routeRows holding the row.
+type route struct {
+	key    uint64
+	hop    uint64
+	ad     int
+	metric int
+	addr   uint32
+	outIf  uint16
+	bits   uint8
+	proto  uint8
+}
+
+// routeRows is a list of rows and the interface names they index.
+type routeRows struct {
+	rows []route
+	ifs  []string
+}
+
+// newRoute is p's row via hop (the invalid Addr: directly connected) out of
+// interface ifs[outIf], or false when p or hop is not IPv4: the dataplane
+// forwards IPv4 only, and holds only IPv4 routes.
+func newRoute(p netip.Prefix, proto RouteProto, hop netip.Addr, outIf, ad, metric int) (route, bool) {
+	if !p.Addr().Is4() || hop.IsValid() && !hop.Is4() {
+		return route{}, false
+	}
+	r := route{key: prefixKey(p), addr: addrBits(p.Addr()), bits: uint8(p.Bits()), proto: uint8(proto),
+		outIf: uint16(outIf), ad: ad, metric: metric}
+	if hop.IsValid() {
+		r.hop = 1<<32 | uint64(addrBits(hop))
+	}
+	return r, true
+}
+
+// nextHop is the row's next hop, the invalid Addr when directly connected.
+func (r *route) nextHop() netip.Addr {
+	if r.hop == 0 {
+		return netip.Addr{}
+	}
+	return bitsAddr(uint32(r.hop))
+}
+
+// entry is the row as a FIBEntry, its interface named from ifs.
+func (r *route) entry(ifs []string) FIBEntry {
+	return FIBEntry{Prefix: netip.PrefixFrom(bitsAddr(r.addr), int(r.bits)), Proto: RouteProto(r.proto),
+		NextHop: r.nextHop(), OutIf: ifs[r.outIf], AD: r.ad, Metric: r.metric}
+}
+
+// entries materializes the rows as FIBEntries.
+func (rs routeRows) entries() []FIBEntry {
+	out := make([]FIBEntry, len(rs.rows))
+	for i := range rs.rows {
+		out[i] = rs.rows[i].entry(rs.ifs)
+	}
+	return out
+}
+
+// sameRoutes reports whether two lists hold the same routes, rows equal and
+// interfaces equal by name (two lists may number their names apart).
+func sameRoutes(a, b routeRows) bool {
+	return slices.EqualFunc(a.rows, b.rows, func(x, y route) bool {
+		ix, iy := x.outIf, y.outIf
+		x.outIf, y.outIf = 0, 0
+		return x == y && a.ifs[ix] == b.ifs[iy]
+	})
+}
+
+// ifIndex returns name's position in *ifs, appending it when absent. Route
+// lists name a handful of interfaces, so the scan beats a map.
+func ifIndex(ifs *[]string, name string) int {
+	if i := slices.Index(*ifs, name); i >= 0 {
+		return i
+	}
+	*ifs = append(*ifs, name)
+	return len(*ifs) - 1
+}
+
 // ribFor computes a device's full routing table from its own connected and
 // static candidates and its OSPF and BGP routes. Entries are best-path only
 // (lowest administrative distance, then metric), with ECMP preserved,
 // ordered by (prefix string, next hop, out-interface).
-func ribFor(d *netmodel.Device, ospf, bgp []FIBEntry) []FIBEntry {
+func ribFor(d *netmodel.Device, ospf, bgp routeRows) routeRows {
 	// Only the handful of local candidates needs sorting: the protocol
 	// passes already emit their routes in RIB order.
 	local := localRoutes(d)
-	slices.SortFunc(local, compareRoute)
+	slices.SortFunc(local.rows, func(a, b route) int { return compareRoute(a, b, local.ifs) })
 	return mergeBest(local, ospf, bgp)
 }
 
-// compareRoute is RIB order: (prefix string, next hop, out-interface).
-func compareRoute(a, b FIBEntry) int {
-	if c := comparePrefix(a.Prefix, b.Prefix); c != 0 {
+// compareRoute is RIB order: (prefix string, next hop, out-interface), the
+// interfaces named from ifs.
+func compareRoute(a, b route, ifs []string) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
 		return c
 	}
-	return compareHop(a, b)
+	return compareHop(a, b, ifs)
+}
+
+// compareHop orders two routes of one prefix by (next hop, out-interface).
+func compareHop(a, b route, ifs []string) int {
+	if c := cmp.Compare(a.hop, b.hop); c != 0 {
+		return c
+	}
+	return strings.Compare(ifs[a.outIf], ifs[b.outIf])
 }
 
 // localRoutes lists the device's connected and static candidates, in no
-// particular order.
-func localRoutes(d *netmodel.Device) []FIBEntry {
-	local := make([]FIBEntry, 0, len(d.Interfaces)+len(d.StaticRoutes)+1)
+// particular order, over its interface names in name order.
+func localRoutes(d *netmodel.Device) routeRows {
+	ifs := d.InterfaceNames()
+	rows := make([]route, 0, len(ifs)+len(d.StaticRoutes)+1)
+	add := func(p netip.Prefix, proto RouteProto, hop netip.Addr, outIf, ad int) {
+		if r, ok := newRoute(p, proto, hop, outIf, ad, 0); ok {
+			rows = append(rows, r)
+		}
+	}
+	onSubnet := func(a netip.Addr) (int, bool) {
+		if itf, ok := d.AddrOnSubnet(a); ok && l3Endpoint(itf) {
+			i, _ := slices.BinarySearch(ifs, itf.Name)
+			return i, true
+		}
+		return 0, false
+	}
 
 	// Connected.
-	for ifName, itf := range d.Interfaces {
-		if l3Endpoint(itf) {
-			local = append(local, FIBEntry{
-				Prefix: itf.Addr.Masked(),
-				Proto:  Connected,
-				OutIf:  ifName,
-			})
+	for i, name := range ifs {
+		if itf := d.Interfaces[name]; l3Endpoint(itf) {
+			add(itf.Addr.Masked(), Connected, netip.Addr{}, i, 0)
 		}
 	}
 
 	// Static. A static route is active only when its next hop lies in a
 	// connected subnet (single-level resolution, the common enterprise case).
 	for _, r := range d.StaticRoutes {
-		if itf, ok := d.AddrOnSubnet(r.NextHop); ok && l3Endpoint(itf) {
-			local = append(local, FIBEntry{
-				Prefix:  r.Prefix,
-				Proto:   Static,
-				NextHop: r.NextHop,
-				OutIf:   itf.Name,
-				AD:      r.AdminDistance(),
-			})
+		if i, ok := onSubnet(r.NextHop); ok {
+			add(r.Prefix, Static, r.NextHop, i, r.AdminDistance())
 		}
 	}
 
 	// Host default gateway behaves like a static default route.
 	if d.Kind == netmodel.Host && d.DefaultGateway.IsValid() {
-		if itf, ok := d.AddrOnSubnet(d.DefaultGateway); ok && l3Endpoint(itf) {
-			local = append(local, FIBEntry{
-				Prefix:  netip.MustParsePrefix("0.0.0.0/0"),
-				Proto:   Static,
-				NextHop: d.DefaultGateway,
-				OutIf:   itf.Name,
-				AD:      1,
-			})
+		if i, ok := onSubnet(d.DefaultGateway); ok {
+			add(netip.PrefixFrom(netip.IPv4Unspecified(), 0), Static, d.DefaultGateway, i, 1)
 		}
 	}
-	return local
-}
-
-// compareHop orders two entries of one prefix by (next hop, out-interface).
-func compareHop(a, b FIBEntry) int {
-	if c := a.NextHop.Compare(b.NextHop); c != 0 {
-		return c
-	}
-	return strings.Compare(a.OutIf, b.OutIf)
+	return routeRows{rows, ifs}
 }
 
 // mergeBest merges the three candidate lists of one device, each already in
 // RIB order — (prefix string, next hop, out-interface) — into its RIB,
-// keeping for every prefix only the entries with the lowest (AD, metric)
-// and preserving equal-cost multipath. The lexical prefix-string order is
-// load-bearing: the first entry of a prefix is the default ECMP selection,
+// keeping for every prefix only the rows with the lowest (AD, metric) and
+// preserving equal-cost multipath. The RIB names the three lists'
+// interfaces one after another. The lexical prefix-string order is
+// load-bearing: the first row of a prefix is the default ECMP selection,
 // and the derive oracles compare RIBs entry for entry.
-func mergeBest(local, ospf, bgp []FIBEntry) []FIBEntry {
-	lists := [3][]FIBEntry{local, ospf, bgp}
-	out := make([]FIBEntry, 0, len(local)+len(ospf)+len(bgp))
+func mergeBest(local, ospf, bgp routeRows) routeRows {
+	lists := [3][]route{local.rows, ospf.rows, bgp.rows}
+	base := [3]uint16{0, uint16(len(local.ifs)), uint16(len(local.ifs) + len(ospf.ifs))}
+	out := routeRows{rows: make([]route, 0, len(local.rows)+len(ospf.rows)+len(bgp.rows)), ifs: local.ifs}
+	if len(ospf.ifs)+len(bgp.ifs) > 0 {
+		out.ifs = slices.Concat(local.ifs, ospf.ifs, bgp.ifs)
+	}
 	for {
 		// The smallest front prefix across the lists is the next RIB prefix.
 		first := -1
 		for k := range lists {
-			if len(lists[k]) > 0 && (first < 0 || comparePrefix(lists[k][0].Prefix, lists[first][0].Prefix) < 0) {
+			if len(lists[k]) > 0 && (first < 0 || lists[k][0].key < lists[first][0].key) {
 				first = k
 			}
 		}
 		if first < 0 {
 			return out
 		}
-		p := lists[first][0].Prefix
+		key := lists[first][0].key
 
 		// Pass 1 over the prefix's run in every list: its best (AD, metric).
-		ad, metric := lists[first][0].AD, lists[first][0].Metric
+		ad, metric := lists[first][0].ad, lists[first][0].metric
 		for _, l := range lists {
-			for i := 0; i < len(l) && l[i].Prefix == p; i++ {
-				if e := &l[i]; e.AD < ad || (e.AD == ad && e.Metric < metric) {
-					ad, metric = e.AD, e.Metric
+			for i := 0; i < len(l) && l[i].key == key; i++ {
+				if e := &l[i]; e.ad < ad || (e.ad == ad && e.metric < metric) {
+					ad, metric = e.ad, e.metric
 				}
 			}
 		}
 		// Pass 2: emit the survivors and step every list past the run.
-		from := len(out)
+		from := len(out.rows)
 		for k := range lists {
 			l, i := lists[k], 0
-			for ; i < len(l) && l[i].Prefix == p; i++ {
-				if l[i].AD == ad && l[i].Metric == metric {
-					out = append(out, l[i])
+			for ; i < len(l) && l[i].key == key; i++ {
+				if l[i].ad == ad && l[i].metric == metric {
+					r := l[i]
+					r.outIf += base[k]
+					out.rows = append(out.rows, r)
 				}
 			}
 			lists[k] = l[i:]
@@ -255,8 +327,8 @@ func mergeBest(local, ospf, bgp []FIBEntry) []FIBEntry {
 		// Each list's survivors are in hop order; when lists tie on
 		// (AD, metric) this interleaves them, otherwise it is one pass
 		// over a sorted run.
-		if run := out[from:]; len(run) > 1 {
-			slices.SortStableFunc(run, compareHop)
+		if run := out.rows[from:]; len(run) > 1 {
+			slices.SortStableFunc(run, func(a, b route) int { return compareHop(a, b, out.ifs) })
 		}
 	}
 }

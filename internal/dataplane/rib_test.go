@@ -3,6 +3,7 @@ package dataplane
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -61,12 +62,27 @@ func (r *ribOrder) Less(i, j int) bool {
 // ReferenceRIB rebuilds one device's RIB from the snapshot's LSDB and BGP
 // routes with the sort-based reference, for the external scenario tests.
 func ReferenceRIB(s *Snapshot, device string) []FIBEntry {
-	all := localRoutes(s.net.Devices[device])
+	all := localRoutes(s.net.Devices[device]).entries()
 	if si, ok := s.lsdb.index[device]; ok {
-		all = append(all, s.lsdb.routesFrom(si)...)
+		all = append(all, s.lsdb.routesFrom(si).entries()...)
 	}
-	all = append(all, s.bgpRoutes[device]...)
+	all = append(all, s.bgpRoutes[device].entries()...)
 	return bestPaths(all)
+}
+
+// rowsOf is the rows of IPv4 entries, each interface named once, in RIB
+// order.
+func rowsOf(entries []FIBEntry) routeRows {
+	var rs routeRows
+	for _, e := range entries {
+		r, ok := newRoute(e.Prefix, e.Proto, e.NextHop, ifIndex(&rs.ifs, e.OutIf), e.AD, e.Metric)
+		if !ok {
+			panic("not an IPv4 route: " + e.String())
+		}
+		rs.rows = append(rs.rows, r)
+	}
+	slices.SortFunc(rs.rows, func(a, b route) int { return compareRoute(a, b, rs.ifs) })
+	return rs
 }
 
 // Property: the three-way merge equals filter-then-sort on random candidate
@@ -115,25 +131,21 @@ func TestMergeBestMatchesReference(t *testing.T) {
 				for _, k := range r.Perm(len(ifs))[:1+r.Intn(3)] {
 					ospf = append(ospf, FIBEntry{
 						Prefix: p, Proto: OSPF, NextHop: hop(r, 1), OutIf: ifs[k],
-						AD: OSPF.adminDistance(), Metric: metric,
+						AD: ospfAdminDistance, Metric: metric,
 					})
 				}
 			}
 			if r.Intn(4) == 0 {
 				bgp = append(bgp, FIBEntry{
 					Prefix: p, Proto: BGP, NextHop: hop(r, 2), OutIf: ifs[r.Intn(len(ifs))],
-					AD: BGP.adminDistance(), Metric: r.Intn(3),
+					AD: ebgpAdminDistance, Metric: r.Intn(3),
 				})
 			}
 		}
 		// Every input list arrives in RIB order, as ribFor's do.
-		slices.SortFunc(local, compareRoute)
-		slices.SortFunc(ospf, compareRoute)
-		slices.SortFunc(bgp, compareRoute)
-
 		all := append(append(append([]FIBEntry(nil), local...), ospf...), bgp...)
 		want := bestPaths(all)
-		got := mergeBest(local, ospf, bgp)
+		got := mergeBest(rowsOf(local), rowsOf(ospf), rowsOf(bgp)).entries()
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d:\n got %v\nwant %v", trial, got, want)
 		}
@@ -192,18 +204,58 @@ func TestPrefixKeyOrdersLikeString(t *testing.T) {
 // RIB order costs no allocation: compareRoute keys IPv4 prefixes by integer
 // and keeps no table that could grow with the prefixes a process sees.
 func TestCompareRouteAllocatesNothing(t *testing.T) {
-	a := FIBEntry{Prefix: pfx("10.10.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), OutIf: "Gi0/0"}
-	b := FIBEntry{Prefix: pfx("10.2.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.2"), OutIf: "Gi0/1"}
-	c := a
-	c.OutIf = "Gi0/2"
+	rs := rowsOf([]FIBEntry{
+		{Prefix: pfx("10.10.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), OutIf: "Gi0/0"},
+		{Prefix: pfx("10.2.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.2"), OutIf: "Gi0/1"},
+		{Prefix: pfx("10.10.0.0/16"), NextHop: netip.MustParseAddr("10.0.0.1"), OutIf: "Gi0/2"},
+	})
+	a, c, b, ifs := rs.rows[0], rs.rows[1], rs.rows[2], rs.ifs
 	var sink int
 	// The race detector allocates on its own: CI's "Allocation budgets" step
 	// runs this check without -race.
-	if n := testing.AllocsPerRun(100, func() { sink += compareRoute(a, b) + compareRoute(b, a) + compareRoute(a, c) }); n != 0 && !RaceEnabled {
+	if n := testing.AllocsPerRun(100, func() {
+		sink += compareRoute(a, b, ifs) + compareRoute(b, a, ifs) + compareRoute(a, c, ifs)
+	}); n != 0 && !RaceEnabled {
 		t.Errorf("compareRoute allocates %.0f times per call", n)
 	}
-	if compareRoute(a, b) >= 0 || compareRoute(a, c) >= 0 {
+	if ifs[a.outIf] != "Gi0/0" || ifs[c.outIf] != "Gi0/2" || compareRoute(a, b, ifs) >= 0 || compareRoute(a, c, ifs) >= 0 {
 		t.Error(`"10.10.0.0/16" must sort before "10.2.0.0/16", Gi0/0 before Gi0/2`)
 	}
 	_ = sink
+}
+
+// FIBLookup is the device's longest-prefix-match table as a lookup, for the
+// external benchmark.
+func FIBLookup(s *Snapshot, device string) func(netip.Addr) (int, bool) {
+	i, _ := slices.BinarySearch(s.names, device)
+	return s.cell(i).fib.lookup
+}
+
+// A route row, and an SPF first hop, holds no pointer: building, merging
+// and indexing a route cell copies nothing the collector scans and needs no
+// write barrier.
+func TestRouteRowHoldsNoPointer(t *testing.T) {
+	var pointers func(reflect.Type) bool
+	pointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+			return false
+		case reflect.Array:
+			return pointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if pointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true
+	}
+	for _, v := range []any{route{}, ospfHop(0)} {
+		if typ := reflect.TypeOf(v); pointers(typ) {
+			t.Errorf("%v holds a pointer", typ)
+		}
+	}
 }

@@ -66,7 +66,7 @@ type Snapshot struct {
 	// and the per-device BGP routes. Derive patches the one and diffs the
 	// other to decide which cells it can share.
 	lsdb      *ospfLSDB
-	bgpRoutes map[string][]FIBEntry
+	bgpRoutes map[string]routeRows
 	// names are the device names, sorted; cells[i] holds names[i]'s routes.
 	// Derive shares the parent's cell of every device whose route inputs
 	// provably did not move. built counts the cells filled
@@ -93,18 +93,21 @@ type Snapshot struct {
 // routeCell is one device's routes: its RIB and the FIB over it, built at
 // the first read (Snapshot.cell), and its OSPF routes, which a derived
 // snapshot shares further than the cell: through a change of the device's
-// own or BGP routes.
+// own or BGP routes. RIB() materializes view, the RIB as FIBEntries, at its
+// first call.
 type routeCell struct {
-	once sync.Once
-	rib  []FIBEntry
-	fib  *LPM
-	ospf *ospfCell
+	once     sync.Once
+	rib      routeRows
+	fib      lpm
+	ospf     *ospfCell
+	viewOnce sync.Once
+	view     []FIBEntry
 }
 
 // ospfCell is one device's OSPF routes, computed at the first read.
 type ospfCell struct {
 	once   sync.Once
-	routes []FIBEntry
+	routes routeRows
 }
 
 // fill builds the cell from the route inputs of a snapshot that holds it:
@@ -112,7 +115,7 @@ type ospfCell struct {
 // snapshot sharing a cell (or its OSPF routes) yields the same routes for
 // its device, so it does not matter which one reads first. Callers run it
 // under c.once.
-func (c *routeCell) fill(n *netmodel.Network, l *ospfLSDB, bgp map[string][]FIBEntry, dev string, built telemetry.Counter) {
+func (c *routeCell) fill(n *netmodel.Network, l *ospfLSDB, bgp map[string]routeRows, dev string, built telemetry.Counter) {
 	o := c.ospf
 	o.once.Do(func() {
 		if si, ok := l.index[dev]; ok {
@@ -120,7 +123,7 @@ func (c *routeCell) fill(n *netmodel.Network, l *ospfLSDB, bgp map[string][]FIBE
 		}
 	})
 	c.rib = ribFor(n.Devices[dev], o.routes, bgp[dev])
-	c.fib = newLPM(c.rib)
+	c.fib = newLPM(c.rib.rows)
 	built.Inc()
 }
 
@@ -166,13 +169,17 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 	return s
 }
 
-// RIB returns the device's routing table (best paths, sorted).
+// RIB returns the device's routing table (best paths, sorted), or nil for
+// an unknown device. Every call on one snapshot, and on the snapshots a
+// Derive shares the device's route cell with, returns the same slice.
 func (s *Snapshot) RIB(device string) []FIBEntry {
 	i, ok := slices.BinarySearch(s.names, device)
 	if !ok {
 		return nil
 	}
-	return s.cell(i).rib
+	c := s.cell(i)
+	c.viewOnce.Do(func() { c.view = c.rib.entries() })
+	return c.view
 }
 
 // Adjacent returns the L3 endpoints reachable at L2 from the endpoint.
@@ -341,28 +348,30 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 		}
 		visited = append(visited, cur)
 
-		// Route lookup.
-		entries, ok := s.cell(int(cur)).fib.Lookup(f.Dst)
-		if !ok || len(entries) == 0 {
+		// Route lookup. ECMP selection: the first row of the prefix's run
+		// (rows are sorted, so every flow takes the same path,
+		// deterministically).
+		c := s.cell(int(cur))
+		i, ok := c.fib.lookup(f.Dst)
+		if !ok {
 			return t.stop(Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
 		}
-		// ECMP selection: the first entry (entries are sorted, so every
-		// flow takes the same path, deterministically).
-		e := entries[0]
-		out := Hop{Device: name, InIf: inIf, OutIf: e.OutIf}
+		e := &c.rib.rows[i]
+		outIf := c.rib.ifs[e.outIf]
+		out := Hop{Device: name, InIf: inIf, OutIf: outIf}
 
-		if drop := aclStep(d, "", e.OutIf, &f); drop.acl != "" {
+		if drop := aclStep(d, "", outIf, &f); drop.acl != "" {
 			return t.stop(out, DropACL, name, drop.detail())
 		}
 
 		// Resolve the next hop on the egress segment.
-		nhAddr := e.NextHop
-		if e.Connected() {
-			nhAddr = f.Dst
+		nhAddr := f.Dst
+		if e.hop != 0 {
+			nhAddr = e.nextHop()
 		}
-		next, found := h.resolve(cur, e.OutIf, nhAddr)
+		next, found := h.resolve(cur, outIf, nhAddr)
 		if !found {
-			return t.stop(out, DropARPFail, name, "no neighbor "+nhAddr.String()+" via "+e.OutIf)
+			return t.stop(out, DropARPFail, name, "no neighbor "+nhAddr.String()+" via "+outIf)
 		}
 		t.Hops = append(t.Hops, out)
 		cur, inIf = next.dev, next.itf
@@ -601,9 +610,12 @@ func (s *Snapshot) FormatBGP(device string) string {
 		fmt.Fprintf(&b, "%-15s %-9d %s\n", p.PeerAddr, p.RemoteAS, state)
 	}
 	var learned []string
-	for _, e := range s.RIB(device) {
-		if e.Proto == BGP {
-			learned = append(learned, "  "+e.String())
+	if i, ok := slices.BinarySearch(s.names, device); ok {
+		rib := s.cell(i).rib
+		for k := range rib.rows {
+			if r := &rib.rows[k]; RouteProto(r.proto) == BGP {
+				learned = append(learned, "  "+r.entry(rib.ifs).String())
+			}
 		}
 	}
 	if len(learned) > 0 {
@@ -618,21 +630,22 @@ func (s *Snapshot) FormatBGP(device string) string {
 // per entry, sorted as text. Every line is rendered into one buffer and the
 // line spans are sorted, so the cost is three allocations, not one per route.
 func (s *Snapshot) FormatRIB(device string) string {
-	rib := s.RIB(device)
-	if rib == nil {
+	i, ok := slices.BinarySearch(s.names, device)
+	if !ok {
 		return "% no routing table"
 	}
+	rib := s.cell(i).rib
 	type span struct{ lo, hi int }
-	buf := make([]byte, 0, 64*len(rib))
-	lines := make([]span, len(rib))
-	for i, e := range rib {
+	buf := make([]byte, 0, 64*len(rib.rows))
+	lines := make([]span, len(rib.rows))
+	for i := range rib.rows {
 		lo := len(buf)
-		buf = e.appendTo(buf)
+		buf = rib.rows[i].entry(rib.ifs).appendTo(buf)
 		lines[i] = span{lo, len(buf)}
 	}
 	slices.SortFunc(lines, func(a, b span) int { return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi]) })
 	var out strings.Builder
-	out.Grow(len(buf) + len(rib))
+	out.Grow(len(buf) + len(rib.rows))
 	for i, l := range lines {
 		if i > 0 {
 			out.WriteByte('\n')

@@ -109,13 +109,21 @@ func Import(key, data []byte) (*Journal, error) {
 	return &Journal{log}, nil
 }
 
-// SetMeter wires journal metrics (records appended, by kind).
+// SetMeter wires journal metrics (records appended, by kind). Each kind's
+// counter is looked up once, at its first record (under the log's lock): a
+// labeled lookup through the Meter interface allocates its labels.
 func (j *Journal) SetMeter(m telemetry.Meter) {
 	if m == nil {
 		m = telemetry.Nop()
 	}
+	byKind := make(map[Kind]telemetry.Counter)
 	j.OnAppend(func(r *Record) {
-		m.Counter("heimdall_journal_records_total", telemetry.L("kind", string(r.Kind))).Inc()
+		c, ok := byKind[r.Kind]
+		if !ok {
+			c = m.Counter("heimdall_journal_records_total", telemetry.L("kind", string(r.Kind)))
+			byKind[r.Kind] = c
+		}
+		c.Inc()
 	})
 }
 

@@ -194,6 +194,25 @@ func TestMeterCountsRecords(t *testing.T) {
 	}
 }
 
+// A metered commit journals with no more allocations than an unmetered one.
+func TestMeteredAppendAllocatesNoMore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	commit := func(j *Journal) func() {
+		return func() {
+			j.Intent("c", "t", "x", nil, nil)
+			j.Applied("c", 0, "")
+			j.Committed("c", "")
+		}
+	}
+	plain, metered := New([]byte("k")), New([]byte("k"))
+	metered.SetMeter(telemetry.NewRegistry())
+	if a, m := testing.AllocsPerRun(200, commit(plain)), testing.AllocsPerRun(200, commit(metered)); m > a {
+		t.Fatalf("a metered commit journals with %v allocations, an unmetered one with %v", m, a)
+	}
+}
+
 // BenchmarkAppend is one commit's worth of journal: intent, one applied
 // change, committed.
 func BenchmarkAppend(b *testing.B) {

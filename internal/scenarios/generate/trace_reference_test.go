@@ -17,18 +17,18 @@ import (
 // hop index — device, interface and owner maps per hop, the ARP step over
 // the adjacency's peer list — kept as the reference the indexed walk must
 // match. It reads the snapshot through its exported surface only (Adjacent
-// and RIB), so the owner map and each device's FIB are rebuilt here from the
-// network the snapshot describes.
+// and RIB), so the owner map is rebuilt here from the network the snapshot
+// describes, and each hop's longest-prefix match is a linear scan of its RIB.
 type refTracer struct {
 	s     *dataplane.Snapshot
 	net   *netmodel.Network
 	owner map[netip.Addr]netmodel.Endpoint
-	fibs  map[string]*dataplane.LPM
+	ribs  map[string][]dataplane.FIBEntry
 }
 
 func newRefTracer(s *dataplane.Snapshot, n *netmodel.Network) *refTracer {
 	r := &refTracer{s: s, net: n,
-		owner: make(map[netip.Addr]netmodel.Endpoint), fibs: make(map[string]*dataplane.LPM)}
+		owner: make(map[netip.Addr]netmodel.Endpoint), ribs: make(map[string][]dataplane.FIBEntry)}
 	for _, dev := range n.DeviceNames() {
 		d := n.Devices[dev]
 		for _, ifName := range d.InterfaceNames() {
@@ -37,20 +37,27 @@ func newRefTracer(s *dataplane.Snapshot, n *netmodel.Network) *refTracer {
 				r.owner[itf.Addr.Addr()] = netmodel.Endpoint{Device: dev, Interface: ifName}
 			}
 		}
-		// One Insert per run of equal prefixes is what the snapshot's FIB
-		// holds (newLPM).
-		fib, rib := &dataplane.LPM{}, s.RIB(dev)
-		for i := 0; i < len(rib); {
-			j := i + 1
-			for j < len(rib) && rib[j].Prefix == rib[i].Prefix {
-				j++
-			}
-			fib.Insert(rib[i].Prefix, rib[i:j:j])
-			i = j
-		}
-		r.fibs[dev] = fib
+		r.ribs[dev] = s.RIB(dev)
 	}
 	return r
+}
+
+// lookup is the longest-prefix match as a linear scan of a RIB: the first
+// entry of the longest prefix holding dst — of the later run in RIB order
+// when two runs mask to one network (an unmasked prefix in the RIB).
+func lookup(rib []dataplane.FIBEntry, dst netip.Addr) (dataplane.FIBEntry, bool) {
+	dst = dst.Unmap()
+	best := -1
+	for i, e := range rib {
+		if dst.Is4() && e.Prefix.Contains(dst) && (i == 0 || rib[i-1].Prefix != e.Prefix) &&
+			(best < 0 || e.Prefix.Bits() >= rib[best].Prefix.Bits()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return dataplane.FIBEntry{}, false
+	}
+	return rib[best], true
 }
 
 // traceFrom is TraceFrom as it was.
@@ -95,14 +102,13 @@ func (r *refTracer) traceFrom(src string, f dataplane.Flow) *dataplane.Trace {
 			}
 		}
 		visited = append(visited, cur)
-		entries, ok := r.fibs[cur].Lookup(f.Dst)
-		if !ok || len(entries) == 0 {
+		e, ok := lookup(r.ribs[cur], f.Dst)
+		if !ok {
 			t.Hops = append(t.Hops, dataplane.Hop{Device: cur, InIf: inIf})
 			t.Disposition = dataplane.DropNoRoute
 			t.Where = cur
 			return t
 		}
-		e := entries[0]
 		outItf := d.Interface(e.OutIf)
 		if outItf != nil && outItf.ACLOut != "" {
 			if acl := d.ACL(outItf.ACLOut, false); acl != nil {

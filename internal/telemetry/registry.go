@@ -38,10 +38,11 @@ type family struct {
 
 // series is one labelled time series. For counters and gauges the value
 // lives in bits (float64 bits, CAS-updated); histograms use the
-// per-bucket counts plus sumBits/count.
+// per-bucket counts plus sumBits/count over their family's buckets.
 type series struct {
 	labels  []Label
 	bits    atomic.Uint64
+	buckets []float64
 	counts  []atomic.Uint64 // len(buckets)+1, last is +Inf
 	sumBits atomic.Uint64
 	count   atomic.Uint64
@@ -57,8 +58,8 @@ func (s *series) addFloat(v float64) {
 	}
 }
 
-func (s *series) observe(buckets []float64, v float64) {
-	i := sort.SearchFloat64s(buckets, v) // first bucket with upper bound >= v
+func (s *series) observe(v float64) {
+	i := sort.SearchFloat64s(s.buckets, v) // first bucket with upper bound >= v
 	s.counts[i].Add(1)
 	s.count.Add(1)
 	for {
@@ -84,13 +85,11 @@ type gauge struct{ s *series }
 func (g gauge) Set(v float64) { g.s.bits.Store(math.Float64bits(v)) }
 func (g gauge) Add(v float64) { g.s.addFloat(v) }
 
-type histogram struct {
-	s       *series
-	buckets []float64
-}
+// histogram is one pointer, so boxing it into a Histogram allocates nothing.
+type histogram struct{ s *series }
 
-func (h histogram) Observe(v float64)               { h.s.observe(h.buckets, v) }
-func (h histogram) ObserveDuration(d time.Duration) { h.s.observe(h.buckets, d.Seconds()) }
+func (h histogram) Observe(v float64)               { h.s.observe(v) }
+func (h histogram) ObserveDuration(d time.Duration) { h.s.observe(d.Seconds()) }
 
 // Counter implements Meter.
 func (r *Registry) Counter(name string, labels ...Label) Counter {
@@ -106,8 +105,7 @@ func (r *Registry) Gauge(name string, labels ...Label) Gauge {
 // order (+Inf is implicit); every call for the same name must pass the
 // same buckets.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) Histogram {
-	s := r.series(name, "histogram", buckets, labels)
-	return histogram{s: s, buckets: r.family(name).buckets}
+	return histogram{r.series(name, "histogram", buckets, labels)}
 }
 
 func (r *Registry) family(name string) *family {
@@ -145,7 +143,7 @@ func (r *Registry) series(name, typ string, buckets []float64, labels []Label) *
 		s = &series{labels: append([]Label(nil), labels...)}
 		slices.SortFunc(s.labels, byKey)
 		if typ == "histogram" {
-			s.counts = make([]atomic.Uint64, len(f.buckets)+1)
+			s.buckets, s.counts = f.buckets, make([]atomic.Uint64, len(f.buckets)+1)
 		}
 		f.series[key] = s
 	}

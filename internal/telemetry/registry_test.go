@@ -156,7 +156,8 @@ func TestNopMeterDoesNothing(t *testing.T) {
 
 // TestLabeledLookupAllocatesNothing: looking up a series that exists, with
 // one label or with several given out of order, allocates nothing — every
-// request's labeled counters take this path.
+// request's labeled counters take this path, and every review's and push's
+// histograms.
 func TestLabeledLookupAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
@@ -164,9 +165,12 @@ func TestLabeledLookupAllocatesNothing(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("one_total", L("kind", "command")).Inc()
 	r.Counter("multi_total", L("b", "2"), L("a", "1"), L("c", "3")).Inc()
+	buckets := []float64{0.001, 0.01, 0.1}
+	r.Histogram("run_seconds", buckets, L("kind", "review")).Observe(0.5)
 	if n := testing.AllocsPerRun(100, func() {
 		r.Counter("one_total", L("kind", "command")).Inc()
 		r.Counter("multi_total", L("c", "3"), L("a", "1"), L("b", "2")).Inc()
+		r.Histogram("run_seconds", buckets, L("kind", "review")).Observe(0.005)
 	}); n != 0 {
 		t.Fatalf("a labeled lookup of an existing series allocates %v times, want 0", n)
 	}
@@ -175,6 +179,9 @@ func TestLabeledLookupAllocatesNothing(t *testing.T) {
 	}
 	if v := r.CounterValue("multi_total", L("a", "1"), L("c", "3"), L("b", "2")); v != 102 {
 		t.Fatalf("multi_total = %v, want 102: label order split the series", v)
+	}
+	if n := r.HistogramCount("run_seconds", L("kind", "review")); n != 102 {
+		t.Fatalf("run_seconds count = %v, want 102", n)
 	}
 }
 
