@@ -311,7 +311,7 @@ func BenchmarkFlowCache(b *testing.B) {
 // trace so far.
 func reviewFixture(tb testing.TB) (review func(i int, open bool) *enforcer.Decision, counts func() (carried, retraced, resumed float64)) {
 	scen := generate.FatTree(generate.FatTreeParams{K: 4})
-	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies)
+	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies, scen.Network)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
 	spec := &privilege.Spec{Ticket: "T-BENCH", Technician: "bench", Rules: []privilege.Rule{
@@ -327,7 +327,7 @@ func reviewFixture(tb testing.TB) (review func(i int, open bool) *enforcer.Decis
 		if open {
 			changes = append(changes, entry(netmodel.ACLEntry{Seq: 16, Action: netmodel.Permit, Proto: netmodel.TCP, Dst: storage, DstPort: 22}))
 		}
-		d := e.Review(scen.Network, changes, spec)
+		d, _ := e.Review(changes, spec, "")
 		if d.Accepted == open || d.Checked != len(scen.Policies) {
 			tb.Fatalf("review %d (open=%v): %+v", i, open, d)
 		}
@@ -374,15 +374,17 @@ func BenchmarkReview(b *testing.B) {
 
 // TestReviewAllocBudget pins the allocations of one uncached review on a
 // warm held snapshot, the shadow and the shadow's verdict vector it keeps
-// for the commit that lands it included. accept is measured at 85: every
+// for the commit that lands it included. accept is measured at 83: every
 // verdict carries (the 92 policies whose trace crosses e0-0 by replaying its
 // ACLs, which allocates nothing), nothing is traced, and the vector is one
-// allocation. reject is measured at 157: the 24 flows whose verdict entry 16
+// allocation. reject is measured at 155: the 24 flows whose verdict entry 16
 // flips are each resumed at e0-0, one allocation for the trace and its
 // first hops. reject's ceiling is also the guard that the vector costs two
 // allocations — the vector and one batch for every verdict the review
 // decides (verify.CheckCarried) — and not one more per verdict, which reads
-// 183 while reject read 160. (accept was 88 and reject 160 while every
+// 183 while reject read 160. (accept was 85 and reject 157 while the verdict
+// cache keyed each review on the network's address through Sprintf; 88 and
+// 160 while every
 // histogram lookup boxed a two-word instrument; 95 and 166 while a review
 // kept no vector, the commit rebuilding the shadow's, and every labeled
 // counter built its
@@ -407,7 +409,7 @@ func TestReviewAllocBudget(t *testing.T) {
 		name    string
 		open    bool
 		ceiling float64
-	}{{"accept", false, 86}, {"reject", true, 158}} {
+	}{{"accept", false, 84}, {"reject", true, 156}} {
 		review, counts := reviewFixture(t)
 		i := 0
 		before, _, _ := counts()
@@ -618,8 +620,10 @@ func BenchmarkOpen(b *testing.B) {
 }
 
 // TestOpenAllocBudget pins the allocations of BenchmarkOpen's op: three
-// opens on each tenant. Measured at 743 on university and 3,173 on the k=8
-// fat-tree, now that a twin shares production's devices; 2,121 and 9,486
+// opens on each tenant. Measured at 746 on university and 3,176 on the k=8
+// fat-tree, now that a twin shares production's devices and the open
+// slices on a view (Enforcer.View), whose snapshot memoizes the carried
+// traces; 740 and 3,170 while it sliced on production under its lock; 2,121 and 9,486
 // while an open deep-copied production once; 4,098 and 17,960 while it
 // deep-copied production twice — the emulation layer and a pristine
 // baseline — and the slice scanned every link once per device. The

@@ -198,7 +198,8 @@ func runWorkflow(scen *scenarios.Scenario, issueName string, meter telemetry.Met
 	}
 	sys.Enforcer.Retry = enforcer.RetryPolicy{MaxAttempts: pf.retries, BaseBackoff: pf.backoff}
 	if pf.faultSeed != 0 {
-		plan := faultinject.RandomPlan(pf.faultSeed, scen.Network.RoutersAndSwitches(),
+		prod, _ := sys.Enforcer.View()
+		plan := faultinject.RandomPlan(pf.faultSeed, prod.RoutersAndSwitches(),
 			[]string{"apply", "restore"})
 		inj := faultinject.New(plan)
 		if meter != nil {
@@ -243,7 +244,7 @@ func runWorkflow(scen *scenarios.Scenario, issueName string, meter telemetry.Met
 			fmt.Printf("commit failed under faults: %v\n", err)
 			if q, why := sys.Enforcer.Quarantined(); q {
 				fmt.Printf("production quarantined: %s\n", why)
-				rep, rerr := sys.Enforcer.Recover(scen.Network)
+				rep, rerr := sys.Enforcer.Recover()
 				if rerr != nil {
 					log.Fatalf("recovery: %v", rerr)
 				}

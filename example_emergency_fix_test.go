@@ -63,7 +63,8 @@ func Example_emergencyFix() {
 	if jr := sys.Enforcer.Journal(); jr.Len() == 0 || jr.Verify() != nil {
 		panic("BUG: emergency fix not journaled")
 	}
-	res, err := heimdall.ComputeSnapshot(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+	prod, _ := sys.Enforcer.View()
+	res, err := heimdall.ComputeSnapshot(prod).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 	if err != nil || !res.Delivered() {
 		panic(fmt.Sprintf("BUG: production not repaired: %v %v", res, err))
 	}

@@ -91,7 +91,8 @@ end
 	if !decision.Accepted {
 		t.Fatalf("decision = %+v, want accepted", decision)
 	}
-	for _, e := range sys.Production().Devices["r1"].ACLs["EDGE"].Entries {
+	live, _ := sys.Enforcer.View()
+	for _, e := range live.Devices["r1"].ACLs["EDGE"].Entries {
 		if e.Seq == 10 {
 			t.Fatalf("production EDGE still holds seq 10: %+v", e)
 		}

@@ -43,23 +43,12 @@ func wildcardToBits(wc string) (int, error) {
 	return ones, nil
 }
 
-// ParseAddrMask combines an address and netmask into a prefix, keeping the
-// host bits (the interface address form: 10.0.0.1 255.255.255.0 -> 10.0.0.1/24).
+// ParseAddrMask combines an IPv4 address and netmask into a prefix,
+// keeping the host bits (the interface address form: 10.0.0.1
+// 255.255.255.0 -> 10.0.0.1/24).
 func ParseAddrMask(addr, mask string) (netip.Prefix, error) {
-	return parseAddrMask(addr, mask)
-}
-
-// ParseNetWildcard combines a network address and IOS wildcard mask into a
-// masked prefix (10.1.2.0 0.0.0.255 -> 10.1.2.0/24).
-func ParseNetWildcard(addr, wc string) (netip.Prefix, error) {
-	return parseNetWildcard(addr, wc)
-}
-
-// parseAddrMask combines an address and netmask into a prefix, keeping the
-// host bits (the interface address form: 10.0.0.1 255.255.255.0 -> 10.0.0.1/24).
-func parseAddrMask(addr, mask string) (netip.Prefix, error) {
 	a, err := netip.ParseAddr(addr)
-	if err != nil {
+	if err != nil || !a.Is4() {
 		return netip.Prefix{}, fmt.Errorf("config: bad address %q", addr)
 	}
 	ones, err := maskToBits(mask)
@@ -69,11 +58,11 @@ func parseAddrMask(addr, mask string) (netip.Prefix, error) {
 	return netip.PrefixFrom(a, ones), nil
 }
 
-// parseNetWildcard combines a network address and wildcard into a masked
-// prefix (10.1.2.0 0.0.0.255 -> 10.1.2.0/24).
-func parseNetWildcard(addr, wc string) (netip.Prefix, error) {
+// ParseNetWildcard combines an IPv4 network address and IOS wildcard mask
+// into a masked prefix (10.1.2.0 0.0.0.255 -> 10.1.2.0/24).
+func ParseNetWildcard(addr, wc string) (netip.Prefix, error) {
 	a, err := netip.ParseAddr(addr)
-	if err != nil {
+	if err != nil || !a.Is4() {
 		return netip.Prefix{}, fmt.Errorf("config: bad network %q", addr)
 	}
 	ones, err := wildcardToBits(wc)

@@ -157,6 +157,9 @@ func TestParseErrors(t *testing.T) {
 		{"bad wildcard", "ip access-list extended A\n 10 permit ip 10.0.0.0 0.0.255.3 any\n"},
 		{"bad iface stmt", "interface Gi0/0\n frobnicate\n"},
 		{"bad direction", "interface Gi0/0\n ip access-group A sideways\n"},
+		{"ipv6 interface address", "interface Gi0/0\n ip address 2001:db8::1 255.255.255.0\n"},
+		{"ipv6 route", "ip route 2001:db8:: 255.255.255.0 10.0.0.1\n"},
+		{"ipv6 acl network", "ip access-list extended A\n 10 permit ip 2001:db8:: 0.0.0.255 any\n"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse("x", tc.text); err == nil {

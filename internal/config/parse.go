@@ -184,19 +184,15 @@ func (p *parser) ipRoute(f []string) error {
 	if len(f) < 3 {
 		return p.errf("ip route needs network, mask, next-hop")
 	}
-	a, err := netip.ParseAddr(f[0])
+	pfx, err := ParseAddrMask(f[0], f[1])
 	if err != nil {
-		return p.errf("bad route network")
-	}
-	ones, err := maskToBits(f[1])
-	if err != nil {
-		return p.errf("bad route mask")
+		return p.errf("bad route: %v", err)
 	}
 	nh, err := netip.ParseAddr(f[2])
-	if err != nil {
+	if err != nil || !nh.Is4() {
 		return p.errf("bad route next-hop")
 	}
-	r := netmodel.StaticRoute{Prefix: netip.PrefixFrom(a, ones).Masked(), NextHop: nh}
+	r := netmodel.StaticRoute{Prefix: pfx.Masked(), NextHop: nh}
 	if len(f) == 4 {
 		d, err := strconv.Atoi(f[3])
 		if err != nil || d < 1 || d > 255 {
@@ -232,7 +228,7 @@ func (p *parser) interfaceLine(line string) error {
 	case f[0] == "description":
 		p.itf.Description = strings.TrimSpace(strings.TrimPrefix(line, "description"))
 	case f[0] == "ip" && len(f) == 4 && f[1] == "address":
-		pfx, err := parseAddrMask(f[2], f[3])
+		pfx, err := ParseAddrMask(f[2], f[3])
 		if err != nil {
 			return p.errf("%v", err)
 		}
@@ -380,7 +376,7 @@ func aclAddrSpec(f []string) (netip.Prefix, uint16, []string, error) {
 			return netip.Prefix{}, 0, nil, fmt.Errorf("address needs a wildcard")
 		}
 		var err error
-		pfx, err = parseNetWildcard(f[0], f[1])
+		pfx, err = ParseNetWildcard(f[0], f[1])
 		if err != nil {
 			return netip.Prefix{}, 0, nil, err
 		}
@@ -408,7 +404,7 @@ func (p *parser) ospfLine(line string) error {
 		}
 		p.osp.RouterID = id
 	case f[0] == "network" && len(f) == 5 && f[3] == "area":
-		pfx, err := parseNetWildcard(f[1], f[2])
+		pfx, err := ParseNetWildcard(f[1], f[2])
 		if err != nil {
 			return p.errf("%v", err)
 		}
@@ -465,7 +461,7 @@ func (p *parser) bgpLine(line string) error {
 		}
 		p.bgp.SetNeighbor(addr, asn)
 	case len(f) == 4 && f[0] == "network" && f[2] == "mask":
-		pfx, err := parseAddrMask(f[1], f[3])
+		pfx, err := ParseAddrMask(f[1], f[3])
 		if err != nil {
 			return p.errf("%v", err)
 		}

@@ -304,7 +304,7 @@ func (c *Console) parseInterface(line string, f []string, mk mkFunc) (Command, e
 	case len(sf) == 4 && sf[0] == "ip" && sf[1] == "address":
 		pfxStr, maskStr := sf[2], sf[3]
 		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			p, err := parseAddrMask(pfxStr, maskStr)
+			p, err := config.ParseAddrMask(pfxStr, maskStr)
 			if err != nil {
 				return err
 			}
@@ -361,7 +361,7 @@ func (c *Console) parseACLAdd(line string, f []string, mk mkFunc) (Command, erro
 	}
 	dev := c.device
 	name := f[0]
-	entry, err := parseACLEntry(f[1:])
+	entry, err := config.ParseACLEntry(f[1:])
 	if err != nil {
 		return Command{}, err
 	}
@@ -393,7 +393,7 @@ func (c *Console) parseNo(line string, f []string, mk mkFunc) (Command, error) {
 		netStr, maskStr, nhStr := f[2], f[3], f[4]
 		return mk("config.route.remove", fmt.Sprintf("device:%s:route:%s", dev, netStr), true,
 			func(env *Env) (string, error) {
-				p, err := parseAddrMask(netStr, maskStr)
+				p, err := config.ParseAddrMask(netStr, maskStr)
 				if err != nil {
 					return "", err
 				}
@@ -445,7 +445,7 @@ func (c *Console) parseIP(line string, f []string, mk mkFunc, devRes string) (Co
 		}
 		return mk("config.route.add", fmt.Sprintf("device:%s:route:%s", dev, netStr), true,
 			func(env *Env) (string, error) {
-				p, err := parseAddrMask(netStr, maskStr)
+				p, err := config.ParseAddrMask(netStr, maskStr)
 				if err != nil {
 					return "", err
 				}
@@ -509,7 +509,7 @@ func (c *Console) parseRouter(line string, f []string, mk mkFunc, devRes string)
 	case len(sf) == 5 && sf[0] == "network" && sf[3] == "area":
 		netStr, wcStr, areaStr := sf[1], sf[2], sf[4]
 		return mk("config.ospf.set", res, true, withOSPF(func(o *netmodel.OSPFProcess) error {
-			p, err := parseNetWildcard(netStr, wcStr)
+			p, err := config.ParseNetWildcard(netStr, wcStr)
 			if err != nil {
 				return err
 			}
@@ -575,7 +575,7 @@ func (c *Console) parseBGP(line string, f []string, mk mkFunc, devRes string) (C
 	case len(sf) == 4 && sf[0] == "network" && sf[2] == "mask":
 		netStr, maskStr := sf[1], sf[3]
 		return mk("config.bgp.set", res, true, withBGP(func(g *netmodel.BGPProcess) error {
-			p, err := parseAddrMask(netStr, maskStr)
+			p, err := config.ParseAddrMask(netStr, maskStr)
 			if err != nil {
 				return err
 			}

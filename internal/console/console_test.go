@@ -275,6 +275,9 @@ func TestExecErrors(t *testing.T) {
 		"show access-lists NOPE",
 		"ip default-gateway bogus",
 		"interface Gi0/0 ip address bogus 255.0.0.0",
+		"interface Gi0/0 ip address 2001:db8::1 255.255.255.0",
+		"ip route 2001:db8:: 255.255.255.0 10.0.0.1",
+		"access-list X 10 permit ip 2001:db8:: 0.0.0.255 any",
 	}
 	for _, line := range bad {
 		if _, err := r1.Run(line); err == nil {

@@ -2,27 +2,12 @@ package console
 
 import (
 	"fmt"
-	"net/netip"
 	"strings"
 
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 )
-
-// Thin wrappers so the console shares one grammar with the config parser.
-
-func parseAddrMask(addr, mask string) (netip.Prefix, error) {
-	return config.ParseAddrMask(addr, mask)
-}
-
-func parseNetWildcard(addr, wc string) (netip.Prefix, error) {
-	return config.ParseNetWildcard(addr, wc)
-}
-
-func parseACLEntry(tokens []string) (netmodel.ACLEntry, error) {
-	return config.ParseACLEntry(tokens)
-}
 
 func renderInterfaces(d *netmodel.Device, name string) (string, error) {
 	var names []string
@@ -149,17 +134,18 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 // alternates writes with snapshot-hungry reads; writes the console cannot
 // classify still invalidate fully. Derivation is only sound for writes
 // that go through this environment, so an environment is for one network
-// that nothing else writes while it lives: a twin's copy, a shadow, or
-// production under its read lock for one command.
+// that nothing else writes while it lives: a twin's copy, a shadow, or a
+// view of production (Enforcer.View).
 func NewEnv(n *netmodel.Network) *Env { return NewEnvSeeded(n, nil) }
 
 // NewEnvSeeded is NewEnv with the first snapshot derived instead of
 // computed: from is a snapshot of a network the dataplane cannot tell from
 // n as it is now (production's, for its sanitized twin copy or a shadow
-// about to be written), or nil to compute on first use.
+// about to be written), or nil to compute on first use. A snapshot of n
+// itself (a view's: Enforcer.View) is taken over as it is.
 func NewEnvSeeded(n *netmodel.Network, from *dataplane.Snapshot) *Env {
-	env := &Env{Net: n}
-	if from != nil {
+	env := &Env{Net: n, snap: from}
+	if from != nil && from.Network() != n {
 		env.snap = from.Derive(n, nil)
 	}
 	return env

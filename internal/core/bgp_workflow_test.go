@@ -99,7 +99,7 @@ end
 	if err != nil || !decision.Accepted {
 		t.Fatalf("commit: %v %+v", err, decision)
 	}
-	tr, err := dataplane.Compute(sys.Production()).Reach("h1", "ext", netmodel.ICMP, 0)
+	tr, err := dataplane.Compute(sys.view()).Reach("h1", "ext", netmodel.ICMP, 0)
 	if err != nil || !tr.Delivered() {
 		t.Fatalf("production: %v %v", tr, err)
 	}

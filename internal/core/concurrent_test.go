@@ -82,7 +82,7 @@ func TestConcurrentEngagements(t *testing.T) {
 	}
 
 	// Both symptoms fixed in production.
-	snap := dataplane.Compute(sys.Production())
+	snap := dataplane.Compute(sys.view())
 	for _, issue := range []scenarios.Issue{issueA, issueB} {
 		tr, err := snap.Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 		if err != nil || !tr.Delivered() {
@@ -109,10 +109,8 @@ func TestConcurrentEngagements(t *testing.T) {
 // baseline lacks, or one whose sanitized configuration is not its
 // baseline's: whether the twin still reproduces production.
 func drifted(e *Engagement) bool {
-	e.sys.prodMu.RLock()
-	defer e.sys.prodMu.RUnlock()
 	base := e.Twin.Baseline()
-	for name, d := range e.sys.production.Devices {
+	for name, d := range e.sys.view().Devices {
 		b := base.Devices[name]
 		if b == nil || len(config.DiffDevice(config.Sanitize(d), b)) != 0 {
 			return true

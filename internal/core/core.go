@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
@@ -29,7 +28,9 @@ import (
 
 // Options configures a Heimdall deployment.
 type Options struct {
-	// Network is the customer's production network (required).
+	// Network is the customer's production network (required). The
+	// deployment's enforcer owns it from then on: only it writes the
+	// network, and everyone reads it through Enforcer.View.
 	Network *netmodel.Network
 	// Policies are the network policies the enforcer guards. When nil,
 	// they are mined from the baseline with config2spec-style mining.
@@ -46,27 +47,20 @@ type Options struct {
 	Meter telemetry.Meter
 }
 
-// System is one customer deployment: production network, policies,
-// ticketing, and the enclave-hosted policy enforcer.
+// System is one customer deployment: policies, ticketing, and the
+// enclave-hosted policy enforcer, which owns the production network: it is
+// its only writer, and every reader reads a view of it (Enforcer.View).
 type System struct {
-	production *netmodel.Network
-	policies   []verify.Policy
-	sensitive  map[string]bool
-	meter      telemetry.Meter
+	policies  []verify.Policy
+	sensitive map[string]bool
+	meter     telemetry.Meter
 
 	Tickets  *ticket.System
 	Enforcer *enforcer.Enforcer
 	platform *enclave.Platform
 
-	// prodMu guards reads (twin construction, snapshots) against writes
-	// (commits, emergency commits, MutateProduction) on the production
-	// network, whose device map every writer writes: it writes a device only
-	// once it replaced it (netmodel.Network.Detach), so open twins share the
-	// rest. Every writer tells the enforcer before it unlocks — a commit
-	// hands over the snapshot it verified, a declared MutateProduction has it
-	// derived, an undeclared one drops it — which is what keeps the
-	// production snapshot honest.
-	prodMu sync.RWMutex
+	// production is kept for Production alone.
+	production *netmodel.Network
 }
 
 // NewSystem builds a deployment around a production network.
@@ -95,7 +89,7 @@ func NewSystem(opts Options) (*System, error) {
 		meter = telemetry.Nop()
 	}
 	encl := platform.Load("heimdall-enforcer-v1")
-	enf := enforcer.New(encl, policies)
+	enf := enforcer.New(encl, policies, opts.Network)
 	enf.SetMeter(meter)
 	return &System{
 		production: opts.Network,
@@ -108,45 +102,24 @@ func NewSystem(opts Options) (*System, error) {
 	}, nil
 }
 
-// Production exposes the production network (the admin's view; MSP
-// technicians never touch it directly).
+// Production is the live production network, for benchmark/, which hands
+// it back to the enforcer's ReviewCached and Commit and reads it. Only the
+// enforcer writes it. ROADMAP item 1 deletes it.
 func (s *System) Production() *netmodel.Network { return s.production }
 
-// DeviceCount returns how many devices production holds, under the read
-// lock: a rollback reassigns entries of the device map under the write lock.
+// DeviceCount returns how many devices production holds.
 func (s *System) DeviceCount() int {
-	s.prodMu.RLock()
-	defer s.prodMu.RUnlock()
-	return len(s.production.Devices)
+	view, _ := s.Enforcer.View()
+	return len(view.Devices)
 }
 
 // Policies returns the guarded policy set.
 func (s *System) Policies() []verify.Policy { return s.policies }
 
-// MutateProduction applies fn to the production network under the write
-// lock, serializing out-of-band mutations (fault injection, admin edits)
-// against concurrent twin construction, reviews and commits, and tells the
-// enforcer, behind whose back it happened. fn writes clones: the listed
-// devices, or all of them when none is, are detached first
-// (netmodel.Network.Detach), and the held production snapshot is derived
-// across the write (Enforcer.ProductionWritten). The list is a claim — a
-// device written but not listed leaves a wrong snapshot held and writes
-// open twins. Without one, and whenever fn fails (it may have partially
-// applied), verdicts and snapshot are dropped.
+// MutateProduction is Enforcer.MutateProduction: the out-of-band
+// production writer (fault injection, admin edits).
 func (s *System) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
-	s.prodMu.Lock()
-	defer s.prodMu.Unlock()
-	written := devices
-	if len(written) == 0 {
-		written = s.production.DeviceNames()
-	}
-	pre := s.production.Detach(written...)
-	if err := fn(s.production); err != nil || len(devices) == 0 {
-		s.Enforcer.InvalidateReviews()
-		return err
-	}
-	s.Enforcer.ProductionWritten(s.production, pre, devices)
-	return nil
+	return s.Enforcer.MutateProduction(fn, devices...)
 }
 
 // Attest returns an attestation report for the enforcer, verifiable
@@ -183,15 +156,13 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	}
 	tk = s.Tickets.Get(ticketID)
 
-	s.prodMu.RLock()
-	defer s.prodMu.RUnlock()
-	snap := s.Enforcer.ProductionSnapshot(s.production)
-	slice := twin.ComputeSlice(s.production, snap, twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
+	prod, snap := s.Enforcer.View()
+	slice := twin.ComputeSlice(prod, snap, twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string
 	for dev := range slice {
 		scope = append(scope, dev)
-		if s.production.Devices[dev] != nil && s.production.Devices[dev].Kind != netmodel.Host {
+		if d := prod.Devices[dev]; d != nil && d.Kind != netmodel.Host {
 			suspects = append(suspects, dev)
 		}
 	}
@@ -207,10 +178,11 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	if err != nil {
 		return nil, err
 	}
-	tw, err := twin.New(twin.Config{
+	// The view is this open's own copy: the twin takes it over.
+	tw, err := twin.FromView(twin.Config{
 		Ticket:     tk.ID,
 		Technician: technician,
-		Production: s.production,
+		Production: prod,
 		Snapshot:   snap,
 		Spec:       pspec,
 		Slice:      slice,
@@ -287,8 +259,7 @@ func (e *Engagement) ApproveEscalation(esc *privilege.Escalation) error {
 // changes against live production — privilege check plus shadow-snapshot
 // policy verification — without applying anything, and reports whether the
 // verdict was replayed from the content-addressed review cache rather than
-// recomputed (always false when the cache is disabled). Technicians use it
-// as a pre-flight before Commit.
+// recomputed. Technicians use it as a pre-flight before Commit.
 func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 	return e.ReviewChanges(e.Twin.Changes())
 }
@@ -300,10 +271,7 @@ func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision,
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)
 	}
-	e.sys.prodMu.RLock()
-	defer e.sys.prodMu.RUnlock()
-	key := e.sys.Enforcer.ReviewKey(changes, e.Twin.RulesDigest())
-	d, hit := e.sys.Enforcer.ReviewKeyed(e.sys.production, changes, e.Spec, key)
+	d, hit := e.sys.Enforcer.Review(changes, e.Spec, e.Twin.RulesDigest())
 	return d, hit, nil
 }
 
@@ -320,9 +288,7 @@ func (e *Engagement) CommitChanges(changes []config.Change) (*enforcer.Decision,
 	if len(changes) == 0 {
 		return nil, fmt.Errorf("core: nothing to commit for %s", e.Ticket.ID)
 	}
-	e.sys.prodMu.Lock()
-	decision, err := e.sys.Enforcer.CommitDigested(e.sys.production, changes, e.Spec, e.Twin.RulesDigest())
-	e.sys.prodMu.Unlock()
+	decision, err := e.sys.Enforcer.Submit(enforcer.CommitRequest{Changes: changes, Spec: e.Spec, RulesDigest: e.Twin.RulesDigest()})
 	if err != nil {
 		_ = e.sys.Tickets.AddNote(e.Ticket.ID, "enforcer rejected commit: "+decision.Reason())
 		if terr := e.sys.Tickets.Transition(e.Ticket.ID, ticket.Rejected); terr != nil {

@@ -90,7 +90,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 				t.Fatal("symptom should be resolved in twin after script")
 			}
 			// Production is still broken until commit.
-			tr, err := dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+			tr, err := dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 			if err != nil || tr.Delivered() {
 				t.Fatalf("production fixed before commit: %v %v", tr, err)
 			}
@@ -102,7 +102,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 				t.Fatalf("decision = %+v", decision)
 			}
 			// Production now delivers the flow.
-			tr, err = dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+			tr, err = dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 			if err != nil || !tr.Delivered() {
 				t.Fatalf("production not fixed: %v %v", tr, err)
 			}
@@ -168,7 +168,7 @@ func TestMaliciousChangeRejected(t *testing.T) {
 		t.Fatal("no violations reported")
 	}
 	// Production keeps its guard and stays broken (nothing applied).
-	guard := sys.Production().Device("r2").ACLs["FINANCE-GUARD"]
+	guard := sys.view().Device("r2").ACLs["FINANCE-GUARD"]
 	for _, e := range guard.Entries {
 		if e.Seq == 15 {
 			t.Fatal("malicious entry reached production")
@@ -418,5 +418,43 @@ func TestWorkflowTelemetry(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q", want)
 		}
+	}
+}
+
+// view is production as it is now (Enforcer.View).
+func (s *System) view() *netmodel.Network {
+	prod, _ := s.Enforcer.View()
+	return prod
+}
+
+// TestBenchmarkShimsRefuseForeignNetwork pins the three shims benchmark/
+// calls: System.Production is the network the enforcer owns, and the
+// enforcer's ReviewCached and Commit serve it and refuse any other network,
+// writing nothing.
+func TestBenchmarkShimsRefuseForeignNetwork(t *testing.T) {
+	sys, issue := newFaultedSystem(t, "vlan")
+	eng, err := sys.StartWork(fileIssue(sys, issue).ID, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunScript(issue.Fault.Fix); err != nil {
+		t.Fatal(err)
+	}
+	changes, enf := eng.Twin.Changes(), sys.Enforcer
+	foreign := sys.view().Clone()
+	if d, hit := enf.ReviewCached(foreign, changes, eng.Spec); hit || d.Accepted {
+		t.Fatalf("review against a foreign network: hit=%v %+v", hit, d)
+	}
+	if d, err := enf.Commit(foreign, changes, eng.Spec); err == nil || d != nil {
+		t.Fatalf("commit against a foreign network: %+v, %v", d, err)
+	}
+	if n := sys.Enforcer.Journal().Len(); n != 0 {
+		t.Fatalf("a refused commit journaled %d records", n)
+	}
+	if d, _ := enf.ReviewCached(sys.Production(), changes, eng.Spec); !d.Accepted {
+		t.Fatalf("review against production: %+v", d)
+	}
+	if d, err := enf.Commit(sys.Production(), changes, eng.Spec); err != nil || !d.Accepted {
+		t.Fatalf("commit against production: %+v, %v", d, err)
 	}
 }

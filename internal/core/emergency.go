@@ -6,6 +6,8 @@ import (
 	"heimdall/internal/audit"
 	"heimdall/internal/config"
 	"heimdall/internal/console"
+	"heimdall/internal/enforcer"
+	"heimdall/internal/netmodel"
 )
 
 // Emergency mode implements the paper's §7 escape hatch: for issues the
@@ -13,7 +15,7 @@ import (
 // reference monitor bypasses the twin and sends commands directly to the
 // production network *through the policy enforcer*. Least privilege still
 // holds — every command is checked against the ticket's Privilegemsp — and
-// every write is a one-device commit (Enforcer.CommitEmergency): gated,
+// every write is a one-device emergency commit (CommitRequest.Emergency): gated,
 // verified, journaled and handed over like any other, accepted when it
 // introduces no new policy violation. Everything is audited with an
 // EMERGENCY marker.
@@ -39,10 +41,7 @@ func (e *Engagement) EmergencyConsole(device string) (*EmergencySession, error) 
 	if !e.emergency {
 		return nil, fmt.Errorf("core: emergency mode not enabled for %s", e.Ticket.ID)
 	}
-	e.sys.prodMu.RLock() // commits write the device map
-	known := e.Slice[device] && e.sys.production.Devices[device] != nil
-	e.sys.prodMu.RUnlock()
-	if !known {
+	if prod, _ := e.sys.Enforcer.View(); !e.Slice[device] || prod.Devices[device] == nil {
 		e.emergencyNote(audit.KindDecision, false, "deny console on %s (outside slice)", device)
 		return nil, fmt.Errorf("core: no such device %q", device)
 	}
@@ -79,27 +78,26 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 	e.emergencyNote(audit.KindDecision, true, "allow %s on %s", cmd.Action, cmd.Resource)
 
 	if !cmd.Write {
-		sys.prodMu.RLock()
-		defer sys.prodMu.RUnlock()
-		env := console.NewEnvSeeded(sys.production, sys.Enforcer.ProductionSnapshot(sys.production))
-		out, err := console.New(s.device, env).Execute(cmd)
+		out, err := console.New(s.device, console.NewEnvSeeded(sys.Enforcer.View())).Execute(cmd)
 		if err != nil {
 			e.emergencyNote(audit.KindCommand, true, "[%s] %s failed: %v", s.device, line, err)
 		}
 		return out, err
 	}
-	// The production lock keeps the write from interleaving with any commit.
-	sys.prodMu.Lock()
-	defer sys.prodMu.Unlock()
-	shadow := sys.production.CloneCOW(s.device)
-	out, err := console.New(s.device, console.NewEnv(shadow)).Execute(cmd)
-	if err != nil {
-		err = fmt.Errorf("core: shadow apply failed: %w", err)
-	} else if changes := config.DiffDevice(sys.production.Devices[s.device], shadow.Devices[s.device]); len(changes) > 0 {
-		d, cerr := sys.Enforcer.CommitEmergency(sys.production, changes, e.Spec)
-		if err = cerr; d != nil && len(d.Violations) > 0 {
-			err = fmt.Errorf("core: command would violate %s: %s", d.Violations[0].Policy.ID, d.Violations[0].Reason)
+	// The write runs inside the commit, so the device it diffs is the one
+	// the commit lands on.
+	var out string
+	d, err := sys.Enforcer.Submit(enforcer.CommitRequest{Spec: e.Spec, Emergency: func(prod *netmodel.Network) ([]config.Change, error) {
+		shadow := prod.CloneCOW(s.device)
+		o, err := console.New(s.device, console.NewEnv(shadow)).Execute(cmd)
+		if err != nil {
+			return nil, fmt.Errorf("core: shadow apply failed: %w", err)
 		}
+		out = o
+		return config.DiffDevice(prod.Devices[s.device], shadow.Devices[s.device]), nil
+	}})
+	if d != nil && len(d.Violations) > 0 {
+		err = fmt.Errorf("core: command would violate %s: %s", d.Violations[0].Policy.ID, d.Violations[0].Reason)
 	}
 	if err != nil {
 		e.emergencyNote(audit.KindVerify, false, "write refused: %v", err)

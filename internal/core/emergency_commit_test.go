@@ -38,7 +38,7 @@ func TestEmergencyWriteJournaled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, prod := jr.Len(), sys.Production().Clone()
+		before, prod := jr.Len(), sys.view().Clone()
 		_, err = sess.Exec(line)
 		if (err == nil) != (wantErr == "") || err != nil && !strings.Contains(err.Error(), wantErr) {
 			t.Fatalf("%s on %s: err = %v, want %q", line, dev, err, wantErr)
@@ -50,7 +50,7 @@ func TestEmergencyWriteJournaled(t *testing.T) {
 			if jr.Len() != before {
 				t.Fatalf("%s on %s: refused, but the journal grew by %d records", line, dev, jr.Len()-before)
 			}
-			if diff := config.DiffNetwork(prod, sys.Production()); len(diff) > 0 {
+			if diff := config.DiffNetwork(prod, sys.view()); len(diff) > 0 {
 				t.Fatalf("%s on %s: refused, but production changed: %v", line, dev, diff)
 			}
 		}
@@ -62,7 +62,7 @@ func TestEmergencyWriteJournaled(t *testing.T) {
 	exec("r2", "no access-list FINANCE-GUARD 99", "shadow apply failed")
 
 	var tolerated []string
-	for _, v := range verify.Check(dataplane.Compute(sys.Production()), sys.Policies()).Violations {
+	for _, v := range verify.Check(dataplane.Compute(sys.view()), sys.Policies()).Violations {
 		tolerated = append(tolerated, v.Policy.ID)
 	}
 	if len(tolerated) == 0 {

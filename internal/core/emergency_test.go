@@ -53,7 +53,7 @@ func TestEmergencyFixAppliesDirectlyToProduction(t *testing.T) {
 			t.Fatalf("%s: %v", cmd.Line, err)
 		}
 	}
-	tr, err := dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+	tr, err := dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 	if err != nil || !tr.Delivered() {
 		t.Fatalf("production not fixed: %v %v", tr, err)
 	}
@@ -119,7 +119,7 @@ func TestEmergencyShadowVerificationBlocksViolations(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "violate") {
 		t.Fatalf("violating emergency write: err = %v", err)
 	}
-	for _, e := range sys.Production().Device("r2").ACLs["FINANCE-GUARD"].Entries {
+	for _, e := range sys.view().Device("r2").ACLs["FINANCE-GUARD"].Entries {
 		if e.Seq == 15 {
 			t.Fatal("violating entry reached production")
 		}
@@ -153,7 +153,7 @@ func TestEmergencyRepairNotBlockedByExistingOutage(t *testing.T) {
 	if _, err := sess.Exec("router ospf no passive-interface Gi0/0"); err != nil {
 		t.Fatalf("repair blocked: %v", err)
 	}
-	tr, _ := dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+	tr, _ := dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 	if !tr.Delivered() {
 		t.Fatalf("production not repaired: %s", tr)
 	}

@@ -80,7 +80,7 @@ func (r *isolationRun) open(is scenarios.Issue, tech string, rows []ticket.FixCo
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	mirror := r.sys.production.Clone()
+	mirror := r.sys.view().Clone()
 	for name, d := range mirror.Devices {
 		mirror.Devices[name] = config.Sanitize(d)
 	}
@@ -114,9 +114,10 @@ func (r *isolationRun) exec(w *isolationWatcher, dev, line string) {
 // the open recorded, with every secret redacted in both.
 func (r *isolationRun) check(step string) {
 	r.t.Helper()
-	if dev := firstDiff(printAll(r.sys.production), printAll(r.want)); dev != "" {
+	prod := r.sys.view()
+	if dev := firstDiff(printAll(prod), printAll(r.want)); dev != "" {
 		r.t.Fatalf("after %s: production %s is not what its own writes made it:\n%s\nwant:\n%s",
-			step, dev, config.Print(r.sys.production.Devices[dev]), config.Print(r.want.Devices[dev]))
+			step, dev, config.Print(prod.Devices[dev]), config.Print(r.want.Devices[dev]))
 	}
 	for _, w := range r.watchers {
 		emul, base := w.eng.Twin.Network(), w.eng.Twin.Baseline()
@@ -265,9 +266,7 @@ func testTwinIsolation(t *testing.T, scen *scenarios.Scenario) {
 			t.Fatal(err)
 		}
 		r.step("quarantined push")
-		sys.prodMu.Lock()
-		rep, err := sys.Enforcer.Recover(sys.production)
-		sys.prodMu.Unlock()
+		rep, err := sys.Enforcer.Recover()
 		if err != nil || rep.Action != "committed" {
 			t.Fatalf("recover: %+v, %v", rep, err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -84,18 +85,10 @@ func (o *oracleSystem) inject(t *testing.T, is scenarios.Issue) {
 	}
 }
 
-// snapshot is the production snapshot the enforcer serves right now.
-func (o *oracleSystem) snapshot() *dataplane.Snapshot {
-	o.sys.prodMu.RLock()
-	defer o.sys.prodMu.RUnlock()
-	return o.sys.Enforcer.ProductionSnapshot(o.sys.production)
-}
-
 // fresh runs one step that looks at production (open, review, commit, an
 // emergency command). The reference deployment first calls
 // InvalidateReviews, so the step pays a from-scratch Compute and replays
-// no verdict: the from-scratch path, reached through the public
-// invalidation contract.
+// no verdict: the from-scratch path.
 func (o *oracleSystem) fresh(step func()) {
 	if o.held {
 		step()
@@ -118,51 +111,87 @@ func (o *oracleSystem) computedNone(t *testing.T, step string, before float64) {
 }
 
 // assertSnapshotsEqual fails unless got describes the same forwarding
-// state as want: every RIB, every BGP session, reachability between every
-// pair of hosts and of every policy's own flow.
+// state as want (snapshotsDiverge).
 func assertSnapshotsEqual(t *testing.T, step string, n *netmodel.Network, policies []verify.Policy, got, want *dataplane.Snapshot) {
 	t.Helper()
+	if err := snapshotsDiverge(n, policies, got, want); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// snapshotsDiverge returns an error unless got describes the same
+// forwarding state as want: every RIB, every BGP session, reachability
+// between every pair of hosts and of every policy's own flow.
+func snapshotsDiverge(n *netmodel.Network, policies []verify.Policy, got, want *dataplane.Snapshot) error {
 	for _, dev := range n.DeviceNames() {
 		if !reflect.DeepEqual(got.RIB(dev), want.RIB(dev)) {
-			t.Fatalf("%s: RIB of %s diverged from a fresh Compute:\nheld:\n%s\nfresh:\n%s",
-				step, dev, got.FormatRIB(dev), want.FormatRIB(dev))
+			return fmt.Errorf("RIB of %s diverged from a fresh Compute:\nheld:\n%s\nfresh:\n%s",
+				dev, got.FormatRIB(dev), want.FormatRIB(dev))
 		}
 		if !reflect.DeepEqual(got.BGPPeers(dev), want.BGPPeers(dev)) {
-			t.Fatalf("%s: BGP sessions of %s diverged from a fresh Compute", step, dev)
+			return fmt.Errorf("BGP sessions of %s diverged from a fresh Compute", dev)
 		}
 	}
-	reach := func(src, dst string, proto netmodel.Protocol, port uint16) {
+	reach := func(src, dst string, proto netmodel.Protocol, port uint16) error {
 		g, gerr := got.Reach(src, dst, proto, port)
 		w, werr := want.Reach(src, dst, proto, port)
 		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: %s -> %s %s/%d diverged: held (%v, %v) fresh (%v, %v)",
-				step, src, dst, proto, port, g, gerr, w, werr)
+			return fmt.Errorf("%s -> %s %s/%d diverged: held (%v, %v) fresh (%v, %v)",
+				src, dst, proto, port, g, gerr, w, werr)
 		}
+		return nil
 	}
 	hosts := n.Hosts()
 	for _, src := range hosts {
 		for _, dst := range hosts {
-			if src != dst {
-				reach(src, dst, netmodel.ICMP, 0)
+			if src == dst {
+				continue
+			}
+			if err := reach(src, dst, netmodel.ICMP, 0); err != nil {
+				return err
 			}
 		}
 	}
 	for _, p := range policies {
-		reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		if err := reach(p.Src, p.Dst, p.Proto, p.DstPort); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // checkProduction asserts that the snapshot the enforcer hands out for
 // production equals a from-scratch Compute of production as it is now.
 func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 	t.Helper()
-	s := o.sys
-	s.prodMu.RLock()
-	defer s.prodMu.RUnlock()
-	fresh := dataplane.Compute(s.production)
-	assertSnapshotsEqual(t, step, s.production, s.policies, s.Enforcer.ProductionSnapshot(s.production), fresh)
-	if err := verdictsDiverge(s.policies, s.Enforcer.HeldVerdicts(s.production), fresh); err != nil {
+	if err := heldDiverges(o.sys); err != nil {
 		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// heldDiverges returns an error unless the snapshot the enforcer hands out
+// for production, and every verdict held beside it, equal a from-scratch
+// Compute and check of production as it is now.
+func heldDiverges(s *System) error {
+	prod, snap, held := heldAt(s)
+	fresh := dataplane.Compute(prod)
+	if err := snapshotsDiverge(prod, s.policies, snap, fresh); err != nil {
+		return err
+	}
+	return verdictsDiverge(s.policies, held, fresh)
+}
+
+// heldAt returns a view of production, the snapshot served with it and the
+// verdicts held beside it, read with no production write in between: every
+// writer replaces the devices it writes, so two views holding the very
+// same devices saw none.
+func heldAt(s *System) (*netmodel.Network, *dataplane.Snapshot, verify.Verdicts) {
+	for {
+		prod, snap := s.Enforcer.View()
+		held := s.Enforcer.HeldVerdicts()
+		if again, _ := s.Enforcer.View(); maps.Equal(prod.Devices, again.Devices) {
+			return prod, snap, held
+		}
 	}
 }
 
@@ -171,9 +200,7 @@ func (o *oracleSystem) checkProduction(t *testing.T, step string) {
 // check's, and each decides every policy.
 func (o *oracleSystem) heldComplete(t *testing.T, step string) {
 	t.Helper()
-	o.sys.prodMu.RLock()
-	defer o.sys.prodMu.RUnlock()
-	held := o.sys.Enforcer.HeldVerdicts(o.sys.production)
+	held := o.sys.Enforcer.HeldVerdicts()
 	for i := range held {
 		if held[i].Load() == nil {
 			t.Fatalf("%s: no verdict held for %s", step, o.sys.policies[i])
@@ -229,7 +256,7 @@ func (o *oracleSystem) startWork(t *testing.T, ticketID string) *Engagement {
 		t.Fatal(err)
 	}
 	if !o.held {
-		base := o.sys.production.Clone()
+		base := o.sys.view().Clone()
 		for name, d := range base.Devices {
 			base.Devices[name] = config.Sanitize(d)
 		}
@@ -251,7 +278,7 @@ func checkTwin(t *testing.T, step string, eng *Engagement) {
 // policy checked.
 func scratchDecision(t *testing.T, s *System, changes []config.Change) string {
 	t.Helper()
-	shadow := s.production.Clone()
+	shadow := s.view().Clone()
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		t.Fatal(err)
 	}
@@ -313,9 +340,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				o.checkProduction(t, step+"/inject")
 				// Injecting a fault that is already in changes nothing: the
 				// empty diff keeps the very snapshot.
-				derived := o.snapshot()
+				derived := o.sys.Enforcer.HeldVerdicts()
 				o.inject(t, is)
-				if o.held && o.snapshot() != derived {
+				if o.held && &o.sys.Enforcer.HeldVerdicts()[0] != &derived[0] {
 					t.Fatalf("%s: a write that changed nothing replaced the held snapshot", step)
 				}
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
@@ -437,12 +464,9 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				o.checkProduction(t, "quarantine/commit")
 				o.computedNone(t, "quarantine", before)
 				o.sys.Enforcer.SetInjector(nil)
-				var rep *enforcer.RecoveryReport
-				if merr := o.sys.MutateProduction(func(n *netmodel.Network) (rerr error) {
-					rep, rerr = o.sys.Enforcer.Recover(n)
-					return rerr
-				}); merr != nil {
-					t.Fatal(merr)
+				rep, rerr := o.sys.Enforcer.Recover()
+				if rerr != nil {
+					t.Fatal(rerr)
 				}
 				o.checkProduction(t, "quarantine/recover")
 				return decisionJSON(t, d) + err.Error() + fmt.Sprintf("%+v", *rep)
@@ -493,7 +517,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			// does not hold. The held deployment must answer both with a
 			// from-scratch Compute of what production then is.
 			both("declared", func(o *oracleSystem) string {
-				dev, itf := firstRoutedInterface(o.sys.production)
+				dev, itf := firstRoutedInterface(o.sys.view())
 				flap := func(step string, fail error, devices ...string) {
 					t.Helper()
 					o.checkProduction(t, step+"/before")
@@ -564,7 +588,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				review := func(step string, changes []config.Change) *enforcer.Decision {
 					t.Helper()
 					var d *enforcer.Decision
-					o.fresh(func() { d = o.sys.Enforcer.Review(o.sys.production, changes, wide) })
+					o.fresh(func() { d, _ = o.sys.Enforcer.Review(changes, wide, "") })
 					decided(step, scratchDecision(t, o.sys, changes), d, nil)
 					return d
 				}
@@ -573,7 +597,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					want := scratchDecision(t, o.sys, changes)
 					var d *enforcer.Decision
 					var err error
-					o.fresh(func() { d, err = o.sys.Enforcer.Commit(o.sys.production, changes, wide) })
+					o.fresh(func() { d, err = o.sys.Enforcer.Submit(enforcer.CommitRequest{Changes: changes, Spec: wide}) })
 					if err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
@@ -637,7 +661,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				review := func(step string, spec *privilege.Spec, changes ...config.Change) {
 					t.Helper()
 					var d *enforcer.Decision
-					o.fresh(func() { d = o.sys.Enforcer.Review(o.sys.production, changes, spec) })
+					o.fresh(func() { d, _ = o.sys.Enforcer.Review(changes, spec, "") })
 					if got, want := decisionJSON(t, d), scratchDecision(t, o.sys, changes); got != want {
 						t.Fatalf("%s: review diverged from the from-scratch reference:\ngot  %s\nwant %s", step, got, want)
 					}
@@ -653,7 +677,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 					handed, before := handovers(from), evaluated()
 					var d *enforcer.Decision
 					var err error
-					o.fresh(func() { d, err = o.sys.Enforcer.Commit(o.sys.production, changes, wide) })
+					o.fresh(func() { d, err = o.sys.Enforcer.Submit(enforcer.CommitRequest{Changes: changes, Spec: wide}) })
 					if err != nil || decisionJSON(t, d) != want {
 						t.Fatalf("%s: commit diverged from the from-scratch reference (%v):\ngot  %s\nwant %s", step, err, decisionJSON(t, d), want)
 					}
@@ -675,10 +699,10 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				commit("handover/unreviewed", "review", entry(3, 9103))
 
 				// Entry 0 replaced: config.DiffDevice writes a remove and an add.
-				want := o.sys.production.Devices[at[0]].Clone()
+				want := o.sys.view().Devices[at[0]].Clone()
 				want.ACLs["HANDOVER"].InsertEntry(*entry(0, 9110).Entry)
-				commit("handover/replaced", "review", config.DiffDevice(o.sys.production.Devices[at[0]], want)...)
-				if rest := config.DiffDevice(o.sys.production.Devices[at[0]], want); len(rest) > 0 {
+				commit("handover/replaced", "review", config.DiffDevice(o.sys.view().Devices[at[0]], want)...)
+				if rest := config.DiffDevice(o.sys.view().Devices[at[0]], want); len(rest) > 0 {
 					t.Fatalf("handover/replaced: production is not what the review verified: %v", rest)
 				}
 				return strings.Join(out, "\n")
@@ -791,8 +815,8 @@ func mustExport(t *testing.T, export func() ([]byte, error)) string {
 // fillers of its verdict vector, several at once as under a verify pool
 // with more than one worker) against a stream of declared injects and
 // commits (the writers that derive both onto the next version). Run under -race; a
-// reader under the read lock and the state at rest must equal a fresh
-// Compute, and both chains must verify.
+// reader's view and the state at rest must equal a fresh Compute, and both
+// chains must verify.
 func TestProductionSnapshotHammer(t *testing.T) {
 	scen := scenarios.University()
 	o := newOracleSystem(t, scen, true)
@@ -872,13 +896,17 @@ func TestProductionSnapshotHammer(t *testing.T) {
 				Device: infra[k%len(infra)], Op: config.OpAddACLEntry, ACLName: "HAMMER",
 				Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: uint16(9000 + k)},
 			}}
-			sys.prodMu.RLock()
-			defer sys.prodMu.RUnlock()
-			got, err := json.Marshal(sys.Enforcer.Review(sys.production, changes, wide))
+			// Reviewed between two views of one production, or not compared.
+			prod, _ := sys.Enforcer.View()
+			d, _ := sys.Enforcer.Review(changes, wide, "")
+			if again, _ := sys.Enforcer.View(); !maps.Equal(prod.Devices, again.Devices) {
+				return nil
+			}
+			got, err := json.Marshal(d)
 			if err != nil {
 				return err
 			}
-			shadow := sys.production.Clone()
+			shadow := prod.Clone()
 			if err := config.ApplyChanges(shadow, changes); err != nil {
 				return err
 			}
@@ -890,20 +918,19 @@ func TestProductionSnapshotHammer(t *testing.T) {
 			return err
 		})
 	}
-	// Whoever holds the read lock is served production as it is: the flow
-	// the injections break and the commits repair answers as a from-scratch
-	// Compute answers, and so does every verdict held, whichever writer ran
-	// last and whichever reviews have filled the vector since.
+	// Every view is of production as it is: the flow the injections break
+	// and the commits repair answers as a from-scratch Compute answers, and
+	// so does every verdict held, whichever writer ran last and whichever
+	// reviews have filled the vector since.
 	reader(func() error {
-		sys.prodMu.RLock()
-		defer sys.prodMu.RUnlock()
-		fresh := dataplane.Compute(sys.production)
-		got, _ := sys.Enforcer.ProductionSnapshot(sys.production).Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
+		prod, snap, held := heldAt(sys)
+		fresh := dataplane.Compute(prod)
+		got, _ := snap.Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
 		want, _ := fresh.Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
 		if got.String() != want.String() {
 			return fmt.Errorf("held snapshot is behind production: %v, a fresh Compute says %v", got, want)
 		}
-		return verdictsDiverge(sys.policies, sys.Enforcer.HeldVerdicts(sys.production), fresh)
+		return verdictsDiverge(sys.policies, held, fresh)
 	})
 	for i := 0; i < rounds; i++ {
 		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {
@@ -924,6 +951,119 @@ func TestProductionSnapshotHammer(t *testing.T) {
 	wg.Wait()
 
 	o.checkProduction(t, "at rest")
+	if err := sys.Enforcer.Trail().Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Enforcer.Journal().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnforcerOwnsProduction runs every way into production at once on one
+// tenant — views, reviews, ticket commits, declared out-of-band writes and
+// emergency writes — under -race. Only the enforcer writes production, so
+// whatever interleaving the scheduler picks, what it holds at rest is a
+// from-scratch Compute and check of production, and both chains verify.
+func TestEnforcerOwnsProduction(t *testing.T) {
+	scen := scenarios.University()
+	sys := newOracleSystem(t, scen, true).sys
+	var acl scenarios.Issue
+	for _, is := range scen.Issues {
+		if is.Name == "acl" {
+			acl = is
+		}
+	}
+	// The emergency writer and the out-of-band writer each toggle an entry
+	// of an ACL no interface binds, on routers the acl ticket's fix leaves
+	// alone.
+	emergencyDev, oobDev := "r1", "r3"
+	pending, err := sys.StartWork(fileIssue(sys, acl).ID, "riley")
+	if err != nil {
+		t.Fatal(err)
+	}
+	con, err := pending.Console(acl.Fault.RootCause)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := con.Exec("access-list SENSITIVE-15 7 deny tcp any any eq 8443"); err != nil {
+		t.Fatal(err)
+	}
+	medic, err := sys.StartWork(fileIssue(sys, acl).ID, "medic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	medic.Spec.Rules = append(medic.Spec.Rules, privilegeRule("config.acl.*", "device:"+emergencyDev))
+	medic.Slice[emergencyDev] = true
+	medic.EnableEmergency("netadmin")
+	emergency, err := medic.EmergencyConsole(emergencyDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	devices := len(scen.Network.Devices)
+	const rounds = 4
+	var wg sync.WaitGroup
+	run := func(fn func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := fn(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	run(func(int) error {
+		prod, snap := sys.Enforcer.View()
+		if len(prod.Devices) != devices {
+			return fmt.Errorf("a view holds %d devices, want %d", len(prod.Devices), devices)
+		}
+		_, err := snap.Reach(acl.SrcHost, acl.DstHost, acl.Proto, acl.DstPort)
+		return err
+	})
+	run(func(int) error {
+		_, _, err := pending.ReviewCached()
+		return err
+	})
+	run(func(int) error {
+		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {
+			return err
+		}
+		eng, err := sys.StartWork(fileIssue(sys, acl).ID, "casey")
+		if err != nil {
+			return err
+		}
+		if _, err := eng.RunScript(acl.Script); err != nil {
+			return err
+		}
+		_, err = eng.Commit()
+		return err
+	})
+	run(func(i int) error {
+		entry := config.Change{Device: oobDev, Op: config.OpAddACLEntry, ACLName: "OUT-OF-BAND",
+			Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.AnyProto}}
+		if i%2 == 1 {
+			entry = config.Change{Device: oobDev, Op: config.OpRemoveACLEntry, ACLName: "OUT-OF-BAND", Seq: 10}
+		}
+		return sys.MutateProduction(func(n *netmodel.Network) error {
+			return config.ApplyChanges(n, []config.Change{entry})
+		}, oobDev)
+	})
+	run(func(i int) error {
+		line := "access-list EMERGENCY 10 permit ip any any"
+		if i%2 == 1 {
+			line = "no access-list EMERGENCY 10"
+		}
+		_, err := emergency.Exec(line)
+		return err
+	})
+	wg.Wait()
+
+	if err := heldDiverges(sys); err != nil {
+		t.Fatalf("at rest: %v", err)
+	}
 	if err := sys.Enforcer.Trail().Verify(); err != nil {
 		t.Fatal(err)
 	}

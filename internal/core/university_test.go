@@ -55,7 +55,7 @@ func TestEndToEndWorkflowUniversity(t *testing.T) {
 			if decision.Checked != 175 {
 				t.Fatalf("checked %d policies, want 175", decision.Checked)
 			}
-			tr, err := dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+			tr, err := dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 			if err != nil || !tr.Delivered() {
 				t.Fatalf("production not fixed: %v %v", tr, err)
 			}
@@ -107,7 +107,7 @@ func TestEndToEndWorkflowProvider(t *testing.T) {
 			if _, err := eng.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			tr, err := dataplane.Compute(sys.Production()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
+			tr, err := dataplane.Compute(sys.view()).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 			if err != nil || !tr.Delivered() {
 				t.Fatalf("production not fixed: %v %v", tr, err)
 			}

@@ -243,10 +243,14 @@ func localRoutes(d *netmodel.Device) routeRows {
 			rows = append(rows, r)
 		}
 	}
+	// onSubnet is how the device decides it can ARP a next hop directly:
+	// the first up, addressed interface in name order whose subnet holds a
+	// answers, and resolves it only when it is an L3 endpoint.
 	onSubnet := func(a netip.Addr) (int, bool) {
-		if itf, ok := d.AddrOnSubnet(a); ok && l3Endpoint(itf) {
-			i, _ := slices.BinarySearch(ifs, itf.Name)
-			return i, true
+		for i, name := range ifs {
+			if itf := d.Interfaces[name]; itf.Up() && itf.HasAddr() && itf.Addr.Masked().Contains(a) {
+				return i, l3Endpoint(itf)
+			}
 		}
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"maps"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"heimdall/internal/netmodel"
 )
 
 // bestPaths is the RIB assembly ribFor used before mergeBest, moved here
@@ -257,5 +260,58 @@ func TestRouteRowHoldsNoPointer(t *testing.T) {
 		if typ := reflect.TypeOf(v); pointers(typ) {
 			t.Errorf("%v holds a pointer", typ)
 		}
+	}
+}
+
+// TestStaticRouteResolution pins how a static route's next hop and a host's
+// gateway resolve: the first up, addressed interface in name order whose
+// subnet holds the address answers, and the route is active only when that
+// interface is an L3 endpoint. A shut interface and an address on no
+// subnet resolve nothing, and an access port that answers first deactivates
+// a route a later routed interface would have carried.
+func TestStaticRouteResolution(t *testing.T) {
+	n := netmodel.NewNetwork("resolve")
+	r1 := n.AddDevice("r1", netmodel.Router)
+	r1.AddInterface("Gi0/0").Addr = netip.MustParsePrefix("10.0.1.1/24")
+	shut := r1.AddInterface("Gi0/1")
+	shut.Addr, shut.Shutdown = netip.MustParsePrefix("10.0.2.1/24"), true
+	access := r1.AddInterface("Gi0/2")
+	access.Addr, access.Mode = netip.MustParsePrefix("10.0.4.1/24"), netmodel.Access
+	r1.AddInterface("Gi0/3").Addr = netip.MustParsePrefix("10.0.4.2/23")
+	via := map[string]string{
+		"192.168.1.0/24": "10.0.1.99", // on Gi0/0: active
+		"192.168.2.0/24": "10.0.2.99", // on the shut Gi0/1 only: inactive
+		"192.168.3.0/24": "10.0.5.99", // Gi0/3's /23, the only subnet holding it
+		"192.168.4.0/24": "10.0.4.99", // the access port answers before Gi0/3
+		"192.168.5.0/24": "10.9.0.1",  // on no subnet
+	}
+	for p, hop := range via {
+		r1.StaticRoutes = append(r1.StaticRoutes, netmodel.StaticRoute{Prefix: netip.MustParsePrefix(p), NextHop: netip.MustParseAddr(hop)})
+	}
+	h1 := n.AddDevice("h1", netmodel.Host)
+	h1.AddInterface("eth0").Addr = netip.MustParsePrefix("10.0.1.10/24")
+	h1.DefaultGateway = netip.MustParseAddr("10.0.1.1")
+	h2 := n.AddDevice("h2", netmodel.Host)
+	h2.AddInterface("eth0").Addr = netip.MustParsePrefix("10.0.1.11/24")
+	h2.DefaultGateway = netip.MustParseAddr("10.0.7.1")
+
+	snap := Compute(n)
+	statics := func(dev string) map[string]string {
+		out := map[string]string{}
+		for _, e := range snap.RIB(dev) {
+			if e.Proto == Static {
+				out[e.Prefix.String()] = e.OutIf
+			}
+		}
+		return out
+	}
+	if got, want := statics("r1"), map[string]string{"192.168.1.0/24": "Gi0/0", "192.168.3.0/24": "Gi0/3"}; !maps.Equal(got, want) {
+		t.Fatalf("r1's static routes = %v, want %v", got, want)
+	}
+	if got, want := statics("h1"), map[string]string{"0.0.0.0/0": "eth0"}; !maps.Equal(got, want) {
+		t.Fatalf("h1's gateway route = %v, want %v", got, want)
+	}
+	if got := statics("h2"); len(got) != 0 {
+		t.Fatalf("h2's gateway is on no subnet, yet it routes %v", got)
 	}
 }

@@ -169,6 +169,9 @@ func ComputeWithOptions(n *netmodel.Network, opts Options) *Snapshot {
 	return s
 }
 
+// Network returns the network the snapshot reads.
+func (s *Snapshot) Network() *netmodel.Network { return s.net }
+
 // RIB returns the device's routing table (best paths, sorted), or nil for
 // an unknown device. Every call on one snapshot, and on the snapshots a
 // Derive shares the device's route cell with, returns the same slice.

@@ -7,13 +7,11 @@ package enforcer
 // Each such review pays a full shadow-snapshot derivation plus policy
 // verification even though the verdict is a pure function of its inputs.
 //
-// The cache keys on content, not identity: production-mutation version ×
-// privilege-rules digest × canonical change-set digest (plus the network
-// pointer, so one enforcer fronting two networks never cross-serves). Any
-// path that mutates production — a committed change set, a rollback, a
-// quarantine, recovery, or an out-of-band mutation reported through
-// ProductionWritten or InvalidateReviews — bumps the version, which orphans
-// every prior key.
+// The cache keys on content, not identity: privilege-rules digest ×
+// canonical change-set digest. Production belongs to the enforcer, and
+// every path that writes it — a committed change set, a rollback, a
+// quarantine, recovery, MutateProduction — holds the write lock and empties
+// the cache before it lets a review back in.
 //
 // A cached hit is observably identical to a fresh review: it appends the
 // same audit-trail entry (message and outcome recorded alongside the
@@ -21,17 +19,8 @@ package enforcer
 // JSON serialization is byte-for-byte the fresh result. Only the
 // verify-latency histogram is skipped, so that metric keeps measuring real
 // verifications.
-//
-// The invalidation contract: Review takes the production network as a
-// parameter and the enforcer's own pipeline (commit, emergency commit,
-// rollback, quarantine, Recover) bumps the version on every path that writes
-// it. Whoever mutates production any other way — maintenance edits, fault
-// injection — must call InvalidateReviews (or ProductionWritten, the same
-// call as far as verdicts go: snapshot.go) before the next review, or a
-// verdict for a network that no longer exists is replayed.
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -92,28 +81,33 @@ func (rc *reviewCache) clear() {
 }
 
 // InvalidateReviews discards every cached review verdict, the kept review
-// shadow and the held production snapshot by bumping the production
-// version. Whoever mutates production outside the enforcer's commit
-// pipeline (maintenance edits, fault injection) must call it — or
-// ProductionWritten, which keeps the snapshot — after the mutation and
-// before the next review, commit or ProductionSnapshot. The pipeline itself
-// drops only in Recover and in a custom target's rollback.
+// shadow and the held production snapshot. ROADMAP item 1 moves its one
+// outside caller, benchmark/, off it.
 func (e *Enforcer) InvalidateReviews() {
-	e.prodVersion.Add(1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.invalidate()
+}
+
+// invalidate is InvalidateReviews under the write lock: every production
+// writer ends in it, or in what keeps the snapshot (productionWritten, a
+// commit's hand-over) right after it.
+func (e *Enforcer) invalidate() {
 	e.prodSnap.Store(nil)
 	e.kept.Store(nil)
 	e.reviews.clear()
 }
 
-// ReviewKey returns the content address a review of changes under a spec
-// whose rules digest to rulesDigest (privilege.Spec.RulesDigest) would
-// occupy right now: production version, privilege-rules digest, canonical
-// change-set digest. Two calls return the same key exactly when the
-// enforcer would serve them the same verdict, which is what the verdict
-// cache keys on. The key changes on every production mutation, so it is
-// only meaningful for the duration of one submission.
-func (e *Enforcer) ReviewKey(changes []config.Change, rulesDigest string) string {
-	return "v" + strconv.FormatUint(e.prodVersion.Load(), 10) + "|" + rulesDigest + "|" + verify.ChangeSetDigest(changes)
+// reviewKey is the content address of a review of changes under spec,
+// whose rules digest to rulesDigest ("": digest them now): privilege-rules
+// digest, canonical change-set digest. Two reviews get the same key
+// exactly when the enforcer would serve them the same verdict on one
+// production version, which is what the verdict cache keys on.
+func reviewKey(changes []config.Change, spec *privilege.Spec, rulesDigest string) string {
+	if rulesDigest == "" {
+		rulesDigest = spec.RulesDigest()
+	}
+	return rulesDigest + "|" + verify.ChangeSetDigest(changes)
 }
 
 // clone returns a decision whose slices are independent of the original,
@@ -127,40 +121,29 @@ func (d *Decision) clone() *Decision {
 	return &c
 }
 
-// ReviewCached is Review plus a hit indicator: true means the verdict was
-// served from the cache (the audit trail and review counters are updated
-// identically either way).
+// ReviewCached is Review for benchmark/, which hands production in: it
+// refuses any network but the enforcer's own. ROADMAP item 1 deletes it.
 func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, bool) {
-	return e.ReviewKeyed(prod, changes, spec, e.ReviewKey(changes, spec.RulesDigest()))
+	if prod != e.prod {
+		return &Decision{Violations: []verify.Violation{{Reason: errForeignNetwork.Error()}}}, false
+	}
+	return e.Review(changes, spec, "")
 }
 
-// ReviewKeyed is ReviewCached for a caller that already holds ReviewKey's
-// answer for (changes, spec) — an engagement memoizes its rules digest —
-// so neither digest is computed twice. A key taken at an
-// earlier version is harmless: the verdict is computed on production as it
-// is, found only by holders of the same old key, dropped at the next bump.
-func (e *Enforcer) ReviewKeyed(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, key string) (*Decision, bool) {
-	return e.review(prod, nil, changes, spec, key, "")
-}
-
-// review is ReviewKeyed with the production snapshot a miss derives its
-// shadow from already in hand (the commit pipeline's); nil leaves the miss
-// to take it from ProductionSnapshot. rule is the commit's ("": strict).
-func (e *Enforcer) review(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (*Decision, bool) {
-	// The network pointer joins the cache key so an enforcer reviewing
-	// against two different networks (tests do) never serves one's verdict
-	// for the other.
-	cacheKey := fmt.Sprintf("%p|%s", prod, key)
-	if d, hit := e.reviews.get(cacheKey); hit {
+// review is Review under the lock, with the production snapshot a miss
+// derives its shadow from already in hand (the commit pipeline's); nil
+// leaves the miss to take the held one. rule is the commit's ("": strict).
+func (e *Enforcer) review(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (*Decision, bool) {
+	if d, hit := e.reviews.get(key); hit {
 		e.replayReview(spec, d)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
 		return d.clone(), true
 	}
-	d, msg, ok := e.reviewCompute(prod, prodSnap, changes, spec, key, rule)
+	d, msg, ok := e.reviewCompute(prodSnap, changes, spec, key, rule)
 	d.trailMsg, d.trailOK = msg, ok
 	e.replayReview(spec, d)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
-	e.reviews.put(cacheKey, d.clone())
+	e.reviews.put(key, d.clone())
 	return d, false
 }
 

@@ -64,11 +64,11 @@ func TestReviewCacheOracle(t *testing.T) {
 
 			// The reference output: the uncached review on a from-scratch
 			// snapshot of production.
-			dFresh, refMsg, _ := e.reviewCompute(n, dataplane.Compute(n), changes, spec, "", "")
+			dFresh, refMsg, _ := e.reviewCompute(dataplane.Compute(n), changes, spec, "", "")
 			ref := decisionJSON(t, dFresh)
 
-			d1, hit1 := e.ReviewCached(n, changes, spec)
-			d2, hit2 := e.ReviewCached(n, changes, spec)
+			d1, hit1 := e.Review(changes, spec, "")
+			d2, hit2 := e.Review(changes, spec, "")
 			if hit1 {
 				t.Fatal("first review hit a cold cache")
 			}
@@ -103,16 +103,16 @@ func TestReviewCacheInvalidatedByCommit(t *testing.T) {
 	spec := aclSpec()
 
 	ch := []config.Change{benignChange(15, 443)}
-	if _, hit := e.ReviewCached(n, ch, spec); hit {
+	if _, hit := e.Review(ch, spec, ""); hit {
 		t.Fatal("cold cache hit")
 	}
-	if _, hit := e.ReviewCached(n, ch, spec); !hit {
+	if _, hit := e.Review(ch, spec, ""); !hit {
 		t.Fatal("warm cache missed")
 	}
-	if _, err := e.Commit(n, []config.Change{benignChange(16, 8443)}, spec); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(16, 8443)}, spec); err != nil {
 		t.Fatal(err)
 	}
-	d, hit := e.ReviewCached(n, ch, spec)
+	d, hit := e.Review(ch, spec, "")
 	if hit {
 		t.Fatal("stale verdict served after commit mutated production")
 	}
@@ -132,8 +132,8 @@ func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 	spec := aclSpec()
 
 	ch := []config.Change{benignChange(15, 443)}
-	e.ReviewCached(n, ch, spec)
-	if _, hit := e.ReviewCached(n, ch, spec); !hit {
+	e.Review(ch, spec, "")
+	if _, hit := e.Review(ch, spec, ""); !hit {
 		t.Fatal("warm cache missed before quarantine")
 	}
 
@@ -143,21 +143,21 @@ func TestReviewCacheInvalidatedByRecover(t *testing.T) {
 	}})
 	e.SetInjector(inj)
 	changes := []config.Change{benignChange(16, 8443), benignChange(17, 80)}
-	if _, err := e.Commit(n, changes, spec); err == nil || !strings.Contains(err.Error(), "quarantined") {
+	if _, err := e.submit(changes, spec); err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("err = %v, want quarantine", err)
 	}
-	if _, hit := e.ReviewCached(n, ch, spec); hit {
+	if _, hit := e.Review(ch, spec, ""); hit {
 		t.Fatal("stale verdict served after quarantine left production half-applied")
 	}
 	e.SetInjector(nil)
-	if _, err := e.Recover(n); err != nil {
+	if _, err := e.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := e.ReviewCached(n, ch, spec); hit {
+	if _, hit := e.Review(ch, spec, ""); hit {
 		t.Fatal("stale verdict served after recovery mutated production")
 	}
 	// And the recomputed verdict re-warms the cache.
-	if _, hit := e.ReviewCached(n, ch, spec); !hit {
+	if _, hit := e.Review(ch, spec, ""); !hit {
 		t.Fatal("cache not re-warmed after recovery")
 	}
 }
@@ -178,7 +178,7 @@ func TestReviewCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			ch := []config.Change{benignChange(15+(i%2), 443)}
 			for j := 0; j < 50; j++ {
-				d, _ := e.ReviewCached(n, ch, spec)
+				d, _ := e.Review(ch, spec, "")
 				if !d.Accepted {
 					t.Errorf("benign change rejected: %+v", d)
 					return
@@ -191,7 +191,7 @@ func TestReviewCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	d, _ := e.ReviewCached(n, []config.Change{benignChange(15, 443)}, spec)
+	d, _ := e.Review([]config.Change{benignChange(15, 443)}, spec, "")
 	if !d.Accepted {
 		t.Fatal("cache poisoned by caller mutation")
 	}
@@ -208,13 +208,13 @@ func TestReviewCacheEviction(t *testing.T) {
 	a := []config.Change{benignChange(15, 443)}
 	b := []config.Change{benignChange(16, 8443)}
 	c := []config.Change{benignChange(17, 80)}
-	e.ReviewCached(n, a, spec)
-	e.ReviewCached(n, b, spec)
-	e.ReviewCached(n, c, spec) // evicts a
-	if _, hit := e.ReviewCached(n, c, spec); !hit {
+	e.Review(a, spec, "")
+	e.Review(b, spec, "")
+	e.Review(c, spec, "") // evicts a
+	if _, hit := e.Review(c, spec, ""); !hit {
 		t.Fatal("newest entry evicted")
 	}
-	if _, hit := e.ReviewCached(n, a, spec); hit {
+	if _, hit := e.Review(a, spec, ""); hit {
 		t.Fatal("oldest entry not evicted at capacity")
 	}
 }

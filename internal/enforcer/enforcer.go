@@ -17,6 +17,7 @@ package enforcer
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -37,7 +38,8 @@ import (
 	"heimdall/internal/verify"
 )
 
-// Enforcer gates changes from twin networks into one production network.
+// Enforcer gates changes from twin networks into one production network,
+// which it owns: nothing else writes it, and every reader gets a View.
 // Commits are serialized: concurrent engagements may review in parallel,
 // but only one change set at a time is verified-against and applied to
 // production, so a commit's verification always reflects the state it
@@ -45,16 +47,20 @@ import (
 //
 // The enforcer tracks production: it holds one dataplane snapshot and the
 // review verdicts of the current production version (snapshot.go,
-// cache.go). Its own commit pipeline keeps that version current; whoever
-// mutates production any other way must call ProductionWritten or
-// InvalidateReviews before the next review, commit or ProductionSnapshot.
+// cache.go). Every production writer is an enforcer method that holds the
+// write lock and moves the held snapshot on before it unlocks.
 type Enforcer struct {
 	encl     *enclave.Enclave
 	trail    *audit.Trail
 	journal  *journal.Journal
 	policies []verify.Policy
 	meter    telemetry.Meter
-	commitMu sync.Mutex
+	// mu guards prod's device map and everything that changes with it.
+	// Reviews, views and Quarantined read under mu.RLock; a commit (end to
+	// end), MutateProduction, Recover and the Set* seams write under
+	// mu.Lock. Unexported helpers assume it is held: it is not reentrant.
+	mu   sync.RWMutex
+	prod *netmodel.Network
 	// target, when set, replaces the in-memory production push path
 	// (SetTarget); injector gates the default path (SetInjector).
 	target   Target
@@ -72,37 +78,70 @@ type Enforcer struct {
 	Retry RetryPolicy
 	// Auth, when set, enforces M-of-N multi-party authorization: commits
 	// whose scheduled change set classifies high-risk (authz.Classify)
-	// are refused unless CommitApproved carries approvals the policy
+	// are refused unless the request carries approvals the policy
 	// verifies. Low-risk changes pass without approvals.
 	Auth *authz.Policy
-	// reviews memoizes review verdicts by content: production version ×
-	// privilege digest × change-set digest. prodVersion counts production
-	// mutations and is folded into every cache key, so a commit (or
-	// rollback, recovery, out-of-band mutation) invalidates all prior
-	// verdicts at once. See cache.go.
-	reviews     *reviewCache
-	prodVersion atomic.Uint64
-	// prodSnap is the production dataplane snapshot held for the current
-	// prodVersion, with the policy verdicts known on it (same contract as
-	// the verdict cache); snapMu serializes its lazy fill; kept is the latest
-	// accepted review's shadow. See snapshot.go.
+	// reviews memoizes review verdicts by content: privilege digest ×
+	// change-set digest. Every production write empties it. See cache.go.
+	reviews *reviewCache
+	// prodSnap is the production dataplane snapshot held for production
+	// as it is, with the policy verdicts known on it; snapMu serializes its
+	// lazy fill under the read lock; kept is the latest accepted review's
+	// shadow. See snapshot.go.
 	prodSnap atomic.Pointer[heldSnapshot]
 	snapMu   sync.Mutex
 	kept     atomic.Pointer[keptShadow]
 }
 
 // New creates an enforcer hosted in the given enclave, guarding the given
-// policy set. The audit-trail and commit-journal keys never exist outside
-// the enclave.
-func New(encl *enclave.Enclave, policies []verify.Policy) *Enforcer {
+// policy set on prod, which it owns from now on: the caller never writes it
+// again (MutateProduction) and reads it through View. The audit-trail and
+// commit-journal keys never exist outside the enclave.
+func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network) *Enforcer {
 	return &Enforcer{
 		encl:     encl,
 		trail:    audit.NewTrail(encl.DeriveKey("audit-trail")),
 		journal:  journal.New(encl.DeriveKey("commit-journal")),
 		policies: policies,
 		meter:    telemetry.Nop(),
+		prod:     prod,
 		reviews:  newReviewCache(reviewCacheCap),
 	}
+}
+
+// View returns a copy of production that shares its devices (a map copy:
+// published devices are immutable) and the held snapshot rebound to that
+// copy, both the caller's to read without any lock. The held snapshot
+// itself reads production's device map lazily, so it never leaves the lock.
+func (e *Enforcer) View() (*netmodel.Network, *dataplane.Snapshot) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	view := e.prod.CloneCOW()
+	return view, e.productionSnapshot().Derive(view, nil)
+}
+
+// MutateProduction applies fn to production under the write lock: the
+// out-of-band writer (fault injection, admin edits). fn writes clones: the
+// listed devices, or all of them when none is, are detached first
+// (netmodel.Network.Detach), and the held snapshot is derived across the
+// write (productionWritten). The list is a claim — a device written but not
+// listed leaves a wrong snapshot held and writes open twins. Without one,
+// and whenever fn fails (it may have partially applied), verdicts and
+// snapshot are dropped.
+func (e *Enforcer) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	written := devices
+	if len(written) == 0 {
+		written = e.prod.DeviceNames()
+	}
+	pre := e.prod.Detach(written...)
+	if err := fn(e.prod); err != nil || len(devices) == 0 {
+		e.invalidate()
+		return err
+	}
+	e.productionWritten(pre, devices)
+	return nil
 }
 
 // SetMeter wires enforcer telemetry (reviews, verify latency, changes
@@ -169,21 +208,24 @@ func (d *Decision) Reason() string {
 }
 
 // Review checks a candidate change set against the Privilegemsp and the
-// network policies, without touching production. A repeat of an
-// already-reviewed change set against the same production version replays
-// the cached verdict; callers who need to know use ReviewCached.
-func (e *Enforcer) Review(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) *Decision {
-	d, _ := e.ReviewCached(prod, changes, spec)
-	return d
+// network policies on production as it is, without touching production,
+// and reports whether the verdict was served from the verdict cache (the
+// audit trail and review counters are updated identically either way).
+// rulesDigest is spec's (privilege.Spec.RulesDigest) when the caller holds
+// it — an engagement memoizes it — and "" otherwise.
+func (e *Enforcer) Review(changes []config.Change, spec *privilege.Spec, rulesDigest string) (*Decision, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.review(nil, changes, spec, reviewKey(changes, spec, rulesDigest), "")
 }
 
 // reviewCompute is the uncached review: it returns the decision plus the
 // audit-trail message and outcome flag of the entry every requester it
 // answers has appended (replayReview); an acceptance keeps its shadow and
 // the shadow's verdicts under key for the commit (handOver). prodSnap is
-// the production snapshot to derive the shadow from; nil means take it from
-// ProductionSnapshot once the privilege check passed.
-func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (d *Decision, trailMsg string, trailOK bool) {
+// the production snapshot to derive the shadow from; nil means take the
+// held one once the privilege check passed.
+func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (d *Decision, trailMsg string, trailOK bool) {
 	d = &Decision{}
 
 	// Privilege check: every change must be authorized. The compiled form
@@ -202,7 +244,7 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	// only the devices the change set names are cloned (ApplyChanges never
 	// creates devices and only writes the named ones), the rest are shared
 	// read-only with production.
-	shadow := prod.CloneCOW(touchedDevices(changes)...)
+	shadow := e.prod.CloneCOW(touchedDevices(changes)...)
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		d.Violations = append(d.Violations, verify.Violation{
 			Reason: fmt.Sprintf("changes do not apply cleanly: %v", err),
@@ -216,9 +258,9 @@ func (e *Enforcer) reviewCompute(prod *netmodel.Network, prodSnap *dataplane.Sna
 	// policies whose production trace crosses a device the change set moved
 	// are evaluated. next is the shadow's vector, every verdict in it.
 	if prodSnap == nil {
-		prodSnap = e.ProductionSnapshot(prod)
+		prodSnap = e.productionSnapshot()
 	}
-	shadowSnap := prodSnap.Derive(shadow, changeSetFor(prod, changes))
+	shadowSnap := prodSnap.Derive(shadow, changeSetFor(e.prod, changes))
 	verifyStart := time.Now()
 	next := make(verify.Verdicts, len(e.policies))
 	res := verify.CheckCarried(shadowSnap, e.policies, e.reviewVerdicts(prodSnap), next, e.meter)
@@ -349,70 +391,71 @@ func Schedule(changes []config.Change) []config.Change {
 	return out
 }
 
-// Commit reviews, schedules and applies the change set to production
-// through the push pipeline: the commit intent (change set + each change's
-// undo) is journaled before anything touches production, every change
-// is pushed with per-change retry/backoff and journaled as applied, and
-// after application the full policy set is re-verified against the real
-// network. On any unrecoverable failure every touched device is restored
-// (rollback is retried too); if rollback itself fails the enforcer
-// quarantines rather than leave a silent partial state.
-//
-// Commit carries no approvals: with an Auth policy set, high-risk change
-// sets are refused — use CommitApproved.
-func (e *Enforcer) Commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, error) {
-	return e.CommitApproved(prod, changes, spec, nil)
+// CommitRequest is one change set submitted for production.
+type CommitRequest struct {
+	Changes []config.Change
+	Spec    *privilege.Spec
+	// RulesDigest is Spec's rules digest (privilege.Spec.RulesDigest) when
+	// the caller holds it — an engagement memoizes it; "" digests Spec.
+	RulesDigest string
+	// Approvals are the M-of-N approvals over the scheduled change set.
+	// When the enforcer has an Auth policy and the set classifies
+	// high-risk, they must verify (M distinct valid signatures over the
+	// ticket + scheduled change set, both parties represented if the policy
+	// demands it) before the intent is journaled; they are recorded in the
+	// intent record, so the journal itself proves who authorized the push.
+	Approvals []journal.Approval
+	// Emergency, when set, makes the commit one emergency write (paper §7):
+	// it is called under the commit's hold of the write lock with
+	// production, to read and never write, and returns the change set the
+	// commit takes in place of Changes — so the device it diffs is the one
+	// the commit lands on. One rule changes: the policies production
+	// violates now, the incident the write repairs, are tolerated, so the
+	// set is accepted when it introduces no new violation. Its intent names
+	// them, and Recover replays to the same rule. An error, or no change,
+	// commits nothing: Submit returns it with a nil decision.
+	Emergency func(prod *netmodel.Network) ([]config.Change, error)
 }
 
-// CommitApproved is Commit with M-of-N approvals attached. When the
-// enforcer has an Auth policy and the scheduled change set classifies
-// high-risk, the approvals must verify (M distinct valid signatures over
-// the ticket + scheduled change set, both parties represented if the
-// policy demands it) before the intent is journaled; the approvals are
-// recorded in the intent record, so the journal itself proves who
-// authorized the push.
-func (e *Enforcer) CommitApproved(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, approvals []journal.Approval) (*Decision, error) {
-	return e.commit(prod, changes, spec, spec.RulesDigest(), approvals, false)
-}
-
-// CommitDigested is Commit for a caller that already holds spec's rules
-// digest (privilege.Spec.RulesDigest) — an engagement's twin memoizes it —
-// so the commit does not digest the rules again.
-func (e *Enforcer) CommitDigested(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, rulesDigest string) (*Decision, error) {
-	return e.commit(prod, changes, spec, rulesDigest, nil, false)
-}
-
-// CommitEmergency is Commit for one emergency write (paper §7) with one rule
-// changed: the policies production violates now, the incident the write
-// repairs, are tolerated, so the set is accepted when it introduces no new
-// violation. Its intent names them, and Recover replays to the same rule.
-func (e *Enforcer) CommitEmergency(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, error) {
-	return e.commit(prod, changes, spec, spec.RulesDigest(), nil, true)
-}
-
-// commit is CommitApproved, CommitDigested and CommitEmergency.
-func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec, rulesDigest string, approvals []journal.Approval, emergency bool) (*Decision, error) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+// Submit reviews, schedules and applies a change set to production
+// through the push pipeline, holding the write lock throughout: the
+// commit intent (change set + each change's undo) is journaled before
+// anything touches production, every change is pushed with per-change
+// retry/backoff and journaled as applied, and after application the full
+// policy set is re-verified against the real network. On any unrecoverable
+// failure every touched device is restored (rollback is retried too); if
+// rollback itself fails the enforcer quarantines rather than leave a silent
+// partial state.
+func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if req.Emergency != nil {
+		changes, err := req.Emergency(e.prod)
+		if err != nil || len(changes) == 0 {
+			return nil, err
+		}
+		req.Changes = changes
+	}
+	changes, spec, approvals := req.Changes, req.Spec, req.Approvals
 	if e.quarantined {
 		e.countCommit(false)
 		return nil, fmt.Errorf("enforcer: quarantined (%s); run Recover before committing", e.quarReason)
 	}
 	// The pre-commit snapshot serves the review and, when the built-in
 	// target applies the changes, is what the post-apply snapshot's ancestor
-	// derives from. What a custom target does to prod is not the enforcer's
-	// to assume: there the post-apply check computes from scratch.
+	// derives from. What a custom target does to production is not the
+	// enforcer's to assume: there the post-apply check computes from scratch.
 	var pre *dataplane.Snapshot
 	if e.target == nil {
-		pre = e.ProductionSnapshot(prod)
+		pre = e.productionSnapshot()
 	}
-	key := e.ReviewKey(changes, rulesDigest)
+	key := reviewKey(changes, spec, req.RulesDigest)
 	// Own key: a strict review shares no emergency verdict or kept shadow.
 	rule := ""
-	if emergency {
-		rule, key = e.emergencyRule(prod, pre), "emergency|"+key
+	if req.Emergency != nil {
+		rule, key = e.emergencyRule(pre), "emergency|"+key
 	}
-	d, _ := e.review(prod, pre, changes, spec, key, rule)
+	d, _ := e.review(pre, changes, spec, key, rule)
 	if !d.Accepted {
 		e.countCommit(false)
 		return d, fmt.Errorf("enforcer: change set rejected: %s", d.Reason())
@@ -436,8 +479,8 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	// The push writes clones of the touched devices (open twins share the
 	// rest); backup holds the untouched originals: the journal's undos,
 	// rollback and the production ancestor's diff read them.
-	backup := prod.Detach(devices...)
-	tgt := e.pushTarget(prod)
+	backup := e.prod.Detach(devices...)
+	tgt := e.pushTarget()
 	policy := e.Retry.withDefaults()
 	e.commitSeq++
 	cid := fmt.Sprintf("%s#%d", spec.Ticket, e.commitSeq)
@@ -460,7 +503,7 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 		e.meter.Histogram("heimdall_enforcer_push_seconds", telemetry.LatencyBuckets).
 			ObserveDuration(time.Since(opStart))
 		if err != nil {
-			outcome := e.rollbackPush(tgt, prod, policy, rng, backup, devices, id, cid,
+			outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 				fmt.Sprintf("apply failed: %v", err))
 			e.countCommit(false)
 			if outcome == "quarantined" {
@@ -476,10 +519,10 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	// Never trust, always verify: production must now be what was verified.
 	// A push that landed its review's shadow diffs empty against it, and the
 	// diff is the verification; anything else is re-checked where it differs.
-	postSnap, verdicts, violations, from := e.handOver(key, pre, backup, prod, devices)
+	postSnap, verdicts, violations, from := e.handOver(key, pre, backup, devices)
 	e.meter.Counter("heimdall_enforcer_commit_handover_total", telemetry.L("from", from)).Inc()
 	if violations := untolerated(rule, violations); len(violations) > 0 {
-		outcome := e.rollbackPush(tgt, prod, policy, rng, backup, devices, id, cid,
+		outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 			fmt.Sprintf("post-apply verification failed: %d violations", len(violations)))
 		d.Accepted = false
 		d.Violations = violations
@@ -495,11 +538,23 @@ func (e *Enforcer) commit(prod *netmodel.Network, changes []config.Change, spec 
 	// Production changed: every cached review verdict is now stale, and the
 	// snapshot just verified, with the verdicts it was verified to, is what
 	// is held of the new version.
-	e.InvalidateReviews()
-	e.prodSnap.Store(&heldSnapshot{net: prod, version: e.prodVersion.Load(), snap: postSnap, verdicts: verdicts})
+	e.invalidate()
+	e.prodSnap.Store(&heldSnapshot{snap: postSnap, verdicts: verdicts})
 	e.countCommit(true)
 	return d, nil
 }
+
+// Commit is Submit for benchmark/, which hands production in: it refuses
+// any network but the enforcer's own. ROADMAP item 1 deletes it.
+func (e *Enforcer) Commit(prod *netmodel.Network, changes []config.Change, spec *privilege.Spec) (*Decision, error) {
+	if prod != e.prod {
+		return nil, errForeignNetwork
+	}
+	return e.Submit(CommitRequest{Changes: changes, Spec: spec})
+}
+
+// errForeignNetwork refuses a network the enforcer does not own.
+var errForeignNetwork = errors.New("enforcer: not this enforcer's production network")
 
 // tolerates opens the rule an emergency commit changes, its intent Detail:
 // the IDs of the policies production violated when it began follow,
@@ -510,9 +565,9 @@ const tolerates = "emergency: tolerates"
 // emergencyRule is an emergency commit's rule: the policies production
 // violates before it, read from the held vector's filled slots and decided
 // on held (the pre-commit snapshot; nil: the held one) for the empty ones.
-func (e *Enforcer) emergencyRule(prod *netmodel.Network, held *dataplane.Snapshot) string {
+func (e *Enforcer) emergencyRule(held *dataplane.Snapshot) string {
 	if held == nil {
-		held = e.ProductionSnapshot(prod)
+		held = e.productionSnapshot()
 	}
 	vec, rule := e.verdictsOf(held), tolerates
 	if vec == nil { // no longer the held snapshot: nothing is known of it

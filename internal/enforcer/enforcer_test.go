@@ -43,7 +43,7 @@ func newEnforcer(n *netmodel.Network) *Enforcer {
 	platform := enclave.NewPlatformFromSeed("test")
 	encl := platform.Load("heimdall-enforcer-v1")
 	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
-	return New(encl, policies)
+	return New(encl, policies, n)
 }
 
 func allowSpec(rules ...privilege.Rule) *privilege.Spec {
@@ -63,7 +63,7 @@ func TestReviewAcceptsBenignChange(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
 			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 443},
 	}}
-	d := e.Review(n, changes, aclSpec())
+	d := e.check(changes, aclSpec())
 	if !d.Accepted {
 		t.Fatalf("benign change rejected: %+v", d)
 	}
@@ -86,7 +86,7 @@ func TestReviewRejectsMaliciousPermit(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
 			Dst: netip.MustParsePrefix("10.3.0.0/24")},
 	}}
-	d := e.Review(n, changes, aclSpec())
+	d := e.check(changes, aclSpec())
 	if d.Accepted {
 		t.Fatal("malicious permit accepted")
 	}
@@ -115,7 +115,7 @@ func TestReviewRejectsUnauthorizedChange(t *testing.T) {
 		Device: "r1", Op: config.OpSetInterface,
 		Interface: &netmodel.Interface{Name: "Gi0/1", Shutdown: true},
 	}}
-	d := e.Review(n, changes, aclSpec())
+	d := e.check(changes, aclSpec())
 	if d.Accepted || len(d.Unauthorized) != 1 {
 		t.Fatalf("unauthorized change not caught: %+v", d)
 	}
@@ -148,7 +148,7 @@ func TestReviewReplacementNeedsAddAndRemove(t *testing.T) {
 		{"add and remove", allowSpec(rule(privilege.AllowEffect, "config.acl.add"), rule(privilege.AllowEffect, "config.acl.remove")), true},
 		{"config.acl.*", aclSpec(), true},
 	} {
-		d := e.Review(n, widened, tc.spec)
+		d := e.check(widened, tc.spec)
 		if d.Accepted != tc.ok || (len(d.Unauthorized) == 0) != tc.ok {
 			t.Errorf("%s: accepted %v, unauthorized %v; want accepted %v", tc.name, d.Accepted, d.Unauthorized, tc.ok)
 		}
@@ -178,7 +178,7 @@ func TestReviewSeesMovedHostAddress(t *testing.T) {
 		n := prod()
 		e := newEnforcer(n)
 		changes := addPort(tc.host, tc.addr)
-		held := e.ProductionSnapshot(n)
+		held := e.productionSnapshot()
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				for _, p := range protos {
@@ -207,11 +207,11 @@ func TestReviewSeesMovedHostAddress(t *testing.T) {
 
 	n := prod()
 	e := newEnforcer(n)
-	if d := e.Review(n, []config.Change{benignChange(15, 443)}, aclSpec()); !d.Accepted {
+	if d := e.check([]config.Change{benignChange(15, 443)}, aclSpec()); !d.Accepted {
 		t.Fatalf("benign change rejected: %+v", d)
 	}
 	changes := addPort("h2", "10.9.9.9/24")
-	d := e.Review(n, changes, allowSpec(privilege.Rule{Effect: privilege.AllowEffect,
+	d := e.check(changes, allowSpec(privilege.Rule{Effect: privilege.AllowEffect,
 		Action: "config.interface.*", Resource: "device:h2:*"}))
 	if d.Accepted {
 		t.Fatal("a review that moves h2's address off every route was accepted")
@@ -233,7 +233,7 @@ func TestCommitAppliesAndAudits(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 15, Action: netmodel.Permit, Proto: netmodel.TCP,
 			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 443},
 	}}
-	d, err := e.Commit(n, changes, aclSpec())
+	d, err := e.submit(changes, aclSpec())
 	if err != nil || !d.Accepted {
 		t.Fatalf("commit failed: %v %+v", err, d)
 	}
@@ -264,7 +264,7 @@ func TestCommitRejectedLeavesProductionUntouched(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
 			Dst: netip.MustParsePrefix("10.3.0.0/24")},
 	}}
-	if _, err := e.Commit(n, changes, aclSpec()); err == nil {
+	if _, err := e.submit(changes, aclSpec()); err == nil {
 		t.Fatal("violating commit accepted")
 	}
 	if len(n.Device("r1").ACLs["GUARD"].Entries) != before {
@@ -287,7 +287,7 @@ func TestCommitRollsBackOnApplyFailure(t *testing.T) {
 	}
 	// Review fails already (does not apply cleanly) — which is the
 	// desired gate; production stays untouched.
-	if _, err := e.Commit(n, changes, aclSpec()); err == nil {
+	if _, err := e.submit(changes, aclSpec()); err == nil {
 		t.Fatal("duplicate removal accepted")
 	}
 	if len(n.Device("r1").ACLs["GUARD"].Entries) != 2 {
@@ -340,7 +340,7 @@ func TestScheduleOrdering(t *testing.T) {
 func TestAttest(t *testing.T) {
 	platform := enclave.NewPlatformFromSeed("attest-test")
 	encl := platform.Load("heimdall-enforcer-v1")
-	e := New(encl, nil)
+	e := New(encl, nil, prod())
 	nonce := []byte("customer-nonce")
 	report := e.Attest(nonce)
 	if err := platform.VerifyReport(report, encl.Measurement(), nonce); err != nil {
@@ -442,3 +442,14 @@ func TestSchedulePermutationProperty(t *testing.T) {
 }
 
 func dev(r *rand.Rand) string { return []string{"r1", "r2", "r3"}[r.Intn(3)] }
+
+// check is Review for a test that needs only the decision.
+func (e *Enforcer) check(changes []config.Change, spec *privilege.Spec) *Decision {
+	d, _ := e.Review(changes, spec, "")
+	return d
+}
+
+// submit commits a ticket's change set, no approvals attached.
+func (e *Enforcer) submit(changes []config.Change, spec *privilege.Spec) (*Decision, error) {
+	return e.Submit(CommitRequest{Changes: changes, Spec: spec})
+}

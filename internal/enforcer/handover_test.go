@@ -56,7 +56,7 @@ func verdictsMatchCompute(t *testing.T, step string, policies []verify.Policy, v
 // n gives.
 func heldMatchesCompute(t *testing.T, step string, e *Enforcer, n *netmodel.Network) {
 	t.Helper()
-	held, fresh := e.ProductionSnapshot(n), dataplane.Compute(n)
+	held, fresh := e.productionSnapshot(), dataplane.Compute(n)
 	for _, p := range e.policies {
 		got, _ := held.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
 		want, _ := fresh.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
@@ -64,7 +64,7 @@ func heldMatchesCompute(t *testing.T, step string, e *Enforcer, n *netmodel.Netw
 			t.Fatalf("%s: held snapshot answers %s with %v, a fresh Compute with %v", step, p, got, want)
 		}
 	}
-	verdictsMatchCompute(t, step, e.policies, e.HeldVerdicts(n), n)
+	verdictsMatchCompute(t, step, e.policies, e.HeldVerdicts(), n)
 }
 
 // handovers reads the commit hand-over counter by ancestor.
@@ -91,7 +91,7 @@ func evaluated(reg *telemetry.Registry) float64 {
 func TestCommitLandsReplacedEntry(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	want := n.Devices["r1"].Clone()
@@ -101,7 +101,7 @@ func TestCommitLandsReplacedEntry(t *testing.T) {
 		t.Fatalf("the replacement diffs as %v, want one set-acl-entry", changes)
 	}
 	pushed := reg.CounterValue("heimdall_enforcer_changes_applied_total")
-	if d, err := e.Commit(n, changes, aclSpec()); err != nil || !d.Accepted {
+	if d, err := e.submit(changes, aclSpec()); err != nil || !d.Accepted {
 		t.Fatalf("commit of the replacement: %v %+v", err, d)
 	}
 	if got := reg.CounterValue("heimdall_enforcer_changes_applied_total") - pushed; got != 1 {
@@ -139,7 +139,7 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 	other.Technician = "riley"
 	commit := func(step string, changes ...config.Change) {
 		t.Helper()
-		if d, err := e.Commit(n, changes, spec); err != nil || !d.Accepted {
+		if d, err := e.submit(changes, spec); err != nil || !d.Accepted {
 			t.Fatalf("%s: %v %+v", step, err, d)
 		}
 		heldMatchesCompute(t, step, e, n)
@@ -157,7 +157,7 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 		if reviewed == nil {
 			return
 		}
-		held := e.HeldVerdicts(n)
+		held := e.HeldVerdicts()
 		if len(held) != len(reviewed) {
 			t.Fatalf("%s: %d held slots, the review kept %d", step, len(held), len(reviewed))
 		}
@@ -168,7 +168,7 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 		}
 	}
 
-	e.Review(n, []config.Change{benignChange(15, 443)}, spec)
+	e.check([]config.Change{benignChange(15, 443)}, spec)
 	before := evaluated(reg)
 	handsOverReview("reviewed", 0, e.kept.Load().verdicts, benignChange(15, 443))
 	if got := evaluated(reg) - before; got != 0 {
@@ -183,8 +183,8 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 		t.Fatalf("hand-overs after an unreviewed commit = %v, want [2 0 0]", got)
 	}
 
-	e.Review(n, []config.Change{benignChange(17, 8081)}, spec)
-	e.Review(n, []config.Change{benignChange(18, 8082)}, other)
+	e.check([]config.Change{benignChange(17, 8081)}, spec)
+	e.check([]config.Change{benignChange(18, 8082)}, other)
 	commit("displaced", benignChange(17, 8081))
 	if got := handovers(reg); got != [3]float64{2, 1, 0} {
 		t.Fatalf("hand-overs after a displaced review = %v, want [2 1 0]", got)
@@ -210,19 +210,19 @@ func TestHandOverDiffsAncestor(t *testing.T) {
 			e, _ := snapshotEnforcer(n)
 			spec := aclSpec()
 			reviewed := []config.Change{benignChange(15, 443)}
-			if d := e.Review(n, reviewed, spec); !d.Accepted {
+			if d := e.check(reviewed, spec); !d.Accepted {
 				t.Fatalf("review: %+v", d)
 			}
-			pre := e.ProductionSnapshot(n)
+			pre := e.productionSnapshot()
 			backup := n.CloneCOW("r1")
-			key := e.ReviewKey(reviewed, spec.RulesDigest())
+			key := reviewKey(reviewed, spec, "")
 			if which == "production" {
 				key = "another review"
 			}
 			if err := config.ApplyChanges(n, []config.Change{benignChange(15, 443), maliciousPermit()}); err != nil {
 				t.Fatal(err)
 			}
-			_, next, violations, from := e.handOver(key, pre, backup, n, []string{"r1"})
+			_, next, violations, from := e.handOver(key, pre, backup, []string{"r1"})
 			if from != which {
 				t.Fatalf("ancestor = %s, want %s", from, which)
 			}
@@ -235,43 +235,22 @@ func TestHandOverDiffsAncestor(t *testing.T) {
 	}
 }
 
-// TestKeptShadowNeedsParent: the kept shadow is an ancestor only of the
-// snapshot it was derived from. When the held snapshot of production was
-// replaced at the same version (another network was served in between, and
-// production's was computed again), the commit's review is still a cache
-// hit under the same key, but the shadow's parent is gone: the commit
-// derives from the pre-commit snapshot instead.
-func TestKeptShadowNeedsParent(t *testing.T) {
-	n := prod()
-	e, reg := snapshotEnforcer(n)
-	changes := []config.Change{benignChange(15, 443)}
-	e.Review(n, changes, aclSpec())
-	e.ProductionSnapshot(prod())
-	if d, err := e.Commit(n, changes, aclSpec()); err != nil || !d.Accepted {
-		t.Fatalf("commit: %v %+v", err, d)
-	}
-	if got := handovers(reg); got != [3]float64{0, 1, 0} {
-		t.Fatalf("hand-overs review/production/computed = %v, want [0 1 0]: a shadow of another snapshot was taken", got)
-	}
-	heldMatchesCompute(t, "commit", e, n)
-}
-
 // TestInvalidateReviewsDropsKeptShadow: an accepted review keeps its shadow,
 // a rejected one keeps nothing, and whatever drops the version — an
 // out-of-band write, a commit, a rollback — drops the shadow with it.
 func TestInvalidateReviewsDropsKeptShadow(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
-	if e.Review(n, []config.Change{maliciousPermit()}, aclSpec()); e.kept.Load() != nil {
+	if e.check([]config.Change{maliciousPermit()}, aclSpec()); e.kept.Load() != nil {
 		t.Fatal("a rejected review kept its shadow")
 	}
-	if e.Review(n, []config.Change{benignChange(15, 443)}, aclSpec()); e.kept.Load() == nil {
+	if e.check([]config.Change{benignChange(15, 443)}, aclSpec()); e.kept.Load() == nil {
 		t.Fatal("an accepted review kept no shadow")
 	}
 	if e.InvalidateReviews(); e.kept.Load() != nil {
 		t.Fatal("InvalidateReviews left the kept shadow")
 	}
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	if e.kept.Load() != nil {
@@ -281,7 +260,7 @@ func TestInvalidateReviewsDropsKeptShadow(t *testing.T) {
 	e.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
 		{Scope: "r1", Op: "apply", FailNth: 2, Class: faultinject.Permanent},
 	}}))
-	if _, err := e.Commit(n, []config.Change{benignChange(16, 8080), benignChange(17, 8081)}, aclSpec()); err == nil || !strings.Contains(err.Error(), "rolled back") {
+	if _, err := e.submit([]config.Change{benignChange(16, 8080), benignChange(17, 8081)}, aclSpec()); err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("err = %v, want a rollback", err)
 	}
 	if e.kept.Load() != nil || handovers(reg) != [3]float64{1, 0, 0} {
@@ -291,17 +270,17 @@ func TestInvalidateReviewsDropsKeptShadow(t *testing.T) {
 }
 
 // TestHandOverHammer races never-repeating reviews against a committer that
-// reviews a change set and then commits it, under a read-write lock as
-// core.System holds production. The reviews displace the shadow of a set
-// reviewed under the read lock, so its commit hands over from production;
-// a set reviewed under the commit's own write lock hands over from its
-// review. Run under -race: every commit is accepted and decided as a
+// reviews a change set and then commits it. A gate of the test's own (gate)
+// lets the reviews run between the two or holds them off: the reviews
+// displace the shadow of a set reviewed while they run, so its commit hands
+// over from production; a set reviewed and committed while they are held
+// off hands over from its review. Run under -race: every commit is accepted and decided as a
 // from-scratch check decides it, and what is held at rest is a fresh
 // Compute's.
 func TestHandOverHammer(t *testing.T) {
 	scen := scenarios.University()
 	n := scen.Network
-	e := newCrashEnforcer(scen)
+	e := newCrashEnforcer(scen, n)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
 	wide := &privilege.Spec{Ticket: "T-HANDOVER", Technician: "alice", Rules: []privilege.Rule{
@@ -312,7 +291,7 @@ func TestHandOverHammer(t *testing.T) {
 		return []config.Change{{Device: infra[k%len(infra)], Op: config.OpAddACLEntry, ACLName: acl,
 			Entry: &netmodel.ACLEntry{Seq: 10 + k, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: uint16(9000 + k)}}}
 	}
-	var mu sync.RWMutex
+	var gate sync.RWMutex
 	var seq atomic.Int64
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -326,9 +305,9 @@ func TestHandOverHammer(t *testing.T) {
 					return
 				default:
 				}
-				mu.RLock()
-				e.Review(n, entry("HAMMER", int(seq.Add(1))), wide)
-				mu.RUnlock()
+				gate.RLock()
+				e.check(entry("HAMMER", int(seq.Add(1))), wide)
+				gate.RUnlock()
 			}
 		}()
 	}
@@ -336,21 +315,22 @@ func TestHandOverHammer(t *testing.T) {
 	for i := 0; i < commits; i++ {
 		changes := entry("COMMITTED", i)
 		if i%2 == 0 {
-			mu.Lock()
-			e.Review(n, changes, wide)
+			gate.Lock()
+			e.check(changes, wide)
 		} else {
-			mu.RLock()
-			e.Review(n, changes, wide)
-			mu.RUnlock()
-			mu.Lock()
+			gate.RLock()
+			e.check(changes, wide)
+			gate.RUnlock()
+			gate.Lock()
 		}
-		shadow := n.Clone()
+		view, _ := e.View()
+		shadow := view.Clone()
 		if err := config.ApplyChanges(shadow, changes); err != nil {
 			t.Fatal(err)
 		}
 		res := verify.Check(dataplane.Compute(shadow), scen.Policies)
-		d, err := e.Commit(n, changes, wide)
-		mu.Unlock()
+		d, err := e.submit(changes, wide)
+		gate.Unlock()
 		if err != nil || decisionJSON(t, d) != decisionJSON(t, &Decision{Accepted: len(res.Violations) == 0, Violations: res.Violations, Checked: res.Checked}) {
 			t.Fatalf("commit %d: %v %+v, a from-scratch check accepts: %v", i, err, d, len(res.Violations) == 0)
 		}

@@ -160,28 +160,27 @@ func (e *Enforcer) pushOp(p RetryPolicy, rng *jitter, phase string, op func() er
 // SetInjector gates the default in-memory target with a fault injector
 // (chaos tests and drills). A nil injector removes the gate.
 func (e *Enforcer) SetInjector(inj *faultinject.Injector) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.injector = inj
 }
 
 // SetTarget replaces the production push path with a custom Target.
-// The target must mutate the same *netmodel.Network that Commit
-// receives, because post-apply verification recomputes from it. A nil
-// target restores the built-in in-memory path.
+// The target must mutate the network the enforcer was built on, because
+// post-apply verification recomputes from it. A nil target restores the
+// built-in in-memory path.
 func (e *Enforcer) SetTarget(t Target) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.target = t
 }
 
-// pushTarget returns the Target for the given production network.
-// Callers hold commitMu.
-func (e *Enforcer) pushTarget(prod *netmodel.Network) Target {
+// pushTarget returns the Target a commit pushes through.
+func (e *Enforcer) pushTarget() Target {
 	if e.target != nil {
 		return e.target
 	}
-	return &memTarget{net: prod, inj: e.injector}
+	return &memTarget{net: e.prod, inj: e.injector}
 }
 
 // Journal returns the enforcer's write-ahead commit journal.
@@ -191,8 +190,8 @@ func (e *Enforcer) Journal() *journal.Journal { return e.journal }
 // the surviving journal (authenticated under JournalKey) and hands it to a
 // fresh enforcer.
 func (e *Enforcer) SetJournal(j *journal.Journal) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.journal = j
 }
 
@@ -207,8 +206,8 @@ func (e *Enforcer) JournalKey() []byte {
 // degraded state, and why. While quarantined the enforcer refuses new
 // commits; Recover clears the state by restoring consistency.
 func (e *Enforcer) Quarantined() (bool, string) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	return e.quarantined, e.quarReason
 }
 
@@ -225,18 +224,17 @@ func touchedDevices(changes []config.Change) []string {
 // rollbackPush restores every touched device from the backup through the
 // target, retrying each restore. If any device cannot be restored the
 // enforcer quarantines instead of leaving a silent partial state. It
-// returns the terminal outcome ("rolled-back" or "quarantined"). Callers
-// hold commitMu.
-func (e *Enforcer) rollbackPush(tgt Target, prod *netmodel.Network, p RetryPolicy, rng *jitter, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
+// returns the terminal outcome ("rolled-back" or "quarantined").
+func (e *Enforcer) rollbackPush(tgt Target, p RetryPolicy, rng *jitter, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
 	// Production was written, so no cached verdict survives. The built-in
 	// target writes only the touched devices: the held pre-commit snapshot is
 	// derived across what still differs from the backup (nothing, after a
 	// clean restore). What a custom target did is not the enforcer's to assume.
 	defer func() {
 		if e.target == nil {
-			e.ProductionWritten(prod, backup, devices)
+			e.productionWritten(backup, devices)
 		} else {
-			e.InvalidateReviews()
+			e.invalidate()
 		}
 	}()
 	var restored, failed []string
@@ -295,16 +293,17 @@ type RecoveryReport struct {
 // match its changes is rolled back without writing any device. Recovery runs
 // without the fault injector — it models the operator-driven repair path —
 // and clears a quarantine once production is consistent again.
-func (e *Enforcer) Recover(prod *netmodel.Network) (*RecoveryReport, error) {
-	e.commitMu.Lock()
-	defer e.commitMu.Unlock()
+func (e *Enforcer) Recover() (*RecoveryReport, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	prod := e.prod
 	intent, _ := e.journal.Open()
 	if intent == nil {
 		return &RecoveryReport{Action: "none"}, nil
 	}
 	// Recovery rewrites production (undo, then replay); no verdict cached
 	// against the interrupted state may survive it, whichever way it ends.
-	defer e.InvalidateReviews()
+	defer e.invalidate()
 	e.meter.Counter("heimdall_enforcer_recoveries_total").Inc()
 	id := specIdent{intent.Ticket, intent.Technician}
 	rep := &RecoveryReport{Commit: intent.Commit, Changes: len(intent.Changes)}

@@ -54,7 +54,7 @@ func TestCommitRetriesTransientFaultAndSucceeds(t *testing.T) {
 	inj.SetMeter(reg)
 	e.SetInjector(inj)
 
-	d, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec())
+	d, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec())
 	if err != nil || !d.Accepted {
 		t.Fatalf("commit with transient faults failed: %v %+v", err, d)
 	}
@@ -111,7 +111,7 @@ func TestPermanentFaultNotRetried(t *testing.T) {
 	inj.SetSleep(func(time.Duration) { applies++ })
 	e.SetInjector(inj)
 
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err == nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err == nil {
 		t.Fatal("commit with permanent fault succeeded")
 	}
 	if len(sleeps) != 0 {
@@ -146,7 +146,7 @@ func TestRollbackRestoresProductionExactly(t *testing.T) {
 	}})
 	e.SetInjector(inj)
 	changes := []config.Change{benignChange(15, 443), benignChange(16, 8443)}
-	if _, err := e.Commit(n, changes, aclSpec()); err == nil {
+	if _, err := e.submit(changes, aclSpec()); err == nil {
 		t.Fatal("commit should have failed")
 	}
 	if !reflect.DeepEqual(n, pre) {
@@ -182,7 +182,7 @@ func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
 	e := newEnforcer(n)
 	var sleeps []time.Duration
 	e.Retry = fastRetry(&sleeps)
-	held := e.ProductionSnapshot(n)
+	held := e.productionSnapshot()
 	if tr, _ := held.Reach("h1", "h2", netmodel.ICMP, 0); !tr.Delivered() {
 		t.Fatalf("baseline should deliver: %s", tr)
 	}
@@ -198,13 +198,13 @@ func TestRollbackTraceReadsRestoredDevice(t *testing.T) {
 	}}))
 	before := n.Devices["r1"]
 	printed := config.Print(before)
-	if _, err := e.Commit(n, []config.Change{deny(9998), deny(9999)}, aclSpec()); err == nil {
+	if _, err := e.submit([]config.Change{deny(9998), deny(9999)}, aclSpec()); err == nil {
 		t.Fatal("commit should have failed")
 	}
 	if n.Devices["r1"] != before || config.Print(before) != printed {
 		t.Fatal("the rollback did not restore the untouched r1 the commit detached")
 	}
-	if e.ProductionSnapshot(n) != held {
+	if e.productionSnapshot() != held {
 		t.Fatal("the rollback did not keep the pre-commit snapshot held")
 	}
 	fresh := dataplane.Compute(n)
@@ -230,7 +230,7 @@ func TestRetryExhaustionRollsBack(t *testing.T) {
 	}})
 	e.SetInjector(inj)
 
-	_, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec())
+	_, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec())
 	if err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("err = %v, want rolled-back failure", err)
 	}
@@ -259,7 +259,7 @@ func TestQuarantineWhenRollbackFails(t *testing.T) {
 	}})
 	e.SetInjector(inj)
 	changes := []config.Change{benignChange(15, 443), benignChange(16, 8443)}
-	_, err := e.Commit(n, changes, aclSpec())
+	_, err := e.submit(changes, aclSpec())
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("err = %v, want quarantine", err)
 	}
@@ -277,13 +277,13 @@ func TestQuarantineWhenRollbackFails(t *testing.T) {
 		t.Fatalf("terminal record = %+v, want quarantined r1", last)
 	}
 	// New commits are refused while quarantined.
-	if _, err := e.Commit(n, []config.Change{benignChange(17, 80)}, aclSpec()); err == nil ||
+	if _, err := e.submit([]config.Change{benignChange(17, 80)}, aclSpec()); err == nil ||
 		!strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("commit while quarantined: err = %v", err)
 	}
 	// Recover heals: pre-state is restored, the reviewed change set is
 	// replayed, and the quarantine lifts.
-	rep, err := e.Recover(n)
+	rep, err := e.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestQuarantineWhenRollbackFails(t *testing.T) {
 		t.Fatalf("recoveries_total = %v, want 1", got)
 	}
 	// And commits work again.
-	if _, err := e.Commit(n, []config.Change{benignChange(17, 80)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(17, 80)}, aclSpec()); err != nil {
 		t.Fatalf("commit after recovery: %v", err)
 	}
 }
@@ -348,7 +348,7 @@ func TestPostVerifyFailureRollsBackMisappliedCommit(t *testing.T) {
 		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
 			Dst: netip.MustParsePrefix("10.3.0.0/24")},
 	}})
-	d, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec())
+	d, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec())
 	if err == nil || !strings.Contains(err.Error(), "post-apply verification failed") {
 		t.Fatalf("err = %v, want post-apply failure", err)
 	}
@@ -363,7 +363,7 @@ func TestPostVerifyFailureRollsBackMisappliedCommit(t *testing.T) {
 	}
 }
 
-// Satellite: concurrent Commit callers are serialised by commitMu and the
+// Concurrent commit callers are serialised by the enforcer's lock and the
 // counters stay exact. Run with -race.
 func TestConcurrentCommits(t *testing.T) {
 	n := prod()
@@ -376,7 +376,7 @@ func TestConcurrentCommits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = e.Commit(n, []config.Change{benignChange(30+i, 1000+i)}, aclSpec())
+			_, errs[i] = e.submit([]config.Change{benignChange(30+i, 1000+i)}, aclSpec())
 		}(i)
 	}
 	wg.Wait()
@@ -410,7 +410,7 @@ func TestHappyPathJournalShape(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
 	changes := []config.Change{benignChange(15, 443), benignChange(16, 8443)}
-	if _, err := e.Commit(n, changes, aclSpec()); err != nil {
+	if _, err := e.submit(changes, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	recs := e.Journal().Records()

@@ -68,10 +68,10 @@ func neutralChanges(t *testing.T, n *netmodel.Network) []config.Change {
 
 // newCrashEnforcer builds an enforcer on a fixed platform seed so a
 // "rebooted" instance derives the same journal and trail keys.
-func newCrashEnforcer(scen *scenarios.Scenario) *Enforcer {
+func newCrashEnforcer(scen *scenarios.Scenario, n *netmodel.Network) *Enforcer {
 	platform := enclave.NewPlatformFromSeed("crash-test")
 	encl := platform.Load("heimdall-enforcer-v1")
-	return New(encl, scen.Policies)
+	return New(encl, scen.Policies, n)
 }
 
 // TestRecoverEveryCrashPoint runs a clean commit on each seed scenario,
@@ -95,27 +95,27 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 	} {
 		scen := tc.load()
 		name := scen.Name
-		commit := (*Enforcer).Commit
-		e := newCrashEnforcer(scen)
+		e := newCrashEnforcer(scen, scen.Network)
 		changes := neutralChanges(t, scen.Network)
+		req := CommitRequest{Changes: changes, Spec: crashSpec()}
 		if tc.fault != "" {
 			name += "/emergency " + tc.fault
 			for _, is := range scen.Issues {
 				if is.Name == tc.fault {
-					if err := is.Fault.Inject(scen.Network); err != nil {
+					if err := e.MutateProduction(is.Fault.Inject); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			if _, err := e.Commit(scen.Network, changes, crashSpec()); err == nil {
+			if _, err := e.submit(changes, crashSpec()); err == nil {
 				t.Fatalf("%s: a strict commit over the fault's violations was accepted", name)
 			}
-			commit = (*Enforcer).CommitEmergency
+			req = CommitRequest{Spec: crashSpec(), Emergency: func(*netmodel.Network) ([]config.Change, error) { return changes, nil }}
 		}
 		pre := scen.Network.Clone()
 
 		// Uninterrupted run.
-		if _, err := commit(e, scen.Network, changes, crashSpec()); err != nil {
+		if _, err := e.Submit(req); err != nil {
 			t.Fatalf("%s: uninterrupted commit failed: %v", name, err)
 		}
 		finalFP := fingerprint(scen.Network)
@@ -169,7 +169,8 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journal.Record, state *netmodel.Network, committedSeen bool, finalFP string) {
 	t.Helper()
 	// Reboot: a fresh enforcer imports the authenticated prefix.
-	e2 := newCrashEnforcer(scen)
+	state = state.CloneCOW() // the caller's copy keeps its devices (Recover detaches)
+	e2 := newCrashEnforcer(scen, state)
 	data, err := json.Marshal(prefix)
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +180,7 @@ func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journ
 		t.Fatalf("%s: journal rejected: %v", at, err)
 	}
 	e2.SetJournal(j)
-	state = state.CloneCOW() // the caller's copy keeps its devices (Recover detaches)
-	rep, err := e2.Recover(state)
+	rep, err := e2.Recover()
 	if err != nil {
 		t.Fatalf("%s: recover: %v", at, err)
 	}
@@ -201,7 +201,7 @@ func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journ
 	if intent, _ := e2.Journal().Open(); intent != nil {
 		t.Fatalf("%s: commit still open after recovery", at)
 	}
-	again, err := e2.Recover(state)
+	again, err := e2.Recover()
 	if err != nil || again.Action != "none" {
 		t.Fatalf("%s: second recover = %+v, %v", at, again, err)
 	}
@@ -211,11 +211,11 @@ func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journ
 func TestRecoverNothingOpen(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	fp := fingerprint(n)
-	rep, err := e.Recover(n)
+	rep, err := e.Recover()
 	if err != nil || rep.Action != "none" {
 		t.Fatalf("Recover = %+v, %v, want none", rep, err)
 	}
@@ -231,7 +231,7 @@ func TestRecoverTamperedJournalRejected(t *testing.T) {
 	e := newEnforcer(n)
 	// Leave a commit open by crashing after intent: simulate by exporting
 	// a prefix of a full run.
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	full := e.Journal().Records()
@@ -252,7 +252,7 @@ func TestRecoverKeepsTwinDevices(t *testing.T) {
 	n := prod()
 	pre := n.Clone()
 	e := newEnforcer(n)
-	if _, err := e.Commit(n, []config.Change{benignChange(15, 443), benignChange(16, 8443)}, aclSpec()); err != nil {
+	if _, err := e.submit([]config.Change{benignChange(15, 443), benignChange(16, 8443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
 	committed := fingerprint(n)
@@ -270,7 +270,7 @@ func TestRecoverKeepsTwinDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.SetJournal(j)
-	if rep, err := e2.Recover(pre); err != nil || rep.Action != "committed" {
+	if rep, err := e2.Recover(); err != nil || rep.Action != "committed" {
 		t.Fatalf("Recover = %+v, %v, want committed", rep, err)
 	}
 	if fingerprint(pre) != committed {
@@ -298,7 +298,7 @@ func TestRecoverRefusesMismatchedUndos(t *testing.T) {
 		e := newEnforcer(n)
 		fp, devices := fingerprint(n), maps.Clone(n.Devices)
 		e.Journal().Intent("T#1", "T", "op", changes, undos)
-		rep, err := e.Recover(n)
+		rep, err := e.Recover()
 		if err != nil || rep.Action != "rolled-back" {
 			t.Fatalf("%s: Recover = %+v, %v, want rolled-back", name, rep, err)
 		}

@@ -30,9 +30,9 @@ func snapshotMisses(reg *telemetry.Registry) float64 {
 	return reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
 }
 
-// TestProductionSnapshotFilledOnce: first callers of a version racing for
-// the snapshot (verify-pool workers under the production read lock) wait
-// for one computation and share its result.
+// TestProductionSnapshotFilledOnce: first readers of a version racing for
+// the snapshot (verify-pool workers under the read lock) wait for one
+// computation and share its result.
 func TestProductionSnapshotFilledOnce(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
@@ -43,7 +43,9 @@ func TestProductionSnapshotFilledOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			snaps[i] = e.ProductionSnapshot(n)
+			e.mu.RLock()
+			defer e.mu.RUnlock()
+			snaps[i] = e.productionSnapshot()
 		}(i)
 	}
 	wg.Wait()
@@ -58,40 +60,35 @@ func TestProductionSnapshotFilledOnce(t *testing.T) {
 	if got := reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"); got != callers-1 {
 		t.Fatalf("hits = %v, want %d", got, callers-1)
 	}
-	// Another network is not served this one's snapshot.
-	if e.ProductionSnapshot(prod()) == snaps[0] {
-		t.Fatal("snapshot of one network served for another")
-	}
 }
 
-// TestOutOfBandMutationNeedsInvalidate pins the contract every production
-// writer outside the commit pipeline leans on: after the mutation and an
-// InvalidateReviews, the next snapshot and the next review answer for
-// production as it is now — and the verdict cache still tells two networks
-// apart at the same version.
+// TestOutOfBandMutationNeedsInvalidate pins what an undeclared
+// MutateProduction leaves: the held snapshot and every verdict dropped, so
+// the next snapshot and the next review answer for production as it is now.
 func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
 	spec := aclSpec()
 	benign := []config.Change{benignChange(15, 443)}
-	if d, hit := e.ReviewCached(n, benign, spec); hit || !d.Accepted {
+	if d, hit := e.Review(benign, spec, ""); hit || !d.Accepted {
 		t.Fatalf("first review: hit=%v %+v", hit, d)
 	}
-	held := e.ProductionSnapshot(n)
+	held := e.productionSnapshot()
 	if tr, _ := held.Reach("h1", "h3", netmodel.TCP, 443); tr.Delivered() {
 		t.Fatal("sensitive h3 reachable before the mutation")
 	}
 
-	// A maintenance edit behind the enforcer's back opens the sensitive
-	// subnet; production now violates its isolation policies.
-	if err := config.ApplyChanges(n, []config.Change{maliciousPermit()}); err != nil {
+	// An undeclared maintenance edit opens the sensitive subnet; production
+	// now violates its isolation policies.
+	if err := e.MutateProduction(func(n *netmodel.Network) error {
+		return config.ApplyChanges(n, []config.Change{maliciousPermit()})
+	}); err != nil {
 		t.Fatal(err)
 	}
-	e.InvalidateReviews()
 
-	snap := e.ProductionSnapshot(n)
+	snap := e.productionSnapshot()
 	if snap == held {
-		t.Fatal("pre-mutation snapshot served after InvalidateReviews")
+		t.Fatal("pre-mutation snapshot served after an undeclared write")
 	}
 	got, _ := snap.Reach("h1", "h3", netmodel.TCP, 443)
 	fresh, _ := dataplane.Compute(n).Reach("h1", "h3", netmodel.TCP, 443)
@@ -101,28 +98,14 @@ func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 	if got := snapshotMisses(reg); got != 2 {
 		t.Fatalf("misses = %v, want 2 (one per production version looked at)", got)
 	}
-	d, hit := e.ReviewCached(n, benign, spec)
+	d, hit := e.Review(benign, spec, "")
 	if hit || d.Accepted || len(d.Violations) == 0 {
 		t.Fatalf("review after the mutation: hit=%v %+v, want a recomputed rejection", hit, d)
 	}
-
-	// The same change set, rules and version against another network is
-	// another verdict.
-	other := prod()
-	if d, hit := e.ReviewCached(other, benign, spec); hit || !d.Accepted {
-		t.Fatalf("review of an unmutated network: hit=%v %+v", hit, d)
-	}
-	if d, hit := e.ReviewCached(n, benign, spec); !hit || d.Accepted {
-		t.Fatalf("repeat review of the mutated network: hit=%v %+v", hit, d)
-	}
-	if d, hit := e.ReviewCached(other, benign, spec); !hit || !d.Accepted {
-		t.Fatalf("repeat review of the unmutated network: hit=%v %+v", hit, d)
-	}
 }
 
-// TestProductionWrittenDerives is the other half of the contract: a writer
-// that names the device it wrote and hands over its pre-image gets the held
-// snapshot derived across the write — a new version, no verdict replayed, no
+// TestProductionWrittenDerives is the other half: a MutateProduction that
+// names the device it writes gets the held snapshot derived across the write — a new version, no verdict replayed, no
 // computation — and the drop whenever the claim cannot be honoured. The
 // three counters an operator reads say which of the two happened.
 func TestProductionWrittenDerives(t *testing.T) {
@@ -137,15 +120,13 @@ func TestProductionWrittenDerives(t *testing.T) {
 			reg.CounterValue("heimdall_enforcer_prod_snapshot_derived_total"),
 		}
 	}
-	// write applies changes to production behind the enforcer's back and
-	// reports them as a write of the declared devices.
+	// write applies changes to production out of band, declared as a write
+	// of the declared devices.
 	write := func(declared []string, changes ...config.Change) {
 		t.Helper()
-		pre := n.CloneCOW(declared...)
-		if err := config.ApplyChanges(n, changes); err != nil {
+		if err := e.MutateProduction(func(n *netmodel.Network) error { return config.ApplyChanges(n, changes) }, declared...); err != nil {
 			t.Fatal(err)
 		}
-		e.ProductionWritten(n, pre, declared)
 	}
 	equalsCompute := func(step string, snap *dataplane.Snapshot) {
 		t.Helper()
@@ -164,16 +145,16 @@ func TestProductionWrittenDerives(t *testing.T) {
 	if got := counters(); got != [3]float64{0, 0, 0} {
 		t.Fatalf("hits/misses/derived after a write with nothing held = %v", got)
 	}
-	if d, hit := e.ReviewCached(n, benign, spec); hit || !d.Accepted {
+	if d, hit := e.Review(benign, spec, ""); hit || !d.Accepted {
 		t.Fatalf("first review: hit=%v %+v", hit, d)
 	}
-	held := e.ProductionSnapshot(n)
+	held := e.productionSnapshot()
 
 	// The declared write opens the sensitive subnet. The snapshot served
 	// next is a hit, is not the old one, sees the mutation, and the cached
 	// acceptance is not replayed for the new version.
 	write([]string{"r1"}, maliciousPermit())
-	derived := e.ProductionSnapshot(n)
+	derived := e.productionSnapshot()
 	if derived == held {
 		t.Fatal("pre-mutation snapshot served after a declared write")
 	}
@@ -181,7 +162,7 @@ func TestProductionWrittenDerives(t *testing.T) {
 	if tr, _ := derived.Reach("h1", "h3", netmodel.TCP, 443); !tr.Delivered() {
 		t.Fatal("derived snapshot does not see the mutation")
 	}
-	if d, hit := e.ReviewCached(n, benign, spec); hit || d.Accepted {
+	if d, hit := e.Review(benign, spec, ""); hit || d.Accepted {
 		t.Fatalf("review after the declared write: hit=%v %+v, want a recomputed rejection", hit, d)
 	}
 	if got := counters(); got != [3]float64{3, 1, 1} {
@@ -190,7 +171,7 @@ func TestProductionWrittenDerives(t *testing.T) {
 
 	// A declared write that changed nothing keeps the very snapshot.
 	write([]string{"r1", "r1"})
-	if e.ProductionSnapshot(n) != derived {
+	if e.productionSnapshot() != derived {
 		t.Fatal("a write that changed nothing replaced the held snapshot")
 	}
 	if got := counters(); got != [3]float64{4, 1, 2} {
@@ -202,7 +183,7 @@ func TestProductionWrittenDerives(t *testing.T) {
 	if e.prodSnap.Load() != nil {
 		t.Fatal("a declaration naming an unknown device left a snapshot held")
 	}
-	equalsCompute("unknown device", e.ProductionSnapshot(n))
+	equalsCompute("unknown device", e.productionSnapshot())
 	if got := counters(); got != [3]float64{4, 2, 2} {
 		t.Fatalf("hits/misses/derived after a mis-declared write = %v, want [4 2 2]", got)
 	}
@@ -216,7 +197,7 @@ func TestCommitHandsOverSnapshot(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
 	spec := aclSpec()
-	if d := e.Review(n, []config.Change{benignChange(15, 443)}, spec); !d.Accepted {
+	if d := e.check([]config.Change{benignChange(15, 443)}, spec); !d.Accepted {
 		t.Fatalf("review: %+v", d)
 	}
 	// The committed entry denies h1 -> h2:8443 ahead of the permit-all, so
@@ -224,11 +205,11 @@ func TestCommitHandsOverSnapshot(t *testing.T) {
 	deny := config.Change{Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
 		Entry: &netmodel.ACLEntry{Seq: 12, Action: netmodel.Deny, Proto: netmodel.TCP,
 			Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 8443}}
-	before, _ := e.ProductionSnapshot(n).Reach("h1", "h2", netmodel.TCP, 8443)
-	if _, err := e.Commit(n, []config.Change{deny}, spec); err != nil {
+	before, _ := e.productionSnapshot().Reach("h1", "h2", netmodel.TCP, 8443)
+	if _, err := e.submit([]config.Change{deny}, spec); err != nil {
 		t.Fatal(err)
 	}
-	held, verdicts := e.ProductionSnapshot(n), e.HeldVerdicts(n)
+	held, verdicts := e.productionSnapshot(), e.HeldVerdicts()
 	if got := snapshotMisses(reg); got != 1 {
 		t.Fatalf("misses after review+commit+read = %v, want 1 (the first review's)", got)
 	}
@@ -241,13 +222,13 @@ func TestCommitHandsOverSnapshot(t *testing.T) {
 	e.SetInjector(faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
 		{Scope: "r1", Op: "apply", FailNth: 1, Class: faultinject.Permanent},
 	}}))
-	if _, err := e.Commit(n, []config.Change{benignChange(16, 8080)}, spec); err == nil || !strings.Contains(err.Error(), "rolled back") {
+	if _, err := e.submit([]config.Change{benignChange(16, 8080)}, spec); err == nil || !strings.Contains(err.Error(), "rolled back") {
 		t.Fatalf("err = %v, want a rollback", err)
 	}
 	// The rollback declared the devices it restored: production is what it
 	// was, so the pre-commit snapshot is held at the new version, computed
 	// nowhere and equal to a from-scratch Compute.
-	if e.ProductionSnapshot(n) != held || &e.HeldVerdicts(n)[0] != &verdicts[0] {
+	if e.productionSnapshot() != held || &e.HeldVerdicts()[0] != &verdicts[0] {
 		t.Fatal("a clean rollback replaced the held snapshot or its verdicts")
 	}
 	if got := snapshotMisses(reg); got != 1 {
@@ -270,7 +251,7 @@ func TestCustomTargetPostVerifyComputes(t *testing.T) {
 	n := prod()
 	e, _ := snapshotEnforcer(n)
 	e.SetTarget(&misapplyTarget{net: n, extra: maliciousPermit()})
-	_, err := e.Commit(n, []config.Change{benignChange(15, 443)}, aclSpec())
+	_, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec())
 	if err == nil || !strings.Contains(err.Error(), "post-apply verification failed") {
 		t.Fatalf("err = %v, want post-apply failure", err)
 	}
@@ -286,7 +267,7 @@ func TestCustomTargetPostVerifyComputes(t *testing.T) {
 func TestReviewsShareParentMemo(t *testing.T) {
 	scen := scenarios.University()
 	n := scen.Network
-	e := newCrashEnforcer(scen)
+	e := newCrashEnforcer(scen, n)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
 	wide := &privilege.Spec{Ticket: "T-MEMO", Technician: "alice", Rules: []privilege.Rule{
@@ -339,7 +320,7 @@ func TestReviewsShareParentMemo(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := json.Marshal(e.Review(n, changeSet(g, r), wide))
+				got, err := json.Marshal(e.check(changeSet(g, r), wide))
 				if err != nil || string(got) != want[[2]int{g, r}] {
 					t.Errorf("reviewer %d round %d diverged from the serial from-scratch verdict (%v):\ngot  %s\nwant %s", g, r, err, got, want[[2]int{g, r}])
 				}
@@ -357,7 +338,7 @@ func TestReviewsShareParentMemo(t *testing.T) {
 	t.Logf("%d of %d reviews rejected, %v verdicts carried", rejected, reviewers*rounds, carried)
 }
 
-// TestComputedVectorCompletedOnce: a version ProductionSnapshot computed
+// TestComputedVectorCompletedOnce: a version productionSnapshot computed
 // from scratch starts with an empty vector, and its first review completes
 // it on production, so every slot is then the from-scratch verdict and a
 // second review resumes each retrace from production's trace without
@@ -366,7 +347,7 @@ func TestReviewsShareParentMemo(t *testing.T) {
 func TestComputedVectorCompletedOnce(t *testing.T) {
 	scen := scenarios.Enterprise()
 	n := scen.Network
-	e := newCrashEnforcer(scen)
+	e := newCrashEnforcer(scen, n)
 	reg := telemetry.NewRegistry()
 	e.SetMeter(reg)
 	// The deny entries drop the flow of a delivered policy at an ACL it
@@ -398,13 +379,13 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 				Src: netip.PrefixFrom(at.f.Src, 32), Dst: netip.PrefixFrom(at.f.Dst, 32)}}
 	}
 	misses := func() uint64 {
-		_, m := e.ProductionSnapshot(n).FlowCacheStats()
+		_, m := e.productionSnapshot().FlowCacheStats()
 		return m
 	}
 	resumed := func() float64 { return reg.CounterValue("heimdall_verify_policies_resumed_total") }
 
-	e.Review(n, []config.Change{deny(1)}, spec)
-	held := e.HeldVerdicts(n)
+	e.check([]config.Change{deny(1)}, spec)
+	held := e.HeldVerdicts()
 	for i := range held {
 		if held[i].Load() == nil {
 			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
@@ -413,7 +394,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	verdictsMatchCompute(t, "first review", e.policies, held, n)
 
 	before, resumed0 := misses(), resumed()
-	e.Review(n, []config.Change{deny(2)}, spec)
+	e.check([]config.Change{deny(2)}, spec)
 	if got := misses(); got != before {
 		t.Fatalf("the second review traced %d flows on production, want 0", got-before)
 	}
@@ -427,12 +408,12 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	for i := range held {
 		old[i] = held[i].Load()
 	}
-	pre := n.CloneCOW(at.dev)
-	if err := config.ApplyChanges(n, []config.Change{deny(3)}); err != nil {
+	if err := e.MutateProduction(func(n *netmodel.Network) error {
+		return config.ApplyChanges(n, []config.Change{deny(3)})
+	}, at.dev); err != nil {
 		t.Fatal(err)
 	}
-	e.ProductionWritten(n, pre, []string{at.dev})
-	derived, vec, holes := e.ProductionSnapshot(n), e.HeldVerdicts(n), 0
+	derived, vec, holes := e.productionSnapshot(), e.HeldVerdicts(), 0
 	for i := range vec {
 		if carried := derived.Carries(old[i].Trace); (vec[i].Load() != nil) != carried {
 			t.Fatalf("%s: held after the declared write = %v, carried = %v", e.policies[i], vec[i].Load() != nil, carried)
@@ -443,9 +424,32 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	if holes == 0 {
 		t.Fatal("the declared write left no hole: the test exercises nothing")
 	}
-	e.Review(n, []config.Change{deny(4)}, spec)
+	e.check([]config.Change{deny(4)}, spec)
 	if got := misses(); got != 0 {
 		t.Fatalf("a review after a declared write traced %d flows on production: the vector was completed", got)
 	}
-	verdictsMatchCompute(t, "review after the declared write", e.policies, e.HeldVerdicts(n), n)
+	verdictsMatchCompute(t, "review after the declared write", e.policies, e.HeldVerdicts(), n)
+}
+
+// TestDeclaredWriteKeepsVectorToComplete: a vector productionSnapshot
+// started empty and a declared write moved on before any review completed
+// it is completed by the next review all the same. Left empty, every later
+// review would evaluate every policy its derivation could carry.
+func TestDeclaredWriteKeepsVectorToComplete(t *testing.T) {
+	n := prod()
+	e, _ := snapshotEnforcer(n)
+	e.View() // computes the snapshot: an empty vector, to be completed
+	if err := e.MutateProduction(func(n *netmodel.Network) error {
+		return config.ApplyChanges(n, []config.Change{benignChange(14, 8080)})
+	}, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	e.check([]config.Change{benignChange(15, 443)}, aclSpec())
+	held := e.HeldVerdicts()
+	for i := range held {
+		if held[i].Load() == nil {
+			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
+		}
+	}
+	verdictsMatchCompute(t, "first review", e.policies, held, n)
 }

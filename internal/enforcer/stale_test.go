@@ -61,11 +61,11 @@ func TestStaleAcceptanceReverifiedAtCommit(t *testing.T) {
 			ticket  string
 			changes []config.Change
 		}{{"T-A", a}, {"T-B", b}} {
-			if d := e.Review(n, r.changes, spec(r.ticket)); !d.Accepted {
+			if d := e.check(r.changes, spec(r.ticket)); !d.Accepted {
 				t.Fatalf("%s rejected alone on v0: %s", r.ticket, d.Reason())
 			}
 		}
-		if _, err := e.Commit(n, a, spec("T-A")); err != nil {
+		if _, err := e.submit(a, spec("T-A")); err != nil {
 			t.Fatalf("A: %v", err)
 		}
 		postA := n.Clone()
@@ -73,7 +73,7 @@ func TestStaleAcceptanceReverifiedAtCommit(t *testing.T) {
 		if err := config.ApplyChanges(both, b); err != nil {
 			t.Fatal(err)
 		}
-		d, err := e.Commit(n, b, spec("T-B"))
+		d, err := e.submit(b, spec("T-B"))
 		return outcome{e, reg, d, err, n, postA, both}
 	}
 

@@ -155,6 +155,12 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 	return state, nil
 }
 
+// prodOf is e's production as it is now.
+func prodOf(e *enforcer.Enforcer) *netmodel.Network {
+	view, _ := e.View()
+	return view
+}
+
 // terminalKinds is the journal record each settled outcome ends in.
 var terminalKinds = map[string]journal.Kind{
 	"committed":   journal.KindCommitted,
@@ -162,13 +168,13 @@ var terminalKinds = map[string]journal.Kind{
 	"quarantined": journal.KindQuarantined,
 }
 
-// settle audits what every schedule must leave behind on production n,
+// settle audits what every schedule must leave behind on e's production,
 // which started as pre: a journal and audit trail that verify, the terminal
 // record the outcome claims last in the journal, and production
 // all-or-nothing — bit-identical to the pre-state plus the journaled
 // changes when committed, to the pre-state when rolled back. It returns the
 // verified records and the committed state's fingerprint.
-func settle(e *enforcer.Enforcer, n, pre *netmodel.Network, outcome string) ([]journal.Record, string, error) {
+func settle(e *enforcer.Enforcer, pre *netmodel.Network, outcome string) ([]journal.Record, string, error) {
 	if err := e.Journal().Verify(); err != nil {
 		return nil, "", fmt.Errorf("journal: %v", err)
 	}
@@ -186,7 +192,7 @@ func settle(e *enforcer.Enforcer, n, pre *netmodel.Network, outcome string) ([]j
 	if err := config.ApplyChanges(committed, records[0].Changes); err != nil {
 		return nil, "", fmt.Errorf("applying scheduled set to pre-state: %v", err)
 	}
-	committedFP, got := chaosFingerprint(committed), chaosFingerprint(n)
+	committedFP, got := chaosFingerprint(committed), chaosFingerprint(prodOf(e))
 	switch outcome {
 	case "committed":
 		if got != committedFP {
@@ -211,7 +217,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	n := ChaosNetwork()
 	pre, reg := n.Clone(), telemetry.NewRegistry()
 	encl := enclave.NewPlatformFromSeed("chaos-suite").Load("heimdall-enforcer-v1")
-	e := enforcer.New(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}))
+	e := enforcer.New(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}), n)
 	e.SetMeter(reg)
 
 	retries := 0
@@ -229,7 +235,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 		return nil, fmt.Errorf("seed %d: %s", seed, fmt.Sprintf(format, args...))
 	}
 
-	_, err := e.Commit(n, chaosChanges(), chaosSpec())
+	_, err := e.Submit(enforcer.CommitRequest{Changes: chaosChanges(), Spec: chaosSpec()})
 	quarantined, _ := e.Quarantined()
 	switch {
 	case err == nil:
@@ -245,7 +251,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	// settle pins committed and rolled-back production; a quarantined run is
 	// held to the journal's exact account — production must match the
 	// journal's independent replay, whatever the outcome.
-	records, committedFP, err := settle(e, n, pre, res.Outcome)
+	records, committedFP, err := settle(e, pre, res.Outcome)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -253,7 +259,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	if err != nil {
 		return fail("journal replay: %v", err)
 	}
-	if chaosFingerprint(replayed) != chaosFingerprint(n) {
+	if chaosFingerprint(replayed) != chaosFingerprint(prodOf(e)) {
 		return fail("production diverges from journal replay (outcome %s)", res.Outcome)
 	}
 
@@ -295,14 +301,14 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 		if intent, _ := e.Journal().Open(); intent == nil {
 			return fail("quarantined commit not open for recovery")
 		}
-		rep, err := e.Recover(n)
+		rep, err := e.Recover()
 		if err != nil {
 			return fail("recover: %v", err)
 		}
 		if rep.Action != "committed" {
 			return fail("recovery action %s, want committed", rep.Action)
 		}
-		if chaosFingerprint(n) != committedFP {
+		if chaosFingerprint(prodOf(e)) != committedFP {
 			return fail("recovered production does not match committed state")
 		}
 		if q, _ := e.Quarantined(); q {

@@ -456,18 +456,6 @@ func (d *Device) VLANIDs() []int {
 	return ids
 }
 
-// AddrOnSubnet returns the first up interface address on the same subnet as
-// the given address, which is how a device decides it can ARP directly.
-func (d *Device) AddrOnSubnet(a netip.Addr) (*Interface, bool) {
-	for _, name := range d.InterfaceNames() {
-		itf := d.Interfaces[name]
-		if itf.Up() && itf.HasAddr() && itf.Addr.Masked().Contains(a) {
-			return itf, true
-		}
-	}
-	return nil, false
-}
-
 // Clone returns a deep copy of the device.
 func (d *Device) Clone() *Device {
 	c := NewDevice(d.Name, d.Kind)

@@ -395,22 +395,3 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Error("unknown protocol should error")
 	}
 }
-
-func TestAddrOnSubnet(t *testing.T) {
-	d := NewDevice("r1", Router)
-	g0 := d.AddInterface("Gi0/0")
-	g0.Addr = mustPrefix(t, "10.0.1.1/24")
-	g1 := d.AddInterface("Gi0/1")
-	g1.Addr = mustPrefix(t, "10.0.2.1/24")
-	g1.Shutdown = true
-
-	if itf, ok := d.AddrOnSubnet(netip.MustParseAddr("10.0.1.99")); !ok || itf.Name != "Gi0/0" {
-		t.Fatalf("AddrOnSubnet(10.0.1.99) = %v %v", itf, ok)
-	}
-	if _, ok := d.AddrOnSubnet(netip.MustParseAddr("10.0.2.99")); ok {
-		t.Fatal("shutdown interface should not match")
-	}
-	if _, ok := d.AddrOnSubnet(netip.MustParseAddr("10.0.3.99")); ok {
-		t.Fatal("off-subnet address should not match")
-	}
-}

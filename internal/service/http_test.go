@@ -192,7 +192,7 @@ func TestHTTPWorkflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Nothing is written yet: the twin is production, sanitized.
-		if want := config.Print(config.Sanitize(tn.System().Production().Devices[dev])); execOut.Output != want {
+		if want := config.Print(config.Sanitize(production(tn).Devices[dev])); execOut.Output != want {
 			t.Fatalf("%s: running-config over the wire differs from the twin's:\n%s\nvs\n%s", dev, execOut.Output, want)
 		}
 		if len(execOut.Output) > len(largest) {

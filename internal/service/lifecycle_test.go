@@ -185,7 +185,7 @@ func TestEndedSessionReleasedAndReaped(t *testing.T) {
 // TestInjectIssueConcurrentWithSessions hammers issue injection (a
 // production-network write) against session creation (a production read:
 // twin construction snapshots production) on one tenant. Run under
-// -race, it pins InjectIssue to the prodMu write path.
+// -race, it pins InjectIssue to the enforcer's write lock.
 func TestInjectIssueConcurrentWithSessions(t *testing.T) {
 	svc, _, _, _ := newTestService(t)
 	tn, err := svc.Tenant("acme")
@@ -244,17 +244,17 @@ func TestExpiredSessionSkippedBySweep(t *testing.T) {
 
 // TestTenantsDuringRollback lists tenants while commits on the tenant are
 // failed halfway by a fault plan and rolled back: the rollback reassigns
-// production's device-map entries under the deployment's write lock, so the
-// listing's device count has to be read under that lock too. Run under
-// -race (the unlocked len(Devices) this replaced trips the detector here);
-// without it the test still holds every listing to the scenario's count.
+// production's device-map entries under the enforcer's write lock, so the
+// listing's device count has to be read from a view. Run under -race (an
+// unlocked len(Devices) trips the detector here); without it the test still
+// holds every listing to the scenario's count.
 func TestTenantsDuringRollback(t *testing.T) {
 	svc, _, _, info := newTestService(t)
 	tn, err := svc.Tenant("acme")
 	if err != nil {
 		t.Fatal(err)
 	}
-	devices := len(tn.ScenarioData().Network.Devices)
+	devices := len(production(tn).Devices)
 
 	done := make(chan struct{})
 	listed := make(chan struct{})

@@ -182,7 +182,7 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, d := range tn.System().Production().Devices {
+		for name, d := range production(tn).Devices {
 			if prev, ok := owner[d]; ok && prev != ti.ID {
 				t.Fatalf("device %s aliased between tenants %s and %s", name, prev, ti.ID)
 			}
@@ -347,7 +347,8 @@ func TestMediationByteIdentical(t *testing.T) {
 		}
 		// The whole-network diff from production as the twin copied it,
 		// sanitized — a baseline kept apart from the twin's.
-		base := sys.Production().Clone()
+		prod, _ := sys.Enforcer.View()
+		base := prod.Clone()
 		for name, d := range base.Devices {
 			base.Devices[name] = config.Sanitize(d)
 		}

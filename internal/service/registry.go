@@ -38,14 +38,15 @@ func (s SessionState) String() string {
 	}
 }
 
-// Tenant is one customer network hosted by the service: a private
-// scenario copy, a full Heimdall deployment (ticketing, enforcer, audit
-// trail) and the technician sessions currently working its tickets.
+// Tenant is one customer network hosted by the service: a full Heimdall
+// deployment (ticketing, enforcer, audit trail) around a private scenario
+// copy, the scenario's issues, and the technician sessions currently
+// working its tickets.
 type Tenant struct {
 	ID       string
 	Scenario string
 	sys      *core.System
-	scen     *scenarios.Scenario
+	issues   []scenarios.Issue
 
 	mu       sync.Mutex
 	seq      int
@@ -56,8 +57,11 @@ type Tenant struct {
 // generator reach through it for the ticket system and audit trail).
 func (t *Tenant) System() *core.System { return t.sys }
 
-// ScenarioData exposes the tenant's private scenario copy.
-func (t *Tenant) ScenarioData() *scenarios.Scenario { return t.scen }
+// ScenarioData exposes the tenant's scenario: its name and issues. Its
+// network is the enforcer's (Enforcer.View).
+func (t *Tenant) ScenarioData() *scenarios.Scenario {
+	return &scenarios.Scenario{Name: t.Scenario, Issues: t.issues}
+}
 
 // Session is one technician twin session under a tenant, reachable over
 // the API by (tenant, session id, attach token).

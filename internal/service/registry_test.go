@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"testing"
+
+	"heimdall/internal/netmodel"
 )
 
 func TestRegistryDuplicateAndMissing(t *testing.T) {
@@ -34,9 +36,6 @@ func TestTenantIsolationNoAliasing(t *testing.T) {
 	tb, _ := svc.Tenant("b")
 
 	// No device pointer may be visible from two different tenants.
-	// Within one tenant production aliases its private scenario copy by
-	// design (core.NewSystem adopts the scenario network); only a pointer
-	// shared ACROSS tenants is a leak.
 	seen := make(map[any]string)
 	record := func(owner string, m map[string]any) {
 		for name, p := range m {
@@ -48,11 +47,8 @@ func TestTenantIsolationNoAliasing(t *testing.T) {
 	}
 	collect := func(tn *Tenant) map[string]any {
 		out := make(map[string]any)
-		for name, d := range tn.System().Production().Devices {
+		for name, d := range production(tn).Devices {
 			out[name] = d
-		}
-		for name, d := range tn.ScenarioData().Network.Devices {
-			out["scen/"+name] = d
 		}
 		return out
 	}
@@ -67,4 +63,10 @@ func TestTenantIsolationNoAliasing(t *testing.T) {
 	if na, nb := len(ta.System().Tickets.List()), len(tb.System().Tickets.List()); na != 1 || nb != 0 {
 		t.Fatalf("ticket leakage: a=%d b=%d", na, nb)
 	}
+}
+
+// production is the tenant's production as it is now (Enforcer.View).
+func production(tn *Tenant) *netmodel.Network {
+	prod, _ := tn.System().Enforcer.View()
+	return prod
 }

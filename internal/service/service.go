@@ -200,7 +200,7 @@ func (s *Service) CreateTenant(id, scenario string) (TenantInfo, error) {
 		ID:       id,
 		Scenario: scenario,
 		sys:      sys,
-		scen:     scen,
+		issues:   scen.Issues,
 		sessions: make(map[string]*Session),
 	}
 	if err := s.reg.add(t); err != nil {
@@ -266,9 +266,9 @@ func (s *Service) InjectIssue(tenant, issue, reporter string) (*ticket.Ticket, e
 		return nil, err
 	}
 	var is *scenarios.Issue
-	for i := range t.scen.Issues {
-		if t.scen.Issues[i].Name == issue {
-			is = &t.scen.Issues[i]
+	for i := range t.issues {
+		if t.issues[i].Name == issue {
+			is = &t.issues[i]
 		}
 	}
 	if is == nil {

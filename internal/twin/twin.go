@@ -37,7 +37,8 @@ import (
 type Config struct {
 	Ticket     string
 	Technician string
-	// Production is the network being mimicked; the twin never mutates it.
+	// Production is the network being mimicked; the twin never writes its
+	// devices (New copies its device map, FromView takes it over).
 	Production *netmodel.Network
 	// Snapshot, when set, is the dataplane snapshot of Production as it is
 	// now. The twin's first snapshot then derives from it instead of being
@@ -103,11 +104,22 @@ func New(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
 	}
+	cfg.Production = cfg.Production.CloneCOW()
+	return FromView(cfg)
+}
+
+// FromView is New on a copy of production that the caller hands over (an
+// enforcer's View): the twin sanitizes that copy's device map in place and
+// keeps it as its emulation layer, so an open copies the map once.
+func FromView(cfg Config) (*Twin, error) {
+	if cfg.Production == nil {
+		return nil, fmt.Errorf("twin: nil production network")
+	}
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
 	}
 	// A shell sharing the never-mutated links, holding sanitized devices.
-	emul := cfg.Production.CloneCOW()
+	emul := cfg.Production
 	visible := make([]string, 0, len(emul.Devices))
 	for name, d := range emul.Devices {
 		emul.Devices[name] = config.Sanitize(d)
