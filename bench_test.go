@@ -136,11 +136,14 @@ func BenchmarkVerifyCost(b *testing.B) {
 func BenchmarkSliceStrategies(b *testing.B) {
 	scen := scenarios.Enterprise()
 	snap := scen.Snapshot()
-	for _, strat := range []twin.SliceStrategy{twin.SliceAll, twin.SliceNeighbors, twin.SliceTaskDriven} {
-		b.Run(strat.String(), func(b *testing.B) {
+	for _, strat := range []struct {
+		name string
+		s    twin.SliceStrategy
+	}{{"All", twin.SliceAll}, {"Neighbor", twin.SliceNeighbors}, {"Heimdall", twin.SliceTaskDriven}} {
+		b.Run(strat.name, func(b *testing.B) {
 			var slice map[string]bool
 			for i := 0; i < b.N; i++ {
-				slice = twin.ComputeSlice(scen.Network, snap, strat, "h2", "h3", nil)
+				slice = twin.ComputeSlice(scen.Network, snap, strat.s, "h2", "h3", nil)
 			}
 			b.ReportMetric(float64(len(slice)), "devices")
 		})
@@ -279,14 +282,16 @@ func BenchmarkFlowCache(b *testing.B) {
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
+		reg := telemetry.NewRegistry()
+		memo := dataplane.ComputeWithOptions(scen.Network, dataplane.Options{Meter: reg})
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := snap.Reach(src, dst, netmodel.ICMP, 0); err != nil {
+			if _, err := memo.Reach(src, dst, netmodel.ICMP, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
-		hits, misses := snap.FlowCacheStats()
-		b.ReportMetric(float64(hits), "hits")
-		b.ReportMetric(float64(misses), "misses")
+		b.ReportMetric(reg.CounterValue("heimdall_dataplane_flowcache_hits_total"), "hits")
+		b.ReportMetric(reg.CounterValue("heimdall_dataplane_flowcache_misses_total"), "misses")
 	})
 	b.Run("verify-warm", func(b *testing.B) {
 		warm := scen.Snapshot()

@@ -72,22 +72,22 @@ func main() {
 			}
 			fmt.Print(experiments.FormatFigure7(runs))
 			if *telem {
-				// A fixed epoch keeps the virtual-clock spans byte-for-byte
+				// A fixed epoch keeps the modeled-clock spans byte-for-byte
 				// reproducible across runs.
 				start := time.Date(2021, time.November, 1, 0, 0, 0, 0, time.UTC)
-				tr := experiments.TraceFigure7(runs, start)
 				f, err := os.Create(*spansPath)
 				if err != nil {
 					log.Fatal(err)
 				}
-				if err := tr.ExportJSONL(f); err != nil {
+				n, err := experiments.TraceFigure7(f, runs, start)
+				if err != nil {
 					f.Close()
 					log.Fatal(err)
 				}
 				if err := f.Close(); err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("wrote %d spans to %s\n", len(tr.Finished()), *spansPath)
+				fmt.Printf("wrote %d spans to %s\n", n, *spansPath)
 			}
 		})
 	}

@@ -198,7 +198,7 @@ func runWorkflow(scen *scenarios.Scenario, issueName string, meter telemetry.Met
 	}
 	sys.Enforcer.Retry = enforcer.RetryPolicy{MaxAttempts: pf.retries, BaseBackoff: pf.backoff}
 	if pf.faultSeed != 0 {
-		prod, _ := sys.Enforcer.View()
+		prod, _ := sys.Enforcer.View(false)
 		plan := faultinject.RandomPlan(pf.faultSeed, prod.RoutersAndSwitches(),
 			[]string{"apply", "restore"})
 		inj := faultinject.New(plan)

@@ -49,7 +49,7 @@ func Example_auditTrail() {
 
 	trail := sys.Enforcer.Trail()
 	fmt.Printf("\naudit trail (%d entries):\n", trail.Len())
-	for _, e := range trail.Entries() {
+	for _, e := range trail.Links() {
 		verdict := "ALLOW"
 		if !e.Allowed {
 			verdict = "DENY "

@@ -16,8 +16,8 @@ func Example_bgpPeering() {
 	prod := buildPeering()
 	// The incident: the edge still expects the ISP's old AS (65010), but
 	// the ISP now runs 65011 — the session never re-establishes.
-	prod.Device("edge").BGP.SetNeighbor(netip.MustParseAddr("203.0.113.2"), 65010)
-	prod.Device("isp").BGP.LocalAS = 65011
+	prod.Devices["edge"].BGP.SetNeighbor(netip.MustParseAddr("203.0.113.2"), 65010)
+	prod.Devices["isp"].BGP.LocalAS = 65011
 	fmt.Println("incident: ISP migrated to AS 65011; edge still peers with 65010")
 
 	policies := []heimdall.Policy{

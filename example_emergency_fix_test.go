@@ -63,7 +63,7 @@ func Example_emergencyFix() {
 	if jr := sys.Enforcer.Journal(); jr.Len() == 0 || jr.Verify() != nil {
 		panic("BUG: emergency fix not journaled")
 	}
-	prod, _ := sys.Enforcer.View()
+	prod, _ := sys.Enforcer.View(false)
 	res, err := heimdall.ComputeSnapshot(prod).Reach(issue.SrcHost, issue.DstHost, issue.Proto, issue.DstPort)
 	if err != nil || !res.Delivered() {
 		panic(fmt.Sprintf("BUG: production not repaired: %v %v", res, err))
@@ -71,7 +71,7 @@ func Example_emergencyFix() {
 	fmt.Printf("production repaired: %s\n", res)
 
 	// The audit report flags the episode as an emergency.
-	for _, rep := range heimdall.SummarizeAuditTrail(sys.Enforcer.Trail().Entries()) {
+	for _, rep := range heimdall.SummarizeAuditTrail(sys.Enforcer.Trail().Links()) {
 		if !rep.Emergency {
 			panic("BUG: emergency episode not flagged")
 		}

@@ -98,8 +98,8 @@ func ispMalicious() {
 	}
 	// Production is untouched: the honest part of the fix was withheld
 	// too (all-or-nothing change sets).
-	prod, _ := sys.Enforcer.View()
-	for _, e := range prod.Device("r2").ACLs["FINANCE-GUARD"].Entries {
+	prod, _ := sys.Enforcer.View(false)
+	for _, e := range prod.Devices["r2"].ACLs["FINANCE-GUARD"].Entries {
 		if e.Seq == 15 {
 			panic("BUG: malicious entry reached production")
 		}

@@ -21,7 +21,7 @@ func Example_perfMonitoring() {
 	fmt.Printf("probe before: %s\n", before)
 
 	// A link fails overnight.
-	scen.Network.Device("r3").Interface("Gi0/3").Shutdown = true
+	scen.Network.Devices["r3"].Interface("Gi0/3").Shutdown = true
 	after, err := heimdall.ComputeSnapshot(scen.Network).Reach(src, dst, proto, port)
 	must(err)
 	fmt.Printf("probe after a silent link failure: %s\n", after)

@@ -91,7 +91,7 @@ end
 	if !decision.Accepted {
 		t.Fatalf("decision = %+v, want accepted", decision)
 	}
-	live, _ := sys.Enforcer.View()
+	live, _ := sys.Enforcer.View(false)
 	for _, e := range live.Devices["r1"].ACLs["EDGE"].Entries {
 		if e.Seq == 10 {
 			t.Fatalf("production EDGE still holds seq 10: %+v", e)
@@ -99,7 +99,7 @@ end
 	}
 
 	// Per-ticket audit report through the facade.
-	reports := heimdall.SummarizeAuditTrail(sys.Enforcer.Trail().Entries())
+	reports := heimdall.SummarizeAuditTrail(sys.Enforcer.Trail().Links())
 	if len(reports) != 1 || reports[0].Commands == 0 {
 		t.Fatalf("reports = %+v", reports)
 	}

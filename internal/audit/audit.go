@@ -80,9 +80,6 @@ func (t *Trail) Append(ticket, technician string, kind Kind, detail string, allo
 	return t.Log.Append(Entry{Ticket: ticket, Technician: technician, Kind: kind, Detail: detail, Allowed: allowed})
 }
 
-// Entries returns a copy of the trail.
-func (t *Trail) Entries() []Entry { return t.Links() }
-
 // Import parses an exported trail strictly and verifies it against the key
 // before returning it. Tampered exports are rejected.
 func Import(key, data []byte) (*Trail, error) {

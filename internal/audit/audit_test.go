@@ -98,7 +98,7 @@ func TestTamperDetection(t *testing.T) {
 		tr.Append("T1", "alice", KindCommand, "cmd1", true)
 		tr.Append("T1", "alice", KindCommand, "cmd2", true)
 		tr.Append("T1", "alice", KindChange, "apply acl change", true)
-		es := m.mutate(tr.Entries())
+		es := m.mutate(tr.Links())
 		if err := chain.Verify(es, []byte("test-key")); err == nil {
 			t.Errorf("%s: tampering not detected", m.name)
 		}
@@ -232,7 +232,7 @@ func TestConcurrentAppend(t *testing.T) {
 	if err := tr.Verify(); err != nil {
 		t.Fatalf("concurrent appends broke the chain: %v", err)
 	}
-	if got := reg.GaugeValue("heimdall_audit_chain_length"); got != 400 {
+	if got := reg.CounterValue("heimdall_audit_chain_length"); got != 400 {
 		t.Fatalf("chain length gauge = %v after 400 appends", got)
 	}
 	if got := reg.CounterValue("heimdall_audit_entries_total", telemetry.L("kind", "command")); got != 400 {
@@ -243,9 +243,9 @@ func TestConcurrentAppend(t *testing.T) {
 func TestEntriesIsACopy(t *testing.T) {
 	tr := testTrail()
 	tr.Append("T", "x", KindCommand, "c", true)
-	es := tr.Entries()
+	es := tr.Links()
 	es[0].Detail = "mutated"
-	if tr.Entries()[0].Detail != "c" {
+	if tr.Links()[0].Detail != "c" {
 		t.Fatal("Entries exposed internal storage")
 	}
 }

@@ -18,7 +18,7 @@ func TestSummarize(t *testing.T) {
 	tr.Append("T-0002", "bob", KindSession, "EMERGENCY mode enabled (approved by admin)", true)
 	tr.Append("T-0002", "bob", KindChange, "ROLLBACK: post-apply verification failed", false)
 
-	reports := Summarize(tr.Entries())
+	reports := Summarize(tr.Links())
 	if len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}

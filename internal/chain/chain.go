@@ -143,21 +143,6 @@ func Verify[T any, P Link[T]](links []T, key []byte) error {
 	return verify[T, P](hmac.New(sha256.New, key), links)
 }
 
-// Rechain recomputes every index, hash, prev-hash link and MAC of a link
-// slice in place — exactly the forgery an insider who holds the key can
-// produce. Verify cannot catch a rechained chain (the insider has the
-// key); comparing it with another copy of the chain can, which is why
-// tamper drills need this helper to simulate the attack.
-func Rechain[T any, P Link[T]](links []T, key []byte) {
-	mac := hmac.New(sha256.New, key)
-	prev := ""
-	for i := range links {
-		p := P(&links[i])
-		stamp(mac, p, i, prev)
-		prev = p.seal().Hash
-	}
-}
-
 // Decode parses an export without authenticating it. Parsing is strict —
 // one JSON document, no unknown fields, nothing after it — so every byte
 // of an export is covered by either the parser or the chain: a field name

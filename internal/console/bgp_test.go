@@ -71,7 +71,7 @@ func TestBGPConsoleCommands(t *testing.T) {
 	if _, err := r1.Run("router bgp 65001 network 172.16.0.0 mask 255.240.0.0"); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Device("r1").BGP.Networks); got != 2 {
+	if got := len(n.Devices["r1"].BGP.Networks); got != 2 {
 		t.Fatalf("networks = %d", got)
 	}
 	if _, err := r1.Run("router bgp 65001 no neighbor 203.0.113.2"); err != nil {
@@ -109,7 +109,7 @@ func TestBGPConsoleErrors(t *testing.T) {
 func TestBGPInCatalog(t *testing.T) {
 	n := bgpNet()
 	found := false
-	for _, ar := range Catalog(n.Device("r1")) {
+	for _, ar := range Catalog(n.Devices["r1"]) {
 		if ar.Action == "config.bgp.set" {
 			found = true
 		}

@@ -160,13 +160,13 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := r1.Run("ip route 192.168.5.0 255.255.255.0 10.2.0.10"); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Device("r1").StaticRoutes) != 1 {
+	if len(n.Devices["r1"].StaticRoutes) != 1 {
 		t.Fatal("route not added")
 	}
 	if _, err := r1.Run("no ip route 192.168.5.0 255.255.255.0 10.2.0.10"); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Device("r1").StaticRoutes) != 0 {
+	if len(n.Devices["r1"].StaticRoutes) != 0 {
 		t.Fatal("route not removed")
 	}
 
@@ -174,7 +174,7 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := r1.Run("router ospf passive-interface Gi0/0"); err != nil {
 		t.Fatal(err)
 	}
-	if !n.Device("r1").OSPF.Passive["Gi0/0"] {
+	if !n.Devices["r1"].OSPF.Passive["Gi0/0"] {
 		t.Fatal("passive-interface not set")
 	}
 	if _, err := r1.Run("router ospf no passive-interface Gi0/0"); err != nil {
@@ -183,7 +183,7 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := r1.Run("router ospf network 10.9.0.0 0.0.255.255 area 2"); err != nil {
 		t.Fatal(err)
 	}
-	nets := n.Device("r1").OSPF.Networks
+	nets := n.Devices["r1"].OSPF.Networks
 	if nets[len(nets)-1].Area != 2 {
 		t.Fatal("network statement not appended")
 	}
@@ -192,7 +192,7 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := r1.Run("vlan 20 name servers"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("r1").VLANs[20] == nil {
+	if n.Devices["r1"].VLANs[20] == nil {
 		t.Fatal("vlan not created")
 	}
 	if _, err := r1.Run("no vlan 20"); err != nil {
@@ -201,7 +201,7 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := r1.Run("interface Gi0/0 switchport access vlan 10"); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.Device("r1").Interface("Gi0/0"); got.Mode != netmodel.Access || got.AccessVLAN != 10 {
+	if got := n.Devices["r1"].Interface("Gi0/0"); got.Mode != netmodel.Access || got.AccessVLAN != 10 {
 		t.Fatal("switchport command not applied")
 	}
 
@@ -210,26 +210,26 @@ func TestWriteCommandsMutateAndClassify(t *testing.T) {
 	if _, err := h2c.Run("ip default-gateway 10.2.0.254"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("h2").DefaultGateway != netip.MustParseAddr("10.2.0.254") {
+	if n.Devices["h2"].DefaultGateway != netip.MustParseAddr("10.2.0.254") {
 		t.Fatal("gateway not set")
 	}
 	if _, err := r1.Run("interface Gi0/1 ip address 10.2.0.2 255.255.255.0"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("r1").Interface("Gi0/1").Addr != netip.MustParsePrefix("10.2.0.2/24") {
+	if n.Devices["r1"].Interface("Gi0/1").Addr != netip.MustParsePrefix("10.2.0.2/24") {
 		t.Fatal("address not set")
 	}
 	// Access-group binding.
 	if _, err := r1.Run("interface Gi0/0 ip access-group EDGE in"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("r1").Interface("Gi0/0").ACLIn != "EDGE" {
+	if n.Devices["r1"].Interface("Gi0/0").ACLIn != "EDGE" {
 		t.Fatal("access-group not bound")
 	}
 	if _, err := r1.Run("interface Gi0/0 no ip access-group in"); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("r1").Interface("Gi0/0").ACLIn != "" {
+	if n.Devices["r1"].Interface("Gi0/0").ACLIn != "" {
 		t.Fatal("access-group not unbound")
 	}
 }
@@ -318,7 +318,7 @@ func TestOSPFNeighborRendering(t *testing.T) {
 
 func TestCatalog(t *testing.T) {
 	n := testNet()
-	cat := Catalog(n.Device("r1"))
+	cat := Catalog(n.Devices["r1"])
 	if len(cat) == 0 {
 		t.Fatal("empty catalog")
 	}
@@ -336,7 +336,7 @@ func TestCatalog(t *testing.T) {
 		}
 	}
 	// Hosts have a smaller surface than routers.
-	hostCat := Catalog(n.Device("h1"))
+	hostCat := Catalog(n.Devices["h1"])
 	if len(hostCat) >= len(cat) {
 		t.Errorf("host surface (%d) should be smaller than router surface (%d)", len(hostCat), len(cat))
 	}

@@ -95,7 +95,7 @@ func TestIncrementalSnapshotInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Out-of-band mutation the console never saw.
-	n.Device("r1").Interface("Gi0/1").Shutdown = true
+	n.Devices["r1"].Interface("Gi0/1").Shutdown = true
 	env.invalidate()
 	got := env.Snapshot()
 	want := dataplane.Compute(n)

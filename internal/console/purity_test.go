@@ -50,7 +50,7 @@ var commandCorpus = []string{
 func TestReadCommandsArePure(t *testing.T) {
 	for _, line := range commandCorpus {
 		n := testNet()
-		n.Device("r1").VLANs[10] = n.Device("r1").VLANs[10] // keep as-is
+		n.Devices["r1"].VLANs[10] = n.Devices["r1"].VLANs[10] // keep as-is
 		env := NewEnv(n)
 		con := New("r1", env)
 		cmd, err := con.Parse(line)

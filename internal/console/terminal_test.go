@@ -57,7 +57,7 @@ func TestTerminalModalConfig(t *testing.T) {
 		}
 	}
 
-	r1 := n.Device("r1")
+	r1 := n.Devices["r1"]
 	if !r1.Interface("Gi0/1").Shutdown {
 		t.Error("interface sub-mode shutdown not applied")
 	}
@@ -90,17 +90,17 @@ show access-lists EDGE
 	if !strings.Contains(out, "192.168.9.0/24") {
 		t.Fatalf("do-command output missing route:\n%s", out)
 	}
-	if len(n.Device("r1").ACLs["EDGE"].Entries) != 0 {
+	if len(n.Devices["r1"].ACLs["EDGE"].Entries) != 0 {
 		t.Fatal("no <seq> in ACL sub-mode did not remove the entry")
 	}
-	if len(n.Device("r1").StaticRoutes) != 1 {
+	if len(n.Devices["r1"].StaticRoutes) != 1 {
 		t.Fatal("global config statement not applied")
 	}
 }
 
 func TestTerminalBGPSubMode(t *testing.T) {
 	n := testNet()
-	n.Device("r1").BGP = &netmodel.BGPProcess{LocalAS: 65001}
+	n.Devices["r1"].BGP = &netmodel.BGPProcess{LocalAS: 65001}
 	term := NewTerminal(New("r1", NewEnv(n)).Run)
 	script := `
 configure terminal
@@ -112,7 +112,7 @@ end
 	if _, err := term.Script(script); err != nil {
 		t.Fatal(err)
 	}
-	g := n.Device("r1").BGP
+	g := n.Devices["r1"].BGP
 	if g.Neighbor(netip.MustParseAddr("10.2.0.10")) == nil || len(g.Networks) != 1 {
 		t.Fatalf("BGP sub-mode not applied: %+v", g)
 	}

@@ -94,7 +94,7 @@ func TestConcurrentEngagements(t *testing.T) {
 	if err := sys.Enforcer.Trail().Verify(); err != nil {
 		t.Fatal(err)
 	}
-	reports := audit.Summarize(sys.Enforcer.Trail().Entries())
+	reports := audit.Summarize(sys.Enforcer.Trail().Links())
 	if len(reports) != 2 {
 		t.Fatalf("reports = %d", len(reports))
 	}

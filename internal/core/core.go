@@ -109,7 +109,7 @@ func (s *System) Production() *netmodel.Network { return s.production }
 
 // DeviceCount returns how many devices production holds.
 func (s *System) DeviceCount() int {
-	view, _ := s.Enforcer.View()
+	view, _ := s.Enforcer.View(false)
 	return len(view.Devices)
 }
 
@@ -156,7 +156,7 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	}
 	tk = s.Tickets.Get(ticketID)
 
-	prod, snap := s.Enforcer.View()
+	prod, snap := s.Enforcer.View(true)
 	slice := twin.ComputeSlice(prod, snap, twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
 
 	var scope, suspects, sensitive []string

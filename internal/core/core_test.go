@@ -116,7 +116,7 @@ func TestEndToEndWorkflow(t *testing.T) {
 				t.Fatal(err)
 			}
 			var kinds = map[audit.Kind]int{}
-			for _, e := range trail.Entries() {
+			for _, e := range trail.Links() {
 				kinds[e.Kind]++
 			}
 			for _, want := range []audit.Kind{audit.KindSession, audit.KindCommand,
@@ -168,7 +168,7 @@ func TestMaliciousChangeRejected(t *testing.T) {
 		t.Fatal("no violations reported")
 	}
 	// Production keeps its guard and stays broken (nothing applied).
-	guard := sys.view().Device("r2").ACLs["FINANCE-GUARD"]
+	guard := sys.view().Devices["r2"].ACLs["FINANCE-GUARD"]
 	for _, e := range guard.Entries {
 		if e.Seq == 15 {
 			t.Fatal("malicious entry reached production")
@@ -236,7 +236,7 @@ func TestEscalationWorkflow(t *testing.T) {
 	}
 	// Escalations appear on the audit trail.
 	found := 0
-	for _, e := range sys.Enforcer.Trail().Entries() {
+	for _, e := range sys.Enforcer.Trail().Links() {
 		if e.Kind == audit.KindEscalation {
 			found++
 		}
@@ -402,7 +402,7 @@ func TestWorkflowTelemetry(t *testing.T) {
 		t.Errorf("counterexamples_total = %v, want 0", got)
 	}
 	// Audit: the chain-length gauge tracks the trail.
-	if got := reg.GaugeValue("heimdall_audit_chain_length"); got != float64(sys.Enforcer.Trail().Len()) {
+	if got := reg.CounterValue("heimdall_audit_chain_length"); got != float64(sys.Enforcer.Trail().Len()) {
 		t.Errorf("audit_chain_length = %v, want %d", got, sys.Enforcer.Trail().Len())
 	}
 	if got := reg.CounterValue("heimdall_audit_entries_total", telemetry.L("kind", "command")); got == 0 {
@@ -423,7 +423,7 @@ func TestWorkflowTelemetry(t *testing.T) {
 
 // view is production as it is now (Enforcer.View).
 func (s *System) view() *netmodel.Network {
-	prod, _ := s.Enforcer.View()
+	prod, _ := s.Enforcer.View(false)
 	return prod
 }
 

@@ -41,7 +41,7 @@ func (e *Engagement) EmergencyConsole(device string) (*EmergencySession, error) 
 	if !e.emergency {
 		return nil, fmt.Errorf("core: emergency mode not enabled for %s", e.Ticket.ID)
 	}
-	if prod, _ := e.sys.Enforcer.View(); !e.Slice[device] || prod.Devices[device] == nil {
+	if prod, _ := e.sys.Enforcer.View(false); !e.Slice[device] || prod.Devices[device] == nil {
 		e.emergencyNote(audit.KindDecision, false, "deny console on %s (outside slice)", device)
 		return nil, fmt.Errorf("core: no such device %q", device)
 	}
@@ -78,7 +78,7 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 	e.emergencyNote(audit.KindDecision, true, "allow %s on %s", cmd.Action, cmd.Resource)
 
 	if !cmd.Write {
-		out, err := console.New(s.device, console.NewEnvSeeded(sys.Enforcer.View())).Execute(cmd)
+		out, err := console.New(s.device, console.NewEnvSeeded(sys.Enforcer.View(true))).Execute(cmd)
 		if err != nil {
 			e.emergencyNote(audit.KindCommand, true, "[%s] %s failed: %v", s.device, line, err)
 		}

@@ -60,7 +60,7 @@ func TestEmergencyFixAppliesDirectlyToProduction(t *testing.T) {
 
 	// The trail carries EMERGENCY markers for the whole episode.
 	markers := 0
-	for _, e := range sys.Enforcer.Trail().Entries() {
+	for _, e := range sys.Enforcer.Trail().Links() {
 		if strings.Contains(e.Detail, "EMERGENCY") {
 			markers++
 		}
@@ -119,14 +119,14 @@ func TestEmergencyShadowVerificationBlocksViolations(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "violate") {
 		t.Fatalf("violating emergency write: err = %v", err)
 	}
-	for _, e := range sys.view().Device("r2").ACLs["FINANCE-GUARD"].Entries {
+	for _, e := range sys.view().Devices["r2"].ACLs["FINANCE-GUARD"].Entries {
 		if e.Seq == 15 {
 			t.Fatal("violating entry reached production")
 		}
 	}
 	// A refusal entry is on the trail.
 	found := false
-	for _, e := range sys.Enforcer.Trail().Entries() {
+	for _, e := range sys.Enforcer.Trail().Links() {
 		if e.Kind == audit.KindVerify && strings.Contains(e.Detail, "EMERGENCY write refused") {
 			found = true
 		}

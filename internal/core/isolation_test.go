@@ -169,7 +169,8 @@ func (r *isolationRun) step(what string) {
 // moves, and production prints exactly its own writes (replayed onto a
 // second copy). Between production writes the twins write, and production
 // never changes. Secrets are redacted in every twin and intact in
-// production.
+// production. CI runs it twenty times under the race detector: one run
+// missed a race on the twin's device map about 19 times in 20.
 func TestTwinIsolation(t *testing.T) {
 	for _, scen := range []*scenarios.Scenario{scenarios.University(), generate.FatTree(generate.FatTreeParams{K: 4})} {
 		t.Run(scen.Name, func(t *testing.T) { testTwinIsolation(t, scen) })

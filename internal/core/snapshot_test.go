@@ -187,9 +187,9 @@ func heldDiverges(s *System) error {
 // same devices saw none.
 func heldAt(s *System) (*netmodel.Network, *dataplane.Snapshot, verify.Verdicts) {
 	for {
-		prod, snap := s.Enforcer.View()
+		prod, snap := s.Enforcer.View(true)
 		held := s.Enforcer.HeldVerdicts()
-		if again, _ := s.Enforcer.View(); maps.Equal(prod.Devices, again.Devices) {
+		if again, _ := s.Enforcer.View(false); maps.Equal(prod.Devices, again.Devices) {
 			return prod, snap, held
 		}
 	}
@@ -787,7 +787,7 @@ func firstRoutedInterface(n *netmodel.Network) (string, *netmodel.Interface) {
 // snapshot before every step, so it never lands a review's shadow).
 func trailOf(t *testing.T, e *enforcer.Enforcer) string {
 	t.Helper()
-	entries := e.Trail().Entries()
+	entries := e.Trail().Links()
 	for i := range entries {
 		if strings.HasPrefix(entries[i].Detail, "committed ") {
 			entries[i].Detail, _, _ = strings.Cut(entries[i].Detail, " (from=")
@@ -897,9 +897,9 @@ func TestProductionSnapshotHammer(t *testing.T) {
 				Entry: &netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit, Proto: netmodel.TCP, DstPort: uint16(9000 + k)},
 			}}
 			// Reviewed between two views of one production, or not compared.
-			prod, _ := sys.Enforcer.View()
+			prod, _ := sys.Enforcer.View(false)
 			d, _ := sys.Enforcer.Review(changes, wide, "")
-			if again, _ := sys.Enforcer.View(); !maps.Equal(prod.Devices, again.Devices) {
+			if again, _ := sys.Enforcer.View(false); !maps.Equal(prod.Devices, again.Devices) {
 				return nil
 			}
 			got, err := json.Marshal(d)
@@ -1016,7 +1016,7 @@ func TestEnforcerOwnsProduction(t *testing.T) {
 		}()
 	}
 	run(func(int) error {
-		prod, snap := sys.Enforcer.View()
+		prod, snap := sys.Enforcer.View(true)
 		if len(prod.Devices) != devices {
 			return fmt.Errorf("a view holds %d devices, want %d", len(prod.Devices), devices)
 		}

@@ -31,9 +31,9 @@ func peeringNet() *netmodel.Network {
 	n.MustConnect("isp1", "Gi0/2", "isp1-host", "eth0")
 	n.MustConnect("isp2", "Gi0/2", "isp2-host", "eth0")
 
-	set := func(dev, itf, addr string) { n.Device(dev).Interface(itf).Addr = pfx(addr) }
+	set := func(dev, itf, addr string) { n.Devices[dev].Interface(itf).Addr = pfx(addr) }
 	set("corp-host", "eth0", "10.1.0.10/24")
-	n.Device("corp-host").DefaultGateway = ip("10.1.0.1")
+	n.Devices["corp-host"].DefaultGateway = ip("10.1.0.1")
 	set("edge", "Gi0/0", "10.1.0.1/24")
 	set("edge", "Gi0/1", "203.0.113.1/30")
 	set("isp1", "Gi0/0", "203.0.113.2/30")
@@ -43,10 +43,10 @@ func peeringNet() *netmodel.Network {
 	set("isp2", "Gi0/1", "203.0.113.10/30")
 	set("isp1", "Gi0/2", "198.51.100.1/24")
 	set("isp1-host", "eth0", "198.51.100.10/24")
-	n.Device("isp1-host").DefaultGateway = ip("198.51.100.1")
+	n.Devices["isp1-host"].DefaultGateway = ip("198.51.100.1")
 	set("isp2", "Gi0/2", "192.0.2.1/24")
 	set("isp2-host", "eth0", "192.0.2.10/24")
-	n.Device("isp2-host").DefaultGateway = ip("192.0.2.1")
+	n.Devices["isp2-host"].DefaultGateway = ip("192.0.2.1")
 
 	edge.BGP = &netmodel.BGPProcess{
 		LocalAS: 65001, RouterID: ip("1.1.1.1"),
@@ -84,7 +84,7 @@ func TestBGPSessionsEstablish(t *testing.T) {
 		}
 	}
 	// A one-sided configuration forms no session.
-	n.Device("isp1").BGP.RemoveNeighbor(ip("203.0.113.1"))
+	n.Devices["isp1"].BGP.RemoveNeighbor(ip("203.0.113.1"))
 	s = Compute(n)
 	for _, p := range s.BGPPeers("edge") {
 		if p.PeerAddr == ip("203.0.113.2") && p.Established {
@@ -131,7 +131,7 @@ func TestBGPTransitPathAndLoopPrevention(t *testing.T) {
 	n := peeringNet()
 	// Tear down the edge-isp2 session: isp2's prefix must now arrive via
 	// isp1 transit with a longer AS path.
-	n.Device("edge").Interface("Gi0/2").Shutdown = true
+	n.Devices["edge"].Interface("Gi0/2").Shutdown = true
 	s := Compute(n)
 
 	var viaTransit *FIBEntry
@@ -156,7 +156,7 @@ func TestBGPTransitPathAndLoopPrevention(t *testing.T) {
 func TestBGPWrongASKeepsSessionDown(t *testing.T) {
 	n := peeringNet()
 	// The classic misconfiguration: edge expects the wrong AS from isp1.
-	n.Device("edge").BGP.SetNeighbor(ip("203.0.113.2"), 65011)
+	n.Devices["edge"].BGP.SetNeighbor(ip("203.0.113.2"), 65011)
 	s := Compute(n)
 	for _, p := range s.BGPPeers("edge") {
 		if p.PeerAddr == ip("203.0.113.2") && p.Established {
@@ -177,7 +177,7 @@ func TestBGPLocalOriginationNotDisplaced(t *testing.T) {
 	n := peeringNet()
 	// isp1 mischievously advertises the corporate prefix; the edge's own
 	// origination must win (no hijack of local space).
-	n.Device("isp1").BGP.Networks = append(n.Device("isp1").BGP.Networks, pfx("10.1.0.0/24"))
+	n.Devices["isp1"].BGP.Networks = append(n.Devices["isp1"].BGP.Networks, pfx("10.1.0.0/24"))
 	s := Compute(n)
 	for _, e := range s.RIB("edge") {
 		if e.Prefix == pfx("10.1.0.0/24") && e.Proto == BGP {
@@ -193,7 +193,7 @@ func TestBGPLocalOriginationNotDisplaced(t *testing.T) {
 
 func TestBGPRedistributeConnected(t *testing.T) {
 	n := peeringNet()
-	edge := n.Device("edge")
+	edge := n.Devices["edge"]
 	edge.BGP.Networks = nil
 	edge.BGP.RedistributeConnected = true
 	s := Compute(n)
@@ -229,12 +229,12 @@ func TestFormatBGP(t *testing.T) {
 // beats OSPF (AD 110).
 func TestAdminDistancePreference(t *testing.T) {
 	n := peeringNet()
-	edge := n.Device("edge")
+	edge := n.Devices["edge"]
 
 	// Teach the prefix to OSPF as well: run OSPF between edge and isp1 on
 	// the peering subnet, with isp1 advertising its service subnet.
 	for _, name := range []string{"edge", "isp1"} {
-		n.Device(name).OSPF = &netmodel.OSPFProcess{ProcessID: 1,
+		n.Devices[name].OSPF = &netmodel.OSPFProcess{ProcessID: 1,
 			Networks: []netmodel.OSPFNetwork{
 				{Prefix: pfx("203.0.113.0/28"), Area: 0},
 				{Prefix: pfx("198.51.100.0/24"), Area: 0},

@@ -86,7 +86,7 @@ func TestOSPFEndToEndReachability(t *testing.T) {
 func TestOSPFFailover(t *testing.T) {
 	n := threeRouterNet()
 	// Kill the shortcut r1-r3 link.
-	n.Device("r1").Interface("Gi0/2").Shutdown = true
+	n.Devices["r1"].Interface("Gi0/2").Shutdown = true
 	s := Compute(n)
 	tr, _ := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	if !tr.Delivered() {
@@ -100,10 +100,10 @@ func TestOSPFFailover(t *testing.T) {
 func TestOSPFAreaMismatchBreaksAdjacency(t *testing.T) {
 	n := threeRouterNet()
 	// Put r2 entirely in area 1: r1-r2 and r2-r3 adjacencies fail.
-	n.Device("r2").OSPF.Networks = []netmodel.OSPFNetwork{{Prefix: pfx("10.0.0.0/8"), Area: 1}}
+	n.Devices["r2"].OSPF.Networks = []netmodel.OSPFNetwork{{Prefix: pfx("10.0.0.0/8"), Area: 1}}
 	// Also kill the shortcut so there is no alternative.
-	n.Device("r1").Interface("Gi0/2").Shutdown = true
-	n.Device("r3").Interface("Gi0/2").Shutdown = true
+	n.Devices["r1"].Interface("Gi0/2").Shutdown = true
+	n.Devices["r3"].Interface("Gi0/2").Shutdown = true
 	s := Compute(n)
 	tr, _ := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	if tr.Delivered() {
@@ -113,10 +113,10 @@ func TestOSPFAreaMismatchBreaksAdjacency(t *testing.T) {
 
 func TestOSPFPassiveInterfaceFormsNoAdjacency(t *testing.T) {
 	n := threeRouterNet()
-	n.Device("r1").Interface("Gi0/2").Shutdown = true
-	n.Device("r3").Interface("Gi0/2").Shutdown = true
+	n.Devices["r1"].Interface("Gi0/2").Shutdown = true
+	n.Devices["r3"].Interface("Gi0/2").Shutdown = true
 	// Make r2's link to r3 passive: r2-r3 adjacency disappears.
-	n.Device("r2").OSPF.Passive["Gi0/1"] = true
+	n.Devices["r2"].OSPF.Passive["Gi0/1"] = true
 	s := Compute(n)
 	tr, _ := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	if tr.Delivered() {
@@ -126,7 +126,7 @@ func TestOSPFPassiveInterfaceFormsNoAdjacency(t *testing.T) {
 
 func TestInterfaceDownBreaksReachability(t *testing.T) {
 	n := threeRouterNet()
-	n.Device("r1").Interface("Gi0/0").Shutdown = true // host-facing
+	n.Devices["r1"].Interface("Gi0/0").Shutdown = true // host-facing
 	s := Compute(n)
 	tr, _ := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	if tr.Delivered() {
@@ -136,7 +136,7 @@ func TestInterfaceDownBreaksReachability(t *testing.T) {
 
 func TestACLDropsAtIngressAndEgress(t *testing.T) {
 	n := threeRouterNet()
-	r3 := n.Device("r3")
+	r3 := n.Devices["r3"]
 	acl := r3.ACL("BLOCK-WEB", true)
 	acl.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.TCP,
 		Dst: pfx("10.2.0.10/32"), DstPort: 80})
@@ -286,7 +286,7 @@ func TestInterVLANRoutingViaSVI(t *testing.T) {
 func TestWrongAccessVLANBreaksConnectivity(t *testing.T) {
 	n := vlanNet()
 	// Misconfigure h20's port into vlan 30: it leaves the 20 domain.
-	n.Device("sw2").Interface("Gi1/0/1").AccessVLAN = 30
+	n.Devices["sw2"].Interface("Gi1/0/1").AccessVLAN = 30
 	s := Compute(n)
 	tr, _ := s.Reach("h10", "h20", netmodel.ICMP, 0)
 	if tr.Delivered() {
@@ -297,7 +297,7 @@ func TestWrongAccessVLANBreaksConnectivity(t *testing.T) {
 func TestTrunkMissingVLANBreaksConnectivity(t *testing.T) {
 	n := vlanNet()
 	// Trunk drops vlan 20: frames from sw1's SVI20 cannot reach sw2.
-	n.Device("sw1").Interface("Gi1/0/24").TrunkVLANs = []int{10}
+	n.Devices["sw1"].Interface("Gi1/0/24").TrunkVLANs = []int{10}
 	s := Compute(n)
 	tr, _ := s.Reach("h10", "h20", netmodel.ICMP, 0)
 	if tr.Delivered() {
@@ -308,9 +308,9 @@ func TestTrunkMissingVLANBreaksConnectivity(t *testing.T) {
 func TestSameVLANAcrossSwitches(t *testing.T) {
 	n := vlanNet()
 	// Move h20 into vlan 10 with a vlan-10 address: pure L2 path.
-	n.Device("sw2").Interface("Gi1/0/1").AccessVLAN = 10
-	n.Device("h20").Interface("eth0").Addr = pfx("10.10.0.6/24")
-	n.Device("h20").DefaultGateway = ip("10.10.0.1")
+	n.Devices["sw2"].Interface("Gi1/0/1").AccessVLAN = 10
+	n.Devices["h20"].Interface("eth0").Addr = pfx("10.10.0.6/24")
+	n.Devices["h20"].DefaultGateway = ip("10.10.0.1")
 	s := Compute(n)
 	tr, _ := s.Reach("h10", "h20", netmodel.ICMP, 0)
 	if !tr.Delivered() {
@@ -367,12 +367,12 @@ func TestECMPKeptInRIB(t *testing.T) {
 	}
 	for k, v := range addr {
 		dev, ifn, _ := cut(k)
-		n.Device(dev).Interface(ifn).Addr = pfx(v)
+		n.Devices[dev].Interface(ifn).Addr = pfx(v)
 	}
-	lo := n.Device("r4").AddInterface("Loopback0")
+	lo := n.Devices["r4"].AddInterface("Loopback0")
 	lo.Addr = pfx("4.4.4.4/32")
 	for _, name := range []string{"r1", "r2", "r3", "r4"} {
-		n.Device(name).OSPF = &netmodel.OSPFProcess{
+		n.Devices[name].OSPF = &netmodel.OSPFProcess{
 			ProcessID: 1,
 			Networks: []netmodel.OSPFNetwork{
 				{Prefix: pfx("10.0.0.0/8"), Area: 0},

@@ -189,18 +189,18 @@ func twoIslandNet() *netmodel.Network {
 	}
 	n.MustConnect("r1", "Gi0/0", "r2", "Gi0/0")
 	n.MustConnect("r3", "Gi0/0", "r4", "Gi0/0")
-	set := func(dev, itf, addr string) { n.Device(dev).Interface(itf).Addr = pfx(addr) }
+	set := func(dev, itf, addr string) { n.Devices[dev].Interface(itf).Addr = pfx(addr) }
 	set("r1", "Gi0/0", "10.1.0.1/30")
 	set("r2", "Gi0/0", "10.1.0.2/30")
 	set("r3", "Gi0/0", "10.2.0.1/30")
 	set("r4", "Gi0/0", "10.2.0.2/30")
 	// A loopback per router so every SPF run produces at least one route.
-	n.Device("r1").AddInterface("Loopback0").Addr = pfx("10.1.1.1/32")
-	n.Device("r2").AddInterface("Loopback0").Addr = pfx("10.1.2.1/32")
-	n.Device("r3").AddInterface("Loopback0").Addr = pfx("10.2.1.1/32")
-	n.Device("r4").AddInterface("Loopback0").Addr = pfx("10.2.2.1/32")
+	n.Devices["r1"].AddInterface("Loopback0").Addr = pfx("10.1.1.1/32")
+	n.Devices["r2"].AddInterface("Loopback0").Addr = pfx("10.1.2.1/32")
+	n.Devices["r3"].AddInterface("Loopback0").Addr = pfx("10.2.1.1/32")
+	n.Devices["r4"].AddInterface("Loopback0").Addr = pfx("10.2.2.1/32")
 	for _, r := range []string{"r1", "r2", "r3", "r4"} {
-		n.Device(r).OSPF = &netmodel.OSPFProcess{ProcessID: 1,
+		n.Devices[r].OSPF = &netmodel.OSPFProcess{ProcessID: 1,
 			Networks: []netmodel.OSPFNetwork{{Prefix: pfx("10.0.0.0/8"), Area: 0}},
 			Passive:  map[string]bool{"Loopback0": true}}
 	}

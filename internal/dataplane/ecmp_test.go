@@ -31,12 +31,12 @@ func diamondNet() *netmodel.Network {
 	}
 	for k, v := range addr {
 		dev, ifn, _ := cut(k)
-		n.Device(dev).Interface(ifn).Addr = pfx(v)
+		n.Devices[dev].Interface(ifn).Addr = pfx(v)
 	}
-	n.Device("h1").DefaultGateway = ip("10.1.0.1")
-	n.Device("h2").DefaultGateway = ip("10.2.0.1")
+	n.Devices["h1"].DefaultGateway = ip("10.1.0.1")
+	n.Devices["h2"].DefaultGateway = ip("10.2.0.1")
 	for _, name := range []string{"r1", "r2", "r3", "r4"} {
-		n.Device(name).OSPF = &netmodel.OSPFProcess{ProcessID: 1,
+		n.Devices[name].OSPF = &netmodel.OSPFProcess{ProcessID: 1,
 			Networks: []netmodel.OSPFNetwork{{Prefix: pfx("10.0.0.0/8"), Area: 0}},
 			Passive:  map[string]bool{"Gi0/9": true}}
 	}
@@ -64,7 +64,7 @@ func TestECMPDefaultIsFirstEntry(t *testing.T) {
 func TestOSPFCostSteersPath(t *testing.T) {
 	n := diamondNet()
 	// Make the r2 branch expensive: traffic prefers r3.
-	n.Device("r1").Interface("Gi0/0").OSPFCost = 10
+	n.Devices["r1"].Interface("Gi0/0").OSPFCost = 10
 	s := Compute(n)
 	tr, err := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	if err != nil || !tr.Delivered() {
@@ -86,7 +86,7 @@ func TestOSPFCostSteersPath(t *testing.T) {
 	}
 
 	// Equal costs again (both 10): ECMP returns.
-	n.Device("r1").Interface("Gi0/1").OSPFCost = 10
+	n.Devices["r1"].Interface("Gi0/1").OSPFCost = 10
 	s = Compute(n)
 	hops := 0
 	for _, e := range s.RIB("r1") {
@@ -103,7 +103,7 @@ func TestOSPFCostAsymmetric(t *testing.T) {
 	// Cost applies on the egress interface of the router that pays it, so
 	// forward and reverse paths can legitimately differ.
 	n := diamondNet()
-	n.Device("r1").Interface("Gi0/0").OSPFCost = 10 // r1 avoids r2 outbound
+	n.Devices["r1"].Interface("Gi0/0").OSPFCost = 10 // r1 avoids r2 outbound
 	s := Compute(n)
 	fwd, _ := s.Reach("h1", "h2", netmodel.ICMP, 0)
 	rev, _ := s.Reach("h2", "h1", netmodel.ICMP, 0)

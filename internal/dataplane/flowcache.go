@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -36,11 +35,9 @@ type flowResult struct {
 // into one production snapshot's cache. A map under a read-write lock costs
 // one hash per operation, a sync.Map a hash-trie walk on a boxed key.
 type flowCache struct {
-	mu     sync.RWMutex
-	m      map[flowKey]flowResult
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	// hitCtr/missCtr mirror the atomic counters onto the wired Meter
+	mu sync.RWMutex
+	m  map[flowKey]flowResult
+	// hitCtr/missCtr count lookups served and traced on the wired Meter
 	// (no-ops unless a registry was passed via Options.Meter); carriedCtr
 	// counts the hits that were served from the parent's cache.
 	hitCtr     telemetry.Counter
@@ -93,17 +90,9 @@ func (c *flowCache) loadOrStore(k flowKey, r flowResult) (flowResult, bool) {
 func (c *flowCache) store(k flowKey, r flowResult) flowResult {
 	r, loaded := c.loadOrStore(k, r)
 	if loaded {
-		c.hits.Add(1)
 		c.hitCtr.Inc()
 	} else {
-		c.misses.Add(1)
 		c.missCtr.Inc()
 	}
 	return r
-}
-
-// FlowCacheStats returns how many Reach calls this snapshot served from
-// its memoized flow cache (hits) versus traced from scratch (misses).
-func (s *Snapshot) FlowCacheStats() (hits, misses uint64) {
-	return s.flows.hits.Load(), s.flows.misses.Load()
 }

@@ -17,7 +17,7 @@ import (
 // same host pair yields different dispositions per (proto, dstPort).
 func blockWebNet() *netmodel.Network {
 	n := threeRouterNet()
-	r3 := n.Device("r3")
+	r3 := n.Devices["r3"]
 	acl := r3.ACL("BLOCK-WEB", true)
 	acl.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.TCP,
 		Dst: pfx("10.2.0.10/32"), DstPort: 80})
@@ -27,8 +27,19 @@ func blockWebNet() *netmodel.Network {
 	return n
 }
 
+// metered computes n's snapshot on a registry of its own and returns a
+// reader of the flow-cache hits and misses counted there, by it and by
+// every snapshot derived from it.
+func metered(n *netmodel.Network) (*Snapshot, func() (hits, misses uint64)) {
+	reg := telemetry.NewRegistry()
+	return ComputeWithOptions(n, Options{Meter: reg}), func() (uint64, uint64) {
+		return uint64(reg.CounterValue("heimdall_dataplane_flowcache_hits_total")),
+			uint64(reg.CounterValue("heimdall_dataplane_flowcache_misses_total"))
+	}
+}
+
 func TestFlowCacheKeyDistinguishesProtoAndPort(t *testing.T) {
-	s := Compute(blockWebNet())
+	s, stats := metered(blockWebNet())
 
 	web, err := s.Reach("h1", "h2", netmodel.TCP, 80)
 	if err != nil {
@@ -42,7 +53,7 @@ func TestFlowCacheKeyDistinguishesProtoAndPort(t *testing.T) {
 	if !ssh.Delivered() || !icmp.Delivered() {
 		t.Fatalf("tcp/22 and icmp should pass: %s / %s", ssh, icmp)
 	}
-	if hits, misses := s.FlowCacheStats(); hits != 0 || misses != 3 {
+	if hits, misses := stats(); hits != 0 || misses != 3 {
 		t.Fatalf("three distinct flows should all miss: hits=%d misses=%d", hits, misses)
 	}
 
@@ -53,19 +64,19 @@ func TestFlowCacheKeyDistinguishesProtoAndPort(t *testing.T) {
 	if web2 != web || ssh2 != ssh {
 		t.Fatal("repeat Reach should return the memoized trace")
 	}
-	if hits, misses := s.FlowCacheStats(); hits != 2 || misses != 3 {
+	if hits, misses := stats(); hits != 2 || misses != 3 {
 		t.Fatalf("hits=%d misses=%d, want 2/3", hits, misses)
 	}
 }
 
 func TestFlowCacheCachesErrors(t *testing.T) {
-	s := Compute(threeRouterNet())
+	s, stats := metered(threeRouterNet())
 	for i := 0; i < 2; i++ {
 		if _, err := s.Reach("nope", "h2", netmodel.ICMP, 0); err == nil {
 			t.Fatal("unknown host should error")
 		}
 	}
-	if hits, misses := s.FlowCacheStats(); hits != 1 || misses != 1 {
+	if hits, misses := stats(); hits != 1 || misses != 1 {
 		t.Fatalf("errors should be memoized too: hits=%d misses=%d", hits, misses)
 	}
 }
@@ -80,15 +91,15 @@ func TestFlowCacheIsPerSnapshot(t *testing.T) {
 
 	// Break the only remaining path and recompute: the fresh snapshot
 	// must trace from scratch, not serve the stale delivered trace.
-	n.Device("r1").Interface("Gi0/1").Shutdown = true
-	n.Device("r1").Interface("Gi0/2").Shutdown = true
-	s2 := Compute(n)
-	if hits, misses := s2.FlowCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("recomputed snapshot should start empty: hits=%d misses=%d", hits, misses)
-	}
+	n.Devices["r1"].Interface("Gi0/1").Shutdown = true
+	n.Devices["r1"].Interface("Gi0/2").Shutdown = true
+	s2, stats := metered(n)
 	tr2, _ := s2.Reach("h1", "h2", netmodel.ICMP, 0)
 	if tr2.Delivered() {
 		t.Fatalf("broken network served a stale delivered trace: %s", tr2)
+	}
+	if hits, misses := stats(); hits != 0 || misses != 1 {
+		t.Fatalf("recomputed snapshot should trace from scratch: hits=%d misses=%d", hits, misses)
 	}
 	// The old snapshot still answers from its own (valid-for-it) cache.
 	tr1b, _ := s1.Reach("h1", "h2", netmodel.ICMP, 0)
@@ -98,7 +109,7 @@ func TestFlowCacheIsPerSnapshot(t *testing.T) {
 }
 
 func TestFlowCacheConcurrentReach(t *testing.T) {
-	s := Compute(blockWebNet())
+	s, stats := metered(blockWebNet())
 	type probe struct {
 		src, dst  string
 		proto     netmodel.Protocol
@@ -136,7 +147,7 @@ func TestFlowCacheConcurrentReach(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	hits, misses := s.FlowCacheStats()
+	hits, misses := stats()
 	if misses != uint64(len(probes)) {
 		t.Errorf("misses = %d, want %d (one per distinct flow)", misses, len(probes))
 	}
@@ -167,9 +178,6 @@ func TestFlowCacheMeterExposition(t *testing.T) {
 			t.Errorf("exposition missing %s:\n%s", name, dump)
 		}
 	}
-	if hits, misses := child.FlowCacheStats(); hits != 1 || misses != 0 {
-		t.Errorf("a carried lookup is a hit: hits=%d misses=%d", hits, misses)
-	}
 }
 
 // aclOn returns n with a fresh permit-all ACL defined on one cloned device:
@@ -185,7 +193,7 @@ func aclOn(n *netmodel.Network, dev string) *netmodel.Network {
 // snapshot nobody calls Reach on gets warm — and only then.
 func TestFlowCacheWriteBack(t *testing.T) {
 	n := threeRouterNet()
-	parent := Compute(n)
+	parent, stats := metered(n)
 	key := flowKey{src: "h1", dst: "h2", proto: netmodel.ICMP}
 
 	// r1 is on the path: the trace stays with the child.
@@ -198,23 +206,23 @@ func TestFlowCacheWriteBack(t *testing.T) {
 	// r2 is not: the trace goes back, and a sibling finds it there.
 	clean := parent.Derive(aclOn(n, "r2"), ChangeSet{{Device: "r2", Kind: ChangeACL}})
 	tr, _ := clean.Reach("h1", "h2", netmodel.ICMP, 0)
-	if _, misses := clean.FlowCacheStats(); misses != 1 {
-		t.Fatalf("cold parent: child should have traced once, misses=%d", misses)
+	if _, misses := stats(); misses != 2 {
+		t.Fatalf("cold parent: each child should have traced once, misses=%d", misses)
 	}
 	sibling := parent.Derive(aclOn(n, "r2"), ChangeSet{{Device: "r2", Kind: ChangeACL}})
 	if got, _ := sibling.Reach("h1", "h2", netmodel.ICMP, 0); got != tr {
 		t.Fatal("sibling did not carry the trace its sibling wrote back")
 	}
-	if hits, misses := parent.FlowCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("the parent's counters count its own Reach calls: hits=%d misses=%d", hits, misses)
+	if hits, misses := stats(); hits != 1 || misses != 2 {
+		t.Fatalf("a write-back counts nothing, a carried lookup one hit: hits=%d misses=%d", hits, misses)
 	}
 	// Errors have no hops and carry too.
 	clean.Reach("nope", "h2", netmodel.ICMP, 0)
 	if _, err := sibling.Reach("nope", "h2", netmodel.ICMP, 0); err == nil {
 		t.Fatal("unknown host should error")
 	}
-	if _, misses := sibling.FlowCacheStats(); misses != 0 {
-		t.Fatalf("sibling traced %d flows its parent already held", misses)
+	if _, misses := stats(); misses != 3 {
+		t.Fatalf("sibling traced %d flows its parent already held", misses-3)
 	}
 }
 
@@ -233,7 +241,7 @@ func TestFlowCacheInPlaceParent(t *testing.T) {
 	}
 
 	// A change off the path, in place: carried by pointer.
-	n.Device("r2").ACL("NOOP", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit})
+	n.Devices["r2"].ACL("NOOP", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Permit})
 	child := parent.Derive(n, ChangeSet{{Device: "r2", Kind: ChangeACL}})
 	if got, _ := child.Reach("h1", "h2", netmodel.ICMP, 0); got != old {
 		t.Fatal("clean trace not carried across an in-place derive")
@@ -241,7 +249,7 @@ func TestFlowCacheInPlaceParent(t *testing.T) {
 
 	// A change on the path, in place: retraced on the child, and neither
 	// ancestor's entry is replaced.
-	r1 := n.Device("r1")
+	r1 := n.Devices["r1"]
 	r1.ACL("DENY", true).InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.AnyProto})
 	r1.Interface("Gi0/0").ACLIn = "DENY"
 	grandchild := child.Derive(n, ChangeSet{{Device: "r1", Kind: ChangeACL}})

@@ -25,7 +25,7 @@ func threeAreaNet() *netmodel.Network {
 	n.MustConnect("abr1", "Gi1/0", "r1a", "Gi0/0")
 	n.MustConnect("abr1", "Gi1/1", "r1b", "Gi0/0")
 	n.MustConnect("abr2", "Gi1/0", "r2a", "Gi0/0")
-	set := func(dev, itf, addr string) { n.Device(dev).Interface(itf).Addr = pfx(addr) }
+	set := func(dev, itf, addr string) { n.Devices[dev].Interface(itf).Addr = pfx(addr) }
 	set("r0", "Gi0/0", "10.0.0.1/30")
 	set("abr1", "Gi0/0", "10.0.0.2/30")
 	set("r0", "Gi0/1", "10.0.0.5/30")
@@ -36,12 +36,12 @@ func threeAreaNet() *netmodel.Network {
 	set("r1b", "Gi0/0", "10.1.0.6/30")
 	set("abr2", "Gi1/0", "10.2.0.1/30")
 	set("r2a", "Gi0/0", "10.2.0.2/30")
-	n.Device("r0").AddInterface("Loopback0").Addr = pfx("10.0.255.1/32")
-	n.Device("r1a").AddInterface("Loopback0").Addr = pfx("10.1.255.1/32")
-	n.Device("r1b").AddInterface("Loopback0").Addr = pfx("10.1.255.2/32")
-	n.Device("r2a").AddInterface("Loopback0").Addr = pfx("10.2.255.1/32")
+	n.Devices["r0"].AddInterface("Loopback0").Addr = pfx("10.0.255.1/32")
+	n.Devices["r1a"].AddInterface("Loopback0").Addr = pfx("10.1.255.1/32")
+	n.Devices["r1b"].AddInterface("Loopback0").Addr = pfx("10.1.255.2/32")
+	n.Devices["r2a"].AddInterface("Loopback0").Addr = pfx("10.2.255.1/32")
 	ospf := func(dev string, nets []netmodel.OSPFNetwork, ranges []netmodel.OSPFNetwork) {
-		n.Device(dev).OSPF = &netmodel.OSPFProcess{ProcessID: 1,
+		n.Devices[dev].OSPF = &netmodel.OSPFProcess{ProcessID: 1,
 			Networks: nets, Ranges: ranges,
 			Passive: map[string]bool{"Loopback0": true}}
 	}
@@ -171,8 +171,8 @@ func TestDeriveLSDBSharesUntouchedAreas(t *testing.T) {
 		p := sw.Interface(port)
 		p.Mode, p.AccessVLAN = netmodel.Access, 50
 	}
-	base.Device("r2a").Interface("Gi0/1").Addr = pfx("10.2.1.1/24")
-	base.Device("h").Interface("eth0").Addr = pfx("10.2.1.10/24")
+	base.Devices["r2a"].Interface("Gi0/1").Addr = pfx("10.2.1.1/24")
+	base.Devices["h"].Interface("eth0").Addr = pfx("10.2.1.10/24")
 
 	oldAdj := computeAdjacency(base)
 	old := buildLSDB(base, oldAdj)

@@ -40,7 +40,7 @@ type Options struct {
 	// Meter receives the snapshot's flow-cache counters
 	// (heimdall_dataplane_flowcache_{hits,misses,carried}_total) and the
 	// route tables it builds (heimdall_dataplane_routes_built_total). Nil
-	// means no instrumentation; FlowCacheStats works either way.
+	// means no instrumentation.
 	Meter telemetry.Meter
 }
 
@@ -454,7 +454,6 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
 	k := flowKey{src: srcHost, dst: dstHost, proto: proto, dstPort: dstPort}
 	if r, ok := s.flows.load(k); ok {
-		s.flows.hits.Add(1)
 		s.flows.hitCtr.Inc()
 		return r.tr, r.err
 	}
@@ -492,7 +491,7 @@ func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmode
 
 // carried serves the flow from the parent's cache when the memoized trace
 // carries, and memoizes it here so the next generation finds it one level
-// up. The parent's own counters do not move: they count its Reach calls.
+// up. It counts a hit here and nothing against the parent.
 func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 	if s.parentFlows == nil {
 		return flowResult{}, false
@@ -502,7 +501,6 @@ func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 		return flowResult{}, false
 	}
 	r, _ = s.flows.loadOrStore(k, r)
-	s.flows.hits.Add(1)
 	s.flows.hitCtr.Inc()
 	s.flows.carriedCtr.Inc()
 	return r, true

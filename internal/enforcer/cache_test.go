@@ -39,7 +39,7 @@ func maliciousPermit() config.Change {
 // verifyDetails extracts the audit trail's verification entries.
 func verifyDetails(trail *audit.Trail) []string {
 	var out []string
-	for _, e := range trail.Entries() {
+	for _, e := range trail.Links() {
 		if e.Kind == audit.KindVerify {
 			out = append(out, e.Detail)
 		}

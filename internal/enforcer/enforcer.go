@@ -110,13 +110,18 @@ func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network
 }
 
 // View returns a copy of production that shares its devices (a map copy:
-// published devices are immutable) and the held snapshot rebound to that
-// copy, both the caller's to read without any lock. The held snapshot
-// itself reads production's device map lazily, so it never leaves the lock.
-func (e *Enforcer) View() (*netmodel.Network, *dataplane.Snapshot) {
+// published devices are immutable) and, when snapshot is set, the held
+// snapshot rebound to that copy, computed first when none is held; both
+// are the caller's to read without any lock. A reader of devices alone
+// passes false and derives nothing. The held snapshot itself reads
+// production's device map lazily, so it never leaves the lock.
+func (e *Enforcer) View(snapshot bool) (*netmodel.Network, *dataplane.Snapshot) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	view := e.prod.CloneCOW()
+	if !snapshot {
+		return view, nil
+	}
 	return view, e.productionSnapshot().Derive(view, nil)
 }
 
@@ -166,9 +171,6 @@ func (e *Enforcer) TrailKey() []byte {
 	k := e.encl.DeriveKey("audit-trail")
 	return append([]byte(nil), k...)
 }
-
-// Policies returns the guarded policy set.
-func (e *Enforcer) Policies() []verify.Policy { return e.policies }
 
 // Attest produces an attestation report binding the enforcer's code
 // identity to the caller's nonce.

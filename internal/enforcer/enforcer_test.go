@@ -71,7 +71,7 @@ func TestReviewAcceptsBenignChange(t *testing.T) {
 		t.Fatal("no policies checked")
 	}
 	// Review must not mutate production.
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != 2 {
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != 2 {
 		t.Fatal("review mutated production")
 	}
 }
@@ -237,12 +237,12 @@ func TestCommitAppliesAndAudits(t *testing.T) {
 	if err != nil || !d.Accepted {
 		t.Fatalf("commit failed: %v %+v", err, d)
 	}
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != 3 {
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != 3 {
 		t.Fatal("change not applied to production")
 	}
 	// Audit trail recorded the change and verifies.
 	var changeEntries int
-	for _, entry := range e.Trail().Entries() {
+	for _, entry := range e.Trail().Links() {
 		if entry.Kind == audit.KindChange {
 			changeEntries++
 		}
@@ -258,7 +258,7 @@ func TestCommitAppliesAndAudits(t *testing.T) {
 func TestCommitRejectedLeavesProductionUntouched(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	before := len(n.Device("r1").ACLs["GUARD"].Entries)
+	before := len(n.Devices["r1"].ACLs["GUARD"].Entries)
 	changes := []config.Change{{
 		Device: "r1", Op: config.OpAddACLEntry, ACLName: "GUARD",
 		Entry: &netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit, Proto: netmodel.AnyProto,
@@ -267,7 +267,7 @@ func TestCommitRejectedLeavesProductionUntouched(t *testing.T) {
 	if _, err := e.submit(changes, aclSpec()); err == nil {
 		t.Fatal("violating commit accepted")
 	}
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != before {
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != before {
 		t.Fatal("rejected commit mutated production")
 	}
 }
@@ -290,7 +290,7 @@ func TestCommitRollsBackOnApplyFailure(t *testing.T) {
 	if _, err := e.submit(changes, aclSpec()); err == nil {
 		t.Fatal("duplicate removal accepted")
 	}
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != 2 {
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != 2 {
 		t.Fatal("production mutated by failed commit")
 	}
 }

@@ -323,7 +323,7 @@ func TestHandOverHammer(t *testing.T) {
 			gate.RUnlock()
 			gate.Lock()
 		}
-		view, _ := e.View()
+		view, _ := e.View(false)
 		shadow := view.Clone()
 		if err := config.ApplyChanges(shadow, changes); err != nil {
 			t.Fatal(err)

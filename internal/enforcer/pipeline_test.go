@@ -58,7 +58,7 @@ func TestCommitRetriesTransientFaultAndSucceeds(t *testing.T) {
 	if err != nil || !d.Accepted {
 		t.Fatalf("commit with transient faults failed: %v %+v", err, d)
 	}
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != 3 {
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != 3 {
 		t.Fatal("change not applied after retries")
 	}
 	// Two faults, two retries, two backoff sleeps — all reconciled.
@@ -385,8 +385,8 @@ func TestConcurrentCommits(t *testing.T) {
 			t.Fatalf("concurrent commit %d failed: %v", i, err)
 		}
 	}
-	if len(n.Device("r1").ACLs["GUARD"].Entries) != 6 {
-		t.Fatalf("entries = %d, want 6", len(n.Device("r1").ACLs["GUARD"].Entries))
+	if len(n.Devices["r1"].ACLs["GUARD"].Entries) != 6 {
+		t.Fatalf("entries = %d, want 6", len(n.Devices["r1"].ACLs["GUARD"].Entries))
 	}
 	if got := reg.CounterValue("heimdall_enforcer_commits_total", telemetry.L("accepted", "true")); got != 4 {
 		t.Fatalf("commits_total{accepted} = %v, want 4", got)

@@ -17,7 +17,7 @@ import (
 // commitTrail is the commit line a ticket's trail ends with, or "".
 func commitTrail(e *Enforcer, ticket string) string {
 	line := ""
-	for _, entry := range e.Trail().Entries() {
+	for _, entry := range e.Trail().Links() {
 		if entry.Ticket == ticket && entry.Kind == audit.KindSession && strings.HasPrefix(entry.Detail, "committed ") {
 			line = entry.Detail
 		}
@@ -90,7 +90,7 @@ func TestStaleAcceptanceReverifiedAtCommit(t *testing.T) {
 		if o.err == nil || !strings.Contains(o.err.Error(), "change set rejected") || o.d.Accepted {
 			t.Fatalf("B not refused before its push: %v %+v", o.err, o.d)
 		}
-		want := verify.Check(dataplane.Compute(o.both), o.e.Policies()).Violations
+		want := verify.Check(dataplane.Compute(o.both), o.e.policies).Violations
 		if len(want) != 2 {
 			t.Fatalf("precondition: A and B together break %d policies, want h1->h3 and h2->h3", len(want))
 		}

@@ -157,7 +157,7 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 
 // prodOf is e's production as it is now.
 func prodOf(e *enforcer.Enforcer) *netmodel.Network {
-	view, _ := e.View()
+	view, _ := e.View(false)
 	return view
 }
 

@@ -9,7 +9,8 @@ import (
 // schedules, each audited by RunChaosSchedule against the all-or-nothing
 // invariant, journal-replay equivalence and counter reconciliation.
 // Schedules run as parallel subtests so the race detector sweeps the
-// pipeline too.
+// pipeline too. Seeds are pinned: `go run ./cmd/experiments -chaos 60`
+// reproduces a failure.
 func TestChaosSuite(t *testing.T) {
 	results := make([]*ChaosResult, 61)
 	t.Run("schedules", func(t *testing.T) {

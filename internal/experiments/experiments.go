@@ -12,7 +12,9 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -209,36 +211,50 @@ func FormatFigure7(runs []Figure7Run) string {
 	return b.String()
 }
 
-// TraceFigure7 replays the pilot-study latency breakdowns as spans on a
-// deterministic virtual clock: each run becomes one root span per approach
-// ("current <issue>" / "heimdall <issue>") carrying ticket and technician
-// attributes that match the audit trail, with one child span per modeled
-// step (connect, twin-setup, operate, verify, ...). The virtual clock
-// advances by exactly each step's modeled duration, so every root span's
-// duration equals its Breakdown.Total() and the JSONL export reconciles
-// with Figure 7.
-func TraceFigure7(runs []Figure7Run, start time.Time) *telemetry.Tracer {
-	clock := telemetry.NewVirtualClock(start)
-	tr := telemetry.NewTracer(clock.Now)
+// TraceFigure7 writes the pilot-study latency breakdowns to w as JSONL
+// spans (telemetry.Span) on a modeled clock that starts at start and
+// advances by exactly each step's modeled duration: per run, one root span
+// per approach ("current <issue>" / "heimdall <issue>") carrying ticket and
+// technician attributes that match the audit trail, then one child span
+// per modeled step (connect, twin-setup, operate, verify, ...). Every root
+// span's duration is its Breakdown.Total(), so the export reconciles with
+// Figure 7. IDs are sequential and lines come in start order, so the
+// output is byte-for-byte reproducible. It returns the number of spans
+// written.
+func TraceFigure7(w io.Writer, runs []Figure7Run, start time.Time) (int, error) {
+	enc := json.NewEncoder(w)
+	now, n := start, 0
+	// put numbers s and writes it; a root span (no trace ID) opens a trace
+	// of its own.
+	put := func(s telemetry.Span) (telemetry.Span, error) {
+		n++
+		s.SpanID = fmt.Sprintf("s%04d", n)
+		if s.TraceID == "" {
+			s.TraceID = "t" + s.SpanID[1:]
+		}
+		s.DurMS = float64(s.End.Sub(s.Start)) / float64(time.Millisecond)
+		return s, enc.Encode(s)
+	}
 	for _, run := range runs {
 		for _, bd := range []*latency.Breakdown{run.Current, run.Heimdall} {
 			if bd == nil {
 				continue
 			}
-			root := tr.StartTrace(strings.ToLower(bd.Approach)+" "+bd.Issue,
-				telemetry.L("approach", strings.ToLower(bd.Approach)),
-				telemetry.L("issue", bd.Issue),
-				telemetry.L("ticket", run.TicketID),
-				telemetry.L("technician", run.Technician))
-			for _, step := range bd.Steps {
-				child := root.StartChild(step.Name)
-				clock.Advance(step.Duration)
-				child.Finish()
+			approach := strings.ToLower(bd.Approach)
+			root, err := put(telemetry.Span{Name: approach + " " + bd.Issue, Start: now, End: now.Add(bd.Total()),
+				Attrs: map[string]string{"approach": approach, "issue": bd.Issue, "ticket": run.TicketID, "technician": run.Technician}})
+			if err != nil {
+				return n, err
 			}
-			root.Finish()
+			for _, step := range bd.Steps {
+				if _, err := put(telemetry.Span{TraceID: root.TraceID, ParentID: root.SpanID, Name: step.Name, Start: now, End: now.Add(step.Duration)}); err != nil {
+					return n, err
+				}
+				now = now.Add(step.Duration)
+			}
 		}
 	}
-	return tr
+	return n, nil
 }
 
 // Figure89 runs the feasibility / attack-surface sweep on a scenario

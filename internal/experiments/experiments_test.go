@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -135,9 +136,10 @@ func TestMeasureVerifyCost(t *testing.T) {
 }
 
 // TestTraceFigure7Reconciles fabricates pilot-study runs from the default
-// latency model and checks that the exported spans reconcile exactly with
-// the Figure 7 breakdowns: one root span per approach whose duration is
-// the breakdown total, with one child per modeled step.
+// latency model, decodes the JSONL lines it writes and checks that they
+// reconcile exactly with the Figure 7 breakdowns: one root span per
+// approach whose duration is the breakdown total, with one child per
+// modeled step, every line in start order.
 func TestTraceFigure7Reconciles(t *testing.T) {
 	model := latency.Default()
 	runs := []Figure7Run{
@@ -157,21 +159,43 @@ func TestTraceFigure7Reconciles(t *testing.T) {
 		},
 	}
 	start := time.Date(2021, time.November, 1, 0, 0, 0, 0, time.UTC)
-	tr := TraceFigure7(runs, start)
-	spans := tr.Finished()
+	var out strings.Builder
+	n, err := TraceFigure7(&out, runs, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []telemetry.Span
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		dec := json.NewDecoder(strings.NewReader(line))
+		dec.DisallowUnknownFields()
+		var s telemetry.Span
+		if err := dec.Decode(&s); err != nil {
+			t.Fatalf("%v: %s", err, line)
+		}
+		spans = append(spans, s)
+	}
 
 	wantSpans := 0
 	for _, r := range runs {
 		wantSpans += 2 // two root spans
 		wantSpans += len(r.Current.Steps) + len(r.Heimdall.Steps)
 	}
-	if len(spans) != wantSpans {
-		t.Fatalf("got %d spans, want %d", len(spans), wantSpans)
+	if len(spans) != wantSpans || n != wantSpans {
+		t.Fatalf("wrote %d lines and reported %d spans, want %d", len(spans), n, wantSpans)
 	}
 
-	roots := map[string]*telemetry.Span{}
-	children := map[string][]*telemetry.Span{}
-	for _, s := range spans {
+	roots := map[string]telemetry.Span{}
+	children := map[string][]telemetry.Span{}
+	for i, s := range spans {
+		if want := fmt.Sprintf("s%04d", i+1); s.SpanID != want {
+			t.Errorf("line %d has span ID %s, want %s: IDs are sequential", i+1, s.SpanID, want)
+		}
+		if i > 0 && s.Start.Before(spans[i-1].Start) {
+			t.Errorf("span %s starts before the line above it", s.SpanID)
+		}
+		if s.DurMS != float64(s.End.Sub(s.Start))/float64(time.Millisecond) {
+			t.Errorf("span %s: durationMs %v, want %v", s.SpanID, s.DurMS, s.End.Sub(s.Start))
+		}
 		if s.ParentID == "" {
 			roots[s.Name] = s
 		} else {
@@ -181,8 +205,8 @@ func TestTraceFigure7Reconciles(t *testing.T) {
 	for _, r := range runs {
 		for _, bd := range []*latency.Breakdown{r.Current, r.Heimdall} {
 			name := strings.ToLower(bd.Approach) + " " + bd.Issue
-			root := roots[name]
-			if root == nil {
+			root, ok := roots[name]
+			if !ok {
 				t.Fatalf("no root span %q", name)
 			}
 			if got := root.End.Sub(root.Start); got != bd.Total() {
@@ -196,29 +220,14 @@ func TestTraceFigure7Reconciles(t *testing.T) {
 				t.Fatalf("%s: %d child spans, want %d steps", name, len(kids), len(bd.Steps))
 			}
 			for i, step := range bd.Steps {
-				if kids[i].Name != step.Name {
-					t.Errorf("%s: child %d = %q, want %q", name, i, kids[i].Name, step.Name)
+				if kids[i].Name != step.Name || kids[i].TraceID != root.TraceID {
+					t.Errorf("%s: child %d = %q in trace %s, want %q in %s", name, i, kids[i].Name, kids[i].TraceID, step.Name, root.TraceID)
 				}
 				if got := kids[i].End.Sub(kids[i].Start); got != step.Duration {
 					t.Errorf("%s/%s: duration %s, want %s", name, step.Name, got, step.Duration)
 				}
 			}
 		}
-	}
-
-	// The JSONL export round-trips.
-	var b strings.Builder
-	if err := tr.ExportJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	parsed := 0
-	for dec := json.NewDecoder(strings.NewReader(b.String())); dec.More(); parsed++ {
-		if err := dec.Decode(new(telemetry.Span)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if parsed != len(spans) {
-		t.Fatalf("parsed %d spans, want %d", parsed, len(spans))
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"heimdall/internal/audit"
 	"heimdall/internal/chain"
@@ -89,7 +90,7 @@ func trailPayload(t testing.TB) payload[audit.Entry, *audit.Entry] {
 		t.Fatalf("trail fixture: %v", err)
 	}
 	have := make(map[audit.Kind]bool)
-	for _, e := range tr.Entries() {
+	for _, e := range tr.Links() {
 		have[e.Kind] = true
 	}
 	for _, k := range []audit.Kind{audit.KindCommand, audit.KindDecision, audit.KindChange,
@@ -297,8 +298,21 @@ func (p payload[T, P]) fork(i int) []T {
 	forked := p.log.Links()
 	_, detail, _ := p.parts(&forked[i])
 	*detail += " (doctored)"
-	chain.Rechain[T, P](forked, p.key)
-	return forked
+	return reseal[T, P](p.key, forked, func(v *T) *chain.Header { h, _, _ := p.parts(v); return h })
+}
+
+// reseal seals links anew under key, each at its own time: every index,
+// hash, prev-hash link and MAC recomputed — the forgery an insider who
+// holds the key can produce. Verify cannot catch it; comparing it with
+// another copy of the chain can.
+func reseal[T any, P chain.Link[T]](key []byte, links []T, header func(*T) *chain.Header) []T {
+	l := chain.New[T, P](key)
+	for i := range links {
+		at := header(&links[i]).Time
+		l.SetClock(func() time.Time { return at })
+		l.Append(links[i])
+	}
+	return l.Links()
 }
 
 func brokenLinkRefusals[T any, P chain.Link[T]](t *testing.T, p payload[T, P]) {
@@ -425,7 +439,7 @@ func TestDiffRelations(t *testing.T) {
 	forged := make([]Record, len(records))
 	copy(forged, records)
 	forged[2].Detail = "forged"
-	chain.Rechain(forged, key)
+	forged = reseal[Record, *Record](key, forged, func(r *Record) *chain.Header { return &r.Header })
 	d := Diff(records, forged)
 	if d.Relation != RelDiverged {
 		t.Fatalf("diverged diff = %v", d)

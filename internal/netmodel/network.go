@@ -62,9 +62,6 @@ func (n *Network) AddDevice(name string, kind DeviceKind) *Device {
 	return d
 }
 
-// Device returns the named device, or nil.
-func (n *Network) Device(name string) *Device { return n.Devices[name] }
-
 // DeviceNames returns all device names in sorted order.
 func (n *Network) DeviceNames() []string {
 	names := make([]string, 0, len(n.Devices))

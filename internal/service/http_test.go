@@ -283,7 +283,7 @@ func TestHTTPWorkflow(t *testing.T) {
 }
 
 func TestHTTPErrorStatuses(t *testing.T) {
-	vc := telemetry.NewVirtualClock(time.Unix(1700000000, 0))
+	vc := newVirtualClock(time.Unix(1700000000, 0))
 	svc := New(Config{Clock: vc.Now, IdleTimeout: time.Minute})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
@@ -389,7 +389,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 		!strings.Contains(failure.Error, `twin: no such device "h9"`) {
 		t.Fatalf("out-of-slice exec: status %d (want 400), error %q", s, failure.Error)
 	}
-	entries := trail.Entries()[before:]
+	entries := trail.Links()[before:]
 	if len(entries) != 1 || entries[0].Kind != audit.KindDecision || entries[0].Allowed ||
 		entries[0].Detail != "deny console on h9 (outside slice)" {
 		t.Fatalf("out-of-slice exec left trail entries %+v, want one denied decision", entries)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,12 +15,34 @@ import (
 	"heimdall/internal/ticket"
 )
 
-// newTestService builds a service on a VirtualClock with a registry
+// virtualClock is a manually advanced time source, safe for concurrent use:
+// the lifecycle tests move the service's clock past an idle timeout without
+// sleeping.
+type virtualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newVirtualClock(start time.Time) *virtualClock { return &virtualClock{now: start} }
+
+func (c *virtualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *virtualClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+}
+
+// newTestService builds a service on a virtualClock with a registry
 // meter, one university tenant, one injected issue and one session;
 // returns everything a lifecycle test needs.
-func newTestService(t *testing.T) (*Service, *telemetry.VirtualClock, *telemetry.Registry, Info) {
+func newTestService(t *testing.T) (*Service, *virtualClock, *telemetry.Registry, Info) {
 	t.Helper()
-	vc := telemetry.NewVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	vc := newVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	reg := telemetry.NewRegistry()
 	svc := New(Config{
 		Clock:        vc.Now,
@@ -55,7 +78,7 @@ func TestSessionIdleExpiry(t *testing.T) {
 	if _, err := svc.Exec("acme", info.Session, info.Token, info.Slice[0], "show ip route"); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.GaugeValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 1 {
+	if got := reg.CounterValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 1 {
 		t.Fatalf("sessions_active = %v, want 1", got)
 	}
 
@@ -64,7 +87,7 @@ func TestSessionIdleExpiry(t *testing.T) {
 	if n := svc.SweepIdle(); n != 1 {
 		t.Fatalf("SweepIdle = %d, want 1", n)
 	}
-	if got := reg.GaugeValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 0 {
+	if got := reg.CounterValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 0 {
 		t.Fatalf("sessions_active after expiry = %v, want 0", got)
 	}
 
@@ -76,7 +99,7 @@ func TestSessionIdleExpiry(t *testing.T) {
 	tenant, _ := svc.Tenant("acme")
 	trail := tenant.System().Enforcer.Trail()
 	var expired, denied bool
-	for _, e := range trail.Entries() {
+	for _, e := range trail.Links() {
 		if e.Kind == audit.KindSession && strings.Contains(e.Detail, "expired") && !e.Allowed {
 			expired = true
 		}
@@ -141,7 +164,7 @@ func TestSessionDoubleClose(t *testing.T) {
 	if _, err := svc.Exec("acme", info.Session, info.Token, info.Slice[0], "show ip route"); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("exec after close = %v, want ErrSessionClosed", err)
 	}
-	if got := reg.GaugeValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 0 {
+	if got := reg.CounterValue("heimdall_service_sessions_active", telemetry.L("tenant", "acme")); got != 0 {
 		t.Fatalf("sessions_active after close = %v, want 0", got)
 	}
 }
@@ -160,7 +183,10 @@ func TestEndedSessionReleasedAndReaped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Engagement() != nil {
+	sess.mu.Lock()
+	eng := sess.eng
+	sess.mu.Unlock()
+	if eng != nil {
 		t.Fatal("closed session still holds its engagement (twin network copy)")
 	}
 	// Within the grace window the session stays addressable.

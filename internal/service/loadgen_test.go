@@ -206,7 +206,7 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 			t.Fatalf("tenant %s: audit trail broken: %v", id, err)
 		}
 		prefix := fmt.Sprintf("tech-%03d-", i)
-		entries := trail.Entries()
+		entries := trail.Links()
 		if len(entries) == 0 {
 			t.Fatalf("tenant %s: empty audit trail", id)
 		}
@@ -240,7 +240,7 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 			t.Fatalf("tenant %s: command counter = %v, the driver made %d calls", id, got, want)
 		}
 	}
-	if got := reg.GaugeValue("heimdall_service_tenants"); int(got) != tenants {
+	if got := reg.CounterValue("heimdall_service_tenants"); int(got) != tenants {
 		t.Fatalf("tenants gauge = %v, want %d", got, tenants)
 	}
 }
@@ -347,7 +347,7 @@ func TestMediationByteIdentical(t *testing.T) {
 		}
 		// The whole-network diff from production as the twin copied it,
 		// sanitized — a baseline kept apart from the twin's.
-		prod, _ := sys.Enforcer.View()
+		prod, _ := sys.Enforcer.View(false)
 		base := prod.Clone()
 		for name, d := range base.Devices {
 			base.Devices[name] = config.Sanitize(d)

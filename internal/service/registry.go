@@ -75,7 +75,10 @@ type Session struct {
 
 	// mu serializes API-level access to the session (console cache,
 	// lifecycle state, idle stamp). The twin below has its own lock.
-	mu         sync.Mutex
+	mu sync.Mutex
+	// eng is nil once the session has expired or closed: the engagement
+	// and its twin are released at end-of-life so a long-running daemon's
+	// memory tracks live sessions, not historic ones.
 	eng        *core.Engagement
 	consoles   map[string]*twin.Session
 	state      SessionState
@@ -85,17 +88,6 @@ type Session struct {
 	// reaps ended sessions after a grace period.
 	endedAt  time.Time
 	commands int
-}
-
-// Engagement exposes the underlying core engagement (tests reach through
-// it for the twin and privilege spec). It is nil
-// once the session has expired or closed: the engagement — a full twin
-// copy of the tenant network — is released at end-of-life so a
-// long-running daemon's memory tracks live sessions, not historic ones.
-func (s *Session) Engagement() *core.Engagement {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng
 }
 
 // Info is the API-facing view of a session.

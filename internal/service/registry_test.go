@@ -5,7 +5,27 @@ import (
 	"testing"
 
 	"heimdall/internal/netmodel"
+	"heimdall/internal/telemetry"
 )
+
+// TestOnboardingComputesNoSnapshot: creating a tenant and listing tenants
+// read production's device map only, so neither computes a production
+// snapshot.
+func TestOnboardingComputesNoSnapshot(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	svc := New(Config{Meter: reg, PlatformSeed: "onboarding"})
+	defer svc.Close()
+	info, err := svc.CreateTenant("acme", "university")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if listed := svc.Tenants(); info.Devices == 0 || len(listed) != 1 || listed[0].Devices != info.Devices {
+		t.Fatalf("created %+v, listed %+v", info, listed)
+	}
+	if got := reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total"); got != 0 {
+		t.Fatalf("onboarding computed %v production snapshots, want 0", got)
+	}
+}
 
 func TestRegistryDuplicateAndMissing(t *testing.T) {
 	r := newRegistry()
@@ -67,6 +87,6 @@ func TestTenantIsolationNoAliasing(t *testing.T) {
 
 // production is the tenant's production as it is now (Enforcer.View).
 func production(tn *Tenant) *netmodel.Network {
-	prod, _ := tn.System().Enforcer.View()
+	prod, _ := tn.System().Enforcer.View(false)
 	return prod
 }

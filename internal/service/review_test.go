@@ -250,7 +250,7 @@ func testDuplicateReviewsAudited(t *testing.T, workers int) {
 	}
 	verified := map[[2]string]int{}
 	details := map[string]bool{}
-	for _, e := range tn.System().Enforcer.Trail().Entries() {
+	for _, e := range tn.System().Enforcer.Trail().Links() {
 		if e.Kind == audit.KindVerify {
 			verified[[2]string{e.Ticket, e.Technician}]++
 			details[e.Detail] = true

@@ -71,10 +71,10 @@ type Config struct {
 	VerifyQueue int
 	// IdleTimeout expires sessions with no command activity (default
 	// 30m). The sweep runs from SweepIdle (heimdalld drives it on a
-	// timer; tests call it directly under a VirtualClock).
+	// timer; tests call it directly under a manual clock).
 	IdleTimeout time.Duration
-	// Clock is the lifecycle time source (default time.Now; tests pass
-	// telemetry.VirtualClock.Now).
+	// Clock is the lifecycle time source (default time.Now; tests pass a
+	// manually advanced one).
 	Clock func() time.Time
 	// Meter receives service metrics and is threaded through every
 	// tenant's mediation path. Pass a *telemetry.Registry to serve
@@ -662,7 +662,7 @@ func (s *Service) CloseSession(tenant, session, token string) error {
 // map entirely: their state stays queryable for that grace window, then
 // the registry forgets them so a long-running daemon's session maps
 // don't grow without bound as sessions churn. heimdalld runs this on a
-// timer; tests drive it with a VirtualClock.
+// timer; tests drive it with a manual clock.
 func (s *Service) SweepIdle() int {
 	now := s.clock()
 	n := 0

@@ -88,7 +88,6 @@ func (g gauge) Add(v float64) { g.s.addFloat(v) }
 // histogram is one pointer, so boxing it into a Histogram allocates nothing.
 type histogram struct{ s *series }
 
-func (h histogram) Observe(v float64)               { h.s.observe(v) }
 func (h histogram) ObserveDuration(d time.Duration) { h.s.observe(d.Seconds()) }
 
 // Counter implements Meter.
@@ -182,18 +181,9 @@ func labelKey(buf []byte, labels []Label) []byte {
 
 // ── Programmatic reads (tests and assertions) ───────────────────────────
 
-// CounterValue returns the current value of a counter series (0 when the
-// series does not exist).
+// CounterValue returns the current value of a counter or gauge series (0
+// when the series does not exist).
 func (r *Registry) CounterValue(name string, labels ...Label) float64 {
-	return r.seriesValue(name, labels)
-}
-
-// GaugeValue returns the current value of a gauge series.
-func (r *Registry) GaugeValue(name string, labels ...Label) float64 {
-	return r.seriesValue(name, labels)
-}
-
-func (r *Registry) seriesValue(name string, labels []Label) float64 {
 	s := r.family(name).find(labels)
 	if s == nil {
 		return 0

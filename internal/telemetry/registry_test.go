@@ -33,7 +33,7 @@ func TestGauge(t *testing.T) {
 	g := r.Gauge("chain_length")
 	g.Set(10)
 	g.Add(-3)
-	if v := r.GaugeValue("chain_length"); v != 7 {
+	if v := r.CounterValue("chain_length"); v != 7 {
 		t.Fatalf("gauge = %v, want 7", v)
 	}
 }
@@ -41,10 +41,10 @@ func TestGauge(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("latency_seconds", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5) // lands in +Inf
+	h.ObserveDuration(5 * time.Millisecond)
+	h.ObserveDuration(50 * time.Millisecond)
+	h.ObserveDuration(500 * time.Millisecond)
+	h.ObserveDuration(5 * time.Second) // lands in +Inf
 	h.ObserveDuration(20 * time.Millisecond)
 	if n := r.HistogramCount("latency_seconds"); n != 5 {
 		t.Fatalf("count = %d, want 5", n)
@@ -68,9 +68,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Counter("heimdall_requests_total", L("op", "login")).Inc()
 	r.Gauge("heimdall_chain_length").Set(12)
 	h := r.Histogram("heimdall_exec_seconds", []float64{0.01, 1})
-	h.Observe(0.001)
-	h.Observe(0.5)
-	h.Observe(7)
+	h.ObserveDuration(time.Millisecond)
+	h.ObserveDuration(500 * time.Millisecond)
+	h.ObserveDuration(7 * time.Second)
 
 	dump := r.Dump()
 	for _, want := range []string{
@@ -124,7 +124,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				r.Counter("shared_total").Inc()
 				r.Counter("per_worker_total", L("w", string(rune('a'+w)))).Inc()
 				r.Gauge("last_i").Set(float64(i))
-				r.Histogram("obs_seconds", LatencyBuckets).Observe(float64(i) * 1e-6)
+				r.Histogram("obs_seconds", LatencyBuckets).ObserveDuration(time.Duration(i) * time.Microsecond)
 			}
 		}(w)
 	}
@@ -146,7 +146,7 @@ func TestNopMeterDoesNothing(t *testing.T) {
 	m := Nop()
 	m.Counter("x", L("a", "b")).Inc()
 	m.Gauge("y").Set(3)
-	m.Histogram("z", LatencyBuckets).Observe(1)
+	m.Histogram("z", LatencyBuckets).ObserveDuration(time.Second)
 	// Nop must not be an Exposer: heimdalld's /metrics handler uses that
 	// to detect that telemetry is disabled.
 	if _, ok := m.(Exposer); ok {
@@ -166,11 +166,11 @@ func TestLabeledLookupAllocatesNothing(t *testing.T) {
 	r.Counter("one_total", L("kind", "command")).Inc()
 	r.Counter("multi_total", L("b", "2"), L("a", "1"), L("c", "3")).Inc()
 	buckets := []float64{0.001, 0.01, 0.1}
-	r.Histogram("run_seconds", buckets, L("kind", "review")).Observe(0.5)
+	r.Histogram("run_seconds", buckets, L("kind", "review")).ObserveDuration(500 * time.Millisecond)
 	if n := testing.AllocsPerRun(100, func() {
 		r.Counter("one_total", L("kind", "command")).Inc()
 		r.Counter("multi_total", L("c", "3"), L("a", "1"), L("b", "2")).Inc()
-		r.Histogram("run_seconds", buckets, L("kind", "review")).Observe(0.005)
+		r.Histogram("run_seconds", buckets, L("kind", "review")).ObserveDuration(5 * time.Millisecond)
 	}); n != 0 {
 		t.Fatalf("a labeled lookup of an existing series allocates %v times, want 0", n)
 	}
@@ -211,6 +211,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("bench_seconds", LatencyBuckets)
 	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%1000) * 1e-6)
+		h.ObserveDuration(time.Duration(i%1000) * time.Microsecond)
 	}
 }

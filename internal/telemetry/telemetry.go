@@ -1,8 +1,7 @@
 // Package telemetry is Heimdall's observability subsystem: a
 // dependency-free metrics registry (counters, gauges, fixed-bucket
-// histograms with Prometheus text exposition) and a span-based tracer
-// whose pluggable clock lets the virtual latency model drive
-// deterministic span durations.
+// histograms with Prometheus text exposition) and the Span schema of the
+// JSONL span exports.
 //
 // Every instrumented component accepts a Meter and defaults to Nop(),
 // so zero-config callers pay (almost) nothing and need no wiring: the
@@ -12,14 +11,25 @@
 // twin.Config, and dumps it with Registry.Dump / WritePrometheus —
 // surfaced to operators as the `heimdallctl metrics` subcommand and
 // heimdalld's /metrics endpoint.
-//
-// The tracer complements the audit trail (paper §3, Challenge 3): spans
-// carry the same ticket/technician/device attributes as audit entries,
-// so an exported span timeline can be joined against the tamper-evident
-// trail to reconstruct where a mediated command spent its time.
 package telemetry
 
 import "time"
+
+// Span is one line of the JSONL span schema (docs/TELEMETRY.md): one timed
+// operation. Spans in the same trace share TraceID; a child span carries
+// its parent's SpanID. Attrs name the audit trail's correlation keys
+// (ticket, technician) so a span timeline can be joined against audit
+// entries.
+type Span struct {
+	TraceID  string            `json:"trace"`
+	SpanID   string            `json:"span"`
+	ParentID string            `json:"parent,omitempty"`
+	Name     string            `json:"name"`
+	Start    time.Time         `json:"start"`
+	End      time.Time         `json:"end"`
+	DurMS    float64           `json:"durationMs"`
+	Attrs    map[string]string `json:"attrs,omitempty"`
+}
 
 // Label is one key=value dimension of a metric series.
 type Label struct {
@@ -44,9 +54,8 @@ type Gauge interface {
 	Add(v float64)
 }
 
-// Histogram accumulates observations into fixed buckets.
+// Histogram accumulates durations into fixed buckets.
 type Histogram interface {
-	Observe(v float64)
 	// ObserveDuration records d in seconds (the Prometheus base unit).
 	ObserveDuration(d time.Duration)
 }
@@ -88,5 +97,4 @@ func (nopMeter) Histogram(string, []float64, ...Label) Histogram { return nopIns
 func (nopInstrument) Inc()                          {}
 func (nopInstrument) Add(float64)                   {}
 func (nopInstrument) Set(float64)                   {}
-func (nopInstrument) Observe(float64)               {}
 func (nopInstrument) ObserveDuration(time.Duration) {}

@@ -166,13 +166,13 @@ func TestBadStaticRouteFault(t *testing.T) {
 	// Give r1 a static route to a far subnet (the "ISP prefix") via r2 and
 	// corrupt it.
 	far := netip.MustParsePrefix("198.51.100.0/24")
-	n.Device("r1").StaticRoutes = append(n.Device("r1").StaticRoutes,
+	n.Devices["r1"].StaticRoutes = append(n.Devices["r1"].StaticRoutes,
 		netmodel.StaticRoute{Prefix: far, NextHop: netip.MustParseAddr("10.0.12.2")})
 	f := BadStaticRoute("r1", far, netip.MustParseAddr("10.1.0.99"), netip.MustParseAddr("10.0.12.2"))
 	if err := f.Inject(n); err != nil {
 		t.Fatal(err)
 	}
-	if n.Device("r1").StaticRoutes[len(n.Device("r1").StaticRoutes)-1].NextHop != netip.MustParseAddr("10.1.0.99") {
+	if n.Devices["r1"].StaticRoutes[len(n.Devices["r1"].StaticRoutes)-1].NextHop != netip.MustParseAddr("10.1.0.99") {
 		t.Fatal("route not corrupted")
 	}
 	if len(f.Fix) != 2 || !strings.Contains(f.Fix[0].Line, "no ip route") {

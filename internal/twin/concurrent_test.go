@@ -115,7 +115,7 @@ func TestTwinConcurrentExec(t *testing.T) {
 	if err := trail.Verify(); err != nil {
 		t.Fatalf("audit chain broken after concurrent exec: %v", err)
 	}
-	for _, e := range trail.Entries() {
+	for _, e := range trail.Links() {
 		if e.Ticket != "T-CONC" {
 			t.Fatalf("audit entry with foreign ticket %q", e.Ticket)
 		}

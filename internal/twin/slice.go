@@ -21,19 +21,6 @@ const (
 	SliceTaskDriven
 )
 
-// String names the strategy as used in the paper's figures.
-func (s SliceStrategy) String() string {
-	switch s {
-	case SliceAll:
-		return "All"
-	case SliceNeighbors:
-		return "Neighbor"
-	case SliceTaskDriven:
-		return "Heimdall"
-	}
-	return "?"
-}
-
 // ComputeSlice returns the device set a strategy exposes for a ticket
 // affecting traffic between srcHost and dstHost. suspects are always
 // included (the admin named them in the ticket).

@@ -34,10 +34,10 @@ func prodNet() *netmodel.Network {
 	n.MustConnect("r4", "Gi0/1", "h3", "eth0")
 
 	set := func(dev, itf, addr string) {
-		n.Device(dev).Interface(itf).Addr = netip.MustParsePrefix(addr)
+		n.Devices[dev].Interface(itf).Addr = netip.MustParsePrefix(addr)
 	}
 	set("h1", "eth0", "10.1.0.10/24")
-	n.Device("h1").DefaultGateway = netip.MustParseAddr("10.1.0.1")
+	n.Devices["h1"].DefaultGateway = netip.MustParseAddr("10.1.0.1")
 	set("r1", "Gi0/0", "10.1.0.1/24")
 	set("r1", "Gi0/1", "10.0.12.1/30")
 	set("r2", "Gi0/0", "10.0.12.2/30")
@@ -45,19 +45,19 @@ func prodNet() *netmodel.Network {
 	set("r3", "Gi0/0", "10.0.23.2/30")
 	set("r3", "Gi0/1", "10.2.0.1/24")
 	set("h2", "eth0", "10.2.0.10/24")
-	n.Device("h2").DefaultGateway = netip.MustParseAddr("10.2.0.1")
+	n.Devices["h2"].DefaultGateway = netip.MustParseAddr("10.2.0.1")
 	set("r2", "Gi0/2", "10.0.24.1/30")
 	set("r4", "Gi0/0", "10.0.24.2/30")
 	set("r4", "Gi0/1", "10.3.0.1/24")
 	set("h3", "eth0", "10.3.0.10/24")
-	n.Device("h3").DefaultGateway = netip.MustParseAddr("10.3.0.1")
+	n.Devices["h3"].DefaultGateway = netip.MustParseAddr("10.3.0.1")
 
 	for _, r := range []string{"r1", "r2", "r3", "r4"} {
-		n.Device(r).OSPF = &netmodel.OSPFProcess{ProcessID: 1,
+		n.Devices[r].OSPF = &netmodel.OSPFProcess{ProcessID: 1,
 			Networks: []netmodel.OSPFNetwork{{Prefix: netip.MustParsePrefix("10.0.0.0/8"), Area: 0}},
 			Passive:  map[string]bool{}}
 	}
-	n.Device("r1").Secrets["enable"] = "prod-secret"
+	n.Devices["r1"].Secrets["enable"] = "prod-secret"
 	return n
 }
 
@@ -80,10 +80,10 @@ func TestTwinIsolatesProduction(t *testing.T) {
 	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
 		t.Fatal(err)
 	}
-	if prod.Device("r2").Interface("Gi0/1").Shutdown {
+	if prod.Devices["r2"].Interface("Gi0/1").Shutdown {
 		t.Fatal("twin change leaked into production")
 	}
-	if !tw.Network().Device("r2").Interface("Gi0/1").Shutdown {
+	if !tw.Network().Devices["r2"].Interface("Gi0/1").Shutdown {
 		t.Fatal("twin change not applied to emulation layer")
 	}
 }
@@ -139,7 +139,7 @@ func TestReferenceMonitorEnforcesPrivileges(t *testing.T) {
 
 	// Every decision is on the audit trail.
 	var denies, allows int
-	for _, e := range trail.Entries() {
+	for _, e := range trail.Links() {
 		if e.Kind == audit.KindDecision {
 			if e.Allowed {
 				allows++
@@ -182,7 +182,7 @@ func TestPresentationSliceHidesDevices(t *testing.T) {
 	}
 	// But the hidden devices still exist in the emulation layer, so the
 	// dataplane behaves faithfully.
-	if tw.Network().Device("r4") == nil {
+	if tw.Network().Devices["r4"] == nil {
 		t.Fatal("emulation layer must contain hidden devices")
 	}
 }
@@ -222,11 +222,6 @@ func TestSliceStrategies(t *testing.T) {
 	if !withSuspect["r4"] {
 		t.Error("suspect not included")
 	}
-
-	// Strategy names match the paper's figures.
-	if SliceAll.String() != "All" || SliceNeighbors.String() != "Neighbor" || SliceTaskDriven.String() != "Heimdall" {
-		t.Error("strategy names wrong")
-	}
 }
 
 func TestChangesDiffBaseline(t *testing.T) {
@@ -260,7 +255,7 @@ func TestChangesDiffBaseline(t *testing.T) {
 func TestReenteredRouteIsOneRoute(t *testing.T) {
 	prod := prodNet()
 	route := netmodel.StaticRoute{Prefix: netip.MustParsePrefix("0.0.0.0/0"), NextHop: netip.MustParseAddr("10.0.12.2")}
-	prod.Device("r1").StaticRoutes = []netmodel.StaticRoute{route}
+	prod.Devices["r1"].StaticRoutes = []netmodel.StaticRoute{route}
 	tw, _ := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
 	sess, _ := tw.OpenConsole("r1")
 	if _, err := sess.Exec("ip route 0.0.0.0 0.0.0.0 10.0.12.2"); err != nil {
@@ -279,7 +274,7 @@ func TestReenteredRouteIsOneRoute(t *testing.T) {
 	if err := config.ApplyChanges(prod, changes); err != nil {
 		t.Fatal(err)
 	}
-	if got := prod.Device("r1").StaticRoutes; slices.Contains(got, route) {
+	if got := prod.Devices["r1"].StaticRoutes; slices.Contains(got, route) {
 		t.Fatalf("production keeps %v after the withdrawal: %v", route, got)
 	}
 }
@@ -289,7 +284,7 @@ func TestTwinEndToEndDebugging(t *testing.T) {
 	// traffic. The technician diagnoses with ping, inspects the ACL,
 	// removes the bad entry, and the twin confirms the fix.
 	prod := prodNet()
-	r2 := prod.Device("r2")
+	r2 := prod.Devices["r2"]
 	acl := r2.ACL("CORE", true)
 	acl.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.TCP,
 		Dst: netip.MustParsePrefix("10.2.0.10/32"), DstPort: 80})
@@ -484,7 +479,7 @@ func TestTwinNoAliasing(t *testing.T) {
 	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
 		t.Fatal(err)
 	}
-	if !tw.Network().Device("r2").Interface("Gi0/1").Shutdown {
+	if !tw.Network().Devices["r2"].Interface("Gi0/1").Shutdown {
 		t.Fatal("write did not reach the emulation layer")
 	}
 	base := tw.Baseline()
@@ -503,8 +498,8 @@ func TestTwinNoAliasing(t *testing.T) {
 	// A production write — as every production writer makes it, on a
 	// detached clone — reaches neither the emulation layer nor the baseline.
 	prod.Detach("r1", "r2")
-	prod.Device("r1").Interface("Gi0/1").Shutdown = true
-	prod.Device("r2").Interface("Gi0/2").Shutdown = true
+	prod.Devices["r1"].Interface("Gi0/1").Shutdown = true
+	prod.Devices["r2"].Interface("Gi0/2").Shutdown = true
 	emulWas["r2"] = config.Print(tw.Network().Devices["r2"])
 	if !maps.Equal(printNet(tw.Network()), emulWas) || !maps.Equal(printNet(tw.Baseline()), baseWas) {
 		t.Fatal("production write leaked into the twin")
@@ -583,7 +578,7 @@ func TestIPv6TargetIsNoRoute(t *testing.T) {
 		}
 		// Exactly the two entries of an allowed command that succeeded:
 		// the command and its allow decision, no failure record.
-		got := trail.Entries()[before:]
+		got := trail.Links()[before:]
 		if len(got) != 2 ||
 			got[0].Kind != audit.KindCommand || got[0].Detail != "[h1] "+line || !got[0].Allowed ||
 			got[1].Kind != audit.KindDecision || !got[1].Allowed || !strings.HasPrefix(got[1].Detail, "allow diag.") {

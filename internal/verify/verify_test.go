@@ -54,7 +54,7 @@ func TestCheckReachabilityAndIsolation(t *testing.T) {
 func TestCheckReachabilityViolationCarriesTrace(t *testing.T) {
 	n := twoHostNet()
 	// Block h1->h2 with an ACL on r1.
-	r1 := n.Device("r1")
+	r1 := n.Devices["r1"]
 	acl := r1.ACL("DENY-ALL", true)
 	acl.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny})
 	r1.Interface("Gi0/0").ACLIn = "DENY-ALL"
@@ -209,7 +209,7 @@ func TestAffectedByCoversImpacted(t *testing.T) {
 	}
 
 	// The change on r1: open the sensitive subnet ahead of the deny.
-	n.Device("r1").ACLs["GUARD"].InsertEntry(netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit,
+	n.Devices["r1"].ACLs["GUARD"].InsertEntry(netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit,
 		Proto: netmodel.AnyProto, Dst: netip.MustParsePrefix("10.3.0.0/24")})
 	changed := dataplane.Compute(n)
 	full := Check(changed, policies)
