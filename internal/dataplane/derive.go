@@ -115,16 +115,16 @@ type ChangeSet []Change
 //
 // The flow cache starts empty, but when the derivation keeps the parent's
 // adjacency and addresses (every class but L3-topology, a real L2 rewire and
-// the Topology fallback) the child shares the parent's hop index, remembers
-// the parent's cache, the changed devices and the suspects (new cells on
-// unchanged devices), and Reach carries the parent's traces that cross no
-// changed device and no suspect whose RIB moved, or cross a device with only
-// ACL changes that give their flow the same result (see Snapshot.Carries). A
-// trace reads only its hop devices' config and FIB, the adjacency, address
-// ownership and host addresses, and no address can change outside
-// L3-topology, so such a trace read nothing that differs between the two.
-// By the same argument a parent trace that does cross one is valid up to the
-// first such hop: ReachFrom resumes it there instead of at the source.
+// the Topology fallback) the child shares the parent's hop index, whose
+// positions each trace records, and remembers the parent's cache and, by
+// position, the changed devices and the suspects (new cells on unchanged
+// devices). Reach carries the parent's traces that cross none of them but
+// unmoved suspects and ACL-only devices whose ACLs give the flow the same
+// result (see Snapshot.Carries). A trace reads only its hop devices' config
+// and FIB, the adjacency, address ownership and host addresses, and no
+// address can change outside L3-topology, so such a trace read nothing that
+// differs between the two. By the same argument a parent trace that does
+// cross one is valid up to the first such hop, where ReachFrom resumes it.
 //
 // Reuse per class (see ChangeKind docs for the exactness argument):
 //
@@ -223,41 +223,40 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		}
 	}
 
-	// Every device in either set gets a new cell; fresh becomes their union.
-	if len(fresh)+len(spf) > 0 {
-		d.cells = slices.Clone(s.cells)
-		for i, name := range d.names {
-			switch {
-			case spf[name]:
-				d.cells[i] = &routeCell{ospf: new(ospfCell)}
-				fresh[name] = true
-			case fresh[name]:
-				d.cells[i] = &routeCell{ospf: s.cells[i].ospf}
-			}
-		}
-	}
 	if carry {
 		// The parent's cache, not the parent: s.net may be mutated in place
 		// under it (the commit pipeline derives onto the same network), and
 		// holding s would chain every earlier version to this one.
 		d.parentFlows = s.flows
 		for _, c := range changes {
-			// An ACL-only device stays a suspect: replay assumes unmoved routes.
 			list := &d.aclStale
 			if c.Kind != ChangeACL {
 				list = &d.stale
-				delete(fresh, c.Device)
 			}
-			if !slices.Contains(*list, c.Device) {
-				*list = append(*list, c.Device)
+			if i, ok := slices.BinarySearch(d.names, c.Device); ok && !slices.Contains(*list, uint16(i)) {
+				*list, d.moved = append(*list, uint16(i)), d.moved|1<<(i&63)
 			}
 		}
-		if len(fresh) > 0 {
-			d.suspects = make(map[string]*suspect, len(fresh))
+	}
+	// Every device in either set gets a new cell and, with carry, is a suspect
+	// unless stale (ACL-only stays one: replay assumes unmoved routes).
+	if len(fresh)+len(spf) > 0 {
+		d.cells = slices.Clone(s.cells)
+		if carry {
+			d.suspects = make([]suspect, 0, len(fresh)+len(spf))
 		}
-		for name := range fresh {
-			if i, ok := slices.BinarySearch(d.names, name); ok {
-				d.suspects[name] = &suspect{pos: i, cell: s.cells[i], lsdb: s.lsdb, bgp: s.bgpRoutes}
+		for i, name := range d.names {
+			switch {
+			case spf[name]:
+				d.cells[i] = &routeCell{ospf: new(ospfCell)}
+			case fresh[name]:
+				d.cells[i] = &routeCell{ospf: s.cells[i].ospf}
+			default:
+				continue
+			}
+			if carry && !slices.Contains(d.stale, uint16(i)) {
+				d.suspects = append(d.suspects, suspect{pos: uint16(i), cell: s.cells[i], lsdb: s.lsdb, bgp: s.bgpRoutes})
+				d.moved |= 1 << (i & 63)
 			}
 		}
 	}
@@ -272,7 +271,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 type suspect struct {
 	once  sync.Once
 	stale bool
-	pos   int
+	pos   uint16
 	cell  *routeCell
 	lsdb  *ospfLSDB
 	bgp   map[string]routeRows
@@ -283,7 +282,7 @@ func (sp *suspect) moved(s *Snapshot) bool {
 	sp.once.Do(func() {
 		parent := sp.cell
 		parent.once.Do(func() { parent.fill(s.net, sp.lsdb, sp.bgp, s.names[sp.pos], s.built) })
-		sp.stale = !sameRoutes(s.cell(sp.pos).rib, parent.rib)
+		sp.stale = !sameRoutes(s.cell(int(sp.pos)).rib, parent.rib)
 		sp.cell, sp.lsdb, sp.bgp = nil, nil, nil
 	})
 	return sp.stale

@@ -78,13 +78,13 @@ type Snapshot struct {
 	flows *flowCache
 	// parentFlows is the cache of the snapshot this one was derived from,
 	// set only when the derivation kept adj and addresses; stale and (with
-	// only ChangeACL changes) aclStale name the devices whose config differs
-	// from that parent's, suspects those whose cell is new although their
-	// routing config is not (see Carries and CarriesBack).
-	parentFlows *flowCache
-	stale       []string
-	aclStale    []string
-	suspects    map[string]*suspect
+	// only ChangeACL changes) aclStale are the positions of the devices whose
+	// config differs from that parent's, suspects those whose cell is new
+	// although their routing config is not; moved has bit p%64 set for each.
+	parentFlows     *flowCache
+	stale, aclStale []uint16
+	suspects        []suspect
+	moved           uint64
 	// hops is the trace index of the adjacency generation, shared along
 	// Derive's carry and built at the first trace (positions).
 	hops *hopIndex
@@ -233,8 +233,11 @@ type Hop struct {
 
 // Trace is the hop-by-hop fate of one flow.
 type Trace struct {
-	Flow        Flow
-	Hops        []Hop
+	Flow Flow
+	Hops []Hop
+	// pos is each hop's device position (hopIndex); seen has bit p%64 per p.
+	pos         []uint16
+	seen        uint64
 	Disposition Disposition
 	// Where and Detail describe the drop point, e.g. the ACL that fired.
 	Where  string
@@ -281,16 +284,18 @@ func (t *Trace) String() string {
 
 const maxHops = 64
 
-// traceBlock is a trace and the backing array of its first hops: real paths
-// are a handful of hops, so a trace is one allocation.
+// traceBlock is a trace and the backing arrays of its first seven hops and
+// their positions: no policy path of any scenario is longer, and the block is
+// 512 bytes, the largest object the allocator serves without a header.
 type traceBlock struct {
 	t    Trace
-	hops [8]Hop
+	hops [7]Hop
+	pos  [7]uint16
 }
 
 func newTrace(f Flow) *Trace {
 	b := &traceBlock{t: Trace{Flow: f}}
-	b.t.Hops = b.hops[:0]
+	b.t.Hops, b.t.pos = b.hops[:0], b.pos[:0]
 	return &b.t
 }
 
@@ -304,30 +309,20 @@ func newTrace(f Flow) *Trace {
 func (s *Snapshot) TraceFrom(src string, f Flow) *Trace {
 	h := s.positions()
 	t := newTrace(f)
-	cur, ok := h.pos[src]
+	cur, ok := slices.BinarySearch(h.names, src)
 	if !ok {
 		t.Disposition, t.Where, t.Detail = DropNoRoute, src, "unknown device"
 		return t
 	}
-	return s.walk(h, t, cur, "")
+	return s.walk(h, t, uint16(cur), "")
 }
 
 // walk forwards t's flow from device cur, entered on inIf, after the hops t
 // already holds: none from the source, the prefix of the parent's trace a
-// resumed retrace keeps (resume). Loop detection starts with their devices.
-func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
+// resumed retrace keeps (ReachFrom). Loop detection reads their positions.
+func (s *Snapshot) walk(h *hopIndex, t *Trace, cur uint16, inIf string) *Trace {
 	f := t.Flow
-	dst, ok := h.owner[f.Dst]
-	if !ok {
-		dst = -1
-	}
-	// Loop detection state: a plain slice scanned linearly beats a map
-	// here — the hop budget is 64 and real paths are a handful of hops.
-	var buf [8]int32
-	visited := buf[:0]
-	for _, hp := range t.Hops {
-		visited = append(visited, h.pos[hp.Device])
-	}
+	dst, owned := h.owner[f.Dst]
 	for len(t.Hops) < maxHops {
 		name := h.names[cur]
 		d := s.net.Devices[name]
@@ -337,19 +332,19 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 		}
 
 		if drop := aclStep(d, inIf, "", &f); drop.acl != "" {
-			return t.stop(Hop{Device: name, InIf: inIf}, DropACL, name, drop.detail())
+			return t.stop(cur, Hop{Device: name, InIf: inIf}, DropACL, name, drop.detail())
 		}
 
-		if cur == dst {
-			return t.stop(Hop{Device: name, InIf: inIf}, Delivered, "", "")
+		if owned && cur == dst {
+			return t.stop(cur, Hop{Device: name, InIf: inIf}, Delivered, "", "")
 		}
 
 		// Loop detection: forwarding depends only on the destination, so
-		// revisiting a device means the packet is caught in a loop.
-		if slices.Contains(visited, cur) {
-			return t.stop(Hop{Device: name, InIf: inIf}, DropLoop, name, "")
+		// revisiting a device (a position in t.pos: a handful, scanned
+		// linearly) means the packet is caught in a loop.
+		if slices.Contains(t.pos, cur) {
+			return t.stop(cur, Hop{Device: name, InIf: inIf}, DropLoop, name, "")
 		}
-		visited = append(visited, cur)
 
 		// Route lookup. ECMP selection: the first row of the prefix's run
 		// (rows are sorted, so every flow takes the same path,
@@ -357,14 +352,14 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 		c := s.cell(int(cur))
 		i, ok := c.fib.lookup(f.Dst)
 		if !ok {
-			return t.stop(Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
+			return t.stop(cur, Hop{Device: name, InIf: inIf}, DropNoRoute, name, "")
 		}
 		e := &c.rib.rows[i]
 		outIf := c.rib.ifs[e.outIf]
 		out := Hop{Device: name, InIf: inIf, OutIf: outIf}
 
 		if drop := aclStep(d, "", outIf, &f); drop.acl != "" {
-			return t.stop(out, DropACL, name, drop.detail())
+			return t.stop(cur, out, DropACL, name, drop.detail())
 		}
 
 		// Resolve the next hop on the egress segment.
@@ -374,18 +369,23 @@ func (s *Snapshot) walk(h *hopIndex, t *Trace, cur int32, inIf string) *Trace {
 		}
 		next, found := h.resolve(cur, outIf, nhAddr)
 		if !found {
-			return t.stop(out, DropARPFail, name, "no neighbor "+nhAddr.String()+" via "+outIf)
+			return t.stop(cur, out, DropARPFail, name, "no neighbor "+nhAddr.String()+" via "+outIf)
 		}
-		t.Hops = append(t.Hops, out)
+		t.add(cur, out)
 		cur, inIf = next.dev, next.itf
 	}
 	t.Disposition, t.Where = DropLoop, h.names[cur]
 	return t
 }
 
-// stop ends the trace at hop h with the disposition, where and detail given.
-func (t *Trace) stop(h Hop, d Disposition, where, detail string) *Trace {
-	t.Hops = append(t.Hops, h)
+// add appends hop h, on the device at position p.
+func (t *Trace) add(p uint16, h Hop) {
+	t.Hops, t.pos, t.seen = append(t.Hops, h), append(t.pos, p), t.seen|1<<(p&63)
+}
+
+// stop ends the trace at hop h, at position p, with d, where and detail.
+func (t *Trace) stop(p uint16, h Hop, d Disposition, where, detail string) *Trace {
+	t.add(p, h)
 	t.Disposition, t.Where, t.Detail = d, where, detail
 	return t
 }
@@ -458,13 +458,14 @@ func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmode
 		return r.tr, r.err
 	}
 	if prev != nil && s.parentFlows != nil {
-		if i := s.firstStale(prev, true); i < len(prev.Hops) {
+		if i := s.firstStale(prev, true); i < len(prev.pos) {
 			// A resumed trace crosses the hop it resumed at, so it never
 			// carries back to the parent.
 			t := newTrace(prev.Flow)
-			t.Hops = append(t.Hops, prev.Hops[:i]...)
-			h, at := s.positions(), prev.Hops[i]
-			return s.flows.store(k, flowResult{tr: s.walk(h, t, h.pos[at.Device], at.InIf)}).tr, nil
+			for k, p := range prev.pos[:i] {
+				t.add(p, prev.Hops[k])
+			}
+			return s.flows.store(k, flowResult{tr: s.walk(s.positions(), t, prev.pos[i], prev.Hops[i].InIf)}).tr, nil
 		}
 	}
 	if r, ok := s.carried(k); ok {
@@ -508,12 +509,13 @@ func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 
 // Carries reports whether a Reach result of the snapshot this one was
 // derived from is this one's result too: the derivation kept adjacency and
-// addresses, and no hop is on a stale device, unless every change there was
-// ChangeACL and the new ACLs give the trace's flow the result it took there
-// (a pass, or its drop with the same Detail). A hop across a suspect — a
-// device with a new route cell but unchanged routing config — is stale when
-// its RIB differs from the parent's, decided once per device. An error (tr
-// nil) has no hops: it depends on the device set and host addresses only.
+// addresses (so the trace's hop positions name the same devices), and no
+// hop is at a stale position, unless every change there was ChangeACL and
+// the new ACLs give the trace's flow the result it took there (a pass, or
+// its drop with the same Detail). A hop at a suspect — a device with a new
+// route cell but unchanged routing config — is stale when its RIB differs
+// from the parent's, decided once per device. An error (tr nil) has no
+// hops: it depends on the device set and host addresses only.
 // Traces and the verdicts decided on them (verify.CheckCarried) enter this
 // snapshot from the parent under this test alone; CarriesBack is the rule
 // the other way. A trace it fails is resumed at its first stale hop.
@@ -527,26 +529,25 @@ func (s *Snapshot) CarriesBack(tr *Trace) bool {
 	return s.parentFlows != nil && (tr == nil || s.firstStale(tr, false) == len(tr.Hops))
 }
 
-// firstStale is the index of tr's first hop on a stale device (with replay,
-// an ACL-only one where replays fails) or a suspect whose RIB moved, else
-// len(tr.Hops). Only the suspects before the first stale device are decided.
+// firstStale is the index of tr's first hop at a position Derive marked
+// stale (with replay, ACL-stale where replays fails) or a suspect whose RIB
+// moved, else len(tr.Hops): integer compares only, none when tr's seen bits
+// miss every moved one. Only the suspects up to that hop are decided.
 func (s *Snapshot) firstStale(tr *Trace, replay bool) int {
-	first := len(tr.Hops)
-	for i := range tr.Hops {
-		dev := tr.Hops[i].Device
-		if slices.Contains(s.stale, dev) || slices.Contains(s.aclStale, dev) && (!replay || !s.replays(tr, i)) {
-			first = i
-			break
-		}
+	if tr.seen&s.moved == 0 {
+		return len(tr.pos)
 	}
-	if len(s.suspects) > 0 {
-		for i := range tr.Hops[:first] {
-			if sp := s.suspects[tr.Hops[i].Device]; sp != nil && sp.moved(s) {
+	for i, p := range tr.pos {
+		if slices.Contains(s.stale, p) || slices.Contains(s.aclStale, p) && (!replay || !s.replays(tr, i)) {
+			return i
+		}
+		for k := range s.suspects {
+			if sp := &s.suspects[k]; sp.pos == p && sp.moved(s) {
 				return i
 			}
 		}
 	}
-	return first
+	return len(tr.pos)
 }
 
 // replays reports whether hop i of tr gives its flow on this snapshot's

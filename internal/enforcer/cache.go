@@ -21,7 +21,6 @@ package enforcer
 // verifications.
 
 import (
-	"strconv"
 	"sync"
 
 	"heimdall/internal/audit"
@@ -29,7 +28,6 @@ import (
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
-	"heimdall/internal/telemetry"
 	"heimdall/internal/verify"
 )
 
@@ -153,6 +151,5 @@ func (e *Enforcer) review(prodSnap *dataplane.Snapshot, changes []config.Change,
 // from the verdict cache — so N answered reviews leave N KindVerify entries.
 func (e *Enforcer) replayReview(spec *privilege.Spec, d *Decision) {
 	e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify, d.trailMsg, d.trailOK)
-	e.meter.Counter("heimdall_enforcer_reviews_total",
-		telemetry.L("accepted", strconv.FormatBool(d.Accepted))).Inc()
+	e.reviewed[d.Accepted].Inc()
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +56,9 @@ type Enforcer struct {
 	journal  *journal.Journal
 	policies []verify.Policy
 	meter    telemetry.Meter
+	// reviewed and committed are heimdall_enforcer_{reviews,commits}_total,
+	// looked up on meter once per value of their accepted label.
+	reviewed, committed map[bool]telemetry.Counter
 	// mu guards prod's device map and everything that changes with it.
 	// Reviews, views and Quarantined read under mu.RLock; a commit (end to
 	// end), MutateProduction, Recover and the Set* seams write under
@@ -98,15 +102,16 @@ type Enforcer struct {
 // again (MutateProduction) and reads it through View. The audit-trail and
 // commit-journal keys never exist outside the enclave.
 func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network) *Enforcer {
-	return &Enforcer{
+	e := &Enforcer{
 		encl:     encl,
 		trail:    audit.NewTrail(encl.DeriveKey("audit-trail")),
 		journal:  journal.New(encl.DeriveKey("commit-journal")),
 		policies: policies,
-		meter:    telemetry.Nop(),
 		prod:     prod,
 		reviews:  newReviewCache(reviewCacheCap),
 	}
+	e.SetMeter(nil)
+	return e
 }
 
 // View returns a copy of production that shares its devices (a map copy:
@@ -155,7 +160,11 @@ func (e *Enforcer) SetMeter(m telemetry.Meter) {
 	if m == nil {
 		m = telemetry.Nop()
 	}
-	e.meter = m
+	e.meter, e.reviewed, e.committed = m, make(map[bool]telemetry.Counter), make(map[bool]telemetry.Counter)
+	for _, ok := range []bool{false, true} {
+		l := telemetry.L("accepted", strconv.FormatBool(ok))
+		e.reviewed[ok], e.committed[ok] = m.Counter("heimdall_enforcer_reviews_total", l), m.Counter("heimdall_enforcer_commits_total", l)
+	}
 	e.trail.SetMeter(m)
 	e.journal.SetMeter(m)
 }
@@ -440,7 +449,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	}
 	changes, spec, approvals := req.Changes, req.Spec, req.Approvals
 	if e.quarantined {
-		e.countCommit(false)
+		e.committed[false].Inc()
 		return nil, fmt.Errorf("enforcer: quarantined (%s); run Recover before committing", e.quarReason)
 	}
 	// The pre-commit snapshot serves the review and, when the built-in
@@ -459,7 +468,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	}
 	d, _ := e.review(pre, changes, spec, key, rule)
 	if !d.Accepted {
-		e.countCommit(false)
+		e.committed[false].Inc()
 		return d, fmt.Errorf("enforcer: change set rejected: %s", d.Reason())
 	}
 	ordered := Schedule(changes)
@@ -471,7 +480,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 			e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify,
 				fmt.Sprintf("commit refused: high-risk change set without authorization: %v", aerr), false)
 			e.meter.Counter("heimdall_enforcer_authz_refusals_total").Inc()
-			e.countCommit(false)
+			e.committed[false].Inc()
 			return d, fmt.Errorf("enforcer: high-risk change set refused: %w", aerr)
 		}
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify,
@@ -507,7 +516,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 		if err != nil {
 			outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 				fmt.Sprintf("apply failed: %v", err))
-			e.countCommit(false)
+			e.committed[false].Inc()
 			if outcome == "quarantined" {
 				return d, fmt.Errorf("enforcer: applying %s: %v; rollback failed, production quarantined", c, err)
 			}
@@ -528,7 +537,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 			fmt.Sprintf("post-apply verification failed: %d violations", len(violations)))
 		d.Accepted = false
 		d.Violations = violations
-		e.countCommit(false)
+		e.committed[false].Inc()
 		if outcome == "quarantined" {
 			return d, fmt.Errorf("enforcer: post-apply verification failed; rollback failed, production quarantined")
 		}
@@ -542,7 +551,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	// is held of the new version.
 	e.invalidate()
 	e.prodSnap.Store(&heldSnapshot{snap: postSnap, verdicts: verdicts})
-	e.countCommit(true)
+	e.committed[true].Inc()
 	return d, nil
 }
 
@@ -589,10 +598,4 @@ func (e *Enforcer) emergencyRule(held *dataplane.Snapshot) string {
 func untolerated(rule string, vs []verify.Violation) []verify.Violation {
 	tol := strings.Fields(strings.TrimPrefix(rule, tolerates))
 	return slices.DeleteFunc(vs, func(v verify.Violation) bool { return slices.Contains(tol, v.Policy.ID) })
-}
-
-// countCommit records one commit outcome.
-func (e *Enforcer) countCommit(accepted bool) {
-	e.meter.Counter("heimdall_enforcer_commits_total",
-		telemetry.L("accepted", fmt.Sprintf("%t", accepted))).Inc()
 }

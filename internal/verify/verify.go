@@ -212,8 +212,8 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
 	// A nil trace carries exactly when s is in a carry generation, which is
-	// when a parent trace s does not carry is resumed.
-	resumable := parent != nil && s.Carries(nil)
+	// when a parent verdict's trace s does not carry is resumed.
+	resumable := s.Carries(nil)
 	carried, resumed := 0, 0
 	var batch []Verdict
 	for i, p := range policies {

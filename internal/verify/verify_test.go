@@ -226,3 +226,33 @@ func TestAffectedByCoversImpacted(t *testing.T) {
 			got.Checked, got.Violations, full.Checked, full.Violations)
 	}
 }
+
+// TestCheckCarriedFillsWhatCarriesBack: checked on a snapshot derived from
+// one whose vector is empty, CheckCarried fills exactly the parent's slots
+// of the policies whose trace the child carries back
+// (dataplane.Snapshot.CarriesBack: here R24, which never meets r1), and a
+// check with no vector on the same child fills nothing and decides the same.
+func TestCheckCarriedFillsWhatCarriesBack(t *testing.T) {
+	n := guardedNet()
+	policies := []Policy{
+		{ID: "R12", Kind: Reachability, Src: "h1", Dst: "h2", Proto: netmodel.ICMP},
+		{ID: "R24", Kind: Reachability, Src: "h2", Dst: "h4", Proto: netmodel.ICMP},
+		{ID: "I13", Kind: Isolation, Src: "h1", Dst: "h3", Proto: netmodel.ICMP},
+		{ID: "I23", Kind: Isolation, Src: "h2", Dst: "h3", Proto: netmodel.ICMP},
+	}
+	base, next := dataplane.Compute(n), n.CloneCOW("r1")
+	next.Devices["r1"].ACLs["GUARD"].InsertEntry(netmodel.ACLEntry{Seq: 5, Action: netmodel.Permit,
+		Proto: netmodel.AnyProto, Dst: netip.MustParsePrefix("10.3.0.0/24")})
+	child := base.Derive(next, dataplane.ChangeSet{{Device: "r1", Kind: dataplane.ChangeACL}})
+	parent := make(Verdicts, len(policies))
+	res := CheckCarried(child, policies, parent, nil, nil)
+	for i, p := range policies {
+		tr, _ := child.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
+		if got, want := parent[i].Load() != nil, p.ID == "R24"; got != want || got != child.CarriesBack(tr) {
+			t.Errorf("%s: parent slot filled = %v, want %v (carries back: %v)", p.ID, got, want, child.CarriesBack(tr))
+		}
+	}
+	if got := Check(child, policies); len(got.Violations) != 2 || len(res.Violations) != 2 {
+		t.Fatalf("violations with no vector %v, with one %v; want both isolation policies broken", got.Violations, res.Violations)
+	}
+}
