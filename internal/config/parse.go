@@ -25,32 +25,21 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("config: %s line %d: %s (%q)", e.Device, e.Line, e.Reason, e.Text)
 }
 
-// Parse reads vendor-style configuration text and returns the semantic
-// device model. The device kind is taken from the "! kind: <kind>" header
-// comment emitted by Print; without one the device defaults to Router.
-func Parse(name, text string) (*netmodel.Device, error) {
-	kind := netmodel.Router
-	if k, ok := sniffKind(text); ok {
-		kind = k
-	}
-	return ParseKind(name, text, kind)
-}
-
-func sniffKind(text string) (netmodel.DeviceKind, bool) {
+// sniffKind returns the kind a "! kind:" header names, Router without one.
+func sniffKind(text string) netmodel.DeviceKind {
 	for _, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "! kind:"); ok {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "! kind:"); ok {
 			switch strings.TrimSpace(rest) {
 			case "router":
-				return netmodel.Router, true
+				return netmodel.Router
 			case "switch":
-				return netmodel.Switch, true
+				return netmodel.Switch
 			case "host":
-				return netmodel.Host, true
+				return netmodel.Host
 			}
 		}
 	}
-	return netmodel.Router, false
+	return netmodel.Router
 }
 
 type parser struct {
@@ -70,9 +59,11 @@ func (p *parser) errf(reason string, args ...any) error {
 	return &ParseError{Device: p.dev.Name, Line: p.line, Text: p.text, Reason: fmt.Sprintf(reason, args...)}
 }
 
-// ParseKind is Parse with an explicit device kind, overriding any header.
-func ParseKind(name, text string, kind netmodel.DeviceKind) (*netmodel.Device, error) {
-	p := &parser{dev: netmodel.NewDevice(name, kind)}
+// Parse reads vendor-style configuration text and returns the semantic
+// device model. The device kind is taken from the "! kind: <kind>" header
+// comment emitted by Print; without one the device defaults to Router.
+func Parse(name, text string) (*netmodel.Device, error) {
+	p := &parser{dev: netmodel.NewDevice(name, sniffKind(text))}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		p.line++
@@ -87,8 +78,7 @@ func ParseKind(name, text string, kind netmodel.DeviceKind) (*netmodel.Device, e
 			}
 			continue
 		}
-		indented := line != trimmed
-		if !indented {
+		if line == trimmed {
 			p.resetMode()
 			if err := p.topLevel(trimmed); err != nil {
 				return nil, err

@@ -114,6 +114,33 @@ func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network
 	return e
 }
 
+// Restore restarts an enforcer from bytes: New on prod, with the audit
+// trail and commit journal imported from their exports under the keys the
+// enclave derives, so neither key leaves it. An export that fails Import is
+// refused. A journal that holds a commit open (a crash mid-push, or a
+// quarantine) restarts quarantined: new commits wait for Recover.
+func Restore(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network, trail, commits []byte) (*Enforcer, error) {
+	t, err := audit.Import(encl.DeriveKey("audit-trail"), trail)
+	if err != nil {
+		return nil, fmt.Errorf("enforcer: restoring the audit trail: %w", err)
+	}
+	j, err := journal.Import(encl.DeriveKey("commit-journal"), commits)
+	if err != nil {
+		return nil, fmt.Errorf("enforcer: restoring the commit journal: %w", err)
+	}
+	e := New(encl, policies, prod)
+	e.trail, e.journal = t, j
+	for _, r := range j.Records() {
+		if r.Kind == journal.KindIntent {
+			e.commitSeq++ // commit ids stay unique across the restart
+		}
+	}
+	if intent, _ := j.Open(); intent != nil {
+		e.quarantined, e.quarReason = true, fmt.Sprintf("restarted with commit %s open", intent.Commit)
+	}
+	return e, nil
+}
+
 // View returns a copy of production that shares its devices (a map copy:
 // published devices are immutable) and, when snapshot is set, the held
 // snapshot rebound to that copy, computed first when none is held; both

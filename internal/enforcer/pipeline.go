@@ -186,15 +186,6 @@ func (e *Enforcer) pushTarget() Target {
 // Journal returns the enforcer's write-ahead commit journal.
 func (e *Enforcer) Journal() *journal.Journal { return e.journal }
 
-// SetJournal replaces the commit journal — recovery after a crash imports
-// the surviving journal (authenticated under JournalKey) and hands it to a
-// fresh enforcer.
-func (e *Enforcer) SetJournal(j *journal.Journal) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.journal = j
-}
-
 // JournalKey returns a copy of the journal HMAC key (released, like the
 // trail key, only over the attested channel).
 func (e *Enforcer) JournalKey() []byte {

@@ -9,11 +9,13 @@ import (
 	"testing"
 
 	"heimdall/internal/config"
+	"heimdall/internal/dataplane"
 	"heimdall/internal/enclave"
 	"heimdall/internal/journal"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
+	"heimdall/internal/spec"
 )
 
 // crashSpec authorizes everything: crash recovery is about push
@@ -66,12 +68,44 @@ func neutralChanges(t *testing.T, n *netmodel.Network) []config.Change {
 	return changes
 }
 
-// newCrashEnforcer builds an enforcer on a fixed platform seed so a
-// "rebooted" instance derives the same journal and trail keys.
+// crashEnclave is the enclave of a fixed platform seed, so a restarted
+// enforcer derives the same journal and trail keys.
+func crashEnclave() *enclave.Enclave {
+	return enclave.NewPlatformFromSeed("crash-test").Load("heimdall-enforcer-v1")
+}
+
+// newCrashEnforcer builds an enforcer in crashEnclave.
 func newCrashEnforcer(scen *scenarios.Scenario, n *netmodel.Network) *Enforcer {
-	platform := enclave.NewPlatformFromSeed("crash-test")
-	encl := platform.Load("heimdall-enforcer-v1")
-	return New(encl, scen.Policies, n)
+	return New(crashEnclave(), scen.Policies, n)
+}
+
+// reparse is production as a restarted enforcer reads it: every device of
+// n printed and parsed back, on the given cabling (cabling is physical, not
+// config).
+func reparse(t *testing.T, n *netmodel.Network, links []*netmodel.Link) *netmodel.Network {
+	t.Helper()
+	out := &netmodel.Network{Name: n.Name, Devices: make(map[string]*netmodel.Device, len(n.Devices)), Links: links}
+	for name, d := range n.Devices {
+		p, err := config.Parse(name, config.Print(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Devices[name] = p
+	}
+	return out
+}
+
+// exports returns the enforcer's trail and journal exports.
+func exports(t *testing.T, e *Enforcer) (trail, commits []byte) {
+	t.Helper()
+	trail, err := e.Trail().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if commits, err = e.Journal().Export(); err != nil {
+		t.Fatal(err)
+	}
+	return trail, commits
 }
 
 // TestRecoverEveryCrashPoint runs a clean commit on each seed scenario,
@@ -119,6 +153,7 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 			t.Fatalf("%s: uninterrupted commit failed: %v", name, err)
 		}
 		finalFP := fingerprint(scen.Network)
+		trail, _ := exports(t, e)
 		full := e.Journal().Records()
 		ordered := full[0].Changes // the scheduled set the journal replays
 		if tolerated := strings.Fields(strings.TrimPrefix(full[0].Detail, tolerates)); (tc.fault != "") != (len(tolerated) > 0) {
@@ -145,7 +180,7 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 					committedSeen = true
 				}
 			}
-			recoverAt(t, scen, fmt.Sprintf("%s: crash point %d", name, k), prefix, state, committedSeen, finalFP)
+			recoverAt(t, scen, fmt.Sprintf("%s: crash point %d", name, k), trail, prefix, state, committedSeen, finalFP)
 			crashes++
 			// The push of the next change landed; its applied record did not.
 			if k < len(full) && full[k].Kind == journal.KindApplied {
@@ -153,7 +188,7 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 				if err := config.ApplyChange(state.Devices[c.Device], c); err != nil {
 					t.Fatal(err)
 				}
-				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, full[k].ChangeIndex), prefix, state, false, finalFP)
+				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, full[k].ChangeIndex), trail, prefix, state, false, finalFP)
 				crashes++
 			}
 		}
@@ -163,23 +198,25 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 	}
 }
 
-// recoverAt reboots onto the journal prefix a crash left with production in
-// state (which it recovers in place), and holds the recovery to the
-// uninterrupted run's final state.
-func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journal.Record, state *netmodel.Network, committedSeen bool, finalFP string) {
+// recoverAt restarts from bytes onto the journal prefix a crash left with
+// production in state: every device printed and parsed back onto the
+// scenario's cabling, the trail and the prefix through Restore. The restart
+// is quarantined exactly when the prefix holds the commit open, and Recover
+// must land on the uninterrupted run's final state.
+func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, trail []byte, prefix []journal.Record, state *netmodel.Network, committedSeen bool, finalFP string) {
 	t.Helper()
-	// Reboot: a fresh enforcer imports the authenticated prefix.
-	state = state.CloneCOW() // the caller's copy keeps its devices (Recover detaches)
-	e2 := newCrashEnforcer(scen, state)
 	data, err := json.Marshal(prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := journal.Import(e2.JournalKey(), data)
+	prod := reparse(t, state, scen.Network.Links)
+	e2, err := Restore(crashEnclave(), scen.Policies, prod, trail, data)
 	if err != nil {
-		t.Fatalf("%s: journal rejected: %v", at, err)
+		t.Fatalf("%s: restore: %v", at, err)
 	}
-	e2.SetJournal(j)
+	if q, why := e2.Quarantined(); q == committedSeen {
+		t.Fatalf("%s: restarted quarantined = %v (%s) on a prefix that is open = %v", at, q, why, !committedSeen)
+	}
 	rep, err := e2.Recover()
 	if err != nil {
 		t.Fatalf("%s: recover: %v", at, err)
@@ -191,7 +228,7 @@ func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journ
 	if rep.Action != wantAction {
 		t.Fatalf("%s: action = %s, want %s", at, rep.Action, wantAction)
 	}
-	if got := fingerprint(state); got != finalFP {
+	if got := fingerprint(prod); got != finalFP {
 		t.Fatalf("%s: recovered state differs from uninterrupted run", at)
 	}
 	// The journal is settled and verifiable; recovery is idempotent.
@@ -200,6 +237,9 @@ func recoverAt(t *testing.T, scen *scenarios.Scenario, at string, prefix []journ
 	}
 	if intent, _ := e2.Journal().Open(); intent != nil {
 		t.Fatalf("%s: commit still open after recovery", at)
+	}
+	if q, _ := e2.Quarantined(); q {
+		t.Fatalf("%s: still quarantined after recovery", at)
 	}
 	again, err := e2.Recover()
 	if err != nil || again.Action != "none" {
@@ -224,8 +264,15 @@ func TestRecoverNothingOpen(t *testing.T) {
 	}
 }
 
+// restoreEnforcer restarts an enforcer on newEnforcer's platform from the
+// given exports.
+func restoreEnforcer(n *netmodel.Network, trail, commits []byte) (*Enforcer, error) {
+	encl := enclave.NewPlatformFromSeed("test").Load("heimdall-enforcer-v1")
+	return Restore(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}), n, trail, commits)
+}
+
 // TestRecoverTamperedJournalRejected: recovery must never trust a forged
-// journal — Import authenticates before Recover sees it.
+// journal or trail — Restore imports both and refuses the restart.
 func TestRecoverTamperedJournalRejected(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
@@ -234,13 +281,24 @@ func TestRecoverTamperedJournalRejected(t *testing.T) {
 	if _, err := e.submit([]config.Change{benignChange(15, 443)}, aclSpec()); err != nil {
 		t.Fatal(err)
 	}
-	full := e.Journal().Records()
-	prefix := full[:1]
+	trail, _ := exports(t, e)
+	prefix := e.Journal().Records()[:1]
+	intact, _ := json.Marshal(prefix)
+	if _, err := restoreEnforcer(n, trail, intact); err != nil {
+		t.Fatalf("intact exports refused: %v", err)
+	}
 	// Forge the undo: recovery would delete the ACL instead of restoring it.
 	prefix[0].Undos[0].ACL = nil
-	data, _ := json.Marshal(prefix)
-	if _, err := journal.Import(e.JournalKey(), data); err == nil {
-		t.Fatal("forged journal prefix imported")
+	forged, _ := json.Marshal(prefix)
+	if _, err := restoreEnforcer(n, trail, forged); err == nil || !strings.Contains(err.Error(), "commit journal") {
+		t.Fatalf("forged journal prefix restored: %v", err)
+	}
+	// Rewrite a trail entry's detail: the trail's chain refuses it too.
+	entries := e.Trail().Links()
+	entries[len(entries)-1].Detail += " (edited)"
+	doctored, _ := json.Marshal(entries)
+	if _, err := restoreEnforcer(n, doctored, intact); err == nil || !strings.Contains(err.Error(), "audit trail") {
+		t.Fatalf("doctored trail restored: %v", err)
 	}
 }
 
@@ -263,13 +321,12 @@ func TestRecoverKeepsTwinDevices(t *testing.T) {
 	}
 	twin := pre.CloneCOW()
 	held := fingerprint(twin)
-	e2 := newEnforcer(pre)
+	trail, _ := exports(t, e)
 	data, _ := json.Marshal(records)
-	j, err := journal.Import(e2.JournalKey(), data)
+	e2, err := restoreEnforcer(pre, trail, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2.SetJournal(j)
 	if rep, err := e2.Recover(); err != nil || rep.Action != "committed" {
 		t.Fatalf("Recover = %+v, %v, want committed", rep, err)
 	}
@@ -278,6 +335,51 @@ func TestRecoverKeepsTwinDevices(t *testing.T) {
 	}
 	if fingerprint(twin) != held {
 		t.Fatal("recovery wrote a device an open twin holds")
+	}
+}
+
+// TestRecoverRestartQuarantined: an enforcer restarted on a journal that
+// holds a commit open refuses new commits until Recover finishes the open
+// one; the commit after it takes a fresh commit id, and its Submit lands.
+func TestRecoverRestartQuarantined(t *testing.T) {
+	n := prod()
+	pre := n.Clone()
+	e := newEnforcer(n)
+	if _, err := e.submit([]config.Change{benignChange(15, 443), benignChange(16, 8443)}, aclSpec()); err != nil {
+		t.Fatal(err)
+	}
+	records := e.Journal().Records()[:2] // the intent and the first push
+	if err := config.ApplyChange(pre.Devices["r1"], records[0].Changes[0]); err != nil {
+		t.Fatal(err)
+	}
+	trail, _ := exports(t, e)
+	data, _ := json.Marshal(records)
+	e2, err := restoreEnforcer(pre, trail, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, why := e2.Quarantined(); !q || why != "restarted with commit "+records[0].Commit+" open" {
+		t.Fatalf("Quarantined() = %v, %q", q, why)
+	}
+	if _, err := e2.submit([]config.Change{benignChange(17, 8080)}, aclSpec()); err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("submit on a restart with an open commit: err = %v", err)
+	}
+	if intent, _ := e2.Journal().Open(); intent == nil || intent.Commit != records[0].Commit {
+		t.Fatal("the refused submit buried the open commit")
+	}
+	if rep, err := e2.Recover(); err != nil || rep.Action != "committed" {
+		t.Fatalf("Recover = %+v, %v, want committed", rep, err)
+	}
+	if q, _ := e2.Quarantined(); q {
+		t.Fatal("Recover left the restart quarantined")
+	}
+	if _, err := e2.submit([]config.Change{benignChange(17, 8080)}, aclSpec()); err != nil {
+		t.Fatalf("submit after recovery: %v", err)
+	}
+	intent, _ := e2.Journal().Open()
+	all := e2.Journal().Records()
+	if last := all[len(all)-1]; intent != nil || last.Kind != journal.KindCommitted || last.Commit == records[0].Commit {
+		t.Fatalf("the commit after recovery closed as %s %s, reusing %s", last.Kind, last.Commit, records[0].Commit)
 	}
 }
 

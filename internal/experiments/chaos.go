@@ -7,6 +7,7 @@ package experiments
 // state. Nothing in between, under any schedule.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -24,6 +25,7 @@ import (
 	"heimdall/internal/privilege"
 	"heimdall/internal/spec"
 	"heimdall/internal/telemetry"
+	"heimdall/internal/verify"
 )
 
 // ChaosNetwork builds the chaos fixture: h1—r1—r2—{h2, sensitive h3},
@@ -169,18 +171,12 @@ var terminalKinds = map[string]journal.Kind{
 }
 
 // settle audits what every schedule must leave behind on e's production,
-// which started as pre: a journal and audit trail that verify, the terminal
-// record the outcome claims last in the journal, and production
+// which started as pre: the terminal record the outcome claims last in the
+// journal (which Restore verified, with the trail), and production
 // all-or-nothing — bit-identical to the pre-state plus the journaled
 // changes when committed, to the pre-state when rolled back. It returns the
 // verified records and the committed state's fingerprint.
 func settle(e *enforcer.Enforcer, pre *netmodel.Network, outcome string) ([]journal.Record, string, error) {
-	if err := e.Journal().Verify(); err != nil {
-		return nil, "", fmt.Errorf("journal: %v", err)
-	}
-	if err := e.Trail().Verify(); err != nil {
-		return nil, "", fmt.Errorf("audit trail: %v", err)
-	}
 	records := e.Journal().Records()
 	if len(records) == 0 {
 		return nil, "", errors.New("no journal records")
@@ -206,18 +202,64 @@ func settle(e *enforcer.Enforcer, pre *netmodel.Network, outcome string) ([]jour
 	return records, committedFP, nil
 }
 
+// restart rebuilds e from bytes, as a rebooted enforcer would: each
+// production device's printed config parsed back onto the fixture's cabling
+// (cabling is physical, not config), and the trail and journal exports
+// through enforcer.Restore on a fresh enclave of the run's platform seed,
+// which derives the run's keys. The restart must hold what the run left:
+// the same production, exports that re-export byte for byte, and a
+// quarantine exactly when the run quarantined.
+func restart(e *enforcer.Enforcer, policies []verify.Policy, links []*netmodel.Link, reg telemetry.Meter, quarantined bool) (*enforcer.Enforcer, error) {
+	run := prodOf(e)
+	prod := &netmodel.Network{Name: run.Name, Devices: make(map[string]*netmodel.Device, len(run.Devices)), Links: links}
+	for name, d := range run.Devices {
+		p, err := config.Parse(name, config.Print(d))
+		if err != nil {
+			return nil, err
+		}
+		prod.Devices[name] = p
+	}
+	exports := func(e *enforcer.Enforcer) (trail, commits []byte, err error) {
+		if trail, err = e.Trail().Export(); err == nil {
+			commits, err = e.Journal().Export()
+		}
+		return trail, commits, err
+	}
+	trail, commits, err := exports(e)
+	if err != nil {
+		return nil, err
+	}
+	r, err := enforcer.Restore(enclave.NewPlatformFromSeed("chaos-suite").Load("heimdall-enforcer-v1"), policies, prod, trail, commits)
+	if err != nil {
+		return nil, err
+	}
+	r.SetMeter(reg)
+	rtrail, rcommits, err := exports(r)
+	switch q, _ := r.Quarantined(); {
+	case err != nil:
+		return nil, err
+	case chaosFingerprint(prod) != chaosFingerprint(run):
+		return nil, errors.New("production parsed back differs from the run's")
+	case !bytes.Equal(rtrail, trail) || !bytes.Equal(rcommits, commits):
+		return nil, errors.New("restored trail or journal re-exports differently")
+	case q != quarantined:
+		return nil, fmt.Errorf("restarted quarantined = %v, run quarantined = %v", q, quarantined)
+	}
+	return r, nil
+}
+
 // RunChaosSchedule executes one seeded fault schedule against a fresh
-// enforcer and fixture, then audits every invariant the pipeline promises:
-// exactly one terminal outcome, production bit-identical to what that
-// outcome implies (via independent journal replay), verifiable journal and
-// audit trail, reconciled fault/retry/latency counters, and — for
-// quarantined runs — that Recover restores full consistency. Any violation
-// is returned as an error naming the seed.
+// enforcer and fixture, restarts it from bytes, then audits on the restart
+// every invariant the pipeline promises: exactly one terminal outcome,
+// production bit-identical to what that outcome implies (via independent
+// journal replay), a journal and trail that import, reconciled counters,
+// and — for quarantined runs — that Recover restores full consistency. Any
+// violation is returned as an error naming the seed.
 func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	n := ChaosNetwork()
 	pre, reg := n.Clone(), telemetry.NewRegistry()
-	encl := enclave.NewPlatformFromSeed("chaos-suite").Load("heimdall-enforcer-v1")
-	e := enforcer.New(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}), n)
+	policies := spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}})
+	e := enforcer.New(enclave.NewPlatformFromSeed("chaos-suite").Load("heimdall-enforcer-v1"), policies, n)
 	e.SetMeter(reg)
 
 	retries := 0
@@ -247,6 +289,11 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	}
 	res.Faults = inj.Injected()
 	res.Retries = retries
+
+	// The rest of the audit reads the enforcer restarted from the run's bytes.
+	if e, err = restart(e, policies, pre.Links, reg, quarantined); err != nil {
+		return fail("restart: %v", err)
+	}
 
 	// settle pins committed and rolled-back production; a quarantined run is
 	// held to the journal's exact account — production must match the
@@ -294,13 +341,10 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 		return fail("push_seconds observations = %d, want %d", got, wantPushes)
 	}
 
-	// A quarantined run is not an outcome an operator can live with: the
-	// journal must still hold the commit open, and Recover must converge
-	// production onto the uninterrupted result.
+	// A quarantined run is not an outcome an operator can live with: its
+	// restart came back quarantined, the journal holding the commit open,
+	// and Recover must converge production onto the uninterrupted result.
 	if res.Outcome == "quarantined" {
-		if intent, _ := e.Journal().Open(); intent == nil {
-			return fail("quarantined commit not open for recovery")
-		}
 		rep, err := e.Recover()
 		if err != nil {
 			return fail("recover: %v", err)
@@ -318,8 +362,6 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 			return fail("recoveries_total != 1 after recovery")
 		}
 		res.Recovered = true
-	} else if intent, _ := e.Journal().Open(); intent != nil {
-		return fail("settled run left the journal open")
 	}
 	return res, nil
 }
