@@ -23,7 +23,6 @@ import (
 	"heimdall/internal/console"
 	"heimdall/internal/core"
 	"heimdall/internal/dataplane"
-	"heimdall/internal/enclave"
 	"heimdall/internal/enforcer"
 	"heimdall/internal/experiments"
 	"heimdall/internal/latency"
@@ -305,23 +304,32 @@ func BenchmarkFlowCache(b *testing.B) {
 
 // reviewFixture is the review-fresh workload of benchmark/ in process: the
 // fat-tree catalog tenant (k=4, 400 policies), an enforcer holding a
-// production snapshot one review has already warmed, and a never-repeating
-// change set on the storage guard of e0-0 (entry 15 carries the review's
-// port), so no review is answered from the verdict cache and every one
-// derives and carries production's verdicts or retraces them from
-// production's trace. With open the set also holds review-fresh's bad entry
-// 16, which opens the storage rack on tcp/22 to everyone, and the review
-// must reject it. counts reports the verdicts carried, the flows retraced
-// (the flow caches' misses) and the policies resumed from production's
-// trace so far.
+// production snapshot one review has already warmed, the Privilegemsp an open
+// of the tenant's acl ticket generates (its rules digest taken once, as the
+// engagement memoizes it), and a never-repeating change set on the storage
+// guard of e0-0 (entry 15 carries the review's port), so no review is
+// answered from the verdict cache and every one derives and carries
+// production's verdicts or retraces them from production's trace. With open
+// the set also holds review-fresh's bad entry 16, which opens the storage
+// rack on tcp/22 to everyone, and the review must reject it. counts reports
+// the verdicts carried, the flows retraced (the flow caches' misses) and the
+// policies resumed from production's trace so far.
 func reviewFixture(tb testing.TB) (review func(i int, open bool) *enforcer.Decision, counts func() (carried, retraced, resumed float64)) {
 	scen := generate.FatTree(generate.FatTreeParams{K: 4})
-	e := enforcer.New(enclave.NewPlatformFromSeed("review-bench").Load("heimdall-enforcer-v1"), scen.Policies, scen.Network)
 	reg := telemetry.NewRegistry()
-	e.SetMeter(reg)
-	spec := &privilege.Spec{Ticket: "T-BENCH", Technician: "bench", Rules: []privilege.Rule{
-		{Effect: privilege.AllowEffect, Action: "config.acl.*", Resource: "device:e0-0"},
-	}}
+	sys, err := core.NewSystem(core.Options{Network: scen.Network, Policies: scen.Policies, Sensitive: scen.Sensitive,
+		PlatformSeed: "review-bench", Meter: reg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	is := scen.Issues[slices.IndexFunc(scen.Issues, func(is scenarios.Issue) bool { return is.Name == "acl" })]
+	tk := sys.Tickets.Create(ticket.Ticket{Kind: is.Fault.Kind, SrcHost: is.SrcHost, DstHost: is.DstHost,
+		Proto: is.Proto, DstPort: is.DstPort, Suspects: []string{is.Fault.RootCause}})
+	eng, err := sys.StartWork(tk.ID, "bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, spec, rules := sys.Enforcer, eng.Spec, eng.Twin.RulesDigest()
 	storage := netip.MustParsePrefix("10.0.0.0/24")
 	entry := func(e netmodel.ACLEntry) config.Change {
 		return config.Change{Device: "e0-0", Op: config.OpAddACLEntry, ACLName: "STORAGE-GUARD", Entry: &e}
@@ -332,7 +340,7 @@ func reviewFixture(tb testing.TB) (review func(i int, open bool) *enforcer.Decis
 		if open {
 			changes = append(changes, entry(netmodel.ACLEntry{Seq: 16, Action: netmodel.Permit, Proto: netmodel.TCP, Dst: storage, DstPort: 22}))
 		}
-		d, _ := e.Review(changes, spec, "")
+		d, _ := e.Review(changes, spec, rules)
 		if d.Accepted == open || d.Checked != len(scen.Policies) {
 			tb.Fatalf("review %d (open=%v): %+v", i, open, d)
 		}
@@ -381,16 +389,19 @@ func BenchmarkReview(b *testing.B) {
 // warm held snapshot, the shadow and the shadow's verdict vector it keeps
 // for the commit that lands it included, and the policies each review
 // carries, retraces and resumes (400 / 0 / 0 and 376 / 24 / 24: a change to
-// which slots verify.CheckCarried resumes or fills moves them). accept is
-// measured at 82: every verdict carries (the 92 policies whose trace crosses
-// e0-0 by replaying its ACLs, which allocates nothing), nothing is traced,
-// and the vector is one allocation. reject is measured at 154: the 24 flows
-// whose verdict entry 16 flips are each resumed at e0-0, one allocation for
-// the trace, its first hops and their positions. reject's ceiling is also
-// the guard that the vector costs two allocations — the vector and one
-// batch for every verdict the review decides (verify.CheckCarried) — and not
-// one more per verdict, which reads 183 while reject read 160. (accept was
-// 83 and reject 155 while the review's labeled counter lookup allocated its
+// which slots verify.CheckCarried resumes moves them). accept is measured at
+// 53: every verdict carries (the 92 policies whose trace crosses e0-0 by
+// replaying its ACLs, which allocates nothing), nothing is traced, the
+// vector is one allocation and the spec's compiled tries come from the
+// enforcer's memo. reject is measured at 122: the 24 flows whose verdict
+// entry 16 flips are each resumed at e0-0, one allocation for the trace, its
+// first hops and their positions. reject's ceiling is also the guard that
+// the vector costs two allocations — the vector and one batch for every
+// verdict the review decides (verify.CheckCarried) — and not one more per
+// verdict. (accept was 82 and reject 154 on a one-rule spec while each review
+// compiled the spec, digested its rules and encoded its change set through
+// encoding/json — the generated acl-ticket spec compiles in 90 more;
+// 83 and 155 while the review's labeled counter lookup allocated its
 // label; accept was 85 and reject 157 while the verdict
 // cache keyed each review on the network's address through Sprintf; 88 and
 // 160 while every
@@ -420,7 +431,7 @@ func TestReviewAllocBudget(t *testing.T) {
 		ceiling float64
 		// carried, retraced and resumed per review (BenchmarkReview).
 		counts [3]float64
-	}{{"accept", false, 83, [3]float64{400, 0, 0}}, {"reject", true, 155, [3]float64{376, 24, 24}}} {
+	}{{"accept", false, 54, [3]float64{400, 0, 0}}, {"reject", true, 123, [3]float64{376, 24, 24}}} {
 		review, counts := reviewFixture(t)
 		i := 0
 		carried0, retraced0, resumed0 := counts()
@@ -529,7 +540,9 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 7,080, now and then 7,081 (7,146 while the enforcer looked up
+// Measured at 6,639, now and then 6,640 (7,080, now and then 7,081, while each review compiled
+// its Privilegemsp and encoded its change set through encoding/json for the
+// verdict cache's key; 7,146 while the enforcer looked up
 // its labeled review and commit counters per call, each allocating its label
 // slice, and a derived snapshot kept its suspects in a map; 8,669 while
 // every labeled counter lookup built its
@@ -564,7 +577,7 @@ func TestTicketAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
 	}
-	const ceiling = 7082
+	const ceiling = 6641
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20

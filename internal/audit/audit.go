@@ -55,7 +55,8 @@ func NewTrail(key []byte) *Trail {
 
 // SetMeter wires audit metrics (entries appended by kind, chain length).
 // Both are updated under the log's lock, so the gauge never reads lower
-// than a length already observed. Each kind's counter is looked up once,
+// than a length already observed; it reads the length the trail has when
+// wired (an imported one's). Each kind's counter is looked up once,
 // at its first entry: a labeled lookup through the Meter interface
 // allocates its labels, and every console line appends two entries.
 func (t *Trail) SetMeter(m telemetry.Meter) {
@@ -72,6 +73,7 @@ func (t *Trail) SetMeter(m telemetry.Meter) {
 		c.Inc()
 		length.Set(float64(e.Index + 1))
 	})
+	t.View(func(links []Entry) { length.Set(float64(len(links))) })
 }
 
 // Append adds an entry to the chain, filling in index, time, hashes and

@@ -31,7 +31,10 @@ var carryTiers = []struct {
 // carryEdit draws a change to hop h of a trace of flow f on n, whose
 // snapshot is s: an ACL entry on the hop's ingress or egress interface (a
 // deny of the flow ahead of every entry, or a deny of the next source
-// address behind them, which keeps the flow's result), a /32 static route
+// address behind them, which keeps the flow's result) and, now and then, a
+// binding on the hop's other half too — to an ACL the device does not
+// define (a pass), or to one of its own that denies the flow or the next
+// source address and permits the rest — a /32 static route
 // for the destination via an adjacent endpoint, or an OSPF cost on the
 // hop's egress (new route cells on routers whose config did not change:
 // suspects). It returns nil when the hop offers none of the one drawn.
@@ -47,7 +50,32 @@ func carryEdit(rng *rand.Rand, n *netmodel.Network, s *dataplane.Snapshot, f dat
 			return 0, nil
 		}
 		in, keep := ifName == h.InIf, rng.Intn(2) == 0
+		other, both := h.InIf, rng.Intn(4)
+		if in {
+			other = h.OutIf
+		}
+		if other == "" || d.Interface(other) == nil {
+			both = 0
+		}
 		return dataplane.ChangeACL, func(d *netmodel.Device) {
+			if both > 0 {
+				otherBound := &d.Interfaces[other].ACLIn
+				if in {
+					otherBound = &d.Interfaces[other].ACLOut
+				}
+				*otherBound = "UNDEFINED-" + other
+				if both > 1 {
+					*otherBound = "BOTH-" + other
+					src := netip.PrefixFrom(f.Src, 32)
+					if both == 3 {
+						src = netip.PrefixFrom(f.Src.Next(), 32)
+					}
+					a := d.ACL(*otherBound, true)
+					a.InsertEntry(netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: f.Proto, Src: src,
+						Dst: netip.PrefixFrom(f.Dst, 32), DstPort: f.DstPort})
+					a.InsertEntry(netmodel.ACLEntry{Seq: 20, Action: netmodel.Permit, Proto: netmodel.AnyProto})
+				}
+			}
 			itf := d.Interfaces[ifName]
 			bound := &itf.ACLOut
 			if in {
@@ -100,15 +128,16 @@ func carryEdit(rng *rand.Rand, n *netmodel.Network, s *dataplane.Snapshot, f dat
 // every policy's trace on the parent — walked from the source, carried, or
 // resumed there with a prefix kept from its own parent — must give the
 // same first stale index with and without replay. The chains must carry a
-// trace across an ACL-only device by replay, stop one at a suspect whose
-// RIB moved and hand a resumed trace with a kept prefix to the next step,
-// or the case is gone.
+// trace across an ACL-only device by replay (across a hop with ACLs bound
+// on both halves, one of them to an ACL the device does not define), stop
+// one at a suspect whose RIB moved and hand a resumed trace with a kept
+// prefix to the next step, or the case is gone.
 func TestFirstStaleMatchesNames(t *testing.T) {
 	seeds, steps := 3, 12
 	if dataplane.RaceEnabled {
 		seeds = 1
 	}
-	var replayed, atSuspect, resumedPrefix int
+	var replayed, bothHalves, undefined, atSuspect, resumedPrefix int
 	for _, tier := range carryTiers {
 		scen := tier.build()
 		for seed := 1; seed <= seeds; seed++ {
@@ -152,6 +181,14 @@ func TestFirstStaleMatchesNames(t *testing.T) {
 					}
 					if got[0] == len(tr.Hops) && got[1] < len(tr.Hops) {
 						replayed++
+						h := tr.Hops[got[1]]
+						d := next.Devices[h.Device]
+						if in, out := d.Interface(h.InIf), d.Interface(h.OutIf); in != nil && out != nil && in.ACLIn != "" && out.ACLOut != "" {
+							bothHalves++
+							if d.ACLs[in.ACLIn] == nil || d.ACLs[out.ACLOut] == nil {
+								undefined++
+							}
+						}
 					}
 					if got[1] < len(tr.Hops) && !slices.ContainsFunc(cs, func(c dataplane.Change) bool { return c.Device == tr.Hops[got[1]].Device }) {
 						atSuspect++
@@ -165,9 +202,9 @@ func TestFirstStaleMatchesNames(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d traces carried by replay, %d stopped at a moved suspect, %d resumed with a kept prefix and held to the reference again",
-		replayed, atSuspect, resumedPrefix)
-	if replayed == 0 || atSuspect == 0 || resumedPrefix == 0 {
-		t.Fatal("no chain carried a trace by replay, stopped one at a suspect or resumed one with a kept prefix: the case is gone")
+	t.Logf("%d traces carried by replay (%d across a hop with ACLs bound on both halves, %d of them one the device does not define), %d stopped at a moved suspect, %d resumed with a kept prefix and held to the reference again",
+		replayed, bothHalves, undefined, atSuspect, resumedPrefix)
+	if replayed == 0 || bothHalves == 0 || undefined == 0 || atSuspect == 0 || resumedPrefix == 0 {
+		t.Fatal("no chain carried a trace by replay (across both halves of a hop, one bound to an undefined ACL), stopped one at a suspect or resumed one with a kept prefix: the case is gone")
 	}
 }

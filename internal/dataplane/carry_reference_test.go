@@ -13,7 +13,8 @@ func (s *Snapshot) FirstStale(tr *Trace, replay bool) int { return s.firstStale(
 // the devices a change of another kind than ChangeACL names, ACL-stale those
 // a ChangeACL names, and suspects the others whose route cell is not the
 // parent's, moved when their RIB differs from the parent's. Only a snapshot
-// derived with carry (Carries(nil)) has any of them.
+// derived with carry (Carries(nil)) has any of them. Its replay is its own
+// (replaysByName).
 func (s *Snapshot) FirstStaleByName(parent *Snapshot, changes ChangeSet, tr *Trace, replay bool) int {
 	if s.parentFlows == nil {
 		return len(tr.Hops)
@@ -35,7 +36,7 @@ func (s *Snapshot) FirstStaleByName(parent *Snapshot, changes ChangeSet, tr *Tra
 	first := len(tr.Hops)
 	for i := range tr.Hops {
 		dev := tr.Hops[i].Device
-		if slices.Contains(stale, dev) || slices.Contains(aclStale, dev) && (!replay || !s.replays(tr, i)) {
+		if slices.Contains(stale, dev) || slices.Contains(aclStale, dev) && (!replay || !s.replaysByName(tr, i)) {
 			first = i
 			break
 		}
@@ -46,4 +47,17 @@ func (s *Snapshot) FirstStaleByName(parent *Snapshot, changes ChangeSet, tr *Tra
 		}
 	}
 	return first
+}
+
+// replaysByName is the replay as it was before Derive resolved the
+// ACL-stale devices' bindings: hop i of tr run through aclStep on the device,
+// its interfaces and its ACLs looked up by name in s's network, and held to
+// the ACL result the hop took: the drop tr ends in, else a pass.
+func (s *Snapshot) replaysByName(tr *Trace, i int) bool {
+	h := &tr.Hops[i]
+	drop := aclStep(s.net.Devices[h.Device], h.InIf, h.OutIf, &tr.Flow)
+	if i == len(tr.Hops)-1 && tr.Disposition == DropACL {
+		return drop.is(tr.Detail)
+	}
+	return drop == aclDrop{}
 }

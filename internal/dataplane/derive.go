@@ -235,6 +235,9 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 			}
 			if i, ok := slices.BinarySearch(d.names, c.Device); ok && !slices.Contains(*list, uint16(i)) {
 				*list, d.moved = append(*list, uint16(i)), d.moved|1<<(i&63)
+				if dev := n.Devices[c.Device]; c.Kind == ChangeACL && dev != nil {
+					d.bound = appendBindings(d.bound, uint16(i), dev)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -81,8 +82,11 @@ type Snapshot struct {
 	// only ChangeACL changes) aclStale are the positions of the devices whose
 	// config differs from that parent's, suspects those whose cell is new
 	// although their routing config is not; moved has bit p%64 set for each.
+	// bound are the ACLs bound on the aclStale devices' interfaces, resolved
+	// from n by Derive for the replay.
 	parentFlows     *flowCache
 	stale, aclStale []uint16
+	bound           []binding
 	suspects        []suspect
 	moved           uint64
 	// hops is the trace index of the adjacency generation, shared along
@@ -403,18 +407,21 @@ func (a aclDrop) is(detail string) bool {
 		detail[4+len(a.acl):n] == a.dir && detail[n:] == a.itf
 }
 
+// The directions of an ACL drop's detail.
+const dirIn, dirOut = " in on ", " out on "
+
 // aclStep runs a hop's ACLs on d against f, the ingress ACL bound to inIf
 // and then the egress ACL bound to outIf, and returns the first drop. walk
-// runs it on each half of a hop; Carries replays a parent's hop with it.
+// runs it on each half of a hop; replays is the same over resolved bindings.
 func aclStep(d *netmodel.Device, inIf, outIf string, f *Flow) aclDrop {
 	if inIf != "" {
 		if itf := d.Interfaces[inIf]; itf != nil && itf.ACLIn != "" && denies(d, itf.ACLIn, f) {
-			return aclDrop{itf.ACLIn, " in on ", inIf}
+			return aclDrop{itf.ACLIn, dirIn, inIf}
 		}
 	}
 	if outIf != "" {
 		if itf := d.Interfaces[outIf]; itf != nil && itf.ACLOut != "" && denies(d, itf.ACLOut, f) {
-			return aclDrop{itf.ACLOut, " out on ", outIf}
+			return aclDrop{itf.ACLOut, dirOut, outIf}
 		}
 	}
 	return aclDrop{}
@@ -447,8 +454,9 @@ func (s *Snapshot) Reach(srcHost, dstHost string, proto netmodel.Protocol, dstPo
 // snapshot's lifetime, so policy checkers and the attack-surface sweep can
 // re-ask for the same flow without retracing it. A derived snapshot looks
 // next in its parent's cache (see Derive) and offers what it has traced
-// from the source back to the parent under CarriesBack, which is how a held
-// production snapshot nobody calls Reach on fills from its first review.
+// from the source back to the parent when the trace crosses no stale hop
+// (the strict rule, no replay), which is how twins opened on one production
+// version share the flows each traces.
 // Callers share the returned trace and must treat it as read-only (every
 // caller in the tree already does). ReachFrom is safe for concurrent use.
 func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmodel.Protocol, dstPort uint16) (*Trace, error) {
@@ -483,8 +491,10 @@ func (s *Snapshot) ReachFrom(prev *Trace, srcHost, dstHost string, proto netmode
 		}
 		r.tr = s.TraceFrom(srcHost, f)
 	}
+	// The write-back keeps the strict rule: a replay reads only this
+	// snapshot's ACLs.
 	r = s.flows.store(k, r)
-	if s.CarriesBack(r.tr) {
+	if s.parentFlows != nil && (r.tr == nil || s.firstStale(r.tr, false) == len(r.tr.Hops)) {
 		s.parentFlows.loadOrStore(k, r)
 	}
 	return r.tr, r.err
@@ -517,16 +527,11 @@ func (s *Snapshot) carried(k flowKey) (flowResult, bool) {
 // from the parent's, decided once per device. An error (tr nil) has no
 // hops: it depends on the device set and host addresses only.
 // Traces and the verdicts decided on them (verify.CheckCarried) enter this
-// snapshot from the parent under this test alone; CarriesBack is the rule
-// the other way. A trace it fails is resumed at its first stale hop.
+// snapshot from the parent under this test alone; ReachFrom's write-back
+// is the rule the other way. A trace it fails is resumed at its first
+// stale hop.
 func (s *Snapshot) Carries(tr *Trace) bool {
 	return s.parentFlows != nil && (tr == nil || s.firstStale(tr, true) == len(tr.Hops))
-}
-
-// CarriesBack is Carries without the replay, which reads only this
-// snapshot's ACLs: the rule for writing a result back into the parent.
-func (s *Snapshot) CarriesBack(tr *Trace) bool {
-	return s.parentFlows != nil && (tr == nil || s.firstStale(tr, false) == len(tr.Hops))
 }
 
 // firstStale is the index of tr's first hop at a position Derive marked
@@ -538,7 +543,7 @@ func (s *Snapshot) firstStale(tr *Trace, replay bool) int {
 		return len(tr.pos)
 	}
 	for i, p := range tr.pos {
-		if slices.Contains(s.stale, p) || slices.Contains(s.aclStale, p) && (!replay || !s.replays(tr, i)) {
+		if slices.Contains(s.stale, p) || slices.Contains(s.aclStale, p) && (!replay || !s.replays(tr, i, p)) {
 			return i
 		}
 		for k := range s.suspects {
@@ -550,15 +555,49 @@ func (s *Snapshot) firstStale(tr *Trace, replay bool) int {
 	return len(tr.pos)
 }
 
-// replays reports whether hop i of tr gives its flow on this snapshot's
-// device the ACL result it took there: the drop tr ends in, else a pass.
-func (s *Snapshot) replays(tr *Trace, i int) bool {
-	h := &tr.Hops[i]
-	drop := aclStep(s.net.Devices[h.Device], h.InIf, h.OutIf, &tr.Flow)
-	if i == len(tr.Hops)-1 && tr.Disposition == DropACL {
-		return drop.is(tr.Detail)
+// replays reports whether hop i of tr, at the ACL-stale position p, gives
+// its flow on this snapshot's device the ACL result it took there: the drop
+// tr ends in, else a pass. It runs aclStep's two halves over the bindings
+// Derive resolved, so it looks nothing up by name.
+func (s *Snapshot) replays(tr *Trace, i int, p uint16) bool {
+	h, f := &tr.Hops[i], &tr.Flow
+	var in, out aclDrop
+	for k := range s.bound {
+		b := &s.bound[k]
+		itf, half := h.OutIf, &out
+		if b.drop.dir == dirIn {
+			itf, half = h.InIf, &in
+		}
+		if b.pos == p && itf != "" && b.drop.itf == itf && b.acl != nil &&
+			b.acl.Evaluate(f.Proto, f.Src, f.Dst, f.SrcPort, f.DstPort) == netmodel.Deny {
+			*half = b.drop
+		}
 	}
-	return drop == aclDrop{}
+	if i == len(tr.Hops)-1 && tr.Disposition == DropACL {
+		return cmp.Or(in, out).is(tr.Detail)
+	}
+	return in == aclDrop{} && out == aclDrop{}
+}
+
+// binding is an ACL bound on an interface of the device at position pos:
+// the drop it gives and, resolved, the ACL (nil when the device defines
+// none of that name, which passes every flow).
+type binding struct {
+	pos  uint16
+	drop aclDrop
+	acl  *netmodel.ACL
+}
+
+// appendBindings appends the ACLs bound on d's interfaces, at position p.
+func appendBindings(b []binding, p uint16, d *netmodel.Device) []binding {
+	for name, itf := range d.Interfaces {
+		for _, drop := range [2]aclDrop{{itf.ACLIn, dirIn, name}, {itf.ACLOut, dirOut, name}} {
+			if drop.acl != "" {
+				b = append(b, binding{p, drop, d.ACLs[drop.acl]})
+			}
+		}
+	}
+	return b
 }
 
 // BGPPeer describes one configured BGP neighbor and its session state.

@@ -34,48 +34,50 @@ import (
 // reviewCacheCap bounds retained verdicts. Entries are small (a Decision
 // plus its trail line); the bound exists to stop a scripted load from
 // growing the map without limit across privilege-spec variants.
-const reviewCacheCap = 256
+// compiledCap bounds the compiled Privilegemsp specs kept (compiledFor): one
+// per rule set under review.
+const reviewCacheCap, compiledCap = 256, 64
 
-// reviewCache is a bounded FIFO map of verdicts. FIFO (not LRU) keeps
-// eviction O(1) and is near-optimal here: invalidation happens by version
-// bump, so surviving entries are all the same age class.
-type reviewCache struct {
+// fifo is a bounded FIFO map. FIFO (not LRU) keeps eviction O(1) and is
+// near-optimal here: invalidation happens by version bump, so surviving
+// entries are all the same age class.
+type fifo[V any] struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*Decision
+	entries map[string]V
 	order   []string
 }
 
-func newReviewCache(capacity int) *reviewCache {
-	return &reviewCache{cap: capacity, entries: make(map[string]*Decision)}
+func newFIFO[V any](capacity int) *fifo[V] {
+	return &fifo[V]{cap: capacity, entries: make(map[string]V)}
 }
 
-func (rc *reviewCache) get(key string) (*Decision, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	ent, ok := rc.entries[key]
+func (f *fifo[V]) get(key string) (V, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ent, ok := f.entries[key]
 	return ent, ok
 }
 
-func (rc *reviewCache) put(key string, ent *Decision) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, exists := rc.entries[key]; !exists {
-		rc.order = append(rc.order, key)
+func (f *fifo[V]) put(key string, ent V) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if _, exists := f.entries[key]; !exists {
+		f.order = append(f.order, key)
 	}
-	rc.entries[key] = ent
-	for len(rc.entries) > rc.cap && len(rc.order) > 0 {
-		oldest := rc.order[0]
-		rc.order = rc.order[1:]
-		delete(rc.entries, oldest)
+	f.entries[key] = ent
+	for len(f.entries) > f.cap && len(f.order) > 0 {
+		oldest := f.order[0]
+		f.order = f.order[1:]
+		delete(f.entries, oldest)
 	}
 }
 
-func (rc *reviewCache) clear() {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rc.entries = make(map[string]*Decision)
-	rc.order = nil
+func (f *fifo[V]) clear() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.entries = make(map[string]V)
+	f.order = nil
 }
 
 // InvalidateReviews discards every cached review verdict, the kept review
@@ -100,12 +102,27 @@ func (e *Enforcer) invalidate() {
 // whose rules digest to rulesDigest ("": digest them now): privilege-rules
 // digest, canonical change-set digest. Two reviews get the same key
 // exactly when the enforcer would serve them the same verdict on one
-// production version, which is what the verdict cache keys on.
-func reviewKey(changes []config.Change, spec *privilege.Spec, rulesDigest string) string {
+// production version, which is what the verdict cache keys on. It returns
+// the rules digest too, which compiledFor keys on.
+func reviewKey(changes []config.Change, spec *privilege.Spec, rulesDigest string) (key, rules string) {
 	if rulesDigest == "" {
 		rulesDigest = spec.RulesDigest()
 	}
-	return rulesDigest + "|" + verify.ChangeSetDigest(changes)
+	return rulesDigest + "|" + verify.ChangeSetDigest(changes), rulesDigest
+}
+
+// compiledFor is spec compiled, memoized under rulesDigest, its rules
+// digest, which the verdict cache already trusts to name what a spec
+// permits: a caller that hands in a wrong one is served another spec's
+// verdicts as well as its tries. The tries read nothing of production, so
+// no production write empties the memo.
+func (e *Enforcer) compiledFor(spec *privilege.Spec, rulesDigest string) *privilege.CompiledSpec {
+	c, ok := e.compiled.get(rulesDigest)
+	if !ok {
+		c = spec.Compile()
+		e.compiled.put(rulesDigest, c)
+	}
+	return c
 }
 
 // clone returns a decision whose slices are independent of the original,
@@ -130,14 +147,15 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 
 // review is Review under the lock, with the production snapshot a miss
 // derives its shadow from already in hand (the commit pipeline's); nil
-// leaves the miss to take the held one. rule is the commit's ("": strict).
-func (e *Enforcer) review(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (*Decision, bool) {
+// leaves the miss to take the held one. rules is spec's rules digest, rule
+// the commit's ("": strict).
+func (e *Enforcer) review(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rules, rule string) (*Decision, bool) {
 	if d, hit := e.reviews.get(key); hit {
 		e.replayReview(spec, d)
 		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
 		return d.clone(), true
 	}
-	d, msg, ok := e.reviewCompute(prodSnap, changes, spec, key, rule)
+	d, msg, ok := e.reviewCompute(prodSnap, changes, spec, key, rules, rule)
 	d.trailMsg, d.trailOK = msg, ok
 	e.replayReview(spec, d)
 	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()

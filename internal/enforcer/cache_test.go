@@ -64,7 +64,7 @@ func TestReviewCacheOracle(t *testing.T) {
 
 			// The reference output: the uncached review on a from-scratch
 			// snapshot of production.
-			dFresh, refMsg, _ := e.reviewCompute(dataplane.Compute(n), changes, spec, "", "")
+			dFresh, refMsg, _ := e.reviewCompute(dataplane.Compute(n), changes, spec, "", spec.RulesDigest(), "")
 			ref := decisionJSON(t, dFresh)
 
 			d1, hit1 := e.Review(changes, spec, "")
@@ -202,7 +202,7 @@ func TestReviewCacheConcurrent(t *testing.T) {
 func TestReviewCacheEviction(t *testing.T) {
 	n := prod()
 	e := newEnforcer(n)
-	e.reviews = newReviewCache(2)
+	e.reviews = newFIFO[*Decision](2)
 	spec := aclSpec()
 
 	a := []config.Change{benignChange(15, 443)}

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +56,11 @@ type Enforcer struct {
 	policies []verify.Policy
 	meter    telemetry.Meter
 	// reviewed and committed are heimdall_enforcer_{reviews,commits}_total,
-	// looked up on meter once per value of their accepted label.
+	// looked up on meter once per value of their accepted label, handedOver
+	// and retried heimdall_enforcer_commit_handover_total and
+	// heimdall_enforcer_push_retries_total once per from and phase.
 	reviewed, committed map[bool]telemetry.Counter
+	handedOver, retried map[string]telemetry.Counter
 	// mu guards prod's device map and everything that changes with it.
 	// Reviews, views and Quarantined read under mu.RLock; a commit (end to
 	// end), MutateProduction, Recover and the Set* seams write under
@@ -86,8 +88,10 @@ type Enforcer struct {
 	// verifies. Low-risk changes pass without approvals.
 	Auth *authz.Policy
 	// reviews memoizes review verdicts by content: privilege digest ×
-	// change-set digest. Every production write empties it. See cache.go.
-	reviews *reviewCache
+	// change-set digest. Every production write empties it; compiled, the
+	// compiled specs by privilege digest, outlives them. See cache.go.
+	reviews  *fifo[*Decision]
+	compiled *fifo[*privilege.CompiledSpec]
 	// prodSnap is the production dataplane snapshot held for production
 	// as it is, with the policy verdicts known on it; snapMu serializes its
 	// lazy fill under the read lock; kept is the latest accepted review's
@@ -108,7 +112,8 @@ func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network
 		journal:  journal.New(encl.DeriveKey("commit-journal")),
 		policies: policies,
 		prod:     prod,
-		reviews:  newReviewCache(reviewCacheCap),
+		reviews:  newFIFO[*Decision](reviewCacheCap),
+		compiled: newFIFO[*privilege.CompiledSpec](compiledCap),
 	}
 	e.SetMeter(nil)
 	return e
@@ -187,13 +192,22 @@ func (e *Enforcer) SetMeter(m telemetry.Meter) {
 	if m == nil {
 		m = telemetry.Nop()
 	}
-	e.meter, e.reviewed, e.committed = m, make(map[bool]telemetry.Counter), make(map[bool]telemetry.Counter)
-	for _, ok := range []bool{false, true} {
-		l := telemetry.L("accepted", strconv.FormatBool(ok))
-		e.reviewed[ok], e.committed[ok] = m.Counter("heimdall_enforcer_reviews_total", l), m.Counter("heimdall_enforcer_commits_total", l)
-	}
+	e.meter = m
+	e.reviewed = labeled(m, "heimdall_enforcer_reviews_total", "accepted", false, true)
+	e.committed = labeled(m, "heimdall_enforcer_commits_total", "accepted", false, true)
+	e.handedOver = labeled(m, "heimdall_enforcer_commit_handover_total", "from", "review", "production", "computed")
+	e.retried = labeled(m, "heimdall_enforcer_push_retries_total", "phase", "apply", "rollback")
 	e.trail.SetMeter(m)
 	e.journal.SetMeter(m)
+}
+
+// labeled is the counter name on m for each of values, labelled label.
+func labeled[V comparable](m telemetry.Meter, name, label string, values ...V) map[V]telemetry.Counter {
+	out := make(map[V]telemetry.Counter, len(values))
+	for _, v := range values {
+		out[v] = m.Counter(name, telemetry.L(label, fmt.Sprint(v)))
+	}
+	return out
 }
 
 // Trail returns the enforcer's audit trail.
@@ -254,7 +268,8 @@ func (d *Decision) Reason() string {
 func (e *Enforcer) Review(changes []config.Change, spec *privilege.Spec, rulesDigest string) (*Decision, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.review(nil, changes, spec, reviewKey(changes, spec, rulesDigest), "")
+	key, rules := reviewKey(changes, spec, rulesDigest)
+	return e.review(nil, changes, spec, key, rules, "")
 }
 
 // reviewCompute is the uncached review: it returns the decision plus the
@@ -263,12 +278,12 @@ func (e *Enforcer) Review(changes []config.Change, spec *privilege.Spec, rulesDi
 // the shadow's verdicts under key for the commit (handOver). prodSnap is
 // the production snapshot to derive the shadow from; nil means take the
 // held one once the privilege check passed.
-func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rule string) (d *Decision, trailMsg string, trailOK bool) {
+func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rules, rule string) (d *Decision, trailMsg string, trailOK bool) {
 	d = &Decision{}
 
 	// Privilege check: every change must be authorized. The compiled form
 	// evaluates each change without rescanning (or re-splitting) the rules.
-	compiled := spec.Compile()
+	compiled := e.compiledFor(spec, rules)
 	for _, c := range changes {
 		if !authorized(compiled, c) {
 			d.Unauthorized = append(d.Unauthorized, c)
@@ -301,7 +316,7 @@ func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(e.prod, changes))
 	verifyStart := time.Now()
 	next := make(verify.Verdicts, len(e.policies))
-	res := verify.CheckCarried(shadowSnap, e.policies, e.reviewVerdicts(prodSnap), next, e.meter)
+	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap, true), next, e.meter)
 	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
 		ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
@@ -487,13 +502,13 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	if e.target == nil {
 		pre = e.productionSnapshot()
 	}
-	key := reviewKey(changes, spec, req.RulesDigest)
+	key, rules := reviewKey(changes, spec, req.RulesDigest)
 	// Own key: a strict review shares no emergency verdict or kept shadow.
 	rule := ""
 	if req.Emergency != nil {
 		rule, key = e.emergencyRule(pre), "emergency|"+key
 	}
-	d, _ := e.review(pre, changes, spec, key, rule)
+	d, _ := e.review(pre, changes, spec, key, rules, rule)
 	if !d.Accepted {
 		e.committed[false].Inc()
 		return d, fmt.Errorf("enforcer: change set rejected: %s", d.Reason())
@@ -558,7 +573,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	// A push that landed its review's shadow diffs empty against it, and the
 	// diff is the verification; anything else is re-checked where it differs.
 	postSnap, verdicts, violations, from := e.handOver(key, pre, backup, devices)
-	e.meter.Counter("heimdall_enforcer_commit_handover_total", telemetry.L("from", from)).Inc()
+	e.handedOver[from].Inc()
 	if violations := untolerated(rule, violations); len(violations) > 0 {
 		outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 			fmt.Sprintf("post-apply verification failed: %d violations", len(violations)))
@@ -601,20 +616,17 @@ var errForeignNetwork = errors.New("enforcer: not this enforcer's production net
 const tolerates = "emergency: tolerates"
 
 // emergencyRule is an emergency commit's rule: the policies production
-// violates before it, read from the held vector's filled slots and decided
-// on held (the pre-commit snapshot; nil: the held one) for the empty ones.
+// violates before it, read from the vector of held (the pre-commit snapshot;
+// nil: the held one), which the caller's write lock keeps the held
+// snapshot (were it not, nothing would be tolerated).
 func (e *Enforcer) emergencyRule(held *dataplane.Snapshot) string {
 	if held == nil {
 		held = e.productionSnapshot()
 	}
-	vec, rule := e.verdictsOf(held), tolerates
-	if vec == nil { // no longer the held snapshot: nothing is known of it
-		vec = make(verify.Verdicts, len(e.policies))
-	}
-	verify.Fill(held, e.policies, vec)
-	for i, p := range e.policies {
-		if vec[i].Load().Violation != nil {
-			rule += " " + p.ID
+	rule := tolerates
+	for i, v := range e.verdictsOf(held, true) {
+		if v.Violation != nil {
+			rule += " " + e.policies[i].ID
 		}
 	}
 	return rule

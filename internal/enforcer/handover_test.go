@@ -33,7 +33,7 @@ func verdictsMatchCompute(t *testing.T, step string, policies []verify.Policy, v
 	}
 	fresh := dataplane.Compute(n)
 	for i, p := range policies {
-		v := verdicts[i].Load()
+		v := verdicts[i]
 		if v == nil {
 			continue
 		}
@@ -162,7 +162,7 @@ func TestCommitHandsOverReviewedShadow(t *testing.T) {
 			t.Fatalf("%s: %d held slots, the review kept %d", step, len(held), len(reviewed))
 		}
 		for i := range held {
-			if got, want := held[i].Load(), reviewed[i].Load(); got == nil || got != want {
+			if got, want := held[i], reviewed[i]; got == nil || got != want {
 				t.Fatalf("%s: held slot %d is %p, the review's %p", step, i, got, want)
 			}
 		}
@@ -215,7 +215,7 @@ func TestHandOverDiffsAncestor(t *testing.T) {
 			}
 			pre := e.productionSnapshot()
 			backup := n.CloneCOW("r1")
-			key := reviewKey(reviewed, spec, "")
+			key, _ := reviewKey(reviewed, spec, "")
 			if which == "production" {
 				key = "another review"
 			}

@@ -20,7 +20,6 @@ import (
 	"heimdall/internal/faultinject"
 	"heimdall/internal/journal"
 	"heimdall/internal/netmodel"
-	"heimdall/internal/telemetry"
 	"heimdall/internal/verify"
 )
 
@@ -151,8 +150,7 @@ func (e *Enforcer) pushOp(p RetryPolicy, rng *jitter, phase string, op func() er
 			time.Since(start) >= p.OpTimeout {
 			return err
 		}
-		e.meter.Counter("heimdall_enforcer_push_retries_total",
-			telemetry.L("phase", phase)).Inc()
+		e.retried[phase].Inc()
 		p.Sleep(p.backoff(attempt, rng))
 	}
 }

@@ -38,7 +38,7 @@ type prefixOracle struct {
 
 func newPrefixOracle(s *scenarios.Scenario) *prefixOracle {
 	o := &prefixOracle{scen: s, snap: dataplane.Compute(s.Network), vec: make(verify.Verdicts, len(s.Policies))}
-	verify.Fill(o.snap, s.Policies, o.vec)
+	verify.CheckCarried(o.snap, s.Policies, nil, o.vec, nil)
 	return o
 }
 
@@ -50,7 +50,7 @@ func (o *prefixOracle) violated(t *testing.T, changes []config.Change) map[strin
 	out := map[string]bool{}
 	if len(changes) == 0 {
 		for i, p := range o.scen.Policies {
-			if o.vec[i].Load().Violation != nil {
+			if o.vec[i].Violation != nil {
 				out[p.ID] = true
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"heimdall/internal/audit"
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/enclave"
@@ -16,6 +17,7 @@ import (
 	"heimdall/internal/privilege"
 	"heimdall/internal/scenarios"
 	"heimdall/internal/spec"
+	"heimdall/internal/telemetry"
 )
 
 // crashSpec authorizes everything: crash recovery is about push
@@ -269,6 +271,34 @@ func TestRecoverNothingOpen(t *testing.T) {
 func restoreEnforcer(n *netmodel.Network, trail, commits []byte) (*Enforcer, error) {
 	encl := enclave.NewPlatformFromSeed("test").Load("heimdall-enforcer-v1")
 	return Restore(encl, spec.Mine(dataplane.Compute(n), n, spec.Options{Sensitive: map[string]bool{"h3": true}}), n, trail, commits)
+}
+
+// TestRestoreReportsChainLength: a restarted enforcer's trail holds every
+// imported link, and its chain-length gauge reads them as soon as a meter
+// is wired, not from the next append on.
+func TestRestoreReportsChainLength(t *testing.T) {
+	n := prod()
+	e := newEnforcer(n)
+	for i := 0; i < 3; i++ {
+		e.Trail().Append("T1", "alice", audit.KindSession, fmt.Sprintf("entry %d", i), true)
+	}
+	trail, err := e.Trail().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commits, err := e.Journal().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := restoreEnforcer(n, trail, commits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	e2.SetMeter(reg)
+	if got := reg.CounterValue("heimdall_audit_chain_length"); got != 3 || e2.Trail().Len() != 3 {
+		t.Fatalf("restored trail: chain length gauge %v, %d links; want 3 and 3", got, e2.Trail().Len())
+	}
 }
 
 // TestRecoverTamperedJournalRejected: recovery must never trust a forged

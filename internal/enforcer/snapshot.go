@@ -8,23 +8,21 @@ package enforcer
 // from it, and a commit hands the snapshot it just verified to the next
 // version.
 //
-// Beside the snapshot it holds what is known of the policies on it, one
-// verdict per policy. A review derives its shadow from the held snapshot,
-// evaluates only the policies whose held verdict rests on a trace the
-// derivation does not carry (dataplane.Snapshot.Carries, which replays a hop
-// on a device with only ACL changes against its new ACLs), each retraced
-// from that trace's first stale hop (dataplane.Snapshot.ReachFrom), and
-// keeps the shadow's complete vector. A commit lands what its review
-// verified: when config.DiffDevice finds nothing between that shadow and
-// production on the touched devices, the diff is the verification and the
-// review's vector becomes production's; a push that landed anything else is
-// checked across what differs (handOver). The vector is installed, handed
-// over and dropped with the snapshot, never apart from it. A version
-// computed from scratch starts empty and its first review completes it on
-// production. A declared write (productionWritten) holds what its
-// derivation carries, and a review fills a hole only with a trace
-// production shares under the strict rule, which replays nothing
-// (dataplane.Snapshot.CarriesBack): a replay reads only the review's ACLs.
+// Beside the snapshot it holds every policy's verdict on it, and a held
+// vector is complete before any review reads it. A review derives its
+// shadow from the held snapshot, evaluates only the policies whose held
+// verdict rests on a trace the derivation does not carry
+// (dataplane.Snapshot.Carries, which replays a hop on a device with only ACL
+// changes against its new ACLs), each retraced from that trace's first stale
+// hop (dataplane.Snapshot.ReachFrom), and keeps the shadow's complete vector;
+// it never writes the held one. A commit lands what its review verified: when
+// config.DiffDevice finds nothing between that shadow and production on the
+// touched devices, the diff is the verification and the review's vector
+// becomes production's; a push that landed anything else is checked across
+// what differs (handOver), and so is a declared write (productionWritten).
+// The vector is installed, handed over and dropped with the snapshot, never
+// apart from it. A version computed from scratch is held without one until
+// its first review completes it on production (verdictsOf).
 //
 // Only the enforcer writes production, so only it moves the snapshot on:
 // production's devices are immutable once published (open twins share
@@ -39,62 +37,49 @@ package enforcer
 // caller is a fresh enforcer after a crash, holding nothing to derive from.
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/verify"
 )
 
-// heldSnapshot is the production snapshot and the verdicts known on it,
-// index-aligned with e.policies (which slots are filled when: the package
-// doc). computed marks a vector no review has completed yet: one
-// productionSnapshot started empty, or what a declared write carried of
-// one. complete fills it once (reviewVerdicts), and filled records that it
-// did.
+// heldSnapshot is the production snapshot and every policy's verdict on
+// it, index-aligned with e.policies: complete, or nil on a version computed
+// from scratch that no review has completed yet.
 type heldSnapshot struct {
 	snap     *dataplane.Snapshot
 	verdicts verify.Verdicts
-	computed bool
-	complete sync.Once
-	filled   atomic.Bool
 }
 
 // verdictsOf returns the vector held beside snap: nil unless snap is the
 // held snapshot itself, so a verdict is only ever carried from the snapshot
-// it was proven for.
-func (e *Enforcer) verdictsOf(snap *dataplane.Snapshot) verify.Verdicts {
-	if h := e.prodSnap.Load(); h != nil && h.snap == snap {
-		return h.verdicts
-	}
-	return nil
-}
-
-// reviewVerdicts is verdictsOf for a review, which runs while production
-// matches snap: a vector productionSnapshot started empty is completed
-// there first, once per version (verify.Fill). A review resumes a retrace
-// only from a verdict's trace, and a policy no review carries would
-// otherwise never fill its slot.
-func (e *Enforcer) reviewVerdicts(snap *dataplane.Snapshot) verify.Verdicts {
+// it was proven for. For a review (complete), which runs while production
+// matches snap, a version computed from scratch has its vector completed
+// there first, once (under snapMu), and held with it: a review resumes a
+// retrace only from a verdict's trace, and a policy no review carries would
+// otherwise never be decided on production.
+func (e *Enforcer) verdictsOf(snap *dataplane.Snapshot, complete bool) verify.Verdicts {
 	h := e.prodSnap.Load()
 	if h == nil || h.snap != snap {
 		return nil
 	}
-	if h.computed {
-		h.complete.Do(func() {
-			verify.Fill(snap, e.policies, h.verdicts)
-			h.filled.Store(true)
-		})
+	if h.verdicts == nil && complete {
+		e.snapMu.Lock()
+		defer e.snapMu.Unlock()
+		if h = e.prodSnap.Load(); h.verdicts == nil {
+			h = &heldSnapshot{snap: snap, verdicts: make(verify.Verdicts, len(e.policies))}
+			verify.CheckCarried(snap, e.policies, nil, h.verdicts, nil)
+			e.prodSnap.Store(h)
+		}
 	}
 	return h.verdicts
 }
 
 // HeldVerdicts returns the policy verdicts held beside production's
 // snapshot, index-aligned with Policies and read-only for the caller; nil
-// when nothing is held. Every filled slot is the verdict a from-scratch
-// check of production gives (the production-snapshot oracle compares them).
+// when nothing is held or no review has completed it yet. Every slot is the
+// verdict a from-scratch check of production gives (the production-snapshot
+// oracle compares them).
 func (e *Enforcer) HeldVerdicts() verify.Verdicts {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -123,7 +108,7 @@ func (e *Enforcer) productionSnapshot() *dataplane.Snapshot {
 	}
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
 	snap := dataplane.ComputeWithOptions(e.prod, dataplane.Options{Meter: e.meter})
-	e.prodSnap.Store(&heldSnapshot{snap: snap, verdicts: make(verify.Verdicts, len(e.policies)), computed: true})
+	e.prodSnap.Store(&heldSnapshot{snap: snap})
 	return snap
 }
 
@@ -132,10 +117,11 @@ func (e *Enforcer) productionSnapshot() *dataplane.Snapshot {
 // devices, and pre holds them as they were (what netmodel.Network.Detach
 // returned before the write). Every cached verdict dies, but the held
 // snapshot is derived across the write (diffAcross; the same one when
-// nothing changed) and held with the verdicts it carries. The list is a
-// claim nobody checks here: a device written but not listed leaves a wrong
-// snapshot held. Nothing held, or a listed device missing on either side,
-// is a drop.
+// nothing changed) and its vector checked across it as a commit's is
+// (handOver); a vector no review completed yet is still to be completed, on
+// the snapshot as it now is. The list is a claim nobody checks here: a
+// device written but not listed leaves a wrong snapshot held. Nothing held,
+// or a listed device missing on either side, is a drop.
 func (e *Enforcer) productionWritten(pre *netmodel.Network, devices []string) {
 	h := e.prodSnap.Load()
 	cs, ok := diffAcross(pre, e.prod, devices)
@@ -143,14 +129,15 @@ func (e *Enforcer) productionWritten(pre *netmodel.Network, devices []string) {
 	if h == nil || !ok {
 		return
 	}
-	held, verdicts := h.snap, h.verdicts
 	if len(cs) > 0 {
-		held = held.Derive(e.prod, cs)
-		verdicts = verdicts.Carried(held)
+		next := &heldSnapshot{snap: h.snap.Derive(e.prod, cs)}
+		if h.verdicts != nil {
+			next.verdicts = make(verify.Verdicts, len(e.policies))
+			verify.CheckCarried(next.snap, e.policies, h.verdicts, next.verdicts, e.meter)
+		}
+		h = next
 	}
-	// A vector no review completed is still to be completed, on the
-	// snapshot as it now is.
-	e.prodSnap.Store(&heldSnapshot{snap: held, verdicts: verdicts, computed: h.computed && !h.filled.Load()})
+	e.prodSnap.Store(h)
 	e.meter.Counter("heimdall_enforcer_prod_snapshot_derived_total").Inc()
 }
 
@@ -186,7 +173,7 @@ type keptShadow struct {
 // nothing; otherwise every policy is checked, carrying the ancestor's
 // verdicts across the diff.
 func (e *Enforcer) handOver(key string, pre *dataplane.Snapshot, backup *netmodel.Network, devices []string) (*dataplane.Snapshot, verify.Verdicts, []verify.Violation, string) {
-	net, snap, verdicts, from := backup, pre, e.verdictsOf(pre), "production"
+	net, snap, verdicts, from := backup, pre, e.verdictsOf(pre, false), "production"
 	if k := e.kept.Load(); k != nil && k.key == key && k.parent == pre {
 		net, snap, verdicts, from = k.net, k.snap, k.verdicts, "review"
 	}

@@ -3,6 +3,7 @@ package enforcer
 import (
 	"encoding/json"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -342,8 +343,8 @@ func TestReviewsShareParentMemo(t *testing.T) {
 // from scratch starts with an empty vector, and its first review completes
 // it on production, so every slot is then the from-scratch verdict and a
 // second review resumes each retrace from production's trace without
-// tracing anything on production. A declared write's vector keeps the holes
-// Verdicts.Carried leaves: no review completes it.
+// tracing anything on production. A declared write's vector is checked
+// across the write: complete, and no review writes it.
 func TestComputedVectorCompletedOnce(t *testing.T) {
 	scen := scenarios.Enterprise()
 	n := scen.Network
@@ -387,7 +388,7 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 	e.check([]config.Change{deny(1)}, spec)
 	held := e.HeldVerdicts()
 	for i := range held {
-		if held[i].Load() == nil {
+		if held[i] == nil {
 			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
 		}
 	}
@@ -402,36 +403,35 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 		t.Fatalf("the second review traced %v flows on production, want 0", got)
 	}
 
-	// A declared write on the guarded device: the derived version holds
-	// exactly the verdicts it carries, and a review leaves it so.
-	old := make([]*verify.Verdict, len(held))
-	for i := range held {
-		old[i] = held[i].Load()
-	}
+	// A declared write on the guarded device: the derived version holds a
+	// complete vector, checked across the write as a commit's is — every
+	// verdict its derivation carries kept by identity, the others decided on
+	// it — and a review reads it as it is.
+	old := slices.Clone(held)
 	if err := e.MutateProduction(func(n *netmodel.Network) error {
 		return config.ApplyChanges(n, []config.Change{deny(3)})
 	}, at.dev); err != nil {
 		t.Fatal(err)
 	}
-	derived, vec, holes := e.productionSnapshot(), e.HeldVerdicts(), 0
+	derived, vec, decided := e.productionSnapshot(), e.HeldVerdicts(), 0
+	if len(vec) != len(old) {
+		t.Fatalf("%d slots held after the declared write, want %d", len(vec), len(old))
+	}
 	for i := range vec {
-		if carried := derived.Carries(old[i].Trace); (vec[i].Load() != nil) != carried {
-			t.Fatalf("%s: held after the declared write = %v, carried = %v", e.policies[i], vec[i].Load() != nil, carried)
+		if carried := derived.Carries(old[i].Trace); vec[i] == nil || carried != (vec[i] == old[i]) {
+			t.Fatalf("%s: held after the declared write %p (was %p), carried = %v", e.policies[i], vec[i], old[i], carried)
 		} else if !carried {
-			holes++
+			decided++
 		}
 	}
-	if holes == 0 {
-		t.Fatal("the declared write left no hole: the test exercises nothing")
+	if decided == 0 {
+		t.Fatal("the declared write carried every verdict: the test exercises nothing")
 	}
-	if e.prodSnap.Load().computed {
-		t.Fatal("the declared write's vector is marked to be completed: a review would trace on production")
-	}
+	verdictsMatchCompute(t, "declared write", e.policies, vec, n)
 	e.check([]config.Change{deny(4)}, spec)
-	if e.productionSnapshot() != derived {
-		t.Fatal("the review replaced the held snapshot")
+	if e.productionSnapshot() != derived || &e.HeldVerdicts()[0] != &vec[0] {
+		t.Fatal("the review replaced the held snapshot or its vector")
 	}
-	verdictsMatchCompute(t, "review after the declared write", e.policies, e.HeldVerdicts(), n)
 }
 
 // TestDeclaredWriteKeepsVectorToComplete: a vector productionSnapshot
@@ -450,9 +450,65 @@ func TestDeclaredWriteKeepsVectorToComplete(t *testing.T) {
 	e.check([]config.Change{benignChange(15, 443)}, aclSpec())
 	held := e.HeldVerdicts()
 	for i := range held {
-		if held[i].Load() == nil {
+		if held[i] == nil {
 			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
 		}
 	}
 	verdictsMatchCompute(t, "first review", e.policies, held, n)
+}
+
+// TestFirstReviewReadsCompleteVector: whatever made the held version — a
+// computation from scratch, a declared write, a commit's hand-over or an
+// emergency commit — every slot of the vector a review reads beside it is
+// filled before the review reads it. A computed version is held without a
+// vector, which the review's read (verdictsOf) completes first; every other
+// version is held with a complete one from the write on.
+func TestFirstReviewReadsCompleteVector(t *testing.T) {
+	n := prod()
+	e, _ := snapshotEnforcer(n)
+	spec := aclSpec()
+	complete := func(step string, vec verify.Verdicts) {
+		t.Helper()
+		if len(vec) != len(e.policies) || slices.Contains(vec, nil) {
+			t.Fatalf("%s: %d slots for %d policies (an empty one among them: %v)", step, len(vec), len(e.policies), slices.Contains(vec, nil))
+		}
+		verdictsMatchCompute(t, step, e.policies, vec, n)
+	}
+	// reads is what a review reads: the held vector, under the read lock.
+	reads := func(step string) {
+		t.Helper()
+		e.mu.RLock()
+		vec := e.verdictsOf(e.productionSnapshot(), true)
+		e.mu.RUnlock()
+		complete(step+", read by a review", vec)
+	}
+
+	e.View(true)
+	if e.HeldVerdicts() != nil {
+		t.Fatal("a version computed from scratch holds a vector before any review")
+	}
+	reads("computed")
+	complete("computed, after its first read", e.HeldVerdicts())
+
+	if err := e.MutateProduction(func(n *netmodel.Network) error {
+		return config.ApplyChanges(n, []config.Change{benignChange(14, 8080)})
+	}, "r1"); err != nil {
+		t.Fatal(err)
+	}
+	complete("declared write", e.HeldVerdicts())
+	reads("declared write")
+
+	if _, err := e.submit([]config.Change{benignChange(15, 443)}, spec); err != nil {
+		t.Fatal(err)
+	}
+	complete("hand-over", e.HeldVerdicts())
+	reads("hand-over")
+
+	if _, err := e.Submit(CommitRequest{Spec: spec, Emergency: func(*netmodel.Network) ([]config.Change, error) {
+		return []config.Change{benignChange(16, 80)}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	complete("emergency commit", e.HeldVerdicts())
+	reads("emergency commit")
 }

@@ -167,8 +167,8 @@ func randomStep(rng *rand.Rand, n *netmodel.Network, class int) (chainStep, bool
 // chainTier is one topology the chained oracle and its fuzz target run on,
 // built and computed once: every chain derives from the same base snapshot,
 // so the clean traces each chain's first step computes are written back
-// into one shared parent — and the clean verdicts into one shared vector —
-// as reviews do into the held production snapshot.
+// into one shared parent, as reviews do into the held production snapshot,
+// and every chain starts from the base's one complete verdict vector.
 type chainTier struct {
 	name     string
 	build    func() *scenarios.Scenario
@@ -179,7 +179,7 @@ type chainTier struct {
 	// fifth reachability policy again as an isolation policy (violated with
 	// a trace wherever the flow is delivered) and one about a host nobody
 	// has (violated with an error and no trace). baseVerdicts is the base
-	// snapshot's vector over them, empty until the chains fill it.
+	// snapshot's vector over them, complete, as a held vector is.
 	policies     []verify.Policy
 	baseVerdicts verify.Verdicts
 }
@@ -197,19 +197,23 @@ func (c *chainTier) base() (*scenarios.Scenario, *dataplane.Snapshot) {
 		}
 		c.policies = append(c.policies, verify.Policy{ID: "P-nohost", Src: "no-such-host", Dst: c.scen.Network.Hosts()[0]})
 		c.baseVerdicts = make(verify.Verdicts, len(c.policies))
+		verify.CheckCarried(c.baseSnap, c.policies, nil, c.baseVerdicts, nil)
 	})
 	return c.scen, c.baseSnap
 }
 
-// checkVerdicts fails unless every filled slot of the vector is the verdict
-// a check of full, the from-scratch snapshot of the same network, gives:
-// the same trace and the same violation rendered, or none.
+// checkVerdicts fails unless every slot of the vector, when there is one,
+// is the verdict a check of full, the from-scratch snapshot of the same
+// network, gives: the same trace and the same violation rendered, or none.
 func checkVerdicts(t *testing.T, what string, policies []verify.Policy, vec verify.Verdicts, full *dataplane.Snapshot, trail []string) {
 	t.Helper()
+	if vec == nil {
+		return
+	}
 	for i, p := range policies {
-		v := vec[i].Load()
+		v := vec[i]
 		if v == nil {
-			continue
+			t.Fatalf("step %d: %s: no verdict for %s\nsteps: %q", len(trail), what, p, trail)
 		}
 		tr, _ := full.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
 		got, want := "holds", "holds"
@@ -255,26 +259,26 @@ var chainTiers = []*chainTier{
 // and traces also carry across a changed device by replaying its ACLs.
 //
 // Bit 6 makes a step light: it reads the RIBs of a random subset of devices
-// only, and hands the verdict vector on as a declared write does. A route
-// cell is built at its first read, so unread cells cross light steps
+// only, and drops the verdict vector, as a version nobody has reviewed yet
+// holds none. A route cell is built at its first read, so unread cells cross light steps
 // unbuilt — shared, or new and never read — and are built generations
 // later, when a full step (the chain always ends with one) reads them all.
 //
 // The verdict vector goes down the chain with the snapshots. Bit 5 of the
-// script byte picks how: as a commit hands it over (CheckCarried on the
-// derived snapshot with the parent's vector, keeping the new one — the
-// result must equal verify.Check on the from-scratch snapshot, violations
-// rendered and in order, and the slots it filled back into the parent's
-// vector must still be the parent's verdicts) or as a declared write does
-// (Verdicts.Carried, nothing evaluated, the next step finds the holes).
-// Either way every filled slot of the new vector must be the from-scratch
-// verdict, and a commit-like hand-over must have resumed every parent trace
-// the derivation does not carry to the trace a walk from the source gives
-// (fromSource). A failure names the step sequence.
+// script byte picks how: as a commit or a declared write hands it over
+// (CheckCarried on the derived snapshot with the parent's vector, none after
+// a light step, keeping the new one — the result must equal verify.Check on
+// the from-scratch snapshot, violations rendered and in order, and every
+// slot must be filled) or as the first review completes the vector of a
+// version held without one (verify.CheckCarried on the derived snapshot
+// with no parent vector). Either way every slot of the new vector must be
+// the from-scratch verdict, and a hand-over must have resumed every parent
+// trace the derivation does not carry to the trace a walk from the source
+// gives (fromSource). A failure names the step sequence.
 func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (stats chainStats) {
 	scen, snap := tier.base()
 	policies, verdicts := tier.policies, tier.baseVerdicts
-	cur, prevFull := scen.Network, snap
+	cur := scen.Network
 	hosts := cur.Hosts()
 	var trail []string
 	// compareAll holds every device's RIB and every checked flow of snap to
@@ -341,10 +345,16 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 		cur = next
 
 		full := dataplane.Compute(next)
-		if b>>5&1 == 0 && !light {
+		switch {
+		case light:
+			verdicts = nil
+		case b>>5&1 == 1:
+			verdicts = make(verify.Verdicts, len(policies))
+			verify.CheckCarried(snap, policies, nil, verdicts, nil)
+		default:
 			var resumed []int // the slots whose trace the check resumes
 			for i := range verdicts {
-				v := verdicts[i].Load()
+				v := verdicts[i]
 				switch {
 				case v == nil:
 				case snap.Carries(v.Trace):
@@ -366,23 +376,19 @@ func runChain(t *testing.T, tier *chainTier, rng *rand.Rand, script []byte) (sta
 					len(trail), got.Checked, got.Violations, want.Checked, want.Violations, trail)
 			}
 			for i := range handed {
-				if handed[i].Load() == nil {
+				if handed[i] == nil {
 					t.Fatalf("step %d: the check left slot %d of the handed-over vector empty\nsteps: %q", len(trail), i, trail)
 				}
 			}
 			for _, i := range resumed {
-				if tr, want := handed[i].Load().Trace, fromSource(snap, next, policies[i]); !reflect.DeepEqual(tr, want) {
+				if tr, want := handed[i].Trace, fromSource(snap, next, policies[i]); !reflect.DeepEqual(tr, want) {
 					t.Fatalf("step %d: %s: resumed trace diverged from the source's\nresumed: %s\nsource:  %s\nsteps: %q",
 						len(trail), policies[i], tr, want, trail)
 				}
 			}
-			checkVerdicts(t, "parent vector after the fill-back", policies, verdicts, prevFull, trail)
 			verdicts = handed
-		} else {
-			verdicts = verdicts.Carried(snap)
 		}
 		checkVerdicts(t, "derived vector", policies, verdicts, full, trail)
-		prevFull = full
 
 		if !light {
 			compareAll(snap, full, next)

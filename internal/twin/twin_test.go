@@ -151,6 +151,24 @@ func TestReferenceMonitorEnforcesPrivileges(t *testing.T) {
 	if denies != 2 || allows < 2 {
 		t.Fatalf("audit decisions: %d denies, %d allows", denies, allows)
 	}
+	// A line that fails to parse is logged as not allowed; an allowed
+	// command whose execution fails logs its failure as allowed.
+	if _, err := r3.Exec("frobnicate the widget"); err == nil {
+		t.Fatal("an unparseable line ran")
+	}
+	if _, err := r3.Exec("no access-list EDGE 99"); err == nil {
+		t.Fatal("removing a missing ACL entry succeeded")
+	}
+	logged := map[string]bool{}
+	for _, e := range trail.Links() {
+		logged[e.Detail] = e.Allowed
+	}
+	if allowed, ok := logged["[r3] frobnicate the widget (parse error)"]; !ok || allowed {
+		t.Fatalf("parse error logged = %v, allowed = %v; want logged, not allowed", ok, allowed)
+	}
+	if allowed, ok := logged["[r3] no access-list EDGE 99 failed: console: r3: no ACL entry EDGE seq 99"]; !ok || !allowed {
+		t.Fatalf("failed execution logged = %v, allowed = %v; want logged, allowed", ok, allowed)
+	}
 	if err := trail.Verify(); err != nil {
 		t.Fatal(err)
 	}

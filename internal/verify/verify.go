@@ -10,7 +10,6 @@ package verify
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"heimdall/internal/dataplane"
@@ -160,30 +159,16 @@ type Verdict struct {
 }
 
 // Verdicts holds the verdicts of one policy set on one snapshot, one slot
-// per policy, index-aligned; an empty slot is a policy nobody has decided
-// there yet. The slots are atomic because concurrent CheckCarried calls on
-// snapshots derived from that one fill them.
-type Verdicts []atomic.Pointer[Verdict]
-
-// Carried returns the vector of s, a snapshot derived from the one v holds
-// the verdicts of: the verdicts whose trace s carries from there
-// (dataplane.Snapshot.Carries), every other slot empty (all of them when the
-// derivation rebuilt adjacency or owner).
-func (v Verdicts) Carried(s *dataplane.Snapshot) Verdicts {
-	out := make(Verdicts, len(v))
-	for i := range v {
-		if c := v[i].Load(); c != nil && s.Carries(c.Trace) {
-			out[i].Store(c)
-		}
-	}
-	return out
-}
+// per policy, index-aligned; a nil slot is a policy nobody decided there. A
+// vector is complete before anyone but its builder reads it (CheckCarried's
+// next) and is never written after, so readers share it as it is.
+type Verdicts []*Verdict
 
 // Violations returns the violations of v's filled slots, in policy order.
 func (v Verdicts) Violations() []Violation {
 	var out []Violation
-	for i := range v {
-		if c := v[i].Load(); c != nil && c.Violation != nil {
+	for _, c := range v {
+		if c != nil && c.Violation != nil {
 			out = append(out, *c.Violation)
 		}
 	}
@@ -196,18 +181,15 @@ func Check(s *dataplane.Snapshot, policies []Policy) *Result {
 }
 
 // CheckCarried is Check, metered on m (nil: not), for a snapshot derived
-// from one whose verdicts are (partly) known. parent, when not nil, is that
-// snapshot's vector over the same policies: a verdict decided there on a
-// trace s carries (dataplane.Snapshot.Carries) is s's verdict too and is
-// taken by index. Every other policy is traced and decided on s: from the
-// parent verdict's trace when there is one (dataplane.Snapshot.ReachFrom
-// resumes it at its first stale hop, and a resumed trace never carries
-// back), else from the source, and then it fills the parent's empty slot
-// when the parent shares that trace (dataplane.Snapshot.CarriesBack, the
-// strict rule) — which is how the vector of a snapshot nobody checks
-// directly warms from the first check derived from it. next, when not nil,
-// receives every policy's verdict on s. The verdicts decided here share one
-// allocation. Checked counts every policy: each holds a verdict valid for s.
+// from one whose verdicts are known. parent, when not nil, is that
+// snapshot's vector over the same policies, only read: a verdict decided
+// there on a trace s carries (dataplane.Snapshot.Carries) is s's verdict too
+// and is taken by index. Every other policy is traced and decided on s: from
+// the parent verdict's trace when there is one (dataplane.Snapshot.ReachFrom
+// resumes it at its first stale hop), else from the source. next, when not
+// nil, receives every policy's verdict on s; the verdicts decided here share
+// one allocation. Checked counts every policy: each holds a verdict valid
+// for s.
 func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
@@ -219,7 +201,7 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 	for i, p := range policies {
 		var v *Verdict
 		if parent != nil {
-			v = parent[i].Load()
+			v = parent[i]
 		}
 		var violation *Violation
 		if v != nil && s.Carries(v.Trace) {
@@ -233,22 +215,16 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 			}
 			tr, err := s.ReachFrom(prev, p.Src, p.Dst, p.Proto, p.DstPort)
 			violation = decide(p, tr, err)
-			// A verdict is made only for a slot that takes it, from one batch.
-			fill := v == nil && parent != nil && s.CarriesBack(tr)
-			v = nil
-			if fill || next != nil {
+			if next != nil {
 				if len(batch) == 0 {
 					batch = make([]Verdict, len(policies)-i)
 				}
 				v, batch = &batch[0], batch[1:]
 				*v = Verdict{Trace: tr, Violation: violation}
 			}
-			if fill {
-				parent[i].CompareAndSwap(nil, v)
-			}
 		}
 		if next != nil {
-			next[i].Store(v)
+			next[i] = v
 		}
 		if violation != nil {
 			res.Violations = append(res.Violations, *violation)
@@ -265,17 +241,6 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 			ObserveDuration(res.Elapsed)
 	}
 	return res
-}
-
-// Fill decides on s every policy whose slot of v, the vector of s, is empty,
-// so every later check derived from s carries or resumes each policy's trace.
-func Fill(s *dataplane.Snapshot, policies []Policy, v Verdicts) {
-	for i, p := range policies {
-		if v[i].Load() == nil {
-			tr, err := s.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
-			v[i].CompareAndSwap(nil, &Verdict{Trace: tr, Violation: decide(p, tr, err)})
-		}
-	}
 }
 
 // CheckPolicy evaluates one policy, returning nil when it holds and the

@@ -3,6 +3,7 @@ package verify
 import (
 	"encoding/json"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -227,12 +228,12 @@ func TestAffectedByCoversImpacted(t *testing.T) {
 	}
 }
 
-// TestCheckCarriedFillsWhatCarriesBack: checked on a snapshot derived from
-// one whose vector is empty, CheckCarried fills exactly the parent's slots
-// of the policies whose trace the child carries back
-// (dataplane.Snapshot.CarriesBack: here R24, which never meets r1), and a
-// check with no vector on the same child fills nothing and decides the same.
-func TestCheckCarriedFillsWhatCarriesBack(t *testing.T) {
+// TestCheckCarriedLeavesParent: checked on a snapshot derived from one
+// whose vector is complete, CheckCarried only reads that vector — every slot
+// is the verdict it was, the carried ones included — fills every slot of the
+// next one, taking the carried verdicts by identity, and decides as a check
+// with no vector does.
+func TestCheckCarriedLeavesParent(t *testing.T) {
 	n := guardedNet()
 	policies := []Policy{
 		{ID: "R12", Kind: Reachability, Src: "h1", Dst: "h2", Proto: netmodel.ICMP},
@@ -245,11 +246,16 @@ func TestCheckCarriedFillsWhatCarriesBack(t *testing.T) {
 		Proto: netmodel.AnyProto, Dst: netip.MustParsePrefix("10.3.0.0/24")})
 	child := base.Derive(next, dataplane.ChangeSet{{Device: "r1", Kind: dataplane.ChangeACL}})
 	parent := make(Verdicts, len(policies))
-	res := CheckCarried(child, policies, parent, nil, nil)
+	CheckCarried(base, policies, nil, parent, nil)
+	was := slices.Clone(parent)
+	vec := make(Verdicts, len(policies))
+	res := CheckCarried(child, policies, parent, vec, nil)
 	for i, p := range policies {
-		tr, _ := child.Reach(p.Src, p.Dst, p.Proto, p.DstPort)
-		if got, want := parent[i].Load() != nil, p.ID == "R24"; got != want || got != child.CarriesBack(tr) {
-			t.Errorf("%s: parent slot filled = %v, want %v (carries back: %v)", p.ID, got, want, child.CarriesBack(tr))
+		if parent[i] != was[i] {
+			t.Errorf("%s: the check wrote the parent's slot", p.ID)
+		}
+		if carried := child.Carries(was[i].Trace); vec[i] == nil || carried != (vec[i] == was[i]) {
+			t.Errorf("%s: next slot %v, carried %v", p.ID, vec[i], carried)
 		}
 	}
 	if got := Check(child, policies); len(got.Violations) != 2 || len(res.Violations) != 2 {
