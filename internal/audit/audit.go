@@ -8,6 +8,8 @@
 package audit
 
 import (
+	"strconv"
+
 	"heimdall/internal/chain"
 	"heimdall/internal/telemetry"
 )
@@ -39,6 +41,16 @@ type Entry struct {
 	Detail     string `json:"detail"`
 	Allowed    bool   `json:"allowed"`
 	chain.Seal
+}
+
+// AppendFields writes the entry's payload for the chain's content rule.
+func (e *Entry) AppendFields(b []byte) []byte {
+	b = chain.AppendString(append(b, `"ticket":`...), e.Ticket)
+	b = chain.AppendString(append(b, `,"technician":`...), e.Technician)
+	b = chain.AppendString(append(b, `,"kind":`...), string(e.Kind))
+	b = chain.AppendString(append(b, `,"detail":`...), e.Detail)
+	b = strconv.AppendBool(append(b, `,"allowed":`...), e.Allowed)
+	return append(b, ',')
 }
 
 // Trail is the audit log: a chain.Log of entries, which supplies SetClock,
@@ -73,7 +85,13 @@ func (t *Trail) SetMeter(m telemetry.Meter) {
 		c.Inc()
 		length.Set(float64(e.Index + 1))
 	})
-	t.View(func(links []Entry) { length.Set(float64(len(links))) })
+	t.View(func(pages [][]Entry) {
+		n := 0
+		for _, pg := range pages {
+			n += len(pg)
+		}
+		length.Set(float64(n))
+	})
 }
 
 // Append adds an entry to the chain, filling in index, time, hashes and

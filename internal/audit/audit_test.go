@@ -2,10 +2,12 @@ package audit
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"heimdall/internal/chain"
 	"heimdall/internal/telemetry"
@@ -262,6 +264,35 @@ func BenchmarkAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Append("T-0001", "leaf-tech", KindDecision, "allow show.ip.route on device:r1", true)
+	}
+}
+
+// TestAppendAllocBudget: an append on a 10,000-entry trail allocates its
+// hash and MAC strings and, amortized, its slot of a storage page: no
+// encoder scratch, and no copy of the chain (a flat slice regrown by
+// append costs several entries' bytes per append).
+func TestAppendAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	tr := NewTrail([]byte("bench-key"))
+	for i := 0; i < 10000; i++ {
+		tr.Append("T-0001", "leaf-tech", KindCommand, "[r1] show ip route", true)
+	}
+	appendOne := func() { tr.Append("T-0001", "leaf-tech", KindDecision, "allow show.ip.route on device:r1", true) }
+	if n := testing.AllocsPerRun(4096, appendOne); n > 3 {
+		t.Errorf("an append allocates %v times, want at most 3", n)
+	}
+	const runs = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		appendOne()
+	}
+	runtime.ReadMemStats(&after)
+	perAppend := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := 2*64 + uint64(unsafe.Sizeof(Entry{})) + 32; perAppend > limit {
+		t.Errorf("an append allocates %d bytes, want at most %d (two hex strings and a page slot)", perAppend, limit)
 	}
 }
 

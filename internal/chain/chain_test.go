@@ -17,6 +17,10 @@ type note struct {
 	Seal
 }
 
+func (n *note) AppendFields(b []byte) []byte {
+	return append(AppendString(append(b, `"text":`...), n.Text), ',')
+}
+
 func fixedClock() time.Time { return time.Date(2026, 7, 6, 12, 0, 0, 0, time.UTC) }
 
 // TestContentRule writes the rule out: the hash is the SHA-256 of exactly

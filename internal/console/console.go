@@ -36,7 +36,6 @@ import (
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
-	"heimdall/internal/telemetry"
 )
 
 // Command is one parsed console command with its privilege classification.
@@ -56,9 +55,6 @@ type Command struct {
 // commands. NewEnv and NewEnvSeeded build it.
 type Env struct {
 	Net *netmodel.Network
-	// Meter, when set, counts dispatched commands
-	// (heimdall_console_dispatch_total by action and write class).
-	Meter telemetry.Meter
 
 	// snap is the snapshot last served (nil: compute on next use), pending
 	// the classified writes since, which the next one derives across.
@@ -130,14 +126,6 @@ func (c *Console) Run(line string) (string, error) {
 
 // Execute runs a previously parsed command.
 func (c *Console) Execute(cmd Command) (string, error) {
-	if m := c.env.Meter; m != nil {
-		write := "read"
-		if cmd.Write {
-			write = "write"
-		}
-		m.Counter("heimdall_console_dispatch_total",
-			telemetry.L("action", cmd.Action), telemetry.L("write", write)).Inc()
-	}
 	out, err := cmd.exec(c.env)
 	if err != nil {
 		return "", err

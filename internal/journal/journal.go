@@ -15,6 +15,10 @@
 package journal
 
 import (
+	"encoding/json"
+	"fmt"
+	"strconv"
+
 	"heimdall/internal/chain"
 	"heimdall/internal/config"
 	"heimdall/internal/telemetry"
@@ -83,6 +87,63 @@ type Record struct {
 	Unrestored  []string        `json:"unrestored,omitempty"`
 
 	chain.Seal
+}
+
+// AppendFields writes the record's payload for the chain's content rule.
+// Only an intent record holds a change set, undos or approvals, and only
+// those go through encoding/json.
+func (r *Record) AppendFields(b []byte) []byte {
+	b = chain.AppendString(append(b, `"kind":`...), string(r.Kind))
+	b = chain.AppendString(append(b, `,"commit":`...), r.Commit)
+	b = appendString(append(b, ','), "ticket", r.Ticket)
+	b = appendString(b, "technician", r.Technician)
+	b = appendJSON(b, "changes", r.Changes)
+	b = appendJSON(b, "undos", r.Undos)
+	b = appendJSON(b, "approvals", r.Approvals)
+	b = strconv.AppendInt(append(b, `"changeIndex":`...), int64(r.ChangeIndex), 10)
+	b = appendString(append(b, ','), "detail", r.Detail)
+	b = appendStrings(b, "restored", r.Restored)
+	return appendStrings(b, "unrestored", r.Unrestored)
+}
+
+// appendString writes an omitempty string field.
+func appendString(b []byte, name, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return append(chain.AppendString(appendName(b, name), v), ',')
+}
+
+// appendStrings writes an omitempty string list.
+func appendStrings(b []byte, name string, v []string) []byte {
+	if len(v) == 0 {
+		return b
+	}
+	b = append(appendName(b, name), '[')
+	for i, s := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = chain.AppendString(b, s)
+	}
+	return append(b, "],"...)
+}
+
+// appendJSON writes an omitempty list by encoding/json, which encodes a
+// value alone as it does inside its parent.
+func appendJSON[E any](b []byte, name string, v []E) []byte {
+	if len(v) == 0 {
+		return b
+	}
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("journal: marshal %s: %v", name, err))
+	}
+	return append(append(appendName(b, name), data...), ',')
+}
+
+func appendName(b []byte, name string) []byte {
+	return append(append(append(b, '"'), name...), `":`...)
 }
 
 // Journal is the commit log: a chain.Log of records, which supplies
@@ -184,18 +245,20 @@ func (j *Journal) Records() []Record { return j.Links() }
 func (j *Journal) Open() (*Record, []int) {
 	var intent *Record
 	var applied []int
-	j.View(func(records []Record) {
-		for i := range records {
-			r := &records[i]
-			switch {
-			case r.Kind == KindIntent:
-				intent = r
-				applied = nil
-			case intent != nil && r.Commit == intent.Commit && r.Kind == KindApplied:
-				applied = append(applied, r.ChangeIndex)
-			case intent != nil && r.Commit == intent.Commit && closes(r.Kind):
-				intent = nil
-				applied = nil
+	j.View(func(pages [][]Record) {
+		for _, records := range pages {
+			for i := range records {
+				r := &records[i]
+				switch {
+				case r.Kind == KindIntent:
+					intent = r
+					applied = nil
+				case intent != nil && r.Commit == intent.Commit && r.Kind == KindApplied:
+					applied = append(applied, r.ChangeIndex)
+				case intent != nil && r.Commit == intent.Commit && closes(r.Kind):
+					intent = nil
+					applied = nil
+				}
 			}
 		}
 		if intent != nil {

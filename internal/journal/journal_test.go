@@ -1,12 +1,15 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
+	"heimdall/internal/chain"
 	"heimdall/internal/config"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/telemetry"
@@ -224,5 +227,63 @@ func BenchmarkAppend(b *testing.B) {
 		j.Intent("T1#1", "T1", "alice", changes, undos)
 		j.Applied("T1#1", 0, "add acl entry")
 		j.Committed("T1#1", "1 change")
+	}
+}
+
+// TestPageBoundaries runs a journal of 2,500 records, three storage pages
+// of the chain, through everything that walks them: Verify, Export, Import,
+// Open across a page boundary, and truncation at one.
+func TestPageBoundaries(t *testing.T) {
+	key := []byte("k1")
+	j := New(key)
+	j.SetClock(testClock())
+	changes := sampleChanges()[:1]
+	// Settled commits in threes (intent, applied, committed): the one at
+	// 1023 straddles the first boundary. The open one starts at 2040 and
+	// its applied records run over the second.
+	for j.Len() < 2040 {
+		c := fmt.Sprintf("T%d#1", j.Len())
+		j.Intent(c, "T", "alice", changes, nil)
+		j.Applied(c, 0, "add acl entry")
+		j.Committed(c, "1 change")
+	}
+	j.Intent("open#1", "T", "alice", changes, nil)
+	for i := 0; j.Len() < 2500; i++ {
+		j.Applied("open#1", i, "add acl entry")
+	}
+	if err := j.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	records := j.Records()
+	data, err := j.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := json.MarshalIndent(records, "", "  "); !bytes.Equal(data, want) {
+		t.Fatal("Export differs from json.MarshalIndent of Links")
+	}
+	back, err := Import(key, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := back.Export(); !bytes.Equal(again, data) {
+		t.Fatal("import does not round-trip the export")
+	}
+	intent, applied := back.Open()
+	if intent == nil || intent.Index != 2040 || len(applied) != 459 || applied[458] != 458 {
+		t.Fatalf("open commit = %v with %d applied, want the intent at 2040 with 459", intent, len(applied))
+	}
+	for _, n := range []int{1024, 2048} {
+		if err := chain.Verify(records[:n], key); err != nil {
+			t.Fatalf("prefix of %d records: %v", n, err)
+		}
+		cut, err := chain.FromLinks[Record](key, records[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut.Append(Record{Kind: KindRecovered, Commit: "open#1", ChangeIndex: -1})
+		if err := cut.Verify(); err != nil || cut.Len() != n+1 {
+			t.Fatalf("prefix of %d records, extended: %d links, %v", n, cut.Len(), err)
+		}
 	}
 }

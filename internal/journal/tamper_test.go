@@ -17,6 +17,7 @@ import (
 
 	"heimdall/internal/audit"
 	"heimdall/internal/chain"
+	"heimdall/internal/config"
 )
 
 // fullJournal builds a chain containing every record kind, with an intent
@@ -449,5 +450,66 @@ func TestDiffRelations(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), "diverge") {
 		t.Fatalf("diff string %q does not name the divergence", d.String())
+	}
+}
+
+// FuzzLinkContent holds the content rule, written by hand, to its oracle:
+// for any trail entry and journal record, chain.AppendContent writes
+// exactly the bytes json.Marshal writes for the link with Hash and MAC
+// blank, whatever the link holds in them, and panics exactly where
+// json.Marshal fails (a time RFC 3339 cannot carry).
+func FuzzLinkContent(f *testing.F) {
+	// One seed per escape class of encoding/json's strings, HTML escaping
+	// on, each in every string field and with every list shape.
+	for i, s := range []string{
+		"", "plain [r1] show ip route", `"quoted" back\slash`, "\b\f\n\r\t", "\x00\x01\x1f\x7f",
+		"<a href='x'>&amp;</a>", "\xff\xfe bad \xc3 utf-8 \xe2\x80", "line\u2028para\u2029", "héllo 世界 🙂",
+	} {
+		f.Add(s, s, s, s, i%2 == 0, i, int64(1700000000+i), uint32(123456789*i), int32(3600*i), uint16(i*0x5555))
+	}
+	f.Add("T", "x", "command", "d", true, 0, int64(253402300800), uint32(0), int32(0), uint16(0)) // year 10000
+	f.Add("T", "x", "command", "d", true, 0, int64(-62135596801), uint32(0), int32(0), uint16(0)) // year -1
+	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(24*3600), uint16(0))
+	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(-86399), uint16(0))
+	f.Fuzz(func(t *testing.T, a, b, c, d string, allowed bool, index int, sec int64, nsec uint32, zone int32, shape uint16) {
+		at := time.Unix(sec, int64(nsec%1e9)).UTC()
+		if zone != 0 {
+			at = at.In(time.FixedZone("fuzz", int(zone)))
+		}
+		head := chain.Header{Index: index, Time: at}
+		entry := audit.Entry{Header: head, Ticket: a, Technician: b, Kind: audit.Kind(c), Detail: d, Allowed: allowed}
+		sameContent(t, &entry, &entry.Seal, chain.Seal{PrevHash: d, Hash: a, MAC: b})
+
+		// Two bits of shape per list: nil, empty, one element, several.
+		strs := func(k uint) []string { return [][]string{nil, {}, {a}, {b, c, d}}[shape>>k&3] }
+		record := Record{Header: head, Kind: Kind(a), Commit: b, Ticket: c, Technician: d,
+			Changes:     [][]config.Change{nil, {}, sampleChanges()[:1], sampleChanges()}[shape&3],
+			Undos:       [][]config.Undo{nil, {}, sampleUndos()[:1], sampleUndos()}[shape>>2&3],
+			Approvals:   [][]Approval{nil, {}, {{Signer: a, MAC: b}}, {{Signer: c, Role: d, MAC: a}, {Signer: b}}}[shape>>4&3],
+			ChangeIndex: index, Detail: c, Restored: strs(6), Unrestored: strs(8)}
+		sameContent(t, &record, &record.Seal, chain.Seal{PrevHash: a, Hash: c, MAC: d})
+	})
+}
+
+// sameContent compares chain.AppendContent of link, its seal (s) set to
+// seal, with json.Marshal of link sealed with seal's PrevHash alone.
+func sameContent[T any, P chain.Link[T]](t *testing.T, link P, s *chain.Seal, seal chain.Seal) {
+	t.Helper()
+	*s = chain.Seal{PrevHash: seal.PrevHash}
+	want, err := json.Marshal(link)
+	*s = seal
+	var got []byte
+	panicked := func() (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		got = chain.AppendContent(nil, link)
+		return false
+	}()
+	switch {
+	case err != nil && !panicked:
+		t.Fatalf("json.Marshal fails (%v), AppendContent wrote %s", err, got)
+	case err == nil && panicked:
+		t.Fatalf("AppendContent panicked, json.Marshal wrote %s", want)
+	case !bytes.Equal(got, want):
+		t.Fatalf("content\n got %s\nwant %s", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"heimdall/internal/core"
 	"heimdall/internal/scenarios"
+	"heimdall/internal/telemetry"
 	"heimdall/internal/twin"
 )
 
@@ -47,6 +48,10 @@ type Tenant struct {
 	Scenario string
 	sys      *core.System
 	issues   []scenarios.Issue
+
+	// The tenant's per-line metrics, looked up when it is created.
+	mediation        telemetry.Histogram
+	commands, denied telemetry.Counter
 
 	mu       sync.Mutex
 	seq      int

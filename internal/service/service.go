@@ -202,6 +202,11 @@ func (s *Service) CreateTenant(id, scenario string) (TenantInfo, error) {
 		sys:      sys,
 		issues:   scen.Issues,
 		sessions: make(map[string]*Session),
+
+		mediation: s.meter.Histogram("heimdall_service_mediation_seconds", telemetry.LatencyBuckets,
+			telemetry.L("tenant", id)),
+		commands: s.meter.Counter("heimdall_service_commands_total", telemetry.L("tenant", id)),
+		denied:   s.meter.Counter("heimdall_service_denied_total", telemetry.L("tenant", id)),
 	}
 	if err := s.reg.add(t); err != nil {
 		return TenantInfo{}, err
@@ -475,13 +480,13 @@ func (s *Service) Exec(tenant, session, token, device, line string) (string, err
 
 	start := time.Now()
 	out, err := con.Exec(line)
-	s.meter.Histogram("heimdall_service_mediation_seconds", telemetry.LatencyBuckets,
-		telemetry.L("tenant", tenant)).ObserveDuration(time.Since(start))
-	s.meter.Counter("heimdall_service_commands_total", telemetry.L("tenant", tenant)).Inc()
+	t := sess.tenant
+	t.mediation.ObserveDuration(time.Since(start))
+	t.commands.Inc()
 	if err != nil {
 		var denied *twin.ErrDenied
 		if errors.As(err, &denied) {
-			s.meter.Counter("heimdall_service_denied_total", telemetry.L("tenant", tenant)).Inc()
+			t.denied.Inc()
 		}
 		return "", err
 	}

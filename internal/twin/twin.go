@@ -76,6 +76,14 @@ type Twin struct {
 	trail    *audit.Trail
 	meter    telemetry.Meter
 
+	// The per-line metrics, looked up once: commands, mediation and exec
+	// latency at creation, each labeled counter at its first use (under
+	// labeledMu, since OpenConsole decides outside mu).
+	commands            telemetry.Counter
+	mediation, execTime telemetry.Histogram
+	labeledMu           sync.Mutex
+	labeled             map[[3]string]telemetry.Counter
+
 	// mu serializes everything that touches the emulation layer or the
 	// console environment's snapshot cache: command execution, diffing,
 	// and snapshot reads. A twin is shared by every session opened on it
@@ -141,14 +149,15 @@ func FromView(cfg Config) (*Twin, error) {
 		visible:    visible,
 		trail:      cfg.Trail,
 		meter:      meter,
+		commands:   meter.Counter("heimdall_monitor_commands_total"),
+		mediation:  meter.Histogram("heimdall_monitor_mediation_seconds", telemetry.LatencyBuckets),
+		execTime:   meter.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets),
+		labeled:    make(map[[3]string]telemetry.Counter),
 	}
-	tw.env = console.NewEnvSeeded(tw.emul, cfg.Snapshot)
 	// Technician consoles are the emulation layer's only writers (Exec
 	// serializes under tw.mu), which is what the env's incremental
 	// post-write snapshots require.
-	if cfg.Meter != nil {
-		tw.env.Meter = cfg.Meter
-	}
+	tw.env = console.NewEnvSeeded(tw.emul, cfg.Snapshot)
 	tw.log(audit.KindSession, fmt.Sprintf("twin created (%d devices, %d visible)",
 		len(tw.emul.Devices), len(tw.visible)), true)
 	return tw, nil
@@ -250,8 +259,20 @@ func (tw *Twin) OpenConsole(device string) (*Session, error) {
 
 // decision counts one reference-monitor verdict by action class.
 func (tw *Twin) decision(verdict, class string) {
-	tw.meter.Counter("heimdall_monitor_decisions_total",
-		telemetry.L("decision", verdict), telemetry.L("class", class)).Inc()
+	tw.counter("heimdall_monitor_decisions_total", "decision", verdict, "class", class).Inc()
+}
+
+// counter returns a two-label counter, looked up once per pair of values.
+func (tw *Twin) counter(name, k1, v1, k2, v2 string) telemetry.Counter {
+	key := [3]string{name, v1, v2}
+	tw.labeledMu.Lock()
+	defer tw.labeledMu.Unlock()
+	c, ok := tw.labeled[key]
+	if !ok {
+		c = tw.meter.Counter(name, telemetry.L(k1, v1), telemetry.L(k2, v2))
+		tw.labeled[key] = c
+	}
+	return c
 }
 
 // actionClass maps a console action ("config.interface.set") to its
@@ -290,7 +311,7 @@ func (s *Session) Exec(line string) (string, error) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	start := time.Now()
-	tw.meter.Counter("heimdall_monitor_commands_total").Inc()
+	tw.commands.Inc()
 	cmd, err := s.con.Parse(line)
 	if err != nil {
 		tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s (parse error)", s.Device(), line), false)
@@ -301,15 +322,17 @@ func (s *Session) Exec(line string) (string, error) {
 	if !tw.rules().c.Allows(cmd.Action, cmd.Resource) {
 		tw.log(audit.KindDecision, fmt.Sprintf("deny %s on %s", cmd.Action, cmd.Resource), false)
 		tw.decision("deny", actionClass(cmd.Action))
-		tw.observeMediation(start)
+		tw.mediation.ObserveDuration(time.Since(start))
 		return "", &ErrDenied{Action: cmd.Action, Resource: cmd.Resource}
 	}
 	tw.log(audit.KindDecision, fmt.Sprintf("allow %s on %s", cmd.Action, cmd.Resource), true)
 	tw.decision("allow", actionClass(cmd.Action))
 	// Mediation latency is the monitor's own cost: parse + privilege
 	// check + audit, before the command touches the emulation layer.
-	tw.observeMediation(start)
+	tw.mediation.ObserveDuration(time.Since(start))
+	write := "read"
 	if cmd.Write {
+		write = "write"
 		// Recorded at dispatch, not on success: a write that fails halfway
 		// may already have mutated its device, a clone of the shared one.
 		if _, ok := tw.pre[cmd.Device]; !ok {
@@ -318,9 +341,9 @@ func (s *Session) Exec(line string) (string, error) {
 		}
 		tw.stale = true
 	}
+	tw.counter("heimdall_console_dispatch_total", "action", cmd.Action, "write", write).Inc()
 	out, err := s.con.Execute(cmd)
-	tw.meter.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets).
-		ObserveDuration(time.Since(start))
+	tw.execTime.ObserveDuration(time.Since(start))
 	if err != nil {
 		tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s failed: %v", s.Device(), line, err), true)
 		return "", err
@@ -353,8 +376,3 @@ func (tw *Twin) rules() *compiledSpec {
 // RulesDigest is the twin's Privilegemsp's Spec.RulesDigest, memoized per
 // rule count with its compiled form.
 func (tw *Twin) RulesDigest() string { return tw.rules().digest }
-
-func (tw *Twin) observeMediation(start time.Time) {
-	tw.meter.Histogram("heimdall_monitor_mediation_seconds", telemetry.LatencyBuckets).
-		ObserveDuration(time.Since(start))
-}
