@@ -243,7 +243,7 @@ func BenchmarkMonitorOverheadInstrumented(b *testing.B) {
 	tw, err := twin.New(twin.Config{
 		Ticket: "B", Technician: "bench",
 		Production: scen.Network, Spec: spec,
-		Meter: telemetry.NewRegistry(),
+		Instruments: twin.NewInstruments(telemetry.NewRegistry()),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -390,15 +390,17 @@ func BenchmarkReview(b *testing.B) {
 // for the commit that lands it included, and the policies each review
 // carries, retraces and resumes (400 / 0 / 0 and 376 / 24 / 24: a change to
 // which slots verify.CheckCarried resumes moves them). accept is measured at
-// 50: every verdict carries (the 92 policies whose trace crosses e0-0 by
+// 33: every verdict carries (the 92 policies whose trace crosses e0-0 by
 // replaying its ACLs, which allocates nothing), nothing is traced, the
 // vector is one allocation and the spec's compiled tries come from the
-// enforcer's memo. reject is measured at 119: the 24 flows whose verdict
+// enforcer's memo. reject is measured at 108: the 24 flows whose verdict
 // entry 16 flips are each resumed at e0-0, one allocation for the trace, its
 // first hops and their positions. reject's ceiling is also the guard that
 // the vector costs two allocations — the vector and one batch for every
 // verdict the review decides (verify.CheckCarried) — and not one more per
-// verdict. (accept was 53 and reject 122 while the trail sealed its entries
+// verdict. (accept was 50 and reject 119 while the shadow deep-cloned each
+// device the change set names, and the review looked its metrics up per
+// call; 53 and 122 while the trail sealed its entries
 // through encoding/json; 82 and 154 on a one-rule spec while each review
 // compiled the spec, digested its rules and encoded its change set through
 // encoding/json — the generated acl-ticket spec compiles in 90 more;
@@ -432,7 +434,7 @@ func TestReviewAllocBudget(t *testing.T) {
 		ceiling float64
 		// carried, retraced and resumed per review (BenchmarkReview).
 		counts [3]float64
-	}{{"accept", false, 51, [3]float64{400, 0, 0}}, {"reject", true, 120, [3]float64{376, 24, 24}}} {
+	}{{"accept", false, 34, [3]float64{400, 0, 0}}, {"reject", true, 109, [3]float64{376, 24, 24}}} {
 		review, counts := reviewFixture(t)
 		i := 0
 		carried0, retraced0, resumed0 := counts()
@@ -541,7 +543,11 @@ func BenchmarkTicket(b *testing.B) {
 }
 
 // TestTicketAllocBudget pins the allocations of three whole tickets.
-// Measured at 6,286, now and then 6,285 (6,639, now and then 6,640, while
+// Measured at 5,903 (6,286, now and then 6,285, while each commit deep-cloned
+// its devices (Detach) and each review its shadow's, the intent's change set
+// and undos went through encoding/json, the twin's audit details through
+// Sprintf, and the review and commit paths looked their metrics up per op;
+// 6,639, now and then 6,640, while
 // every trail entry and journal record was sealed through encoding/json into a
 // flat slice and each mediated line looked its labeled metrics up; 7,080, now
 // and then 7,081, while each review compiled
@@ -581,7 +587,7 @@ func TestTicketAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
 	}
-	const ceiling = 6287
+	const ceiling = 5904
 	run, reg := ticketFixture(t)
 	diffed, computed := reg.CounterValue(ticketDiffed), reg.CounterValue(ticketComputed)
 	const runs = 20

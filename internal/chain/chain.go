@@ -242,10 +242,16 @@ func Decode[T any, P Link[T]](data []byte) ([]T, error) {
 	return links, nil
 }
 
-// pageSize is how many links one page of a Log's storage holds. A page is
-// allocated full-size and never reallocated, so an append copies no link
-// that came before it, however long the chain.
-const pageSize = 1024
+// pageSize is how many links one page of a Log's storage holds. A page
+// after the first is allocated full-size and never reallocated, so an
+// append copies no link before it, however long the chain. The first page
+// starts at firstPage slots and doubles up to pageSize, so a short chain
+// (a tenant's first links) holds a few slots, not a thousand; a doubling
+// copies only the first page's links, into a new array.
+const (
+	pageSize  = 1024
+	firstPage = 8
+)
 
 // Log is an append-only chain of links of type T. It is safe for
 // concurrent use.
@@ -304,10 +310,16 @@ func (l *Log[T, P]) OnAppend(fn func(*T)) {
 	l.onAppend = fn
 }
 
-// push stores v after the last link, opening a page when the last is full.
+// push stores v after the last link, opening a page when the last is full
+// and growing the first while it is short of pageSize.
 func (l *Log[T, P]) push(v T) P {
-	if n := len(l.pages); n == 0 || len(l.pages[n-1]) == pageSize {
+	switch n := len(l.pages); {
+	case n == 0:
+		l.pages = append(l.pages, make([]T, 0, firstPage))
+	case len(l.pages[n-1]) == pageSize:
 		l.pages = append(l.pages, make([]T, 0, pageSize))
+	case len(l.pages[n-1]) == cap(l.pages[n-1]): // the first page, short of pageSize
+		l.pages[0] = append(make([]T, 0, min(2*cap(l.pages[0]), pageSize)), l.pages[0]...)
 	}
 	pg := &l.pages[len(l.pages)-1]
 	*pg = append(*pg, v)

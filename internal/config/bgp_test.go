@@ -95,7 +95,8 @@ func TestBGPDiffAndApply(t *testing.T) {
 	}
 	got := oldDev.Clone()
 	for _, c := range changes {
-		if err := ApplyChange(got, c); err != nil {
+		var err error
+		if got, err = ApplyChange(got, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,8 +111,8 @@ func TestBGPDiffAndApply(t *testing.T) {
 	if len(changes) != 1 || changes[0].Op != OpRemoveBGP {
 		t.Fatalf("removal changes = %v", changes)
 	}
-	got = oldDev.Clone()
-	if err := ApplyChange(got, changes[0]); err != nil {
+	got, err := ApplyChange(oldDev, changes[0])
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got.BGP != nil {

@@ -257,7 +257,8 @@ func TestDiffDeviceAndApply(t *testing.T) {
 	// Applying the diff to a clone of old reproduces new.
 	got := oldDev.Clone()
 	for _, c := range changes {
-		if err := ApplyChange(got, c); err != nil {
+		var err error
+		if got, err = ApplyChange(got, c); err != nil {
 			t.Fatalf("apply %v: %v", c, err)
 		}
 	}
@@ -286,7 +287,7 @@ func TestApplyChangeErrors(t *testing.T) {
 	}
 	before := Print(d)
 	for i, c := range cases {
-		if err := ApplyChange(d, c); err == nil {
+		if _, err := ApplyChange(d, c); err == nil {
 			t.Errorf("case %d (%v): expected error", i, c)
 		}
 	}
@@ -391,7 +392,8 @@ func TestRoundTripProperty(t *testing.T) {
 		changes := DiffDevice(d, mutated)
 		applied := d.Clone()
 		for _, c := range changes {
-			if err := ApplyChange(applied, c); err != nil {
+			var err error
+			if applied, err = ApplyChange(applied, c); err != nil {
 				t.Fatalf("trial %d: apply: %v", trial, err)
 			}
 		}

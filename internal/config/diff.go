@@ -189,7 +189,9 @@ func (c Change) Additive() bool {
 // Both devices must have the same name, each ACL's entries must be in
 // ascending sequence order with no number twice, and no static route may
 // appear twice: ACL.InsertEntry, Parse and the console keep all three. An
-// unchanged ACL, or unchanged static routes, cost one comparison.
+// unchanged ACL, or unchanged static routes, cost one comparison; an
+// interface or an ACL both devices share (ApplyChange shares what it does
+// not write) costs a pointer comparison.
 func DiffDevice(old, new *netmodel.Device) []Change {
 	var out []Change
 	dev := old.Name
@@ -199,14 +201,18 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		switch ni, oi := new.Interfaces[name], old.Interfaces[name]; {
 		case oi == nil:
 			out = append(out, Change{Device: dev, Op: OpAddInterface, Interface: ni.Clone()})
-		case !sameInterface(oi, ni):
+		case oi != ni && !sameInterface(oi, ni):
 			out = append(out, Change{Device: dev, Op: OpSetInterface, Interface: ni.Clone()})
 		}
 	}
 
 	// ACLs: a merge walk over the sequence numbers; an ACL old lacks is empty.
 	for _, name := range new.ACLNames() {
-		oes, nes := cmp.Or(old.ACLs[name], &netmodel.ACL{}).Entries, new.ACLs[name].Entries
+		oa, na := old.ACLs[name], new.ACLs[name]
+		if oa == na {
+			continue
+		}
+		oes, nes := cmp.Or(oa, &netmodel.ACL{}).Entries, na.Entries
 		if slices.Equal(oes, nes) {
 			continue
 		}
@@ -342,78 +348,98 @@ func DiffNetwork(old, new *netmodel.Network) []Change {
 	return out
 }
 
-// ApplyChange mutates the device according to the change. It returns an
-// error when the change references state that does not exist.
-func ApplyChange(d *netmodel.Device, c Change) error {
+// ApplyChange returns the device as c leaves it, or an error when c
+// references state that does not exist. It never writes d: the result is a
+// copy of d that shares every section c does not write. The section c
+// writes is copied (the interface, ACL or VLAN map, the static-route list)
+// and an ACL op clones only the one ACL it edits, so d and the result may
+// both be shared, as production's published devices are.
+func ApplyChange(d *netmodel.Device, c Change) (*netmodel.Device, error) {
 	if d.Name != c.Device {
-		return fmt.Errorf("config: change for %s applied to %s", c.Device, d.Name)
+		return nil, fmt.Errorf("config: change for %s applied to %s", c.Device, d.Name)
 	}
+	nd := *d
 	switch c.Op {
 	case OpAddInterface, OpSetInterface:
-		d.Interfaces[c.Interface.Name] = c.Interface.Clone()
-	case OpAddACLEntry:
-		d.ACL(c.ACLName, true).InsertEntry(*c.Entry)
-	case OpSetACLEntry:
-		a := d.ACL(c.ACLName, false)
-		if a == nil || !a.RemoveEntry(c.Entry.Seq) {
-			return fmt.Errorf("config: %s: no entry %s seq %d", d.Name, c.ACLName, c.Entry.Seq)
+		nd.Interfaces = with(d.Interfaces, c.Interface.Name, c.Interface.Clone())
+	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry:
+		a, seq := cmp.Or(d.ACLs[c.ACLName], &netmodel.ACL{Name: c.ACLName}).Clone(), c.Seq
+		if c.Op != OpRemoveACLEntry {
+			seq = c.Entry.Seq
 		}
-		a.InsertEntry(*c.Entry)
-	case OpRemoveACLEntry:
-		a := d.ACL(c.ACLName, false)
-		if a == nil || !a.RemoveEntry(c.Seq) {
-			return fmt.Errorf("config: %s: no entry %s seq %d", d.Name, c.ACLName, c.Seq)
+		if c.Op != OpAddACLEntry && !a.RemoveEntry(seq) {
+			return nil, fmt.Errorf("config: %s: no entry %s seq %d", d.Name, c.ACLName, seq)
 		}
+		if c.Op != OpRemoveACLEntry {
+			a.InsertEntry(*c.Entry)
+		}
+		nd.ACLs = with(d.ACLs, c.ACLName, a)
 	case OpRemoveACL:
 		if _, ok := d.ACLs[c.ACLName]; !ok {
-			return fmt.Errorf("config: %s: no ACL %s", d.Name, c.ACLName)
+			return nil, fmt.Errorf("config: %s: no ACL %s", d.Name, c.ACLName)
 		}
-		delete(d.ACLs, c.ACLName)
+		nd.ACLs = without(d.ACLs, c.ACLName)
 	case OpAddStaticRoute:
-		d.StaticRoutes = append(d.StaticRoutes, *c.Route)
+		nd.StaticRoutes = append(slices.Clip(d.StaticRoutes), *c.Route)
 	case OpRemoveStaticRoute:
-		for i, r := range d.StaticRoutes {
-			if r == *c.Route {
-				d.StaticRoutes = append(d.StaticRoutes[:i], d.StaticRoutes[i+1:]...)
-				return nil
-			}
+		i := slices.Index(d.StaticRoutes, *c.Route)
+		if i < 0 {
+			return nil, fmt.Errorf("config: %s: no route %s via %s", d.Name, c.Route.Prefix, c.Route.NextHop)
 		}
-		return fmt.Errorf("config: %s: no route %s via %s", d.Name, c.Route.Prefix, c.Route.NextHop)
+		nd.StaticRoutes = append(d.StaticRoutes[:i:i], d.StaticRoutes[i+1:]...)
 	case OpSetOSPF:
-		d.OSPF = c.OSPF.Clone()
+		nd.OSPF = c.OSPF.Clone()
 	case OpRemoveOSPF:
-		d.OSPF = nil
+		nd.OSPF = nil
 	case OpSetBGP:
-		d.BGP = c.BGP.Clone()
+		nd.BGP = c.BGP.Clone()
 	case OpRemoveBGP:
-		d.BGP = nil
+		nd.BGP = nil
 	case OpSetVLAN:
 		v := *c.VLAN
-		d.VLANs[v.ID] = &v
+		nd.VLANs = with(d.VLANs, v.ID, &v)
 	case OpRemoveVLAN:
 		if _, ok := d.VLANs[c.VLANID]; !ok {
-			return fmt.Errorf("config: %s: no VLAN %d", d.Name, c.VLANID)
+			return nil, fmt.Errorf("config: %s: no VLAN %d", d.Name, c.VLANID)
 		}
-		delete(d.VLANs, c.VLANID)
+		nd.VLANs = without(d.VLANs, c.VLANID)
 	case OpSetGateway:
-		d.DefaultGateway = c.Gateway
+		nd.DefaultGateway = c.Gateway
 	default:
-		return fmt.Errorf("config: unknown op %v", c.Op)
+		return nil, fmt.Errorf("config: unknown op %v", c.Op)
 	}
-	return nil
+	return &nd, nil
+}
+
+// with is a copy of m with k set to v.
+func with[K comparable, V any](m map[K]V, k K, v V) map[K]V {
+	c := make(map[K]V, len(m)+1)
+	maps.Copy(c, m)
+	c[k] = v
+	return c
+}
+
+// without is a copy of m without k.
+func without[K comparable, V any](m map[K]V, k K) map[K]V {
+	c := maps.Clone(m)
+	delete(c, k)
+	return c
 }
 
 // ApplyChanges applies every change to the network in order, stopping at
-// the first error.
+// the first error: each device a change names is replaced in n.Devices by
+// ApplyChange's result, and no device is written.
 func ApplyChanges(n *netmodel.Network, changes []Change) error {
 	for _, c := range changes {
 		d := n.Devices[c.Device]
 		if d == nil {
 			return fmt.Errorf("config: change for unknown device %s", c.Device)
 		}
-		if err := ApplyChange(d, c); err != nil {
+		nd, err := ApplyChange(d, c)
+		if err != nil {
 			return err
 		}
+		n.Devices[c.Device] = nd
 	}
 	return nil
 }

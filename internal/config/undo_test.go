@@ -64,7 +64,8 @@ func undoHolds(t *testing.T, pre, edited *netmodel.Device) []config.Change {
 			}
 		}
 		if n < len(changes) {
-			if err := config.ApplyChange(pushed, changes[n]); err != nil {
+			var err error
+			if pushed, err = config.ApplyChange(pushed, changes[n]); err != nil {
 				t.Fatal(err)
 			}
 		}

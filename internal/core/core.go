@@ -53,7 +53,8 @@ type Options struct {
 type System struct {
 	policies  []verify.Policy
 	sensitive map[string]bool
-	meter     telemetry.Meter
+	// twinMetrics are every twin's instruments, looked up once.
+	twinMetrics *twin.Instruments
 
 	Tickets  *ticket.System
 	Enforcer *enforcer.Enforcer
@@ -92,13 +93,13 @@ func NewSystem(opts Options) (*System, error) {
 	enf := enforcer.New(encl, policies, opts.Network)
 	enf.SetMeter(meter)
 	return &System{
-		production: opts.Network,
-		policies:   policies,
-		sensitive:  opts.Sensitive,
-		meter:      meter,
-		Tickets:    ticket.NewSystem(),
-		Enforcer:   enf,
-		platform:   platform,
+		production:  opts.Network,
+		policies:    policies,
+		sensitive:   opts.Sensitive,
+		twinMetrics: twin.NewInstruments(meter),
+		Tickets:     ticket.NewSystem(),
+		Enforcer:    enf,
+		platform:    platform,
 	}, nil
 }
 
@@ -180,14 +181,14 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	}
 	// The view is this open's own copy: the twin takes it over.
 	tw, err := twin.FromView(twin.Config{
-		Ticket:     tk.ID,
-		Technician: technician,
-		Production: prod,
-		Snapshot:   snap,
-		Spec:       pspec,
-		Slice:      slice,
-		Trail:      s.Enforcer.Trail(),
-		Meter:      s.meter,
+		Ticket:      tk.ID,
+		Technician:  technician,
+		Production:  prod,
+		Snapshot:    snap,
+		Spec:        pspec,
+		Slice:       slice,
+		Trail:       s.Enforcer.Trail(),
+		Instruments: s.twinMetrics,
 	})
 	if err != nil {
 		return nil, err

@@ -353,9 +353,6 @@ func TestWorkflowTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.meter != telemetry.Meter(reg) {
-		t.Fatal("the system should hold the configured meter")
-	}
 	tk := fileIssue(sys, issue)
 	eng, err := sys.StartWork(tk.ID, "alice")
 	if err != nil {

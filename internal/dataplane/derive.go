@@ -170,7 +170,7 @@ func (s *Snapshot) Derive(n *netmodel.Network, changes ChangeSet) *Snapshot {
 		names:     s.names,
 		cells:     s.cells,
 		built:     s.built,
-		flows:     newFlowCache(s.opts.Meter),
+		flows:     s.flows.child(),
 		hops:      s.hops,
 	}
 

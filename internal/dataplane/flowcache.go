@@ -56,6 +56,12 @@ func newFlowCache(m telemetry.Meter) *flowCache {
 	}
 }
 
+// child returns an empty cache that counts on c's counters: a derived
+// snapshot's, which looks nothing up.
+func (c *flowCache) child() *flowCache {
+	return &flowCache{hitCtr: c.hitCtr, missCtr: c.missCtr, carriedCtr: c.carriedCtr}
+}
+
 // load returns the memoized result for the key, if any.
 func (c *flowCache) load(k flowKey) (flowResult, bool) {
 	c.mu.RLock()

@@ -152,13 +152,13 @@ func (e *Enforcer) ReviewCached(prod *netmodel.Network, changes []config.Change,
 func (e *Enforcer) review(prodSnap *dataplane.Snapshot, changes []config.Change, spec *privilege.Spec, key, rules, rule string) (*Decision, bool) {
 	if d, hit := e.reviews.get(key); hit {
 		e.replayReview(spec, d)
-		e.meter.Counter("heimdall_enforcer_review_cache_hits_total").Inc()
+		e.cacheHits.Inc()
 		return d.clone(), true
 	}
 	d, msg, ok := e.reviewCompute(prodSnap, changes, spec, key, rules, rule)
 	d.trailMsg, d.trailOK = msg, ok
 	e.replayReview(spec, d)
-	e.meter.Counter("heimdall_enforcer_review_cache_misses_total").Inc()
+	e.cacheMisses.Inc()
 	e.reviews.put(key, d.clone())
 	return d, false
 }

@@ -61,6 +61,14 @@ type Enforcer struct {
 	// heimdall_enforcer_push_retries_total once per from and phase.
 	reviewed, committed map[bool]telemetry.Counter
 	handedOver, retried map[string]telemetry.Counter
+	// The instruments every review or commit reaches, looked up once too:
+	// the verify and per-change push latencies, the changes applied, the
+	// production snapshot's hits, misses and derivations, the verdict
+	// cache's hits and misses, and verify.CheckCarried's.
+	verifyTime, pushTime                telemetry.Histogram
+	applied, snapHits, snapMisses       telemetry.Counter
+	snapDerived, cacheHits, cacheMisses telemetry.Counter
+	checks                              *verify.Instruments
 	// mu guards prod's device map and everything that changes with it.
 	// Reviews, views and Quarantined read under mu.RLock; a commit (end to
 	// end), MutateProduction, Recover and the Set* seams write under
@@ -197,6 +205,15 @@ func (e *Enforcer) SetMeter(m telemetry.Meter) {
 	e.committed = labeled(m, "heimdall_enforcer_commits_total", "accepted", false, true)
 	e.handedOver = labeled(m, "heimdall_enforcer_commit_handover_total", "from", "review", "production", "computed")
 	e.retried = labeled(m, "heimdall_enforcer_push_retries_total", "phase", "apply", "rollback")
+	e.verifyTime = m.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets)
+	e.pushTime = m.Histogram("heimdall_enforcer_push_seconds", telemetry.LatencyBuckets)
+	e.applied = m.Counter("heimdall_enforcer_changes_applied_total")
+	e.snapHits = m.Counter("heimdall_enforcer_prod_snapshot_hits_total")
+	e.snapMisses = m.Counter("heimdall_enforcer_prod_snapshot_misses_total")
+	e.snapDerived = m.Counter("heimdall_enforcer_prod_snapshot_derived_total")
+	e.cacheHits = m.Counter("heimdall_enforcer_review_cache_hits_total")
+	e.cacheMisses = m.Counter("heimdall_enforcer_review_cache_misses_total")
+	e.checks = verify.NewInstruments(m)
 	e.trail.SetMeter(m)
 	e.journal.SetMeter(m)
 }
@@ -293,11 +310,10 @@ func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.
 		return d, fmt.Sprintf("review rejected: %d unauthorized changes", len(d.Unauthorized)), false
 	}
 
-	// Policy verification on a shadow copy. The shadow is copy-on-write:
-	// only the devices the change set names are cloned (ApplyChanges never
-	// creates devices and only writes the named ones), the rest are shared
-	// read-only with production.
-	shadow := e.prod.CloneCOW(touchedDevices(changes)...)
+	// Policy verification on a shadow copy, which shares production's
+	// devices: ApplyChanges replaces each device a change names with a copy
+	// that still shares every section the change set does not write.
+	shadow := e.prod.CloneCOW()
 	if err := config.ApplyChanges(shadow, changes); err != nil {
 		d.Violations = append(d.Violations, verify.Violation{
 			Reason: fmt.Sprintf("changes do not apply cleanly: %v", err),
@@ -316,9 +332,8 @@ func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.
 	shadowSnap := prodSnap.Derive(shadow, changeSetFor(e.prod, changes))
 	verifyStart := time.Now()
 	next := make(verify.Verdicts, len(e.policies))
-	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap, true), next, e.meter)
-	e.meter.Histogram("heimdall_enforcer_verify_seconds", telemetry.LatencyBuckets).
-		ObserveDuration(time.Since(verifyStart))
+	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap, true), next, e.checks)
+	e.verifyTime.ObserveDuration(time.Since(verifyStart))
 	d.Checked = res.Checked
 	d.Violations = append(d.Violations, untolerated(rule, res.Violations)...)
 	if d.Accepted = len(d.Violations) == 0; d.Accepted {
@@ -529,10 +544,11 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 			fmt.Sprintf("authz: high-risk change set authorized by %d approvals (M=%d)", len(approvals), e.Auth.M), true)
 	}
 	devices := touchedDevices(ordered)
-	// The push writes clones of the touched devices (open twins share the
-	// rest); backup holds the untouched originals: the journal's undos,
-	// rollback and the production ancestor's diff read them.
-	backup := e.prod.Detach(devices...)
+	// The push replaces the devices it writes (Target.Apply) and writes none:
+	// backup holds production as it was, its devices shared with open twins,
+	// and the journal's undos, rollback and the production ancestor's diff
+	// read them.
+	backup := e.prod.CloneCOW()
 	tgt := e.pushTarget()
 	policy := e.Retry.withDefaults()
 	e.commitSeq++
@@ -553,8 +569,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	for i, c := range ordered {
 		opStart := time.Now()
 		err := e.pushOp(policy, rng, "apply", func() error { return tgt.Apply(c) })
-		e.meter.Histogram("heimdall_enforcer_push_seconds", telemetry.LatencyBuckets).
-			ObserveDuration(time.Since(opStart))
+		e.pushTime.ObserveDuration(time.Since(opStart))
 		if err != nil {
 			outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
 				fmt.Sprintf("apply failed: %v", err))
@@ -567,7 +582,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 		pushed := c.String()
 		e.journal.Applied(cid, i, pushed)
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, pushed, true)
-		e.meter.Counter("heimdall_enforcer_changes_applied_total").Inc()
+		e.applied.Inc()
 	}
 	// Never trust, always verify: production must now be what was verified.
 	// A push that landed its review's shadow diffs empty against it, and the

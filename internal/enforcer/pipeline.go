@@ -28,8 +28,9 @@ import (
 // and RestoreDevice may fail transiently (see faultinject.IsTransient);
 // the pipeline retries around them.
 type Target interface {
-	// Apply pushes one change to the production device it names (a clone:
-	// netmodel.Network.Detach).
+	// Apply pushes one change to the production device it names, which it
+	// replaces (config.ApplyChange): open twins, the review's shadow and the
+	// commit's backup share the device it replaces, so never write it.
 	Apply(c config.Change) error
 	// RestoreDevice replaces a device's running state with the given
 	// pre-change device (rollback), which open twins may share: never write d.
@@ -53,7 +54,12 @@ func (t *memTarget) Apply(c config.Change) error {
 	if d == nil {
 		return fmt.Errorf("enforcer: no production device %q", c.Device)
 	}
-	return config.ApplyChange(d, c)
+	d, err := config.ApplyChange(d, c)
+	if err != nil {
+		return err
+	}
+	t.net.Devices[c.Device] = d
+	return nil
 }
 
 func (t *memTarget) RestoreDevice(name string, d *netmodel.Device) error {
@@ -164,9 +170,9 @@ func (e *Enforcer) SetInjector(inj *faultinject.Injector) {
 }
 
 // SetTarget replaces the production push path with a custom Target.
-// The target must mutate the network the enforcer was built on, because
-// post-apply verification recomputes from it. A nil target restores the
-// built-in in-memory path.
+// The target must replace devices of the network the enforcer was built on,
+// because post-apply verification recomputes from it. A nil target
+// restores the built-in in-memory path.
 func (e *Enforcer) SetTarget(t Target) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -337,14 +343,16 @@ func (e *Enforcer) Recover() (*RecoveryReport, error) {
 	e.journal.Recovered(intent.Commit, fmt.Sprintf("undid %d changes on %d devices; replaying them",
 		len(intent.Undos), len(devices)))
 	for i, c := range intent.Changes {
-		if err := config.ApplyChange(prod.Devices[c.Device], c); err != nil {
+		d, err := config.ApplyChange(prod.Devices[c.Device], c)
+		if err != nil {
 			return rollBack(true, fmt.Sprintf("recovery replay failed at change %d: %v", i, err))
 		}
+		prod.Devices[c.Device] = d
 		e.journal.Applied(intent.Commit, i, c.String())
 	}
 	// An emergency commit's intent names the violations it was allowed to
 	// leave standing; the replay answers to the same rule.
-	post := verify.CheckCarried(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, nil, nil, e.meter)
+	post := verify.CheckCarried(dataplane.ComputeWithOptions(prod, dataplane.Options{Meter: e.meter}), e.policies, nil, nil, e.checks)
 	if violations := untolerated(intent.Detail, post.Violations); len(violations) > 0 {
 		return rollBack(true, fmt.Sprintf("post-apply verification failed during recovery: %d violations", len(violations)))
 	}

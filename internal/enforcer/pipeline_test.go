@@ -170,8 +170,8 @@ func TestRollbackRestoresProductionExactly(t *testing.T) {
 	}
 }
 
-// A commit swaps a device pointer under the held pre-commit snapshot (it
-// pushes onto a clone, netmodel.Network.Detach) and a rollback swaps the
+// A commit swaps a device pointer under the held pre-commit snapshot (its
+// push replaces the device, config.ApplyChange) and a rollback swaps the
 // untouched pre-image back in (memTarget.RestoreDevice), so a trace on that
 // snapshot must read each hop's device from the network, never one
 // remembered from an earlier trace: a flow across r1 asked for the first
@@ -295,10 +295,8 @@ func TestQuarantineWhenRollbackFails(t *testing.T) {
 	}
 	// Final state is the full intended commit: pre + both changes.
 	want := pre.Clone()
-	for _, c := range changes {
-		if err := config.ApplyChange(want.Devices[c.Device], c); err != nil {
-			t.Fatal(err)
-		}
+	if err := config.ApplyChanges(want, changes); err != nil {
+		t.Fatal(err)
 	}
 	if fingerprint(n) != fingerprint(want) {
 		t.Fatal("recovered state is not the fully-committed state")
@@ -322,12 +320,12 @@ type misapplyTarget struct {
 }
 
 func (t *misapplyTarget) Apply(c config.Change) error {
-	if err := config.ApplyChange(t.net.Devices[c.Device], c); err != nil {
+	if err := config.ApplyChanges(t.net, []config.Change{c}); err != nil {
 		return err
 	}
 	if !t.done {
 		t.done = true
-		return config.ApplyChange(t.net.Devices[t.extra.Device], t.extra)
+		return config.ApplyChanges(t.net, []config.Change{t.extra})
 	}
 	return nil
 }

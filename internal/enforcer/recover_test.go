@@ -175,7 +175,7 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 			for _, r := range prefix {
 				switch r.Kind {
 				case journal.KindApplied:
-					if err := config.ApplyChange(state.Devices[ordered[r.ChangeIndex].Device], ordered[r.ChangeIndex]); err != nil {
+					if err := config.ApplyChanges(state, ordered[r.ChangeIndex:r.ChangeIndex+1]); err != nil {
 						t.Fatalf("%s: replaying applied record: %v", name, err)
 					}
 				case journal.KindCommitted:
@@ -186,8 +186,7 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 			crashes++
 			// The push of the next change landed; its applied record did not.
 			if k < len(full) && full[k].Kind == journal.KindApplied {
-				c := ordered[full[k].ChangeIndex]
-				if err := config.ApplyChange(state.Devices[c.Device], c); err != nil {
+				if err := config.ApplyChanges(state, ordered[full[k].ChangeIndex:full[k].ChangeIndex+1]); err != nil {
 					t.Fatal(err)
 				}
 				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, full[k].ChangeIndex), trail, prefix, state, false, finalFP)
@@ -346,7 +345,7 @@ func TestRecoverKeepsTwinDevices(t *testing.T) {
 	committed := fingerprint(n)
 	// Crash after the first push and its applied record.
 	records := e.Journal().Records()[:2]
-	if err := config.ApplyChange(pre.Devices["r1"], records[0].Changes[0]); err != nil {
+	if err := config.ApplyChanges(pre, records[0].Changes[:1]); err != nil {
 		t.Fatal(err)
 	}
 	twin := pre.CloneCOW()
@@ -379,7 +378,7 @@ func TestRecoverRestartQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := e.Journal().Records()[:2] // the intent and the first push
-	if err := config.ApplyChange(pre.Devices["r1"], records[0].Changes[0]); err != nil {
+	if err := config.ApplyChanges(pre, records[0].Changes[:1]); err != nil {
 		t.Fatal(err)
 	}
 	trail, _ := exports(t, e)

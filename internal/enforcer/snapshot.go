@@ -26,8 +26,9 @@ package enforcer
 //
 // Only the enforcer writes production, so only it moves the snapshot on:
 // production's devices are immutable once published (open twins share
-// them), a writer replaces each device it writes (netmodel.Network.Detach),
-// and a snapshot reads its network's devices from the map lazily (ACLs at
+// them), a writer replaces each device it writes (a commit's push with
+// config.ApplyChange's copy, the other writers with netmodel.Network.Detach's
+// clone), and a snapshot reads its network's devices from the map lazily (ACLs at
 // trace time), so the held snapshot is read only under the lock and leaves
 // it rebound to a copy (View). Every writer holds the write lock and ends,
 // before it unlocks, in a commit's hand-over (an emergency write's too), in
@@ -95,18 +96,17 @@ func (e *Enforcer) HeldVerdicts() verify.Verdicts {
 // only immutable structures. Concurrent first readers wait for one
 // computation.
 func (e *Enforcer) productionSnapshot() *dataplane.Snapshot {
-	hits := e.meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	if h := e.prodSnap.Load(); h != nil {
-		hits.Inc()
+		e.snapHits.Inc()
 		return h.snap
 	}
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	if h := e.prodSnap.Load(); h != nil {
-		hits.Inc()
+		e.snapHits.Inc()
 		return h.snap
 	}
-	e.meter.Counter("heimdall_enforcer_prod_snapshot_misses_total").Inc()
+	e.snapMisses.Inc()
 	snap := dataplane.ComputeWithOptions(e.prod, dataplane.Options{Meter: e.meter})
 	e.prodSnap.Store(&heldSnapshot{snap: snap})
 	return snap
@@ -114,12 +114,12 @@ func (e *Enforcer) productionSnapshot() *dataplane.Snapshot {
 
 // productionWritten is invalidate for a writer that names what it wrote,
 // under the write lock: production was written on exactly the listed
-// devices, and pre holds them as they were (what netmodel.Network.Detach
-// returned before the write). Every cached verdict dies, but the held
-// snapshot is derived across the write (diffAcross; the same one when
-// nothing changed) and its vector checked across it as a commit's is
-// (handOver); a vector no review completed yet is still to be completed, on
-// the snapshot as it now is. The list is a claim nobody checks here: a
+// devices, and pre holds them as they were (a CloneCOW taken before the
+// write, as netmodel.Network.Detach returns one). Every cached verdict
+// dies, but the held snapshot is derived across the write (diffAcross; the
+// same one when nothing changed) and its vector checked across it as a
+// commit's is (handOver); a vector no review completed yet is still to be
+// completed, on the snapshot as it now is. The list is a claim nobody checks here: a
 // device written but not listed leaves a wrong snapshot held. Nothing held,
 // or a listed device missing on either side, is a drop.
 func (e *Enforcer) productionWritten(pre *netmodel.Network, devices []string) {
@@ -133,12 +133,12 @@ func (e *Enforcer) productionWritten(pre *netmodel.Network, devices []string) {
 		next := &heldSnapshot{snap: h.snap.Derive(e.prod, cs)}
 		if h.verdicts != nil {
 			next.verdicts = make(verify.Verdicts, len(e.policies))
-			verify.CheckCarried(next.snap, e.policies, h.verdicts, next.verdicts, e.meter)
+			verify.CheckCarried(next.snap, e.policies, h.verdicts, next.verdicts, e.checks)
 		}
 		h = next
 	}
 	e.prodSnap.Store(h)
-	e.meter.Counter("heimdall_enforcer_prod_snapshot_derived_total").Inc()
+	e.snapDerived.Inc()
 }
 
 // diffAcross is what differs between from and to on the named devices
@@ -184,5 +184,5 @@ func (e *Enforcer) handOver(key string, pre *dataplane.Snapshot, backup *netmode
 		return snap, verdicts, verdicts.Violations(), from
 	}
 	next := make(verify.Verdicts, len(e.policies))
-	return snap, next, verify.CheckCarried(snap, e.policies, verdicts, next, e.meter).Violations, from
+	return snap, next, verify.CheckCarried(snap, e.policies, verdicts, next, e.checks).Violations, from
 }

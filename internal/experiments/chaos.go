@@ -136,9 +136,11 @@ func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.N
 				return nil, fmt.Errorf("applied record %d without matching intent", r.Index)
 			}
 			c := intent.Changes[r.ChangeIndex]
-			if err := config.ApplyChange(state.Devices[c.Device], c); err != nil {
+			d, err := config.ApplyChange(state.Devices[c.Device], c)
+			if err != nil {
 				return nil, fmt.Errorf("replaying change %d: %w", r.ChangeIndex, err)
 			}
+			state.Devices[c.Device] = d
 		case journal.KindRolledBack, journal.KindQuarantined, journal.KindRecovered:
 			if intent == nil {
 				return nil, fmt.Errorf("%s record %d without intent", r.Kind, r.Index)

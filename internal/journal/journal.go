@@ -15,8 +15,6 @@
 package journal
 
 import (
-	"encoding/json"
-	"fmt"
 	"strconv"
 
 	"heimdall/internal/chain"
@@ -90,16 +88,17 @@ type Record struct {
 }
 
 // AppendFields writes the record's payload for the chain's content rule.
-// Only an intent record holds a change set, undos or approvals, and only
-// those go through encoding/json.
+// Only an intent record holds a change set, undos or approvals; each list
+// has its own appender (config.AppendChanges, config.AppendUndos,
+// appendApprovals), and none goes through encoding/json.
 func (r *Record) AppendFields(b []byte) []byte {
 	b = chain.AppendString(append(b, `"kind":`...), string(r.Kind))
 	b = chain.AppendString(append(b, `,"commit":`...), r.Commit)
 	b = appendString(append(b, ','), "ticket", r.Ticket)
 	b = appendString(b, "technician", r.Technician)
-	b = appendJSON(b, "changes", r.Changes)
-	b = appendJSON(b, "undos", r.Undos)
-	b = appendJSON(b, "approvals", r.Approvals)
+	b = appendList(b, "changes", r.Changes, config.AppendChanges)
+	b = appendList(b, "undos", r.Undos, config.AppendUndos)
+	b = appendList(b, "approvals", r.Approvals, appendApprovals)
 	b = strconv.AppendInt(append(b, `"changeIndex":`...), int64(r.ChangeIndex), 10)
 	b = appendString(append(b, ','), "detail", r.Detail)
 	b = appendStrings(b, "restored", r.Restored)
@@ -129,17 +128,28 @@ func appendStrings(b []byte, name string, v []string) []byte {
 	return append(b, "],"...)
 }
 
-// appendJSON writes an omitempty list by encoding/json, which encodes a
-// value alone as it does inside its parent.
-func appendJSON[E any](b []byte, name string, v []E) []byte {
+// appendList writes an omitempty list by its appender.
+func appendList[E any](b []byte, name string, v []E, enc func([]byte, []E) []byte) []byte {
 	if len(v) == 0 {
 		return b
 	}
-	data, err := json.Marshal(v)
-	if err != nil {
-		panic(fmt.Sprintf("journal: marshal %s: %v", name, err))
+	return append(enc(appendName(b, name), v), ',')
+}
+
+// appendApprovals writes approvals as encoding/json.Marshal does.
+func appendApprovals(b []byte, approvals []Approval) []byte {
+	b = append(b, '[')
+	for i, a := range approvals {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = chain.AppendString(append(b, `{"signer":`...), a.Signer)
+		if a.Role != "" {
+			b = chain.AppendString(append(b, `,"role":`...), a.Role)
+		}
+		b = append(chain.AppendString(append(b, `,"mac":`...), a.MAC), '}')
 	}
-	return append(append(appendName(b, name), data...), ',')
+	return append(b, ']')
 }
 
 func appendName(b []byte, name string) []byte {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -230,11 +231,62 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
+// TestAppendAllocBudget: BenchmarkAppend's commit (an intent with one
+// change and its undo, an applied record, a committed record) allocates the
+// hash and MAC strings of its three records and, amortized, their page
+// slots: the intent's change set and undos encode into the log's scratch
+// buffer, not through encoding/json.
+func TestAppendAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: CI's \"Allocation budgets\" step runs this without -race")
+	}
+	j := New([]byte("bench-key"))
+	changes, undos := sampleChanges()[:1], sampleUndos()[:1]
+	commit := func() {
+		j.Intent("T1#1", "T1", "alice", changes, undos)
+		j.Applied("T1#1", 0, "add acl entry")
+		j.Committed("T1#1", "1 change")
+	}
+	if n := testing.AllocsPerRun(2048, commit); n > 6 {
+		t.Errorf("a commit journals with %v allocations, want at most 6", n)
+	}
+}
+
 // TestPageBoundaries runs a journal of 2,500 records, three storage pages
 // of the chain, through everything that walks them: Verify, Export, Import,
-// Open across a page boundary, and truncation at one.
+// Open across a page boundary, and truncation at one. The first page grows
+// by doubling: a 10-record journal holds at most 16 slots, and the pages a
+// View handed out before a growth step still verify and export as they did.
 func TestPageBoundaries(t *testing.T) {
 	key := []byte("k1")
+	short := New(key)
+	short.SetClock(testClock())
+	var kept [][]Record
+	var before []byte
+	for short.Len() < 10 {
+		if short.Len() == 8 { // the first page is full: the next record grows it
+			short.View(func(pages [][]Record) { kept = slices.Clone(pages) })
+			before, _ = short.Export()
+		}
+		short.Applied("c#1", short.Len(), "add acl entry")
+	}
+	held := slices.Concat(kept...)
+	if err := chain.Verify(held, key); err != nil {
+		t.Fatalf("a view taken before the first page grew: %v", err)
+	}
+	if again, _ := json.MarshalIndent(held, "", "  "); len(held) != 8 || !bytes.Equal(again, before) {
+		t.Fatal("a view taken before the first page grew exports differently after it")
+	}
+	slots := 0
+	short.View(func(pages [][]Record) {
+		for _, pg := range pages {
+			slots += cap(pg)
+		}
+	})
+	if slots > 16 {
+		t.Fatalf("a 10-record journal holds %d slots, want at most 16", slots)
+	}
+
 	j := New(key)
 	j.SetClock(testClock())
 	changes := sampleChanges()[:1]

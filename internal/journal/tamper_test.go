@@ -18,6 +18,7 @@ import (
 	"heimdall/internal/audit"
 	"heimdall/internal/chain"
 	"heimdall/internal/config"
+	"heimdall/internal/config/changegen"
 )
 
 // fullJournal builds a chain containing every record kind, with an intent
@@ -457,21 +458,29 @@ func TestDiffRelations(t *testing.T) {
 // for any trail entry and journal record, chain.AppendContent writes
 // exactly the bytes json.Marshal writes for the link with Hash and MAC
 // blank, whatever the link holds in them, and panics exactly where
-// json.Marshal fails (a time RFC 3339 cannot carry).
+// json.Marshal fails (a time RFC 3339 cannot carry). An intent's change set
+// and undos are drawn from payload as the change-set digest's fuzz draws
+// them (changegen): invalid prefixes, zero and zoned addresses, nil and
+// empty lists and maps, strings and OSPF passive keys that need escaping.
 func FuzzLinkContent(f *testing.F) {
 	// One seed per escape class of encoding/json's strings, HTML escaping
 	// on, each in every string field and with every list shape.
+	payloads := [][]byte{
+		{2, 1, 2, 63, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{3, 3, 0, 8, 2, 1, 1, 1, 1, 2, 2, 3, 3, 2, 5, 6, 127, 1, 3, 3, 6, 6},
+		{1, 4, 9, 32, 1, 2, 1, 2, 2, 2, 2, 3, 0, 5, 0, 0, 255, 3, 3, 2, 1, 5, 1},
+	}
 	for i, s := range []string{
 		"", "plain [r1] show ip route", `"quoted" back\slash`, "\b\f\n\r\t", "\x00\x01\x1f\x7f",
 		"<a href='x'>&amp;</a>", "\xff\xfe bad \xc3 utf-8 \xe2\x80", "line\u2028para\u2029", "héllo 世界 🙂",
 	} {
-		f.Add(s, s, s, s, i%2 == 0, i, int64(1700000000+i), uint32(123456789*i), int32(3600*i), uint16(i*0x5555))
+		f.Add(s, s, s, s, i%2 == 0, i, int64(1700000000+i), uint32(123456789*i), int32(3600*i), uint16(i*0x5555), payloads[i%len(payloads)])
 	}
-	f.Add("T", "x", "command", "d", true, 0, int64(253402300800), uint32(0), int32(0), uint16(0)) // year 10000
-	f.Add("T", "x", "command", "d", true, 0, int64(-62135596801), uint32(0), int32(0), uint16(0)) // year -1
-	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(24*3600), uint16(0))
-	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(-86399), uint16(0))
-	f.Fuzz(func(t *testing.T, a, b, c, d string, allowed bool, index int, sec int64, nsec uint32, zone int32, shape uint16) {
+	f.Add("T", "x", "command", "d", true, 0, int64(253402300800), uint32(0), int32(0), uint16(0), []byte(nil)) // year 10000
+	f.Add("T", "x", "command", "d", true, 0, int64(-62135596801), uint32(0), int32(0), uint16(0), []byte(nil)) // year -1
+	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(24*3600), uint16(0), []byte(nil))
+	f.Add("T", "x", "command", "d", true, 0, int64(1700000000), uint32(1), int32(-86399), uint16(0), []byte(nil))
+	f.Fuzz(func(t *testing.T, a, b, c, d string, allowed bool, index int, sec int64, nsec uint32, zone int32, shape uint16, payload []byte) {
 		at := time.Unix(sec, int64(nsec%1e9)).UTC()
 		if zone != 0 {
 			at = at.In(time.FixedZone("fuzz", int(zone)))
@@ -482,9 +491,10 @@ func FuzzLinkContent(f *testing.F) {
 
 		// Two bits of shape per list: nil, empty, one element, several.
 		strs := func(k uint) []string { return [][]string{nil, {}, {a}, {b, c, d}}[shape>>k&3] }
+		changes, undos := changegen.Draw(payload)
 		record := Record{Header: head, Kind: Kind(a), Commit: b, Ticket: c, Technician: d,
-			Changes:     [][]config.Change{nil, {}, sampleChanges()[:1], sampleChanges()}[shape&3],
-			Undos:       [][]config.Undo{nil, {}, sampleUndos()[:1], sampleUndos()}[shape>>2&3],
+			Changes:     [][]config.Change{nil, {}, sampleChanges(), changes}[shape&3],
+			Undos:       [][]config.Undo{nil, {}, sampleUndos(), undos}[shape>>2&3],
 			Approvals:   [][]Approval{nil, {}, {{Signer: a, MAC: b}}, {{Signer: c, Role: d, MAC: a}, {Signer: b}}}[shape>>4&3],
 			ChangeIndex: index, Detail: c, Restored: strs(6), Unrestored: strs(8)}
 		sameContent(t, &record, &record.Seal, chain.Seal{PrevHash: a, Hash: c, MAC: d})

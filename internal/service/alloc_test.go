@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -78,6 +79,63 @@ func TestMeteredExecAllocatesNoMore(t *testing.T) {
 		t.Logf("%q: %v allocations metered, %v unmetered", cmd, allocs, plain)
 		if allocs > plain {
 			t.Errorf("%q: a metered line allocates %v times, an unmetered one %v", cmd, allocs, plain)
+		}
+	}
+}
+
+// TestReviewAndCommitLookUpNoMetric: the review and commit paths look
+// their metrics up once (per service, tenant, twin or enforcer), so once a
+// tenant has worked one ticket end to end, the next ticket's review (a
+// verdict-cache miss), its repeat (a hit) and its commit look no metric up.
+func TestReviewAndCommitLookUpNoMetric(t *testing.T) {
+	m := &lookupMeter{Registry: telemetry.NewRegistry()}
+	svc := New(Config{Meter: m, PlatformSeed: "alloc"})
+	t.Cleanup(svc.Close)
+	if _, err := svc.CreateTenant("acme", "university"); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := svc.Tenant("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	issue := tn.ScenarioData().Issues[0]
+	for round := 0; round < 2; round++ {
+		tk, err := svc.InjectIssue("acme", issue.Name, "admin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := svc.CreateSession("acme", "alice", tk.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cmd := range issue.Script {
+			if _, err := svc.Exec("acme", info.Session, info.Token, cmd.Device, cmd.Line); err != nil {
+				t.Fatalf("exec %q on %s: %v", cmd.Line, cmd.Device, err)
+			}
+		}
+		before := m.n.Load()
+		for i := 0; i < 2; i++ {
+			if res, err := svc.Review("acme", info.Session, info.Token); err != nil || !res.Accepted {
+				t.Fatalf("review %d: %+v, %v", i, res, err)
+			}
+		}
+		if res, err := svc.Commit("acme", info.Session, info.Token); err != nil || !res.Committed {
+			t.Fatalf("commit: %+v, %v", res, err)
+		}
+		if n := m.n.Load() - before; round > 0 && n != 0 {
+			t.Errorf("two reviews and a commit looked up %d metrics, want 0", n)
+		}
+	}
+	metrics := m.Registry.Dump()
+	for _, series := range []string{
+		`heimdall_service_commits_total{tenant="acme"} 2`, "heimdall_service_review_cache_hits_total 2",
+		"heimdall_enforcer_verify_seconds_count", "heimdall_enforcer_push_seconds_count", "heimdall_enforcer_changes_applied_total",
+		"heimdall_enforcer_prod_snapshot_hits_total", "heimdall_enforcer_review_cache_misses_total 2",
+		"heimdall_verify_runs_total", "heimdall_dataplane_flowcache_hits_total", `heimdall_service_tenant_queue_depth{tenant="acme"}`,
+		"heimdall_service_queue_wait_seconds_count", "heimdall_service_verify_seconds_count", `heimdall_twin_changes_total{memo="hit"}`,
+	} {
+		if !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks %s", series)
 		}
 	}
 }

@@ -35,12 +35,16 @@ type Pool struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	meter      telemetry.Meter
-	depthGauge telemetry.Gauge
+	// The instruments, looked up once: the pool's, and each tenant's
+	// queue depth when its queue is made.
+	meter                 telemetry.Meter
+	depthGauge            telemetry.Gauge
+	queueWait, verifyTime telemetry.Histogram
 }
 
 type tenantQueue struct {
 	tasks []*poolTask
+	depth telemetry.Gauge // heimdall_service_tenant_queue_depth{tenant}
 }
 
 type poolTask struct {
@@ -72,6 +76,8 @@ func NewPool(workers, tenantQueueCap int, meter telemetry.Meter) *Pool {
 		closed:     make(chan struct{}),
 		meter:      meter,
 		depthGauge: meter.Gauge("heimdall_service_queue_depth"),
+		queueWait:  meter.Histogram("heimdall_service_queue_wait_seconds", telemetry.LatencyBuckets),
+		verifyTime: meter.Histogram("heimdall_service_verify_seconds", telemetry.LatencyBuckets),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
@@ -114,26 +120,21 @@ func (p *Pool) worker() {
 			t.started = true
 			p.depth--
 			depth := p.depth
-			backlog := len(p.queues[tenant].tasks)
+			q := p.queues[tenant]
+			backlog := len(q.tasks)
 			p.mu.Unlock()
 			p.depthGauge.Set(float64(depth))
-			p.tenantGauge(tenant).Set(float64(backlog))
+			q.depth.Set(float64(backlog))
 			// Queue wait (submit to dequeue) is backlog and verify_seconds
 			// is enforcer cost: two histograms, never one.
 			start := time.Now()
-			p.meter.Histogram("heimdall_service_queue_wait_seconds", telemetry.LatencyBuckets).
-				ObserveDuration(start.Sub(t.submitted))
+			p.queueWait.ObserveDuration(start.Sub(t.submitted))
 			t.fn()
-			p.meter.Histogram("heimdall_service_verify_seconds", telemetry.LatencyBuckets).
-				ObserveDuration(time.Since(start))
+			p.verifyTime.ObserveDuration(time.Since(start))
 			close(t.done)
 			break
 		}
 	}
-}
-
-func (p *Pool) tenantGauge(tenant string) telemetry.Gauge {
-	return p.meter.Gauge("heimdall_service_tenant_queue_depth", telemetry.L("tenant", tenant))
 }
 
 // Do submits fn on the tenant's queue and waits for a worker to finish
@@ -149,7 +150,7 @@ func (p *Pool) Do(tenant string, fn func()) error {
 	}
 	q, ok := p.queues[tenant]
 	if !ok {
-		q = &tenantQueue{}
+		q = &tenantQueue{depth: p.meter.Gauge("heimdall_service_tenant_queue_depth", telemetry.L("tenant", tenant))}
 		p.queues[tenant] = q
 		p.ring = append(p.ring, tenant)
 	}
@@ -164,7 +165,7 @@ func (p *Pool) Do(tenant string, fn func()) error {
 	depth := p.depth
 	p.mu.Unlock()
 	p.depthGauge.Set(float64(depth))
-	p.tenantGauge(tenant).Set(float64(backlog))
+	q.depth.Set(float64(backlog))
 	p.cond.Signal()
 
 	select {

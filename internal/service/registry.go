@@ -49,9 +49,10 @@ type Tenant struct {
 	sys      *core.System
 	issues   []scenarios.Issue
 
-	// The tenant's per-line metrics, looked up when it is created.
-	mediation        telemetry.Histogram
-	commands, denied telemetry.Counter
+	// The tenant's per-line metrics and its commit counter, looked up when
+	// it is created.
+	mediation                 telemetry.Histogram
+	commands, denied, commits telemetry.Counter
 
 	mu       sync.Mutex
 	seq      int

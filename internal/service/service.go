@@ -94,6 +94,9 @@ type Service struct {
 	idle    time.Duration
 	meter   telemetry.Meter
 	seed    string
+	// reviewHits is heimdall_service_review_cache_hits_total, looked up
+	// once.
+	reviewHits telemetry.Counter
 }
 
 // BuiltinCatalog returns the built-in evaluation scenarios: the three
@@ -136,7 +139,6 @@ func New(cfg Config) *Service {
 	}
 	// Touch the hot-path counters once so /metrics exposes them at zero
 	// from the first scrape (the registry only dumps metrics it has seen).
-	cfg.Meter.Counter("heimdall_service_review_cache_hits_total")
 	cfg.Meter.Counter("heimdall_service_backpressure_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_hits_total")
 	cfg.Meter.Counter("heimdall_enforcer_prod_snapshot_misses_total")
@@ -152,6 +154,8 @@ func New(cfg Config) *Service {
 		idle:    cfg.IdleTimeout,
 		meter:   cfg.Meter,
 		seed:    cfg.PlatformSeed,
+
+		reviewHits: cfg.Meter.Counter("heimdall_service_review_cache_hits_total"),
 	}
 }
 
@@ -207,6 +211,7 @@ func (s *Service) CreateTenant(id, scenario string) (TenantInfo, error) {
 			telemetry.L("tenant", id)),
 		commands: s.meter.Counter("heimdall_service_commands_total", telemetry.L("tenant", id)),
 		denied:   s.meter.Counter("heimdall_service_denied_total", telemetry.L("tenant", id)),
+		commits:  s.meter.Counter("heimdall_service_commits_total", telemetry.L("tenant", id)),
 	}
 	if err := s.reg.add(t); err != nil {
 		return TenantInfo{}, err
@@ -563,7 +568,7 @@ func (s *Service) Review(tenant, session, token string) (ReviewResult, error) {
 			res = decisionResult(d, len(changes))
 		}
 		if hit {
-			s.meter.Counter("heimdall_service_review_cache_hits_total").Inc()
+			s.reviewHits.Inc()
 		}
 		inner = rerr
 	})
@@ -599,7 +604,7 @@ func (s *Service) Commit(tenant, session, token string) (ReviewResult, error) {
 	}
 	if inner == nil {
 		res.Committed = true
-		s.meter.Counter("heimdall_service_commits_total", telemetry.L("tenant", tenant)).Inc()
+		sess.tenant.commits.Inc()
 	}
 	res.Ticket = sess.TicketID
 	if tk := sess.tenant.sys.Tickets.Get(sess.TicketID); tk != nil {

@@ -7,8 +7,8 @@
 // so zero-config callers pay (almost) nothing and need no wiring: the
 // no-op instruments are method calls on empty structs that the compiler
 // can inline away. A deployment that wants metrics passes a *Registry
-// (which implements Meter) through core.Options, service.Config or
-// twin.Config, and dumps it with Registry.Dump / WritePrometheus —
+// (which implements Meter) through core.Options or service.Config (or to
+// twin.NewInstruments for twin.Config), and dumps it with Registry.Dump / WritePrometheus —
 // surfaced to operators as the `heimdallctl metrics` subcommand and
 // heimdalld's /metrics endpoint.
 package telemetry

@@ -53,11 +53,41 @@ type Config struct {
 	Slice map[string]bool
 	// Trail receives reference-monitor decisions; nil disables auditing.
 	Trail *audit.Trail
-	// Meter receives reference-monitor metrics (commands mediated,
-	// allow/deny decisions per action class, mediation latency); nil
-	// means the no-op meter.
-	Meter telemetry.Meter
+	// Instruments receive the twin's metrics (commands mediated, allow/deny
+	// decisions per action class, mediation latency, change-set memo); nil
+	// means the no-op meter's.
+	Instruments *Instruments
 }
+
+// Instruments are the metrics a twin counts on, looked up once on a meter
+// and shared by every twin opened with them, so an open and a review look
+// none up: commands mediated, mediation and exec latency, and Changes'
+// memo hits, memo misses and devices diffed. The labeled counters are
+// looked up on the meter by each twin at their first use.
+type Instruments struct {
+	meter                                     telemetry.Meter
+	commands, changesHit, changesMiss, diffed telemetry.Counter
+	mediation, execTime                       telemetry.Histogram
+}
+
+// NewInstruments looks a twin's metrics up on m (nil: the no-op meter).
+func NewInstruments(m telemetry.Meter) *Instruments {
+	if m == nil {
+		m = telemetry.Nop()
+	}
+	return &Instruments{
+		meter:       m,
+		commands:    m.Counter("heimdall_monitor_commands_total"),
+		mediation:   m.Histogram("heimdall_monitor_mediation_seconds", telemetry.LatencyBuckets),
+		execTime:    m.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets),
+		changesHit:  m.Counter("heimdall_twin_changes_total", telemetry.L("memo", "hit")),
+		changesMiss: m.Counter("heimdall_twin_changes_total", telemetry.L("memo", "miss")),
+		diffed:      m.Counter("heimdall_twin_devices_diffed_total"),
+	}
+}
+
+// unmetered is NewInstruments(nil), for a twin opened without any.
+var unmetered = NewInstruments(nil)
 
 // Twin is one instantiated twin network.
 type Twin struct {
@@ -74,15 +104,13 @@ type Twin struct {
 	visible  []string          // the slice, sorted: fixed, unlike emul's map
 	env      *console.Env
 	trail    *audit.Trail
-	meter    telemetry.Meter
 
-	// The per-line metrics, looked up once: commands, mediation and exec
-	// latency at creation, each labeled counter at its first use (under
-	// labeledMu, since OpenConsole decides outside mu).
-	commands            telemetry.Counter
-	mediation, execTime telemetry.Histogram
-	labeledMu           sync.Mutex
-	labeled             map[[3]string]telemetry.Counter
+	// The metrics: the shared instruments, and each labeled counter looked
+	// up at its first use (under labeledMu, since OpenConsole decides
+	// outside mu).
+	ins       *Instruments
+	labeledMu sync.Mutex
+	labeled   map[[3]string]telemetry.Counter
 
 	// mu serializes everything that touches the emulation layer or the
 	// console environment's snapshot cache: command execution, diffing,
@@ -105,7 +133,7 @@ type Twin struct {
 
 // New builds the twin: the emulation layer is production sanitized
 // (config.Sanitize), sharing all but secrets with production's devices,
-// which no production writer writes (netmodel.Network.Detach). An open
+// which no production writer writes: each replaces the device it writes. An open
 // copies nothing: a device is cloned at its first write, and the one it
 // replaces is kept as the baseline its change set is diffed against.
 func New(cfg Config) (*Twin, error) {
@@ -136,9 +164,9 @@ func FromView(cfg Config) (*Twin, error) {
 		}
 	}
 	sort.Strings(visible)
-	meter := cfg.Meter
-	if meter == nil {
-		meter = telemetry.Nop()
+	ins := cfg.Instruments
+	if ins == nil {
+		ins = unmetered
 	}
 	tw := &Twin{
 		ticket:     cfg.Ticket,
@@ -148,10 +176,7 @@ func FromView(cfg Config) (*Twin, error) {
 		pre:        make(map[string]*netmodel.Device),
 		visible:    visible,
 		trail:      cfg.Trail,
-		meter:      meter,
-		commands:   meter.Counter("heimdall_monitor_commands_total"),
-		mediation:  meter.Histogram("heimdall_monitor_mediation_seconds", telemetry.LatencyBuckets),
-		execTime:   meter.Histogram("heimdall_monitor_exec_seconds", telemetry.LatencyBuckets),
+		ins:        ins,
 		labeled:    make(map[[3]string]telemetry.Counter),
 	}
 	// Technician consoles are the emulation layer's only writers (Exec
@@ -219,9 +244,9 @@ func (tw *Twin) Snapshot() *dataplane.Snapshot {
 func (tw *Twin) Changes() []config.Change {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	memo := "hit"
+	memo := tw.ins.changesHit
 	if tw.stale {
-		memo = "miss"
+		memo = tw.ins.changesMiss
 		tw.changes = nil
 		written := make([]string, 0, len(tw.pre))
 		for name := range tw.pre {
@@ -232,9 +257,9 @@ func (tw *Twin) Changes() []config.Change {
 			tw.changes = append(tw.changes, config.DiffDevice(tw.pre[name], tw.emul.Devices[name])...)
 		}
 		tw.stale = false
-		tw.meter.Counter("heimdall_twin_devices_diffed_total").Add(float64(len(tw.pre)))
+		tw.ins.diffed.Add(float64(len(tw.pre)))
 	}
-	tw.meter.Counter("heimdall_twin_changes_total", telemetry.L("memo", memo)).Inc()
+	memo.Inc()
 	return slices.Clone(tw.changes)
 }
 
@@ -269,7 +294,7 @@ func (tw *Twin) counter(name, k1, v1, k2, v2 string) telemetry.Counter {
 	defer tw.labeledMu.Unlock()
 	c, ok := tw.labeled[key]
 	if !ok {
-		c = tw.meter.Counter(name, telemetry.L(k1, v1), telemetry.L(k2, v2))
+		c = tw.ins.meter.Counter(name, telemetry.L(k1, v1), telemetry.L(k2, v2))
 		tw.labeled[key] = c
 	}
 	return c
@@ -311,25 +336,25 @@ func (s *Session) Exec(line string) (string, error) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
 	start := time.Now()
-	tw.commands.Inc()
+	tw.ins.commands.Inc()
 	cmd, err := s.con.Parse(line)
 	if err != nil {
-		tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s (parse error)", s.Device(), line), false)
+		tw.log(audit.KindCommand, "["+s.Device()+"] "+line+" (parse error)", false)
 		tw.decision("deny", "parse-error")
 		return "", err
 	}
-	tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s", s.Device(), line), true)
+	tw.log(audit.KindCommand, "["+s.Device()+"] "+line, true)
 	if !tw.rules().c.Allows(cmd.Action, cmd.Resource) {
-		tw.log(audit.KindDecision, fmt.Sprintf("deny %s on %s", cmd.Action, cmd.Resource), false)
+		tw.log(audit.KindDecision, "deny "+cmd.Action+" on "+cmd.Resource, false)
 		tw.decision("deny", actionClass(cmd.Action))
-		tw.mediation.ObserveDuration(time.Since(start))
+		tw.ins.mediation.ObserveDuration(time.Since(start))
 		return "", &ErrDenied{Action: cmd.Action, Resource: cmd.Resource}
 	}
-	tw.log(audit.KindDecision, fmt.Sprintf("allow %s on %s", cmd.Action, cmd.Resource), true)
+	tw.log(audit.KindDecision, "allow "+cmd.Action+" on "+cmd.Resource, true)
 	tw.decision("allow", actionClass(cmd.Action))
 	// Mediation latency is the monitor's own cost: parse + privilege
 	// check + audit, before the command touches the emulation layer.
-	tw.mediation.ObserveDuration(time.Since(start))
+	tw.ins.mediation.ObserveDuration(time.Since(start))
 	write := "read"
 	if cmd.Write {
 		write = "write"
@@ -343,7 +368,7 @@ func (s *Session) Exec(line string) (string, error) {
 	}
 	tw.counter("heimdall_console_dispatch_total", "action", cmd.Action, "write", write).Inc()
 	out, err := s.con.Execute(cmd)
-	tw.execTime.ObserveDuration(time.Since(start))
+	tw.ins.execTime.ObserveDuration(time.Since(start))
 	if err != nil {
 		tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s failed: %v", s.Device(), line, err), true)
 		return "", err

@@ -369,7 +369,7 @@ func TestTwinMetrics(t *testing.T) {
 	}}
 	reg := telemetry.NewRegistry()
 	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prodNet(),
-		Spec: spec, Meter: reg})
+		Spec: spec, Instruments: NewInstruments(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"heimdall/internal/config"
+	"heimdall/internal/config/changegen"
 	"heimdall/internal/netmodel"
 )
 
@@ -151,120 +152,6 @@ func TestChangeSetDigestCoversEveryField(t *testing.T) {
 	t.Logf("%d mutations, each moved the digest", n)
 }
 
-// digestReader decodes fuzz bytes into change sets, every field drawn from
-// a few values so that equal sets come up often; a read past the end is 0.
-type digestReader struct{ b []byte }
-
-func (r *digestReader) byte() byte {
-	if len(r.b) == 0 {
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *digestReader) int() int { return int(int8(r.byte())) }
-
-// str draws from strings one of which is two others run together, so an
-// encoding that does not delimit them would collide.
-func (r *digestReader) str() string { return []string{"", "a", "b", "ab", "Gi0/0"}[r.byte()%5] }
-
-func (r *digestReader) bool() bool { return r.byte()&1 == 1 }
-
-// n is a slice or map length, -1 for nil.
-func (r *digestReader) n() int { return int(r.byte()%4) - 1 }
-
-func (r *digestReader) addr() netip.Addr {
-	switch r.byte() % 4 {
-	case 1:
-		return netip.AddrFrom4([4]byte{10, 0, r.byte() % 2, r.byte() % 3})
-	case 2:
-		return netip.AddrFrom16([16]byte{15: r.byte() % 3})
-	case 3:
-		return netip.AddrFrom16([16]byte{0: 0xfe, 1: 0x80, 15: 1}).WithZone([]string{"", "eth0"}[r.byte()%2])
-	}
-	return netip.Addr{}
-}
-
-func (r *digestReader) prefix() netip.Prefix {
-	a := r.addr()
-	if !a.IsValid() {
-		return netip.Prefix{}
-	}
-	return netip.PrefixFrom(a, int(r.byte()%40))
-}
-
-func (r *digestReader) areas() []netmodel.OSPFNetwork {
-	n := r.n()
-	if n < 0 {
-		return nil
-	}
-	out := make([]netmodel.OSPFNetwork, n)
-	for i := range out {
-		out[i] = netmodel.OSPFNetwork{Prefix: r.prefix(), Area: r.int()}
-	}
-	return out
-}
-
-func (r *digestReader) change() config.Change {
-	c := config.Change{Device: r.str(), Op: config.Op(r.byte() % 16), ACLName: r.str(), Seq: r.int(), VLANID: r.int(), Gateway: r.addr()}
-	present := r.byte()
-	if present&1 != 0 {
-		c.Interface = &netmodel.Interface{Name: r.str(), Description: r.str(), Addr: r.prefix(), Shutdown: r.bool(),
-			ACLIn: r.str(), ACLOut: r.str(), Mode: netmodel.SwitchportMode(r.byte() % 3), AccessVLAN: r.int(), OSPFCost: r.int()}
-		if n := r.n(); n >= 0 {
-			c.Interface.TrunkVLANs = make([]int, n)
-			for i := range c.Interface.TrunkVLANs {
-				c.Interface.TrunkVLANs[i] = r.int()
-			}
-		}
-	}
-	if present&2 != 0 {
-		c.Entry = &netmodel.ACLEntry{Seq: r.int(), Action: netmodel.ACLAction(r.byte() % 2), Proto: netmodel.Protocol(r.byte() % 4),
-			Src: r.prefix(), Dst: r.prefix(), SrcPort: uint16(r.byte()), DstPort: uint16(r.byte())}
-	}
-	if present&4 != 0 {
-		c.Route = &netmodel.StaticRoute{Prefix: r.prefix(), NextHop: r.addr(), Distance: r.int()}
-	}
-	if present&8 != 0 {
-		c.OSPF = &netmodel.OSPFProcess{ProcessID: r.int(), RouterID: r.addr(), Networks: r.areas(), Ranges: r.areas()}
-		if n := r.n(); n >= 0 {
-			c.OSPF.Passive = make(map[string]bool, n)
-			for i := 0; i < n; i++ {
-				c.OSPF.Passive[r.str()] = r.bool()
-			}
-		}
-	}
-	if present&16 != 0 {
-		c.BGP = &netmodel.BGPProcess{LocalAS: r.int(), RouterID: r.addr(), RedistributeConnected: r.bool()}
-		if n := r.n(); n >= 0 {
-			c.BGP.Neighbors = make([]netmodel.BGPNeighbor, n)
-			for i := range c.BGP.Neighbors {
-				c.BGP.Neighbors[i] = netmodel.BGPNeighbor{Addr: r.addr(), RemoteAS: r.int()}
-			}
-		}
-		if n := r.n(); n >= 0 {
-			c.BGP.Networks = make([]netip.Prefix, n)
-			for i := range c.BGP.Networks {
-				c.BGP.Networks[i] = r.prefix()
-			}
-		}
-	}
-	if present&32 != 0 {
-		c.VLAN = &netmodel.VLAN{ID: r.int(), Name: r.str()}
-	}
-	return c
-}
-
-func (r *digestReader) changes() []config.Change {
-	out := make([]config.Change, r.byte()%4)
-	for i := range out {
-		out[i] = r.change()
-	}
-	return out
-}
-
 // FuzzChangeSetDigest: two change sets digest equal exactly when their
 // changes are deeply equal. The second set is decoded from the first's bytes with one
 // byte flipped, so the two are often equal — the flip landed where the
@@ -279,7 +166,8 @@ func FuzzChangeSetDigest(f *testing.F) {
 		if len(other) > 0 {
 			other[int(at)%len(other)] ^= flip
 		}
-		a, b := (&digestReader{data}).changes(), (&digestReader{other}).changes()
+		a, _ := changegen.Draw(data)
+		b, _ := changegen.Draw(other)
 		if equal, same := reflect.DeepEqual(a, b), ChangeSetDigest(a) == ChangeSetDigest(b); equal != same {
 			ja, _ := json.Marshal(a)
 			jb, _ := json.Marshal(b)

@@ -180,6 +180,26 @@ func Check(s *dataplane.Snapshot, policies []Policy) *Result {
 	return CheckCarried(s, policies, nil, nil, nil)
 }
 
+// Instruments are CheckCarried's metrics, looked up once on a meter: the
+// runs, the policies checked, carried and resumed, the counterexamples
+// found and the run time.
+type Instruments struct {
+	runs, checked, carried, resumed, counterexamples telemetry.Counter
+	seconds                                          telemetry.Histogram
+}
+
+// NewInstruments looks CheckCarried's metrics up on m.
+func NewInstruments(m telemetry.Meter) *Instruments {
+	return &Instruments{
+		runs:            m.Counter("heimdall_verify_runs_total"),
+		checked:         m.Counter("heimdall_verify_policies_checked_total"),
+		carried:         m.Counter("heimdall_verify_policies_carried_total"),
+		resumed:         m.Counter("heimdall_verify_policies_resumed_total"),
+		counterexamples: m.Counter("heimdall_verify_counterexamples_total"),
+		seconds:         m.Histogram("heimdall_verify_run_seconds", telemetry.LatencyBuckets),
+	}
+}
+
 // CheckCarried is Check, metered on m (nil: not), for a snapshot derived
 // from one whose verdicts are known. parent, when not nil, is that
 // snapshot's vector over the same policies, only read: a verdict decided
@@ -190,7 +210,7 @@ func Check(s *dataplane.Snapshot, policies []Policy) *Result {
 // nil, receives every policy's verdict on s; the verdicts decided here share
 // one allocation. Checked counts every policy: each holds a verdict valid
 // for s.
-func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m telemetry.Meter) *Result {
+func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdicts, m *Instruments) *Result {
 	start := time.Now()
 	res := &Result{Checked: len(policies)}
 	// A nil trace carries exactly when s is in a carry generation, which is
@@ -232,13 +252,12 @@ func CheckCarried(s *dataplane.Snapshot, policies []Policy, parent, next Verdict
 	}
 	res.Elapsed = time.Since(start)
 	if m != nil {
-		m.Counter("heimdall_verify_runs_total").Inc()
-		m.Counter("heimdall_verify_policies_checked_total").Add(float64(res.Checked))
-		m.Counter("heimdall_verify_policies_carried_total").Add(float64(carried))
-		m.Counter("heimdall_verify_policies_resumed_total").Add(float64(resumed))
-		m.Counter("heimdall_verify_counterexamples_total").Add(float64(len(res.Violations)))
-		m.Histogram("heimdall_verify_run_seconds", telemetry.LatencyBuckets).
-			ObserveDuration(res.Elapsed)
+		m.runs.Inc()
+		m.checked.Add(float64(res.Checked))
+		m.carried.Add(float64(carried))
+		m.resumed.Add(float64(resumed))
+		m.counterexamples.Add(float64(len(res.Violations)))
+		m.seconds.ObserveDuration(res.Elapsed)
 	}
 	return res
 }
