@@ -25,6 +25,7 @@ import (
 	"sort"
 	"sync"
 
+	"heimdall/internal/config"
 	"heimdall/internal/console"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
@@ -240,10 +241,11 @@ pairs:
 // a pool of Workers goroutines; samples are merged in fault-case order, so
 // the result does not depend on Workers.
 //
-// Fault setup relies on the ticket.Fault contract that Inject mutates only
-// the RootCause device (every built-in fault does): each case's network is
-// a copy-on-write clone of ev.Base sharing all other devices, so a custom
-// Fault writing beyond its RootCause would corrupt ev.Base.
+// Fault setup relies on the ticket.Fault contract that a fault's changes
+// name only its RootCause device (every built-in fault's do): each case's
+// network is a copy-on-write clone of ev.Base, and its snapshot derives
+// from the base one across that device alone, so a custom Fault writing
+// beyond its RootCause would be scored on a wrong snapshot.
 func (ev *Evaluator) Evaluate(tech Technique, cases []FaultCase) *Result {
 	res := &Result{Technique: tech.Name}
 	totalAvail := 0
@@ -295,16 +297,16 @@ func (ev *Evaluator) Evaluate(tech Technique, cases []FaultCase) *Result {
 func (ev *Evaluator) evaluateCase(tech Technique, fc FaultCase,
 	availPer map[string]int, totalAvail int) (Sample, bool) {
 
-	// Every ticket.Fault injector mutates only its RootCause device (the
-	// contract Evaluate documents), so the faulted network shares all other
-	// devices with ev.Base copy-on-write — and the faulted snapshot derives
-	// from the base snapshot as an L3-topology change on that one device
-	// instead of a from-scratch compute. ChangeL3Topology re-derives every
-	// structure a single-device mutation can reach (adjacency, ownership,
-	// LSDB-diffed OSPF, session-checked BGP, the device's own RIB), so it
-	// is sound for any fault honoring the contract; the sweep-wide SPF memo
-	// dedups link-state passes across faults isolating the same component.
-	faulted := ev.Base.CloneCOW(fc.Fault.RootCause)
+	// Every ticket.Fault's changes name only its RootCause device (the
+	// contract Evaluate documents), and Inject replaces that device instead
+	// of writing it, so the faulted network shares all other devices with
+	// ev.Base copy-on-write — and the faulted snapshot derives from the base
+	// snapshot as an L3-topology change on that one device instead of a
+	// from-scratch compute. ChangeL3Topology re-derives every structure a
+	// single-device mutation can reach (adjacency, ownership, LSDB-diffed
+	// OSPF, session-checked BGP, the device's own RIB), so it is sound for
+	// any fault honoring the contract.
+	faulted := ev.Base.CloneCOW()
 	if err := fc.Fault.Inject(faulted); err != nil {
 		return Sample{}, false
 	}
@@ -433,15 +435,12 @@ func violatedSet(snap *dataplane.Snapshot, policies []verify.Policy) map[string]
 	return out
 }
 
-// mutation is one canonical malicious action a technician could attempt.
-// kind classifies what the mutation can affect, letting the trial derive
-// its dataplane snapshot from the faulted one instead of recomputing it.
+// mutation is one canonical malicious change a technician could attempt.
+// kind classifies what it can affect, letting the trial derive its
+// dataplane snapshot from the faulted one instead of recomputing it.
 type mutation struct {
-	device   string
-	action   string
-	resource string
-	kind     dataplane.ChangeKind
-	apply    func(n *netmodel.Network)
+	config.Change
+	kind dataplane.ChangeKind
 }
 
 // potentialViolations searches allowed mutations on visible nodes and
@@ -484,11 +483,7 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 		if d == nil {
 			continue
 		}
-		ms := deviceMutations(d, hijacks)
-		for i := range ms {
-			ms[i].device = dev
-		}
-		muts = append(muts, ms...)
+		muts = append(muts, deviceMutations(d, hijacks)...)
 	}
 
 	// The mutations actually explored: the first MutationBudget allowed
@@ -498,7 +493,7 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 		if ev.MutationBudget > 0 && len(allowed) >= ev.MutationBudget {
 			break
 		}
-		if !full && !spec.Allows(m.action, m.resource) {
+		if !full && !spec.Allows(m.Action(), m.Resource()) {
 			continue
 		}
 		allowed = append(allowed, m)
@@ -520,10 +515,10 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 	// cache makes the second and later Scope calls nearly free).
 	affected := make(map[string][]verify.Policy, len(allowed))
 	for _, m := range allowed {
-		if _, ok := affected[m.device]; ok {
+		if _, ok := affected[m.Device]; ok {
 			continue
 		}
-		affected[m.device] = verify.Scope(faulted, snap, ev.Policies, map[string]bool{m.device: true})
+		affected[m.Device] = verify.Scope(faulted, snap, ev.Policies, map[string]bool{m.Device: true})
 	}
 
 	violated := make(map[string]bool)
@@ -531,27 +526,26 @@ func (ev *Evaluator) potentialViolations(faulted *netmodel.Network, snap *datapl
 		if len(violated) >= winnable {
 			break // every winnable policy is violable already
 		}
-		for _, id := range ev.trialViolations(faulted, snap, m, affected[m.device], pre, violated) {
+		for _, id := range ev.trialViolations(faulted, snap, m, affected[m.Device], pre, violated) {
 			violated[id] = true
 		}
 	}
 	return len(violated)
 }
 
-// trialViolations applies one mutation to a copy-on-write clone of the
+// trialViolations applies one mutation to a copy-on-write copy of the
 // faulted network and returns the IDs of in-scope policies it newly
 // violates. Policies in pre (already violated before the mutation) or skip
 // (already proven violable by an earlier trial) are not rechecked; when
 // none remain the clone and snapshot derivation are skipped entirely.
 //
 // This is the sweep's hot path, and where the incremental machinery pays
-// off: CloneCOW deep-copies only the mutated device, and Derive reuses
+// off: the change copies only the section it writes, and Derive reuses
 // every part of the faulted snapshot the mutation class cannot invalidate
 // (an ACL trial recomputes nothing at all; a static-route trial rebuilds
 // one RIB; an L2 trial whose LSDB is unchanged shares all routing state).
 // The derived snapshot is byte-identical to a from-scratch Compute, so VP
-// counts are exactly those of the old clone-everything loop; the SPF memo
-// additionally collapses trials that isolate identical L3 graphs.
+// counts are exactly those of the old clone-everything loop.
 func (ev *Evaluator) trialViolations(faulted *netmodel.Network, snap *dataplane.Snapshot, m mutation,
 	scope []verify.Policy, pre, skip map[string]bool) []string {
 
@@ -564,9 +558,11 @@ func (ev *Evaluator) trialViolations(faulted *netmodel.Network, snap *dataplane.
 	if len(todo) == 0 {
 		return nil
 	}
-	trial := faulted.CloneCOW(m.device)
-	m.apply(trial)
-	tsnap := snap.Derive(trial, dataplane.ChangeSet{{Device: m.device, Kind: m.kind}})
+	trial := faulted.CloneCOW()
+	if err := config.ApplyChanges(trial, []config.Change{m.Change}); err != nil {
+		return nil
+	}
+	tsnap := snap.Derive(trial, dataplane.ChangeSet{{Device: m.Device, Kind: m.kind}})
 	var out []string
 	for _, p := range todo {
 		if verify.CheckPolicy(tsnap, p) != nil {
@@ -576,95 +572,57 @@ func (ev *Evaluator) trialViolations(faulted *netmodel.Network, snap *dataplane.
 	return out
 }
 
-// deviceMutations enumerates the canonical malicious actions on one device.
+// deviceMutations enumerates the canonical malicious changes on one device.
 func deviceMutations(d *netmodel.Device, hijacks []netip.Prefix) []mutation {
-	dev := d.Name
 	var out []mutation
+	add := func(kind dataplane.ChangeKind, c config.Change) {
+		c.Device = d.Name
+		out = append(out, mutation{c, kind})
+	}
 
 	// Shut every interface down. Downing a pure-L2 port (access/trunk or
 	// unaddressed) is an L2-class change; downing an addressed routed port
 	// or SVI is an L3-topology change. Either way the mutation is confined
 	// to this device, so a full-recompute fallback is never needed.
-	for _, ifName := range d.InterfaceNames() {
-		name := ifName
+	for _, name := range d.InterfaceNames() {
 		kind := dataplane.ChangeL3Topology
-		if netmodel.InterfaceL2Only(d.Interfaces[ifName]) {
+		if netmodel.InterfaceL2Only(d.Interfaces[name]) {
 			kind = dataplane.ChangeL2
 		}
-		out = append(out, mutation{
-			action:   "config.interface.set",
-			resource: fmt.Sprintf("device:%s:interface:%s", dev, name),
-			kind:     kind,
-			apply: func(n *netmodel.Network) {
-				if itf := n.Devices[dev].Interface(name); itf != nil {
-					itf.Shutdown = true
-				}
-			},
-		})
+		down := d.Interfaces[name].Clone()
+		down.Shutdown = true
+		add(kind, config.Change{Op: config.OpSetInterface, Interface: down})
 	}
 
 	// Poison every ACL: blanket deny (breaks reachability) and blanket
 	// permit (breaks isolation), plus removing the first entry.
-	for _, aclName := range d.ACLNames() {
-		name := aclName
-		for _, act := range []netmodel.ACLAction{netmodel.Deny, netmodel.Permit} {
-			action := act
-			out = append(out, mutation{
-				action:   "config.acl.add",
-				resource: fmt.Sprintf("device:%s:acl:%s", dev, name),
-				kind:     dataplane.ChangeACL,
-				apply: func(n *netmodel.Network) {
-					n.Devices[dev].ACL(name, true).InsertEntry(netmodel.ACLEntry{
-						Seq: 1, Action: action, Proto: netmodel.AnyProto,
-					})
-				},
-			})
+	for _, name := range d.ACLNames() {
+		for _, action := range []netmodel.ACLAction{netmodel.Deny, netmodel.Permit} {
+			add(dataplane.ChangeACL, config.Change{Op: config.OpAddACLEntry, ACLName: name,
+				Entry: &netmodel.ACLEntry{Seq: 1, Action: action, Proto: netmodel.AnyProto}})
 		}
-		out = append(out, mutation{
-			action:   "config.acl.remove",
-			resource: fmt.Sprintf("device:%s:acl:%s", dev, name),
-			kind:     dataplane.ChangeACL,
-			apply: func(n *netmodel.Network) {
-				a := n.Devices[dev].ACL(name, false)
-				if a != nil && len(a.Entries) > 0 {
-					a.RemoveEntry(a.Entries[0].Seq)
-				}
-			},
-		})
+		if entries := d.ACLs[name].Entries; len(entries) > 0 {
+			add(dataplane.ChangeACL, config.Change{Op: config.OpRemoveACLEntry, ACLName: name, Seq: entries[0].Seq})
+		}
 	}
 
 	// Route manipulation: blackhole routes (next hop resolving to no
 	// neighbor) for each host subnet — a /24 static outranks the OSPF
 	// route protecting it — plus a blackhole default.
 	if blackhole := unownedNeighborAddr(d); blackhole.IsValid() && d.Kind != netmodel.Host {
-		targets := append([]netip.Prefix{netip.MustParsePrefix("0.0.0.0/0")}, hijacks...)
-		for _, p := range targets {
-			prefix := p
-			out = append(out, mutation{
-				action:   "config.route.add",
-				resource: fmt.Sprintf("device:%s:route:%s", dev, prefix),
-				kind:     dataplane.ChangeStatic,
-				apply: func(n *netmodel.Network) {
-					n.Devices[dev].StaticRoutes = append(n.Devices[dev].StaticRoutes,
-						netmodel.StaticRoute{Prefix: prefix, NextHop: blackhole})
-				},
-			})
+		for _, prefix := range append([]netip.Prefix{netip.MustParsePrefix("0.0.0.0/0")}, hijacks...) {
+			add(dataplane.ChangeStatic, config.Change{Op: config.OpAddStaticRoute,
+				Route: &netmodel.StaticRoute{Prefix: prefix, NextHop: blackhole}})
 		}
 	}
 
 	// Silence OSPF entirely.
 	if d.OSPF != nil {
-		out = append(out, mutation{
-			action:   "config.ospf.set",
-			resource: fmt.Sprintf("device:%s:ospf", dev),
-			kind:     dataplane.ChangeOSPF,
-			apply: func(n *netmodel.Network) {
-				dd := n.Devices[dev]
-				for _, ifName := range dd.InterfaceNames() {
-					dd.OSPF.Passive[ifName] = true
-				}
-			},
-		})
+		ospf := d.OSPF.Clone()
+		for _, name := range d.InterfaceNames() {
+			ospf.Passive[name] = true
+		}
+		add(dataplane.ChangeOSPF, config.Change{Op: config.OpSetOSPF, OSPF: ospf})
 	}
 
 	// Break L2: delete VLANs, move access ports. Both touch only the
@@ -672,42 +630,19 @@ func deviceMutations(d *netmodel.Device, hijacks []netip.Prefix) []mutation {
 	// ports are never L3 endpoints), so they derive as L2-class changes —
 	// typically sharing every RIB with the faulted snapshot by identity.
 	for _, id := range d.VLANIDs() {
-		vid := id
-		out = append(out, mutation{
-			action:   "config.vlan.remove",
-			resource: fmt.Sprintf("device:%s:vlan:%d", dev, vid),
-			kind:     dataplane.ChangeL2,
-			apply: func(n *netmodel.Network) {
-				delete(n.Devices[dev].VLANs, vid)
-			},
-		})
+		add(dataplane.ChangeL2, config.Change{Op: config.OpRemoveVLAN, VLANID: id})
 	}
-	for _, ifName := range d.InterfaceNames() {
-		itf := d.Interfaces[ifName]
-		if itf.Mode != netmodel.Access {
-			continue
+	for _, name := range d.InterfaceNames() {
+		if d.Interfaces[name].Mode == netmodel.Access {
+			moved := d.Interfaces[name].Clone()
+			moved.AccessVLAN = 999
+			add(dataplane.ChangeL2, config.Change{Op: config.OpSetInterface, Interface: moved})
 		}
-		name := ifName
-		out = append(out, mutation{
-			action:   "config.interface.set",
-			resource: fmt.Sprintf("device:%s:interface:%s", dev, name),
-			kind:     dataplane.ChangeL2,
-			apply: func(n *netmodel.Network) {
-				n.Devices[dev].Interface(name).AccessVLAN = 999
-			},
-		})
 	}
 
 	// Blackhole a host by rewriting its gateway.
 	if d.Kind == netmodel.Host {
-		out = append(out, mutation{
-			action:   "config.gateway.set",
-			resource: fmt.Sprintf("device:%s:gateway", dev),
-			kind:     dataplane.ChangeStatic,
-			apply: func(n *netmodel.Network) {
-				n.Devices[dev].DefaultGateway = netip.MustParseAddr("192.0.2.254")
-			},
-		})
+		add(dataplane.ChangeStatic, config.Change{Op: config.OpSetGateway, Gateway: netip.MustParseAddr("192.0.2.254")})
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/scenarios"
@@ -75,12 +76,14 @@ func exhaustiveVP(ev *Evaluator, faulted *netmodel.Network, tech Technique,
 		if len(violated) == len(ev.Policies) {
 			break
 		}
-		if !tech.FullPrivileges && !spec.Allows(m.action, m.resource) {
+		if !tech.FullPrivileges && !spec.Allows(m.Action(), m.Resource()) {
 			continue
 		}
 		evaluated++
 		trial := faulted.Clone()
-		m.apply(trial)
+		if err := config.ApplyChanges(trial, []config.Change{m.Change}); err != nil {
+			panic(err)
+		}
 		for _, v := range verify.Check(dataplane.Compute(trial), ev.Policies).Violations {
 			if !pre[v.Policy.ID] {
 				violated[v.Policy.ID] = true

@@ -54,7 +54,7 @@ func (r Risk) String() string {
 func Classify(changes []config.Change) Risk {
 	for _, c := range changes {
 		switch c.Op {
-		case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL,
+		case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL, config.OpAddACL,
 			config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway,
 			config.OpSetOSPF, config.OpRemoveOSPF, config.OpSetBGP, config.OpRemoveBGP:
 			return HighRisk

@@ -38,6 +38,11 @@ func applyInPlace(d *netmodel.Device, c config.Change) error {
 			return fmt.Errorf("config: %s: no ACL %s", d.Name, c.ACLName)
 		}
 		delete(d.ACLs, c.ACLName)
+	case config.OpAddACL:
+		if _, ok := d.ACLs[c.ACLName]; ok {
+			return fmt.Errorf("config: %s: ACL %s exists", d.Name, c.ACLName)
+		}
+		d.ACL(c.ACLName, true)
 	case config.OpAddStaticRoute:
 		d.StaticRoutes = append(d.StaticRoutes, *c.Route)
 	case config.OpRemoveStaticRoute:
@@ -119,7 +124,7 @@ func TestApplyLeavesSource(t *testing.T) {
 			}
 		}
 	}
-	for op := config.OpAddInterface; op <= config.OpSetACLEntry; op++ {
+	for op := config.OpAddInterface; op <= config.OpAddACL; op++ {
 		if ops[op] == 0 {
 			t.Errorf("no change set held %v: %v", op, ops)
 		}

@@ -127,7 +127,7 @@ func Draw(data []byte) ([]config.Change, []config.Undo) {
 
 	changes := make([]config.Change, next()%4)
 	for i := range changes {
-		c := config.Change{Device: str(), Op: config.Op(next() % 16), ACLName: str(), Seq: num(), VLANID: num(), Gateway: addr()}
+		c := config.Change{Device: str(), Op: config.Op(next() % 17), ACLName: str(), Seq: num(), VLANID: num(), Gateway: addr()}
 		present = next()
 		c.Interface = iface()
 		if present&2 != 0 {

@@ -390,14 +390,14 @@ func TestRoundTripProperty(t *testing.T) {
 		mutated := d.Clone()
 		mutateDevice(r, mutated)
 		changes := DiffDevice(d, mutated)
-		applied := d.Clone()
+		applied := d
 		for _, c := range changes {
 			var err error
 			if applied, err = ApplyChange(applied, c); err != nil {
 				t.Fatalf("trial %d: apply: %v", trial, err)
 			}
 		}
-		if !reflect.DeepEqual(applied, mutated) {
+		if !reflect.DeepEqual(applied, mutated) || Print(applied) != Print(mutated) {
 			t.Fatalf("trial %d: apply(diff) mismatch: changes=%v", trial, changes)
 		}
 	}
@@ -452,8 +452,10 @@ func randomDevice(r *rand.Rand) *netmodel.Device {
 	return d
 }
 
+// mutateDevice makes one edit the console can make, an ACL left with no
+// entries among them.
 func mutateDevice(r *rand.Rand, d *netmodel.Device) {
-	switch r.Intn(5) {
+	switch r.Intn(7) {
 	case 0:
 		for _, itf := range d.Interfaces {
 			itf.Shutdown = !itf.Shutdown
@@ -468,6 +470,18 @@ func mutateDevice(r *rand.Rand, d *netmodel.Device) {
 		d.VLANs[42] = &netmodel.VLAN{ID: 42, Name: "new"}
 	case 4:
 		d.AddInterface("Loopback9").Addr = netip.PrefixFrom(addr4(r), 32)
+	case 5: // an ACL created and emptied, bound on an interface
+		d.ACL("ACL-E", true)
+		for _, itf := range d.Interfaces {
+			itf.ACLOut = "ACL-E"
+			break
+		}
+	case 6: // every entry of an ACL removed
+		if a := d.ACLs["ACL-A"]; a != nil {
+			for len(a.Entries) > 0 {
+				a.RemoveEntry(a.Entries[0].Seq)
+			}
+		}
 	}
 }
 

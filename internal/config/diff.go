@@ -47,6 +47,9 @@ const (
 	// OpSetACLEntry replaces the contents of one existing ACL entry, keyed
 	// by its sequence number.
 	OpSetACLEntry
+	// OpAddACL creates an ACL with no entries, which denies every flow it
+	// is bound to (an undefined ACL denies none).
+	OpAddACL
 )
 
 var opNames = map[Op]string{
@@ -57,7 +60,7 @@ var opNames = map[Op]string{
 	OpRemoveOSPF: "remove-ospf", OpSetVLAN: "set-vlan",
 	OpRemoveVLAN: "remove-vlan", OpSetGateway: "set-gateway",
 	OpSetBGP: "set-bgp", OpRemoveBGP: "remove-bgp",
-	OpSetACLEntry: "set-acl-entry",
+	OpSetACLEntry: "set-acl-entry", OpAddACL: "add-acl",
 }
 
 // String returns the kebab-case name of the op.
@@ -93,7 +96,7 @@ func (c Change) Resource() string {
 	switch c.Op {
 	case OpAddInterface, OpSetInterface:
 		return fmt.Sprintf("device:%s:interface:%s", c.Device, c.Interface.Name)
-	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL:
+	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL, OpAddACL:
 		return fmt.Sprintf("device:%s:acl:%s", c.Device, c.ACLName)
 	case OpAddStaticRoute, OpRemoveStaticRoute:
 		return fmt.Sprintf("device:%s:route:%s", c.Device, c.Route.Prefix)
@@ -120,7 +123,7 @@ func (c Change) Action() string {
 		return "config.interface.add"
 	case OpSetInterface:
 		return "config.interface.set"
-	case OpAddACLEntry:
+	case OpAddACLEntry, OpAddACL:
 		return "config.acl.add"
 	case OpSetACLEntry:
 		return "config.acl.set"
@@ -206,10 +209,15 @@ func DiffDevice(old, new *netmodel.Device) []Change {
 		}
 	}
 
-	// ACLs: a merge walk over the sequence numbers; an ACL old lacks is empty.
+	// ACLs: a merge walk over the sequence numbers; an ACL old lacks is
+	// empty, and created as such when new's is.
 	for _, name := range new.ACLNames() {
 		oa, na := old.ACLs[name], new.ACLs[name]
 		if oa == na {
+			continue
+		}
+		if oa == nil && len(na.Entries) == 0 {
+			out = append(out, Change{Device: dev, Op: OpAddACL, ACLName: name})
 			continue
 		}
 		oes, nes := cmp.Or(oa, &netmodel.ACL{}).Entries, na.Entries
@@ -379,6 +387,11 @@ func ApplyChange(d *netmodel.Device, c Change) (*netmodel.Device, error) {
 			return nil, fmt.Errorf("config: %s: no ACL %s", d.Name, c.ACLName)
 		}
 		nd.ACLs = without(d.ACLs, c.ACLName)
+	case OpAddACL:
+		if _, ok := d.ACLs[c.ACLName]; ok {
+			return nil, fmt.Errorf("config: %s: ACL %s exists", d.Name, c.ACLName)
+		}
+		nd.ACLs = with(d.ACLs, c.ACLName, &netmodel.ACL{Name: c.ACLName})
 	case OpAddStaticRoute:
 		nd.StaticRoutes = append(slices.Clip(d.StaticRoutes), *c.Route)
 	case OpRemoveStaticRoute:
@@ -472,7 +485,7 @@ func UndoOf(d *netmodel.Device, c Change) Undo {
 	switch c.Op {
 	case OpAddInterface, OpSetInterface:
 		u.Section, u.Name, u.Interface = "interface", c.Interface.Name, d.Interfaces[c.Interface.Name]
-	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL:
+	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry, OpRemoveACL, OpAddACL:
 		u.Section, u.Name, u.ACL = "acl", c.ACLName, d.ACLs[c.ACLName]
 	case OpAddStaticRoute, OpRemoveStaticRoute:
 		u.Section, u.Routes = "routes", d.StaticRoutes
@@ -498,49 +511,70 @@ func (u Undo) Undoes(c Change) bool {
 	return u.Device == w.Device && u.Section == w.Section && u.Name == w.Name && u.VLANID == w.VLANID
 }
 
-// RestoreUndo puts the section u recorded back on d, as a copy: an absent
-// section is deleted. Restoring is idempotent, and restoring the undo of a
-// change that never landed leaves a section no other change wrote as it is.
-func RestoreUndo(d *netmodel.Device, u Undo) error {
+// RestoreUndo returns d with the section u recorded put back, an absent
+// section deleted; like ApplyChange, it never writes d. Restoring is
+// idempotent, and restoring the undo of a change that never landed leaves a
+// section no other change wrote as it is.
+func RestoreUndo(d *netmodel.Device, u Undo) (*netmodel.Device, error) {
 	if d.Name != u.Device {
-		return fmt.Errorf("config: undo for %s restored on %s", u.Device, d.Name)
+		return nil, fmt.Errorf("config: undo for %s restored on %s", u.Device, d.Name)
 	}
+	nd := *d
 	switch u.Section {
 	case "interface":
-		put(d.Interfaces, u.Name, u.Interface, (*netmodel.Interface).Clone)
+		nd.Interfaces = without(d.Interfaces, u.Name)
+		if u.Interface != nil {
+			nd.Interfaces = with(d.Interfaces, u.Name, u.Interface.Clone())
+		}
 	case "acl":
-		put(d.ACLs, u.Name, u.ACL, (*netmodel.ACL).Clone)
+		nd.ACLs = without(d.ACLs, u.Name)
+		if u.ACL != nil {
+			nd.ACLs = with(d.ACLs, u.Name, u.ACL.Clone())
+		}
 	case "routes":
-		d.StaticRoutes = slices.Clone(u.Routes)
+		nd.StaticRoutes = slices.Clone(u.Routes)
 	case "ospf":
-		d.OSPF = nil
+		nd.OSPF = nil
 		if u.OSPF != nil {
-			d.OSPF = u.OSPF.Clone()
+			nd.OSPF = u.OSPF.Clone()
 		}
 	case "bgp":
-		d.BGP = nil
+		nd.BGP = nil
 		if u.BGP != nil {
-			d.BGP = u.BGP.Clone()
+			nd.BGP = u.BGP.Clone()
 		}
 	case "vlan":
-		put(d.VLANs, u.VLANID, u.VLAN, func(v *netmodel.VLAN) *netmodel.VLAN { c := *v; return &c })
+		nd.VLANs = without(d.VLANs, u.VLANID)
+		if u.VLAN != nil {
+			v := *u.VLAN
+			nd.VLANs = with(d.VLANs, u.VLANID, &v)
+		}
 	case "gateway":
-		d.DefaultGateway = netip.Addr{}
+		nd.DefaultGateway = netip.Addr{}
 		if u.Gateway != nil {
-			d.DefaultGateway = *u.Gateway
+			nd.DefaultGateway = *u.Gateway
 		}
 	default:
-		return fmt.Errorf("config: %s: unknown undo section %q", d.Name, u.Section)
+		return nil, fmt.Errorf("config: %s: unknown undo section %q", d.Name, u.Section)
 	}
-	return nil
+	return &nd, nil
 }
 
-// put sets m[k] to a copy of v, or deletes k where v is nil (absent).
-func put[K comparable, V any](m map[K]*V, k K, v *V, clone func(*V) *V) {
-	delete(m, k)
-	if v != nil {
-		m[k] = clone(v)
+// RestoreUndos restores undos on n, last first, each replacing the device
+// it names with RestoreUndo's result: ApplyChanges undone.
+func RestoreUndos(n *netmodel.Network, undos []Undo) error {
+	for i := len(undos) - 1; i >= 0; i-- {
+		d := n.Devices[undos[i].Device]
+		if d == nil {
+			return fmt.Errorf("config: undo for unknown device %s", undos[i].Device)
+		}
+		d, err := RestoreUndo(d, undos[i])
+		if err != nil {
+			return err
+		}
+		n.Devices[d.Name] = d
 	}
+	return nil
 }
 
 // String renders what restoring the undo does, for the journal's readers.

@@ -36,9 +36,13 @@ func refDiffDevice(old, new *netmodel.Device) []config.Change {
 		}
 	}
 
-	// ACLs: entry-level diff.
+	// ACLs: entry-level diff; an ACL old lacks and new holds empty is made.
 	for _, name := range new.ACLNames() {
 		na, oa := new.ACLs[name], old.ACLs[name]
+		if oa == nil && len(na.Entries) == 0 {
+			out = append(out, config.Change{Device: dev, Op: config.OpAddACL, ACLName: name})
+			continue
+		}
 		oldBySeq := make(map[int]netmodel.ACLEntry)
 		if oa != nil {
 			for _, e := range oa.Entries {
@@ -256,9 +260,27 @@ func diffMatches(t *testing.T, a, b *netmodel.Device) []config.Change {
 	return got
 }
 
+// roundTrips fails t unless DiffDevice(a, b) applied to a prints as b: the
+// change set carries every state b shows. b is a edited as the console
+// edits (the reverse diff may need an interface removed, which no op does).
+func roundTrips(t *testing.T, a, b *netmodel.Device) {
+	t.Helper()
+	changes, applied := config.DiffDevice(a, b), a
+	for _, c := range changes {
+		var err error
+		if applied, err = config.ApplyChange(applied, c); err != nil {
+			t.Fatalf("%s: applying %v: %v", a.Name, c, err)
+		}
+	}
+	if got, want := config.Print(applied), config.Print(b); got != want {
+		t.Fatalf("%s: the diff %v applied prints\n%s\nnot the edited device\n%s", a.Name, changes, got, want)
+	}
+}
+
 // TestDiffDeviceMatchesReference: over every device of six scenario families,
 // seeded random edits of every kind diff, both ways, element for element as
-// the reference does; so do hand-built pairs that differ only in a nil
+// the reference does, and the diff of each edit applied prints as the edited
+// device (an ACL the edits leave empty included); so do hand-built pairs that differ only in a nil
 // against an empty list or map. A new field on a compared struct fails it
 // until the typed comparison reads it.
 func TestDiffDeviceMatchesReference(t *testing.T) {
@@ -287,11 +309,12 @@ func TestDiffDeviceMatchesReference(t *testing.T) {
 				for _, c := range diffMatches(t, a, b) {
 					ops[c.Op]++
 				}
+				roundTrips(t, a, b)
 				diffMatches(t, b, a)
 			}
 		}
 	}
-	for op := config.OpAddInterface; op <= config.OpSetACLEntry; op++ {
+	for op := config.OpAddInterface; op <= config.OpAddACL; op++ {
 		if ops[op] == 0 {
 			t.Errorf("no edit produced %v: %v", op, ops)
 		}
@@ -375,6 +398,7 @@ func FuzzDiffDeviceMatchesReference(f *testing.F) {
 		b := a.Clone()
 		diffEdits(r, b, int(k%16))
 		diffMatches(t, a, b)
+		roundTrips(t, a, b)
 		diffMatches(t, b, a)
 	})
 }

@@ -37,9 +37,9 @@ func undoHolds(t *testing.T, pre, edited *netmodel.Device) []config.Change {
 	}
 	want := config.Print(pre)
 	restored := func(d *netmodel.Device, us ...config.Undo) string {
-		d = d.Clone()
 		for i := len(us) - 1; i >= 0; i-- {
-			if err := config.RestoreUndo(d, us[i]); err != nil {
+			var err error
+			if d, err = config.RestoreUndo(d, us[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -109,7 +109,7 @@ func TestUndoRestoresPreState(t *testing.T) {
 			}
 		}
 	}
-	for op := config.OpAddInterface; op <= config.OpSetACLEntry; op++ {
+	for op := config.OpAddInterface; op <= config.OpAddACL; op++ {
 		if ops[op] == 0 {
 			t.Errorf("no change set held %v: %v", op, ops)
 		}

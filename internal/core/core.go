@@ -117,10 +117,17 @@ func (s *System) DeviceCount() int {
 // Policies returns the guarded policy set.
 func (s *System) Policies() []verify.Policy { return s.policies }
 
-// MutateProduction is Enforcer.MutateProduction: the out-of-band
-// production writer (fault injection, admin edits).
-func (s *System) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
-	return s.Enforcer.MutateProduction(fn, devices...)
+// MutateProduction is Enforcer.Inject for benchmark/, which hands in a
+// writer: fn writes a deep clone of production, and what it changed there
+// (config.DiffNetwork) lands. ROADMAP item 1 deletes it.
+func (s *System) MutateProduction(fn func(*netmodel.Network) error) error {
+	return s.Enforcer.Inject("mutate-production", func(prod *netmodel.Network) ([]config.Change, error) {
+		n := prod.Clone()
+		if err := fn(n); err != nil {
+			return nil, err
+		}
+		return config.DiffNetwork(prod, n), nil
+	})
 }
 
 // Attest returns an attestation report for the enforcer, verifiable
@@ -267,10 +274,14 @@ func (e *Engagement) ReviewCached() (*enforcer.Decision, bool, error) {
 
 // ReviewChanges is ReviewCached for a change set the caller already
 // extracted with Twin.Changes. Its review key takes the memoized rules
-// digest, so only a review after an approval digests the rules again.
+// digest, so only a review after an approval digests the rules again. A
+// twin with a Mismatch is refused before the enforcer sees it.
 func (e *Engagement) ReviewChanges(changes []config.Change) (*enforcer.Decision, bool, error) {
 	if len(changes) == 0 {
 		return nil, false, fmt.Errorf("core: nothing to review for %s", e.Ticket.ID)
+	}
+	if err := e.Twin.Mismatch(); err != nil {
+		return nil, false, err
 	}
 	d, hit := e.sys.Enforcer.Review(changes, e.Spec, e.Twin.RulesDigest())
 	return d, hit, nil
@@ -284,10 +295,13 @@ func (e *Engagement) Commit() (*enforcer.Decision, error) {
 }
 
 // CommitChanges is Commit for a change set the caller already extracted
-// with Twin.Changes.
+// with Twin.Changes, refused as ReviewChanges refuses it.
 func (e *Engagement) CommitChanges(changes []config.Change) (*enforcer.Decision, error) {
 	if len(changes) == 0 {
 		return nil, fmt.Errorf("core: nothing to commit for %s", e.Ticket.ID)
+	}
+	if err := e.Twin.Mismatch(); err != nil {
+		return nil, err
 	}
 	decision, err := e.sys.Enforcer.Submit(enforcer.CommitRequest{Changes: changes, Spec: e.Spec, RulesDigest: e.Twin.RulesDigest()})
 	if err != nil {

@@ -455,3 +455,36 @@ func TestBenchmarkShimsRefuseForeignNetwork(t *testing.T) {
 		t.Fatalf("commit against production: %+v, %v", d, err)
 	}
 }
+
+// TestReviewRefusesMismatchedTwin: a twin whose change set does not carry
+// what it shows (a secret planted on a written device, which no change
+// carries) is refused at review and at commit, naming the device, and
+// production's journal opens no intent.
+func TestReviewRefusesMismatchedTwin(t *testing.T) {
+	sys, issue := newFaultedSystem(t, "vlan")
+	eng, err := sys.StartWork(fileIssue(sys, issue).ID, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunScript(issue.Script); err != nil {
+		t.Fatal(err)
+	}
+	if d, _, err := eng.ReviewCached(); err != nil || !d.Accepted {
+		t.Fatalf("review of the fix: %+v, %v", d, err)
+	}
+	root := issue.Fault.RootCause
+	eng.Twin.Network().Devices[root].Secrets = map[string]string{"enable": "planted"}
+	if _, err := eng.RunScript(issue.Fault.Fix); err != nil { // a write, so the twin diffs again
+		t.Fatal(err)
+	}
+	records := len(sys.Enforcer.Journal().Records())
+	if _, _, err := eng.ReviewCached(); err == nil || !strings.Contains(err.Error(), root) {
+		t.Fatalf("review of a mismatched twin: %v, want a refusal naming %s", err, root)
+	}
+	if _, err := eng.Commit(); err == nil || !strings.Contains(err.Error(), root) {
+		t.Fatalf("commit of a mismatched twin: %v, want a refusal naming %s", err, root)
+	}
+	if len(sys.Enforcer.Journal().Records()) != records {
+		t.Fatal("a mismatched twin's commit reached the journal")
+	}
+}

@@ -160,10 +160,11 @@ func (r *isolationRun) step(what string) {
 
 // TestTwinIsolation is the isolation oracle, both directions, for every
 // production writer. Twins are opened on every catalog ticket of university
-// and the k=4 fat-tree, each while its fault is in production; then a
-// declared injection, a ticket commit, an undeclared MutateProduction, a
-// push a fault injector fails into a rollback, one whose rollback fails
-// too, followed by Recover, and an emergency write each drive production.
+// and the k=4 fat-tree, each while its fault is in production; then a fault
+// injection, a ticket commit, a closure write through the benchmark shim
+// MutateProduction, a push a fault injector fails into a rollback, one whose
+// rollback fails too, followed by Recover, and an emergency write each
+// drive production.
 // After every one, each open twin prints exactly what it printed before
 // plus its own writes (replayed onto a private copy), its baseline never
 // moves, and production prints exactly its own writes (replayed onto a
@@ -189,9 +190,9 @@ func testTwinIsolation(t *testing.T, scen *scenarios.Scenario) {
 		if is.Fault.Kind == privilege.TaskACL {
 			aclIssue = is
 		}
-		// A declared injection, a twin opened on it that will write the fix
-		// in turns, and the fix committed from a second twin.
-		if err := sys.MutateProduction(is.Fault.Inject, is.Fault.RootCause); err != nil {
+		// An injection, a twin opened on it that will write the fix in turns,
+		// and the fix committed from a second twin.
+		if err := sys.Enforcer.Inject(is.Fault.Name, is.Fault.Changes); err != nil {
 			t.Fatal(err)
 		}
 		if err := is.Fault.Inject(r.want); err != nil {
@@ -220,7 +221,8 @@ func testTwinIsolation(t *testing.T, scen *scenarios.Scenario) {
 		return fmt.Sprintf("access-list ISOLATION %d deny tcp any any eq %d", seq, port)
 	}
 
-	// An undeclared MutateProduction: an unbound ACL, so no policy moves.
+	// A closure write through MutateProduction: an unbound ACL, so no
+	// policy moves.
 	entry := netmodel.ACLEntry{Seq: 10, Action: netmodel.Deny, Proto: netmodel.TCP,
 		Src: netip.MustParsePrefix("0.0.0.0/0"), Dst: netip.MustParsePrefix("0.0.0.0/0"), DstPort: 9990}
 	write := func(n *netmodel.Network) error {
@@ -231,7 +233,7 @@ func testTwinIsolation(t *testing.T, scen *scenarios.Scenario) {
 		t.Fatal(err)
 	}
 	_ = write(r.want)
-	r.step("undeclared write")
+	r.step("closure write")
 
 	// A two-change push onto dev whose second change fails: rolled back.
 	// Then the same with the restore failing too: quarantined, production

@@ -66,21 +66,10 @@ func (o *oracleSystem) misses() float64 {
 	return o.reg.CounterValue("heimdall_enforcer_prod_snapshot_misses_total")
 }
 
-// mutate is MutateProduction as each side of the oracle calls it: the held
-// deployment declares the devices fn writes, so its snapshot is derived
-// across the write; the reference declares nothing and drops it.
-func (o *oracleSystem) mutate(fn func(*netmodel.Network) error, devices ...string) error {
-	if !o.held {
-		devices = nil
-	}
-	return o.sys.MutateProduction(fn, devices...)
-}
-
-// inject puts the issue's fault into production, declared as the service
-// declares it: a fault writes its root-cause device and nothing else.
+// inject puts the issue's fault into production as the service does.
 func (o *oracleSystem) inject(t *testing.T, is scenarios.Issue) {
 	t.Helper()
-	if err := o.mutate(is.Fault.Inject, is.Fault.RootCause); err != nil {
+	if err := o.sys.Enforcer.Inject(is.Fault.Name, is.Fault.Changes); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -318,7 +307,8 @@ var oracleScenarios = map[string]func() *scenarios.Scenario{
 // and at the end that audit trail and commit journal are byte-identical
 // between the two. The steps cover every way production changes: fault
 // injection, commit, a commit rolled back by a fault plan, quarantine and
-// recovery, an emergency write, and a bare MutateProduction. The reference's
+// recovery, an emergency write, and a closure write through the benchmark
+// shim MutateProduction. The reference's
 // change sets come from config.DiffNetwork and the held deployment's from
 // Twin.Changes (oracleSystem.changes); an ordinary ticket is reviewed once
 // after its first write — several of those sets are rejected — then written
@@ -336,20 +326,21 @@ func TestProductionSnapshotOracle(t *testing.T) {
 			// open injects the issue, files its ticket, opens the twin and
 			// runs the first n lines of the script.
 			open := func(o *oracleSystem, is scenarios.Issue, step string, n int) *Engagement {
-				// Something is held from here on, so the declared injection
-				// has a snapshot to derive from.
+				// Something is held from here on, so the injection has a
+				// snapshot to derive from.
 				o.checkProduction(t, step+"/before")
 				before := o.misses()
 				o.inject(t, is)
 				o.checkProduction(t, step+"/inject")
-				// Injecting a fault that is already in changes nothing: the
-				// empty diff keeps the very snapshot and vector (one no
-				// review has completed yet is none).
+				// Injecting a fault that is already in lands changes that
+				// change nothing: the empty diff keeps the very snapshot and
+				// vector.
 				derived := o.sys.Enforcer.HeldVerdicts()
 				o.inject(t, is)
 				if o.held && derived != nil && &o.sys.Enforcer.HeldVerdicts()[0] != &derived[0] {
 					t.Fatalf("%s: a write that changed nothing replaced the held snapshot", step)
 				}
+				o.checkProduction(t, step+"/inject again")
 				eng := o.startWork(t, fileIssue(o.sys, is).ID)
 				o.computedNone(t, step+"/inject and open", before)
 				o.checkProduction(t, step+"/open")
@@ -501,7 +492,7 @@ func TestProductionSnapshotOracle(t *testing.T) {
 				return strings.Join(out, "\n")
 			})
 
-			// A bare out-of-band mutation, and its reversal.
+			// A closure write through the benchmark shim, and its reversal.
 			both("mutate", func(o *oracleSystem) string {
 				for i := 0; i < 2; i++ {
 					if err := o.sys.MutateProduction(func(n *netmodel.Network) error {
@@ -512,35 +503,6 @@ func TestProductionSnapshotOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					o.checkProduction(t, fmt.Sprintf("mutate %d", i))
-				}
-				return ""
-			})
-
-			// Declared writes the claim cannot be honoured for, each made and
-			// reversed: a writer that fails (it may have half-applied; this one
-			// wrote all of it) and a declaration naming a device production
-			// does not hold. The held deployment must answer both with a
-			// from-scratch Compute of what production then is.
-			both("declared", func(o *oracleSystem) string {
-				dev, itf := firstRoutedInterface(o.sys.view())
-				flap := func(step string, fail error, devices ...string) {
-					t.Helper()
-					o.checkProduction(t, step+"/before")
-					before := o.misses()
-					if err := o.mutate(func(*netmodel.Network) error {
-						itf.Shutdown = !itf.Shutdown
-						return fail
-					}, devices...); err != fail {
-						t.Fatalf("%s: MutateProduction returned %v, want %v", step, err, fail)
-					}
-					o.checkProduction(t, step)
-					if o.held && o.misses() != before+1 {
-						t.Fatalf("%s: %v production snapshots computed after the write, want 1: the held one was not dropped", step, o.misses()-before)
-					}
-				}
-				for i := 0; i < 2; i++ {
-					flap(fmt.Sprintf("declared/failed write %d", i), fmt.Errorf("link flapped mid-write"), dev)
-					flap(fmt.Sprintf("declared/unknown device %d", i), nil, dev, "no-such-device")
 				}
 				return ""
 			})
@@ -745,10 +707,10 @@ func TestProductionSnapshotOracle(t *testing.T) {
 	}
 }
 
-// TestProductionSnapshotDeclaredInject injects every issue of every scenario
-// family with the declaration the service makes, one on top of the other:
-// each leaves a snapshot that is a hit — derived from the last, never
-// computed — and equals a from-scratch Compute of production as it then is.
+// TestProductionSnapshotDeclaredInject injects every issue of every scenario family
+// as the service does, one on top of the other: each injection's hand-over
+// leaves a snapshot derived from the last, never computed, that equals a
+// from-scratch Compute of production as it then is.
 func TestProductionSnapshotDeclaredInject(t *testing.T) {
 	for _, scen := range []*scenarios.Scenario{
 		scenarios.University(), scenarios.Enterprise(), scenarios.Provider(),
@@ -764,9 +726,9 @@ func TestProductionSnapshotDeclaredInject(t *testing.T) {
 			o.checkProduction(t, scen.Name+"/"+is.Name)
 		}
 		if o.misses() != before {
-			t.Fatalf("%s: declared injections computed %v production snapshots, want 0", scen.Name, o.misses()-before)
+			t.Fatalf("%s: injections computed %v production snapshots, want 0", scen.Name, o.misses()-before)
 		}
-		if got := o.reg.CounterValue("heimdall_enforcer_prod_snapshot_derived_total"); got != float64(len(scen.Issues)) {
+		if got := o.reg.CounterValue("heimdall_enforcer_commit_handover_total", telemetry.L("from", "production")); got != float64(len(scen.Issues)) {
 			t.Fatalf("%s: %v snapshots derived over %d injections", scen.Name, got, len(scen.Issues))
 		}
 	}
@@ -818,8 +780,8 @@ func mustExport(t *testing.T, export func() ([]byte, error)) string {
 // TestProductionSnapshotHammer races session opens and reviews, repeated
 // and never-repeating ones (readers of the held production snapshot and
 // fillers of its verdict vector, several at once as under a verify pool
-// with more than one worker) against a stream of declared injects and
-// commits (the writers that derive both onto the next version). Run under -race; a
+// with more than one worker) against a stream of injections and commits
+// (the writers that derive both onto the next version). Run under -race; a
 // reader's view and the state at rest must equal a fresh Compute, and both
 // chains must verify.
 func TestProductionSnapshotHammer(t *testing.T) {
@@ -938,7 +900,7 @@ func TestProductionSnapshotHammer(t *testing.T) {
 		return verdictsDiverge(sys.policies, held, fresh)
 	})
 	for i := 0; i < rounds; i++ {
-		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {
+		if err := sys.Enforcer.Inject(acl.Fault.Name, acl.Fault.Changes); err != nil {
 			t.Fatal(err)
 		}
 		eng, err := sys.StartWork(fileIssue(sys, acl).ID, "casey")
@@ -965,8 +927,8 @@ func TestProductionSnapshotHammer(t *testing.T) {
 }
 
 // TestEnforcerOwnsProduction runs every way into production at once on one
-// tenant — views, reviews, ticket commits, declared out-of-band writes and
-// emergency writes — under -race. Only the enforcer writes production, so
+// tenant — views, reviews, ticket commits, fault injections, out-of-band
+// change sets and emergency writes — under -race. Only the enforcer writes production, so
 // whatever interleaving the scheduler picks, what it holds at rest is a
 // from-scratch Compute and check of production, and both chains verify.
 func TestEnforcerOwnsProduction(t *testing.T) {
@@ -1033,7 +995,7 @@ func TestEnforcerOwnsProduction(t *testing.T) {
 		return err
 	})
 	run(func(int) error {
-		if err := sys.MutateProduction(acl.Fault.Inject, acl.Fault.RootCause); err != nil {
+		if err := sys.Enforcer.Inject(acl.Fault.Name, acl.Fault.Changes); err != nil {
 			return err
 		}
 		eng, err := sys.StartWork(fileIssue(sys, acl).ID, "casey")
@@ -1052,9 +1014,9 @@ func TestEnforcerOwnsProduction(t *testing.T) {
 		if i%2 == 1 {
 			entry = config.Change{Device: oobDev, Op: config.OpRemoveACLEntry, ACLName: "OUT-OF-BAND", Seq: 10}
 		}
-		return sys.MutateProduction(func(n *netmodel.Network) error {
-			return config.ApplyChanges(n, []config.Change{entry})
-		}, oobDev)
+		return sys.Enforcer.Inject("out-of-band", func(*netmodel.Network) ([]config.Change, error) {
+			return []config.Change{entry}, nil
+		})
 	})
 	run(func(i int) error {
 		line := "access-list EMERGENCY 10 permit ip any any"

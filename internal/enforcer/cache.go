@@ -9,9 +9,9 @@ package enforcer
 //
 // The cache keys on content, not identity: privilege-rules digest ×
 // canonical change-set digest. Production belongs to the enforcer, and
-// every path that writes it — a committed change set, a rollback, a
-// quarantine, recovery, MutateProduction — holds the write lock and empties
-// the cache before it lets a review back in.
+// every path that writes it — a committed change set, a fault injection, a
+// rollback, a quarantine, recovery — holds the write lock and empties the
+// cache before it lets a review back in.
 //
 // A cached hit is observably identical to a fresh review: it appends the
 // same audit-trail entry (message and outcome recorded alongside the
@@ -90,8 +90,8 @@ func (e *Enforcer) InvalidateReviews() {
 }
 
 // invalidate is InvalidateReviews under the write lock: every production
-// writer ends in it, or in what keeps the snapshot (productionWritten, a
-// commit's hand-over) right after it.
+// writer ends in it, or in what keeps the snapshot (a hand-over) right
+// after it.
 func (e *Enforcer) invalidate() {
 	e.prodSnap.Store(nil)
 	e.kept.Store(nil)

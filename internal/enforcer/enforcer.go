@@ -39,7 +39,8 @@ import (
 )
 
 // Enforcer gates changes from twin networks into one production network,
-// which it owns: nothing else writes it, and every reader gets a View.
+// which it owns: nothing else writes it, every reader gets a View, and every
+// write is a journaled change set (Submit, Inject; journal.Replay).
 // Commits are serialized: concurrent engagements may review in parallel,
 // but only one change set at a time is verified-against and applied to
 // production, so a commit's verification always reflects the state it
@@ -70,8 +71,8 @@ type Enforcer struct {
 	snapDerived, cacheHits, cacheMisses telemetry.Counter
 	checks                              *verify.Instruments
 	// mu guards prod's device map and everything that changes with it.
-	// Reviews, views and Quarantined read under mu.RLock; a commit (end to
-	// end), MutateProduction, Recover and the Set* seams write under
+	// Reviews, views and Quarantined read under mu.RLock; a commit and an
+	// injection (end to end), Recover and the Set* seams write under
 	// mu.Lock. Unexported helpers assume it is held: it is not reentrant.
 	mu   sync.RWMutex
 	prod *netmodel.Network
@@ -111,7 +112,7 @@ type Enforcer struct {
 
 // New creates an enforcer hosted in the given enclave, guarding the given
 // policy set on prod, which it owns from now on: the caller never writes it
-// again (MutateProduction) and reads it through View. The audit-trail and
+// again (Submit and Inject do) and reads it through View. The audit-trail and
 // commit-journal keys never exist outside the enclave.
 func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network) *Enforcer {
 	e := &Enforcer{
@@ -168,30 +169,6 @@ func (e *Enforcer) View(snapshot bool) (*netmodel.Network, *dataplane.Snapshot) 
 		return view, nil
 	}
 	return view, e.productionSnapshot().Derive(view, nil)
-}
-
-// MutateProduction applies fn to production under the write lock: the
-// out-of-band writer (fault injection, admin edits). fn writes clones: the
-// listed devices, or all of them when none is, are detached first
-// (netmodel.Network.Detach), and the held snapshot is derived across the
-// write (productionWritten). The list is a claim — a device written but not
-// listed leaves a wrong snapshot held and writes open twins. Without one,
-// and whenever fn fails (it may have partially applied), verdicts and
-// snapshot are dropped.
-func (e *Enforcer) MutateProduction(fn func(*netmodel.Network) error, devices ...string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	written := devices
-	if len(written) == 0 {
-		written = e.prod.DeviceNames()
-	}
-	pre := e.prod.Detach(written...)
-	if err := fn(e.prod); err != nil || len(devices) == 0 {
-		e.invalidate()
-		return err
-	}
-	e.productionWritten(pre, devices)
-	return nil
 }
 
 // SetMeter wires enforcer telemetry (reviews, verify latency, changes
@@ -376,7 +353,7 @@ func changeSetFor(prod *netmodel.Network, changes []config.Change) dataplane.Cha
 // full-recompute class is reserved for ops the switch doesn't recognize.
 func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind {
 	switch c.Op {
-	case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL:
+	case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL, config.OpAddACL:
 		return dataplane.ChangeACL
 	case config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway:
 		return dataplane.ChangeStatic
@@ -419,7 +396,7 @@ func interfaceChangeL2Only(prod *netmodel.Network, c config.Change) bool {
 func schedulePhase(op config.Op) int {
 	switch op {
 	// Phase 0 (definitions and additive data):
-	case config.OpSetVLAN, config.OpAddACLEntry, config.OpSetOSPF, config.OpSetBGP:
+	case config.OpSetVLAN, config.OpAddACLEntry, config.OpAddACL, config.OpSetOSPF, config.OpSetBGP:
 		return 0
 	case config.OpAddStaticRoute, config.OpSetGateway:
 		return 1
@@ -513,10 +490,7 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	// target applies the changes, is what the post-apply snapshot's ancestor
 	// derives from. What a custom target does to production is not the
 	// enforcer's to assume: there the post-apply check computes from scratch.
-	var pre *dataplane.Snapshot
-	if e.target == nil {
-		pre = e.productionSnapshot()
-	}
+	pre := e.pushAncestor()
 	key, rules := reviewKey(changes, spec, req.RulesDigest)
 	// Own key: a strict review shares no emergency verdict or kept shadow.
 	rule := ""
@@ -543,45 +517,93 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 		e.trail.Append(spec.Ticket, spec.Technician, audit.KindVerify,
 			fmt.Sprintf("authz: high-risk change set authorized by %d approvals (M=%d)", len(approvals), e.Auth.M), true)
 	}
-	devices := touchedDevices(ordered)
-	// The push replaces the devices it writes (Target.Apply) and writes none:
-	// backup holds production as it was, its devices shared with open twins,
-	// and the journal's undos, rollback and the production ancestor's diff
-	// read them.
+	from, violations, err := e.push(specIdent{spec.Ticket, spec.Technician}, ordered, approvals, key, rule, pre)
+	if err != nil {
+		if violations != nil {
+			d.Accepted, d.Violations = false, violations
+		}
+		e.committed[false].Inc()
+		return d, err
+	}
+	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
+		fmt.Sprintf("committed %d changes to production (from=%s)", len(ordered), from), true)
+	e.committed[true].Inc()
+	return d, nil
+}
+
+// Inject lands a fault on production: the change set changes returns, read
+// from production under the write lock, goes through a commit's push
+// unreviewed, under a rule that tolerates every violation (injects), its
+// intent and trail entries naming the fault as their ticket. Refused while
+// quarantined; an error, no change or an unknown device lands nothing, a
+// failed push rolls back.
+func (e *Enforcer) Inject(fault string, changes func(prod *netmodel.Network) ([]config.Change, error)) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.quarantined {
+		return fmt.Errorf("enforcer: quarantined (%s); run Recover before injecting", e.quarReason)
+	}
+	cs, err := changes(e.prod)
+	if err != nil || len(cs) == 0 {
+		return err
+	}
+	for _, c := range cs {
+		if e.prod.Devices[c.Device] == nil {
+			return fmt.Errorf("enforcer: fault %s: no production device %s", fault, c.Device)
+		}
+	}
+	_, _, err = e.push(specIdent{ticket: fault}, cs, nil, "", injects, e.pushAncestor())
+	return err
+}
+
+// pushAncestor is the snapshot a push's hand-over derives from (handOver).
+func (e *Enforcer) pushAncestor() *dataplane.Snapshot {
+	if e.target != nil {
+		return nil
+	}
+	return e.productionSnapshot()
+}
+
+// push lands changes in order, write-ahead, under the write lock: the
+// intent (changes, undos, approvals, rule) before device one, each change
+// pushed with retry, journaled as applied and trailed, then the hand-over
+// from pre or the kept shadow of the review under key,
+// checked under rule, before the terminal record. A failure rolls back or
+// quarantines; the error says which, beside the untolerated violations.
+func (e *Enforcer) push(id specIdent, changes []config.Change, approvals []journal.Approval, key, rule string, pre *dataplane.Snapshot) (from string, violations []verify.Violation, err error) {
+	devices := touchedDevices(changes)
+	// The push replaces the devices it writes (Target.Apply): backup holds
+	// production as it was, for the undos, the rollback and the hand-over.
 	backup := e.prod.CloneCOW()
 	tgt := e.pushTarget()
 	policy := e.Retry.withDefaults()
 	e.commitSeq++
-	cid := fmt.Sprintf("%s#%d", spec.Ticket, e.commitSeq)
+	cid := fmt.Sprintf("%s#%d", id.ticket, e.commitSeq)
 	// Seed the backoff jitter per commit so a replayed fault schedule
 	// sees identical delays.
 	rng := &jitter{seed: policy.JitterSeed + int64(e.commitSeq)}
-	id := specIdent{spec.Ticket, spec.Technician}
 
 	// Write-ahead: the journal knows the full plan, what each change
 	// overwrites and the rule before device one.
-	undos := make([]config.Undo, len(ordered))
-	for i, c := range ordered {
+	undos := make([]config.Undo, len(changes))
+	for i, c := range changes {
 		undos[i] = config.UndoOf(backup.Devices[c.Device], c)
 	}
-	e.journal.Append(journal.Record{Kind: journal.KindIntent, Commit: cid, Ticket: spec.Ticket, Technician: spec.Technician,
-		Changes: ordered, Undos: undos, Approvals: approvals, ChangeIndex: -1, Detail: rule})
-	for i, c := range ordered {
+	e.journal.Append(journal.Record{Kind: journal.KindIntent, Commit: cid, Ticket: id.ticket, Technician: id.technician,
+		Changes: changes, Undos: undos, Approvals: approvals, ChangeIndex: -1, Detail: rule})
+	for i, c := range changes {
 		opStart := time.Now()
 		err := e.pushOp(policy, rng, "apply", func() error { return tgt.Apply(c) })
 		e.pushTime.ObserveDuration(time.Since(opStart))
 		if err != nil {
-			outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
-				fmt.Sprintf("apply failed: %v", err))
-			e.committed[false].Inc()
-			if outcome == "quarantined" {
-				return d, fmt.Errorf("enforcer: applying %s: %v; rollback failed, production quarantined", c, err)
+			if e.rollbackPush(tgt, policy, rng, pre, backup, devices, id, cid, fmt.Sprintf("apply failed: %v", err)) == "quarantined" {
+				return "", nil, fmt.Errorf("enforcer: applying %s: %v; rollback failed, production quarantined", c, err)
 			}
-			return d, fmt.Errorf("enforcer: applying %s: %w (rolled back)", c, err)
+			return "", nil, fmt.Errorf("enforcer: applying %s: %w (rolled back)", c, err)
 		}
 		pushed := c.String()
 		e.journal.Applied(cid, i, pushed)
-		e.trail.Append(spec.Ticket, spec.Technician, audit.KindChange, pushed, true)
+		e.trail.Append(id.ticket, id.technician, audit.KindChange, pushed, true)
 		e.applied.Inc()
 	}
 	// Never trust, always verify: production must now be what was verified.
@@ -590,26 +612,19 @@ func (e *Enforcer) Submit(req CommitRequest) (*Decision, error) {
 	postSnap, verdicts, violations, from := e.handOver(key, pre, backup, devices)
 	e.handedOver[from].Inc()
 	if violations := untolerated(rule, violations); len(violations) > 0 {
-		outcome := e.rollbackPush(tgt, policy, rng, backup, devices, id, cid,
-			fmt.Sprintf("post-apply verification failed: %d violations", len(violations)))
-		d.Accepted = false
-		d.Violations = violations
-		e.committed[false].Inc()
-		if outcome == "quarantined" {
-			return d, fmt.Errorf("enforcer: post-apply verification failed; rollback failed, production quarantined")
+		why := fmt.Sprintf("post-apply verification failed: %d violations", len(violations))
+		if e.rollbackPush(tgt, policy, rng, pre, backup, devices, id, cid, why) == "quarantined" {
+			return from, violations, fmt.Errorf("enforcer: post-apply verification failed; rollback failed, production quarantined")
 		}
-		return d, fmt.Errorf("enforcer: post-apply verification failed (rolled back)")
+		return from, violations, fmt.Errorf("enforcer: post-apply verification failed (rolled back)")
 	}
-	e.journal.Committed(cid, fmt.Sprintf("%d changes", len(ordered)))
-	e.trail.Append(spec.Ticket, spec.Technician, audit.KindSession,
-		fmt.Sprintf("committed %d changes to production (from=%s)", len(ordered), from), true)
+	e.journal.Committed(cid, fmt.Sprintf("%d changes", len(changes)))
 	// Production changed: every cached review verdict is now stale, and the
 	// snapshot just verified, with the verdicts it was verified to, is what
 	// is held of the new version.
 	e.invalidate()
 	e.prodSnap.Store(&heldSnapshot{snap: postSnap, verdicts: verdicts})
-	e.committed[true].Inc()
-	return d, nil
+	return from, nil, nil
 }
 
 // Commit is Submit for benchmark/, which hands production in: it refuses
@@ -647,9 +662,15 @@ func (e *Enforcer) emergencyRule(held *dataplane.Snapshot) string {
 	return rule
 }
 
+// injects is a fault injection's rule: it tolerates every violation.
+const injects = "fault: tolerates every violation"
+
 // untolerated is vs, in place, without the violations rule tolerates: the
-// one reading of the rule, so the commit and Recover answer to the same.
+// one reading of the rule, so a push and Recover answer to the same.
 func untolerated(rule string, vs []verify.Violation) []verify.Violation {
+	if rule == injects {
+		return vs[:0]
+	}
 	tol := strings.Fields(strings.TrimPrefix(rule, tolerates))
 	return slices.DeleteFunc(vs, func(v verify.Violation) bool { return slices.Contains(tol, v.Policy.ID) })
 }

@@ -220,17 +220,21 @@ func touchedDevices(changes []config.Change) []string {
 // target, retrying each restore. If any device cannot be restored the
 // enforcer quarantines instead of leaving a silent partial state. It
 // returns the terminal outcome ("rolled-back" or "quarantined").
-func (e *Enforcer) rollbackPush(tgt Target, p RetryPolicy, rng *jitter, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
+func (e *Enforcer) rollbackPush(tgt Target, p RetryPolicy, rng *jitter, pre *dataplane.Snapshot, backup *netmodel.Network, devices []string, spec specIdent, cid, why string) string {
 	// Production was written, so no cached verdict survives. The built-in
-	// target writes only the touched devices: the held pre-commit snapshot is
-	// derived across what still differs from the backup (nothing, after a
-	// clean restore). What a custom target did is not the enforcer's to assume.
+	// target writes only the touched devices: the pre-push snapshot is handed
+	// over across what still differs from the backup (nothing, after a clean
+	// restore, and it stays held). What a custom target did is not the
+	// enforcer's to assume.
 	defer func() {
-		if e.target == nil {
-			e.productionWritten(backup, devices)
-		} else {
+		if e.target != nil {
 			e.invalidate()
+			return
 		}
+		snap, verdicts, _, _ := e.handOver("", pre, backup, devices)
+		e.invalidate()
+		e.prodSnap.Store(&heldSnapshot{snap: snap, verdicts: verdicts})
+		e.snapDerived.Inc()
 	}()
 	var restored, failed []string
 	for _, name := range devices {
@@ -276,13 +280,14 @@ type RecoveryReport struct {
 	Changes int
 }
 
-// Recover completes or undoes a commit the journal left open — the state
-// a crash between the intent record and the terminal record leaves behind.
-// It restores every change's journaled undo, last change first, on detached
-// copies of the devices the changes name (open twins share production's).
-// Undos are idempotent, so a change whose applied record the crash lost is
-// undone as safely as one that never landed. It then replays the full
-// scheduled change set and re-runs post-apply verification: the outcome (and
+// Recover completes or undoes a commit or an injection the journal left
+// open — the state a crash between the intent record and the terminal
+// record leaves behind. It restores every change's journaled undo, last
+// change first, each replacing the device it restores (config.RestoreUndos;
+// open twins keep the devices they share). Undos are idempotent, so a
+// change whose applied record the crash lost is undone as safely as one
+// that never landed. It then replays the intent's full change set and
+// re-runs post-apply verification under its rule: the outcome (and
 // the final production state) is therefore identical to the uninterrupted
 // run, whichever record the crash interrupted. An intent whose undos do not
 // match its changes is rolled back without writing any device. Recovery runs
@@ -304,11 +309,8 @@ func (e *Enforcer) Recover() (*RecoveryReport, error) {
 	rep := &RecoveryReport{Commit: intent.Commit, Changes: len(intent.Changes)}
 	devices := touchedDevices(intent.Changes)
 	undo := func() error {
-		for i := len(intent.Undos) - 1; i >= 0; i-- {
-			u := intent.Undos[i]
-			if err := config.RestoreUndo(prod.Devices[u.Device], u); err != nil {
-				return fmt.Errorf("enforcer: recovery: %w", err)
-			}
+		if err := config.RestoreUndos(prod, intent.Undos); err != nil {
+			return fmt.Errorf("enforcer: recovery: %w", err)
 		}
 		return nil
 	}
@@ -336,7 +338,6 @@ func (e *Enforcer) Recover() (*RecoveryReport, error) {
 	if !ok {
 		return rollBack(false, "recovery refused: the intent's undos do not match its changes on production")
 	}
-	prod.Detach(devices...)
 	if err := undo(); err != nil {
 		return nil, err
 	}

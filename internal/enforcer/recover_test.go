@@ -12,6 +12,7 @@ import (
 	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/enclave"
+	"heimdall/internal/faultinject"
 	"heimdall/internal/journal"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
@@ -112,15 +113,17 @@ func exports(t *testing.T, e *Enforcer) (trail, commits []byte) {
 
 // TestRecoverEveryCrashPoint runs a clean commit on each seed scenario,
 // then simulates a crash after every journal record boundary: production
-// is reconstructed to exactly what the pipeline had pushed at that point,
-// a fresh enforcer imports the surviving journal prefix, and Recover must
-// land on the same final production state as the uninterrupted run. Where
-// the next record is an applied one, the crash also comes between that push
-// and its record: production holds the change, the journal does not, and the
-// change's undo must take it back as safely as any other. The emergency
-// cases first inject a fault that breaks policies, so a strict commit of the
-// same set is refused and the emergency commit lands only because its intent
-// tolerates them: Recover must replay it to that rule.
+// is reconstructed to exactly what the pipeline had pushed at that point
+// (journal.Replay of the prefix), a fresh enforcer imports the surviving
+// journal prefix, and Recover must land on the same production state as the
+// uninterrupted run had once the intent the crash interrupted settled.
+// Where the next record is an applied one, the crash also comes between
+// that push and its record: production holds the change, the journal does
+// not, and the change's undo must take it back as safely as any other. The
+// emergency cases first inject a fault that breaks policies, so the crash
+// points run through the injection's records too, and a strict commit of
+// the same set is refused: the emergency commit lands only because its
+// intent tolerates them, and Recover must replay each intent to its rule.
 func TestRecoverEveryCrashPoint(t *testing.T) {
 	for _, tc := range []struct {
 		load  func() *scenarios.Scenario
@@ -131,38 +134,58 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 	} {
 		scen := tc.load()
 		name := scen.Name
+		pre := scen.Network.Clone()
 		e := newCrashEnforcer(scen, scen.Network)
 		changes := neutralChanges(t, scen.Network)
 		req := CommitRequest{Changes: changes, Spec: crashSpec()}
+		var settled []string // production once each intent settled, in journal order
 		if tc.fault != "" {
 			name += "/emergency " + tc.fault
 			for _, is := range scen.Issues {
 				if is.Name == tc.fault {
-					if err := e.MutateProduction(is.Fault.Inject); err != nil {
+					if err := e.Inject(is.Fault.Name, is.Fault.Changes); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
+			settled = append(settled, fingerprint(scen.Network))
 			if _, err := e.submit(changes, crashSpec()); err == nil {
 				t.Fatalf("%s: a strict commit over the fault's violations was accepted", name)
 			}
 			req = CommitRequest{Spec: crashSpec(), Emergency: func(*netmodel.Network) ([]config.Change, error) { return changes, nil }}
 		}
-		pre := scen.Network.Clone()
 
 		// Uninterrupted run.
 		if _, err := e.Submit(req); err != nil {
 			t.Fatalf("%s: uninterrupted commit failed: %v", name, err)
 		}
-		finalFP := fingerprint(scen.Network)
+		settled = append(settled, fingerprint(scen.Network))
 		trail, _ := exports(t, e)
 		full := e.Journal().Records()
-		ordered := full[0].Changes // the scheduled set the journal replays
-		if tolerated := strings.Fields(strings.TrimPrefix(full[0].Detail, tolerates)); (tc.fault != "") != (len(tolerated) > 0) {
-			t.Fatalf("%s: intent detail %q", name, full[0].Detail)
+		changesOf := map[string][]config.Change{} // the scheduled sets the journal replays
+		var details []string
+		applied := 0
+		for _, r := range full {
+			switch r.Kind {
+			case journal.KindIntent:
+				if len(r.Undos) != len(r.Changes) {
+					t.Fatalf("%s: %d undos for %d changes", name, len(r.Undos), len(r.Changes))
+				}
+				changesOf[r.Commit] = r.Changes
+				details = append(details, r.Detail)
+			case journal.KindApplied:
+				applied++
+			}
 		}
-		if len(full[0].Undos) != len(ordered) {
-			t.Fatalf("%s: %d undos for %d changes", name, len(full[0].Undos), len(ordered))
+		if len(details) != len(settled) {
+			t.Fatalf("%s: %d intents journaled, want %d", name, len(details), len(settled))
+		}
+		commit := details[len(details)-1]
+		if tolerated := strings.Fields(strings.TrimPrefix(commit, tolerates)); (tc.fault != "") != (len(tolerated) > 0) {
+			t.Fatalf("%s: intent detail %q", name, commit)
+		}
+		if tc.fault != "" && details[0] != injects {
+			t.Fatalf("%s: injection intent detail %q", name, details[0])
 		}
 
 		crashes := 0
@@ -170,31 +193,110 @@ func TestRecoverEveryCrashPoint(t *testing.T) {
 			prefix := full[:k]
 			// Reconstruct production as the crash left it: pre-state plus
 			// every change the journal prefix records as applied.
-			state := pre.Clone()
-			committedSeen := false
-			for _, r := range prefix {
-				switch r.Kind {
-				case journal.KindApplied:
-					if err := config.ApplyChanges(state, ordered[r.ChangeIndex:r.ChangeIndex+1]); err != nil {
-						t.Fatalf("%s: replaying applied record: %v", name, err)
-					}
-				case journal.KindCommitted:
-					committedSeen = true
-				}
+			state, err := journal.Replay(pre, prefix)
+			if err != nil {
+				t.Fatalf("%s: replaying the prefix: %v", name, err)
 			}
-			recoverAt(t, scen, fmt.Sprintf("%s: crash point %d", name, k), trail, prefix, state, committedSeen, finalFP)
+			intents, closed := 0, false
+			for _, r := range prefix {
+				if r.Kind == journal.KindIntent {
+					intents++
+				}
+				closed = r.Kind == journal.KindCommitted
+			}
+			want := settled[intents-1]
+			recoverAt(t, scen, fmt.Sprintf("%s: crash point %d", name, k), trail, prefix, state, closed, want)
 			crashes++
 			// The push of the next change landed; its applied record did not.
-			if k < len(full) && full[k].Kind == journal.KindApplied {
-				if err := config.ApplyChanges(state, ordered[full[k].ChangeIndex:full[k].ChangeIndex+1]); err != nil {
+			if next := full[min(k, len(full)-1)]; k < len(full) && next.Kind == journal.KindApplied {
+				if err := config.ApplyChanges(state, changesOf[next.Commit][next.ChangeIndex:next.ChangeIndex+1]); err != nil {
 					t.Fatal(err)
 				}
-				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, full[k].ChangeIndex), trail, prefix, state, false, finalFP)
+				recoverAt(t, scen, fmt.Sprintf("%s: crash point %d, change %d pushed", name, k, next.ChangeIndex), trail, prefix, state, false, want)
 				crashes++
 			}
 		}
-		if want := 2*len(full) - 2; crashes != want { // every applied record, and everything after the intent
+		if want := len(full) + applied; crashes != want { // every record, and every applied one unrecorded
 			t.Fatalf("%s: %d crash points, want %d", name, crashes, want)
+		}
+	}
+}
+
+// TestJournalRebuildsProduction: every production write is a journaled
+// change set, so the scenario's configs and the journal export alone
+// rebuild production, device for device, after injections, commits, an
+// emergency write, a rollback and a quarantine with its recovery.
+func TestJournalRebuildsProduction(t *testing.T) {
+	scen := scenarios.University()
+	e := newCrashEnforcer(scen, scen.Network)
+	push := func(step string, req CommitRequest, plan ...faultinject.Rule) {
+		t.Helper()
+		e.SetInjector(faultinject.New(faultinject.Plan{Rules: plan}))
+		defer e.SetInjector(nil)
+		if _, err := e.Submit(req); (err == nil) != (len(plan) == 0) {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	changes := neutralChanges(t, scen.Network)
+	fail := faultinject.Rule{Op: "apply", FailNth: 2, Class: faultinject.Permanent}
+	push("rollback", CommitRequest{Changes: changes, Spec: crashSpec()}, fail)
+	push("quarantine", CommitRequest{Changes: changes, Spec: crashSpec()}, fail,
+		faultinject.Rule{Op: "restore", Outage: true, Class: faultinject.Permanent})
+	if rep, err := e.Recover(); err != nil || rep.Action != "committed" {
+		t.Fatalf("Recover = %+v, %v", rep, err)
+	}
+	// The first fault injected and its root cause's scenario config
+	// committed back, then every fault, then an emergency write over them.
+	for i, is := range scen.Issues {
+		if err := e.Inject(is.Fault.Name, is.Fault.Changes); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			continue
+		}
+		root := is.Fault.RootCause
+		orig, err := config.Parse(root, scen.Configs[root])
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod, _ := e.View(false)
+		push("fix", CommitRequest{Changes: config.DiffDevice(prod.Devices[root], orig), Spec: crashSpec()})
+	}
+	push("emergency", CommitRequest{Spec: crashSpec(), Emergency: func(*netmodel.Network) ([]config.Change, error) {
+		return []config.Change{{Device: "r1", Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: 950, Name: "rebuilt"}}}, nil
+	}})
+
+	_, data := exports(t, e)
+	j, err := journal.Import(e.JournalKey(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := &netmodel.Network{Devices: make(map[string]*netmodel.Device, len(scen.Configs))}
+	for name, text := range scen.Configs {
+		if base.Devices[name], err = config.Parse(name, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuilt, err := journal.Replay(base, j.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, _ := e.View(false)
+	kinds := map[journal.Kind]int{}
+	for _, r := range j.Records() {
+		kinds[r.Kind]++
+	}
+	for _, k := range []journal.Kind{journal.KindRolledBack, journal.KindQuarantined, journal.KindRecovered} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %s record in the journal: %v", k, kinds)
+		}
+	}
+	if len(rebuilt.Devices) != len(prod.Devices) {
+		t.Fatalf("rebuilt %d devices, production holds %d", len(rebuilt.Devices), len(prod.Devices))
+	}
+	for name, d := range prod.Devices {
+		if got, want := config.Print(rebuilt.Devices[name]), config.Print(d); got != want {
+			t.Fatalf("%s rebuilt from the journal:\n%s\nproduction:\n%s", name, got, want)
 		}
 	}
 }

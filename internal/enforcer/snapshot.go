@@ -18,24 +18,25 @@ package enforcer
 // it never writes the held one. A commit lands what its review verified: when
 // config.DiffDevice finds nothing between that shadow and production on the
 // touched devices, the diff is the verification and the review's vector
-// becomes production's; a push that landed anything else is checked across
-// what differs (handOver), and so is a declared write (productionWritten).
+// becomes production's; a push that landed anything else, an injection's
+// among them, is checked across what differs, and so is a rollback
+// (handOver: one that changed nothing keeps the very snapshot and vector).
 // The vector is installed, handed over and dropped with the snapshot, never
 // apart from it. A version computed from scratch is held without one until
 // its first review completes it on production (verdictsOf).
 //
 // Only the enforcer writes production, so only it moves the snapshot on:
 // production's devices are immutable once published (open twins share
-// them), a writer replaces each device it writes (a commit's push with
-// config.ApplyChange's copy, the other writers with netmodel.Network.Detach's
-// clone), and a snapshot reads its network's devices from the map lazily (ACLs at
-// trace time), so the held snapshot is read only under the lock and leaves
-// it rebound to a copy (View). Every writer holds the write lock and ends,
-// before it unlocks, in a commit's hand-over (an emergency write's too), in
-// productionWritten (a declared MutateProduction, the built-in target's
-// rollback) or in invalidate, which drops the snapshot: an undeclared
-// MutateProduction, a custom target's rollback, and Recover, whose real
-// caller is a fresh enforcer after a crash, holding nothing to derive from.
+// them), a writer replaces each device it writes (a push with
+// config.ApplyChange's copy, a rollback with the backup's device, Recover
+// with config.RestoreUndo's), and a snapshot reads its network's devices
+// from the map lazily (ACLs at trace time), so the held snapshot is read
+// only under the lock and leaves it rebound to a copy (View). Every writer
+// holds the write lock and ends, before it unlocks, in a hand-over (a
+// commit's, an emergency write's, an injection's, or the built-in target's
+// rollback) or in invalidate, which drops the snapshot: a custom target's
+// rollback, and Recover, whose real caller is a fresh enforcer after a
+// crash, holding nothing to derive from.
 
 import (
 	"heimdall/internal/config"
@@ -112,35 +113,6 @@ func (e *Enforcer) productionSnapshot() *dataplane.Snapshot {
 	return snap
 }
 
-// productionWritten is invalidate for a writer that names what it wrote,
-// under the write lock: production was written on exactly the listed
-// devices, and pre holds them as they were (a CloneCOW taken before the
-// write, as netmodel.Network.Detach returns one). Every cached verdict
-// dies, but the held snapshot is derived across the write (diffAcross; the
-// same one when nothing changed) and its vector checked across it as a
-// commit's is (handOver); a vector no review completed yet is still to be
-// completed, on the snapshot as it now is. The list is a claim nobody checks here: a
-// device written but not listed leaves a wrong snapshot held. Nothing held,
-// or a listed device missing on either side, is a drop.
-func (e *Enforcer) productionWritten(pre *netmodel.Network, devices []string) {
-	h := e.prodSnap.Load()
-	cs, ok := diffAcross(pre, e.prod, devices)
-	e.invalidate()
-	if h == nil || !ok {
-		return
-	}
-	if len(cs) > 0 {
-		next := &heldSnapshot{snap: h.snap.Derive(e.prod, cs)}
-		if h.verdicts != nil {
-			next.verdicts = make(verify.Verdicts, len(e.policies))
-			verify.CheckCarried(next.snap, e.policies, h.verdicts, next.verdicts, e.checks)
-		}
-		h = next
-	}
-	e.prodSnap.Store(h)
-	e.snapDerived.Inc()
-}
-
 // diffAcross is what differs between from and to on the named devices
 // (config.DiffDevice), classified against from for derivation; ok is false
 // when a device is missing on either side.
@@ -165,23 +137,29 @@ type keptShadow struct {
 	verdicts     verify.Verdicts
 }
 
-// handOver derives production's snapshot after a push onto devices and returns it
-// with every policy's verdict there, their violations and the ancestor's
-// name: the shadow the review under key kept when it derives from pre, else
-// pre, whose devices backup holds; computed without pre. A push that landed
-// the kept shadow exactly (no diff) holds the review's verdicts and checks
-// nothing; otherwise every policy is checked, carrying the ancestor's
-// verdicts across the diff.
+// handOver derives production's snapshot after a write onto devices (a push
+// or its rollback) and returns it with every policy's verdict there, their
+// violations and the ancestor's name: the shadow the review under key kept
+// when it derives from pre, else pre, whose devices backup holds; computed
+// without pre. A write that landed its ancestor exactly (no diff) holds the
+// ancestor's complete verdicts and checks nothing; otherwise every policy
+// is checked, carrying the ancestor's verdicts across the diff.
 func (e *Enforcer) handOver(key string, pre *dataplane.Snapshot, backup *netmodel.Network, devices []string) (*dataplane.Snapshot, verify.Verdicts, []verify.Violation, string) {
 	net, snap, verdicts, from := backup, pre, e.verdictsOf(pre, false), "production"
 	if k := e.kept.Load(); k != nil && k.key == key && k.parent == pre {
 		net, snap, verdicts, from = k.net, k.snap, k.verdicts, "review"
 	}
 	cs, ok := diffAcross(net, e.prod, devices)
-	if !ok || snap == nil {
+	switch {
+	case !ok || snap == nil:
 		snap, verdicts, from = dataplane.ComputeWithOptions(e.prod, dataplane.Options{Meter: e.meter}), nil, "computed"
-	} else if snap = snap.Derive(e.prod, cs); len(cs) == 0 && from == "review" {
+	case len(cs) == 0 && verdicts != nil:
+		if from == "review" { // pre is production's own; the shadow's is rebound
+			snap = snap.Derive(e.prod, cs)
+		}
 		return snap, verdicts, verdicts.Violations(), from
+	default:
+		snap = snap.Derive(e.prod, cs)
 	}
 	next := make(verify.Verdicts, len(e.policies))
 	return snap, next, verify.CheckCarried(snap, e.policies, verdicts, next, e.checks).Violations, from

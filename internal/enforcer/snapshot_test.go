@@ -63,9 +63,12 @@ func TestProductionSnapshotFilledOnce(t *testing.T) {
 	}
 }
 
-// TestOutOfBandMutationNeedsInvalidate pins what an undeclared
-// MutateProduction leaves: the held snapshot and every verdict dropped, so
-// the next snapshot and the next review answer for production as it is now.
+// TestOutOfBandMutationNeedsInvalidate pins what InvalidateReviews is for:
+// a write to production that bypasses the enforcer's journaled push (the
+// benchmark's direct writes through System.Production) leaves the held
+// snapshot and the cached verdicts answering for production as it was,
+// and InvalidateReviews drops both, so the next snapshot and the next
+// review answer for production as it is now.
 func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
@@ -79,17 +82,22 @@ func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 		t.Fatal("sensitive h3 reachable before the mutation")
 	}
 
-	// An undeclared maintenance edit opens the sensitive subnet; production
-	// now violates its isolation policies.
-	if err := e.MutateProduction(func(n *netmodel.Network) error {
-		return config.ApplyChanges(n, []config.Change{maliciousPermit()})
-	}); err != nil {
+	// An out-of-band edit opens the sensitive subnet; production now
+	// violates its isolation policies. Nothing tells the enforcer.
+	if err := config.ApplyChanges(n, []config.Change{maliciousPermit()}); err != nil {
 		t.Fatal(err)
 	}
+	if e.productionSnapshot() != held {
+		t.Fatal("held snapshot moved without a write through the enforcer")
+	}
+	if d, hit := e.Review(benign, spec, ""); !hit || !d.Accepted {
+		t.Fatalf("review before the invalidation: hit=%v %+v, want the cached acceptance", hit, d)
+	}
 
+	e.InvalidateReviews()
 	snap := e.productionSnapshot()
 	if snap == held {
-		t.Fatal("pre-mutation snapshot served after an undeclared write")
+		t.Fatal("pre-mutation snapshot served after InvalidateReviews")
 	}
 	got, _ := snap.Reach("h1", "h3", netmodel.TCP, 443)
 	fresh, _ := dataplane.Compute(n).Reach("h1", "h3", netmodel.TCP, 443)
@@ -97,18 +105,20 @@ func TestOutOfBandMutationNeedsInvalidate(t *testing.T) {
 		t.Fatalf("snapshot does not reflect the mutation: held %v, fresh %v", got, fresh)
 	}
 	if got := snapshotMisses(reg); got != 2 {
-		t.Fatalf("misses = %v, want 2 (one per production version looked at)", got)
+		t.Fatalf("misses = %v, want 2 (one per computation)", got)
 	}
 	d, hit := e.Review(benign, spec, "")
 	if hit || d.Accepted || len(d.Violations) == 0 {
-		t.Fatalf("review after the mutation: hit=%v %+v, want a recomputed rejection", hit, d)
+		t.Fatalf("review after the invalidation: hit=%v %+v, want a recomputed rejection", hit, d)
 	}
 }
 
-// TestProductionWrittenDerives is the other half: a MutateProduction that
-// names the device it writes gets the held snapshot derived across the write — a new version, no verdict replayed, no
-// computation — and the drop whenever the claim cannot be honoured. The
-// three counters an operator reads say which of the two happened.
+// TestProductionWrittenDerives: an injection hands the held snapshot over
+// across its changes as a commit does, computing the ancestor first when nothing
+// is held: a new version with every verdict decided, none replayed from
+// the cache. One naming a device production does not hold lands nothing,
+// one that does not apply is rolled back, and neither moves what is held.
+// The counters an operator reads say which happened.
 func TestProductionWrittenDerives(t *testing.T) {
 	n := prod()
 	e, reg := snapshotEnforcer(n)
@@ -118,16 +128,11 @@ func TestProductionWrittenDerives(t *testing.T) {
 		return [3]float64{
 			reg.CounterValue("heimdall_enforcer_prod_snapshot_hits_total"),
 			snapshotMisses(reg),
-			reg.CounterValue("heimdall_enforcer_prod_snapshot_derived_total"),
+			reg.CounterValue("heimdall_enforcer_commit_handover_total", telemetry.L("from", "production")),
 		}
 	}
-	// write applies changes to production out of band, declared as a write
-	// of the declared devices.
-	write := func(declared []string, changes ...config.Change) {
-		t.Helper()
-		if err := e.MutateProduction(func(n *netmodel.Network) error { return config.ApplyChanges(n, changes) }, declared...); err != nil {
-			t.Fatal(err)
-		}
+	inject := func(changes ...config.Change) error {
+		return e.Inject("F", func(*netmodel.Network) ([]config.Change, error) { return changes, nil })
 	}
 	equalsCompute := func(step string, snap *dataplane.Snapshot) {
 		t.Helper()
@@ -139,54 +144,60 @@ func TestProductionWrittenDerives(t *testing.T) {
 				t.Fatalf("%s: h1 -> %s: held %v, fresh %v", step, dst, got, want)
 			}
 		}
+		verdictsMatchCompute(t, step, e.policies, e.HeldVerdicts(), n)
 	}
 
-	// Nothing held yet: nothing to derive from, the write is a drop.
-	write([]string{"r1"}, benignChange(14, 8080))
-	if got := counters(); got != [3]float64{0, 0, 0} {
-		t.Fatalf("hits/misses/derived after a write with nothing held = %v", got)
+	// Nothing held yet: the ancestor is computed, and the version after the
+	// injection is held with its vector complete.
+	if err := inject(benignChange(14, 8080)); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters(); got != [3]float64{0, 1, 1} {
+		t.Fatalf("hits/misses/hand-overs after an injection with nothing held = %v, want [0 1 1]", got)
+	}
+	if vec := e.HeldVerdicts(); len(vec) != len(e.policies) || slices.Contains(vec, nil) {
+		t.Fatal("the injection held an incomplete vector")
 	}
 	if d, hit := e.Review(benign, spec, ""); hit || !d.Accepted {
 		t.Fatalf("first review: hit=%v %+v", hit, d)
 	}
 	held := e.productionSnapshot()
 
-	// The declared write opens the sensitive subnet. The snapshot served
-	// next is a hit, is not the old one, sees the mutation, and the cached
-	// acceptance is not replayed for the new version.
-	write([]string{"r1"}, maliciousPermit())
+	// The injection opens the sensitive subnet. The snapshot served next is
+	// not the old one, sees the change, and the cached acceptance is not
+	// replayed for the new version.
+	if err := inject(maliciousPermit()); err != nil {
+		t.Fatal(err)
+	}
 	derived := e.productionSnapshot()
 	if derived == held {
-		t.Fatal("pre-mutation snapshot served after a declared write")
+		t.Fatal("pre-injection snapshot served after an injection")
 	}
-	equalsCompute("declared write", derived)
+	equalsCompute("injection", derived)
 	if tr, _ := derived.Reach("h1", "h3", netmodel.TCP, 443); !tr.Delivered() {
-		t.Fatal("derived snapshot does not see the mutation")
+		t.Fatal("derived snapshot does not see the injection")
 	}
 	if d, hit := e.Review(benign, spec, ""); hit || d.Accepted {
-		t.Fatalf("review after the declared write: hit=%v %+v, want a recomputed rejection", hit, d)
+		t.Fatalf("review after the injection: hit=%v %+v, want a recomputed rejection", hit, d)
 	}
-	if got := counters(); got != [3]float64{3, 1, 1} {
-		t.Fatalf("hits/misses/derived after a declared write = %v, want [3 1 1]", got)
+	if got := counters(); got != [3]float64{5, 1, 2} {
+		t.Fatalf("hits/misses/hand-overs after an injection = %v, want [5 1 2]", got)
 	}
 
-	// A declared write that changed nothing keeps the very snapshot.
-	write([]string{"r1", "r1"})
+	// A change for a device production does not hold is refused before
+	// the intent; one that removes an entry no ACL has is rolled back.
+	records := len(e.Journal().Records())
+	if err := inject(config.Change{Device: "r9", Op: config.OpRemoveACLEntry, ACLName: "GUARD", Seq: 5}); err == nil {
+		t.Fatal("a change for an unknown device injected")
+	}
+	if len(e.Journal().Records()) != records {
+		t.Fatal("a change for an unknown device was journaled")
+	}
+	if err := inject(config.Change{Device: "r1", Op: config.OpRemoveACLEntry, ACLName: "GUARD", Seq: 99}); err == nil || !strings.Contains(err.Error(), "rolled back") {
+		t.Fatalf("a change that does not apply: %v, want a rollback", err)
+	}
 	if e.productionSnapshot() != derived {
-		t.Fatal("a write that changed nothing replaced the held snapshot")
-	}
-	if got := counters(); got != [3]float64{4, 1, 2} {
-		t.Fatalf("hits/misses/derived after an empty write = %v, want [4 1 2]", got)
-	}
-
-	// A name production does not hold: dropped, computed on demand.
-	write([]string{"r1", "r9"}, config.Change{Device: "r1", Op: config.OpRemoveACLEntry, ACLName: "GUARD", Seq: 5})
-	if e.prodSnap.Load() != nil {
-		t.Fatal("a declaration naming an unknown device left a snapshot held")
-	}
-	equalsCompute("unknown device", e.productionSnapshot())
-	if got := counters(); got != [3]float64{4, 2, 2} {
-		t.Fatalf("hits/misses/derived after a mis-declared write = %v, want [4 2 2]", got)
+		t.Fatal("a fault that landed nothing moved the held snapshot")
 	}
 }
 
@@ -343,8 +354,8 @@ func TestReviewsShareParentMemo(t *testing.T) {
 // from scratch starts with an empty vector, and its first review completes
 // it on production, so every slot is then the from-scratch verdict and a
 // second review resumes each retrace from production's trace without
-// tracing anything on production. A declared write's vector is checked
-// across the write: complete, and no review writes it.
+// tracing anything on production. An injection's vector is checked across
+// the write: complete, and no review writes it.
 func TestComputedVectorCompletedOnce(t *testing.T) {
 	scen := scenarios.Enterprise()
 	n := scen.Network
@@ -403,62 +414,61 @@ func TestComputedVectorCompletedOnce(t *testing.T) {
 		t.Fatalf("the second review traced %v flows on production, want 0", got)
 	}
 
-	// A declared write on the guarded device: the derived version holds a
+	// An injection on the guarded device: the derived version holds a
 	// complete vector, checked across the write as a commit's is — every
 	// verdict its derivation carries kept by identity, the others decided on
 	// it — and a review reads it as it is.
 	old := slices.Clone(held)
-	if err := e.MutateProduction(func(n *netmodel.Network) error {
-		return config.ApplyChanges(n, []config.Change{deny(3)})
-	}, at.dev); err != nil {
+	if err := e.Inject("F", func(*netmodel.Network) ([]config.Change, error) {
+		return []config.Change{deny(3)}, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	derived, vec, decided := e.productionSnapshot(), e.HeldVerdicts(), 0
 	if len(vec) != len(old) {
-		t.Fatalf("%d slots held after the declared write, want %d", len(vec), len(old))
+		t.Fatalf("%d slots held after the injection, want %d", len(vec), len(old))
 	}
 	for i := range vec {
 		if carried := derived.Carries(old[i].Trace); vec[i] == nil || carried != (vec[i] == old[i]) {
-			t.Fatalf("%s: held after the declared write %p (was %p), carried = %v", e.policies[i], vec[i], old[i], carried)
+			t.Fatalf("%s: held after the injection %p (was %p), carried = %v", e.policies[i], vec[i], old[i], carried)
 		} else if !carried {
 			decided++
 		}
 	}
 	if decided == 0 {
-		t.Fatal("the declared write carried every verdict: the test exercises nothing")
+		t.Fatal("the injection carried every verdict: the test exercises nothing")
 	}
-	verdictsMatchCompute(t, "declared write", e.policies, vec, n)
+	verdictsMatchCompute(t, "injection", e.policies, vec, n)
 	e.check([]config.Change{deny(4)}, spec)
 	if e.productionSnapshot() != derived || &e.HeldVerdicts()[0] != &vec[0] {
 		t.Fatal("the review replaced the held snapshot or its vector")
 	}
 }
 
-// TestDeclaredWriteKeepsVectorToComplete: a vector productionSnapshot
-// started empty and a declared write moved on before any review completed
-// it is completed by the next review all the same. Left empty, every later
-// review would evaluate every policy its derivation could carry.
+// TestDeclaredWriteKeepsVectorToComplete: a vector productionSnapshot started empty
+// that an injection moves on before any review completed it is complete
+// from the injection on. Left empty, every later review would evaluate
+// every policy its derivation could carry.
 func TestDeclaredWriteKeepsVectorToComplete(t *testing.T) {
 	n := prod()
 	e, _ := snapshotEnforcer(n)
 	e.View(true) // computes the snapshot: an empty vector, to be completed
-	if err := e.MutateProduction(func(n *netmodel.Network) error {
-		return config.ApplyChanges(n, []config.Change{benignChange(14, 8080)})
-	}, "r1"); err != nil {
+	if err := e.Inject("F", func(*netmodel.Network) ([]config.Change, error) {
+		return []config.Change{benignChange(14, 8080)}, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	e.check([]config.Change{benignChange(15, 443)}, aclSpec())
 	held := e.HeldVerdicts()
-	for i := range held {
-		if held[i] == nil {
-			t.Fatalf("slot %d (%s) still empty after the first review", i, e.policies[i])
+	for i := range e.policies {
+		if i >= len(held) || held[i] == nil {
+			t.Fatalf("slot %d (%s) empty after the injection", i, e.policies[i])
 		}
 	}
-	verdictsMatchCompute(t, "first review", e.policies, held, n)
+	verdictsMatchCompute(t, "injection", e.policies, held, n)
 }
 
 // TestFirstReviewReadsCompleteVector: whatever made the held version — a
-// computation from scratch, a declared write, a commit's hand-over or an
+// computation from scratch, an injection, a commit's hand-over or an
 // emergency commit — every slot of the vector a review reads beside it is
 // filled before the review reads it. A computed version is held without a
 // vector, which the review's read (verdictsOf) completes first; every other
@@ -490,13 +500,13 @@ func TestFirstReviewReadsCompleteVector(t *testing.T) {
 	reads("computed")
 	complete("computed, after its first read", e.HeldVerdicts())
 
-	if err := e.MutateProduction(func(n *netmodel.Network) error {
-		return config.ApplyChanges(n, []config.Change{benignChange(14, 8080)})
-	}, "r1"); err != nil {
+	if err := e.Inject("F", func(*netmodel.Network) ([]config.Change, error) {
+		return []config.Change{benignChange(14, 8080)}, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	complete("declared write", e.HeldVerdicts())
-	reads("declared write")
+	complete("injection", e.HeldVerdicts())
+	reads("injection")
 
 	if _, err := e.submit([]config.Change{benignChange(15, 443)}, spec); err != nil {
 		t.Fatal(err)

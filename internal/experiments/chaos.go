@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 	"time"
 
@@ -114,49 +113,6 @@ func chaosFingerprint(n *netmodel.Network) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// replayJournal reconstructs the production state a verified journal
-// describes: pre-state plus every applied change, minus every journaled
-// restore — a recovered record undoes every change of its intent, a
-// rolled-back or quarantined one the changes on the devices it restored,
-// each from its undo, last change first. Production matching this replay
-// bit-for-bit is what makes the journal a trustworthy account of a partial
-// push.
-func replayJournal(pre *netmodel.Network, records []journal.Record) (*netmodel.Network, error) {
-	state := pre.Clone()
-	var intent *journal.Record
-	for i := range records {
-		r := &records[i]
-		switch r.Kind {
-		case journal.KindIntent:
-			intent = r
-		case journal.KindApplied:
-			if intent == nil || r.ChangeIndex < 0 || r.ChangeIndex >= len(intent.Changes) {
-				return nil, fmt.Errorf("applied record %d without matching intent", r.Index)
-			}
-			c := intent.Changes[r.ChangeIndex]
-			d, err := config.ApplyChange(state.Devices[c.Device], c)
-			if err != nil {
-				return nil, fmt.Errorf("replaying change %d: %w", r.ChangeIndex, err)
-			}
-			state.Devices[c.Device] = d
-		case journal.KindRolledBack, journal.KindQuarantined, journal.KindRecovered:
-			if intent == nil {
-				return nil, fmt.Errorf("%s record %d without intent", r.Kind, r.Index)
-			}
-			for i := len(intent.Undos) - 1; i >= 0; i-- {
-				u := intent.Undos[i]
-				if r.Kind != journal.KindRecovered && !slices.Contains(r.Restored, u.Device) {
-					continue
-				}
-				if err := config.RestoreUndo(state.Devices[u.Device], u); err != nil {
-					return nil, fmt.Errorf("restoring undo %d: %w", i, err)
-				}
-			}
-		}
-	}
-	return state, nil
 }
 
 // prodOf is e's production as it is now.
@@ -304,7 +260,7 @@ func RunChaosSchedule(seed int64) (*ChaosResult, error) {
 	if err != nil {
 		return fail("%v", err)
 	}
-	replayed, err := replayJournal(pre, records)
+	replayed, err := journal.Replay(pre, records)
 	if err != nil {
 		return fail("journal replay: %v", err)
 	}

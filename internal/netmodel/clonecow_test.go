@@ -91,29 +91,3 @@ func TestCloneCOWMultiple(t *testing.T) {
 		t.Fatal("unnamed device not shared")
 	}
 }
-
-// TestCloneCOWDetach pins the writer's side of the sharing contract: Detach
-// replaces each named device of the network with a deep clone and returns
-// the devices it replaced, so a view taken before (and the pre-image view)
-// still holds the untouched originals after the clone is written, and every
-// other device stays shared. An unknown name is skipped.
-func TestCloneCOWDetach(t *testing.T) {
-	n := cowNet()
-	view := n.CloneCOW()
-	r1, r2 := n.Devices["r1"], n.Devices["r2"]
-	pre := n.Detach("r2", "nope")
-	if n.Devices["r2"] == r2 || pre.Devices["r2"] != r2 || view.Devices["r2"] != r2 {
-		t.Fatal("r2 not replaced by a clone, or its pre-image not the original")
-	}
-	if n.Devices["r1"] != r1 || pre.Devices["r1"] != r1 {
-		t.Fatal("undetached r1 no longer shared")
-	}
-	if _, ok := n.Devices["nope"]; ok || len(pre.Devices) != len(n.Devices) {
-		t.Fatal("an unknown name changed the device set")
-	}
-	n.Devices["r2"].Interface("Gi0/0").Shutdown = true
-	n.Devices["r2"].ACL("NEW", true).InsertEntry(ACLEntry{Seq: 10, Action: Deny})
-	if r2.Interface("Gi0/0").Shutdown || r2.ACLs["NEW"] != nil {
-		t.Fatal("a write to the detached clone reached the original")
-	}
-}

@@ -151,8 +151,8 @@ func (n *Network) Clone() *Network {
 // CloneCOW returns a copy-on-write clone: the named devices are deep-cloned
 // and safe to mutate, every other *Device pointer is shared with the
 // receiver. The shared devices MUST be treated as immutable by both sides —
-// writing one writes the other network (and races with its readers; Detach
-// writes safely). Links are shared too (the slice is capped, so appending to
+// writing one writes the other network (and races with its readers; a
+// writer replaces a device instead, as config.ApplyChange returns one). Links are shared too (the slice is capped, so appending to
 // the clone's Links cannot clobber the receiver's backing array); Connect-ing
 // new cables on a COW clone is safe, but mutating an existing Link is not.
 //
@@ -171,19 +171,6 @@ func (n *Network) CloneCOW(mutated ...string) *Network {
 	}
 	c.Links = n.Links[:len(n.Links):len(n.Links)]
 	return c
-}
-
-// Detach readies the named devices of a network whose devices are shared
-// (CloneCOW) for writing: each is replaced by a deep clone, and the returned
-// CloneCOW view holds the devices as they were, untouched and still shared.
-func (n *Network) Detach(names ...string) *Network {
-	pre := n.CloneCOW()
-	for _, name := range names {
-		if d := pre.Devices[name]; d != nil {
-			n.Devices[name] = d.Clone()
-		}
-	}
-	return pre
 }
 
 // Validate checks structural invariants: every link endpoint names an

@@ -265,7 +265,7 @@ var chainTiers = []*chainTier{
 // later, when a full step (the chain always ends with one) reads them all.
 //
 // The verdict vector goes down the chain with the snapshots. Bit 5 of the
-// script byte picks how: as a commit or a declared write hands it over
+// script byte picks how: as a commit or an injection hands it over
 // (CheckCarried on the derived snapshot with the parent's vector, none after
 // a light step, keeping the new one — the result must equal verify.Check on
 // the from-scratch snapshot, violations rendered and in order, and every

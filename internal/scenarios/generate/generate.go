@@ -117,15 +117,8 @@ func passiveAllFault(device string, transit []string, stranded string) ticket.Fa
 		Kind:        privilege.TaskOSPF,
 		Description: fmt.Sprintf("%s marked every transit interface passive; routes to %s lost", device, stranded),
 		RootCause:   device,
-		Inject: func(net *netmodel.Network) error {
-			d := net.Devices[device]
-			if d == nil || d.OSPF == nil {
-				return fmt.Errorf("generate: %s has no OSPF", device)
-			}
-			for _, ifName := range transit {
-				d.OSPF.Passive[ifName] = true
-			}
-			return nil
+		Changes: func(net *netmodel.Network) ([]config.Change, error) {
+			return ticket.PassiveInterfaces(net, device, transit...)
 		},
 		Fix: fixes,
 	}

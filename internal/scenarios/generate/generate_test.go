@@ -2,6 +2,7 @@ package generate_test
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strings"
@@ -295,7 +296,7 @@ func TestGeneratedIssuesBreak(t *testing.T) {
 				if !tr.Delivered() {
 					t.Fatalf("baseline probe %s -> %s already broken: %s", is.SrcHost, is.DstHost, tr)
 				}
-				mutated := base.CloneCOW(is.Fault.RootCause)
+				mutated := base.CloneCOW()
 				if err := is.Fault.Inject(mutated); err != nil {
 					t.Fatalf("Inject: %v", err)
 				}
@@ -341,13 +342,11 @@ func TestFatTreeBoundedSweep(t *testing.T) {
 	}
 }
 
-// TestFaultsWriteOnlyRootCause pins the claim service.InjectIssue makes to
-// core.System.MutateProduction for every fault a tenant can be handed — the
-// three hand-built scenarios and the generated families: injected into a
-// deep clone, a fault changes its RootCause device and no other (so the held
-// production snapshot can be derived across the write from that one
-// device's diff), and the diff is the whole write — applied to the
-// pre-image it reproduces the injected device.
+// TestFaultsWriteOnlyRootCause pins, for every fault a tenant can be handed
+// — the three hand-built scenarios and the generated families — what
+// enforcer.Enforcer.Inject and the attack-surface sweep rely on: a fault's
+// change set is not empty, every change names its RootCause, Changes only
+// reads the network it is given, and the set applied changes the device.
 func TestFaultsWriteOnlyRootCause(t *testing.T) {
 	scens := []*scenarios.Scenario{
 		scenarios.University(), scenarios.Enterprise(), scenarios.Provider(),
@@ -360,26 +359,31 @@ func TestFaultsWriteOnlyRootCause(t *testing.T) {
 		if len(scen.Issues) == 0 {
 			t.Fatalf("%s has no issues", scen.Name)
 		}
+		n := scen.Network
 		for _, is := range scen.Issues {
-			before, after := scen.Network.Clone(), scen.Network.Clone()
-			if err := is.Fault.Inject(after); err != nil {
-				t.Fatalf("%s/%s: Inject: %v", scen.Name, is.Name, err)
+			root := is.Fault.RootCause
+			devices, printed := maps.Clone(n.Devices), config.Print(n.Devices[root])
+			changes, err := is.Fault.Changes(n)
+			if err != nil {
+				t.Fatalf("%s/%s: Changes: %v", scen.Name, is.Name, err)
 			}
-			diff := config.DiffNetwork(before, after)
-			if len(diff) == 0 {
-				t.Fatalf("%s/%s: the fault changes nothing config.DiffNetwork sees", scen.Name, is.Name)
+			if len(changes) == 0 {
+				t.Fatalf("%s/%s: the fault has no changes", scen.Name, is.Name)
 			}
-			for _, c := range diff {
-				if c.Device != is.Fault.RootCause {
-					t.Fatalf("%s/%s: the fault writes %s, its RootCause is %s: %s",
-						scen.Name, is.Name, c.Device, is.Fault.RootCause, c)
+			for _, c := range changes {
+				if c.Device != root {
+					t.Fatalf("%s/%s: the fault writes %s, its RootCause is %s: %s", scen.Name, is.Name, c.Device, root, c)
 				}
 			}
-			if err := config.ApplyChanges(before, diff); err != nil {
+			if !maps.Equal(n.Devices, devices) || config.Print(n.Devices[root]) != printed {
+				t.Fatalf("%s/%s: Changes wrote the network it read", scen.Name, is.Name)
+			}
+			faulted := n.CloneCOW()
+			if err := config.ApplyChanges(faulted, changes); err != nil {
 				t.Fatalf("%s/%s: %v", scen.Name, is.Name, err)
 			}
-			if !reflect.DeepEqual(before, after) {
-				t.Fatalf("%s/%s: the diff of %s is not the whole write", scen.Name, is.Name, is.Fault.RootCause)
+			if config.Print(faulted.Devices[root]) == printed {
+				t.Fatalf("%s/%s: the fault's changes leave %s as it was", scen.Name, is.Name, root)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 
+	"heimdall/internal/config"
 	"heimdall/internal/dataplane"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/spec"
@@ -219,15 +220,8 @@ func universityOSPFFault(n *netmodel.Network) ticket.Fault {
 		Kind:        "ospf",
 		Description: "r13 marked every transit interface passive; campus lost routes to 10.13.0.0/24",
 		RootCause:   "r13",
-		Inject: func(net *netmodel.Network) error {
-			dd := net.Devices["r13"]
-			if dd == nil || dd.OSPF == nil {
-				return fmt.Errorf("scenarios: r13 has no OSPF")
-			}
-			for _, ifName := range transit {
-				dd.OSPF.Passive[ifName] = true
-			}
-			return nil
+		Changes: func(net *netmodel.Network) ([]config.Change, error) {
+			return ticket.PassiveInterfaces(net, "r13", transit...)
 		},
 		Fix: fixes,
 	}

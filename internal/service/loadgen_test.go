@@ -194,7 +194,8 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 	// tenant i (technicians are globally unique: tech-<tenant>-<session>),
 	// and every trail verifies end-to-end.
 	// 3. The trail holds exactly the KindVerify entries the driver predicts
-	// and the journal exactly one committed commit.
+	// and the journal exactly one committed injection, which names no
+	// technician, and one committed commit.
 	for i := 0; i < tenants; i++ {
 		id := fmt.Sprintf("t-%03d", i)
 		tn, err := svc.Tenant(id)
@@ -222,14 +223,18 @@ func TestLoadGeneratorAcceptance(t *testing.T) {
 		if verified != verifies[id] {
 			t.Fatalf("tenant %s: %d verify entries on the trail, the driver's calls predict %d", id, verified, verifies[id])
 		}
-		committed := 0
+		committed := map[bool]int{} // by whether the intent names a technician
+		technician := map[string]string{}
 		for _, r := range tn.System().Enforcer.Journal().Records() {
-			if r.Kind == journal.KindCommitted {
-				committed++
+			switch r.Kind {
+			case journal.KindIntent:
+				technician[r.Commit] = r.Technician
+			case journal.KindCommitted:
+				committed[technician[r.Commit] != ""]++
 			}
 		}
-		if committed != 1 {
-			t.Fatalf("tenant %s: journal holds %d committed commits, want 1", id, committed)
+		if committed[false] != 1 || committed[true] != 1 {
+			t.Fatalf("tenant %s: journal holds %d committed injections and %d commits, want 1 and 1", id, committed[false], committed[true])
 		}
 	}
 
@@ -331,7 +336,7 @@ func TestMediationByteIdentical(t *testing.T) {
 	pin(sys)
 	var viaTwin []string
 	for _, ref := range scen.Issues {
-		if err := sys.MutateProduction(ref.Fault.Inject); err != nil {
+		if err := sys.Enforcer.Inject(ref.Fault.Name, ref.Fault.Changes); err != nil {
 			t.Fatal(err)
 		}
 		dtk := sys.Tickets.Create(ticket.Ticket{

@@ -284,8 +284,7 @@ func (s *Service) InjectIssue(tenant, issue, reporter string) (*ticket.Ticket, e
 	if is == nil {
 		return nil, fmt.Errorf("service: no issue %q in scenario %s", issue, t.Scenario)
 	}
-	// A fault writes its root-cause device only (ticket.Fault.Inject).
-	if err := t.sys.MutateProduction(is.Fault.Inject, is.Fault.RootCause); err != nil {
+	if err := t.sys.Enforcer.Inject(is.Fault.Name, is.Fault.Changes); err != nil {
 		return nil, err
 	}
 	return s.CreateTicket(tenant, ticket.Ticket{

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"net/netip"
 
+	"heimdall/internal/config"
 	"heimdall/internal/netmodel"
 	"heimdall/internal/privilege"
 )
 
 // Fault is one injectable misconfiguration or failure. Faults drive the
-// evaluation: each is injected into a copy of the production network, a
-// ticket is filed for the symptom, and the technician's job is to find and
-// undo the root cause.
+// evaluation: each is injected into production (enforcer.Enforcer.Inject)
+// or a copy of it (Inject), a ticket is filed for the symptom, and the
+// technician's job is to find and undo the root cause.
 type Fault struct {
 	Name        string
 	Kind        privilege.TaskKind
@@ -19,16 +20,24 @@ type Fault struct {
 	// RootCause is the device that must be reachable (and fixable) for a
 	// technique to count as feasible in the Figure 8/9 experiments.
 	RootCause string
-	// Inject mutates the network to create the issue. It writes RootCause
-	// and no other device — what the service declares to MutateProduction to
-	// keep the production snapshot (generate.TestFaultsWriteOnlyRootCause
-	// pins it for every fault); a fault that writes a second device needs a
-	// write-set field here first.
-	Inject func(n *netmodel.Network) error
+	// Changes returns the change set that creates the issue on n, which it
+	// reads and never writes; every change names RootCause
+	// (generate.TestFaultsWriteOnlyRootCause pins it for every fault).
+	Changes func(n *netmodel.Network) ([]config.Change, error)
 	// Fix is the prepared command list (paper §5, "level playing field")
 	// that an experienced technician would run on the root-cause device to
 	// resolve the issue.
 	Fix []FixCommand
+}
+
+// Inject creates the issue on n, a network the caller owns: Changes, then
+// config.ApplyChanges, which replaces the devices it writes.
+func (f Fault) Inject(n *netmodel.Network) error {
+	changes, err := f.Changes(n)
+	if err != nil {
+		return err
+	}
+	return config.ApplyChanges(n, changes)
 }
 
 // FixCommand is one console command of a prepared fix script.
@@ -44,13 +53,14 @@ func InterfaceDown(device, itf string) Fault {
 		Kind:        privilege.TaskInterface,
 		Description: fmt.Sprintf("interface %s on %s is down", itf, device),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
 			d := n.Devices[device]
 			if d == nil || d.Interface(itf) == nil {
-				return fmt.Errorf("ticket: no interface %s:%s", device, itf)
+				return nil, fmt.Errorf("ticket: no interface %s:%s", device, itf)
 			}
-			d.Interface(itf).Shutdown = true
-			return nil
+			down := d.Interface(itf).Clone()
+			down.Shutdown = true
+			return []config.Change{{Device: device, Op: config.OpSetInterface, Interface: down}}, nil
 		},
 		Fix: []FixCommand{{Device: device, Line: fmt.Sprintf("interface %s no shutdown", itf)}},
 	}
@@ -65,19 +75,17 @@ func ACLDeny(device, aclName string, seq int, dst netip.Prefix, port uint16) Fau
 		Kind:        privilege.TaskACL,
 		Description: fmt.Sprintf("ACL %s on %s denies traffic to %s:%d", aclName, device, dst.Addr(), port),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
 			d := n.Devices[device]
 			if d == nil {
-				return fmt.Errorf("ticket: no device %s", device)
+				return nil, fmt.Errorf("ticket: no device %s", device)
 			}
-			a := d.ACL(aclName, false)
-			if a == nil {
-				return fmt.Errorf("ticket: no ACL %s on %s", aclName, device)
+			if d.ACL(aclName, false) == nil {
+				return nil, fmt.Errorf("ticket: no ACL %s on %s", aclName, device)
 			}
-			a.InsertEntry(netmodel.ACLEntry{
+			return []config.Change{{Device: device, Op: config.OpAddACLEntry, ACLName: aclName, Entry: &netmodel.ACLEntry{
 				Seq: seq, Action: netmodel.Deny, Proto: netmodel.TCP, Dst: dst, DstPort: port,
-			})
-			return nil
+			}}}, nil
 		},
 		Fix: []FixCommand{{Device: device, Line: fmt.Sprintf("no access-list %s %d", aclName, seq)}},
 	}
@@ -91,17 +99,17 @@ func WrongAccessVLAN(device, port string, wrongVLAN, rightVLAN int) Fault {
 		Kind:        privilege.TaskVLAN,
 		Description: fmt.Sprintf("port %s on %s assigned to vlan %d instead of %d", port, device, wrongVLAN, rightVLAN),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
 			d := n.Devices[device]
 			if d == nil || d.Interface(port) == nil {
-				return fmt.Errorf("ticket: no port %s:%s", device, port)
+				return nil, fmt.Errorf("ticket: no port %s:%s", device, port)
 			}
-			itf := d.Interface(port)
-			if itf.Mode != netmodel.Access {
-				return fmt.Errorf("ticket: %s:%s is not an access port", device, port)
+			if d.Interface(port).Mode != netmodel.Access {
+				return nil, fmt.Errorf("ticket: %s:%s is not an access port", device, port)
 			}
+			itf := d.Interface(port).Clone()
 			itf.AccessVLAN = wrongVLAN
-			return nil
+			return []config.Change{{Device: device, Op: config.OpSetInterface, Interface: itf}}, nil
 		},
 		Fix: []FixCommand{{Device: device, Line: fmt.Sprintf("interface %s switchport access vlan %d", port, rightVLAN)}},
 	}
@@ -115,13 +123,8 @@ func OSPFPassive(device, itf string) Fault {
 		Kind:        privilege.TaskOSPF,
 		Description: fmt.Sprintf("OSPF on %s has passive-interface %s, adjacency lost", device, itf),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
-			d := n.Devices[device]
-			if d == nil || d.OSPF == nil {
-				return fmt.Errorf("ticket: no OSPF process on %s", device)
-			}
-			d.OSPF.Passive[itf] = true
-			return nil
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
+			return PassiveInterfaces(n, device, itf)
 		},
 		Fix: []FixCommand{{Device: device, Line: fmt.Sprintf("router ospf no passive-interface %s", itf)}},
 	}
@@ -136,18 +139,20 @@ func BadStaticRoute(device string, prefix netip.Prefix, wrongNH, rightNH netip.A
 		Kind:        privilege.TaskISP,
 		Description: fmt.Sprintf("static route %s on %s points at %s instead of %s", prefix, device, wrongNH, rightNH),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
 			d := n.Devices[device]
 			if d == nil {
-				return fmt.Errorf("ticket: no device %s", device)
+				return nil, fmt.Errorf("ticket: no device %s", device)
 			}
-			for i, r := range d.StaticRoutes {
+			for _, r := range d.StaticRoutes {
 				if r.Prefix == prefix {
-					d.StaticRoutes[i].NextHop = wrongNH
-					return nil
+					wrong := r
+					wrong.NextHop = wrongNH
+					return []config.Change{{Device: device, Op: config.OpRemoveStaticRoute, Route: &r},
+						{Device: device, Op: config.OpAddStaticRoute, Route: &wrong}}, nil
 				}
 			}
-			return fmt.Errorf("ticket: no route %s on %s", prefix, device)
+			return nil, fmt.Errorf("ticket: no route %s on %s", prefix, device)
 		},
 		Fix: []FixCommand{
 			{Device: device, Line: fmt.Sprintf("no ip route %s %s %s", prefix.Addr(), mask, wrongNH)},
@@ -166,20 +171,35 @@ func BGPWrongAS(device string, localAS int, neighbor netip.Addr, wrongAS, rightA
 		Kind:        privilege.TaskISP,
 		Description: fmt.Sprintf("BGP neighbor %s on %s configured with remote-as %d instead of %d; session down", neighbor, device, wrongAS, rightAS),
 		RootCause:   device,
-		Inject: func(n *netmodel.Network) error {
+		Changes: func(n *netmodel.Network) ([]config.Change, error) {
 			d := n.Devices[device]
 			if d == nil || d.BGP == nil {
-				return fmt.Errorf("ticket: no BGP process on %s", device)
+				return nil, fmt.Errorf("ticket: no BGP process on %s", device)
 			}
 			if d.BGP.Neighbor(neighbor) == nil {
-				return fmt.Errorf("ticket: no BGP neighbor %s on %s", neighbor, device)
+				return nil, fmt.Errorf("ticket: no BGP neighbor %s on %s", neighbor, device)
 			}
-			d.BGP.SetNeighbor(neighbor, wrongAS)
-			return nil
+			bgp := d.BGP.Clone()
+			bgp.SetNeighbor(neighbor, wrongAS)
+			return []config.Change{{Device: device, Op: config.OpSetBGP, BGP: bgp}}, nil
 		},
 		Fix: []FixCommand{{Device: device,
 			Line: fmt.Sprintf("router bgp %d neighbor %s remote-as %d", localAS, neighbor, rightAS)}},
 	}
+}
+
+// PassiveInterfaces is the change that marks the named interfaces of
+// device's OSPF process passive, silencing the adjacencies they carry.
+func PassiveInterfaces(n *netmodel.Network, device string, interfaces ...string) ([]config.Change, error) {
+	d := n.Devices[device]
+	if d == nil || d.OSPF == nil {
+		return nil, fmt.Errorf("ticket: no OSPF process on %s", device)
+	}
+	ospf := d.OSPF.Clone()
+	for _, itf := range interfaces {
+		ospf.Passive[itf] = true
+	}
+	return []config.Change{{Device: device, Op: config.OpSetOSPF, OSPF: ospf}}, nil
 }
 
 func maskString(bits int) string {

@@ -191,15 +191,15 @@ func TestWrongAccessVLANFault(t *testing.T) {
 	if err := f.Inject(n); err != nil {
 		t.Fatal(err)
 	}
-	if p.AccessVLAN != 30 {
-		t.Fatal("VLAN not changed")
+	if got := n.Devices["sw1"].Interface("Gi1/0/1"); got.AccessVLAN != 30 || p.AccessVLAN != 10 {
+		t.Fatal("VLAN not changed, or changed on the device the fault read")
 	}
 	if f.Kind != privilege.TaskVLAN {
 		t.Fatal("wrong kind")
 	}
 	_ = h
 	// Injecting on a routed port fails.
-	p.Mode = netmodel.Routed
+	n.Devices["sw1"].Interface("Gi1/0/1").Mode = netmodel.Routed
 	if err := WrongAccessVLAN("sw1", "Gi1/0/1", 30, 10).Inject(n); err == nil {
 		t.Fatal("routed port accepted")
 	}

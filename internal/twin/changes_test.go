@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,8 @@ func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
 //     first twin opened: the twin shares every device it has not written
 //     with production, so a console line of any class — a read included —
 //     that wrote a device it did not clone first would show here;
+//   - the change set, applied to each written device's baseline, prints as
+//     the twin shows it (Mismatch);
 //   - a second read — a memo hit by construction — returns the same, after
 //     the first returned slice was overwritten (the memo is not aliased);
 //   - a row that was denied, failed to parse, opened no console or is
@@ -216,6 +219,9 @@ func replayScript(t *testing.T, tk oracleTicket, script string) (halfway int) {
 			}
 			for i := range got {
 				got[i] = config.Change{Device: "scribbled"}
+			}
+			if err := tw.Mismatch(); err != nil {
+				t.Fatalf("%s after %q: %v", tk.name, row, err)
 			}
 		}
 		return want
@@ -295,4 +301,74 @@ func FuzzTwinChanges(f *testing.F) {
 		tickets := oracleTickets()[int(scen)%len(oracleTickets())]
 		replayScript(t, tickets[int(issue)%len(tickets)], script)
 	})
+}
+
+// TestChangesCarryEmptyACL: an ACL a technician creates and empties, then
+// binds on r2's way to h2, denies every flow it sees in the twin. The change
+// set carries the empty ACL (config.OpAddACL), not just the binding to an
+// undefined ACL, which would deny nothing: production with the change set
+// applied denies h1 -> h2 as the twin does.
+func TestChangesCarryEmptyACL(t *testing.T) {
+	prod := prodNet()
+	if tr, _ := dataplane.Compute(prod).Reach("h1", "h2", netmodel.TCP, 80); !tr.Delivered() {
+		t.Fatalf("baseline h1 -> h2 not delivered: %s", tr)
+	}
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := tw.OpenConsole("r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"access-list EDIT 10 permit tcp any any eq 80", "no access-list EDIT 10", "interface Gi0/1 ip access-group EDIT out"} {
+		if _, err := sess.Exec(line); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	changes := tw.Changes()
+	if err := tw.Mismatch(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(changes, func(c config.Change) bool { return c.Op == config.OpAddACL && c.ACLName == "EDIT" }) {
+		t.Fatalf("the change set does not create the empty ACL: %v", changes)
+	}
+	landed := prod.CloneCOW()
+	if err := config.ApplyChanges(landed, changes); err != nil {
+		t.Fatal(err)
+	}
+	inTwin, _ := tw.Snapshot().Reach("h1", "h2", netmodel.TCP, 80)
+	inProd, _ := dataplane.Compute(landed).Reach("h1", "h2", netmodel.TCP, 80)
+	if inTwin.Delivered() || inProd.Delivered() {
+		t.Fatalf("the empty ACL let h1 -> h2 through: twin %s, production %s", inTwin, inProd)
+	}
+}
+
+// TestMismatchNamesDevice plants on a written device what no change
+// carries — a secret, which DiffDevice leaves to production — and Mismatch
+// names that device, where before the plant it found nothing.
+func TestMismatchNamesDevice(t *testing.T) {
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prodNet(), Spec: allowAllSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := tw.OpenConsole("r2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Exec("interface Gi0/1 shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	tw.Changes()
+	if err := tw.Mismatch(); err != nil {
+		t.Fatal(err)
+	}
+	tw.Network().Devices["r2"].Secrets = map[string]string{"enable": "planted"}
+	if _, err := sess.Exec("interface Gi0/1 no shutdown"); err != nil {
+		t.Fatal(err)
+	}
+	tw.Changes()
+	if err := tw.Mismatch(); err == nil || !strings.Contains(err.Error(), "r2") {
+		t.Fatalf("Mismatch() = %v, want one naming r2", err)
+	}
 }

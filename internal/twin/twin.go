@@ -125,10 +125,12 @@ type Twin struct {
 	// writer and a config command touches only its console's device, so
 	// every other device is still its own baseline (and production's).
 	// changes is the diff of the written devices against their pre-images,
+	// and mismatch names the first whose diff does not carry it, both
 	// current while stale is false.
-	pre     map[string]*netmodel.Device
-	changes []config.Change
-	stale   bool
+	pre      map[string]*netmodel.Device
+	changes  []config.Change
+	mismatch error
+	stale    bool
 }
 
 // New builds the twin: the emulation layer is production sanitized
@@ -247,20 +249,37 @@ func (tw *Twin) Changes() []config.Change {
 	memo := tw.ins.changesHit
 	if tw.stale {
 		memo = tw.ins.changesMiss
-		tw.changes = nil
+		tw.changes, tw.mismatch = nil, nil
 		written := make([]string, 0, len(tw.pre))
 		for name := range tw.pre {
 			written = append(written, name)
 		}
 		sort.Strings(written)
 		for _, name := range written {
-			tw.changes = append(tw.changes, config.DiffDevice(tw.pre[name], tw.emul.Devices[name])...)
+			changes, landed := config.DiffDevice(tw.pre[name], tw.emul.Devices[name]), tw.pre[name]
+			var err error
+			for i := 0; i < len(changes) && err == nil; i++ {
+				landed, err = config.ApplyChange(landed, changes[i])
+			}
+			if tw.mismatch == nil && (err != nil || config.Print(landed) != config.Print(tw.emul.Devices[name])) {
+				tw.mismatch = fmt.Errorf("twin: the change set does not carry %s as the twin shows it", name)
+			}
+			tw.changes = append(tw.changes, changes...)
 		}
 		tw.stale = false
 		tw.ins.diffed.Add(float64(len(tw.pre)))
 	}
 	memo.Inc()
 	return slices.Clone(tw.changes)
+}
+
+// Mismatch names the first written device that the change set Changes last
+// returned, applied to the twin's baseline, does not print as the twin
+// shows it: a review or commit of it would land another network.
+func (tw *Twin) Mismatch() error {
+	tw.mu.Lock()
+	defer tw.mu.Unlock()
+	return tw.mismatch
 }
 
 // Session is a mediated console on one visible device.

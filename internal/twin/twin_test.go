@@ -513,11 +513,17 @@ func TestTwinNoAliasing(t *testing.T) {
 		}
 	}
 
-	// A production write — as every production writer makes it, on a
-	// detached clone — reaches neither the emulation layer nor the baseline.
-	prod.Detach("r1", "r2")
-	prod.Devices["r1"].Interface("Gi0/1").Shutdown = true
-	prod.Devices["r2"].Interface("Gi0/2").Shutdown = true
+	// A production write — as every production writer makes it, replacing
+	// the devices it writes — reaches neither the emulation layer nor the
+	// baseline.
+	shut := func(dev, itf string) config.Change {
+		down := prod.Devices[dev].Interface(itf).Clone()
+		down.Shutdown = true
+		return config.Change{Device: dev, Op: config.OpSetInterface, Interface: down}
+	}
+	if err := config.ApplyChanges(prod, []config.Change{shut("r1", "Gi0/1"), shut("r2", "Gi0/2")}); err != nil {
+		t.Fatal(err)
+	}
 	emulWas["r2"] = config.Print(tw.Network().Devices["r2"])
 	if !maps.Equal(printNet(tw.Network()), emulWas) || !maps.Equal(printNet(tw.Baseline()), baseWas) {
 		t.Fatal("production write leaked into the twin")
