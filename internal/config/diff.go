@@ -191,7 +191,9 @@ func (c Change) Additive() bool {
 // DiffDevice computes the semantic changes that transform old into new.
 // Both devices must have the same name, each ACL's entries must be in
 // ascending sequence order with no number twice, and no static route may
-// appear twice: ACL.InsertEntry, Parse and the console keep all three. An
+// appear twice: ACL.InsertEntry, Parse and the console keep all three. new
+// must hold every interface old holds, since no Op removes one: a device
+// ApplyChange built from old does, and so does every twin device. An
 // unchanged ACL, or unchanged static routes, cost one comparison; an
 // interface or an ACL both devices share (ApplyChange shares what it does
 // not write) costs a pointer comparison.
@@ -361,7 +363,9 @@ func DiffNetwork(old, new *netmodel.Network) []Change {
 // copy of d that shares every section c does not write. The section c
 // writes is copied (the interface, ACL or VLAN map, the static-route list)
 // and an ACL op clones only the one ACL it edits, so d and the result may
-// both be shared, as production's published devices are.
+// both be shared, as production's published devices are. The interface or
+// routing process c carries is shared too: neither a change's payload nor
+// a published device is written once built.
 func ApplyChange(d *netmodel.Device, c Change) (*netmodel.Device, error) {
 	if d.Name != c.Device {
 		return nil, fmt.Errorf("config: change for %s applied to %s", c.Device, d.Name)
@@ -369,7 +373,7 @@ func ApplyChange(d *netmodel.Device, c Change) (*netmodel.Device, error) {
 	nd := *d
 	switch c.Op {
 	case OpAddInterface, OpSetInterface:
-		nd.Interfaces = with(d.Interfaces, c.Interface.Name, c.Interface.Clone())
+		nd.Interfaces = with(d.Interfaces, c.Interface.Name, c.Interface)
 	case OpAddACLEntry, OpSetACLEntry, OpRemoveACLEntry:
 		a, seq := cmp.Or(d.ACLs[c.ACLName], &netmodel.ACL{Name: c.ACLName}).Clone(), c.Seq
 		if c.Op != OpRemoveACLEntry {
@@ -401,11 +405,11 @@ func ApplyChange(d *netmodel.Device, c Change) (*netmodel.Device, error) {
 		}
 		nd.StaticRoutes = append(d.StaticRoutes[:i:i], d.StaticRoutes[i+1:]...)
 	case OpSetOSPF:
-		nd.OSPF = c.OSPF.Clone()
+		nd.OSPF = c.OSPF
 	case OpRemoveOSPF:
 		nd.OSPF = nil
 	case OpSetBGP:
-		nd.BGP = c.BGP.Clone()
+		nd.BGP = c.BGP
 	case OpRemoveBGP:
 		nd.BGP = nil
 	case OpSetVLAN:

@@ -2,6 +2,9 @@
 // technicians use. It is the twin network's presentation-layer surface: a
 // command is parsed and classified into a privilege (action, resource)
 // pair first, so the reference monitor can decide before anything executes.
+// A read renders from its environment. A write builds config.Changes from
+// its device as it is when it executes, and Execute applies them
+// persistently (config.ApplyChange): no device is ever written in place.
 //
 // Commands are single-line, IOS-flavoured:
 //
@@ -47,7 +50,8 @@ type Command struct {
 	// Write reports whether executing the command mutates configuration.
 	Write bool
 
-	exec func(env *Env) (string, error)
+	exec  func(env *Env) (string, error)                    // a read
+	build func(d *netmodel.Device) ([]config.Change, error) // a write
 }
 
 // Env is what a command needs to execute: the network holding the target
@@ -60,44 +64,6 @@ type Env struct {
 	// the classified writes since, which the next one derives across.
 	snap    *dataplane.Snapshot
 	pending dataplane.ChangeSet
-}
-
-// noteWrite records one executed write: a classified write queues an
-// incremental derivation, everything else pays the full invalidation.
-func (e *Env) noteWrite(action, device string) {
-	kind, ok := writeChangeKind(action)
-	switch {
-	case !ok:
-		e.invalidate()
-	case e.snap != nil: // with nothing cached the next read computes anyway
-		e.pending = append(e.pending, dataplane.Change{Device: device, Kind: kind})
-	}
-}
-
-// invalidate drops the snapshot: the next read computes it from scratch.
-func (e *Env) invalidate() { e.snap, e.pending = nil, nil }
-
-// writeChangeKind maps a console write action onto the narrowest dataplane
-// change class it can affect on its device (see dataplane.ChangeKind).
-// Interface edits are classed L3-topology without inspecting the port —
-// strictly more conservative than the enforcer's L2-only refinement, never
-// less. Unknown write actions report false and force a full recompute.
-func writeChangeKind(action string) (dataplane.ChangeKind, bool) {
-	switch action {
-	case "config.acl.add", "config.acl.remove":
-		return dataplane.ChangeACL, true
-	case "config.route.add", "config.route.remove", "config.gateway.set":
-		return dataplane.ChangeStatic, true
-	case "config.ospf.set":
-		return dataplane.ChangeOSPF, true
-	case "config.bgp.set":
-		return dataplane.ChangeBGP, true
-	case "config.vlan.set", "config.vlan.remove":
-		return dataplane.ChangeL2, true
-	case "config.interface.set":
-		return dataplane.ChangeL3Topology, true
-	}
-	return 0, false
 }
 
 // Console parses and executes commands against one device.
@@ -124,16 +90,56 @@ func (c *Console) Run(line string) (string, error) {
 	return c.Execute(cmd)
 }
 
-// Execute runs a previously parsed command.
+// Execute runs a previously parsed command. A read renders from the
+// environment. A write is a change set built from its device as it is now
+// (Apply): the device is replaced in the environment's network by the one
+// the changes leave, never written, and the changes are queued for the next
+// snapshot to derive across, classified as the enforcer classifies a
+// commit's (dataplane.ChangeSetFor). A write that fails replaces nothing.
 func (c *Console) Execute(cmd Command) (string, error) {
-	out, err := cmd.exec(c.env)
+	if !cmd.Write {
+		return cmd.exec(c.env)
+	}
+	nd, changes, err := cmd.Apply(c.env.Net.Devices[cmd.Device])
 	if err != nil {
 		return "", err
 	}
-	if cmd.Write {
-		c.env.noteWrite(cmd.Action, cmd.Device)
+	if c.env.snap != nil { // with nothing cached the next read computes anyway
+		c.env.pending = append(c.env.pending, dataplane.ChangeSetFor(c.env.Net, changes)...)
 	}
-	return out, nil
+	c.env.Net.Devices[cmd.Device] = nd
+	return "", nil
+}
+
+// Apply returns the device as the write cmd leaves d, and the changes that
+// take it there (none for a write that changes nothing, such as a
+// re-entered route). It never writes d: the result shares every section the
+// changes do not write (config.ApplyChange).
+func (cmd Command) Apply(d *netmodel.Device) (*netmodel.Device, []config.Change, error) {
+	if d == nil {
+		return nil, nil, fmt.Errorf("console: no device %s", cmd.Device)
+	}
+	changes, err := cmd.build(d)
+	for i := 0; i < len(changes) && err == nil; i++ {
+		d, err = config.ApplyChange(d, changes[i])
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return d, changes, nil
+}
+
+// mkRead and mkWrite make a parsed line's Command from its classification
+// and what it runs: a read renders from the environment, a write builds its
+// changes from the device as it is when it executes.
+type (
+	mkRead  func(action, resource string, exec func(env *Env) (string, error)) Command
+	mkWrite func(action, resource string, build func(d *netmodel.Device) ([]config.Change, error)) Command
+)
+
+// hasEntry reports whether the ACL (nil: undefined) holds an entry seq.
+func hasEntry(a *netmodel.ACL, seq int) bool {
+	return a != nil && slices.ContainsFunc(a.Entries, func(e netmodel.ACLEntry) bool { return e.Seq == seq })
 }
 
 // Parse classifies a command line without executing it.
@@ -143,34 +149,37 @@ func (c *Console) Parse(line string) (Command, error) {
 		return Command{}, fmt.Errorf("console: empty command")
 	}
 	dev := c.device
-	mk := func(action, resource string, write bool, exec func(env *Env) (string, error)) Command {
-		return Command{Raw: line, Device: dev, Action: action, Resource: resource, Write: write, exec: exec}
+	mk := func(action, resource string, exec func(env *Env) (string, error)) Command {
+		return Command{Raw: line, Device: dev, Action: action, Resource: resource, exec: exec}
+	}
+	mkw := func(action, resource string, build func(d *netmodel.Device) ([]config.Change, error)) Command {
+		return Command{Raw: line, Device: dev, Action: action, Resource: resource, Write: true, build: build}
 	}
 	devRes := "device:" + dev
 
 	switch f[0] {
 	case "show":
-		return c.parseShow(line, f[1:], mk, devRes)
+		return c.parseShow(f[1:], mk, devRes)
 	case "ping":
-		return c.parsePing(line, f[1:], mk, devRes)
+		return c.parsePing(f[1:], mk, devRes)
 	case "traceroute":
 		if len(f) != 2 {
 			return Command{}, fmt.Errorf("console: usage: traceroute HOST|ADDR")
 		}
 		target := f[1]
-		return mk("diag.traceroute", devRes, false, func(env *Env) (string, error) {
+		return mk("diag.traceroute", devRes, func(env *Env) (string, error) {
 			return c.tracePath(env, target, netmodel.ICMP, 0)
 		}), nil
 	case "interface":
-		return c.parseInterface(line, f[1:], mk)
+		return c.parseInterface(f[1:], mkw)
 	case "access-list":
-		return c.parseACLAdd(line, f[1:], mk)
+		return c.parseACLAdd(f[1:], mkw)
 	case "no":
-		return c.parseNo(line, f[1:], mk)
+		return c.parseNo(f[1:], mkw)
 	case "ip":
-		return c.parseIP(line, f[1:], mk, devRes)
+		return c.parseIP(f[1:], mkw, devRes)
 	case "router":
-		return c.parseRouter(line, f[1:], mk, devRes)
+		return c.parseRouter(f[1:], mkw, devRes)
 	case "vlan":
 		if len(f) != 4 || f[2] != "name" {
 			return Command{}, fmt.Errorf("console: usage: vlan N name NAME")
@@ -180,25 +189,23 @@ func (c *Console) Parse(line string) (Command, error) {
 			return Command{}, fmt.Errorf("console: bad vlan id %q", f[1])
 		}
 		name := f[3]
-		return mk("config.vlan.set", fmt.Sprintf("%s:vlan:%d", devRes, id), true, func(env *Env) (string, error) {
-			d := env.Net.Devices[dev]
-			d.VLANs[id] = &netmodel.VLAN{ID: id, Name: name}
-			return "", nil
+		return mkw("config.vlan.set", fmt.Sprintf("%s:vlan:%d", devRes, id), func(*netmodel.Device) ([]config.Change, error) {
+			return []config.Change{{Device: dev, Op: config.OpSetVLAN, VLAN: &netmodel.VLAN{ID: id, Name: name}}}, nil
 		}), nil
 	}
 	return Command{}, fmt.Errorf("console: unknown command %q", f[0])
 }
 
-func (c *Console) parseShow(line string, f []string, mk mkFunc, devRes string) (Command, error) {
+func (c *Console) parseShow(f []string, mk mkRead, devRes string) (Command, error) {
 	dev := c.device
 	rest := strings.Join(f, " ")
 	switch {
 	case rest == "running-config":
-		return mk("show.running-config", devRes, false, func(env *Env) (string, error) {
+		return mk("show.running-config", devRes, func(env *Env) (string, error) {
 			return config.Print(env.Net.Devices[dev]), nil
 		}), nil
 	case rest == "ip route":
-		return mk("show.ip.route", devRes, false, func(env *Env) (string, error) {
+		return mk("show.ip.route", devRes, func(env *Env) (string, error) {
 			return env.Snapshot().FormatRIB(dev), nil
 		}), nil
 	case rest == "interfaces" || (len(f) == 2 && f[0] == "interfaces"):
@@ -206,7 +213,7 @@ func (c *Console) parseShow(line string, f []string, mk mkFunc, devRes string) (
 		if len(f) == 2 {
 			name = f[1]
 		}
-		return mk("show.interfaces", devRes, false, func(env *Env) (string, error) {
+		return mk("show.interfaces", devRes, func(env *Env) (string, error) {
 			return renderInterfaces(env.Net.Devices[dev], name)
 		}), nil
 	case rest == "access-lists" || (len(f) == 2 && f[0] == "access-lists"):
@@ -214,26 +221,26 @@ func (c *Console) parseShow(line string, f []string, mk mkFunc, devRes string) (
 		if len(f) == 2 {
 			name = f[1]
 		}
-		return mk("show.access-lists", devRes, false, func(env *Env) (string, error) {
+		return mk("show.access-lists", devRes, func(env *Env) (string, error) {
 			return renderACLs(env.Net.Devices[dev], name)
 		}), nil
 	case rest == "vlan":
-		return mk("show.vlan", devRes, false, func(env *Env) (string, error) {
+		return mk("show.vlan", devRes, func(env *Env) (string, error) {
 			return renderVLANs(env.Net.Devices[dev]), nil
 		}), nil
 	case rest == "ip ospf neighbor":
-		return mk("show.ip.ospf", devRes, false, func(env *Env) (string, error) {
+		return mk("show.ip.ospf", devRes, func(env *Env) (string, error) {
 			return renderOSPFNeighbors(env, dev), nil
 		}), nil
 	case rest == "ip bgp" || rest == "ip bgp summary":
-		return mk("show.ip.bgp", devRes, false, func(env *Env) (string, error) {
+		return mk("show.ip.bgp", devRes, func(env *Env) (string, error) {
 			return env.Snapshot().FormatBGP(dev), nil
 		}), nil
 	}
 	return Command{}, fmt.Errorf("console: unknown show command %q", rest)
 }
 
-func (c *Console) parsePing(line string, f []string, mk mkFunc, devRes string) (Command, error) {
+func (c *Console) parsePing(f []string, mk mkRead, devRes string) (Command, error) {
 	if len(f) != 1 && len(f) != 3 {
 		return Command{}, fmt.Errorf("console: usage: ping HOST|ADDR [tcp|udp PORT]")
 	}
@@ -252,97 +259,75 @@ func (c *Console) parsePing(line string, f []string, mk mkFunc, devRes string) (
 		}
 		port = uint16(v)
 	}
-	return mk("diag.ping", devRes, false, func(env *Env) (string, error) {
+	return mk("diag.ping", devRes, func(env *Env) (string, error) {
 		return c.ping(env, target, proto, port)
 	}), nil
 }
 
-type mkFunc func(action, resource string, write bool, exec func(env *Env) (string, error)) Command
-
-func (c *Console) parseInterface(line string, f []string, mk mkFunc) (Command, error) {
+func (c *Console) parseInterface(f []string, mk mkWrite) (Command, error) {
 	if len(f) < 2 {
 		return Command{}, fmt.Errorf("console: usage: interface IF SUBCOMMAND")
 	}
 	dev := c.device
 	ifName := f[0]
-	res := fmt.Sprintf("device:%s:interface:%s", dev, ifName)
-	sub := strings.Join(f[1:], " ")
-	withIf := func(apply func(itf *netmodel.Interface) error) func(env *Env) (string, error) {
-		return func(env *Env) (string, error) {
-			d := env.Net.Devices[dev]
-			itf := d.Interface(ifName)
-			if itf == nil {
-				return "", fmt.Errorf("console: %s: no interface %s", dev, ifName)
-			}
-			return "", apply(itf)
-		}
-	}
-	sf := f[1:]
+	sub, sf := strings.Join(f[1:], " "), f[1:]
+	var edit func(itf *netmodel.Interface) error // edits a copy of the interface
 	switch {
 	case sub == "shutdown":
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			itf.Shutdown = true
-			return nil
-		})), nil
+		edit = func(itf *netmodel.Interface) error { itf.Shutdown = true; return nil }
 	case sub == "no shutdown":
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			itf.Shutdown = false
-			return nil
-		})), nil
+		edit = func(itf *netmodel.Interface) error { itf.Shutdown = false; return nil }
 	case len(sf) == 4 && sf[0] == "ip" && sf[1] == "address":
 		pfxStr, maskStr := sf[2], sf[3]
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			p, err := config.ParseAddrMask(pfxStr, maskStr)
-			if err != nil {
-				return err
-			}
-			itf.Addr = p
-			return nil
-		})), nil
+		edit = func(itf *netmodel.Interface) (err error) {
+			itf.Addr, err = config.ParseAddrMask(pfxStr, maskStr)
+			return err
+		}
 	case len(sf) == 4 && sf[0] == "ip" && sf[1] == "access-group" && (sf[3] == "in" || sf[3] == "out"):
-		name, dir := sf[2], sf[3]
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			if dir == "in" {
-				itf.ACLIn = name
-			} else {
-				itf.ACLOut = name
-			}
-			return nil
-		})), nil
+		edit = bindACL(sf[3], sf[2])
 	case len(sf) == 4 && sf[0] == "no" && sf[1] == "ip" && sf[2] == "access-group" && (sf[3] == "in" || sf[3] == "out"):
-		dir := sf[3]
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			if dir == "in" {
-				itf.ACLIn = ""
-			} else {
-				itf.ACLOut = ""
-			}
-			return nil
-		})), nil
+		edit = bindACL(sf[3], "")
 	case len(sf) == 4 && sf[0] == "ip" && sf[1] == "ospf" && sf[2] == "cost":
 		cost, err := strconv.Atoi(sf[3])
 		if err != nil || cost < 1 || cost > 65535 {
 			return Command{}, fmt.Errorf("console: bad ospf cost %q", sf[3])
 		}
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			itf.OSPFCost = cost
-			return nil
-		})), nil
+		edit = func(itf *netmodel.Interface) error { itf.OSPFCost = cost; return nil }
 	case len(sf) == 4 && sf[0] == "switchport" && sf[1] == "access" && sf[2] == "vlan":
 		id, err := strconv.Atoi(sf[3])
 		if err != nil || id < 1 || id > 4094 {
 			return Command{}, fmt.Errorf("console: bad vlan id %q", sf[3])
 		}
-		return mk("config.interface.set", res, true, withIf(func(itf *netmodel.Interface) error {
-			itf.Mode = netmodel.Access
-			itf.AccessVLAN = id
-			return nil
-		})), nil
+		edit = func(itf *netmodel.Interface) error { itf.Mode, itf.AccessVLAN = netmodel.Access, id; return nil }
+	default:
+		return Command{}, fmt.Errorf("console: unknown interface subcommand %q", sub)
 	}
-	return Command{}, fmt.Errorf("console: unknown interface subcommand %q", sub)
+	return mk("config.interface.set", fmt.Sprintf("device:%s:interface:%s", dev, ifName), func(d *netmodel.Device) ([]config.Change, error) {
+		old := d.Interface(ifName)
+		if old == nil {
+			return nil, fmt.Errorf("console: %s: no interface %s", dev, ifName)
+		}
+		itf := *old
+		if err := edit(&itf); err != nil {
+			return nil, err
+		}
+		return []config.Change{{Device: dev, Op: config.OpSetInterface, Interface: &itf}}, nil
+	}), nil
 }
 
-func (c *Console) parseACLAdd(line string, f []string, mk mkFunc) (Command, error) {
+// bindACL binds name (empty: none) as the interface's ACL in direction dir.
+func bindACL(dir, name string) func(itf *netmodel.Interface) error {
+	return func(itf *netmodel.Interface) error {
+		if dir == "in" {
+			itf.ACLIn = name
+		} else {
+			itf.ACLOut = name
+		}
+		return nil
+	}
+}
+
+func (c *Console) parseACLAdd(f []string, mk mkWrite) (Command, error) {
 	// access-list NAME SEQ permit|deny PROTO SRC [eq P] DST [eq P]
 	if len(f) < 5 {
 		return Command{}, fmt.Errorf("console: short access-list command")
@@ -354,13 +339,18 @@ func (c *Console) parseACLAdd(line string, f []string, mk mkFunc) (Command, erro
 		return Command{}, err
 	}
 	res := fmt.Sprintf("device:%s:acl:%s", dev, name)
-	return mk("config.acl.add", res, true, func(env *Env) (string, error) {
-		env.Net.Devices[dev].ACL(name, true).InsertEntry(entry)
-		return "", nil
+	return mk("config.acl.add", res, func(d *netmodel.Device) ([]config.Change, error) {
+		// An entry's sequence number names it: a line that reuses one
+		// replaces that entry. The ACL is created at its first entry.
+		op, e := config.OpAddACLEntry, entry
+		if hasEntry(d.ACLs[name], e.Seq) {
+			op = config.OpSetACLEntry
+		}
+		return []config.Change{{Device: dev, Op: op, ACLName: name, Entry: &e}}, nil
 	}), nil
 }
 
-func (c *Console) parseNo(line string, f []string, mk mkFunc) (Command, error) {
+func (c *Console) parseNo(f []string, mk mkWrite) (Command, error) {
 	dev := c.device
 	switch {
 	case len(f) == 3 && f[0] == "access-list":
@@ -370,53 +360,52 @@ func (c *Console) parseNo(line string, f []string, mk mkFunc) (Command, error) {
 			return Command{}, fmt.Errorf("console: bad sequence number %q", f[2])
 		}
 		res := fmt.Sprintf("device:%s:acl:%s", dev, name)
-		return mk("config.acl.remove", res, true, func(env *Env) (string, error) {
-			a := env.Net.Devices[dev].ACL(name, false)
-			if a == nil || !a.RemoveEntry(seq) {
-				return "", fmt.Errorf("console: %s: no ACL entry %s seq %d", dev, name, seq)
+		return mk("config.acl.remove", res, func(d *netmodel.Device) ([]config.Change, error) {
+			if !hasEntry(d.ACLs[name], seq) {
+				return nil, fmt.Errorf("console: %s: no ACL entry %s seq %d", dev, name, seq)
 			}
-			return "", nil
+			return []config.Change{{Device: dev, Op: config.OpRemoveACLEntry, ACLName: name, Seq: seq}}, nil
 		}), nil
 	case len(f) == 5 && f[0] == "ip" && f[1] == "route":
 		netStr, maskStr, nhStr := f[2], f[3], f[4]
-		return mk("config.route.remove", fmt.Sprintf("device:%s:route:%s", dev, netStr), true,
-			func(env *Env) (string, error) {
+		return mk("config.route.remove", fmt.Sprintf("device:%s:route:%s", dev, netStr),
+			func(d *netmodel.Device) ([]config.Change, error) {
 				p, err := config.ParseAddrMask(netStr, maskStr)
 				if err != nil {
-					return "", err
+					return nil, err
 				}
 				nh, err := netip.ParseAddr(nhStr)
 				if err != nil {
-					return "", fmt.Errorf("console: bad next hop %q", nhStr)
+					return nil, fmt.Errorf("console: bad next hop %q", nhStr)
 				}
-				d := env.Net.Devices[dev]
-				for i, r := range d.StaticRoutes {
-					if r.Prefix == p.Masked() && r.NextHop == nh {
-						d.StaticRoutes = append(d.StaticRoutes[:i], d.StaticRoutes[i+1:]...)
-						return "", nil
-					}
+				// The line names no distance: the change carries the route
+				// it matched.
+				i := slices.IndexFunc(d.StaticRoutes, func(r netmodel.StaticRoute) bool {
+					return r.Prefix == p.Masked() && r.NextHop == nh
+				})
+				if i < 0 {
+					return nil, fmt.Errorf("console: %s: no route %s via %s", dev, p.Masked(), nh)
 				}
-				return "", fmt.Errorf("console: %s: no route %s via %s", dev, p.Masked(), nh)
+				r := d.StaticRoutes[i]
+				return []config.Change{{Device: dev, Op: config.OpRemoveStaticRoute, Route: &r}}, nil
 			}), nil
 	case len(f) == 2 && f[0] == "vlan":
 		id, err := strconv.Atoi(f[1])
 		if err != nil {
 			return Command{}, fmt.Errorf("console: bad vlan id %q", f[1])
 		}
-		return mk("config.vlan.remove", fmt.Sprintf("device:%s:vlan:%d", dev, id), true,
-			func(env *Env) (string, error) {
-				d := env.Net.Devices[dev]
+		return mk("config.vlan.remove", fmt.Sprintf("device:%s:vlan:%d", dev, id),
+			func(d *netmodel.Device) ([]config.Change, error) {
 				if _, ok := d.VLANs[id]; !ok {
-					return "", fmt.Errorf("console: %s: no vlan %d", dev, id)
+					return nil, fmt.Errorf("console: %s: no vlan %d", dev, id)
 				}
-				delete(d.VLANs, id)
-				return "", nil
+				return []config.Change{{Device: dev, Op: config.OpRemoveVLAN, VLANID: id}}, nil
 			}), nil
 	}
 	return Command{}, fmt.Errorf("console: unknown no-command %q", strings.Join(f, " "))
 }
 
-func (c *Console) parseIP(line string, f []string, mk mkFunc, devRes string) (Command, error) {
+func (c *Console) parseIP(f []string, mk mkWrite, devRes string) (Command, error) {
 	dev := c.device
 	switch {
 	case len(f) >= 4 && f[0] == "route":
@@ -431,72 +420,55 @@ func (c *Console) parseIP(line string, f []string, mk mkFunc, devRes string) (Co
 		} else if len(f) != 4 {
 			return Command{}, fmt.Errorf("console: usage: ip route NET MASK NEXTHOP [DIST]")
 		}
-		return mk("config.route.add", fmt.Sprintf("device:%s:route:%s", dev, netStr), true,
-			func(env *Env) (string, error) {
+		return mk("config.route.add", fmt.Sprintf("device:%s:route:%s", dev, netStr),
+			func(d *netmodel.Device) ([]config.Change, error) {
 				p, err := config.ParseAddrMask(netStr, maskStr)
 				if err != nil {
-					return "", err
+					return nil, err
 				}
 				nh, err := netip.ParseAddr(nhStr)
 				if err != nil {
-					return "", fmt.Errorf("console: bad next hop %q", nhStr)
+					return nil, fmt.Errorf("console: bad next hop %q", nhStr)
 				}
-				d := env.Net.Devices[dev]
 				r := netmodel.StaticRoute{Prefix: p.Masked(), NextHop: nh, Distance: dist}
-				if !slices.Contains(d.StaticRoutes, r) { // a re-entry is a no-op, as on IOS
-					d.StaticRoutes = append(d.StaticRoutes, r)
+				if slices.Contains(d.StaticRoutes, r) { // a re-entry is no change, as on IOS
+					return nil, nil
 				}
-				return "", nil
+				return []config.Change{{Device: dev, Op: config.OpAddStaticRoute, Route: &r}}, nil
 			}), nil
 	case len(f) == 2 && f[0] == "default-gateway":
 		gwStr := f[1]
-		return mk("config.gateway.set", devRes+":gateway", true, func(env *Env) (string, error) {
+		return mk("config.gateway.set", devRes+":gateway", func(*netmodel.Device) ([]config.Change, error) {
 			gw, err := netip.ParseAddr(gwStr)
 			if err != nil {
-				return "", fmt.Errorf("console: bad gateway %q", gwStr)
+				return nil, fmt.Errorf("console: bad gateway %q", gwStr)
 			}
-			env.Net.Devices[dev].DefaultGateway = gw
-			return "", nil
+			return []config.Change{{Device: dev, Op: config.OpSetGateway, Gateway: gw}}, nil
 		}), nil
 	}
 	return Command{}, fmt.Errorf("console: unknown ip command %q", strings.Join(f, " "))
 }
 
-func (c *Console) parseRouter(line string, f []string, mk mkFunc, devRes string) (Command, error) {
+func (c *Console) parseRouter(f []string, mk mkWrite, devRes string) (Command, error) {
 	dev := c.device
 	if len(f) >= 2 && f[0] == "bgp" {
-		return c.parseBGP(line, f[1:], mk, devRes)
+		return c.parseBGP(f[1:], mk, devRes)
 	}
 	if len(f) < 2 || f[0] != "ospf" {
 		return Command{}, fmt.Errorf("console: usage: router {ospf|bgp AS} SUBCOMMAND")
 	}
-	res := devRes + ":ospf"
-	withOSPF := func(apply func(o *netmodel.OSPFProcess) error) func(env *Env) (string, error) {
-		return func(env *Env) (string, error) {
-			d := env.Net.Devices[dev]
-			if d.OSPF == nil {
-				d.OSPF = &netmodel.OSPFProcess{ProcessID: 1, Passive: make(map[string]bool)}
-			}
-			return "", apply(d.OSPF)
-		}
-	}
+	var edit func(o *netmodel.OSPFProcess) error // edits a copy of the process
 	sf := f[1:]
 	switch {
 	case len(sf) == 2 && sf[0] == "passive-interface":
 		name := sf[1]
-		return mk("config.ospf.set", res, true, withOSPF(func(o *netmodel.OSPFProcess) error {
-			o.Passive[name] = true
-			return nil
-		})), nil
+		edit = func(o *netmodel.OSPFProcess) error { o.Passive[name] = true; return nil }
 	case len(sf) == 3 && sf[0] == "no" && sf[1] == "passive-interface":
 		name := sf[2]
-		return mk("config.ospf.set", res, true, withOSPF(func(o *netmodel.OSPFProcess) error {
-			delete(o.Passive, name)
-			return nil
-		})), nil
+		edit = func(o *netmodel.OSPFProcess) error { delete(o.Passive, name); return nil }
 	case len(sf) == 5 && sf[0] == "network" && sf[3] == "area":
 		netStr, wcStr, areaStr := sf[1], sf[2], sf[4]
-		return mk("config.ospf.set", res, true, withOSPF(func(o *netmodel.OSPFProcess) error {
+		edit = func(o *netmodel.OSPFProcess) error {
 			p, err := config.ParseNetWildcard(netStr, wcStr)
 			if err != nil {
 				return err
@@ -507,36 +479,39 @@ func (c *Console) parseRouter(line string, f []string, mk mkFunc, devRes string)
 			}
 			o.Networks = append(o.Networks, netmodel.OSPFNetwork{Prefix: p, Area: area})
 			return nil
-		})), nil
+		}
+	default:
+		return Command{}, fmt.Errorf("console: unknown router ospf subcommand %q", strings.Join(sf, " "))
 	}
-	return Command{}, fmt.Errorf("console: unknown router ospf subcommand %q", strings.Join(sf, " "))
+	// The process is created with its first statement, so a statement that
+	// fails creates none.
+	return mk("config.ospf.set", devRes+":ospf", func(d *netmodel.Device) ([]config.Change, error) {
+		var o *netmodel.OSPFProcess
+		if d.OSPF != nil {
+			o = d.OSPF.Clone()
+		} else {
+			o = &netmodel.OSPFProcess{ProcessID: 1, Passive: make(map[string]bool)}
+		}
+		if err := edit(o); err != nil {
+			return nil, err
+		}
+		return []config.Change{{Device: dev, Op: config.OpSetOSPF, OSPF: o}}, nil
+	}), nil
 }
 
 // parseBGP handles "router bgp AS SUBCOMMAND".
-func (c *Console) parseBGP(line string, f []string, mk mkFunc, devRes string) (Command, error) {
+func (c *Console) parseBGP(f []string, mk mkWrite, devRes string) (Command, error) {
 	dev := c.device
 	asn, err := strconv.Atoi(f[0])
 	if err != nil || asn <= 0 {
 		return Command{}, fmt.Errorf("console: bad AS number %q", f[0])
 	}
-	res := devRes + ":bgp"
-	withBGP := func(apply func(g *netmodel.BGPProcess) error) func(env *Env) (string, error) {
-		return func(env *Env) (string, error) {
-			d := env.Net.Devices[dev]
-			if d.BGP == nil {
-				d.BGP = &netmodel.BGPProcess{LocalAS: asn}
-			}
-			if d.BGP.LocalAS != asn {
-				return "", fmt.Errorf("console: %s runs AS %d, not %d", dev, d.BGP.LocalAS, asn)
-			}
-			return "", apply(d.BGP)
-		}
-	}
+	var edit func(g *netmodel.BGPProcess) error // edits a copy of the process
 	sf := f[1:]
 	switch {
 	case len(sf) == 4 && sf[0] == "neighbor" && sf[2] == "remote-as":
 		addrStr, asStr := sf[1], sf[3]
-		return mk("config.bgp.set", res, true, withBGP(func(g *netmodel.BGPProcess) error {
+		edit = func(g *netmodel.BGPProcess) error {
 			addr, err := netip.ParseAddr(addrStr)
 			if err != nil {
 				return fmt.Errorf("console: bad neighbor address %q", addrStr)
@@ -545,33 +520,56 @@ func (c *Console) parseBGP(line string, f []string, mk mkFunc, devRes string) (C
 			if err != nil || remote <= 0 {
 				return fmt.Errorf("console: bad remote-as %q", asStr)
 			}
-			g.SetNeighbor(addr, remote)
+			if nb := g.Neighbor(addr); nb != nil {
+				nb.RemoteAS = remote
+			} else {
+				g.Neighbors = append(g.Neighbors, netmodel.BGPNeighbor{Addr: addr, RemoteAS: remote})
+			}
 			return nil
-		})), nil
+		}
 	case len(sf) == 3 && sf[0] == "no" && sf[1] == "neighbor":
 		addrStr := sf[2]
-		return mk("config.bgp.set", res, true, withBGP(func(g *netmodel.BGPProcess) error {
+		edit = func(g *netmodel.BGPProcess) error {
 			addr, err := netip.ParseAddr(addrStr)
 			if err != nil {
 				return fmt.Errorf("console: bad neighbor address %q", addrStr)
 			}
-			if !g.RemoveNeighbor(addr) {
+			i := slices.IndexFunc(g.Neighbors, func(nb netmodel.BGPNeighbor) bool { return nb.Addr == addr })
+			if i < 0 {
 				return fmt.Errorf("console: no neighbor %s", addrStr)
 			}
+			g.Neighbors = slices.Delete(g.Neighbors, i, i+1)
 			return nil
-		})), nil
+		}
 	case len(sf) == 4 && sf[0] == "network" && sf[2] == "mask":
 		netStr, maskStr := sf[1], sf[3]
-		return mk("config.bgp.set", res, true, withBGP(func(g *netmodel.BGPProcess) error {
+		edit = func(g *netmodel.BGPProcess) error {
 			p, err := config.ParseAddrMask(netStr, maskStr)
 			if err != nil {
 				return err
 			}
 			g.Networks = append(g.Networks, p.Masked())
 			return nil
-		})), nil
+		}
+	default:
+		return Command{}, fmt.Errorf("console: unknown router bgp subcommand %q", strings.Join(sf, " "))
 	}
-	return Command{}, fmt.Errorf("console: unknown router bgp subcommand %q", strings.Join(sf, " "))
+	// As with OSPF, a statement that fails creates no process.
+	return mk("config.bgp.set", devRes+":bgp", func(d *netmodel.Device) ([]config.Change, error) {
+		var g *netmodel.BGPProcess
+		if d.BGP != nil {
+			g = d.BGP.Clone()
+		} else {
+			g = &netmodel.BGPProcess{LocalAS: asn}
+		}
+		if g.LocalAS != asn {
+			return nil, fmt.Errorf("console: %s runs AS %d, not %d", dev, g.LocalAS, asn)
+		}
+		if err := edit(g); err != nil {
+			return nil, err
+		}
+		return []config.Change{{Device: dev, Op: config.OpSetBGP, BGP: g}}, nil
+	}), nil
 }
 
 // ping resolves the target (host name or address) and traces from the

@@ -308,8 +308,9 @@ func TestOSPFNeighborRendering(t *testing.T) {
 		t.Fatalf("neighbors = %q", out)
 	}
 	// Passive peer disappears.
-	r2.OSPF.Passive["Gi0/0"] = true
-	env.invalidate()
+	if _, err := New("r2", env).Run("router ospf passive-interface Gi0/0"); err != nil {
+		t.Fatal(err)
+	}
 	out, _ = New("r1", env).Run("show ip ospf neighbor")
 	if strings.Contains(out, "r2") {
 		t.Fatalf("passive peer still shown: %q", out)

@@ -1,6 +1,7 @@
 package console
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -45,8 +46,9 @@ var commandCorpus = []string{
 
 // TestReadCommandsArePure checks the central classification invariant the
 // reference monitor depends on: a command parsed with Write=false must not
-// change the network, and one with Write=true (that executes successfully)
-// must be reflected in the semantic state or be a genuine no-op.
+// change the network — not its device, and no entry of the device map —
+// and one with Write=true (that executes successfully) must be reflected in
+// the semantic state or be a genuine no-op.
 func TestReadCommandsArePure(t *testing.T) {
 	for _, line := range commandCorpus {
 		n := testNet()
@@ -57,11 +59,14 @@ func TestReadCommandsArePure(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus command %q no longer parses: %v", line, err)
 		}
-		before := n.Clone()
+		before, held := n.Clone(), maps.Clone(n.Devices)
 		_, execErr := con.Execute(cmd)
 		if !cmd.Write {
 			if !reflect.DeepEqual(before.Devices["r1"], n.Devices["r1"]) {
 				t.Errorf("%q is classified read-only but mutated the device", line)
+			}
+			if !maps.Equal(held, n.Devices) {
+				t.Errorf("%q is classified read-only but replaced a device", line)
 			}
 		}
 		if cmd.Action == "" || cmd.Resource == "" {

@@ -127,15 +127,14 @@ func renderOSPFNeighbors(env *Env, dev string) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// NewEnv builds a command environment around a mutable network with a
-// lazily recomputed snapshot. The post-write snapshot derives from the
-// previous one (dataplane.Derive) instead of recomputing from scratch —
-// what keeps the mediated-command tail flat when a diagnosis script
-// alternates writes with snapshot-hungry reads; writes the console cannot
-// classify still invalidate fully. Derivation is only sound for writes
-// that go through this environment, so an environment is for one network
-// that nothing else writes while it lives: a twin's copy, a shadow, or a
-// view of production (Enforcer.View).
+// NewEnv builds a command environment around a network whose devices its
+// writes replace, with a lazily recomputed snapshot. The post-write
+// snapshot derives from the previous one (dataplane.Derive) instead of
+// recomputing from scratch — what keeps the mediated-command tail flat when
+// a diagnosis script alternates writes with snapshot-hungry reads.
+// Derivation is only sound for writes that go through this environment, so
+// an environment is for one network that nothing else writes while it
+// lives: a twin's copy, a shadow, or a view of production (Enforcer.View).
 func NewEnv(n *netmodel.Network) *Env { return NewEnvSeeded(n, nil) }
 
 // NewEnvSeeded is NewEnv with the first snapshot derived instead of
@@ -154,8 +153,8 @@ func NewEnvSeeded(n *netmodel.Network, from *dataplane.Snapshot) *Env {
 // Snapshot returns the dataplane snapshot of the environment's network:
 // the one held, derived across the writes since, or computed when none is.
 func (e *Env) Snapshot() *dataplane.Snapshot {
-	if e.snap != nil && len(e.pending) > 0 {
-		e.snap, e.pending = e.snap.Derive(e.Net, e.pending), nil
+	if e.snap != nil && len(e.pending) > 0 { // Derive keeps no change set
+		e.snap, e.pending = e.snap.Derive(e.Net, e.pending), e.pending[:0]
 	}
 	if e.snap == nil {
 		e.snap = dataplane.Compute(e.Net)

@@ -60,9 +60,9 @@ type EmergencySession struct {
 func (s *EmergencySession) Device() string { return s.device }
 
 // Exec runs one command: privilege check first; a read then executes on
-// production, a write on a copy-on-write shadow of its device, whose diff
-// the enforcer commits. A write that does not apply, or that the enforcer
-// refuses, leaves production untouched.
+// production, and a write is applied persistently to its production device
+// (console.Command.Apply), whose diff the enforcer commits. A write that
+// does not apply, or that the enforcer refuses, leaves production untouched.
 func (s *EmergencySession) Exec(line string) (string, error) {
 	e, sys := s.eng, s.eng.sys
 	cmd, err := console.New(s.device, nil).Parse(line)
@@ -85,16 +85,15 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 		return out, err
 	}
 	// The write runs inside the commit, so the device it diffs is the one
-	// the commit lands on.
-	var out string
+	// the commit lands on. Apply never writes it; the diff is empty for a
+	// write that changes nothing, which then commits nothing.
 	d, err := sys.Enforcer.Submit(enforcer.CommitRequest{Spec: e.Spec, Emergency: func(prod *netmodel.Network) ([]config.Change, error) {
-		shadow := prod.CloneCOW(s.device)
-		o, err := console.New(s.device, console.NewEnv(shadow)).Execute(cmd)
+		old := prod.Devices[s.device]
+		nd, _, err := cmd.Apply(old)
 		if err != nil {
 			return nil, fmt.Errorf("core: shadow apply failed: %w", err)
 		}
-		out = o
-		return config.DiffDevice(prod.Devices[s.device], shadow.Devices[s.device]), nil
+		return config.DiffDevice(old, nd), nil
 	}})
 	if d != nil && len(d.Violations) > 0 {
 		err = fmt.Errorf("core: command would violate %s: %s", d.Violations[0].Policy.ID, d.Violations[0].Reason)
@@ -105,5 +104,5 @@ func (s *EmergencySession) Exec(line string) (string, error) {
 	}
 	// The commit's own change entries record what reached production.
 	e.emergencyNote(audit.KindSession, true, "applied [%s] %s", s.device, line)
-	return out, nil
+	return "", nil
 }

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,7 +85,8 @@ func TestBGPSessionsEstablish(t *testing.T) {
 		}
 	}
 	// A one-sided configuration forms no session.
-	n.Devices["isp1"].BGP.RemoveNeighbor(ip("203.0.113.1"))
+	isp1 := n.Devices["isp1"].BGP
+	isp1.Neighbors = slices.DeleteFunc(isp1.Neighbors, func(nb netmodel.BGPNeighbor) bool { return nb.Addr == ip("203.0.113.1") })
 	s = Compute(n)
 	for _, p := range s.BGPPeers("edge") {
 		if p.PeerAddr == ip("203.0.113.2") && p.Established {

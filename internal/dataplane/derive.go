@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"heimdall/internal/config"
 	"heimdall/internal/netmodel"
 )
 
@@ -96,6 +97,63 @@ type Change struct {
 // ChangeSet is the list of changes between the snapshot's network and the
 // network a derived snapshot is requested for.
 type ChangeSet []Change
+
+// ChangeSetFor classifies a configuration change set for derivation: the
+// one classifier the enforcer's reviews and commits and the console's
+// writes share. prod must still be in its pre-change state: the interface
+// refinement reads what each change replaces.
+func ChangeSetFor(prod *netmodel.Network, changes []config.Change) ChangeSet {
+	cs := make(ChangeSet, 0, len(changes))
+	for _, c := range changes {
+		cs = append(cs, Change{Device: c.Device, Kind: changeKindFor(prod, c)})
+	}
+	return cs
+}
+
+// changeKindFor maps a configuration op onto the narrowest change class it
+// can affect. VLAN ops only edit the switching fabric. Interface ops are
+// L2-class when the change stays in the fabric (interfaceChangeL2Only), and
+// L3-topology otherwise — every config op is confined to its named device,
+// so the conservative full-recompute class is reserved for ops the switch
+// doesn't recognize.
+func changeKindFor(prod *netmodel.Network, c config.Change) ChangeKind {
+	switch c.Op {
+	case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL, config.OpAddACL:
+		return ChangeACL
+	case config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway:
+		return ChangeStatic
+	case config.OpSetOSPF, config.OpRemoveOSPF:
+		return ChangeOSPF
+	case config.OpSetBGP, config.OpRemoveBGP:
+		return ChangeBGP
+	case config.OpSetVLAN, config.OpRemoveVLAN:
+		return ChangeL2
+	case config.OpAddInterface, config.OpSetInterface:
+		if interfaceChangeL2Only(prod, c) {
+			return ChangeL2
+		}
+		return ChangeL3Topology
+	default:
+		return ChangeTopology
+	}
+}
+
+// interfaceChangeL2Only reports whether an interface change stays in the
+// switching fabric: the interface is L2-only after the change and was absent
+// or L2-only before it (replacing an addressed routed port is an L3
+// change), and on a host neither side has an address — Network.HostAddr
+// reads access ports too, so an addressed one can become the host's address.
+func interfaceChangeL2Only(prod *netmodel.Network, c config.Change) bool {
+	d := prod.Devices[c.Device]
+	if d == nil || !netmodel.InterfaceL2Only(c.Interface) {
+		return false
+	}
+	old := d.Interface(c.Interface.Name)
+	if d.Kind == netmodel.Host && (c.Interface.HasAddr() || old != nil && old.HasAddr()) {
+		return false
+	}
+	return old == nil || netmodel.InterfaceL2Only(old)
+}
 
 // Derive builds a snapshot of n by reusing every part of the receiver that
 // the change set provably cannot invalidate, recomputing only the rest.

@@ -81,7 +81,7 @@ func TestDeriveBGPWithdraw(t *testing.T) {
 			d.BGP.Networks = nil
 		}},
 		{"remove-neighbor", "edge", func(d *netmodel.Device) {
-			d.BGP.RemoveNeighbor(netip.MustParseAddr("203.0.113.2"))
+			d.BGP.Neighbors = slices.DeleteFunc(d.BGP.Neighbors, func(nb netmodel.BGPNeighbor) bool { return nb.Addr == netip.MustParseAddr("203.0.113.2") })
 		}},
 		{"remove-process", "isp2", func(d *netmodel.Device) {
 			d.BGP = nil

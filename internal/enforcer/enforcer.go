@@ -306,7 +306,7 @@ func (e *Enforcer) reviewCompute(prodSnap *dataplane.Snapshot, changes []config.
 	if prodSnap == nil {
 		prodSnap = e.productionSnapshot()
 	}
-	shadowSnap := prodSnap.Derive(shadow, changeSetFor(e.prod, changes))
+	shadowSnap := prodSnap.Derive(shadow, dataplane.ChangeSetFor(e.prod, changes))
 	verifyStart := time.Now()
 	next := make(verify.Verdicts, len(e.policies))
 	res := verify.CheckCarried(shadowSnap, e.policies, e.verdictsOf(prodSnap, true), next, e.checks)
@@ -332,62 +332,6 @@ func authorized(s *privilege.CompiledSpec, c config.Change) bool {
 		return s.Allows("config.acl.remove", res) && s.Allows("config.acl.add", res)
 	}
 	return s.Allows(c.Action(), c.Resource())
-}
-
-// changeSetFor classifies a configuration change set for snapshot
-// derivation. prod must still be in its pre-change state: the interface
-// refinement of changeKindFor reads what each change replaces.
-func changeSetFor(prod *netmodel.Network, changes []config.Change) dataplane.ChangeSet {
-	cs := make(dataplane.ChangeSet, 0, len(changes))
-	for _, c := range changes {
-		cs = append(cs, dataplane.Change{Device: c.Device, Kind: changeKindFor(prod, c)})
-	}
-	return cs
-}
-
-// changeKindFor maps a configuration op onto the narrowest dataplane
-// change class it can affect, for snapshot derivation. VLAN ops only edit
-// the switching fabric. Interface ops are L2-class when the change stays in
-// the fabric (interfaceChangeL2Only), and L3-topology otherwise — every
-// config op is confined to its named device, so the conservative
-// full-recompute class is reserved for ops the switch doesn't recognize.
-func changeKindFor(prod *netmodel.Network, c config.Change) dataplane.ChangeKind {
-	switch c.Op {
-	case config.OpAddACLEntry, config.OpSetACLEntry, config.OpRemoveACLEntry, config.OpRemoveACL, config.OpAddACL:
-		return dataplane.ChangeACL
-	case config.OpAddStaticRoute, config.OpRemoveStaticRoute, config.OpSetGateway:
-		return dataplane.ChangeStatic
-	case config.OpSetOSPF, config.OpRemoveOSPF:
-		return dataplane.ChangeOSPF
-	case config.OpSetBGP, config.OpRemoveBGP:
-		return dataplane.ChangeBGP
-	case config.OpSetVLAN, config.OpRemoveVLAN:
-		return dataplane.ChangeL2
-	case config.OpAddInterface, config.OpSetInterface:
-		if interfaceChangeL2Only(prod, c) {
-			return dataplane.ChangeL2
-		}
-		return dataplane.ChangeL3Topology
-	default:
-		return dataplane.ChangeTopology
-	}
-}
-
-// interfaceChangeL2Only reports whether an interface change stays in the
-// switching fabric: the interface is L2-only after the change and was absent
-// or L2-only in production (replacing an addressed routed port is an L3
-// change), and on a host neither side has an address — Network.HostAddr
-// reads access ports too, so an addressed one can become the host's address.
-func interfaceChangeL2Only(prod *netmodel.Network, c config.Change) bool {
-	d := prod.Devices[c.Device]
-	if d == nil || !netmodel.InterfaceL2Only(c.Interface) {
-		return false
-	}
-	old := d.Interface(c.Interface.Name)
-	if d.Kind == netmodel.Host && (c.Interface.HasAddr() || old != nil && old.HasAddr()) {
-		return false
-	}
-	return old == nil || netmodel.InterfaceL2Only(old)
 }
 
 // schedulePhase orders ops within the additive/subtractive phases so that

@@ -190,7 +190,7 @@ func TestReviewSeesMovedHostAddress(t *testing.T) {
 		if err := config.ApplyChanges(shadow, changes); err != nil {
 			t.Fatal(err)
 		}
-		derived, fresh := held.Derive(shadow, changeSetFor(n, changes)), dataplane.Compute(shadow)
+		derived, fresh := held.Derive(shadow, dataplane.ChangeSetFor(n, changes)), dataplane.Compute(shadow)
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				for _, p := range protos {

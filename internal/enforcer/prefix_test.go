@@ -60,7 +60,7 @@ func (o *prefixOracle) violated(t *testing.T, changes []config.Change) map[strin
 	if err := config.ApplyChanges(pushed, changes); err != nil {
 		t.Fatalf("%s: %v does not apply: %v", o.scen.Name, changes, err)
 	}
-	res := verify.CheckCarried(o.snap.Derive(pushed, changeSetFor(n, changes)), o.scen.Policies, o.vec, nil, nil)
+	res := verify.CheckCarried(o.snap.Derive(pushed, dataplane.ChangeSetFor(n, changes)), o.scen.Policies, o.vec, nil, nil)
 	for _, v := range res.Violations {
 		out[v.Policy.ID] = true
 	}

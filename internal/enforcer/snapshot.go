@@ -125,7 +125,7 @@ func diffAcross(from, to *netmodel.Network, devices []string) (cs dataplane.Chan
 		}
 		changes = append(changes, config.DiffDevice(was, now)...)
 	}
-	return changeSetFor(from, changes), true
+	return dataplane.ChangeSetFor(from, changes), true
 }
 
 // keptShadow is the accepted review under key: its shadow, derived from

@@ -52,14 +52,3 @@ func (b *BGPProcess) SetNeighbor(addr netip.Addr, remoteAS int) {
 	}
 	b.Neighbors = append(b.Neighbors, BGPNeighbor{Addr: addr, RemoteAS: remoteAS})
 }
-
-// RemoveNeighbor deletes a neighbor entry, reporting whether it existed.
-func (b *BGPProcess) RemoveNeighbor(addr netip.Addr) bool {
-	for i := range b.Neighbors {
-		if b.Neighbors[i].Addr == addr {
-			b.Neighbors = append(b.Neighbors[:i], b.Neighbors[i+1:]...)
-			return true
-		}
-	}
-	return false
-}

@@ -11,6 +11,7 @@ package netmodel
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -274,7 +275,7 @@ func (a *ACL) InsertEntry(e ACLEntry) {
 			return
 		}
 		if a.Entries[i].Seq > e.Seq {
-			a.Entries = append(a.Entries[:i], append([]ACLEntry{e}, a.Entries[i:]...)...)
+			a.Entries = slices.Insert(a.Entries, i, e)
 			return
 		}
 	}

@@ -97,9 +97,10 @@ func newOracleTicket(scen *scenarios.Scenario, is scenarios.Issue) oracleTicket 
 	if is.Fault.Kind == privilege.TaskACL {
 		beyond = "interface " + prod.Devices[root].InterfaceNames()[0] + " shutdown"
 	}
-	// Writes that fail after they mutated: a routing process is created
-	// before its first, malformed, statement is refused. Aimed at every
-	// suspect without the process, so one lands where nothing else wrote.
+	// Writes that fail on a device without the routing process they name:
+	// the process must not be created for a statement that is refused.
+	// Aimed at every suspect without the process, so one lands where
+	// nothing else wrote.
 	var halfway []ticket.FixCommand
 	for _, dev := range prod.RoutersAndSwitches() {
 		if !slice[dev] {
@@ -189,11 +190,11 @@ func inverseLine(n *netmodel.Network, c ticket.FixCommand) string {
 //     the twin shows it (Mismatch);
 //   - a second read — a memo hit by construction — returns the same, after
 //     the first returned slice was overwritten (the memo is not aliased);
-//   - a row that was denied, failed to parse, opened no console or is
-//     read-class leaves the oracle's diff where it was.
+//   - a row that was denied, failed to parse, opened no console, is
+//     read-class or failed in Execute leaves the oracle's diff where it was.
 //
-// It reports how many rows failed in Execute and moved the diff anyway.
-func replayScript(t *testing.T, tk oracleTicket, script string) (halfway int) {
+// It reports how many rows were allowed writes that failed in Execute.
+func replayScript(t *testing.T, tk oracleTicket, script string) (failedWrites int) {
 	t.Helper()
 	tw, err := New(Config{Ticket: "T-ORACLE", Technician: "fuzz", Production: tk.prod,
 		Snapshot: tk.snap, Spec: tk.spec, Slice: tk.slice})
@@ -245,43 +246,43 @@ func replayScript(t *testing.T, tk oracleTicket, script string) (halfway int) {
 			inert, failed = inert || errors.As(err, &denied), true
 		}
 		now := check(row)
-		if moved := !reflect.DeepEqual(now, prev); inert && moved {
+		if moved := !reflect.DeepEqual(now, prev); (inert || failed) && moved {
 			t.Fatalf("%s: %q changed nothing it may change, yet the diff moved: %v -> %v", tk.name, row, prev, now)
-		} else if failed && moved {
-			halfway++
+		}
+		if failed && !inert {
+			failedWrites++
 		}
 		prev = now
 	}
-	return halfway
+	return failedWrites
 }
 
 // TestChangesMatchesDiffNetwork replays the fuzz target's seed corpus —
 // every issue of university, enterprise, provider and the k=4 fat-tree:
 // the whole script, the fix, the fix undone, the fix with an
-// out-of-privilege write and garbage in between, and writes that fail
-// halfway — against the whole-network diff Changes used to be.
+// out-of-privilege write and garbage in between, and allowed writes that
+// fail — against the whole-network diff Changes used to be.
 //
-// Two seeded mutants fail it. Leaving the memo in place on a write (drop
-// `tw.stale = true` in Exec) fails all 12 tickets at their first fix line.
-// Recording the device only once Execute returned nil fails university/isp
-// and enterprise/isp at "r1 router bgp 65099 neighbor bogus remote-as 1":
-// a write that errors after it mutated does exist — `router bgp` and
-// `router ospf` create the routing process, then refuse a malformed
-// statement — and the isp tickets grant config.bgp.* on routers that run
-// no BGP. The count below keeps such a row in the corpus.
+// Leaving the memo in place on a write (drop `tw.stale = true` in Exec)
+// fails all 12 tickets at their first fix line. The isp tickets grant
+// config.bgp.* on routers that run no BGP, and "r1 router bgp 65099
+// neighbor bogus remote-as 1" is such a row: `router bgp` and `router
+// ospf` once created the routing process before refusing a malformed
+// statement, so the failed row moved the diff. The count below keeps
+// failing writes in the corpus.
 func TestChangesMatchesDiffNetwork(t *testing.T) {
-	halfway := 0
+	failedWrites := 0
 	for _, tickets := range oracleTickets() {
 		for _, tk := range tickets {
 			t.Run(tk.name, func(t *testing.T) {
 				for _, script := range tk.seeds {
-					halfway += replayScript(t, tk, script)
+					failedWrites += replayScript(t, tk, script)
 				}
 			})
 		}
 	}
-	if halfway == 0 {
-		t.Fatal("no seed row failed in Execute after mutating its device; the corpus no longer covers invalidate-on-dispatch")
+	if failedWrites == 0 {
+		t.Fatal("no seed row was an allowed write that failed in Execute; the corpus no longer covers failed writes")
 	}
 }
 
@@ -370,5 +371,45 @@ func TestMismatchNamesDevice(t *testing.T) {
 	tw.Changes()
 	if err := tw.Mismatch(); err == nil || !strings.Contains(err.Error(), "r2") {
 		t.Fatalf("Mismatch() = %v, want one naming r2", err)
+	}
+}
+
+// TestFailedWriteLeavesTwin: a write that fails after the monitor allowed
+// it — an argument that does not parse, a process in another AS, an
+// interface, ACL entry or process statement that is not there — applies
+// nothing, so the twin has no change, no mismatch and still holds the
+// device it opened with. The BGP and OSPF lines once created their process
+// before the subcommand failed, so a review would have pushed one.
+func TestFailedWriteLeavesTwin(t *testing.T) {
+	prod := prodNet()
+	prod.Devices["r4"].OSPF = nil
+	tw, err := New(Config{Ticket: "T1", Technician: "alice", Production: prod, Spec: allowAllSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened := maps.Clone(tw.Network().Devices)
+	for _, step := range []struct{ dev, line string }{
+		{"r2", "router bgp 65001 neighbor bogus remote-as 5"},
+		{"r2", "router bgp 65001 network bogus mask 255.255.255.0"},
+		{"r4", "router ospf network 10.0.0.0 bogus area 0"},
+		{"r2", "interface Gi0/9 shutdown"},
+		{"r2", "no access-list NOPE 10"},
+	} {
+		sess, err := tw.OpenConsole(step.dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Exec(step.line); err == nil {
+			t.Fatalf("%s %q: no error", step.dev, step.line)
+		}
+		if changes := tw.Changes(); len(changes) != 0 {
+			t.Fatalf("%s %q: Changes() = %v, want none", step.dev, step.line, changes)
+		}
+		if err := tw.Mismatch(); err != nil {
+			t.Fatalf("%s %q: %v", step.dev, step.line, err)
+		}
+		if tw.Network().Devices[step.dev] != opened[step.dev] {
+			t.Fatalf("%s %q: the twin replaced the device", step.dev, step.line)
+		}
 	}
 }

@@ -119,11 +119,11 @@ type Twin struct {
 	// service layer multiplexes API calls onto the same twin), so the
 	// emulation layer itself must be safe for concurrent use.
 	mu sync.Mutex
-	// pre holds the pre-image of every device an allowed write-class
-	// command was dispatched on: the device held until the first such write
-	// put a clone in its place. The monitor is the emulation layer's only
-	// writer and a config command touches only its console's device, so
-	// every other device is still its own baseline (and production's).
+	// pre holds the pre-image of every device an allowed write applied to:
+	// the device held until that write replaced it (console.Execute never
+	// writes a device). The monitor is the emulation layer's only writer and
+	// a config command touches only its console's device, so every other
+	// device is still its own baseline (and production's).
 	// changes is the diff of the written devices against their pre-images,
 	// and mismatch names the first whose diff does not carry it, both
 	// current while stale is false.
@@ -136,8 +136,9 @@ type Twin struct {
 // New builds the twin: the emulation layer is production sanitized
 // (config.Sanitize), sharing all but secrets with production's devices,
 // which no production writer writes: each replaces the device it writes. An open
-// copies nothing: a device is cloned at its first write, and the one it
-// replaces is kept as the baseline its change set is diffed against.
+// copies nothing, and neither does a write: the console replaces the device
+// it writes, and the device a first write replaces is kept as the baseline
+// its change set is diffed against.
 func New(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
@@ -209,9 +210,9 @@ func (tw *Twin) Visible(device string) bool {
 
 // Network exposes the emulation layer for reading (tests, oracles);
 // technicians only ever interact through sessions. It is read-only: a device
-// no write was dispatched on is production's, and Changes diffs only the
-// devices the monitor dispatched a write on, so a mutation made through this
-// pointer may reach production and is in no change set.
+// no write replaced is production's, and Changes diffs only the devices a
+// write replaced, so a mutation made through this pointer may reach
+// production and is in no change set.
 func (tw *Twin) Network() *netmodel.Network { return tw.emul }
 
 // Baseline returns the sanitized production the twin started from, as a
@@ -240,7 +241,7 @@ func (tw *Twin) Snapshot() *dataplane.Snapshot {
 // Changes returns the semantic configuration diff between the twin's
 // baseline and its current state: exactly what the technician changed,
 // element for element what config.DiffNetwork(Baseline(), Network())
-// returns. Only the devices a write was dispatched on are diffed, once per
+// returns. Only the devices a write replaced are diffed, once per
 // twin state: until the next write the answer is a copy of the last one
 // (the payloads the elements point to are shared and never written).
 func (tw *Twin) Changes() []config.Change {
@@ -377,20 +378,22 @@ func (s *Session) Exec(line string) (string, error) {
 	write := "read"
 	if cmd.Write {
 		write = "write"
-		// Recorded at dispatch, not on success: a write that fails halfway
-		// may already have mutated its device, a clone of the shared one.
-		if _, ok := tw.pre[cmd.Device]; !ok {
-			d := tw.emul.Devices[cmd.Device]
-			tw.pre[cmd.Device], tw.emul.Devices[cmd.Device] = d, d.Clone()
-		}
-		tw.stale = true
 	}
 	tw.counter("heimdall_console_dispatch_total", "action", cmd.Action, "write", write).Inc()
+	held := tw.emul.Devices[cmd.Device]
 	out, err := s.con.Execute(cmd)
 	tw.ins.execTime.ObserveDuration(time.Since(start))
 	if err != nil {
 		tw.log(audit.KindCommand, fmt.Sprintf("[%s] %s failed: %v", s.Device(), line, err), true)
 		return "", err
+	}
+	// A write that applied replaced its device (a failed or no-op one
+	// leaves it in place): the device it replaced first is the pre-image.
+	if tw.emul.Devices[cmd.Device] != held {
+		if _, ok := tw.pre[cmd.Device]; !ok {
+			tw.pre[cmd.Device] = held
+		}
+		tw.stale = true
 	}
 	return out, nil
 }
