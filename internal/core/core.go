@@ -164,10 +164,13 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	}
 	tk = s.Tickets.Get(ticketID)
 
-	prod, snap := s.Enforcer.View(true)
+	// The view is this open's own copy, its devices sanitized: the twin
+	// takes it over.
+	prod, snap := s.Enforcer.SanitizedView()
 	slice := twin.ComputeSlice(prod, snap, twin.SliceTaskDriven, tk.SrcHost, tk.DstHost, tk.Suspects)
 
-	var scope, suspects, sensitive []string
+	scope := make([]string, 0, len(slice))
+	var suspects, sensitive []string
 	for dev := range slice {
 		scope = append(scope, dev)
 		if d := prod.Devices[dev]; d != nil && d.Kind != netmodel.Host {
@@ -186,7 +189,6 @@ func (s *System) StartWork(ticketID, technician string) (*Engagement, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The view is this open's own copy: the twin takes it over.
 	tw, err := twin.FromView(twin.Config{
 		Ticket:      tk.ID,
 		Technician:  technician,

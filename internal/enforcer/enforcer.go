@@ -108,7 +108,15 @@ type Enforcer struct {
 	prodSnap atomic.Pointer[heldSnapshot]
 	snapMu   sync.Mutex
 	kept     atomic.Pointer[keptShadow]
+	// sanitized holds each production device's sanitized copy, tagged with
+	// the device it was made from; SanitizedView refreshes it under sanMu,
+	// so a commit does no work for it.
+	sanMu     sync.Mutex
+	sanitized map[string]sanitizedDevice
 }
+
+// sanitizedDevice is config.Sanitize(from), made at an earlier open.
+type sanitizedDevice struct{ from, dev *netmodel.Device }
 
 // New creates an enforcer hosted in the given enclave, guarding the given
 // policy set on prod, which it owns from now on: the caller never writes it
@@ -123,6 +131,8 @@ func New(encl *enclave.Enclave, policies []verify.Policy, prod *netmodel.Network
 		prod:     prod,
 		reviews:  newFIFO[*Decision](reviewCacheCap),
 		compiled: newFIFO[*privilege.CompiledSpec](compiledCap),
+
+		sanitized: make(map[string]sanitizedDevice, len(prod.Devices)),
 	}
 	e.SetMeter(nil)
 	return e
@@ -168,6 +178,28 @@ func (e *Enforcer) View(snapshot bool) (*netmodel.Network, *dataplane.Snapshot) 
 	if !snapshot {
 		return view, nil
 	}
+	return view, e.productionSnapshot().Derive(view, nil)
+}
+
+// SanitizedView is View(true) with every device sanitized (config.Sanitize):
+// what a twin's emulation layer starts from. A device's sanitized copy is
+// held from one open to the next and taken while the device it was made
+// from is still production's, so an open sanitizes only what a write
+// replaced since the last one, whichever writer it was.
+func (e *Enforcer) SanitizedView() (*netmodel.Network, *dataplane.Snapshot) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	view := e.prod.CloneCOW()
+	e.sanMu.Lock()
+	for name, d := range view.Devices {
+		held := e.sanitized[name]
+		if held.from != d {
+			held = sanitizedDevice{from: d, dev: config.Sanitize(d)}
+			e.sanitized[name] = held
+		}
+		view.Devices[name] = held.dev
+	}
+	e.sanMu.Unlock()
 	return view, e.productionSnapshot().Derive(view, nil)
 }
 

@@ -49,7 +49,7 @@ func TestWritersLeaveReaders(t *testing.T) {
 			hold("the shadow kept after "+what, k.net)
 		}
 	}
-	open, _ := e.View(false)
+	open, _ := e.SanitizedView()
 	tw, err := twin.FromView(twin.Config{Ticket: "T1", Technician: "alice", Production: open, Spec: aclSpec()})
 	if err != nil {
 		t.Fatal(err)

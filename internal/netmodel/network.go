@@ -3,7 +3,9 @@ package netmodel
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Endpoint names one end of a link: an interface on a device.
@@ -44,6 +46,62 @@ type Network struct {
 	Name    string
 	Devices map[string]*Device
 	Links   []*Link
+	// cab indexes Links, built at the first read that needs it and shared
+	// with every CloneCOW copy (see cabling).
+	cab atomic.Pointer[cabling]
+}
+
+// cabling indexes a network's cables: every device by position, the far end
+// of each cable by position, and the link at each endpoint. Links are never
+// written in place, so an index holds while the Links slice (its length and
+// first element) and the device count it was built from do: Connect drops
+// it, and a network whose Links were appended to or whose devices were
+// added to builds a new one at its next read.
+type cabling struct {
+	links   []*Link
+	devices int            // positions below it are devices of the network
+	pos     map[string]int // the devices first, then names only a link mentions
+	names   []string
+	adj     [][]int            // per position, the far end of each cable on it
+	at      map[Endpoint]*Link // the first link on each endpoint
+}
+
+// cabling returns the network's index of its links, built anew when stale.
+func (n *Network) cabling() *cabling {
+	c := n.cab.Load()
+	if c != nil && c.devices == len(n.Devices) && len(c.links) == len(n.Links) &&
+		(len(n.Links) == 0 || &c.links[0] == &n.Links[0]) {
+		return c
+	}
+	c = &cabling{links: n.Links, devices: len(n.Devices), pos: make(map[string]int, len(n.Devices)),
+		names: make([]string, 0, len(n.Devices)), at: make(map[Endpoint]*Link, 2*len(n.Links))}
+	for name := range n.Devices {
+		c.position(name)
+	}
+	for _, l := range n.Links {
+		a, b := c.position(l.A.Device), c.position(l.B.Device)
+		c.adj[a] = append(c.adj[a], b)
+		c.adj[b] = append(c.adj[b], a)
+		for _, ep := range [2]Endpoint{l.A, l.B} {
+			if c.at[ep] == nil {
+				c.at[ep] = l
+			}
+		}
+	}
+	n.cab.Store(c)
+	return c
+}
+
+// position returns name's position, giving it the next one if it has none.
+func (c *cabling) position(name string) int {
+	p, ok := c.pos[name]
+	if !ok {
+		p = len(c.names)
+		c.pos[name] = p
+		c.names = append(c.names, name)
+		c.adj = append(c.adj, nil)
+	}
+	return p
 }
 
 // NewNetwork returns an empty network.
@@ -97,6 +155,7 @@ func (n *Network) Connect(devA, ifA, devB, ifB string) error {
 		A: Endpoint{Device: devA, Interface: ifA},
 		B: Endpoint{Device: devB, Interface: ifB},
 	})
+	n.cab.Store(nil)
 	return nil
 }
 
@@ -109,29 +168,25 @@ func (n *Network) MustConnect(devA, ifA, devB, ifB string) {
 
 // LinkAt returns the link attached to the given interface, or nil.
 func (n *Network) LinkAt(device, itf string) *Link {
-	for _, l := range n.Links {
-		if l.Touches(device, itf) {
-			return l
-		}
-	}
-	return nil
+	return n.cabling().at[Endpoint{Device: device, Interface: itf}]
 }
 
 // Neighbors returns the names of devices directly cabled to the given
 // device, sorted and without duplicates.
 func (n *Network) Neighbors(device string) []string {
-	seen := make(map[string]bool)
-	for _, l := range n.Links {
-		if other, ok := l.Other(device); ok && other.Device != device {
-			seen[other.Device] = true
+	c := n.cabling()
+	var ends []int
+	if p, ok := c.pos[device]; ok {
+		ends = c.adj[p]
+	}
+	out := make([]string, 0, len(ends))
+	for _, q := range ends {
+		if c.names[q] != device {
+			out = append(out, c.names[q])
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Clone returns a deep copy of the network.
@@ -170,6 +225,7 @@ func (n *Network) CloneCOW(mutated ...string) *Network {
 		}
 	}
 	c.Links = n.Links[:len(n.Links):len(n.Links)]
+	c.cab.Store(n.cabling())
 	return c
 }
 
@@ -256,60 +312,46 @@ func (n *Network) HostAddr(name string) (netip.Addr, bool) {
 // whose length is at most slack hops longer than the shortest path. It is
 // the topological core of the twin network's task-driven slice.
 func (n *Network) PathsBetween(src, dst string, slack int) map[string]bool {
-	// One walk over the links builds the adjacency, by device position. A
-	// parallel cable lists a neighbour twice and a self-loop lists a device
-	// as its own neighbour; neither changes a breadth-first search.
-	names := make([]string, 0, len(n.Devices))
-	index := make(map[string]int, len(n.Devices))
-	for name := range n.Devices {
-		index[name] = len(names)
-		names = append(names, name)
-	}
-	adj := make([][]int, len(names))
-	for _, l := range n.Links {
-		a, okA := index[l.A.Device]
-		b, okB := index[l.B.Device]
-		if okA && okB {
-			adj[a] = append(adj[a], b)
-			adj[b] = append(adj[b], a)
-		}
-	}
+	c := n.cabling()
 	out := make(map[string]bool)
-	s, okS := index[src]
-	d, okD := index[dst]
-	if !okS || !okD {
+	s, okS := c.pos[src]
+	d, okD := c.pos[dst]
+	if !okS || !okD || s >= c.devices || d >= c.devices {
 		return out
 	}
-	fromSrc := bfsAll(adj, s)
+	fromSrc := c.bfs(s)
 	shortest := fromSrc[d]
 	if shortest < 0 {
 		return out
 	}
 	// A node v is on a path of length <= shortest+slack iff
 	// dist(src,v)+dist(v,dst) <= shortest+slack.
-	fromDst := bfsAll(adj, d)
+	fromDst := c.bfs(d)
 	for v, ds := range fromSrc {
 		if dd := fromDst[v]; ds >= 0 && dd >= 0 && ds+dd <= shortest+slack {
-			out[names[v]] = true
+			out[c.names[v]] = true
 		}
 	}
 	return out
 }
 
-// bfsAll returns the hop count from start to every device by position, -1
-// where it is unreachable.
-func bfsAll(adj [][]int, start int) []int {
-	dist := make([]int, len(adj))
+// bfs returns the hop count from start to every device by position, -1
+// where it is unreachable. A name only a link mentions is no device, so no
+// path runs through it; a parallel cable lists a neighbour twice and a
+// self-loop lists a device as its own neighbour, and neither changes the
+// search.
+func (c *cabling) bfs(start int) []int {
+	dist := make([]int, c.devices)
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[start] = 0
-	queue := append(make([]int, 0, len(adj)), start)
+	queue := append(make([]int, 0, c.devices), start)
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, next := range adj[cur] {
-			if dist[next] < 0 {
+		for _, next := range c.adj[cur] {
+			if next < c.devices && dist[next] < 0 {
 				dist[next] = dist[cur] + 1
 				queue = append(queue, next)
 			}

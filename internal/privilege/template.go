@@ -67,7 +67,8 @@ func Generate(in TemplateInput) (*Spec, error) {
 	if !ok {
 		return nil, fmt.Errorf("privilege: unknown task kind %q", in.Kind)
 	}
-	s := &Spec{Ticket: in.Ticket, Technician: in.Technician}
+	s := &Spec{Ticket: in.Ticket, Technician: in.Technician,
+		Rules: make([]Rule, 0, 2*len(in.Scope)+len(writes)*len(in.Suspects)+len(in.Sensitive))}
 
 	scope := append([]string(nil), in.Scope...)
 	sort.Strings(scope)

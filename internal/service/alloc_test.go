@@ -83,10 +83,11 @@ func TestMeteredExecAllocatesNoMore(t *testing.T) {
 	}
 }
 
-// TestReviewAndCommitLookUpNoMetric: the review and commit paths look
-// their metrics up once (per service, tenant, twin or enforcer), so once a
-// tenant has worked one ticket end to end, the next ticket's review (a
-// verdict-cache miss), its repeat (a hit) and its commit look no metric up.
+// TestReviewAndCommitLookUpNoMetric: the ticket's paths look their metrics
+// up once (per service, tenant, twin or enforcer), so once a tenant has
+// worked one ticket end to end, the next ticket's injection, its open, its
+// review (a verdict-cache miss), the review's repeat (a hit), its commit and
+// its close look no metric up.
 func TestReviewAndCommitLookUpNoMetric(t *testing.T) {
 	m := &lookupMeter{Registry: telemetry.NewRegistry()}
 	svc := New(Config{Meter: m, PlatformSeed: "alloc"})
@@ -100,6 +101,7 @@ func TestReviewAndCommitLookUpNoMetric(t *testing.T) {
 	}
 	issue := tn.ScenarioData().Issues[0]
 	for round := 0; round < 2; round++ {
+		before := m.n.Load()
 		tk, err := svc.InjectIssue("acme", issue.Name, "admin")
 		if err != nil {
 			t.Fatal(err)
@@ -108,12 +110,15 @@ func TestReviewAndCommitLookUpNoMetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n := m.n.Load() - before; round > 0 && n != 0 {
+			t.Errorf("an injection and an open looked up %d metrics, want 0", n)
+		}
 		for _, cmd := range issue.Script {
 			if _, err := svc.Exec("acme", info.Session, info.Token, cmd.Device, cmd.Line); err != nil {
 				t.Fatalf("exec %q on %s: %v", cmd.Line, cmd.Device, err)
 			}
 		}
-		before := m.n.Load()
+		before = m.n.Load()
 		for i := 0; i < 2; i++ {
 			if res, err := svc.Review("acme", info.Session, info.Token); err != nil || !res.Accepted {
 				t.Fatalf("review %d: %+v, %v", i, res, err)
@@ -125,10 +130,19 @@ func TestReviewAndCommitLookUpNoMetric(t *testing.T) {
 		if n := m.n.Load() - before; round > 0 && n != 0 {
 			t.Errorf("two reviews and a commit looked up %d metrics, want 0", n)
 		}
+		before = m.n.Load()
+		if err := svc.CloseSession("acme", info.Session, info.Token); err != nil {
+			t.Fatal(err)
+		}
+		if n := m.n.Load() - before; round > 0 && n != 0 {
+			t.Errorf("a close looked up %d metrics, want 0", n)
+		}
 	}
 	metrics := m.Registry.Dump()
 	for _, series := range []string{
 		`heimdall_service_commits_total{tenant="acme"} 2`, "heimdall_service_review_cache_hits_total 2",
+		`heimdall_service_tickets_total{tenant="acme"} 2`, `heimdall_service_sessions_total{tenant="acme"} 2`,
+		`heimdall_service_sessions_active{tenant="acme"} 0`,
 		"heimdall_enforcer_verify_seconds_count", "heimdall_enforcer_push_seconds_count", "heimdall_enforcer_changes_applied_total",
 		"heimdall_enforcer_prod_snapshot_hits_total", "heimdall_enforcer_review_cache_misses_total 2",
 		"heimdall_verify_runs_total", "heimdall_dataplane_flowcache_hits_total", `heimdall_service_tenant_queue_depth{tenant="acme"}`,

@@ -49,10 +49,12 @@ type Tenant struct {
 	sys      *core.System
 	issues   []scenarios.Issue
 
-	// The tenant's per-line metrics and its commit counter, looked up when
-	// it is created.
+	// The tenant's per-line metrics, its commit, ticket and session
+	// counters and its active-session gauge, looked up when it is created.
 	mediation                 telemetry.Histogram
 	commands, denied, commits telemetry.Counter
+	tickets, opened, expired  telemetry.Counter
+	active                    telemetry.Gauge
 
 	mu       sync.Mutex
 	seq      int

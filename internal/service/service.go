@@ -212,6 +212,10 @@ func (s *Service) CreateTenant(id, scenario string) (TenantInfo, error) {
 		commands: s.meter.Counter("heimdall_service_commands_total", telemetry.L("tenant", id)),
 		denied:   s.meter.Counter("heimdall_service_denied_total", telemetry.L("tenant", id)),
 		commits:  s.meter.Counter("heimdall_service_commits_total", telemetry.L("tenant", id)),
+		tickets:  s.meter.Counter("heimdall_service_tickets_total", telemetry.L("tenant", id)),
+		opened:   s.meter.Counter("heimdall_service_sessions_total", telemetry.L("tenant", id)),
+		expired:  s.meter.Counter("heimdall_service_sessions_expired_total", telemetry.L("tenant", id)),
+		active:   s.meter.Gauge("heimdall_service_sessions_active", telemetry.L("tenant", id)),
 	}
 	if err := s.reg.add(t); err != nil {
 		return TenantInfo{}, err
@@ -253,7 +257,7 @@ func (s *Service) CreateTicket(tenant string, tk ticket.Ticket) (*ticket.Ticket,
 		return nil, err
 	}
 	created := t.sys.Tickets.Create(tk)
-	s.meter.Counter("heimdall_service_tickets_total", telemetry.L("tenant", tenant)).Inc()
+	t.tickets.Inc()
 	return created, nil
 }
 
@@ -330,16 +334,12 @@ func (s *Service) CreateSession(tenant, technician, ticketID string) (Info, erro
 	t.sessions[sess.ID] = sess
 	t.mu.Unlock()
 
-	s.meter.Counter("heimdall_service_sessions_total", telemetry.L("tenant", tenant)).Inc()
-	s.sessionsActive(t).Add(1)
+	t.opened.Inc()
+	t.active.Add(1)
 	info := sess.snapshotInfo()
 	info.Token = token
 	info.Slice = eng.Twin.VisibleDevices()
 	return info, nil
-}
-
-func (s *Service) sessionsActive(t *Tenant) telemetry.Gauge {
-	return s.meter.Gauge("heimdall_service_sessions_active", telemetry.L("tenant", t.ID))
 }
 
 func (sess *Session) snapshotInfo() Info {
@@ -439,8 +439,8 @@ func (s *Service) expireLocked(sess *Session, now time.Time) {
 	t := sess.tenant
 	t.sys.Enforcer.Trail().Append(sess.TicketID, sess.Technician, audit.KindSession,
 		fmt.Sprintf("session %s expired (idle %s)", sess.ID, now.Sub(sess.lastActive).Round(time.Second)), false)
-	s.meter.Counter("heimdall_service_sessions_expired_total", telemetry.L("tenant", t.ID)).Inc()
-	s.sessionsActive(t).Add(-1)
+	t.expired.Inc()
+	t.active.Add(-1)
 	releaseLocked(sess)
 }
 
@@ -660,7 +660,7 @@ func (s *Service) CloseSession(tenant, session, token string) error {
 	t := sess.tenant
 	t.sys.Enforcer.Trail().Append(sess.TicketID, sess.Technician, audit.KindSession,
 		fmt.Sprintf("session %s closed (%d commands)", sess.ID, sess.commands), true)
-	s.sessionsActive(t).Add(-1)
+	t.active.Add(-1)
 	releaseLocked(sess)
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,8 @@ type Config struct {
 	Ticket     string
 	Technician string
 	// Production is the network being mimicked; the twin never writes its
-	// devices (New copies its device map, FromView takes it over).
+	// devices (New copies its device map and sanitizes the copy, FromView
+	// takes over a map whose devices are sanitized already).
 	Production *netmodel.Network
 	// Snapshot, when set, is the dataplane snapshot of Production as it is
 	// now. The twin's first snapshot then derives from it instead of being
@@ -143,13 +145,17 @@ func New(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
 	}
-	cfg.Production = cfg.Production.CloneCOW()
+	emul := cfg.Production.CloneCOW()
+	for name, d := range emul.Devices {
+		emul.Devices[name] = config.Sanitize(d)
+	}
+	cfg.Production = emul
 	return FromView(cfg)
 }
 
-// FromView is New on a copy of production that the caller hands over (an
-// enforcer's View): the twin sanitizes that copy's device map in place and
-// keeps it as its emulation layer, so an open copies the map once.
+// FromView is New on a sanitized copy of production that the caller hands
+// over (an enforcer's SanitizedView): the twin keeps that copy as its
+// emulation layer, so an open copies the map once.
 func FromView(cfg Config) (*Twin, error) {
 	if cfg.Production == nil {
 		return nil, fmt.Errorf("twin: nil production network")
@@ -157,12 +163,15 @@ func FromView(cfg Config) (*Twin, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("twin: nil Privilegemsp")
 	}
-	// A shell sharing the never-mutated links, holding sanitized devices.
 	emul := cfg.Production
-	visible := make([]string, 0, len(emul.Devices))
-	for name, d := range emul.Devices {
-		emul.Devices[name] = config.Sanitize(d)
-		if cfg.Slice == nil || cfg.Slice[name] { // nil: every device is visible
+	visible := make([]string, 0, len(cfg.Slice))
+	if cfg.Slice == nil { // every device is visible
+		for name := range emul.Devices {
+			visible = append(visible, name)
+		}
+	}
+	for name, in := range cfg.Slice { // a ticket's few devices, not the map's all
+		if _, ok := emul.Devices[name]; ok && in {
 			visible = append(visible, name)
 		}
 	}
@@ -186,8 +195,8 @@ func FromView(cfg Config) (*Twin, error) {
 	// serializes under tw.mu), which is what the env's incremental
 	// post-write snapshots require.
 	tw.env = console.NewEnvSeeded(tw.emul, cfg.Snapshot)
-	tw.log(audit.KindSession, fmt.Sprintf("twin created (%d devices, %d visible)",
-		len(tw.emul.Devices), len(tw.visible)), true)
+	tw.log(audit.KindSession, "twin created ("+strconv.Itoa(len(tw.emul.Devices))+" devices, "+
+		strconv.Itoa(len(tw.visible))+" visible)", true)
 	return tw, nil
 }
 
